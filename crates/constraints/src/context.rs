@@ -1,6 +1,9 @@
 //! The `ConstraintValidationContext` of Figure 4.3.
 
+use crate::VOLATILE_ENV_KEYS;
+use dedisys_object::Invocation;
 use dedisys_types::{ClassName, MethodName, ObjectId, Result, Value};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// How constraint implementations reach application objects.
@@ -90,37 +93,30 @@ impl ObjectAccess for MapAccess {
 /// `before_method_invocation`. Every object touched through the
 /// context is *gathered* (§4.2.3) so the CCMgr can ask the replication
 /// manager about staleness afterwards.
+///
+/// The call data is held as [`Cow`]s: the owning constructors
+/// ([`ValidationContext::for_method`] and friends) move their arguments
+/// in, while the middleware builds one context per check with
+/// [`ValidationContext::borrowing`] over the invocation in flight and
+/// copies nothing.
 pub struct ValidationContext<'a> {
     access: &'a mut dyn ObjectAccess,
-    context_object: Option<ObjectId>,
-    called_object: Option<ObjectId>,
-    method: Option<MethodName>,
-    args: Vec<Value>,
-    result: Option<Value>,
-    pre_state: BTreeMap<String, Value>,
+    context_object: Option<Cow<'a, ObjectId>>,
+    called_object: Option<Cow<'a, ObjectId>>,
+    method: Option<Cow<'a, MethodName>>,
+    args: Cow<'a, [Value]>,
+    result: Option<Cow<'a, Value>>,
+    pre_state: Cow<'a, BTreeMap<String, Value>>,
     accessed: BTreeSet<ObjectId>,
-    /// Extra values the middleware exposes to constraints — e.g. the
-    /// current partition weight for partition-sensitive constraints
-    /// (§5.5.2) under the key `"partitionWeight"`.
+    /// The values of [`VOLATILE_ENV_KEYS`], slot for slot — what the
+    /// middleware sets on every check (partition weight, §5.5.2), kept
+    /// out of the map so setting them allocates nothing.
+    volatile_env: [Option<Value>; VOLATILE_ENV_KEYS.len()],
+    /// Any other value exposed to constraints via `env(..)`.
     environment: BTreeMap<String, Value>,
 }
 
 impl<'a> ValidationContext<'a> {
-    /// Context for an invariant starting from `context_object`.
-    pub fn for_invariant(context_object: ObjectId, access: &'a mut dyn ObjectAccess) -> Self {
-        Self {
-            access,
-            context_object: Some(context_object),
-            called_object: None,
-            method: None,
-            args: Vec::new(),
-            result: None,
-            pre_state: BTreeMap::new(),
-            accessed: BTreeSet::new(),
-            environment: BTreeMap::new(),
-        }
-    }
-
     /// Context for a query-based invariant (no context object).
     pub fn for_query(access: &'a mut dyn ObjectAccess) -> Self {
         Self {
@@ -128,11 +124,20 @@ impl<'a> ValidationContext<'a> {
             context_object: None,
             called_object: None,
             method: None,
-            args: Vec::new(),
+            args: Cow::Borrowed(&[]),
             result: None,
-            pre_state: BTreeMap::new(),
+            pre_state: Cow::Owned(BTreeMap::new()),
             accessed: BTreeSet::new(),
+            volatile_env: Default::default(),
             environment: BTreeMap::new(),
+        }
+    }
+
+    /// Context for an invariant starting from `context_object`.
+    pub fn for_invariant(context_object: ObjectId, access: &'a mut dyn ObjectAccess) -> Self {
+        Self {
+            context_object: Some(Cow::Owned(context_object)),
+            ..Self::for_query(access)
         }
     }
 
@@ -144,36 +149,61 @@ impl<'a> ValidationContext<'a> {
         access: &'a mut dyn ObjectAccess,
     ) -> Self {
         Self {
-            access,
-            context_object: Some(called_object.clone()),
-            called_object: Some(called_object),
-            method: Some(method),
-            args,
-            result: None,
-            pre_state: BTreeMap::new(),
-            accessed: BTreeSet::new(),
-            environment: BTreeMap::new(),
+            context_object: Some(Cow::Owned(called_object.clone())),
+            called_object: Some(Cow::Owned(called_object)),
+            method: Some(Cow::Owned(method)),
+            args: Cow::Owned(args),
+            ..Self::for_query(access)
         }
+    }
+
+    /// The middleware's constructor: a context over the invocation in
+    /// flight that borrows every part instead of copying it. `call`
+    /// makes it a pre-/postcondition context (called object, method,
+    /// arguments; `result` for postconditions), `context_object`
+    /// defaults to the called object, and `pre_state` is the `@pre`
+    /// snapshot taken before the call.
+    pub fn borrowing(
+        context_object: Option<&'a ObjectId>,
+        call: Option<&'a Invocation>,
+        result: Option<&'a Value>,
+        pre_state: Option<&'a BTreeMap<String, Value>>,
+        access: &'a mut dyn ObjectAccess,
+    ) -> Self {
+        let mut ctx = Self::for_query(access);
+        if let Some(call) = call {
+            ctx.called_object = Some(Cow::Borrowed(&call.target));
+            ctx.method = Some(Cow::Borrowed(&call.method));
+            ctx.args = Cow::Borrowed(&call.args);
+        }
+        ctx.context_object = context_object
+            .or(call.map(|call| &call.target))
+            .map(Cow::Borrowed);
+        ctx.result = result.map(Cow::Borrowed);
+        if let Some(pre_state) = pre_state {
+            ctx.pre_state = Cow::Borrowed(pre_state);
+        }
+        ctx
     }
 
     /// Overrides the context object (after context preparation).
     pub fn set_context_object(&mut self, id: Option<ObjectId>) {
-        self.context_object = id;
+        self.context_object = id.map(Cow::Owned);
     }
 
     /// The context object (`getContextObject()`).
     pub fn context_object(&self) -> Option<&ObjectId> {
-        self.context_object.as_ref()
+        self.context_object.as_deref()
     }
 
     /// The called object (`getCalledObject()`).
     pub fn called_object(&self) -> Option<&ObjectId> {
-        self.called_object.as_ref()
+        self.called_object.as_deref()
     }
 
     /// The invoked method (`getMethod()`).
     pub fn method(&self) -> Option<&MethodName> {
-        self.method.as_ref()
+        self.method.as_deref()
     }
 
     /// The method arguments (`getMethodArguments()`).
@@ -183,12 +213,12 @@ impl<'a> ValidationContext<'a> {
 
     /// The method result (`getMethodResult()`, postconditions only).
     pub fn result(&self) -> Option<&Value> {
-        self.result.as_ref()
+        self.result.as_deref()
     }
 
     /// Sets the method result before postcondition validation.
     pub fn set_result(&mut self, result: Value) {
-        self.result = Some(result);
+        self.result = Some(Cow::Owned(result));
     }
 
     /// Reads a field, recording the access.
@@ -198,8 +228,7 @@ impl<'a> ValidationContext<'a> {
     /// Propagates [`ObjectAccess::field`] failures; the unreachable
     /// object is still recorded as accessed.
     pub fn field(&mut self, id: &ObjectId, field: &str) -> Result<Value> {
-        self.accessed.insert(id.clone());
-        self.access.field(id, field)
+        read_recording(self.access, &mut self.accessed, id, field)
     }
 
     /// Convenience: a field of the context object.
@@ -209,11 +238,16 @@ impl<'a> ValidationContext<'a> {
     /// [`dedisys_types::Error::Config`] if no context object is set;
     /// otherwise as [`ValidationContext::field`].
     pub fn self_field(&mut self, field: &str) -> Result<Value> {
-        let id = self
-            .context_object
-            .clone()
-            .ok_or_else(|| dedisys_types::Error::Config("no context object".into()))?;
-        self.field(&id, field)
+        self.context_field(field)
+            .unwrap_or_else(|| Err(dedisys_types::Error::Config("no context object".into())))
+    }
+
+    /// A field of the context object, read without materialising a
+    /// reference to it; `None` when there is no context object. The
+    /// expression engines resolve `self.f` through this.
+    pub(crate) fn context_field(&mut self, field: &str) -> Option<Result<Value>> {
+        let id = self.context_object.as_deref()?;
+        Some(read_recording(self.access, &mut self.accessed, id, field))
     }
 
     /// Query all objects of a class (recorded as accessed).
@@ -229,9 +263,15 @@ impl<'a> ValidationContext<'a> {
         &self.accessed
     }
 
+    /// Moves the gathered objects out (the middleware keeps them with
+    /// the verdict).
+    pub fn take_accessed_objects(&mut self) -> BTreeSet<ObjectId> {
+        std::mem::take(&mut self.accessed)
+    }
+
     /// Stores a `@pre` value (called from `before_method_invocation`).
     pub fn store_pre(&mut self, key: impl Into<String>, value: Value) {
-        self.pre_state.insert(key.into(), value);
+        self.pre_state.to_mut().insert(key.into(), value);
     }
 
     /// Reads a `@pre` value during `validate`.
@@ -242,23 +282,50 @@ impl<'a> ValidationContext<'a> {
     /// Moves the pre-state out (middleware carries it between the
     /// before- and after-invocation hooks).
     pub fn take_pre_state(&mut self) -> BTreeMap<String, Value> {
-        std::mem::take(&mut self.pre_state)
+        std::mem::take(&mut self.pre_state).into_owned()
     }
 
     /// Restores a previously taken pre-state.
     pub fn set_pre_state(&mut self, state: BTreeMap<String, Value>) {
-        self.pre_state = state;
+        self.pre_state = Cow::Owned(state);
     }
 
     /// Exposes an environment value to the constraint.
-    pub fn set_env(&mut self, key: impl Into<String>, value: Value) {
-        self.environment.insert(key.into(), value);
+    pub fn set_env(&mut self, key: impl AsRef<str> + Into<String>, value: Value) {
+        match volatile_slot(key.as_ref()) {
+            Some(slot) => self.volatile_env[slot] = Some(value),
+            None => {
+                self.environment.insert(key.into(), value);
+            }
+        }
     }
 
     /// Reads an environment value (e.g. `"partitionWeight"`).
     pub fn env(&self, key: &str) -> Option<&Value> {
-        self.environment.get(key)
+        match volatile_slot(key) {
+            Some(slot) => self.volatile_env[slot].as_ref(),
+            None => self.environment.get(key),
+        }
     }
+}
+
+/// The slot of `key` in [`VOLATILE_ENV_KEYS`], if it is one of them.
+fn volatile_slot(key: &str) -> Option<usize> {
+    VOLATILE_ENV_KEYS.iter().position(|k| *k == key)
+}
+
+/// Reads `field` of `id`, gathering `id` first — so an unreachable
+/// object is recorded too — and copying the id only the first time.
+fn read_recording(
+    access: &mut dyn ObjectAccess,
+    accessed: &mut BTreeSet<ObjectId>,
+    id: &ObjectId,
+    field: &str,
+) -> Result<Value> {
+    if !accessed.contains(id) {
+        accessed.insert(id.clone());
+    }
+    access.field(id, field)
 }
 
 // The parallel batch engine moves evaluation work onto scoped worker
@@ -346,6 +413,86 @@ mod tests {
         ctx.set_env("partitionWeight", Value::Float(0.5));
         assert_eq!(ctx.env("partitionWeight"), Some(&Value::Float(0.5)));
         assert!(ctx.env("missing").is_none());
+    }
+
+    #[test]
+    fn middleware_environment_keys_resolve() {
+        let (mut w, id) = world();
+        let mut ctx = ValidationContext::for_invariant(id, &mut w);
+        assert!(VOLATILE_ENV_KEYS.iter().all(|k| ctx.env(k).is_none()));
+        ctx.set_env("partitionWeight", Value::Float(0.5));
+        ctx.set_env("partitionWeightUnits", Value::Int(1));
+        ctx.set_env("totalWeightUnits", Value::Int(2));
+        ctx.set_env("healthy", Value::Bool(false));
+        ctx.set_env(String::from("quota"), Value::Int(9));
+        assert_eq!(ctx.env("partitionWeight"), Some(&Value::Float(0.5)));
+        assert_eq!(ctx.env("partitionWeightUnits"), Some(&Value::Int(1)));
+        assert_eq!(ctx.env("totalWeightUnits"), Some(&Value::Int(2)));
+        assert_eq!(ctx.env("healthy"), Some(&Value::Bool(false)));
+        assert_eq!(ctx.env("quota"), Some(&Value::Int(9)));
+        // A second set overwrites, whichever storage holds the key.
+        ctx.set_env("healthy", Value::Bool(true));
+        ctx.set_env("quota", Value::Int(10));
+        assert_eq!(ctx.env("healthy"), Some(&Value::Bool(true)));
+        assert_eq!(ctx.env("quota"), Some(&Value::Int(10)));
+    }
+
+    #[test]
+    fn borrowing_context_matches_the_owning_one() {
+        let (mut w, id) = world();
+        let inv = Invocation::new(
+            dedisys_types::TxId::new(dedisys_types::NodeId(0), 1),
+            id.clone(),
+            "setSeats",
+            vec![Value::Int(90)],
+        );
+        let result = Value::Bool(true);
+        let pre = BTreeMap::from([("size".to_owned(), Value::Int(3))]);
+        let mut ctx =
+            ValidationContext::borrowing(None, Some(&inv), Some(&result), Some(&pre), &mut w);
+        // No context object given: it is the called object.
+        assert_eq!(ctx.context_object(), Some(&id));
+        assert_eq!(ctx.called_object(), Some(&id));
+        assert_eq!(ctx.method().unwrap().as_str(), "setSeats");
+        assert_eq!(ctx.args(), &[Value::Int(90)]);
+        assert_eq!(ctx.result(), Some(&Value::Bool(true)));
+        assert_eq!(ctx.pre("size"), Some(&Value::Int(3)));
+        assert_eq!(ctx.self_field("seats"), Ok(Value::Int(80)));
+        // Writing to a borrowed snapshot copies it; the original stays.
+        ctx.store_pre("more", Value::Int(1));
+        assert_eq!(ctx.take_pre_state().len(), 2);
+        assert_eq!(ctx.take_accessed_objects(), BTreeSet::from([id.clone()]));
+        drop(ctx);
+        assert_eq!(pre.len(), 1);
+
+        // A prepared context object overrides the called object; an
+        // invariant context has no call data at all.
+        let other = ObjectId::new("Flight", "F2");
+        let ctx = ValidationContext::borrowing(Some(&other), Some(&inv), None, None, &mut w);
+        assert_eq!(ctx.context_object(), Some(&other));
+        assert_eq!(ctx.called_object(), Some(&id));
+        drop(ctx);
+        let ctx = ValidationContext::borrowing(Some(&other), None, None, None, &mut w);
+        assert_eq!(ctx.context_object(), Some(&other));
+        assert!(ctx.called_object().is_none() && ctx.method().is_none());
+        assert!(ctx.args().is_empty() && ctx.result().is_none() && ctx.pre("size").is_none());
+    }
+
+    #[test]
+    fn repeated_reads_gather_an_object_once() {
+        let (mut w, id) = world();
+        let mut ctx = ValidationContext::for_invariant(id.clone(), &mut w);
+        ctx.self_field("seats").unwrap();
+        ctx.field(&id, "seats").unwrap();
+        ctx.self_field("missing").unwrap();
+        assert_eq!(ctx.accessed_objects().len(), 1);
+        let mut w = MapAccess::new();
+        let mut ctx = ValidationContext::for_query(&mut w);
+        assert_eq!(
+            ctx.self_field("seats"),
+            Err(Error::Config("no context object".into()))
+        );
+        assert!(ctx.accessed_objects().is_empty());
     }
 
     #[test]

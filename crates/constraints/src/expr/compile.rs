@@ -50,6 +50,9 @@ enum Op {
     Size,
     /// Pop an object reference, push its field `names[i]`.
     Field(u32),
+    /// Push field `names[i]` of the context object (`self.f` fused, so
+    /// no reference to it is materialised); error without one.
+    SelfField(u32),
     /// Pop a value, push its boolean negation.
     Not,
     /// Pop a number, push its arithmetic negation.
@@ -153,6 +156,10 @@ impl Program {
                         other => return Err(nav_error(field, &other)),
                     }
                 }
+                Op::SelfField(i) => stack.push(
+                    ctx.context_field(&self.names[*i as usize])
+                        .unwrap_or_else(|| Err(missing_self()))?,
+                ),
                 Op::Not => {
                     let v = stack.pop().expect("not operand");
                     stack.push(Value::Bool(!v.truthy()));
@@ -380,6 +387,11 @@ impl Compiler {
                 self.emit(inner);
                 self.program.ops.push(Op::Size);
             }
+            Expr::Field(inner, field) if matches!(**inner, Expr::SelfRef) => {
+                let idx = self.name_idx(field);
+                self.program.ops.push(Op::SelfField(idx));
+                self.push(1);
+            }
             Expr::Field(inner, field) => {
                 self.emit(inner);
                 let idx = self.name_idx(field);
@@ -433,10 +445,10 @@ impl Compiler {
 
 #[cfg(test)]
 mod tests {
-    use super::super::{evaluate, parse};
+    use super::super::{evaluate, parse, ExprConstraint};
     use super::*;
-    use crate::{MapAccess, ValidationContext};
-    use dedisys_types::{MethodName, ObjectId};
+    use crate::{Constraint, ConstraintEngine, MapAccess, ValidationContext};
+    use dedisys_types::{Error, MethodName, ObjectId};
 
     fn world() -> (MapAccess, ObjectId) {
         let id = ObjectId::new("Flight", "F1");
@@ -527,15 +539,77 @@ mod tests {
         }
     }
 
+    /// Validates `source` under both engines, each on a fresh world
+    /// prepared by `setup`; per engine, the verdict and the gathered
+    /// objects.
+    fn under_both_engines(
+        source: &str,
+        context: Option<&ObjectId>,
+        setup: impl Fn(&mut MapAccess),
+    ) -> [(Result<bool>, Vec<ObjectId>); 2] {
+        let constraint = ExprConstraint::parse(source).unwrap();
+        [ConstraintEngine::Interpreted, ConstraintEngine::Compiled].map(|engine| {
+            let (mut w, _) = world();
+            setup(&mut w);
+            let mut ctx = match context {
+                Some(id) => ValidationContext::for_invariant(id.clone(), &mut w),
+                None => ValidationContext::for_query(&mut w),
+            };
+            let verdict = constraint.validate_with(engine, &mut ctx);
+            (verdict, ctx.accessed_objects().iter().cloned().collect())
+        })
+    }
+
     #[test]
     fn missing_context_object_errors_identically() {
-        let ast = parse("self.seats > 0").unwrap();
-        let program = compile(&ast);
-        let mut w = MapAccess::new();
-        let mut ctx = ValidationContext::for_query(&mut w);
-        let mut ctx2_world = MapAccess::new();
-        let mut ctx2 = ValidationContext::for_query(&mut ctx2_world);
-        assert_eq!(evaluate(&ast, &mut ctx), program.evaluate(&mut ctx2));
+        // The fused `self.f` path, a bare `self`, and `self.a.b`.
+        for source in [
+            "self.seats > 0",
+            "self = self",
+            "self.repairReport.componentKind = 1",
+        ] {
+            let [interpreted, compiled] = under_both_engines(source, None, |_| {});
+            assert_eq!(
+                interpreted,
+                (
+                    Err(Error::Expr("'self' used without a context object".into())),
+                    vec![]
+                ),
+                "`{source}`"
+            );
+            assert_eq!(interpreted, compiled, "`{source}`");
+        }
+    }
+
+    #[test]
+    fn unreachable_context_object_is_still_gathered() {
+        let id = world().1;
+        for source in ["self.seats > 0", "self.repairReport.componentKind = 1"] {
+            let [interpreted, compiled] =
+                under_both_engines(source, Some(&id), |w| w.set_unreachable(&id, true));
+            assert_eq!(
+                interpreted,
+                (Err(Error::ObjectUnreachable(id.clone())), vec![id.clone()]),
+                "`{source}`"
+            );
+            assert_eq!(interpreted, compiled, "`{source}`");
+        }
+    }
+
+    #[test]
+    fn self_fields_compile_to_one_fused_op() {
+        let program = compile(&parse("self.soldTickets <= self.seats").unwrap());
+        assert_eq!(
+            program.ops,
+            vec![Op::SelfField(0), Op::SelfField(1), Op::Bin(BinOp::Le)]
+        );
+        assert_eq!(program.max_stack, 2);
+        // Navigation past the context object fuses its first hop only.
+        let program = compile(&parse("self.repairReport.componentKind").unwrap());
+        assert_eq!(program.ops, vec![Op::SelfField(0), Op::Field(1)]);
+        // A bare `self` still materialises the reference.
+        let program = compile(&parse("self = self").unwrap());
+        assert_eq!(program.ops[0], Op::SelfVal);
     }
 
     #[test]

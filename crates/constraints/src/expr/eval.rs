@@ -30,6 +30,11 @@ pub fn evaluate(expr: &Expr, ctx: &mut ValidationContext<'_>) -> Result<Value> {
             let v = evaluate(inner, ctx)?;
             size_value(v)
         }
+        // `self.f`: read through the context without building the
+        // `Value::Ref` the general case below navigates from.
+        Expr::Field(inner, field) if matches!(**inner, Expr::SelfRef) => ctx
+            .context_field(field)
+            .unwrap_or_else(|| Err(missing_self())),
         Expr::Field(inner, field) => {
             let v = evaluate(inner, ctx)?;
             match v {

@@ -63,4 +63,4 @@ pub use constraint::{
 pub use context::{MapAccess, ObjectAccess, ValidationContext};
 pub use freshness::FreshnessCriterion;
 pub use preparation::ContextPreparation;
-pub use repository::{ConstraintRepository, LookupKind, LookupMode, RepositoryStats};
+pub use repository::{ConstraintRepository, LookupKind, LookupMode, Matches, RepositoryStats};

@@ -33,6 +33,9 @@ pub enum LookupKind {
 }
 
 impl LookupKind {
+    /// Number of kinds — the width of a cache row.
+    const COUNT: usize = 3;
+
     fn matches(self, kind: ConstraintKind) -> bool {
         match self {
             LookupKind::Precondition => kind == ConstraintKind::Precondition,
@@ -53,6 +56,11 @@ pub struct RepositoryStats {
     pub scanned: u64,
 }
 
+/// The result of a [`ConstraintRepository::lookup`]: the matching
+/// constraints in registration order, shared with the repository's
+/// cache rather than copied out of it.
+pub type Matches = Arc<[Arc<RegisteredConstraint>]>;
+
 /// The runtime registry of an application's integrity constraints.
 ///
 /// Supports the full explicit-runtime-management surface of §2.1.4:
@@ -62,7 +70,10 @@ pub struct RepositoryStats {
 pub struct ConstraintRepository {
     constraints: Vec<Arc<RegisteredConstraint>>,
     mode: LookupMode,
-    cache: HashMap<(MethodSignature, LookupKind), Vec<usize>>,
+    /// Cached query results: one row per signature, one slot per
+    /// [`LookupKind`], so a hit is probed with the caller's borrowed
+    /// signature and answered by sharing the stored list.
+    cache: HashMap<MethodSignature, [Option<Matches>; LookupKind::COUNT]>,
     /// Class-sharded trigger index: a lookup for `Class::method` only
     /// scans the constraints with a trigger point on `Class`, instead
     /// of the whole registry. Rebuilt on every mutation.
@@ -176,38 +187,27 @@ impl ConstraintRepository {
     }
 
     /// Enabled constraints of `kind` affected by `sig`.
-    pub fn lookup(
-        &mut self,
-        sig: &MethodSignature,
-        kind: LookupKind,
-    ) -> Vec<Arc<RegisteredConstraint>> {
+    pub fn lookup(&mut self, sig: &MethodSignature, kind: LookupKind) -> Matches {
         self.stats.lookups += 1;
-        match self.mode {
-            LookupMode::Cached => {
-                let key = (sig.clone(), kind);
-                if let Some(indices) = self.cache.get(&key) {
-                    self.stats.cache_hits += 1;
-                    return indices
-                        .iter()
-                        .map(|&i| Arc::clone(&self.constraints[i]))
-                        .collect();
-                }
-                let indices = self.scan_indices(sig, kind);
-                let result = indices
-                    .iter()
-                    .map(|&i| Arc::clone(&self.constraints[i]))
-                    .collect();
-                self.cache.insert(key, indices);
-                result
-            }
-            LookupMode::Scan => {
-                let indices = self.scan_indices(sig, kind);
-                indices
-                    .into_iter()
-                    .map(|i| Arc::clone(&self.constraints[i]))
-                    .collect()
+        if self.mode == LookupMode::Cached {
+            if let Some(hit) = self
+                .cache
+                .get(sig)
+                .and_then(|row| row[kind as usize].as_ref())
+            {
+                self.stats.cache_hits += 1;
+                return Arc::clone(hit);
             }
         }
+        let matches: Matches = self
+            .scan_indices(sig, kind)
+            .into_iter()
+            .map(|i| Arc::clone(&self.constraints[i]))
+            .collect();
+        if self.mode == LookupMode::Cached {
+            self.cache.entry(sig.clone()).or_default()[kind as usize] = Some(Arc::clone(&matches));
+        }
+        matches
     }
 
     /// Enabled invariants whose context class is `class` (used when a
@@ -328,6 +328,34 @@ mod tests {
         assert_eq!(stats.lookups, 2);
         assert_eq!(stats.cache_hits, 1);
         assert_eq!(stats.scanned, 1, "only the initial miss scanned");
+    }
+
+    #[test]
+    fn cache_hits_share_one_list_per_signature_and_kind() {
+        let mut repo = ConstraintRepository::new(LookupMode::Cached);
+        repo.register(dummy("Inv", ConstraintKind::HardInvariant, "m"))
+            .unwrap();
+        repo.register(dummy("Pre", ConstraintKind::Precondition, "m"))
+            .unwrap();
+        let first = repo.lookup(&sig("m"), LookupKind::Invariant);
+        let again = repo.lookup(&sig("m"), LookupKind::Invariant);
+        assert!(
+            Arc::ptr_eq(&first, &again),
+            "a hit hands back the cached list"
+        );
+        // The other kinds of the same signature are separate entries,
+        // an empty result included.
+        assert_eq!(repo.lookup(&sig("m"), LookupKind::Precondition).len(), 1);
+        assert!(repo.lookup(&sig("m"), LookupKind::Postcondition).is_empty());
+        assert!(repo.lookup(&sig("m"), LookupKind::Postcondition).is_empty());
+        let stats = repo.stats();
+        assert_eq!((stats.lookups, stats.cache_hits), (5, 2));
+        // A registration drops every cached list.
+        repo.register(dummy("Inv2", ConstraintKind::SoftInvariant, "m"))
+            .unwrap();
+        assert_eq!(repo.lookup(&sig("m"), LookupKind::Invariant).len(), 2);
+        assert_eq!(first.len(), 1, "lists already handed out are unaffected");
+        assert_eq!(repo.stats().cache_hits, 2);
     }
 
     #[test]

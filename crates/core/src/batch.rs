@@ -22,14 +22,14 @@
 //! reproducibility harness both depend on; `repro fig-par` diffs a
 //! serial against a parallel same-seed trace to enforce it.
 
-use crate::ccm::{evaluate_candidate, CallInfo, PartitionEnv, RawEvaluation, ReplicaAccess};
-use dedisys_constraints::{ConstraintEngine, RegisteredConstraint};
+use crate::ccm::{
+    evaluate_candidate, PartitionEnv, RawEvaluation, ReplicaAccess, ValidationCandidate,
+};
+use dedisys_constraints::ConstraintEngine;
 use dedisys_net::Topology;
 use dedisys_object::EntityContainer;
 use dedisys_replication::ReplicationManager;
-use dedisys_types::{NodeId, ObjectId, TxId, Value};
-use std::collections::BTreeMap;
-use std::sync::Arc;
+use dedisys_types::{NodeId, TxId};
 
 /// How validation batches are evaluated
 /// ([`crate::ClusterBuilder::validation_parallelism`]).
@@ -70,19 +70,6 @@ pub(crate) fn shard_count(candidates: usize) -> u32 {
     candidates.div_ceil(SHARD_SIZE) as u32
 }
 
-/// One constraint × object-group validation candidate of a batch.
-#[derive(Clone)]
-pub(crate) struct BatchCandidate {
-    /// The constraint to validate.
-    pub constraint: Arc<RegisteredConstraint>,
-    /// The resolved context object (`None` for query-based checks).
-    pub context_object: Option<ObjectId>,
-    /// Call information for pre-/postconditions.
-    pub call: Option<CallInfo>,
-    /// The `@pre` snapshot for postconditions.
-    pub pre_state: BTreeMap<String, Value>,
-}
-
 /// Evaluates `candidates` and returns one [`RawEvaluation`] per
 /// candidate, in candidate order.
 ///
@@ -93,7 +80,7 @@ pub(crate) struct BatchCandidate {
 /// the output is identical to the serial path by construction.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn evaluate_batch(
-    candidates: &[BatchCandidate],
+    candidates: &[ValidationCandidate<'_>],
     containers: &[EntityContainer],
     replication: &ReplicationManager,
     topology: &Topology,
@@ -103,17 +90,9 @@ pub(crate) fn evaluate_batch(
     engine: ConstraintEngine,
     parallelism: ValidationParallelism,
 ) -> Vec<RawEvaluation> {
-    let eval_one = |candidate: &BatchCandidate| {
+    let eval_one = |candidate: &ValidationCandidate<'_>| {
         let mut access = ReplicaAccess::new(containers, replication, topology, node, tx);
-        evaluate_candidate(
-            &candidate.constraint,
-            candidate.context_object.as_ref(),
-            candidate.call.as_ref(),
-            candidate.pre_state.clone(),
-            &mut access,
-            env,
-            engine,
-        )
+        evaluate_candidate(candidate, &mut access, env, engine)
     };
     let shards = shard_count(candidates.len()) as usize;
     let workers = parallelism.workers().min(shards);
@@ -125,7 +104,7 @@ pub(crate) fn evaluate_batch(
     // Static round-robin shard assignment: worker `w` takes shards
     // `w`, `w + workers`, `w + 2·workers`, … — no work stealing, no
     // scheduler-dependent behavior.
-    let mut lanes: Vec<Vec<(&[BatchCandidate], &mut [Option<RawEvaluation>])>> =
+    let mut lanes: Vec<Vec<(&[ValidationCandidate<'_>], &mut [Option<RawEvaluation>])>> =
         (0..workers).map(|_| Vec::new()).collect();
     for (i, shard) in candidates
         .chunks(SHARD_SIZE)
@@ -159,7 +138,7 @@ const _: () = {
     fn assert_send_sync<T: Send + Sync>() {}
     fn assert_send<T: Send>() {}
     fn _batch_engine_bounds() {
-        assert_send_sync::<BatchCandidate>();
+        assert_send_sync::<ValidationCandidate<'_>>();
         assert_send_sync::<EntityContainer>();
         assert_send_sync::<ReplicationManager>();
         assert_send_sync::<Topology>();

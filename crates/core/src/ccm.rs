@@ -17,12 +17,12 @@ use dedisys_constraints::{
     ConstraintEngine, ObjectAccess, ObjectScope, RegisteredConstraint, ValidationContext,
 };
 use dedisys_net::Topology;
-use dedisys_object::EntityContainer;
+use dedisys_object::{EntityContainer, Invocation};
 use dedisys_replication::ReplicationManager;
 use dedisys_telemetry::{Telemetry, ThreatStorage, TraceEvent};
 use dedisys_types::{
-    ClassName, ConstraintName, Error, MethodName, NodeId, ObjectId, Result, SatisfactionDegree,
-    SimTime, TxId, Value, Version, VersionInfo,
+    ClassName, ConstraintName, Error, NodeId, ObjectId, Result, SatisfactionDegree, SimTime, TxId,
+    Value, Version, VersionInfo,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -174,50 +174,69 @@ impl PartitionEnv {
     }
 }
 
+/// One validation candidate: a constraint and what it is validated
+/// against, all of it borrowed — from the repository, and from the
+/// invocation that was built once at the session boundary.
+#[derive(Debug, Clone, Copy)]
+pub struct ValidationCandidate<'a> {
+    /// The constraint to validate.
+    pub constraint: &'a RegisteredConstraint,
+    /// The resolved context object (`None` for query-based checks; a
+    /// pre-/postcondition defaults to the called object).
+    pub context_object: Option<&'a ObjectId>,
+    /// The call under validation (pre-/postconditions only).
+    pub call: Option<&'a Invocation>,
+    /// The result of the call (postconditions only).
+    pub result: Option<&'a Value>,
+    /// The `@pre` snapshot taken before the call (postconditions only).
+    pub pre_state: Option<&'a BTreeMap<String, Value>>,
+}
+
+impl<'a> ValidationCandidate<'a> {
+    /// An invariant check starting from `context_object`.
+    pub fn invariant(
+        constraint: &'a RegisteredConstraint,
+        context_object: Option<&'a ObjectId>,
+    ) -> Self {
+        Self {
+            constraint,
+            context_object,
+            call: None,
+            result: None,
+            pre_state: None,
+        }
+    }
+}
+
 /// The pure evaluation phase of [`Ccm::validate_constraint`]: builds
 /// the validation context, runs the constraint implementation through
 /// the selected engine and maps the raw result onto a preliminary
 /// satisfaction degree. Emits no telemetry, advances no clock and
 /// touches no CCM state, so batch workers may call it concurrently.
 pub fn evaluate_candidate(
-    constraint: &RegisteredConstraint,
-    context_object: Option<&ObjectId>,
-    call: Option<&CallInfo>,
-    pre_state: BTreeMap<String, Value>,
+    candidate: &ValidationCandidate<'_>,
     access: &mut ReplicaAccess<'_>,
     env: PartitionEnv,
     engine: ConstraintEngine,
 ) -> RawEvaluation {
     let topology_healthy = access.topology.is_healthy();
-    let mut ctx = match call {
-        Some(call) => {
-            let mut ctx = ValidationContext::for_method(
-                call.target.clone(),
-                call.method.clone(),
-                call.args.clone(),
-                access,
-            );
-            if let Some(result) = &call.result {
-                ctx.set_result(result.clone());
-            }
-            ctx
-        }
-        None => match context_object {
-            Some(id) => ValidationContext::for_invariant(id.clone(), access),
-            None => ValidationContext::for_query(access),
-        },
-    };
-    if let Some(id) = context_object {
-        ctx.set_context_object(Some(id.clone()));
-    }
-    ctx.set_pre_state(pre_state);
+    let mut ctx = ValidationContext::borrowing(
+        candidate.context_object,
+        candidate.call,
+        candidate.result,
+        candidate.pre_state,
+        access,
+    );
     ctx.set_env("partitionWeight", Value::Float(env.fraction));
     ctx.set_env("partitionWeightUnits", Value::Int(env.weight as i64));
     ctx.set_env("totalWeightUnits", Value::Int(env.total as i64));
     ctx.set_env("healthy", Value::Bool(topology_healthy));
 
-    let raw = constraint.implementation.validate_with(engine, &mut ctx);
-    let accessed = ctx.accessed_objects().clone();
+    let raw = candidate
+        .constraint
+        .implementation
+        .validate_with(engine, &mut ctx);
+    let accessed = ctx.take_accessed_objects();
     drop(ctx);
 
     let outcome = match raw {
@@ -237,7 +256,8 @@ pub struct ValidationVerdict {
     pub degree: SatisfactionDegree,
     /// Objects the validation accessed.
     pub accessed: BTreeSet<ObjectId>,
-    /// Freshness info of accessed objects (for static negotiation).
+    /// Freshness info of the accessed objects, for static negotiation —
+    /// gathered for threat degrees only, nothing else reads it.
     pub version_infos: BTreeMap<String, (ClassName, VersionInfo)>,
 }
 
@@ -255,19 +275,6 @@ impl ValidationVerdict {
             SatisfactionDegree::Uncheckable => CheckCategory::NoCheck,
         }
     }
-}
-
-/// Call information for pre-/postcondition validation.
-#[derive(Debug, Clone)]
-pub struct CallInfo {
-    /// The called object.
-    pub target: ObjectId,
-    /// The invoked method.
-    pub method: MethodName,
-    /// The arguments.
-    pub args: Vec<Value>,
-    /// The result (postconditions only).
-    pub result: Option<Value>,
 }
 
 /// A soft/async invariant registered during a transaction, validated
@@ -321,7 +328,6 @@ pub struct Ccm {
     threat_store: ThreatStore,
     pending: HashMap<TxId, Vec<PendingCheck>>,
     handlers: HashMap<TxId, Box<dyn NegotiationHandler>>,
-    pre_states: HashMap<(TxId, String), BTreeMap<String, Value>>,
     deferred: HashMap<TxId, Vec<DeferredThreat>>,
     timing: NegotiationTiming,
     app_default_min_degree: SatisfactionDegree,
@@ -362,7 +368,6 @@ impl Ccm {
             threat_store: ThreatStore::new(policy),
             pending: HashMap::new(),
             handlers: HashMap::new(),
-            pre_states: HashMap::new(),
             deferred: HashMap::new(),
             timing: NegotiationTiming::Immediate,
             app_default_min_degree: SatisfactionDegree::Satisfied,
@@ -558,24 +563,11 @@ impl Ccm {
         self.pending.remove(&tx).unwrap_or_default()
     }
 
-    /// Stores the `@pre` snapshot of a postcondition.
-    pub fn store_pre_state(&mut self, tx: TxId, constraint: &str, state: BTreeMap<String, Value>) {
-        self.pre_states.insert((tx, constraint.to_owned()), state);
-    }
-
-    /// Takes the `@pre` snapshot of a postcondition.
-    pub fn take_pre_state(&mut self, tx: TxId, constraint: &str) -> BTreeMap<String, Value> {
-        self.pre_states
-            .remove(&(tx, constraint.to_owned()))
-            .unwrap_or_default()
-    }
-
     /// Clears all per-transaction state of `tx` (commit/rollback).
     pub fn clear_tx(&mut self, tx: TxId) {
         self.pending.remove(&tx);
         self.handlers.remove(&tx);
         self.deferred.remove(&tx);
-        self.pre_states.retain(|(t, _), _| *t != tx);
     }
 
     /// Validates one constraint and adjusts the satisfaction degree for
@@ -586,13 +578,9 @@ impl Ccm {
     /// Propagates non-availability validation failures (configuration
     /// or expression errors) — unreachable objects are mapped to
     /// [`SatisfactionDegree::Uncheckable`] instead.
-    #[allow(clippy::too_many_arguments)]
     pub fn validate_constraint(
         &mut self,
-        constraint: &RegisteredConstraint,
-        context_object: Option<&ObjectId>,
-        call: Option<&CallInfo>,
-        pre_state: BTreeMap<String, Value>,
+        candidate: &ValidationCandidate<'_>,
         access: &mut ReplicaAccess<'_>,
         env: PartitionEnv,
         engine: ConstraintEngine,
@@ -605,17 +593,9 @@ impl Ccm {
             "re-entrant constraint validation — middleware/application loop"
         );
         self.in_validation = true;
-        let eval = evaluate_candidate(
-            constraint,
-            context_object,
-            call,
-            pre_state,
-            access,
-            env,
-            engine,
-        );
+        let eval = evaluate_candidate(candidate, access, env, engine);
         self.in_validation = false;
-        self.finish_validation(constraint, eval, access, now)
+        self.finish_validation(candidate.constraint, eval, access, now)
     }
 
     /// The serial merge phase of one validation: staleness adjustment
@@ -653,24 +633,27 @@ impl Ccm {
             }
         }
 
-        // Gather freshness info of accessed objects.
+        // Gather freshness info of the accessed objects — only static
+        // negotiation of a threat reads it.
         let mut version_infos = BTreeMap::new();
-        for id in &accessed {
-            let entity =
-                access.containers[node.index()]
+        if degree.is_threat() {
+            for id in &accessed {
+                let entity = access.containers[node.index()]
                     .view(tx, id)
                     .ok()
-                    .cloned()
                     .or_else(|| {
-                        access.topology.partition_of(node).iter().find_map(|n| {
-                            access.containers[n.index()].committed_entity(id).cloned()
-                        })
+                        access
+                            .topology
+                            .partition_of(node)
+                            .iter()
+                            .find_map(|n| access.containers[n.index()].committed_entity(id))
                     });
-            if let Some(entity) = entity {
-                version_infos.insert(
-                    id.to_string(),
-                    (id.class().clone(), entity.version_info(now)),
-                );
+                if let Some(entity) = entity {
+                    version_infos.insert(
+                        id.to_string(),
+                        (id.class().clone(), entity.version_info(now)),
+                    );
+                }
             }
         }
 
@@ -711,7 +694,7 @@ impl Ccm {
     pub fn process_verdict(
         &mut self,
         constraint: &RegisteredConstraint,
-        context_object: Option<ObjectId>,
+        context_object: Option<&ObjectId>,
         verdict: ValidationVerdict,
         tx: TxId,
         now: SimTime,
@@ -720,11 +703,8 @@ impl Ccm {
             SatisfactionDegree::Satisfied => {
                 // A satisfied validation cleans up deferred threats of
                 // the same identity (§4.4).
-                let identity = crate::threat::ThreatIdentity {
-                    constraint: constraint.name().clone(),
-                    context_object,
-                };
-                self.threat_store.remove_identity(&identity);
+                self.threat_store
+                    .remove_identity(constraint.name(), context_object);
                 Ok(None)
             }
             SatisfactionDegree::Violated => Err(Error::ConstraintViolated {
@@ -733,7 +713,7 @@ impl Ccm {
             degree => {
                 let threat = ConsistencyThreat {
                     constraint: constraint.name().clone(),
-                    context_object,
+                    context_object: context_object.cloned(),
                     degree,
                     affected_objects: verdict.accessed,
                     app_data: None,
@@ -788,14 +768,8 @@ impl Ccm {
                         if constraint.meta.kind.is_invariant() {
                             // Invariant threats are persisted for
                             // reconciliation.
-                            let context = threat.context_object.clone();
                             let outcome = self.threat_store.store(threat);
-                            self.emit_threat_recorded(
-                                constraint,
-                                context.as_ref(),
-                                degree,
-                                outcome,
-                            );
+                            self.emit_threat_recorded(constraint, context_object, degree, outcome);
                             Ok(Some(outcome))
                         } else {
                             // Pre/postcondition threats cannot be
@@ -885,7 +859,7 @@ impl Ccm {
     pub fn record_async_threat(
         &mut self,
         constraint: &RegisteredConstraint,
-        context_object: Option<ObjectId>,
+        context_object: Option<&ObjectId>,
         tx: TxId,
         now: SimTime,
     ) -> StoreOutcome {
@@ -894,7 +868,7 @@ impl Ccm {
         self.stats.threats_accepted += 1;
         let outcome = self.threat_store.store(ConsistencyThreat {
             constraint: constraint.name().clone(),
-            context_object: context_object.clone(),
+            context_object: context_object.cloned(),
             degree: SatisfactionDegree::Uncheckable,
             affected_objects: BTreeSet::new(),
             app_data: None,
@@ -907,7 +881,7 @@ impl Ccm {
         }
         self.emit_threat_recorded(
             constraint,
-            context_object.as_ref(),
+            context_object,
             SatisfactionDegree::Uncheckable,
             outcome,
         );
@@ -993,10 +967,7 @@ mod tests {
         world
             .ccm
             .validate_constraint(
-                constraint,
-                Some(&world.id.clone()),
-                None,
-                BTreeMap::new(),
+                &ValidationCandidate::invariant(constraint, Some(&world.id)),
                 &mut access,
                 PartitionEnv::full(),
                 ConstraintEngine::Interpreted,
@@ -1012,7 +983,29 @@ mod tests {
         let v = validate(&mut w, &c);
         assert_eq!(v.degree, SatisfactionDegree::Satisfied);
         assert!(v.accessed.contains(&w.id));
-        assert_eq!(v.version_infos.len(), 1);
+        assert!(
+            v.version_infos.is_empty(),
+            "nothing negotiates a satisfied verdict"
+        );
+    }
+
+    #[test]
+    fn threat_verdicts_carry_freshness_of_every_accessed_object() {
+        let mut w = setup(2, 70, 80);
+        w.topology.split(&[&[0], &[1]]);
+        let v = validate(&mut w, &ticket_constraint(true));
+        assert!(v.degree.is_threat());
+        assert_eq!(
+            v.version_infos.keys().cloned().collect::<Vec<_>>(),
+            v.accessed
+                .iter()
+                .map(ToString::to_string)
+                .collect::<Vec<_>>()
+        );
+        let (class, info) = &v.version_infos[&w.id.to_string()];
+        assert_eq!(class, w.id.class());
+        let held = w.containers[0].committed_entity(&w.id).unwrap();
+        assert_eq!(*info, held.version_info(SimTime::ZERO));
     }
 
     #[test]
@@ -1062,7 +1055,7 @@ mod tests {
         let v = validate(&mut w, &c);
         let outcome = w
             .ccm
-            .process_verdict(&c, Some(w.id.clone()), v, w.tx, SimTime::ZERO)
+            .process_verdict(&c, Some(&w.id), v, w.tx, SimTime::ZERO)
             .unwrap();
         assert!(outcome.is_none());
 
@@ -1071,7 +1064,7 @@ mod tests {
         let v = validate(&mut w, &c);
         let outcome = w
             .ccm
-            .process_verdict(&c, Some(w.id.clone()), v, w.tx, SimTime::ZERO)
+            .process_verdict(&c, Some(&w.id), v, w.tx, SimTime::ZERO)
             .unwrap();
         assert_eq!(outcome, Some(StoreOutcome::Stored));
         assert_eq!(w.ccm.threat_store().len(), 1);
@@ -1080,7 +1073,7 @@ mod tests {
         let v = validate(&mut w, &c);
         let outcome = w
             .ccm
-            .process_verdict(&c, Some(w.id.clone()), v, w.tx, SimTime::ZERO)
+            .process_verdict(&c, Some(&w.id), v, w.tx, SimTime::ZERO)
             .unwrap();
         assert_eq!(outcome, Some(StoreOutcome::Deduplicated));
     }
@@ -1093,7 +1086,7 @@ mod tests {
         let v = validate(&mut w, &c);
         let err = w
             .ccm
-            .process_verdict(&c, Some(w.id.clone()), v, w.tx, SimTime::ZERO)
+            .process_verdict(&c, Some(&w.id), v, w.tx, SimTime::ZERO)
             .unwrap_err();
         assert!(matches!(err, Error::ThreatRejected { .. }));
         assert_eq!(w.ccm.stats().threats_rejected, 1);
@@ -1106,7 +1099,7 @@ mod tests {
         let v = validate(&mut w, &c);
         let err = w
             .ccm
-            .process_verdict(&c, Some(w.id.clone()), v, w.tx, SimTime::ZERO)
+            .process_verdict(&c, Some(&w.id), v, w.tx, SimTime::ZERO)
             .unwrap_err();
         assert!(matches!(err, Error::ConstraintViolated { .. }));
     }
@@ -1132,7 +1125,7 @@ mod tests {
         );
         let v = validate(&mut w, &c);
         w.ccm
-            .process_verdict(&c, Some(w.id.clone()), v, w.tx, SimTime::ZERO)
+            .process_verdict(&c, Some(&w.id), v, w.tx, SimTime::ZERO)
             .unwrap();
         let stored = &w.ccm.threat_store().threats()[0];
         assert_eq!(stored.app_data, Some(Value::from("sold-in-partition")));
@@ -1146,13 +1139,13 @@ mod tests {
         w.topology.split(&[&[0], &[1]]);
         let v = validate(&mut w, &c);
         w.ccm
-            .process_verdict(&c, Some(w.id.clone()), v, w.tx, SimTime::ZERO)
+            .process_verdict(&c, Some(&w.id), v, w.tx, SimTime::ZERO)
             .unwrap();
         assert_eq!(w.ccm.threat_store().len(), 1);
         w.topology.heal();
         let v = validate(&mut w, &c);
         w.ccm
-            .process_verdict(&c, Some(w.id.clone()), v, w.tx, SimTime::ZERO)
+            .process_verdict(&c, Some(&w.id), v, w.tx, SimTime::ZERO)
             .unwrap();
         assert!(w.ccm.threat_store().is_empty(), "cleaned up by business op");
     }
@@ -1221,7 +1214,7 @@ mod tests {
         let c = ticket_constraint(true);
         let outcome = w
             .ccm
-            .record_async_threat(&c, Some(w.id.clone()), w.tx, SimTime::ZERO);
+            .record_async_threat(&c, Some(&w.id), w.tx, SimTime::ZERO);
         assert_eq!(outcome, StoreOutcome::Stored);
         assert_eq!(w.ccm.stats().validations, 0);
         assert_eq!(w.ccm.stats().async_shortcuts, 1);

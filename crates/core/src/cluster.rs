@@ -8,10 +8,10 @@
 //! operations execute depth-first through the node stacks while the
 //! clock advances per the cost model (see DESIGN.md §1).
 
-use crate::batch::{self, BatchCandidate, ValidationParallelism};
+use crate::batch::{self, ValidationParallelism};
 use crate::ccm::{
-    CallInfo, Ccm, NegotiationTiming, PartitionEnv, PendingCheck, RawEvaluation, ReplicaAccess,
-    ValidationVerdict,
+    Ccm, NegotiationTiming, PartitionEnv, PendingCheck, RawEvaluation, ReplicaAccess,
+    ValidationCandidate, ValidationVerdict,
 };
 use crate::config::ClusterConfig;
 use crate::negotiation::NegotiationHandler;
@@ -20,8 +20,8 @@ use crate::session::Session;
 use crate::threat::{HistoryPolicy, ReconcileInstructions, StoreOutcome, ThreatStore};
 use crate::CostModel;
 use dedisys_constraints::{
-    ConstraintEngine, ConstraintKind, ConstraintRepository, LookupKind, RegisteredConstraint,
-    ValidationContext,
+    ConstraintEngine, ConstraintKind, ConstraintRepository, ContextPreparation, LookupKind,
+    RegisteredConstraint, ValidationContext,
 };
 use dedisys_gms::{
     AdaptiveConfig, DetectorConfig, DetectorKind, LinkFault,
@@ -40,8 +40,8 @@ use dedisys_telemetry::{
 };
 use dedisys_tx::{LockTable, TransactionManager};
 use dedisys_types::{
-    ConstraintName, Error, MethodName, NodeId, ObjectId, Result, SatisfactionDegree, SimDuration,
-    SimTime, SystemMode, TxId, Value,
+    ConstraintName, Error, MethodName, MethodSignature, NodeId, ObjectId, Result,
+    SatisfactionDegree, SimDuration, SimTime, SystemMode, TxId, Value,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
@@ -828,14 +828,9 @@ impl Cluster {
         };
         let node = NodeId(0);
         let check_tx = self.begin_tx(node);
-        let candidates: Vec<BatchCandidate> = contexts
+        let candidates: Vec<ValidationCandidate<'_>> = contexts
             .iter()
-            .map(|context| BatchCandidate {
-                constraint: Arc::clone(&constraint),
-                context_object: context.clone(),
-                call: None,
-                pre_state: BTreeMap::new(),
-            })
+            .map(|context| ValidationCandidate::invariant(&constraint, context.as_ref()))
             .collect();
         let evals = self.evaluate_candidates(&candidates, node, check_tx);
         let mut violating = Vec::new();
@@ -2022,48 +2017,34 @@ impl Cluster {
         // §5.5.3: degraded-mode async invariants take the record-only
         // fast path; everything else forms the commit-time validation
         // batch, evaluated on the pool and merged in pending order.
-        let degraded = |cluster: &Self| {
-            cluster.topology.partition_of(origin).len() < cluster.topology.node_count() as usize
+        let degraded =
+            self.topology.partition_of(origin).len() < self.topology.node_count() as usize;
+        let shortcut = |check: &PendingCheck| {
+            degraded && check.constraint.meta.kind == ConstraintKind::AsyncInvariant
         };
-        let candidates: Vec<BatchCandidate> = pending
+        let candidates: Vec<ValidationCandidate<'_>> = pending
             .iter()
-            .filter(|check| {
-                !(check.constraint.meta.kind == ConstraintKind::AsyncInvariant && degraded(self))
-            })
-            .map(|check| BatchCandidate {
-                constraint: Arc::clone(&check.constraint),
-                context_object: check.context_object.clone(),
-                call: None,
-                pre_state: BTreeMap::new(),
+            .filter(|check| !shortcut(check))
+            .map(|check| {
+                ValidationCandidate::invariant(&check.constraint, check.context_object.as_ref())
             })
             .collect();
         let mut evals = self
             .evaluate_candidates(&candidates, origin, tx)
             .into_iter();
-        for check in pending {
+        for check in &pending {
             let constraint = check.constraint.as_ref();
-            match constraint.meta.kind {
-                ConstraintKind::AsyncInvariant if degraded(self) => {
-                    // §5.5.3: degraded mode — no validation, no
-                    // negotiation; record the threat directly.
-                    let outcome = self.ccm.record_async_threat(
-                        constraint,
-                        check.context_object.clone(),
-                        tx,
-                        self.clock.now(),
-                    );
-                    self.charge_threat_storage(outcome);
-                }
-                _ => {
-                    let eval = evals.next().expect("one evaluation per batched candidate");
-                    self.merge_one_validation(
-                        origin,
-                        tx,
-                        constraint,
-                        check.context_object.clone(),
-                        eval,
-                    )?;
-                }
+            let context_object = check.context_object.as_ref();
+            if shortcut(check) {
+                // §5.5.3: degraded mode — no validation, no
+                // negotiation; record the threat directly.
+                let outcome =
+                    self.ccm
+                        .record_async_threat(constraint, context_object, tx, self.clock.now());
+                self.charge_threat_storage(outcome);
+            } else {
+                let eval = evals.next().ok_or_else(|| unevaluated(constraint))?;
+                self.merge_one_validation(origin, tx, constraint, context_object, eval)?;
             }
         }
         // §5.4: the transaction blocks before commit until all deferred
@@ -2195,14 +2176,16 @@ impl Cluster {
         method: impl Into<MethodName>,
         args: Vec<Value>,
     ) -> Result<Value> {
-        let method = method.into();
         self.metrics.invocations += 1;
         self.inv_cost = CostBreakdown::default();
+        // The one place the call is reified: everything below borrows
+        // this invocation.
+        let mut inv = Invocation::new(tx, target.clone(), method, args);
         self.telemetry.emit(|| TraceEvent::InvocationStart {
             node,
             tx,
             target: target.to_string(),
-            method: method.to_string(),
+            method: inv.method.to_string(),
         });
         // Pass the reified invocation through the deployed interceptor
         // chain (Figure 4.5) around the middleware pipeline. The chain
@@ -2214,10 +2197,10 @@ impl Cluster {
             mode: self.mode,
             at: self.clock.now(),
         };
-        let mut inv = Invocation::new(tx, target.clone(), method.clone(), args);
-        let result = chain.invoke(&mut info, &mut inv, |_, inv| {
-            self.invoke_inner(node, tx, &inv.target, inv.method.clone(), inv.args.clone())
-        });
+        // Interceptors may rewrite the invocation; the end event names
+        // the method the client called.
+        let called = (!chain.is_empty()).then(|| inv.method.clone());
+        let result = chain.invoke(&mut info, &mut inv, |_, inv| self.invoke_inner(node, inv));
         self.hooks = chain;
         let outcome = if result.is_err() {
             self.metrics.failed_invocations += 1;
@@ -2237,7 +2220,7 @@ impl Cluster {
             node,
             tx,
             target: target.to_string(),
-            method: method.to_string(),
+            method: called.as_ref().unwrap_or(&inv.method).to_string(),
             outcome,
             cost,
         });
@@ -2254,14 +2237,9 @@ impl Cluster {
         self.hooks.push(interceptor);
     }
 
-    fn invoke_inner(
-        &mut self,
-        node: NodeId,
-        tx: TxId,
-        target: &ObjectId,
-        method: MethodName,
-        args: Vec<Value>,
-    ) -> Result<Value> {
+    fn invoke_inner(&mut self, node: NodeId, inv: &Invocation) -> Result<Value> {
+        let tx = inv.tx;
+        let target = &inv.target;
         if !self.tx_manager.is_active(tx) {
             return Err(Error::NoSuchTransaction(tx));
         }
@@ -2274,7 +2252,7 @@ impl Cluster {
             .class(target.class())
             .ok_or_else(|| Error::ClassNotDeployed(target.class().to_string()))?;
         let kind = class
-            .method(&method)
+            .method(&inv.method)
             .map(dedisys_object::MethodDescriptor::kind)
             .unwrap_or(MethodKind::Write); // safe side (§5.1)
 
@@ -2312,72 +2290,21 @@ impl Cluster {
         self.tx_infos.entry(tx).or_default().involved.insert(exec);
         self.inv_cost.r3_preparation_ns += self.clock.now().since(t_r3).as_nanos();
 
-        let inv = Invocation::new(tx, target.clone(), method.clone(), args.clone());
+        // The one signature every trigger point of this call looks up.
         let sig = inv.signature();
 
         // --- CCM before-invocation: preconditions + @pre snapshots ---
-        if self.ccm_enabled {
-            let t_r5 = self.clock.now();
-            let pres = self.repository.lookup(&sig, LookupKind::Precondition);
-            self.telemetry.emit(|| TraceEvent::TriggerPoint {
-                trigger: TriggerKind::Precondition,
-                signature: sig.to_string(),
-                matches: pres.len() as u32,
-            });
-            let candidates: Vec<BatchCandidate> = pres
-                .iter()
-                .map(|constraint| BatchCandidate {
-                    constraint: Arc::clone(constraint),
-                    context_object: Some(target.clone()),
-                    call: Some(CallInfo {
-                        target: target.clone(),
-                        method: method.clone(),
-                        args: args.clone(),
-                        result: None,
-                    }),
-                    pre_state: BTreeMap::new(),
-                })
-                .collect();
-            let evals = self.evaluate_candidates(&candidates, exec, tx);
-            for (constraint, eval) in pres.iter().zip(evals) {
-                if let Err(e) =
-                    self.merge_one_validation(exec, tx, constraint, Some(target.clone()), eval)
-                {
-                    self.inv_cost.r5_checks_ns += self.clock.now().since(t_r5).as_nanos();
-                    let _ = self.tx_manager.set_rollback_only(tx);
-                    return Err(e);
-                }
-            }
-            // Postconditions snapshot @pre state.
-            let posts = self.repository.lookup(&sig, LookupKind::Postcondition);
-            for constraint in &posts {
-                let mut access = ReplicaAccess::new(
-                    &self.containers,
-                    &self.replication,
-                    &self.topology,
-                    exec,
-                    tx,
-                );
-                let mut ctx = ValidationContext::for_method(
-                    target.clone(),
-                    method.clone(),
-                    args.clone(),
-                    &mut access,
-                );
-                constraint.implementation.before_method_invocation(&mut ctx);
-                let pre = ctx.take_pre_state();
-                drop(ctx);
-                self.ccm
-                    .store_pre_state(tx, constraint.name().as_str(), pre);
-            }
-            self.inv_cost.r5_checks_ns += self.clock.now().since(t_r5).as_nanos();
-        }
+        let pre_states = if self.ccm_enabled {
+            self.ccm_phase(tx, |cluster| cluster.check_before(exec, inv, &sig))?
+        } else {
+            Vec::new()
+        };
 
         // --- Dispatch (R1 — application/database work) ---
         let t_r1 = self.clock.now();
         let result =
             self.methods
-                .dispatch(&mut self.containers[exec.index()], &inv, self.clock.now());
+                .dispatch(&mut self.containers[exec.index()], inv, self.clock.now());
         if kind == MethodKind::Read {
             self.clock.advance(self.costs.db_read);
         }
@@ -2392,116 +2319,166 @@ impl Cluster {
 
         // --- CCM after-invocation: postconditions + invariants ---
         if self.ccm_enabled {
-            let t_r5 = self.clock.now();
-            let posts = self.repository.lookup(&sig, LookupKind::Postcondition);
-            self.telemetry.emit(|| TraceEvent::TriggerPoint {
-                trigger: TriggerKind::Postcondition,
-                signature: sig.to_string(),
-                matches: posts.len() as u32,
-            });
-            let candidates: Vec<BatchCandidate> = posts
-                .iter()
-                .map(|constraint| BatchCandidate {
-                    constraint: Arc::clone(constraint),
-                    context_object: Some(target.clone()),
-                    call: Some(CallInfo {
-                        target: target.clone(),
-                        method: method.clone(),
-                        args: args.clone(),
-                        result: Some(value.clone()),
-                    }),
-                    pre_state: self.ccm.take_pre_state(tx, constraint.name().as_str()),
-                })
-                .collect();
-            let evals = self.evaluate_candidates(&candidates, exec, tx);
-            for (constraint, eval) in posts.iter().zip(evals) {
-                if let Err(e) =
-                    self.merge_one_validation(exec, tx, constraint, Some(target.clone()), eval)
-                {
-                    self.inv_cost.r5_checks_ns += self.clock.now().since(t_r5).as_nanos();
-                    let _ = self.tx_manager.set_rollback_only(tx);
-                    return Err(e);
-                }
-            }
-            let invariants = self.repository.lookup(&sig, LookupKind::Invariant);
-            self.telemetry.emit(|| TraceEvent::TriggerPoint {
-                trigger: TriggerKind::Invariant,
-                signature: sig.to_string(),
-                matches: invariants.len() as u32,
-            });
-            // Resolve every context object first (§4.2.2), then batch
-            // the hard invariants; soft/async invariants are only
-            // registered for commit-time validation.
-            let mut resolved: Vec<Option<ObjectId>> = Vec::with_capacity(invariants.len());
-            for constraint in &invariants {
-                let preparation = constraint
-                    .preparation_for(&sig)
-                    .cloned()
-                    .unwrap_or(dedisys_constraints::ContextPreparation::CalledObject);
-                let context_object = {
-                    let mut access = ReplicaAccess::new(
-                        &self.containers,
-                        &self.replication,
-                        &self.topology,
-                        exec,
-                        tx,
-                    );
-                    match preparation.resolve(target, &mut access) {
-                        Ok(ctx_obj) => ctx_obj,
-                        Err(Error::ObjectUnreachable(_)) => {
-                            // Context preparation itself hit an
-                            // unreachable object: treat the constraint
-                            // as uncheckable via a no-context check.
-                            None
-                        }
-                        Err(e) => {
-                            self.inv_cost.r5_checks_ns += self.clock.now().since(t_r5).as_nanos();
-                            let _ = self.tx_manager.set_rollback_only(tx);
-                            return Err(e);
-                        }
-                    }
-                };
-                resolved.push(context_object);
-            }
-            let candidates: Vec<BatchCandidate> = invariants
-                .iter()
-                .zip(&resolved)
-                .filter(|(constraint, _)| constraint.meta.kind == ConstraintKind::HardInvariant)
-                .map(|(constraint, context_object)| BatchCandidate {
-                    constraint: Arc::clone(constraint),
-                    context_object: context_object.clone(),
-                    call: None,
-                    pre_state: BTreeMap::new(),
-                })
-                .collect();
-            let mut evals = self.evaluate_candidates(&candidates, exec, tx).into_iter();
-            for (constraint, context_object) in invariants.into_iter().zip(resolved) {
-                match constraint.meta.kind {
-                    ConstraintKind::HardInvariant => {
-                        let eval = evals.next().expect("one evaluation per batched candidate");
-                        if let Err(e) =
-                            self.merge_one_validation(exec, tx, &constraint, context_object, eval)
-                        {
-                            self.inv_cost.r5_checks_ns += self.clock.now().since(t_r5).as_nanos();
-                            let _ = self.tx_manager.set_rollback_only(tx);
-                            return Err(e);
-                        }
-                    }
-                    ConstraintKind::SoftInvariant | ConstraintKind::AsyncInvariant => {
-                        self.ccm.register_pending(
-                            tx,
-                            PendingCheck {
-                                constraint,
-                                context_object,
-                            },
-                        );
-                    }
-                    _ => {}
-                }
-            }
-            self.inv_cost.r5_checks_ns += self.clock.now().since(t_r5).as_nanos();
+            self.ccm_phase(tx, |cluster| {
+                cluster.check_after(exec, inv, &sig, &value, &pre_states)
+            })?;
         }
         Ok(value)
+    }
+
+    /// Runs one CCM phase of an invocation: its virtual time goes to
+    /// the R5 slice of the invocation in flight, and a failure marks
+    /// the transaction rollback-only (§4.2.3).
+    fn ccm_phase<T>(&mut self, tx: TxId, phase: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        let t_r5 = self.clock.now();
+        let result = phase(self);
+        self.inv_cost.r5_checks_ns += self.clock.now().since(t_r5).as_nanos();
+        if result.is_err() {
+            let _ = self.tx_manager.set_rollback_only(tx);
+        }
+        result
+    }
+
+    /// Before the call runs: validates the preconditions of `sig` and
+    /// lets its postconditions snapshot their `@pre` state. Returns one
+    /// snapshot per postcondition, in lookup order.
+    fn check_before(
+        &mut self,
+        exec: NodeId,
+        inv: &Invocation,
+        sig: &MethodSignature,
+    ) -> Result<Vec<BTreeMap<String, Value>>> {
+        let tx = inv.tx;
+        let pres = self.repository.lookup(sig, LookupKind::Precondition);
+        self.telemetry.emit(|| TraceEvent::TriggerPoint {
+            trigger: TriggerKind::Precondition,
+            signature: sig.to_string(),
+            matches: pres.len() as u32,
+        });
+        let candidates: Vec<ValidationCandidate<'_>> = pres
+            .iter()
+            .map(|constraint| ValidationCandidate {
+                constraint,
+                context_object: Some(&inv.target),
+                call: Some(inv),
+                result: None,
+                pre_state: None,
+            })
+            .collect();
+        let evals = self.evaluate_candidates(&candidates, exec, tx);
+        for (constraint, eval) in pres.iter().zip(evals) {
+            self.merge_one_validation(exec, tx, constraint, Some(&inv.target), eval)?;
+        }
+        let posts = self.repository.lookup(sig, LookupKind::Postcondition);
+        let mut pre_states = Vec::with_capacity(posts.len());
+        for constraint in posts.iter() {
+            let mut access = ReplicaAccess::new(
+                &self.containers,
+                &self.replication,
+                &self.topology,
+                exec,
+                tx,
+            );
+            let mut ctx = ValidationContext::borrowing(None, Some(inv), None, None, &mut access);
+            constraint.implementation.before_method_invocation(&mut ctx);
+            pre_states.push(ctx.take_pre_state());
+        }
+        Ok(pre_states)
+    }
+
+    /// After the call returned `value`: validates the postconditions
+    /// of `sig` against their `pre_states` (as [`Cluster::check_before`]
+    /// returned them), then its hard invariants; soft and async
+    /// invariants are registered for commit-time validation.
+    fn check_after(
+        &mut self,
+        exec: NodeId,
+        inv: &Invocation,
+        sig: &MethodSignature,
+        value: &Value,
+        pre_states: &[BTreeMap<String, Value>],
+    ) -> Result<()> {
+        let tx = inv.tx;
+        let target = &inv.target;
+        let posts = self.repository.lookup(sig, LookupKind::Postcondition);
+        self.telemetry.emit(|| TraceEvent::TriggerPoint {
+            trigger: TriggerKind::Postcondition,
+            signature: sig.to_string(),
+            matches: posts.len() as u32,
+        });
+        let candidates: Vec<ValidationCandidate<'_>> = posts
+            .iter()
+            .zip(pre_states)
+            .map(|(constraint, pre_state)| ValidationCandidate {
+                constraint,
+                context_object: Some(target),
+                call: Some(inv),
+                result: Some(value),
+                pre_state: Some(pre_state),
+            })
+            .collect();
+        let evals = self.evaluate_candidates(&candidates, exec, tx);
+        for (constraint, eval) in posts.iter().zip(evals) {
+            self.merge_one_validation(exec, tx, constraint, Some(target), eval)?;
+        }
+        let invariants = self.repository.lookup(sig, LookupKind::Invariant);
+        self.telemetry.emit(|| TraceEvent::TriggerPoint {
+            trigger: TriggerKind::Invariant,
+            signature: sig.to_string(),
+            matches: invariants.len() as u32,
+        });
+        // Resolve every context object first (§4.2.2), then batch
+        // the hard invariants; soft/async invariants are only
+        // registered for commit-time validation.
+        let mut resolved: Vec<Option<ObjectId>> = Vec::with_capacity(invariants.len());
+        for constraint in invariants.iter() {
+            let preparation = constraint
+                .preparation_for(sig)
+                .unwrap_or(&ContextPreparation::CalledObject);
+            let mut access = ReplicaAccess::new(
+                &self.containers,
+                &self.replication,
+                &self.topology,
+                exec,
+                tx,
+            );
+            resolved.push(match preparation.resolve(target, &mut access) {
+                Ok(context_object) => context_object,
+                // Context preparation itself hit an unreachable
+                // object: treat the constraint as uncheckable via a
+                // no-context check.
+                Err(Error::ObjectUnreachable(_)) => None,
+                Err(e) => return Err(e),
+            });
+        }
+        let candidates: Vec<ValidationCandidate<'_>> = invariants
+            .iter()
+            .zip(&resolved)
+            .filter(|(constraint, _)| constraint.meta.kind == ConstraintKind::HardInvariant)
+            .map(|(constraint, context_object)| {
+                ValidationCandidate::invariant(constraint, context_object.as_ref())
+            })
+            .collect();
+        let mut evals = self.evaluate_candidates(&candidates, exec, tx).into_iter();
+        for (constraint, context_object) in invariants.iter().zip(resolved) {
+            match constraint.meta.kind {
+                ConstraintKind::HardInvariant => {
+                    let eval = evals.next().ok_or_else(|| unevaluated(constraint))?;
+                    self.merge_one_validation(exec, tx, constraint, context_object.as_ref(), eval)?;
+                }
+                ConstraintKind::SoftInvariant | ConstraintKind::AsyncInvariant => {
+                    self.ccm.register_pending(
+                        tx,
+                        PendingCheck {
+                            constraint: Arc::clone(constraint),
+                            context_object,
+                        },
+                    );
+                }
+                _ => {}
+            }
+        }
+        Ok(())
     }
 
     fn read_target(&self, node: NodeId, tx: TxId, target: &ObjectId) -> Result<NodeId> {
@@ -2521,26 +2498,24 @@ impl Cluster {
     }
 
     /// Probes whether `candidate` is answerable from the verdict
-    /// cache: the cache is on, the candidate is an invariant check on
-    /// committed state (no call info, no `@pre` snapshot, no buffered
-    /// transactional write shadowing the object anywhere in the
-    /// partition), the constraint's static read-set is cacheable, and
+    /// cache (which the caller has found switched on): the candidate is
+    /// an invariant check on committed state (no call info, no `@pre`
+    /// snapshot, no buffered transactional write shadowing the object
+    /// anywhere in the partition), the constraint's static read-set is
+    /// cacheable, and
     /// the object is reachable. Returns the cache key — context object
     /// and its committed version — or `None` when the candidate must
     /// be evaluated without touching the cache.
-    fn cacheable_probe(
+    fn cacheable_probe<'a>(
         &self,
-        candidate: &BatchCandidate,
+        candidate: &ValidationCandidate<'a>,
         exec: NodeId,
         tx: TxId,
-    ) -> Option<(ObjectId, dedisys_types::Version)> {
-        if !self.config.validation.verdict_cache {
+    ) -> Option<(&'a ObjectId, dedisys_types::Version)> {
+        if candidate.call.is_some() || candidate.pre_state.is_some_and(|pre| !pre.is_empty()) {
             return None;
         }
-        if candidate.call.is_some() || !candidate.pre_state.is_empty() {
-            return None;
-        }
-        let object = candidate.context_object.as_ref()?;
+        let object = candidate.context_object?;
         let read_set = candidate.constraint.implementation.read_set()?;
         if !read_set.cacheable() {
             return None;
@@ -2568,7 +2543,7 @@ impl Cluster {
                 .find_map(|n| self.containers[n.index()].committed_entity(object))?
                 .version()
         };
-        Some((object.clone(), version))
+        Some((object, version))
     }
 
     /// Runs the evaluation phase for a batch of validation candidates
@@ -2581,7 +2556,8 @@ impl Cluster {
     /// candidate order — workers never touch the cache, so parallel
     /// runs stay byte-identical to serial ones. Only candidates the
     /// probe cannot answer are dispatched to the configured pool
-    /// ([`ClusterBuilder::validation_parallelism`]).
+    /// ([`ClusterBuilder::validation_parallelism`]); with the cache off
+    /// that is the batch as it stands.
     ///
     /// Multi-candidate batches are recorded as `validation_batch`
     /// trace events; the reported `shards`/`pool` figures are a pure
@@ -2589,10 +2565,13 @@ impl Cluster {
     /// across parallelism settings.
     pub(crate) fn evaluate_candidates(
         &mut self,
-        candidates: &[BatchCandidate],
+        candidates: &[ValidationCandidate<'_>],
         exec: NodeId,
         tx: TxId,
     ) -> Vec<(RawEvaluation, ValidationCharge)> {
+        if candidates.is_empty() {
+            return Vec::new();
+        }
         if candidates.len() > 1 {
             let shards = batch::shard_count(candidates.len());
             self.telemetry.metrics().incr("ccm.batches");
@@ -2602,90 +2581,101 @@ impl Cluster {
                 pool: shards,
             });
         }
-        let env = self.partition_env(exec);
         let miss_charge = match self.config.validation.engine {
             ConstraintEngine::Interpreted => ValidationCharge::Interpreted,
             ConstraintEngine::Compiled => ValidationCharge::Compiled,
         };
-        let mut results: Vec<Option<(RawEvaluation, ValidationCharge)>> = Vec::new();
-        results.resize_with(candidates.len(), || None);
-        // Candidate index → cache key to insert under after a miss
-        // evaluates to a definite degree.
-        let mut inserts: Vec<Option<(ObjectId, dedisys_types::Version)>> = Vec::new();
-        inserts.resize_with(candidates.len(), || None);
-        let mut misses: Vec<usize> = Vec::new();
+        if !self.config.validation.verdict_cache {
+            return self
+                .evaluate_on_pool(candidates, exec, tx)
+                .into_iter()
+                .map(|eval| (eval, miss_charge))
+                .collect();
+        }
+        // Every answer carries its candidate's position, so hits and
+        // evaluated misses fall back into candidate order by sorting.
+        let mut answers: Vec<(usize, RawEvaluation, ValidationCharge)> =
+            Vec::with_capacity(candidates.len());
+        // Misses, each with the cache key to insert under once it
+        // evaluates to a definite degree (`None`: not cacheable).
+        let mut misses = Vec::new();
         for (i, candidate) in candidates.iter().enumerate() {
-            match self.cacheable_probe(candidate, exec, tx) {
-                Some((object, version)) => {
-                    let hit = self
-                        .ccm
-                        .cached_verdict(&object, exec, candidate.constraint.name(), version)
-                        .cloned();
-                    if let Some(hit) = hit {
-                        self.telemetry.metrics().incr("ccm.verdict_cache.hit");
-                        self.telemetry.emit(|| TraceEvent::VerdictCacheHit {
-                            constraint: candidate.constraint.name().to_string(),
-                            object: object.to_string(),
-                        });
-                        results[i] = Some((
-                            RawEvaluation {
-                                outcome: Ok(hit.degree),
-                                accessed: hit.accessed,
-                            },
-                            ValidationCharge::CacheHit,
-                        ));
-                    } else {
-                        self.telemetry.metrics().incr("ccm.verdict_cache.miss");
-                        self.telemetry.emit(|| TraceEvent::VerdictCacheMiss {
-                            constraint: candidate.constraint.name().to_string(),
-                            object: object.to_string(),
-                        });
-                        inserts[i] = Some((object, version));
-                        misses.push(i);
-                    }
-                }
-                None => misses.push(i),
+            let key = self.cacheable_probe(candidate, exec, tx);
+            let hit = key.and_then(|(object, version)| {
+                self.ccm
+                    .cached_verdict(object, exec, candidate.constraint.name(), version)
+                    .cloned()
+            });
+            if let (Some((object, _)), Some(hit)) = (key, hit) {
+                self.telemetry.metrics().incr("ccm.verdict_cache.hit");
+                self.telemetry.emit(|| TraceEvent::VerdictCacheHit {
+                    constraint: candidate.constraint.name().to_string(),
+                    object: object.to_string(),
+                });
+                let eval = RawEvaluation {
+                    outcome: Ok(hit.degree),
+                    accessed: hit.accessed,
+                };
+                answers.push((i, eval, ValidationCharge::CacheHit));
+                continue;
             }
-        }
-        if !misses.is_empty() {
-            let miss_candidates: Vec<BatchCandidate> =
-                misses.iter().map(|&i| candidates[i].clone()).collect();
-            let evals = batch::evaluate_batch(
-                &miss_candidates,
-                &self.containers,
-                &self.replication,
-                &self.topology,
-                exec,
-                tx,
-                env,
-                self.config.validation.engine,
-                self.config.validation.parallelism,
-            );
-            for (&i, eval) in misses.iter().zip(evals) {
-                if let Some((object, version)) = inserts[i].take() {
-                    if let Ok(
-                        degree @ (SatisfactionDegree::Satisfied | SatisfactionDegree::Violated),
-                    ) = eval.outcome
-                    {
-                        self.ccm.store_verdict(
-                            object,
-                            exec,
-                            candidates[i].constraint.name().clone(),
-                            crate::ccm::CachedVerdict {
-                                version,
-                                degree,
-                                accessed: eval.accessed.clone(),
-                            },
-                        );
-                    }
-                }
-                results[i] = Some((eval, miss_charge));
+            if let Some((object, _)) = key {
+                self.telemetry.metrics().incr("ccm.verdict_cache.miss");
+                self.telemetry.emit(|| TraceEvent::VerdictCacheMiss {
+                    constraint: candidate.constraint.name().to_string(),
+                    object: object.to_string(),
+                });
             }
+            misses.push((i, *candidate, key));
         }
-        results
+        let miss_candidates: Vec<ValidationCandidate<'_>> =
+            misses.iter().map(|(_, candidate, _)| *candidate).collect();
+        let evals = self.evaluate_on_pool(&miss_candidates, exec, tx);
+        for ((i, candidate, key), eval) in misses.into_iter().zip(evals) {
+            if let (
+                Some((object, version)),
+                Ok(degree @ (SatisfactionDegree::Satisfied | SatisfactionDegree::Violated)),
+            ) = (key, &eval.outcome)
+            {
+                self.ccm.store_verdict(
+                    object.clone(),
+                    exec,
+                    candidate.constraint.name().clone(),
+                    crate::ccm::CachedVerdict {
+                        version,
+                        degree: *degree,
+                        accessed: eval.accessed.clone(),
+                    },
+                );
+            }
+            answers.push((i, eval, miss_charge));
+        }
+        answers.sort_unstable_by_key(|(i, ..)| *i);
+        answers
             .into_iter()
-            .map(|r| r.expect("every candidate is answered by probe or evaluation"))
+            .map(|(_, eval, charge)| (eval, charge))
             .collect()
+    }
+
+    /// The pure evaluation of `candidates` on the configured pool, one
+    /// result per candidate in candidate order.
+    fn evaluate_on_pool(
+        &self,
+        candidates: &[ValidationCandidate<'_>],
+        exec: NodeId,
+        tx: TxId,
+    ) -> Vec<RawEvaluation> {
+        batch::evaluate_batch(
+            candidates,
+            &self.containers,
+            &self.replication,
+            &self.topology,
+            exec,
+            tx,
+            self.partition_env(exec),
+            self.config.validation.engine,
+            self.config.validation.parallelism,
+        )
     }
 
     /// Serial merge phase for one evaluated candidate: staleness
@@ -2726,7 +2716,7 @@ impl Cluster {
         exec: NodeId,
         tx: TxId,
         constraint: &RegisteredConstraint,
-        context_object: Option<ObjectId>,
+        context_object: Option<&ObjectId>,
         eval: (RawEvaluation, ValidationCharge),
     ) -> Result<()> {
         let verdict = self.merge_validation(constraint, eval, exec, tx)?;
@@ -2883,18 +2873,33 @@ impl Cluster {
 
 /// The conventional setter name for a field (`sold` → `setSold`).
 pub fn setter_name(field: &str) -> String {
-    format!("set{}", capitalize(field))
+    accessor_name("set", field)
 }
 
 /// The conventional getter name for a field (`sold` → `getSold`).
 pub fn getter_name(field: &str) -> String {
-    format!("get{}", capitalize(field))
+    accessor_name("get", field)
 }
 
-fn capitalize(s: &str) -> String {
-    let mut chars = s.chars();
-    match chars.next() {
-        Some(first) => first.to_uppercase().collect::<String>() + chars.as_str(),
-        None => String::new(),
+/// `prefix` + `field` with its first character upper-cased, built in
+/// the one string the invocation then owns.
+fn accessor_name(prefix: &str, field: &str) -> String {
+    let mut name = String::with_capacity(prefix.len() + field.len());
+    name.push_str(prefix);
+    let mut chars = field.chars();
+    if let Some(first) = chars.next() {
+        name.extend(first.to_uppercase());
+        name.push_str(chars.as_str());
+    }
+    name
+}
+
+/// The typed failure for a candidate the evaluation phase produced no
+/// result for. Evaluations pair with candidates one to one, so this is
+/// a broken internal condition — reported to the caller rather than
+/// panicking on the request path.
+fn unevaluated(constraint: &RegisteredConstraint) -> Error {
+    Error::ConstraintUncheckable {
+        constraint: constraint.name().clone(),
     }
 }

@@ -81,8 +81,8 @@ pub mod web;
 
 pub use batch::ValidationParallelism;
 pub use ccm::{
-    evaluate_candidate, CachedVerdict, CallInfo, Ccm, CcmStats, NegotiationTiming, PartitionEnv,
-    PendingCheck, RawEvaluation, ReplicaAccess, ValidationVerdict,
+    evaluate_candidate, CachedVerdict, Ccm, CcmStats, NegotiationTiming, PartitionEnv,
+    PendingCheck, RawEvaluation, ReplicaAccess, ValidationCandidate, ValidationVerdict,
 };
 pub use cluster::{
     getter_name, setter_name, Cluster, ClusterBuilder, ClusterMetrics, HookInfo, InDoubtTx,

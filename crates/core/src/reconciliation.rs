@@ -8,10 +8,11 @@
 //! constraint-reconciliation handler, which may resolve immediately or
 //! defer (§4.4).
 
-use crate::batch::{self, BatchCandidate};
-use crate::ccm::{RawEvaluation, ReplicaAccess};
+use crate::batch;
+use crate::ccm::{RawEvaluation, ReplicaAccess, ValidationCandidate};
 use crate::cluster::Cluster;
 use crate::threat::{ConsistencyThreat, ThreatIdentity};
+use dedisys_constraints::RegisteredConstraint;
 use dedisys_object::EntityState;
 use dedisys_replication::{ReconcileReport, ReplicaConflict, ReplicaConsistencyHandler};
 use dedisys_telemetry::{TraceEvent, TransitionCause};
@@ -19,6 +20,7 @@ use dedisys_types::{
     Error, NodeId, ObjectId, Result, SatisfactionDegree, SimDuration, SystemMode, TxId, Value,
 };
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// A constraint violation detected during reconciliation.
 #[derive(Debug, Clone)]
@@ -346,7 +348,7 @@ impl Cluster {
         // arm mutate committed objects, after which later identities
         // fall back to live serial revalidation. Either way the merge
         // order, statistics and trace match the serial engine.
-        let mut batched: Vec<(usize, BatchCandidate)> = Vec::new();
+        let mut batched: Vec<(usize, Arc<RegisteredConstraint>)> = Vec::new();
         for (i, identity) in identities.iter().enumerate() {
             if strategy == ReconcileStrategy::Incremental
                 && !dirty_touched.contains(identity)
@@ -354,20 +356,16 @@ impl Cluster {
             {
                 continue;
             }
-            let Some(constraint) = self.repository().get(&identity.constraint).cloned() else {
-                continue;
-            };
-            batched.push((
-                i,
-                BatchCandidate {
-                    constraint,
-                    context_object: identity.context_object.clone(),
-                    call: None,
-                    pre_state: BTreeMap::new(),
-                },
-            ));
+            if let Some(constraint) = self.repository().get(&identity.constraint) {
+                batched.push((i, Arc::clone(constraint)));
+            }
         }
-        let candidates: Vec<BatchCandidate> = batched.iter().map(|(_, c)| c.clone()).collect();
+        let candidates: Vec<ValidationCandidate<'_>> = batched
+            .iter()
+            .map(|(i, constraint)| {
+                ValidationCandidate::invariant(constraint, identities[*i].context_object.as_ref())
+            })
+            .collect();
         // Reconciliation's Phase A keeps its historical costing (no
         // per-check clock charge), so the charge tag is dropped here.
         let evals = self
@@ -375,7 +373,7 @@ impl Cluster {
             .into_iter()
             .map(|(eval, _)| eval);
         let mut cached: BTreeMap<usize, RawEvaluation> =
-            batched.into_iter().map(|(i, _)| i).zip(evals).collect();
+            batched.iter().map(|(i, _)| *i).zip(evals).collect();
         let mut state_dirty = false;
         for (index, identity) in identities.into_iter().enumerate() {
             // Incremental engine: a threat must be re-evaluated when
@@ -407,7 +405,9 @@ impl Cluster {
             };
             let Some(constraint) = self.repository().get(&identity.constraint).cloned() else {
                 // Constraint was removed at runtime: threat is moot.
-                self.ccm.threat_store_mut().remove_identity(&identity);
+                self.ccm
+                    .threat_store_mut()
+                    .remove_identity(&identity.constraint, identity.context_object.as_ref());
                 continue;
             };
             let degree = match cached.remove(&index) {
@@ -430,7 +430,10 @@ impl Cluster {
                             .threat_store()
                             .any_wants_conflict_notification(&identity);
                     let affected = self.ccm.threat_store().objects_of(&identity);
-                    let removed = self.ccm.threat_store_mut().remove_identity(&identity);
+                    let removed = self
+                        .ccm
+                        .threat_store_mut()
+                        .remove_identity(&identity.constraint, identity.context_object.as_ref());
                     // Batched delete: one database write for the
                     // identity group plus the marginal scan cost per
                     // additional record.
@@ -507,7 +510,10 @@ impl Cluster {
                         }
                     }
                     if resolved {
-                        let removed = self.ccm.threat_store_mut().remove_identity(&identity);
+                        let removed = self.ccm.threat_store_mut().remove_identity(
+                            &identity.constraint,
+                            identity.context_object.as_ref(),
+                        );
                         self.clock().advance(
                             self.costs().db_write
                                 + self.costs().threat_scan_per_identity
@@ -581,10 +587,7 @@ impl Cluster {
         let (replication, containers, topology, ccm) = self.validation_env();
         let mut access = ReplicaAccess::new(containers, replication, topology, observer, recon_tx);
         match ccm.validate_constraint(
-            constraint,
-            identity.context_object.as_ref(),
-            None,
-            BTreeMap::new(),
+            &ValidationCandidate::invariant(constraint, identity.context_object.as_ref()),
             &mut access,
             env,
             engine,

@@ -50,6 +50,12 @@ impl ConsistencyThreat {
             context_object: self.context_object.clone(),
         }
     }
+
+    /// Whether this threat has `identity`, compared field by field —
+    /// scans over the store copy nothing.
+    pub fn has_identity(&self, identity: &ThreatIdentity) -> bool {
+        identity.is(&self.constraint, self.context_object.as_ref())
+    }
 }
 
 /// Threat identity: `(constraint, context object)`.
@@ -59,6 +65,13 @@ pub struct ThreatIdentity {
     pub constraint: ConstraintName,
     /// Optional context object.
     pub context_object: Option<ObjectId>,
+}
+
+impl ThreatIdentity {
+    /// Whether this is the identity `(constraint, context_object)`.
+    pub fn is(&self, constraint: &ConstraintName, context_object: Option<&ObjectId>) -> bool {
+        &self.constraint == constraint && self.context_object.as_ref() == context_object
+    }
 }
 
 /// Threat-history policy (§3.2.2 / §5.5.1).
@@ -189,12 +202,17 @@ impl ThreatStore {
         }
     }
 
-    /// Drops `identity` from the secondary object index.
-    fn unindex_identity(&mut self, identity: &ThreatIdentity) {
-        self.object_index.retain(|_, ids| {
-            ids.remove(identity);
-            !ids.is_empty()
-        });
+    /// Whether any threat of `(constraint, context_object)` is stored.
+    /// An identity with a context object is indexed under it; a
+    /// query-based one is looked for in the identity order.
+    fn holds(&self, constraint: &ConstraintName, context_object: Option<&ObjectId>) -> bool {
+        match context_object {
+            Some(object) => self
+                .object_index
+                .get(object)
+                .is_some_and(|ids| ids.iter().any(|id| id.is(constraint, context_object))),
+            None => self.identity_order.iter().any(|id| id.is(constraint, None)),
+        }
     }
 
     /// Rebuilds the derived indexes from `threats` (recovery path).
@@ -217,7 +235,7 @@ impl ThreatStore {
             let key = format!(
                 "{:08}|{}",
                 self.next_record,
-                storage_key(&threat.identity())
+                storage_key(&threat.constraint, threat.context_object.as_ref())
             );
             self.next_record += 1;
             self.wal.append_put(THREAT_TABLE, &key, json.clone());
@@ -297,7 +315,7 @@ impl ThreatStore {
     /// plus affected objects, across all stored occurrences).
     pub fn objects_of(&self, identity: &ThreatIdentity) -> BTreeSet<ObjectId> {
         let mut out = BTreeSet::new();
-        for t in self.threats.iter().filter(|t| &t.identity() == identity) {
+        for t in self.threats.iter().filter(|t| t.has_identity(identity)) {
             if let Some(ctx) = &t.context_object {
                 out.insert(ctx.clone());
             }
@@ -326,7 +344,7 @@ impl ThreatStore {
                 .threats
                 .iter()
                 .enumerate()
-                .filter(|(_, t)| t.identity() == identity)
+                .filter(|(_, t)| t.has_identity(&identity))
                 .map(|(i, _)| i)
                 .collect();
             if indices.len() < 2 {
@@ -352,7 +370,7 @@ impl ThreatStore {
             // Drop every occurrence beyond the first from memory.
             let mut kept_first = false;
             self.threats.retain(|t| {
-                if t.identity() == identity {
+                if t.has_identity(&identity) {
                     if kept_first {
                         false
                     } else {
@@ -366,7 +384,10 @@ impl ThreatStore {
 
             // Durably delete the duplicates and rewrite the survivor
             // with the folded record.
-            let suffix = format!("|{}", storage_key(&identity));
+            let suffix = format!(
+                "|{}",
+                storage_key(&identity.constraint, identity.context_object.as_ref())
+            );
             let keys: Vec<String> = self
                 .table
                 .scan(THREAT_TABLE)
@@ -389,14 +410,14 @@ impl ThreatStore {
 
     /// The first stored threat with `identity`.
     pub fn first_of(&self, identity: &ThreatIdentity) -> Option<&ConsistencyThreat> {
-        self.threats.iter().find(|t| &t.identity() == identity)
+        self.threats.iter().find(|t| t.has_identity(identity))
     }
 
     /// Whether any stored threat of `identity` allows rollback.
     pub fn any_allows_rollback(&self, identity: &ThreatIdentity) -> bool {
         self.threats
             .iter()
-            .filter(|t| &t.identity() == identity)
+            .filter(|t| t.has_identity(identity))
             .any(|t| t.instructions.allow_rollback)
     }
 
@@ -405,19 +426,34 @@ impl ThreatStore {
     pub fn any_wants_conflict_notification(&self, identity: &ThreatIdentity) -> bool {
         self.threats
             .iter()
-            .filter(|t| &t.identity() == identity)
+            .filter(|t| t.has_identity(identity))
             .any(|t| t.instructions.notify_on_replica_conflict)
     }
 
-    /// Removes the threat *and all identical threats* (§3.3), returning
-    /// how many records were dropped. The persisted records are
-    /// deleted through the write-ahead log as well.
-    pub fn remove_identity(&mut self, identity: &ThreatIdentity) -> usize {
+    /// Removes every threat of the identity `(constraint,
+    /// context_object)` — the threat *and all identical threats*
+    /// (§3.3) — returning how many records were dropped. The persisted
+    /// records are deleted through the write-ahead log as well. An
+    /// identity that was never stored (every satisfied check asks)
+    /// costs one index probe and touches neither table nor log.
+    pub fn remove_identity(
+        &mut self,
+        constraint: &ConstraintName,
+        context_object: Option<&ObjectId>,
+    ) -> usize {
+        if !self.holds(constraint, context_object) {
+            return 0;
+        }
         let before = self.threats.len();
-        self.threats.retain(|t| &t.identity() != identity);
-        self.identity_order.retain(|id| id != identity);
-        self.unindex_identity(identity);
-        let suffix = format!("|{}", storage_key(identity));
+        self.threats
+            .retain(|t| &t.constraint != constraint || t.context_object.as_ref() != context_object);
+        self.identity_order
+            .retain(|id| !id.is(constraint, context_object));
+        self.object_index.retain(|_, ids| {
+            ids.retain(|id| !id.is(constraint, context_object));
+            !ids.is_empty()
+        });
+        let suffix = format!("|{}", storage_key(constraint, context_object));
         let keys: Vec<String> = self
             .table
             .scan(THREAT_TABLE)
@@ -450,11 +486,12 @@ impl ThreatStore {
     }
 }
 
-/// Stable storage key of a threat identity.
-fn storage_key(identity: &ThreatIdentity) -> String {
-    match &identity.context_object {
-        Some(ctx) => format!("{}@{ctx}", identity.constraint),
-        None => identity.constraint.to_string(),
+/// Stable storage key of the threat identity `(constraint,
+/// context_object)`.
+fn storage_key(constraint: &ConstraintName, context_object: Option<&ObjectId>) -> String {
+    match context_object {
+        Some(ctx) => format!("{constraint}@{ctx}"),
+        None => constraint.to_string(),
     }
 }
 
@@ -504,7 +541,7 @@ mod tests {
         store.store(threat("C", "F1"));
         store.store(threat("C", "F1"));
         store.store(threat("C", "F2"));
-        let removed = store.remove_identity(&threat("C", "F1").identity());
+        let removed = store.remove_identity(&"C".into(), Some(&ObjectId::new("Flight", "F1")));
         assert_eq!(removed, 2);
         assert_eq!(store.len(), 1);
     }
@@ -565,11 +602,46 @@ mod tests {
         store.store(threat("C", "F1"));
         store.store(threat("C", "F1"));
         store.store(threat("D", "F2"));
-        store.remove_identity(&threat("C", "F1").identity());
+        store.remove_identity(&"C".into(), Some(&ObjectId::new("Flight", "F1")));
         assert_eq!(store.persisted_records(), 1);
         store.recover();
         assert_eq!(store.len(), 1);
         assert_eq!(store.threats()[0].constraint, ConstraintName::from("D"));
+    }
+
+    #[test]
+    fn removing_an_unknown_identity_touches_nothing() {
+        let mut store = ThreatStore::new(HistoryPolicy::FullHistory);
+        store.store(threat("C", "F1"));
+        let mut query_based = threat("Q", "x");
+        query_based.context_object = None;
+        store.store(query_based);
+        let (records, log) = (store.persisted_records(), store.wal.len());
+        let f1 = ObjectId::new("Flight", "F1");
+        // Other constraint on a stored object, stored constraint on
+        // another object, and both query-based spellings.
+        for (constraint, context) in [
+            ("D", Some(&f1)),
+            ("C", Some(&ObjectId::new("Flight", "F2"))),
+            ("C", None),
+            ("Q", Some(&f1)),
+        ] {
+            assert_eq!(store.remove_identity(&constraint.into(), context), 0);
+        }
+        assert_eq!(store.len(), 2);
+        assert_eq!(store.identity_count(), 2);
+        assert_eq!(store.persisted_records(), records);
+        assert_eq!(store.wal.len(), log, "nothing appended to the WAL");
+
+        // A stored identity still goes from records, table and WAL —
+        // with or without a context object.
+        assert_eq!(store.remove_identity(&"C".into(), Some(&f1)), 1);
+        assert_eq!(store.remove_identity(&"Q".into(), None), 1);
+        assert!(store.is_empty());
+        assert_eq!(store.identity_count(), 0);
+        assert_eq!(store.persisted_records(), 0);
+        assert_eq!(store.wal.len(), log + 2, "one delete entry per record");
+        assert_eq!(store.recover(), 0, "the deletes are durable");
     }
 
     #[test]
@@ -590,7 +662,7 @@ mod tests {
             .all(|id| id.constraint == ConstraintName::from("C")));
         assert_eq!(store.objects_of(&threat("C", "F1").identity()).len(), 2);
 
-        store.remove_identity(&threat("C", "F1").identity());
+        store.remove_identity(&"C".into(), Some(&ObjectId::new("Flight", "F1")));
         assert!(store.identities_for_object(&s1).is_none());
         assert_eq!(store.identities_for_object(&f1).map(BTreeSet::len), Some(1));
         assert_eq!(store.identity_count(), 1);

@@ -4,6 +4,7 @@ use crate::{AppDescriptor, EntityState};
 use dedisys_store::{ReplayReport, TableStore, WriteAheadLog};
 use dedisys_types::{ClassName, Error, ObjectId, Result, SimTime, TxId, Value};
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::sync::Arc;
 
 /// Journal table holding committed entity snapshots.
 const JOURNAL_TABLE: &str = "entities";
@@ -47,7 +48,9 @@ struct TxBuffer {
 /// replays it to reconstruct the committed state after a restart.
 #[derive(Debug, Clone)]
 pub struct EntityContainer {
-    app: AppDescriptor,
+    /// Shared so method dispatch can hold on to the descriptor while it
+    /// writes to the container ([`EntityContainer::shared_app`]).
+    app: Arc<AppDescriptor>,
     committed: BTreeMap<ObjectId, EntityState>,
     buffers: HashMap<TxId, TxBuffer>,
     journal: WriteAheadLog,
@@ -58,7 +61,7 @@ impl EntityContainer {
     /// Creates an empty container for `app`.
     pub fn new(app: &AppDescriptor) -> Self {
         Self {
-            app: app.clone(),
+            app: Arc::new(app.clone()),
             committed: BTreeMap::new(),
             buffers: HashMap::new(),
             journal: WriteAheadLog::new(),
@@ -69,6 +72,12 @@ impl EntityContainer {
     /// The deployed application.
     pub fn app(&self) -> &AppDescriptor {
         &self.app
+    }
+
+    /// A handle on the deployed application that does not borrow the
+    /// container.
+    pub fn shared_app(&self) -> Arc<AppDescriptor> {
+        Arc::clone(&self.app)
     }
 
     /// Accumulated counters.
@@ -151,10 +160,23 @@ impl EntityContainer {
         at: SimTime,
     ) -> Result<()> {
         self.stats.writes += 1;
-        let base = self.view(tx, id)?.clone();
+        if !self.exists(tx, id) {
+            return Err(Error::ObjectNotFound(id.clone()));
+        }
         let buffer = self.buffers.entry(tx).or_default();
-        let entity = buffer.entities.entry(id.clone()).or_insert(base);
-        entity.set_field(field, value, at);
+        match buffer.entities.get_mut(id) {
+            Some(entity) => entity.set_field(field, value, at),
+            None => {
+                // First write to `id` in `tx`: copy the committed state.
+                let mut entity = self
+                    .committed
+                    .get(id)
+                    .ok_or_else(|| Error::ObjectNotFound(id.clone()))?
+                    .clone();
+                entity.set_field(field, value, at);
+                buffer.entities.insert(id.clone(), entity);
+            }
+        }
         Ok(())
     }
 
@@ -380,6 +402,39 @@ mod tests {
         assert_eq!(written, vec![id.clone()]);
         assert!(deleted.is_empty());
         assert_eq!(c.read_field(tx(2), &id, "seats").unwrap(), Value::Int(80));
+    }
+
+    #[test]
+    fn second_write_in_a_tx_reuses_the_buffered_copy() {
+        let mut c = EntityContainer::new(&app());
+        let id = flight(&mut c, tx(1), "F1");
+        c.commit(tx(1));
+        let committed = c.committed_entity(&id).unwrap().version();
+        c.write_field(tx(2), &id, "seats", Value::Int(80), t0())
+            .unwrap();
+        c.write_field(tx(2), &id, "soldTickets", Value::Int(3), t0())
+            .unwrap();
+        // Both writes landed on the one buffered copy: two version
+        // bumps, the committed state untouched until commit.
+        let buffered = c.buffered_view(tx(2), &id).unwrap();
+        assert_eq!(buffered.version(), committed.next().next());
+        assert_eq!(buffered.field("seats"), &Value::Int(80));
+        assert_eq!(buffered.field("soldTickets"), &Value::Int(3));
+        assert_eq!(c.committed_entity(&id).unwrap().version(), committed);
+        let (written, _) = c.commit(tx(2));
+        assert_eq!(written, vec![id.clone()], "one buffered copy");
+        assert_eq!(
+            c.committed_entity(&id).unwrap().version(),
+            committed.next().next()
+        );
+        // A write to an object the transaction cannot see fails before
+        // a buffer exists for it.
+        let ghost = ObjectId::new("Flight", "nope");
+        assert_eq!(
+            c.write_field(tx(3), &ghost, "seats", Value::Int(1), t0()),
+            Err(Error::ObjectNotFound(ghost))
+        );
+        assert_eq!(c.crash_volatile(), 0, "no empty buffer left behind");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Method bodies and dispatch.
 
-use crate::{EntityContainer, Invocation};
-use dedisys_types::{Error, MethodSignature, ObjectId, Result, SimTime, Value};
+use crate::{AppDescriptor, EntityContainer, Invocation};
+use dedisys_types::{ClassName, Error, MethodName, ObjectId, Result, SimTime, Value};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -27,8 +27,8 @@ impl<'a> MethodContext<'a> {
     ///
     /// Propagates container lookup failures.
     pub fn read_own(&mut self, field: &str) -> Result<Value> {
-        let target = self.invocation.target.clone();
-        self.read(&target, field)
+        let invocation = self.invocation;
+        self.read(&invocation.target, field)
     }
 
     /// Writes a field of the invocation target.
@@ -37,8 +37,8 @@ impl<'a> MethodContext<'a> {
     ///
     /// Propagates container lookup failures.
     pub fn write_own(&mut self, field: &str, value: Value) -> Result<()> {
-        let target = self.invocation.target.clone();
-        self.write(&target, field, value)
+        let invocation = self.invocation;
+        self.write(&invocation.target, field, value)
     }
 
     /// Reads a field of any object visible to the transaction.
@@ -106,20 +106,33 @@ impl MethodBody {
     /// * Anything the body itself produces.
     pub fn execute(&self, cx: &mut MethodContext<'_>) -> Result<Value> {
         match self {
-            MethodBody::SetField(field) => {
-                let value = cx
-                    .invocation
-                    .arg0()
-                    .cloned()
-                    .ok_or_else(|| Error::Config(format!("set{field}: missing argument")))?;
-                cx.write_own(field, value)?;
-                Ok(Value::Null)
-            }
+            MethodBody::SetField(field) => set_field(cx, field),
             MethodBody::GetField(field) => cx.read_own(field),
             MethodBody::Empty => Ok(Value::Null),
             MethodBody::Custom(f) => f(cx),
         }
     }
+}
+
+/// The `SetField` body: writes the first argument into `field`.
+fn set_field(cx: &mut MethodContext<'_>, field: &str) -> Result<Value> {
+    let value = cx
+        .invocation
+        .arg0()
+        .cloned()
+        .ok_or_else(|| Error::Config(format!("set{field}: missing argument")))?;
+    cx.write_own(field, value)?;
+    Ok(Value::Null)
+}
+
+/// What an invocation resolves to: a registered body, or an accessor
+/// derived from the class's deployed fields — borrowed, so dispatch
+/// copies neither a body nor a field name.
+enum Resolved<'a> {
+    Registered(&'a MethodBody),
+    Setter(&'a str),
+    Getter(&'a str),
+    Empty,
 }
 
 /// Registered method implementations, keyed by `(class, method)`.
@@ -129,7 +142,9 @@ impl MethodBody {
 /// body automatically.
 #[derive(Debug, Clone, Default)]
 pub struct MethodTable {
-    bodies: HashMap<MethodSignature, MethodBody>,
+    /// Class → method → body, so dispatch looks a body up with the
+    /// invocation's own (borrowed) names.
+    bodies: HashMap<ClassName, HashMap<MethodName, MethodBody>>,
 }
 
 impl MethodTable {
@@ -146,7 +161,9 @@ impl MethodTable {
         body: MethodBody,
     ) {
         self.bodies
-            .insert(MethodSignature::new(class.into(), method.into()), body);
+            .entry(class.into())
+            .or_default()
+            .insert(method.into(), body);
     }
 
     /// Resolves the body for an invocation: registered body first, then
@@ -156,33 +173,34 @@ impl MethodTable {
     ///
     /// * [`Error::ClassNotDeployed`] / [`Error::MethodNotDeployed`] for
     ///   unknown targets.
-    pub fn resolve(&self, container: &EntityContainer, inv: &Invocation) -> Result<MethodBody> {
-        let sig = inv.signature();
-        if let Some(body) = self.bodies.get(&sig) {
-            return Ok(body.clone());
+    fn resolve<'a>(&'a self, app: &'a AppDescriptor, inv: &Invocation) -> Result<Resolved<'a>> {
+        let registered = self
+            .bodies
+            .get(inv.target.class())
+            .and_then(|methods| methods.get(&inv.method));
+        if let Some(body) = registered {
+            return Ok(Resolved::Registered(body));
         }
-        let class = container
-            .app()
+        let class = app
             .class(inv.target.class())
             .ok_or_else(|| Error::ClassNotDeployed(inv.target.class().to_string()))?;
         let name = inv.method.as_str();
         for (prefix, setter) in [("set", true), ("get", false)] {
             if let Some(rest) = name.strip_prefix(prefix) {
-                let field = decapitalize(rest);
-                if class.field_names().any(|f| f == field) {
+                if let Some(field) = class.field_names().find(|f| is_decapitalized(f, rest)) {
                     return Ok(if setter {
-                        MethodBody::SetField(field)
+                        Resolved::Setter(field)
                     } else {
-                        MethodBody::GetField(field)
+                        Resolved::Getter(field)
                     });
                 }
             }
         }
         if class.method(&inv.method).is_some() {
             // Declared but no body and no accessor convention: empty.
-            return Ok(MethodBody::Empty);
+            return Ok(Resolved::Empty);
         }
-        Err(Error::MethodNotDeployed(sig))
+        Err(Error::MethodNotDeployed(inv.signature()))
     }
 
     /// Resolves and executes the invocation's method.
@@ -196,21 +214,31 @@ impl MethodTable {
         inv: &Invocation,
         now: SimTime,
     ) -> Result<Value> {
-        let body = self.resolve(container, inv)?;
+        // The container shares its descriptor, so the resolved field
+        // name stays borrowed while the body writes to the container.
+        let app = container.shared_app();
+        let resolved = self.resolve(&app, inv)?;
         let mut cx = MethodContext {
             container,
             invocation: inv,
             now,
         };
-        body.execute(&mut cx)
+        match resolved {
+            Resolved::Registered(body) => body.execute(&mut cx),
+            Resolved::Setter(field) => set_field(&mut cx, field),
+            Resolved::Getter(field) => cx.read_own(field),
+            Resolved::Empty => Ok(Value::Null),
+        }
     }
 }
 
-fn decapitalize(s: &str) -> String {
-    let mut chars = s.chars();
+/// Whether `field` is `rest` with its first character lower-cased
+/// (`Seats` → `seats`), compared without building the string.
+fn is_decapitalized(field: &str, rest: &str) -> bool {
+    let mut chars = rest.chars();
     match chars.next() {
-        Some(first) => first.to_lowercase().collect::<String>() + chars.as_str(),
-        None => String::new(),
+        Some(first) => first.to_lowercase().chain(chars).eq(field.chars()),
+        None => field.is_empty(),
     }
 }
 
@@ -218,7 +246,7 @@ fn decapitalize(s: &str) -> String {
 mod tests {
     use super::*;
     use crate::{AppDescriptor, ClassDescriptor, EntityState, MethodDescriptor, MethodKind};
-    use dedisys_types::{NodeId, TxId};
+    use dedisys_types::{MethodSignature, NodeId, TxId};
 
     fn setup() -> (EntityContainer, MethodTable, ObjectId, TxId) {
         let app = AppDescriptor::new("test").with_class(
@@ -258,6 +286,61 @@ mod tests {
             .dispatch(&mut c, &inv(tx, &id, "getSeats", vec![]), SimTime::ZERO)
             .unwrap();
         assert_eq!(got, Value::Int(80));
+    }
+
+    #[test]
+    fn accessor_convention_matches_the_decapitalized_field() {
+        assert!(is_decapitalized("soldTickets", "SoldTickets"));
+        assert!(is_decapitalized("seats", "seats"));
+        assert!(is_decapitalized("", ""));
+        assert!(!is_decapitalized("seats", "Seat"));
+        assert!(!is_decapitalized("seat", "Seats"));
+        assert!(!is_decapitalized("Seats", "Seats"));
+        // A first character whose lower case is more than one char.
+        assert!(is_decapitalized("i\u{307}d", "\u{130}d"));
+
+        let (mut c, table, id, tx) = setup();
+        table
+            .dispatch(
+                &mut c,
+                &inv(tx, &id, "setSoldTickets", vec![Value::Int(3)]),
+                SimTime::ZERO,
+            )
+            .unwrap();
+        assert_eq!(c.read_field(tx, &id, "soldTickets").unwrap(), Value::Int(3));
+        // Close, but not a deployed field.
+        let err = table
+            .dispatch(&mut c, &inv(tx, &id, "getSold", vec![]), SimTime::ZERO)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            Error::MethodNotDeployed(MethodSignature::new("Flight", "getSold"))
+        );
+    }
+
+    #[test]
+    fn registered_body_wins_over_the_convention() {
+        let (mut c, mut table, id, tx) = setup();
+        table.register(
+            "Flight",
+            "getSeats",
+            MethodBody::custom(|_| Ok(Value::Int(-1))),
+        );
+        table.register("Other", "getSeats", MethodBody::Empty);
+        let got = table
+            .dispatch(&mut c, &inv(tx, &id, "getSeats", vec![]), SimTime::ZERO)
+            .unwrap();
+        assert_eq!(got, Value::Int(-1));
+    }
+
+    #[test]
+    fn unknown_class_rejected() {
+        let (mut c, table, _, tx) = setup();
+        let ghost = ObjectId::new("Ghost", "g");
+        let err = table
+            .dispatch(&mut c, &inv(tx, &ghost, "getSeats", vec![]), SimTime::ZERO)
+            .unwrap_err();
+        assert_eq!(err, Error::ClassNotDeployed("Ghost".into()));
     }
 
     #[test]

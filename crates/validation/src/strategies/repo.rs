@@ -6,7 +6,7 @@ use super::{CheckCounts, Mechanism, SliceLevel};
 use crate::constraints_def::{build_expr_constraints, build_registered_constraints, CompanyAccess};
 use crate::model::{Company, Op};
 use dedisys_constraints::{
-    ConstraintKind, ConstraintRepository, LookupKind, LookupMode, RegisteredConstraint,
+    ConstraintKind, ConstraintRepository, LookupKind, LookupMode, Matches, RegisteredConstraint,
     ValidationContext,
 };
 use dedisys_types::{MethodName, MethodSignature, ObjectId, Value};
@@ -36,11 +36,10 @@ impl LabInterceptor for Forwarder {
 }
 
 /// Pre-bound checks of one method (wrapper-based instrumentation).
-#[derive(Default)]
 struct MethodBinding {
-    pres: Vec<Arc<RegisteredConstraint>>,
-    posts: Vec<Arc<RegisteredConstraint>>,
-    invs: Vec<Arc<RegisteredConstraint>>,
+    pres: Matches,
+    posts: Matches,
+    invs: Matches,
 }
 
 /// The prepared engine shared by repository and interpreted
@@ -103,18 +102,23 @@ impl RepoEngine {
         let mut bindings: HashMap<&'static str, MethodBinding> = HashMap::new();
         for (class, method) in METHODS {
             let sig = MethodSignature::new(class, method);
-            let mut binding = MethodBinding::default();
+            let (mut pres, mut posts, mut invs) = (Vec::new(), Vec::new(), Vec::new());
             for c in &constraints {
                 if c.preparation_for(&sig).is_none() {
                     continue;
                 }
                 let list = match c.meta.kind {
-                    ConstraintKind::Precondition => &mut binding.pres,
-                    ConstraintKind::Postcondition => &mut binding.posts,
-                    _ => &mut binding.invs,
+                    ConstraintKind::Precondition => &mut pres,
+                    ConstraintKind::Postcondition => &mut posts,
+                    _ => &mut invs,
                 };
                 list.push(Arc::new(c.clone()));
             }
+            let binding = MethodBinding {
+                pres: pres.into(),
+                posts: posts.into(),
+                invs: invs.into(),
+            };
             bindings.insert(method, binding);
         }
         Self {
@@ -258,7 +262,7 @@ fn run_checks(
 ) {
     let method = MethodName::from(op.method_name());
     // Preconditions.
-    for c in &binding.pres {
+    for c in binding.pres.iter() {
         counts.pres += 1;
         let ctx_obj = context_for(c, op);
         let mut access = CompanyAccess { company };
@@ -270,7 +274,7 @@ fn run_checks(
     }
     // Invariants before + postcondition @pre snapshots.
     let mut pre_states: BTreeMap<String, BTreeMap<String, Value>> = BTreeMap::new();
-    for c in &binding.posts {
+    for c in binding.posts.iter() {
         let ctx_obj = context_for(c, op);
         let mut access = CompanyAccess { company };
         let mut ctx =
@@ -278,7 +282,7 @@ fn run_checks(
         c.implementation.before_method_invocation(&mut ctx);
         pre_states.insert(c.name().to_string(), ctx.take_pre_state());
     }
-    for c in &binding.invs {
+    for c in binding.invs.iter() {
         counts.invariants += 1;
         let ctx_obj = context_for(c, op);
         let mut access = CompanyAccess { company };
@@ -290,7 +294,7 @@ fn run_checks(
     // Business logic.
     let result = op.apply(company);
     // Postconditions.
-    for c in &binding.posts {
+    for c in binding.posts.iter() {
         counts.posts += 1;
         let ctx_obj = context_for(c, op);
         let mut access = CompanyAccess { company };
@@ -305,7 +309,7 @@ fn run_checks(
         }
     }
     // Invariants after.
-    for c in &binding.invs {
+    for c in binding.invs.iter() {
         counts.invariants += 1;
         let ctx_obj = context_for(c, op);
         let mut access = CompanyAccess { company };

@@ -11,7 +11,8 @@
 //! evaluation produce byte-identical JSONL traces.
 
 use dedisys_constraints::{
-    expr::ExprConstraint, ConstraintMeta, ContextPreparation, RegisteredConstraint,
+    expr::ExprConstraint, Constraint, ConstraintKind, ConstraintMeta, ContextPreparation,
+    RegisteredConstraint, ValidationContext,
 };
 use dedisys_core::{
     nodes, ClusterBuilder, ConstraintEngine, DeferAll, HighestVersionWins, JsonlExporter,
@@ -46,7 +47,8 @@ fn app() -> AppDescriptor {
     AppDescriptor::new("engines").with_class(
         ClassDescriptor::new("Counter")
             .with_field("n", Value::Int(0))
-            .with_field("max", Value::Int(100)),
+            .with_field("max", Value::Int(100))
+            .with_field("peer", Value::Null),
     )
 }
 
@@ -68,6 +70,61 @@ fn constraints() -> Vec<RegisteredConstraint> {
         .collect()
 }
 
+/// An expression postcondition that snapshots `n` before the call.
+struct Delta(ExprConstraint);
+
+impl Constraint for Delta {
+    fn validate(&self, ctx: &mut ValidationContext<'_>) -> dedisys_types::Result<bool> {
+        self.0.validate(ctx)
+    }
+
+    fn validate_with(
+        &self,
+        engine: ConstraintEngine,
+        ctx: &mut ValidationContext<'_>,
+    ) -> dedisys_types::Result<bool> {
+        self.0.validate_with(engine, ctx)
+    }
+
+    fn before_method_invocation(&self, ctx: &mut ValidationContext<'_>) {
+        if let Ok(n) = ctx.self_field("n") {
+            ctx.store_pre("n", n);
+        }
+    }
+}
+
+/// The shapes the engines resolve differently from a plain `self.f`:
+/// navigation past the context object (`self.a.b`, whose first hop is
+/// the fused self-field read and whose second goes through a
+/// materialised reference), a method argument and an `@pre` snapshot.
+/// Only the schedules use them; the cache test below counts probes of
+/// the twelve `Bounded-*` constraints alone.
+fn call_and_navigation_constraints() -> Vec<RegisteredConstraint> {
+    let on_set_n = |meta: ConstraintMeta, implementation: Arc<dyn Constraint>| {
+        RegisteredConstraint::new(
+            meta.tradeable(SatisfactionDegree::PossiblySatisfied),
+            implementation,
+        )
+        .context_class("Counter")
+        .affects("Counter", "setN", ContextPreparation::CalledObject)
+    };
+    let expr = |source: &str| ExprConstraint::parse(source).unwrap();
+    vec![
+        on_set_n(
+            ConstraintMeta::new("PeerBounded"),
+            Arc::new(expr("self.peer.n <= self.peer.max")),
+        ),
+        on_set_n(
+            ConstraintMeta::new("ArgInRange").kind(ConstraintKind::Precondition),
+            Arc::new(expr("arg(0) >= 0 and arg(0) < 180")),
+        ),
+        on_set_n(
+            ConstraintMeta::new("StepBound").kind(ConstraintKind::Postcondition),
+            Arc::new(Delta(expr("self.n - pre(\"n\") <= 90"))),
+        ),
+    ]
+}
+
 /// One step of a random workload schedule, decoded from raw tuples.
 type Step = (u8, u32, usize, i64);
 
@@ -76,8 +133,13 @@ type Step = (u8, u32, usize, i64);
 /// time, the telemetry registry and the event count are excluded — the
 /// cache's probe charges and hit/miss events differ by design), the
 /// stored threat identities, and the violating-object lists returned
-/// by every constraint sweep.
-fn fingerprint(cluster: &dedisys_core::Cluster, sweeps: &[(String, Vec<ObjectId>)]) -> String {
+/// by every constraint sweep, and the committed state of every object
+/// on every node (which write was refused decides it).
+fn fingerprint(
+    cluster: &dedisys_core::Cluster,
+    sweeps: &[(String, Vec<ObjectId>)],
+    objects: &[ObjectId],
+) -> String {
     let stats = serde_json::to_value(cluster.stats()).unwrap();
     let verdicts = serde_json::json!({
         "mode": stats["mode"],
@@ -86,8 +148,17 @@ fn fingerprint(cluster: &dedisys_core::Cluster, sweeps: &[(String, Vec<ObjectId>
         "replication": stats["replication"],
         "tx": stats["tx"],
     });
+    let states: Vec<_> = objects
+        .iter()
+        .flat_map(|id| (0..3).map(move |n| (id, n)))
+        .map(|(id, n)| {
+            cluster
+                .entity_on(NodeId(n), id)
+                .map(|e| e.field("n").clone())
+        })
+        .collect();
     format!(
-        "{verdicts}\nthreats: {:?}\nsweeps: {sweeps:?}",
+        "{verdicts}\nthreats: {:?}\nsweeps: {sweeps:?}\nstates: {states:?}",
         cluster.threats().identities()
     )
 }
@@ -103,6 +174,7 @@ fn run_schedule(
     let buf = SharedBuf::default();
     let mut cluster = ClusterBuilder::new(3, app())
         .constraints(constraints())
+        .constraints(call_and_navigation_constraints())
         .configure(|c| {
             c.validation.engine = engine;
             c.validation.verdict_cache = cache;
@@ -114,17 +186,19 @@ fn run_schedule(
         .telemetry()
         .attach(Box::new(JsonlExporter::new(Box::new(buf.clone()))));
     let objects: Vec<ObjectId> = (0..4)
-        .map(|i| {
-            let id = ObjectId::new("Counter", format!("c{i}"));
-            let e = id.clone();
-            cluster
-                .run_tx(NodeId(0), move |c, tx| {
-                    c.create(NodeId(0), tx, EntityState::for_class(c.app(), &e)?)
-                })
-                .unwrap();
-            id
-        })
+        .map(|i| ObjectId::new("Counter", format!("c{i}")))
         .collect();
+    for (i, id) in objects.iter().enumerate() {
+        // Every counter's peer is the next one, round the ring.
+        let peer = objects[(i + 1) % objects.len()].clone();
+        cluster
+            .run_tx(NodeId(0), |c, tx| {
+                let mut entity = EntityState::for_class(c.app(), id)?;
+                entity.set_field("peer", Value::Ref(peer), c.now());
+                c.create(NodeId(0), tx, entity)
+            })
+            .unwrap();
+    }
     let mut sweeps: Vec<(String, Vec<ObjectId>)> = Vec::new();
     for &(action, node_raw, obj, value) in schedule {
         match action % 8 {
@@ -160,7 +234,7 @@ fn run_schedule(
     }
     cluster.heal();
     cluster.reconcile(&mut HighestVersionWins, &mut DeferAll);
-    let print = fingerprint(&cluster, &sweeps);
+    let print = fingerprint(&cluster, &sweeps, &objects);
     drop(cluster);
     let trace = buf.0.lock().expect("trace buffer poisoned").clone();
     (print, trace)
