@@ -187,15 +187,20 @@ pub fn measure(engine: ConstraintEngine, cache: bool, label: &str, rounds: usize
     let buf = SharedBuf::default();
     let mut cluster = ClusterBuilder::new(3, app())
         .constraints(constraints())
-        .configure(|c| {
-            c.validation.engine = engine;
-            c.validation.verdict_cache = cache;
-        })
         .build()
         .expect("cluster");
     cluster
         .telemetry()
         .attach(Box::new(JsonlExporter::new(Box::new(buf.clone()))));
+    // Switch engines with the exporter already listening: the runtime
+    // path lowers (and charges for) the constraints exactly as a
+    // compiled build does, and the trace shows it.
+    cluster
+        .reconfigure(|c| {
+            c.validation.engine = engine;
+            c.validation.verdict_cache = cache;
+        })
+        .expect("engine and cache are runtime-reconfigurable");
     let node = NodeId(0);
     let pool: Vec<ObjectId> = (0..OBJECTS)
         .map(|i| {
@@ -375,6 +380,15 @@ mod tests {
         assert_eq!(runs[0].hits + runs[1].hits, 0, "cache off ⇒ no hits");
         for run in &runs {
             assert!(!run.trace.is_empty(), "trace captured for {}", run.label);
+            let compiled = String::from_utf8_lossy(&run.trace)
+                .matches("\"kind\":\"constraint_compiled\"")
+                .count();
+            let expected = if run.label == "Interpreted" {
+                0
+            } else {
+                CONSTRAINTS
+            };
+            assert_eq!(compiled, expected, "lowering events of {}", run.label);
         }
     }
 }

@@ -4,10 +4,10 @@
 //! (restart → heal → resolve in-doubt → reconcile → convergence
 //! check).
 //!
-//! Everything is derived from [`ChaosConfig::seed`]: the fault plan,
-//! the workload mix, the gossip traffic. Two runs with the same
-//! config produce the same virtual-time trajectory and — with a JSONL
-//! exporter attached — byte-identical trace files.
+//! Everything is derived from [`ChaosConfig::seed`]: the fault plan
+//! and the workload mix. Two runs with the same config produce the same
+//! virtual-time trajectory and — with a JSONL exporter attached —
+//! byte-identical trace files.
 
 use crate::invariant::{InvariantChecker, InvariantViolation};
 use crate::plan::{FaultPlan, FaultStep};
@@ -17,13 +17,9 @@ use dedisys_core::{
     MinorityWriteHandling, PlaneStats, PrimaryPartitionPolicy, RequestPlane, StatsSnapshot,
     ValidationParallelism,
 };
-use dedisys_net::{LatencyModel, Router, Topology};
 use dedisys_object::{AppDescriptor, ClassDescriptor, EntityState};
 use dedisys_telemetry::TraceEvent;
 use dedisys_types::{NodeId, ObjectId, PriorityClass, Result, SimDuration, TxId, Value};
-
-/// Gossip-fabric base latency (per hop) outside latency spikes.
-const GOSSIP_BASE_MICROS: u64 = 500;
 
 /// Configuration of one chaos-soak run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,7 +30,7 @@ pub struct ChaosConfig {
     pub ops: u64,
     /// Fault steps to schedule across the run.
     pub faults: usize,
-    /// Master seed: fixes plan, workload and gossip traffic.
+    /// Master seed: fixes plan and workload.
     pub seed: u64,
     /// Entities created up front as the workload's working set.
     pub item_pool: usize,
@@ -121,9 +117,6 @@ pub struct ChaosEngine {
     /// Workload RNG — a distinct stream from the plan generator so
     /// adding plan entropy does not shift the workload.
     rng: ChaosRng,
-    /// Side-channel gossip fabric for link-loss and latency faults;
-    /// mirrors the cluster topology and shares its virtual clock.
-    gossip: Router<u64>,
     /// The request plane the read/write workload routes through when
     /// [`ChaosConfig::workload_plane`] is set (idle otherwise).
     plane: RequestPlane,
@@ -157,15 +150,9 @@ impl ChaosEngine {
             });
         }
         let mut cluster = builder.build()?;
-        cluster.set_validation_parallelism(config.parallelism);
-        let gossip = Router::new(
-            Topology::fully_connected(config.nodes),
-            LatencyModel::uniform_micros(GOSSIP_BASE_MICROS),
-            cluster.clock().clone(),
-        );
+        cluster.reconfigure(|c| c.validation.parallelism = config.parallelism)?;
         Ok(Self {
             rng: ChaosRng::new(config.seed ^ 0xC0FF_EE00_C0FF_EE00),
-            gossip,
             plane: RequestPlane::new(),
             cluster,
             items: Vec::new(),
@@ -410,17 +397,6 @@ impl ChaosEngine {
                 self.cluster.heal();
                 true
             }
-            FaultStep::LinkLossBurst {
-                per_mille,
-                messages,
-            } => {
-                self.gossip_burst(*per_mille, None, *messages);
-                true
-            }
-            FaultStep::LatencySpike { micros, messages } => {
-                self.gossip_burst(0, Some(*micros), *messages);
-                true
-            }
             FaultStep::WriteFaultWindow { node, failures } => {
                 self.cluster.inject_write_fault(*node, *failures);
                 true
@@ -496,43 +472,6 @@ impl ChaosEngine {
             self.cluster.run_detector_for(period);
         }
         true
-    }
-
-    /// Exchanges `messages` gossip heartbeats under a loss window or a
-    /// latency spike, drains the fabric, and checks message
-    /// conservation.
-    fn gossip_burst(&mut self, per_mille: u16, spike_micros: Option<u64>, messages: u32) {
-        self.gossip.set_topology(self.cluster.topology().clone());
-        self.gossip.latency_mut().set_loss_per_mille(per_mille);
-        if let Some(us) = spike_micros {
-            self.set_gossip_latency(SimDuration::from_micros(us));
-        }
-        let nodes = self.config.nodes as u64;
-        for i in 0..messages {
-            let from = NodeId(self.rng.below(nodes) as u32);
-            let to = NodeId(((u64::from(from.0) + 1 + self.rng.below(nodes - 1)) % nodes) as u32);
-            let _ = self.gossip.send(from, to, u64::from(i));
-        }
-        let _ = self.gossip.deliver_all();
-        // Close the window again.
-        self.gossip.latency_mut().set_loss_per_mille(0);
-        if spike_micros.is_some() {
-            self.set_gossip_latency(SimDuration::from_micros(GOSSIP_BASE_MICROS));
-        }
-        self.violations.extend(InvariantChecker::check_net(
-            self.gossip.stats(),
-            self.gossip.in_flight(),
-        ));
-    }
-
-    fn set_gossip_latency(&mut self, latency: SimDuration) {
-        for a in 0..self.config.nodes {
-            for b in (a + 1)..self.config.nodes {
-                self.gossip
-                    .latency_mut()
-                    .set_link(NodeId(a), NodeId(b), latency);
-            }
-        }
     }
 
     /// The final repair sequence: drain hanging 2PC transactions,

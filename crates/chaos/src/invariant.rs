@@ -5,7 +5,6 @@
 //! aggregate them and a test can assert the list is empty.
 
 use dedisys_core::{Cluster, RequestPlane};
-use dedisys_net::NetStats;
 use dedisys_types::SystemMode;
 
 /// One violated invariant, with a human-readable detail string.
@@ -23,8 +22,8 @@ impl std::fmt::Display for InvariantViolation {
     }
 }
 
-/// Stateless invariant checks over a [`Cluster`] (and the chaos
-/// engine's gossip fabric).
+/// Stateless invariant checks over a [`Cluster`] (and the request
+/// plane that fronts it).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct InvariantChecker;
 
@@ -139,32 +138,6 @@ impl InvariantChecker {
                     detail: format!("{node} queues {depth} requests over the bound {bound}"),
                 });
             }
-        }
-        out
-    }
-
-    /// Message-accounting invariants on the gossip fabric: sent
-    /// messages are conserved and the in-flight gauge matches the
-    /// router queue.
-    pub fn check_net(stats: &NetStats, queued: usize) -> Vec<InvariantViolation> {
-        let mut out = Vec::new();
-        if !stats.is_conserved() {
-            out.push(InvariantViolation {
-                invariant: "net_conservation",
-                detail: format!(
-                    "sent={} < delivered={} + dropped={} + unreachable={}",
-                    stats.sent, stats.delivered, stats.dropped, stats.unreachable
-                ),
-            });
-        }
-        if stats.in_flight() != queued as u64 {
-            out.push(InvariantViolation {
-                invariant: "net_in_flight_gauge",
-                detail: format!(
-                    "in_flight()={} but router queues {queued}",
-                    stats.in_flight()
-                ),
-            });
         }
         out
     }

@@ -32,7 +32,7 @@ use dedisys_replication::ReplicationManager;
 use dedisys_types::{NodeId, TxId};
 
 /// How validation batches are evaluated
-/// ([`crate::ClusterBuilder::validation_parallelism`]).
+/// (`ClusterConfig::validation.parallelism`).
 ///
 /// The setting changes wall-clock time only: virtual time, statistics
 /// and the telemetry trace are identical across all variants.

@@ -8,14 +8,13 @@
 //! operations execute depth-first through the node stacks while the
 //! clock advances per the cost model (see DESIGN.md §1).
 
-use crate::batch::{self, ValidationParallelism};
+use crate::batch;
 use crate::ccm::{
     Ccm, NegotiationTiming, PartitionEnv, PendingCheck, RawEvaluation, ReplicaAccess,
     ValidationCandidate, ValidationVerdict,
 };
 use crate::config::ClusterConfig;
 use crate::negotiation::NegotiationHandler;
-use crate::reconciliation::ReconcileStrategy;
 use crate::session::Session;
 use crate::threat::{HistoryPolicy, ReconcileInstructions, StoreOutcome, ThreatStore};
 use crate::CostModel;
@@ -26,7 +25,7 @@ use dedisys_constraints::{
 use dedisys_gms::{
     AdaptiveConfig, DetectorConfig, DetectorKind, LinkFault,
     MembershipConfig as GmsMembershipConfig, MembershipEvent, MembershipSim, MinorityWriteHandling,
-    NodeWeights, PrimaryPartitionPolicy, StabilizerConfig, ViewTracker,
+    NodeWeights, StabilizerConfig, ViewTracker,
 };
 use dedisys_net::{SimClock, Topology};
 use dedisys_object::{
@@ -615,45 +614,6 @@ impl Cluster {
         Ok(changed)
     }
 
-    /// The constraint-reconciliation strategy in force.
-    pub fn reconcile_strategy(&self) -> ReconcileStrategy {
-        self.config.durability.reconcile_strategy
-    }
-
-    /// The validation-batch evaluation setting in force.
-    pub fn validation_parallelism(&self) -> ValidationParallelism {
-        self.config.validation.parallelism
-    }
-
-    /// Switches validation-batch evaluation at runtime (e.g. to
-    /// compare serial and parallel wall-clock on one cluster). The
-    /// observable outcome of every operation is unaffected.
-    pub fn set_validation_parallelism(&mut self, parallelism: ValidationParallelism) {
-        self.reconfigure(|c| c.validation.parallelism = parallelism)
-            .expect("parallelism is runtime-reconfigurable");
-    }
-
-    /// The constraint evaluation engine in force.
-    pub fn constraint_engine(&self) -> ConstraintEngine {
-        self.config.validation.engine
-    }
-
-    /// Switches the constraint evaluation engine at runtime. Verdicts,
-    /// threats and statistics counters are unaffected; only the
-    /// virtual-time cost per check changes. Switching *to* the
-    /// compiled engine lowers (and charges for) every registered
-    /// constraint that is not compiled yet. The verdict cache is
-    /// cleared on any engine change.
-    pub fn set_constraint_engine(&mut self, engine: ConstraintEngine) {
-        self.reconfigure(|c| c.validation.engine = engine)
-            .expect("engine is runtime-reconfigurable");
-    }
-
-    /// Whether the verdict cache is enabled.
-    pub fn verdict_cache_enabled(&self) -> bool {
-        self.config.validation.verdict_cache
-    }
-
     /// The threat-negotiation timing in force, read back from the CCM
     /// (not from the config copy) so tests can check the two agree.
     pub fn negotiation_timing(&self) -> NegotiationTiming {
@@ -672,14 +632,6 @@ impl Cluster {
         self.replication.reduced_history()
     }
 
-    /// Enables or disables the verdict cache at runtime. Toggling in
-    /// either direction clears the cache, so a re-enabled cache never
-    /// serves entries from before the gap.
-    pub fn set_verdict_cache(&mut self, enabled: bool) {
-        self.reconfigure(|c| c.validation.verdict_cache = enabled)
-            .expect("verdict cache is runtime-reconfigurable");
-    }
-
     /// Entries currently held by the verdict cache.
     pub fn verdict_cache_len(&self) -> usize {
         self.ccm.verdict_cache_len()
@@ -696,37 +648,6 @@ impl Cluster {
                 entries: entries as u32,
             });
         }
-    }
-
-    /// Switches the constraint-reconciliation strategy at runtime
-    /// (e.g. to compare full-scan vs incremental on one cluster).
-    pub fn set_reconcile_strategy(&mut self, strategy: ReconcileStrategy) {
-        self.reconfigure(|c| c.durability.reconcile_strategy = strategy)
-            .expect("reconcile strategy is runtime-reconfigurable");
-    }
-
-    /// Folds duplicate threat records now, regardless of policy or
-    /// threshold (the automatic path runs under
-    /// [`HistoryPolicy::Reduced`] whenever the duplicate volume
-    /// crosses the configured threshold). Returns the report.
-    pub fn compact_threats(&mut self) -> crate::threat::CompactionReport {
-        let report = self.ccm.threat_store_mut().compact();
-        self.charge_compaction(report);
-        report
-    }
-
-    /// Mutable CCM access for crash-recovery scenarios and tests.
-    #[doc(hidden)]
-    pub fn ccm_mut_for_tests(&mut self) -> &mut Ccm {
-        &mut self.ccm
-    }
-
-    /// Raw mutable repository access (tests only — use
-    /// [`Cluster::set_constraint_enabled`] / [`Cluster::remove_constraint`]
-    /// / [`Cluster::add_constraint_with_check`] at runtime).
-    #[doc(hidden)]
-    pub fn repository_mut(&mut self) -> &mut ConstraintRepository {
-        &mut self.repository
     }
 
     /// Enables or disables a registered constraint at runtime (§3.3).
@@ -1346,16 +1267,6 @@ impl Cluster {
             .as_ref()
             .map(|m| m.config().stabilizer)
             .unwrap_or_default()
-    }
-
-    /// The primary-partition policy in force (§5.5.2).
-    pub fn primary_policy(&self) -> PrimaryPartitionPolicy {
-        self.config.membership.primary_policy
-    }
-
-    /// How minority-partition writes are handled under a quorum policy.
-    pub fn minority_writes(&self) -> MinorityWriteHandling {
-        self.config.membership.minority_writes
     }
 
     /// Read access to the membership pipeline (inspection).
@@ -2556,7 +2467,7 @@ impl Cluster {
     /// candidate order — workers never touch the cache, so parallel
     /// runs stay byte-identical to serial ones. Only candidates the
     /// probe cannot answer are dispatched to the configured pool
-    /// ([`ClusterBuilder::validation_parallelism`]); with the cache off
+    /// (`config().validation.parallelism`); with the cache off
     /// that is the batch as it stands.
     ///
     /// Multi-candidate batches are recorded as `validation_batch`
@@ -2766,10 +2677,6 @@ impl Cluster {
             return;
         }
         let report = self.ccm.threat_store_mut().compact();
-        self.charge_compaction(report);
-    }
-
-    fn charge_compaction(&mut self, report: crate::threat::CompactionReport) {
         if report.folded == 0 {
             return;
         }

@@ -13,7 +13,7 @@
 
 use dedisys_constraints::{Constraint, ValidationContext};
 use dedisys_types::{Error, Result, Value};
-use parking_lot::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Share of a quantity granted to a partition holding `weight` of
 /// `total_weight` integer weight units (rounded down — conservative).
@@ -82,7 +82,15 @@ impl PartitionSensitiveTicketConstraint {
 
     /// The last healthy-mode sales snapshot.
     pub fn healthy_sold(&self) -> i64 {
-        *self.healthy_sold.lock()
+        *self.snapshot()
+    }
+
+    /// The snapshot is one integer, valid after any store: a lock
+    /// poisoned by a panicking validation thread is still usable.
+    fn snapshot(&self) -> MutexGuard<'_, i64> {
+        self.healthy_sold
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -105,13 +113,13 @@ impl Constraint for PartitionSensitiveTicketConstraint {
             // partition would be computed from the very state this
             // check just rejected.
             if ok {
-                *self.healthy_sold.lock() = sold;
+                *self.snapshot() = sold;
             }
             return Ok(ok);
         }
         let weight = weight_units(ctx, "partitionWeightUnits")?;
         let total = weight_units(ctx, "totalWeightUnits")?;
-        let baseline = *self.healthy_sold.lock();
+        let baseline = *self.snapshot();
         let remaining = seats - baseline;
         let share = partition_share_weighted(remaining, weight, total);
         Ok(sold - baseline <= share)

@@ -321,8 +321,9 @@ impl RequestPlane {
 
         // Refuse-mode partitions reject at admission — the queue never
         // buffers work the write path is guaranteed to throw away.
-        if cluster.minority_writes() == dedisys_gms::MinorityWriteHandling::Refuse
-            && cluster.primary_policy().is_quorum()
+        let membership = &cluster.config().membership;
+        if membership.minority_writes == dedisys_gms::MinorityWriteHandling::Refuse
+            && membership.primary_policy.is_quorum()
             && !cluster.is_primary(node)
         {
             let partition_size = cluster.topology().partition_of(node).len() as u32;
@@ -403,7 +404,7 @@ impl RequestPlane {
         // non-primary nodes drain Background work without running it.
         if config.shed_background_when_degraded {
             let degraded = cluster.mode() != SystemMode::Healthy;
-            let quorum = cluster.primary_policy().is_quorum();
+            let quorum = cluster.config().membership.primary_policy.is_quorum();
             let pressured = self
                 .queues
                 .iter()

@@ -332,7 +332,7 @@ impl Cluster {
     ) -> ConstraintReconcileReport {
         let mut report = ConstraintReconcileReport::default();
         let recon_tx = self.begin_tx(observer);
-        let strategy = self.reconcile_strategy();
+        let strategy = self.config().durability.reconcile_strategy;
         // Object-indexed lookup: the threat identities touched by the
         // dirty set reported from replica reconciliation.
         let dirty_touched = self
@@ -582,7 +582,7 @@ impl Cluster {
         identity: &ThreatIdentity,
     ) -> SatisfactionDegree {
         let env = self.partition_env(observer);
-        let engine = self.constraint_engine();
+        let engine = self.config().validation.engine;
         let now = self.clock().now();
         let (replication, containers, topology, ccm) = self.validation_env();
         let mut access = ReplicaAccess::new(containers, replication, topology, observer, recon_tx);

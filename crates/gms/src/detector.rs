@@ -1,14 +1,12 @@
-//! A heartbeat failure detector on the discrete-event kernel.
+//! Timing of the fixed-timeout heartbeat detector.
 //!
-//! Demonstrates *how* views are detected: every node multicasts
-//! heartbeats; a peer not heard from within the timeout is suspected.
-//! Since node and link failures cannot be differentiated when they occur
-//! (§1.1, [FLP85]), a suspected node is simply treated as being in
-//! another partition.
+//! Every node multicasts heartbeats; a peer not heard from within the
+//! timeout is suspected. Since node and link failures cannot be
+//! differentiated when they occur (§1.1, [FLP85]), a suspected node is
+//! simply treated as being in another partition. The detector itself
+//! runs inside [`crate::MembershipSim`].
 
-use dedisys_net::{LatencyModel, Router, Scheduler, SimClock, Topology};
-use dedisys_types::{NodeId, SimDuration, SimTime};
-use std::collections::{BTreeSet, HashMap};
+use dedisys_types::SimDuration;
 
 /// Configuration of the heartbeat detector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,230 +23,5 @@ impl Default for DetectorConfig {
             heartbeat_interval: SimDuration::from_millis(100),
             suspect_timeout: SimDuration::from_millis(350),
         }
-    }
-}
-
-/// Events driving the detector simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DetectorEvent {
-    /// `node` should emit its next heartbeat.
-    SendHeartbeat(NodeId),
-    /// `node` should check its peers for timeouts.
-    CheckTimeouts(NodeId),
-}
-
-/// A heartbeat payload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Heartbeat;
-
-/// A self-contained failure-detector simulation over every node of a
-/// topology.
-///
-/// ```
-/// use dedisys_gms::{DetectorConfig, FailureDetectorSim};
-/// use dedisys_net::Topology;
-/// use dedisys_types::{NodeId, SimDuration};
-///
-/// let mut sim = FailureDetectorSim::new(Topology::fully_connected(3), DetectorConfig::default());
-/// sim.run_for(SimDuration::from_secs(1));
-/// assert!(sim.suspected_by(NodeId(0)).is_empty());
-///
-/// sim.topology_mut().split(&[&[0, 1], &[2]]);
-/// sim.run_for(SimDuration::from_secs(1));
-/// assert!(sim.suspected_by(NodeId(0)).contains(&NodeId(2)));
-/// assert!(sim.suspected_by(NodeId(2)).contains(&NodeId(0)));
-/// ```
-#[derive(Debug)]
-pub struct FailureDetectorSim {
-    config: DetectorConfig,
-    router: Router<Heartbeat>,
-    scheduler: Scheduler<DetectorEvent>,
-    last_heard: HashMap<(NodeId, NodeId), SimTime>,
-    suspected: HashMap<NodeId, BTreeSet<NodeId>>,
-}
-
-impl FailureDetectorSim {
-    /// Creates the simulation with sub-millisecond link latency.
-    pub fn new(topology: Topology, config: DetectorConfig) -> Self {
-        let clock = SimClock::new();
-        let mut scheduler = Scheduler::new(clock.clone());
-        let now = clock.now();
-        let mut last_heard = HashMap::new();
-        for a in topology.nodes() {
-            scheduler.schedule_at(now, DetectorEvent::SendHeartbeat(a));
-            scheduler.schedule_in(config.suspect_timeout, DetectorEvent::CheckTimeouts(a));
-            for b in topology.nodes() {
-                if a != b {
-                    last_heard.insert((a, b), now);
-                }
-            }
-        }
-        let suspected = topology.nodes().map(|n| (n, BTreeSet::new())).collect();
-        Self {
-            config,
-            router: Router::new(topology, LatencyModel::uniform_micros(500), clock),
-            scheduler,
-            last_heard,
-            suspected,
-        }
-    }
-
-    /// Mutable topology access (inject partitions/heals mid-run).
-    pub fn topology_mut(&mut self) -> &mut Topology {
-        self.router.topology_mut()
-    }
-
-    /// Nodes currently suspected by `node`.
-    pub fn suspected_by(&self, node: NodeId) -> &BTreeSet<NodeId> {
-        self.suspected
-            .get(&node)
-            .expect("node is part of the simulation")
-    }
-
-    /// The membership `node` believes in: all system nodes minus its
-    /// suspects.
-    pub fn believed_members(&self, node: NodeId) -> BTreeSet<NodeId> {
-        let suspects = self.suspected_by(node);
-        self.router
-            .topology()
-            .nodes()
-            .filter(|n| !suspects.contains(n))
-            .collect()
-    }
-
-    /// Runs the detector for `duration` of virtual time.
-    pub fn run_for(&mut self, duration: SimDuration) {
-        let until = self.router.clock().now() + duration;
-        while let Some(ev) = self.scheduler.pop_until(until) {
-            self.drain_deliveries();
-            match ev.event {
-                DetectorEvent::SendHeartbeat(node) => {
-                    let group: Vec<NodeId> = self.router.topology().nodes().collect();
-                    self.router.multicast(node, &group, Heartbeat);
-                    self.scheduler.schedule_in(
-                        self.config.heartbeat_interval,
-                        DetectorEvent::SendHeartbeat(node),
-                    );
-                }
-                DetectorEvent::CheckTimeouts(node) => {
-                    self.check_timeouts(node, ev.at);
-                    self.scheduler.schedule_in(
-                        self.config.heartbeat_interval,
-                        DetectorEvent::CheckTimeouts(node),
-                    );
-                }
-            }
-        }
-        self.router.clock().advance_to(until);
-        self.drain_deliveries();
-    }
-
-    fn drain_deliveries(&mut self) {
-        for env in self.router.deliver_due() {
-            self.last_heard.insert((env.to, env.from), env.deliver_at);
-            // Hearing from a node clears the suspicion (re-join).
-            if let Some(suspects) = self.suspected.get_mut(&env.to) {
-                suspects.remove(&env.from);
-            }
-        }
-    }
-
-    fn check_timeouts(&mut self, node: NodeId, now: SimTime) {
-        let timeout = self.config.suspect_timeout;
-        let peers: Vec<NodeId> = self
-            .router
-            .topology()
-            .nodes()
-            .filter(|&n| n != node)
-            .collect();
-        for peer in peers {
-            let heard = self.last_heard[&(node, peer)];
-            if now.since(heard) >= timeout {
-                self.suspected
-                    .get_mut(&node)
-                    .expect("node present")
-                    .insert(peer);
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn healthy_system_has_no_suspects() {
-        let mut sim =
-            FailureDetectorSim::new(Topology::fully_connected(4), DetectorConfig::default());
-        sim.run_for(SimDuration::from_secs(2));
-        for n in 0..4 {
-            assert!(sim.suspected_by(NodeId(n)).is_empty(), "node {n}");
-        }
-    }
-
-    #[test]
-    fn partition_is_detected_on_both_sides() {
-        let mut sim =
-            FailureDetectorSim::new(Topology::fully_connected(3), DetectorConfig::default());
-        sim.run_for(SimDuration::from_millis(500));
-        sim.topology_mut().split(&[&[0, 1], &[2]]);
-        sim.run_for(SimDuration::from_secs(1));
-        assert_eq!(sim.suspected_by(NodeId(0)), &BTreeSet::from([NodeId(2)]));
-        assert_eq!(sim.suspected_by(NodeId(1)), &BTreeSet::from([NodeId(2)]));
-        assert_eq!(
-            sim.suspected_by(NodeId(2)),
-            &BTreeSet::from([NodeId(0), NodeId(1)])
-        );
-        assert_eq!(
-            sim.believed_members(NodeId(0)),
-            BTreeSet::from([NodeId(0), NodeId(1)])
-        );
-    }
-
-    #[test]
-    fn rejoin_clears_suspicion() {
-        let mut sim =
-            FailureDetectorSim::new(Topology::fully_connected(2), DetectorConfig::default());
-        sim.topology_mut().split(&[&[0], &[1]]);
-        sim.run_for(SimDuration::from_secs(1));
-        assert!(!sim.suspected_by(NodeId(0)).is_empty());
-        sim.topology_mut().heal();
-        sim.run_for(SimDuration::from_secs(1));
-        assert!(sim.suspected_by(NodeId(0)).is_empty());
-        assert!(sim.suspected_by(NodeId(1)).is_empty());
-    }
-
-    #[test]
-    fn detector_converges_to_the_topology_partitions() {
-        // After enough virtual time, every node's believed membership
-        // equals its topology partition — the property that lets the
-        // cluster façade derive views directly from the topology.
-        let mut sim =
-            FailureDetectorSim::new(Topology::fully_connected(5), DetectorConfig::default());
-        sim.run_for(SimDuration::from_millis(500));
-        sim.topology_mut().split(&[&[0, 1], &[2, 3, 4]]);
-        sim.run_for(SimDuration::from_secs(2));
-        let topo = Topology::fully_connected(5);
-        let mut expected_topo = topo;
-        expected_topo.split(&[&[0, 1], &[2, 3, 4]]);
-        for n in 0..5 {
-            let node = NodeId(n);
-            assert_eq!(
-                sim.believed_members(node),
-                expected_topo.reachable_from(node),
-                "node {n}"
-            );
-        }
-    }
-
-    #[test]
-    fn node_crash_looks_like_singleton_partition() {
-        let mut sim =
-            FailureDetectorSim::new(Topology::fully_connected(3), DetectorConfig::default());
-        sim.topology_mut().isolate(NodeId(1));
-        sim.run_for(SimDuration::from_secs(1));
-        assert_eq!(sim.suspected_by(NodeId(0)), &BTreeSet::from([NodeId(1)]));
-        assert_eq!(sim.believed_members(NodeId(1)), BTreeSet::from([NodeId(1)]));
     }
 }

@@ -12,10 +12,8 @@
 //!   [`ViewChange`]s (who joined, who left) from topology epochs.
 //! * [`NodeWeights`] / partition weight — Gifford-style weighted nodes
 //!   (§5.5.2) enabling *partition-sensitive* integrity constraints.
-//! * [`FailureDetectorSim`] — a heartbeat failure detector running on
-//!   the discrete-event kernel, demonstrating how views are *detected*
-//!   (the cluster façade derives views directly from the topology,
-//!   which is behaviourally equivalent once detection converges).
+//! * [`DetectorConfig`] — heartbeat interval and suspicion timeout of
+//!   the fixed-timeout detector.
 //! * [`AdaptiveDetector`] / [`DetectorKind`] — a φ-accrual-style
 //!   adaptive detector (integer fixed-point, virtual-clock only) that
 //!   learns each link's heartbeat rhythm instead of using one global
@@ -57,7 +55,7 @@ mod view;
 mod weight;
 
 pub use adaptive::{AdaptiveConfig, AdaptiveDetector, DetectorKind};
-pub use detector::{DetectorConfig, DetectorEvent, FailureDetectorSim};
+pub use detector::DetectorConfig;
 pub use membership::{LinkFault, MembershipConfig, MembershipEvent, MembershipSim};
 pub use policy::{MinorityWriteHandling, PrimaryPartitionPolicy};
 pub use stabilizer::{StabilizerConfig, ViewStabilizer};

@@ -11,43 +11,27 @@
 //! * [`Topology`] — which nodes exist and how they are partitioned;
 //!   reachability queries drive everything from replica staleness to
 //!   view changes.
-//! * [`LatencyModel`] — per-link latency (plus an optional deterministic
-//!   loss rate for exercising "links lose messages" behaviour, §1.1).
-//! * [`Router`] — point-to-point send and multicast of typed payloads
-//!   with delivery scheduling, loss injection and statistics.
-//! * [`Scheduler`] — a small discrete-event kernel used by the failure
-//!   detector (`dedisys-gms`) and the ordered-multicast algorithms
-//!   (`dedisys-gc`).
+//!
+//! Message transport is not modelled here: the one simulated transport
+//! is the per-link fault layer of `dedisys_gms::MembershipSim`, and
+//! replica ships are cost-model arithmetic in `dedisys-replication`.
 //!
 //! ## Example
 //!
 //! ```
-//! use dedisys_net::{LatencyModel, Router, SimClock, Topology};
-//! use dedisys_types::NodeId;
+//! use dedisys_net::{SimClock, Topology};
+//! use dedisys_types::{NodeId, SimDuration};
 //!
 //! let clock = SimClock::new();
-//! let topo = Topology::fully_connected(3);
-//! let mut router: Router<&'static str> =
-//!     Router::new(topo, LatencyModel::uniform_millis(1), clock.clone());
-//!
-//! router.send(NodeId(0), NodeId(1), "hello").unwrap();
-//! let delivered = router.deliver_all();
-//! assert_eq!(delivered.len(), 1);
-//! assert_eq!(delivered[0].payload, "hello");
+//! let mut topo = Topology::fully_connected(3);
+//! topo.split(&[&[0], &[1, 2]]);
+//! assert!(!topo.reachable(NodeId(0), NodeId(1)));
+//! clock.advance(SimDuration::from_millis(1));
+//! assert_eq!(clock.now().as_nanos(), 1_000_000);
 //! ```
 
 mod clock;
-mod event;
-mod latency;
-mod message;
-mod router;
-mod stats;
 mod topology;
 
 pub use clock::SimClock;
-pub use event::{ScheduledEvent, Scheduler};
-pub use latency::LatencyModel;
-pub use message::Envelope;
-pub use router::Router;
-pub use stats::NetStats;
 pub use topology::Topology;

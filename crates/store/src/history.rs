@@ -50,48 +50,22 @@ impl VersionHistory {
         self.enabled
     }
 
-    /// Records a state for `key`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `version` is not strictly newer than the last recorded
-    /// version for the key.
+    /// Records a state for `key`, in application order. Versions need
+    /// not advance: a replica that missed a version behind one
+    /// partition writes that version again behind the next, and the
+    /// rollback search tries every recorded state, newest applied
+    /// first.
     pub fn record(&mut self, key: impl Into<String>, version: Version, state: String, at: SimTime) {
         let chain = self.chains.entry(key.into()).or_default();
-        if let Some(last) = chain.last() {
-            assert!(
-                version > last.version,
-                "history must advance: {version} after {}",
-                last.version
-            );
-        }
         if !self.enabled {
             chain.clear();
         }
         chain.push(HistoryEntry { version, state, at });
     }
 
-    /// The most recent entry for `key`.
-    pub fn latest(&self, key: &str) -> Option<&HistoryEntry> {
-        self.chains.get(key)?.last()
-    }
-
-    /// The full chain for `key`, oldest first.
+    /// The full chain for `key`, oldest applied first.
     pub fn chain(&self, key: &str) -> &[HistoryEntry] {
         self.chains.get(key).map_or(&[], Vec::as_slice)
-    }
-
-    /// The state recorded at exactly `version`, if retained.
-    pub fn state_at(&self, key: &str, version: Version) -> Option<&HistoryEntry> {
-        self.chains.get(key)?.iter().find(|e| e.version == version)
-    }
-
-    /// Discards entries newer than `version` for `key` (a rollback),
-    /// returning the new latest entry.
-    pub fn rollback_to(&mut self, key: &str, version: Version) -> Option<&HistoryEntry> {
-        let chain = self.chains.get_mut(key)?;
-        chain.retain(|e| e.version <= version);
-        chain.last()
     }
 
     /// Total number of retained entries across all keys (the memory the
@@ -104,13 +78,6 @@ impl VersionHistory {
     pub fn clear(&mut self) {
         self.chains.clear();
     }
-
-    /// Keys with at least one retained entry, sorted.
-    pub fn keys(&self) -> Vec<&str> {
-        let mut keys: Vec<&str> = self.chains.keys().map(String::as_str).collect();
-        keys.sort_unstable();
-        keys
-    }
 }
 
 #[cfg(test)]
@@ -121,14 +88,16 @@ mod tests {
         SimTime::from_nanos(n)
     }
 
+    fn states(h: &VersionHistory, key: &str) -> Vec<String> {
+        h.chain(key).iter().map(|e| e.state.clone()).collect()
+    }
+
     #[test]
     fn full_history_keeps_chains() {
         let mut h = VersionHistory::new();
         h.record("k", Version(1), "s1".into(), t(1));
         h.record("k", Version(2), "s2".into(), t(2));
-        assert_eq!(h.chain("k").len(), 2);
-        assert_eq!(h.latest("k").unwrap().state, "s2");
-        assert_eq!(h.state_at("k", Version(1)).unwrap().state, "s1");
+        assert_eq!(states(&h, "k"), ["s1", "s2"]);
         assert_eq!(h.total_entries(), 2);
     }
 
@@ -137,37 +106,26 @@ mod tests {
         let mut h = VersionHistory::reduced();
         h.record("k", Version(1), "s1".into(), t(1));
         h.record("k", Version(2), "s2".into(), t(2));
-        assert_eq!(h.chain("k").len(), 1);
-        assert_eq!(h.latest("k").unwrap().state, "s2");
-        assert!(h.state_at("k", Version(1)).is_none());
+        assert_eq!(states(&h, "k"), ["s2"]);
     }
 
     #[test]
-    fn rollback_discards_newer_states() {
-        let mut h = VersionHistory::new();
-        for v in 1..=4 {
-            h.record("k", Version(v), format!("s{v}"), t(v));
-        }
-        let latest = h.rollback_to("k", Version(2)).unwrap();
-        assert_eq!(latest.state, "s2");
-        assert_eq!(h.chain("k").len(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "history must advance")]
-    fn non_monotonic_versions_rejected() {
+    fn repeated_version_is_retained_in_application_order() {
         let mut h = VersionHistory::new();
         h.record("k", Version(2), "a".into(), t(1));
         h.record("k", Version(2), "b".into(), t(2));
+        h.record("k", Version(1), "c".into(), t(3));
+        assert_eq!(states(&h, "k"), ["a", "b", "c"]);
+        assert_eq!(h.chain("k")[1].version, Version(2));
     }
 
     #[test]
-    fn clear_and_keys() {
+    fn clear_drops_every_chain() {
         let mut h = VersionHistory::new();
         h.record("b", Version(1), "x".into(), t(1));
         h.record("a", Version(1), "y".into(), t(1));
-        assert_eq!(h.keys(), vec!["a", "b"]);
         h.clear();
         assert_eq!(h.total_entries(), 0);
+        assert!(h.chain("a").is_empty());
     }
 }

@@ -10,11 +10,11 @@
 //! * [`TransactionManager`] — begin/commit/rollback life cycle,
 //!   **rollback-only** marking (the CCMgr's veto, §4.2.3), and
 //!   per-transaction bookkeeping.
-//! * [`TransactionalResource`] — the participant trait
-//!   (prepare/commit/rollback); the constraint consistency manager
-//!   registers as such a resource to take part in two-phase commit.
-//! * [`TwoPhaseCoordinator`] — a 2PC driver over participants.
 //! * [`LockTable`] — exclusive per-object locks (entity-bean locking).
+//!
+//! Two-phase commit is not driven here: `dedisys_core::Cluster::
+//! {prepare, commit, resolve_in_doubt}` is the one 2PC (the CCMgr votes
+//! at prepare), driven across shards by `dedisys-federation`.
 //!
 //! ## Example
 //!
@@ -33,10 +33,6 @@
 
 mod locks;
 mod manager;
-mod resource;
-mod two_phase;
 
 pub use locks::LockTable;
 pub use manager::{TransactionManager, TxStats, TxStatus};
-pub use resource::{TransactionalResource, Vote};
-pub use two_phase::TwoPhaseCoordinator;

@@ -39,9 +39,9 @@ struct TxRecord {
 
 /// Tracks transaction life cycles and the rollback-only veto flag.
 ///
-/// The manager is deliberately policy-free: two-phase commit over
-/// resources is driven by [`crate::TwoPhaseCoordinator`], locking by
-/// [`crate::LockTable`]; the middleware node wires them together.
+/// The manager is deliberately policy-free: two-phase commit is driven
+/// by the middleware node (`dedisys_core::Cluster::prepare`/`commit`),
+/// locking by [`crate::LockTable`]; the node wires them together.
 #[derive(Debug, Default)]
 pub struct TransactionManager {
     records: HashMap<TxId, TxRecord>,

@@ -168,21 +168,13 @@ fn clamped(mut config: ClusterConfig) -> ClusterConfig {
     config
 }
 
-/// Asserts that every per-subsystem getter of a *running* cluster
-/// reports the field the config promised — the getters read back from
-/// the CCM, the replication manager, the threat store and the
-/// membership pipeline where those exist.
+/// Asserts that a *running* cluster reports the config it was
+/// promised: every field through `config()` (the only spelling for the
+/// fields the cluster itself consults), and — where a subsystem keeps
+/// its own copy — the value read back from the CCM, the replication
+/// manager, the threat store and the membership pipeline.
 fn assert_observed_matches(cluster: &Cluster, expected: &ClusterConfig) {
     assert_eq!(cluster.config(), expected);
-    assert_eq!(
-        cluster.validation_parallelism(),
-        expected.validation.parallelism
-    );
-    assert_eq!(cluster.constraint_engine(), expected.validation.engine);
-    assert_eq!(
-        cluster.verdict_cache_enabled(),
-        expected.validation.verdict_cache
-    );
     assert_eq!(
         cluster.negotiation_timing(),
         expected.validation.negotiation_timing
@@ -192,21 +184,12 @@ fn assert_observed_matches(cluster: &Cluster, expected: &ClusterConfig) {
         expected.validation.app_default_min_degree
     );
     assert_eq!(
-        cluster.reconcile_strategy(),
-        expected.durability.reconcile_strategy
-    );
-    assert_eq!(
         cluster.reduced_replica_history(),
         expected.durability.reduced_replica_history
     );
     assert_eq!(
         cluster.threats().policy(),
         expected.durability.threat_policy
-    );
-    assert_eq!(cluster.primary_policy(), expected.membership.primary_policy);
-    assert_eq!(
-        cluster.minority_writes(),
-        expected.membership.minority_writes
     );
     assert_eq!(
         cluster.detector_enabled(),
@@ -273,8 +256,8 @@ proptest! {
             .expect("runtime-only delta");
         prop_assert_eq!(cluster.negotiation_timing(), timing);
         prop_assert_eq!(cluster.app_default_min_degree(), degree);
-        prop_assert_eq!(cluster.verdict_cache_enabled(), cache);
-        prop_assert_eq!(cluster.reconcile_strategy(), strategy);
+        prop_assert_eq!(cluster.config().validation.verdict_cache, cache);
+        prop_assert_eq!(cluster.config().durability.reconcile_strategy, strategy);
         prop_assert_eq!(cluster.reduced_replica_history(), reduced);
         prop_assert_eq!(cluster.config().plane.burst, burst);
         // The returned paths are exactly the fields that now differ

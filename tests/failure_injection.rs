@@ -370,14 +370,47 @@ fn detector_driven_partition_matches_scripted_behaviour() {
 }
 
 #[test]
-fn lossy_network_group_communication_masks_failures() {
-    // End-to-end over the gc substrate: 25% loss, everything delivered.
-    let mut sim: dedisys_gc::GroupSim<u32> = dedisys_gc::GroupSim::new(4, 250);
-    for i in 0..30 {
-        sim.multicast(NodeId(0), i);
-    }
-    sim.run_to_quiescence();
-    for n in 1..4 {
-        assert_eq!(sim.delivered(NodeId(n)), &(0..30).collect::<Vec<_>>());
+fn repartition_without_heal_lets_a_stale_replica_repeat_a_version() {
+    let mut cluster = ClusterBuilder::new(3, app())
+        .constraint(bounded_constraint())
+        .build()
+        .unwrap();
+    // Node 2 creates the counter and is its static primary.
+    let id = ObjectId::new("Counter", "c2");
+    let e = id.clone();
+    cluster
+        .run_tx(NodeId(2), move |c, tx| {
+            c.create(NodeId(2), tx, EntityState::for_class(c.app(), &e)?)
+        })
+        .unwrap();
+    // Cut off from its primary, {0,1} writes through a temporary one:
+    // partition key 0 records the next version, which node 2 misses.
+    cluster.partition(&[nodes![0, 1], nodes![2]]).unwrap();
+    cluster
+        .run_tx(NodeId(0), |c, tx| {
+            c.set_field(NodeId(0), tx, &id, "n", Value::Int(5))
+        })
+        .unwrap();
+    // Re-partition with no heal + reconcile in between: the static
+    // primary is reachable from node 0 again and executes the next
+    // write on its stale state, producing the version partition key 0
+    // already holds.
+    cluster.partition(&[nodes![0, 2], nodes![1]]).unwrap();
+    cluster
+        .run_tx(NodeId(0), |c, tx| {
+            c.set_field(NodeId(0), tx, &id, "n", Value::Int(9))
+        })
+        .unwrap();
+
+    cluster.heal();
+    cluster.reconcile(&mut HighestVersionWins, &mut DeferAll);
+    assert_eq!(cluster.mode(), SystemMode::Healthy);
+    let reference = cluster.entity_on(NodeId(0), &id).unwrap().clone();
+    for n in 1..3 {
+        assert_eq!(
+            cluster.entity_on(NodeId(n), &id).unwrap(),
+            &reference,
+            "replicas converge after the repeated version"
+        );
     }
 }

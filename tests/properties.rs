@@ -4,7 +4,6 @@ use dedisys_constraints::expr::{self, ExprConstraint};
 use dedisys_constraints::{MapAccess, ValidationContext};
 use dedisys_core::nodes;
 use dedisys_core::partition_sensitive::partition_share_weighted;
-use dedisys_gc::{FifoReceiver, FifoSender};
 use dedisys_gms::NodeWeights;
 use dedisys_net::Topology;
 use dedisys_types::{NodeId, ObjectId, SatisfactionDegree, Value};
@@ -122,32 +121,6 @@ proptest! {
         }
         topo.heal();
         prop_assert!(topo.is_healthy());
-    }
-
-    /// FIFO delivery: any arrival permutation of a sender's messages is
-    /// delivered in send order, exactly once.
-    #[test]
-    fn fifo_delivers_in_order_under_any_permutation(
-        count in 1usize..20,
-        seed in 0u64..1000
-    ) {
-        let mut sender = FifoSender::new(NodeId(0));
-        let mut messages: Vec<_> = (0..count).map(|i| sender.stamp(i)).collect();
-        // Deterministic shuffle.
-        let mut state = seed.wrapping_add(0x9E3779B97F4A7C15);
-        for i in (1..messages.len()).rev() {
-            state ^= state >> 12;
-            state ^= state << 25;
-            state ^= state >> 27;
-            let j = (state as usize) % (i + 1);
-            messages.swap(i, j);
-        }
-        let mut receiver = FifoReceiver::new();
-        let mut delivered = Vec::new();
-        for m in messages {
-            delivered.extend(receiver.receive(m).into_iter().map(|m| m.payload));
-        }
-        prop_assert_eq!(delivered, (0..count).collect::<Vec<_>>());
     }
 
     /// The expression parser never panics on arbitrary input, and
