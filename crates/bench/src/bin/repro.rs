@@ -142,40 +142,21 @@ fn main() {
     if args.is_empty() {
         usage();
     }
-    if args[0] == "chaos-soak" {
-        chaos_soak_main(&args[1..], trace);
-        return;
-    }
-    if args[0] == "flap-sweep" {
-        flap_sweep_main(&args[1..], trace);
-        return;
-    }
-    if args[0] == "overload-sweep" {
-        overload_sweep_main(&args[1..], trace);
-        return;
-    }
-    if args[0] == "shard-sweep" {
-        shard_sweep_main(&args[1..], trace);
-        return;
-    }
-    if args[0] == "fig-par" {
-        // Writes `<path>.serial` / `<path>.parallel` itself — the
+    match args[0].as_str() {
+        "chaos-soak" => return chaos_soak_main(&args[1..], trace),
+        "flap-sweep" => return flap_sweep_main(&args[1..], trace),
+        "overload-sweep" => return overload_sweep_main(&args[1..], trace),
+        "shard-sweep" => return shard_sweep_main(&args[1..], trace),
+        // These two write one trace per mode themselves (`<path>.serial`
+        // / `.parallel`; `<path>.interp` / `.compiled` / `.cached`) — the
         // shared append-to-one-file tracing below does not apply.
-        fig_par::run(trace.as_deref());
-        return;
+        "fig-par" => return fig_par::run(trace.as_deref()),
+        "fig-compile" => return fig_compile::run(trace.as_deref()),
+        _ => {}
     }
-    if args[0] == "fig-compile" {
-        // Writes `<path>.interp` / `<path>.compiled` / `<path>.cached`
-        // itself, one per engine configuration.
-        fig_compile::run(trace.as_deref());
-        return;
-    }
-    if let Some(path) = &trace {
-        // Truncate once; each cluster's exporter then appends, so one
-        // file accumulates the traces of every experiment requested.
-        std::fs::File::create(path).expect("create trace file");
-        ch5::set_trace_path(Some(path.clone()));
-    }
+    // One file accumulates the traces of every experiment requested.
+    start_trace(&trace, None);
+    ch5::set_trace_path(trace.clone());
     for arg in &args {
         match arg.as_str() {
             "all" => {
@@ -194,51 +175,76 @@ fn main() {
     }
 }
 
+/// The `--flag value` arguments of one subcommand: the one flag parser
+/// behind `chaos-soak`, `flap-sweep`, `overload-sweep` and
+/// `shard-sweep`.
+struct Flags<'a> {
+    command: &'a str,
+    args: std::slice::Iter<'a, String>,
+}
+
+impl<'a> Flags<'a> {
+    fn new(command: &'a str, args: &'a [String]) -> Self {
+        Self {
+            command,
+            args: args.iter(),
+        }
+    }
+
+    fn next(&mut self) -> Option<&'a str> {
+        self.args.next().map(String::as_str)
+    }
+
+    /// The parsed value following `flag`.
+    fn value<T: std::str::FromStr>(&mut self, flag: &str) -> T
+    where
+        T::Err: std::fmt::Debug,
+    {
+        let Some(value) = self.args.next() else {
+            eprintln!("{flag} needs a value");
+            usage();
+        };
+        value
+            .parse()
+            .unwrap_or_else(|e| panic!("{flag}: {}: {e:?}", std::any::type_name::<T>()))
+    }
+
+    fn unknown(&self, flag: &str) -> ! {
+        eprintln!("unknown {} flag '{flag}'", self.command);
+        usage();
+    }
+}
+
+/// Truncates the trace file once — every exporter of the run then
+/// appends to it. A trace belongs to a single run, not to a `--sweep`.
+fn start_trace(trace: &Option<PathBuf>, sweep: Option<u64>) {
+    if sweep.is_some() && trace.is_some() {
+        eprintln!("--trace applies to single runs only, not sweeps");
+        usage();
+    }
+    if let Some(path) = trace {
+        std::fs::File::create(path).expect("create trace file");
+    }
+}
+
 fn chaos_soak_main(args: &[String], trace: Option<PathBuf>) {
     let mut opts = chaos_soak::SoakOptions {
         trace,
         ..chaos_soak::SoakOptions::default()
     };
-    let mut i = 0;
-    let value = |i: &mut usize, flag: &str| -> String {
-        *i += 2;
-        match args.get(*i - 1) {
-            Some(v) => v.clone(),
-            None => {
-                eprintln!("{flag} needs a value");
-                usage();
-            }
-        }
-    };
-    while i < args.len() {
-        match args[i].as_str() {
-            "--seed" => opts.seed = value(&mut i, "--seed").parse().expect("--seed: u64"),
-            "--nodes" => opts.nodes = value(&mut i, "--nodes").parse().expect("--nodes: u32"),
-            "--ops" => opts.ops = value(&mut i, "--ops").parse().expect("--ops: u64"),
-            "--faults" => {
-                opts.faults = value(&mut i, "--faults").parse().expect("--faults: usize");
-            }
-            "--sweep" => {
-                opts.sweep = Some(value(&mut i, "--sweep").parse().expect("--sweep: u64"));
-            }
-            "--detector" => {
-                opts.detector = true;
-                i += 1;
-            }
-            other => {
-                eprintln!("unknown chaos-soak flag '{other}'");
-                usage();
-            }
+    let mut flags = Flags::new("chaos-soak", args);
+    while let Some(flag) = flags.next() {
+        match flag {
+            "--seed" => opts.seed = flags.value(flag),
+            "--nodes" => opts.nodes = flags.value(flag),
+            "--ops" => opts.ops = flags.value(flag),
+            "--faults" => opts.faults = flags.value(flag),
+            "--sweep" => opts.sweep = Some(flags.value(flag)),
+            "--detector" => opts.detector = true,
+            other => flags.unknown(other),
         }
     }
-    if opts.sweep.is_some() && opts.trace.is_some() {
-        eprintln!("--trace applies to single runs only, not sweeps");
-        usage();
-    }
-    if let Some(path) = &opts.trace {
-        // Truncate once; the engine's exporter appends.
-        std::fs::File::create(path).expect("create trace file");
-    }
+    start_trace(&opts.trace, opts.sweep);
     chaos_soak::run(&opts);
 }
 
@@ -247,40 +253,18 @@ fn flap_sweep_main(args: &[String], trace: Option<PathBuf>) {
         trace,
         ..flap_sweep::FlapSweepOptions::default()
     };
-    let mut i = 0;
-    let value = |i: &mut usize, flag: &str| -> String {
-        *i += 2;
-        match args.get(*i - 1) {
-            Some(v) => v.clone(),
-            None => {
-                eprintln!("{flag} needs a value");
-                usage();
-            }
-        }
-    };
-    while i < args.len() {
-        match args[i].as_str() {
-            "--seed" => opts.seed = value(&mut i, "--seed").parse().expect("--seed: u64"),
-            "--nodes" => opts.nodes = value(&mut i, "--nodes").parse().expect("--nodes: u32"),
-            "--flaps" => opts.flaps = value(&mut i, "--flaps").parse().expect("--flaps: u32"),
-            "--sweep" => {
-                opts.sweep = Some(value(&mut i, "--sweep").parse().expect("--sweep: u64"));
-            }
-            other => {
-                eprintln!("unknown flap-sweep flag '{other}'");
-                usage();
-            }
+    let mut flags = Flags::new("flap-sweep", args);
+    while let Some(flag) = flags.next() {
+        match flag {
+            "--seed" => opts.seed = flags.value(flag),
+            "--nodes" => opts.nodes = flags.value(flag),
+            "--flaps" => opts.flaps = flags.value(flag),
+            "--sweep" => opts.sweep = Some(flags.value(flag)),
+            other => flags.unknown(other),
         }
     }
     assert!(opts.nodes >= 3, "flap-sweep needs a quorum-capable cluster");
-    if opts.sweep.is_some() && opts.trace.is_some() {
-        eprintln!("--trace applies to single runs only, not sweeps");
-        usage();
-    }
-    if let Some(path) = &opts.trace {
-        // Truncate once; every cell's exporter appends.
-        std::fs::File::create(path).expect("create trace file");
-    }
+    start_trace(&opts.trace, opts.sweep);
     flap_sweep::run(&opts);
 }
 
@@ -289,34 +273,18 @@ fn overload_sweep_main(args: &[String], trace: Option<PathBuf>) {
         trace,
         ..overload_sweep::OverloadOptions::default()
     };
-    let mut i = 0;
-    let value = |i: &mut usize, flag: &str| -> String {
-        *i += 2;
-        match args.get(*i - 1) {
-            Some(v) => v.clone(),
-            None => {
-                eprintln!("{flag} needs a value");
-                usage();
-            }
-        }
-    };
-    while i < args.len() {
-        match args[i].as_str() {
-            "--seed" => opts.seed = value(&mut i, "--seed").parse().expect("--seed: u64"),
-            "--nodes" => opts.nodes = value(&mut i, "--nodes").parse().expect("--nodes: u32"),
-            "--ticks" => opts.ticks = value(&mut i, "--ticks").parse().expect("--ticks: u32"),
-            other => {
-                eprintln!("unknown overload-sweep flag '{other}'");
-                usage();
-            }
+    let mut flags = Flags::new("overload-sweep", args);
+    while let Some(flag) = flags.next() {
+        match flag {
+            "--seed" => opts.seed = flags.value(flag),
+            "--nodes" => opts.nodes = flags.value(flag),
+            "--ticks" => opts.ticks = flags.value(flag),
+            other => flags.unknown(other),
         }
     }
     assert!(opts.nodes >= 2, "overload-sweep needs at least two nodes");
     assert!(opts.ticks >= 1, "overload-sweep needs at least one tick");
-    if let Some(path) = &opts.trace {
-        // Truncate once; every cell's exporter appends.
-        std::fs::File::create(path).expect("create trace file");
-    }
+    start_trace(&opts.trace, None);
     overload_sweep::run(&opts);
 }
 
@@ -325,29 +293,14 @@ fn shard_sweep_main(args: &[String], trace: Option<PathBuf>) {
         trace,
         ..shard_sweep::ShardSweepOptions::default()
     };
-    let mut i = 0;
-    let value = |i: &mut usize, flag: &str| -> String {
-        *i += 2;
-        match args.get(*i - 1) {
-            Some(v) => v.clone(),
-            None => {
-                eprintln!("{flag} needs a value");
-                usage();
-            }
-        }
-    };
-    while i < args.len() {
-        match args[i].as_str() {
-            "--seed" => opts.seed = value(&mut i, "--seed").parse().expect("--seed: u64"),
-            "--nodes" => opts.nodes = value(&mut i, "--nodes").parse().expect("--nodes: u32"),
-            "--ticks" => opts.ticks = value(&mut i, "--ticks").parse().expect("--ticks: u32"),
-            "--sweep" => {
-                opts.sweep = Some(value(&mut i, "--sweep").parse().expect("--sweep: u64"));
-            }
-            other => {
-                eprintln!("unknown shard-sweep flag '{other}'");
-                usage();
-            }
+    let mut flags = Flags::new("shard-sweep", args);
+    while let Some(flag) = flags.next() {
+        match flag {
+            "--seed" => opts.seed = flags.value(flag),
+            "--nodes" => opts.nodes = flags.value(flag),
+            "--ticks" => opts.ticks = flags.value(flag),
+            "--sweep" => opts.sweep = Some(flags.value(flag)),
+            other => flags.unknown(other),
         }
     }
     assert!(
@@ -355,14 +308,7 @@ fn shard_sweep_main(args: &[String], trace: Option<PathBuf>) {
         "shard-sweep needs at least two nodes per shard"
     );
     assert!(opts.ticks >= 3, "shard-sweep needs at least three ticks");
-    if opts.sweep.is_some() && opts.trace.is_some() {
-        eprintln!("--trace applies to single runs only, not sweeps");
-        usage();
-    }
-    if let Some(path) = &opts.trace {
-        // Truncate once; every cell's exporter appends.
-        std::fs::File::create(path).expect("create trace file");
-    }
+    start_trace(&opts.trace, opts.sweep);
     shard_sweep::run(&opts);
 }
 

@@ -9,8 +9,7 @@ use dedisys_constraints::{
 };
 use dedisys_core::nodes;
 use dedisys_core::{
-    Cluster, ClusterBuilder, DeferAll, HighestVersionWins, HistoryPolicy, JsonlExporter,
-    ReconcileStrategy,
+    Cluster, ClusterBuilder, DeferAll, HighestVersionWins, HistoryPolicy, ReconcileStrategy,
 };
 use dedisys_object::{AppDescriptor, ClassDescriptor, EntityState, MethodDescriptor, MethodKind};
 use dedisys_types::{NodeId, ObjectId, SatisfactionDegree, SimDuration, Value};
@@ -32,14 +31,7 @@ pub fn set_trace_path(path: Option<PathBuf>) {
 fn attach_trace(cluster: &Cluster) {
     let guard = TRACE_PATH.lock().expect("trace path poisoned");
     if let Some(path) = guard.as_ref() {
-        let file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-            .expect("open trace file");
-        cluster
-            .telemetry()
-            .attach(Box::new(JsonlExporter::new(Box::new(file))));
+        crate::attach_jsonl(cluster.telemetry(), path);
     }
 }
 

@@ -8,7 +8,6 @@
 //! silent.
 
 use dedisys_chaos::{ChaosConfig, ChaosEngine, ChaosReport};
-use dedisys_core::JsonlExporter;
 use std::path::PathBuf;
 
 /// CLI options of `repro chaos-soak`.
@@ -69,15 +68,7 @@ pub fn run(opts: &SoakOptions) {
 fn single(opts: &SoakOptions) {
     let engine = ChaosEngine::new(config(opts, opts.seed)).expect("chaos engine");
     if let Some(path) = &opts.trace {
-        let file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-            .expect("open trace file");
-        engine
-            .cluster()
-            .telemetry()
-            .attach(Box::new(JsonlExporter::new(Box::new(file))));
+        crate::attach_jsonl(engine.cluster().telemetry(), path);
     }
     let report = engine.run().expect("chaos run");
     print_report(&report, opts);

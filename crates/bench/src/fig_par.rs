@@ -212,7 +212,7 @@ pub fn run(trace: Option<&Path>) {
         if stats_match { "identical" } else { "DIVERGED" },
     );
     if let Some(path) = trace {
-        let mut write = |suffix: &str, bytes: &[u8]| {
+        let write = |suffix: &str, bytes: &[u8]| {
             let mut file = path.as_os_str().to_owned();
             file.push(suffix);
             std::fs::write(&file, bytes).expect("write trace file");

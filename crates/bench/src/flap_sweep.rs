@@ -19,8 +19,7 @@
 //! byte for byte.
 
 use dedisys_core::{
-    ClusterBuilder, DetectorKind, JsonlExporter, MinorityWriteHandling, PrimaryPartitionPolicy,
-    StabilizerConfig,
+    ClusterBuilder, DetectorKind, MinorityWriteHandling, PrimaryPartitionPolicy, StabilizerConfig,
 };
 use dedisys_object::{AppDescriptor, ClassDescriptor, EntityState};
 use dedisys_types::{NodeId, ObjectId, SimDuration, Value};
@@ -99,14 +98,7 @@ fn run_cell(
         .build()
         .expect("flap-sweep cluster");
     if let Some(path) = trace {
-        let file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-            .expect("open trace file");
-        cluster
-            .telemetry()
-            .attach(Box::new(JsonlExporter::new(Box::new(file))));
+        crate::attach_jsonl(cluster.telemetry(), path);
     }
     cluster
         .set_default_link_jitter(HEARTBEAT_JITTER_MICROS)

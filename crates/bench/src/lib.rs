@@ -46,3 +46,16 @@ pub mod flap_sweep;
 pub mod overload_sweep;
 pub mod shard_sweep;
 pub mod table;
+
+/// Appends the typed event stream of `telemetry` to the JSONL file at
+/// `path` — how every driver honours `--trace`. The file is opened in
+/// append mode, so the clusters of one run accumulate in one file that
+/// `repro` truncated up front.
+pub fn attach_jsonl(telemetry: &dedisys_core::Telemetry, path: &std::path::Path) {
+    let file = std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(path)
+        .expect("open trace file");
+    telemetry.attach(Box::new(dedisys_core::JsonlExporter::new(Box::new(file))));
+}

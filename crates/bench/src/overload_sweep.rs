@@ -26,7 +26,7 @@
 //! Everything runs on the virtual clock; the same seed reproduces the
 //! table — and a `--trace` JSONL file — byte for byte.
 
-use dedisys_core::{nodes, Cluster, ClusterBuilder, JsonlExporter, RequestPlane, Session};
+use dedisys_core::{nodes, Cluster, ClusterBuilder, RequestPlane, Session};
 use dedisys_object::{AppDescriptor, ClassDescriptor, EntityState};
 use dedisys_types::{NodeId, ObjectId, PriorityClass, SimDuration, Value};
 use std::collections::VecDeque;
@@ -98,14 +98,7 @@ fn build_cluster(opts: &OverloadOptions, degraded: bool) -> Cluster {
         .build()
         .expect("overload-sweep cluster");
     if let Some(path) = &opts.trace {
-        let file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-            .expect("open trace file");
-        cluster
-            .telemetry()
-            .attach(Box::new(JsonlExporter::new(Box::new(file))));
+        crate::attach_jsonl(cluster.telemetry(), path);
     }
     for i in 0..4 {
         let id = ObjectId::new("Item", format!("I-{i}"));

@@ -28,7 +28,6 @@
 //! byte.
 
 use dedisys_chaos::{check_federation, FederationChaosConfig, FederationChaosEngine};
-use dedisys_core::JsonlExporter;
 use dedisys_federation::{FederatedCluster, RoutingPolicy, ShardId};
 use dedisys_object::{AppDescriptor, ClassDescriptor};
 use dedisys_types::{NodeId, ObjectId, PriorityClass, SimDuration, Value};
@@ -157,13 +156,7 @@ fn build_federation(opts: &ShardSweepOptions, shards: u32) -> FederatedCluster {
         .build()
         .expect("shard-sweep federation");
     if let Some(path) = &opts.trace {
-        let file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-            .expect("open trace file");
-        fed.telemetry()
-            .attach(Box::new(JsonlExporter::new(Box::new(file))));
+        crate::attach_jsonl(fed.telemetry(), path);
     }
     for i in 0..u64::from(ITEMS) {
         fed.create(&item(i)).expect("seed item");

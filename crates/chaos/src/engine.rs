@@ -180,7 +180,7 @@ impl ChaosEngine {
     ///
     /// Propagates workload-seeding failures; fault application and
     /// workload errors are absorbed into the report.
-    pub fn run(mut self) -> Result<ChaosReport> {
+    pub fn run(self) -> Result<ChaosReport> {
         let plan = if self.config.detector {
             FaultPlan::random_adaptive(
                 self.config.seed,

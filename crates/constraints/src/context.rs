@@ -331,13 +331,11 @@ fn read_recording(
 // The parallel batch engine moves evaluation work onto scoped worker
 // threads; these assertions pin the `Send`/`Sync` obligations at
 // compile time.
-const _: () = {
+const _: fn() = || {
     fn assert_send<T: Send>() {}
     fn assert_send_sync<T: Send + Sync>() {}
-    fn _context_types_are_thread_safe() {
-        assert_send::<ValidationContext<'_>>();
-        assert_send_sync::<MapAccess>();
-    }
+    assert_send::<ValidationContext<'_>>();
+    assert_send_sync::<MapAccess>();
 };
 
 #[cfg(test)]

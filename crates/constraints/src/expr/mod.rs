@@ -135,10 +135,8 @@ pub(crate) fn expr_err(msg: impl Into<String>) -> Error {
 // The interpreter is a pure function over the AST; the parallel batch
 // engine relies on `ExprConstraint` being shareable across worker
 // threads.
-const _: () = {
+const _: fn() = || {
     fn assert_send_sync<T: Send + Sync>() {}
-    fn _expr_constraint_is_thread_safe() {
-        assert_send_sync::<ExprConstraint>();
-        assert_send_sync::<Expr>();
-    }
+    assert_send_sync::<ExprConstraint>();
+    assert_send_sync::<Expr>();
 };

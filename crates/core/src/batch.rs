@@ -134,16 +134,14 @@ pub(crate) fn evaluate_batch(
 // The scoped workers share the evaluation environment by reference
 // and send evaluations back by slot; pin those bounds here so a
 // regression surfaces at the definition, not inside `thread::scope`.
-const _: () = {
+const _: fn() = || {
     fn assert_send_sync<T: Send + Sync>() {}
     fn assert_send<T: Send>() {}
-    fn _batch_engine_bounds() {
-        assert_send_sync::<ValidationCandidate<'_>>();
-        assert_send_sync::<EntityContainer>();
-        assert_send_sync::<ReplicationManager>();
-        assert_send_sync::<Topology>();
-        assert_send::<RawEvaluation>();
-    }
+    assert_send_sync::<ValidationCandidate<'_>>();
+    assert_send_sync::<EntityContainer>();
+    assert_send_sync::<ReplicationManager>();
+    assert_send_sync::<Topology>();
+    assert_send::<RawEvaluation>();
 };
 
 #[cfg(test)]

@@ -125,11 +125,9 @@ impl ObjectAccess for ReplicaAccess<'_> {
 
 // Worker threads of the parallel batch engine each construct a
 // `ReplicaAccess` over the shared middleware state.
-const _: () = {
+const _: fn() = || {
     fn assert_send<T: Send>() {}
-    fn _replica_access_is_thread_safe() {
-        assert_send::<ReplicaAccess<'_>>();
-    }
+    assert_send::<ReplicaAccess<'_>>();
 };
 
 /// Outcome of the pure evaluation phase of one validation candidate —

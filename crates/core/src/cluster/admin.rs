@@ -1,0 +1,224 @@
+//! Configuration and administration: runtime reconfiguration and the
+//! §3.3 runtime constraint management (add, remove, enable, disable).
+
+use super::Cluster;
+use crate::ccm::{NegotiationTiming, ValidationCandidate};
+use crate::config::ClusterConfig;
+use crate::CostModel;
+use dedisys_constraints::{ConstraintEngine, ConstraintRepository, RegisteredConstraint};
+use dedisys_net::SimClock;
+use dedisys_telemetry::{Telemetry, TraceEvent};
+use dedisys_types::{ConstraintName, Error, NodeId, ObjectId, Result, SatisfactionDegree};
+use std::collections::BTreeSet;
+
+/// Lowers every enabled constraint for the compiled engine up front, so
+/// the first validation doesn't pay the (lazy) compile: one
+/// `constraint_compiled` event and one [`CostModel::constraint_compile`]
+/// charge per constraint.
+pub(super) fn compile_constraints(
+    repository: &ConstraintRepository,
+    telemetry: &Telemetry,
+    clock: &SimClock,
+    costs: &CostModel,
+) {
+    for c in repository.enabled() {
+        if let Some(info) = c.implementation.compiled() {
+            telemetry.emit(|| TraceEvent::ConstraintCompiled {
+                constraint: c.meta.name.to_string(),
+                ops: info.ops,
+                reads: info.reads,
+            });
+            clock.advance(costs.constraint_compile);
+        }
+    }
+}
+
+impl Cluster {
+    /// Applies a configuration delta to the running cluster.
+    ///
+    /// `f` receives a copy of the current config to mutate; the
+    /// changed fields are then applied atomically — with their side
+    /// effects (an engine switch lowers constraints and clears the
+    /// verdict cache; a cache toggle clears it; negotiation timing,
+    /// default degree and replica history are pushed into their
+    /// subsystems) — and one `reconfigure` trace event naming the
+    /// dotted paths that changed is emitted. Returns those paths
+    /// (empty when `f` changed nothing; no event is emitted then).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Config`] — without applying *any* field — if
+    /// `f` touched a build-time field (`validation.lookup_mode`,
+    /// `durability.threat_policy`, or anything under
+    /// `membership.detector*` / `membership.adaptive` /
+    /// `membership.stabilizer` / `membership.seed`).
+    pub fn reconfigure(&mut self, f: impl FnOnce(&mut ClusterConfig)) -> Result<Vec<String>> {
+        let mut next = self.config;
+        f(&mut next);
+        next.durability.compaction_threshold = next.durability.compaction_threshold.max(1);
+        let immutable = self.config.immutable_diff(&next);
+        if !immutable.is_empty() {
+            return Err(Error::Config(format!(
+                "cannot reconfigure build-time field(s): {}",
+                immutable.join(", ")
+            )));
+        }
+        let changed = self.config.diff(&next);
+        if changed.is_empty() {
+            return Ok(changed);
+        }
+        let prev = self.config;
+        self.config = next;
+        if prev.validation.engine != next.validation.engine {
+            if next.validation.engine == ConstraintEngine::Compiled {
+                compile_constraints(&self.repository, &self.telemetry, &self.clock, &self.costs);
+            }
+            self.clear_verdict_cache_with_event();
+        }
+        if prev.validation.verdict_cache != next.validation.verdict_cache {
+            self.clear_verdict_cache_with_event();
+        }
+        if prev.validation.negotiation_timing != next.validation.negotiation_timing {
+            self.ccm
+                .set_negotiation_timing(next.validation.negotiation_timing);
+        }
+        if prev.validation.app_default_min_degree != next.validation.app_default_min_degree {
+            self.ccm
+                .set_app_default_min_degree(next.validation.app_default_min_degree);
+        }
+        if prev.durability.reduced_replica_history != next.durability.reduced_replica_history {
+            self.replication
+                .set_reduced_history(next.durability.reduced_replica_history);
+        }
+        let paths = changed.clone();
+        self.telemetry
+            .emit(move || TraceEvent::Reconfigure { changed: paths });
+        Ok(changed)
+    }
+
+    /// The threat-negotiation timing in force, read back from the CCM
+    /// (not from the config copy) so tests can check the two agree.
+    pub fn negotiation_timing(&self) -> NegotiationTiming {
+        self.ccm.negotiation_timing()
+    }
+
+    /// The application-wide default minimum satisfaction degree in
+    /// force, read back from the CCM.
+    pub fn app_default_min_degree(&self) -> SatisfactionDegree {
+        self.ccm.app_default_min_degree()
+    }
+
+    /// Whether replicas keep only the latest state, read back from the
+    /// replication manager.
+    pub fn reduced_replica_history(&self) -> bool {
+        self.replication.reduced_history()
+    }
+
+    /// Entries currently held by the verdict cache.
+    pub fn verdict_cache_len(&self) -> usize {
+        self.ccm.verdict_cache_len()
+    }
+
+    /// Enables or disables a registered constraint at runtime (§3.3).
+    /// Disabling merely stops lookups from returning it; re-enabling
+    /// *with* the mandated full re-check is
+    /// [`Cluster::enable_constraint_with_check`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Config`] for unknown constraint names.
+    pub fn set_constraint_enabled(&mut self, name: &ConstraintName, enabled: bool) -> Result<()> {
+        self.repository.set_enabled(name, enabled)
+    }
+
+    /// Removes a constraint at runtime (§3.3). Returns whether the
+    /// constraint existed. Cached verdicts of the removed constraint
+    /// are dropped.
+    pub fn remove_constraint(&mut self, name: &ConstraintName) -> bool {
+        let existed = self.repository.remove(name).is_some();
+        if existed {
+            let entries = self.ccm.invalidate_constraint(name);
+            self.verdict_cache_invalidated("*", entries);
+        }
+        existed
+    }
+
+    /// Re-activates every deactivated threat record after a CCM crash
+    /// (§5.5.1 recovery). Returns the number of recovered records.
+    pub fn recover_threats(&mut self) -> usize {
+        self.ccm.threat_store_mut().recover()
+    }
+
+    /// Adds a new constraint at runtime and — per §3.3 — immediately
+    /// validates it against *every* existing context object. Returns
+    /// the context objects that currently violate it (the application
+    /// decides whether to clean them up or remove the constraint
+    /// again).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Config`] for duplicate names.
+    pub fn add_constraint_with_check(
+        &mut self,
+        constraint: RegisteredConstraint,
+    ) -> Result<Vec<ObjectId>> {
+        let name = constraint.name().clone();
+        self.repository.register(constraint)?;
+        self.check_all_context_objects(&name)
+    }
+
+    /// Re-enables a previously disabled constraint and validates it
+    /// against every context object (§3.3: re-enabled constraints have
+    /// to be checked for all context objects). Returns the violating
+    /// context objects.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Config`] for unknown constraint names.
+    pub fn enable_constraint_with_check(&mut self, name: &ConstraintName) -> Result<Vec<ObjectId>> {
+        self.repository.set_enabled(name, true)?;
+        self.check_all_context_objects(name)
+    }
+
+    fn check_all_context_objects(&mut self, name: &ConstraintName) -> Result<Vec<ObjectId>> {
+        let Some(constraint) = self.repository.get(name).cloned() else {
+            return Ok(Vec::new());
+        };
+        if !constraint.meta.kind.is_invariant() {
+            return Ok(Vec::new());
+        }
+        // Collect the context objects: all instances of the context
+        // class, or a single query-based evaluation.
+        let contexts: Vec<Option<ObjectId>> = match (
+            &constraint.context_class,
+            constraint.meta.needs_context_object,
+        ) {
+            (Some(class), true) => {
+                let mut ids: BTreeSet<ObjectId> = BTreeSet::new();
+                for container in &self.containers {
+                    ids.extend(container.entities_of_class(class).map(|e| e.id().clone()));
+                }
+                ids.into_iter().map(Some).collect()
+            }
+            _ => vec![None],
+        };
+        let node = NodeId(0);
+        let check_tx = self.begin_tx(node);
+        let candidates: Vec<ValidationCandidate<'_>> = contexts
+            .iter()
+            .map(|context| ValidationCandidate::invariant(&constraint, context.as_ref()))
+            .collect();
+        let evals = self.evaluate_candidates(&candidates, node, check_tx);
+        let mut violating = Vec::new();
+        for (context, eval) in contexts.into_iter().zip(evals) {
+            let verdict = self.merge_validation(&constraint, eval, node, check_tx)?;
+            if verdict.degree == SatisfactionDegree::Violated {
+                if let Some(ctx) = context {
+                    violating.push(ctx);
+                }
+            }
+        }
+        let _ = self.rollback(check_tx);
+        Ok(violating)
+    }
+}

@@ -1,0 +1,351 @@
+//! Node lifecycle: crash and restart (journal replay, state transfer),
+//! the in-doubt registry of presumed-abort 2PC, the chaos engine's
+//! store fault hooks and cross-cluster object migration.
+
+use super::{Cluster, InDoubtTx};
+use dedisys_object::EntityState;
+use dedisys_telemetry::{TraceEvent, TransitionCause};
+use dedisys_types::{Error, NodeId, ObjectId, Result, SystemMode, TxId};
+
+impl Cluster {
+    /// Crashes `node`: volatile container state is torn down (buffered
+    /// writes lost, committed in-memory cache dropped), the persistent
+    /// journal survives on disk, and the node leaves the topology
+    /// until [`Cluster::restart`].
+    ///
+    /// Transactions touching the node are resolved immediately:
+    ///
+    /// * transactions *coordinated* by the node that had already
+    ///   prepared enter the in-doubt registry — their locks are
+    ///   retained until the presumed-abort timeout fires
+    ///   ([`Cluster::resolve_in_doubt`]) or the coordinator restarts;
+    /// * every other affected transaction is force-rolled-back and
+    ///   its locks released.
+    ///
+    /// # Errors
+    ///
+    /// * [`Error::UnknownNode`] — node id outside the cluster.
+    /// * [`Error::NodeCrashed`] — the node is already down.
+    pub fn crash(&mut self, node: NodeId) -> Result<SystemMode> {
+        self.check_known(node)?;
+        if !self.crashed.insert(node) {
+            return Err(Error::NodeCrashed(node));
+        }
+        let affected: Vec<TxId> = self
+            .tx_infos
+            .iter()
+            .filter(|(tx, info)| tx.node == node || info.involved.contains(&node))
+            .map(|(tx, _)| *tx)
+            .collect();
+        let mut aborted: u32 = 0;
+        let mut in_doubt: u32 = 0;
+        let deadline = self.clock.now() + self.costs.in_doubt_timeout;
+        for tx in affected {
+            if tx.node == node && self.tx_manager.is_prepared(tx) {
+                // Coordinator crashed between prepare and commit: the
+                // outcome is locally unknowable. Locks and remote
+                // buffers are retained; the recovery protocol presumes
+                // abort once the timeout expires (presumed-abort 2PC).
+                self.in_doubt.insert(
+                    tx,
+                    InDoubtTx {
+                        coordinator: node,
+                        deadline,
+                    },
+                );
+                in_doubt += 1;
+                self.telemetry.emit(|| TraceEvent::TwoPcInDoubt {
+                    tx,
+                    coordinator: node,
+                });
+            } else {
+                self.tx_manager.force_rollback(tx);
+                self.abort_cleanup(tx);
+                aborted += 1;
+            }
+        }
+        let _lost_buffers = self.containers[node.index()].crash_volatile();
+        self.topology.isolate(node);
+        self.install_views();
+        self.sync_membership_scripted();
+        self.telemetry.emit(|| TraceEvent::NodeCrash {
+            node,
+            aborted_txs: aborted,
+            in_doubt_txs: in_doubt,
+        });
+        Ok(self.set_mode(SystemMode::Degraded, TransitionCause::Scripted))
+    }
+
+    /// Restarts a crashed node: replays the persistent journal into a
+    /// fresh container (charging
+    /// [`CostModel::wal_replay_per_entry`][crate::CostModel] per
+    /// entry), re-activates deactivated threat records (§5.5.1
+    /// recovery), resolves every in-doubt transaction the node
+    /// coordinated by presumed abort, and rejoins the partition of the
+    /// lowest-numbered live node. Returns the resulting system mode.
+    ///
+    /// # Errors
+    ///
+    /// * [`Error::UnknownNode`] — node id outside the cluster.
+    /// * [`Error::Config`] — the node is not crashed.
+    /// * Journal corruption surfaces as the replay error.
+    pub fn restart(&mut self, node: NodeId) -> Result<SystemMode> {
+        self.check_known(node)?;
+        if !self.crashed.contains(&node) {
+            return Err(Error::Config(format!(
+                "node {node} is not crashed; nothing to restart"
+            )));
+        }
+        let report = self.containers[node.index()].recover_from_journal()?;
+        let replayed = report.replayed;
+        self.crashed.remove(&node);
+        self.clock
+            .advance(self.costs.wal_replay_per_entry * replayed);
+        if report.truncated > 0 {
+            // A journal write was torn by the crash; the checksummed
+            // tail was dropped and the lost state will be resynced by
+            // reconciliation like any missed update.
+            self.telemetry
+                .metrics()
+                .add("store.wal.truncated", report.truncated);
+            self.telemetry.emit(|| TraceEvent::WalTruncated {
+                node,
+                truncated: report.truncated,
+            });
+        }
+        // The journal replay may have rewritten entity state wholesale;
+        // memoized verdicts are no longer trustworthy.
+        self.clear_verdict_cache_with_event();
+        // §5.5.1: threat records deactivated by the crash come back.
+        let reactivated = self.ccm.threat_store_mut().recover() as u64;
+        // Coordinator recovery: no commit record survived the crash,
+        // so its in-doubt transactions abort (presumed abort).
+        let mine: Vec<TxId> = self
+            .in_doubt
+            .iter()
+            .filter(|(_, info)| info.coordinator == node)
+            .map(|(tx, _)| *tx)
+            .collect();
+        for tx in mine {
+            self.presume_abort(tx);
+        }
+        // Rejoin the lowest-numbered live node's partition via GMS.
+        let rejoin_target = self.live_nodes().find(|n| *n != node);
+        if let Some(target) = rejoin_target {
+            if !self.topology.reachable(node, target) {
+                self.topology.merge(node, target);
+            }
+            if report.truncated > 0 {
+                // The torn tail dropped committed state the rest of
+                // the group still holds. Replica reconciliation only
+                // tracks degraded-mode writes, so transfer the rejoin
+                // target's committed image outright; installs go
+                // through the journal, so the transfer survives a
+                // further crash.
+                let reference: Vec<EntityState> = {
+                    let source = &self.containers[target.index()];
+                    source
+                        .committed_ids()
+                        .filter_map(|id| source.committed_entity(id).cloned())
+                        .collect()
+                };
+                let stale: Vec<ObjectId> = {
+                    let source = &self.containers[target.index()];
+                    self.containers[node.index()]
+                        .committed_ids()
+                        .filter(|id| source.committed_entity(id).is_none())
+                        .cloned()
+                        .collect()
+                };
+                let mut transferred = 0u64;
+                let container = &mut self.containers[node.index()];
+                for entity in reference {
+                    if container.committed_entity(entity.id()) != Some(&entity) {
+                        container.install_committed(entity);
+                        transferred += 1;
+                    }
+                }
+                for id in &stale {
+                    container.remove_committed(id);
+                    transferred += 1;
+                }
+                self.clock
+                    .advance(self.costs.wal_replay_per_entry * transferred);
+                self.telemetry
+                    .metrics()
+                    .add("store.wal.resynced", transferred);
+            }
+        }
+        self.install_views();
+        self.sync_membership_scripted();
+        self.telemetry.emit(|| TraceEvent::NodeRestart {
+            node,
+            replayed_entries: replayed,
+            reactivated_threats: reactivated,
+        });
+        Ok(self.settle_mode(TransitionCause::Scripted))
+    }
+
+    /// Runs the in-doubt recovery protocol: every in-doubt transaction
+    /// whose presumed-abort deadline has passed in virtual time is
+    /// rolled back and its locks released. Returns the number of
+    /// transactions resolved.
+    pub fn resolve_in_doubt(&mut self) -> usize {
+        let now = self.clock.now();
+        let due: Vec<TxId> = self
+            .in_doubt
+            .iter()
+            .filter(|(_, info)| info.deadline <= now)
+            .map(|(tx, _)| *tx)
+            .collect();
+        let resolved = due.len();
+        for tx in due {
+            // The deadline path gets its own event before the shared
+            // presumed-abort resolution: operators alerting on abandoned
+            // coordinators need to tell "timed out waiting" apart from
+            // "resolved at coordinator restart" (both emit
+            // `two_pc_resolved`).
+            if let Some(info) = self.in_doubt.get(&tx) {
+                let coordinator = info.coordinator;
+                let overdue_ns = now.since(info.deadline).as_nanos();
+                self.telemetry.emit(|| TraceEvent::InDoubtTimeout {
+                    tx,
+                    coordinator,
+                    overdue_ns,
+                });
+                self.telemetry.metrics().incr("two_pc.in_doubt_timeout");
+            }
+            self.presume_abort(tx);
+        }
+        resolved
+    }
+
+    fn presume_abort(&mut self, tx: TxId) {
+        self.in_doubt.remove(&tx);
+        self.tx_manager.force_rollback(tx);
+        self.abort_cleanup(tx);
+        self.in_doubt_resolved += 1;
+        self.telemetry.emit(|| TraceEvent::TwoPcResolved {
+            tx,
+            presumed_abort: true,
+        });
+    }
+
+    /// Makes the next `failures` replica installs on `node` fail — a
+    /// store write-failure window exercising the ship path's bounded
+    /// retry/backoff.
+    pub fn inject_write_fault(&mut self, node: NodeId, failures: u32) {
+        self.replication.inject_write_fault(node, failures);
+    }
+
+    /// Makes `node` skip (lag behind) the next `updates` propagated
+    /// updates; the lagged replica is recorded for reconciliation.
+    pub fn inject_replica_lag(&mut self, node: NodeId, updates: u32) {
+        self.replication.inject_replica_lag(node, updates);
+    }
+
+    /// Corrupts the checksum of the last `entries` journal entries on
+    /// `node` — a torn write the next [`Cluster::restart`] detects and
+    /// truncates. Returns the number of entries corrupted.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::UnknownNode`] for node ids outside the cluster.
+    pub fn corrupt_journal_tail(&mut self, node: NodeId, entries: usize) -> Result<usize> {
+        self.check_known(node)?;
+        Ok(self.containers[node.index()].corrupt_journal_tail(entries))
+    }
+
+    /// In-doubt transactions awaiting presumed-abort recovery.
+    pub fn in_doubt_txs(&self) -> impl Iterator<Item = (TxId, &InDoubtTx)> + '_ {
+        self.in_doubt.iter().map(|(tx, info)| (*tx, info))
+    }
+
+    /// Number of in-doubt transactions.
+    pub fn in_doubt_count(&self) -> usize {
+        self.in_doubt.len()
+    }
+
+    /// Transactions resolved by the in-doubt recovery protocol so far.
+    pub fn in_doubt_resolved(&self) -> u64 {
+        self.in_doubt_resolved
+    }
+
+    /// Nodes currently crashed.
+    pub fn crashed_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.crashed.iter().copied()
+    }
+
+    /// Whether `node` is currently crashed.
+    pub fn is_crashed(&self, node: NodeId) -> bool {
+        self.crashed.contains(&node)
+    }
+
+    /// The committed state of `id` on the first live replica — the
+    /// read half of a cross-cluster object migration. Returns `None`
+    /// when no live node holds a committed image.
+    pub fn export_object(&self, id: &ObjectId) -> Option<EntityState> {
+        self.live_nodes()
+            .find_map(|n| self.containers[n.index()].committed_entity(id).cloned())
+    }
+
+    /// Removes every live committed replica of `id` plus its placement
+    /// metadata — the source-side cleanup of a migration. Each removal
+    /// is journalled (a crashed source cannot resurrect the object),
+    /// and one WAL entry is charged per touched replica. Returns the
+    /// number of replicas dropped.
+    pub fn evict_object(&mut self, id: &ObjectId) -> u64 {
+        let nodes: Vec<NodeId> = self.live_nodes().collect();
+        let mut dropped = 0u64;
+        for node in nodes {
+            if self.containers[node.index()].remove_committed(id).is_some() {
+                dropped += 1;
+            }
+        }
+        self.replication.unregister_object(id);
+        if dropped > 0 {
+            self.clock
+                .advance(self.costs.wal_replay_per_entry * dropped);
+            self.telemetry
+                .metrics()
+                .add("store.migrate.evicted", dropped);
+        }
+        dropped
+    }
+
+    /// Installs `entity` as committed state on every live node — the
+    /// write half of a migration, riding the same journalled install
+    /// path the WAL resync uses ([`Cluster::restart`]). The object is
+    /// registered with the live nodes as its replica set and the
+    /// lowest-numbered one as primary; `wal_replay_per_entry` is
+    /// charged per install. Returns the number of replicas written.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Config`] when every node is crashed (nothing
+    /// can accept the transfer).
+    pub fn install_object(&mut self, entity: EntityState) -> Result<u64> {
+        let nodes: Vec<NodeId> = self.live_nodes().collect();
+        let Some(primary) = nodes.first().copied() else {
+            return Err(Error::Config(format!(
+                "{}: no live node to install the migrated object on",
+                entity.id()
+            )));
+        };
+        let installed = nodes.len() as u64;
+        let id = entity.id().clone();
+        for node in &nodes {
+            self.containers[node.index()].install_committed(entity.clone());
+        }
+        if self.replication_enabled {
+            self.replication
+                .register_object(id, nodes.iter().copied(), primary)?;
+        }
+        self.clock
+            .advance(self.costs.wal_replay_per_entry * installed);
+        self.telemetry
+            .metrics()
+            .add("store.migrate.installed", installed);
+        Ok(installed)
+    }
+}

@@ -1,0 +1,401 @@
+//! The cluster façade: a simulated DeDiSys deployment.
+//!
+//! A [`Cluster`] assembles every middleware service of Figure 4.1 for
+//! `n` nodes — entity containers, transaction manager + lock table,
+//! constraint repository + CCMgr, replication manager, group
+//! membership (view trackers + partition weights) — over the shared
+//! virtual clock and cost model. Clients drive it synchronously:
+//! operations execute depth-first through the node stacks while the
+//! clock advances per the cost model (see DESIGN.md §1).
+//!
+//! One `impl Cluster` block per file, cut along the services of Figure
+//! 4.1 (DESIGN.md §2 has the map); the fields are private to this
+//! module tree, and a rule that several services apply — the mode after
+//! a topology change, who may write, what a check costs — is defined in
+//! the file of the service that owns it and called from the others.
+
+mod admin;
+mod builder;
+mod invocation;
+mod lifecycle;
+mod membership;
+mod reconciliation;
+mod transactions;
+mod validation;
+
+pub use builder::ClusterBuilder;
+pub use reconciliation::{
+    ConstraintReconcileReport, ConstraintReconciliationHandler, DeferAll, ReconOps,
+    ReconcileStrategy, ReconciliationSummary, ViolationReport,
+};
+
+use crate::ccm::{Ccm, PartitionEnv};
+use crate::config::ClusterConfig;
+use crate::threat::ThreatStore;
+use crate::CostModel;
+use dedisys_constraints::ConstraintRepository;
+use dedisys_gms::{MembershipSim, NodeWeights, ViewTracker};
+use dedisys_net::{SimClock, Topology};
+use dedisys_object::{
+    AppDescriptor, EntityContainer, EntityState, InterceptorChain, MethodTable, NamingService,
+};
+use dedisys_replication::ReplicationManager;
+use dedisys_telemetry::{CostBreakdown, MetricsSnapshot, Telemetry};
+use dedisys_tx::{LockTable, TransactionManager};
+use dedisys_types::{Error, NodeId, ObjectId, Result, SimTime, SystemMode, TxId, Value};
+use serde::{Deserialize, Serialize};
+use std::collections::{BTreeMap, BTreeSet};
+
+/// Cluster-level counters.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+pub struct ClusterMetrics {
+    /// Business invocations attempted.
+    pub invocations: u64,
+    /// Invocations that failed (constraint, threat, availability).
+    pub failed_invocations: u64,
+    /// Entities created.
+    pub creates: u64,
+    /// Entities deleted.
+    pub deletes: u64,
+}
+
+/// One serializable snapshot of every cluster-level statistic — the
+/// single aggregate returned by [`Cluster::stats`].
+///
+/// Serializes cleanly to JSON (`serde_json::to_string(&cluster.stats())`)
+/// so benches and operators can dump the full state of a run in one
+/// line instead of stitching four accessor calls together.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct StatsSnapshot {
+    /// Current system mode (Figure 1.4).
+    pub mode: SystemMode,
+    /// Virtual time of the snapshot, in nanoseconds.
+    pub now_ns: u64,
+    /// Cluster-level counters (invocations, creates, deletes).
+    pub cluster: ClusterMetrics,
+    /// CCM counters (validations, threats, violations).
+    pub ccm: crate::ccm::CcmStats,
+    /// Replication counters (propagations, messages, conflicts).
+    pub replication: dedisys_replication::ReplStats,
+    /// Transaction counters (begun, committed, rolled back).
+    pub tx: dedisys_tx::TxStats,
+    /// Telemetry metrics registry (named counters + histograms).
+    pub telemetry: MetricsSnapshot,
+    /// Total trace events emitted on the telemetry bus.
+    pub events_emitted: u64,
+}
+
+/// Context handed to application/operator interceptors registered via
+/// [`Cluster::add_interceptor`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HookInfo {
+    /// Node the client issued the invocation on.
+    pub node: NodeId,
+    /// System mode at invocation time.
+    pub mode: SystemMode,
+    /// Virtual time at invocation start.
+    pub at: SimTime,
+}
+
+#[derive(Debug, Default, Clone)]
+struct TxInfo {
+    involved: BTreeSet<NodeId>,
+    /// Objects created in this tx with their chosen placement.
+    created: BTreeMap<ObjectId, (Vec<NodeId>, NodeId)>,
+}
+
+/// A prepared transaction whose coordinator crashed between prepare
+/// and commit (§2PC in-doubt state). Locks and buffers are retained
+/// until the recovery protocol resolves it by presumed abort (timeout
+/// or coordinator restart).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct InDoubtTx {
+    /// The crashed coordinator node.
+    pub coordinator: NodeId,
+    /// Virtual time at which the presumed-abort timeout fires.
+    pub deadline: SimTime,
+}
+
+/// A simulated DeDiSys cluster.
+pub struct Cluster {
+    clock: SimClock,
+    telemetry: Telemetry,
+    topology: Topology,
+    /// The detector-driven membership pipeline; `None` when topology
+    /// changes are scripted only.
+    membership: Option<MembershipSim>,
+    /// The typed configuration in force ([`Cluster::config`]); runtime
+    /// deltas land here through [`Cluster::reconfigure`].
+    config: ClusterConfig,
+    /// Per-topology-epoch witness of the one partition whose
+    /// primary-mode writes were admitted — the safety invariant is that
+    /// no *second*, different partition ever witnesses at the same
+    /// epoch.
+    primary_witness: BTreeMap<u64, BTreeSet<NodeId>>,
+    /// Times a second partition was caught accepting primary-mode
+    /// writes at an epoch that already had a primary (must stay 0).
+    primary_conflicts: u64,
+    weights: NodeWeights,
+    containers: Vec<EntityContainer>,
+    app: AppDescriptor,
+    methods: MethodTable,
+    tx_manager: TransactionManager,
+    tx_infos: BTreeMap<TxId, TxInfo>,
+    /// Prepared transactions whose coordinator crashed (awaiting
+    /// presumed-abort recovery).
+    in_doubt: BTreeMap<TxId, InDoubtTx>,
+    /// Transactions resolved by the in-doubt recovery protocol so far.
+    in_doubt_resolved: u64,
+    /// Nodes currently crashed: volatile state torn down, persistent
+    /// journal kept, topology-isolated until restarted.
+    crashed: BTreeSet<NodeId>,
+    locks: LockTable,
+    replication: ReplicationManager,
+    repository: ConstraintRepository,
+    ccm: Ccm,
+    naming: NamingService,
+    costs: CostModel,
+    mode: SystemMode,
+    view_trackers: Vec<ViewTracker>,
+    metrics: ClusterMetrics,
+    /// Scratch R1–R5 breakdown of the invocation in flight.
+    inv_cost: CostBreakdown,
+    hooks: InterceptorChain<HookInfo>,
+    ccm_enabled: bool,
+    replication_enabled: bool,
+}
+
+impl std::fmt::Debug for Cluster {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Cluster")
+            .field("nodes", &self.topology.node_count())
+            .field("mode", &self.mode)
+            .field("topology", &self.topology.to_string())
+            .field("ccm", &self.ccm_enabled)
+            .field("replication", &self.replication_enabled)
+            .finish()
+    }
+}
+
+impl Cluster {
+    /// The current virtual time.
+    pub fn now(&self) -> SimTime {
+        self.clock.now()
+    }
+
+    /// The shared clock.
+    pub fn clock(&self) -> &SimClock {
+        &self.clock
+    }
+
+    /// The current system mode (Figure 1.4).
+    pub fn mode(&self) -> SystemMode {
+        self.mode
+    }
+
+    /// The current topology.
+    pub fn topology(&self) -> &Topology {
+        &self.topology
+    }
+
+    /// Number of nodes.
+    pub fn node_count(&self) -> u32 {
+        self.topology.node_count()
+    }
+
+    /// The nodes that are up, in id order.
+    fn live_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.topology
+            .nodes()
+            .filter(|node| !self.crashed.contains(node))
+    }
+
+    fn check_known(&self, node: NodeId) -> Result<()> {
+        if node.0 < self.topology.node_count() {
+            Ok(())
+        } else {
+            Err(Error::UnknownNode(node))
+        }
+    }
+
+    /// The deployed application.
+    pub fn app(&self) -> &AppDescriptor {
+        &self.app
+    }
+
+    /// The cost model in force.
+    pub fn costs(&self) -> &CostModel {
+        &self.costs
+    }
+
+    /// The cluster's telemetry bus: attach a sink (JSONL exporter,
+    /// ring recorder) to capture the typed event stream of a run.
+    pub fn telemetry(&self) -> &Telemetry {
+        &self.telemetry
+    }
+
+    /// One serializable snapshot of every statistic the cluster keeps:
+    /// cluster/CCM/replication/transaction counters plus the telemetry
+    /// metrics registry, stamped with the current mode and virtual
+    /// time.
+    pub fn stats(&self) -> StatsSnapshot {
+        StatsSnapshot {
+            mode: self.mode,
+            now_ns: self.clock.now().as_nanos(),
+            cluster: self.metrics,
+            ccm: self.ccm.stats(),
+            replication: self.replication.stats(),
+            tx: self.tx_manager.stats(),
+            telemetry: self.telemetry.metrics().snapshot(),
+            events_emitted: self.telemetry.events_emitted(),
+        }
+    }
+
+    /// The stored consistency threats.
+    pub fn threats(&self) -> &ThreatStore {
+        self.ccm.threat_store()
+    }
+
+    /// The typed configuration in force. This is the same value the
+    /// builder was given (modulo clamping), updated by every
+    /// [`Cluster::reconfigure`] since.
+    pub fn config(&self) -> &ClusterConfig {
+        &self.config
+    }
+
+    /// The constraint repository.
+    pub fn repository(&self) -> &ConstraintRepository {
+        &self.repository
+    }
+
+    /// The naming service.
+    pub fn naming_mut(&mut self) -> &mut NamingService {
+        &mut self.naming
+    }
+
+    /// Fraction of total system weight reachable from `node` (§5.5.2).
+    pub fn partition_fraction(&self, node: NodeId) -> f64 {
+        self.weights
+            .partition_fraction(self.topology.partition_of(node))
+    }
+
+    /// The full partition environment observed from `node`: the weight
+    /// fraction plus the exact integer weight units (§5.5.2).
+    fn partition_env(&self, node: NodeId) -> PartitionEnv {
+        let members = self.topology.partition_of(node);
+        PartitionEnv {
+            fraction: self.weights.partition_fraction(members),
+            weight: self.weights.partition_weight(members),
+            total: self.weights.total(),
+        }
+    }
+
+    /// The node weights.
+    pub fn weights(&self) -> &NodeWeights {
+        &self.weights
+    }
+
+    /// The committed state of `id` as stored on `node` (inspection).
+    pub fn entity_on(&self, node: NodeId, id: &ObjectId) -> Option<&EntityState> {
+        self.containers[node.index()].committed_entity(id)
+    }
+
+    /// The installed view of `node`.
+    pub fn view_of(&self, node: NodeId) -> &dedisys_gms::View {
+        self.view_trackers[node.index()].current()
+    }
+
+    /// Transactions currently open (active or prepared). Together with
+    /// [`Cluster::stats`] this asserts transaction conservation:
+    /// `begun == committed + rolled_back + open`.
+    pub fn open_tx_count(&self) -> usize {
+        self.tx_manager.open_count()
+    }
+
+    /// Every lock currently held, sorted by object id — invariant
+    /// checkers assert that each holder is still an open transaction
+    /// (no orphaned locks).
+    pub fn held_locks(&self) -> Vec<(ObjectId, TxId)> {
+        let mut held: Vec<(ObjectId, TxId)> = self
+            .locks
+            .holders()
+            .map(|(id, tx)| (id.clone(), tx))
+            .collect();
+        held.sort();
+        held
+    }
+
+    /// Whether `tx` is still open (active or prepared).
+    pub fn tx_is_open(&self, tx: TxId) -> bool {
+        self.tx_manager.is_active(tx) || self.tx_manager.is_prepared(tx)
+    }
+
+    /// Entries in `node`'s persistent journal (survives crashes).
+    pub fn journal_len_on(&self, node: NodeId) -> usize {
+        self.containers[node.index()].journal_len()
+    }
+
+    /// Sorted committed object ids on `node` — replica-convergence
+    /// checks compare these across a healed partition.
+    pub fn committed_ids_on(&self, node: NodeId) -> Vec<ObjectId> {
+        self.containers[node.index()]
+            .committed_ids()
+            .cloned()
+            .collect()
+    }
+
+    /// Invokes the conventional setter for `field`.
+    ///
+    /// # Errors
+    ///
+    /// As [`Cluster::invoke`].
+    pub fn set_field(
+        &mut self,
+        node: NodeId,
+        tx: TxId,
+        target: &ObjectId,
+        field: &str,
+        value: Value,
+    ) -> Result<()> {
+        self.invoke(node, tx, target, setter_name(field), vec![value])
+            .map(|_| ())
+    }
+
+    /// Invokes the conventional getter for `field`.
+    ///
+    /// # Errors
+    ///
+    /// As [`Cluster::invoke`].
+    pub fn get_field(
+        &mut self,
+        node: NodeId,
+        tx: TxId,
+        target: &ObjectId,
+        field: &str,
+    ) -> Result<Value> {
+        self.invoke(node, tx, target, getter_name(field), vec![])
+    }
+}
+
+/// The conventional setter name for a field (`sold` → `setSold`).
+pub fn setter_name(field: &str) -> String {
+    accessor_name("set", field)
+}
+
+/// The conventional getter name for a field (`sold` → `getSold`).
+pub fn getter_name(field: &str) -> String {
+    accessor_name("get", field)
+}
+
+/// `prefix` + `field` with its first character upper-cased, built in
+/// the one string the invocation then owns.
+fn accessor_name(prefix: &str, field: &str) -> String {
+    let mut name = String::with_capacity(prefix.len() + field.len());
+    name.push_str(prefix);
+    let mut chars = field.chars();
+    if let Some(first) = chars.next() {
+        name.extend(first.to_uppercase());
+        name.push_str(chars.as_str());
+    }
+    name
+}

@@ -8,9 +8,9 @@
 //! constraint-reconciliation handler, which may resolve immediately or
 //! defer (§4.4).
 
+use super::Cluster;
 use crate::batch;
 use crate::ccm::{RawEvaluation, ReplicaAccess, ValidationCandidate};
-use crate::cluster::Cluster;
 use crate::threat::{ConsistencyThreat, ThreatIdentity};
 use dedisys_constraints::RegisteredConstraint;
 use dedisys_object::EntityState;
@@ -207,7 +207,7 @@ impl Cluster {
             self.topology().is_healthy(),
             "reconcile after heal — for partial re-unifications use reconcile_partial (§3.3)"
         );
-        self.reconcile_scoped(NodeId(0), replica_handler, constraint_handler)
+        self.reconcile_partial(NodeId(0), replica_handler, constraint_handler)
     }
 
     /// Reconciliation after a *partial* re-unification (§3.3): some
@@ -223,25 +223,18 @@ impl Cluster {
         replica_handler: &mut dyn ReplicaConsistencyHandler,
         constraint_handler: &mut dyn ConstraintReconciliationHandler,
     ) -> ReconciliationSummary {
-        self.reconcile_scoped(observer, replica_handler, constraint_handler)
-    }
-
-    fn reconcile_scoped(
-        &mut self,
-        observer: NodeId,
-        replica_handler: &mut dyn ReplicaConsistencyHandler,
-        constraint_handler: &mut dyn ConstraintReconciliationHandler,
-    ) -> ReconciliationSummary {
         self.set_mode(SystemMode::Reconciliation, TransitionCause::Scripted);
         let mut summary = ReconciliationSummary::default();
 
         // Step 1: replica reconciliation.
         let t0 = self.clock().now();
         let topology = self.topology().clone();
-        let replica_report = {
-            let (replication, containers) = self.replication_and_containers();
-            replication.reconcile_replicas_scoped(&topology, observer, containers, replica_handler)
-        };
+        let replica_report = self.replication.reconcile_replicas_scoped(
+            &topology,
+            observer,
+            &mut self.containers,
+            replica_handler,
+        );
         // The replica phase rewrites committed states wholesale
         // (missed updates, conflict resolutions) without bumping
         // through the commit path — memoized verdicts are stale.
@@ -411,9 +404,11 @@ impl Cluster {
                 continue;
             };
             let degree = match cached.remove(&index) {
-                Some(eval) if !state_dirty => {
-                    self.finish_revalidate(observer, recon_tx, &constraint, eval)
-                }
+                // Merge phase only: the pure evaluation already
+                // happened in the Phase-A batch.
+                Some(eval) if !state_dirty => self
+                    .finish_validation(&constraint, eval, observer, recon_tx)
+                    .map_or(SatisfactionDegree::Uncheckable, |verdict| verdict.degree),
                 _ => self.revalidate(observer, recon_tx, &constraint, &identity),
             };
             match degree {
@@ -430,18 +425,7 @@ impl Cluster {
                             .threat_store()
                             .any_wants_conflict_notification(&identity);
                     let affected = self.ccm.threat_store().objects_of(&identity);
-                    let removed = self
-                        .ccm
-                        .threat_store_mut()
-                        .remove_identity(&identity.constraint, identity.context_object.as_ref());
-                    // Batched delete: one database write for the
-                    // identity group plus the marginal scan cost per
-                    // additional record.
-                    self.clock().advance(
-                        self.costs().db_write
-                            + self.costs().threat_scan_per_identity
-                                * removed.saturating_sub(1) as u64,
-                    );
+                    self.drop_threats(&identity);
                     // Notify about replica conflicts if requested.
                     if wants_notify {
                         for (conflict, _) in &replica_report.conflicts {
@@ -475,17 +459,13 @@ impl Cluster {
                         };
                         let mut deferred = false;
                         for _attempt in 0..3 {
-                            let immediate = {
-                                let node_count = self.node_count();
-                                let (clock, costs, containers) = self.recon_env();
-                                let mut ops = ReconOps {
-                                    containers,
-                                    clock,
-                                    costs,
-                                    node_count,
-                                };
-                                handler.reconcile(&violation, &mut ops)
+                            let mut ops = ReconOps {
+                                containers: &mut self.containers,
+                                clock: &self.clock,
+                                costs: &self.costs,
+                                node_count: self.topology.node_count(),
                             };
+                            let immediate = handler.reconcile(&violation, &mut ops);
                             if !immediate {
                                 deferred = true;
                                 break;
@@ -510,15 +490,7 @@ impl Cluster {
                         }
                     }
                     if resolved {
-                        let removed = self.ccm.threat_store_mut().remove_identity(
-                            &identity.constraint,
-                            identity.context_object.as_ref(),
-                        );
-                        self.clock().advance(
-                            self.costs().db_write
-                                + self.costs().threat_scan_per_identity
-                                    * removed.saturating_sub(1) as u64,
-                        );
+                        self.drop_threats(&identity);
                     }
                 }
                 _ => {
@@ -538,6 +510,20 @@ impl Cluster {
         report
     }
 
+    /// Removes the threat records of a settled `identity` as one
+    /// batched delete: one database write for the identity group plus
+    /// the marginal scan cost per additional record.
+    fn drop_threats(&mut self, identity: &ThreatIdentity) {
+        let removed = self
+            .ccm
+            .threat_store_mut()
+            .remove_identity(&identity.constraint, identity.context_object.as_ref());
+        self.clock.advance(
+            self.costs.db_write
+                + self.costs.threat_scan_per_identity * removed.saturating_sub(1) as u64,
+        );
+    }
+
     /// Whether every object of `identity`'s threats is fully checkable
     /// from `observer`: reachable, not possibly stale, and not awaiting
     /// further replica reconciliation. Checkable threats are
@@ -555,25 +541,6 @@ impl Cluster {
         })
     }
 
-    /// Merge phase for a pre-evaluated identity: identical to
-    /// [`Cluster::revalidate`] except that the pure evaluation already
-    /// happened in the Phase-A batch.
-    fn finish_revalidate(
-        &mut self,
-        observer: NodeId,
-        recon_tx: TxId,
-        constraint: &dedisys_constraints::RegisteredConstraint,
-        eval: RawEvaluation,
-    ) -> SatisfactionDegree {
-        let now = self.clock().now();
-        let (replication, containers, topology, ccm) = self.validation_env();
-        let access = ReplicaAccess::new(containers, replication, topology, observer, recon_tx);
-        match ccm.finish_validation(constraint, eval, &access, now) {
-            Ok(verdict) => verdict.degree,
-            Err(_) => SatisfactionDegree::Uncheckable,
-        }
-    }
-
     fn revalidate(
         &mut self,
         observer: NodeId,
@@ -584,9 +551,14 @@ impl Cluster {
         let env = self.partition_env(observer);
         let engine = self.config().validation.engine;
         let now = self.clock().now();
-        let (replication, containers, topology, ccm) = self.validation_env();
-        let mut access = ReplicaAccess::new(containers, replication, topology, observer, recon_tx);
-        match ccm.validate_constraint(
+        let mut access = ReplicaAccess::new(
+            &self.containers,
+            &self.replication,
+            &self.topology,
+            observer,
+            recon_tx,
+        );
+        match self.ccm.validate_constraint(
             &ValidationCandidate::invariant(constraint, identity.context_object.as_ref()),
             &mut access,
             env,
@@ -653,9 +625,8 @@ impl Cluster {
     /// boundary).
     fn install_reachable(&mut self, nodes: &[NodeId], state: EntityState) {
         self.clock().advance(self.costs().db_write);
-        let (_, containers) = self.replication_and_containers();
         for &node in nodes {
-            let c = &mut containers[node.index()];
+            let c = &mut self.containers[node.index()];
             if c.committed_entity(state.id()).is_some() {
                 c.install_committed(state.clone());
             }

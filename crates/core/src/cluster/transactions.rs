@@ -1,0 +1,383 @@
+//! Transactions: sessions, the one two-phase commit (vote, apply,
+//! ship to the backups), rollback, and entity creation and deletion.
+
+use super::validation::unevaluated;
+use super::{Cluster, TxInfo};
+use crate::ccm::{PendingCheck, ValidationCandidate};
+use crate::negotiation::NegotiationHandler;
+use crate::session::Session;
+use dedisys_constraints::ConstraintKind;
+use dedisys_object::EntityState;
+use dedisys_telemetry::{TraceEvent, TriggerKind, TwoPcPhase};
+use dedisys_types::{Error, NodeId, ObjectId, Result, TxId};
+use std::collections::BTreeSet;
+
+impl Cluster {
+    /// Opens a transactional [`Session`] on `node` — the RAII handle
+    /// for the begin/invoke/commit lifecycle. A session that is
+    /// dropped without [`Session::commit`] or [`Session::prepare`]
+    /// rolls its transaction back.
+    ///
+    /// ```no_run
+    /// # use dedisys_core::ClusterBuilder;
+    /// # use dedisys_object::AppDescriptor;
+    /// # use dedisys_types::NodeId;
+    /// # let mut cluster = ClusterBuilder::new(3, AppDescriptor::new("app")).build()?;
+    /// let mut session = cluster.session(NodeId(0));
+    /// // session.invoke(&id, "reserve", vec![])?;
+    /// session.commit()?;
+    /// # Ok::<(), dedisys_types::Error>(())
+    /// ```
+    pub fn session(&mut self, node: NodeId) -> Session<'_> {
+        let tx = self.begin_tx(node);
+        Session::new(self, tx)
+    }
+
+    pub(crate) fn begin_tx(&mut self, node: NodeId) -> TxId {
+        let tx = self.tx_manager.begin(node);
+        self.tx_infos.insert(tx, TxInfo::default());
+        tx
+    }
+
+    /// Registers a dynamic negotiation handler for `tx` (§4.2.3).
+    pub fn register_negotiation_handler(&mut self, tx: TxId, handler: Box<dyn NegotiationHandler>) {
+        self.ccm.register_negotiation_handler(tx, handler);
+    }
+
+    /// Rolls back `tx`, discarding all buffered changes.
+    ///
+    /// # Errors
+    ///
+    /// * [`Error::NoSuchTransaction`] — unknown or terminated.
+    /// * [`Error::TxInDoubt`] — only the in-doubt recovery protocol
+    ///   may resolve a transaction whose coordinator crashed.
+    pub fn rollback(&mut self, tx: TxId) -> Result<()> {
+        if self.in_doubt.contains_key(&tx) {
+            return Err(Error::TxInDoubt(tx));
+        }
+        self.tx_manager.rollback(tx)?;
+        self.abort_cleanup(tx);
+        Ok(())
+    }
+
+    pub(super) fn abort_cleanup(&mut self, tx: TxId) {
+        self.in_doubt.remove(&tx);
+        if let Some(info) = self.tx_infos.remove(&tx) {
+            for node in info.involved {
+                self.containers[node.index()].rollback(tx);
+            }
+        }
+        self.locks.release_all(tx);
+        self.ccm.clear_tx(tx);
+    }
+
+    /// Phase 1 of an explicit two-phase commit: validates pending
+    /// soft/async constraints (the CCMgr's prepare vote) and moves
+    /// `tx` to the prepared state. A prepared transaction keeps its
+    /// locks and buffers until phase 2 ([`Cluster::commit`]); if its
+    /// coordinator crashes first it becomes *in-doubt* and is resolved
+    /// by presumed abort ([`Cluster::resolve_in_doubt`]).
+    ///
+    /// # Errors
+    ///
+    /// * [`Error::NoSuchTransaction`] — unknown or terminated.
+    /// * [`Error::RollbackOnly`] — the transaction was vetoed earlier;
+    ///   it is rolled back.
+    /// * Constraint errors from the prepare vote (everything rolled
+    ///   back).
+    pub fn prepare(&mut self, tx: TxId) -> Result<()> {
+        self.vote(tx)?;
+        self.tx_manager.mark_prepared(tx)?;
+        self.telemetry.emit(|| TraceEvent::TwoPc {
+            tx,
+            phase: TwoPcPhase::Prepare,
+            participant: None,
+            prepared: Some(true),
+        });
+        Ok(())
+    }
+
+    /// Commits `tx`: validates pending soft/async constraints (the
+    /// CCMgr's prepare vote), applies buffered writes and propagates
+    /// updates to reachable backups.
+    ///
+    /// # Errors
+    ///
+    /// * [`Error::RollbackOnly`] — the transaction was vetoed earlier.
+    /// * [`Error::ConstraintViolated`] / [`Error::ThreatRejected`] — a
+    ///   soft constraint failed at prepare; everything is rolled back.
+    /// * [`Error::TxInDoubt`] — the coordinator crashed after prepare;
+    ///   only the in-doubt recovery protocol may resolve the
+    ///   transaction.
+    pub fn commit(&mut self, tx: TxId) -> Result<()> {
+        if self.in_doubt.contains_key(&tx) {
+            return Err(Error::TxInDoubt(tx));
+        }
+        if self.tx_manager.is_prepared(tx) {
+            // Phase 2 of an explicit 2PC: constraints already voted at
+            // prepare time; just apply.
+            self.telemetry.emit(|| TraceEvent::TwoPc {
+                tx,
+                phase: TwoPcPhase::Commit,
+                participant: None,
+                prepared: None,
+            });
+            return self.apply_commit(tx);
+        }
+        self.vote(tx)?;
+        self.apply_commit(tx)
+    }
+
+    /// The vote both [`Cluster::prepare`] and a one-phase
+    /// [`Cluster::commit`] take on an active `tx`: a transaction vetoed
+    /// earlier is rolled back, otherwise the CCMgr validates the pending
+    /// soft and async invariants (§4.2.3: soft constraints are checked
+    /// at the end of the transaction) and a failure rolls everything
+    /// back.
+    fn vote(&mut self, tx: TxId) -> Result<()> {
+        if !self.tx_manager.is_active(tx) {
+            return Err(Error::NoSuchTransaction(tx));
+        }
+        if self.tx_manager.is_rollback_only(tx) {
+            let _ = self.tx_manager.commit(tx); // transitions to rolled back
+            self.abort_cleanup(tx);
+            return Err(Error::RollbackOnly(tx));
+        }
+        if self.ccm_enabled {
+            if let Err(e) = self.prepare_constraints(tx) {
+                let _ = self.tx_manager.rollback(tx);
+                self.abort_cleanup(tx);
+                return Err(e);
+            }
+        }
+        Ok(())
+    }
+
+    /// Applies a voted transaction: flips the manager state, installs
+    /// buffered writes, persists, propagates to reachable backups
+    /// (charging propagation plus any ship-retry backoff) and releases
+    /// locks.
+    fn apply_commit(&mut self, tx: TxId) -> Result<()> {
+        self.tx_manager.commit(tx)?;
+        let info = self.tx_infos.remove(&tx).unwrap_or_default();
+        // Apply buffers and collect written objects per node.
+        let mut all_written: Vec<(NodeId, ObjectId, bool)> = Vec::new();
+        let mut all_deleted: Vec<(NodeId, ObjectId)> = Vec::new();
+        for node in &info.involved {
+            let (written, deleted) = self.containers[node.index()].commit(tx);
+            for id in written {
+                let created = info.created.contains_key(&id);
+                all_written.push((*node, id, created));
+            }
+            for id in deleted {
+                all_deleted.push((*node, id));
+            }
+        }
+        // Persist + propagate.
+        for (node, id, created) in &all_written {
+            self.clock.advance(self.costs.db_write);
+            if *created {
+                self.clock.advance(self.costs.create_extra);
+                self.metrics.creates += 1;
+                if self.replication_enabled {
+                    // Replica metadata (JNDI name, key, creation
+                    // request) is persisted too (§5.1).
+                    self.clock.advance(self.costs.db_write);
+                    if let Some((replicas, primary)) = info.created.get(id) {
+                        self.replication.register_object(
+                            id.clone(),
+                            replicas.iter().copied(),
+                            *primary,
+                        )?;
+                    }
+                }
+            }
+            if self.replication_enabled {
+                self.ship(id, *node);
+            }
+        }
+        for (node, id) in &all_deleted {
+            self.clock.advance(self.costs.db_write);
+            self.metrics.deletes += 1;
+            if self.replication_enabled {
+                self.ship(id, *node);
+                self.replication.unregister_object(id);
+            }
+        }
+        // Committed writes advance object versions — drop every cached
+        // verdict that depended on the old state.
+        let mut touched: BTreeSet<ObjectId> = BTreeSet::new();
+        touched.extend(all_written.iter().map(|(_, id, _)| id.clone()));
+        touched.extend(all_deleted.iter().map(|(_, id)| id.clone()));
+        for id in touched {
+            let entries = self.ccm.invalidate_object(&id);
+            self.verdict_cache_invalidated(&id, entries);
+        }
+        self.locks.release_all(tx);
+        self.ccm.clear_tx(tx);
+        Ok(())
+    }
+
+    /// Ships the committed state of `id` from `node` to the reachable
+    /// backups, charging the propagation plus any ship-retry backoff.
+    fn ship(&mut self, id: &ObjectId, node: NodeId) {
+        let report = self.replication.propagate_update(
+            id,
+            node,
+            &self.topology,
+            &mut self.containers,
+            self.clock.now(),
+        );
+        self.clock
+            .advance(self.costs.propagation(report.recipients.len()));
+        self.clock
+            .advance(self.costs.ship_retry_backoff * report.backoff_units);
+    }
+
+    fn prepare_constraints(&mut self, tx: TxId) -> Result<()> {
+        let origin = tx.node;
+        let pending = self.ccm.take_pending(tx);
+        self.telemetry.emit(|| TraceEvent::TriggerPoint {
+            trigger: TriggerKind::CommitPrepare,
+            signature: format!("commit:{tx}"),
+            matches: pending.len() as u32,
+        });
+        // §5.5.3: degraded-mode async invariants take the record-only
+        // fast path; everything else forms the commit-time validation
+        // batch, evaluated on the pool and merged in pending order.
+        let degraded =
+            self.topology.partition_of(origin).len() < self.topology.node_count() as usize;
+        let shortcut = |check: &PendingCheck| {
+            degraded && check.constraint.meta.kind == ConstraintKind::AsyncInvariant
+        };
+        let candidates: Vec<ValidationCandidate<'_>> = pending
+            .iter()
+            .filter(|check| !shortcut(check))
+            .map(|check| {
+                ValidationCandidate::invariant(&check.constraint, check.context_object.as_ref())
+            })
+            .collect();
+        let mut evals = self
+            .evaluate_candidates(&candidates, origin, tx)
+            .into_iter();
+        for check in &pending {
+            let constraint = check.constraint.as_ref();
+            let context_object = check.context_object.as_ref();
+            if shortcut(check) {
+                // §5.5.3: degraded mode — no validation, no
+                // negotiation; record the threat directly.
+                let outcome =
+                    self.ccm
+                        .record_async_threat(constraint, context_object, tx, self.clock.now());
+                self.charge_threat_storage(outcome);
+            } else {
+                let eval = evals.next().ok_or_else(|| unevaluated(constraint))?;
+                self.merge_one_validation(origin, tx, constraint, context_object, eval)?;
+            }
+        }
+        // §5.4: the transaction blocks before commit until all deferred
+        // negotiation decisions are available.
+        let deferred_count = self.ccm.deferred_len(tx) as u64;
+        let outcomes = self.ccm.negotiate_deferred(tx)?;
+        self.clock.advance(self.costs.negotiation * deferred_count);
+        for outcome in outcomes {
+            self.charge_threat_storage(outcome);
+        }
+        Ok(())
+    }
+
+    /// Creates `entity` within `tx`, replicated on every node with the
+    /// creating node as primary.
+    ///
+    /// # Errors
+    ///
+    /// Propagates container failures (unknown class, duplicate id).
+    pub fn create(&mut self, node: NodeId, tx: TxId, entity: EntityState) -> Result<()> {
+        let replicas: Vec<NodeId> = self.topology.nodes().collect();
+        self.create_bound(node, tx, entity, replicas, node)
+    }
+
+    /// Creates `entity` with an explicit replica set and primary — the
+    /// DTMS "strong ownership" case (§1.4).
+    ///
+    /// # Errors
+    ///
+    /// Propagates container failures; [`Error::NoSuchTransaction`] for
+    /// unknown transactions.
+    pub fn create_bound(
+        &mut self,
+        node: NodeId,
+        tx: TxId,
+        entity: EntityState,
+        replicas: Vec<NodeId>,
+        primary: NodeId,
+    ) -> Result<()> {
+        self.check_open(node, tx)?;
+        self.check_primary_write(node)?;
+        self.charge_interception();
+        let id = entity.id().clone();
+        // The create executes on the object's primary — a node outside
+        // the replica set never materializes a copy.
+        let exec = if self.replication_enabled {
+            if !self.topology.reachable(node, primary) {
+                return Err(Error::NodeUnreachable(primary));
+            }
+            primary
+        } else {
+            node
+        };
+        self.charge_remote_hop(node, exec);
+        self.locks.acquire(tx, &id)?;
+        self.containers[exec.index()].create(tx, entity)?;
+        let info = self.tx_infos.entry(tx).or_default();
+        info.involved.insert(exec);
+        info.created.insert(id, (replicas, primary));
+        Ok(())
+    }
+
+    /// Deletes `id` within `tx`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates lock conflicts and container failures.
+    pub fn delete(&mut self, node: NodeId, tx: TxId, id: &ObjectId) -> Result<()> {
+        self.check_open(node, tx)?;
+        self.check_primary_write(node)?;
+        self.charge_interception();
+        let exec = if self.replication_enabled {
+            self.replication.write_target(id, node, &self.topology)?
+        } else {
+            node
+        };
+        self.charge_remote_hop(node, exec);
+        self.locks.acquire(tx, id)?;
+        self.containers[exec.index()].delete(tx, id)?;
+        self.tx_infos.entry(tx).or_default().involved.insert(exec);
+        Ok(())
+    }
+
+    /// Runs `f` inside a fresh transaction on `node`, committing on
+    /// success and rolling back on failure.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the closure's error (after rollback) or the commit
+    /// failure.
+    pub fn run_tx<T>(
+        &mut self,
+        node: NodeId,
+        f: impl FnOnce(&mut Cluster, TxId) -> Result<T>,
+    ) -> Result<T> {
+        let tx = self.begin_tx(node);
+        match f(self, tx) {
+            Ok(value) => {
+                self.commit(tx)?;
+                Ok(value)
+            }
+            Err(e) => {
+                let _ = self.rollback(tx);
+                Err(e)
+            }
+        }
+    }
+}

@@ -23,7 +23,7 @@
 
 use crate::batch::ValidationParallelism;
 use crate::ccm::NegotiationTiming;
-use crate::reconciliation::ReconcileStrategy;
+use crate::cluster::ReconcileStrategy;
 use crate::threat::HistoryPolicy;
 use dedisys_constraints::{ConstraintEngine, LookupMode};
 use dedisys_gms::{

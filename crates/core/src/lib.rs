@@ -74,7 +74,6 @@ pub mod interactions;
 mod negotiation;
 pub mod partition_sensitive;
 pub mod plane;
-mod reconciliation;
 mod session;
 mod threat;
 pub mod web;
@@ -85,8 +84,9 @@ pub use ccm::{
     PendingCheck, RawEvaluation, ReplicaAccess, ValidationCandidate, ValidationVerdict,
 };
 pub use cluster::{
-    getter_name, setter_name, Cluster, ClusterBuilder, ClusterMetrics, HookInfo, InDoubtTx,
-    StatsSnapshot,
+    getter_name, setter_name, Cluster, ClusterBuilder, ClusterMetrics, ConstraintReconcileReport,
+    ConstraintReconciliationHandler, DeferAll, HookInfo, InDoubtTx, ReconOps, ReconcileStrategy,
+    ReconciliationSummary, StatsSnapshot, ViolationReport,
 };
 pub use config::{
     ClusterConfig, DurabilityConfig, MembershipConfig, PlaneConfig, ValidationConfig,
@@ -105,10 +105,6 @@ macro_rules! nodes {
 }
 pub use costs::CostModel;
 pub use negotiation::{negotiate, NegotiationHandler, NegotiationPath, ThreatDecision};
-pub use reconciliation::{
-    ConstraintReconcileReport, ConstraintReconciliationHandler, DeferAll, ReconOps,
-    ReconcileStrategy, ReconciliationSummary, ViolationReport,
-};
 pub use threat::{
     CompactionReport, ConsistencyThreat, HistoryPolicy, ReconcileInstructions, StoreOutcome,
     ThreatIdentity, ThreatStore,

@@ -23,9 +23,9 @@
 use crate::negotiation::{NegotiationHandler, ThreatDecision};
 use crate::threat::ConsistencyThreat;
 use crate::Cluster;
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use dedisys_types::{NodeId, Result, TxId, Value};
 use std::collections::HashMap;
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -60,7 +60,7 @@ enum WorkerMsg {
 /// the threat to the gateway and blocks until the decision request
 /// arrives (or the timeout rejects).
 struct ChannelNegotiationHandler {
-    threat_tx: Sender<WorkerMsg>,
+    threat_tx: SyncSender<WorkerMsg>,
     decision_rx: Receiver<WebDecision>,
     timeout: Duration,
 }
@@ -84,7 +84,7 @@ impl NegotiationHandler for ChannelNegotiationHandler {
 }
 
 struct PendingSession {
-    decision_tx: Sender<WebDecision>,
+    decision_tx: SyncSender<WebDecision>,
     inbox: Receiver<WorkerMsg>,
 }
 
@@ -135,8 +135,8 @@ impl WebGateway {
         &mut self,
         op: impl FnOnce(&mut Cluster, TxId) -> Result<Value> + Send + 'static,
     ) -> WebResponse {
-        let (inbox_tx, inbox_rx) = bounded::<WorkerMsg>(1);
-        let (decision_tx, decision_rx) = bounded::<WebDecision>(1);
+        let (inbox_tx, inbox_rx) = sync_channel::<WorkerMsg>(1);
+        let (decision_tx, decision_rx) = sync_channel::<WebDecision>(1);
         let cluster = Arc::clone(&self.cluster);
         let node = self.node;
         let timeout = self.timeout;
@@ -180,7 +180,7 @@ impl WebGateway {
         let _ = session.decision_tx.send(decision);
         // …and its response carries the business result (or the next
         // negotiation request).
-        let (decision_tx, _unused_rx) = bounded::<WebDecision>(1);
+        let (decision_tx, _unused_rx) = sync_channel::<WebDecision>(1);
         drop(_unused_rx);
         let PendingSession { inbox, .. } = session;
         self.wait_for_worker(inbox, decision_tx)
@@ -204,7 +204,7 @@ impl WebGateway {
             .unwrap_or_else(|| panic!("unknown negotiation id {negotiation_id}"));
         let PendingSession { decision_tx, inbox } = session;
         drop(decision_tx);
-        let (next_decision_tx, _unused_rx) = bounded::<WebDecision>(1);
+        let (next_decision_tx, _unused_rx) = sync_channel::<WebDecision>(1);
         drop(_unused_rx);
         self.wait_for_worker(inbox, next_decision_tx)
     }
@@ -212,7 +212,7 @@ impl WebGateway {
     fn wait_for_next(
         &mut self,
         inbox: Receiver<WorkerMsg>,
-        decision_tx: Sender<WebDecision>,
+        decision_tx: SyncSender<WebDecision>,
     ) -> WebResponse {
         self.wait_for_worker(inbox, decision_tx)
     }
@@ -220,7 +220,7 @@ impl WebGateway {
     fn wait_for_worker(
         &mut self,
         inbox: Receiver<WorkerMsg>,
-        decision_tx: Sender<WebDecision>,
+        decision_tx: SyncSender<WebDecision>,
     ) -> WebResponse {
         match inbox.recv_timeout(self.timeout.saturating_mul(4)) {
             Ok(WorkerMsg::Done(result)) => WebResponse::BusinessResult(result),

@@ -196,13 +196,14 @@ fn assert_observed_matches(cluster: &Cluster, expected: &ClusterConfig) {
         expected.membership.detector_enabled
     );
     if expected.membership.detector_enabled {
-        assert_eq!(cluster.detector_kind(), expected.membership.detector);
+        let observed = cluster.config().membership;
+        assert_eq!(observed.detector, expected.membership.detector);
         assert_eq!(
-            cluster.detector_config(),
+            observed.detector_config,
             expected.membership.detector_config
         );
-        assert_eq!(cluster.adaptive_config(), expected.membership.adaptive);
-        assert_eq!(cluster.stabilizer_config(), expected.membership.stabilizer);
+        assert_eq!(observed.adaptive, expected.membership.adaptive);
+        assert_eq!(observed.stabilizer, expected.membership.stabilizer);
     }
 }
 

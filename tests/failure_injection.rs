@@ -414,3 +414,115 @@ fn repartition_without_heal_lets_a_stale_replica_repeat_a_version() {
         );
     }
 }
+
+/// A 3-node cluster with one counter. `residue` leaves it split
+/// `{0,1}|{2}` after a degraded-mode write: a threat and an unsynced
+/// replica stand.
+fn cluster_with(detector: bool, residue: bool) -> dedisys_core::Cluster {
+    let mut cluster = ClusterBuilder::new(3, app())
+        .constraint(bounded_constraint())
+        .configure(|c| c.membership.detector_enabled = detector)
+        .build()
+        .unwrap();
+    let id = seed(&mut cluster);
+    if residue {
+        cluster.partition(&[nodes![0, 1], nodes![2]]).unwrap();
+        cluster
+            .run_tx(NodeId(0), |c, tx| {
+                c.set_field(NodeId(0), tx, &id, "n", Value::Int(5))
+            })
+            .unwrap();
+    }
+    cluster
+}
+
+#[test]
+fn regrouping_every_node_with_degraded_residue_enters_reconciliation() {
+    let mut cluster = cluster_with(false, true);
+    // One group of all nodes repairs the network like `heal()` does:
+    // the threat and the stale replica still stand (Figure 1.4).
+    assert_eq!(
+        cluster.partition(&[nodes![0, 1, 2]]).unwrap(),
+        SystemMode::Reconciliation
+    );
+    cluster.reconcile(&mut HighestVersionWins, &mut DeferAll);
+    assert_eq!(cluster.mode(), SystemMode::Healthy);
+}
+
+#[test]
+fn every_topology_change_settles_the_mode_by_the_same_rule() {
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Via {
+        Partition,
+        Heal,
+        /// Node 1 goes down and comes back.
+        Restart,
+        /// A view the detector installs after the links are repaired.
+        Detector,
+    }
+    // (network split, node 2 down, degraded residue, the call that settles the mode)
+    let rows = [
+        (false, false, false, Via::Partition),
+        (false, false, true, Via::Detector),
+        (false, true, false, Via::Heal),
+        (false, true, true, Via::Restart),
+        (true, false, false, Via::Partition),
+        (true, false, true, Via::Partition),
+        (true, true, false, Via::Partition),
+        (true, true, true, Via::Partition),
+    ];
+    for row @ (split, down, residue, via) in rows {
+        let mut cluster = cluster_with(via == Via::Detector, residue);
+        if residue {
+            assert_eq!(cluster.heal(), SystemMode::Reconciliation, "{row:?}");
+        }
+        if down {
+            cluster.crash(NodeId(2)).unwrap();
+        }
+        let mode = match via {
+            Via::Partition if split => cluster.partition(&[nodes![0], nodes![1]]).unwrap(),
+            Via::Partition => cluster.partition(&[nodes![0, 1, 2]]).unwrap(),
+            Via::Heal => cluster.heal(),
+            Via::Restart => {
+                cluster.crash(NodeId(1)).unwrap();
+                cluster.restart(NodeId(1)).unwrap()
+            }
+            Via::Detector => {
+                cluster.drop_links(&[nodes![0, 1], nodes![2]]).unwrap();
+                cluster.run_detector_for(SimDuration::from_secs(2));
+                assert_eq!(cluster.mode(), SystemMode::Degraded, "{row:?}");
+                cluster.heal_links().unwrap();
+                // The third view change in a row: flap damping holds
+                // the whole view back for a few seconds.
+                cluster.run_detector_for(SimDuration::from_secs(10));
+                cluster.mode()
+            }
+        };
+        let expected = if split || down {
+            SystemMode::Degraded
+        } else if residue {
+            SystemMode::Reconciliation
+        } else {
+            SystemMode::Healthy
+        };
+        assert_eq!(mode, expected, "{row:?}");
+        assert_eq!(cluster.mode(), mode, "{row:?}");
+    }
+}
+
+#[test]
+fn physical_fault_calls_share_one_error_without_the_detector() {
+    let mut cluster = cluster_with(false, false);
+    let errors = [
+        cluster.drop_links(&[nodes![0, 1], nodes![2]]).unwrap_err(),
+        cluster.heal_links().unwrap_err(),
+        cluster
+            .set_link_fault(NodeId(0), NodeId(1), dedisys_core::LinkFault::default())
+            .unwrap_err(),
+        cluster.set_default_link_jitter(50).unwrap_err(),
+    ];
+    assert!(
+        matches!(&errors[0], dedisys_types::Error::Config(m) if m.contains("detector_enabled"))
+    );
+    assert!(errors.iter().all(|e| *e == errors[0]), "{errors:?}");
+}
