@@ -3,7 +3,7 @@
 //! store fault hooks and cross-cluster object migration.
 
 use super::{Cluster, InDoubtTx};
-use dedisys_object::EntityState;
+use dedisys_object::Snapshot;
 use dedisys_telemetry::{TraceEvent, TransitionCause};
 use dedisys_types::{Error, NodeId, ObjectId, Result, SystemMode, TxId};
 
@@ -142,11 +142,11 @@ impl Cluster {
                 // target's committed image outright; installs go
                 // through the journal, so the transfer survives a
                 // further crash.
-                let reference: Vec<EntityState> = {
+                let reference: Vec<Snapshot> = {
                     let source = &self.containers[target.index()];
                     source
                         .committed_ids()
-                        .filter_map(|id| source.committed_entity(id).cloned())
+                        .filter_map(|id| source.committed_snapshot(id).cloned())
                         .collect()
                 };
                 let stale: Vec<ObjectId> = {
@@ -159,9 +159,12 @@ impl Cluster {
                 };
                 let mut transferred = 0u64;
                 let container = &mut self.containers[node.index()];
-                for entity in reference {
-                    if container.committed_entity(entity.id()) != Some(&entity) {
-                        container.install_committed(entity);
+                for snapshot in reference {
+                    // What survived the truncation is the very snapshot
+                    // the source holds (same ship), so most objects are
+                    // skipped by pointer; deep equality is the fallback.
+                    if container.committed_snapshot(snapshot.state().id()) != Some(&snapshot) {
+                        container.install(snapshot);
                         transferred += 1;
                     }
                 }
@@ -284,9 +287,9 @@ impl Cluster {
     /// The committed state of `id` on the first live replica — the
     /// read half of a cross-cluster object migration. Returns `None`
     /// when no live node holds a committed image.
-    pub fn export_object(&self, id: &ObjectId) -> Option<EntityState> {
+    pub fn export_object(&self, id: &ObjectId) -> Option<Snapshot> {
         self.live_nodes()
-            .find_map(|n| self.containers[n.index()].committed_entity(id).cloned())
+            .find_map(|n| self.containers[n.index()].committed_snapshot(id).cloned())
     }
 
     /// Removes every live committed replica of `id` plus its placement
@@ -298,7 +301,7 @@ impl Cluster {
         let nodes: Vec<NodeId> = self.live_nodes().collect();
         let mut dropped = 0u64;
         for node in nodes {
-            if self.containers[node.index()].remove_committed(id).is_some() {
+            if self.containers[node.index()].remove_committed(id) {
                 dropped += 1;
             }
         }
@@ -313,9 +316,11 @@ impl Cluster {
         dropped
     }
 
-    /// Installs `entity` as committed state on every live node — the
+    /// Installs `snapshot` as committed state on every live node — the
     /// write half of a migration, riding the same journalled install
-    /// path the WAL resync uses ([`Cluster::restart`]). The object is
+    /// path the WAL resync uses ([`Cluster::restart`]); the nodes (and
+    /// the exporting cluster's journals) share the one snapshot. The
+    /// object is
     /// registered with the live nodes as its replica set and the
     /// lowest-numbered one as primary; `wal_replay_per_entry` is
     /// charged per install. Returns the number of replicas written.
@@ -324,18 +329,18 @@ impl Cluster {
     ///
     /// Returns [`Error::Config`] when every node is crashed (nothing
     /// can accept the transfer).
-    pub fn install_object(&mut self, entity: EntityState) -> Result<u64> {
+    pub fn install_object(&mut self, snapshot: Snapshot) -> Result<u64> {
         let nodes: Vec<NodeId> = self.live_nodes().collect();
         let Some(primary) = nodes.first().copied() else {
             return Err(Error::Config(format!(
                 "{}: no live node to install the migrated object on",
-                entity.id()
+                snapshot.state().id()
             )));
         };
         let installed = nodes.len() as u64;
-        let id = entity.id().clone();
+        let id = snapshot.state().id().clone();
         for node in &nodes {
-            self.containers[node.index()].install_committed(entity.clone());
+            self.containers[node.index()].install(snapshot.clone());
         }
         if self.replication_enabled {
             self.replication

@@ -332,7 +332,13 @@ impl Cluster {
 
     /// Entries in `node`'s persistent journal (survives crashes).
     pub fn journal_len_on(&self, node: NodeId) -> usize {
-        self.containers[node.index()].journal_len()
+        self.journal_on(node).len()
+    }
+
+    /// `node`'s persistent journal (inspection) — what a restart of
+    /// that node replays, and nothing else.
+    pub fn journal_on(&self, node: NodeId) -> &dedisys_store::WriteAheadLog {
+        self.containers[node.index()].journal()
     }
 
     /// Sorted committed object ids on `node` — replica-convergence

@@ -13,7 +13,7 @@ use crate::batch;
 use crate::ccm::{RawEvaluation, ReplicaAccess, ValidationCandidate};
 use crate::threat::{ConsistencyThreat, ThreatIdentity};
 use dedisys_constraints::RegisteredConstraint;
-use dedisys_object::EntityState;
+use dedisys_object::{EntityContainer, Snapshot};
 use dedisys_replication::{ReconcileReport, ReplicaConflict, ReplicaConsistencyHandler};
 use dedisys_telemetry::{TraceEvent, TransitionCause};
 use dedisys_types::{
@@ -38,7 +38,7 @@ pub struct ViolationReport {
 /// re-unified at this point); they model the compensating actions of
 /// the roll-forward approach (§5.2).
 pub struct ReconOps<'a> {
-    containers: &'a mut [dedisys_object::EntityContainer],
+    containers: &'a mut [EntityContainer],
     clock: &'a dedisys_net::SimClock,
     costs: &'a crate::CostModel,
     node_count: u32,
@@ -77,11 +77,8 @@ impl ReconOps<'_> {
             .cloned()
             .ok_or_else(|| Error::ObjectNotFound(id.clone()))?;
         state.set_field(field, value, self.clock.now());
-        for c in self.containers.iter_mut() {
-            if c.committed_entity(id).is_some() {
-                c.install_committed(state.clone());
-            }
-        }
+        let everywhere = 0..self.containers.len();
+        install_where_held(self.containers, everywhere, &Snapshot::encode(state));
         Ok(())
     }
 
@@ -599,13 +596,13 @@ impl Cluster {
             // observer's partition, to restore on failure.
             let original = reachable
                 .iter()
-                .find_map(|&n| self.entity_on(n, object))
+                .find_map(|&n| self.containers[n.index()].committed_snapshot(object))
                 .cloned();
             for pkey in 0..node_count {
-                let states: Vec<EntityState> = { self.replication.partition_history(object, pkey) };
+                let states = self.replication.partition_history(object, pkey);
                 for candidate in states.iter().rev() {
                     self.clock().advance(self.costs().db_read);
-                    self.install_reachable(&reachable, candidate.clone());
+                    self.install_reachable(&reachable, candidate);
                     if self.revalidate(observer, recon_tx, constraint, identity)
                         == SatisfactionDegree::Satisfied
                     {
@@ -614,7 +611,7 @@ impl Cluster {
                 }
             }
             if let Some(original) = original {
-                self.install_reachable(&reachable, original);
+                self.install_reachable(&reachable, &original);
             }
         }
         false
@@ -623,13 +620,24 @@ impl Cluster {
     /// Installs `state` on every reachable node already holding the
     /// object (the rollback search never crosses the partition
     /// boundary).
-    fn install_reachable(&mut self, nodes: &[NodeId], state: EntityState) {
+    fn install_reachable(&mut self, nodes: &[NodeId], snapshot: &Snapshot) {
         self.clock().advance(self.costs().db_write);
-        for &node in nodes {
-            let c = &mut self.containers[node.index()];
-            if c.committed_entity(state.id()).is_some() {
-                c.install_committed(state.clone());
-            }
+        let nodes = nodes.iter().map(|n| n.index());
+        install_where_held(&mut self.containers, nodes, snapshot);
+    }
+}
+
+/// Installs `snapshot` on each of `nodes` that already holds the
+/// object — every one of them shares the one snapshot.
+fn install_where_held(
+    containers: &mut [EntityContainer],
+    nodes: impl Iterator<Item = usize>,
+    snapshot: &Snapshot,
+) {
+    for node in nodes {
+        let c = &mut containers[node];
+        if c.committed_entity(snapshot.state().id()).is_some() {
+            c.install(snapshot.clone());
         }
     }
 }

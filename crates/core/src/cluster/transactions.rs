@@ -201,7 +201,6 @@ impl Cluster {
             self.metrics.deletes += 1;
             if self.replication_enabled {
                 self.ship(id, *node);
-                self.replication.unregister_object(id);
             }
         }
         // Committed writes advance object versions — drop every cached

@@ -238,7 +238,8 @@ impl ThreatStore {
                 storage_key(&threat.constraint, threat.context_object.as_ref())
             );
             self.next_record += 1;
-            self.wal.append_put(THREAT_TABLE, &key, json.clone());
+            self.wal
+                .append_put(THREAT_TABLE, key.as_str(), json.as_str());
             self.table.put(THREAT_TABLE, key, json);
         }
     }
@@ -396,11 +397,12 @@ impl ThreatStore {
                 .collect();
             if let Some((first_key, rest)) = keys.split_first() {
                 for key in rest {
-                    self.wal.append_delete(THREAT_TABLE, key);
+                    self.wal.append_delete(THREAT_TABLE, key.as_str());
                     self.table.delete(THREAT_TABLE, key);
                 }
                 if let Ok(json) = serde_json::to_string(&folded) {
-                    self.wal.append_put(THREAT_TABLE, first_key, json.clone());
+                    self.wal
+                        .append_put(THREAT_TABLE, first_key.as_str(), json.as_str());
                     self.table.put(THREAT_TABLE, first_key.clone(), json);
                 }
             }
@@ -461,7 +463,7 @@ impl ThreatStore {
             .map(|(k, _)| k.to_owned())
             .collect();
         for key in keys {
-            self.wal.append_delete(THREAT_TABLE, &key);
+            self.wal.append_delete(THREAT_TABLE, key.as_str());
             self.table.delete(THREAT_TABLE, &key);
         }
         before - self.threats.len()

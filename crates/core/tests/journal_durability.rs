@@ -1,0 +1,212 @@
+//! Every acknowledged write is readable after a restart from the
+//! journal only — stated once, over seeded schedules.
+//!
+//! 24 seeds × 300 steps of create / write / delete / partition / heal /
+//! reconcile / crash / restart (SplitMix64, as in `dedisys-chaos`).
+//! Checked along the way:
+//!
+//! * an acknowledged write is held by every live replica in the
+//!   writer's partition (P4 ships synchronously);
+//! * after **every restart** the node's committed map equals what
+//!   replaying *its own journal alone* yields — the test replays the
+//!   entries itself, last operation per key, torn tail excluded;
+//! * after heal + reconcile all replicas are equal, and every node's
+//!   map still equals its journal's replay.
+//!
+//! Journals share their records across nodes; the middle property is
+//! what says a shared record is still each node's own durable copy.
+
+use dedisys_core::{Cluster, ClusterBuilder, DeferAll, HighestVersionWins};
+use dedisys_object::{AppDescriptor, ClassDescriptor, EntityState};
+use dedisys_store::LogOp;
+use dedisys_types::{NodeId, ObjectId, Value};
+use std::collections::BTreeMap;
+
+const NODES: u32 = 3;
+const KEYS: u64 = 8;
+const SEEDS: u64 = 24;
+const STEPS: u32 = 300;
+
+/// SplitMix64.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, bound: u64) -> u64 {
+        self.next() % bound
+    }
+}
+
+fn app() -> AppDescriptor {
+    AppDescriptor::new("durability")
+        .with_class(ClassDescriptor::new("Item").with_field("v", Value::Int(0)))
+}
+
+fn item(key: u64) -> ObjectId {
+    ObjectId::new("Item", format!("k{key}"))
+}
+
+fn live(c: &Cluster) -> Vec<NodeId> {
+    (0..NODES)
+        .map(NodeId)
+        .filter(|n| !c.is_crashed(*n))
+        .collect()
+}
+
+/// What `node`'s journal alone says its committed state is: the last
+/// operation per key over the intact prefix, decoded from the record.
+fn replay_journal(c: &Cluster, node: NodeId) -> BTreeMap<ObjectId, EntityState> {
+    let mut last: BTreeMap<&str, &LogOp> = BTreeMap::new();
+    for entry in c.journal_on(node).entries() {
+        if !entry.is_intact() {
+            break;
+        }
+        last.insert(&entry.key, &entry.op);
+    }
+    last.values()
+        .filter_map(|op| match op {
+            LogOp::Put { record } => Some(EntityState::from_json(record).expect("record decodes")),
+            LogOp::Delete => None,
+        })
+        .map(|e| (e.id().clone(), e))
+        .collect()
+}
+
+fn committed_map(c: &Cluster, node: NodeId) -> BTreeMap<ObjectId, EntityState> {
+    c.committed_ids_on(node)
+        .into_iter()
+        .map(|id| {
+            let state = c.entity_on(node, &id).expect("listed id is held").clone();
+            (id, state)
+        })
+        .collect()
+}
+
+fn assert_map_is_journal(c: &Cluster, node: NodeId, seed: u64, step: u32, when: &str) {
+    assert_eq!(
+        committed_map(c, node),
+        replay_journal(c, node),
+        "seed {seed} step {step}: {node} {when}: committed map differs from its journal's replay"
+    );
+}
+
+/// Restarts every crashed node, heals, reconciles, and checks that all
+/// replicas agree and still equal their journals.
+fn converge(c: &mut Cluster, seed: u64, step: u32) {
+    for n in (0..NODES).map(NodeId) {
+        if c.is_crashed(n) {
+            c.restart(n).expect("crashed node restarts");
+            assert_map_is_journal(c, n, seed, step, "after restart");
+        }
+    }
+    c.heal();
+    c.reconcile(&mut HighestVersionWins, &mut DeferAll);
+    let reference = committed_map(c, NodeId(0));
+    for n in (0..NODES).map(NodeId) {
+        assert_eq!(
+            committed_map(c, n),
+            reference,
+            "seed {seed} step {step}: {n} differs from node 0 after heal + reconcile"
+        );
+        assert_map_is_journal(c, n, seed, step, "after reconcile");
+    }
+}
+
+fn run_schedule(seed: u64) {
+    let mut rng = Rng(seed);
+    let mut c = ClusterBuilder::new(NODES, app())
+        .build()
+        .expect("cluster builds");
+    let mut acknowledged = 0u32;
+    for step in 0..STEPS {
+        let nodes = live(&c);
+        let via = nodes[rng.below(nodes.len() as u64) as usize];
+        let id = item(rng.below(KEYS));
+        match rng.below(100) {
+            0..=14 => {
+                let e = id.clone();
+                let _ = c.run_tx(via, move |c, tx| {
+                    c.create(via, tx, EntityState::for_class(c.app(), &e)?)
+                });
+            }
+            15..=64 => {
+                let value = Value::Int(i64::from(step));
+                let (w, v) = (id.clone(), value.clone());
+                if c.run_tx(via, move |c, tx| c.set_field(via, tx, &w, "v", v))
+                    .is_ok()
+                {
+                    acknowledged += 1;
+                    // Synchronous propagation: every live replica the
+                    // writer can reach holds the acknowledged value.
+                    for n in c.topology().partition_of(via).clone() {
+                        if c.is_crashed(n) {
+                            continue;
+                        }
+                        if let Some(held) = c.entity_on(n, &id) {
+                            assert_eq!(
+                                held.field("v"),
+                                &value,
+                                "seed {seed} step {step}: write via {via} not on {n}"
+                            );
+                        }
+                    }
+                }
+            }
+            65..=69 => {
+                let d = id.clone();
+                let _ = c.run_tx(via, move |c, tx| c.delete(via, tx, &d));
+            }
+            70..=76 => {
+                // Two non-empty groups over the live nodes.
+                if nodes.len() >= 2 {
+                    let cut = 1 + rng.below(nodes.len() as u64 - 1) as usize;
+                    let _ = c.partition(&[nodes[..cut].to_vec(), nodes[cut..].to_vec()]);
+                }
+            }
+            77..=81 => {
+                c.heal();
+            }
+            82..=86 => {
+                if c.topology().is_healthy() && c.crashed_nodes().next().is_none() {
+                    c.reconcile(&mut HighestVersionWins, &mut DeferAll);
+                }
+            }
+            87..=92 => {
+                if nodes.len() > 1 {
+                    if rng.below(4) == 0 {
+                        // A journal write torn by the crash.
+                        c.corrupt_journal_tail(via, 1).expect("known node");
+                    }
+                    c.crash(via).expect("live node crashes");
+                }
+            }
+            93..=97 => {
+                let down = c.crashed_nodes().next();
+                if let Some(down) = down {
+                    c.restart(down).expect("crashed node restarts");
+                    assert_map_is_journal(&c, down, seed, step, "after restart");
+                }
+            }
+            _ => converge(&mut c, seed, step),
+        }
+    }
+    converge(&mut c, seed, STEPS);
+    assert!(
+        acknowledged > 0,
+        "seed {seed}: schedule acknowledged no write"
+    );
+}
+
+#[test]
+fn acknowledged_writes_survive_restart_from_the_journal_alone() {
+    for seed in 0..SEEDS {
+        run_schedule(seed);
+    }
+}

@@ -815,13 +815,13 @@ impl FederatedCluster {
                 deferred.push(step);
                 continue;
             }
-            let Some(entity) = self.shards[step.from.index()].export_object(&step.object) else {
+            let Some(snapshot) = self.shards[step.from.index()].export_object(&step.object) else {
                 // Nothing committed under this id (deleted since the
                 // plan was made) — the map flip alone suffices.
                 continue;
             };
             self.shards[step.from.index()].evict_object(&step.object);
-            let replicas = self.shards[step.to.index()].install_object(entity)?;
+            let replicas = self.shards[step.to.index()].install_object(snapshot)?;
             migrated += 1;
             self.stats.migrated += 1;
             self.telemetry.metrics().incr("federation.migrated");

@@ -1,7 +1,7 @@
 //! Per-node entity storage with transactional write buffering.
 
-use crate::{AppDescriptor, EntityState};
-use dedisys_store::{ReplayReport, TableStore, WriteAheadLog};
+use crate::{AppDescriptor, EntityState, Snapshot};
+use dedisys_store::{LogOp, ReplayReport, WriteAheadLog};
 use dedisys_types::{ClassName, Error, ObjectId, Result, SimTime, TxId, Value};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
@@ -46,12 +46,20 @@ struct TxBuffer {
 /// committed map and every transaction buffer (volatile memory) while
 /// keeping the journal, and [`EntityContainer::recover_from_journal`]
 /// replays it to reconstruct the committed state after a restart.
+///
+/// Committed state is held as [`Snapshot`]s. A transaction's first
+/// write to an object copies the committed state into its buffer (the
+/// one copy-on-write clone); commit freezes the buffered state into a
+/// new snapshot, encoded once, and the journal entry *shares* that
+/// snapshot's key and record. A backup installs the same snapshot
+/// ([`EntityContainer::install`]) — one more journal entry pointing at
+/// the same record, one map slot replaced, nothing cloned or re-encoded.
 #[derive(Debug, Clone)]
 pub struct EntityContainer {
     /// Shared so method dispatch can hold on to the descriptor while it
     /// writes to the container ([`EntityContainer::shared_app`]).
     app: Arc<AppDescriptor>,
-    committed: BTreeMap<ObjectId, EntityState>,
+    committed: BTreeMap<ObjectId, Snapshot>,
     buffers: HashMap<TxId, TxBuffer>,
     journal: WriteAheadLog,
     stats: ContainerStats,
@@ -160,23 +168,29 @@ impl EntityContainer {
         at: SimTime,
     ) -> Result<()> {
         self.stats.writes += 1;
-        if !self.exists(tx, id) {
-            return Err(Error::ObjectNotFound(id.clone()));
-        }
-        let buffer = self.buffers.entry(tx).or_default();
-        match buffer.entities.get_mut(id) {
-            Some(entity) => entity.set_field(field, value, at),
-            None => {
-                // First write to `id` in `tx`: copy the committed state.
-                let mut entity = self
-                    .committed
-                    .get(id)
-                    .ok_or_else(|| Error::ObjectNotFound(id.clone()))?
-                    .clone();
+        if let Some(buffer) = self.buffers.get_mut(&tx) {
+            if buffer.deleted.contains(id) {
+                return Err(Error::ObjectNotFound(id.clone()));
+            }
+            if let Some(entity) = buffer.entities.get_mut(id) {
                 entity.set_field(field, value, at);
-                buffer.entities.insert(id.clone(), entity);
+                return Ok(());
             }
         }
+        // First write to `id` in `tx`: copy the committed state — the
+        // only deep clone on the write path.
+        let mut entity = self
+            .committed
+            .get(id)
+            .ok_or_else(|| Error::ObjectNotFound(id.clone()))?
+            .state()
+            .clone();
+        entity.set_field(field, value, at);
+        self.buffers
+            .entry(tx)
+            .or_default()
+            .entities
+            .insert(id.clone(), entity);
         Ok(())
     }
 
@@ -196,6 +210,7 @@ impl EntityContainer {
         }
         self.committed
             .get(id)
+            .map(Snapshot::state)
             .ok_or_else(|| Error::ObjectNotFound(id.clone()))
     }
 
@@ -224,16 +239,20 @@ impl EntityContainer {
             if buffer.created.contains(&id) {
                 self.stats.creates += 1;
             }
-            written.push(id.clone());
-            self.journal_put(&entity);
-            self.committed.insert(id, entity);
+            self.install(Snapshot::encode(entity));
+            written.push(id);
         }
         let mut deleted: Vec<ObjectId> = buffer.deleted.into_iter().collect();
         deleted.sort();
         for id in &deleted {
             self.stats.deletes += 1;
-            self.journal.append_delete(JOURNAL_TABLE, id.to_string());
-            self.committed.remove(id);
+            // Journalled even when nothing was committed under `id`
+            // (created and deleted in one transaction).
+            let key = self
+                .committed
+                .remove(id)
+                .map_or_else(|| Arc::from(id.to_string()), |old| Arc::clone(old.key()));
+            self.journal.append_delete(JOURNAL_TABLE, key);
         }
         (written, deleted)
     }
@@ -253,38 +272,53 @@ impl EntityContainer {
 
     /// The committed state of `id` (no transaction view).
     pub fn committed_entity(&self, id: &ObjectId) -> Option<&EntityState> {
+        self.committed.get(id).map(Snapshot::state)
+    }
+
+    /// The committed snapshot of `id` — what update propagation,
+    /// reconciliation and state transfer hand to other nodes.
+    pub fn committed_snapshot(&self, id: &ObjectId) -> Option<&Snapshot> {
         self.committed.get(id)
     }
 
-    /// Directly installs a committed state, bypassing transactions —
-    /// used by the replication service when applying propagated updates
-    /// to backup replicas. The install is journalled so a crashed
-    /// backup recovers the replicated state too.
-    pub fn install_committed(&mut self, entity: EntityState) {
-        self.journal_put(&entity);
-        self.committed.insert(entity.id().clone(), entity);
-    }
-
-    /// Directly removes a committed entity (propagated delete).
-    pub fn remove_committed(&mut self, id: &ObjectId) -> Option<EntityState> {
-        let removed = self.committed.remove(id);
-        if removed.is_some() {
-            self.journal.append_delete(JOURNAL_TABLE, id.to_string());
+    /// Installs a committed snapshot, bypassing transactions — the one
+    /// install path: the local commit, a backup applying a propagated
+    /// update, reconciliation and state transfer all end here. The
+    /// journal entry shares the snapshot's key and record (its `seq`
+    /// and checksum are this node's own), so a crashed backup recovers
+    /// the replicated state too; the map slot is replaced in place.
+    pub fn install(&mut self, snapshot: Snapshot) {
+        self.journal.append_put(
+            JOURNAL_TABLE,
+            Arc::clone(snapshot.key()),
+            Arc::clone(snapshot.record()),
+        );
+        match self.committed.get_mut(snapshot.state().id()) {
+            Some(slot) => *slot = snapshot,
+            None => {
+                self.committed
+                    .insert(snapshot.state().id().clone(), snapshot);
+            }
         }
-        removed
     }
 
-    fn journal_put(&mut self, entity: &EntityState) {
-        let json = entity
-            .to_json()
-            .expect("entity state serializes to journal");
-        self.journal
-            .append_put(JOURNAL_TABLE, entity.id().to_string(), json);
+    /// Directly removes a committed entity (propagated delete),
+    /// journalling the removal. Returns whether the entity was held.
+    pub fn remove_committed(&mut self, id: &ObjectId) -> bool {
+        match self.committed.remove(id) {
+            Some(old) => {
+                self.journal
+                    .append_delete(JOURNAL_TABLE, Arc::clone(old.key()));
+                true
+            }
+            None => false,
+        }
     }
 
-    /// Number of entries in the durable journal.
-    pub fn journal_len(&self) -> usize {
-        self.journal.len()
+    /// The durable journal (inspection: length, entry integrity, which
+    /// records its entries share).
+    pub fn journal(&self) -> &WriteAheadLog {
+        &self.journal
     }
 
     /// Simulates a node crash: wipes the committed map and every
@@ -302,7 +336,9 @@ impl EntityContainer {
     /// after [`EntityContainer::crash_volatile`]. A torn tail (entries
     /// whose per-entry checksum fails — a journal write interrupted by
     /// the crash) is truncated first; the report says how many entries
-    /// were replayed and how many were dropped.
+    /// were replayed and how many were dropped. Only the last record of
+    /// each key is decoded, and the recovered snapshot shares it with
+    /// the journal entry.
     ///
     /// # Errors
     ///
@@ -310,13 +346,20 @@ impl EntityContainer {
     /// to deserialize (corrupted journal body).
     pub fn recover_from_journal(&mut self) -> Result<ReplayReport> {
         let truncated = self.journal.truncate_torn_tail();
-        let mut table = TableStore::new();
-        self.journal.replay_into(&mut table);
         let replayed = self.journal.len() as u64;
         self.committed.clear();
-        for (_key, record) in table.scan(JOURNAL_TABLE) {
-            let entity = EntityState::from_json(record)?;
-            self.committed.insert(entity.id().clone(), entity);
+        // Newest entry first: the first op seen for a key is the one
+        // that survives, so superseded records are never decoded.
+        let mut decided: HashSet<&str> = HashSet::new();
+        for entry in self.journal.entries().iter().rev() {
+            if !decided.insert(&*entry.key) {
+                continue;
+            }
+            if let LogOp::Put { record } = &entry.op {
+                let snapshot = Snapshot::decode(Arc::clone(&entry.key), Arc::clone(record))?;
+                self.committed
+                    .insert(snapshot.state().id().clone(), snapshot);
+            }
         }
         Ok(ReplayReport {
             replayed,
@@ -339,6 +382,7 @@ impl EntityContainer {
     ) -> impl Iterator<Item = &'a EntityState> + 'a {
         self.committed
             .values()
+            .map(Snapshot::state)
             .filter(move |e| e.id().class() == class)
     }
 
@@ -496,12 +540,13 @@ mod tests {
         let id = ObjectId::new("Flight", "F1");
         let mut e = EntityState::for_class(&app(), &id).unwrap();
         e.set_field("seats", Value::Int(10), t0());
-        c.install_committed(e);
+        c.install(Snapshot::encode(e));
         assert_eq!(
             c.committed_entity(&id).unwrap().field("seats"),
             &Value::Int(10)
         );
-        assert!(c.remove_committed(&id).is_some());
+        assert!(c.remove_committed(&id));
+        assert!(!c.remove_committed(&id), "nothing left to remove");
         assert!(c.is_empty());
     }
 
@@ -519,7 +564,7 @@ mod tests {
         let lost = c.crash_volatile();
         assert_eq!(lost, 1, "one open buffer lost");
         assert!(c.is_empty(), "committed map wiped");
-        assert!(c.journal_len() > 0, "journal survives the crash");
+        assert!(!c.journal().is_empty(), "journal survives the crash");
 
         let report = c.recover_from_journal().unwrap();
         assert!(report.replayed >= 1);
@@ -543,7 +588,7 @@ mod tests {
         let other = ObjectId::new("Flight", "F9");
         let mut e = EntityState::for_class(&app(), &other).unwrap();
         e.set_field("seats", Value::Int(7), t0());
-        c.install_committed(e);
+        c.install(Snapshot::encode(e));
 
         c.crash_volatile();
         c.recover_from_journal().unwrap();
@@ -569,6 +614,99 @@ mod tests {
         assert_eq!(report.truncated, 1);
         assert!(c.committed_entity(&id).is_some(), "intact prefix kept");
         assert!(c.committed_entity(&id2).is_none(), "torn write dropped");
+    }
+
+    /// The record of the newest journal put for `id`.
+    fn last_record_of(c: &EntityContainer, id: &ObjectId) -> Arc<str> {
+        let key = id.to_string();
+        c.journal()
+            .entries()
+            .iter()
+            .rev()
+            .find_map(|e| match &e.op {
+                LogOp::Put { record } if *e.key == *key => Some(Arc::clone(record)),
+                _ => None,
+            })
+            .expect("a put for the key")
+    }
+
+    #[test]
+    fn installed_snapshot_is_shared_with_the_journals_not_copied() {
+        let mut primary = EntityContainer::new(&app());
+        let mut backup = EntityContainer::new(&app());
+        let id = flight(&mut primary, tx(1), "F1");
+        primary
+            .write_field(tx(1), &id, "seats", Value::Int(80), t0())
+            .unwrap();
+        primary.commit(tx(1));
+        let shipped = primary.committed_snapshot(&id).unwrap().clone();
+        backup.install(shipped.clone());
+
+        // One state, one record, one key — held by both maps and
+        // pointed at by both journals.
+        assert!(backup.committed_snapshot(&id).unwrap().ptr_eq(&shipped));
+        assert!(Arc::ptr_eq(
+            &last_record_of(&primary, &id),
+            shipped.record()
+        ));
+        assert!(Arc::ptr_eq(&last_record_of(&backup, &id), shipped.record()));
+        let keys: Vec<&Arc<str>> = [&primary, &backup]
+            .iter()
+            .map(|c| &c.journal().entries().last().unwrap().key)
+            .collect();
+        assert!(Arc::ptr_eq(keys[0], shipped.key()) && Arc::ptr_eq(keys[1], shipped.key()));
+
+        // A later write on the primary builds a new snapshot; the
+        // backup that has not been shipped to keeps the old one intact.
+        primary
+            .write_field(tx(2), &id, "seats", Value::Int(81), t0())
+            .unwrap();
+        // Copy-on-write: while the transaction is open neither the
+        // primary's committed state nor the shared snapshot moves.
+        assert!(primary.committed_snapshot(&id).unwrap().ptr_eq(&shipped));
+        assert_eq!(
+            primary.read_field(tx(3), &id, "seats").unwrap(),
+            Value::Int(80),
+            "buffered write invisible to other transactions"
+        );
+        primary.commit(tx(2));
+        assert!(!primary.committed_snapshot(&id).unwrap().ptr_eq(&shipped));
+        assert_eq!(
+            primary.committed_entity(&id).unwrap().field("seats"),
+            &Value::Int(81)
+        );
+        assert!(backup.committed_snapshot(&id).unwrap().ptr_eq(&shipped));
+        assert_eq!(shipped.state().field("seats"), &Value::Int(80));
+        assert!(Arc::ptr_eq(&last_record_of(&backup, &id), shipped.record()));
+    }
+
+    #[test]
+    fn recovery_decodes_only_the_last_record_of_each_key_and_shares_it() {
+        let mut c = EntityContainer::new(&app());
+        let id = flight(&mut c, tx(1), "F1");
+        c.commit(tx(1));
+        for (n, seats) in [(2, 10), (3, 20), (4, 30)] {
+            c.write_field(tx(n), &id, "seats", Value::Int(seats), t0())
+                .unwrap();
+            c.commit(tx(n));
+        }
+        let gone = flight(&mut c, tx(5), "F2");
+        c.commit(tx(5));
+        c.delete(tx(6), &gone).unwrap();
+        c.commit(tx(6));
+        let newest = last_record_of(&c, &id);
+
+        c.crash_volatile();
+        let report = c.recover_from_journal().unwrap();
+        assert_eq!(report.replayed, 6, "every entry counts as replayed");
+        assert_eq!(c.len(), 1);
+        let recovered = c.committed_snapshot(&id).unwrap();
+        assert_eq!(recovered.state().field("seats"), &Value::Int(30));
+        assert!(
+            Arc::ptr_eq(recovered.record(), &newest),
+            "the recovered snapshot points at the journal's record"
+        );
+        assert!(c.committed_entity(&gone).is_none(), "delete wins");
     }
 
     #[test]

@@ -71,15 +71,6 @@ impl EntityState {
         self.last_update_at = at;
     }
 
-    /// Overwrites the full state from another replica (update
-    /// propagation), adopting its version.
-    pub fn apply_replica_state(&mut self, other: &EntityState, at: SimTime) {
-        debug_assert_eq!(self.id, other.id, "replica state for a different object");
-        self.fields = other.fields.clone();
-        self.version = other.version;
-        self.last_update_at = at;
-    }
-
     /// The held version (`getVersion()`).
     pub fn version(&self) -> Version {
         self.version
@@ -156,17 +147,6 @@ mod tests {
         let e = entity();
         let info = e.version_info(SimTime::from_nanos(1_000_000));
         assert_eq!(info.missed_updates(), 0);
-    }
-
-    #[test]
-    fn apply_replica_state_adopts_fields_and_version() {
-        let mut a = entity();
-        let mut b = entity();
-        b.set_field("seats", Value::Int(80), SimTime::from_nanos(1));
-        b.set_field("seats", Value::Int(90), SimTime::from_nanos(2));
-        a.apply_replica_state(&b, SimTime::from_nanos(3));
-        assert_eq!(a.version(), Version(2));
-        assert_eq!(a.field("seats"), &Value::Int(90));
     }
 
     #[test]

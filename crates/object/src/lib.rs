@@ -18,6 +18,8 @@
 //!   interception of Figure 4.5.
 //! * [`EntityContainer`] — per-node entity storage with transactional
 //!   write buffering (read-your-writes, apply-on-commit).
+//! * [`Snapshot`] — a committed state with its one JSON encoding,
+//!   shared by the primary, its backups and their journals.
 //! * [`MethodBody`] / [`AppDescriptor`] — application deployment:
 //!   classes, default field values and method implementations.
 //! * [`NamingService`] — name → object bindings (the JNDI stand-in).
@@ -49,6 +51,7 @@ mod interceptor;
 mod invocation;
 mod method;
 mod naming;
+mod snapshot;
 
 pub use class::{AppDescriptor, ClassDescriptor, MethodDescriptor, MethodKind};
 pub use container::{ContainerStats, EntityContainer};
@@ -57,3 +60,4 @@ pub use interceptor::{Interceptor, InterceptorChain};
 pub use invocation::Invocation;
 pub use method::{MethodBody, MethodContext, MethodTable};
 pub use naming::NamingService;
+pub use snapshot::Snapshot;

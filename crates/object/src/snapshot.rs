@@ -1,0 +1,128 @@
+//! The committed snapshot — the one value that crosses node boundaries.
+
+use crate::EntityState;
+use dedisys_types::Result;
+use std::sync::Arc;
+
+/// One committed state of an entity, immutable and cheap to hand on:
+/// the state itself, its JSON record and its journal key, each behind
+/// an `Arc`.
+///
+/// The primary builds a snapshot once per committed write
+/// ([`Snapshot::encode`]); its container, every backup's container,
+/// their journals and the degraded-mode history then hold *that*
+/// value — cloning a snapshot bumps three reference counts and copies
+/// nothing. A later write never touches a snapshot: it builds a new
+/// one, so a lagged backup (or an open rollback search) keeps reading
+/// the state it was given.
+///
+/// Deliberately not `Serialize`/`Deserialize`: the `record` *is* the
+/// serialized form, and a derive would have to own its fields.
+#[derive(Debug, Clone)]
+pub struct Snapshot {
+    state: Arc<EntityState>,
+    record: Arc<str>,
+    key: Arc<str>,
+}
+
+impl Snapshot {
+    /// Freezes `entity` as a committed state, encoding its record — the
+    /// only place a committed write is serialized.
+    ///
+    /// # Panics
+    ///
+    /// Never in practice: an [`EntityState`] is plain data (string
+    /// keys, scalar and nested values) whose JSON encoding cannot fail.
+    pub fn encode(entity: EntityState) -> Self {
+        let record = entity
+            .to_json()
+            .expect("entity state is plain data and always encodes");
+        Self {
+            key: entity.id().to_string().into(),
+            record: record.into(),
+            state: Arc::new(entity),
+        }
+    }
+
+    /// Rebuilds a snapshot from a journalled `record`, sharing `key`
+    /// and `record` with the entry they came from.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`dedisys_types::Error::Persistence`] if `record` does
+    /// not decode.
+    pub fn decode(key: Arc<str>, record: Arc<str>) -> Result<Self> {
+        Ok(Self {
+            state: Arc::new(EntityState::from_json(&record)?),
+            record,
+            key,
+        })
+    }
+
+    /// The committed state.
+    pub fn state(&self) -> &EntityState {
+        &self.state
+    }
+
+    /// The state's JSON record, as every journal entry of this write
+    /// points at it.
+    pub fn record(&self) -> &Arc<str> {
+        &self.record
+    }
+
+    /// The journal key (the object id's display form).
+    pub fn key(&self) -> &Arc<str> {
+        &self.key
+    }
+
+    /// Whether both snapshots are the *same* committed write (shared
+    /// allocation), not merely equal states.
+    pub fn ptr_eq(&self, other: &Snapshot) -> bool {
+        Arc::ptr_eq(&self.state, &other.state)
+    }
+}
+
+/// Equal states are equal snapshots; replicas of one write answer by
+/// pointer without comparing fields.
+impl PartialEq for Snapshot {
+    fn eq(&self, other: &Self) -> bool {
+        self.ptr_eq(other) || self.state == other.state
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dedisys_types::{ObjectId, SimTime, Value};
+    use std::collections::BTreeMap;
+
+    fn entity(seats: i64) -> EntityState {
+        let mut e = EntityState::new(ObjectId::new("Flight", "F1"), BTreeMap::new());
+        e.set_field("seats", Value::Int(seats), SimTime::ZERO);
+        e
+    }
+
+    #[test]
+    fn encode_decode_roundtrip_shares_the_record() {
+        let snapshot = Snapshot::encode(entity(80));
+        assert_eq!(&**snapshot.key(), "Flight#F1");
+        assert_eq!(&**snapshot.record(), snapshot.state().to_json().unwrap());
+        let back =
+            Snapshot::decode(Arc::clone(snapshot.key()), Arc::clone(snapshot.record())).unwrap();
+        assert!(Arc::ptr_eq(back.record(), snapshot.record()));
+        assert!(!back.ptr_eq(&snapshot), "a decode is a new state");
+        assert_eq!(back, snapshot, "…that compares equal");
+        assert!(Snapshot::decode("k".into(), "not json".into()).is_err());
+    }
+
+    #[test]
+    fn clones_are_the_same_write_equal_states_are_not() {
+        let a = Snapshot::encode(entity(80));
+        let b = a.clone();
+        assert!(a.ptr_eq(&b));
+        let c = Snapshot::encode(entity(80));
+        assert!(!a.ptr_eq(&c));
+        assert_eq!(a, c);
+        assert_ne!(a, Snapshot::encode(entity(81)));
+    }
+}

@@ -10,6 +10,7 @@ use dedisys_telemetry::{Telemetry, TraceEvent};
 use dedisys_types::{Error, NodeId, ObjectId, Result, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::Arc;
 
 /// Placement of one logical object.
 #[derive(Debug, Clone)]
@@ -200,7 +201,9 @@ impl ReplicationManager {
         Ok(())
     }
 
-    /// Removes placement metadata (after a propagated delete).
+    /// Removes placement metadata (object migration, a reconciled
+    /// delete; a delete that reaches every replica drops its own in
+    /// [`ReplicationManager::propagate_update`]).
     pub fn unregister_object(&mut self, object: &ObjectId) {
         self.placements.remove(object);
     }
@@ -304,7 +307,12 @@ impl ReplicationManager {
 
     /// Synchronously propagates the committed state of `object` from
     /// `executed_on` to every reachable backup replica, recording
-    /// degraded-mode bookkeeping when partitions are present.
+    /// degraded-mode bookkeeping when partitions are present. What is
+    /// shipped is the primary's committed
+    /// [`Snapshot`](dedisys_object::Snapshot): backups, their journals
+    /// and the degraded-mode history share its state and its one
+    /// encoding. An object no longer committed on `executed_on` is
+    /// propagated as a delete.
     ///
     /// Injected faults harden the ship path: a backup inside a *write-
     /// failure window* (see [`ReplicationManager::inject_write_fault`])
@@ -323,8 +331,10 @@ impl ReplicationManager {
         now: SimTime,
     ) -> PropagationReport {
         self.stats.propagations += 1;
-        let state = containers[executed_on.index()]
-            .committed_entity(object)
+        // The snapshot the primary's commit produced: every backup
+        // installs this very value, nothing is cloned or re-encoded.
+        let snapshot = containers[executed_on.index()]
+            .committed_snapshot(object)
             .cloned();
         let candidates = self.reachable_backups(object, executed_on, topology);
         let mut recipients = Vec::new();
@@ -378,8 +388,8 @@ impl ReplicationManager {
                     continue;
                 }
             }
-            match &state {
-                Some(state) => containers[r.index()].install_committed(state.clone()),
+            match &snapshot {
+                Some(snapshot) => containers[r.index()].install(snapshot.clone()),
                 // The object was deleted on the executing node.
                 None => {
                     containers[r.index()].remove_committed(object);
@@ -409,12 +419,21 @@ impl ReplicationManager {
                 .entry(object.clone())
                 .or_default()
                 .insert(pkey, executed_on);
-            if let Some(state) = &state {
-                let key = history_key(object, pkey);
-                if let Ok(json) = state.to_json() {
-                    self.history.record(key, state.version(), json, now);
-                }
+            if let Some(snapshot) = &snapshot {
+                self.history.record(
+                    history_key(object, pkey),
+                    snapshot.state().version(),
+                    Arc::clone(snapshot.record()),
+                    now,
+                );
             }
+        }
+        if snapshot.is_none() && !self.degraded_writes.contains_key(object) {
+            // A delete every replica has seen: the placement goes with
+            // it. One that some replica missed keeps its placement —
+            // replica reconciliation needs the replica set to carry the
+            // delete (or a surviving update) there, and drops it then.
+            self.placements.remove(object);
         }
         PropagationReport {
             recipients,
@@ -510,6 +529,7 @@ pub(crate) fn history_key(object: &ObjectId, pkey: u32) -> String {
 mod tests {
     use super::*;
     use dedisys_object::{AppDescriptor, ClassDescriptor, EntityState};
+    use dedisys_store::{LogEntry, LogOp};
     use dedisys_types::{TxId, Value};
 
     fn app() -> AppDescriptor {
@@ -557,6 +577,86 @@ mod tests {
         assert!(m.degraded_write_map().is_empty(), "healthy: no tracking");
     }
 
+    fn write(containers: &mut [EntityContainer], node: usize, seats: i64, seq: u64) {
+        let tx = TxId::new(NodeId(node as u32), seq);
+        containers[node]
+            .write_field(tx, &obj(), "seats", Value::Int(seats), SimTime::ZERO)
+            .unwrap();
+        containers[node].commit(tx);
+    }
+
+    fn last_record(c: &EntityContainer) -> Arc<str> {
+        match &c.journal().entries().last().expect("journal entry").op {
+            LogOp::Put { record } => Arc::clone(record),
+            LogOp::Delete => panic!("last entry is a delete"),
+        }
+    }
+
+    #[test]
+    fn a_ship_shares_one_snapshot_and_one_record_across_all_replicas() {
+        let mut m = mgr(3);
+        let topo = Topology::fully_connected(3);
+        let mut cs = containers(3);
+        seed(&mut cs, 0, 80);
+        m.propagate_update(&obj(), NodeId(0), &topo, &mut cs, SimTime::ZERO);
+        let shipped = cs[0].committed_snapshot(&obj()).unwrap().clone();
+        for c in &cs {
+            assert!(c.committed_snapshot(&obj()).unwrap().ptr_eq(&shipped));
+            assert!(Arc::ptr_eq(&last_record(c), shipped.record()));
+        }
+
+        // Node 2 lags behind the next update: it keeps the old
+        // snapshot, untouched by the primary's later write.
+        m.inject_replica_lag(NodeId(2), 1);
+        write(&mut cs, 0, 81, 1);
+        m.propagate_update(&obj(), NodeId(0), &topo, &mut cs, SimTime::ZERO);
+        let newer = cs[0].committed_snapshot(&obj()).unwrap().clone();
+        assert!(!newer.ptr_eq(&shipped));
+        assert!(cs[1].committed_snapshot(&obj()).unwrap().ptr_eq(&newer));
+        assert!(cs[2].committed_snapshot(&obj()).unwrap().ptr_eq(&shipped));
+        assert_eq!(shipped.state().field("seats"), &Value::Int(80));
+        assert!(Arc::ptr_eq(&last_record(&cs[2]), shipped.record()));
+        // The missed state went into the degraded-mode history by
+        // reference as well.
+        let chain = m.history().chain(&history_key(&obj(), 0));
+        assert!(Arc::ptr_eq(&chain[0].state, newer.record()));
+    }
+
+    #[test]
+    fn a_torn_tail_on_one_backup_is_that_backups_alone() {
+        let mut m = mgr(3);
+        let topo = Topology::fully_connected(3);
+        let mut cs = containers(3);
+        seed(&mut cs, 0, 80);
+        m.propagate_update(&obj(), NodeId(0), &topo, &mut cs, SimTime::ZERO);
+        write(&mut cs, 0, 81, 1);
+        m.propagate_update(&obj(), NodeId(0), &topo, &mut cs, SimTime::ZERO);
+
+        // The last journal write of node 2 is torn by a crash.
+        assert_eq!(cs[2].corrupt_journal_tail(1), 1);
+        cs[2].crash_volatile();
+        let report = cs[2].recover_from_journal().unwrap();
+        assert_eq!((report.replayed, report.truncated), (1, 1));
+        assert_eq!(
+            cs[2].committed_entity(&obj()).unwrap().field("seats"),
+            &Value::Int(80),
+            "node 2 falls back to its intact prefix"
+        );
+        // The entries that shared the torn record still verify and
+        // replay on the other nodes: seq and checksum are per entry.
+        for c in &mut cs[..2] {
+            assert!(c.journal().entries().iter().all(LogEntry::is_intact));
+            assert_eq!(c.journal().len(), 2);
+            c.crash_volatile();
+            let report = c.recover_from_journal().unwrap();
+            assert_eq!((report.replayed, report.truncated), (2, 0));
+            assert_eq!(
+                c.committed_entity(&obj()).unwrap().field("seats"),
+                &Value::Int(81)
+            );
+        }
+    }
+
     #[test]
     fn degraded_propagation_is_tracked_with_history() {
         let mut m = mgr(3);
@@ -585,6 +685,7 @@ mod tests {
         cs[0].commit(tx);
         m.propagate_update(&obj(), NodeId(0), &topo, &mut cs, SimTime::ZERO);
         assert!(cs[1].committed_entity(&obj()).is_none());
+        assert!(m.replicas_of(&obj()).is_none(), "placement went with it");
     }
 
     #[test]

@@ -9,9 +9,10 @@
 
 use crate::manager::{history_key, ReplicationManager};
 use dedisys_net::Topology;
-use dedisys_object::{EntityContainer, EntityState};
+use dedisys_object::{EntityContainer, EntityState, Snapshot};
 use dedisys_types::{NodeId, ObjectId};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// A write-write replica conflict: divergent states of the same logical
 /// object from different partitions.
@@ -150,7 +151,8 @@ impl ReplicationManager {
             // Reconcile the reachable writers among each other — the
             // merged partition must agree internally even while other
             // partitions remain (P4 elects a temporary primary for it).
-            self.reconcile_one(&object, &here, &reachable, containers, handler, &mut report);
+            let survives =
+                self.reconcile_one(&object, &here, &reachable, containers, handler, &mut report);
             let fully_replicated_here = self
                 .replicas_of(&object)
                 .map(|set| set.iter().all(|r| reachable.contains(r)))
@@ -166,12 +168,19 @@ impl ReplicationManager {
                 let mut remaining = away;
                 remaining.insert(pkey, rep);
                 postponed.insert(object, remaining);
+            } else if !survives {
+                // Deleted on every replica: the placement a degraded
+                // delete had to keep for this step goes now.
+                self.unregister_object(&object);
             }
         }
         self.restore_degraded_writes(postponed);
         report
     }
 
+    /// Reconciles `object` among the reachable writer partitions and
+    /// installs the outcome on every reachable replica. Returns whether
+    /// the object survives (`false`: the outcome is its deletion).
     fn reconcile_one(
         &mut self,
         object: &ObjectId,
@@ -180,39 +189,38 @@ impl ReplicationManager {
         containers: &mut [EntityContainer],
         handler: &mut dyn ReplicaConsistencyHandler,
         report: &mut ReconcileReport,
-    ) {
-        let candidates: Vec<(NodeId, Option<EntityState>)> = partitions
+    ) -> bool {
+        let candidates: Vec<(NodeId, Option<Snapshot>)> = partitions
             .values()
             .map(|&rep| {
                 (
                     rep,
-                    containers[rep.index()].committed_entity(object).cloned(),
+                    containers[rep.index()].committed_snapshot(object).cloned(),
                 )
             })
             .collect();
-        let distinct_states: Vec<&Option<EntityState>> = {
-            let mut seen: Vec<&Option<EntityState>> = Vec::new();
-            for (_, s) in &candidates {
-                if !seen.contains(&s) {
-                    seen.push(s);
-                }
-            }
-            seen
-        };
-        let winner: Option<EntityState> = if distinct_states.len() <= 1 {
+        let first = candidates.first().and_then(|(_, s)| s.as_ref());
+        let agree = candidates.iter().all(|(_, s)| s.as_ref() == first);
+        let winner: Option<Snapshot> = if agree {
             // No conflict: a single partition wrote, or all wrote
-            // identical states.
+            // identical states. The writer's snapshot is handed on as is.
             report.missed_updates += 1;
-            candidates.first().and_then(|(_, s)| s.clone())
+            first.cloned()
         } else {
             self.count_conflict();
             let conflict = ReplicaConflict {
                 object: object.clone(),
-                candidates: candidates.clone(),
+                candidates: candidates
+                    .iter()
+                    .map(|(rep, s)| (*rep, s.as_ref().map(|s| s.state().clone())))
+                    .collect(),
             };
             let resolved = handler.resolve(&conflict);
-            report.conflicts.push((conflict, resolved.clone()));
-            resolved
+            // The handler may have merged a new state: encode it once
+            // for all replicas.
+            let winner = resolved.clone().map(Snapshot::encode);
+            report.conflicts.push((conflict, resolved));
+            winner
         };
         // Install the winner on every *reachable* replica node
         // (all of them after a full heal).
@@ -232,26 +240,37 @@ impl ReplicationManager {
             // Dirty-set detection: the object only counts as dirty if
             // the install actually changes some replica's committed
             // state (an idempotent re-install is not a change).
-            if containers[node.index()].committed_entity(object) != winner.as_ref() {
+            // Replicas of one write share the snapshot, so the common
+            // case is answered by pointer; a deep compare is the
+            // fallback (`Snapshot`'s `PartialEq`).
+            if containers[node.index()].committed_snapshot(object) != winner.as_ref() {
                 report.dirty.insert(object.clone());
             }
             match &winner {
-                Some(state) => containers[node.index()].install_committed(state.clone()),
+                Some(snapshot) => containers[node.index()].install(snapshot.clone()),
                 None => {
                     containers[node.index()].remove_committed(object);
                 }
             }
         }
+        winner.is_some()
     }
 
     /// The recorded degraded-mode states of `object` in partition
     /// `pkey` (oldest first) — input to the rollback search of
     /// constraint reconciliation (§3.3).
-    pub fn partition_history(&self, object: &ObjectId, pkey: u32) -> Vec<EntityState> {
-        self.history()
-            .chain(&history_key(object, pkey))
+    ///
+    /// Each snapshot shares the record the history holds, so
+    /// installing a candidate re-encodes nothing.
+    pub fn partition_history(&self, object: &ObjectId, pkey: u32) -> Vec<Snapshot> {
+        let chain = self.history().chain(&history_key(object, pkey));
+        if chain.is_empty() {
+            return Vec::new();
+        }
+        let key: Arc<str> = object.to_string().into();
+        chain
             .iter()
-            .filter_map(|e| EntityState::from_json(&e.state).ok())
+            .filter_map(|e| Snapshot::decode(Arc::clone(&key), Arc::clone(&e.state)).ok())
             .collect()
     }
 }
@@ -407,8 +426,8 @@ mod tests {
         write_on(&mut m, &mut cs, &topo, 1, 9, 2);
         let states = m.partition_history(&obj(), 1);
         assert_eq!(states.len(), 2);
-        assert_eq!(states[0].field("sold"), &Value::Int(7));
-        assert_eq!(states[1].field("sold"), &Value::Int(9));
+        assert_eq!(states[0].state().field("sold"), &Value::Int(7));
+        assert_eq!(states[1].state().field("sold"), &Value::Int(9));
         m.clear_degraded_state();
         assert!(m.partition_history(&obj(), 1).is_empty());
     }

@@ -8,14 +8,16 @@
 
 use dedisys_types::{SimTime, Version};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// One recorded state of a key.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistoryEntry {
     /// Version of the state.
     pub version: Version,
-    /// Serialized state.
-    pub state: String,
+    /// Serialized state — the record the committing node encoded
+    /// once, shared with its journal entries rather than re-encoded.
+    pub state: Arc<str>,
     /// Virtual time at which the state was applied.
     pub at: SimTime,
 }
@@ -55,7 +57,13 @@ impl VersionHistory {
     /// partition writes that version again behind the next, and the
     /// rollback search tries every recorded state, newest applied
     /// first.
-    pub fn record(&mut self, key: impl Into<String>, version: Version, state: String, at: SimTime) {
+    pub fn record(
+        &mut self,
+        key: impl Into<String>,
+        version: Version,
+        state: Arc<str>,
+        at: SimTime,
+    ) {
         let chain = self.chains.entry(key.into()).or_default();
         if !self.enabled {
             chain.clear();
@@ -89,7 +97,7 @@ mod tests {
     }
 
     fn states(h: &VersionHistory, key: &str) -> Vec<String> {
-        h.chain(key).iter().map(|e| e.state.clone()).collect()
+        h.chain(key).iter().map(|e| e.state.to_string()).collect()
     }
 
     #[test]

@@ -1,29 +1,48 @@
 //! Write-ahead log with replay and per-entry integrity checksums.
+//!
+//! ## Entry shape
+//!
+//! An entry *points at* its payload instead of owning it: `key` and the
+//! record of a [`LogOp::Put`] are `Arc<str>`, so the journals of a
+//! primary and its backups can log one committed write with one
+//! encoding of the record between them. What stays per entry — and per
+//! node — is the sequence number and the checksum: every log computes
+//! its own FNV-1a over `seq`/`table`/`key`/record at append time and
+//! verifies it on recovery, so a torn tail on one node is truncated on
+//! that node only, whoever else shares the bytes. `table` is a
+//! `&'static str` because tables are compile-time names, never data.
+//!
+//! [`LogEntry`] and [`LogOp`] deliberately do not derive serde: the
+//! log is an in-memory model of a disk, nothing serializes an entry,
+//! and a derive would force the shared payload back into owned
+//! `String`s.
 
 use crate::TableStore;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// The operation recorded by a log entry.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LogOp {
     /// Insert or replace a record.
     Put {
-        /// Serialized record.
-        record: String,
+        /// Serialized record, shared with whoever else logs or holds
+        /// the same committed write.
+        record: Arc<str>,
     },
     /// Delete a record.
     Delete,
 }
 
 /// One entry of the write-ahead log.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LogEntry {
-    /// Monotonically increasing log sequence number.
+    /// Monotonically increasing log sequence number (per log).
     pub seq: u64,
     /// Target table.
-    pub table: String,
+    pub table: &'static str,
     /// Target key.
-    pub key: String,
+    pub key: Arc<str>,
     /// The operation.
     pub op: LogOp,
     /// FNV-1a checksum over `seq`/`table`/`key`/`op`, written with the
@@ -35,7 +54,7 @@ pub struct LogEntry {
 impl LogEntry {
     /// The FNV-1a checksum the entry *should* carry given its payload.
     pub fn expected_checksum(&self) -> u32 {
-        entry_checksum(self.seq, &self.table, &self.key, &self.op)
+        entry_checksum(self.seq, self.table, &self.key, &self.op)
     }
 
     /// Whether the stored checksum matches the payload.
@@ -92,7 +111,7 @@ pub struct ReplayReport {
 /// use dedisys_store::{TableStore, WriteAheadLog};
 ///
 /// let mut wal = WriteAheadLog::new();
-/// wal.append_put("t", "k", "v".to_owned());
+/// wal.append_put("t", "k", "v");
 /// wal.append_delete("t", "missing");
 ///
 /// let mut recovered = TableStore::new();
@@ -111,25 +130,28 @@ impl WriteAheadLog {
         Self::default()
     }
 
-    /// Appends a put operation, returning its sequence number.
+    /// Appends a put operation, returning its sequence number. Passing
+    /// `Arc<str>`s shares key and record with the caller (no copy);
+    /// `&str`/`String` are copied into a fresh allocation once.
     pub fn append_put(
         &mut self,
-        table: impl Into<String>,
-        key: impl Into<String>,
-        record: String,
+        table: &'static str,
+        key: impl Into<Arc<str>>,
+        record: impl Into<Arc<str>>,
     ) -> u64 {
-        self.append(table.into(), key.into(), LogOp::Put { record })
+        let record = record.into();
+        self.append(table, key.into(), LogOp::Put { record })
     }
 
     /// Appends a delete operation, returning its sequence number.
-    pub fn append_delete(&mut self, table: impl Into<String>, key: impl Into<String>) -> u64 {
-        self.append(table.into(), key.into(), LogOp::Delete)
+    pub fn append_delete(&mut self, table: &'static str, key: impl Into<Arc<str>>) -> u64 {
+        self.append(table, key.into(), LogOp::Delete)
     }
 
-    fn append(&mut self, table: String, key: String, op: LogOp) -> u64 {
+    fn append(&mut self, table: &'static str, key: Arc<str>, op: LogOp) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let checksum = entry_checksum(seq, &table, &key, &op);
+        let checksum = entry_checksum(seq, table, &key, &op);
         self.entries.push(LogEntry {
             seq,
             table,
@@ -160,18 +182,13 @@ impl WriteAheadLog {
         for entry in &self.entries {
             match &entry.op {
                 LogOp::Put { record } => {
-                    store.put(entry.table.clone(), entry.key.clone(), record.clone());
+                    store.put(entry.table, &*entry.key, String::from(&**record));
                 }
                 LogOp::Delete => {
-                    store.delete(&entry.table, &entry.key);
+                    store.delete(entry.table, &entry.key);
                 }
             }
         }
-    }
-
-    /// Discards entries with `seq < up_to` (after a checkpoint).
-    pub fn truncate_before(&mut self, up_to: u64) {
-        self.entries.retain(|e| e.seq >= up_to);
     }
 
     /// Drops the torn tail: everything from the first entry whose
@@ -210,9 +227,9 @@ mod tests {
     #[test]
     fn replay_reconstructs_store() {
         let mut wal = WriteAheadLog::new();
-        wal.append_put("t", "a", "1".into());
-        wal.append_put("t", "b", "2".into());
-        wal.append_put("t", "a", "3".into());
+        wal.append_put("t", "a", "1");
+        wal.append_put("t", "b", "2");
+        wal.append_put("t", "a", "3");
         wal.append_delete("t", "b");
 
         let mut store = TableStore::new();
@@ -224,34 +241,42 @@ mod tests {
     #[test]
     fn sequence_numbers_are_gap_free() {
         let mut wal = WriteAheadLog::new();
-        assert_eq!(wal.append_put("t", "k", "v".into()), 0);
+        assert_eq!(wal.append_put("t", "k", "v"), 0);
         assert_eq!(wal.append_delete("t", "k"), 1);
         assert_eq!(wal.len(), 2);
     }
 
     #[test]
-    fn truncate_before_checkpoint() {
-        let mut wal = WriteAheadLog::new();
-        wal.append_put("t", "a", "1".into());
-        wal.append_put("t", "b", "2".into());
-        wal.truncate_before(1);
-        assert_eq!(wal.len(), 1);
-        assert_eq!(wal.entries()[0].key, "b");
-    }
-
-    #[test]
-    fn entries_serialize() {
-        let mut wal = WriteAheadLog::new();
-        wal.append_put("t", "k", "v".into());
-        let json = serde_json::to_string(wal.entries()).unwrap();
-        let back: Vec<LogEntry> = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, wal.entries());
+    fn shared_payload_is_logged_without_a_copy_and_checksummed_per_log() {
+        let key: Arc<str> = Arc::from("k");
+        let record: Arc<str> = Arc::from("v");
+        let mut primary = WriteAheadLog::new();
+        let mut backup = WriteAheadLog::new();
+        backup.append_delete("t", "other"); // the backup's seq runs ahead
+        primary.append_put("t", Arc::clone(&key), Arc::clone(&record));
+        backup.append_put("t", Arc::clone(&key), Arc::clone(&record));
+        let (p, b) = (&primary.entries()[0], &backup.entries()[1]);
+        assert!(Arc::ptr_eq(&p.key, &b.key));
+        match (&p.op, &b.op) {
+            (LogOp::Put { record: pr }, LogOp::Put { record: br }) => {
+                assert!(Arc::ptr_eq(pr, br));
+                assert!(Arc::ptr_eq(pr, &record));
+            }
+            other => panic!("expected two puts, got {other:?}"),
+        }
+        // Same bytes, different `seq`: each log carries its own checksum,
+        // and tearing one leaves the other intact.
+        assert_ne!((p.seq, p.checksum), (b.seq, b.checksum));
+        backup.corrupt_tail(1);
+        assert!(primary.entries().iter().all(LogEntry::is_intact));
+        assert_eq!(backup.truncate_torn_tail(), 1);
+        assert_eq!(primary.truncate_torn_tail(), 0);
     }
 
     #[test]
     fn appended_entries_carry_valid_checksums() {
         let mut wal = WriteAheadLog::new();
-        wal.append_put("t", "k", "v".into());
+        wal.append_put("t", "k", "v");
         wal.append_delete("t", "k");
         assert!(wal.entries().iter().all(LogEntry::is_intact));
         // Field boundaries matter: moving a byte between table and key
@@ -264,16 +289,16 @@ mod tests {
     #[test]
     fn torn_tail_is_truncated_intact_log_untouched() {
         let mut wal = WriteAheadLog::new();
-        wal.append_put("t", "a", "1".into());
-        wal.append_put("t", "b", "2".into());
-        wal.append_put("t", "c", "3".into());
+        wal.append_put("t", "a", "1");
+        wal.append_put("t", "b", "2");
+        wal.append_put("t", "c", "3");
         assert_eq!(wal.truncate_torn_tail(), 0);
         assert_eq!(wal.len(), 3);
 
         assert_eq!(wal.corrupt_tail(2), 2);
         assert_eq!(wal.truncate_torn_tail(), 2);
         assert_eq!(wal.len(), 1);
-        assert_eq!(wal.entries()[0].key, "a");
+        assert_eq!(&*wal.entries()[0].key, "a");
 
         let mut store = TableStore::new();
         wal.replay_into(&mut store);
@@ -284,7 +309,7 @@ mod tests {
     #[test]
     fn corrupt_tail_is_bounded_by_length() {
         let mut wal = WriteAheadLog::new();
-        wal.append_put("t", "a", "1".into());
+        wal.append_put("t", "a", "1");
         assert_eq!(wal.corrupt_tail(10), 1);
         assert_eq!(wal.truncate_torn_tail(), 1);
         assert!(wal.is_empty());

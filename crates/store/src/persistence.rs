@@ -102,15 +102,15 @@ impl Persistence {
     }
 
     /// Writes a record (WAL append + store put).
-    pub fn put(&mut self, table: &str, key: &str, record: String) {
+    pub fn put(&mut self, table: &'static str, key: &str, record: String) {
         self.stats.writes += 1;
         self.clock.advance(self.costs.write);
-        self.wal.append_put(table, key, record.clone());
+        self.wal.append_put(table, key, record.as_str());
         self.store.put(table, key, record);
     }
 
     /// Deletes a record.
-    pub fn delete(&mut self, table: &str, key: &str) -> Option<String> {
+    pub fn delete(&mut self, table: &'static str, key: &str) -> Option<String> {
         self.stats.writes += 1;
         self.clock.advance(self.costs.write);
         self.wal.append_delete(table, key);

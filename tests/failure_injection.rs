@@ -418,6 +418,52 @@ fn repartition_without_heal_lets_a_stale_replica_repeat_a_version() {
 /// A 3-node cluster with one counter. `residue` leaves it split
 /// `{0,1}|{2}` after a degraded-mode write: a threat and an unsynced
 /// replica stand.
+/// A delete committed while a replica is away used to drop the
+/// object's placement on the spot, so replica reconciliation had no
+/// replica set left to carry the outcome to: the absent node kept the
+/// object forever (and a surviving update from the other side reached
+/// nobody). Found by `crates/core/tests/journal_durability.rs`.
+#[test]
+fn degraded_delete_reaches_the_replica_that_was_away() {
+    // Delete on one side only: everyone ends up without the object.
+    let mut cluster = ClusterBuilder::new(3, app()).build().unwrap();
+    let id = seed(&mut cluster);
+    cluster.partition(&[nodes![0, 1], nodes![2]]).unwrap();
+    cluster
+        .run_tx(NodeId(0), |c, tx| c.delete(NodeId(0), tx, &id))
+        .unwrap();
+    assert!(cluster.entity_on(NodeId(2), &id).is_some(), "2 was away");
+    cluster.heal();
+    cluster.reconcile(&mut HighestVersionWins, &mut DeferAll);
+    for n in 0..3 {
+        assert!(cluster.entity_on(NodeId(n), &id).is_none(), "node {n}");
+    }
+    assert_eq!(cluster.mode(), SystemMode::Healthy);
+
+    // Delete on one side, update on the other: the live state wins
+    // (`HighestVersionWins`) and comes back on the deleting side too.
+    let mut cluster = ClusterBuilder::new(3, app()).build().unwrap();
+    let id = seed(&mut cluster);
+    cluster.partition(&[nodes![0, 1], nodes![2]]).unwrap();
+    cluster
+        .run_tx(NodeId(0), |c, tx| c.delete(NodeId(0), tx, &id))
+        .unwrap();
+    cluster
+        .run_tx(NodeId(2), |c, tx| {
+            c.set_field(NodeId(2), tx, &id, "n", Value::Int(7))
+        })
+        .unwrap();
+    cluster.heal();
+    cluster.reconcile(&mut HighestVersionWins, &mut DeferAll);
+    for n in 0..3 {
+        assert_eq!(
+            cluster.entity_on(NodeId(n), &id).map(|e| e.field("n")),
+            Some(&Value::Int(7)),
+            "node {n}"
+        );
+    }
+}
+
 fn cluster_with(detector: bool, residue: bool) -> dedisys_core::Cluster {
     let mut cluster = ClusterBuilder::new(3, app())
         .constraint(bounded_constraint())
