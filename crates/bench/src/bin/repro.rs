@@ -45,13 +45,6 @@
 //! shards in any cell. With `--sweep K` it runs the K-seed cross-shard
 //! chaos soak instead, exiting 1 on any invariant violation.
 //!
-//! `repro fig-par [--trace <path>]` runs the batch-validation pool
-//! study: the same validation-heavy workload under serial and
-//! `Threads(8)` evaluation, reporting the wall-clock speedup and
-//! checking that stats and traces are byte-identical across the two
-//! modes (exits 1 otherwise). With `--trace` the two JSONL traces are
-//! written to `<path>.serial` / `<path>.parallel` for external diffs.
-//!
 //! `repro fig-compile [--trace <path>]` runs the constraint-engine
 //! study: one invariant-heavy workload under the interpreted walker,
 //! the compiled programs, and compiled + verdict cache, reporting the
@@ -65,9 +58,7 @@
 //! object per line, stamped in virtual time only, so two runs of the
 //! same experiment write byte-identical files.
 
-use dedisys_bench::{
-    ch2, ch5, chaos_soak, fig_compile, fig_par, flap_sweep, overload_sweep, shard_sweep,
-};
+use dedisys_bench::{ch2, ch5, chaos_soak, fig_compile, flap_sweep, overload_sweep, shard_sweep};
 use std::path::PathBuf;
 
 const CH2: &[&str] = &[
@@ -108,7 +99,6 @@ fn usage() -> ! {
         "       repro shard-sweep [--seed S] [--nodes N] [--ticks T] [--sweep K] \
          [--trace <path>]"
     );
-    eprintln!("       repro fig-par [--trace <path>]");
     eprintln!("       repro fig-compile [--trace <path>]");
     eprintln!(
         "experiments: {}",
@@ -147,10 +137,9 @@ fn main() {
         "flap-sweep" => return flap_sweep_main(&args[1..], trace),
         "overload-sweep" => return overload_sweep_main(&args[1..], trace),
         "shard-sweep" => return shard_sweep_main(&args[1..], trace),
-        // These two write one trace per mode themselves (`<path>.serial`
-        // / `.parallel`; `<path>.interp` / `.compiled` / `.cached`) — the
-        // shared append-to-one-file tracing below does not apply.
-        "fig-par" => return fig_par::run(trace.as_deref()),
+        // Writes one trace per configuration itself (`<path>.interp` /
+        // `.compiled` / `.cached`) — the shared append-to-one-file
+        // tracing below does not apply.
         "fig-compile" => return fig_compile::run(trace.as_deref()),
         _ => {}
     }

@@ -14,9 +14,6 @@
 //! * [`chaos_soak`] — the seeded chaos soak (`repro chaos-soak`):
 //!   random fault schedules against the full middleware stack with
 //!   invariant checking after every injected fault.
-//! * [`fig_par`] — the batch-validation pool study (`repro fig-par`):
-//!   wall-clock serial vs parallel speedup with the byte-identical
-//!   trace contract checked on every run.
 //! * [`fig_compile`] — the constraint-engine study (`repro
 //!   fig-compile`): interpreted vs compiled vs compiled+verdict-cache
 //!   validation cost in deterministic virtual time, with the
@@ -41,7 +38,6 @@ pub mod ch2;
 pub mod ch5;
 pub mod chaos_soak;
 pub mod fig_compile;
-pub mod fig_par;
 pub mod flap_sweep;
 pub mod overload_sweep;
 pub mod shard_sweep;

@@ -15,7 +15,6 @@ use crate::rng::ChaosRng;
 use dedisys_core::{
     Cluster, ClusterBuilder, DeferAll, DetectorKind, HighestVersionWins, LinkFault,
     MinorityWriteHandling, PlaneStats, PrimaryPartitionPolicy, RequestPlane, StatsSnapshot,
-    ValidationParallelism,
 };
 use dedisys_object::{AppDescriptor, ClassDescriptor, EntityState};
 use dedisys_telemetry::TraceEvent;
@@ -34,10 +33,6 @@ pub struct ChaosConfig {
     pub seed: u64,
     /// Entities created up front as the workload's working set.
     pub item_pool: usize,
-    /// How the cluster under test evaluates validation batches. Any
-    /// setting must produce the same report, stats and trace — the
-    /// parallel-determinism property tests sweep this knob.
-    pub parallelism: ValidationParallelism,
     /// Drive membership through the adaptive failure-detection
     /// pipeline: the cluster runs a φ-accrual detector with flap
     /// damping and a weighted-quorum primary policy, and the random
@@ -64,7 +59,6 @@ impl Default for ChaosConfig {
             faults: 24,
             seed: 0,
             item_pool: 12,
-            parallelism: ValidationParallelism::Serial,
             detector: false,
             workload_plane: false,
         }
@@ -149,8 +143,7 @@ impl ChaosEngine {
                 c.membership.minority_writes = MinorityWriteHandling::Degrade;
             });
         }
-        let mut cluster = builder.build()?;
-        cluster.reconfigure(|c| c.validation.parallelism = config.parallelism)?;
+        let cluster = builder.build()?;
         Ok(Self {
             rng: ChaosRng::new(config.seed ^ 0xC0FF_EE00_C0FF_EE00),
             plane: RequestPlane::new(),

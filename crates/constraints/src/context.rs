@@ -13,10 +13,9 @@ use std::collections::{BTreeMap, BTreeSet};
 /// ([`dedisys_types::Error::ObjectUnreachable`]) bubble out of
 /// `validate` and make the constraint uncheckable.
 ///
-/// `Send` is a supertrait so validation contexts can be constructed
-/// inside the worker threads of the deterministic parallel batch
-/// engine; every access implementation is a view over shared
-/// (`Sync`) middleware state.
+/// `Send` is a supertrait: an access implementation is a view over
+/// shared (`Sync`) middleware state and must not tie a validation
+/// context to the thread that built it.
 pub trait ObjectAccess: Send {
     /// Reads `field` of `id`.
     ///
@@ -328,9 +327,9 @@ fn read_recording(
     access.field(id, field)
 }
 
-// The parallel batch engine moves evaluation work onto scoped worker
-// threads; these assertions pin the `Send`/`Sync` obligations at
-// compile time.
+// A cluster may run on another thread than the one that built it (the
+// §4.5 Web gateway's workers); these assertions pin the `Send`/`Sync`
+// obligations of what validation touches at compile time.
 const _: fn() = || {
     fn assert_send<T: Send>() {}
     fn assert_send_sync<T: Send + Sync>() {}

@@ -132,9 +132,9 @@ pub(crate) fn expr_err(msg: impl Into<String>) -> Error {
     Error::Expr(msg.into())
 }
 
-// The interpreter is a pure function over the AST; the parallel batch
-// engine relies on `ExprConstraint` being shareable across worker
-// threads.
+// The interpreter is a pure function over the AST; a cluster that runs
+// on another thread (the §4.5 Web gateway's workers) relies on
+// `ExprConstraint` being shareable across threads.
 const _: fn() = || {
     fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<ExprConstraint>();

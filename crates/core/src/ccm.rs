@@ -50,8 +50,7 @@ pub struct CcmStats {
 /// replica; unreachable objects error (⇒ NCC).
 ///
 /// Holds only shared references — validation never mutates middleware
-/// state — so the parallel batch engine can hand every worker thread
-/// its own `ReplicaAccess` over the same containers.
+/// state.
 pub struct ReplicaAccess<'a> {
     containers: &'a [EntityContainer],
     replication: &'a ReplicationManager,
@@ -123,19 +122,10 @@ impl ObjectAccess for ReplicaAccess<'_> {
     }
 }
 
-// Worker threads of the parallel batch engine each construct a
-// `ReplicaAccess` over the shared middleware state.
-const _: fn() = || {
-    fn assert_send<T: Send>() {}
-    assert_send::<ReplicaAccess<'_>>();
-};
-
 /// Outcome of the pure evaluation phase of one validation candidate —
-/// everything the parallel batch engine may run on a worker thread.
+/// the part of a validation the verdict cache can answer instead.
 /// Stats, telemetry, staleness degradation and negotiation happen
-/// afterwards in [`Ccm::finish_validation`], serially in canonical
-/// batch order, so traces stay byte-identical across parallelism
-/// settings.
+/// afterwards in [`Ccm::finish_validation`], in candidate order.
 #[derive(Debug)]
 pub struct RawEvaluation {
     /// Preliminary satisfaction degree before staleness adjustment, or
@@ -210,7 +200,7 @@ impl<'a> ValidationCandidate<'a> {
 /// the validation context, runs the constraint implementation through
 /// the selected engine and maps the raw result onto a preliminary
 /// satisfaction degree. Emits no telemetry, advances no clock and
-/// touches no CCM state, so batch workers may call it concurrently.
+/// touches no CCM state.
 pub fn evaluate_candidate(
     candidate: &ValidationCandidate<'_>,
     access: &mut ReplicaAccess<'_>,
@@ -596,15 +586,15 @@ impl Ccm {
         self.finish_validation(candidate.constraint, eval, access, now)
     }
 
-    /// The serial merge phase of one validation: staleness adjustment
-    /// (LCC), freshness gathering, stats and telemetry. The parallel
-    /// batch engine calls this once per candidate, in canonical batch
-    /// order, after the [`evaluate_candidate`] workers finish.
+    /// The merge phase of one validation: staleness adjustment (LCC),
+    /// freshness gathering, stats and telemetry. Called once per
+    /// candidate, in candidate order, on the [`evaluate_candidate`]
+    /// result or the memoized verdict standing in for it.
     ///
     /// # Errors
     ///
     /// Propagates the evaluation failure carried in `eval` (the
-    /// validation is still counted, matching the serial path).
+    /// validation is still counted).
     pub fn finish_validation(
         &mut self,
         constraint: &RegisteredConstraint,

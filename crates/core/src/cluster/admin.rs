@@ -8,7 +8,7 @@ use crate::CostModel;
 use dedisys_constraints::{ConstraintEngine, ConstraintRepository, RegisteredConstraint};
 use dedisys_net::SimClock;
 use dedisys_telemetry::{Telemetry, TraceEvent};
-use dedisys_types::{ConstraintName, Error, NodeId, ObjectId, Result, SatisfactionDegree};
+use dedisys_types::{ConstraintName, Error, NodeId, ObjectId, Result, SatisfactionDegree, TxId};
 use std::collections::BTreeSet;
 
 /// Lowers every enabled constraint for the compiled engine up front, so
@@ -157,14 +157,23 @@ impl Cluster {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Config`] for duplicate names.
+    /// * [`Error::Config`] — duplicate name.
+    /// * [`Error::NodeCrashed`] — no node is up to run the check.
+    /// * Evaluation failures (an ill-typed or unknown field, …).
+    ///
+    /// A constraint whose check fails is not registered: the change
+    /// is rejected whole.
     pub fn add_constraint_with_check(
         &mut self,
         constraint: RegisteredConstraint,
     ) -> Result<Vec<ObjectId>> {
         let name = constraint.name().clone();
         self.repository.register(constraint)?;
-        self.check_all_context_objects(&name)
+        let checked = self.check_all_context_objects(&name);
+        if checked.is_err() {
+            self.remove_constraint(&name);
+        }
+        checked
     }
 
     /// Re-enables a previously disabled constraint and validates it
@@ -174,12 +183,17 @@ impl Cluster {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Config`] for unknown constraint names.
+    /// * [`Error::Config`] — unknown constraint name.
+    /// * [`Error::NodeCrashed`] — no node is up to run the check.
+    /// * Evaluation failures (an ill-typed or unknown field, …).
     pub fn enable_constraint_with_check(&mut self, name: &ConstraintName) -> Result<Vec<ObjectId>> {
         self.repository.set_enabled(name, true)?;
         self.check_all_context_objects(name)
     }
 
+    /// The §3.3 full check of `name`, run from the lowest-numbered
+    /// live node in a transaction of its own that is rolled back
+    /// whatever the outcome.
     fn check_all_context_objects(&mut self, name: &ConstraintName) -> Result<Vec<ObjectId>> {
         let Some(constraint) = self.repository.get(name).cloned() else {
             return Ok(Vec::new());
@@ -202,23 +216,39 @@ impl Cluster {
             }
             _ => vec![None],
         };
-        let node = NodeId(0);
+        let node = self
+            .live_nodes()
+            .next()
+            .ok_or(Error::NodeCrashed(NodeId(0)))?;
         let check_tx = self.begin_tx(node);
+        let violating = self.violating_contexts(&constraint, contexts, node, check_tx);
+        let _ = self.rollback(check_tx);
+        violating
+    }
+
+    /// Validates `constraint` against each of `contexts` and returns
+    /// those that definitely violate it.
+    fn violating_contexts(
+        &mut self,
+        constraint: &RegisteredConstraint,
+        contexts: Vec<Option<ObjectId>>,
+        node: NodeId,
+        check_tx: TxId,
+    ) -> Result<Vec<ObjectId>> {
         let candidates: Vec<ValidationCandidate<'_>> = contexts
             .iter()
-            .map(|context| ValidationCandidate::invariant(&constraint, context.as_ref()))
+            .map(|context| ValidationCandidate::invariant(constraint, context.as_ref()))
             .collect();
         let evals = self.evaluate_candidates(&candidates, node, check_tx);
         let mut violating = Vec::new();
         for (context, eval) in contexts.into_iter().zip(evals) {
-            let verdict = self.merge_validation(&constraint, eval, node, check_tx)?;
+            let verdict = self.merge_validation(constraint, eval, node, check_tx)?;
             if verdict.degree == SatisfactionDegree::Violated {
                 if let Some(ctx) = context {
                     violating.push(ctx);
                 }
             }
         }
-        let _ = self.rollback(check_tx);
         Ok(violating)
     }
 }

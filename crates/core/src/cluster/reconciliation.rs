@@ -9,7 +9,6 @@
 //! defer (§4.4).
 
 use super::Cluster;
-use crate::batch;
 use crate::ccm::{RawEvaluation, ReplicaAccess, ValidationCandidate};
 use crate::threat::{ConsistencyThreat, ThreatIdentity};
 use dedisys_constraints::RegisteredConstraint;
@@ -262,14 +261,6 @@ impl Cluster {
         self.clock().advance(
             self.costs().db_write * threat_records + self.costs().net_hop * 2 * threat_groups,
         );
-        // The identity groups ship as canonical lanes (same shard
-        // layout as validation batches); the lane count is a pure
-        // function of the group count, so it — like every virtual-time
-        // charge above — is identical across parallelism settings.
-        self.telemetry().metrics().add(
-            "reconcile.ship_lanes",
-            u64::from(batch::shard_count(threat_groups as usize)),
-        );
         summary.replica_duration = self.clock().now().since(t0);
         self.telemetry().emit(|| TraceEvent::ReconcileReplicaPhase {
             missed_updates: replica_report.missed_updates,
@@ -331,13 +322,13 @@ impl Cluster {
             .identities_touching(replica_report.dirty.iter());
         let identities = self.ccm.threat_store().identities();
         // Phase A: every identity the walk below will re-evaluate is
-        // pre-validated as one batch on the configured pool. The walk
-        // consumes a cached evaluation only while the committed state
-        // is still exactly the state the batch saw (`state_dirty`):
-        // the rollback search and handler callbacks of the Violated
-        // arm mutate committed objects, after which later identities
-        // fall back to live serial revalidation. Either way the merge
-        // order, statistics and trace match the serial engine.
+        // pre-validated as one batch — which is where the verdict
+        // cache is probed and filled, in identity order. The walk
+        // consumes a pre-evaluated result only while the committed
+        // state is still exactly the state the batch saw
+        // (`state_dirty`): the rollback search and handler callbacks
+        // of the Violated arm mutate committed objects, after which
+        // later identities are revalidated live.
         let mut batched: Vec<(usize, Arc<RegisteredConstraint>)> = Vec::new();
         for (i, identity) in identities.iter().enumerate() {
             if strategy == ReconcileStrategy::Incremental

@@ -243,7 +243,7 @@ impl Cluster {
         });
         // §5.5.3: degraded-mode async invariants take the record-only
         // fast path; everything else forms the commit-time validation
-        // batch, evaluated on the pool and merged in pending order.
+        // batch, evaluated and then merged in pending order.
         let degraded =
             self.topology.partition_of(origin).len() < self.topology.node_count() as usize;
         let shortcut = |check: &PendingCheck| {

@@ -1,12 +1,12 @@
 //! Validation (CCMgr): the evaluation phase of a batch of candidates
-//! — verdict-cache probe, pool dispatch — and the serial merge phase
-//! with its virtual-time charges, threat storage and cache
-//! invalidation.
+//! — verdict-cache probe, then evaluation in candidate order — and
+//! the merge phase with its virtual-time charges, threat storage and
+//! cache invalidation.
 
 use super::Cluster;
-use crate::batch;
 use crate::ccm::{
-    CachedVerdict, RawEvaluation, ReplicaAccess, ValidationCandidate, ValidationVerdict,
+    evaluate_candidate, CachedVerdict, PartitionEnv, RawEvaluation, ReplicaAccess,
+    ValidationCandidate, ValidationVerdict,
 };
 use crate::threat::{HistoryPolicy, StoreOutcome};
 use dedisys_constraints::{ConstraintEngine, RegisteredConstraint};
@@ -14,7 +14,7 @@ use dedisys_telemetry::TraceEvent;
 use dedisys_types::{Error, NodeId, ObjectId, Result, SatisfactionDegree, TxId, Version};
 
 /// How one validation candidate's answer was produced — decides the
-/// virtual-time charge taken in the serial merge phase.
+/// virtual-time charge taken in the merge phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(super) enum ValidationCharge {
     /// Full interpreted evaluation ([`crate::CostModel::constraint_check`]).
@@ -25,6 +25,16 @@ pub(super) enum ValidationCharge {
     /// Version-keyed verdict-cache hit
     /// ([`crate::CostModel::verdict_cache_probe`]).
     CacheHit,
+}
+
+/// What the verdict cache said about one candidate.
+enum Probe<'a> {
+    /// The memoized answer.
+    Hit(RawEvaluation),
+    /// Evaluate; insert under the key (context object and committed
+    /// version) if the degree comes out definite. `None`: not
+    /// cacheable.
+    Miss(Option<(&'a ObjectId, Version)>),
 }
 
 impl Cluster {
@@ -80,20 +90,17 @@ impl Cluster {
     /// Runs the evaluation phase for a batch of validation candidates
     /// and returns one raw evaluation per candidate, in candidate
     /// order, each tagged with how it was answered (full evaluation or
-    /// verdict-cache hit) so the serial merge phase can take the right
+    /// verdict-cache hit) so the merge phase can take the right
     /// virtual-time charge.
     ///
-    /// The cache probe and any insertions happen here, serially, in
-    /// candidate order — workers never touch the cache, so parallel
-    /// runs stay byte-identical to serial ones. Only candidates the
-    /// probe cannot answer are dispatched to the configured pool
-    /// (`config().validation.parallelism`); with the cache off
-    /// that is the batch as it stands.
+    /// With the verdict cache on, every candidate is probed first —
+    /// all hit/miss records of a batch precede its evaluations — and
+    /// only then are the candidates the probe could not answer
+    /// evaluated and, where cacheable, memoized.
     ///
     /// Multi-candidate batches are recorded as `validation_batch`
-    /// trace events; the reported `shards`/`pool` figures are a pure
-    /// function of the batch size, so traces stay byte-identical
-    /// across parallelism settings.
+    /// trace events; the `shards`/`pool` figures are the batch size in
+    /// units of eight candidates.
     pub(super) fn evaluate_candidates(
         &mut self,
         candidates: &[ValidationCandidate<'_>],
@@ -104,8 +111,7 @@ impl Cluster {
             return Vec::new();
         }
         if candidates.len() > 1 {
-            let shards = batch::shard_count(candidates.len());
-            self.telemetry.metrics().incr("ccm.batches");
+            let shards = candidates.len().div_ceil(8) as u32;
             self.telemetry.emit(|| TraceEvent::ValidationBatch {
                 candidates: candidates.len() as u32,
                 shards,
@@ -116,21 +122,15 @@ impl Cluster {
             ConstraintEngine::Interpreted => ValidationCharge::Interpreted,
             ConstraintEngine::Compiled => ValidationCharge::Compiled,
         };
+        let env = self.partition_env(exec);
         if !self.config.validation.verdict_cache {
-            return self
-                .evaluate_on_pool(candidates, exec, tx)
-                .into_iter()
-                .map(|eval| (eval, miss_charge))
+            return candidates
+                .iter()
+                .map(|candidate| (self.evaluate(candidate, exec, tx, env), miss_charge))
                 .collect();
         }
-        // Every answer carries its candidate's position, so hits and
-        // evaluated misses fall back into candidate order by sorting.
-        let mut answers: Vec<(usize, RawEvaluation, ValidationCharge)> =
-            Vec::with_capacity(candidates.len());
-        // Misses, each with the cache key to insert under once it
-        // evaluates to a definite degree (`None`: not cacheable).
-        let mut misses = Vec::new();
-        for (i, candidate) in candidates.iter().enumerate() {
+        let mut probes = Vec::with_capacity(candidates.len());
+        for candidate in candidates {
             let key = self.cacheable_probe(candidate, exec, tx);
             let hit = key.and_then(|(object, version)| {
                 self.ccm
@@ -143,11 +143,10 @@ impl Cluster {
                     constraint: candidate.constraint.name().to_string(),
                     object: object.to_string(),
                 });
-                let eval = RawEvaluation {
+                probes.push(Probe::Hit(RawEvaluation {
                     outcome: Ok(hit.degree),
                     accessed: hit.accessed,
-                };
-                answers.push((i, eval, ValidationCharge::CacheHit));
+                }));
                 continue;
             }
             if let Some((object, _)) = key {
@@ -157,59 +156,58 @@ impl Cluster {
                     object: object.to_string(),
                 });
             }
-            misses.push((i, *candidate, key));
+            probes.push(Probe::Miss(key));
         }
-        let miss_candidates: Vec<ValidationCandidate<'_>> =
-            misses.iter().map(|(_, candidate, _)| *candidate).collect();
-        let evals = self.evaluate_on_pool(&miss_candidates, exec, tx);
-        for ((i, candidate, key), eval) in misses.into_iter().zip(evals) {
-            if let (
-                Some((object, version)),
-                Ok(degree @ (SatisfactionDegree::Satisfied | SatisfactionDegree::Violated)),
-            ) = (key, &eval.outcome)
-            {
-                self.ccm.store_verdict(
-                    object.clone(),
-                    exec,
-                    candidate.constraint.name().clone(),
-                    CachedVerdict {
-                        version,
-                        degree: *degree,
-                        accessed: eval.accessed.clone(),
-                    },
-                );
-            }
-            answers.push((i, eval, miss_charge));
-        }
-        answers.sort_unstable_by_key(|(i, ..)| *i);
-        answers
-            .into_iter()
-            .map(|(_, eval, charge)| (eval, charge))
+        candidates
+            .iter()
+            .zip(probes)
+            .map(|(candidate, probe)| {
+                let key = match probe {
+                    Probe::Hit(eval) => return (eval, ValidationCharge::CacheHit),
+                    Probe::Miss(key) => key,
+                };
+                let eval = self.evaluate(candidate, exec, tx, env);
+                if let (
+                    Some((object, version)),
+                    Ok(degree @ (SatisfactionDegree::Satisfied | SatisfactionDegree::Violated)),
+                ) = (key, &eval.outcome)
+                {
+                    self.ccm.store_verdict(
+                        object.clone(),
+                        exec,
+                        candidate.constraint.name().clone(),
+                        CachedVerdict {
+                            version,
+                            degree: *degree,
+                            accessed: eval.accessed.clone(),
+                        },
+                    );
+                }
+                (eval, miss_charge)
+            })
             .collect()
     }
 
-    /// The pure evaluation of `candidates` on the configured pool, one
-    /// result per candidate in candidate order.
-    fn evaluate_on_pool(
+    /// The pure evaluation of one candidate as seen from `exec`
+    /// within `tx`.
+    fn evaluate(
         &self,
-        candidates: &[ValidationCandidate<'_>],
+        candidate: &ValidationCandidate<'_>,
         exec: NodeId,
         tx: TxId,
-    ) -> Vec<RawEvaluation> {
-        batch::evaluate_batch(
-            candidates,
+        env: PartitionEnv,
+    ) -> RawEvaluation {
+        let mut access = ReplicaAccess::new(
             &self.containers,
             &self.replication,
             &self.topology,
             exec,
             tx,
-            self.partition_env(exec),
-            self.config.validation.engine,
-            self.config.validation.parallelism,
-        )
+        );
+        evaluate_candidate(candidate, &mut access, env, self.config.validation.engine)
     }
 
-    /// Serial merge phase for one evaluated candidate: staleness
+    /// Merge phase for one evaluated candidate: staleness
     /// degradation, statistics and telemetry.
     pub(super) fn finish_validation(
         &mut self,

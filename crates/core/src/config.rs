@@ -21,7 +21,6 @@
 //! every changed field atomically and emits one `reconfigure` trace
 //! event naming the dotted paths that changed.
 
-use crate::batch::ValidationParallelism;
 use crate::ccm::NegotiationTiming;
 use crate::cluster::ReconcileStrategy;
 use crate::threat::HistoryPolicy;
@@ -35,9 +34,6 @@ use dedisys_types::{PriorityClass, SatisfactionDegree, SimDuration};
 /// How constraints are looked up, evaluated and negotiated.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ValidationConfig {
-    /// How validation batches are evaluated (serial or a deterministic
-    /// thread pool). Runtime-reconfigurable.
-    pub parallelism: ValidationParallelism,
     /// The constraint evaluation engine (interpreted walker vs
     /// compiled stack-VM programs). Runtime-reconfigurable; switching
     /// to `Compiled` lowers and charges for every registered
@@ -61,7 +57,6 @@ pub struct ValidationConfig {
 impl Default for ValidationConfig {
     fn default() -> Self {
         Self {
-            parallelism: ValidationParallelism::default(),
             engine: ConstraintEngine::default(),
             verdict_cache: false,
             lookup_mode: LookupMode::Cached,
@@ -232,7 +227,6 @@ impl ClusterConfig {
             };
         }
         cmp!(
-            validation.parallelism,
             validation.engine,
             validation.verdict_cache,
             validation.lookup_mode,

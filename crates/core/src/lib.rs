@@ -65,7 +65,6 @@
 //! # }
 //! ```
 
-mod batch;
 mod ccm;
 mod cluster;
 mod config;
@@ -78,7 +77,6 @@ mod session;
 mod threat;
 pub mod web;
 
-pub use batch::ValidationParallelism;
 pub use ccm::{
     evaluate_candidate, CachedVerdict, Ccm, CcmStats, NegotiationTiming, PartitionEnv,
     PendingCheck, RawEvaluation, ReplicaAccess, ValidationCandidate, ValidationVerdict,

@@ -90,6 +90,63 @@ fn re_enabling_checks_context_objects_again() {
         .is_err());
 }
 
+/// A constraint whose full check cannot be evaluated is rejected
+/// whole: not registered, and its check transaction does not linger.
+#[test]
+fn a_constraint_that_cannot_be_checked_is_not_added() {
+    let mut cluster = ClusterBuilder::new(2, app()).build().unwrap();
+    let node = NodeId(0);
+    let id = ObjectId::new("Warehouse", "W1");
+    let e = id.clone();
+    cluster
+        .run_tx(node, move |c, tx| {
+            c.create(node, tx, EntityState::for_class(c.app(), &e)?)
+        })
+        .unwrap();
+    // `reserved` is no field of Warehouse: null cannot be compared.
+    let broken = RegisteredConstraint::new(
+        ConstraintMeta::new("Reserved"),
+        Arc::new(ExprConstraint::parse("self.reserved <= self.capacity").unwrap()),
+    )
+    .context_class("Warehouse")
+    .affects("Warehouse", "setStock", ContextPreparation::CalledObject);
+    assert!(cluster.add_constraint_with_check(broken).is_err());
+    assert_eq!(cluster.open_tx_count(), 0);
+    assert!(cluster
+        .repository()
+        .get(&ConstraintName::from("Reserved"))
+        .is_none());
+    cluster
+        .run_tx(node, |c, tx| {
+            c.set_field(node, tx, &id, "stock", Value::Int(5))
+        })
+        .unwrap();
+}
+
+/// The full check runs from a live node: with node 0 down, the
+/// replicas on nodes 1–2 are still checked.
+#[test]
+fn the_full_check_runs_from_a_live_node() {
+    let mut cluster = ClusterBuilder::new(3, app()).build().unwrap();
+    let node = NodeId(0);
+    let id = ObjectId::new("Warehouse", "W1");
+    let e = id.clone();
+    cluster
+        .run_tx(node, move |c, tx| {
+            c.create(node, tx, EntityState::for_class(c.app(), &e)?)?;
+            c.set_field(node, tx, &e, "stock", Value::Int(150))
+        })
+        .unwrap();
+    cluster.crash(node).unwrap();
+    // Intra-object, so possibly stale replicas do not soften the
+    // definite violation into a threat.
+    let mut constraint = capacity_constraint();
+    constraint.meta = constraint.meta.intra_object();
+    let violating = cluster.add_constraint_with_check(constraint).unwrap();
+    assert_eq!(violating, vec![id]);
+    assert_eq!(cluster.open_tx_count(), 0);
+}
+
 #[test]
 fn accepted_threats_survive_a_middleware_crash() {
     let mut constraint = capacity_constraint();

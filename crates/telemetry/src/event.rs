@@ -402,18 +402,15 @@ pub enum TraceEvent {
         /// restarted coordinator decided commit.
         presumed_abort: bool,
     },
-    /// A validation batch was scheduled for deterministic (possibly
-    /// parallel) evaluation. The shard/lane layout is a canonical
-    /// function of the batch size alone — deliberately independent of
-    /// the configured thread count, so same-seed traces stay
-    /// byte-identical across `Serial` and `Threads(n)` runs.
+    /// A batch of more than one validation candidate is about to be
+    /// evaluated, in candidate order.
     ValidationBatch {
         /// Constraint × object-group candidates in the batch.
         candidates: u32,
-        /// Canonical work units the batch was split into.
+        /// The batch size in units of eight candidates, rounded up.
         shards: u32,
-        /// Canonical evaluation-lane count of the merge schedule
-        /// (= shards; physical pool width never enters the trace).
+        /// Always equal to `shards`; kept so existing traces and their
+        /// readers do not move.
         pool: u32,
     },
     /// A constraint expression was lowered to a flat program for the
@@ -519,7 +516,7 @@ pub enum TraceEvent {
     /// through `Cluster::reconfigure`.
     Reconfigure {
         /// Dotted paths of the fields that changed
-        /// (e.g. `validation.parallelism`).
+        /// (e.g. `validation.verdict_cache`).
         changed: Vec<String>,
     },
     /// The replication ship path retried a backup install after an

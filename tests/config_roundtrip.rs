@@ -11,7 +11,7 @@ use dedisys_constraints::LookupMode;
 use dedisys_core::{
     nodes, Cluster, ClusterBuilder, ClusterConfig, ConstraintEngine, DetectorKind, HistoryPolicy,
     JsonlExporter, MinorityWriteHandling, NegotiationTiming, PrimaryPartitionPolicy,
-    ReconcileStrategy, RingRecorder, ValidationParallelism,
+    ReconcileStrategy, RingRecorder,
 };
 use dedisys_object::{AppDescriptor, ClassDescriptor, EntityState};
 use dedisys_types::{Error, NodeId, ObjectId, SatisfactionDegree, SimDuration, Value};
@@ -22,13 +22,6 @@ use std::sync::{Arc, Mutex};
 fn app() -> AppDescriptor {
     AppDescriptor::new("config-roundtrip")
         .with_class(ClassDescriptor::new("Item").with_field("v", Value::Int(0)))
-}
-
-fn arb_parallelism() -> impl Strategy<Value = ValidationParallelism> {
-    prop_oneof![
-        Just(ValidationParallelism::Serial),
-        (2usize..=8).prop_map(ValidationParallelism::Threads),
-    ]
 }
 
 fn arb_engine() -> impl Strategy<Value = ConstraintEngine> {
@@ -110,7 +103,6 @@ fn arb_deadline() -> impl Strategy<Value = Option<SimDuration>> {
 /// tuples of strategies stop at 12 fields).
 fn arb_config() -> impl Strategy<Value = ClusterConfig> {
     let validation = (
-        arb_parallelism(),
         arb_engine(),
         any::<bool>(),
         arb_lookup(),
@@ -133,8 +125,7 @@ fn arb_config() -> impl Strategy<Value = ClusterConfig> {
     );
     (validation, membership, durability, plane).prop_map(|(v, m, d, p)| {
         let mut config = ClusterConfig::default();
-        let (parallelism, engine, verdict_cache, lookup_mode, timing, degree) = v;
-        config.validation.parallelism = parallelism;
+        let (engine, verdict_cache, lookup_mode, timing, degree) = v;
         config.validation.engine = engine;
         config.validation.verdict_cache = verdict_cache;
         config.validation.lookup_mode = lookup_mode;
@@ -298,7 +289,6 @@ fn reconfigure_refuses_build_time_fields_atomically() {
 /// representative knob per config section.
 fn exercised(config: &mut ClusterConfig) {
     config.validation.lookup_mode = LookupMode::Scan;
-    config.validation.parallelism = ValidationParallelism::Threads(2);
     config.validation.engine = ConstraintEngine::Compiled;
     config.validation.verdict_cache = true;
     config.validation.negotiation_timing = NegotiationTiming::Deferred;

@@ -23,9 +23,9 @@ fn app() -> AppDescriptor {
     )
 }
 
-fn bounded_constraint() -> RegisteredConstraint {
+fn bounded_constraint(name: &str) -> RegisteredConstraint {
     RegisteredConstraint::new(
-        ConstraintMeta::new("Bounded").tradeable(SatisfactionDegree::PossiblySatisfied),
+        ConstraintMeta::new(name).tradeable(SatisfactionDegree::PossiblySatisfied),
         Arc::new(ExprConstraint::parse("self.n <= self.max").unwrap()),
     )
     .context_class("Counter")
@@ -33,16 +33,19 @@ fn bounded_constraint() -> RegisteredConstraint {
 }
 
 fn build() -> Cluster {
+    build_with(1)
+}
+
+/// A cluster with `constraints` copies of the bounded constraint.
+fn build_with(constraints: usize) -> Cluster {
     ClusterBuilder::new(3, app())
-        .constraint(bounded_constraint())
+        .constraints((0..constraints).map(|i| bounded_constraint(&format!("Bounded-{i:02}"))))
         .build()
         .unwrap()
 }
 
-/// The canonical degraded-mode lifecycle: healthy writes, a 1/2 split,
-/// threat-recording writes in the majority-less partition, repair and
-/// two-step reconciliation.
-fn run_lifecycle(cluster: &mut Cluster) {
+/// Creates the counter `c1` from node 0.
+fn create_counter(cluster: &mut Cluster) -> ObjectId {
     let id = ObjectId::new("Counter", "c1");
     let node = NodeId(0);
     let e = id.clone();
@@ -51,6 +54,15 @@ fn run_lifecycle(cluster: &mut Cluster) {
             c.create(node, tx, EntityState::for_class(c.app(), &e)?)
         })
         .unwrap();
+    id
+}
+
+/// The canonical degraded-mode lifecycle: healthy writes, a 1/2 split,
+/// threat-recording writes in the majority-less partition, repair and
+/// two-step reconciliation.
+fn run_lifecycle(cluster: &mut Cluster) {
+    let id = create_counter(cluster);
+    let node = NodeId(0);
 
     assert_eq!(
         cluster
@@ -148,6 +160,52 @@ fn lifecycle_emits_the_expected_event_stream() {
     assert_eq!(stats.cluster.creates, 1);
     let json = serde_json::to_string(&stats).unwrap();
     assert!(json.contains("\"mode\""), "{json}");
+}
+
+/// The `validation_batch` and `constraint_validated` records one write
+/// to a fresh counter emits on a cluster with `constraints` constraints.
+fn validation_records_of_one_write(constraints: usize) -> Vec<TraceEvent> {
+    let mut cluster = build_with(constraints);
+    let id = create_counter(&mut cluster);
+    let node = NodeId(0);
+    let ring = RingRecorder::new(256);
+    cluster.telemetry().attach(Box::new(ring.clone()));
+    cluster
+        .run_tx(node, |c, tx| c.set_field(node, tx, &id, "n", Value::Int(5)))
+        .unwrap();
+    ring.records()
+        .into_iter()
+        .map(|r| r.event)
+        .filter(|e| matches!(e.kind(), "validation_batch" | "constraint_validated"))
+        .collect()
+}
+
+/// A write with several affected constraints announces its validation
+/// batch once, ahead of the per-constraint records, sized in units of
+/// eight candidates; a single check is not a batch.
+#[test]
+fn validation_batch_precedes_its_constraint_records() {
+    let events = validation_records_of_one_write(12);
+    assert!(
+        matches!(
+            events[0],
+            TraceEvent::ValidationBatch {
+                candidates: 12,
+                shards: 2,
+                pool: 2
+            }
+        ),
+        "{:?}",
+        events[0]
+    );
+    assert_eq!(events.len(), 13);
+    assert!(events[1..]
+        .iter()
+        .all(|e| e.kind() == "constraint_validated"));
+
+    let events = validation_records_of_one_write(1);
+    assert_eq!(events.len(), 1);
+    assert_eq!(events[0].kind(), "constraint_validated");
 }
 
 /// A `Write` target the test keeps a handle to after the exporter (and
