@@ -2,9 +2,7 @@
 
 use dedisys_core::Cluster;
 use dedisys_object::{AppDescriptor, ClassDescriptor, EntityState, MethodDescriptor, MethodKind};
-use dedisys_types::{NodeId, ObjectId, Result, SimDuration, Value};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use dedisys_types::{ChaosRng, NodeId, ObjectId, Result, SimDuration, Value};
 
 /// The benchmark entity of the DedisysTest application (§5.1): one
 /// string attribute plus empty methods with/without constraints.
@@ -160,13 +158,14 @@ pub fn run_mixed(
     write_fraction: f64,
     seed: u64,
 ) -> Throughput {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = ChaosRng::new(seed);
     let start = cluster.now();
     let mut ok = 0u64;
     let mut failed = 0u64;
     for _ in 0..total_ops {
-        let id = items[rng.gen_range(0..items.len())].clone();
-        let write = rng.gen_bool(write_fraction);
+        let id = rng.pick(items).clone();
+        // 53 random bits: a uniform draw in [0, 1).
+        let write = ((rng.next_u64() >> 11) as f64) < write_fraction * (1u64 << 53) as f64;
         let result: Result<()> = if write {
             cluster.run_tx(node, move |c, tx| {
                 c.set_field(node, tx, &id, "value", Value::from("w"))

@@ -152,16 +152,16 @@ pub struct ModeRun {
 /// the event count legitimately differ across engines), the threat
 /// identities, and the violating-object list of every sweep.
 fn fingerprint(cluster: &Cluster, sweeps: &[(String, Vec<ObjectId>)]) -> String {
-    let stats = serde_json::to_value(cluster.stats()).expect("stats serialize");
-    let verdicts = serde_json::json!({
-        "mode": stats["mode"],
-        "cluster": stats["cluster"],
-        "ccm": stats["ccm"],
-        "replication": stats["replication"],
-        "tx": stats["tx"],
-    });
+    let stats = cluster.stats();
+    let verdicts = (
+        stats.mode,
+        stats.cluster,
+        stats.ccm,
+        stats.replication,
+        stats.tx,
+    );
     format!(
-        "{verdicts}\nthreats: {:?}\nsweeps: {sweeps:?}",
+        "{verdicts:?}\nthreats: {:?}\nsweeps: {sweeps:?}",
         cluster.threats().identities()
     )
 }

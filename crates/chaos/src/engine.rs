@@ -11,14 +11,13 @@
 
 use crate::invariant::{InvariantChecker, InvariantViolation};
 use crate::plan::{FaultPlan, FaultStep};
-use crate::rng::ChaosRng;
 use dedisys_core::{
     Cluster, ClusterBuilder, DeferAll, DetectorKind, HighestVersionWins, LinkFault,
     MinorityWriteHandling, PlaneStats, PrimaryPartitionPolicy, RequestPlane, StatsSnapshot,
 };
 use dedisys_object::{AppDescriptor, ClassDescriptor, EntityState};
 use dedisys_telemetry::TraceEvent;
-use dedisys_types::{NodeId, ObjectId, PriorityClass, Result, SimDuration, TxId, Value};
+use dedisys_types::{ChaosRng, NodeId, ObjectId, PriorityClass, Result, SimDuration, TxId, Value};
 
 /// Configuration of one chaos-soak run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

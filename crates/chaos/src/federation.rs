@@ -20,12 +20,11 @@
 //! [`ChaosRng`], all time from the federation's shared virtual clock.
 
 use crate::invariant::{InvariantChecker, InvariantViolation};
-use crate::rng::ChaosRng;
 use dedisys_core::{DeferAll, HighestVersionWins};
 use dedisys_federation::{FederatedCluster, RoutingPolicy, ShardId};
 use dedisys_object::{AppDescriptor, ClassDescriptor};
 use dedisys_telemetry::Telemetry;
-use dedisys_types::{NodeId, ObjectId, Result, SimDuration, SystemMode, Value};
+use dedisys_types::{ChaosRng, NodeId, ObjectId, Result, SimDuration, SystemMode, Value};
 
 /// Configuration of one federation chaos run. Every field participates
 /// in determinism: equal configs (and seeds) yield equal runs.

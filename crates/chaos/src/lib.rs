@@ -7,7 +7,7 @@
 //!
 //! Everything runs on the shared virtual clock, and every random
 //! decision flows from one explicit seed through [`ChaosRng`]
-//! (SplitMix64 — no external RNG dependency), so a chaos run is a
+//! (SplitMix64, defined in `dedisys-types`), so a chaos run is a
 //! *reproducible artifact*: the seed of a failing soak is the bug
 //! report, and two runs of the same seed write byte-identical JSONL
 //! traces.
@@ -33,7 +33,6 @@ mod engine;
 mod federation;
 mod invariant;
 mod plan;
-mod rng;
 
 pub use engine::{ChaosConfig, ChaosEngine, ChaosReport};
 pub use federation::{
@@ -41,4 +40,7 @@ pub use federation::{
 };
 pub use invariant::{InvariantChecker, InvariantViolation};
 pub use plan::{FaultPlan, FaultStep, PlannedFault};
-pub use rng::ChaosRng;
+
+// The workspace's one seeded generator lives in `dedisys-types`, so the
+// layers below this crate (`gms`, `apps`) draw from the same definition.
+pub use dedisys_types::ChaosRng;

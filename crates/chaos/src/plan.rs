@@ -7,8 +7,7 @@
 //! seeds yield equal schedules, so a failing soak run is replayed
 //! exactly by its seed.
 
-use crate::rng::ChaosRng;
-use dedisys_types::NodeId;
+use dedisys_types::{ChaosRng, NodeId};
 use std::collections::BTreeSet;
 use std::fmt;
 

@@ -72,7 +72,7 @@ impl Default for ValidationConfig {
 /// Everything except [`primary_policy`](Self::primary_policy) and
 /// [`minority_writes`](Self::minority_writes) is build-time only: the
 /// detector pipeline is wired (or not) when the cluster is built.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct MembershipConfig {
     /// Whether the detector-driven membership pipeline runs at all
     /// (default: off — tests script topology changes explicitly).
@@ -99,21 +99,6 @@ pub struct MembershipConfig {
     /// What happens to minority-partition writes under a quorum
     /// policy. Runtime-reconfigurable.
     pub minority_writes: MinorityWriteHandling,
-}
-
-impl Default for MembershipConfig {
-    fn default() -> Self {
-        Self {
-            detector_enabled: false,
-            detector: DetectorKind::default(),
-            detector_config: DetectorConfig::default(),
-            adaptive: AdaptiveConfig::default(),
-            stabilizer: StabilizerConfig::default(),
-            seed: 0,
-            primary_policy: PrimaryPartitionPolicy::default(),
-            minority_writes: MinorityWriteHandling::default(),
-        }
-    }
 }
 
 /// Threat history, reconciliation strategy and replica-history depth.

@@ -2,7 +2,7 @@
 //! journal only — stated once, over seeded schedules.
 //!
 //! 24 seeds × 300 steps of create / write / delete / partition / heal /
-//! reconcile / crash / restart (SplitMix64, as in `dedisys-chaos`).
+//! reconcile / crash / restart, drawn from `ChaosRng`.
 //! Checked along the way:
 //!
 //! * an acknowledged write is held by every live replica in the
@@ -19,30 +19,13 @@
 use dedisys_core::{Cluster, ClusterBuilder, DeferAll, HighestVersionWins};
 use dedisys_object::{AppDescriptor, ClassDescriptor, EntityState};
 use dedisys_store::LogOp;
-use dedisys_types::{NodeId, ObjectId, Value};
+use dedisys_types::{ChaosRng, NodeId, ObjectId, Value};
 use std::collections::BTreeMap;
 
 const NODES: u32 = 3;
 const KEYS: u64 = 8;
 const SEEDS: u64 = 24;
 const STEPS: u32 = 300;
-
-/// SplitMix64.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, bound: u64) -> u64 {
-        self.next() % bound
-    }
-}
 
 fn app() -> AppDescriptor {
     AppDescriptor::new("durability")
@@ -120,7 +103,7 @@ fn converge(c: &mut Cluster, seed: u64, step: u32) {
 }
 
 fn run_schedule(seed: u64) {
-    let mut rng = Rng(seed);
+    let mut rng = ChaosRng::new(seed);
     let mut c = ClusterBuilder::new(NODES, app())
         .build()
         .expect("cluster builds");

@@ -1,114 +1,126 @@
-//! Property tests for the consistent-hash shard map: total,
+//! Seeded-schedule properties of the consistent-hash shard map: total,
 //! deterministic routing and minimal key movement under rebalancing.
+//! Every property runs 256 cases, each drawn from `ChaosRng::new(seed)`;
+//! a failure names its seed.
 
 use dedisys_federation::{ShardId, ShardMap};
-use dedisys_types::ObjectId;
-use proptest::prelude::*;
+use dedisys_types::{ChaosRng, ObjectId};
 
-fn population(n: usize) -> Vec<ObjectId> {
+const CASES: u64 = 256;
+
+fn population(n: u64) -> Vec<ObjectId> {
     (0..n)
         .map(|i| ObjectId::new("Item", format!("key-{i}")))
         .collect()
 }
 
-proptest! {
-    /// Routing is total (every key lands on a valid shard) and
-    /// deterministic (an identically-constructed ring agrees on every
-    /// key) for arbitrary ring shapes and seeds.
-    #[test]
-    fn routing_is_total_and_deterministic(
-        shards in 1u32..8,
-        vnodes in 1u32..64,
-        seed in any::<u64>(),
-        keys in 1usize..300,
-    ) {
-        let map = ShardMap::new(shards, vnodes, seed).unwrap();
-        let twin = ShardMap::new(shards, vnodes, seed).unwrap();
+/// A uniform draw in `lo..hi`.
+fn between(rng: &mut ChaosRng, lo: u64, hi: u64) -> u64 {
+    lo + rng.below(hi - lo)
+}
+
+/// Routing is total (every key lands on a valid shard) and
+/// deterministic (an identically-constructed ring agrees on every
+/// key) for arbitrary ring shapes and seeds.
+#[test]
+fn routing_is_total_and_deterministic() {
+    for seed in 0..CASES {
+        let mut rng = ChaosRng::new(seed);
+        let shards = between(&mut rng, 1, 8) as u32;
+        let vnodes = between(&mut rng, 1, 64) as u32;
+        let ring_seed = rng.next_u64();
+        let keys = between(&mut rng, 1, 300);
+        let map = ShardMap::new(shards, vnodes, ring_seed).unwrap();
+        let twin = ShardMap::new(shards, vnodes, ring_seed).unwrap();
         for id in population(keys) {
             let owner = map.shard_of(&id);
-            prop_assert!(owner.0 < shards, "{id} routed to nonexistent {owner}");
-            prop_assert_eq!(owner, twin.shard_of(&id), "twin disagrees on {}", id);
+            assert!(
+                owner.0 < shards,
+                "seed {seed}: {id} routed to nonexistent {owner}"
+            );
+            assert_eq!(
+                owner,
+                twin.shard_of(&id),
+                "seed {seed}: twin disagrees on {id}"
+            );
         }
     }
+}
 
-    /// Seeds shuffle placement but never break totality: two different
-    /// seeds still route every key to a valid shard of the same ring
-    /// size.
-    #[test]
-    fn routing_is_total_across_seeds(
-        shards in 1u32..6,
-        vnodes in 1u32..48,
-        seed_a in any::<u64>(),
-        seed_b in any::<u64>(),
-    ) {
-        let a = ShardMap::new(shards, vnodes, seed_a).unwrap();
-        let b = ShardMap::new(shards, vnodes, seed_b).unwrap();
+/// Seeds shuffle placement but never break totality: two different
+/// seeds still route every key to a valid shard of the same ring
+/// size.
+#[test]
+fn routing_is_total_across_seeds() {
+    for seed in 0..CASES {
+        let mut rng = ChaosRng::new(seed);
+        let shards = between(&mut rng, 1, 6) as u32;
+        let vnodes = between(&mut rng, 1, 48) as u32;
+        let a = ShardMap::new(shards, vnodes, rng.next_u64()).unwrap();
+        let b = ShardMap::new(shards, vnodes, rng.next_u64()).unwrap();
         for id in population(100) {
-            prop_assert!(a.shard_of(&id).0 < shards);
-            prop_assert!(b.shard_of(&id).0 < shards);
+            assert!(a.shard_of(&id).0 < shards, "seed {seed}: {id}");
+            assert!(b.shard_of(&id).0 < shards, "seed {seed}: {id}");
         }
     }
+}
 
-    /// Growing the ring by one shard moves only the keys whose ring
-    /// segment the new shard claimed: every migration step lands on
-    /// the added shard, and every key outside the plan keeps its
-    /// owner.
-    #[test]
-    fn growth_moves_only_the_new_shards_segments(
-        shards in 1u32..7,
-        vnodes in 1u32..48,
-        seed in any::<u64>(),
-        keys in 1usize..300,
-    ) {
-        let old = ShardMap::new(shards, vnodes, seed).unwrap();
+/// Growing the ring by one shard moves only the keys whose ring
+/// segment the new shard claimed: every migration step lands on
+/// the added shard, and every key outside the plan keeps its
+/// owner.
+#[test]
+fn growth_moves_only_the_new_shards_segments() {
+    for seed in 0..CASES {
+        let mut rng = ChaosRng::new(seed);
+        let shards = between(&mut rng, 1, 7) as u32;
+        let vnodes = between(&mut rng, 1, 48) as u32;
+        let old = ShardMap::new(shards, vnodes, rng.next_u64()).unwrap();
         let new = old.with_shards(shards + 1).unwrap();
-        let pop = population(keys);
+        let pop = population(between(&mut rng, 1, 300));
         let plan = old.plan_rebalance(&new, &pop);
         let moved: std::collections::BTreeSet<_> =
             plan.steps.iter().map(|s| s.object.clone()).collect();
         for step in &plan.steps {
-            prop_assert_eq!(
+            assert_eq!(
                 step.to,
                 ShardId(shards),
-                "grown ring may only feed the new shard (step {:?})",
-                step
+                "seed {seed}: grown ring may only feed the new shard (step {step:?})"
             );
-            prop_assert_eq!(step.from, old.shard_of(&step.object));
+            assert_eq!(step.from, old.shard_of(&step.object), "seed {seed}");
         }
         for id in &pop {
             if !moved.contains(id) {
-                prop_assert_eq!(
+                assert_eq!(
                     old.shard_of(id),
                     new.shard_of(id),
-                    "unmoved key {} changed owner",
-                    id
+                    "seed {seed}: unmoved key {id} changed owner"
                 );
             }
         }
     }
+}
 
-    /// Shrinking the ring by one shard moves only the keys the removed
-    /// shard owned — surviving shards never trade keys among
-    /// themselves.
-    #[test]
-    fn shrink_moves_only_the_removed_shards_keys(
-        shards in 2u32..8,
-        vnodes in 1u32..48,
-        seed in any::<u64>(),
-        keys in 1usize..300,
-    ) {
-        let old = ShardMap::new(shards, vnodes, seed).unwrap();
+/// Shrinking the ring by one shard moves only the keys the removed
+/// shard owned — surviving shards never trade keys among
+/// themselves.
+#[test]
+fn shrink_moves_only_the_removed_shards_keys() {
+    for seed in 0..CASES {
+        let mut rng = ChaosRng::new(seed);
+        let shards = between(&mut rng, 2, 8) as u32;
+        let vnodes = between(&mut rng, 1, 48) as u32;
+        let old = ShardMap::new(shards, vnodes, rng.next_u64()).unwrap();
         let new = old.with_shards(shards - 1).unwrap();
-        let pop = population(keys);
+        let pop = population(between(&mut rng, 1, 300));
         let plan = old.plan_rebalance(&new, &pop);
         for step in &plan.steps {
-            prop_assert_eq!(
+            assert_eq!(
                 step.from,
                 ShardId(shards - 1),
-                "only the removed shard gives keys up (step {:?})",
-                step
+                "seed {seed}: only the removed shard gives keys up (step {step:?})"
             );
-            prop_assert!(step.to.0 < shards - 1);
+            assert!(step.to.0 < shards - 1, "seed {seed}: step {step:?}");
         }
     }
 }

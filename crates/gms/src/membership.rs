@@ -12,47 +12,15 @@
 //! the path every real deployment takes into degraded mode.
 //!
 //! Everything runs on the shared virtual clock with a seeded
-//! SplitMix64 stream for loss/jitter draws, so same-seed runs are
+//! [`ChaosRng`] stream for loss/jitter draws, so same-seed runs are
 //! bit-identical.
 
 use crate::adaptive::{AdaptiveConfig, AdaptiveDetector, DetectorKind};
 use crate::detector::DetectorConfig;
 use crate::stabilizer::{StabilizerConfig, ViewStabilizer};
 use dedisys_net::{SimClock, Topology};
-use dedisys_types::{NodeId, SimDuration, SimTime};
+use dedisys_types::{ChaosRng, NodeId, SimDuration, SimTime};
 use std::collections::{BTreeSet, HashMap};
-
-/// SplitMix64 — tiny deterministic stream for loss and jitter draws.
-/// (Local copy: `dedisys-gms` sits below the chaos crate in the
-/// dependency order and must not depend on it.)
-#[derive(Debug, Clone)]
-struct Mix64 {
-    state: u64,
-}
-
-impl Mix64 {
-    fn new(seed: u64) -> Self {
-        Self {
-            state: seed ^ 0x9E37_79B9_7F4A_7C15,
-        }
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, bound: u64) -> u64 {
-        if bound == 0 {
-            0
-        } else {
-            self.next_u64() % bound
-        }
-    }
-}
 
 /// Per-directed-link physical fault state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -138,7 +106,7 @@ pub struct MembershipSim {
     physical: Topology,
     faults: HashMap<(NodeId, NodeId), LinkFault>,
     default_jitter_micros: u64,
-    rng: Mix64,
+    rng: ChaosRng,
     /// Keyed `(observer, peer)` — the observer's accrual window for
     /// that peer (also carries last-heard for the fixed detector).
     detectors: HashMap<(NodeId, NodeId), AdaptiveDetector>,
@@ -174,7 +142,9 @@ impl MembershipSim {
             physical: Topology::fully_connected(node_count),
             faults: HashMap::new(),
             default_jitter_micros: 0,
-            rng: Mix64::new(config.seed),
+            // `^ GAMMA` is part of the stream's definition: the flap-sweep
+            // tables and `--detector` traces CI compares depend on it.
+            rng: ChaosRng::new(config.seed ^ ChaosRng::GAMMA),
             detectors,
             suspected: (0..node_count)
                 .map(|n| (NodeId(n), BTreeSet::new()))

@@ -9,6 +9,22 @@ use std::sync::Arc;
 /// Journal table holding committed entity snapshots.
 const JOURNAL_TABLE: &str = "entities";
 
+/// Refuses a value the journal could not give back. JSON has no
+/// non-finite numbers: the record would hold `null`, which does not
+/// decode as a float, so the node could never replay its journal again.
+fn check_journalable(field: &str, value: &Value) -> Result<()> {
+    match value {
+        Value::Float(f) if !f.is_finite() => Err(Error::IllTypedField {
+            name: field.to_owned(),
+            expected: "finite float".to_owned(),
+        }),
+        Value::List(items) => items
+            .iter()
+            .try_for_each(|item| check_journalable(field, item)),
+        _ => Ok(()),
+    }
+}
+
 /// Operation counters of a container.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ContainerStats {
@@ -99,9 +115,13 @@ impl EntityContainer {
     ///
     /// * [`Error::ClassNotDeployed`] — unknown class.
     /// * [`Error::ObjectExists`] — id already taken (visible to `tx`).
+    /// * [`Error::IllTypedField`] — a field holds a non-finite float.
     pub fn create(&mut self, tx: TxId, entity: EntityState) -> Result<()> {
         if self.app.class(entity.id().class()).is_none() {
             return Err(Error::ClassNotDeployed(entity.id().class().to_string()));
+        }
+        for (field, value) in entity.fields() {
+            check_journalable(field, value)?;
         }
         if self.exists(tx, entity.id()) {
             return Err(Error::ObjectExists(entity.id().clone()));
@@ -158,7 +178,8 @@ impl EntityContainer {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::ObjectNotFound`] if not visible to `tx`.
+    /// * [`Error::ObjectNotFound`] — not visible to `tx`.
+    /// * [`Error::IllTypedField`] — `value` holds a non-finite float.
     pub fn write_field(
         &mut self,
         tx: TxId,
@@ -167,6 +188,7 @@ impl EntityContainer {
         value: Value,
         at: SimTime,
     ) -> Result<()> {
+        check_journalable(field, &value)?;
         self.stats.writes += 1;
         if let Some(buffer) = self.buffers.get_mut(&tx) {
             if buffer.deleted.contains(id) {
@@ -446,6 +468,42 @@ mod tests {
         assert_eq!(written, vec![id.clone()]);
         assert!(deleted.is_empty());
         assert_eq!(c.read_field(tx(2), &id, "seats").unwrap(), Value::Int(80));
+    }
+
+    #[test]
+    fn non_finite_floats_are_refused_and_buffer_nothing() {
+        let mut c = EntityContainer::new(&app());
+        let id = flight(&mut c, tx(1), "F1");
+        c.commit(tx(1));
+        let refused = |r: Result<()>| {
+            assert!(
+                matches!(&r, Err(Error::IllTypedField { name, expected })
+                    if name == "seats" && expected == "finite float"),
+                "{r:?}"
+            );
+        };
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            refused(c.write_field(tx(2), &id, "seats", Value::Float(bad), t0()));
+            let nested = Value::List(vec![Value::Int(1), Value::List(vec![Value::Float(bad)])]);
+            refused(c.write_field(tx(2), &id, "seats", nested, t0()));
+            let mut fresh =
+                EntityState::for_class(c.app(), &ObjectId::new("Flight", "F2")).unwrap();
+            fresh.set_field("seats", Value::Float(bad), t0());
+            refused(c.create(tx(2), fresh));
+        }
+        assert!(!c.has_pending(tx(2)), "a refused value buffers nothing");
+        assert_eq!(c.stats().writes, 0);
+        // Finite floats pass, nested or not.
+        c.write_field(tx(2), &id, "seats", Value::Float(0.5), t0())
+            .unwrap();
+        c.write_field(
+            tx(2),
+            &id,
+            "seats",
+            Value::List(vec![Value::Float(-1e300)]),
+            t0(),
+        )
+        .unwrap();
     }
 
     #[test]

@@ -690,8 +690,9 @@ mod tests {
             object: "Flight#F1".into(),
             node: NodeId(1),
         };
-        let json = serde_json::to_value(&event).unwrap();
-        assert_eq!(json["kind"], event.kind());
+        let json = serde_json::to_string(&event).unwrap();
+        let tag = format!("\"kind\":\"{}\"", event.kind());
+        assert!(json.contains(&tag), "{json}");
     }
 
     #[test]

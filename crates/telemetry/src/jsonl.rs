@@ -95,9 +95,10 @@ mod tests {
         let bytes = buf.0.lock().unwrap().clone();
         let text = String::from_utf8(bytes).unwrap();
         assert_eq!(text.lines().count(), 3);
-        for line in text.lines() {
-            let v: serde_json::Value = serde_json::from_str(line).unwrap();
-            assert_eq!(v["event"]["kind"], "tx_begin");
+        for (seq, line) in (0u64..).zip(text.lines()) {
+            assert!(line.contains("\"kind\":\"tx_begin\""), "{line}");
+            let record: TraceRecord = serde_json::from_str(line).unwrap();
+            assert_eq!(record.seq, seq);
         }
     }
 }

@@ -108,11 +108,7 @@ pub struct HistogramSnapshot {
 impl HistogramSnapshot {
     /// Mean observation in nanoseconds (zero when empty).
     pub fn mean_ns(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.sum_ns / self.count
-        }
+        self.sum_ns.checked_div(self.count).unwrap_or(0)
     }
 }
 

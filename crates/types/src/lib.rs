@@ -36,6 +36,7 @@ mod error;
 mod id;
 mod mode;
 mod plane;
+mod rng;
 mod time;
 mod value;
 mod version;
@@ -48,6 +49,7 @@ pub use id::{
 };
 pub use mode::SystemMode;
 pub use plane::PriorityClass;
+pub use rng::ChaosRng;
 pub use time::{SimDuration, SimTime};
 pub use value::Value;
 pub use version::{Version, VersionInfo};

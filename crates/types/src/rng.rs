@@ -1,9 +1,9 @@
 //! A tiny deterministic RNG (SplitMix64) for seed-reproducible fault
-//! schedules and workloads.
+//! schedules, workloads, detector loss/jitter draws and test inputs.
 //!
-//! The crate deliberately avoids an external RNG dependency: the whole
-//! point of the chaos engine is that a fixed seed yields a
-//! byte-identical run, so the generator must be fully specified here.
+//! The workspace deliberately avoids an external RNG dependency: a
+//! fixed seed must yield a byte-identical run, so the one generator
+//! every layer draws from is fully specified here.
 
 /// SplitMix64: tiny, fast, and statistically fine for schedule
 /// generation (not for cryptography).
@@ -13,6 +13,11 @@ pub struct ChaosRng {
 }
 
 impl ChaosRng {
+    /// The SplitMix64 increment (the 64-bit golden ratio). Public
+    /// because the membership detector's stream is defined as
+    /// `ChaosRng::new(seed ^ GAMMA)`.
+    pub const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
     /// Creates a generator from `seed`. Equal seeds yield equal
     /// sequences forever.
     pub fn new(seed: u64) -> Self {
@@ -21,7 +26,7 @@ impl ChaosRng {
 
     /// The next raw 64-bit output.
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        self.state = self.state.wrapping_add(Self::GAMMA);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -51,6 +56,16 @@ impl ChaosRng {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The published SplitMix64 outputs for seed 0: the one generator
+    /// left in the workspace cannot drift unnoticed.
+    #[test]
+    fn matches_the_splitmix64_reference_vector() {
+        let mut rng = ChaosRng::new(0);
+        assert_eq!(rng.next_u64(), 0xE220_A839_7B1D_CDAF);
+        assert_eq!(rng.next_u64(), 0x6E78_9E6A_A1B9_65F4);
+        assert_eq!(rng.next_u64(), 0x06C4_5D18_8009_454F);
+    }
 
     #[test]
     fn equal_seeds_equal_sequences() {

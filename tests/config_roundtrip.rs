@@ -14,8 +14,7 @@ use dedisys_core::{
     ReconcileStrategy, RingRecorder,
 };
 use dedisys_object::{AppDescriptor, ClassDescriptor, EntityState};
-use dedisys_types::{Error, NodeId, ObjectId, SatisfactionDegree, SimDuration, Value};
-use proptest::prelude::*;
+use dedisys_types::{ChaosRng, Error, NodeId, ObjectId, SatisfactionDegree, SimDuration, Value};
 use std::io::Write;
 use std::sync::{Arc, Mutex};
 
@@ -24,132 +23,59 @@ fn app() -> AppDescriptor {
         .with_class(ClassDescriptor::new("Item").with_field("v", Value::Int(0)))
 }
 
-fn arb_engine() -> impl Strategy<Value = ConstraintEngine> {
-    prop_oneof![
-        Just(ConstraintEngine::Interpreted),
-        Just(ConstraintEngine::Compiled),
-    ]
+const TIMINGS: [NegotiationTiming; 2] = [NegotiationTiming::Immediate, NegotiationTiming::Deferred];
+const DEGREES: [SatisfactionDegree; 4] = [
+    SatisfactionDegree::Satisfied,
+    SatisfactionDegree::PossiblySatisfied,
+    SatisfactionDegree::PossiblyViolated,
+    SatisfactionDegree::Uncheckable,
+];
+const RECONCILE: [ReconcileStrategy; 2] =
+    [ReconcileStrategy::FullScan, ReconcileStrategy::Incremental];
+
+/// A uniform draw in `lo..=hi`.
+fn within(rng: &mut ChaosRng, lo: u64, hi: u64) -> u64 {
+    lo + rng.below(hi - lo + 1)
 }
 
-fn arb_lookup() -> impl Strategy<Value = LookupMode> {
-    prop_oneof![Just(LookupMode::Cached), Just(LookupMode::Scan)]
-}
-
-fn arb_timing() -> impl Strategy<Value = NegotiationTiming> {
-    prop_oneof![
-        Just(NegotiationTiming::Immediate),
-        Just(NegotiationTiming::Deferred),
-    ]
-}
-
-fn arb_degree() -> impl Strategy<Value = SatisfactionDegree> {
-    prop_oneof![
-        Just(SatisfactionDegree::Satisfied),
-        Just(SatisfactionDegree::PossiblySatisfied),
-        Just(SatisfactionDegree::PossiblyViolated),
-        Just(SatisfactionDegree::Uncheckable),
-    ]
-}
-
-fn arb_threat_policy() -> impl Strategy<Value = HistoryPolicy> {
-    prop_oneof![
-        Just(HistoryPolicy::IdenticalOnce),
-        Just(HistoryPolicy::FullHistory),
-        Just(HistoryPolicy::Reduced),
-    ]
-}
-
-fn arb_reconcile() -> impl Strategy<Value = ReconcileStrategy> {
-    prop_oneof![
-        Just(ReconcileStrategy::FullScan),
-        Just(ReconcileStrategy::Incremental),
-    ]
-}
-
-fn arb_primary_policy() -> impl Strategy<Value = PrimaryPartitionPolicy> {
-    prop_oneof![
-        Just(PrimaryPartitionPolicy::AlwaysPrimary),
-        Just(PrimaryPartitionPolicy::MajorityNodes),
-        Just(PrimaryPartitionPolicy::WeightedQuorum),
-    ]
-}
-
-fn arb_minority() -> impl Strategy<Value = MinorityWriteHandling> {
-    prop_oneof![
-        Just(MinorityWriteHandling::Degrade),
-        Just(MinorityWriteHandling::Refuse),
-    ]
-}
-
-fn arb_detector() -> impl Strategy<Value = (bool, DetectorKind, u64)> {
-    (
-        any::<bool>(),
-        prop_oneof![
-            Just(DetectorKind::FixedTimeout),
-            Just(DetectorKind::Adaptive)
-        ],
-        0u64..1_000,
-    )
-}
-
-fn arb_deadline() -> impl Strategy<Value = Option<SimDuration>> {
-    prop_oneof![
-        Just(None),
-        (1u64..=2_000).prop_map(|ms| Some(SimDuration::from_millis(ms))),
-    ]
-}
-
-/// One strategy per config section, combined as a nested tuple (flat
-/// tuples of strategies stop at 12 fields).
-fn arb_config() -> impl Strategy<Value = ClusterConfig> {
-    let validation = (
-        arb_engine(),
-        any::<bool>(),
-        arb_lookup(),
-        arb_timing(),
-        arb_degree(),
-    );
-    let membership = (arb_detector(), arb_primary_policy(), arb_minority());
-    let durability = (
-        arb_threat_policy(),
-        arb_reconcile(),
-        0usize..64,
-        any::<bool>(),
-    );
-    let plane = (
-        1u32..=64,
-        1u64..=10_000,
-        1u32..=64,
-        any::<bool>(),
-        arb_deadline(),
-    );
-    (validation, membership, durability, plane).prop_map(|(v, m, d, p)| {
-        let mut config = ClusterConfig::default();
-        let (engine, verdict_cache, lookup_mode, timing, degree) = v;
-        config.validation.engine = engine;
-        config.validation.verdict_cache = verdict_cache;
-        config.validation.lookup_mode = lookup_mode;
-        config.validation.negotiation_timing = timing;
-        config.validation.app_default_min_degree = degree;
-        let ((enabled, kind, seed), primary_policy, minority_writes) = m;
-        config.membership.detector_enabled = enabled;
-        config.membership.detector = kind;
-        config.membership.seed = seed;
-        config.membership.primary_policy = primary_policy;
-        config.membership.minority_writes = minority_writes;
-        let (threat_policy, reconcile_strategy, compaction_threshold, reduced) = d;
-        config.durability.threat_policy = threat_policy;
-        config.durability.reconcile_strategy = reconcile_strategy;
-        config.durability.compaction_threshold = compaction_threshold;
-        config.durability.reduced_replica_history = reduced;
-        let (queue_capacity, refill_per_second, burst, shed, deadline_normal) = p;
-        config.plane.queue_capacity = queue_capacity;
-        config.plane.refill_per_second = refill_per_second;
-        config.plane.burst = burst;
-        config.plane.shed_background_when_degraded = shed;
-        config.plane.deadline_normal = deadline_normal;
-        config
-    })
+/// A configuration with every field the builder accepts drawn from
+/// `rng`, section by section.
+fn config_of(rng: &mut ChaosRng) -> ClusterConfig {
+    let mut config = ClusterConfig::default();
+    config.validation.engine =
+        *rng.pick(&[ConstraintEngine::Interpreted, ConstraintEngine::Compiled]);
+    config.validation.verdict_cache = rng.chance(50);
+    config.validation.lookup_mode = *rng.pick(&[LookupMode::Cached, LookupMode::Scan]);
+    config.validation.negotiation_timing = *rng.pick(&TIMINGS);
+    config.validation.app_default_min_degree = *rng.pick(&DEGREES);
+    config.membership.detector_enabled = rng.chance(50);
+    config.membership.detector = *rng.pick(&[DetectorKind::FixedTimeout, DetectorKind::Adaptive]);
+    config.membership.seed = rng.below(1_000);
+    config.membership.primary_policy = *rng.pick(&[
+        PrimaryPartitionPolicy::AlwaysPrimary,
+        PrimaryPartitionPolicy::MajorityNodes,
+        PrimaryPartitionPolicy::WeightedQuorum,
+    ]);
+    config.membership.minority_writes = *rng.pick(&[
+        MinorityWriteHandling::Degrade,
+        MinorityWriteHandling::Refuse,
+    ]);
+    config.durability.threat_policy = *rng.pick(&[
+        HistoryPolicy::IdenticalOnce,
+        HistoryPolicy::FullHistory,
+        HistoryPolicy::Reduced,
+    ]);
+    config.durability.reconcile_strategy = *rng.pick(&RECONCILE);
+    config.durability.compaction_threshold = rng.below(64) as usize;
+    config.durability.reduced_replica_history = rng.chance(50);
+    config.plane.queue_capacity = within(rng, 1, 64) as u32;
+    config.plane.refill_per_second = within(rng, 1, 10_000);
+    config.plane.burst = within(rng, 1, 64) as u32;
+    config.plane.shed_background_when_degraded = rng.chance(50);
+    config.plane.deadline_normal = rng
+        .chance(50)
+        .then(|| SimDuration::from_millis(within(rng, 1, 2_000)));
+    config
 }
 
 /// What the builder is documented to normalize before the config
@@ -164,51 +90,59 @@ fn clamped(mut config: ClusterConfig) -> ClusterConfig {
 /// fields the cluster itself consults), and — where a subsystem keeps
 /// its own copy — the value read back from the CCM, the replication
 /// manager, the threat store and the membership pipeline.
-fn assert_observed_matches(cluster: &Cluster, expected: &ClusterConfig) {
-    assert_eq!(cluster.config(), expected);
+fn assert_observed_matches(case: &str, cluster: &Cluster, expected: &ClusterConfig) {
+    assert_eq!(cluster.config(), expected, "{case}");
     assert_eq!(
         cluster.negotiation_timing(),
-        expected.validation.negotiation_timing
+        expected.validation.negotiation_timing,
+        "{case}"
     );
     assert_eq!(
         cluster.app_default_min_degree(),
-        expected.validation.app_default_min_degree
+        expected.validation.app_default_min_degree,
+        "{case}"
     );
     assert_eq!(
         cluster.reduced_replica_history(),
-        expected.durability.reduced_replica_history
+        expected.durability.reduced_replica_history,
+        "{case}"
     );
     assert_eq!(
         cluster.threats().policy(),
-        expected.durability.threat_policy
+        expected.durability.threat_policy,
+        "{case}"
     );
     assert_eq!(
         cluster.detector_enabled(),
-        expected.membership.detector_enabled
+        expected.membership.detector_enabled,
+        "{case}"
     );
     if expected.membership.detector_enabled {
         let observed = cluster.config().membership;
-        assert_eq!(observed.detector, expected.membership.detector);
+        assert_eq!(observed.detector, expected.membership.detector, "{case}");
         assert_eq!(
-            observed.detector_config,
-            expected.membership.detector_config
+            observed.detector_config, expected.membership.detector_config,
+            "{case}"
         );
-        assert_eq!(observed.adaptive, expected.membership.adaptive);
-        assert_eq!(observed.stabilizer, expected.membership.stabilizer);
+        assert_eq!(observed.adaptive, expected.membership.adaptive, "{case}");
+        assert_eq!(
+            observed.stabilizer, expected.membership.stabilizer,
+            "{case}"
+        );
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Any typed config given to the builder is the config observed on
-    /// the running cluster, including after a committed operation.
-    #[test]
-    fn config_round_trips_from_builder_to_running_cluster(config in arb_config()) {
+/// Any typed config given to the builder is the config observed on
+/// the running cluster, including after a committed operation — over
+/// 32 seeded configurations.
+#[test]
+fn config_round_trips_from_builder_to_running_cluster() {
+    for seed in 0..32 {
+        let config = config_of(&mut ChaosRng::new(seed));
         let mut cluster = ClusterBuilder::new(3, app())
             .with_config(config)
             .build()
-            .expect("build");
+            .unwrap_or_else(|e| panic!("seed {seed}: build: {e}"));
         // Exercise the cluster so "observed" means a *running* system,
         // not a freshly wired one. The full topology is primary under
         // every policy, so the write is admitted regardless of knobs.
@@ -217,22 +151,25 @@ proptest! {
             .run_tx(NodeId(0), move |c, tx| {
                 c.create(NodeId(0), tx, EntityState::for_class(c.app(), &id)?)
             })
-            .expect("seed write");
-        assert_observed_matches(&cluster, &clamped(config));
+            .unwrap_or_else(|e| panic!("seed {seed}: seed write: {e}"));
+        assert_observed_matches(&format!("seed {seed}"), &cluster, &clamped(config));
     }
+}
 
-    /// Runtime deltas via `reconfigure` land in the live subsystems,
-    /// return exactly the changed dotted paths, and emit one
-    /// `reconfigure` event (none when nothing changed).
-    #[test]
-    fn reconfigure_applies_and_reports_runtime_deltas(
-        timing in arb_timing(),
-        degree in arb_degree(),
-        cache in any::<bool>(),
-        strategy in arb_reconcile(),
-        reduced in any::<bool>(),
-        burst in 1u32..=64,
-    ) {
+/// Runtime deltas via `reconfigure` land in the live subsystems,
+/// return exactly the changed dotted paths, and emit one
+/// `reconfigure` event (none when nothing changed) — over 32 seeded
+/// deltas.
+#[test]
+fn reconfigure_applies_and_reports_runtime_deltas() {
+    for seed in 0..32 {
+        let mut rng = ChaosRng::new(seed);
+        let timing = *rng.pick(&TIMINGS);
+        let degree = *rng.pick(&DEGREES);
+        let cache = rng.chance(50);
+        let strategy = *rng.pick(&RECONCILE);
+        let reduced = rng.chance(50);
+        let burst = within(&mut rng, 1, 64) as u32;
         let mut cluster = ClusterBuilder::new(3, app()).build().expect("build");
         let ring = RingRecorder::new(256);
         cluster.telemetry().attach(Box::new(ring.clone()));
@@ -245,28 +182,43 @@ proptest! {
                 c.durability.reduced_replica_history = reduced;
                 c.plane.burst = burst;
             })
-            .expect("runtime-only delta");
-        prop_assert_eq!(cluster.negotiation_timing(), timing);
-        prop_assert_eq!(cluster.app_default_min_degree(), degree);
-        prop_assert_eq!(cluster.config().validation.verdict_cache, cache);
-        prop_assert_eq!(cluster.config().durability.reconcile_strategy, strategy);
-        prop_assert_eq!(cluster.reduced_replica_history(), reduced);
-        prop_assert_eq!(cluster.config().plane.burst, burst);
+            .unwrap_or_else(|e| panic!("seed {seed}: runtime-only delta: {e}"));
+        let observed = (
+            cluster.negotiation_timing(),
+            cluster.app_default_min_degree(),
+            cluster.config().validation.verdict_cache,
+            cluster.config().durability.reconcile_strategy,
+            cluster.reduced_replica_history(),
+            cluster.config().plane.burst,
+        );
+        assert_eq!(
+            observed,
+            (timing, degree, cache, strategy, reduced, burst),
+            "seed {seed}"
+        );
         // The returned paths are exactly the fields that now differ
         // from the default the cluster started with.
         let expected_paths = ClusterConfig::default().diff(cluster.config());
-        prop_assert_eq!(&changed, &expected_paths);
+        assert_eq!(changed, expected_paths, "seed {seed}");
         let events = ring.records_of_kind("reconfigure");
-        prop_assert_eq!(events.len(), usize::from(!changed.is_empty()));
+        assert_eq!(
+            events.len(),
+            usize::from(!changed.is_empty()),
+            "seed {seed}"
+        );
         // Applying the same delta again is a no-op: no paths, no event.
         let again = cluster
             .reconfigure(|c| {
                 c.validation.negotiation_timing = timing;
                 c.plane.burst = burst;
             })
-            .expect("idempotent delta");
-        prop_assert!(again.is_empty());
-        prop_assert_eq!(ring.records_of_kind("reconfigure").len(), events.len());
+            .unwrap_or_else(|e| panic!("seed {seed}: idempotent delta: {e}"));
+        assert!(again.is_empty(), "seed {seed}");
+        assert_eq!(
+            ring.records_of_kind("reconfigure").len(),
+            events.len(),
+            "seed {seed}"
+        );
     }
 }
 
@@ -320,8 +272,8 @@ fn both_typed_spellings_build_the_identical_config() {
     assert_eq!(valued.config(), mutated.config());
     let mut expected = ClusterConfig::default();
     exercised(&mut expected);
-    assert_observed_matches(&valued, &expected);
-    assert_observed_matches(&mutated, &expected);
+    assert_observed_matches("with_config", &valued, &expected);
+    assert_observed_matches("configure", &mutated, &expected);
 }
 
 /// A `Write` sink into a shared buffer (see

@@ -129,14 +129,14 @@ fn fingerprint(
     sweeps: &[(String, Vec<ObjectId>)],
     objects: &[ObjectId],
 ) -> String {
-    let stats = serde_json::to_value(cluster.stats()).unwrap();
-    let verdicts = serde_json::json!({
-        "mode": stats["mode"],
-        "cluster": stats["cluster"],
-        "ccm": stats["ccm"],
-        "replication": stats["replication"],
-        "tx": stats["tx"],
-    });
+    let stats = cluster.stats();
+    let verdicts = (
+        stats.mode,
+        stats.cluster,
+        stats.ccm,
+        stats.replication,
+        stats.tx,
+    );
     let states: Vec<_> = objects
         .iter()
         .flat_map(|id| (0..3).map(move |n| (id, n)))
@@ -147,7 +147,7 @@ fn fingerprint(
         })
         .collect();
     format!(
-        "{verdicts}\nthreats: {:?}\nsweeps: {sweeps:?}\nstates: {states:?}",
+        "{verdicts:?}\nthreats: {:?}\nsweeps: {sweeps:?}\nstates: {states:?}",
         cluster.threats().identities()
     )
 }

@@ -13,7 +13,7 @@ use dedisys_core::{
 use dedisys_net::SimClock;
 use dedisys_object::{AppDescriptor, ClassDescriptor, EntityState};
 use dedisys_store::{Persistence, StoreCosts};
-use dedisys_types::{NodeId, ObjectId, SatisfactionDegree, SimDuration, SystemMode, Value};
+use dedisys_types::{Error, NodeId, ObjectId, SatisfactionDegree, SimDuration, SystemMode, Value};
 use std::sync::Arc;
 
 fn app() -> AppDescriptor {
@@ -267,6 +267,56 @@ fn async_constraints_skip_degraded_validation() {
     cluster.heal();
     let summary = cluster.reconcile(&mut HighestVersionWins, &mut DeferAll);
     assert_eq!(summary.constraints.satisfied_removed, 1);
+}
+
+/// Regression — a non-finite float used to commit, reach the journal
+/// as `null`, and make every later restart of a replica fail with the
+/// node's whole committed map already cleared. The write is refused
+/// where it enters, so the journal only ever holds what it can replay.
+#[test]
+fn non_finite_float_write_is_refused_and_the_journal_stays_replayable() {
+    let mut cluster = ClusterBuilder::new(3, app()).build().unwrap();
+    let id = seed(&mut cluster);
+    let sibling = ObjectId::new("Counter", "c2");
+    let e = sibling.clone();
+    cluster
+        .run_tx(NodeId(0), move |c, tx| {
+            c.create(NodeId(0), tx, EntityState::for_class(c.app(), &e)?)
+        })
+        .unwrap();
+    let version = cluster.entity_on(NodeId(0), &id).unwrap().version();
+    for bad in [
+        Value::Float(f64::NAN),
+        Value::Float(f64::INFINITY),
+        Value::Float(f64::NEG_INFINITY),
+        Value::List(vec![Value::Int(1), Value::Float(f64::NAN)]),
+    ] {
+        let write = cluster.run_tx(NodeId(0), |c, tx| {
+            c.set_field(NodeId(0), tx, &id, "n", bad.clone())
+        });
+        assert!(
+            matches!(&write, Err(Error::IllTypedField { name, expected })
+                if name == "n" && expected == "finite float"),
+            "{bad:?}: {write:?}"
+        );
+        for node in (0..3).map(NodeId) {
+            let held = cluster.entity_on(node, &id).unwrap();
+            assert_eq!(held.field("n"), &Value::Int(0), "{bad:?} on {node}");
+            assert_eq!(held.version(), version, "{bad:?} on {node}");
+        }
+    }
+    assert_eq!(cluster.open_tx_count(), 0);
+    assert!(cluster.held_locks().is_empty());
+    // A backup crashes and comes back from its journal alone.
+    cluster.crash(NodeId(1)).unwrap();
+    cluster.restart(NodeId(1)).unwrap();
+    for held in [&id, &sibling] {
+        assert_eq!(
+            cluster.entity_on(NodeId(1), held).unwrap().field("n"),
+            &Value::Int(0),
+            "{held} after restart"
+        );
+    }
 }
 
 #[test]

@@ -248,11 +248,9 @@ fn same_seed_exports_byte_identical_jsonl() {
     // representative slice of the event vocabulary.
     let text = String::from_utf8(first).unwrap();
     let mut kinds = std::collections::BTreeSet::new();
-    let mut expected_seq = 0u64;
-    for line in text.lines() {
+    for (expected_seq, line) in (0u64..).zip(text.lines()) {
         let record: TraceRecord = serde_json::from_str(line).unwrap();
         assert_eq!(record.seq, expected_seq);
-        expected_seq += 1;
         kinds.insert(record.event.kind());
     }
     assert!(
