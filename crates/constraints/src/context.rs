@@ -185,11 +185,6 @@ impl<'a> ValidationContext<'a> {
         ctx
     }
 
-    /// Overrides the context object (after context preparation).
-    pub fn set_context_object(&mut self, id: Option<ObjectId>) {
-        self.context_object = id.map(Cow::Owned);
-    }
-
     /// The context object (`getContextObject()`).
     pub fn context_object(&self) -> Option<&ObjectId> {
         self.context_object.as_deref()

@@ -77,7 +77,9 @@ impl<'a> ReplicaAccess<'a> {
         }
     }
 
-    fn find_entity(&self, id: &ObjectId) -> Option<&dedisys_object::EntityState> {
+    /// The copy of `id` a validation on this node in this transaction
+    /// reads — also what the verdict cache keys its version on.
+    pub(crate) fn find_entity(&self, id: &ObjectId) -> Option<&dedisys_object::EntityState> {
         // A distributed transaction's buffered writes live on the nodes
         // that executed them — prefer those anywhere in the partition
         // (read-your-writes across nodes).
@@ -120,19 +122,6 @@ impl ObjectAccess for ReplicaAccess<'_> {
         }
         ids.into_iter().collect()
     }
-}
-
-/// Outcome of the pure evaluation phase of one validation candidate —
-/// the part of a validation the verdict cache can answer instead.
-/// Stats, telemetry, staleness degradation and negotiation happen
-/// afterwards in [`Ccm::finish_validation`], in candidate order.
-#[derive(Debug)]
-pub struct RawEvaluation {
-    /// Preliminary satisfaction degree before staleness adjustment, or
-    /// the propagated (non-availability) validation failure.
-    pub outcome: Result<SatisfactionDegree>,
-    /// Objects the validation accessed.
-    pub accessed: BTreeSet<ObjectId>,
 }
 
 /// The partition-environment values the middleware exposes to
@@ -196,17 +185,17 @@ impl<'a> ValidationCandidate<'a> {
     }
 }
 
-/// The pure evaluation phase of [`Ccm::validate_constraint`]: builds
-/// the validation context, runs the constraint implementation through
-/// the selected engine and maps the raw result onto a preliminary
-/// satisfaction degree. Emits no telemetry, advances no clock and
-/// touches no CCM state.
-pub fn evaluate_candidate(
+/// The pure evaluation of one candidate — the part of a validation the
+/// verdict cache can answer instead: runs the constraint through the
+/// selected engine and returns the satisfaction degree before staleness
+/// adjustment (or the non-availability failure) with the objects
+/// accessed. Emits no telemetry, advances no clock, touches no CCM state.
+pub(crate) fn evaluate_candidate(
     candidate: &ValidationCandidate<'_>,
     access: &mut ReplicaAccess<'_>,
     env: PartitionEnv,
     engine: ConstraintEngine,
-) -> RawEvaluation {
+) -> (Result<SatisfactionDegree>, BTreeSet<ObjectId>) {
     let topology_healthy = access.topology.is_healthy();
     let mut ctx = ValidationContext::borrowing(
         candidate.context_object,
@@ -233,7 +222,7 @@ pub fn evaluate_candidate(
         Err(Error::ObjectUnreachable(_)) => Ok(SatisfactionDegree::Uncheckable),
         Err(other) => Err(other),
     };
-    RawEvaluation { outcome, accessed }
+    (outcome, accessed)
 }
 
 /// The result of validating one constraint, after staleness
@@ -320,8 +309,6 @@ pub struct Ccm {
     timing: NegotiationTiming,
     app_default_min_degree: SatisfactionDegree,
     default_instructions: ReconcileInstructions,
-    /// Guard against middleware/application validation loops (§5.3).
-    in_validation: bool,
     /// Version-keyed verdict cache: context object → (observing node,
     /// constraint) → memoized verdict. Object-first so a write
     /// invalidates every dependent entry with one range removal.
@@ -360,7 +347,6 @@ impl Ccm {
             timing: NegotiationTiming::Immediate,
             app_default_min_degree: SatisfactionDegree::Satisfied,
             default_instructions: ReconcileInstructions::default(),
-            in_validation: false,
             verdict_cache: BTreeMap::new(),
             stats: CcmStats::default(),
             telemetry: None,
@@ -558,8 +544,15 @@ impl Ccm {
         self.deferred.remove(&tx);
     }
 
-    /// Validates one constraint and adjusts the satisfaction degree for
-    /// staleness per §4.2.3.
+    /// Validates one constraint — evaluation, then the staleness
+    /// adjustment of §4.2.3, statistics and `constraint_validated` —
+    /// live and uncached, as reconciliation re-evaluates stored threats.
+    ///
+    /// Constraints are predicates and must not trigger further
+    /// constraint validation (§5.3). No runtime guard enforces that:
+    /// `access` holds the containers by shared reference for the whole
+    /// evaluation, so nothing a constraint can reach is able to invoke,
+    /// write or commit — re-entry is unrepresentable.
     ///
     /// # Errors
     ///
@@ -574,38 +567,30 @@ impl Ccm {
         engine: ConstraintEngine,
         now: SimTime,
     ) -> Result<ValidationVerdict> {
-        // Re-entrance guard (§5.3): constraints are predicates and must
-        // not trigger further constraint validation.
-        assert!(
-            !self.in_validation,
-            "re-entrant constraint validation — middleware/application loop"
-        );
-        self.in_validation = true;
-        let eval = evaluate_candidate(candidate, access, env, engine);
-        self.in_validation = false;
-        self.finish_validation(candidate.constraint, eval, access, now)
+        let (outcome, accessed) = evaluate_candidate(candidate, access, env, engine);
+        self.finish_validation(candidate.constraint, outcome, accessed, access, now)
     }
 
-    /// The merge phase of one validation: staleness adjustment (LCC),
-    /// freshness gathering, stats and telemetry. Called once per
-    /// candidate, in candidate order, on the [`evaluate_candidate`]
-    /// result or the memoized verdict standing in for it.
+    /// The second half of a validation: staleness adjustment (LCC),
+    /// freshness gathering, stats and telemetry, on the
+    /// [`evaluate_candidate`] result or the memoized verdict standing
+    /// in for it.
     ///
     /// # Errors
     ///
-    /// Propagates the evaluation failure carried in `eval` (the
-    /// validation is still counted).
-    pub fn finish_validation(
+    /// Propagates the evaluation failure in `outcome` (the validation
+    /// is still counted).
+    pub(crate) fn finish_validation(
         &mut self,
         constraint: &RegisteredConstraint,
-        eval: RawEvaluation,
+        outcome: Result<SatisfactionDegree>,
+        accessed: BTreeSet<ObjectId>,
         access: &ReplicaAccess<'_>,
         now: SimTime,
     ) -> Result<ValidationVerdict> {
         self.stats.validations += 1;
         let node = access.node;
         let tx = access.tx;
-        let RawEvaluation { outcome, accessed } = eval;
         let mut degree = outcome?;
 
         // LCC: degrade definite results when possibly stale objects
@@ -720,53 +705,60 @@ impl Ccm {
                     });
                     return Ok(None);
                 }
-                let mut threat = threat;
-                let (decision, path) = {
-                    let handler: Option<&mut dyn NegotiationHandler> =
-                        match self.handlers.get_mut(&tx) {
-                            Some(h) => Some(&mut **h),
-                            None => None,
-                        };
-                    negotiate(
-                        constraint,
-                        &mut threat,
-                        handler,
-                        &verdict.version_infos,
-                        self.app_default_min_degree,
-                    )
-                };
-                self.note_negotiation_path(path);
-                match decision {
-                    ThreatDecision::Reject => {
-                        self.stats.threats_rejected += 1;
-                        if let Some(t) = &self.telemetry {
-                            t.metrics().incr("ccm.threats_rejected");
-                            t.emit(|| TraceEvent::ThreatRejected {
-                                constraint: constraint.name().to_string(),
-                                degree,
-                            });
-                        }
-                        Err(Error::ThreatRejected {
-                            constraint: constraint.name().clone(),
-                            degree,
-                        })
-                    }
-                    ThreatDecision::Accept => {
-                        self.stats.threats_accepted += 1;
-                        if constraint.meta.kind.is_invariant() {
-                            // Invariant threats are persisted for
-                            // reconciliation.
-                            let outcome = self.threat_store.store(threat);
-                            self.emit_threat_recorded(constraint, context_object, degree, outcome);
-                            Ok(Some(outcome))
-                        } else {
-                            // Pre/postcondition threats cannot be
-                            // re-evaluated later (§3); their effects
-                            // must be covered by invariants.
-                            Ok(None)
-                        }
-                    }
+                self.negotiate_threat(constraint, context_object, threat, &verdict.version_infos)
+            }
+        }
+    }
+
+    /// The one negotiation of a threat (§3.2), immediate or deferred. A
+    /// rejection is counted and reported; an accepted invariant threat
+    /// is persisted and its store outcome returned (`context_object`,
+    /// the threat's own, names it in the record once the store owns
+    /// it); an accepted pre-/postcondition threat is only tolerated: it
+    /// cannot be re-evaluated later (§3), so invariants must cover it.
+    fn negotiate_threat(
+        &mut self,
+        constraint: &RegisteredConstraint,
+        context_object: Option<&ObjectId>,
+        mut threat: ConsistencyThreat,
+        version_infos: &BTreeMap<String, (ClassName, VersionInfo)>,
+    ) -> Result<Option<StoreOutcome>> {
+        let degree = threat.degree;
+        let handler = self
+            .handlers
+            .get_mut(&threat.tx)
+            .map(|h| &mut **h as &mut dyn NegotiationHandler);
+        let (decision, path) = negotiate(
+            constraint,
+            &mut threat,
+            handler,
+            version_infos,
+            self.app_default_min_degree,
+        );
+        self.note_negotiation_path(path);
+        match decision {
+            ThreatDecision::Reject => {
+                self.stats.threats_rejected += 1;
+                if let Some(t) = &self.telemetry {
+                    t.metrics().incr("ccm.threats_rejected");
+                    t.emit(|| TraceEvent::ThreatRejected {
+                        constraint: constraint.name().to_string(),
+                        degree,
+                    });
                 }
+                Err(Error::ThreatRejected {
+                    constraint: constraint.name().clone(),
+                    degree,
+                })
+            }
+            ThreatDecision::Accept => {
+                self.stats.threats_accepted += 1;
+                if !constraint.meta.kind.is_invariant() {
+                    return Ok(None);
+                }
+                let outcome = self.threat_store.store(threat);
+                self.emit_threat_recorded(constraint, context_object, degree, outcome);
+                Ok(Some(outcome))
             }
         }
     }
@@ -785,52 +777,17 @@ impl Ccm {
         let mut outcomes = Vec::new();
         for DeferredThreat {
             constraint,
-            mut threat,
+            threat,
             version_infos,
         } in deferred
         {
-            let (decision, path) = {
-                let handler: Option<&mut dyn crate::negotiation::NegotiationHandler> =
-                    match self.handlers.get_mut(&tx) {
-                        Some(h) => Some(&mut **h),
-                        None => None,
-                    };
-                negotiate(
-                    &constraint,
-                    &mut threat,
-                    handler,
-                    &version_infos,
-                    self.app_default_min_degree,
-                )
-            };
-            self.note_negotiation_path(path);
-            match decision {
-                ThreatDecision::Reject => {
-                    self.stats.threats_rejected += 1;
-                    if let Some(t) = &self.telemetry {
-                        t.metrics().incr("ccm.threats_rejected");
-                        let degree = threat.degree;
-                        t.emit(|| TraceEvent::ThreatRejected {
-                            constraint: constraint.name().to_string(),
-                            degree,
-                        });
-                    }
-                    return Err(Error::ThreatRejected {
-                        constraint: constraint.name().clone(),
-                        degree: threat.degree,
-                    });
-                }
-                ThreatDecision::Accept => {
-                    self.stats.threats_accepted += 1;
-                    if constraint.meta.kind.is_invariant() {
-                        let degree = threat.degree;
-                        let context = threat.context_object.clone();
-                        let outcome = self.threat_store.store(threat);
-                        self.emit_threat_recorded(&constraint, context.as_ref(), degree, outcome);
-                        outcomes.push(outcome);
-                    }
-                }
-            }
+            let context = threat.context_object.clone();
+            outcomes.extend(self.negotiate_threat(
+                &constraint,
+                context.as_ref(),
+                threat,
+                &version_infos,
+            )?);
         }
         Ok(outcomes)
     }

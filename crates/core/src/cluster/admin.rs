@@ -235,14 +235,10 @@ impl Cluster {
         node: NodeId,
         check_tx: TxId,
     ) -> Result<Vec<ObjectId>> {
-        let candidates: Vec<ValidationCandidate<'_>> = contexts
-            .iter()
-            .map(|context| ValidationCandidate::invariant(constraint, context.as_ref()))
-            .collect();
-        let evals = self.evaluate_candidates(&candidates, node, check_tx);
         let mut violating = Vec::new();
-        for (context, eval) in contexts.into_iter().zip(evals) {
-            let verdict = self.merge_validation(constraint, eval, node, check_tx)?;
+        for context in contexts {
+            let candidate = ValidationCandidate::invariant(constraint, context.as_ref());
+            let verdict = self.validate(&candidate, node, check_tx)?;
             if verdict.degree == SatisfactionDegree::Violated {
                 if let Some(ctx) = context {
                     violating.push(ctx);

@@ -2,7 +2,6 @@
 //! interceptor chain, target routing, dispatch and the CCMgr's
 //! before/after trigger points (Figure 4.5).
 
-use super::validation::unevaluated;
 use super::{Cluster, HookInfo};
 use crate::ccm::{PendingCheck, ReplicaAccess, ValidationCandidate};
 use dedisys_constraints::{ConstraintKind, ContextPreparation, LookupKind, ValidationContext};
@@ -229,19 +228,15 @@ impl Cluster {
             signature: sig.to_string(),
             matches: pres.len() as u32,
         });
-        let candidates: Vec<ValidationCandidate<'_>> = pres
-            .iter()
-            .map(|constraint| ValidationCandidate {
+        for constraint in pres.iter() {
+            let candidate = ValidationCandidate {
                 constraint,
                 context_object: Some(&inv.target),
                 call: Some(inv),
                 result: None,
                 pre_state: None,
-            })
-            .collect();
-        let evals = self.evaluate_candidates(&candidates, exec, tx);
-        for (constraint, eval) in pres.iter().zip(evals) {
-            self.merge_one_validation(exec, tx, constraint, Some(&inv.target), eval)?;
+            };
+            self.validate_and_process(&candidate, exec, tx)?;
         }
         let posts = self.repository.lookup(sig, LookupKind::Postcondition);
         let mut pre_states = Vec::with_capacity(posts.len());
@@ -280,20 +275,15 @@ impl Cluster {
             signature: sig.to_string(),
             matches: posts.len() as u32,
         });
-        let candidates: Vec<ValidationCandidate<'_>> = posts
-            .iter()
-            .zip(pre_states)
-            .map(|(constraint, pre_state)| ValidationCandidate {
+        for (constraint, pre_state) in posts.iter().zip(pre_states) {
+            let candidate = ValidationCandidate {
                 constraint,
                 context_object: Some(target),
                 call: Some(inv),
                 result: Some(value),
                 pre_state: Some(pre_state),
-            })
-            .collect();
-        let evals = self.evaluate_candidates(&candidates, exec, tx);
-        for (constraint, eval) in posts.iter().zip(evals) {
-            self.merge_one_validation(exec, tx, constraint, Some(target), eval)?;
+            };
+            self.validate_and_process(&candidate, exec, tx)?;
         }
         let invariants = self.repository.lookup(sig, LookupKind::Invariant);
         self.telemetry.emit(|| TraceEvent::TriggerPoint {
@@ -301,9 +291,10 @@ impl Cluster {
             signature: sig.to_string(),
             matches: invariants.len() as u32,
         });
-        // Resolve every context object first (§4.2.2), then batch
-        // the hard invariants; soft/async invariants are only
-        // registered for commit-time validation.
+        // Resolve every context object first (§4.2.2: a failing
+        // context preparation refuses the call before any invariant is
+        // validated), then validate the hard invariants; soft/async
+        // invariants are only registered for commit-time validation.
         let mut resolved: Vec<Option<ObjectId>> = Vec::with_capacity(invariants.len());
         for constraint in invariants.iter() {
             let preparation = constraint
@@ -325,20 +316,12 @@ impl Cluster {
                 Err(e) => return Err(e),
             });
         }
-        let candidates: Vec<ValidationCandidate<'_>> = invariants
-            .iter()
-            .zip(&resolved)
-            .filter(|(constraint, _)| constraint.meta.kind == ConstraintKind::HardInvariant)
-            .map(|(constraint, context_object)| {
-                ValidationCandidate::invariant(constraint, context_object.as_ref())
-            })
-            .collect();
-        let mut evals = self.evaluate_candidates(&candidates, exec, tx).into_iter();
         for (constraint, context_object) in invariants.iter().zip(resolved) {
             match constraint.meta.kind {
                 ConstraintKind::HardInvariant => {
-                    let eval = evals.next().ok_or_else(|| unevaluated(constraint))?;
-                    self.merge_one_validation(exec, tx, constraint, context_object.as_ref(), eval)?;
+                    let candidate =
+                        ValidationCandidate::invariant(constraint, context_object.as_ref());
+                    self.validate_and_process(&candidate, exec, tx)?;
                 }
                 ConstraintKind::SoftInvariant | ConstraintKind::AsyncInvariant => {
                     self.ccm.register_pending(

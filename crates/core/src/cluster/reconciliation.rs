@@ -9,17 +9,14 @@
 //! defer (§4.4).
 
 use super::Cluster;
-use crate::ccm::{RawEvaluation, ReplicaAccess, ValidationCandidate};
+use crate::ccm::{ReplicaAccess, ValidationCandidate};
 use crate::threat::{ConsistencyThreat, ThreatIdentity};
-use dedisys_constraints::RegisteredConstraint;
 use dedisys_object::{EntityContainer, Snapshot};
 use dedisys_replication::{ReconcileReport, ReplicaConflict, ReplicaConsistencyHandler};
 use dedisys_telemetry::{TraceEvent, TransitionCause};
 use dedisys_types::{
     Error, NodeId, ObjectId, Result, SatisfactionDegree, SimDuration, SystemMode, TxId, Value,
 };
-use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// A constraint violation detected during reconciliation.
 #[derive(Debug, Clone)]
@@ -321,42 +318,7 @@ impl Cluster {
             .threat_store()
             .identities_touching(replica_report.dirty.iter());
         let identities = self.ccm.threat_store().identities();
-        // Phase A: every identity the walk below will re-evaluate is
-        // pre-validated as one batch — which is where the verdict
-        // cache is probed and filled, in identity order. The walk
-        // consumes a pre-evaluated result only while the committed
-        // state is still exactly the state the batch saw
-        // (`state_dirty`): the rollback search and handler callbacks
-        // of the Violated arm mutate committed objects, after which
-        // later identities are revalidated live.
-        let mut batched: Vec<(usize, Arc<RegisteredConstraint>)> = Vec::new();
-        for (i, identity) in identities.iter().enumerate() {
-            if strategy == ReconcileStrategy::Incremental
-                && !dirty_touched.contains(identity)
-                && !self.identity_checkable(observer, identity)
-            {
-                continue;
-            }
-            if let Some(constraint) = self.repository().get(&identity.constraint) {
-                batched.push((i, Arc::clone(constraint)));
-            }
-        }
-        let candidates: Vec<ValidationCandidate<'_>> = batched
-            .iter()
-            .map(|(i, constraint)| {
-                ValidationCandidate::invariant(constraint, identities[*i].context_object.as_ref())
-            })
-            .collect();
-        // Reconciliation's Phase A keeps its historical costing (no
-        // per-check clock charge), so the charge tag is dropped here.
-        let evals = self
-            .evaluate_candidates(&candidates, observer, recon_tx)
-            .into_iter()
-            .map(|(eval, _)| eval);
-        let mut cached: BTreeMap<usize, RawEvaluation> =
-            batched.iter().map(|(i, _)| *i).zip(evals).collect();
-        let mut state_dirty = false;
-        for (index, identity) in identities.into_iter().enumerate() {
+        for identity in identities {
             // Incremental engine: a threat must be re-evaluated when
             // the replica step changed one of its objects (dirty) or
             // when all its objects are checkable from the observer —
@@ -391,15 +353,7 @@ impl Cluster {
                     .remove_identity(&identity.constraint, identity.context_object.as_ref());
                 continue;
             };
-            let degree = match cached.remove(&index) {
-                // Merge phase only: the pure evaluation already
-                // happened in the Phase-A batch.
-                Some(eval) if !state_dirty => self
-                    .finish_validation(&constraint, eval, observer, recon_tx)
-                    .map_or(SatisfactionDegree::Uncheckable, |verdict| verdict.degree),
-                _ => self.revalidate(observer, recon_tx, &constraint, &identity),
-            };
-            match degree {
+            match self.revalidate(observer, recon_tx, &constraint, &identity) {
                 SatisfactionDegree::Satisfied => {
                     report.satisfied_removed += 1;
                     // Capture the notification flag and the affected
@@ -426,9 +380,6 @@ impl Cluster {
                 }
                 SatisfactionDegree::Violated => {
                     report.violations += 1;
-                    // Both resolution paths below mutate committed
-                    // state; pre-evaluated results are stale from here.
-                    state_dirty = true;
                     let mut resolved = false;
                     // Rollback search if permitted (§3.3).
                     if self.ccm.threat_store().any_allows_rollback(&identity)
@@ -546,16 +497,11 @@ impl Cluster {
             observer,
             recon_tx,
         );
-        match self.ccm.validate_constraint(
-            &ValidationCandidate::invariant(constraint, identity.context_object.as_ref()),
-            &mut access,
-            env,
-            engine,
-            now,
-        ) {
-            Ok(verdict) => verdict.degree,
-            Err(_) => SatisfactionDegree::Uncheckable,
-        }
+        let candidate =
+            ValidationCandidate::invariant(constraint, identity.context_object.as_ref());
+        self.ccm
+            .validate_constraint(&candidate, &mut access, env, engine, now)
+            .map_or(SatisfactionDegree::Uncheckable, |verdict| verdict.degree)
     }
 
     /// Attempts rollback to a historical degraded-mode state of the

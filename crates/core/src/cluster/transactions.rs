@@ -1,9 +1,8 @@
 //! Transactions: sessions, the one two-phase commit (vote, apply,
 //! ship to the backups), rollback, and entity creation and deletion.
 
-use super::validation::unevaluated;
 use super::{Cluster, TxInfo};
-use crate::ccm::{PendingCheck, ValidationCandidate};
+use crate::ccm::ValidationCandidate;
 use crate::negotiation::NegotiationHandler;
 use crate::session::Session;
 use dedisys_constraints::ConstraintKind;
@@ -241,28 +240,12 @@ impl Cluster {
             signature: format!("commit:{tx}"),
             matches: pending.len() as u32,
         });
-        // §5.5.3: degraded-mode async invariants take the record-only
-        // fast path; everything else forms the commit-time validation
-        // batch, evaluated and then merged in pending order.
         let degraded =
             self.topology.partition_of(origin).len() < self.topology.node_count() as usize;
-        let shortcut = |check: &PendingCheck| {
-            degraded && check.constraint.meta.kind == ConstraintKind::AsyncInvariant
-        };
-        let candidates: Vec<ValidationCandidate<'_>> = pending
-            .iter()
-            .filter(|check| !shortcut(check))
-            .map(|check| {
-                ValidationCandidate::invariant(&check.constraint, check.context_object.as_ref())
-            })
-            .collect();
-        let mut evals = self
-            .evaluate_candidates(&candidates, origin, tx)
-            .into_iter();
         for check in &pending {
             let constraint = check.constraint.as_ref();
             let context_object = check.context_object.as_ref();
-            if shortcut(check) {
+            if degraded && constraint.meta.kind == ConstraintKind::AsyncInvariant {
                 // §5.5.3: degraded mode — no validation, no
                 // negotiation; record the threat directly.
                 let outcome =
@@ -270,8 +253,8 @@ impl Cluster {
                         .record_async_threat(constraint, context_object, tx, self.clock.now());
                 self.charge_threat_storage(outcome);
             } else {
-                let eval = evals.next().ok_or_else(|| unevaluated(constraint))?;
-                self.merge_one_validation(origin, tx, constraint, context_object, eval)?;
+                let candidate = ValidationCandidate::invariant(constraint, context_object);
+                self.validate_and_process(&candidate, origin, tx)?;
             }
         }
         // §5.4: the transaction blocks before commit until all deferred

@@ -78,8 +78,8 @@ mod threat;
 pub mod web;
 
 pub use ccm::{
-    evaluate_candidate, CachedVerdict, Ccm, CcmStats, NegotiationTiming, PartitionEnv,
-    PendingCheck, RawEvaluation, ReplicaAccess, ValidationCandidate, ValidationVerdict,
+    CachedVerdict, Ccm, CcmStats, NegotiationTiming, PartitionEnv, PendingCheck, ReplicaAccess,
+    ValidationCandidate, ValidationVerdict,
 };
 pub use cluster::{
     getter_name, setter_name, Cluster, ClusterBuilder, ClusterMetrics, ConstraintReconcileReport,
@@ -89,7 +89,7 @@ pub use cluster::{
 pub use config::{
     ClusterConfig, DurabilityConfig, MembershipConfig, PlaneConfig, ValidationConfig,
 };
-pub use plane::{ClassCounters, ModeGate, PlaneReport, PlaneStats, RequestPlane};
+pub use plane::{ClassCounters, PlaneReport, PlaneStats, RequestPlane};
 pub use session::Session;
 
 /// Builds a `Vec<NodeId>` from integer literals — the terse spelling

@@ -24,7 +24,9 @@
 //!   ([`PlaneConfig::shed_background_when_degraded`]); partitions
 //!   whose writes are refused outright
 //!   ([`MinorityWriteHandling::Refuse`](dedisys_gms::MinorityWriteHandling))
-//!   reject at admission with [`Error::NotPrimary`].
+//!   reject at admission with [`Error::NotPrimary`]. The system mode
+//!   alone never refuses at admission: a router in front of several
+//!   clusters (the federation) applies its policy before it submits.
 //!
 //! Requests are closures over the [`Session`] API: the plane opens the
 //! session on the request's node and the closure drives
@@ -49,22 +51,6 @@ pub type RequestWork = Box<dyn for<'a> FnOnce(Session<'a>) -> Result<()>>;
 /// Token-bucket scaling: one token = `SCALE` bucket units, so refill
 /// arithmetic stays in integers (floats would break determinism).
 const SCALE: u64 = 1_000_000_000;
-
-/// How admission treats the cluster's [`SystemMode`]. A routing layer
-/// in front of several clusters (the federation router) sets
-/// [`ModeGate::RejectUnlessHealthy`] on a shard's plane so admission
-/// itself consults the target shard's mode instead of buffering work a
-/// degraded shard would serve with threatened consistency.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum ModeGate {
-    /// Mode never refuses at admission (the historical behaviour;
-    /// degraded modes still shed `Background` work at dispatch).
-    #[default]
-    Admit,
-    /// Any mode other than [`SystemMode::Healthy`] rejects at
-    /// admission with [`Error::ModeRestriction`].
-    RejectUnlessHealthy,
-}
 
 struct Queued {
     id: u64,
@@ -216,7 +202,6 @@ pub struct RequestPlane {
     next_id: u64,
     next_seq: u64,
     stats: PlaneStats,
-    mode_gate: ModeGate,
 }
 
 impl std::fmt::Debug for RequestPlane {
@@ -237,17 +222,6 @@ impl RequestPlane {
     /// The counters so far.
     pub fn stats(&self) -> &PlaneStats {
         &self.stats
-    }
-
-    /// Sets how admission treats the cluster's [`SystemMode`] (see
-    /// [`ModeGate`]; default [`ModeGate::Admit`]).
-    pub fn set_mode_gate(&mut self, gate: ModeGate) {
-        self.mode_gate = gate;
-    }
-
-    /// The current admission mode gate.
-    pub fn mode_gate(&self) -> ModeGate {
-        self.mode_gate
     }
 
     /// Requests currently queued on `node`.
@@ -306,18 +280,6 @@ impl RequestPlane {
         self.next_id += 1;
         let id = self.next_id;
         self.stats.class_mut(class).offered += 1;
-
-        // The mode gate rejects for a non-healthy cluster before any
-        // queueing — the federation router's RejectDegraded policy
-        // surfaces the target shard's mode at admission time.
-        if self.mode_gate == ModeGate::RejectUnlessHealthy && cluster.mode() != SystemMode::Healthy
-        {
-            let mode = cluster.mode();
-            self.reject(cluster, id, node, class, AdmissionReject::Degraded);
-            return Err(Error::ModeRestriction(format!(
-                "admission refused: target cluster is {mode:?}"
-            )));
-        }
 
         // Refuse-mode partitions reject at admission — the queue never
         // buffers work the write path is guaranteed to throw away.

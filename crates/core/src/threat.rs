@@ -478,14 +478,6 @@ impl ThreatStore {
     pub fn is_empty(&self) -> bool {
         self.threats.is_empty()
     }
-
-    /// Drops everything (test support).
-    pub fn clear(&mut self) {
-        self.threats.clear();
-        self.object_index.clear();
-        self.identity_order.clear();
-        self.table.clear_table(THREAT_TABLE);
-    }
 }
 
 /// Stable storage key of the threat identity `(constraint,

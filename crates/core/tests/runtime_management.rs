@@ -4,11 +4,13 @@
 
 use dedisys_constraints::{
     expr::ExprConstraint, ConstraintMeta, ContextPreparation, RegisteredConstraint,
+    ValidationContext,
 };
 use dedisys_core::nodes;
 use dedisys_core::ClusterBuilder;
 use dedisys_object::{AppDescriptor, ClassDescriptor, EntityState};
-use dedisys_types::{ConstraintName, NodeId, ObjectId, SatisfactionDegree, Value};
+use dedisys_types::{ConstraintName, Error, NodeId, ObjectId, SatisfactionDegree, Value};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 fn app() -> AppDescriptor {
@@ -257,4 +259,52 @@ fn deployed_interceptors_wrap_every_invocation() {
         cluster.entity_on(node, &id).unwrap().field("capacity"),
         &Value::Int(100)
     );
+}
+
+/// A hard invariant `stock <= limit` that counts its evaluations.
+fn counting_limit(name: &str, limit: i64, evaluations: &Arc<AtomicUsize>) -> RegisteredConstraint {
+    let evaluations = Arc::clone(evaluations);
+    let mut constraint = capacity_constraint();
+    constraint.meta.name = ConstraintName::from(name);
+    constraint.implementation = Arc::new(move |ctx: &mut ValidationContext<'_>| {
+        evaluations.fetch_add(1, Ordering::Relaxed);
+        Ok(ctx.self_field("stock")?.as_int() <= Some(limit))
+    });
+    constraint
+}
+
+#[test]
+fn a_refused_write_evaluates_nothing_past_the_violated_invariant() {
+    let evaluations = Arc::new(AtomicUsize::new(0));
+    let mut cluster = ClusterBuilder::new(2, app())
+        .constraint(counting_limit("Limit-0", 10, &evaluations))
+        .constraint(counting_limit("Limit-1", 1000, &evaluations))
+        .constraint(counting_limit("Limit-2", 1000, &evaluations))
+        .build()
+        .unwrap();
+    let node = NodeId(0);
+    let id = ObjectId::new("Warehouse", "W1");
+    // A write all three accept evaluates all three …
+    cluster
+        .run_tx(node, |c, tx| {
+            c.create(node, tx, EntityState::for_class(c.app(), &id)?)?;
+            c.set_field(node, tx, &id, "stock", Value::Int(5))
+        })
+        .unwrap();
+    assert_eq!(evaluations.swap(0, Ordering::Relaxed), 3);
+    // … one the first refuses stops right there.
+    let mut expected = cluster.stats().ccm;
+    let mut session = cluster.session(node);
+    let tx = session.tx();
+    assert_eq!(
+        session.set_field(&id, "stock", Value::Int(50)),
+        Err(Error::ConstraintViolated {
+            constraint: ConstraintName::from("Limit-0")
+        })
+    );
+    assert_eq!(session.commit(), Err(Error::RollbackOnly(tx)));
+    assert_eq!(evaluations.load(Ordering::Relaxed), 1);
+    expected.validations += 1;
+    expected.violations += 1;
+    assert_eq!(cluster.stats().ccm, expected);
 }

@@ -6,7 +6,7 @@
 //! telemetry bus shares the one [`SimClock`] every shard runs on.
 
 use crate::shard_map::{MigrationStep, RebalancePlan, ShardId, ShardMap};
-use dedisys_core::{Cluster, ClusterBuilder, ClusterConfig, ModeGate, RequestPlane, Session};
+use dedisys_core::{Cluster, ClusterBuilder, ClusterConfig, RequestPlane, Session};
 use dedisys_net::SimClock;
 use dedisys_object::{AppDescriptor, EntityState};
 use dedisys_telemetry::{Telemetry, TraceEvent};
@@ -21,9 +21,8 @@ use std::collections::{BTreeMap, BTreeSet};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 #[serde(rename_all = "snake_case")]
 pub enum RoutingPolicy {
-    /// Consistency-first: refuse the request at the router (and at
-    /// each shard plane's admission, via
-    /// [`ModeGate::RejectUnlessHealthy`]) while the target shard is
+    /// Consistency-first: refuse the request at the router — before it
+    /// reaches the shard's request plane — while the target shard is
     /// degraded or reconciling.
     RejectDegraded,
     /// Availability-first: route regardless of the target shard's
@@ -199,11 +198,7 @@ impl FederationBuilder {
                 builder = builder.configure(f);
             }
             shards.push(builder.build()?);
-            let mut plane = RequestPlane::new();
-            if self.policy == RoutingPolicy::RejectDegraded {
-                plane.set_mode_gate(ModeGate::RejectUnlessHealthy);
-            }
-            planes.push(plane);
+            planes.push(RequestPlane::new());
         }
         Ok(FederatedCluster {
             clock,
@@ -453,9 +448,9 @@ impl FederatedCluster {
     }
 
     /// Submits `work` for `id` through the target shard's request
-    /// plane under `class` — the routed admission path. The plane's
-    /// [`ModeGate`] mirrors the federation policy, so admission itself
-    /// consults the target shard's mode.
+    /// plane under `class` — the routed admission path. The routing
+    /// policy is applied first: a request the router refuses never
+    /// reaches the plane.
     ///
     /// # Errors
     ///

@@ -24,9 +24,9 @@
 //! * Federated modes — per-shard [`SystemMode`] summarized as a
 //!   [`FederationMode`], with a [`RoutingPolicy`]
 //!   (`RejectDegraded` / `RouteAnyway` / `Sticky`) applied at routing
-//!   time and pushed into each shard's
-//!   [`RequestPlane`](dedisys_core::RequestPlane) admission via
-//!   [`ModeGate`](dedisys_core::ModeGate).
+//!   time, ahead of each shard's
+//!   [`RequestPlane`](dedisys_core::RequestPlane): what the router
+//!   refuses, the plane never sees.
 //!
 //! Telemetry: `shard_routed`, `shard_migrated`, `xshard_prepared` and
 //! `xshard_resolved` events on the federation bus plus `federation.*`

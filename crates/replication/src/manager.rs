@@ -128,11 +128,6 @@ impl ReplicationManager {
         self.write_faults.get(&node).copied().unwrap_or(0)
     }
 
-    /// Remaining injected lag window on `node`.
-    pub fn pending_lag(&self, node: NodeId) -> u32 {
-        self.lag.get(&node).copied().unwrap_or(0)
-    }
-
     /// Wires a telemetry bus; `replication_update` and `staleness_hit`
     /// events are emitted from now on.
     pub fn attach_telemetry(&mut self, telemetry: Telemetry) {
@@ -211,11 +206,6 @@ impl ReplicationManager {
     /// The replica set of `object`, if registered.
     pub fn replicas_of(&self, object: &ObjectId) -> Option<&BTreeSet<NodeId>> {
         self.placements.get(object).map(|p| &p.replicas)
-    }
-
-    /// The static primary of `object`, if registered.
-    pub fn primary_of(&self, object: &ObjectId) -> Option<NodeId> {
-        self.placements.get(object).map(|p| p.primary)
     }
 
     /// The node a write to `object` must execute on (§4.3).

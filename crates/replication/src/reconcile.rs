@@ -79,13 +79,6 @@ pub struct ReconcileReport {
     pub dirty: BTreeSet<ObjectId>,
 }
 
-impl ReconcileReport {
-    /// Objects that had write-write conflicts.
-    pub fn conflicted_objects(&self) -> Vec<&ObjectId> {
-        self.conflicts.iter().map(|(c, _)| &c.object).collect()
-    }
-}
-
 impl ReplicationManager {
     /// Runs replica reconciliation over a (re-unified) topology.
     ///

@@ -60,18 +60,6 @@ impl TableStore {
         self.tables.get(table).map_or(0, BTreeMap::len)
     }
 
-    /// Names of all (possibly empty) tables, in order.
-    pub fn table_names(&self) -> impl Iterator<Item = &str> {
-        self.tables.keys().map(String::as_str)
-    }
-
-    /// Removes every record of `table`.
-    pub fn clear_table(&mut self, table: &str) {
-        if let Some(t) = self.tables.get_mut(table) {
-            t.clear();
-        }
-    }
-
     /// Total number of records across all tables.
     pub fn len(&self) -> usize {
         self.tables.values().map(BTreeMap::len).sum()
@@ -115,12 +103,12 @@ mod tests {
     }
 
     #[test]
-    fn clear_and_len() {
+    fn len_counts_across_tables() {
         let mut s = TableStore::new();
         s.put("a", "1", "x".into());
         s.put("b", "1", "y".into());
         assert_eq!(s.len(), 2);
-        s.clear_table("a");
+        s.delete("a", "1");
         assert_eq!(s.len(), 1);
         assert!(!s.is_empty());
     }

@@ -118,9 +118,6 @@ pub enum AdmissionReject {
     /// The node sits in a non-primary partition under a
     /// refuse-minority-writes policy.
     NotPrimary,
-    /// The plane's mode gate refused admission because the target
-    /// cluster (shard) is not in `Healthy` mode.
-    Degraded,
 }
 
 /// Why an *admitted* request was dropped from a queue before it ran.
@@ -402,17 +399,6 @@ pub enum TraceEvent {
         /// restarted coordinator decided commit.
         presumed_abort: bool,
     },
-    /// A batch of more than one validation candidate is about to be
-    /// evaluated, in candidate order.
-    ValidationBatch {
-        /// Constraint × object-group candidates in the batch.
-        candidates: u32,
-        /// The batch size in units of eight candidates, rounded up.
-        shards: u32,
-        /// Always equal to `shards`; kept so existing traces and their
-        /// readers do not move.
-        pool: u32,
-    },
     /// A constraint expression was lowered to a flat program for the
     /// compiled validation engine.
     ConstraintCompiled {
@@ -629,7 +615,6 @@ impl TraceEvent {
             TraceEvent::NodeRestart { .. } => "node_restart",
             TraceEvent::TwoPcInDoubt { .. } => "two_pc_in_doubt",
             TraceEvent::TwoPcResolved { .. } => "two_pc_resolved",
-            TraceEvent::ValidationBatch { .. } => "validation_batch",
             TraceEvent::ConstraintCompiled { .. } => "constraint_compiled",
             TraceEvent::VerdictCacheHit { .. } => "verdict_cache_hit",
             TraceEvent::VerdictCacheMiss { .. } => "verdict_cache_miss",

@@ -6,9 +6,7 @@
 
 use crate::bus::TraceSink;
 use crate::event::TraceRecord;
-use std::fs::File;
-use std::io::{self, BufWriter, Write};
-use std::path::Path;
+use std::io::{BufWriter, Write};
 
 /// A [`TraceSink`] writing one JSON object per line.
 pub struct JsonlExporter {
@@ -27,12 +25,6 @@ impl JsonlExporter {
         Self {
             out: BufWriter::new(writer),
         }
-    }
-
-    /// Creates (truncating) `path` and writes the stream there.
-    pub fn to_file(path: impl AsRef<Path>) -> io::Result<Self> {
-        let file = File::create(path)?;
-        Ok(Self::new(Box::new(file)))
     }
 }
 
@@ -62,6 +54,7 @@ mod tests {
     use super::*;
     use crate::event::TraceEvent;
     use dedisys_types::{NodeId, SimTime, TxId};
+    use std::io;
     use std::sync::{Arc, Mutex};
 
     /// Shared-buffer writer for asserting on exported bytes.

@@ -4,12 +4,12 @@
 //! coordinator crash + presumed abort) and explicit rebalancing over
 //! the WAL/state-transfer path.
 
-use dedisys_core::{nodes, ModeGate, RingRecorder};
+use dedisys_core::{nodes, RingRecorder};
 use dedisys_federation::{
     FederatedCluster, FederationMode, RebalancePlan, RoutingPolicy, ShardId, ShardMap,
 };
 use dedisys_object::{AppDescriptor, ClassDescriptor};
-use dedisys_types::{Error, ObjectId, SimDuration, SystemMode, Value};
+use dedisys_types::{Error, ObjectId, PriorityClass, SimDuration, SystemMode, Value};
 
 fn app() -> AppDescriptor {
     AppDescriptor::new("federation")
@@ -37,6 +37,15 @@ fn federation(shards: u32, policy: RoutingPolicy) -> FederatedCluster {
 fn write(fed: &mut FederatedCluster, id: &ObjectId, v: i64) -> dedisys_types::Result<()> {
     fed.run_routed(id, |mut session| {
         session.set_field(id, "v", Value::Int(v))?;
+        session.commit()
+    })
+}
+
+/// The same write, submitted through the target shard's request plane.
+fn submit_write(fed: &mut FederatedCluster, id: &ObjectId, v: i64) -> dedisys_types::Result<u64> {
+    let target = id.clone();
+    fed.submit(id, PriorityClass::Normal, move |mut session| {
+        session.set_field(&target, "v", Value::Int(v))?;
         session.commit()
     })
 }
@@ -86,13 +95,6 @@ fn three_shard_quick_start_routes_creates_and_writes() {
 #[test]
 fn reject_degraded_refuses_work_for_degraded_shards_only() {
     let mut fed = federation(3, RoutingPolicy::RejectDegraded);
-    // The policy is pushed into every shard plane's admission gate.
-    for s in 0..3 {
-        assert_eq!(
-            fed.plane(ShardId(s)).mode_gate(),
-            ModeGate::RejectUnlessHealthy
-        );
-    }
     let degraded_id = id_on(fed.map(), ShardId(0), "rd");
     let healthy_id = id_on(fed.map(), ShardId(1), "rd");
     fed.create(&degraded_id).unwrap();
@@ -119,6 +121,24 @@ fn reject_degraded_refuses_work_for_degraded_shards_only() {
     // Healthy shards keep serving.
     write(&mut fed, &healthy_id, 2).expect("healthy shard serves");
     assert_eq!(read(&fed, ShardId(1), &healthy_id), Some(Value::Int(2)));
+
+    // The admission path: the router refuses before the request ever
+    // reaches the degraded shard's plane …
+    let before = fed.stats().rejected_degraded;
+    let refused = submit_write(&mut fed, &degraded_id, 3);
+    assert!(
+        matches!(refused, Err(Error::ModeRestriction(_))),
+        "{refused:?}"
+    );
+    assert_eq!(fed.stats().rejected_degraded, before + 1);
+    assert_eq!(fed.plane(ShardId(0)).stats().total().offered, 0);
+    // … while the same submit for the healthy shard is admitted and
+    // completes.
+    submit_write(&mut fed, &healthy_id, 4).expect("healthy shard admits");
+    fed.run_until_idle();
+    let plane = fed.plane(ShardId(1)).stats().total();
+    assert_eq!((plane.admitted, plane.completed, plane.failed), (1, 1, 0));
+    assert_eq!(read(&fed, ShardId(1), &healthy_id), Some(Value::Int(4)));
 }
 
 #[test]

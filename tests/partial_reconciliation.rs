@@ -10,6 +10,7 @@ use dedisys_core::nodes;
 use dedisys_core::{ClusterBuilder, DeferAll, HighestVersionWins, ReconcileInstructions};
 use dedisys_object::{AppDescriptor, ClassDescriptor, EntityState};
 use dedisys_types::{NodeId, ObjectId, SatisfactionDegree, SystemMode, Value};
+use std::sync::atomic::{AtomicI64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 fn app() -> AppDescriptor {
@@ -267,4 +268,51 @@ fn rollback_during_partial_merge_scopes_to_the_observer() {
     // The away partition never held the bound objects.
     assert!(cluster.entity_on(NodeId(0), &a_id).is_none());
     assert!(cluster.threats().is_empty(), "both threats resolved");
+}
+
+/// §4.4: reconciliation re-evaluates each stored threat once. Four
+/// threats that all turn out violated — and stay so, under `DeferAll` —
+/// cost four evaluations, not a pre-pass plus a live pass.
+#[test]
+fn every_stored_threat_is_re_evaluated_exactly_once() {
+    let limit = Arc::new(AtomicI64::new(100));
+    let evaluations = Arc::new(AtomicUsize::new(0));
+    let (l, e) = (Arc::clone(&limit), Arc::clone(&evaluations));
+    let mut bounded = constraint();
+    bounded.implementation = Arc::new(move |ctx: &mut ValidationContext<'_>| {
+        e.fetch_add(1, Ordering::Relaxed);
+        Ok(ctx.self_field("n")?.as_int() <= Some(l.load(Ordering::Relaxed)))
+    });
+    let mut cluster = ClusterBuilder::new(3, app())
+        .constraint(bounded)
+        .build()
+        .unwrap();
+    let node = NodeId(0);
+    let ids = ["c1", "c2", "c3", "c4"].map(|key| ObjectId::new("Counter", key));
+    for id in &ids {
+        cluster
+            .run_tx(node, |c, tx| {
+                c.create(node, tx, EntityState::for_class(c.app(), id)?)
+            })
+            .unwrap();
+    }
+    cluster.partition(&[nodes![0, 1], nodes![2]]).unwrap();
+    for id in &ids {
+        cluster
+            .run_tx(node, |c, tx| c.set_field(node, tx, id, "n", Value::Int(5)))
+            .unwrap();
+    }
+    assert_eq!(cluster.threats().identities().len(), 4);
+
+    cluster.heal();
+    limit.store(0, Ordering::Relaxed);
+    evaluations.store(0, Ordering::Relaxed);
+    let outcome = cluster
+        .reconcile(&mut HighestVersionWins, &mut DeferAll)
+        .constraints;
+    assert_eq!(
+        (outcome.re_evaluated, outcome.violations, outcome.deferred),
+        (4, 4, 4)
+    );
+    assert_eq!(evaluations.load(Ordering::Relaxed), 4);
 }

@@ -33,20 +33,15 @@ fn bounded_constraint(name: &str) -> RegisteredConstraint {
 }
 
 fn build() -> Cluster {
-    build_with(1)
-}
-
-/// A cluster with `constraints` copies of the bounded constraint.
-fn build_with(constraints: usize) -> Cluster {
     ClusterBuilder::new(3, app())
-        .constraints((0..constraints).map(|i| bounded_constraint(&format!("Bounded-{i:02}"))))
+        .constraint(bounded_constraint("Bounded-00"))
         .build()
         .unwrap()
 }
 
-/// Creates the counter `c1` from node 0.
-fn create_counter(cluster: &mut Cluster) -> ObjectId {
-    let id = ObjectId::new("Counter", "c1");
+/// Creates the counter `key` from node 0.
+fn create_counter(cluster: &mut Cluster, key: &str) -> ObjectId {
+    let id = ObjectId::new("Counter", key);
     let node = NodeId(0);
     let e = id.clone();
     cluster
@@ -61,7 +56,7 @@ fn create_counter(cluster: &mut Cluster) -> ObjectId {
 /// threat-recording writes in the majority-less partition, repair and
 /// two-step reconciliation.
 fn run_lifecycle(cluster: &mut Cluster) {
-    let id = create_counter(cluster);
+    let id = create_counter(cluster, "c1");
     let node = NodeId(0);
 
     assert_eq!(
@@ -162,50 +157,47 @@ fn lifecycle_emits_the_expected_event_stream() {
     assert!(json.contains("\"mode\""), "{json}");
 }
 
-/// The `validation_batch` and `constraint_validated` records one write
-/// to a fresh counter emits on a cluster with `constraints` constraints.
-fn validation_records_of_one_write(constraints: usize) -> Vec<TraceEvent> {
-    let mut cluster = build_with(constraints);
-    let id = create_counter(&mut cluster);
-    let node = NodeId(0);
-    let ring = RingRecorder::new(256);
-    cluster.telemetry().attach(Box::new(ring.clone()));
-    cluster
-        .run_tx(node, |c, tx| c.set_field(node, tx, &id, "n", Value::Int(5)))
-        .unwrap();
-    ring.records()
-        .into_iter()
-        .map(|r| r.event)
-        .filter(|e| matches!(e.kind(), "validation_batch" | "constraint_validated"))
-        .collect()
-}
-
-/// A write with several affected constraints announces its validation
-/// batch once, ahead of the per-constraint records, sized in units of
-/// eight candidates; a single check is not a batch.
+/// Validation is one pass per candidate: with the verdict cache on, a
+/// §3.3 sweep probes, evaluates and records one context object before
+/// it looks at the next — every probe record directly precedes its own
+/// `constraint_validated` — and a second sweep answers each from the
+/// cache in the same rhythm.
 #[test]
-fn validation_batch_precedes_its_constraint_records() {
-    let events = validation_records_of_one_write(12);
-    assert!(
-        matches!(
-            events[0],
-            TraceEvent::ValidationBatch {
-                candidates: 12,
-                shards: 2,
-                pool: 2
-            }
-        ),
-        "{:?}",
-        events[0]
-    );
-    assert_eq!(events.len(), 13);
-    assert!(events[1..]
-        .iter()
-        .all(|e| e.kind() == "constraint_validated"));
+fn each_cache_probe_directly_precedes_its_own_validation() {
+    let mut cluster = ClusterBuilder::new(3, app())
+        .configure(|c| c.validation.verdict_cache = true)
+        .build()
+        .unwrap();
+    for key in ["c1", "c2", "c3"] {
+        create_counter(&mut cluster, key);
+    }
+    let ring = RingRecorder::new(64);
+    cluster.telemetry().attach(Box::new(ring.clone()));
+    // The probe and validation records emitted since record `from`.
+    let validation_kinds = |from: usize| -> Vec<&'static str> {
+        ring.records()[from..]
+            .iter()
+            .map(|r| r.event.kind())
+            .filter(|k| k.starts_with("verdict_cache_") || *k == "constraint_validated")
+            .collect()
+    };
 
-    let events = validation_records_of_one_write(1);
-    assert_eq!(events.len(), 1);
-    assert_eq!(events[0].kind(), "constraint_validated");
+    let bounded = bounded_constraint("Bounded");
+    let name = bounded.name().clone();
+    let violating = cluster.add_constraint_with_check(bounded).unwrap();
+    assert!(violating.is_empty());
+    assert_eq!(
+        validation_kinds(0),
+        ["verdict_cache_miss", "constraint_validated"].repeat(3),
+        "first sweep"
+    );
+    let seen = ring.records().len();
+    cluster.enable_constraint_with_check(&name).unwrap();
+    assert_eq!(
+        validation_kinds(seen),
+        ["verdict_cache_hit", "constraint_validated"].repeat(3),
+        "second sweep"
+    );
 }
 
 /// A `Write` target the test keeps a handle to after the exporter (and
