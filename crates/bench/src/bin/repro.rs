@@ -15,10 +15,10 @@
 //! [--sweep K] [--detector] [--trace <path>]` runs the seeded chaos
 //! engine instead: one reproducible fault-injection run (optionally
 //! traced to JSONL), or a sweep over seeds `0..K`. With `--detector`
-//! the cluster runs the adaptive failure-detection pipeline under a
-//! weighted-quorum primary policy and the plan draws from the
-//! extended fault vocabulary (link flaps, asymmetric loss, jitter,
-//! torn journal writes). Exits 1 on any invariant violation.
+//! the cluster runs the adaptive failure-detection pipeline and the
+//! plan draws from the extended fault vocabulary (link flaps,
+//! asymmetric loss, jitter, torn journal writes). Exits 1 on any
+//! invariant violation.
 //!
 //! `repro flap-sweep [--seed S] [--nodes N] [--flaps F] [--sweep K]
 //! [--trace <path>]` runs the failure-detection damping study: link

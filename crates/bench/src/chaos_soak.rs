@@ -26,7 +26,7 @@ pub struct SoakOptions {
     /// JSONL trace destination (single runs only).
     pub trace: Option<PathBuf>,
     /// Drive membership through the adaptive failure-detection
-    /// pipeline (φ-accrual + flap damping + weighted quorum) and draw
+    /// pipeline (φ-accrual + flap damping) and draw
     /// faults from the extended vocabulary.
     pub detector: bool,
 }

@@ -12,8 +12,8 @@
 use crate::invariant::{InvariantChecker, InvariantViolation};
 use crate::plan::{FaultPlan, FaultStep};
 use dedisys_core::{
-    Cluster, ClusterBuilder, DeferAll, DetectorKind, HighestVersionWins, LinkFault,
-    MinorityWriteHandling, PlaneStats, PrimaryPartitionPolicy, RequestPlane, StatsSnapshot,
+    Cluster, ClusterBuilder, DeferAll, DetectorKind, HighestVersionWins, LinkFault, PlaneStats,
+    RequestPlane, StatsSnapshot,
 };
 use dedisys_object::{AppDescriptor, ClassDescriptor, EntityState};
 use dedisys_telemetry::TraceEvent;
@@ -34,10 +34,10 @@ pub struct ChaosConfig {
     pub item_pool: usize,
     /// Drive membership through the adaptive failure-detection
     /// pipeline: the cluster runs a φ-accrual detector with flap
-    /// damping and a weighted-quorum primary policy, and the random
-    /// plan draws from the extended fault vocabulary (link flaps,
-    /// asymmetric loss, jitter, torn journal writes). Off by default
-    /// so classic seeds keep their historical schedules.
+    /// damping, and the random plan draws from the extended fault
+    /// vocabulary (link flaps, asymmetric loss, jitter, torn journal
+    /// writes). Off by default so classic seeds keep their historical
+    /// schedules.
     pub detector: bool,
     /// Route the read/write share of the workload through a
     /// [`RequestPlane`]: requests are admitted under token-bucket and
@@ -138,8 +138,6 @@ impl ChaosEngine {
                 c.membership.detector_enabled = true;
                 c.membership.detector = DetectorKind::Adaptive;
                 c.membership.seed = config.seed;
-                c.membership.primary_policy = PrimaryPartitionPolicy::WeightedQuorum;
-                c.membership.minority_writes = MinorityWriteHandling::Degrade;
             });
         }
         let cluster = builder.build()?;
@@ -351,9 +349,8 @@ impl ChaosEngine {
 
     /// Submits one workload closure through the request plane under a
     /// seed-derived priority class. Admission errors (empty bucket,
-    /// full queue, non-primary refusal) surface as failed ops; the
-    /// execution outcome lands in the plane counters when the request
-    /// is dispatched later.
+    /// full queue) surface as failed ops; the execution outcome lands
+    /// in the plane counters when the request is dispatched later.
     fn submit_plane(
         &mut self,
         node: NodeId,

@@ -89,20 +89,6 @@ impl InvariantChecker {
                 detail: "mode is healthy while nodes are crashed".into(),
             });
         }
-
-        // §5.5.2: under a quorum-based primary policy at most one
-        // partition may accept primary-mode writes per topology epoch.
-        // The cluster witnesses every admitted primary write; a second
-        // member-set at the same epoch is a split-brain.
-        if cluster.primary_conflicts() > 0 {
-            out.push(InvariantViolation {
-                invariant: "primary_exclusivity",
-                detail: format!(
-                    "{} primary-mode writes admitted by a second partition",
-                    cluster.primary_conflicts()
-                ),
-            });
-        }
         out
     }
 

@@ -716,6 +716,9 @@ impl Ccm {
     /// the threat's own, names it in the record once the store owns
     /// it); an accepted pre-/postcondition threat is only tolerated: it
     /// cannot be re-evaluated later (§3), so invariants must cover it.
+    /// Accepting with `app_data` the threat journal could not give back
+    /// ([`Value::check_journalable`]) refuses the operation with
+    /// [`Error::IllTypedField`] (`name: "app_data"`) and stores nothing.
     fn negotiate_threat(
         &mut self,
         constraint: &RegisteredConstraint,
@@ -752,11 +755,14 @@ impl Ccm {
                 })
             }
             ThreatDecision::Accept => {
+                if let Some(data) = &threat.app_data {
+                    data.check_journalable("app_data")?;
+                }
                 self.stats.threats_accepted += 1;
                 if !constraint.meta.kind.is_invariant() {
                     return Ok(None);
                 }
-                let outcome = self.threat_store.store(threat);
+                let outcome = self.threat_store.store(threat)?;
                 self.emit_threat_recorded(constraint, context_object, degree, outcome);
                 Ok(Some(outcome))
             }
@@ -801,13 +807,17 @@ impl Ccm {
     /// The §5.5.3 asynchronous-constraint fast path: in degraded mode
     /// the constraint is not validated and not negotiated; a threat is
     /// recorded directly for reconciliation-time evaluation.
+    ///
+    /// # Errors
+    ///
+    /// As [`ThreatStore::store`].
     pub fn record_async_threat(
         &mut self,
         constraint: &RegisteredConstraint,
         context_object: Option<&ObjectId>,
         tx: TxId,
         now: SimTime,
-    ) -> StoreOutcome {
+    ) -> Result<StoreOutcome> {
         self.stats.async_shortcuts += 1;
         self.stats.threats_detected += 1;
         self.stats.threats_accepted += 1;
@@ -820,7 +830,7 @@ impl Ccm {
             instructions: self.default_instructions,
             occurred_at: now,
             tx,
-        });
+        })?;
         if let Some(t) = &self.telemetry {
             t.metrics().incr("ccm.async_shortcuts");
         }
@@ -830,7 +840,7 @@ impl Ccm {
             SatisfactionDegree::Uncheckable,
             outcome,
         );
-        outcome
+        Ok(outcome)
     }
 }
 
@@ -1160,7 +1170,7 @@ mod tests {
         let outcome = w
             .ccm
             .record_async_threat(&c, Some(&w.id), w.tx, SimTime::ZERO);
-        assert_eq!(outcome, StoreOutcome::Stored);
+        assert_eq!(outcome, Ok(StoreOutcome::Stored));
         assert_eq!(w.ccm.stats().validations, 0);
         assert_eq!(w.ccm.stats().async_shortcuts, 1);
     }

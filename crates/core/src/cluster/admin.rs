@@ -39,23 +39,20 @@ impl Cluster {
     /// `f` receives a copy of the current config to mutate; the
     /// changed fields are then applied atomically — with their side
     /// effects (an engine switch lowers constraints and clears the
-    /// verdict cache; a cache toggle clears it; negotiation timing,
-    /// default degree and replica history are pushed into their
-    /// subsystems) — and one `reconfigure` trace event naming the
-    /// dotted paths that changed is emitted. Returns those paths
-    /// (empty when `f` changed nothing; no event is emitted then).
+    /// verdict cache; a cache toggle clears it; negotiation timing and
+    /// default degree are pushed into the CCM) — and one `reconfigure`
+    /// trace event naming the dotted paths that changed is emitted.
+    /// Returns those paths (empty when `f` changed nothing; no event is
+    /// emitted then).
     ///
     /// # Errors
     ///
     /// Returns [`Error::Config`] — without applying *any* field — if
-    /// `f` touched a build-time field (`validation.lookup_mode`,
-    /// `durability.threat_policy`, or anything under
-    /// `membership.detector*` / `membership.adaptive` /
-    /// `membership.stabilizer` / `membership.seed`).
+    /// `f` touched a build-time field (`durability.threat_policy` or
+    /// anything under `membership`).
     pub fn reconfigure(&mut self, f: impl FnOnce(&mut ClusterConfig)) -> Result<Vec<String>> {
         let mut next = self.config;
         f(&mut next);
-        next.durability.compaction_threshold = next.durability.compaction_threshold.max(1);
         let immutable = self.config.immutable_diff(&next);
         if !immutable.is_empty() {
             return Err(Error::Config(format!(
@@ -86,10 +83,6 @@ impl Cluster {
             self.ccm
                 .set_app_default_min_degree(next.validation.app_default_min_degree);
         }
-        if prev.durability.reduced_replica_history != next.durability.reduced_replica_history {
-            self.replication
-                .set_reduced_history(next.durability.reduced_replica_history);
-        }
         let paths = changed.clone();
         self.telemetry
             .emit(move || TraceEvent::Reconfigure { changed: paths });
@@ -106,12 +99,6 @@ impl Cluster {
     /// force, read back from the CCM.
     pub fn app_default_min_degree(&self) -> SatisfactionDegree {
         self.ccm.app_default_min_degree()
-    }
-
-    /// Whether replicas keep only the latest state, read back from the
-    /// replication manager.
-    pub fn reduced_replica_history(&self) -> bool {
-        self.replication.reduced_history()
     }
 
     /// Entries currently held by the verdict cache.
@@ -145,7 +132,12 @@ impl Cluster {
 
     /// Re-activates every deactivated threat record after a CCM crash
     /// (§5.5.1 recovery). Returns the number of recovered records.
-    pub fn recover_threats(&mut self) -> usize {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Persistence`] if a journalled threat record
+    /// does not decode.
+    pub fn recover_threats(&mut self) -> Result<usize> {
         self.ccm.threat_store_mut().recover()
     }
 

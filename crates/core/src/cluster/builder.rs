@@ -7,7 +7,9 @@ use crate::ccm::Ccm;
 use crate::config::ClusterConfig;
 use crate::threat::ReconcileInstructions;
 use crate::CostModel;
-use dedisys_constraints::{ConstraintEngine, ConstraintRepository, RegisteredConstraint};
+use dedisys_constraints::{
+    ConstraintEngine, ConstraintRepository, LookupMode, RegisteredConstraint,
+};
 use dedisys_gms::{
     MembershipConfig as GmsMembershipConfig, MembershipSim, NodeWeights, ViewTracker,
 };
@@ -82,7 +84,7 @@ impl ClusterBuilder {
     /// # use dedisys_object::AppDescriptor;
     /// let mut builder = ClusterBuilder::new(3, AppDescriptor::new("app"));
     /// builder.config().validation.verdict_cache = true;
-    /// builder.config().durability.compaction_threshold = 8;
+    /// builder.config().plane.queue_capacity = 8;
     /// let cluster = builder.build()?;
     /// # Ok::<(), dedisys_types::Error>(())
     /// ```
@@ -192,10 +194,7 @@ impl ClusterBuilder {
         if self.nodes == 0 {
             return Err(Error::Config("a cluster needs at least one node".into()));
         }
-        let mut config = self.config;
-        // A zero threshold would compact on every duplicate; the old
-        // setter clamped, the typed field clamps at build time.
-        config.durability.compaction_threshold = config.durability.compaction_threshold.max(1);
+        let config = self.config;
         let weights = self
             .weights
             .unwrap_or_else(|| NodeWeights::uniform(self.nodes));
@@ -212,7 +211,7 @@ impl ClusterBuilder {
         // deterministic timeline.
         let telemetry = Telemetry::new(clock.clone());
         let topology = Topology::fully_connected(self.nodes);
-        let mut repository = ConstraintRepository::new(config.validation.lookup_mode);
+        let mut repository = ConstraintRepository::new(LookupMode::Cached);
         for c in self.constraints {
             repository.register(c)?;
         }
@@ -222,7 +221,6 @@ impl ClusterBuilder {
         ccm.set_negotiation_timing(config.validation.negotiation_timing);
         ccm.attach_telemetry(telemetry.clone());
         let mut replication = ReplicationManager::new(self.protocol, weights.clone());
-        replication.set_reduced_history(config.durability.reduced_replica_history);
         replication.attach_telemetry(telemetry.clone());
         let mut tx_manager = TransactionManager::new();
         tx_manager.attach_telemetry(telemetry.clone());
@@ -256,8 +254,6 @@ impl ClusterBuilder {
             topology,
             membership,
             config,
-            primary_witness: BTreeMap::new(),
-            primary_conflicts: 0,
             weights,
             containers: (0..self.nodes)
                 .map(|_| EntityContainer::new(&self.app))

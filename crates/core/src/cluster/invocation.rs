@@ -114,7 +114,6 @@ impl Cluster {
         let t_r3 = self.clock.now();
         let exec = match kind {
             MethodKind::Write => {
-                self.check_primary_write(node)?;
                 if self.replication_enabled {
                     self.replication
                         .write_target(target, node, &self.topology)?

@@ -88,7 +88,8 @@ impl Cluster {
     ///
     /// * [`Error::UnknownNode`] — node id outside the cluster.
     /// * [`Error::Config`] — the node is not crashed.
-    /// * Journal corruption surfaces as the replay error.
+    /// * Journal corruption — the node's or the threat store's —
+    ///   surfaces as the replay error.
     pub fn restart(&mut self, node: NodeId) -> Result<SystemMode> {
         self.check_known(node)?;
         if !self.crashed.contains(&node) {
@@ -97,6 +98,9 @@ impl Cluster {
             )));
         }
         let report = self.containers[node.index()].recover_from_journal()?;
+        // §5.5.1: threat records deactivated by the crash come back.
+        // Both journals are read before the node counts as live.
+        let reactivated = self.ccm.threat_store_mut().recover()? as u64;
         let replayed = report.replayed;
         self.crashed.remove(&node);
         self.clock
@@ -116,8 +120,6 @@ impl Cluster {
         // The journal replay may have rewritten entity state wholesale;
         // memoized verdicts are no longer trustworthy.
         self.clear_verdict_cache_with_event();
-        // §5.5.1: threat records deactivated by the crash come back.
-        let reactivated = self.ccm.threat_store_mut().recover() as u64;
         // Coordinator recovery: no commit record survived the crash,
         // so its in-doubt transactions abort (presumed abort).
         let mine: Vec<TxId> = self

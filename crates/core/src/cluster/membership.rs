@@ -1,9 +1,9 @@
 //! Group membership (GMS): scripted topology changes, the
-//! detector-driven pipeline with its physical link faults, the system
-//! mode of Figure 1.4 and the primary-partition write gate.
+//! detector-driven pipeline with its physical link faults and the
+//! system mode of Figure 1.4.
 
 use super::Cluster;
-use dedisys_gms::{LinkFault, MembershipEvent, MembershipSim, MinorityWriteHandling};
+use dedisys_gms::{LinkFault, MembershipEvent, MembershipSim};
 use dedisys_telemetry::{TraceEvent, TransitionCause};
 use dedisys_types::{Error, NodeId, Result, SimDuration, SystemMode};
 use std::collections::BTreeSet;
@@ -141,23 +141,6 @@ impl Cluster {
         self.membership
             .as_ref()
             .map_or(0, MembershipSim::standing_suspicions)
-    }
-
-    /// Times a second, different partition was caught accepting
-    /// primary-mode writes at a topology epoch that already had a
-    /// primary. Under any quorum policy this must stay 0 — the
-    /// chaos invariant checker asserts it.
-    pub fn primary_conflicts(&self) -> u64 {
-        self.primary_conflicts
-    }
-
-    /// Whether `node`'s current partition classifies as primary under
-    /// the configured [`dedisys_gms::PrimaryPartitionPolicy`].
-    pub fn is_primary(&self, node: NodeId) -> bool {
-        self.config
-            .membership
-            .primary_policy
-            .is_primary(self.topology.partition_of(node), &self.weights)
     }
 
     /// Severs the physical links *between* the given groups without
@@ -327,49 +310,6 @@ impl Cluster {
             raw.push(group.into_iter().map(|node| node.0).collect());
         }
         Ok(raw)
-    }
-
-    /// Gate for write-path operations under a quorum-based primary
-    /// policy: refuses (or admits as degraded) writes issued in a
-    /// minority partition, and witnesses primary-classified writes per
-    /// topology epoch for the exclusivity invariant.
-    pub(super) fn check_primary_write(&mut self, node: NodeId) -> Result<()> {
-        if !self.config.membership.primary_policy.is_quorum() {
-            return Ok(());
-        }
-        if self.is_primary(node) {
-            let epoch = self.topology.epoch();
-            let members = self.topology.partition_of(node);
-            let unseen = match self.primary_witness.get(&epoch) {
-                Some(existing) if existing != members => {
-                    self.primary_conflicts += 1;
-                    self.telemetry
-                        .metrics()
-                        .incr("gms.detector.primary_conflicts");
-                    false
-                }
-                Some(_) => false,
-                None => true,
-            };
-            if unseen {
-                self.primary_witness.insert(epoch, members.clone());
-            }
-            return Ok(());
-        }
-        match self.config.membership.minority_writes {
-            MinorityWriteHandling::Refuse => {
-                self.telemetry
-                    .metrics()
-                    .incr("gms.detector.minority_writes_refused");
-                Err(Error::NotPrimary {
-                    node,
-                    partition_size: self.topology.partition_of(node).len() as u32,
-                })
-            }
-            // Admitted: the write runs under degraded-mode rules and
-            // records consistency threats like any partition write.
-            MinorityWriteHandling::Degrade => Ok(()),
-        }
     }
 }
 

@@ -127,14 +127,6 @@ pub struct Cluster {
     /// The typed configuration in force ([`Cluster::config`]); runtime
     /// deltas land here through [`Cluster::reconfigure`].
     config: ClusterConfig,
-    /// Per-topology-epoch witness of the one partition whose
-    /// primary-mode writes were admitted — the safety invariant is that
-    /// no *second*, different partition ever witnesses at the same
-    /// epoch.
-    primary_witness: BTreeMap<u64, BTreeSet<NodeId>>,
-    /// Times a second partition was caught accepting primary-mode
-    /// writes at an epoch that already had a primary (must stay 0).
-    primary_conflicts: u64,
     weights: NodeWeights,
     containers: Vec<EntityContainer>,
     app: AppDescriptor,

@@ -59,8 +59,11 @@ impl ReconOps<'_> {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::ObjectNotFound`] if no node holds the object.
+    /// * [`Error::IllTypedField`] — `value` holds a non-finite float
+    ///   ([`Value::check_journalable`]); nothing is written or charged.
+    /// * [`Error::ObjectNotFound`] — no node holds the object.
     pub fn write(&mut self, id: &ObjectId, field: &str, value: Value) -> Result<()> {
+        value.check_journalable(field)?;
         self.clock.advance(self.costs.db_write);
         self.clock.advance(
             self.costs

@@ -248,10 +248,13 @@ impl Cluster {
             if degraded && constraint.meta.kind == ConstraintKind::AsyncInvariant {
                 // §5.5.3: degraded mode — no validation, no
                 // negotiation; record the threat directly.
-                let outcome =
-                    self.ccm
-                        .record_async_threat(constraint, context_object, tx, self.clock.now());
-                self.charge_threat_storage(outcome);
+                let outcome = self.ccm.record_async_threat(
+                    constraint,
+                    context_object,
+                    tx,
+                    self.clock.now(),
+                )?;
+                self.charge_threat_storage(outcome)?;
             } else {
                 let candidate = ValidationCandidate::invariant(constraint, context_object);
                 self.validate_and_process(&candidate, origin, tx)?;
@@ -263,7 +266,7 @@ impl Cluster {
         let outcomes = self.ccm.negotiate_deferred(tx)?;
         self.clock.advance(self.costs.negotiation * deferred_count);
         for outcome in outcomes {
-            self.charge_threat_storage(outcome);
+            self.charge_threat_storage(outcome)?;
         }
         Ok(())
     }
@@ -295,7 +298,6 @@ impl Cluster {
         primary: NodeId,
     ) -> Result<()> {
         self.check_open(node, tx)?;
-        self.check_primary_write(node)?;
         self.charge_interception();
         let id = entity.id().clone();
         // The create executes on the object's primary — a node outside
@@ -324,7 +326,6 @@ impl Cluster {
     /// Propagates lock conflicts and container failures.
     pub fn delete(&mut self, node: NodeId, tx: TxId, id: &ObjectId) -> Result<()> {
         self.check_open(node, tx)?;
-        self.check_primary_write(node)?;
         self.charge_interception();
         let exec = if self.replication_enabled {
             self.replication.write_target(id, node, &self.topology)?

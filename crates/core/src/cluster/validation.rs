@@ -13,6 +13,10 @@ use dedisys_constraints::ConstraintEngine;
 use dedisys_telemetry::TraceEvent;
 use dedisys_types::{NodeId, ObjectId, Result, SatisfactionDegree, TxId, Version};
 
+/// Duplicate threat records tolerated before a
+/// [`HistoryPolicy::Reduced`] store folds them.
+const COMPACTION_THRESHOLD: usize = 32;
+
 impl Cluster {
     /// Probes whether `candidate` is answerable from the verdict
     /// cache: the cache is on, the candidate is an invariant check on
@@ -165,12 +169,12 @@ impl Cluster {
             self.clock.advance(self.costs.negotiation);
         }
         if let Some(outcome) = outcome {
-            self.charge_threat_storage(outcome);
+            self.charge_threat_storage(outcome)?;
         }
         Ok(())
     }
 
-    pub(super) fn charge_threat_storage(&mut self, outcome: StoreOutcome) {
+    pub(super) fn charge_threat_storage(&mut self, outcome: StoreOutcome) -> Result<()> {
         let others = (self.ccm.threat_store().identity_count() as u64).saturating_sub(1);
         let scan = self.costs.threat_scan_per_identity * others;
         self.clock.advance(match outcome {
@@ -179,8 +183,9 @@ impl Cluster {
             StoreOutcome::Deduplicated => self.costs.threat_dedup_read,
         });
         if outcome == StoreOutcome::LinkedOccurrence {
-            self.maybe_compact_threats();
+            self.maybe_compact_threats()?;
         }
+        Ok(())
     }
 
     /// Drops every memoized verdict — whatever just happened rewrote
@@ -205,20 +210,20 @@ impl Cluster {
     }
 
     /// Folds duplicate threat records *during* degraded mode under
-    /// [`HistoryPolicy::Reduced`], once the duplicate volume crosses
-    /// the threshold — so heal-time reconciliation ships one folded
-    /// record per identity instead of the occurrence history (§5.5.1).
-    fn maybe_compact_threats(&mut self) {
-        if self.ccm.threat_store().policy() != HistoryPolicy::Reduced {
-            return;
-        }
-        if self.ccm.threat_store().duplicate_records() < self.config.durability.compaction_threshold
+    /// [`HistoryPolicy::Reduced`], once [`COMPACTION_THRESHOLD`]
+    /// duplicates have piled up — so heal-time reconciliation ships one
+    /// folded record per identity instead of the occurrence history
+    /// (§5.5.1).
+    fn maybe_compact_threats(&mut self) -> Result<()> {
+        let store = self.ccm.threat_store();
+        if store.policy() != HistoryPolicy::Reduced
+            || store.duplicate_records() < COMPACTION_THRESHOLD
         {
-            return;
+            return Ok(());
         }
-        let report = self.ccm.threat_store_mut().compact();
+        let report = self.ccm.threat_store_mut().compact()?;
         if report.folded == 0 {
-            return;
+            return Ok(());
         }
         // One batched rewrite per folded identity group, plus the
         // marginal scan cost per removed record.
@@ -233,5 +238,6 @@ impl Cluster {
             folded: report.folded,
             retained: report.retained,
         });
+        Ok(())
     }
 }

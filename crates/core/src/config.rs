@@ -7,12 +7,11 @@
 //!
 //! * [`ValidationConfig`] — how constraints are looked up, evaluated
 //!   and negotiated,
-//! * [`MembershipConfig`] — failure detection, view stabilization and
-//!   primary-partition write admission,
-//! * [`DurabilityConfig`] — threat history, reconciliation strategy
-//!   and replica-history depth,
+//! * [`MembershipConfig`] — failure detection and view stabilization,
+//! * [`DurabilityConfig`] — threat history and reconciliation
+//!   strategy,
 //! * [`PlaneConfig`] — the request plane's admission control, queue
-//!   bounds, deadlines and mode-coupled shedding.
+//!   bounds and deadlines.
 //!
 //! Build-time configuration goes through
 //! [`ClusterBuilder::config`](crate::ClusterBuilder::config); runtime
@@ -24,14 +23,11 @@
 use crate::ccm::NegotiationTiming;
 use crate::cluster::ReconcileStrategy;
 use crate::threat::HistoryPolicy;
-use dedisys_constraints::{ConstraintEngine, LookupMode};
-use dedisys_gms::{
-    AdaptiveConfig, DetectorConfig, DetectorKind, MinorityWriteHandling, PrimaryPartitionPolicy,
-    StabilizerConfig,
-};
+use dedisys_constraints::ConstraintEngine;
+use dedisys_gms::{AdaptiveConfig, DetectorConfig, DetectorKind, StabilizerConfig};
 use dedisys_types::{PriorityClass, SatisfactionDegree, SimDuration};
 
-/// How constraints are looked up, evaluated and negotiated.
+/// How constraints are evaluated and negotiated.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ValidationConfig {
     /// The constraint evaluation engine (interpreted walker vs
@@ -43,9 +39,6 @@ pub struct ValidationConfig {
     /// invariant checks. Runtime-reconfigurable; toggling clears the
     /// cache.
     pub verdict_cache: bool,
-    /// The constraint-repository lookup mode. Build-time only — the
-    /// repository's index layout is fixed at construction.
-    pub lookup_mode: LookupMode,
     /// Immediate or deferred threat negotiation (§5.4).
     /// Runtime-reconfigurable.
     pub negotiation_timing: NegotiationTiming,
@@ -59,19 +52,16 @@ impl Default for ValidationConfig {
         Self {
             engine: ConstraintEngine::default(),
             verdict_cache: false,
-            lookup_mode: LookupMode::Cached,
             negotiation_timing: NegotiationTiming::Immediate,
             app_default_min_degree: SatisfactionDegree::Satisfied,
         }
     }
 }
 
-/// Failure detection, view stabilization and primary-partition write
-/// admission.
+/// Failure detection and view stabilization.
 ///
-/// Everything except [`primary_policy`](Self::primary_policy) and
-/// [`minority_writes`](Self::minority_writes) is build-time only: the
-/// detector pipeline is wired (or not) when the cluster is built.
+/// Every field is build-time only: the detector pipeline is wired (or
+/// not) when the cluster is built.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct MembershipConfig {
     /// Whether the detector-driven membership pipeline runs at all
@@ -93,15 +83,9 @@ pub struct MembershipConfig {
     /// Seed of the pipeline's deterministic loss/jitter draws.
     /// Build-time only.
     pub seed: u64,
-    /// How a partition classifies itself primary (§5.5.2).
-    /// Runtime-reconfigurable.
-    pub primary_policy: PrimaryPartitionPolicy,
-    /// What happens to minority-partition writes under a quorum
-    /// policy. Runtime-reconfigurable.
-    pub minority_writes: MinorityWriteHandling,
 }
 
-/// Threat history, reconciliation strategy and replica-history depth.
+/// Threat history and reconciliation strategy.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DurabilityConfig {
     /// The threat-history policy (§5.5.1). Build-time only — the
@@ -110,13 +94,6 @@ pub struct DurabilityConfig {
     /// How constraint reconciliation picks the threats to re-evaluate.
     /// Runtime-reconfigurable.
     pub reconcile_strategy: ReconcileStrategy,
-    /// Duplicate threat records tolerated before the
-    /// [`HistoryPolicy::Reduced`] store folds them.
-    /// Runtime-reconfigurable.
-    pub compaction_threshold: usize,
-    /// Whether replicas keep only the latest state (reduced history).
-    /// Runtime-reconfigurable.
-    pub reduced_replica_history: bool,
 }
 
 impl Default for DurabilityConfig {
@@ -124,16 +101,13 @@ impl Default for DurabilityConfig {
         Self {
             threat_policy: HistoryPolicy::IdenticalOnce,
             reconcile_strategy: ReconcileStrategy::default(),
-            compaction_threshold: 32,
-            reduced_replica_history: false,
         }
     }
 }
 
-/// The request plane's admission control, queue bounds, deadlines and
-/// mode-coupled shedding. All fields are runtime-reconfigurable; the
-/// plane reads the cluster's live config at every admission and
-/// dispatch step.
+/// The request plane's admission control, queue bounds and deadlines.
+/// All fields are runtime-reconfigurable; the plane reads the cluster's
+/// live config at every admission and dispatch step.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlaneConfig {
     /// Per-node bound on the total queued requests across all
@@ -152,9 +126,6 @@ pub struct PlaneConfig {
     pub deadline_normal: Option<SimDuration>,
     /// Default deadline for `Background` requests.
     pub deadline_background: Option<SimDuration>,
-    /// Whether degraded / minority-partition backpressure sheds queued
-    /// `Background` work before dispatching anything else.
-    pub shed_background_when_degraded: bool,
 }
 
 impl PlaneConfig {
@@ -177,7 +148,6 @@ impl Default for PlaneConfig {
             deadline_critical: None,
             deadline_normal: Some(SimDuration::from_millis(250)),
             deadline_background: Some(SimDuration::from_millis(1_000)),
-            shed_background_when_degraded: true,
         }
     }
 }
@@ -185,13 +155,13 @@ impl Default for PlaneConfig {
 /// The complete typed configuration of a cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ClusterConfig {
-    /// Constraint lookup, evaluation and negotiation.
+    /// Constraint evaluation and negotiation.
     pub validation: ValidationConfig,
-    /// Failure detection and primary-partition write admission.
+    /// Failure detection and view stabilization.
     pub membership: MembershipConfig,
     /// Threat history and reconciliation.
     pub durability: DurabilityConfig,
-    /// Request-plane admission and shedding.
+    /// Request-plane admission, queue bounds and deadlines.
     pub plane: PlaneConfig,
 }
 
@@ -214,7 +184,6 @@ impl ClusterConfig {
         cmp!(
             validation.engine,
             validation.verdict_cache,
-            validation.lookup_mode,
             validation.negotiation_timing,
             validation.app_default_min_degree,
             membership.detector_enabled,
@@ -223,41 +192,25 @@ impl ClusterConfig {
             membership.adaptive,
             membership.stabilizer,
             membership.seed,
-            membership.primary_policy,
-            membership.minority_writes,
             durability.threat_policy,
             durability.reconcile_strategy,
-            durability.compaction_threshold,
-            durability.reduced_replica_history,
             plane.queue_capacity,
             plane.refill_per_second,
             plane.burst,
             plane.deadline_critical,
             plane.deadline_normal,
             plane.deadline_background,
-            plane.shed_background_when_degraded,
         );
         changed
     }
 
     /// Dotted paths of changed fields that cannot be applied to a
-    /// running cluster (their subsystems are wired at build time).
+    /// running cluster (their subsystems are wired at build time): the
+    /// whole `membership` section and `durability.threat_policy`.
     pub fn immutable_diff(&self, other: &ClusterConfig) -> Vec<String> {
         self.diff(other)
             .into_iter()
-            .filter(|path| {
-                matches!(
-                    path.as_str(),
-                    "validation.lookup_mode"
-                        | "membership.detector_enabled"
-                        | "membership.detector"
-                        | "membership.detector_config"
-                        | "membership.adaptive"
-                        | "membership.stabilizer"
-                        | "membership.seed"
-                        | "durability.threat_policy"
-                )
-            })
+            .filter(|path| path.starts_with("membership.") || path == "durability.threat_policy")
             .collect()
     }
 }
@@ -282,7 +235,7 @@ mod tests {
         let mut b = a;
         b.membership.seed = 7;
         b.durability.threat_policy = HistoryPolicy::FullHistory;
-        b.durability.compaction_threshold = 4;
+        b.durability.reconcile_strategy = ReconcileStrategy::FullScan;
         assert_eq!(
             a.immutable_diff(&b),
             vec!["membership.seed", "durability.threat_policy"]

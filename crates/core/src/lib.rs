@@ -111,8 +111,8 @@ pub use threat::{
 // Re-export the pieces users need to assemble a cluster.
 pub use dedisys_constraints::ConstraintEngine;
 pub use dedisys_gms::{
-    AdaptiveConfig, DetectorConfig, DetectorKind, LinkFault, MembershipSim, MinorityWriteHandling,
-    NodeWeights, PrimaryPartitionPolicy, StabilizerConfig,
+    AdaptiveConfig, DetectorConfig, DetectorKind, LinkFault, MembershipSim, NodeWeights,
+    StabilizerConfig,
 };
 pub use dedisys_replication::{
     HighestVersionWins, ProtocolKind, ReplicaConflict, ReplicaConsistencyHandler,

@@ -18,15 +18,13 @@
 //! * **Deadline shedding** — expired work is dropped *before*
 //!   execution, never after paying for it
 //!   (`request_deadline_missed`).
-//! * **Mode-coupled backpressure** — while the cluster is degraded,
-//!   or the submitting node sits in a non-primary partition under a
-//!   quorum policy, queued `Background` work is shed first
-//!   ([`PlaneConfig::shed_background_when_degraded`]); partitions
-//!   whose writes are refused outright
-//!   ([`MinorityWriteHandling::Refuse`](dedisys_gms::MinorityWriteHandling))
-//!   reject at admission with [`Error::NotPrimary`]. The system mode
-//!   alone never refuses at admission: a router in front of several
-//!   clusters (the federation) applies its policy before it submits.
+//! * **Mode-coupled backpressure** — while the system is not healthy
+//!   (degraded or reconciling), queued `Background` work is shed before
+//!   anything is dispatched. This is the plane's one mode rule: the
+//!   system mode never refuses at admission. Where a write may run is
+//!   the replication protocol's decision, taken when the request
+//!   executes, and a router in front of several clusters (the
+//!   federation) applies its policy before it submits.
 //!
 //! Requests are closures over the [`Session`] API: the plane opens the
 //! session on the request's node and the closure drives
@@ -102,8 +100,7 @@ pub struct ClassCounters {
     pub offered: u64,
     /// Requests that passed admission into a queue.
     pub admitted: u64,
-    /// Requests refused at admission (bucket empty, queue full,
-    /// non-primary partition).
+    /// Requests refused at admission (bucket empty, queue full).
     pub rejected: u64,
     /// Admitted requests that executed (successfully or not).
     pub completed: u64,
@@ -245,11 +242,9 @@ impl RequestPlane {
     ///
     /// # Errors
     ///
-    /// * [`Error::NotPrimary`] — `node` is in a minority partition and
-    ///   the cluster refuses minority writes at admission.
-    /// * [`Error::Overloaded`] — the node's token bucket is empty, or
-    ///   its queues are full and nothing lower-priority could be
-    ///   displaced.
+    /// Returns [`Error::Overloaded`] when the node's token bucket is
+    /// empty, or its queues are full and nothing lower-priority could
+    /// be displaced.
     pub fn submit(
         &mut self,
         cluster: &mut Cluster,
@@ -280,21 +275,6 @@ impl RequestPlane {
         self.next_id += 1;
         let id = self.next_id;
         self.stats.class_mut(class).offered += 1;
-
-        // Refuse-mode partitions reject at admission — the queue never
-        // buffers work the write path is guaranteed to throw away.
-        let membership = &cluster.config().membership;
-        if membership.minority_writes == dedisys_gms::MinorityWriteHandling::Refuse
-            && membership.primary_policy.is_quorum()
-            && !cluster.is_primary(node)
-        {
-            let partition_size = cluster.topology().partition_of(node).len() as u32;
-            self.reject(cluster, id, node, class, AdmissionReject::NotPrimary);
-            return Err(Error::NotPrimary {
-                node,
-                partition_size,
-            });
-        }
 
         let entry = self
             .queues
@@ -361,25 +341,14 @@ impl RequestPlane {
     /// request, or executes the highest-priority oldest request.
     /// Returns `false` when every queue is empty.
     pub fn step(&mut self, cluster: &mut Cluster) -> bool {
-        let config = cluster.config().plane;
-        // Backpressure coupled to the system mode: degraded or
-        // non-primary nodes drain Background work without running it.
-        if config.shed_background_when_degraded {
-            let degraded = cluster.mode() != SystemMode::Healthy;
-            let quorum = cluster.config().membership.primary_policy.is_quorum();
-            let pressured = self
+        // Backpressure coupled to the system mode: while the system is
+        // not healthy, Background work is drained without running it.
+        if cluster.mode() != SystemMode::Healthy {
+            let victim = self
                 .queues
-                .iter()
-                .find(|(node, q)| {
-                    !q.classes[PriorityClass::Background.rank()].is_empty()
-                        && (degraded || (quorum && !cluster.is_primary(**node)))
-                })
-                .map(|(node, _)| *node);
-            if let Some(node) = pressured {
-                let victim = self.queues.get_mut(&node).expect("node just found").classes
-                    [PriorityClass::Background.rank()]
-                .pop_front()
-                .expect("background queue nonempty");
+                .values_mut()
+                .find_map(|q| q.classes[PriorityClass::Background.rank()].pop_front());
+            if let Some(victim) = victim {
                 self.shed(cluster, victim, ShedCause::ModePressure);
                 return true;
             }

@@ -1,6 +1,8 @@
 //! Consistency threats and the persistent threat store (§3.2.2).
 
-use dedisys_types::{ConstraintName, ObjectId, SatisfactionDegree, SimTime, TxId, Value};
+use dedisys_types::{
+    ConstraintName, Error, ObjectId, Result, SatisfactionDegree, SimTime, TxId, Value,
+};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -163,26 +165,32 @@ impl ThreatStore {
         self.policy
     }
 
-    /// Stores an accepted threat per the policy.
-    pub fn store(&mut self, threat: ConsistencyThreat) -> StoreOutcome {
+    /// Stores an accepted threat per the policy: journalled first, so
+    /// the store never holds a threat its journal cannot give back.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Persistence`] — storing nothing — if the record
+    /// cannot be encoded.
+    pub fn store(&mut self, threat: ConsistencyThreat) -> Result<StoreOutcome> {
         let identity = threat.identity();
         let exists = self.identity_order.contains(&identity);
-        match (exists, self.policy) {
+        Ok(match (exists, self.policy) {
             (false, _) => {
-                self.persist(&threat);
+                self.persist(&threat)?;
                 self.index_threat(&threat);
                 self.identity_order.push(identity);
                 self.threats.push(threat);
                 StoreOutcome::Stored
             }
             (true, HistoryPolicy::FullHistory) | (true, HistoryPolicy::Reduced) => {
-                self.persist(&threat);
+                self.persist(&threat)?;
                 self.index_threat(&threat);
                 self.threats.push(threat);
                 StoreOutcome::LinkedOccurrence
             }
             (true, HistoryPolicy::IdenticalOnce) => StoreOutcome::Deduplicated,
-        }
+        })
     }
 
     /// Adds `threat`'s objects to the secondary object index.
@@ -230,18 +238,33 @@ impl ThreatStore {
         self.threats = threats;
     }
 
-    fn persist(&mut self, threat: &ConsistencyThreat) {
-        if let Ok(json) = serde_json::to_string(threat) {
-            let key = format!(
-                "{:08}|{}",
-                self.next_record,
-                storage_key(&threat.constraint, threat.context_object.as_ref())
-            );
-            self.next_record += 1;
-            self.wal
-                .append_put(THREAT_TABLE, key.as_str(), json.as_str());
-            self.table.put(THREAT_TABLE, key, json);
-        }
+    /// Keys of the journalled records of `(constraint, context_object)`,
+    /// in occurrence order.
+    fn record_keys(
+        &self,
+        constraint: &ConstraintName,
+        context_object: Option<&ObjectId>,
+    ) -> Vec<String> {
+        let suffix = format!("|{}", storage_key(constraint, context_object));
+        self.table
+            .scan(THREAT_TABLE)
+            .filter(|(k, _)| k.ends_with(&suffix))
+            .map(|(k, _)| k.to_owned())
+            .collect()
+    }
+
+    fn persist(&mut self, threat: &ConsistencyThreat) -> Result<()> {
+        let json = encode(threat)?;
+        let key = format!(
+            "{:08}|{}",
+            self.next_record,
+            storage_key(&threat.constraint, threat.context_object.as_ref())
+        );
+        self.next_record += 1;
+        self.wal
+            .append_put(THREAT_TABLE, key.as_str(), json.as_str());
+        self.table.put(THREAT_TABLE, key, json);
+        Ok(())
     }
 
     /// Number of durably persisted records (should equal
@@ -253,23 +276,26 @@ impl ThreatStore {
     /// Simulates a middleware crash: drops the in-memory index and the
     /// table, replays the write-ahead log and deserializes the
     /// surviving records. Returns how many threats were recovered.
-    pub fn recover(&mut self) -> usize {
-        self.threats.clear();
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Persistence`] if a journalled record does not
+    /// decode; the in-memory threats are then left as they were.
+    pub fn recover(&mut self) -> Result<usize> {
         self.table = dedisys_store::TableStore::new();
         self.wal.replay_into(&mut self.table);
-        let mut rows: Vec<(String, String)> = self
+        // Key order is occurrence order: keys start with the record
+        // number.
+        self.threats = self
             .table
             .scan(THREAT_TABLE)
-            .map(|(k, v)| (k.to_owned(), v.to_owned()))
-            .collect();
-        rows.sort();
-        for (_, json) in rows {
-            if let Ok(threat) = serde_json::from_str::<ConsistencyThreat>(&json) {
-                self.threats.push(threat);
-            }
-        }
+            .map(|(key, json)| {
+                serde_json::from_str(json)
+                    .map_err(|e| Error::Persistence(format!("threat record {key}: {e}")))
+            })
+            .collect::<Result<_>>()?;
         self.rebuild_indexes();
-        self.threats.len()
+        Ok(self.threats.len())
     }
 
     /// All stored threats, in occurrence order.
@@ -338,7 +364,12 @@ impl ThreatStore {
     /// the duplicates durably deleted. Intended for
     /// [`HistoryPolicy::Reduced`] during degraded mode, so heal-time
     /// reconciliation ships one record per identity (§5.5.1).
-    pub fn compact(&mut self) -> CompactionReport {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Persistence`] if a folded record cannot be
+    /// encoded; that identity and the ones after it stay unfolded.
+    pub fn compact(&mut self) -> Result<CompactionReport> {
         let mut report = CompactionReport::default();
         for identity in self.identity_order.clone() {
             let indices: Vec<usize> = self
@@ -351,9 +382,6 @@ impl ThreatStore {
             if indices.len() < 2 {
                 continue;
             }
-            report.retained += 1;
-            report.folded += (indices.len() - 1) as u64;
-
             let mut merged_objects = BTreeSet::new();
             let mut allow_rollback = false;
             let mut notify = false;
@@ -363,10 +391,16 @@ impl ThreatStore {
                 notify |= self.threats[i].instructions.notify_on_replica_conflict;
             }
             let first = indices[0];
-            self.threats[first].affected_objects = merged_objects;
-            self.threats[first].instructions.allow_rollback = allow_rollback;
-            self.threats[first].instructions.notify_on_replica_conflict = notify;
-            let folded = self.threats[first].clone();
+            let mut folded = self.threats[first].clone();
+            folded.affected_objects = merged_objects;
+            folded.instructions.allow_rollback = allow_rollback;
+            folded.instructions.notify_on_replica_conflict = notify;
+            // Encoded before anything is folded: a failure leaves
+            // memory and journal agreeing on the unfolded records.
+            let json = encode(&folded)?;
+            self.threats[first] = folded;
+            report.retained += 1;
+            report.folded += (indices.len() - 1) as u64;
 
             // Drop every occurrence beyond the first from memory.
             let mut kept_first = false;
@@ -385,29 +419,18 @@ impl ThreatStore {
 
             // Durably delete the duplicates and rewrite the survivor
             // with the folded record.
-            let suffix = format!(
-                "|{}",
-                storage_key(&identity.constraint, identity.context_object.as_ref())
-            );
-            let keys: Vec<String> = self
-                .table
-                .scan(THREAT_TABLE)
-                .filter(|(k, _)| k.ends_with(&suffix))
-                .map(|(k, _)| k.to_owned())
-                .collect();
+            let keys = self.record_keys(&identity.constraint, identity.context_object.as_ref());
             if let Some((first_key, rest)) = keys.split_first() {
                 for key in rest {
                     self.wal.append_delete(THREAT_TABLE, key.as_str());
                     self.table.delete(THREAT_TABLE, key);
                 }
-                if let Ok(json) = serde_json::to_string(&folded) {
-                    self.wal
-                        .append_put(THREAT_TABLE, first_key.as_str(), json.as_str());
-                    self.table.put(THREAT_TABLE, first_key.clone(), json);
-                }
+                self.wal
+                    .append_put(THREAT_TABLE, first_key.as_str(), json.as_str());
+                self.table.put(THREAT_TABLE, first_key.clone(), json);
             }
         }
-        report
+        Ok(report)
     }
 
     /// The first stored threat with `identity`.
@@ -455,14 +478,7 @@ impl ThreatStore {
             ids.retain(|id| !id.is(constraint, context_object));
             !ids.is_empty()
         });
-        let suffix = format!("|{}", storage_key(constraint, context_object));
-        let keys: Vec<String> = self
-            .table
-            .scan(THREAT_TABLE)
-            .filter(|(k, _)| k.ends_with(&suffix))
-            .map(|(k, _)| k.to_owned())
-            .collect();
-        for key in keys {
+        for key in self.record_keys(constraint, context_object) {
             self.wal.append_delete(THREAT_TABLE, key.as_str());
             self.table.delete(THREAT_TABLE, &key);
         }
@@ -478,6 +494,11 @@ impl ThreatStore {
     pub fn is_empty(&self) -> bool {
         self.threats.is_empty()
     }
+}
+
+/// The journal record of `threat`.
+fn encode(threat: &ConsistencyThreat) -> Result<String> {
+    serde_json::to_string(threat).map_err(|e| Error::Persistence(e.to_string()))
 }
 
 /// Stable storage key of the threat identity `(constraint,
@@ -510,9 +531,12 @@ mod tests {
     #[test]
     fn identical_once_deduplicates() {
         let mut store = ThreatStore::new(HistoryPolicy::IdenticalOnce);
-        assert_eq!(store.store(threat("C", "F1")), StoreOutcome::Stored);
-        assert_eq!(store.store(threat("C", "F1")), StoreOutcome::Deduplicated);
-        assert_eq!(store.store(threat("C", "F2")), StoreOutcome::Stored);
+        assert_eq!(store.store(threat("C", "F1")), Ok(StoreOutcome::Stored));
+        assert_eq!(
+            store.store(threat("C", "F1")),
+            Ok(StoreOutcome::Deduplicated)
+        );
+        assert_eq!(store.store(threat("C", "F2")), Ok(StoreOutcome::Stored));
         assert_eq!(store.len(), 2);
         assert_eq!(store.identities().len(), 2);
     }
@@ -520,10 +544,10 @@ mod tests {
     #[test]
     fn full_history_links_occurrences() {
         let mut store = ThreatStore::new(HistoryPolicy::FullHistory);
-        assert_eq!(store.store(threat("C", "F1")), StoreOutcome::Stored);
+        assert_eq!(store.store(threat("C", "F1")), Ok(StoreOutcome::Stored));
         assert_eq!(
             store.store(threat("C", "F1")),
-            StoreOutcome::LinkedOccurrence
+            Ok(StoreOutcome::LinkedOccurrence)
         );
         assert_eq!(store.len(), 2);
         assert_eq!(store.identities().len(), 1);
@@ -532,9 +556,9 @@ mod tests {
     #[test]
     fn remove_identity_drops_all_identical() {
         let mut store = ThreatStore::new(HistoryPolicy::FullHistory);
-        store.store(threat("C", "F1"));
-        store.store(threat("C", "F1"));
-        store.store(threat("C", "F2"));
+        store.store(threat("C", "F1")).unwrap();
+        store.store(threat("C", "F1")).unwrap();
+        store.store(threat("C", "F2")).unwrap();
         let removed = store.remove_identity(&"C".into(), Some(&ObjectId::new("Flight", "F1")));
         assert_eq!(removed, 2);
         assert_eq!(store.len(), 1);
@@ -543,10 +567,10 @@ mod tests {
     #[test]
     fn instruction_aggregation_across_identical_threats() {
         let mut store = ThreatStore::new(HistoryPolicy::FullHistory);
-        store.store(threat("C", "F1"));
+        store.store(threat("C", "F1")).unwrap();
         let mut t = threat("C", "F1");
         t.instructions.allow_rollback = true;
-        store.store(t);
+        store.store(t).unwrap();
         assert!(store.any_allows_rollback(&threat("C", "F1").identity()));
         assert!(!store.any_wants_conflict_notification(&threat("C", "F1").identity()));
     }
@@ -558,8 +582,8 @@ mod tests {
         a.context_object = None;
         let mut b = threat("Q", "y");
         b.context_object = None;
-        store.store(a);
-        assert_eq!(store.store(b), StoreOutcome::Deduplicated);
+        store.store(a).unwrap();
+        assert_eq!(store.store(b), Ok(StoreOutcome::Deduplicated));
     }
 
     #[test]
@@ -573,11 +597,11 @@ mod tests {
     #[test]
     fn threats_survive_a_crash_via_the_wal() {
         let mut store = ThreatStore::new(HistoryPolicy::FullHistory);
-        store.store(threat("C", "F1"));
-        store.store(threat("C", "F1"));
-        store.store(threat("D", "F2"));
+        store.store(threat("C", "F1")).unwrap();
+        store.store(threat("C", "F1")).unwrap();
+        store.store(threat("D", "F2")).unwrap();
         assert_eq!(store.persisted_records(), 3);
-        let recovered = store.recover();
+        let recovered = store.recover().unwrap();
         assert_eq!(recovered, 3);
         assert_eq!(store.len(), 3);
         assert_eq!(store.identities().len(), 2);
@@ -593,12 +617,12 @@ mod tests {
     #[test]
     fn removal_is_durable() {
         let mut store = ThreatStore::new(HistoryPolicy::FullHistory);
-        store.store(threat("C", "F1"));
-        store.store(threat("C", "F1"));
-        store.store(threat("D", "F2"));
+        store.store(threat("C", "F1")).unwrap();
+        store.store(threat("C", "F1")).unwrap();
+        store.store(threat("D", "F2")).unwrap();
         store.remove_identity(&"C".into(), Some(&ObjectId::new("Flight", "F1")));
         assert_eq!(store.persisted_records(), 1);
-        store.recover();
+        store.recover().unwrap();
         assert_eq!(store.len(), 1);
         assert_eq!(store.threats()[0].constraint, ConstraintName::from("D"));
     }
@@ -606,10 +630,10 @@ mod tests {
     #[test]
     fn removing_an_unknown_identity_touches_nothing() {
         let mut store = ThreatStore::new(HistoryPolicy::FullHistory);
-        store.store(threat("C", "F1"));
+        store.store(threat("C", "F1")).unwrap();
         let mut query_based = threat("Q", "x");
         query_based.context_object = None;
-        store.store(query_based);
+        store.store(query_based).unwrap();
         let (records, log) = (store.persisted_records(), store.wal.len());
         let f1 = ObjectId::new("Flight", "F1");
         // Other constraint on a stored object, stored constraint on
@@ -635,7 +659,7 @@ mod tests {
         assert_eq!(store.identity_count(), 0);
         assert_eq!(store.persisted_records(), 0);
         assert_eq!(store.wal.len(), log + 2, "one delete entry per record");
-        assert_eq!(store.recover(), 0, "the deletes are durable");
+        assert_eq!(store.recover(), Ok(0), "the deletes are durable");
     }
 
     #[test]
@@ -643,8 +667,8 @@ mod tests {
         let mut store = ThreatStore::new(HistoryPolicy::FullHistory);
         let mut a = threat("C", "F1");
         a.affected_objects.insert(ObjectId::new("Seat", "S1"));
-        store.store(a);
-        store.store(threat("D", "F1"));
+        store.store(a).unwrap();
+        store.store(threat("D", "F1")).unwrap();
         let f1 = ObjectId::new("Flight", "F1");
         let s1 = ObjectId::new("Seat", "S1");
         assert_eq!(store.identities_for_object(&f1).map(BTreeSet::len), Some(2));
@@ -667,9 +691,9 @@ mod tests {
         let mut store = ThreatStore::new(HistoryPolicy::FullHistory);
         let mut a = threat("C", "F1");
         a.affected_objects.insert(ObjectId::new("Seat", "S1"));
-        store.store(a);
-        store.store(threat("D", "F2"));
-        store.recover();
+        store.store(a).unwrap();
+        store.store(threat("D", "F2")).unwrap();
+        store.recover().unwrap();
         assert_eq!(store.identity_count(), 2);
         assert_eq!(
             store
@@ -686,19 +710,19 @@ mod tests {
         let mut first = threat("C", "F1");
         first.affected_objects.insert(ObjectId::new("Seat", "S1"));
         first.occurred_at = SimTime::ZERO;
-        store.store(first);
+        store.store(first).unwrap();
         let mut second = threat("C", "F1");
         second.affected_objects.insert(ObjectId::new("Seat", "S2"));
         second.instructions.allow_rollback = true;
-        store.store(second);
+        store.store(second).unwrap();
         let mut third = threat("C", "F1");
         third.instructions.notify_on_replica_conflict = true;
-        assert_eq!(store.store(third), StoreOutcome::LinkedOccurrence);
-        store.store(threat("D", "F2"));
+        assert_eq!(store.store(third), Ok(StoreOutcome::LinkedOccurrence));
+        store.store(threat("D", "F2")).unwrap();
         assert_eq!(store.len(), 4);
         assert_eq!(store.duplicate_records(), 2);
 
-        let report = store.compact();
+        let report = store.compact().unwrap();
         assert_eq!(report.folded, 2);
         assert_eq!(report.retained, 1);
         assert_eq!(store.len(), 2);
@@ -717,7 +741,7 @@ mod tests {
         assert!(store.any_wants_conflict_notification(&threat("C", "F1").identity()));
 
         // The folded record is durable: a crash recovers it unchanged.
-        store.recover();
+        store.recover().unwrap();
         assert_eq!(store.len(), 2);
         let folded = store.first_of(&threat("C", "F1").identity()).unwrap();
         assert_eq!(folded.affected_objects.len(), 2);
@@ -728,9 +752,9 @@ mod tests {
     #[test]
     fn compaction_is_a_noop_without_duplicates() {
         let mut store = ThreatStore::new(HistoryPolicy::Reduced);
-        store.store(threat("C", "F1"));
-        store.store(threat("D", "F2"));
-        let report = store.compact();
+        store.store(threat("C", "F1")).unwrap();
+        store.store(threat("D", "F2")).unwrap();
+        let report = store.compact().unwrap();
         assert_eq!(report, CompactionReport::default());
         assert_eq!(store.len(), 2);
         assert_eq!(store.persisted_records(), 2);
@@ -739,8 +763,8 @@ mod tests {
     #[test]
     fn dedup_does_not_write_additional_records() {
         let mut store = ThreatStore::new(HistoryPolicy::IdenticalOnce);
-        store.store(threat("C", "F1"));
-        store.store(threat("C", "F1"));
+        store.store(threat("C", "F1")).unwrap();
+        store.store(threat("C", "F1")).unwrap();
         assert_eq!(store.persisted_records(), 1);
     }
 }

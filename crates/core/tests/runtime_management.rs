@@ -6,8 +6,7 @@ use dedisys_constraints::{
     expr::ExprConstraint, ConstraintMeta, ContextPreparation, RegisteredConstraint,
     ValidationContext,
 };
-use dedisys_core::nodes;
-use dedisys_core::ClusterBuilder;
+use dedisys_core::{nodes, Cluster, ClusterBuilder, ConsistencyThreat, ThreatDecision};
 use dedisys_object::{AppDescriptor, ClassDescriptor, EntityState};
 use dedisys_types::{ConstraintName, Error, NodeId, ObjectId, SatisfactionDegree, Value};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -149,8 +148,9 @@ fn the_full_check_runs_from_a_live_node() {
     assert_eq!(cluster.open_tx_count(), 0);
 }
 
-#[test]
-fn accepted_threats_survive_a_middleware_crash() {
+/// A split two-node cluster holding warehouse `W1`, whose capacity
+/// constraint is tradeable: a write on node 0 raises a threat.
+fn degraded_tradeable_cluster() -> (Cluster, ObjectId) {
     let mut constraint = capacity_constraint();
     constraint.meta = constraint
         .meta
@@ -159,18 +159,21 @@ fn accepted_threats_survive_a_middleware_crash() {
         .constraint(constraint)
         .build()
         .unwrap();
-    let node = NodeId(0);
     let id = ObjectId::new("Warehouse", "W1");
+    let e = id.clone();
     cluster
-        .run_tx(node, move |c, tx| {
-            c.create(
-                node,
-                tx,
-                EntityState::for_class(c.app(), &ObjectId::new("Warehouse", "W1"))?,
-            )
+        .run_tx(NodeId(0), move |c, tx| {
+            c.create(NodeId(0), tx, EntityState::for_class(c.app(), &e)?)
         })
         .unwrap();
     cluster.partition(&[nodes![0], nodes![1]]).unwrap();
+    (cluster, id)
+}
+
+#[test]
+fn accepted_threats_survive_a_middleware_crash() {
+    let (mut cluster, id) = degraded_tradeable_cluster();
+    let node = NodeId(0);
     cluster
         .run_tx(node, |c, tx| {
             c.set_field(node, tx, &id, "stock", Value::Int(10))
@@ -180,11 +183,54 @@ fn accepted_threats_survive_a_middleware_crash() {
     assert_eq!(cluster.threats().persisted_records(), 1);
     // Crash-recover the threat store from its write-ahead log.
     let recovered = cluster.recover_threats();
-    assert_eq!(recovered, 1);
+    assert_eq!(recovered, Ok(1));
     assert_eq!(cluster.threats().len(), 1);
     assert_eq!(
         cluster.threats().threats()[0].constraint,
         ConstraintName::from("Capacity")
+    );
+}
+
+/// §3.2.1 lets a negotiation handler attach application data to the
+/// threat it accepts. Data the threat journal could not give back used
+/// to be stored, journalled as `null` and silently dropped at the next
+/// recovery — an accepted threat that reconciliation never saw again.
+/// The operation is refused instead, and nothing is stored.
+#[test]
+fn app_data_the_journal_cannot_give_back_refuses_the_operation() {
+    let (mut cluster, id) = degraded_tradeable_cluster();
+    let node = NodeId(0);
+    let mut accept_with = |data: Value, stock: i64| {
+        cluster.run_tx(node, |c, tx| {
+            c.register_negotiation_handler(
+                tx,
+                Box::new(move |threat: &mut ConsistencyThreat| {
+                    threat.app_data = Some(data.clone());
+                    ThreatDecision::Accept
+                }),
+            );
+            c.set_field(node, tx, &id, "stock", Value::Int(stock))
+        })
+    };
+    for bad in [f64::NAN, f64::INFINITY] {
+        let refused = accept_with(Value::Float(bad), 10);
+        assert!(
+            matches!(&refused, Err(Error::IllTypedField { name, expected })
+                if name == "app_data" && expected == "finite float"),
+            "{bad}: {refused:?}"
+        );
+    }
+    accept_with(Value::Float(0.5), 20).expect("finite app data is accepted");
+    assert_eq!(cluster.threats().len(), 1);
+    assert_eq!(cluster.threats().persisted_records(), 1);
+    // Every restart recovers the threat store from its journal: what
+    // was stored comes back, app data included.
+    cluster.crash(NodeId(1)).unwrap();
+    cluster.restart(NodeId(1)).expect("restart");
+    assert_eq!(cluster.threats().len(), 1);
+    assert_eq!(
+        cluster.threats().threats()[0].app_data,
+        Some(Value::Float(0.5))
     );
 }
 

@@ -30,28 +30,6 @@ pub enum RoutingPolicy {
     /// the single-cluster trade.
     #[default]
     RouteAnyway,
-    /// Availability plus routing stability: the first successful route
-    /// pins the object to its shard, and later requests follow the pin
-    /// even across map changes — until an explicit migration re-pins
-    /// it. Degraded pinned shards still serve.
-    Sticky,
-}
-
-/// The per-shard [`SystemMode`]s folded into one federation summary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(rename_all = "snake_case")]
-pub enum FederationMode {
-    /// Every shard is healthy.
-    Healthy,
-    /// Some shards are degraded or reconciling.
-    PartiallyDegraded {
-        /// Shards not in `Healthy` mode.
-        degraded: u32,
-        /// Total shards.
-        total: u32,
-    },
-    /// No shard is healthy.
-    Degraded,
 }
 
 /// Federation-level counters (also mirrored as `federation.*` metrics
@@ -119,6 +97,18 @@ struct OpenXTx {
     state: XState,
     /// Shard → (coordinator node, participant transaction).
     participants: BTreeMap<u32, (NodeId, TxId)>,
+}
+
+impl OpenXTx {
+    /// The participant transactions in shard order. (Each shard numbers
+    /// its own transactions, so a `TxId` identifies a participant only
+    /// together with its shard.)
+    fn participant_txs(&self) -> Vec<(ShardId, TxId)> {
+        self.participants
+            .iter()
+            .map(|(shard, &(_, tx))| (ShardId(*shard), tx))
+            .collect()
+    }
 }
 
 /// A shard-configuration hook applied to every shard before build.
@@ -207,7 +197,6 @@ impl FederationBuilder {
             planes,
             map,
             policy: self.policy,
-            sticky: BTreeMap::new(),
             next_xtx: 0,
             open_x: BTreeMap::new(),
             resolved_x: BTreeMap::new(),
@@ -219,7 +208,7 @@ impl FederationBuilder {
 
 /// N independent [`Cluster`] shards on one shared virtual clock, with
 /// consistent-hash routing, explicit rebalancing, cross-shard 2PC and
-/// mode-aware admission. See the crate docs.
+/// mode-aware routing. See the crate docs.
 pub struct FederatedCluster {
     clock: SimClock,
     telemetry: Telemetry,
@@ -227,7 +216,6 @@ pub struct FederatedCluster {
     planes: Vec<RequestPlane>,
     map: ShardMap,
     policy: RoutingPolicy,
-    sticky: BTreeMap<ObjectId, ShardId>,
     next_xtx: u64,
     open_x: BTreeMap<u64, OpenXTx>,
     resolved_x: BTreeMap<u64, XShardOutcome>,
@@ -239,7 +227,6 @@ impl std::fmt::Debug for FederatedCluster {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FederatedCluster")
             .field("shards", &self.shards.len())
-            .field("mode", &self.mode())
             .field("open_xshard", &self.open_x.len())
             .field("stats", &self.stats)
             .finish()
@@ -334,26 +321,18 @@ impl FederatedCluster {
             .count()
     }
 
-    /// The per-shard modes folded into one summary.
-    pub fn mode(&self) -> FederationMode {
-        let total = self.shards.len() as u32;
-        let degraded = self
-            .shards
-            .iter()
-            .filter(|s| s.mode() != SystemMode::Healthy)
-            .count() as u32;
-        match degraded {
-            0 => FederationMode::Healthy,
-            d if d == total => FederationMode::Degraded,
-            d => FederationMode::PartiallyDegraded { degraded: d, total },
-        }
-    }
-
     /// The node a shard-level operation executes on: the shard's first
     /// live node.
     pub fn coordinator_node(&self, shard: ShardId) -> Option<NodeId> {
         let cluster = &self.shards[shard.index()];
         cluster.topology().nodes().find(|n| !cluster.is_crashed(*n))
+    }
+
+    /// [`FederatedCluster::coordinator_node`], or the error every
+    /// operation on a shard without a live node returns.
+    fn live_coordinator(&self, shard: ShardId) -> Result<NodeId> {
+        self.coordinator_node(shard)
+            .ok_or_else(|| Error::Config(format!("{shard}: every node crashed")))
     }
 
     /// Routes `id` under the current map and policy, emitting a
@@ -365,14 +344,7 @@ impl FederatedCluster {
     /// [`RoutingPolicy::RejectDegraded`] and the target shard is not
     /// healthy.
     pub fn route(&mut self, id: &ObjectId) -> Result<ShardId> {
-        let shard = match self.policy {
-            RoutingPolicy::Sticky => self
-                .sticky
-                .get(id)
-                .copied()
-                .unwrap_or_else(|| self.map.shard_of(id)),
-            _ => self.map.shard_of(id),
-        };
+        let shard = self.map.shard_of(id);
         let mode = self.shards[shard.index()].mode();
         let admitted =
             !(self.policy == RoutingPolicy::RejectDegraded && mode != SystemMode::Healthy);
@@ -394,9 +366,6 @@ impl FederatedCluster {
                 "routing refused: shard {shard} is {mode:?}"
             )));
         }
-        if self.policy == RoutingPolicy::Sticky {
-            self.sticky.insert(id.clone(), shard);
-        }
         Ok(shard)
     }
 
@@ -408,17 +377,8 @@ impl FederatedCluster {
     ///
     /// Propagates shard-level create errors.
     pub fn create(&mut self, id: &ObjectId) -> Result<ShardId> {
-        let shard = match self.policy {
-            RoutingPolicy::Sticky => self
-                .sticky
-                .get(id)
-                .copied()
-                .unwrap_or_else(|| self.map.shard_of(id)),
-            _ => self.map.shard_of(id),
-        };
-        let node = self
-            .coordinator_node(shard)
-            .ok_or(Error::Config(format!("{shard}: every node crashed")))?;
+        let shard = self.map.shard_of(id);
+        let node = self.live_coordinator(shard)?;
         let cluster = &mut self.shards[shard.index()];
         let id = id.clone();
         cluster.run_tx(node, move |c, tx| {
@@ -441,9 +401,7 @@ impl FederatedCluster {
         f: impl for<'a> FnOnce(Session<'a>) -> Result<T>,
     ) -> Result<T> {
         let shard = self.route(id)?;
-        let node = self
-            .coordinator_node(shard)
-            .ok_or(Error::Config(format!("{shard}: every node crashed")))?;
+        let node = self.live_coordinator(shard)?;
         f(self.shards[shard.index()].session(node))
     }
 
@@ -462,9 +420,7 @@ impl FederatedCluster {
         work: impl for<'a> FnOnce(Session<'a>) -> Result<()> + 'static,
     ) -> Result<u64> {
         let shard = self.route(id)?;
-        let node = self
-            .coordinator_node(shard)
-            .ok_or(Error::Config(format!("{shard}: every node crashed")))?;
+        let node = self.live_coordinator(shard)?;
         self.planes[shard.index()].submit(&mut self.shards[shard.index()], node, class, work)
     }
 
@@ -536,9 +492,7 @@ impl FederatedCluster {
         let (node, tx) = match x.participants.get(&shard.0) {
             Some(&(node, tx)) => (node, tx),
             None => {
-                let node = self
-                    .coordinator_node(shard)
-                    .ok_or(Error::Config(format!("{shard}: every node crashed")))?;
+                let node = self.live_coordinator(shard)?;
                 let tx = self.shards[shard.index()].session(node).detach();
                 let x = self.open_x.get_mut(&xtx).expect("xtx just read");
                 x.participants.insert(shard.0, (node, tx));
@@ -562,21 +516,15 @@ impl FederatedCluster {
             .get(&xtx)
             .filter(|x| x.state == XState::Staging)
             .ok_or(Error::Config(format!("xshard tx {xtx} is not staging")))?;
-        let participants: Vec<(u32, NodeId, TxId)> = x
-            .participants
-            .iter()
-            .map(|(s, &(node, tx))| (*s, node, tx))
-            .collect();
-        for (shard, _, tx) in &participants {
-            if let Err(e) = self.shards[*shard as usize].prepare(*tx) {
+        let participants = x.participant_txs();
+        for (shard, tx) in &participants {
+            if let Err(e) = self.shards[shard.index()].prepare(*tx) {
                 // One no vote aborts the whole transaction. The
                 // refusing participant is already rolled back by
-                // `Cluster::prepare`; unwind the rest. (Compare by
-                // shard, not `TxId` — each shard numbers its own
-                // transactions, so ids collide across shards.)
-                for (other, _, other_tx) in &participants {
+                // `Cluster::prepare`; unwind the rest.
+                for (other, other_tx) in &participants {
                     if other != shard {
-                        let _ = self.shards[*other as usize].rollback(*other_tx);
+                        let _ = self.shards[other.index()].rollback(*other_tx);
                     }
                 }
                 self.finish_xshard(xtx, false, false);
@@ -587,7 +535,7 @@ impl FederatedCluster {
         x.state = XState::Prepared;
         self.stats.xshard_prepared += 1;
         self.telemetry.metrics().incr("federation.xshard.prepared");
-        let shards: Vec<u32> = participants.iter().map(|(s, _, _)| *s).collect();
+        let shards: Vec<u32> = participants.iter().map(|(s, _)| s.0).collect();
         self.telemetry
             .emit(move || TraceEvent::XShardPrepared { xtx, shards });
         Ok(())
@@ -610,19 +558,14 @@ impl FederatedCluster {
             .get(&xtx)
             .filter(|x| x.state == XState::Prepared)
             .ok_or(Error::Config(format!("xshard tx {xtx} is not prepared")))?;
-        let participants: Vec<(u32, TxId)> = x
-            .participants
+        let participants = x.participant_txs();
+        if let Some(&(shard, tx)) = participants
             .iter()
-            .map(|(s, &(_, tx))| (*s, tx))
-            .collect();
-        if let Some(&(shard, tx)) = participants.iter().find(|(s, tx)| {
-            self.shards[*s as usize]
-                .in_doubt_txs()
-                .any(|(t, _)| t == *tx)
-        }) {
+            .find(|(s, tx)| self.shards[s.index()].in_doubt_txs().any(|(t, _)| t == *tx))
+        {
             for (other, other_tx) in &participants {
                 if *other != shard {
-                    let _ = self.shards[*other as usize].rollback(*other_tx);
+                    let _ = self.shards[other.index()].rollback(*other_tx);
                 }
             }
             self.finish_xshard(xtx, false, false);
@@ -630,7 +573,7 @@ impl FederatedCluster {
         }
         let mut first_err = None;
         for (shard, tx) in &participants {
-            if let Err(e) = self.shards[*shard as usize].commit(*tx) {
+            if let Err(e) = self.shards[shard.index()].commit(*tx) {
                 first_err.get_or_insert(e);
             }
         }
@@ -651,13 +594,8 @@ impl FederatedCluster {
             .open_x
             .get(&xtx)
             .ok_or(Error::Config(format!("xshard tx {xtx} is not open")))?;
-        let participants: Vec<(u32, TxId)> = x
-            .participants
-            .iter()
-            .map(|(s, &(_, tx))| (*s, tx))
-            .collect();
-        for (shard, tx) in &participants {
-            let _ = self.shards[*shard as usize].rollback(*tx);
+        for (shard, tx) in x.participant_txs() {
+            let _ = self.shards[shard.index()].rollback(tx);
         }
         self.finish_xshard(xtx, false, false);
         Ok(())
@@ -699,16 +637,11 @@ impl FederatedCluster {
         let resolved = due.len();
         for xtx in due {
             let x = self.open_x.get(&xtx).expect("due xtx is open");
-            let participants: Vec<(u32, TxId)> = x
-                .participants
-                .iter()
-                .map(|(s, &(_, tx))| (*s, tx))
-                .collect();
-            for (shard, tx) in &participants {
+            for (shard, tx) in x.participant_txs() {
                 // A participant may itself be shard-level in-doubt
                 // (its node coordinator crashed too); that path
                 // presumes abort on its own, to the same outcome.
-                let _ = self.shards[*shard as usize].rollback(*tx);
+                let _ = self.shards[shard.index()].rollback(tx);
             }
             self.finish_xshard(xtx, false, true);
         }
@@ -719,11 +652,7 @@ impl FederatedCluster {
         let Some(x) = self.open_x.remove(&xtx) else {
             return;
         };
-        let participants: Vec<(ShardId, TxId)> = x
-            .participants
-            .iter()
-            .map(|(s, &(_, tx))| (ShardId(*s), tx))
-            .collect();
+        let participants = x.participant_txs();
         if committed {
             self.stats.xshard_committed += 1;
             self.telemetry.metrics().incr("federation.xshard.committed");
@@ -820,9 +749,6 @@ impl FederatedCluster {
             migrated += 1;
             self.stats.migrated += 1;
             self.telemetry.metrics().incr("federation.migrated");
-            if self.policy == RoutingPolicy::Sticky {
-                self.sticky.insert(step.object.clone(), step.to);
-            }
             let object = step.object.to_string();
             let (f, t) = (step.from.0, step.to.0);
             self.telemetry.emit(move || TraceEvent::ShardMigrated {

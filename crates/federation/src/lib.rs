@@ -21,12 +21,12 @@
 //!   ([`FederatedCluster::crash_coordinator`] +
 //!   [`FederatedCluster::resolve_xshard_in_doubt`]) and an
 //!   all-or-nothing outcome record per transaction.
-//! * Federated modes — per-shard [`SystemMode`] summarized as a
-//!   [`FederationMode`], with a [`RoutingPolicy`]
-//!   (`RejectDegraded` / `RouteAnyway` / `Sticky`) applied at routing
-//!   time, ahead of each shard's
+//! * Mode-aware routing — every shard keeps its own [`SystemMode`],
+//!   and the [`RoutingPolicy`] (`RejectDegraded` / `RouteAnyway`) reads
+//!   the target shard's at routing time, ahead of that shard's
 //!   [`RequestPlane`](dedisys_core::RequestPlane): what the router
-//!   refuses, the plane never sees.
+//!   refuses, the plane never sees. This is the only place a request
+//!   is refused because of a shard's mode.
 //!
 //! Telemetry: `shard_routed`, `shard_migrated`, `xshard_prepared` and
 //! `xshard_resolved` events on the federation bus plus `federation.*`
@@ -37,8 +37,8 @@ mod federated;
 mod shard_map;
 
 pub use federated::{
-    FederatedCluster, FederationBuilder, FederationMode, FederationStats, MigrationReport,
-    RoutingPolicy, XShardOutcome,
+    FederatedCluster, FederationBuilder, FederationStats, MigrationReport, RoutingPolicy,
+    XShardOutcome,
 };
 pub use shard_map::{MigrationStep, RebalancePlan, ShardId, ShardMap};
 

@@ -20,9 +20,6 @@
 //!   timeout.
 //! * [`ViewStabilizer`] — hysteresis + BGP-style flap damping between
 //!   raw suspicion and installed views.
-//! * [`PrimaryPartitionPolicy`] — how a partition classifies itself
-//!   primary or minority (`MajorityNodes`, `WeightedQuorum`,
-//!   `AlwaysPrimary`).
 //! * [`MembershipSim`] — the full pipeline (physical link faults →
 //!   heartbeats → suspicion → damping → stabilized partitionings) on
 //!   the shared virtual clock.
@@ -49,7 +46,6 @@
 mod adaptive;
 mod detector;
 mod membership;
-mod policy;
 mod stabilizer;
 mod view;
 mod weight;
@@ -57,7 +53,6 @@ mod weight;
 pub use adaptive::{AdaptiveConfig, AdaptiveDetector, DetectorKind};
 pub use detector::DetectorConfig;
 pub use membership::{LinkFault, MembershipConfig, MembershipEvent, MembershipSim};
-pub use policy::{MinorityWriteHandling, PrimaryPartitionPolicy};
 pub use stabilizer::{StabilizerConfig, ViewStabilizer};
 pub use view::{View, ViewChange, ViewTracker};
 pub use weight::NodeWeights;

@@ -9,22 +9,6 @@ use std::sync::Arc;
 /// Journal table holding committed entity snapshots.
 const JOURNAL_TABLE: &str = "entities";
 
-/// Refuses a value the journal could not give back. JSON has no
-/// non-finite numbers: the record would hold `null`, which does not
-/// decode as a float, so the node could never replay its journal again.
-fn check_journalable(field: &str, value: &Value) -> Result<()> {
-    match value {
-        Value::Float(f) if !f.is_finite() => Err(Error::IllTypedField {
-            name: field.to_owned(),
-            expected: "finite float".to_owned(),
-        }),
-        Value::List(items) => items
-            .iter()
-            .try_for_each(|item| check_journalable(field, item)),
-        _ => Ok(()),
-    }
-}
-
 /// Operation counters of a container.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ContainerStats {
@@ -121,7 +105,7 @@ impl EntityContainer {
             return Err(Error::ClassNotDeployed(entity.id().class().to_string()));
         }
         for (field, value) in entity.fields() {
-            check_journalable(field, value)?;
+            value.check_journalable(field)?;
         }
         if self.exists(tx, entity.id()) {
             return Err(Error::ObjectExists(entity.id().clone()));
@@ -188,7 +172,7 @@ impl EntityContainer {
         value: Value,
         at: SimTime,
     ) -> Result<()> {
-        check_journalable(field, &value)?;
+        value.check_journalable(field)?;
         self.stats.writes += 1;
         if let Some(buffer) = self.buffers.get_mut(&tx) {
             if buffer.deleted.contains(id) {

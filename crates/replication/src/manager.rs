@@ -149,22 +149,6 @@ impl ReplicationManager {
         self.stats
     }
 
-    /// Switches between full and reduced degraded-mode history
-    /// (the fig5-8 ablation).
-    pub fn set_reduced_history(&mut self, reduced: bool) {
-        self.history = if reduced {
-            VersionHistory::reduced()
-        } else {
-            VersionHistory::new()
-        };
-    }
-
-    /// Whether the degraded-mode history is reduced (latest state
-    /// only).
-    pub fn reduced_history(&self) -> bool {
-        !self.history.is_full_history()
-    }
-
     /// The degraded-mode state history.
     pub fn history(&self) -> &VersionHistory {
         &self.history

@@ -51,9 +51,17 @@ impl ProtocolKind {
         if reachable.is_empty() {
             return Err(Error::ObjectUnreachable(object.clone()));
         }
+        // The static primary when it is reachable; otherwise the lowest
+        // reachable replica stands in (a crashed primary's successor,
+        // P4's temporary per-partition primary).
+        let target = if reachable.contains(&primary) {
+            primary
+        } else {
+            *reachable.iter().next().expect("non-empty")
+        };
         match self {
             ProtocolKind::PrimaryBackup => {
-                if reachable.contains(&primary) {
+                if target == primary {
                     Ok(primary)
                 } else {
                     Err(Error::ModeRestriction(format!(
@@ -62,30 +70,15 @@ impl ProtocolKind {
                 }
             }
             ProtocolKind::PrimaryPartition => {
-                if is_primary_partition(partition, topology, weights) {
-                    // Normal operation: the static primary is preferred;
-                    // if it crashed, the lowest reachable replica takes
-                    // over.
-                    Ok(if reachable.contains(&primary) {
-                        primary
-                    } else {
-                        *reachable.iter().next().expect("non-empty")
-                    })
+                if is_primary_partition(partition, weights) {
+                    Ok(target)
                 } else {
                     Err(Error::ModeRestriction(format!(
                         "writes to {object} blocked outside the primary partition"
                     )))
                 }
             }
-            ProtocolKind::PrimaryPerPartition => {
-                // Static primary if reachable, otherwise the temporary
-                // per-partition primary (lowest reachable replica).
-                Ok(if reachable.contains(&primary) {
-                    primary
-                } else {
-                    *reachable.iter().next().expect("non-empty")
-                })
-            }
+            ProtocolKind::PrimaryPerPartition => Ok(target),
             ProtocolKind::AdaptiveVoting => {
                 let available = weights.partition_weight(&reachable);
                 let required = weights.partition_weight(replicas) / 2 + 1;
@@ -99,11 +92,7 @@ impl ProtocolKind {
                 // Degraded mode: the quorum is adapted to the partition
                 // (any reachable majority *of the partition's copies*),
                 // accepting consistency threats.
-                Ok(if reachable.contains(&primary) {
-                    primary
-                } else {
-                    *reachable.iter().next().expect("non-empty")
-                })
+                Ok(target)
             }
         }
     }
@@ -134,7 +123,7 @@ impl ProtocolKind {
             // Only the primary partition takes writes: every object
             // accessed in a non-primary partition is possibly stale
             // [RSB93].
-            ProtocolKind::PrimaryPartition => !is_primary_partition(partition, topology, weights),
+            ProtocolKind::PrimaryPartition => !is_primary_partition(partition, weights),
             // P4: a temporary primary may write in *any* partition, so
             // objects are possibly stale in every partition [BBG+06] —
             // unless every replica of the object lives in this
@@ -147,11 +136,7 @@ impl ProtocolKind {
 /// Whether `partition` is the primary partition: strictly more than
 /// half the total weight, or exactly half and containing node 0 (tie
 /// break).
-fn is_primary_partition(
-    partition: &BTreeSet<NodeId>,
-    _topology: &Topology,
-    weights: &NodeWeights,
-) -> bool {
+fn is_primary_partition(partition: &BTreeSet<NodeId>, weights: &NodeWeights) -> bool {
     let w = u64::from(weights.partition_weight(partition));
     let total = u64::from(weights.total());
     w * 2 > total || (w * 2 == total && partition.contains(&NodeId(0)))
@@ -206,6 +191,51 @@ mod tests {
             p.write_target(&obj(), NodeId(0), &replicas(3), NodeId(0), &topo, &w),
             Err(Error::ModeRestriction(_))
         ));
+    }
+
+    /// Partitions of `topo` in which a primary-partition write to a
+    /// fully replicated object is allowed.
+    fn writable_partitions(topo: &Topology, w: &NodeWeights) -> Vec<BTreeSet<NodeId>> {
+        let all = replicas(w.node_count());
+        topo.partitions()
+            .iter()
+            .filter(|side| {
+                let requester = *side.first().expect("partitions are non-empty");
+                ProtocolKind::PrimaryPartition
+                    .write_target(&obj(), requester, &all, NodeId(0), topo, w)
+                    .is_ok()
+            })
+            .cloned()
+            .collect()
+    }
+
+    #[test]
+    fn primary_partition_writes_on_exactly_one_side_of_every_split() {
+        for w in [
+            // Odd total (11): one side always holds a strict majority.
+            NodeWeights::explicit(vec![2, 3, 1, 1, 4]),
+            // Even total (4): the 2–2 splits tie, node 0's side wins.
+            NodeWeights::uniform(4),
+        ] {
+            let n = w.node_count();
+            for mask in 0u32..(1 << n) {
+                let (a, b): (Vec<u32>, Vec<u32>) = (0..n).partition(|i| mask & (1 << i) != 0);
+                let mut topo = Topology::fully_connected(n);
+                // Two sides covering every node: exactly one may write.
+                topo.split(&[&a, &b]);
+                let writable = writable_partitions(&topo, &w);
+                assert_eq!(writable.len(), 1, "{a:?} | {b:?}: {writable:?}");
+                let weight = |side: &[u32]| side.iter().map(|&i| w.weight_of(NodeId(i))).sum();
+                let (wa, wb): (u32, u32) = (weight(&a), weight(&b));
+                if wa == wb {
+                    assert!(writable[0].contains(&NodeId(0)), "{a:?} | {b:?}: tie");
+                }
+                // `a` against the rest as singletons: never more than one.
+                topo.split(&[&a]);
+                let writable = writable_partitions(&topo, &w);
+                assert!(writable.len() <= 1, "{a:?} | singletons: {writable:?}");
+            }
+        }
     }
 
     #[test]

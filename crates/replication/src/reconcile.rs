@@ -30,6 +30,12 @@ pub struct ReplicaConflict {
 pub trait ReplicaConsistencyHandler {
     /// Chooses (or merges) the surviving state; `None` keeps the object
     /// deleted.
+    ///
+    /// The returned state is installed and journalled as it stands —
+    /// there is no error channel here — so a merge must not put a
+    /// non-finite float into a field: unlike every other write path
+    /// (`dedisys_types::Value::check_journalable`), nothing refuses it,
+    /// and the replicas that journal it could not restart.
     fn resolve(&mut self, conflict: &ReplicaConflict) -> Option<EntityState>;
 }
 

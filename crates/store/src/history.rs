@@ -2,9 +2,8 @@
 //!
 //! The P4 replication protocol stores intermediate states applied
 //! during degraded mode so reconciliation can roll back to a previous
-//! consistent state (§4.3). The history also powers the fig5-8
-//! "reduced history" ablation: with history disabled, only the latest
-//! state is retained.
+//! consistent state (§4.3). Every state is kept until reconciliation
+//! clears the history: the rollback search (§3.3) may need any of them.
 
 use dedisys_types::{SimTime, Version};
 use std::collections::HashMap;
@@ -26,30 +25,12 @@ pub struct HistoryEntry {
 #[derive(Debug, Clone, Default)]
 pub struct VersionHistory {
     chains: HashMap<String, Vec<HistoryEntry>>,
-    enabled: bool,
 }
 
 impl VersionHistory {
-    /// Creates an enabled history.
+    /// Creates an empty history.
     pub fn new() -> Self {
-        Self {
-            chains: HashMap::new(),
-            enabled: true,
-        }
-    }
-
-    /// Creates a disabled history (the "reduced history" configuration):
-    /// only the most recent entry per key is retained.
-    pub fn reduced() -> Self {
-        Self {
-            chains: HashMap::new(),
-            enabled: false,
-        }
-    }
-
-    /// Whether full chains are being kept.
-    pub fn is_full_history(&self) -> bool {
-        self.enabled
+        Self::default()
     }
 
     /// Records a state for `key`, in application order. Versions need
@@ -64,11 +45,10 @@ impl VersionHistory {
         state: Arc<str>,
         at: SimTime,
     ) {
-        let chain = self.chains.entry(key.into()).or_default();
-        if !self.enabled {
-            chain.clear();
-        }
-        chain.push(HistoryEntry { version, state, at });
+        self.chains
+            .entry(key.into())
+            .or_default()
+            .push(HistoryEntry { version, state, at });
     }
 
     /// The full chain for `key`, oldest applied first.
@@ -76,8 +56,7 @@ impl VersionHistory {
         self.chains.get(key).map_or(&[], Vec::as_slice)
     }
 
-    /// Total number of retained entries across all keys (the memory the
-    /// fig5-8 ablation trades away).
+    /// Total number of retained entries across all keys.
     pub fn total_entries(&self) -> usize {
         self.chains.values().map(Vec::len).sum()
     }
@@ -107,14 +86,6 @@ mod tests {
         h.record("k", Version(2), "s2".into(), t(2));
         assert_eq!(states(&h, "k"), ["s1", "s2"]);
         assert_eq!(h.total_entries(), 2);
-    }
-
-    #[test]
-    fn reduced_history_keeps_only_latest() {
-        let mut h = VersionHistory::reduced();
-        h.record("k", Version(1), "s1".into(), t(1));
-        h.record("k", Version(2), "s2".into(), t(2));
-        assert_eq!(states(&h, "k"), ["s2"]);
     }
 
     #[test]

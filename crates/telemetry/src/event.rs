@@ -115,9 +115,6 @@ pub enum AdmissionReject {
     /// The class queue was full and nothing lower-priority could be
     /// displaced.
     QueueFull,
-    /// The node sits in a non-primary partition under a
-    /// refuse-minority-writes policy.
-    NotPrimary,
 }
 
 /// Why an *admitted* request was dropped from a queue before it ran.
@@ -127,8 +124,8 @@ pub enum ShedCause {
     /// Displaced by a higher-priority arrival while its queue was
     /// full.
     Displaced,
-    /// Shed by mode-coupled backpressure (degraded / minority
-    /// partitions drop `Background` work first).
+    /// Shed by mode-coupled backpressure (while the system is not
+    /// healthy, `Background` work is dropped first).
     ModePressure,
 }
 
@@ -534,7 +531,7 @@ pub enum TraceEvent {
         overdue_ns: u64,
     },
     /// A federation router decision: `object` resolved to `shard` on
-    /// the consistent-hash ring (or the sticky table).
+    /// the consistent-hash ring.
     ShardRouted {
         /// The routed object (`Class#key`).
         object: String,

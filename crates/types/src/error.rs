@@ -98,14 +98,6 @@ pub enum Error {
     /// The invoked operation is not permitted in the current system
     /// mode (e.g. writes blocked in a non-primary partition).
     ModeRestriction(String),
-    /// A write originated in a minority partition while a quorum-based
-    /// primary-partition policy refuses minority writes.
-    NotPrimary {
-        /// The node that attempted the write.
-        node: NodeId,
-        /// Number of nodes in the node's partition.
-        partition_size: u32,
-    },
     /// Serialization/persistence failure.
     Persistence(String),
     /// The request plane refused admission: the node's token bucket
@@ -167,13 +159,6 @@ impl fmt::Display for Error {
             Error::Config(msg) => write!(f, "configuration error: {msg}"),
             Error::Expr(msg) => write!(f, "constraint expression error: {msg}"),
             Error::ModeRestriction(msg) => write!(f, "operation not allowed: {msg}"),
-            Error::NotPrimary {
-                node,
-                partition_size,
-            } => write!(
-                f,
-                "node {node} is in a minority partition of {partition_size} node(s); writes refused"
-            ),
             Error::Persistence(msg) => write!(f, "persistence error: {msg}"),
             Error::Overloaded { node, depth } => write!(
                 f,

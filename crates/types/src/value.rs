@@ -1,6 +1,6 @@
 //! Dynamic values held in entity fields and passed as method arguments.
 
-use crate::ObjectId;
+use crate::{Error, ObjectId, Result};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -129,6 +129,28 @@ impl Value {
                 (Some(a), Some(b)) => a.partial_cmp(&b),
                 _ => None,
             },
+        }
+    }
+
+    /// Refuses a value a journal could not give back. JSON has no
+    /// non-finite numbers: the record would hold `null`, which does not
+    /// decode as a float, so replaying the journal would fail or lose
+    /// the record.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::IllTypedField`] naming `name` (`expected:
+    /// "finite float"`) for a NaN or infinite float at any list depth.
+    pub fn check_journalable(&self, name: &str) -> Result<()> {
+        match self {
+            Value::Float(f) if !f.is_finite() => Err(Error::IllTypedField {
+                name: name.to_owned(),
+                expected: "finite float".to_owned(),
+            }),
+            Value::List(items) => items
+                .iter()
+                .try_for_each(|item| item.check_journalable(name)),
+            _ => Ok(()),
         }
     }
 }

@@ -7,11 +7,9 @@
 //! `configure`) are behaviourally identical — byte-identical traces on
 //! the same workload.
 
-use dedisys_constraints::LookupMode;
 use dedisys_core::{
     nodes, Cluster, ClusterBuilder, ClusterConfig, ConstraintEngine, DetectorKind, HistoryPolicy,
-    JsonlExporter, MinorityWriteHandling, NegotiationTiming, PrimaryPartitionPolicy,
-    ReconcileStrategy, RingRecorder,
+    JsonlExporter, NegotiationTiming, ProtocolKind, ReconcileStrategy, RingRecorder,
 };
 use dedisys_object::{AppDescriptor, ClassDescriptor, EntityState};
 use dedisys_types::{ChaosRng, Error, NodeId, ObjectId, SatisfactionDegree, SimDuration, Value};
@@ -45,51 +43,31 @@ fn config_of(rng: &mut ChaosRng) -> ClusterConfig {
     config.validation.engine =
         *rng.pick(&[ConstraintEngine::Interpreted, ConstraintEngine::Compiled]);
     config.validation.verdict_cache = rng.chance(50);
-    config.validation.lookup_mode = *rng.pick(&[LookupMode::Cached, LookupMode::Scan]);
     config.validation.negotiation_timing = *rng.pick(&TIMINGS);
     config.validation.app_default_min_degree = *rng.pick(&DEGREES);
     config.membership.detector_enabled = rng.chance(50);
     config.membership.detector = *rng.pick(&[DetectorKind::FixedTimeout, DetectorKind::Adaptive]);
     config.membership.seed = rng.below(1_000);
-    config.membership.primary_policy = *rng.pick(&[
-        PrimaryPartitionPolicy::AlwaysPrimary,
-        PrimaryPartitionPolicy::MajorityNodes,
-        PrimaryPartitionPolicy::WeightedQuorum,
-    ]);
-    config.membership.minority_writes = *rng.pick(&[
-        MinorityWriteHandling::Degrade,
-        MinorityWriteHandling::Refuse,
-    ]);
     config.durability.threat_policy = *rng.pick(&[
         HistoryPolicy::IdenticalOnce,
         HistoryPolicy::FullHistory,
         HistoryPolicy::Reduced,
     ]);
     config.durability.reconcile_strategy = *rng.pick(&RECONCILE);
-    config.durability.compaction_threshold = rng.below(64) as usize;
-    config.durability.reduced_replica_history = rng.chance(50);
     config.plane.queue_capacity = within(rng, 1, 64) as u32;
     config.plane.refill_per_second = within(rng, 1, 10_000);
     config.plane.burst = within(rng, 1, 64) as u32;
-    config.plane.shed_background_when_degraded = rng.chance(50);
     config.plane.deadline_normal = rng
         .chance(50)
         .then(|| SimDuration::from_millis(within(rng, 1, 2_000)));
     config
 }
 
-/// What the builder is documented to normalize before the config
-/// reaches the running cluster.
-fn clamped(mut config: ClusterConfig) -> ClusterConfig {
-    config.durability.compaction_threshold = config.durability.compaction_threshold.max(1);
-    config
-}
-
 /// Asserts that a *running* cluster reports the config it was
 /// promised: every field through `config()` (the only spelling for the
 /// fields the cluster itself consults), and — where a subsystem keeps
-/// its own copy — the value read back from the CCM, the replication
-/// manager, the threat store and the membership pipeline.
+/// its own copy — the value read back from the CCM, the threat store
+/// and the membership pipeline.
 fn assert_observed_matches(case: &str, cluster: &Cluster, expected: &ClusterConfig) {
     assert_eq!(cluster.config(), expected, "{case}");
     assert_eq!(
@@ -103,11 +81,6 @@ fn assert_observed_matches(case: &str, cluster: &Cluster, expected: &ClusterConf
         "{case}"
     );
     assert_eq!(
-        cluster.reduced_replica_history(),
-        expected.durability.reduced_replica_history,
-        "{case}"
-    );
-    assert_eq!(
         cluster.threats().policy(),
         expected.durability.threat_policy,
         "{case}"
@@ -117,19 +90,6 @@ fn assert_observed_matches(case: &str, cluster: &Cluster, expected: &ClusterConf
         expected.membership.detector_enabled,
         "{case}"
     );
-    if expected.membership.detector_enabled {
-        let observed = cluster.config().membership;
-        assert_eq!(observed.detector, expected.membership.detector, "{case}");
-        assert_eq!(
-            observed.detector_config, expected.membership.detector_config,
-            "{case}"
-        );
-        assert_eq!(observed.adaptive, expected.membership.adaptive, "{case}");
-        assert_eq!(
-            observed.stabilizer, expected.membership.stabilizer,
-            "{case}"
-        );
-    }
 }
 
 /// Any typed config given to the builder is the config observed on
@@ -144,15 +104,14 @@ fn config_round_trips_from_builder_to_running_cluster() {
             .build()
             .unwrap_or_else(|e| panic!("seed {seed}: build: {e}"));
         // Exercise the cluster so "observed" means a *running* system,
-        // not a freshly wired one. The full topology is primary under
-        // every policy, so the write is admitted regardless of knobs.
+        // not a freshly wired one.
         let id = ObjectId::new("Item", "i0");
         cluster
             .run_tx(NodeId(0), move |c, tx| {
                 c.create(NodeId(0), tx, EntityState::for_class(c.app(), &id)?)
             })
             .unwrap_or_else(|e| panic!("seed {seed}: seed write: {e}"));
-        assert_observed_matches(&format!("seed {seed}"), &cluster, &clamped(config));
+        assert_observed_matches(&format!("seed {seed}"), &cluster, &config);
     }
 }
 
@@ -168,7 +127,6 @@ fn reconfigure_applies_and_reports_runtime_deltas() {
         let degree = *rng.pick(&DEGREES);
         let cache = rng.chance(50);
         let strategy = *rng.pick(&RECONCILE);
-        let reduced = rng.chance(50);
         let burst = within(&mut rng, 1, 64) as u32;
         let mut cluster = ClusterBuilder::new(3, app()).build().expect("build");
         let ring = RingRecorder::new(256);
@@ -179,7 +137,6 @@ fn reconfigure_applies_and_reports_runtime_deltas() {
                 c.validation.app_default_min_degree = degree;
                 c.validation.verdict_cache = cache;
                 c.durability.reconcile_strategy = strategy;
-                c.durability.reduced_replica_history = reduced;
                 c.plane.burst = burst;
             })
             .unwrap_or_else(|e| panic!("seed {seed}: runtime-only delta: {e}"));
@@ -188,12 +145,11 @@ fn reconfigure_applies_and_reports_runtime_deltas() {
             cluster.app_default_min_degree(),
             cluster.config().validation.verdict_cache,
             cluster.config().durability.reconcile_strategy,
-            cluster.reduced_replica_history(),
             cluster.config().plane.burst,
         );
         assert_eq!(
             observed,
-            (timing, degree, cache, strategy, reduced, burst),
+            (timing, degree, cache, strategy, burst),
             "seed {seed}"
         );
         // The returned paths are exactly the fields that now differ
@@ -237,32 +193,30 @@ fn reconfigure_refuses_build_time_fields_atomically() {
     assert_eq!(*cluster.config(), before, "rejected delta applies nothing");
 }
 
-/// The knob set both builder spellings below configure — one
-/// representative knob per config section.
+/// The knob set both builder spellings below configure.
 fn exercised(config: &mut ClusterConfig) {
-    config.validation.lookup_mode = LookupMode::Scan;
     config.validation.engine = ConstraintEngine::Compiled;
     config.validation.verdict_cache = true;
     config.validation.negotiation_timing = NegotiationTiming::Deferred;
     config.validation.app_default_min_degree = SatisfactionDegree::PossiblySatisfied;
-    config.membership.primary_policy = PrimaryPartitionPolicy::MajorityNodes;
-    config.membership.minority_writes = MinorityWriteHandling::Refuse;
     config.durability.threat_policy = HistoryPolicy::Reduced;
     config.durability.reconcile_strategy = ReconcileStrategy::FullScan;
-    config.durability.compaction_threshold = 4;
-    config.durability.reduced_replica_history = true;
 }
 
 /// Spelling one: hand the builder a ready-made config value.
 fn valued_builder() -> ClusterBuilder {
     let mut config = ClusterConfig::default();
     exercised(&mut config);
-    ClusterBuilder::new(3, app()).with_config(config)
+    ClusterBuilder::new(3, app())
+        .protocol(ProtocolKind::PrimaryPartition)
+        .with_config(config)
 }
 
 /// Spelling two: mutate the builder's config in place.
 fn mutated_builder() -> ClusterBuilder {
-    ClusterBuilder::new(3, app()).configure(exercised)
+    ClusterBuilder::new(3, app())
+        .protocol(ProtocolKind::PrimaryPartition)
+        .configure(exercised)
 }
 
 #[test]
@@ -293,9 +247,9 @@ impl Write for SharedBuf {
 }
 
 /// One mixed workload — committed writes on both sides of a
-/// partition/heal cycle, including a refused minority write — against
-/// a traced cluster built by `make`. Returns the raw JSONL bytes plus
-/// the serde-independent `(seq, at, kind)` stream.
+/// partition/heal cycle, including a write refused outside the primary
+/// partition — against a traced cluster built by `make`. Returns the
+/// raw JSONL bytes plus the serde-independent `(seq, at, kind)` stream.
 fn traced_workload(make: fn() -> ClusterBuilder) -> (Vec<u8>, Vec<(u64, u64, &'static str)>) {
     let buf = SharedBuf::default();
     let mut cluster = make().build().expect("build");
@@ -319,8 +273,8 @@ fn traced_workload(make: fn() -> ClusterBuilder) -> (Vec<u8>, Vec<(u64, u64, &'s
         let write = session
             .set_field(&id, "v", Value::Int(round))
             .and_then(|()| session.commit());
-        // Round 2 hits node 2 while it is alone under MajorityNodes +
-        // Refuse; both spellings must refuse identically.
+        // Round 2 hits node 2 while it is alone, outside the primary
+        // partition; both spellings must refuse identically.
         assert_eq!(write.is_err(), round == 2, "round {round}");
         if round == 1 {
             cluster

@@ -45,6 +45,26 @@ fn seed(cluster: &mut dedisys_core::Cluster) -> ObjectId {
     id
 }
 
+/// Splits a two-node cluster, raises `n` to 75 on each side (fine on
+/// its own: 75 ≤ 100) and heals — what [`additive`] then overflows.
+fn diverge(cluster: &mut dedisys_core::Cluster, id: &ObjectId) {
+    cluster.partition(&[nodes![0], nodes![1]]).unwrap();
+    for node in [NodeId(0), NodeId(1)] {
+        cluster
+            .run_tx(node, |c, tx| c.set_field(node, tx, id, "n", Value::Int(75)))
+            .unwrap();
+    }
+    cluster.heal();
+}
+
+/// A replica-consistency handler merging the two sides of [`diverge`]
+/// additively: 110 > 100, so the merged state violates the bound.
+fn additive(conflict: &dedisys_core::ReplicaConflict) -> Option<EntityState> {
+    let mut merged = conflict.candidates[0].1.clone().unwrap();
+    merged.set_field("n", Value::Int(110), dedisys_types::SimTime::ZERO);
+    Some(merged)
+}
+
 #[test]
 fn node_crash_is_a_singleton_partition_and_recovery_reconciles() {
     let mut cluster = ClusterBuilder::new(3, app())
@@ -129,25 +149,9 @@ fn rollback_based_reconciliation_restores_a_consistent_state() {
             c.set_field(NodeId(0), tx, &id, "n", Value::Int(40))
         })
         .unwrap();
-    cluster.partition(&[nodes![0], nodes![1]]).unwrap();
     // Each side adds 35: individually fine (75 ≤ 100), merged by an
     // additive handler it overflows (110 > 100).
-    cluster
-        .run_tx(NodeId(0), |c, tx| {
-            c.set_field(NodeId(0), tx, &id, "n", Value::Int(75))
-        })
-        .unwrap();
-    cluster
-        .run_tx(NodeId(1), |c, tx| {
-            c.set_field(NodeId(1), tx, &id, "n", Value::Int(75))
-        })
-        .unwrap();
-    cluster.heal();
-    let mut additive = |conflict: &dedisys_core::ReplicaConflict| {
-        let mut merged = conflict.candidates[0].1.clone().unwrap();
-        merged.set_field("n", Value::Int(110), dedisys_types::SimTime::ZERO);
-        Some(merged)
-    };
+    diverge(&mut cluster, &id);
     let summary = cluster.reconcile(&mut additive, &mut DeferAll);
     assert_eq!(summary.constraints.violations, 1);
     // The rollback search found a historical degraded-mode state (75)
@@ -178,21 +182,7 @@ fn exhausted_handler_retries_are_accounted_as_deferred() {
         .build()
         .unwrap();
     let id = seed(&mut cluster);
-    cluster.partition(&[nodes![0], nodes![1]]).unwrap();
-    for node in [NodeId(0), NodeId(1)] {
-        let id = id.clone();
-        cluster
-            .run_tx(node, move |c, tx| {
-                c.set_field(node, tx, &id, "n", Value::Int(75))
-            })
-            .unwrap();
-    }
-    cluster.heal();
-    let mut additive = |conflict: &dedisys_core::ReplicaConflict| {
-        let mut merged = conflict.candidates[0].1.clone().unwrap();
-        merged.set_field("n", Value::Int(110), dedisys_types::SimTime::ZERO);
-        Some(merged)
-    };
+    diverge(&mut cluster, &id);
     // The handler lies: it reports the violation as resolved but never
     // touches the state, so every re-validation still sees 110 > 100.
     let mut calls = 0usize;
@@ -315,6 +305,50 @@ fn non_finite_float_write_is_refused_and_the_journal_stays_replayable() {
             cluster.entity_on(NodeId(1), held).unwrap().field("n"),
             &Value::Int(0),
             "{held} after restart"
+        );
+    }
+}
+
+/// Regression — the same hole on the reconciliation side: a repair
+/// written through `ReconOps::write` bypasses the container's
+/// transactional write path, so it has to apply the journal's rule
+/// itself. A non-finite repair is refused typed, nothing is installed,
+/// and every replica still comes back from its journal.
+#[test]
+fn non_finite_reconciliation_repair_is_refused_and_every_replica_restarts() {
+    let mut cluster = ClusterBuilder::new(2, app())
+        .constraint(bounded_constraint())
+        .build()
+        .unwrap();
+    let id = seed(&mut cluster);
+    // The merge breaks the bound, so the repair handler gets to run.
+    diverge(&mut cluster, &id);
+    let mut refused = Vec::new();
+    let mut repair = |v: &dedisys_core::ViolationReport, ops: &mut dedisys_core::ReconOps<'_>| {
+        let id = v.threat.context_object.as_ref().expect("context object");
+        refused.push(ops.write(id, "n", Value::Float(f64::NAN)));
+        assert_eq!(ops.read(id, "n"), Ok(Value::Int(110)), "nothing installed");
+        ops.write(id, "n", Value::Int(100)).expect("finite repair");
+        true
+    };
+    let summary = cluster.reconcile(&mut additive, &mut repair);
+    assert_eq!(summary.constraints.resolved_by_handler, 1);
+    assert_eq!(refused.len(), 1);
+    assert!(
+        matches!(&refused[0], Err(Error::IllTypedField { name, expected })
+            if name == "n" && expected == "finite float"),
+        "{refused:?}"
+    );
+    for node in [NodeId(0), NodeId(1)] {
+        cluster.crash(node).unwrap();
+        cluster.restart(node).unwrap();
+        if cluster.needs_reconciliation() {
+            cluster.reconcile(&mut HighestVersionWins, &mut DeferAll);
+        }
+        assert_eq!(
+            cluster.entity_on(node, &id).unwrap().field("n"),
+            &Value::Int(100),
+            "{node} after restart"
         );
     }
 }

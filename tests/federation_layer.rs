@@ -1,15 +1,13 @@
 //! The sharded federation layer end to end: consistent-hash routing
-//! over live shards, the three degraded-shard routing policies,
+//! over live shards, the two degraded-shard routing policies,
 //! cross-shard 2PC (commit, abort, participant refusal, federation
 //! coordinator crash + presumed abort) and explicit rebalancing over
 //! the WAL/state-transfer path.
 
 use dedisys_core::{nodes, RingRecorder};
-use dedisys_federation::{
-    FederatedCluster, FederationMode, RebalancePlan, RoutingPolicy, ShardId, ShardMap,
-};
+use dedisys_federation::{FederatedCluster, RebalancePlan, RoutingPolicy, ShardId, ShardMap};
 use dedisys_object::{AppDescriptor, ClassDescriptor};
-use dedisys_types::{Error, ObjectId, PriorityClass, SimDuration, SystemMode, Value};
+use dedisys_types::{Error, NodeId, ObjectId, PriorityClass, SimDuration, SystemMode, Value};
 
 fn app() -> AppDescriptor {
     AppDescriptor::new("federation")
@@ -63,7 +61,9 @@ fn read(fed: &FederatedCluster, shard: ShardId, id: &ObjectId) -> Option<Value> 
 fn three_shard_quick_start_routes_creates_and_writes() {
     let mut fed = federation(3, RoutingPolicy::RouteAnyway);
     assert_eq!(fed.shard_count(), 3);
-    assert_eq!(fed.mode(), FederationMode::Healthy);
+    for shard in 0..3 {
+        assert_eq!(fed.shard(ShardId(shard)).mode(), SystemMode::Healthy);
+    }
 
     // Create enough objects that every shard owns at least one, then
     // write through the router and read back on the owning shard.
@@ -92,76 +92,85 @@ fn three_shard_quick_start_routes_creates_and_writes() {
 // Routing policies
 // ---------------------------------------------------------------------
 
+/// One row of the router's table, policy × target shard mode.
+fn check_router_row(policy: RoutingPolicy) {
+    use SystemMode::{Degraded, Healthy, Reconciliation};
+    for mode in [Healthy, Degraded, Reconciliation] {
+        check_router_cell(policy, mode);
+    }
+}
+
+/// One cell: a request is routed, except under `RejectDegraded` while
+/// its shard is not healthy, which is refused with
+/// `Error::ModeRestriction`, counted in `rejected_degraded` and never
+/// shown to the shard's plane. Shard 0 is brought into `mode`; shard 1
+/// stays healthy and keeps serving.
+fn check_router_cell(policy: RoutingPolicy, mode: SystemMode) {
+    let cell = format!("{policy:?} x {mode:?}");
+    let mut fed = federation(3, policy);
+    let id = id_on(fed.map(), ShardId(0), "rt");
+    let elsewhere = id_on(fed.map(), ShardId(1), "rt");
+    fed.create(&id).unwrap();
+    fed.create(&elsewhere).unwrap();
+    let shard = fed.shard_mut(ShardId(0));
+    if mode != SystemMode::Healthy {
+        shard.partition(&[nodes![0, 1], nodes![2]]).expect("split");
+    }
+    if mode == SystemMode::Reconciliation {
+        // Degraded-mode residue, then the repair.
+        let id = id.clone();
+        shard
+            .run_tx(NodeId(0), move |c, tx| {
+                c.set_field(NodeId(0), tx, &id, "v", Value::Int(-1))
+            })
+            .expect("degraded write");
+        shard.heal();
+    }
+    let modes: Vec<SystemMode> = (0..3).map(|s| fed.shard(ShardId(s)).mode()).collect();
+    assert_eq!(modes, [mode, SystemMode::Healthy, SystemMode::Healthy]);
+
+    // The direct path, then the admission path.
+    let routed = write(&mut fed, &id, 1);
+    let submitted = submit_write(&mut fed, &id, 2).map(drop);
+    write(&mut fed, &elsewhere, 3).expect("healthy shard serves");
+    fed.run_until_idle();
+    let plane = fed.plane(ShardId(0)).stats().total();
+    if policy == RoutingPolicy::RejectDegraded && mode != SystemMode::Healthy {
+        for refused in [routed, submitted] {
+            assert!(
+                matches!(refused, Err(Error::ModeRestriction(_))),
+                "{cell}: {refused:?}"
+            );
+        }
+        assert_eq!(fed.stats().rejected_degraded, 2, "{cell}");
+        assert_eq!(plane.offered, 0, "{cell}: refused before the plane");
+    } else {
+        assert_eq!((routed, submitted), (Ok(()), Ok(())), "{cell}");
+        assert_eq!(fed.stats().rejected_degraded, 0, "{cell}");
+        assert_eq!((plane.admitted, plane.completed, plane.failed), (1, 1, 0));
+        assert_eq!(read(&fed, ShardId(0), &id), Some(Value::Int(2)), "{cell}");
+    }
+    assert_eq!(read(&fed, ShardId(1), &elsewhere), Some(Value::Int(3)));
+}
+
 #[test]
 fn reject_degraded_refuses_work_for_degraded_shards_only() {
-    let mut fed = federation(3, RoutingPolicy::RejectDegraded);
-    let degraded_id = id_on(fed.map(), ShardId(0), "rd");
-    let healthy_id = id_on(fed.map(), ShardId(1), "rd");
-    fed.create(&degraded_id).unwrap();
-    fed.create(&healthy_id).unwrap();
-
-    fed.shard_mut(ShardId(0))
-        .partition(&[nodes![0, 1], nodes![2]])
-        .expect("split shard 0");
-    assert_eq!(fed.shard(ShardId(0)).mode(), SystemMode::Degraded);
-    assert_eq!(
-        fed.mode(),
-        FederationMode::PartiallyDegraded {
-            degraded: 1,
-            total: 3
-        }
-    );
-
-    let refused = write(&mut fed, &degraded_id, 1);
-    assert!(
-        matches!(refused, Err(Error::ModeRestriction(_))),
-        "{refused:?}"
-    );
-    assert!(fed.stats().rejected_degraded >= 1);
-    // Healthy shards keep serving.
-    write(&mut fed, &healthy_id, 2).expect("healthy shard serves");
-    assert_eq!(read(&fed, ShardId(1), &healthy_id), Some(Value::Int(2)));
-
-    // The admission path: the router refuses before the request ever
-    // reaches the degraded shard's plane …
-    let before = fed.stats().rejected_degraded;
-    let refused = submit_write(&mut fed, &degraded_id, 3);
-    assert!(
-        matches!(refused, Err(Error::ModeRestriction(_))),
-        "{refused:?}"
-    );
-    assert_eq!(fed.stats().rejected_degraded, before + 1);
-    assert_eq!(fed.plane(ShardId(0)).stats().total().offered, 0);
-    // … while the same submit for the healthy shard is admitted and
-    // completes.
-    submit_write(&mut fed, &healthy_id, 4).expect("healthy shard admits");
-    fed.run_until_idle();
-    let plane = fed.plane(ShardId(1)).stats().total();
-    assert_eq!((plane.admitted, plane.completed, plane.failed), (1, 1, 0));
-    assert_eq!(read(&fed, ShardId(1), &healthy_id), Some(Value::Int(4)));
+    check_router_row(RoutingPolicy::RejectDegraded);
 }
 
 #[test]
 fn route_anyway_serves_degraded_shards_with_threatened_consistency() {
-    let mut fed = federation(3, RoutingPolicy::RouteAnyway);
-    let id = id_on(fed.map(), ShardId(0), "ra");
-    fed.create(&id).unwrap();
-    fed.shard_mut(ShardId(0))
-        .partition(&[nodes![0, 1], nodes![2]])
-        .expect("split shard 0");
-    assert_eq!(fed.shard(ShardId(0)).mode(), SystemMode::Degraded);
-    write(&mut fed, &id, 9).expect("availability-first routing serves");
-    assert_eq!(read(&fed, ShardId(0), &id), Some(Value::Int(9)));
+    check_router_row(RoutingPolicy::RouteAnyway);
 }
 
 #[test]
 fn sticky_policy_follows_migrations_not_stale_pins() {
-    let mut fed = federation(3, RoutingPolicy::Sticky);
+    let mut fed = federation(3, RoutingPolicy::RouteAnyway);
     let id = id_on(fed.map(), ShardId(2), "st");
     fed.create(&id).unwrap();
-    write(&mut fed, &id, 1).expect("pin on first route");
+    write(&mut fed, &id, 1).expect("routed to the original owner");
 
-    // Shrinking to 2 shards migrates everything S2 owned; the pin must
+    // Shrinking to 2 shards migrates everything S2 owned; routing must
     // follow the migration, not the original placement.
     let plan = fed.plan_rebalance_to(2).expect("plan");
     assert!(plan.steps.iter().any(|s| s.object == id));

@@ -1,15 +1,12 @@
 //! The deterministic request plane end to end: strict priority
 //! dispatch, token-bucket admission, displacement at the queue bound,
-//! deadline shedding, mode-coupled backpressure, Refuse-mode
-//! rejection, byte-identical same-seed traces and the conservation
-//! invariant.
+//! deadline shedding, mode-coupled backpressure, byte-identical
+//! same-seed traces and the conservation invariant.
 
-use dedisys_core::{
-    nodes, ClusterBuilder, JsonlExporter, MinorityWriteHandling, PrimaryPartitionPolicy,
-    RequestPlane, RingRecorder,
-};
+use dedisys_core::{nodes, ClusterBuilder, JsonlExporter, RequestPlane, RingRecorder, TraceEvent};
 use dedisys_object::{AppDescriptor, ClassDescriptor, EntityState};
-use dedisys_types::{Error, NodeId, ObjectId, PriorityClass, SimDuration, Value};
+use dedisys_telemetry::ShedCause;
+use dedisys_types::{Error, NodeId, ObjectId, PriorityClass, SimDuration, SystemMode, Value};
 use std::io::Write;
 use std::sync::{Arc, Mutex};
 
@@ -160,94 +157,66 @@ fn expired_deadlines_are_shed_before_execution() {
     assert!(plane.conserves());
 }
 
+/// The plane's one mode rule as a table, mode × class: a queued
+/// request runs — in priority order — except `Background` while the
+/// system is not healthy, which is shed with `ShedCause::ModePressure`
+/// before anything is dispatched.
 #[test]
 fn degraded_mode_sheds_background_first() {
-    let mut c = cluster_with(|_| {});
-    let ring = RingRecorder::new(256);
-    c.telemetry().attach(Box::new(ring.clone()));
-    let mut plane = RequestPlane::new();
-    let order = Arc::new(Mutex::new(Vec::new()));
-    plane
-        .submit(&mut c, NodeId(0), PriorityClass::Background, {
-            let order = Arc::clone(&order);
-            move |_s| {
-                order.lock().unwrap().push(1);
-                Ok(())
-            }
-        })
-        .unwrap();
-    plane
-        .submit(
-            &mut c,
-            NodeId(0),
-            PriorityClass::Critical,
-            write_order(&order, 2),
-        )
-        .unwrap();
-    c.partition(&[nodes![0], nodes![1, 2]]).unwrap();
-    let report = plane.run_until_idle(&mut c);
-    // Background was queued first but never ran; Critical completed.
-    assert_eq!(*order.lock().unwrap(), vec![2]);
-    assert_eq!(report.stats.background.shed, 1);
-    assert_eq!(report.stats.critical.completed, 1);
-    let shed = ring.records_of_kind("request_shed");
-    assert_eq!(shed.len(), 1);
-    assert!(plane.conserves());
-}
+    use PriorityClass::{Background, Critical, Normal};
+    use SystemMode::{Degraded, Healthy, Reconciliation};
+    for mode in [Healthy, Degraded, Reconciliation] {
+        let mut c = cluster_with(|_| {});
+        let ring = RingRecorder::new(256);
+        c.telemetry().attach(Box::new(ring.clone()));
+        let mut plane = RequestPlane::new();
+        let ran = Arc::new(Mutex::new(Vec::new()));
+        // Queued lowest class first, while the system is still healthy:
+        // the mode is read at dispatch, not at admission.
+        for class in [Background, Normal, Critical] {
+            let ran = Arc::clone(&ran);
+            plane
+                .submit_with_deadline(&mut c, NodeId(0), class, None, move |_s| {
+                    ran.lock().unwrap().push(class);
+                    Ok(())
+                })
+                .unwrap();
+        }
+        if mode != Healthy {
+            c.partition(&[nodes![0], nodes![1, 2]]).unwrap();
+        }
+        if mode == Reconciliation {
+            // Degraded-mode residue, then the repair.
+            let id = ObjectId::new("Item", "i0");
+            c.run_tx(NodeId(0), move |c, tx| {
+                c.set_field(NodeId(0), tx, &id, "v", Value::Int(1))
+            })
+            .unwrap();
+            c.heal();
+        }
+        assert_eq!(c.mode(), mode);
 
-#[test]
-fn background_survives_when_mode_shedding_is_disabled() {
-    let mut c = cluster_with(|cfg| {
-        cfg.plane.shed_background_when_degraded = false;
-    });
-    let mut plane = RequestPlane::new();
-    let order = Arc::new(Mutex::new(Vec::new()));
-    plane
-        .submit(&mut c, NodeId(0), PriorityClass::Background, {
-            let order = Arc::clone(&order);
-            move |_s| {
-                order.lock().unwrap().push(1);
-                Ok(())
-            }
-        })
-        .unwrap();
-    c.partition(&[nodes![0], nodes![1, 2]]).unwrap();
-    let report = plane.run_until_idle(&mut c);
-    assert_eq!(*order.lock().unwrap(), vec![1]);
-    assert_eq!(report.stats.background.shed, 0);
-    assert_eq!(report.stats.background.completed, 1);
-}
-
-#[test]
-fn refuse_mode_minority_rejects_at_admission() {
-    let mut c = cluster_with(|cfg| {
-        cfg.membership.primary_policy = PrimaryPartitionPolicy::MajorityNodes;
-        cfg.membership.minority_writes = MinorityWriteHandling::Refuse;
-    });
-    let ring = RingRecorder::new(64);
-    c.telemetry().attach(Box::new(ring.clone()));
-    c.partition(&[nodes![0], nodes![1, 2]]).unwrap();
-    let mut plane = RequestPlane::new();
-    let ok = |_s: dedisys_core::Session<'_>| Ok(());
-    // The minority node is refused before anything is queued.
-    let refused = plane.submit(&mut c, NodeId(0), PriorityClass::Critical, ok);
-    assert!(matches!(
-        refused,
-        Err(Error::NotPrimary {
-            node: NodeId(0),
-            partition_size: 1,
-        })
-    ));
-    assert_eq!(plane.queue_depth(NodeId(0)), 0);
-    assert_eq!(ring.records_of_kind("request_rejected").len(), 1);
-    // The majority side still admits.
-    plane
-        .submit(&mut c, NodeId(1), PriorityClass::Critical, ok)
-        .unwrap();
-    let report = plane.run_until_idle(&mut c);
-    assert_eq!(report.stats.critical.completed, 1);
-    assert_eq!(report.stats.critical.rejected, 1);
-    assert!(plane.conserves());
+        let report = plane.run_until_idle(&mut c);
+        let shed = u64::from(mode != Healthy);
+        let ran = ran.lock().unwrap();
+        assert_eq!(ran[..2], [Critical, Normal], "{mode:?}");
+        assert_eq!(ran.len() as u64, 3 - shed, "{mode:?}");
+        let (total, background) = (report.stats.total(), report.stats.background);
+        assert_eq!((total.completed, total.shed), (3 - shed, shed), "{mode:?}");
+        assert_eq!((background.completed, background.shed), (1 - shed, shed));
+        let events = ring.records_of_kind("request_shed");
+        assert_eq!(events.len() as u64, shed, "{mode:?}");
+        for shed in events {
+            let expected = TraceEvent::RequestShed {
+                request: 1,
+                node: NodeId(0),
+                class: Background,
+                cause: ShedCause::ModePressure,
+            };
+            assert_eq!(shed.event, expected, "{mode:?}");
+        }
+        assert!(plane.conserves(), "{mode:?}");
+    }
 }
 
 /// A `Write` sink into a shared buffer (see
