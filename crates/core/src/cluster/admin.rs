@@ -178,9 +178,17 @@ impl Cluster {
     /// * [`Error::Config`] — unknown constraint name.
     /// * [`Error::NodeCrashed`] — no node is up to run the check.
     /// * Evaluation failures (an ill-typed or unknown field, …).
+    ///
+    /// A constraint whose check fails stays as it was (disabled): the
+    /// change is rejected whole.
     pub fn enable_constraint_with_check(&mut self, name: &ConstraintName) -> Result<Vec<ObjectId>> {
+        let was_enabled = self.repository.get(name).is_some_and(|c| c.enabled);
         self.repository.set_enabled(name, true)?;
-        self.check_all_context_objects(name)
+        let checked = self.check_all_context_objects(name);
+        if checked.is_err() {
+            self.repository.set_enabled(name, was_enabled)?;
+        }
+        checked
     }
 
     /// The §3.3 full check of `name`, run from the lowest-numbered

@@ -42,7 +42,9 @@ use dedisys_object::{
 use dedisys_replication::ReplicationManager;
 use dedisys_telemetry::{CostBreakdown, MetricsSnapshot, Telemetry};
 use dedisys_tx::{LockTable, TransactionManager};
-use dedisys_types::{Error, NodeId, ObjectId, Result, SimTime, SystemMode, TxId, Value};
+use dedisys_types::{
+    Error, MethodName, NodeId, ObjectId, Result, SimTime, SystemMode, TxId, Value,
+};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -355,7 +357,9 @@ impl Cluster {
         field: &str,
         value: Value,
     ) -> Result<()> {
-        self.invoke(node, tx, target, setter_name(field), vec![value])
+        let setter = self.app.class(target.class()).and_then(|c| c.setter(field));
+        let method = setter.cloned().unwrap_or_else(|| setter_name(field));
+        self.invoke(node, tx, target, method, vec![value])
             .map(|_| ())
     }
 
@@ -371,23 +375,28 @@ impl Cluster {
         target: &ObjectId,
         field: &str,
     ) -> Result<Value> {
-        self.invoke(node, tx, target, getter_name(field), vec![])
+        let getter = self.app.class(target.class()).and_then(|c| c.getter(field));
+        let method = getter.cloned().unwrap_or_else(|| getter_name(field));
+        self.invoke(node, tx, target, method, vec![])
     }
 }
 
-/// The conventional setter name for a field (`sold` → `setSold`).
-pub fn setter_name(field: &str) -> String {
+/// The conventional setter name for a field (`sold` → `setSold`). A
+/// deployed field's name is minted at deploy time
+/// ([`ClassDescriptor::setter`](dedisys_object::ClassDescriptor::setter));
+/// this builds the name of one that is not.
+pub fn setter_name(field: &str) -> MethodName {
     accessor_name("set", field)
 }
 
-/// The conventional getter name for a field (`sold` → `getSold`).
-pub fn getter_name(field: &str) -> String {
+/// The conventional getter name for a field (`sold` → `getSold`); see
+/// [`setter_name`].
+pub fn getter_name(field: &str) -> MethodName {
     accessor_name("get", field)
 }
 
-/// `prefix` + `field` with its first character upper-cased, built in
-/// the one string the invocation then owns.
-fn accessor_name(prefix: &str, field: &str) -> String {
+/// `prefix` + `field` with its first character upper-cased.
+fn accessor_name(prefix: &str, field: &str) -> MethodName {
     let mut name = String::with_capacity(prefix.len() + field.len());
     name.push_str(prefix);
     let mut chars = field.chars();
@@ -395,5 +404,5 @@ fn accessor_name(prefix: &str, field: &str) -> String {
         name.extend(first.to_uppercase());
         name.push_str(chars.as_str());
     }
-    name
+    name.into()
 }

@@ -124,6 +124,61 @@ fn a_constraint_that_cannot_be_checked_is_not_added() {
         .unwrap();
 }
 
+/// Re-enabling is rejected whole too: a constraint whose full check
+/// cannot be evaluated, or cannot run at all, stays disabled.
+#[test]
+fn a_constraint_that_cannot_be_checked_is_not_re_enabled() {
+    // `reserved` is no field of Warehouse: null cannot be compared.
+    let broken = RegisteredConstraint::new(
+        ConstraintMeta::new("Reserved"),
+        Arc::new(ExprConstraint::parse("self.reserved <= self.capacity").unwrap()),
+    )
+    .context_class("Warehouse")
+    .affects("Warehouse", "setStock", ContextPreparation::CalledObject);
+    let mut cluster = ClusterBuilder::new(2, app())
+        .constraint(broken)
+        .constraint(capacity_constraint())
+        .build()
+        .unwrap();
+    let node = NodeId(0);
+    let name = ConstraintName::from("Reserved");
+    cluster.set_constraint_enabled(&name, false).unwrap();
+    let id = ObjectId::new("Warehouse", "W1");
+    let e = id.clone();
+    cluster
+        .run_tx(node, move |c, tx| {
+            c.create(node, tx, EntityState::for_class(c.app(), &e)?)
+        })
+        .unwrap();
+    let enabled = |c: &Cluster, name| c.repository().get(name).unwrap().enabled;
+
+    assert!(cluster.enable_constraint_with_check(&name).is_err());
+    assert!(!enabled(&cluster, &name), "still disabled");
+    assert_eq!(cluster.open_tx_count(), 0);
+    // …so writes it would have made uncheckable still go through.
+    cluster
+        .run_tx(node, |c, tx| {
+            c.set_field(node, tx, &id, "stock", Value::Int(5))
+        })
+        .unwrap();
+
+    // No node up to run the check: rejected the same way.
+    let capacity = ConstraintName::from("Capacity");
+    cluster.set_constraint_enabled(&capacity, false).unwrap();
+    for n in [NodeId(0), NodeId(1)] {
+        cluster.crash(n).unwrap();
+    }
+    assert!(matches!(
+        cluster.enable_constraint_with_check(&capacity),
+        Err(Error::NodeCrashed(_))
+    ));
+    assert!(!enabled(&cluster, &capacity));
+    // A failed check of an already enabled constraint leaves it on.
+    cluster.set_constraint_enabled(&capacity, true).unwrap();
+    assert!(cluster.enable_constraint_with_check(&capacity).is_err());
+    assert!(enabled(&cluster, &capacity));
+}
+
 /// The full check runs from a live node: with node 0 down, the
 /// replicas on nodes 1–2 are still checked.
 #[test]

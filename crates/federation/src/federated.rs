@@ -350,9 +350,8 @@ impl FederatedCluster {
             !(self.policy == RoutingPolicy::RejectDegraded && mode != SystemMode::Healthy);
         self.stats.routed += 1;
         self.telemetry.metrics().incr("federation.routed");
-        let object = id.to_string();
-        self.telemetry.emit(move || TraceEvent::ShardRouted {
-            object,
+        self.telemetry.emit(|| TraceEvent::ShardRouted {
+            object: id.to_string(),
             shard: shard.0,
             mode,
             admitted,

@@ -160,11 +160,14 @@ impl ShardMap {
     /// object's hash, wrapping past the top. Total — every object maps
     /// to exactly one shard.
     pub fn shard_of(&self, id: &ObjectId) -> ShardId {
+        // The bytes of `seed ‖ id.to_string()`, without the string.
         let h = ring_hash(
             self.seed
                 .to_le_bytes()
                 .into_iter()
-                .chain(id.to_string().into_bytes()),
+                .chain(id.class().as_str().bytes())
+                .chain([b'#'])
+                .chain(id.key().bytes()),
         );
         let owner = self
             .ring

@@ -124,3 +124,48 @@ fn shrink_moves_only_the_removed_shards_keys() {
         }
     }
 }
+
+/// The ring hash as `shard_map.rs` specifies it (FNV-1a, then the
+/// splitmix64 finalizer), restated here as the reference.
+fn reference_ring_hash(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in bytes {
+        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    h ^ (h >> 31)
+}
+
+/// An object's ring point is the hash of `seed ‖ id.to_string()`:
+/// `shard_of` feeds the id's parts to the hash without formatting
+/// them, and must land every object where the formatted id did.
+#[test]
+fn shard_of_is_the_owner_of_the_displayed_ids_ring_point() {
+    const SHARDS: u32 = 5;
+    const VNODES: u32 = 24;
+    for seed in [0u64, 7, 0xDEAD_BEEF_0BAD_CAFE] {
+        let mut ring = std::collections::BTreeMap::new();
+        for shard in 0..SHARDS {
+            for vnode in 0..VNODES {
+                let point = seed.to_le_bytes().into_iter();
+                let point = point.chain(shard.to_le_bytes()).chain(vnode.to_le_bytes());
+                ring.entry(reference_ring_hash(point)).or_insert(shard);
+            }
+        }
+        let map = ShardMap::new(SHARDS, VNODES, seed).unwrap();
+        let mut rng = ChaosRng::new(seed);
+        for _ in 0..1_000 {
+            let class = *rng.pick(&["Item", "Account", "É#", ""]);
+            let id = ObjectId::new(class, format!("k#{}", rng.next_u64()));
+            let h =
+                reference_ring_hash(seed.to_le_bytes().into_iter().chain(id.to_string().bytes()));
+            let owner = ring.range(h..).next().or_else(|| ring.iter().next());
+            assert_eq!(
+                map.shard_of(&id),
+                ShardId(*owner.unwrap().1),
+                "seed {seed}: {id}"
+            );
+        }
+    }
+}

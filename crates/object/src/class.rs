@@ -69,6 +69,10 @@ pub struct ClassDescriptor {
     name: ClassName,
     fields: BTreeMap<String, Value>,
     methods: Vec<MethodDescriptor>,
+    /// Field → its `(set…, get…)` names, minted once at deploy time so
+    /// a call through an accessor clones a handle instead of
+    /// formatting the name.
+    accessors: BTreeMap<String, (MethodName, MethodName)>,
 }
 
 impl ClassDescriptor {
@@ -78,6 +82,7 @@ impl ClassDescriptor {
             name: name.into(),
             fields: BTreeMap::new(),
             methods: Vec::new(),
+            accessors: BTreeMap::new(),
         }
     }
 
@@ -86,14 +91,17 @@ impl ClassDescriptor {
     pub fn with_field(mut self, field: impl Into<String>, default: Value) -> Self {
         let field = field.into();
         let cap = capitalize(&field);
+        let setter = MethodName::from(format!("set{cap}"));
+        let getter = MethodName::from(format!("get{cap}"));
         self.methods.push(MethodDescriptor::with_kind(
-            format!("set{cap}"),
+            setter.clone(),
             MethodKind::Write,
         ));
         self.methods.push(MethodDescriptor::with_kind(
-            format!("get{cap}"),
+            getter.clone(),
             MethodKind::Read,
         ));
+        self.accessors.insert(field.clone(), (setter, getter));
         self.fields.insert(field, default);
         self
     }
@@ -117,6 +125,18 @@ impl ClassDescriptor {
     /// Declared field names in order.
     pub fn field_names(&self) -> impl Iterator<Item = &str> {
         self.fields.keys().map(String::as_str)
+    }
+
+    /// The name of the generated setter of `field` (`None` for an
+    /// undeclared field).
+    pub fn setter(&self, field: &str) -> Option<&MethodName> {
+        self.accessors.get(field).map(|(setter, _)| setter)
+    }
+
+    /// The name of the generated getter of `field` (`None` for an
+    /// undeclared field).
+    pub fn getter(&self, field: &str) -> Option<&MethodName> {
+        self.accessors.get(field).map(|(_, getter)| getter)
     }
 
     /// Looks up a method by name.
@@ -202,6 +222,9 @@ mod tests {
         let class = ClassDescriptor::new("Flight").with_field("seats", Value::Int(0));
         assert!(class.method(&MethodName::from("setSeats")).is_some());
         assert!(class.method(&MethodName::from("getSeats")).is_some());
+        assert_eq!(class.setter("seats").unwrap().as_str(), "setSeats");
+        assert_eq!(class.getter("seats").unwrap().as_str(), "getSeats");
+        assert_eq!((class.setter("nope"), class.getter("Seats")), (None, None));
         assert_eq!(class.default_fields()["seats"], Value::Int(0));
     }
 

@@ -2,7 +2,7 @@
 
 use crate::{AppDescriptor, EntityState, Snapshot};
 use dedisys_store::{LogOp, ReplayReport, WriteAheadLog};
-use dedisys_types::{ClassName, Error, ObjectId, Result, SimTime, TxId, Value};
+use dedisys_types::{ClassName, Error, IdBuildHasher, ObjectId, Result, SimTime, TxId, Value};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
@@ -29,8 +29,8 @@ pub struct ContainerStats {
 #[derive(Debug, Default, Clone)]
 struct TxBuffer {
     entities: BTreeMap<ObjectId, EntityState>,
-    created: HashSet<ObjectId>,
-    deleted: HashSet<ObjectId>,
+    created: HashSet<ObjectId, IdBuildHasher>,
+    deleted: HashSet<ObjectId, IdBuildHasher>,
 }
 
 /// Entity storage of one node (one replica set member).
@@ -59,7 +59,9 @@ pub struct EntityContainer {
     /// Shared so method dispatch can hold on to the descriptor while it
     /// writes to the container ([`EntityContainer::shared_app`]).
     app: Arc<AppDescriptor>,
-    committed: BTreeMap<ObjectId, Snapshot>,
+    /// Probed per request by exact id, so hashed; the two views that
+    /// hand ids out in order sort on the way out.
+    committed: HashMap<ObjectId, Snapshot, IdBuildHasher>,
     buffers: HashMap<TxId, TxBuffer>,
     journal: WriteAheadLog,
     stats: ContainerStats,
@@ -70,7 +72,7 @@ impl EntityContainer {
     pub fn new(app: &AppDescriptor) -> Self {
         Self {
             app: Arc::new(app.clone()),
-            committed: BTreeMap::new(),
+            committed: HashMap::default(),
             buffers: HashMap::new(),
             journal: WriteAheadLog::new(),
             stats: ContainerStats::default(),
@@ -257,7 +259,7 @@ impl EntityContainer {
             let key = self
                 .committed
                 .remove(id)
-                .map_or_else(|| Arc::from(id.to_string()), |old| Arc::clone(old.key()));
+                .map_or_else(|| Arc::clone(id.text()), |old| Arc::clone(old.key()));
             self.journal.append_delete(JOURNAL_TABLE, key);
         }
         (written, deleted)
@@ -386,16 +388,22 @@ impl EntityContainer {
         &'a self,
         class: &'a ClassName,
     ) -> impl Iterator<Item = &'a EntityState> + 'a {
-        self.committed
+        let mut entities: Vec<&EntityState> = self
+            .committed
             .values()
             .map(Snapshot::state)
-            .filter(move |e| e.id().class() == class)
+            .filter(|e| e.id().class() == class)
+            .collect();
+        entities.sort_unstable_by_key(|e| e.id());
+        entities.into_iter()
     }
 
     /// All committed object ids, in sorted order — convergence checks
     /// compare these across replicas after heal + reconcile.
     pub fn committed_ids(&self) -> impl Iterator<Item = &ObjectId> + '_ {
-        self.committed.keys()
+        let mut ids: Vec<&ObjectId> = self.committed.keys().collect();
+        ids.sort_unstable();
+        ids.into_iter()
     }
 
     /// Number of committed entities.
@@ -574,6 +582,33 @@ mod tests {
         c.commit(tx(1));
         let class = ClassName::from("Flight");
         assert_eq!(c.entities_of_class(&class).count(), 2);
+    }
+
+    #[test]
+    fn ordered_views_of_the_hashed_map_come_out_sorted() {
+        let app = app().with_class(ClassDescriptor::new("Crew"));
+        let mut c = EntityContainer::new(&app);
+        let mut rng = dedisys_types::ChaosRng::new(21);
+        let mut ids: Vec<ObjectId> = (0..64)
+            .map(|n| ObjectId::new(if n % 3 == 0 { "Crew" } else { "Flight" }, format!("k{n}")))
+            .collect();
+        for left in (1..ids.len()).rev() {
+            ids.swap(left, rng.below(left as u64 + 1) as usize);
+        }
+        for (n, id) in ids.iter().enumerate() {
+            let entity = EntityState::for_class(&app, id).unwrap();
+            c.create(tx(n as u64), entity).unwrap();
+            c.commit(tx(n as u64));
+        }
+        ids.sort();
+        assert!(c.committed_ids().eq(ids.iter()));
+        for class in ["Crew", "Flight"].map(ClassName::from) {
+            let of_class = ids.iter().filter(|id| *id.class() == class);
+            assert!(c
+                .entities_of_class(&class)
+                .map(EntityState::id)
+                .eq(of_class));
+        }
     }
 
     #[test]

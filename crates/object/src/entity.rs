@@ -157,4 +157,23 @@ mod tests {
         let back = EntityState::from_json(&json).unwrap();
         assert_eq!(e, back);
     }
+
+    /// A journal record as 442061c (ids as two owned `String`s) wrote
+    /// it: the handle reads it to an equal state and writes it back
+    /// byte for byte.
+    #[test]
+    fn a_record_written_before_the_id_handle_still_decodes() {
+        const RECORD: &str = concat!(
+            r#"{"id":{"class":"Flight","key":"LH-\"441"},"fields":{"partner":"#,
+            r#"{"Ref":{"class":"Flight","key":"OS-1"}},"seats":{"Int":80}},"#,
+            r#""version":2,"last_update_at":7,"expected_update_interval":10000000}"#
+        );
+        let mut e = EntityState::new(ObjectId::new("Flight", "LH-\"441"), BTreeMap::new());
+        e.set_field("seats", Value::Int(80), SimTime::from_nanos(5));
+        let partner = Value::Ref(ObjectId::new("Flight", "OS-1"));
+        e.set_field("partner", partner, SimTime::from_nanos(7));
+        e.set_expected_update_interval(SimDuration::from_millis(10));
+        assert_eq!(EntityState::from_json(RECORD).unwrap(), e);
+        assert_eq!(e.to_json().unwrap(), RECORD);
+    }
 }

@@ -38,7 +38,7 @@ impl Snapshot {
             .to_json()
             .expect("entity state is plain data and always encodes");
         Self {
-            key: entity.id().to_string().into(),
+            key: Arc::clone(entity.id().text()),
             record: record.into(),
             state: Arc::new(entity),
         }
@@ -106,6 +106,10 @@ mod tests {
     fn encode_decode_roundtrip_shares_the_record() {
         let snapshot = Snapshot::encode(entity(80));
         assert_eq!(&**snapshot.key(), "Flight#F1");
+        assert!(
+            Arc::ptr_eq(snapshot.key(), snapshot.state().id().text()),
+            "the journal key is the handle's text, not a copy"
+        );
         assert_eq!(&**snapshot.record(), snapshot.state().to_json().unwrap());
         let back =
             Snapshot::decode(Arc::clone(snapshot.key()), Arc::clone(snapshot.record())).unwrap();

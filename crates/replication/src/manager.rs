@@ -7,7 +7,7 @@ use dedisys_net::Topology;
 use dedisys_object::EntityContainer;
 use dedisys_store::VersionHistory;
 use dedisys_telemetry::{Telemetry, TraceEvent};
-use dedisys_types::{Error, NodeId, ObjectId, Result, SimTime};
+use dedisys_types::{Error, IdBuildHasher, NodeId, ObjectId, Result, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
@@ -72,7 +72,7 @@ pub struct ReplStats {
 pub struct ReplicationManager {
     protocol: ProtocolKind,
     weights: NodeWeights,
-    placements: HashMap<ObjectId, Placement>,
+    placements: HashMap<ObjectId, Placement, IdBuildHasher>,
     /// Objects written during degraded mode: object → (partition key →
     /// representative node of that partition).
     degraded_writes: BTreeMap<ObjectId, BTreeMap<u32, NodeId>>,
@@ -95,7 +95,7 @@ impl ReplicationManager {
         Self {
             protocol,
             weights,
-            placements: HashMap::new(),
+            placements: HashMap::default(),
             degraded_writes: BTreeMap::new(),
             history: VersionHistory::new(),
             write_faults: BTreeMap::new(),

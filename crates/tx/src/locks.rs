@@ -1,6 +1,6 @@
 //! Exclusive per-object locks.
 
-use dedisys_types::{Error, ObjectId, Result, TxId};
+use dedisys_types::{Error, IdBuildHasher, ObjectId, Result, TxId};
 use std::collections::HashMap;
 
 /// An exclusive lock table keyed by [`ObjectId`] — the entity-bean
@@ -14,7 +14,7 @@ use std::collections::HashMap;
 /// transaction to pass.
 #[derive(Debug, Clone, Default)]
 pub struct LockTable {
-    locks: HashMap<ObjectId, TxId>,
+    locks: HashMap<ObjectId, TxId, IdBuildHasher>,
 }
 
 impl LockTable {

@@ -45,7 +45,8 @@ pub use check::CheckCategory;
 pub use degree::SatisfactionDegree;
 pub use error::{Error, Result};
 pub use id::{
-    ClassName, ConstraintName, MethodName, MethodSignature, NodeId, ObjectId, TxId, ViewId,
+    ClassName, ConstraintName, IdBuildHasher, IdHasher, MethodName, MethodSignature, NodeId,
+    ObjectId, TxId, ViewId,
 };
 pub use mode::SystemMode;
 pub use plane::PriorityClass;
