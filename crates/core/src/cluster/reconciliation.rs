@@ -360,15 +360,12 @@ impl Cluster {
                 SatisfactionDegree::Satisfied => {
                     report.satisfied_removed += 1;
                     // Capture the notification flag and the affected
-                    // objects *before* the store is purged — the old
-                    // order consulted `any_wants_conflict_notification`
-                    // after `remove_identity`, silently dropping
-                    // per-record notify flags beyond the first.
-                    let wants_notify = first.instructions.notify_on_replica_conflict
-                        || self
-                            .ccm
-                            .threat_store()
-                            .any_wants_conflict_notification(&identity);
+                    // objects *before* the store is purged: asked after
+                    // `remove_identity`, every record's flag is gone.
+                    let wants_notify = self
+                        .ccm
+                        .threat_store()
+                        .any_wants_conflict_notification(&identity);
                     let affected = self.ccm.threat_store().objects_of(&identity);
                     self.drop_threats(&identity);
                     // Notify about replica conflicts if requested.
@@ -539,7 +536,7 @@ impl Cluster {
                 .find_map(|&n| self.containers[n.index()].committed_snapshot(object))
                 .cloned();
             for pkey in 0..node_count {
-                let states = self.replication.partition_history(object, pkey);
+                let states = self.replication.partition_history(object, pkey).to_vec();
                 for candidate in states.iter().rev() {
                     self.clock().advance(self.costs().db_read);
                     self.install_reachable(&reachable, candidate);

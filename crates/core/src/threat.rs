@@ -1,10 +1,12 @@
 //! Consistency threats and the persistent threat store (§3.2.2).
 
+use dedisys_store::{LogOp, WriteAheadLog};
 use dedisys_types::{
     ConstraintName, Error, ObjectId, Result, SatisfactionDegree, SimTime, TxId, Value,
 };
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{hash_map, BTreeMap, BTreeSet, HashMap, HashSet};
+use std::sync::Arc;
 
 /// Reconciliation instructions attached to an accepted threat
 /// (§3.2.2): whether rollback may be used, and whether the application
@@ -43,6 +45,12 @@ pub struct ConsistencyThreat {
 }
 
 impl ConsistencyThreat {
+    /// Every object the threat touches: its context object, then its
+    /// affected objects.
+    fn objects(&self) -> impl Iterator<Item = &ObjectId> {
+        self.context_object.iter().chain(&self.affected_objects)
+    }
+
     /// The identity of a threat (§3.2.2): two threats are identical if
     /// they refer to the same constraint and — if applicable — the same
     /// context object.
@@ -51,12 +59,6 @@ impl ConsistencyThreat {
             constraint: self.constraint.clone(),
             context_object: self.context_object.clone(),
         }
-    }
-
-    /// Whether this threat has `identity`, compared field by field —
-    /// scans over the store copy nothing.
-    pub fn has_identity(&self, identity: &ThreatIdentity) -> bool {
-        identity.is(&self.constraint, self.context_object.as_ref())
     }
 }
 
@@ -67,13 +69,6 @@ pub struct ThreatIdentity {
     pub constraint: ConstraintName,
     /// Optional context object.
     pub context_object: Option<ObjectId>,
-}
-
-impl ThreatIdentity {
-    /// Whether this is the identity `(constraint, context_object)`.
-    pub fn is(&self, constraint: &ConstraintName, context_object: Option<&ObjectId>) -> bool {
-        &self.constraint == constraint && self.context_object.as_ref() == context_object
-    }
 }
 
 /// Threat-history policy (§3.2.2 / §5.5.1).
@@ -112,25 +107,39 @@ pub enum StoreOutcome {
 /// accepted threats are *persistently* stored by the middleware and
 /// processed again during the reconciliation phase).
 ///
-/// Records are durably written through a write-ahead-logged table
-/// store (`dedisys-store`); [`ThreatStore::recover`] rebuilds the
-/// in-memory index after a simulated crash.
+/// A threat is held once in memory — one record filed under its
+/// identity — and once serialized, in the write-ahead log
+/// (`dedisys-store`); [`ThreatStore::recover`] rebuilds the former from
+/// the latter after a simulated crash.
 #[derive(Debug, Clone, Default)]
 pub struct ThreatStore {
     policy: HistoryPolicy,
-    threats: Vec<ConsistencyThreat>,
+    /// Every stored record, filed under its identity in occurrence
+    /// order. Whatever is asked about one identity is answered from its
+    /// own records; store-wide order comes from the record numbers.
+    records: HashMap<ThreatIdentity, Vec<Record>>,
+    /// Number of records across all identities.
+    len: usize,
     /// Secondary index: object → identities of threats touching it
     /// (context object and every affected object). Maintained on every
     /// insert/removal so incremental reconciliation can map a dirty
     /// object set to the threats that need re-evaluation without a
     /// full scan.
     object_index: BTreeMap<ObjectId, BTreeSet<ThreatIdentity>>,
-    /// Distinct identities in first-occurrence order, maintained
-    /// incrementally (replaces the former O(n²) scan).
-    identity_order: Vec<ThreatIdentity>,
-    table: dedisys_store::TableStore,
-    wal: dedisys_store::WriteAheadLog,
+    wal: WriteAheadLog,
     next_record: u64,
+}
+
+/// One stored threat and where its journal entry is.
+#[derive(Debug, Clone)]
+struct Record {
+    /// Position in the store-wide occurrence order (the number the
+    /// journal key starts with).
+    number: u64,
+    /// The journal key, as the log holds it: deletes and rewrites
+    /// address the record by it.
+    key: Arc<str>,
+    threat: ConsistencyThreat,
 }
 
 /// Result of folding duplicate threat records under
@@ -151,12 +160,7 @@ impl ThreatStore {
     pub fn new(policy: HistoryPolicy) -> Self {
         Self {
             policy,
-            threats: Vec::new(),
-            object_index: BTreeMap::new(),
-            identity_order: Vec::new(),
-            table: dedisys_store::TableStore::new(),
-            wal: dedisys_store::WriteAheadLog::new(),
-            next_record: 0,
+            ..Self::default()
         }
     }
 
@@ -173,147 +177,127 @@ impl ThreatStore {
     /// Returns [`Error::Persistence`] — storing nothing — if the record
     /// cannot be encoded.
     pub fn store(&mut self, threat: ConsistencyThreat) -> Result<StoreOutcome> {
-        let identity = threat.identity();
-        let exists = self.identity_order.contains(&identity);
-        Ok(match (exists, self.policy) {
-            (false, _) => {
-                self.persist(&threat)?;
-                self.index_threat(&threat);
-                self.identity_order.push(identity);
-                self.threats.push(threat);
-                StoreOutcome::Stored
-            }
-            (true, HistoryPolicy::FullHistory) | (true, HistoryPolicy::Reduced) => {
-                self.persist(&threat)?;
-                self.index_threat(&threat);
-                self.threats.push(threat);
-                StoreOutcome::LinkedOccurrence
-            }
-            (true, HistoryPolicy::IdenticalOnce) => StoreOutcome::Deduplicated,
+        let seen = self.records.contains_key(&threat.identity());
+        if seen && self.policy == HistoryPolicy::IdenticalOnce {
+            return Ok(StoreOutcome::Deduplicated);
+        }
+        let record = self.persist(threat)?;
+        self.file(record);
+        Ok(if seen {
+            StoreOutcome::LinkedOccurrence
+        } else {
+            StoreOutcome::Stored
         })
     }
 
-    /// Adds `threat`'s objects to the secondary object index.
-    fn index_threat(&mut self, threat: &ConsistencyThreat) {
-        let identity = threat.identity();
-        if let Some(ctx) = &threat.context_object {
-            self.object_index
-                .entry(ctx.clone())
-                .or_default()
-                .insert(identity.clone());
+    /// Journals `threat` under the next record number. The one encoding
+    /// becomes the journal entry; nothing else keeps a serialized copy.
+    fn persist(&mut self, threat: ConsistencyThreat) -> Result<Record> {
+        let json = encode(&threat)?;
+        let number = self.next_record;
+        let constraint = &threat.constraint;
+        let key: Arc<str> = match &threat.context_object {
+            Some(object) => format!("{number:08}|{constraint}@{object}"),
+            None => format!("{number:08}|{constraint}"),
         }
-        for obj in &threat.affected_objects {
-            self.object_index
-                .entry(obj.clone())
-                .or_default()
-                .insert(identity.clone());
-        }
-    }
-
-    /// Whether any threat of `(constraint, context_object)` is stored.
-    /// An identity with a context object is indexed under it; a
-    /// query-based one is looked for in the identity order.
-    fn holds(&self, constraint: &ConstraintName, context_object: Option<&ObjectId>) -> bool {
-        match context_object {
-            Some(object) => self
-                .object_index
-                .get(object)
-                .is_some_and(|ids| ids.iter().any(|id| id.is(constraint, context_object))),
-            None => self.identity_order.iter().any(|id| id.is(constraint, None)),
-        }
-    }
-
-    /// Rebuilds the derived indexes from `threats` (recovery path).
-    fn rebuild_indexes(&mut self) {
-        self.object_index.clear();
-        self.identity_order.clear();
-        let threats = std::mem::take(&mut self.threats);
-        for threat in &threats {
-            let identity = threat.identity();
-            if !self.identity_order.contains(&identity) {
-                self.identity_order.push(identity);
-            }
-            self.index_threat(threat);
-        }
-        self.threats = threats;
-    }
-
-    /// Keys of the journalled records of `(constraint, context_object)`,
-    /// in occurrence order.
-    fn record_keys(
-        &self,
-        constraint: &ConstraintName,
-        context_object: Option<&ObjectId>,
-    ) -> Vec<String> {
-        let suffix = format!("|{}", storage_key(constraint, context_object));
-        self.table
-            .scan(THREAT_TABLE)
-            .filter(|(k, _)| k.ends_with(&suffix))
-            .map(|(k, _)| k.to_owned())
-            .collect()
-    }
-
-    fn persist(&mut self, threat: &ConsistencyThreat) -> Result<()> {
-        let json = encode(threat)?;
-        let key = format!(
-            "{:08}|{}",
-            self.next_record,
-            storage_key(&threat.constraint, threat.context_object.as_ref())
-        );
+        .into();
         self.next_record += 1;
-        self.wal
-            .append_put(THREAT_TABLE, key.as_str(), json.as_str());
-        self.table.put(THREAT_TABLE, key, json);
-        Ok(())
+        self.wal.append_put(THREAT_TABLE, Arc::clone(&key), json);
+        Ok(Record {
+            number,
+            key,
+            threat,
+        })
     }
 
-    /// Number of durably persisted records (should equal
-    /// [`ThreatStore::len`]).
-    pub fn persisted_records(&self) -> usize {
-        self.table.table_len(THREAT_TABLE)
+    /// Files `record` under its identity and its objects (store and
+    /// recovery path; records arrive in occurrence order).
+    fn file(&mut self, record: Record) {
+        let identity = record.threat.identity();
+        for object in record.threat.objects() {
+            self.object_index
+                .entry(object.clone())
+                .or_default()
+                .insert(identity.clone());
+        }
+        match self.records.entry(identity) {
+            // Most identities hold one record (all of them under
+            // `IdenticalOnce`): allocate for one, not for a run.
+            hash_map::Entry::Vacant(first) => {
+                first.insert(vec![record]);
+            }
+            hash_map::Entry::Occupied(more) => more.into_mut().push(record),
+        }
+        self.len += 1;
     }
 
-    /// Simulates a middleware crash: drops the in-memory index and the
-    /// table, replays the write-ahead log and deserializes the
-    /// surviving records. Returns how many threats were recovered.
+    /// The records of `identity`, in occurrence order.
+    fn records_of(&self, identity: &ThreatIdentity) -> &[Record] {
+        self.records.get(identity).map_or(&[], Vec::as_slice)
+    }
+
+    /// Simulates a middleware crash: drops everything held in memory
+    /// and rebuilds it from the write-ahead log, newest entry first —
+    /// the first operation seen for a key is the one that survives, so
+    /// deleted and rewritten records are never decoded. Returns how
+    /// many threats were recovered.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Persistence`] if a journalled record does not
-    /// decode; the in-memory threats are then left as they were.
+    /// Returns [`Error::Persistence`] if a surviving journal entry does
+    /// not decode; the in-memory threats are then left as they were.
     pub fn recover(&mut self) -> Result<usize> {
-        self.table = dedisys_store::TableStore::new();
-        self.wal.replay_into(&mut self.table);
-        // Key order is occurrence order: keys start with the record
-        // number.
-        self.threats = self
-            .table
-            .scan(THREAT_TABLE)
-            .map(|(key, json)| {
-                serde_json::from_str(json)
-                    .map_err(|e| Error::Persistence(format!("threat record {key}: {e}")))
-            })
-            .collect::<Result<_>>()?;
-        self.rebuild_indexes();
-        Ok(self.threats.len())
+        let mut decided: HashSet<&str> = HashSet::new();
+        let mut survivors = Vec::new();
+        for entry in self.wal.entries().iter().rev() {
+            if !decided.insert(&entry.key) {
+                continue;
+            }
+            if let LogOp::Put { record } = &entry.op {
+                let corrupt = |e: &dyn std::fmt::Display| {
+                    Error::Persistence(format!("threat record {}: {e}", entry.key))
+                };
+                survivors.push(Record {
+                    number: record_number(&entry.key)
+                        .ok_or_else(|| corrupt(&"key without a record number"))?,
+                    key: Arc::clone(&entry.key),
+                    threat: serde_json::from_str(record).map_err(|e| corrupt(&e))?,
+                });
+            }
+        }
+        survivors.sort_unstable_by_key(|r| r.number);
+        self.records.clear();
+        self.object_index.clear();
+        self.len = 0;
+        for record in survivors {
+            self.file(record);
+        }
+        Ok(self.len)
     }
 
     /// All stored threats, in occurrence order.
-    pub fn threats(&self) -> &[ConsistencyThreat] {
-        &self.threats
+    pub fn threats(&self) -> Vec<&ConsistencyThreat> {
+        let mut all: Vec<&Record> = self.records.values().flatten().collect();
+        all.sort_unstable_by_key(|r| r.number);
+        all.into_iter().map(|r| &r.threat).collect()
     }
 
     /// Distinct threat identities, in first-occurrence order
     /// (identical threats re-evaluate identically, §5.2, so
-    /// reconciliation iterates identities). Served from the maintained
-    /// order index — O(identities), not O(records²).
+    /// reconciliation iterates identities).
     pub fn identities(&self) -> Vec<ThreatIdentity> {
-        self.identity_order.clone()
+        let mut firsts: Vec<(u64, &ThreatIdentity)> = self
+            .records
+            .iter()
+            .map(|(identity, records)| (records[0].number, identity))
+            .collect();
+        firsts.sort_unstable_by_key(|&(number, _)| number);
+        firsts.into_iter().map(|(_, id)| id.clone()).collect()
     }
 
     /// Number of distinct identities, without materialising them.
     pub fn identity_count(&self) -> usize {
-        self.identity_order.len()
+        self.records.len()
     }
 
     /// Identities of threats touching `object` (as context object or
@@ -341,26 +325,23 @@ impl ThreatStore {
     /// Every object touched by threats of `identity` (context object
     /// plus affected objects, across all stored occurrences).
     pub fn objects_of(&self, identity: &ThreatIdentity) -> BTreeSet<ObjectId> {
-        let mut out = BTreeSet::new();
-        for t in self.threats.iter().filter(|t| t.has_identity(identity)) {
-            if let Some(ctx) = &t.context_object {
-                out.insert(ctx.clone());
-            }
-            out.extend(t.affected_objects.iter().cloned());
-        }
-        out
+        self.records_of(identity)
+            .iter()
+            .flat_map(|r| r.threat.objects())
+            .cloned()
+            .collect()
     }
 
     /// Records beyond the first occurrence of their identity
     /// (compaction candidates under [`HistoryPolicy::Reduced`]).
     pub fn duplicate_records(&self) -> usize {
-        self.threats.len() - self.identity_order.len()
+        self.len - self.records.len()
     }
 
     /// Folds duplicate records of each identity into the first
     /// occurrence: affected objects are unioned and the reconciliation
     /// instructions OR-ed so no rollback permission or notification
-    /// request is lost; the surviving persisted record is rewritten and
+    /// request is lost; the surviving journal entry is rewritten and
     /// the duplicates durably deleted. Intended for
     /// [`HistoryPolicy::Reduced`] during degraded mode, so heal-time
     /// reconciliation ships one record per identity (§5.5.1).
@@ -371,129 +352,115 @@ impl ThreatStore {
     /// encoded; that identity and the ones after it stay unfolded.
     pub fn compact(&mut self) -> Result<CompactionReport> {
         let mut report = CompactionReport::default();
-        for identity in self.identity_order.clone() {
-            let indices: Vec<usize> = self
-                .threats
-                .iter()
-                .enumerate()
-                .filter(|(_, t)| t.has_identity(&identity))
-                .map(|(i, _)| i)
-                .collect();
-            if indices.len() < 2 {
+        for identity in self.identities() {
+            let records = self.records.get_mut(&identity).expect("listed identity");
+            if records.len() < 2 {
                 continue;
             }
-            let mut merged_objects = BTreeSet::new();
-            let mut allow_rollback = false;
-            let mut notify = false;
-            for &i in &indices {
-                merged_objects.extend(self.threats[i].affected_objects.iter().cloned());
-                allow_rollback |= self.threats[i].instructions.allow_rollback;
-                notify |= self.threats[i].instructions.notify_on_replica_conflict;
+            let mut folded = records[0].threat.clone();
+            for duplicate in &records[1..] {
+                let threat = &duplicate.threat;
+                folded
+                    .affected_objects
+                    .extend(threat.affected_objects.iter().cloned());
+                folded.instructions.allow_rollback |= threat.instructions.allow_rollback;
+                folded.instructions.notify_on_replica_conflict |=
+                    threat.instructions.notify_on_replica_conflict;
             }
-            let first = indices[0];
-            let mut folded = self.threats[first].clone();
-            folded.affected_objects = merged_objects;
-            folded.instructions.allow_rollback = allow_rollback;
-            folded.instructions.notify_on_replica_conflict = notify;
             // Encoded before anything is folded: a failure leaves
             // memory and journal agreeing on the unfolded records.
             let json = encode(&folded)?;
-            self.threats[first] = folded;
-            report.retained += 1;
-            report.folded += (indices.len() - 1) as u64;
-
-            // Drop every occurrence beyond the first from memory.
-            let mut kept_first = false;
-            self.threats.retain(|t| {
-                if t.has_identity(&identity) {
-                    if kept_first {
-                        false
-                    } else {
-                        kept_first = true;
-                        true
-                    }
-                } else {
-                    true
-                }
-            });
-
-            // Durably delete the duplicates and rewrite the survivor
-            // with the folded record.
-            let keys = self.record_keys(&identity.constraint, identity.context_object.as_ref());
-            if let Some((first_key, rest)) = keys.split_first() {
-                for key in rest {
-                    self.wal.append_delete(THREAT_TABLE, key.as_str());
-                    self.table.delete(THREAT_TABLE, key);
-                }
-                self.wal
-                    .append_put(THREAT_TABLE, first_key.as_str(), json.as_str());
-                self.table.put(THREAT_TABLE, first_key.clone(), json);
+            let duplicates = records.len() - 1;
+            for duplicate in records.drain(1..) {
+                self.wal.append_delete(THREAT_TABLE, duplicate.key);
             }
+            let survivor = &mut records[0];
+            self.wal
+                .append_put(THREAT_TABLE, Arc::clone(&survivor.key), json);
+            survivor.threat = folded;
+            self.len -= duplicates;
+            report.folded += duplicates as u64;
+            report.retained += 1;
         }
         Ok(report)
     }
 
     /// The first stored threat with `identity`.
     pub fn first_of(&self, identity: &ThreatIdentity) -> Option<&ConsistencyThreat> {
-        self.threats.iter().find(|t| t.has_identity(identity))
+        self.records_of(identity).first().map(|r| &r.threat)
     }
 
     /// Whether any stored threat of `identity` allows rollback.
     pub fn any_allows_rollback(&self, identity: &ThreatIdentity) -> bool {
-        self.threats
+        self.records_of(identity)
             .iter()
-            .filter(|t| t.has_identity(identity))
-            .any(|t| t.instructions.allow_rollback)
+            .any(|r| r.threat.instructions.allow_rollback)
     }
 
     /// Whether any stored threat of `identity` requests conflict
     /// notification.
     pub fn any_wants_conflict_notification(&self, identity: &ThreatIdentity) -> bool {
-        self.threats
+        self.records_of(identity)
             .iter()
-            .filter(|t| t.has_identity(identity))
-            .any(|t| t.instructions.notify_on_replica_conflict)
+            .any(|r| r.threat.instructions.notify_on_replica_conflict)
     }
 
     /// Removes every threat of the identity `(constraint,
     /// context_object)` — the threat *and all identical threats*
-    /// (§3.3) — returning how many records were dropped. The persisted
-    /// records are deleted through the write-ahead log as well. An
+    /// (§3.3) — returning how many records were dropped. Their journal
+    /// entries are deleted through the write-ahead log as well. An
     /// identity that was never stored (every satisfied check asks)
-    /// costs one index probe and touches neither table nor log.
+    /// costs one index probe — none while the store is empty — and
+    /// touches nothing else.
     pub fn remove_identity(
         &mut self,
         constraint: &ConstraintName,
         context_object: Option<&ObjectId>,
     ) -> usize {
-        if !self.holds(constraint, context_object) {
+        if self.records.is_empty() {
             return 0;
         }
-        let before = self.threats.len();
-        self.threats
-            .retain(|t| &t.constraint != constraint || t.context_object.as_ref() != context_object);
-        self.identity_order
-            .retain(|id| !id.is(constraint, context_object));
-        self.object_index.retain(|_, ids| {
-            ids.retain(|id| !id.is(constraint, context_object));
-            !ids.is_empty()
-        });
-        for key in self.record_keys(constraint, context_object) {
-            self.wal.append_delete(THREAT_TABLE, key.as_str());
-            self.table.delete(THREAT_TABLE, &key);
+        let identity = ThreatIdentity {
+            constraint: constraint.clone(),
+            context_object: context_object.cloned(),
+        };
+        let Some(records) = self.records.remove(&identity) else {
+            return 0;
+        };
+        for record in &records {
+            for object in record.threat.objects() {
+                if let Some(ids) = self.object_index.get_mut(object) {
+                    ids.remove(&identity);
+                    if ids.is_empty() {
+                        self.object_index.remove(object);
+                    }
+                }
+            }
         }
-        before - self.threats.len()
+        let removed = records.len();
+        self.len -= removed;
+        for record in records {
+            self.wal.append_delete(THREAT_TABLE, record.key);
+        }
+        removed
     }
 
     /// Number of stored threat records.
     pub fn len(&self) -> usize {
-        self.threats.len()
+        self.len
     }
 
     /// Whether no threats are stored.
     pub fn is_empty(&self) -> bool {
-        self.threats.is_empty()
+        self.records.is_empty()
     }
+}
+
+/// The record number a journal key starts with (`NNNNNNNN|identity`).
+/// Occurrence order is the order of these *numbers*: as text,
+/// `100000000|…` sorts before `99999999|…`.
+fn record_number(key: &str) -> Option<u64> {
+    key.split_once('|')?.0.parse().ok()
 }
 
 /// The journal record of `threat`.
@@ -501,19 +468,10 @@ fn encode(threat: &ConsistencyThreat) -> Result<String> {
     serde_json::to_string(threat).map_err(|e| Error::Persistence(e.to_string()))
 }
 
-/// Stable storage key of the threat identity `(constraint,
-/// context_object)`.
-fn storage_key(constraint: &ConstraintName, context_object: Option<&ObjectId>) -> String {
-    match context_object {
-        Some(ctx) => format!("{constraint}@{ctx}"),
-        None => constraint.to_string(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dedisys_types::NodeId;
+    use dedisys_types::{ChaosRng, NodeId};
 
     fn threat(constraint: &str, key: &str) -> ConsistencyThreat {
         ConsistencyThreat {
@@ -600,11 +558,23 @@ mod tests {
         store.store(threat("C", "F1")).unwrap();
         store.store(threat("C", "F1")).unwrap();
         store.store(threat("D", "F2")).unwrap();
-        assert_eq!(store.persisted_records(), 3);
+        let mut query_based = threat("Q", "x");
+        query_based.context_object = None;
+        store.store(query_based).unwrap();
+        // The key shape every journal written so far has: record number,
+        // then the identity.
+        let keys: Vec<&str> = store.wal.entries().iter().map(|e| &*e.key).collect();
+        let written = [
+            "00000000|C@Flight#F1",
+            "00000001|C@Flight#F1",
+            "00000002|D@Flight#F2",
+            "00000003|Q",
+        ];
+        assert_eq!(keys, written);
         let recovered = store.recover().unwrap();
-        assert_eq!(recovered, 3);
-        assert_eq!(store.len(), 3);
-        assert_eq!(store.identities().len(), 2);
+        assert_eq!(recovered, 4);
+        assert_eq!(store.len(), 4);
+        assert_eq!(store.identities().len(), 3);
         assert_eq!(
             store
                 .first_of(&threat("C", "F1").identity())
@@ -621,10 +591,13 @@ mod tests {
         store.store(threat("C", "F1")).unwrap();
         store.store(threat("D", "F2")).unwrap();
         store.remove_identity(&"C".into(), Some(&ObjectId::new("Flight", "F1")));
-        assert_eq!(store.persisted_records(), 1);
-        store.recover().unwrap();
-        assert_eq!(store.len(), 1);
-        assert_eq!(store.threats()[0].constraint, ConstraintName::from("D"));
+        assert_eq!(store.recover(), Ok(1));
+        let survivors: Vec<_> = store
+            .threats()
+            .iter()
+            .map(|t| t.constraint.as_str())
+            .collect();
+        assert_eq!(survivors, ["D"]);
     }
 
     #[test]
@@ -634,7 +607,7 @@ mod tests {
         let mut query_based = threat("Q", "x");
         query_based.context_object = None;
         store.store(query_based).unwrap();
-        let (records, log) = (store.persisted_records(), store.wal.len());
+        let log = store.wal.len();
         let f1 = ObjectId::new("Flight", "F1");
         // Other constraint on a stored object, stored constraint on
         // another object, and both query-based spellings.
@@ -648,16 +621,14 @@ mod tests {
         }
         assert_eq!(store.len(), 2);
         assert_eq!(store.identity_count(), 2);
-        assert_eq!(store.persisted_records(), records);
         assert_eq!(store.wal.len(), log, "nothing appended to the WAL");
 
-        // A stored identity still goes from records, table and WAL —
-        // with or without a context object.
+        // A stored identity still goes from memory and WAL — with or
+        // without a context object.
         assert_eq!(store.remove_identity(&"C".into(), Some(&f1)), 1);
         assert_eq!(store.remove_identity(&"Q".into(), None), 1);
         assert!(store.is_empty());
         assert_eq!(store.identity_count(), 0);
-        assert_eq!(store.persisted_records(), 0);
         assert_eq!(store.wal.len(), log + 2, "one delete entry per record");
         assert_eq!(store.recover(), Ok(0), "the deletes are durable");
     }
@@ -727,7 +698,6 @@ mod tests {
         assert_eq!(report.retained, 1);
         assert_eq!(store.len(), 2);
         assert_eq!(store.duplicate_records(), 0);
-        assert_eq!(store.persisted_records(), 2);
 
         // The survivor is the first occurrence, carrying the union of
         // affected objects and the OR of the instruction flags.
@@ -740,9 +710,9 @@ mod tests {
         assert!(store.any_allows_rollback(&threat("C", "F1").identity()));
         assert!(store.any_wants_conflict_notification(&threat("C", "F1").identity()));
 
-        // The folded record is durable: a crash recovers it unchanged.
-        store.recover().unwrap();
-        assert_eq!(store.len(), 2);
+        // The folded record is durable: a crash recovers it unchanged,
+        // and the two deleted duplicates stay deleted.
+        assert_eq!(store.recover(), Ok(2));
         let folded = store.first_of(&threat("C", "F1").identity()).unwrap();
         assert_eq!(folded.affected_objects.len(), 2);
         assert!(folded.instructions.allow_rollback);
@@ -757,7 +727,7 @@ mod tests {
         let report = store.compact().unwrap();
         assert_eq!(report, CompactionReport::default());
         assert_eq!(store.len(), 2);
-        assert_eq!(store.persisted_records(), 2);
+        assert_eq!(store.recover(), Ok(2));
     }
 
     #[test]
@@ -765,6 +735,143 @@ mod tests {
         let mut store = ThreatStore::new(HistoryPolicy::IdenticalOnce);
         store.store(threat("C", "F1")).unwrap();
         store.store(threat("C", "F1")).unwrap();
-        assert_eq!(store.persisted_records(), 1);
+        assert_eq!(store.wal.len(), 1);
+        assert_eq!(store.recover(), Ok(1));
+    }
+
+    #[test]
+    fn recovery_orders_by_record_number_not_by_key_text() {
+        let mut store = ThreatStore::new(HistoryPolicy::FullHistory);
+        // The eight-digit pad of the journal key runs out here: as text
+        // "100000000|…" sorts before "99999998|…".
+        store.next_record = 99_999_998;
+        store.store(threat("A", "F1")).unwrap();
+        store.store(threat("B", "F2")).unwrap();
+        store.store(threat("C", "F3")).unwrap();
+        store.store(threat("A", "F1")).unwrap();
+        let mut restarted = store.clone();
+        assert_eq!(restarted.recover(), Ok(4));
+        assert_eq!(snapshot_of(&restarted), snapshot_of(&store));
+        let order: Vec<_> = restarted
+            .threats()
+            .iter()
+            .map(|t| t.constraint.as_str())
+            .collect();
+        assert_eq!(order, ["A", "B", "C", "A"]);
+    }
+
+    /// Everything a store answers that a restart must give back.
+    fn snapshot_of(
+        store: &ThreatStore,
+    ) -> (Vec<ConsistencyThreat>, Vec<ThreatIdentity>, usize, usize) {
+        (
+            store.threats().into_iter().cloned().collect(),
+            store.identities(),
+            store.identity_count(),
+            store.duplicate_records(),
+        )
+    }
+
+    #[test]
+    fn store_agrees_with_its_journal_after_every_step() {
+        let constraints: Vec<ConstraintName> = (0..8).map(|i| format!("C{i}").into()).collect();
+        let objects: Vec<ObjectId> = (0..5)
+            .map(|i| ObjectId::new("Flight", format!("F{i}")))
+            .collect();
+        let policies = [
+            HistoryPolicy::IdenticalOnce,
+            HistoryPolicy::FullHistory,
+            HistoryPolicy::Reduced,
+        ];
+        for seed in 0..64 {
+            let mut rng = ChaosRng::new(seed);
+            let mut store = ThreatStore::new(policies[seed as usize % 3]);
+            for step in 0..80u64 {
+                let constraint = rng.pick(&constraints).clone();
+                // One draw in six is query-based (no context object).
+                let context_object = objects.get(rng.below(6) as usize).cloned();
+                match rng.below(10) {
+                    0..=5 => {
+                        let stored = ConsistencyThreat {
+                            constraint,
+                            context_object,
+                            affected_objects: objects
+                                .iter()
+                                .filter(|_| rng.chance(30))
+                                .cloned()
+                                .collect(),
+                            instructions: ReconcileInstructions {
+                                allow_rollback: rng.chance(50),
+                                notify_on_replica_conflict: rng.chance(50),
+                            },
+                            occurred_at: SimTime::from_nanos(step),
+                            ..threat("-", "-")
+                        };
+                        store.store(stored).unwrap();
+                    }
+                    6 | 7 => {
+                        store.remove_identity(&constraint, context_object.as_ref());
+                    }
+                    8 => {
+                        store.compact().unwrap();
+                    }
+                    _ => {
+                        store.recover().unwrap();
+                    }
+                }
+
+                let at = format!("seed {seed} step {step}");
+                let mut restarted = store.clone();
+                assert_eq!(restarted.recover(), Ok(store.len()), "{at}");
+                assert_eq!(snapshot_of(&restarted), snapshot_of(&store), "{at}");
+                for object in &objects {
+                    assert_eq!(
+                        restarted.identities_for_object(object),
+                        store.identities_for_object(object),
+                        "{at}: {object}"
+                    );
+                }
+
+                // The indexed answers equal a scan over every record.
+                let all: Vec<ConsistencyThreat> = store.threats().into_iter().cloned().collect();
+                let mut seen = Vec::new();
+                for t in &all {
+                    if !seen.contains(&t.identity()) {
+                        seen.push(t.identity());
+                    }
+                }
+                assert_eq!(store.identities(), seen, "{at}");
+                for constraint in &constraints {
+                    for context_object in objects.iter().map(Some).chain([None]) {
+                        let identity = ThreatIdentity {
+                            constraint: constraint.clone(),
+                            context_object: context_object.cloned(),
+                        };
+                        let own: Vec<&ConsistencyThreat> =
+                            all.iter().filter(|t| t.identity() == identity).collect();
+                        assert_eq!(store.first_of(&identity), own.first().copied(), "{at}");
+                        assert_eq!(
+                            store.objects_of(&identity),
+                            own.iter()
+                                .flat_map(|t| t.context_object.iter().chain(&t.affected_objects))
+                                .cloned()
+                                .collect(),
+                            "{at}"
+                        );
+                        assert_eq!(
+                            store.any_allows_rollback(&identity),
+                            own.iter().any(|t| t.instructions.allow_rollback),
+                            "{at}"
+                        );
+                        assert_eq!(
+                            store.any_wants_conflict_notification(&identity),
+                            own.iter()
+                                .any(|t| t.instructions.notify_on_replica_conflict),
+                            "{at}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

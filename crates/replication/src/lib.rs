@@ -23,8 +23,11 @@
 //! replicated on all nodes or bound to a subset — the DTMS "strong
 //! ownership" case), synchronous update propagation to reachable
 //! backups, staleness/reachability predicates feeding the CCMgr's
-//! LCC/NCC classification, degraded-mode write tracking with a state
-//! [`dedisys_store::VersionHistory`] for rollback, and the *replica
+//! LCC/NCC classification, degraded-mode write tracking with the
+//! snapshot ledger the rollback search reads
+//! ([`ReplicationManager::partition_history`]: the committed
+//! [`Snapshot`](dedisys_object::Snapshot)s exactly as they were
+//! shipped, per object and partition), and the *replica
 //! reconciliation* half of the reconciliation phase (missed-update
 //! propagation, write-write conflict detection, replica-consistency
 //! handler callbacks — Figure 4.6).

@@ -4,13 +4,11 @@
 use crate::ProtocolKind;
 use dedisys_gms::NodeWeights;
 use dedisys_net::Topology;
-use dedisys_object::EntityContainer;
-use dedisys_store::VersionHistory;
+use dedisys_object::{EntityContainer, Snapshot};
 use dedisys_telemetry::{Telemetry, TraceEvent};
 use dedisys_types::{Error, IdBuildHasher, NodeId, ObjectId, Result, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::sync::Arc;
 
 /// Placement of one logical object.
 #[derive(Debug, Clone)]
@@ -76,9 +74,14 @@ pub struct ReplicationManager {
     /// Objects written during degraded mode: object → (partition key →
     /// representative node of that partition).
     degraded_writes: BTreeMap<ObjectId, BTreeMap<u32, NodeId>>,
-    /// Intermediate states applied during degraded mode, keyed
-    /// `object|partition`, enabling rollback during reconciliation.
-    history: VersionHistory,
+    /// Every state committed during degraded mode, as shipped: partition
+    /// key → (object → snapshots in application order). Kept until
+    /// [`ReplicationManager::clear_degraded_state`] — the rollback
+    /// search of constraint reconciliation (§3.3) may need any of them.
+    /// Versions need not advance along a chain: a replica that missed a
+    /// version behind one partition writes that version again behind
+    /// the next.
+    history: BTreeMap<u32, HashMap<ObjectId, Vec<Snapshot>, IdBuildHasher>>,
     /// Injected store write-failure windows: remaining failing install
     /// attempts per backup node (chaos engine fault).
     write_faults: BTreeMap<NodeId, u32>,
@@ -97,7 +100,7 @@ impl ReplicationManager {
             weights,
             placements: HashMap::default(),
             degraded_writes: BTreeMap::new(),
-            history: VersionHistory::new(),
+            history: BTreeMap::new(),
             write_faults: BTreeMap::new(),
             lag: BTreeMap::new(),
             stats: ReplStats::default(),
@@ -149,9 +152,15 @@ impl ReplicationManager {
         self.stats
     }
 
-    /// The degraded-mode state history.
-    pub fn history(&self) -> &VersionHistory {
-        &self.history
+    /// The degraded-mode states of `object` committed in partition
+    /// `pkey`, oldest applied first — input to the rollback search of
+    /// constraint reconciliation (§3.3). They are the snapshots that
+    /// were shipped: installing one re-encodes nothing.
+    pub fn partition_history(&self, object: &ObjectId, pkey: u32) -> &[Snapshot] {
+        self.history
+            .get(&pkey)
+            .and_then(|objects| objects.get(object))
+            .map_or(&[], Vec::as_slice)
     }
 
     /// Registers `object` with the given replica set and primary.
@@ -283,9 +292,8 @@ impl ReplicationManager {
     /// `executed_on` to every reachable backup replica, recording
     /// degraded-mode bookkeeping when partitions are present. What is
     /// shipped is the primary's committed
-    /// [`Snapshot`](dedisys_object::Snapshot): backups, their journals
-    /// and the degraded-mode history share its state and its one
-    /// encoding. An object no longer committed on `executed_on` is
+    /// [`Snapshot`]: backups, their journals and the degraded-mode
+    /// history share its state and its one encoding. An object no longer committed on `executed_on` is
     /// propagated as a delete.
     ///
     /// Injected faults harden the ship path: a backup inside a *write-
@@ -296,13 +304,17 @@ impl ReplicationManager {
     /// misses the propagation. Backups that miss the update either way
     /// are recorded as degraded writes so the reconciliation phase
     /// converges them once the fault clears.
+    ///
+    /// `_now` is read by nothing since the history keeps snapshots, not
+    /// timestamped entries; the parameter stays because `perf/` drives
+    /// this signature (ROADMAP item 2(c) drops it).
     pub fn propagate_update(
         &mut self,
         object: &ObjectId,
         executed_on: NodeId,
         topology: &Topology,
         containers: &mut [EntityContainer],
-        now: SimTime,
+        _now: SimTime,
     ) -> PropagationReport {
         self.stats.propagations += 1;
         // The snapshot the primary's commit produced: every backup
@@ -394,12 +406,12 @@ impl ReplicationManager {
                 .or_default()
                 .insert(pkey, executed_on);
             if let Some(snapshot) = &snapshot {
-                self.history.record(
-                    history_key(object, pkey),
-                    snapshot.state().version(),
-                    Arc::clone(snapshot.record()),
-                    now,
-                );
+                self.history
+                    .entry(pkey)
+                    .or_default()
+                    .entry(object.clone())
+                    .or_default()
+                    .push(snapshot.clone());
             }
         }
         if snapshot.is_none() && !self.degraded_writes.contains_key(object) {
@@ -494,17 +506,13 @@ pub(crate) fn partition_key(node: NodeId, topology: &Topology) -> u32 {
         .0
 }
 
-/// History key for an object's states in one partition.
-pub(crate) fn history_key(object: &ObjectId, pkey: u32) -> String {
-    format!("{object}|p{pkey}")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use dedisys_object::{AppDescriptor, ClassDescriptor, EntityState};
     use dedisys_store::{LogEntry, LogOp};
     use dedisys_types::{TxId, Value};
+    use std::sync::Arc;
 
     fn app() -> AppDescriptor {
         AppDescriptor::new("t")
@@ -592,8 +600,7 @@ mod tests {
         assert!(Arc::ptr_eq(&last_record(&cs[2]), shipped.record()));
         // The missed state went into the degraded-mode history by
         // reference as well.
-        let chain = m.history().chain(&history_key(&obj(), 0));
-        assert!(Arc::ptr_eq(&chain[0].state, newer.record()));
+        assert!(m.partition_history(&obj(), 0)[0].ptr_eq(&newer));
     }
 
     #[test]
@@ -642,7 +649,8 @@ mod tests {
         assert_eq!(report.recipients, vec![NodeId(2)]);
         assert_eq!(m.degraded_write_map().len(), 1);
         assert_eq!(m.stats().degraded_writes, 1);
-        assert_eq!(m.history().total_entries(), 1);
+        assert_eq!(m.partition_history(&obj(), 1).len(), 1);
+        assert!(m.partition_history(&obj(), 0).is_empty());
     }
 
     #[test]

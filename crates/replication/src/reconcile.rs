@@ -7,12 +7,11 @@
 //! application-provided replica-consistency handler; the selected state
 //! is then applied to all nodes.
 
-use crate::manager::{history_key, ReplicationManager};
+use crate::manager::ReplicationManager;
 use dedisys_net::Topology;
 use dedisys_object::{EntityContainer, EntityState, Snapshot};
 use dedisys_types::{NodeId, ObjectId};
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
 /// A write-write replica conflict: divergent states of the same logical
 /// object from different partitions.
@@ -254,24 +253,6 @@ impl ReplicationManager {
         }
         winner.is_some()
     }
-
-    /// The recorded degraded-mode states of `object` in partition
-    /// `pkey` (oldest first) — input to the rollback search of
-    /// constraint reconciliation (§3.3).
-    ///
-    /// Each snapshot shares the record the history holds, so
-    /// installing a candidate re-encodes nothing.
-    pub fn partition_history(&self, object: &ObjectId, pkey: u32) -> Vec<Snapshot> {
-        let chain = self.history().chain(&history_key(object, pkey));
-        if chain.is_empty() {
-            return Vec::new();
-        }
-        let key: Arc<str> = object.to_string().into();
-        chain
-            .iter()
-            .filter_map(|e| Snapshot::decode(Arc::clone(&key), Arc::clone(&e.state)).ok())
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -423,12 +404,34 @@ mod tests {
         topo.split(&[&[0], &[1]]);
         write_on(&mut m, &mut cs, &topo, 1, 7, 1);
         write_on(&mut m, &mut cs, &topo, 1, 9, 2);
+        write_on(&mut m, &mut cs, &topo, 0, 3, 1);
+        // A second object, written behind partition {0} only.
+        let other = ObjectId::new("Flight", "F2");
+        m.register_object(other.clone(), [NodeId(0), NodeId(1)], NodeId(0))
+            .unwrap();
+        let tx = TxId::new(NodeId(0), 2);
+        cs[0]
+            .create(tx, EntityState::for_class(&app(), &other).unwrap())
+            .unwrap();
+        cs[0].commit(tx);
+        m.propagate_update(&other, NodeId(0), &topo, &mut cs, SimTime::ZERO);
+
         let states = m.partition_history(&obj(), 1);
         assert_eq!(states.len(), 2);
         assert_eq!(states[0].state().field("sold"), &Value::Int(7));
         assert_eq!(states[1].state().field("sold"), &Value::Int(9));
+        // What is kept is what was shipped, not a copy of it.
+        assert!(states[1].ptr_eq(cs[1].committed_snapshot(&obj()).unwrap()));
+        assert_eq!(m.partition_history(&obj(), 0).len(), 1);
+        assert_eq!(m.partition_history(&other, 0).len(), 1);
+        assert!(m.partition_history(&other, 1).is_empty());
+
         m.clear_degraded_state();
-        assert!(m.partition_history(&obj(), 1).is_empty());
+        for object in [&obj(), &other] {
+            for pkey in 0..2 {
+                assert!(m.partition_history(object, pkey).is_empty());
+            }
+        }
     }
 
     #[test]

@@ -5,14 +5,21 @@
 //! The original prototype persisted entity-bean state, replica metadata,
 //! intermediate replica states (the degraded-mode history enabling
 //! rollback during reconciliation) and accepted consistency threats in
-//! MySQL. This crate provides the equivalent building blocks:
+//! MySQL. What the middleware uses of that today is one building block:
+//!
+//! * [`WriteAheadLog`] — an append-only, per-entry checksummed log.
+//!   Each node's entity journal (`dedisys-object`) and the threat
+//!   store's journal (`dedisys-core`) are one; both rebuild their
+//!   memory straight from it, newest entry first. The degraded-mode
+//!   history is not kept here: it is the shipped snapshots themselves,
+//!   in `dedisys-replication`.
+//!
+//! Two more have no product caller left and stay only because the
+//! per-layer probes of the `perf/` benchmark still build them; they go
+//! with ROADMAP item 2(c):
 //!
 //! * [`TableStore`] — an in-memory multi-table key/value store holding
 //!   serialized records.
-//! * [`WriteAheadLog`] — an append-only log that can be replayed into a
-//!   fresh store (durability realism + crash-recovery tests).
-//! * [`VersionHistory`] — per-key version chains recording the
-//!   intermediate states applied during degraded mode (§4.3).
 //! * [`Persistence`] — a store bound to a [`SimClock`](dedisys_net::SimClock) and
 //!   [`StoreCosts`], so every database access advances virtual time the
 //!   way MySQL round trips consumed wall-clock time in the paper's
@@ -29,12 +36,10 @@
 //! assert_eq!(store.table_len("flights"), 1);
 //! ```
 
-mod history;
 mod kv;
 mod log;
 mod persistence;
 
-pub use history::{HistoryEntry, VersionHistory};
 pub use kv::TableStore;
 pub use log::{LogEntry, LogOp, ReplayReport, WriteAheadLog};
 pub use persistence::{Persistence, StoreCosts, StoreStats};

@@ -8,8 +8,8 @@
 //! crate provides:
 //!
 //! * [`TransactionManager`] — begin/commit/rollback life cycle,
-//!   **rollback-only** marking (the CCMgr's veto, §4.2.3), and
-//!   per-transaction bookkeeping.
+//!   **rollback-only** marking (the CCMgr's veto, §4.2.3), and a record
+//!   per *open* transaction (an ended one leaves only the counters).
 //! * [`LockTable`] — exclusive per-object locks (entity-bean locking).
 //!
 //! Two-phase commit is not driven here: `dedisys_core::Cluster::
@@ -27,8 +27,9 @@
 //! assert_eq!(tm.status(tx), Some(TxStatus::Active));
 //!
 //! tm.set_rollback_only(tx);
-//! assert!(tm.commit(tx).is_err()); // vetoed
-//! assert_eq!(tm.status(tx), Some(TxStatus::RolledBack));
+//! assert!(tm.commit(tx).is_err()); // vetoed: rolled back instead
+//! assert_eq!(tm.stats().rolled_back, 1);
+//! assert_eq!(tm.status(tx), None); // a transaction's record ends with it
 //! ```
 
 mod locks;

@@ -5,7 +5,9 @@ use dedisys_types::{Error, NodeId, Result, TxId};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
-/// Life-cycle state of a transaction.
+/// State of an open transaction. A transaction that ended — committed
+/// or rolled back — has no state: its record ends with it, and the
+/// manager's counters ([`TxStats`]) are what remains.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TxStatus {
     /// Running; operations may be performed.
@@ -14,10 +16,6 @@ pub enum TxStatus {
     /// coordinator crashes now the transaction is *in doubt* and must
     /// be resolved by the recovery protocol (presumed abort).
     Prepared,
-    /// Successfully committed.
-    Committed,
-    /// Rolled back (explicitly, by veto, or by 2PC failure).
-    RolledBack,
 }
 
 /// Counters kept by the manager.
@@ -37,7 +35,7 @@ struct TxRecord {
     rollback_only: bool,
 }
 
-/// Tracks transaction life cycles and the rollback-only veto flag.
+/// Tracks the open transactions and their rollback-only veto flag.
 ///
 /// The manager is deliberately policy-free: two-phase commit is driven
 /// by the middleware node (`dedisys_core::Cluster::prepare`/`commit`),
@@ -85,7 +83,7 @@ impl TransactionManager {
         tx
     }
 
-    /// The status of `tx`, if known.
+    /// The status of `tx`; `None` once it ended (or never began).
     pub fn status(&self, tx: TxId) -> Option<TxStatus> {
         self.records.get(&tx).map(|r| r.status)
     }
@@ -104,10 +102,7 @@ impl TransactionManager {
     /// prepared) — used by invariant checkers to assert transaction
     /// conservation: `begun == committed + rolled_back + open`.
     pub fn open_count(&self) -> usize {
-        self.records
-            .values()
-            .filter(|r| matches!(r.status, TxStatus::Active | TxStatus::Prepared))
-            .count()
+        self.records.len()
     }
 
     /// Moves an active transaction to [`TxStatus::Prepared`] after a
@@ -120,11 +115,9 @@ impl TransactionManager {
     ///   rolled back as a side effect (a vetoed transaction can never
     ///   vote yes).
     pub fn mark_prepared(&mut self, tx: TxId) -> Result<()> {
-        let record = self.active_record(tx)?;
+        let record = self.open_record(tx)?;
         if record.rollback_only {
-            record.status = TxStatus::RolledBack;
-            self.stats.rolled_back += 1;
-            self.emit(|| TraceEvent::TxRollback { tx });
+            self.force_rollback(tx);
             return Err(Error::RollbackOnly(tx));
         }
         record.status = TxStatus::Prepared;
@@ -140,8 +133,7 @@ impl TransactionManager {
     /// Returns [`Error::NoSuchTransaction`] if `tx` is unknown or
     /// already terminated.
     pub fn set_rollback_only(&mut self, tx: TxId) -> Result<()> {
-        let record = self.active_record(tx)?;
-        record.rollback_only = true;
+        self.open_record(tx)?.rollback_only = true;
         Ok(())
     }
 
@@ -158,14 +150,10 @@ impl TransactionManager {
     /// * [`Error::RollbackOnly`] — the transaction was vetoed; it is
     ///   rolled back as a side effect.
     pub fn commit(&mut self, tx: TxId) -> Result<()> {
-        let record = self.active_record(tx)?;
-        if record.rollback_only {
-            record.status = TxStatus::RolledBack;
-            self.stats.rolled_back += 1;
-            self.emit(|| TraceEvent::TxRollback { tx });
+        if self.end(tx)?.rollback_only {
+            self.count_rollback(tx);
             return Err(Error::RollbackOnly(tx));
         }
-        record.status = TxStatus::Committed;
         self.stats.committed += 1;
         self.emit(|| TraceEvent::TxCommit { tx });
         Ok(())
@@ -177,26 +165,16 @@ impl TransactionManager {
     ///
     /// Returns [`Error::NoSuchTransaction`] if unknown or terminated.
     pub fn rollback(&mut self, tx: TxId) -> Result<()> {
-        let record = self.active_record(tx)?;
-        record.status = TxStatus::RolledBack;
-        self.stats.rolled_back += 1;
-        self.emit(|| TraceEvent::TxRollback { tx });
+        self.end(tx)?;
+        self.count_rollback(tx);
         Ok(())
     }
 
-    /// Marks an active or prepared transaction as rolled back without
-    /// an explicit `rollback` call — used when 2PC aborts and when the
-    /// in-doubt recovery protocol presumes abort.
+    /// Rolls back `tx` if it is still open — used when 2PC aborts and
+    /// when the in-doubt recovery protocol presumes abort, where the
+    /// transaction may have ended already.
     pub fn force_rollback(&mut self, tx: TxId) {
-        if let Some(record) = self.records.get_mut(&tx) {
-            if matches!(record.status, TxStatus::Active | TxStatus::Prepared) {
-                record.status = TxStatus::RolledBack;
-                self.stats.rolled_back += 1;
-                if let Some(t) = &self.telemetry {
-                    t.emit(|| TraceEvent::TxRollback { tx });
-                }
-            }
-        }
+        let _ = self.rollback(tx);
     }
 
     /// Accumulated counters.
@@ -204,12 +182,22 @@ impl TransactionManager {
         self.stats
     }
 
-    /// A record that is still open (active or prepared).
-    fn active_record(&mut self, tx: TxId) -> Result<&mut TxRecord> {
-        match self.records.get_mut(&tx) {
-            Some(r) if matches!(r.status, TxStatus::Active | TxStatus::Prepared) => Ok(r),
-            _ => Err(Error::NoSuchTransaction(tx)),
-        }
+    /// The record of `tx` — there is one exactly while it is open.
+    fn open_record(&mut self, tx: TxId) -> Result<&mut TxRecord> {
+        self.records
+            .get_mut(&tx)
+            .ok_or(Error::NoSuchTransaction(tx))
+    }
+
+    /// Ends `tx`: its record leaves the table, whatever the outcome the
+    /// caller goes on to count.
+    fn end(&mut self, tx: TxId) -> Result<TxRecord> {
+        self.records.remove(&tx).ok_or(Error::NoSuchTransaction(tx))
+    }
+
+    fn count_rollback(&mut self, tx: TxId) {
+        self.stats.rolled_back += 1;
+        self.emit(|| TraceEvent::TxRollback { tx });
     }
 }
 
@@ -223,7 +211,7 @@ mod tests {
         let tx = tm.begin(NodeId(0));
         assert!(tm.is_active(tx));
         tm.commit(tx).unwrap();
-        assert_eq!(tm.status(tx), Some(TxStatus::Committed));
+        assert_eq!(tm.status(tx), None, "the record ended with it");
         assert_eq!(tm.stats().committed, 1);
     }
 
@@ -234,7 +222,9 @@ mod tests {
         tm.set_rollback_only(tx).unwrap();
         assert!(tm.is_rollback_only(tx));
         assert_eq!(tm.commit(tx), Err(Error::RollbackOnly(tx)));
-        assert_eq!(tm.status(tx), Some(TxStatus::RolledBack));
+        assert_eq!(tm.status(tx), None);
+        assert!(!tm.is_rollback_only(tx), "the veto went with the record");
+        assert_eq!((tm.stats().rolled_back, tm.open_count()), (1, 0));
     }
 
     #[test]
@@ -266,13 +256,14 @@ mod tests {
         assert_eq!(tm.open_count(), 1);
         // Phase 2 commit succeeds from Prepared.
         tm.commit(tx).unwrap();
-        assert_eq!(tm.status(tx), Some(TxStatus::Committed));
+        assert_eq!(tm.stats().committed, 1);
         assert_eq!(tm.open_count(), 0);
         // Presumed abort rolls back a prepared transaction.
         let tx2 = tm.begin(NodeId(1));
         tm.mark_prepared(tx2).unwrap();
         tm.force_rollback(tx2);
-        assert_eq!(tm.status(tx2), Some(TxStatus::RolledBack));
+        assert_eq!(tm.stats().rolled_back, 1);
+        assert_eq!(tm.open_count(), 0);
     }
 
     #[test]
@@ -281,7 +272,8 @@ mod tests {
         let tx = tm.begin(NodeId(0));
         tm.set_rollback_only(tx).unwrap();
         assert_eq!(tm.mark_prepared(tx), Err(Error::RollbackOnly(tx)));
-        assert_eq!(tm.status(tx), Some(TxStatus::RolledBack));
+        assert_eq!(tm.stats().rolled_back, 1);
+        assert_eq!(tm.mark_prepared(tx), Err(Error::NoSuchTransaction(tx)));
     }
 
     #[test]
@@ -290,9 +282,29 @@ mod tests {
         let tx = tm.begin(NodeId(0));
         tm.commit(tx).unwrap();
         tm.force_rollback(tx); // no-op on committed
-        assert_eq!(tm.status(tx), Some(TxStatus::Committed));
+        assert_eq!((tm.stats().committed, tm.stats().rolled_back), (1, 0));
         let tx2 = tm.begin(NodeId(0));
         tm.force_rollback(tx2);
-        assert_eq!(tm.status(tx2), Some(TxStatus::RolledBack));
+        assert_eq!((tm.stats().committed, tm.stats().rolled_back), (1, 1));
+    }
+
+    #[test]
+    fn ended_transactions_leave_the_table() {
+        let mut tm = TransactionManager::new();
+        let first = tm.begin(NodeId(0));
+        tm.commit(first).unwrap();
+        for i in 1..10_000 {
+            let tx = tm.begin(NodeId(i % 3));
+            if i % 2 == 0 {
+                tm.commit(tx).unwrap();
+            } else {
+                tm.rollback(tx).unwrap();
+            }
+        }
+        assert_eq!(tm.open_count(), 0);
+        assert_eq!(tm.status(first), None);
+        assert_eq!(tm.commit(first), Err(Error::NoSuchTransaction(first)));
+        let stats = tm.stats();
+        assert_eq!(stats.begun, stats.committed + stats.rolled_back);
     }
 }

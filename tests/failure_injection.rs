@@ -4,6 +4,7 @@
 
 use dedisys_constraints::{
     expr::ExprConstraint, ConstraintMeta, ContextPreparation, RegisteredConstraint,
+    ValidationContext,
 };
 use dedisys_core::nodes;
 use dedisys_core::{
@@ -167,6 +168,116 @@ fn rollback_based_reconciliation_restores_a_consistent_state() {
         .unwrap();
     assert!(n <= 100, "rolled back to a consistent state, got {n}");
     assert!(cluster.threats().is_empty());
+}
+
+/// The rollback search restores *which* state, not just *a* state: per
+/// affected object (`a0` first — it was never written, so it has no
+/// history and the search moves on), partition keys ascending, newest
+/// applied first. Partition {1} cannot reach the limit `a0` holds, so
+/// its three states were accepted unchecked, the last one above the
+/// limit; partition {2} can, so its three are all valid. The additive
+/// merge overflows; the search rejects 130 and installs 40 — the very
+/// snapshot node 1 shipped — on every replica it can reach. Oldest
+/// first would find 45, partition {2} first would find 70.
+#[test]
+fn rollback_search_restores_the_newest_satisfying_state_in_partition_order() {
+    for partial in [false, true] {
+        let a0 = ObjectId::new("Counter", "a0");
+        let c1 = ObjectId::new("Counter", "c1");
+        let (limit, counter) = (a0.clone(), c1.clone());
+        let within_limit = RegisteredConstraint::new(
+            ConstraintMeta::new("WithinLimit").tradeable(SatisfactionDegree::Uncheckable),
+            Arc::new(move |ctx: &mut ValidationContext<'_>| {
+                let n = ctx.field(&counter, "n")?.as_int().unwrap_or(0);
+                let max = ctx.field(&limit, "max")?.as_int().unwrap_or(0);
+                Ok(n <= max)
+            }),
+        )
+        .context_class("Counter")
+        .affects("Counter", "setN", ContextPreparation::CalledObject);
+        let mut cluster = ClusterBuilder::new(3, app())
+            .constraint(within_limit)
+            .default_instructions(ReconcileInstructions {
+                allow_rollback: true,
+                notify_on_replica_conflict: false,
+            })
+            .build()
+            .unwrap();
+        // Node 0 holds neither object; the limit lives on node 2 only.
+        for (id, replicas) in [(&a0, nodes![2]), (&c1, nodes![1, 2])] {
+            let id = id.clone();
+            cluster
+                .run_tx(NodeId(2), move |c, tx| {
+                    let entity = EntityState::for_class(c.app(), &id)?;
+                    c.create_bound(NodeId(2), tx, entity, replicas, NodeId(2))
+                })
+                .unwrap();
+        }
+        let untouched = cluster.journal_len_on(NodeId(0));
+
+        cluster
+            .partition(&[nodes![0], nodes![1], nodes![2]])
+            .unwrap();
+        let mut shipped = None;
+        for (node, values) in [(NodeId(1), [45, 40, 130]), (NodeId(2), [30, 50, 70])] {
+            for n in values {
+                cluster
+                    .run_tx(node, |c, tx| c.set_field(node, tx, &c1, "n", Value::Int(n)))
+                    .unwrap();
+                if n == 40 {
+                    shipped = Some(tail_record(&cluster, node));
+                }
+            }
+        }
+        let shipped = shipped.expect("node 1 committed 40");
+
+        let mut additive = |conflict: &dedisys_core::ReplicaConflict| {
+            let total: i64 = conflict
+                .candidates
+                .iter()
+                .filter_map(|(_, s)| s.as_ref()?.field("n").as_int())
+                .sum();
+            let mut merged = conflict.candidates[0].1.clone()?;
+            merged.set_field("n", Value::Int(total), dedisys_types::SimTime::ZERO);
+            Some(merged)
+        };
+        let summary = if partial {
+            cluster.partition(&[nodes![0], nodes![1, 2]]).unwrap();
+            cluster.reconcile_partial(NodeId(1), &mut additive, &mut DeferAll)
+        } else {
+            cluster.heal();
+            cluster.reconcile(&mut additive, &mut DeferAll)
+        };
+
+        assert_eq!(summary.replica.conflicts.len(), 1, "partial: {partial}");
+        assert_eq!(summary.constraints.violations, 1);
+        assert_eq!(summary.constraints.resolved_by_rollback, 1);
+        assert_eq!(summary.constraints.deferred, 0);
+        assert!(cluster.threats().is_empty());
+        for node in [NodeId(1), NodeId(2)] {
+            assert_eq!(
+                cluster.entity_on(node, &c1).unwrap().field("n"),
+                &Value::Int(40),
+                "{node:?}, partial: {partial}"
+            );
+            assert!(
+                Arc::ptr_eq(&tail_record(&cluster, node), &shipped),
+                "{node:?} journals the record node 1 encoded, not a re-encoding"
+            );
+        }
+        // The node outside the replica sets — unreachable in the partial
+        // run — is left exactly as it was.
+        assert!(cluster.entity_on(NodeId(0), &c1).is_none());
+        assert_eq!(cluster.journal_len_on(NodeId(0)), untouched);
+    }
+}
+
+/// The record of the last journal entry on `node`.
+fn tail_record(cluster: &dedisys_core::Cluster, node: NodeId) -> Arc<str> {
+    match &cluster.journal_on(node).entries().last().unwrap().op {
+        dedisys_store::LogOp::Put { record } => Arc::clone(record),
+        dedisys_store::LogOp::Delete => panic!("{node:?}: journal tail is a delete"),
+    }
 }
 
 /// Regression — violation accounting when the handler exhausts its
