@@ -460,8 +460,8 @@ impl Ccm {
         if let Some(t) = &self.telemetry {
             t.metrics().incr("ccm.threats_recorded");
             t.emit(|| TraceEvent::ThreatRecorded {
-                constraint: constraint.name().to_string(),
-                context: context.map(ToString::to_string),
+                constraint: constraint.name().text().into(),
+                context: context.map(|object| object.text().into()),
                 degree,
                 storage: storage_kind(outcome),
             });
@@ -639,7 +639,7 @@ impl Ccm {
         if let Some(t) = &self.telemetry {
             t.metrics().incr("ccm.validations");
             t.emit(|| TraceEvent::ConstraintValidated {
-                constraint: constraint.name().to_string(),
+                constraint: constraint.name().text().into(),
                 degree,
                 accessed: accessed.len() as u32,
             });
@@ -745,7 +745,7 @@ impl Ccm {
                 if let Some(t) = &self.telemetry {
                     t.metrics().incr("ccm.threats_rejected");
                     t.emit(|| TraceEvent::ThreatRejected {
-                        constraint: constraint.name().to_string(),
+                        constraint: constraint.name().text().into(),
                         degree,
                     });
                 }

@@ -24,7 +24,7 @@ pub(super) fn compile_constraints(
     for c in repository.enabled() {
         if let Some(info) = c.implementation.compiled() {
             telemetry.emit(|| TraceEvent::ConstraintCompiled {
-                constraint: c.meta.name.to_string(),
+                constraint: c.meta.name.text().into(),
                 ops: info.ops,
                 reads: info.reads,
             });
@@ -125,7 +125,7 @@ impl Cluster {
         let existed = self.repository.remove(name).is_some();
         if existed {
             let entries = self.ccm.invalidate_constraint(name);
-            self.verdict_cache_invalidated("*", entries);
+            self.verdict_cache_invalidated(None, entries);
         }
         existed
     }

@@ -38,8 +38,8 @@ impl Cluster {
         self.telemetry.emit(|| TraceEvent::InvocationStart {
             node,
             tx,
-            target: target.to_string(),
-            method: inv.method.to_string(),
+            target: target.text().into(),
+            method: inv.method.text().into(),
         });
         // Pass the reified invocation through the deployed interceptor
         // chain (Figure 4.5) around the middleware pipeline. The chain
@@ -73,8 +73,8 @@ impl Cluster {
         self.telemetry.emit(|| TraceEvent::InvocationEnd {
             node,
             tx,
-            target: target.to_string(),
-            method: called.as_ref().unwrap_or(&inv.method).to_string(),
+            target: target.text().into(),
+            method: called.as_ref().unwrap_or(&inv.method).text().into(),
             outcome,
             cost,
         });
@@ -224,7 +224,7 @@ impl Cluster {
         let pres = self.repository.lookup(sig, LookupKind::Precondition);
         self.telemetry.emit(|| TraceEvent::TriggerPoint {
             trigger: TriggerKind::Precondition,
-            signature: sig.to_string(),
+            signature: sig.to_text(),
             matches: pres.len() as u32,
         });
         for constraint in pres.iter() {
@@ -271,7 +271,7 @@ impl Cluster {
         let posts = self.repository.lookup(sig, LookupKind::Postcondition);
         self.telemetry.emit(|| TraceEvent::TriggerPoint {
             trigger: TriggerKind::Postcondition,
-            signature: sig.to_string(),
+            signature: sig.to_text(),
             matches: posts.len() as u32,
         });
         for (constraint, pre_state) in posts.iter().zip(pre_states) {
@@ -287,7 +287,7 @@ impl Cluster {
         let invariants = self.repository.lookup(sig, LookupKind::Invariant);
         self.telemetry.emit(|| TraceEvent::TriggerPoint {
             trigger: TriggerKind::Invariant,
-            signature: sig.to_string(),
+            signature: sig.to_text(),
             matches: invariants.len() as u32,
         });
         // Resolve every context object first (§4.2.2: a failing

@@ -338,8 +338,8 @@ impl Cluster {
                 report.skipped += 1;
                 self.telemetry().metrics().incr("reconcile.skipped");
                 self.telemetry().emit(|| TraceEvent::ReconcileSkipped {
-                    constraint: identity.constraint.to_string(),
-                    context: identity.context_object.as_ref().map(|o| o.to_string()),
+                    constraint: identity.constraint.text().into(),
+                    context: identity.context_object.as_ref().map(|o| o.text().into()),
                 });
                 continue;
             }

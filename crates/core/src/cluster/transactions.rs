@@ -10,6 +10,17 @@ use dedisys_object::EntityState;
 use dedisys_telemetry::{TraceEvent, TriggerKind, TwoPcPhase};
 use dedisys_types::{Error, NodeId, ObjectId, Result, TxId};
 use std::collections::BTreeSet;
+use std::fmt::Write;
+
+/// `commit:tx-n-s`, the pseudo-signature the commit trigger point
+/// shows, built in one allocation of its exact size.
+fn commit_signature(tx: TxId) -> String {
+    let digits = |n: u64| n.checked_ilog10().map_or(1, |d| d as usize + 1);
+    let len = "commit:tx--".len() + digits(u64::from(tx.node.0)) + digits(tx.seq);
+    let mut text = String::with_capacity(len);
+    write!(text, "commit:{tx}").expect("a String takes every write");
+    text
+}
 
 impl Cluster {
     /// Opens a transactional [`Session`] on `node` — the RAII handle
@@ -209,7 +220,7 @@ impl Cluster {
         touched.extend(all_deleted.iter().map(|(_, id)| id.clone()));
         for id in touched {
             let entries = self.ccm.invalidate_object(&id);
-            self.verdict_cache_invalidated(&id, entries);
+            self.verdict_cache_invalidated(Some(&id), entries);
         }
         self.locks.release_all(tx);
         self.ccm.clear_tx(tx);
@@ -237,7 +248,7 @@ impl Cluster {
         let pending = self.ccm.take_pending(tx);
         self.telemetry.emit(|| TraceEvent::TriggerPoint {
             trigger: TriggerKind::CommitPrepare,
-            signature: format!("commit:{tx}"),
+            signature: commit_signature(tx),
             matches: pending.len() as u32,
         });
         let degraded =

@@ -93,14 +93,14 @@ impl Cluster {
             if hit.is_some() {
                 self.telemetry.metrics().incr("ccm.verdict_cache.hit");
                 self.telemetry.emit(|| TraceEvent::VerdictCacheHit {
-                    constraint: constraint.name().to_string(),
-                    object: object.to_string(),
+                    constraint: constraint.name().text().into(),
+                    object: object.text().into(),
                 });
             } else {
                 self.telemetry.metrics().incr("ccm.verdict_cache.miss");
                 self.telemetry.emit(|| TraceEvent::VerdictCacheMiss {
-                    constraint: constraint.name().to_string(),
-                    object: object.to_string(),
+                    constraint: constraint.name().text().into(),
+                    object: object.text().into(),
                 });
             }
         }
@@ -192,18 +192,19 @@ impl Cluster {
     /// committed state outside the commit path.
     pub(super) fn clear_verdict_cache_with_event(&mut self) {
         let entries = self.ccm.clear_verdict_cache();
-        self.verdict_cache_invalidated("*", entries);
+        self.verdict_cache_invalidated(None, entries);
     }
 
     /// Accounts for `entries` cached verdicts dropped for `object`
-    /// (`"*"`: not tied to one object); silent when nothing was cached.
-    pub(super) fn verdict_cache_invalidated(&self, object: impl std::fmt::Display, entries: usize) {
+    /// (`None`, shown as `"*"`: not tied to one object); silent when
+    /// nothing was cached.
+    pub(super) fn verdict_cache_invalidated(&self, object: Option<&ObjectId>, entries: usize) {
         if entries > 0 {
             self.telemetry
                 .metrics()
                 .add("ccm.verdict_cache.invalidate", entries as u64);
             self.telemetry.emit(|| TraceEvent::VerdictCacheInvalidate {
-                object: object.to_string(),
+                object: object.map_or_else(|| "*".into(), |id| id.text().into()),
                 entries: entries as u32,
             });
         }

@@ -15,12 +15,15 @@
 //!
 //! Journals share their records across nodes; the middle property is
 //! what says a shared record is still each node's own durable copy.
+//! The last test says it once more without the schedule: tearing one
+//! backup's journal costs that backup alone.
 
 use dedisys_core::{Cluster, ClusterBuilder, DeferAll, HighestVersionWins};
 use dedisys_object::{AppDescriptor, ClassDescriptor, EntityState};
 use dedisys_store::LogOp;
 use dedisys_types::{ChaosRng, NodeId, ObjectId, Value};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 const NODES: u32 = 3;
 const KEYS: u64 = 8;
@@ -191,5 +194,103 @@ fn run_schedule(seed: u64) {
 fn acknowledged_writes_survive_restart_from_the_journal_alone() {
     for seed in 0..SEEDS {
         run_schedule(seed);
+    }
+}
+
+/// The records of `node`'s journal puts, in append order.
+fn put_records(c: &Cluster, node: NodeId) -> Vec<Arc<str>> {
+    c.journal_on(node)
+        .entries()
+        .iter()
+        .filter_map(|e| match &e.op {
+            LogOp::Put { record } => Some(Arc::clone(record)),
+            LogOp::Delete => None,
+        })
+        .collect()
+}
+
+/// A committed write is one record (hashed once, where it was encoded)
+/// that three journals point at, each under its own checksum. Tearing
+/// the last `k` entries of one backup is therefore that backup's loss
+/// alone: its restart truncates them and the rejoin catches it up,
+/// while the primary and the other backup — holding the same `Arc`s —
+/// recover every entry.
+#[test]
+fn a_torn_backup_journal_is_that_backups_loss_alone() {
+    const ITEMS: u64 = 4;
+    let (primary, other, torn) = (NodeId(0), NodeId(1), NodeId(2));
+    for k in 1..=ITEMS as usize {
+        let mut c = ClusterBuilder::new(NODES, app())
+            .build()
+            .expect("cluster builds");
+        for key in 0..ITEMS {
+            c.run_tx(primary, |c, tx| {
+                c.create(primary, tx, EntityState::for_class(c.app(), &item(key))?)
+            })
+            .expect("fresh id");
+        }
+        for round in 0..3 {
+            for key in 0..ITEMS {
+                let v = Value::Int((round * ITEMS + key) as i64);
+                c.run_tx(primary, |c, tx| {
+                    c.set_field(primary, tx, &item(key), "v", v)
+                })
+                .expect("healthy write");
+            }
+        }
+        let shared = put_records(&c, primary);
+        for n in [other, torn] {
+            let records = put_records(&c, n);
+            assert_eq!(records.len(), shared.len());
+            assert!(
+                records.iter().zip(&shared).all(|(a, b)| Arc::ptr_eq(a, b)),
+                "k {k}: {n} journals copies, not the primary's records"
+            );
+        }
+        let reference = committed_map(&c, primary);
+        let len = c.journal_len_on(torn);
+
+        assert_eq!(c.corrupt_journal_tail(torn, k).expect("known node"), k);
+        let broken = |c: &Cluster, n| {
+            let entries = c.journal_on(n).entries();
+            entries.iter().filter(|e| !e.is_intact()).count()
+        };
+        assert_eq!(
+            (broken(&c, primary), broken(&c, other), broken(&c, torn)),
+            (0, 0, k),
+            "k {k}: a torn entry is torn where it was torn"
+        );
+
+        c.crash(torn).expect("live node crashes");
+        c.restart(torn).expect("crashed node restarts");
+        let truncated = |c: &Cluster| c.telemetry().metrics().counter("store.wal.truncated");
+        assert_eq!(truncated(&c), k as u64);
+        // The last k writes went to k different items: the rejoin
+        // re-installs exactly those, as the snapshots the group holds.
+        assert_eq!(c.journal_len_on(torn), len, "k {k}: k lost, k re-shipped");
+        assert_eq!(broken(&c, torn), 0);
+        let tail = &shared[shared.len() - k..];
+        for record in &put_records(&c, torn)[len - k..] {
+            assert!(
+                tail.iter().any(|r| Arc::ptr_eq(r, record)),
+                "k {k}: catch-up installed a copy"
+            );
+        }
+        assert_eq!(committed_map(&c, torn), reference);
+        assert_map_is_journal(&c, torn, 0, k as u32, "after restart");
+
+        for n in [other, primary] {
+            c.crash(n).expect("live node crashes");
+            c.restart(n).expect("crashed node restarts");
+            assert_eq!(truncated(&c), k as u64, "k {k}: {n} lost nothing");
+            assert_eq!(c.journal_len_on(n), len, "k {k}: {n} recovers every entry");
+            assert_eq!(committed_map(&c, n), reference);
+        }
+        assert!(put_records(&c, primary)
+            .iter()
+            .zip(&shared)
+            .all(|(a, b)| Arc::ptr_eq(a, b)));
+        converge(&mut c, 0, k as u32);
+        assert_eq!(committed_map(&c, torn), reference);
     }
 }

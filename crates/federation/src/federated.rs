@@ -351,7 +351,7 @@ impl FederatedCluster {
         self.stats.routed += 1;
         self.telemetry.metrics().incr("federation.routed");
         self.telemetry.emit(|| TraceEvent::ShardRouted {
-            object: id.to_string(),
+            object: id.text().into(),
             shard: shard.0,
             mode,
             admitted,
@@ -748,7 +748,7 @@ impl FederatedCluster {
             migrated += 1;
             self.stats.migrated += 1;
             self.telemetry.metrics().incr("federation.migrated");
-            let object = step.object.to_string();
+            let object = step.object.text().into();
             let (f, t) = (step.from.0, step.to.0);
             self.telemetry.emit(move || TraceEvent::ShardMigrated {
                 object,

@@ -50,10 +50,11 @@ struct TxBuffer {
 /// Committed state is held as [`Snapshot`]s. A transaction's first
 /// write to an object copies the committed state into its buffer (the
 /// one copy-on-write clone); commit freezes the buffered state into a
-/// new snapshot, encoded once, and the journal entry *shares* that
-/// snapshot's key and record. A backup installs the same snapshot
-/// ([`EntityContainer::install`]) — one more journal entry pointing at
-/// the same record, one map slot replaced, nothing cloned or re-encoded.
+/// new snapshot, encoded and hashed once, and the journal entry *shares*
+/// that snapshot's record and its id's text. A backup installs the same
+/// snapshot ([`EntityContainer::install`]) — one more journal entry
+/// pointing at the same record, one map slot replaced, nothing cloned,
+/// re-encoded or re-hashed.
 #[derive(Debug, Clone)]
 pub struct EntityContainer {
     /// Shared so method dispatch can hold on to the descriptor while it
@@ -256,11 +257,9 @@ impl EntityContainer {
             self.stats.deletes += 1;
             // Journalled even when nothing was committed under `id`
             // (created and deleted in one transaction).
-            let key = self
-                .committed
-                .remove(id)
-                .map_or_else(|| Arc::clone(id.text()), |old| Arc::clone(old.key()));
-            self.journal.append_delete(JOURNAL_TABLE, key);
+            self.committed.remove(id);
+            self.journal
+                .append_delete(JOURNAL_TABLE, Arc::clone(id.text()));
         }
         (written, deleted)
     }
@@ -292,14 +291,17 @@ impl EntityContainer {
     /// Installs a committed snapshot, bypassing transactions — the one
     /// install path: the local commit, a backup applying a propagated
     /// update, reconciliation and state transfer all end here. The
-    /// journal entry shares the snapshot's key and record (its `seq`
-    /// and checksum are this node's own), so a crashed backup recovers
-    /// the replicated state too; the map slot is replaced in place.
+    /// journal entry shares the snapshot's record and its id's text;
+    /// its `seq` and checksum are this node's own, the checksum mixed
+    /// from the digest the snapshot carries rather than from the record
+    /// bytes. So a crashed backup recovers the replicated state too; the
+    /// map slot is replaced in place.
     pub fn install(&mut self, snapshot: Snapshot) {
-        self.journal.append_put(
+        self.journal.append_put_digested(
             JOURNAL_TABLE,
-            Arc::clone(snapshot.key()),
+            Arc::clone(snapshot.state().id().text()),
             Arc::clone(snapshot.record()),
+            snapshot.digest(),
         );
         match self.committed.get_mut(snapshot.state().id()) {
             Some(slot) => *slot = snapshot,
@@ -313,14 +315,12 @@ impl EntityContainer {
     /// Directly removes a committed entity (propagated delete),
     /// journalling the removal. Returns whether the entity was held.
     pub fn remove_committed(&mut self, id: &ObjectId) -> bool {
-        match self.committed.remove(id) {
-            Some(old) => {
-                self.journal
-                    .append_delete(JOURNAL_TABLE, Arc::clone(old.key()));
-                true
-            }
-            None => false,
+        let held = self.committed.remove(id).is_some();
+        if held {
+            self.journal
+                .append_delete(JOURNAL_TABLE, Arc::clone(id.text()));
         }
+        held
     }
 
     /// The durable journal (inspection: length, entry integrity, which
@@ -343,34 +343,44 @@ impl EntityContainer {
     /// Replays the durable journal to reconstruct the committed state
     /// after [`EntityContainer::crash_volatile`]. A torn tail (entries
     /// whose per-entry checksum fails — a journal write interrupted by
-    /// the crash) is truncated first; the report says how many entries
-    /// were replayed and how many were dropped. Only the last record of
-    /// each key is decoded, and the recovered snapshot shares it with
-    /// the journal entry.
+    /// the crash) is truncated; the report says how many entries were
+    /// replayed and how many were dropped. Only the last record of
+    /// each key is decoded, the recovered snapshot shares it with the
+    /// journal entry, and each record's bytes are hashed once: the
+    /// digest that verified an entry is the one its snapshot carries.
     ///
     /// # Errors
     ///
     /// Returns [`Error::Persistence`] if an intact journal record fails
     /// to deserialize (corrupted journal body).
     pub fn recover_from_journal(&mut self) -> Result<ReplayReport> {
-        let truncated = self.journal.truncate_torn_tail();
-        let replayed = self.journal.len() as u64;
         self.committed.clear();
-        // Newest entry first: the first op seen for a key is the one
-        // that survives, so superseded records are never decoded.
-        let mut decided: HashSet<&str> = HashSet::new();
-        for entry in self.journal.entries().iter().rev() {
-            if !decided.insert(&*entry.key) {
-                continue;
-            }
-            if let LogOp::Put { record } = &entry.op {
-                let snapshot = Snapshot::decode(Arc::clone(&entry.key), Arc::clone(record))?;
-                self.committed
-                    .insert(snapshot.state().id().clone(), snapshot);
-            }
+        // Oldest entry first, as far as the checksums hold: the last op
+        // seen for a key is the one that survives, so superseded
+        // records are verified but never decoded.
+        let mut last: HashMap<&str, Option<(&Arc<str>, u32)>> = HashMap::new();
+        let mut replayed = 0;
+        for (entry, digest) in self.journal.intact_prefix() {
+            replayed += 1;
+            let put = match (&entry.op, digest) {
+                (LogOp::Put { record }, Some(digest)) => Some((record, digest)),
+                _ => None,
+            };
+            last.insert(&entry.key, put);
         }
+        for (record, digest) in last.into_values().flatten() {
+            let snapshot = Snapshot::decode(Arc::clone(record), digest)?;
+            self.committed
+                .insert(snapshot.state().id().clone(), snapshot);
+        }
+        // Re-verifies, but only a journal that is in fact torn.
+        let truncated = if replayed < self.journal.len() {
+            self.journal.truncate_torn_tail()
+        } else {
+            0
+        };
         Ok(ReplayReport {
-            replayed,
+            replayed: replayed as u64,
             truncated,
         })
     }
@@ -727,11 +737,14 @@ mod tests {
             shipped.record()
         ));
         assert!(Arc::ptr_eq(&last_record_of(&backup, &id), shipped.record()));
-        let keys: Vec<&Arc<str>> = [&primary, &backup]
-            .iter()
-            .map(|c| &c.journal().entries().last().unwrap().key)
-            .collect();
-        assert!(Arc::ptr_eq(keys[0], shipped.key()) && Arc::ptr_eq(keys[1], shipped.key()));
+        for c in [&primary, &backup] {
+            let entry = c.journal().entries().last().unwrap();
+            assert!(
+                Arc::ptr_eq(&entry.key, id.text()),
+                "the key is the id's text"
+            );
+            assert!(entry.is_intact(), "the carried digest was the record's");
+        }
 
         // A later write on the primary builds a new snapshot; the
         // backup that has not been shipped to keeps the old one intact.

@@ -1,20 +1,27 @@
 //! The committed snapshot — the one value that crosses node boundaries.
 
 use crate::EntityState;
+use dedisys_store::record_digest;
 use dedisys_types::Result;
 use std::sync::Arc;
 
 /// One committed state of an entity, immutable and cheap to hand on:
-/// the state itself, its JSON record and its journal key, each behind
-/// an `Arc`.
+/// the state itself and its JSON record, each behind an `Arc`, and the
+/// record's digest.
 ///
 /// The primary builds a snapshot once per committed write
 /// ([`Snapshot::encode`]); its container, every backup's container,
 /// their journals and the degraded-mode history then hold *that*
-/// value — cloning a snapshot bumps three reference counts and copies
+/// value — cloning a snapshot bumps two reference counts and copies
 /// nothing. A later write never touches a snapshot: it builds a new
 /// one, so a lagged backup (or an open rollback search) keeps reading
 /// the state it was given.
+///
+/// What is computed from the record's bytes is computed here, where
+/// the bytes are made, and travels with them: the digest is what every
+/// journal that logs this write mixes into its own checksum, so the
+/// record is hashed once however many nodes install it. The journal
+/// key is not carried — it is `state().id().text()`.
 ///
 /// Deliberately not `Serialize`/`Deserialize`: the `record` *is* the
 /// serialized form, and a derive would have to own its fields.
@@ -22,12 +29,13 @@ use std::sync::Arc;
 pub struct Snapshot {
     state: Arc<EntityState>,
     record: Arc<str>,
-    key: Arc<str>,
+    /// [`record_digest`] of `record`.
+    digest: u32,
 }
 
 impl Snapshot {
     /// Freezes `entity` as a committed state, encoding its record — the
-    /// only place a committed write is serialized.
+    /// only place a committed write is serialized, and hashed.
     ///
     /// # Panics
     ///
@@ -38,24 +46,26 @@ impl Snapshot {
             .to_json()
             .expect("entity state is plain data and always encodes");
         Self {
-            key: Arc::clone(entity.id().text()),
+            digest: record_digest(&record),
             record: record.into(),
             state: Arc::new(entity),
         }
     }
 
-    /// Rebuilds a snapshot from a journalled `record`, sharing `key`
-    /// and `record` with the entry they came from.
+    /// Rebuilds a snapshot from a journalled `record`, sharing it with
+    /// the entry it came from. `digest` is the one journal recovery has
+    /// just recomputed from the record's bytes to verify that entry, so
+    /// a recovered record is read once for both.
     ///
     /// # Errors
     ///
     /// Returns [`dedisys_types::Error::Persistence`] if `record` does
     /// not decode.
-    pub fn decode(key: Arc<str>, record: Arc<str>) -> Result<Self> {
+    pub(crate) fn decode(record: Arc<str>, digest: u32) -> Result<Self> {
         Ok(Self {
             state: Arc::new(EntityState::from_json(&record)?),
             record,
-            key,
+            digest,
         })
     }
 
@@ -70,9 +80,10 @@ impl Snapshot {
         &self.record
     }
 
-    /// The journal key (the object id's display form).
-    pub fn key(&self) -> &Arc<str> {
-        &self.key
+    /// [`record_digest`] of the record, computed when the record was
+    /// made.
+    pub fn digest(&self) -> u32 {
+        self.digest
     }
 
     /// Whether both snapshots are the *same* committed write (shared
@@ -105,18 +116,20 @@ mod tests {
     #[test]
     fn encode_decode_roundtrip_shares_the_record() {
         let snapshot = Snapshot::encode(entity(80));
-        assert_eq!(&**snapshot.key(), "Flight#F1");
-        assert!(
-            Arc::ptr_eq(snapshot.key(), snapshot.state().id().text()),
-            "the journal key is the handle's text, not a copy"
-        );
         assert_eq!(&**snapshot.record(), snapshot.state().to_json().unwrap());
-        let back =
-            Snapshot::decode(Arc::clone(snapshot.key()), Arc::clone(snapshot.record())).unwrap();
+        assert_eq!(snapshot.digest(), record_digest(snapshot.record()));
+        let back = Snapshot::decode(Arc::clone(snapshot.record()), snapshot.digest()).unwrap();
         assert!(Arc::ptr_eq(back.record(), snapshot.record()));
+        assert_eq!(back.digest(), snapshot.digest());
         assert!(!back.ptr_eq(&snapshot), "a decode is a new state");
         assert_eq!(back, snapshot, "…that compares equal");
-        assert!(Snapshot::decode("k".into(), "not json".into()).is_err());
+        assert!(Snapshot::decode("not json".into(), 0).is_err());
+    }
+
+    #[test]
+    fn the_digest_costs_no_more_than_the_key_it_replaced() {
+        // The snapshot ledger and every container hold these by value.
+        assert!(std::mem::size_of::<Snapshot>() <= 4 * std::mem::size_of::<usize>());
     }
 
     #[test]

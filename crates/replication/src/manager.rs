@@ -238,7 +238,7 @@ impl ReplicationManager {
             if let Some(t) = &self.telemetry {
                 t.metrics().incr("replication.staleness_hits");
                 t.emit(|| TraceEvent::StalenessHit {
-                    object: object.to_string(),
+                    object: object.text().into(),
                     node: requester,
                 });
             }
@@ -361,7 +361,7 @@ impl ReplicationManager {
                 if let Some(t) = &self.telemetry {
                     t.metrics().add("replication.ship_retries", node_retries);
                     t.emit(|| TraceEvent::ReplicaShipRetry {
-                        object: object.to_string(),
+                        object: object.text().into(),
                         backup: r,
                         attempts: failing + u32::from(succeeded),
                         backoff_units: node_backoff,
@@ -390,7 +390,7 @@ impl ReplicationManager {
             t.metrics().incr("replication.propagations");
             t.metrics().add("replication.messages", messages);
             t.emit(|| TraceEvent::ReplicationUpdate {
-                object: object.to_string(),
+                object: object.text().into(),
                 from: executed_on,
                 recipients: recipients.len() as u32,
                 messages,

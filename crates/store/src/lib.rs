@@ -10,7 +10,8 @@
 //! * [`WriteAheadLog`] — an append-only, per-entry checksummed log.
 //!   Each node's entity journal (`dedisys-object`) and the threat
 //!   store's journal (`dedisys-core`) are one; both rebuild their
-//!   memory straight from it, newest entry first. The degraded-mode
+//!   memory straight from it, decoding only the last record of each
+//!   key. The degraded-mode
 //!   history is not kept here: it is the shipped snapshots themselves,
 //!   in `dedisys-replication`.
 //!
@@ -41,5 +42,5 @@ mod log;
 mod persistence;
 
 pub use kv::TableStore;
-pub use log::{LogEntry, LogOp, ReplayReport, WriteAheadLog};
+pub use log::{record_digest, LogEntry, LogOp, ReplayReport, WriteAheadLog};
 pub use persistence::{Persistence, StoreCosts, StoreStats};

@@ -6,11 +6,23 @@
 //! record of a [`LogOp::Put`] are `Arc<str>`, so the journals of a
 //! primary and its backups can log one committed write with one
 //! encoding of the record between them. What stays per entry — and per
-//! node — is the sequence number and the checksum: every log computes
-//! its own FNV-1a over `seq`/`table`/`key`/record at append time and
-//! verifies it on recovery, so a torn tail on one node is truncated on
-//! that node only, whoever else shares the bytes. `table` is a
+//! node — is the sequence number and the checksum. `table` is a
 //! `&'static str` because tables are compile-time names, never data.
+//!
+//! ## What the checksum covers
+//!
+//! The checksum is FNV-1a over `seq`, `table`, `key`, the op tag and —
+//! for a put — the *digest* of the record ([`record_digest`]: FNV-1a
+//! over the record bytes alone). The digest does not depend on the
+//! node, so whoever made the bytes computes it once and hands it to
+//! every log that journals them
+//! ([`WriteAheadLog::append_put_digested`]); each log then mixes its
+//! own `seq` into some thirty bytes instead of re-reading the record.
+//! The digest is not stored: verification ([`LogEntry::is_intact`],
+//! [`WriteAheadLog::intact_prefix`]) recomputes it from the entry's own
+//! bytes, so a corrupted record, key, `seq` or checksum on one node is
+//! caught — and truncated — on that node only, whoever else shares the
+//! bytes.
 //!
 //! [`LogEntry`] and [`LogOp`] deliberately do not derive serde: the
 //! log is an in-memory model of a disk, nothing serializes an entry,
@@ -45,16 +57,32 @@ pub struct LogEntry {
     pub key: Arc<str>,
     /// The operation.
     pub op: LogOp,
-    /// FNV-1a checksum over `seq`/`table`/`key`/`op`, written with the
-    /// entry. A mismatch marks the entry as torn (a write interrupted
-    /// by a crash) — recovery truncates the log there.
+    /// FNV-1a checksum over `seq`/`table`/`key`/op tag/record digest,
+    /// written with the entry. A mismatch marks the entry as torn (a
+    /// write interrupted by a crash) — recovery truncates the log
+    /// there.
     pub checksum: u32,
 }
 
 impl LogEntry {
+    /// The digest of the record as its bytes read *now* (`None` for a
+    /// delete) — never the one an appender carried.
+    fn digest(&self) -> Option<u32> {
+        match &self.op {
+            LogOp::Put { record } => Some(record_digest(record)),
+            LogOp::Delete => None,
+        }
+    }
+
+    /// The checksum the entry should carry if its record digests to
+    /// `digest`.
+    fn checksum_over(&self, digest: Option<u32>) -> u32 {
+        entry_checksum(self.seq, self.table, &self.key, digest)
+    }
+
     /// The FNV-1a checksum the entry *should* carry given its payload.
     pub fn expected_checksum(&self) -> u32 {
-        entry_checksum(self.seq, self.table, &self.key, &self.op)
+        self.checksum_over(self.digest())
     }
 
     /// Whether the stored checksum matches the payload.
@@ -63,32 +91,39 @@ impl LogEntry {
     }
 }
 
-/// FNV-1a over the entry payload. Field boundaries are delimited with
-/// a `0xFF` byte (which cannot appear in UTF-8 strings) so
-/// `("ab","c")` and `("a","bc")` hash differently.
-fn entry_checksum(seq: u64, table: &str, key: &str, op: &LogOp) -> u32 {
-    const OFFSET: u32 = 0x811C_9DC5;
-    const PRIME: u32 = 16_777_619;
-    let mut hash = OFFSET;
-    let mut mix = |bytes: &[u8]| {
-        for &b in bytes {
-            hash ^= u32::from(b);
-            hash = hash.wrapping_mul(PRIME);
-        }
-    };
-    mix(&seq.to_le_bytes());
-    mix(table.as_bytes());
-    mix(&[0xFF]);
-    mix(key.as_bytes());
-    mix(&[0xFF]);
-    match op {
-        LogOp::Put { record } => {
-            mix(&[0x01]);
-            mix(record.as_bytes());
-        }
-        LogOp::Delete => mix(&[0x02]),
+const FNV_OFFSET: u32 = 0x811C_9DC5;
+const FNV_PRIME: u32 = 16_777_619;
+
+/// One FNV-1a pass over `bytes`, continuing from `hash`.
+fn fnv1a(hash: u32, bytes: &[u8]) -> u32 {
+    bytes
+        .iter()
+        .fold(hash, |h, &b| (h ^ u32::from(b)).wrapping_mul(FNV_PRIME))
+}
+
+/// FNV-1a over the bytes of a record alone: the part of an entry's
+/// checksum that is the same on every node that journals the record.
+/// Computed where the bytes are made and handed to each log
+/// ([`WriteAheadLog::append_put_digested`]); recomputed from the bytes
+/// whenever an entry is verified.
+pub fn record_digest(record: &str) -> u32 {
+    fnv1a(FNV_OFFSET, record.as_bytes())
+}
+
+/// FNV-1a over the entry payload, the record standing in by its
+/// `digest` (`None`: a delete). Field boundaries are delimited with a
+/// `0xFF` byte (which cannot appear in UTF-8 strings) so `("ab","c")`
+/// and `("a","bc")` hash differently.
+fn entry_checksum(seq: u64, table: &str, key: &str, digest: Option<u32>) -> u32 {
+    let mut hash = fnv1a(FNV_OFFSET, &seq.to_le_bytes());
+    hash = fnv1a(hash, table.as_bytes());
+    hash = fnv1a(hash, &[0xFF]);
+    hash = fnv1a(hash, key.as_bytes());
+    hash = fnv1a(hash, &[0xFF]);
+    match digest {
+        Some(digest) => fnv1a(fnv1a(hash, &[0x01]), &digest.to_le_bytes()),
+        None => fnv1a(hash, &[0x02]),
     }
-    hash
 }
 
 /// What a WAL recovery actually did: how many entries were replayed
@@ -132,7 +167,8 @@ impl WriteAheadLog {
 
     /// Appends a put operation, returning its sequence number. Passing
     /// `Arc<str>`s shares key and record with the caller (no copy);
-    /// `&str`/`String` are copied into a fresh allocation once.
+    /// `&str`/`String` are copied into a fresh allocation once. The
+    /// record is read once, for its digest.
     pub fn append_put(
         &mut self,
         table: &'static str,
@@ -140,18 +176,41 @@ impl WriteAheadLog {
         record: impl Into<Arc<str>>,
     ) -> u64 {
         let record = record.into();
-        self.append(table, key.into(), LogOp::Put { record })
+        let digest = record_digest(&record);
+        self.append(table, key.into(), Some((record, digest)))
+    }
+
+    /// [`WriteAheadLog::append_put`] for a caller that already holds
+    /// the record's [`record_digest`] — the record is not read, and the
+    /// entry is the one `append_put` would have written. A `digest`
+    /// that is not the record's writes an entry that fails
+    /// verification.
+    pub fn append_put_digested(
+        &mut self,
+        table: &'static str,
+        key: Arc<str>,
+        record: Arc<str>,
+        digest: u32,
+    ) -> u64 {
+        debug_assert_eq!(digest, record_digest(&record), "digest of another record");
+        self.append(table, key, Some((record, digest)))
     }
 
     /// Appends a delete operation, returning its sequence number.
     pub fn append_delete(&mut self, table: &'static str, key: impl Into<Arc<str>>) -> u64 {
-        self.append(table, key.into(), LogOp::Delete)
+        self.append(table, key.into(), None)
     }
 
-    fn append(&mut self, table: &'static str, key: Arc<str>, op: LogOp) -> u64 {
+    /// The one append: a put arrives as its record and the record's
+    /// digest, a delete as `None`.
+    fn append(&mut self, table: &'static str, key: Arc<str>, put: Option<(Arc<str>, u32)>) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let checksum = entry_checksum(seq, table, &key, &op);
+        let checksum = entry_checksum(seq, table, &key, put.as_ref().map(|(_, digest)| *digest));
+        let op = match put {
+            Some((record, _)) => LogOp::Put { record },
+            None => LogOp::Delete,
+        };
         self.entries.push(LogEntry {
             seq,
             table,
@@ -191,18 +250,25 @@ impl WriteAheadLog {
         }
     }
 
-    /// Drops the torn tail: everything from the first entry whose
-    /// checksum fails onwards (an interrupted write means nothing after
-    /// it reached disk in order). Returns the number of entries
-    /// dropped. A fully intact log is untouched.
+    /// The entries a recovery may trust: every entry before the first
+    /// whose checksum fails (an interrupted write means nothing after
+    /// it reached disk in order), each with the record digest the
+    /// check just recomputed from its bytes (`None` for a delete) — so
+    /// a recovery that rebuilds snapshots reads each record once.
+    pub fn intact_prefix(&self) -> impl Iterator<Item = (&LogEntry, Option<u32>)> + '_ {
+        self.entries.iter().map_while(|entry| {
+            let digest = entry.digest();
+            (entry.checksum == entry.checksum_over(digest)).then_some((entry, digest))
+        })
+    }
+
+    /// Drops the torn tail: everything after the
+    /// [intact prefix](WriteAheadLog::intact_prefix). Returns the
+    /// number of entries dropped. A fully intact log is untouched.
     pub fn truncate_torn_tail(&mut self) -> u64 {
-        let intact_prefix = self
-            .entries
-            .iter()
-            .position(|e| !e.is_intact())
-            .unwrap_or(self.entries.len());
-        let dropped = self.entries.len() - intact_prefix;
-        self.entries.truncate(intact_prefix);
+        let intact = self.intact_prefix().count();
+        let dropped = self.entries.len() - intact;
+        self.entries.truncate(intact);
         dropped as u64
     }
 
@@ -223,6 +289,7 @@ impl WriteAheadLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dedisys_types::ChaosRng;
 
     #[test]
     fn replay_reconstructs_store() {
@@ -281,9 +348,93 @@ mod tests {
         assert!(wal.entries().iter().all(LogEntry::is_intact));
         // Field boundaries matter: moving a byte between table and key
         // changes the checksum.
-        let a = entry_checksum(0, "ab", "c", &LogOp::Delete);
-        let b = entry_checksum(0, "a", "bc", &LogOp::Delete);
+        let a = entry_checksum(0, "ab", "c", None);
+        let b = entry_checksum(0, "a", "bc", None);
         assert_ne!(a, b);
+    }
+
+    /// `text` (ASCII) with one byte changed, in an allocation of its own.
+    fn one_byte_changed(text: &str, rng: &mut ChaosRng) -> Arc<str> {
+        let mut bytes = text.as_bytes().to_vec();
+        let at = rng.below(bytes.len() as u64) as usize;
+        bytes[at] = if bytes[at] == b'x' { b'y' } else { b'x' };
+        String::from_utf8(bytes).expect("ASCII stays UTF-8").into()
+    }
+
+    #[test]
+    fn mid_log_corruption_fails_its_entry_on_its_log_only() {
+        let mut kinds = [0u32; 4];
+        for seed in 0..64 {
+            let mut rng = ChaosRng::new(seed);
+            // The same writes three times: digest carried, digest
+            // computed by the log, and carried again at other `seq`s.
+            let mut carried = WriteAheadLog::new();
+            let mut plain = WriteAheadLog::new();
+            let mut sibling = WriteAheadLog::new();
+            for _ in 0..=rng.below(3) {
+                sibling.append_delete("t", "ahead");
+            }
+            let ahead = sibling.len();
+            for n in 0..8 + rng.below(24) {
+                let key: Arc<str> = format!("Item#k{}", rng.below(6)).into();
+                if rng.chance(25) {
+                    for log in [&mut carried, &mut plain, &mut sibling] {
+                        log.append_delete("t", Arc::clone(&key));
+                    }
+                    continue;
+                }
+                let record: Arc<str> = format!(r#"{{"n":{n},"v":{}}}"#, rng.next_u64()).into();
+                let digest = record_digest(&record);
+                for log in [&mut carried, &mut sibling] {
+                    log.append_put_digested("t", Arc::clone(&key), Arc::clone(&record), digest);
+                }
+                plain.append_put("t", key, record);
+            }
+            assert_eq!(
+                carried, plain,
+                "seed {seed}: a carried digest changes no entry"
+            );
+            for (a, b) in carried.entries().iter().zip(&sibling.entries()[ahead..]) {
+                assert_eq!((&a.key, &a.op), (&b.key, &b.op), "seed {seed}");
+                assert_ne!(a.seq, b.seq, "seed {seed}");
+            }
+
+            let victim = rng.below(carried.len() as u64) as usize;
+            let entry = &mut carried.entries[victim];
+            let kind = match (rng.below(4), &entry.op) {
+                (0, LogOp::Put { record }) => {
+                    // A changed copy: the sibling keeps the original.
+                    let record = one_byte_changed(record, &mut rng);
+                    entry.op = LogOp::Put { record };
+                    0
+                }
+                (0 | 1, _) => {
+                    entry.key = one_byte_changed(&entry.key, &mut rng);
+                    1
+                }
+                (2, _) => {
+                    entry.seq ^= 1 << rng.below(64);
+                    2
+                }
+                _ => {
+                    entry.checksum ^= 1 << rng.below(32);
+                    3
+                }
+            };
+            kinds[kind] += 1;
+
+            let broken: Vec<usize> = (0..carried.len())
+                .filter(|&i| !carried.entries()[i].is_intact())
+                .collect();
+            assert_eq!(broken, [victim], "seed {seed}, kind {kind}");
+            assert_eq!(carried.intact_prefix().count(), victim, "seed {seed}");
+            let dropped = (carried.len() - victim) as u64;
+            assert_eq!(carried.truncate_torn_tail(), dropped, "seed {seed}");
+            assert_eq!(carried.entries(), &plain.entries()[..victim], "seed {seed}");
+            assert!(sibling.entries().iter().all(LogEntry::is_intact));
+            assert_eq!(sibling.truncate_torn_tail(), 0, "seed {seed}");
+        }
+        assert!(kinds.iter().all(|&n| n > 0), "every kind drawn: {kinds:?}");
     }
 
     #[test]

@@ -3,8 +3,11 @@
 //! Hot-path discipline: [`Telemetry::emit`] takes a *closure* that
 //! builds the event. When no sink is attached the closure is never
 //! invoked, so instrumented code pays one relaxed atomic load and no
-//! allocation. Event construction cost (Strings for object display
-//! forms, etc.) is only paid when someone is actually listening.
+//! allocation. When someone is listening an event still costs little:
+//! it names an object, a method or a constraint by sharing the
+//! identity's text ([`SharedText`](dedisys_types::SharedText), a
+//! reference-count bump), so only what is not an identity's text — a
+//! trigger point's signature, a free-form reason — is built per event.
 
 use crate::event::{TraceEvent, TraceRecord};
 use crate::metrics::MetricsRegistry;

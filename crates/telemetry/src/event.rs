@@ -6,7 +6,8 @@
 //! protocol transcript of one simulated run.
 
 use dedisys_types::{
-    NodeId, PriorityClass, SatisfactionDegree, SimDuration, SimTime, SystemMode, TxId, ViewId,
+    NodeId, PriorityClass, SatisfactionDegree, SharedText, SimDuration, SimTime, SystemMode, TxId,
+    ViewId,
 };
 use serde::{Deserialize, Serialize};
 
@@ -143,9 +144,9 @@ pub enum TraceEvent {
         /// Enclosing transaction.
         tx: TxId,
         /// Target object (display form `Class#key`).
-        target: String,
+        target: SharedText,
         /// Invoked method.
-        method: String,
+        method: SharedText,
     },
     /// A business invocation left the middleware pipeline.
     InvocationEnd {
@@ -154,9 +155,9 @@ pub enum TraceEvent {
         /// Enclosing transaction.
         tx: TxId,
         /// Target object (display form `Class#key`).
-        target: String,
+        target: SharedText,
         /// Invoked method.
-        method: String,
+        method: SharedText,
         /// Success or failure.
         outcome: InvocationOutcome,
         /// Virtual-time cost split into R1–R5 slices.
@@ -174,7 +175,7 @@ pub enum TraceEvent {
     /// One constraint was validated (including staleness adjustment).
     ConstraintValidated {
         /// Constraint name.
-        constraint: String,
+        constraint: SharedText,
         /// Final satisfaction degree.
         degree: SatisfactionDegree,
         /// Number of objects the validation accessed.
@@ -183,9 +184,9 @@ pub enum TraceEvent {
     /// A consistency threat was accepted and handed to the store.
     ThreatRecorded {
         /// Constraint name.
-        constraint: String,
+        constraint: SharedText,
         /// Context object, if any.
-        context: Option<String>,
+        context: Option<SharedText>,
         /// Observed satisfaction degree.
         degree: SatisfactionDegree,
         /// Storage outcome (dedup vs new record).
@@ -195,7 +196,7 @@ pub enum TraceEvent {
     /// enclosing operation aborts.
     ThreatRejected {
         /// Constraint name.
-        constraint: String,
+        constraint: SharedText,
         /// Observed satisfaction degree.
         degree: SatisfactionDegree,
     },
@@ -228,7 +229,7 @@ pub enum TraceEvent {
     /// A committed update was propagated to reachable backups.
     ReplicationUpdate {
         /// The updated object.
-        object: String,
+        object: SharedText,
         /// Node the write executed on.
         from: NodeId,
         /// Number of backups reached.
@@ -241,7 +242,7 @@ pub enum TraceEvent {
     /// A validation read hit a possibly stale replica (LCC input).
     StalenessHit {
         /// The possibly stale object.
-        object: String,
+        object: SharedText,
         /// Node that read it.
         node: NodeId,
     },
@@ -342,9 +343,9 @@ pub enum TraceEvent {
     /// set and the threat was not yet fully checkable.
     ReconcileSkipped {
         /// Constraint name.
-        constraint: String,
+        constraint: SharedText,
         /// Context object, if any.
-        context: Option<String>,
+        context: Option<SharedText>,
     },
     /// Duplicate threat records were folded during degraded mode
     /// (`HistoryPolicy::Reduced`).
@@ -400,7 +401,7 @@ pub enum TraceEvent {
     /// compiled validation engine.
     ConstraintCompiled {
         /// Constraint name.
-        constraint: String,
+        constraint: SharedText,
         /// VM ops in the compiled program.
         ops: u32,
         /// Static reads (`self` fields + env keys) the program makes.
@@ -411,24 +412,24 @@ pub enum TraceEvent {
     /// cached evaluation.
     VerdictCacheHit {
         /// Constraint name.
-        constraint: String,
+        constraint: SharedText,
         /// Context object (display form `Class#key`).
-        object: String,
+        object: SharedText,
     },
     /// A cacheable validation candidate missed the verdict cache and
     /// was evaluated in full.
     VerdictCacheMiss {
         /// Constraint name.
-        constraint: String,
+        constraint: SharedText,
         /// Context object (display form `Class#key`).
-        object: String,
+        object: SharedText,
     },
     /// Cached verdicts were dropped because their object was written,
     /// deleted, or resettled by reconciliation/restart.
     VerdictCacheInvalidate {
         /// The invalidated object (display form `Class#key`), or `"*"`
         /// for a whole-cache clear.
-        object: String,
+        object: SharedText,
         /// Cache entries removed.
         entries: u32,
     },
@@ -506,7 +507,7 @@ pub enum TraceEvent {
     /// injected write failure, with exponential backoff.
     ReplicaShipRetry {
         /// The object being shipped.
-        object: String,
+        object: SharedText,
         /// The faulty backup node.
         backup: NodeId,
         /// Attempts consumed (including the final one).
@@ -534,7 +535,7 @@ pub enum TraceEvent {
     /// the consistent-hash ring.
     ShardRouted {
         /// The routed object (`Class#key`).
-        object: String,
+        object: SharedText,
         /// The target shard.
         shard: u32,
         /// The target shard's system mode at routing time.
@@ -547,7 +548,7 @@ pub enum TraceEvent {
     /// explicit federation rebalance.
     ShardMigrated {
         /// The migrated object (`Class#key`).
-        object: String,
+        object: SharedText,
         /// The shard that gave the object up.
         from: u32,
         /// The shard that now owns it.

@@ -104,6 +104,12 @@ macro_rules! name_type {
             pub fn as_str(&self) -> &str {
                 &self.0
             }
+
+            /// The name as shared text — what a holder that shows it
+            /// (a trace event) clones instead of formatting.
+            pub fn text(&self) -> &Arc<str> {
+                &self.0
+            }
         }
 
         impl fmt::Display for $name {
@@ -121,6 +127,13 @@ macro_rules! name_type {
         impl From<String> for $name {
             fn from(s: String) -> Self {
                 Self(s.into())
+            }
+        }
+
+        /// Shares the text: a reference count, no copy.
+        impl From<&Arc<str>> for $name {
+            fn from(s: &Arc<str>) -> Self {
+                Self(Arc::clone(s))
             }
         }
 
@@ -169,6 +182,16 @@ name_type!(
     /// (§4.2.2: constraint names are unique per application).
     ConstraintName,
     "constraint"
+);
+
+name_type!(
+    /// The display text of an identity — an [`ObjectId`]'s `Class#key`,
+    /// a method's or a constraint's name — held by sharing it
+    /// (`SharedText::from(id.text())`), never by formatting a copy:
+    /// what a trace event names its subjects with. On the wire it is
+    /// the bare string an owned `String` field wrote.
+    SharedText,
+    "text"
 );
 
 impl MethodName {
@@ -247,7 +270,8 @@ impl ObjectId {
     }
 
     /// The display form (`Class#key`) as shared text — what a holder
-    /// that keys by it (the journal) clones instead of formatting.
+    /// that keys by it (the journal) or shows it (a trace event) clones
+    /// instead of formatting.
     pub fn text(&self) -> &Arc<str> {
         &self.0.text
     }
@@ -382,6 +406,13 @@ impl MethodSignature {
             method: method.into(),
         }
     }
+
+    /// The display form `Class::method` as an owned string, built in
+    /// one allocation of its exact size (`to_string` grows its way
+    /// there) — what a `trigger_point` event owns.
+    pub fn to_text(&self) -> String {
+        [self.class.as_str(), "::", self.method.as_str()].concat()
+    }
 }
 
 impl fmt::Display for MethodSignature {
@@ -437,6 +468,8 @@ mod tests {
     fn method_signature_display() {
         let sig = MethodSignature::new("Alarm", "setAlarmKind");
         assert_eq!(sig.to_string(), "Alarm::setAlarmKind");
+        assert_eq!(sig.to_text(), sig.to_string());
+        assert_eq!(sig.to_text().capacity(), sig.to_text().len());
     }
 
     #[test]

@@ -46,7 +46,7 @@ pub use degree::SatisfactionDegree;
 pub use error::{Error, Result};
 pub use id::{
     ClassName, ConstraintName, IdBuildHasher, IdHasher, MethodName, MethodSignature, NodeId,
-    ObjectId, TxId, ViewId,
+    ObjectId, SharedText, TxId, ViewId,
 };
 pub use mode::SystemMode;
 pub use plane::PriorityClass;
