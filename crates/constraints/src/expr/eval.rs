@@ -71,10 +71,14 @@ pub(super) fn size_value(v: Value) -> Result<Value> {
     }
 }
 
+fn overflow() -> dedisys_types::Error {
+    expr_err("integer overflow")
+}
+
 /// Unary minus semantics, shared between interpreter and VM.
 pub(super) fn negate_value(v: Value) -> Result<Value> {
     match v {
-        Value::Int(n) => Ok(Value::Int(-n)),
+        Value::Int(n) => n.checked_neg().map(Value::Int).ok_or_else(overflow),
         Value::Float(f) => Ok(Value::Float(-f)),
         other => Err(expr_err(format!("cannot negate {}", other.type_name()))),
     }
@@ -171,27 +175,22 @@ fn values_equal(l: &Value, r: &Value) -> bool {
 }
 
 fn numeric(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
-    if let (Value::Int(a), Value::Int(b)) = (l, r) {
-        return match op {
-            BinOp::Add => Ok(Value::Int(a + b)),
-            BinOp::Sub => Ok(Value::Int(a - b)),
-            BinOp::Mul => Ok(Value::Int(a * b)),
-            BinOp::Div => {
-                if *b == 0 {
-                    Err(expr_err("division by zero"))
-                } else {
-                    Ok(Value::Int(a / b))
-                }
-            }
-            BinOp::Rem => {
-                if *b == 0 {
-                    Err(expr_err("division by zero"))
-                } else {
-                    Ok(Value::Int(a % b))
-                }
-            }
+    if let (&Value::Int(a), &Value::Int(b)) = (l, r) {
+        if b == 0 && matches!(op, BinOp::Div | BinOp::Rem) {
+            return Err(expr_err("division by zero"));
+        }
+        // Checked: a constraint over attacker-chosen numbers fails
+        // typed, in debug and release builds alike.
+        let result = match op {
+            BinOp::Add => a.checked_add(b),
+            BinOp::Sub => a.checked_sub(b),
+            BinOp::Mul => a.checked_mul(b),
+            BinOp::Div => a.checked_div(b),
+            // `MIN % -1` is 0; only the machine instruction overflows.
+            BinOp::Rem => Some(a.wrapping_rem(b)),
             _ => unreachable!("numeric op"),
         };
+        return result.map(Value::Int).ok_or_else(overflow);
     }
     let (a, b) = match (l.as_float(), r.as_float()) {
         (Some(a), Some(b)) => (a, b),
@@ -313,6 +312,21 @@ mod tests {
         assert_eq!(eval_str("7.0 / 2", &mut ctx).unwrap(), Value::Float(3.5));
         assert_eq!(eval_str("7 % 3", &mut ctx).unwrap(), Value::Int(1));
         assert!(eval_str("1 / 0", &mut ctx).is_err());
+        // Overflow is an error, not a panic (debug) or a wrap (release).
+        let min = "(0 - 9223372036854775807 - 1)";
+        for overflowing in [
+            "9223372036854775807 + 1",
+            "MIN - 1",
+            "MIN * 2",
+            "MIN / (0 - 1)",
+            "-MIN",
+        ] {
+            let source = overflowing.replace("MIN", min);
+            let overflow = Err(Error::Expr("integer overflow".into()));
+            assert_eq!(eval_str(&source, &mut ctx), overflow, "{source}");
+        }
+        let source = format!("{min} % (0 - 1)");
+        assert_eq!(eval_str(&source, &mut ctx).unwrap(), Value::Int(0));
         assert_eq!(
             eval_str("\"a\" + \"b\"", &mut ctx).unwrap(),
             Value::from("ab")

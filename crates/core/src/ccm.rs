@@ -21,8 +21,8 @@ use dedisys_object::{EntityContainer, Invocation};
 use dedisys_replication::ReplicationManager;
 use dedisys_telemetry::{Telemetry, ThreatStorage, TraceEvent};
 use dedisys_types::{
-    ClassName, ConstraintName, Error, NodeId, ObjectId, Result, SatisfactionDegree, SimTime, TxId,
-    Value, Version, VersionInfo,
+    ClassName, ConstraintName, Error, NodeId, ObjectId, Result, SatisfactionDegree, SimTime,
+    TxBuildHasher, TxId, Value, Version, VersionInfo,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -238,22 +238,6 @@ pub struct ValidationVerdict {
     pub version_infos: BTreeMap<String, (ClassName, VersionInfo)>,
 }
 
-impl ValidationVerdict {
-    /// The §3.1 check category this validation fell into: FCC for
-    /// definite results, LCC when possibly stale copies were involved,
-    /// NCC when affected objects were unreachable.
-    pub fn check_category(&self) -> dedisys_types::CheckCategory {
-        use dedisys_types::CheckCategory;
-        match self.degree {
-            SatisfactionDegree::Satisfied | SatisfactionDegree::Violated => CheckCategory::Full,
-            SatisfactionDegree::PossiblySatisfied | SatisfactionDegree::PossiblyViolated => {
-                CheckCategory::Limited
-            }
-            SatisfactionDegree::Uncheckable => CheckCategory::NoCheck,
-        }
-    }
-}
-
 /// A soft/async invariant registered during a transaction, validated
 /// at commit time.
 #[derive(Debug, Clone)]
@@ -285,6 +269,19 @@ struct DeferredThreat {
     version_infos: BTreeMap<String, (ClassName, VersionInfo)>,
 }
 
+/// What the CCMgr remembers about one open transaction: the record is
+/// there from [`Ccm::begin_tx`] to [`Ccm::clear_tx`] and not a moment
+/// longer.
+#[derive(Default)]
+struct TxChecks {
+    /// Soft/async invariants awaiting the commit-time vote.
+    pending: Vec<PendingCheck>,
+    /// The transaction's dynamic negotiation handler (§3.2.1).
+    handler: Option<Box<dyn NegotiationHandler>>,
+    /// Threats awaiting deferred negotiation (§5.4).
+    deferred: Vec<DeferredThreat>,
+}
+
 /// One memoized verdict of the version-keyed cache: valid while the
 /// committed version of the context object is unchanged. Only definite
 /// raw outcomes are cached (`Satisfied`/`Violated`) — staleness
@@ -303,9 +300,7 @@ pub struct CachedVerdict {
 /// The constraint consistency manager.
 pub struct Ccm {
     threat_store: ThreatStore,
-    pending: HashMap<TxId, Vec<PendingCheck>>,
-    handlers: HashMap<TxId, Box<dyn NegotiationHandler>>,
-    deferred: HashMap<TxId, Vec<DeferredThreat>>,
+    txs: HashMap<TxId, TxChecks, TxBuildHasher>,
     timing: NegotiationTiming,
     app_default_min_degree: SatisfactionDegree,
     default_instructions: ReconcileInstructions,
@@ -330,7 +325,7 @@ impl std::fmt::Debug for Ccm {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Ccm")
             .field("threats", &self.threat_store.len())
-            .field("pending_txs", &self.pending.len())
+            .field("open_txs", &self.txs.len())
             .field("stats", &self.stats)
             .finish()
     }
@@ -341,9 +336,7 @@ impl Ccm {
     pub fn new(policy: HistoryPolicy) -> Self {
         Self {
             threat_store: ThreatStore::new(policy),
-            pending: HashMap::new(),
-            handlers: HashMap::new(),
-            deferred: HashMap::new(),
+            txs: HashMap::default(),
             timing: NegotiationTiming::Immediate,
             app_default_min_degree: SatisfactionDegree::Satisfied,
             default_instructions: ReconcileInstructions::default(),
@@ -522,26 +515,56 @@ impl Ccm {
         self.default_instructions = instructions;
     }
 
+    /// Opens the record of `tx`; [`Ccm::clear_tx`] ends it.
+    pub fn begin_tx(&mut self, tx: TxId) {
+        self.txs.insert(tx, TxChecks::default());
+    }
+
+    /// Transactions the CCMgr holds a record of.
+    pub(crate) fn open_tx_count(&self) -> usize {
+        self.txs.len()
+    }
+
+    /// The record of `tx` — there is one exactly while it is open.
+    fn open_record(&mut self, tx: TxId) -> Result<&mut TxChecks> {
+        self.txs.get_mut(&tx).ok_or(Error::NoSuchTransaction(tx))
+    }
+
     /// Registers a dynamic negotiation handler for `tx` (§3.2.1).
-    pub fn register_negotiation_handler(&mut self, tx: TxId, handler: Box<dyn NegotiationHandler>) {
-        self.handlers.insert(tx, handler);
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::NoSuchTransaction`] unless `tx` is open.
+    pub fn register_negotiation_handler(
+        &mut self,
+        tx: TxId,
+        handler: Box<dyn NegotiationHandler>,
+    ) -> Result<()> {
+        self.open_record(tx)?.handler = Some(handler);
+        Ok(())
     }
 
     /// Registers a soft/async invariant for commit-time validation.
-    pub fn register_pending(&mut self, tx: TxId, check: PendingCheck) {
-        self.pending.entry(tx).or_default().push(check);
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::NoSuchTransaction`] unless `tx` is open.
+    pub fn register_pending(&mut self, tx: TxId, check: PendingCheck) -> Result<()> {
+        self.open_record(tx)?.pending.push(check);
+        Ok(())
     }
 
     /// Takes the pending checks of `tx`.
     pub fn take_pending(&mut self, tx: TxId) -> Vec<PendingCheck> {
-        self.pending.remove(&tx).unwrap_or_default()
+        self.txs
+            .get_mut(&tx)
+            .map(|record| std::mem::take(&mut record.pending))
+            .unwrap_or_default()
     }
 
-    /// Clears all per-transaction state of `tx` (commit/rollback).
+    /// Ends the record of `tx` (commit/rollback).
     pub fn clear_tx(&mut self, tx: TxId) {
-        self.pending.remove(&tx);
-        self.handlers.remove(&tx);
-        self.deferred.remove(&tx);
+        self.txs.remove(&tx);
     }
 
     /// Validates one constraint — evaluation, then the staleness
@@ -637,7 +660,6 @@ impl Ccm {
         }
 
         if let Some(t) = &self.telemetry {
-            t.metrics().incr("ccm.validations");
             t.emit(|| TraceEvent::ConstraintValidated {
                 constraint: constraint.name().text().into(),
                 degree,
@@ -664,6 +686,8 @@ impl Ccm {
     ///
     /// * [`Error::ConstraintViolated`] — definite violation.
     /// * [`Error::ThreatRejected`] — threat not accepted.
+    /// * [`Error::NoSuchTransaction`] — a threat to defer, and `tx` is
+    ///   not open.
     pub fn process_verdict(
         &mut self,
         constraint: &RegisteredConstraint,
@@ -698,7 +722,7 @@ impl Ccm {
                     // §5.4: continue under the assumption that the
                     // threat will be accepted; the decision is made at
                     // commit time.
-                    self.deferred.entry(tx).or_default().push(DeferredThreat {
+                    self.open_record(tx)?.deferred.push(DeferredThreat {
                         constraint: constraint.clone(),
                         threat,
                         version_infos: verdict.version_infos,
@@ -728,8 +752,9 @@ impl Ccm {
     ) -> Result<Option<StoreOutcome>> {
         let degree = threat.degree;
         let handler = self
-            .handlers
+            .txs
             .get_mut(&threat.tx)
+            .and_then(|record| record.handler.as_mut())
             .map(|h| &mut **h as &mut dyn NegotiationHandler);
         let (decision, path) = negotiate(
             constraint,
@@ -743,7 +768,6 @@ impl Ccm {
             ThreatDecision::Reject => {
                 self.stats.threats_rejected += 1;
                 if let Some(t) = &self.telemetry {
-                    t.metrics().incr("ccm.threats_rejected");
                     t.emit(|| TraceEvent::ThreatRejected {
                         constraint: constraint.name().text().into(),
                         degree,
@@ -779,7 +803,11 @@ impl Ccm {
     /// Returns [`Error::ThreatRejected`] for the first rejected threat;
     /// the transaction must then be rolled back.
     pub fn negotiate_deferred(&mut self, tx: TxId) -> Result<Vec<StoreOutcome>> {
-        let deferred = self.deferred.remove(&tx).unwrap_or_default();
+        let deferred = self
+            .txs
+            .get_mut(&tx)
+            .map(|record| std::mem::take(&mut record.deferred))
+            .unwrap_or_default();
         let mut outcomes = Vec::new();
         for DeferredThreat {
             constraint,
@@ -801,7 +829,7 @@ impl Ccm {
     /// Number of threats currently awaiting deferred negotiation in
     /// `tx`.
     pub fn deferred_len(&self, tx: TxId) -> usize {
-        self.deferred.get(&tx).map_or(0, Vec::len)
+        self.txs.get(&tx).map_or(0, |record| record.deferred.len())
     }
 
     /// The §5.5.3 asynchronous-constraint fast path: in degraded mode
@@ -831,9 +859,6 @@ impl Ccm {
             occurred_at: now,
             tx,
         })?;
-        if let Some(t) = &self.telemetry {
-            t.metrics().incr("ccm.async_shortcuts");
-        }
         self.emit_threat_recorded(
             constraint,
             context_object,
@@ -1070,14 +1095,17 @@ mod tests {
             let _ = c;
             ticket_constraint(true)
         };
-        w.ccm.register_negotiation_handler(
-            w.tx,
-            Box::new(|threat: &mut ConsistencyThreat| {
-                threat.app_data = Some(Value::from("sold-in-partition"));
-                threat.instructions.allow_rollback = true;
-                ThreatDecision::Accept
-            }),
-        );
+        w.ccm.begin_tx(w.tx);
+        w.ccm
+            .register_negotiation_handler(
+                w.tx,
+                Box::new(|threat: &mut ConsistencyThreat| {
+                    threat.app_data = Some(Value::from("sold-in-partition"));
+                    threat.instructions.allow_rollback = true;
+                    ThreatDecision::Accept
+                }),
+            )
+            .unwrap();
         let v = validate(&mut w, &c);
         w.ccm
             .process_verdict(&c, Some(&w.id), v, w.tx, SimTime::ZERO)
@@ -1085,6 +1113,30 @@ mod tests {
         let stored = &w.ccm.threat_store().threats()[0];
         assert_eq!(stored.app_data, Some(Value::from("sold-in-partition")));
         assert!(stored.instructions.allow_rollback);
+    }
+
+    /// Handler, pending checks and deferred threats live in the one
+    /// record of an open transaction: before `begin_tx` and after
+    /// `clear_tx` there is nowhere to put them.
+    #[test]
+    fn a_transaction_that_is_not_open_takes_no_registration() {
+        let mut w = setup(2, 70, 80);
+        let accept = || Box::new(|_: &mut ConsistencyThreat| ThreatDecision::Accept);
+        let pending = || PendingCheck {
+            constraint: Arc::new(ticket_constraint(true)),
+            context_object: None,
+        };
+        let closed = Err(Error::NoSuchTransaction(w.tx));
+        for round in ["never begun", "ended"] {
+            assert_eq!(w.ccm.register_negotiation_handler(w.tx, accept()), closed);
+            assert_eq!(w.ccm.register_pending(w.tx, pending()), closed, "{round}");
+            assert_eq!(w.ccm.open_tx_count(), 0, "{round}");
+            w.ccm.begin_tx(w.tx);
+            w.ccm.register_negotiation_handler(w.tx, accept()).unwrap();
+            w.ccm.register_pending(w.tx, pending()).unwrap();
+            w.ccm.clear_tx(w.tx);
+        }
+        assert!(w.ccm.take_pending(w.tx).is_empty());
     }
 
     #[test]

@@ -14,14 +14,12 @@ use dedisys_gms::{
     MembershipConfig as GmsMembershipConfig, MembershipSim, NodeWeights, ViewTracker,
 };
 use dedisys_net::{SimClock, Topology};
-use dedisys_object::{
-    AppDescriptor, EntityContainer, InterceptorChain, MethodTable, NamingService,
-};
+use dedisys_object::{AppDescriptor, EntityContainer, InterceptorChain, MethodTable};
 use dedisys_replication::{ProtocolKind, ReplicationManager};
 use dedisys_telemetry::{CostBreakdown, Telemetry};
 use dedisys_tx::{LockTable, TransactionManager};
 use dedisys_types::{Error, NodeId, Result, SystemMode};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeSet, HashMap};
 
 /// Builder for [`Cluster`] (C-BUILDER).
 ///
@@ -261,15 +259,13 @@ impl ClusterBuilder {
             app: self.app,
             methods: self.methods,
             tx_manager,
-            tx_infos: BTreeMap::new(),
-            in_doubt: BTreeMap::new(),
+            txs: HashMap::default(),
             in_doubt_resolved: 0,
             crashed: BTreeSet::new(),
             locks: LockTable::new(),
             replication,
             repository,
             ccm,
-            naming: NamingService::new(),
             costs: self.costs,
             mode: SystemMode::Healthy,
             view_trackers,

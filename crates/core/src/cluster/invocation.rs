@@ -63,10 +63,6 @@ impl Cluster {
             InvocationOutcome::Ok
         };
         let cost = self.inv_cost;
-        self.telemetry.metrics().incr("cluster.invocations");
-        if result.is_err() {
-            self.telemetry.metrics().incr("cluster.failed_invocations");
-        }
         self.telemetry
             .metrics()
             .observe("invocation.total", cost.total());
@@ -127,7 +123,7 @@ impl Cluster {
         if kind == MethodKind::Write {
             self.locks.acquire(tx, target)?;
         }
-        self.tx_infos.entry(tx).or_default().involved.insert(exec);
+        self.tx_info(tx)?.involved.insert(exec);
         self.inv_cost.r3_preparation_ns += self.clock.now().since(t_r3).as_nanos();
 
         // The one signature every trigger point of this call looks up.
@@ -329,7 +325,7 @@ impl Cluster {
                             constraint: Arc::clone(constraint),
                             context_object,
                         },
-                    );
+                    )?;
                 }
                 _ => {}
             }

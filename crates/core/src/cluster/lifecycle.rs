@@ -31,12 +31,13 @@ impl Cluster {
         if !self.crashed.insert(node) {
             return Err(Error::NodeCrashed(node));
         }
-        let affected: Vec<TxId> = self
-            .tx_infos
+        let mut affected: Vec<TxId> = self
+            .txs
             .iter()
             .filter(|(tx, info)| tx.node == node || info.involved.contains(&node))
             .map(|(tx, _)| *tx)
             .collect();
+        affected.sort_unstable();
         let mut aborted: u32 = 0;
         let mut in_doubt: u32 = 0;
         let deadline = self.clock.now() + self.costs.in_doubt_timeout;
@@ -46,13 +47,12 @@ impl Cluster {
                 // outcome is locally unknowable. Locks and remote
                 // buffers are retained; the recovery protocol presumes
                 // abort once the timeout expires (presumed-abort 2PC).
-                self.in_doubt.insert(
-                    tx,
-                    InDoubtTx {
+                if let Some(info) = self.txs.get_mut(&tx) {
+                    info.in_doubt = Some(InDoubtTx {
                         coordinator: node,
                         deadline,
-                    },
-                );
+                    });
+                }
                 in_doubt += 1;
                 self.telemetry.emit(|| TraceEvent::TwoPcInDoubt {
                     tx,
@@ -123,10 +123,9 @@ impl Cluster {
         // Coordinator recovery: no commit record survived the crash,
         // so its in-doubt transactions abort (presumed abort).
         let mine: Vec<TxId> = self
-            .in_doubt
-            .iter()
+            .in_doubt_txs()
             .filter(|(_, info)| info.coordinator == node)
-            .map(|(tx, _)| *tx)
+            .map(|(tx, _)| tx)
             .collect();
         for tx in mine {
             self.presume_abort(tx);
@@ -197,36 +196,30 @@ impl Cluster {
     /// transactions resolved.
     pub fn resolve_in_doubt(&mut self) -> usize {
         let now = self.clock.now();
-        let due: Vec<TxId> = self
-            .in_doubt
-            .iter()
+        let due: Vec<(TxId, InDoubtTx)> = self
+            .in_doubt_txs()
             .filter(|(_, info)| info.deadline <= now)
-            .map(|(tx, _)| *tx)
+            .map(|(tx, info)| (tx, *info))
             .collect();
         let resolved = due.len();
-        for tx in due {
+        for (tx, info) in due {
             // The deadline path gets its own event before the shared
             // presumed-abort resolution: operators alerting on abandoned
             // coordinators need to tell "timed out waiting" apart from
             // "resolved at coordinator restart" (both emit
             // `two_pc_resolved`).
-            if let Some(info) = self.in_doubt.get(&tx) {
-                let coordinator = info.coordinator;
-                let overdue_ns = now.since(info.deadline).as_nanos();
-                self.telemetry.emit(|| TraceEvent::InDoubtTimeout {
-                    tx,
-                    coordinator,
-                    overdue_ns,
-                });
-                self.telemetry.metrics().incr("two_pc.in_doubt_timeout");
-            }
+            self.telemetry.emit(|| TraceEvent::InDoubtTimeout {
+                tx,
+                coordinator: info.coordinator,
+                overdue_ns: now.since(info.deadline).as_nanos(),
+            });
+            self.telemetry.metrics().incr("two_pc.in_doubt_timeout");
             self.presume_abort(tx);
         }
         resolved
     }
 
     fn presume_abort(&mut self, tx: TxId) {
-        self.in_doubt.remove(&tx);
         self.tx_manager.force_rollback(tx);
         self.abort_cleanup(tx);
         self.in_doubt_resolved += 1;
@@ -261,14 +254,24 @@ impl Cluster {
         Ok(self.containers[node.index()].corrupt_journal_tail(entries))
     }
 
-    /// In-doubt transactions awaiting presumed-abort recovery.
+    /// In-doubt transactions awaiting presumed-abort recovery, in
+    /// `TxId` order.
     pub fn in_doubt_txs(&self) -> impl Iterator<Item = (TxId, &InDoubtTx)> + '_ {
-        self.in_doubt.iter().map(|(tx, info)| (*tx, info))
+        let mut in_doubt: Vec<(TxId, &InDoubtTx)> = self
+            .txs
+            .iter()
+            .filter_map(|(tx, info)| Some((*tx, info.in_doubt.as_ref()?)))
+            .collect();
+        in_doubt.sort_unstable_by_key(|(tx, _)| *tx);
+        in_doubt.into_iter()
     }
 
     /// Number of in-doubt transactions.
     pub fn in_doubt_count(&self) -> usize {
-        self.in_doubt.len()
+        self.txs
+            .values()
+            .filter(|info| info.in_doubt.is_some())
+            .count()
     }
 
     /// Transactions resolved by the in-doubt recovery protocol so far.

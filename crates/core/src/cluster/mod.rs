@@ -36,17 +36,15 @@ use crate::CostModel;
 use dedisys_constraints::ConstraintRepository;
 use dedisys_gms::{MembershipSim, NodeWeights, ViewTracker};
 use dedisys_net::{SimClock, Topology};
-use dedisys_object::{
-    AppDescriptor, EntityContainer, EntityState, InterceptorChain, MethodTable, NamingService,
-};
+use dedisys_object::{AppDescriptor, EntityContainer, EntityState, InterceptorChain, MethodTable};
 use dedisys_replication::ReplicationManager;
 use dedisys_telemetry::{CostBreakdown, MetricsSnapshot, Telemetry};
 use dedisys_tx::{LockTable, TransactionManager};
 use dedisys_types::{
-    Error, MethodName, NodeId, ObjectId, Result, SimTime, SystemMode, TxId, Value,
+    Error, MethodName, NodeId, ObjectId, Result, SimTime, SystemMode, TxBuildHasher, TxId, Value,
 };
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Cluster-level counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -81,7 +79,8 @@ pub struct StatsSnapshot {
     pub replication: dedisys_replication::ReplStats,
     /// Transaction counters (begun, committed, rolled back).
     pub tx: dedisys_tx::TxStats,
-    /// Telemetry metrics registry (named counters + histograms).
+    /// Telemetry metrics registry: histograms, and the named counters
+    /// that repeat none of the typed fields above.
     pub telemetry: MetricsSnapshot,
     /// Total trace events emitted on the telemetry bus.
     pub events_emitted: u64,
@@ -99,11 +98,17 @@ pub struct HookInfo {
     pub at: SimTime,
 }
 
+/// What the cluster remembers about one open transaction: the record
+/// is made by `begin_tx` and leaves in `abort_cleanup` or
+/// `apply_commit`, nowhere else.
 #[derive(Debug, Default, Clone)]
 struct TxInfo {
     involved: BTreeSet<NodeId>,
     /// Objects created in this tx with their chosen placement.
     created: BTreeMap<ObjectId, (Vec<NodeId>, NodeId)>,
+    /// Set when the coordinator crashed after prepare (awaiting
+    /// presumed-abort recovery).
+    in_doubt: Option<InDoubtTx>,
 }
 
 /// A prepared transaction whose coordinator crashed between prepare
@@ -134,10 +139,9 @@ pub struct Cluster {
     app: AppDescriptor,
     methods: MethodTable,
     tx_manager: TransactionManager,
-    tx_infos: BTreeMap<TxId, TxInfo>,
-    /// Prepared transactions whose coordinator crashed (awaiting
-    /// presumed-abort recovery).
-    in_doubt: BTreeMap<TxId, InDoubtTx>,
+    /// One record per open transaction. Hashed without a seed, so
+    /// whatever walks it towards a trace sorts by `TxId` first.
+    txs: HashMap<TxId, TxInfo, TxBuildHasher>,
     /// Transactions resolved by the in-doubt recovery protocol so far.
     in_doubt_resolved: u64,
     /// Nodes currently crashed: volatile state torn down, persistent
@@ -147,7 +151,6 @@ pub struct Cluster {
     replication: ReplicationManager,
     repository: ConstraintRepository,
     ccm: Ccm,
-    naming: NamingService,
     costs: CostModel,
     mode: SystemMode,
     view_trackers: Vec<ViewTracker>,
@@ -262,11 +265,6 @@ impl Cluster {
         &self.repository
     }
 
-    /// The naming service.
-    pub fn naming_mut(&mut self) -> &mut NamingService {
-        &mut self.naming
-    }
-
     /// Fraction of total system weight reachable from `node` (§5.5.2).
     pub fn partition_fraction(&self, node: NodeId) -> f64 {
         self.weights
@@ -322,6 +320,15 @@ impl Cluster {
     /// Whether `tx` is still open (active or prepared).
     pub fn tx_is_open(&self, tx: TxId) -> bool {
         self.tx_manager.is_active(tx) || self.tx_manager.is_prepared(tx)
+    }
+
+    /// Records held per open transaction, over all four tables keyed by
+    /// `TxId` (the transaction manager's, every node's write buffers,
+    /// the cluster's, the CCMgr's): zero whenever no transaction is
+    /// open.
+    pub fn tx_record_count(&self) -> usize {
+        let buffers: usize = self.containers.iter().map(|c| c.buffer_count()).sum();
+        self.tx_manager.open_count() + buffers + self.txs.len() + self.ccm.open_tx_count()
     }
 
     /// Entries in `node`'s persistent journal (survives crashes).

@@ -45,13 +45,37 @@ impl Cluster {
 
     pub(crate) fn begin_tx(&mut self, node: NodeId) -> TxId {
         let tx = self.tx_manager.begin(node);
-        self.tx_infos.insert(tx, TxInfo::default());
+        self.txs.insert(tx, TxInfo::default());
+        self.ccm.begin_tx(tx);
         tx
     }
 
+    /// The cluster's record of `tx` — there is one exactly while it is
+    /// open.
+    pub(super) fn tx_info(&mut self, tx: TxId) -> Result<&mut TxInfo> {
+        self.txs.get_mut(&tx).ok_or(Error::NoSuchTransaction(tx))
+    }
+
+    /// Whether the coordinator of `tx` crashed after prepare.
+    fn is_in_doubt(&self, tx: TxId) -> bool {
+        self.txs
+            .get(&tx)
+            .is_some_and(|info| info.in_doubt.is_some())
+    }
+
     /// Registers a dynamic negotiation handler for `tx` (§4.2.3).
-    pub fn register_negotiation_handler(&mut self, tx: TxId, handler: Box<dyn NegotiationHandler>) {
-        self.ccm.register_negotiation_handler(tx, handler);
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::NoSuchTransaction`] unless `tx` is open: a
+    /// handler lives in the record of an open transaction and ends
+    /// with it.
+    pub fn register_negotiation_handler(
+        &mut self,
+        tx: TxId,
+        handler: Box<dyn NegotiationHandler>,
+    ) -> Result<()> {
+        self.ccm.register_negotiation_handler(tx, handler)
     }
 
     /// Rolls back `tx`, discarding all buffered changes.
@@ -62,7 +86,7 @@ impl Cluster {
     /// * [`Error::TxInDoubt`] — only the in-doubt recovery protocol
     ///   may resolve a transaction whose coordinator crashed.
     pub fn rollback(&mut self, tx: TxId) -> Result<()> {
-        if self.in_doubt.contains_key(&tx) {
+        if self.is_in_doubt(tx) {
             return Err(Error::TxInDoubt(tx));
         }
         self.tx_manager.rollback(tx)?;
@@ -71,8 +95,7 @@ impl Cluster {
     }
 
     pub(super) fn abort_cleanup(&mut self, tx: TxId) {
-        self.in_doubt.remove(&tx);
-        if let Some(info) = self.tx_infos.remove(&tx) {
+        if let Some(info) = self.txs.remove(&tx) {
             for node in info.involved {
                 self.containers[node.index()].rollback(tx);
             }
@@ -120,7 +143,7 @@ impl Cluster {
     ///   only the in-doubt recovery protocol may resolve the
     ///   transaction.
     pub fn commit(&mut self, tx: TxId) -> Result<()> {
-        if self.in_doubt.contains_key(&tx) {
+        if self.is_in_doubt(tx) {
             return Err(Error::TxInDoubt(tx));
         }
         if self.tx_manager.is_prepared(tx) {
@@ -169,7 +192,7 @@ impl Cluster {
     /// locks.
     fn apply_commit(&mut self, tx: TxId) -> Result<()> {
         self.tx_manager.commit(tx)?;
-        let info = self.tx_infos.remove(&tx).unwrap_or_default();
+        let info = self.txs.remove(&tx).unwrap_or_default();
         // Apply buffers and collect written objects per node.
         let mut all_written: Vec<(NodeId, ObjectId, bool)> = Vec::new();
         let mut all_deleted: Vec<(NodeId, ObjectId)> = Vec::new();
@@ -324,7 +347,7 @@ impl Cluster {
         self.charge_remote_hop(node, exec);
         self.locks.acquire(tx, &id)?;
         self.containers[exec.index()].create(tx, entity)?;
-        let info = self.tx_infos.entry(tx).or_default();
+        let info = self.tx_info(tx)?;
         info.involved.insert(exec);
         info.created.insert(id, (replicas, primary));
         Ok(())
@@ -346,7 +369,7 @@ impl Cluster {
         self.charge_remote_hop(node, exec);
         self.locks.acquire(tx, id)?;
         self.containers[exec.index()].delete(tx, id)?;
-        self.tx_infos.entry(tx).or_default().involved.insert(exec);
+        self.tx_info(tx)?.involved.insert(exec);
         Ok(())
     }
 

@@ -69,7 +69,6 @@ mod ccm;
 mod cluster;
 mod config;
 mod costs;
-pub mod interactions;
 mod negotiation;
 pub mod partition_sensitive;
 pub mod plane;

@@ -321,8 +321,6 @@ impl RequestPlane {
         let depth = entry.depth();
         self.stats.class_mut(class).admitted += 1;
         let telemetry = cluster.telemetry();
-        telemetry.metrics().incr("plane.admitted");
-        telemetry.metrics().incr(admit_metric(class));
         telemetry.metrics().observe(
             depth_metric(class),
             SimDuration::from_nanos(u64::from(depth)),
@@ -382,7 +380,6 @@ impl RequestPlane {
             let waited = now.since(request.admitted_at);
             self.stats.class_mut(request.class).deadline_missed += 1;
             let telemetry = cluster.telemetry();
-            telemetry.metrics().incr("plane.deadline_missed");
             let (id, class) = (request.id, request.class);
             telemetry.emit(move || TraceEvent::RequestDeadlineMissed {
                 request: id,
@@ -415,7 +412,6 @@ impl RequestPlane {
             counters.failed += 1;
         }
         let telemetry = cluster.telemetry();
-        telemetry.metrics().incr("plane.completed");
         telemetry
             .metrics()
             .observe(latency_metric(class), finished.since(admitted_at));
@@ -465,7 +461,6 @@ impl RequestPlane {
     ) {
         self.stats.class_mut(class).rejected += 1;
         let telemetry = cluster.telemetry();
-        telemetry.metrics().incr("plane.rejected");
         telemetry.emit(move || TraceEvent::RequestRejected {
             request: id,
             node,
@@ -477,7 +472,6 @@ impl RequestPlane {
     fn shed(&mut self, cluster: &Cluster, victim: Queued, cause: ShedCause) {
         self.stats.class_mut(victim.class).shed += 1;
         let telemetry = cluster.telemetry();
-        telemetry.metrics().incr("plane.shed");
         let (id, node, class) = (victim.id, victim.node, victim.class);
         telemetry.emit(move || TraceEvent::RequestShed {
             request: id,
@@ -485,14 +479,6 @@ impl RequestPlane {
             class,
             cause,
         });
-    }
-}
-
-fn admit_metric(class: PriorityClass) -> &'static str {
-    match class {
-        PriorityClass::Critical => "plane.admitted.critical",
-        PriorityClass::Normal => "plane.admitted.normal",
-        PriorityClass::Background => "plane.admitted.background",
     }
 }
 

@@ -141,8 +141,16 @@ impl<'a> Session<'a> {
 
     /// Registers a dynamic negotiation handler for this transaction
     /// (§4.2.3).
-    pub fn register_negotiation_handler(&mut self, handler: Box<dyn NegotiationHandler>) {
-        self.cluster.register_negotiation_handler(self.tx, handler);
+    ///
+    /// # Errors
+    ///
+    /// As [`Cluster::register_negotiation_handler`]: the transaction
+    /// ended under the session (its node crashed).
+    pub fn register_negotiation_handler(
+        &mut self,
+        handler: Box<dyn NegotiationHandler>,
+    ) -> Result<()> {
+        self.cluster.register_negotiation_handler(self.tx, handler)
     }
 
     /// Phase 1 of an explicit two-phase commit; the prepared

@@ -2,7 +2,8 @@
 
 use dedisys_store::{LogOp, WriteAheadLog};
 use dedisys_types::{
-    ConstraintName, Error, ObjectId, Result, SatisfactionDegree, SimTime, TxId, Value,
+    ConstraintName, Error, ObjectId, Result, SatisfactionDegree, SimTime, TxBuildHasher, TxId,
+    Value,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::{hash_map, BTreeMap, BTreeSet, HashMap, HashSet};
@@ -117,7 +118,12 @@ pub struct ThreatStore {
     /// Every stored record, filed under its identity in occurrence
     /// order. Whatever is asked about one identity is answered from its
     /// own records; store-wide order comes from the record numbers.
-    records: HashMap<ThreatIdentity, Vec<Record>>,
+    /// Hashed without a seed, by the hasher that folds in every word it
+    /// is fed (constraint name and context object both count, so the
+    /// constraints threatening one object land apart): the table fills
+    /// in degraded mode and empties at reconciliation, and a seeded one
+    /// regrows at moments that differ from process to process.
+    records: HashMap<ThreatIdentity, Vec<Record>, TxBuildHasher>,
     /// Number of records across all identities.
     len: usize,
     /// Secondary index: object → identities of threats touching it
@@ -484,6 +490,18 @@ mod tests {
             occurred_at: SimTime::ZERO,
             tx: TxId::new(NodeId(0), 1),
         }
+    }
+
+    /// Eight constraints on one write (`validate_heavy`) are eight
+    /// slots, not one probe chain: the name is part of the hash.
+    #[test]
+    fn constraints_on_one_object_hash_apart() {
+        use std::hash::BuildHasher;
+        let word =
+            |c: &str, key: &str| TxBuildHasher::default().hash_one(threat(c, key).identity());
+        assert_ne!(word("C1", "F1"), word("C2", "F1"));
+        assert_ne!(word("C1", "F1"), word("C1", "F2"));
+        assert_eq!(word("C1", "F1"), word("C1", "F1"));
     }
 
     #[test]

@@ -144,15 +144,13 @@ impl WebGateway {
         std::thread::spawn(move || {
             let mut cluster = cluster.lock().expect("cluster mutex poisoned");
             let tx = cluster.begin_tx(node);
-            cluster.register_negotiation_handler(
-                tx,
-                Box::new(ChannelNegotiationHandler {
-                    threat_tx: worker_inbox,
-                    decision_rx,
-                    timeout,
-                }),
-            );
-            let result = match op(&mut cluster, tx) {
+            let handler = Box::new(ChannelNegotiationHandler {
+                threat_tx: worker_inbox,
+                decision_rx,
+                timeout,
+            });
+            let registered = cluster.register_negotiation_handler(tx, handler);
+            let result = match registered.and_then(|()| op(&mut cluster, tx)) {
                 Ok(value) => cluster.commit(tx).map(|()| value),
                 Err(e) => {
                     let _ = cluster.rollback(tx);

@@ -166,20 +166,6 @@ fn metrics_count_attempts_and_failures() {
 }
 
 #[test]
-fn naming_service_binds_and_resolves_targets() {
-    let mut c = cluster(1);
-    let id = seed(&mut c, "a");
-    c.naming_mut().bind("items/primary", id.clone()).unwrap();
-    let resolved = c.naming_mut().lookup("items/primary").unwrap().clone();
-    let got = c
-        .run_tx(NodeId(0), move |c, tx| {
-            c.get_field(NodeId(0), tx, &resolved, "v")
-        })
-        .unwrap();
-    assert_eq!(got, Value::Int(0));
-}
-
-#[test]
 fn views_track_partition_membership_per_node() {
     let mut c = cluster(4);
     assert_eq!(c.view_of(NodeId(0)).size(), 4);

@@ -73,7 +73,8 @@ fn rejection_at_commit_rolls_back_the_whole_transaction() {
     let node = NodeId(0);
     let mut session = cluster.session(node);
     session
-        .register_negotiation_handler(Box::new(|_: &mut ConsistencyThreat| ThreatDecision::Reject));
+        .register_negotiation_handler(Box::new(|_: &mut ConsistencyThreat| ThreatDecision::Reject))
+        .unwrap();
     session.set_field(&id, "n", Value::Int(5)).unwrap();
     let result = session.commit();
     assert!(matches!(result, Err(Error::ThreatRejected { .. })));
@@ -92,11 +93,13 @@ fn dynamic_handler_sees_every_deferred_threat() {
     let mut session = cluster.session(node);
     let seen = Arc::new(std::sync::atomic::AtomicUsize::new(0));
     let seen_in_handler = Arc::clone(&seen);
-    session.register_negotiation_handler(Box::new(move |threat: &mut ConsistencyThreat| {
-        seen_in_handler.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-        threat.app_data = Some(Value::from("deferred"));
-        ThreatDecision::Accept
-    }));
+    session
+        .register_negotiation_handler(Box::new(move |threat: &mut ConsistencyThreat| {
+            seen_in_handler.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            threat.app_data = Some(Value::from("deferred"));
+            ThreatDecision::Accept
+        }))
+        .unwrap();
     session.set_field(&id, "n", Value::Int(1)).unwrap();
     session.set_field(&id, "n", Value::Int(2)).unwrap();
     assert_eq!(seen.load(std::sync::atomic::Ordering::SeqCst), 0);

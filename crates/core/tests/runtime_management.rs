@@ -262,7 +262,7 @@ fn app_data_the_journal_cannot_give_back_refuses_the_operation() {
                     threat.app_data = Some(data.clone());
                     ThreatDecision::Accept
                 }),
-            );
+            )?;
             c.set_field(node, tx, &id, "stock", Value::Int(stock))
         })
     };

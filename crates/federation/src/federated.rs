@@ -32,8 +32,9 @@ pub enum RoutingPolicy {
     RouteAnyway,
 }
 
-/// Federation-level counters (also mirrored as `federation.*` metrics
-/// on the federation telemetry bus).
+/// Federation-level counters — the one place these are counted; the
+/// federation bus's metrics registry holds only what has no field here
+/// (`federation.xshard.in_doubt`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct FederationStats {
     /// Routing decisions taken (admitted or not).
@@ -336,7 +337,7 @@ impl FederatedCluster {
     }
 
     /// Routes `id` under the current map and policy, emitting a
-    /// `shard_routed` event and bumping `federation.routed`.
+    /// `shard_routed` event and counting it in [`FederationStats::routed`].
     ///
     /// # Errors
     ///
@@ -349,7 +350,6 @@ impl FederatedCluster {
         let admitted =
             !(self.policy == RoutingPolicy::RejectDegraded && mode != SystemMode::Healthy);
         self.stats.routed += 1;
-        self.telemetry.metrics().incr("federation.routed");
         self.telemetry.emit(|| TraceEvent::ShardRouted {
             object: id.text().into(),
             shard: shard.0,
@@ -358,9 +358,6 @@ impl FederatedCluster {
         });
         if !admitted {
             self.stats.rejected_degraded += 1;
-            self.telemetry
-                .metrics()
-                .incr("federation.rejected_degraded");
             return Err(Error::ModeRestriction(format!(
                 "routing refused: shard {shard} is {mode:?}"
             )));
@@ -461,7 +458,6 @@ impl FederatedCluster {
             },
         );
         self.stats.xshard_begun += 1;
-        self.telemetry.metrics().incr("federation.xshard.begun");
         xtx
     }
 
@@ -533,7 +529,6 @@ impl FederatedCluster {
         let x = self.open_x.get_mut(&xtx).expect("xtx just read");
         x.state = XState::Prepared;
         self.stats.xshard_prepared += 1;
-        self.telemetry.metrics().incr("federation.xshard.prepared");
         let shards: Vec<u32> = participants.iter().map(|(s, _)| s.0).collect();
         self.telemetry
             .emit(move || TraceEvent::XShardPrepared { xtx, shards });
@@ -654,15 +649,10 @@ impl FederatedCluster {
         let participants = x.participant_txs();
         if committed {
             self.stats.xshard_committed += 1;
-            self.telemetry.metrics().incr("federation.xshard.committed");
         } else {
             self.stats.xshard_aborted += 1;
-            self.telemetry.metrics().incr("federation.xshard.aborted");
             if presumed_abort {
                 self.stats.xshard_presumed_aborted += 1;
-                self.telemetry
-                    .metrics()
-                    .incr("federation.xshard.presumed_abort");
             }
         }
         self.resolved_x.insert(
@@ -747,7 +737,6 @@ impl FederatedCluster {
             let replicas = self.shards[step.to.index()].install_object(snapshot)?;
             migrated += 1;
             self.stats.migrated += 1;
-            self.telemetry.metrics().incr("federation.migrated");
             let object = step.object.text().into();
             let (f, t) = (step.from.0, step.to.0);
             self.telemetry.emit(move || TraceEvent::ShardMigrated {

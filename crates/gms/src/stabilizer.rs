@@ -89,7 +89,6 @@ pub struct ViewStabilizer {
     candidate: Option<Vec<BTreeSet<NodeId>>>,
     candidate_since: SimTime,
     stable: Option<Vec<BTreeSet<NodeId>>>,
-    flaps_damped: u64,
 }
 
 impl ViewStabilizer {
@@ -102,7 +101,6 @@ impl ViewStabilizer {
             candidate: None,
             candidate_since: SimTime::ZERO,
             stable: None,
-            flaps_damped: 0,
         }
     }
 
@@ -128,11 +126,6 @@ impl ViewStabilizer {
         &self.suppressed
     }
 
-    /// Total number of flips absorbed while their node was suppressed.
-    pub fn flaps_damped(&self) -> u64 {
-        self.flaps_damped
-    }
-
     /// Current decayed penalty of `node` in milli-units.
     pub fn penalty_milli(&self, node: NodeId, now: SimTime) -> u64 {
         self.penalties
@@ -153,12 +146,10 @@ impl ViewStabilizer {
         entry.value_milli = decayed.saturating_add(self.config.flap_penalty_milli);
         entry.updated = now;
         if self.suppressed.contains(&node) {
-            self.flaps_damped += 1;
             return false;
         }
         if entry.value_milli >= self.config.suppress_milli {
             self.suppressed.insert(node);
-            self.flaps_damped += 1;
             return true;
         }
         false
@@ -294,10 +285,8 @@ mod tests {
         // Third flip reaches 3000 milli = suppress threshold.
         assert!(s.record_flap(NodeId(1), t(20)));
         assert!(s.suppressed().contains(&NodeId(1)));
-        assert_eq!(s.flaps_damped(), 1);
-        // Further flips while suppressed are just counted.
+        // Further flips while suppressed only add to the penalty.
         assert!(!s.record_flap(NodeId(1), t(30)));
-        assert_eq!(s.flaps_damped(), 2);
         // ~4000 milli decays below reuse (1500) after two half-lives.
         assert!(
             s.release_due(t(30 + 2_000)).is_empty(),

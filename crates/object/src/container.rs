@@ -2,34 +2,18 @@
 
 use crate::{AppDescriptor, EntityState, Snapshot};
 use dedisys_store::{LogOp, ReplayReport, WriteAheadLog};
-use dedisys_types::{ClassName, Error, IdBuildHasher, ObjectId, Result, SimTime, TxId, Value};
+use dedisys_types::{
+    ClassName, Error, IdBuildHasher, ObjectId, Result, SimTime, TxBuildHasher, TxId, Value,
+};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
 /// Journal table holding committed entity snapshots.
 const JOURNAL_TABLE: &str = "entities";
 
-/// Operation counters of a container.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ContainerStats {
-    /// Entities created (committed).
-    pub creates: u64,
-    /// Field writes (buffered).
-    pub writes: u64,
-    /// Field reads.
-    pub reads: u64,
-    /// Entities deleted (committed).
-    pub deletes: u64,
-    /// Transactions committed.
-    pub commits: u64,
-    /// Transactions rolled back.
-    pub rollbacks: u64,
-}
-
 #[derive(Debug, Default, Clone)]
 struct TxBuffer {
     entities: BTreeMap<ObjectId, EntityState>,
-    created: HashSet<ObjectId, IdBuildHasher>,
     deleted: HashSet<ObjectId, IdBuildHasher>,
 }
 
@@ -63,9 +47,8 @@ pub struct EntityContainer {
     /// Probed per request by exact id, so hashed; the two views that
     /// hand ids out in order sort on the way out.
     committed: HashMap<ObjectId, Snapshot, IdBuildHasher>,
-    buffers: HashMap<TxId, TxBuffer>,
+    buffers: HashMap<TxId, TxBuffer, TxBuildHasher>,
     journal: WriteAheadLog,
-    stats: ContainerStats,
 }
 
 impl EntityContainer {
@@ -74,9 +57,8 @@ impl EntityContainer {
         Self {
             app: Arc::new(app.clone()),
             committed: HashMap::default(),
-            buffers: HashMap::new(),
+            buffers: HashMap::default(),
             journal: WriteAheadLog::new(),
-            stats: ContainerStats::default(),
         }
     }
 
@@ -89,11 +71,6 @@ impl EntityContainer {
     /// container.
     pub fn shared_app(&self) -> Arc<AppDescriptor> {
         Arc::clone(&self.app)
-    }
-
-    /// Accumulated counters.
-    pub fn stats(&self) -> ContainerStats {
-        self.stats
     }
 
     /// Creates `entity` within `tx`.
@@ -116,7 +93,6 @@ impl EntityContainer {
         let id = entity.id().clone();
         let buffer = self.buffers.entry(tx).or_default();
         buffer.deleted.remove(&id);
-        buffer.created.insert(id.clone());
         buffer.entities.insert(id, entity);
         Ok(())
     }
@@ -132,7 +108,6 @@ impl EntityContainer {
         }
         let buffer = self.buffers.entry(tx).or_default();
         buffer.entities.remove(id);
-        buffer.created.remove(id);
         buffer.deleted.insert(id.clone());
         Ok(())
     }
@@ -156,8 +131,7 @@ impl EntityContainer {
     /// # Errors
     ///
     /// Returns [`Error::ObjectNotFound`] if not visible to `tx`.
-    pub fn read_field(&mut self, tx: TxId, id: &ObjectId, field: &str) -> Result<Value> {
-        self.stats.reads += 1;
+    pub fn read_field(&self, tx: TxId, id: &ObjectId, field: &str) -> Result<Value> {
         self.view(tx, id).map(|e| e.field(field).clone())
     }
 
@@ -176,7 +150,6 @@ impl EntityContainer {
         at: SimTime,
     ) -> Result<()> {
         value.check_journalable(field)?;
-        self.stats.writes += 1;
         if let Some(buffer) = self.buffers.get_mut(&tx) {
             if buffer.deleted.contains(id) {
                 return Err(Error::ObjectNotFound(id.clone()));
@@ -239,22 +212,17 @@ impl EntityContainer {
     /// that were written/created and those deleted, in deterministic
     /// order (input for update propagation).
     pub fn commit(&mut self, tx: TxId) -> (Vec<ObjectId>, Vec<ObjectId>) {
-        self.stats.commits += 1;
         let Some(buffer) = self.buffers.remove(&tx) else {
             return (Vec::new(), Vec::new());
         };
         let mut written = Vec::new();
         for (id, entity) in buffer.entities {
-            if buffer.created.contains(&id) {
-                self.stats.creates += 1;
-            }
             self.install(Snapshot::encode(entity));
             written.push(id);
         }
         let mut deleted: Vec<ObjectId> = buffer.deleted.into_iter().collect();
         deleted.sort();
         for id in &deleted {
-            self.stats.deletes += 1;
             // Journalled even when nothing was committed under `id`
             // (created and deleted in one transaction).
             self.committed.remove(id);
@@ -266,8 +234,12 @@ impl EntityContainer {
 
     /// Discards `tx`'s buffer.
     pub fn rollback(&mut self, tx: TxId) {
-        self.stats.rollbacks += 1;
         self.buffers.remove(&tx);
+    }
+
+    /// Transactions holding a write buffer on this node.
+    pub fn buffer_count(&self) -> usize {
+        self.buffers.len()
     }
 
     /// Whether `tx` has buffered any changes.
@@ -494,7 +466,6 @@ mod tests {
             refused(c.create(tx(2), fresh));
         }
         assert!(!c.has_pending(tx(2)), "a refused value buffers nothing");
-        assert_eq!(c.stats().writes, 0);
         // Finite floats pass, nested or not.
         c.write_field(tx(2), &id, "seats", Value::Float(0.5), t0())
             .unwrap();
@@ -797,17 +768,5 @@ mod tests {
             "the recovered snapshot points at the journal's record"
         );
         assert!(c.committed_entity(&gone).is_none(), "delete wins");
-    }
-
-    #[test]
-    fn stats_accumulate() {
-        let mut c = EntityContainer::new(&app());
-        let id = flight(&mut c, tx(1), "F1");
-        c.write_field(tx(1), &id, "seats", Value::Int(1), t0())
-            .unwrap();
-        c.read_field(tx(1), &id, "seats").unwrap();
-        c.commit(tx(1));
-        let s = c.stats();
-        assert_eq!((s.creates, s.writes, s.reads, s.commits), (1, 1, 1, 1));
     }
 }

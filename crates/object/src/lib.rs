@@ -22,7 +22,6 @@
 //!   shared by the primary, its backups and their journals.
 //! * [`MethodBody`] / [`AppDescriptor`] — application deployment:
 //!   classes, default field values and method implementations.
-//! * [`NamingService`] — name → object bindings (the JNDI stand-in).
 //!
 //! ## Example
 //!
@@ -50,14 +49,12 @@ mod entity;
 mod interceptor;
 mod invocation;
 mod method;
-mod naming;
 mod snapshot;
 
 pub use class::{AppDescriptor, ClassDescriptor, MethodDescriptor, MethodKind};
-pub use container::{ContainerStats, EntityContainer};
+pub use container::EntityContainer;
 pub use entity::EntityState;
 pub use interceptor::{Interceptor, InterceptorChain};
 pub use invocation::Invocation;
 pub use method::{MethodBody, MethodContext, MethodTable};
-pub use naming::NamingService;
 pub use snapshot::Snapshot;

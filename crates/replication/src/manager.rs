@@ -359,7 +359,6 @@ impl ReplicationManager {
                 backoff_units += node_backoff;
                 let succeeded = failing < MAX_SHIP_ATTEMPTS;
                 if let Some(t) = &self.telemetry {
-                    t.metrics().add("replication.ship_retries", node_retries);
                     t.emit(|| TraceEvent::ReplicaShipRetry {
                         object: object.text().into(),
                         backup: r,
@@ -387,8 +386,6 @@ impl ReplicationManager {
         self.stats.messages += messages;
         let degraded = !topology.is_healthy();
         if let Some(t) = &self.telemetry {
-            t.metrics().incr("replication.propagations");
-            t.metrics().add("replication.messages", messages);
             t.emit(|| TraceEvent::ReplicationUpdate {
                 object: object.text().into(),
                 from: executed_on,
@@ -456,18 +453,11 @@ impl ReplicationManager {
 
     pub(crate) fn count_conflict(&mut self) {
         self.stats.conflicts += 1;
-        if let Some(t) = &self.telemetry {
-            t.metrics().incr("reconcile.conflicts");
-        }
     }
 
     pub(crate) fn count_missed_updates(&mut self, n: u64, messages: u64) {
         self.stats.missed_updates += n;
         self.stats.messages += messages;
-        if let Some(t) = &self.telemetry {
-            t.metrics().add("reconcile.missed_updates", n);
-            t.metrics().add("replication.messages", messages);
-        }
     }
 
     /// Clears degraded-mode bookkeeping (after reconciliation

@@ -38,8 +38,11 @@ struct Inner {
 /// Cloneable handle to a shared telemetry bus.
 ///
 /// A disabled bus (no sink attached) costs one atomic load per
-/// emission site; [`MetricsRegistry`] counters stay live either way so
-/// [`MetricsSnapshot`](crate::MetricsSnapshot)s are always meaningful.
+/// emission site; the [`MetricsRegistry`] stays live either way. It
+/// holds the histograms and the counts no component keeps in a typed
+/// field of its own — a count has one home (DESIGN.md §5, "One book per
+/// request"), so a [`MetricsSnapshot`](crate::MetricsSnapshot) is read
+/// next to the owners' `*Stats`, never instead of them.
 #[derive(Clone)]
 pub struct Telemetry {
     inner: Arc<Inner>,

@@ -1,7 +1,7 @@
 //! The transaction manager.
 
 use dedisys_telemetry::{Telemetry, TraceEvent};
-use dedisys_types::{Error, NodeId, Result, TxId};
+use dedisys_types::{Error, NodeId, Result, TxBuildHasher, TxId};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -42,7 +42,7 @@ struct TxRecord {
 /// locking by [`crate::LockTable`]; the node wires them together.
 #[derive(Debug, Default)]
 pub struct TransactionManager {
-    records: HashMap<TxId, TxRecord>,
+    records: HashMap<TxId, TxRecord, TxBuildHasher>,
     next_seq: HashMap<NodeId, u64>,
     stats: TxStats,
     telemetry: Option<Telemetry>,

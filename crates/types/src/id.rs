@@ -388,6 +388,47 @@ impl Hasher for IdHasher {
 /// replica placements): `HashMap<ObjectId, V, IdBuildHasher>`.
 pub type IdBuildHasher = BuildHasherDefault<IdHasher>;
 
+/// An odd 64-bit multiplier with its set bits spread evenly (the one
+/// `rustc`'s own Fx hash folds words with).
+const TX_MIX: u64 = 0x517c_c1b7_2722_0a95;
+
+/// The [`Hasher`] behind [`TxBuildHasher`]: each word a [`TxId`] feeds
+/// (its node, then its sequence number) is folded in with one
+/// rotate, xor and multiply, which spreads consecutive sequence numbers
+/// over both the low bits a table indexes by and the high bits it tags
+/// by. No per-process seed, for the reason [`IdHasher`] has none — and
+/// because a table that fills and empties once per transaction grows
+/// and rehashes at moments that depend on where its keys land, so a
+/// seeded one allocates differently from run to run.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct TxHasher(u64);
+
+impl Hasher for TxHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        self.0 = fnv1a(self.0, bytes);
+    }
+
+    fn write_u32(&mut self, word: u32) {
+        self.write_u64(u64::from(word));
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(TX_MIX);
+    }
+}
+
+/// The `BuildHasher` of every table keyed by [`TxId`] (the transaction
+/// manager's records, a container's write buffers, the cluster's and
+/// the CCMgr's per-transaction records): `HashMap<TxId, V, TxBuildHasher>`.
+/// A composite key is safe here too — every word it feeds is kept,
+/// which [`IdHasher`] does not promise — so the threat store files its
+/// `(constraint, object)` identities through it.
+pub type TxBuildHasher = BuildHasherDefault<TxHasher>;
+
 /// A `(class, method)` pair — the lookup key used by the constraint
 /// repository to find constraints affected by an invocation (§2.1.4).
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -562,6 +603,21 @@ mod tests {
         let plain = |s: &str| IdBuildHasher::default().hash_one(s);
         assert_eq!(plain("x"), plain("x"));
         assert_ne!(plain("x"), plain("y"));
+    }
+
+    /// The literals pin the function: a table keyed by `TxId` puts a
+    /// transaction in the same slot in every process, on every machine.
+    #[test]
+    fn tx_id_hash_has_no_seed() {
+        let word = |tx: TxId| TxBuildHasher::default().hash_one(tx);
+        assert_eq!(word(TxId::new(NodeId(0), 1)), 0x517c_c1b7_2722_0a95);
+        assert_eq!(word(TxId::new(NodeId(2), 77)), 0x52ca_2ea6_8acf_118d);
+        // Two builders, two processes: one answer.
+        let (a, b) = (TxBuildHasher::default(), TxBuildHasher::default());
+        for seq in 0..64 {
+            let tx = TxId::new(NodeId(seq as u32 % 3), seq);
+            assert_eq!(a.hash_one(tx), b.hash_one(tx));
+        }
     }
 
     #[test]

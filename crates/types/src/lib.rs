@@ -30,7 +30,6 @@
 //! assert!(seats.as_int().unwrap() > 0);
 //! ```
 
-mod check;
 mod degree;
 mod error;
 mod id;
@@ -41,12 +40,11 @@ mod time;
 mod value;
 mod version;
 
-pub use check::CheckCategory;
 pub use degree::SatisfactionDegree;
 pub use error::{Error, Result};
 pub use id::{
     ClassName, ConstraintName, IdBuildHasher, IdHasher, MethodName, MethodSignature, NodeId,
-    ObjectId, SharedText, TxId, ViewId,
+    ObjectId, SharedText, TxBuildHasher, TxHasher, TxId, ViewId,
 };
 pub use mode::SystemMode;
 pub use plane::PriorityClass;

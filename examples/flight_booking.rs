@@ -45,7 +45,7 @@ fn plain_ticket_constraint_scenario() -> Result<()> {
             );
             ThreatDecision::Accept
         },
-    ));
+    ))?;
     let f = flight.clone();
     session.invoke(&f, "sellTickets", vec![Value::Int(7)])?;
     session.commit()?;

@@ -309,6 +309,14 @@ fn coordinator_crash_presumes_abort_after_the_deadline() {
     assert!(!outcome.committed);
     assert!(outcome.presumed_abort);
     assert_eq!(fed.stats().xshard_presumed_aborted, 1);
+    // Counted once: routed, begun, prepared, aborted and presumed-aborted
+    // are `FederationStats` fields, and the bus's registry holds only
+    // what has no field there.
+    let registry = fed.telemetry().metrics().snapshot().counters;
+    assert_eq!(
+        registry.keys().collect::<Vec<_>>(),
+        ["federation.xshard.in_doubt"]
+    );
     assert_eq!(ring.records_of_kind("xshard_resolved").len(), 1);
 }
 

@@ -318,14 +318,4 @@ fn conservation_and_metrics_under_mixed_load() {
     assert_eq!(t.offered, t.admitted + t.rejected);
     assert_eq!(t.admitted, t.completed + t.shed + t.deadline_missed);
     assert!(plane.conserves());
-    let snapshot = c.stats().telemetry;
-    assert_eq!(snapshot.counters["plane.admitted"], admitted);
-    assert_eq!(
-        snapshot
-            .counters
-            .get("plane.completed")
-            .copied()
-            .unwrap_or(0),
-        t.completed
-    );
 }

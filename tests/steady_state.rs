@@ -3,10 +3,12 @@
 //! Degraded mode has to remember three things — the threats it
 //! accepted, the states it committed, the transactions it has open —
 //! and each of them ends: a reconciled threat is removed, a reconciled
-//! cycle's history is cleared, a finished transaction leaves the table.
-//! This drives whole cycles of all three and checks, through the
-//! accessors every other test already uses, that what is left after a
-//! cycle is what was there before it.
+//! cycle's history is cleared, a finished transaction leaves the four
+//! tables that held a record of it (the transaction manager's, the
+//! nodes' write buffers, the cluster's, the CCMgr's). This drives whole
+//! cycles of all three — ten thousand healthy transactions among them —
+//! and checks that what is left after a cycle is what was there before
+//! it.
 
 use dedisys_constraints::{
     expr::ExprConstraint, ConstraintMeta, ContextPreparation, RegisteredConstraint,
@@ -25,7 +27,7 @@ use std::sync::Arc;
 const CYCLES: usize = 5;
 const OBJECTS: usize = 20;
 const DEGRADED_WRITES: usize = 60;
-const HEALTHY_TXS: usize = 200;
+const HEALTHY_TXS: usize = 2_000;
 
 fn cluster() -> (Cluster, Vec<ObjectId>) {
     let app = AppDescriptor::new("steady").with_class(
@@ -80,11 +82,14 @@ fn healthy_work(cluster: &mut Cluster, ids: &[ObjectId], round: usize) -> TxId {
     let mut session = cluster.session(coordinator);
     session.set_field(&ids[0], "n", Value::Int(1)).unwrap();
     let prepared = session.prepare().unwrap();
+    assert_eq!(cluster.tx_record_count(), 4, "one per table");
     cluster.crash(coordinator).unwrap();
     assert_eq!(cluster.in_doubt_count(), 1);
     assert!(cluster.tx_is_open(prepared));
+    assert_eq!(cluster.tx_record_count(), 4, "in doubt is still open");
     cluster.restart(coordinator).unwrap();
     assert!(!cluster.tx_is_open(prepared), "presumed abort");
+    assert_eq!(cluster.tx_record_count(), 0, "presumed abort");
     if cluster.mode() != SystemMode::Healthy {
         cluster.reconcile(&mut HighestVersionWins, &mut repair);
     }
@@ -121,10 +126,12 @@ fn degraded_cycle(cluster: &mut Cluster, ids: &[ObjectId]) {
         let violating = i == DEGRADED_WRITES - 1;
         let n = if violating { 150 } else { (i % 90) as i64 };
         let mut session = cluster.session(node);
-        session.register_negotiation_handler(Box::new(move |threat: &mut ConsistencyThreat| {
-            threat.instructions.allow_rollback = i % 4 < 2;
-            ThreatDecision::Accept
-        }));
+        session
+            .register_negotiation_handler(Box::new(move |threat: &mut ConsistencyThreat| {
+                threat.instructions.allow_rollback = i % 4 < 2;
+                ThreatDecision::Accept
+            }))
+            .unwrap();
         session
             .set_field(&ids[(i / 2 * 7) % OBJECTS], "n", Value::Int(n))
             .unwrap();
@@ -157,6 +164,7 @@ fn nothing_but_the_journals_grows_with_work_that_has_ended() {
         assert_eq!(cluster.threats().identity_count(), 0, "{at}");
         assert!(!cluster.needs_reconciliation(), "{at}");
         assert_eq!(cluster.open_tx_count(), 0, "{at}");
+        assert_eq!(cluster.tx_record_count(), 0, "{at}");
         assert!(cluster.held_locks().is_empty(), "{at}");
         assert_eq!(cluster.in_doubt_count(), 0, "{at}");
         assert_eq!(cluster.verdict_cache_len(), 0, "{at}");
@@ -177,6 +185,17 @@ fn nothing_but_the_journals_grows_with_work_that_has_ended() {
             Err(Error::NoSuchTransaction(old)),
             "{at}"
         );
+        // Nor is there a record to hang a negotiation handler on — for
+        // a transaction that ended, or one that never began.
+        for closed in [old, TxId::new(NodeId(1), u64::MAX)] {
+            let accept = Box::new(|_: &mut ConsistencyThreat| ThreatDecision::Accept);
+            assert_eq!(
+                cluster.register_negotiation_handler(closed, accept),
+                Err(Error::NoSuchTransaction(closed)),
+                "{at}"
+            );
+        }
+        assert_eq!(cluster.tx_record_count(), 0, "{at}");
     }
     let stats = cluster.stats();
     assert_eq!(stats.tx.begun, stats.tx.committed + stats.tx.rolled_back);
