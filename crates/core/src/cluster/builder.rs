@@ -271,6 +271,8 @@ impl ClusterBuilder {
             view_trackers,
             metrics: ClusterMetrics::default(),
             inv_cost: CostBreakdown::default(),
+            changes: Vec::new(),
+            contexts: Vec::new(),
             hooks: InterceptorChain::new(),
             ccm_enabled: self.ccm_enabled,
             replication_enabled: self.replication_enabled,

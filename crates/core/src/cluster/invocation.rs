@@ -290,7 +290,9 @@ impl Cluster {
         // context preparation refuses the call before any invariant is
         // validated), then validate the hard invariants; soft/async
         // invariants are only registered for commit-time validation.
-        let mut resolved: Vec<Option<ObjectId>> = Vec::with_capacity(invariants.len());
+        // The resolved objects go to the cluster's reused buffer (an
+        // error drops it; the next call starts a new one).
+        let mut resolved = std::mem::take(&mut self.contexts);
         for constraint in invariants.iter() {
             let preparation = constraint
                 .preparation_for(sig)
@@ -311,7 +313,7 @@ impl Cluster {
                 Err(e) => return Err(e),
             });
         }
-        for (constraint, context_object) in invariants.iter().zip(resolved) {
+        for (constraint, context_object) in invariants.iter().zip(resolved.drain(..)) {
             match constraint.meta.kind {
                 ConstraintKind::HardInvariant => {
                     let candidate =
@@ -330,6 +332,7 @@ impl Cluster {
                 _ => {}
             }
         }
+        self.contexts = resolved;
         Ok(())
     }
 

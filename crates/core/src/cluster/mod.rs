@@ -111,6 +111,14 @@ struct TxInfo {
     in_doubt: Option<InDoubtTx>,
 }
 
+/// What a commit did to one object on one node.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Change {
+    Created,
+    Written,
+    Deleted,
+}
+
 /// A prepared transaction whose coordinator crashed between prepare
 /// and commit (§2PC in-doubt state). Locks and buffers are retained
 /// until the recovery protocol resolves it by presumed abort (timeout
@@ -157,6 +165,12 @@ pub struct Cluster {
     metrics: ClusterMetrics,
     /// Scratch R1–R5 breakdown of the invocation in flight.
     inv_cost: CostBreakdown,
+    /// Scratch of `apply_commit`: what the commit did on which node.
+    /// Taken, filled, cleared and put back, so a commit reuses it.
+    changes: Vec<(NodeId, ObjectId, Change)>,
+    /// Scratch of `check_after`: each invariant's resolved context
+    /// object, reused like `changes`.
+    contexts: Vec<Option<ObjectId>>,
     hooks: InterceptorChain<HookInfo>,
     ccm_enabled: bool,
     replication_enabled: bool,

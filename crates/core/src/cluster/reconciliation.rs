@@ -224,9 +224,8 @@ impl Cluster {
 
         // Step 1: replica reconciliation.
         let t0 = self.clock().now();
-        let topology = self.topology().clone();
         let replica_report = self.replication.reconcile_replicas_scoped(
-            &topology,
+            &self.topology,
             observer,
             &mut self.containers,
             replica_handler,

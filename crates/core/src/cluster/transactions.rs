@@ -1,7 +1,7 @@
 //! Transactions: sessions, the one two-phase commit (vote, apply,
 //! ship to the backups), rollback, and entity creation and deletion.
 
-use super::{Cluster, TxInfo};
+use super::{Change, Cluster, TxInfo};
 use crate::ccm::ValidationCandidate;
 use crate::negotiation::NegotiationHandler;
 use crate::session::Session;
@@ -9,7 +9,6 @@ use dedisys_constraints::ConstraintKind;
 use dedisys_object::EntityState;
 use dedisys_telemetry::{TraceEvent, TriggerKind, TwoPcPhase};
 use dedisys_types::{Error, NodeId, ObjectId, Result, TxId};
-use std::collections::BTreeSet;
 use std::fmt::Write;
 
 /// `commit:tx-n-s`, the pseudo-signature the commit trigger point
@@ -193,23 +192,26 @@ impl Cluster {
     fn apply_commit(&mut self, tx: TxId) -> Result<()> {
         self.tx_manager.commit(tx)?;
         let info = self.txs.remove(&tx).unwrap_or_default();
-        // Apply buffers and collect written objects per node.
-        let mut all_written: Vec<(NodeId, ObjectId, bool)> = Vec::new();
-        let mut all_deleted: Vec<(NodeId, ObjectId)> = Vec::new();
-        for node in &info.involved {
+        // Apply buffers: what each node's commit did, node by node and
+        // in id order, kept in the cluster's reused buffer (an error
+        // below drops it; the next commit starts a new one).
+        let mut changes = std::mem::take(&mut self.changes);
+        for &node in &info.involved {
             let (written, deleted) = self.containers[node.index()].commit(tx);
-            for id in written {
-                let created = info.created.contains_key(&id);
-                all_written.push((*node, id, created));
-            }
-            for id in deleted {
-                all_deleted.push((*node, id));
-            }
+            changes.extend(written.iter().map(|id| {
+                let change = if info.created.contains_key(id) {
+                    Change::Created
+                } else {
+                    Change::Written
+                };
+                (node, id.clone(), change)
+            }));
+            changes.extend(deleted.iter().map(|id| (node, id.clone(), Change::Deleted)));
         }
-        // Persist + propagate.
-        for (node, id, created) in &all_written {
+        // Persist + propagate: every write, then every delete.
+        for (node, id, change) in changes.iter().filter(|(.., c)| *c != Change::Deleted) {
             self.clock.advance(self.costs.db_write);
-            if *created {
+            if *change == Change::Created {
                 self.clock.advance(self.costs.create_extra);
                 self.metrics.creates += 1;
                 if self.replication_enabled {
@@ -229,7 +231,7 @@ impl Cluster {
                 self.ship(id, *node);
             }
         }
-        for (node, id) in &all_deleted {
+        for (node, id, _) in changes.iter().filter(|(.., c)| *c == Change::Deleted) {
             self.clock.advance(self.costs.db_write);
             self.metrics.deletes += 1;
             if self.replication_enabled {
@@ -237,14 +239,16 @@ impl Cluster {
             }
         }
         // Committed writes advance object versions — drop every cached
-        // verdict that depended on the old state.
-        let mut touched: BTreeSet<ObjectId> = BTreeSet::new();
-        touched.extend(all_written.iter().map(|(_, id, _)| id.clone()));
-        touched.extend(all_deleted.iter().map(|(_, id)| id.clone()));
-        for id in touched {
-            let entries = self.ccm.invalidate_object(&id);
-            self.verdict_cache_invalidated(Some(&id), entries);
+        // verdict that depended on the old state, once per object, in
+        // id order.
+        changes.sort_unstable_by(|a, b| a.1.cmp(&b.1));
+        changes.dedup_by(|a, b| a.1 == b.1);
+        for (_, id, _) in &changes {
+            let entries = self.ccm.invalidate_object(id);
+            self.verdict_cache_invalidated(Some(id), entries);
         }
+        changes.clear();
+        self.changes = changes;
         self.locks.release_all(tx);
         self.ccm.clear_tx(tx);
         Ok(())

@@ -1,0 +1,198 @@
+//! A write allocates only what it keeps: the routed replicated write
+//! and the cross-shard 2PC path build no scratch set, vector or unused
+//! error text, and an entity's copy shares its field names with its
+//! class.
+//!
+//! A test binary of its own, because it installs a counting global
+//! allocator (the idiom of `crates/telemetry/tests/emit_allocs.rs`).
+
+use dedisys_constraints::{
+    expr::ExprConstraint, ConstraintMeta, ContextPreparation, RegisteredConstraint,
+};
+use dedisys_federation::{FederatedCluster, ShardId};
+use dedisys_object::{AppDescriptor, ClassDescriptor};
+use dedisys_types::{ObjectId, PriorityClass, Value};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::Arc;
+
+thread_local! {
+    /// Allocations made by this thread (the harness has others).
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The system allocator, counting calls that hand out memory.
+struct Counting;
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counter is a
+// const-initialised thread-local `Cell` without a destructor, so
+// touching it neither allocates nor reads the memory handed out.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller's obligations for `alloc` are passed on.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this allocator with
+        // this `layout`, as the caller guarantees.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        // SAFETY: `ptr`/`layout` describe a live block of this
+        // allocator and `new_size` is valid, as the caller guarantees.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+fn allocations(f: impl FnOnce()) -> u64 {
+    let before = ALLOCATIONS.with(Cell::get);
+    f();
+    ALLOCATIONS.with(Cell::get) - before
+}
+
+/// What most of `rounds` runs of `op` allocate, and none allocates
+/// less: the operation's own allocations. The amortized growth of the
+/// tables that keep its results (journals, the outcome map) lands on a
+/// run now and then.
+fn per_op(rounds: usize, mut op: impl FnMut(usize)) -> u64 {
+    let mut counts = vec![0; rounds];
+    for (round, count) in counts.iter_mut().enumerate() {
+        *count = allocations(|| op(round));
+    }
+    let least = *counts.iter().min().expect("at least one round");
+    let paying_least = counts.iter().filter(|&&n| n == least).count();
+    assert!(2 * paying_least > rounds, "{counts:?}");
+    least
+}
+
+/// A warm 2-shard × 3-node bank federation carrying the intra-object
+/// `Floor` invariant, and two accounts on different shards.
+fn bank() -> (FederatedCluster, ObjectId, ObjectId) {
+    let app = AppDescriptor::new("bank").with_class(
+        ClassDescriptor::new("Account")
+            .with_field("balance", Value::Int(0))
+            .with_field("floor", Value::Int(0)),
+    );
+    let mut fed = FederatedCluster::builder(2, 3, app).build().unwrap();
+    for shard in (0..2).map(ShardId) {
+        let floor = ExprConstraint::parse("self.balance >= self.floor").unwrap();
+        let constraint =
+            RegisteredConstraint::new(ConstraintMeta::new("Floor").intra_object(), Arc::new(floor))
+                .context_class("Account")
+                .affects("Account", "setBalance", ContextPreparation::CalledObject);
+        fed.shard_mut(shard)
+            .add_constraint_with_check(constraint)
+            .unwrap();
+    }
+    let ids: Vec<ObjectId> = (0..16)
+        .map(|i| ObjectId::new("Account", format!("a{i:02}")))
+        .collect();
+    for id in &ids {
+        fed.create(id).unwrap();
+    }
+    let a = ids[0].clone();
+    let b = ids
+        .iter()
+        .find(|id| fed.map().shard_of(id) != fed.map().shard_of(&a))
+        .expect("both shards own an account")
+        .clone();
+    (fed, a, b)
+}
+
+/// One routed write through the request plane, committed.
+fn write(fed: &mut FederatedCluster, id: &ObjectId, balance: i64) {
+    let target = id.clone();
+    fed.submit(id, PriorityClass::Normal, move |mut session| {
+        session.set_field(&target, "balance", Value::Int(balance))?;
+        session.commit()
+    })
+    .unwrap();
+    fed.run_until_idle();
+}
+
+/// Stages a transfer between `from` and `to` (of 1 in odd rounds, of 0
+/// in even ones) and prepares it.
+fn stage(fed: &mut FederatedCluster, from: &ObjectId, to: &ObjectId, round: usize) -> u64 {
+    let xtx = fed.xshard_begin();
+    let moved = round as i64 & 1;
+    fed.xshard_set_field(xtx, from, "balance", Value::Int(100 - moved))
+        .unwrap();
+    fed.xshard_set_field(xtx, to, "balance", Value::Int(100 + moved))
+        .unwrap();
+    fed.xshard_prepare(xtx).unwrap();
+    xtx
+}
+
+/// One test, so nothing else runs on this thread's counter.
+#[test]
+fn a_write_allocates_only_what_it_keeps() {
+    const ROUNDS: usize = 64;
+    let (mut fed, a, b) = bank();
+    // Warm-up: every buffer a write reuses reaches its working size.
+    for round in 0..ROUNDS {
+        write(&mut fed, &a, 100);
+        write(&mut fed, &b, 100);
+        let xtx = stage(&mut fed, &a, &b, round);
+        fed.xshard_commit(xtx).unwrap();
+        let xtx = stage(&mut fed, &a, &b, round);
+        fed.xshard_abort(xtx).unwrap();
+    }
+
+    // A staged write allocates 5 times, every one of them kept for the
+    // transaction or named in ROADMAP 4(c):
+    //  - the `vec![value]` argument of `set_field` (`invoke` owns it);
+    //  - `TxInfo::involved`, the nodes the transaction touched;
+    //  - the copy-on-write clone of the account: its B-tree leaf only,
+    //    the field names are the class's;
+    //  - the `TxBuffer` map node that holds that copy;
+    //  - the set of objects the `Floor` check read
+    //    (`ValidationVerdict.accessed`).
+    const STAGED: u64 = 5;
+    // Committing it adds 5, all kept by the replicas or returned:
+    //  - the snapshot: the record `String` (allocated, then grown once
+    //    by the `perf/shims` encoder), that record as the `Arc<str>`
+    //    every journal shares, and the `Arc` of the state;
+    //  - the `PropagationReport.recipients` the ship returns.
+    const COMMITTED: u64 = STAGED + 5;
+
+    // (a) One routed `set_field` + commit, plus the plane's boxed
+    // request.
+    let routed = per_op(ROUNDS, |round| write(&mut fed, &a, 100 + round as i64));
+    assert_eq!(routed, 1 + COMMITTED, "one routed write");
+
+    // The federation keeps each outcome, with its own copy of the
+    // participant list (`XShardOutcome.participants`); staging reuses
+    // the list of the transaction before. Prepare, commit and abort
+    // allocate nothing else.
+    const PARTICIPANTS: u64 = 1;
+
+    // (b) One cross-shard transfer — begin, stage ×2, prepare, commit.
+    let committed = per_op(ROUNDS, |round| {
+        let xtx = stage(&mut fed, &a, &b, round);
+        fed.xshard_commit(xtx).unwrap();
+    });
+    assert_eq!(
+        committed,
+        2 * COMMITTED + PARTICIPANTS,
+        "one committed transfer"
+    );
+
+    // (c) The same transfer aborted after prepare: the staged writes
+    // are dropped, so neither snapshot nor ship is paid.
+    let aborted = per_op(ROUNDS, |round| {
+        let xtx = stage(&mut fed, &a, &b, round);
+        fed.xshard_abort(xtx).unwrap();
+    });
+    assert_eq!(aborted, 2 * STAGED + PARTICIPANTS, "one aborted transfer");
+
+    assert_eq!(fed.stats().xshard_committed, 2 * ROUNDS as u64);
+    assert_eq!(fed.stats().xshard_aborted, 2 * ROUNDS as u64);
+}

@@ -1,6 +1,6 @@
 //! Class and method descriptors — the deployment metadata.
 
-use dedisys_types::{ClassName, MethodName, Value};
+use dedisys_types::{ClassName, FieldName, MethodName, Value};
 use std::collections::BTreeMap;
 
 /// Whether a method reads or writes entity state.
@@ -67,12 +67,14 @@ impl MethodDescriptor {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClassDescriptor {
     name: ClassName,
-    fields: BTreeMap<String, Value>,
+    /// Field → default value. The names are minted here once; every
+    /// instance's state shares them.
+    fields: BTreeMap<FieldName, Value>,
     methods: Vec<MethodDescriptor>,
     /// Field → its `(set…, get…)` names, minted once at deploy time so
     /// a call through an accessor clones a handle instead of
     /// formatting the name.
-    accessors: BTreeMap<String, (MethodName, MethodName)>,
+    accessors: BTreeMap<FieldName, (MethodName, MethodName)>,
 }
 
 impl ClassDescriptor {
@@ -89,8 +91,8 @@ impl ClassDescriptor {
     /// Adds a field with its default value, generating `set`/`get`
     /// accessors.
     pub fn with_field(mut self, field: impl Into<String>, default: Value) -> Self {
-        let field = field.into();
-        let cap = capitalize(&field);
+        let field = FieldName::from(field.into());
+        let cap = capitalize(field.as_str());
         let setter = MethodName::from(format!("set{cap}"));
         let getter = MethodName::from(format!("get{cap}"));
         self.methods.push(MethodDescriptor::with_kind(
@@ -117,14 +119,15 @@ impl ClassDescriptor {
         &self.name
     }
 
-    /// Default field values for new instances.
-    pub fn default_fields(&self) -> BTreeMap<String, Value> {
+    /// Default field values for new instances, keyed by the class's
+    /// own names (a clone shares them).
+    pub fn default_fields(&self) -> BTreeMap<FieldName, Value> {
         self.fields.clone()
     }
 
     /// Declared field names in order.
     pub fn field_names(&self) -> impl Iterator<Item = &str> {
-        self.fields.keys().map(String::as_str)
+        self.fields.keys().map(FieldName::as_str)
     }
 
     /// The name of the generated setter of `field` (`None` for an

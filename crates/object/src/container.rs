@@ -49,6 +49,9 @@ pub struct EntityContainer {
     committed: HashMap<ObjectId, Snapshot, IdBuildHasher>,
     buffers: HashMap<TxId, TxBuffer, TxBuildHasher>,
     journal: WriteAheadLog,
+    /// The ids of the last commit, written ones first: what
+    /// [`EntityContainer::commit`] lends out, refilled by the next.
+    commit_ids: Vec<ObjectId>,
 }
 
 impl EntityContainer {
@@ -59,6 +62,7 @@ impl EntityContainer {
             committed: HashMap::default(),
             buffers: HashMap::default(),
             journal: WriteAheadLog::new(),
+            commit_ids: Vec::new(),
         }
     }
 
@@ -85,7 +89,7 @@ impl EntityContainer {
             return Err(Error::ClassNotDeployed(entity.id().class().to_string()));
         }
         for (field, value) in entity.fields() {
-            value.check_journalable(field)?;
+            value.check_journalable(field.as_str())?;
         }
         if self.exists(tx, entity.id()) {
             return Err(Error::ObjectExists(entity.id().clone()));
@@ -209,27 +213,30 @@ impl EntityContainer {
     }
 
     /// Applies `tx`'s buffer to the committed state. Returns the ids
-    /// that were written/created and those deleted, in deterministic
-    /// order (input for update propagation).
-    pub fn commit(&mut self, tx: TxId) -> (Vec<ObjectId>, Vec<ObjectId>) {
+    /// that were written/created and those deleted, each in id order
+    /// (input for update propagation) — lent from a buffer the
+    /// container reuses, so a commit allocates no list of them.
+    pub fn commit(&mut self, tx: TxId) -> (&[ObjectId], &[ObjectId]) {
+        self.commit_ids.clear();
         let Some(buffer) = self.buffers.remove(&tx) else {
-            return (Vec::new(), Vec::new());
+            return (&[], &[]);
         };
-        let mut written = Vec::new();
         for (id, entity) in buffer.entities {
             self.install(Snapshot::encode(entity));
-            written.push(id);
+            self.commit_ids.push(id);
         }
-        let mut deleted: Vec<ObjectId> = buffer.deleted.into_iter().collect();
-        deleted.sort();
-        for id in &deleted {
+        let written = self.commit_ids.len();
+        self.commit_ids.extend(buffer.deleted);
+        let deleted = &mut self.commit_ids[written..];
+        deleted.sort_unstable();
+        for id in deleted.iter() {
             // Journalled even when nothing was committed under `id`
             // (created and deleted in one transaction).
             self.committed.remove(id);
             self.journal
                 .append_delete(JOURNAL_TABLE, Arc::clone(id.text()));
         }
-        (written, deleted)
+        self.commit_ids.split_at(written)
     }
 
     /// Discards `tx`'s buffer.
@@ -510,6 +517,30 @@ mod tests {
             Err(Error::ObjectNotFound(ghost))
         );
         assert_eq!(c.crash_volatile(), 0, "no empty buffer left behind");
+    }
+
+    #[test]
+    fn a_copy_on_first_write_shares_its_field_names_with_the_class() {
+        let mut c = EntityContainer::new(&app());
+        let id = flight(&mut c, tx(1), "F1");
+        c.commit(tx(1));
+        c.write_field(tx(2), &id, "seats", Value::Int(80), t0())
+            .unwrap();
+        let declared = c.app().class(id.class()).unwrap().default_fields();
+        let copy = c.buffered_view(tx(2), &id).unwrap();
+        assert_eq!(copy.fields().len(), declared.len());
+        for (name, class_name) in copy.fields().keys().zip(declared.keys()) {
+            assert!(Arc::ptr_eq(name.text(), class_name.text()), "{name}");
+        }
+        // A field the class does not declare is written all the same,
+        // under a name of its own.
+        c.write_field(tx(2), &id, "gate", Value::Str("B7".into()), t0())
+            .unwrap();
+        c.commit(tx(2));
+        let committed = c.committed_entity(&id).unwrap();
+        assert_eq!(committed.field("gate"), &Value::Str("B7".into()));
+        assert_eq!(committed.field("seats"), &Value::Int(80));
+        assert_eq!(committed.fields().len(), declared.len() + 1);
     }
 
     #[test]

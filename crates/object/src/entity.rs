@@ -1,7 +1,9 @@
 //! Entity state records.
 
 use crate::AppDescriptor;
-use dedisys_types::{Error, ObjectId, Result, SimDuration, SimTime, Value, Version, VersionInfo};
+use dedisys_types::{
+    Error, FieldName, ObjectId, Result, SimDuration, SimTime, Value, Version, VersionInfo,
+};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -14,7 +16,8 @@ use std::collections::BTreeMap;
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EntityState {
     id: ObjectId,
-    fields: BTreeMap<String, Value>,
+    /// Keyed by the class's own names, so a copy shares them.
+    fields: BTreeMap<FieldName, Value>,
     version: Version,
     /// Virtual time of the last applied update.
     last_update_at: SimTime,
@@ -25,7 +28,7 @@ pub struct EntityState {
 
 impl EntityState {
     /// Creates an entity with explicit initial fields.
-    pub fn new(id: ObjectId, fields: BTreeMap<String, Value>) -> Self {
+    pub fn new(id: ObjectId, fields: BTreeMap<FieldName, Value>) -> Self {
         Self {
             id,
             fields,
@@ -60,13 +63,21 @@ impl EntityState {
     }
 
     /// All fields in name order.
-    pub fn fields(&self) -> &BTreeMap<String, Value> {
+    pub fn fields(&self) -> &BTreeMap<FieldName, Value> {
         &self.fields
     }
 
     /// Sets `field`, bumping the version and recording the update time.
-    pub fn set_field(&mut self, field: impl Into<String>, value: Value, at: SimTime) {
-        self.fields.insert(field.into(), value);
+    /// A field the state holds is overwritten in place; only one its
+    /// class does not declare gets a name of its own.
+    pub fn set_field(&mut self, field: impl AsRef<str>, value: Value, at: SimTime) {
+        let field = field.as_ref();
+        match self.fields.get_mut(field) {
+            Some(slot) => *slot = value,
+            None => {
+                self.fields.insert(FieldName::from(field), value);
+            }
+        }
         self.version = self.version.next();
         self.last_update_at = at;
     }

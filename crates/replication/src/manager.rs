@@ -322,13 +322,21 @@ impl ReplicationManager {
         let snapshot = containers[executed_on.index()]
             .committed_snapshot(object)
             .cloned();
-        let candidates = self.reachable_backups(object, executed_on, topology);
+        let partition = topology.partition_of(executed_on);
+        // The reachable backups, walked in place: the placement is read
+        // while the loop writes the fault tables and counters beside it.
+        let backups = self
+            .placements
+            .get(object)
+            .into_iter()
+            .flat_map(|p| &p.replicas)
+            .filter(|&&r| r != executed_on && partition.contains(&r));
         let mut recipients = Vec::new();
         let mut failed = Vec::new();
         let mut messages = 0u64;
         let mut retries = 0u64;
         let mut backoff_units = 0u64;
-        for r in candidates {
+        for &r in backups {
             // Replica lag: the backup misses this propagation entirely.
             if let Some(remaining) = self.lag.get_mut(&r) {
                 *remaining -= 1;
@@ -341,10 +349,10 @@ impl ReplicationManager {
             }
             // Store write-failure window: attempts fail while fault
             // budget remains; retry with exponential backoff, bounded.
-            let faults = self.write_faults.get(&r).copied().unwrap_or(0);
-            let failing = faults.min(MAX_SHIP_ATTEMPTS);
-            if failing > 0 {
-                let left = self.write_faults.get_mut(&r).expect("fault entry");
+            // A window holds at least one failure: it is opened with
+            // one or more and closed when it reaches zero.
+            if let Some(left) = self.write_faults.get_mut(&r) {
+                let failing = (*left).min(MAX_SHIP_ATTEMPTS);
                 *left -= failing;
                 if *left == 0 {
                     self.write_faults.remove(&r);
@@ -465,24 +473,6 @@ impl ReplicationManager {
     pub fn clear_degraded_state(&mut self) {
         self.degraded_writes.clear();
         self.history.clear();
-    }
-
-    fn reachable_backups(
-        &self,
-        object: &ObjectId,
-        executed_on: NodeId,
-        topology: &Topology,
-    ) -> Vec<NodeId> {
-        let partition = topology.partition_of(executed_on);
-        match self.placements.get(object) {
-            None => Vec::new(),
-            Some(p) => p
-                .replicas
-                .iter()
-                .filter(|&&r| r != executed_on && partition.contains(&r))
-                .copied()
-                .collect(),
-        }
     }
 }
 

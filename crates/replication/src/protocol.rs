@@ -47,17 +47,18 @@ impl ProtocolKind {
         weights: &NodeWeights,
     ) -> Result<NodeId> {
         let partition = topology.partition_of(requester);
-        let reachable: BTreeSet<NodeId> = replicas.intersection(partition).copied().collect();
-        if reachable.is_empty() {
+        let reachable = || replicas.iter().filter(|r| partition.contains(r));
+        let mut walk = reachable();
+        let Some(&lowest) = walk.next() else {
             return Err(Error::ObjectUnreachable(object.clone()));
-        }
+        };
         // The static primary when it is reachable; otherwise the lowest
         // reachable replica stands in (a crashed primary's successor,
         // P4's temporary per-partition primary).
-        let target = if reachable.contains(&primary) {
+        let target = if lowest == primary || walk.any(|&r| r == primary) {
             primary
         } else {
-            *reachable.iter().next().expect("non-empty")
+            lowest
         };
         match self {
             ProtocolKind::PrimaryBackup => {
@@ -80,7 +81,7 @@ impl ProtocolKind {
             }
             ProtocolKind::PrimaryPerPartition => Ok(target),
             ProtocolKind::AdaptiveVoting => {
-                let available = weights.partition_weight(&reachable);
+                let available = weights.partition_weight(reachable());
                 let required = weights.partition_weight(replicas) / 2 + 1;
                 if topology.is_healthy() && available < required {
                     return Err(Error::NoQuorum {
@@ -289,6 +290,104 @@ mod tests {
                 Err(Error::ObjectUnreachable(_))
             ));
         }
+    }
+
+    /// The implementation before PR 25, which collected the reachable
+    /// replicas into a set: the oracle the in-place walk must match.
+    fn write_target_collected(
+        p: ProtocolKind,
+        object: &ObjectId,
+        requester: NodeId,
+        replicas: &BTreeSet<NodeId>,
+        primary: NodeId,
+        topology: &Topology,
+        weights: &NodeWeights,
+    ) -> Result<NodeId> {
+        let partition = topology.partition_of(requester);
+        let reachable: BTreeSet<NodeId> = replicas.intersection(partition).copied().collect();
+        let Some(&lowest) = reachable.first() else {
+            return Err(Error::ObjectUnreachable(object.clone()));
+        };
+        let target = if reachable.contains(&primary) {
+            primary
+        } else {
+            lowest
+        };
+        match p {
+            ProtocolKind::PrimaryBackup if target == primary => Ok(primary),
+            ProtocolKind::PrimaryBackup => Err(Error::ModeRestriction(format!(
+                "primary {primary} of {object} unreachable under primary-backup"
+            ))),
+            ProtocolKind::PrimaryPartition if is_primary_partition(partition, weights) => {
+                Ok(target)
+            }
+            ProtocolKind::PrimaryPartition => Err(Error::ModeRestriction(format!(
+                "writes to {object} blocked outside the primary partition"
+            ))),
+            ProtocolKind::PrimaryPerPartition => Ok(target),
+            ProtocolKind::AdaptiveVoting => {
+                let available = weights.partition_weight(&reachable);
+                let required = weights.partition_weight(replicas) / 2 + 1;
+                if topology.is_healthy() && available < required {
+                    return Err(Error::NoQuorum {
+                        object: object.clone(),
+                        available,
+                        required,
+                    });
+                }
+                Ok(target)
+            }
+        }
+    }
+
+    #[test]
+    fn the_walk_picks_what_the_collected_set_picked() {
+        let protocols = [
+            ProtocolKind::PrimaryBackup,
+            ProtocolKind::PrimaryPartition,
+            ProtocolKind::PrimaryPerPartition,
+            ProtocolKind::AdaptiveVoting,
+        ];
+        let mut checked = 0u32;
+        for n in 1..=4u32 {
+            let explicit = NodeWeights::explicit([2, 0, 3, 1][..n as usize].to_vec());
+            for weights in [NodeWeights::uniform(n), explicit] {
+                // Every partitioning into at most three sides: node i
+                // goes to side `labels / 3^i % 3`.
+                for labels in 0..3u32.pow(n) {
+                    let mut sides: [Vec<u32>; 3] = Default::default();
+                    for i in 0..n {
+                        sides[(labels / 3u32.pow(i) % 3) as usize].push(i);
+                    }
+                    let mut topo = Topology::fully_connected(n);
+                    topo.split(&[&sides[0], &sides[1], &sides[2]]);
+                    for mask in 1..(1u32 << n) {
+                        let set: BTreeSet<NodeId> = (0..n)
+                            .filter(|i| mask & (1 << i) != 0)
+                            .map(NodeId)
+                            .collect();
+                        for &primary in &set {
+                            for requester in (0..n).map(NodeId) {
+                                for p in protocols {
+                                    let (o, w) = (obj(), &weights);
+                                    assert_eq!(
+                                        p.write_target(&o, requester, &set, primary, &topo, w),
+                                        write_target_collected(
+                                            p, &o, requester, &set, primary, &topo, w
+                                        ),
+                                        "{p:?} {sides:?} {set:?} primary {primary} from {requester}"
+                                    );
+                                    checked += 1;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        // Σ_n 2 weightings × 3^n sides × n·2^(n-1) (replicas, primary)
+        // × n requesters × 4 protocols.
+        assert_eq!(checked, 2 * 4 * (3 + 9 * 8 + 27 * 36 + 81 * 128));
     }
 
     #[test]

@@ -5,13 +5,15 @@
 //! [`MethodName`].
 //!
 //! The string-bearing identities ([`ClassName`], [`MethodName`],
-//! [`ConstraintName`], [`ObjectId`]) are *handles*: a clone bumps a
-//! reference count and copies nothing. How an identity is represented
-//! is this module's business alone — its order, display form and serde
-//! bytes are those of the plain `String` fields it replaced.
+//! [`ConstraintName`], [`FieldName`], [`ObjectId`]) are *handles*: a
+//! clone bumps a reference count and copies nothing. How an identity is
+//! represented is this module's business alone — its order, display
+//! form and serde bytes are those of the plain `String` fields it
+//! replaced.
 
 use serde::json::{write_string, Reader};
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
@@ -143,6 +145,14 @@ macro_rules! name_type {
             }
         }
 
+        /// `Eq`, `Ord` and `Hash` are the text's, so a map keyed by the
+        /// name answers `get(&str)`.
+        impl Borrow<str> for $name {
+            fn borrow(&self) -> &str {
+                &self.0
+            }
+        }
+
         /// A bare JSON string, as the derive wrote the `String` newtype.
         impl Serialize for $name {
             fn serialize_json(&self, out: &mut String) {
@@ -182,6 +192,14 @@ name_type!(
     /// (§4.2.2: constraint names are unique per application).
     ConstraintName,
     "constraint"
+);
+
+name_type!(
+    /// Name of a field of an application class (e.g. `"balance"`). The
+    /// class mints it once at deploy time; every instance's state shares
+    /// it.
+    FieldName,
+    "field"
 );
 
 name_type!(
@@ -526,6 +544,13 @@ mod tests {
         assert_eq!(json, r#"{"c\"1":7}"#);
         let back: BTreeMap<ConstraintName, u32> = serde_json::from_str(&json).unwrap();
         assert_eq!(back, by_name);
+        // Keyed by a name, answered by its text.
+        assert_eq!(back.get("c\"1"), Some(&7));
+        let fields = HashMap::from([(FieldName::from("balance"), 1u32)]);
+        assert_eq!(
+            (fields.get("balance"), fields.get("floor")),
+            (Some(&1), None)
+        );
     }
 
     /// The literals are what `#[derive(Serialize)]` wrote for the two
@@ -639,6 +664,7 @@ mod tests {
         assert_eq!(ClassName::default().as_str(), "");
         assert_eq!(MethodName::default().as_str(), "");
         assert_eq!(ConstraintName::default().as_str(), "");
+        assert_eq!(FieldName::default().as_str(), "");
         assert_eq!(ClassName::default(), ClassName::from(""));
     }
 }

@@ -43,8 +43,8 @@ mod version;
 pub use degree::SatisfactionDegree;
 pub use error::{Error, Result};
 pub use id::{
-    ClassName, ConstraintName, IdBuildHasher, IdHasher, MethodName, MethodSignature, NodeId,
-    ObjectId, SharedText, TxBuildHasher, TxHasher, TxId, ViewId,
+    ClassName, ConstraintName, FieldName, IdBuildHasher, IdHasher, MethodName, MethodSignature,
+    NodeId, ObjectId, SharedText, TxBuildHasher, TxHasher, TxId, ViewId,
 };
 pub use mode::SystemMode;
 pub use plane::PriorityClass;

@@ -320,6 +320,53 @@ fn coordinator_crash_presumes_abort_after_the_deadline() {
     assert_eq!(ring.records_of_kind("xshard_resolved").len(), 1);
 }
 
+/// The participant list is kept in shard order however it was staged —
+/// the higher shard first here — and moves into the outcome as it is,
+/// whichever way the transaction finishes.
+#[test]
+fn outcome_participants_come_out_in_shard_order() {
+    let mut fed = federation(3, RoutingPolicy::RouteAnyway);
+    let low = id_on(fed.map(), ShardId(0), "so");
+    let high = id_on(fed.map(), ShardId(2), "so");
+    fed.create(&low).unwrap();
+    fed.create(&high).unwrap();
+    let stage = |fed: &mut FederatedCluster| {
+        let xtx = fed.xshard_begin();
+        fed.xshard_set_field(xtx, &high, "v", Value::Int(1))
+            .unwrap();
+        fed.xshard_set_field(xtx, &low, "v", Value::Int(2)).unwrap();
+        xtx
+    };
+
+    let committed = stage(&mut fed);
+    fed.xshard_prepare(committed).unwrap();
+    fed.xshard_commit(committed).unwrap();
+    let aborted = stage(&mut fed);
+    fed.xshard_prepare(aborted).unwrap();
+    fed.xshard_abort(aborted).unwrap();
+    let presumed = stage(&mut fed);
+    fed.xshard_prepare(presumed).unwrap();
+    fed.crash_coordinator(presumed).unwrap();
+    fed.clock().advance(SimDuration::from_millis(50));
+    assert_eq!(fed.resolve_xshard_in_doubt(), 1);
+
+    for (xtx, was_committed, was_presumed) in [
+        (committed, true, false),
+        (aborted, false, false),
+        (presumed, false, true),
+    ] {
+        let outcome = &fed.xshard_outcomes()[&xtx];
+        assert_eq!(
+            (outcome.committed, outcome.presumed_abort),
+            (was_committed, was_presumed)
+        );
+        let shards: Vec<ShardId> = outcome.participants.iter().map(|&(s, _)| s).collect();
+        assert_eq!(shards, [ShardId(0), ShardId(2)], "xtx {xtx}");
+    }
+    assert_eq!(read(&fed, ShardId(2), &high), Some(Value::Int(1)));
+    assert_eq!(read(&fed, ShardId(0), &low), Some(Value::Int(2)));
+}
+
 // ---------------------------------------------------------------------
 // Rebalancing
 // ---------------------------------------------------------------------

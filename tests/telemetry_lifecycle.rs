@@ -200,6 +200,62 @@ fn each_cache_probe_directly_precedes_its_own_validation() {
     );
 }
 
+/// A commit ships its writes in (node, id) order, then its deletes, and
+/// drops the cached verdicts of everything it touched once per object,
+/// in id order — whatever order the transaction wrote in.
+#[test]
+fn a_commit_ships_writes_then_deletes_and_invalidates_in_id_order() {
+    let mut cluster = ClusterBuilder::new(3, app())
+        .configure(|c| c.validation.verdict_cache = true)
+        .build()
+        .unwrap();
+    let ids: Vec<ObjectId> = ["c1", "c2", "c3", "c4"]
+        .into_iter()
+        .map(|key| create_counter(&mut cluster, key))
+        .collect();
+    // The §3.3 sweep caches one verdict per counter.
+    let violating = cluster
+        .add_constraint_with_check(bounded_constraint("Bounded"))
+        .unwrap();
+    assert!(violating.is_empty());
+    let ring = RingRecorder::new(256);
+    cluster.telemetry().attach(Box::new(ring.clone()));
+
+    let node = NodeId(0);
+    cluster
+        .run_tx(node, |c, tx| {
+            for k in [3, 0, 2] {
+                c.set_field(node, tx, &ids[k], "n", Value::Int(k as i64))?;
+            }
+            c.delete(node, tx, &ids[1])
+        })
+        .unwrap();
+    let commit: Vec<String> = ring
+        .records()
+        .iter()
+        .filter_map(|r| match &r.event {
+            TraceEvent::ReplicationUpdate { object, .. } => Some(format!("ship {object}")),
+            TraceEvent::VerdictCacheInvalidate { object, entries } => {
+                Some(format!("invalidate {object} {entries}"))
+            }
+            _ => None,
+        })
+        .collect();
+    assert_eq!(
+        commit,
+        [
+            "ship Counter#c1",
+            "ship Counter#c3",
+            "ship Counter#c4",
+            "ship Counter#c2",
+            "invalidate Counter#c1 1",
+            "invalidate Counter#c2 1",
+            "invalidate Counter#c3 1",
+            "invalidate Counter#c4 1",
+        ]
+    );
+}
+
 /// A `Write` target the test keeps a handle to after the exporter (and
 /// the cluster owning it) is dropped.
 #[derive(Clone, Default)]
