@@ -11,14 +11,17 @@
 //! fig5-6, fig5-8, tab5-async, tab5-psc. See DESIGN.md for the
 //! per-experiment index and EXPERIMENTS.md for a recorded run.
 //!
-//! `repro chaos-soak [--seed S] [--nodes N] [--ops O] [--faults F]
-//! [--sweep K] [--detector] [--trace <path>]` runs the seeded chaos
-//! engine instead: one reproducible fault-injection run (optionally
-//! traced to JSONL), or a sweep over seeds `0..K`. With `--detector`
+//! `repro chaos-soak [--seed S] [--shards K] [--nodes N] [--ops O]
+//! [--faults F] [--sweep N] [--detector] [--trace <path>]` runs the
+//! seeded chaos engine instead: one reproducible fault-injection run
+//! (optionally traced to JSONL), or a sweep over seeds `S..S+N`. One
+//! shard runs the item mix under a random fault plan; with `--detector`
 //! the cluster runs the adaptive failure-detection pipeline and the
 //! plan draws from the extended fault vocabulary (link flaps,
-//! asymmetric loss, jitter, torn journal writes). Exits 1 on any
-//! invariant violation.
+//! asymmetric loss, jitter, torn journal writes). `--shards K` (K ≥ 2)
+//! runs the cross-shard transfer mix under shard partitions, aborts and
+//! federation-coordinator crashes, tracing the federation bus. Exits 1
+//! on any invariant violation.
 //!
 //! `repro flap-sweep [--seed S] [--nodes N] [--flaps F] [--sweep K]
 //! [--trace <path>]` runs the failure-detection damping study: link
@@ -36,14 +39,13 @@
 //! Critical p99 is strictly below the baseline's at the highest
 //! offered load in both modes.
 //!
-//! `repro shard-sweep [--seed S] [--nodes N] [--ticks T] [--sweep K]
+//! `repro shard-sweep [--seed S] [--nodes N] [--ticks T]
 //! [--trace <path>]` runs the federation study: goodput and
 //! cross-shard abort rate per shard count, offered load and partition
 //! pattern, with cross-shard 2PC (including coordinator crashes
 //! recovered by presumed abort) under the `RejectDegraded` routing
 //! policy. Exits 1 if transferred value is not conserved across the
-//! shards in any cell. With `--sweep K` it runs the K-seed cross-shard
-//! chaos soak instead, exiting 1 on any invariant violation.
+//! shards in any cell.
 //!
 //! `repro fig-compile [--trace <path>]` runs the constraint-engine
 //! study: one invariant-heavy workload under the interpreted walker,
@@ -57,6 +59,8 @@
 //! the Chapter 5 experiments build as JSONL — one `{seq, at, event}`
 //! object per line, stamped in virtual time only, so two runs of the
 //! same experiment write byte-identical files.
+//!
+//! A malformed command line prints the usage and exits 2.
 
 use dedisys_bench::{ch2, ch5, chaos_soak, fig_compile, flap_sweep, overload_sweep, shard_sweep};
 use std::path::PathBuf;
@@ -87,18 +91,15 @@ const CH5: &[&str] = &[
 fn usage() -> ! {
     eprintln!("usage: repro <experiment>|ch2|ch5|all [--trace <path>]");
     eprintln!(
-        "       repro chaos-soak [--seed S] [--nodes N] [--ops O] [--faults F] \
-         [--sweep K] [--detector] [--trace <path>]"
+        "       repro chaos-soak [--seed S] [--shards K] [--nodes N] [--ops O] [--faults F] \
+         [--sweep N] [--detector] [--trace <path>]"
     );
     eprintln!(
         "       repro flap-sweep [--seed S] [--nodes N] [--flaps F] [--sweep K] \
          [--trace <path>]"
     );
     eprintln!("       repro overload-sweep [--seed S] [--nodes N] [--ticks T] [--trace <path>]");
-    eprintln!(
-        "       repro shard-sweep [--seed S] [--nodes N] [--ticks T] [--sweep K] \
-         [--trace <path>]"
-    );
+    eprintln!("       repro shard-sweep [--seed S] [--nodes N] [--ticks T] [--trace <path>]");
     eprintln!("       repro fig-compile [--trace <path>]");
     eprintln!(
         "experiments: {}",
@@ -185,22 +186,28 @@ impl<'a> Flags<'a> {
     }
 
     /// The parsed value following `flag`.
-    fn value<T: std::str::FromStr>(&mut self, flag: &str) -> T
-    where
-        T::Err: std::fmt::Debug,
-    {
+    fn value<T: std::str::FromStr>(&mut self, flag: &str) -> T {
         let Some(value) = self.args.next() else {
             eprintln!("{flag} needs a value");
             usage();
         };
-        value
-            .parse()
-            .unwrap_or_else(|e| panic!("{flag}: {}: {e:?}", std::any::type_name::<T>()))
+        value.parse().unwrap_or_else(|_| {
+            eprintln!("{flag}: '{value}' is not a valid value");
+            usage();
+        })
     }
 
     fn unknown(&self, flag: &str) -> ! {
         eprintln!("unknown {} flag '{flag}'", self.command);
         usage();
+    }
+
+    /// Prints `problem` and the usage unless `ok`.
+    fn require(&self, ok: bool, problem: &str) {
+        if !ok {
+            eprintln!("{}: {problem}", self.command);
+            usage();
+        }
     }
 }
 
@@ -225,8 +232,9 @@ fn chaos_soak_main(args: &[String], trace: Option<PathBuf>) {
     while let Some(flag) = flags.next() {
         match flag {
             "--seed" => opts.seed = flags.value(flag),
-            "--nodes" => opts.nodes = flags.value(flag),
-            "--ops" => opts.ops = flags.value(flag),
+            "--shards" => opts.shards = flags.value(flag),
+            "--nodes" => opts.nodes = Some(flags.value(flag)),
+            "--ops" => opts.ops = Some(flags.value(flag)),
             "--faults" => opts.faults = flags.value(flag),
             "--sweep" => opts.sweep = Some(flags.value(flag)),
             "--detector" => opts.detector = true,
@@ -252,7 +260,10 @@ fn flap_sweep_main(args: &[String], trace: Option<PathBuf>) {
             other => flags.unknown(other),
         }
     }
-    assert!(opts.nodes >= 3, "flap-sweep needs a quorum-capable cluster");
+    flags.require(
+        opts.nodes >= 3,
+        "needs a quorum-capable cluster (--nodes 3 or more)",
+    );
     start_trace(&opts.trace, opts.sweep);
     flap_sweep::run(&opts);
 }
@@ -271,8 +282,8 @@ fn overload_sweep_main(args: &[String], trace: Option<PathBuf>) {
             other => flags.unknown(other),
         }
     }
-    assert!(opts.nodes >= 2, "overload-sweep needs at least two nodes");
-    assert!(opts.ticks >= 1, "overload-sweep needs at least one tick");
+    flags.require(opts.nodes >= 2, "needs at least two nodes");
+    flags.require(opts.ticks >= 1, "needs at least one tick");
     start_trace(&opts.trace, None);
     overload_sweep::run(&opts);
 }
@@ -288,16 +299,12 @@ fn shard_sweep_main(args: &[String], trace: Option<PathBuf>) {
             "--seed" => opts.seed = flags.value(flag),
             "--nodes" => opts.nodes = flags.value(flag),
             "--ticks" => opts.ticks = flags.value(flag),
-            "--sweep" => opts.sweep = Some(flags.value(flag)),
             other => flags.unknown(other),
         }
     }
-    assert!(
-        opts.nodes >= 2,
-        "shard-sweep needs at least two nodes per shard"
-    );
-    assert!(opts.ticks >= 3, "shard-sweep needs at least three ticks");
-    start_trace(&opts.trace, opts.sweep);
+    flags.require(opts.nodes >= 2, "needs at least two nodes per shard");
+    flags.require(opts.ticks >= 3, "needs at least three ticks");
+    start_trace(&opts.trace, None);
     shard_sweep::run(&opts);
 }
 

@@ -13,7 +13,8 @@
 //!   virtual time.
 //! * [`chaos_soak`] — the seeded chaos soak (`repro chaos-soak`):
 //!   random fault schedules against the full middleware stack with
-//!   invariant checking after every injected fault.
+//!   invariant checking after every injected fault; `--shards K` runs
+//!   the cross-shard transfer mix.
 //! * [`fig_compile`] — the constraint-engine study (`repro
 //!   fig-compile`): interpreted vs compiled vs compiled+verdict-cache
 //!   validation cost in deterministic virtual time, with the
@@ -32,7 +33,7 @@
 //!   goodput and cross-shard abort rate per shard count, offered load
 //!   and partition pattern under the `RejectDegraded` routing policy,
 //!   with the cross-shard value-conservation contract checked in
-//!   every cell; `--sweep K` runs the K-seed cross-shard chaos soak.
+//!   every cell.
 
 pub mod ch2;
 pub mod ch5;

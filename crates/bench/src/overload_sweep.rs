@@ -26,8 +26,9 @@
 //! Everything runs on the virtual clock; the same seed reproduces the
 //! table — and a `--trace` JSONL file — byte for byte.
 
+use dedisys_chaos::chaos_app;
 use dedisys_core::{nodes, Cluster, ClusterBuilder, RequestPlane, Session};
-use dedisys_object::{AppDescriptor, ClassDescriptor, EntityState};
+use dedisys_object::EntityState;
 use dedisys_types::{NodeId, ObjectId, PriorityClass, SimDuration, Value};
 use std::collections::VecDeque;
 use std::path::PathBuf;
@@ -88,13 +89,8 @@ struct CellOutcome {
 /// closure itself so both sides measure identically.
 type LatencySink = Arc<Mutex<Vec<(PriorityClass, SimDuration)>>>;
 
-fn sweep_app() -> AppDescriptor {
-    AppDescriptor::new("overload-sweep")
-        .with_class(ClassDescriptor::new("Item").with_field("n", Value::Int(0)))
-}
-
 fn build_cluster(opts: &OverloadOptions, degraded: bool) -> Cluster {
-    let mut cluster = ClusterBuilder::new(opts.nodes, sweep_app())
+    let mut cluster = ClusterBuilder::new(opts.nodes, chaos_app())
         .build()
         .expect("overload-sweep cluster");
     if let Some(path) = &opts.trace {

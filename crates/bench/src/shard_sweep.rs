@@ -17,19 +17,15 @@
 //! value is conserved across all shards in every cell (the chaos
 //! engine's `xshard_conservation` invariant), every cell commits work,
 //! the unpartitioned pattern rejects nothing, and the partitioned
-//! patterns reject degraded-shard work.
-//!
-//! `--sweep K` runs the federation chaos soak instead — K seeds of the
-//! cross-shard transfer workload under random shard partitions and
-//! coordinator crashes — and exits 1 on any invariant violation.
+//! patterns reject degraded-shard work. (The seeded cross-shard chaos
+//! soak is `repro chaos-soak --shards K`.)
 //!
 //! Everything runs on the federation's shared virtual clock; the same
 //! seed reproduces the table — and a `--trace` JSONL file — byte for
 //! byte.
 
-use dedisys_chaos::{check_federation, FederationChaosConfig, FederationChaosEngine};
+use dedisys_chaos::{chaos_app, fund_accounts, prepare_transfer, InvariantChecker};
 use dedisys_federation::{FederatedCluster, RoutingPolicy, ShardId};
-use dedisys_object::{AppDescriptor, ClassDescriptor};
 use dedisys_types::{NodeId, ObjectId, PriorityClass, SimDuration, Value};
 use std::path::PathBuf;
 
@@ -60,8 +56,7 @@ const BALANCE: i64 = 100;
 /// CLI options of `repro shard-sweep`.
 #[derive(Debug, Clone)]
 pub struct ShardSweepOptions {
-    /// Seed of the ring, the arrival mix, and (in `--sweep` mode) the
-    /// chaos schedules.
+    /// Seed of the ring and the arrival mix.
     pub seed: u64,
     /// Nodes per shard.
     pub nodes: u32,
@@ -69,8 +64,6 @@ pub struct ShardSweepOptions {
     pub ticks: u32,
     /// JSONL trace destination (cells append; federation bus only).
     pub trace: Option<PathBuf>,
-    /// Run the K-seed federation chaos soak instead of the table.
-    pub sweep: Option<u64>,
 }
 
 impl Default for ShardSweepOptions {
@@ -80,7 +73,6 @@ impl Default for ShardSweepOptions {
             nodes: 3,
             ticks: 30,
             trace: None,
-            sweep: None,
         }
     }
 }
@@ -134,12 +126,6 @@ impl CellOutcome {
     }
 }
 
-fn sweep_app() -> AppDescriptor {
-    AppDescriptor::new("shard-sweep")
-        .with_class(ClassDescriptor::new("Item").with_field("n", Value::Int(0)))
-        .with_class(ClassDescriptor::new("Account").with_field("v", Value::Int(0)))
-}
-
 fn item(i: u64) -> ObjectId {
     ObjectId::new("Item", format!("I-{}", i % u64::from(ITEMS)))
 }
@@ -148,8 +134,12 @@ fn account(i: u64) -> ObjectId {
     ObjectId::new("Account", format!("A-{}", i % u64::from(ACCOUNTS)))
 }
 
-fn build_federation(opts: &ShardSweepOptions, shards: u32) -> FederatedCluster {
-    let mut fed = FederatedCluster::builder(shards, opts.nodes, sweep_app())
+fn build_federation(
+    opts: &ShardSweepOptions,
+    shards: u32,
+    accounts: &[ObjectId],
+) -> FederatedCluster {
+    let mut fed = FederatedCluster::builder(shards, opts.nodes, chaos_app())
         .seed(opts.seed)
         .policy(RoutingPolicy::RejectDegraded)
         .xshard_timeout(SimDuration::from_millis(50))
@@ -161,16 +151,7 @@ fn build_federation(opts: &ShardSweepOptions, shards: u32) -> FederatedCluster {
     for i in 0..u64::from(ITEMS) {
         fed.create(&item(i)).expect("seed item");
     }
-    for i in 0..u64::from(ACCOUNTS) {
-        let id = account(i);
-        fed.create(&id).expect("seed account");
-        let target = id.clone();
-        fed.run_routed(&id, |mut session| {
-            session.set_field(&target, "v", Value::Int(BALANCE))?;
-            session.commit()
-        })
-        .expect("fund account");
-    }
+    fund_accounts(&mut fed, accounts, BALANCE).expect("fund accounts");
     fed
 }
 
@@ -190,16 +171,6 @@ fn arrival(seed: u64, i: u64) -> (u64, PriorityClass) {
     (h, class)
 }
 
-/// The committed balance of `id` on its owning shard.
-fn balance(fed: &FederatedCluster, id: &ObjectId) -> Option<i64> {
-    let owner = fed.map().shard_of(id);
-    let node = fed.coordinator_node(owner)?;
-    match fed.shard(owner).entity_on(node, id)?.field("v") {
-        Value::Int(v) => Some(*v),
-        _ => None,
-    }
-}
-
 /// One cross-shard transfer; every seventh loses its coordinator and
 /// is recovered by presumed abort at a later tick.
 fn transfer(fed: &mut FederatedCluster, counter: u64) {
@@ -208,21 +179,9 @@ fn transfer(fed: &mut FederatedCluster, counter: u64) {
     if a == b {
         return;
     }
-    let (Some(cur_a), Some(cur_b)) = (balance(fed, &a), balance(fed, &b)) else {
+    let Ok(xtx) = prepare_transfer(fed, &a, &b, 1 + (counter % 5) as i64) else {
         return;
     };
-    let amount = 1 + (counter % 5) as i64;
-    let xtx = fed.xshard_begin();
-    let staged = fed
-        .xshard_set_field(xtx, &a, "v", Value::Int(cur_a - amount))
-        .and_then(|_| fed.xshard_set_field(xtx, &b, "v", Value::Int(cur_b + amount)));
-    if staged.is_err() {
-        let _ = fed.xshard_abort(xtx);
-        return;
-    }
-    if fed.xshard_prepare(xtx).is_err() {
-        return;
-    }
     if counter % 7 == 6 {
         let _ = fed.crash_coordinator(xtx);
     } else {
@@ -231,7 +190,8 @@ fn transfer(fed: &mut FederatedCluster, counter: u64) {
 }
 
 fn run_cell(opts: &ShardSweepOptions, shards: u32, load: u32, pattern: Pattern) -> CellOutcome {
-    let mut fed = build_federation(opts, shards);
+    let accounts: Vec<ObjectId> = (0..u64::from(ACCOUNTS)).map(account).collect();
+    let mut fed = build_federation(opts, shards, &accounts);
     let partition_tick = opts.ticks / 3;
     let start = fed.clock().now();
     let mut arrivals = 0u64;
@@ -278,8 +238,14 @@ fn run_cell(opts: &ShardSweepOptions, shards: u32, load: u32, pattern: Pattern) 
     fed.clock().advance(SimDuration::from_millis(100));
     fed.resolve_xshard_in_doubt();
 
-    let accounts: Vec<ObjectId> = (0..u64::from(ACCOUNTS)).map(account).collect();
-    let violations = check_federation(&fed, &accounts, BALANCE * i64::from(ACCOUNTS));
+    let mut violations: Vec<_> = (0..shards)
+        .flat_map(|s| InvariantChecker::check_running(fed.shard(ShardId(s))))
+        .collect();
+    violations.extend(InvariantChecker::check_federation(
+        &fed,
+        &accounts,
+        BALANCE * i64::from(ACCOUNTS),
+    ));
     for v in &violations {
         eprintln!(
             "shard-sweep: {shards} shards, load {load}, {}: {v}",
@@ -299,48 +265,9 @@ fn run_cell(opts: &ShardSweepOptions, shards: u32, load: u32, pattern: Pattern) 
     }
 }
 
-/// The K-seed federation chaos soak behind `--sweep`.
-fn run_soak(opts: &ShardSweepOptions, seeds: u64) {
-    println!("shard-sweep soak: {seeds} seed(s) of the cross-shard transfer chaos workload");
-    let mut failures = 0u64;
-    for seed in 0..seeds {
-        let report = FederationChaosEngine::new(FederationChaosConfig {
-            seed: opts.seed.wrapping_add(seed),
-            nodes_per_shard: opts.nodes,
-            ..FederationChaosConfig::default()
-        })
-        .expect("soak federation")
-        .run();
-        let verdict = if report.clean() { "clean" } else { "VIOLATED" };
-        println!(
-            "  seed {:>4}: {} transfers ({} committed, {} aborted, {} presumed), {} partition(s), {} coordinator crash(es): {verdict}",
-            report.seed,
-            report.transfers,
-            report.committed,
-            report.aborted,
-            report.presumed_aborted,
-            report.partitions,
-            report.coordinator_crashes,
-        );
-        for v in &report.violations {
-            eprintln!("    {v}");
-            failures += 1;
-        }
-    }
-    if failures > 0 {
-        eprintln!("shard-sweep soak: {failures} invariant violation(s)");
-        std::process::exit(1);
-    }
-    println!("  verdict: value conserved and no orphaned cross-shard locks on every seed");
-}
-
-/// Runs the sweep (or the `--sweep` soak) per `opts`; exits the
-/// process with status 1 when the contract fails.
+/// Runs the sweep per `opts`; exits the process with status 1 when the
+/// contract fails.
 pub fn run(opts: &ShardSweepOptions) {
-    if let Some(seeds) = opts.sweep {
-        run_soak(opts, seeds);
-        return;
-    }
     println!(
         "shard-sweep seed {} ({} nodes/shard, {} ticks, {} dispatch steps/tick)",
         opts.seed, opts.nodes, opts.ticks, STEPS_PER_TICK

@@ -1,43 +1,86 @@
-//! The chaos engine: interleaves a seeded fault schedule with a
-//! seeded workload on the virtual clock, checks invariants after
-//! every fault, and finishes with the full repair sequence
-//! (restart → heal → resolve in-doubt → reconcile → convergence
-//! check).
+//! The chaos engine: interleaves seeded faults with a seeded workload
+//! on the virtual clock, checks invariants after every fault, and
+//! finishes with one repair sequence on every shard (restart → heal →
+//! resolve in-doubt → reconcile → convergence check).
 //!
-//! Everything is derived from [`ChaosConfig::seed`]: the fault plan
-//! and the workload mix. Two runs with the same config produce the same
+//! The engine always drives a [`FederatedCluster`]; the shard count
+//! picks the workload:
+//!
+//! * **item mix** (one shard, the classic soak) — creates, reads,
+//!   writes and hanging explicit 2PC on shard 0, driven directly, under
+//!   a [`FaultPlan`] of crashes, partitions, heals and store faults.
+//! * **transfer mix** (two or more shards) — cross-shard balance
+//!   transfers that commit, abort or lose their federation coordinator,
+//!   under shard partitions and heals drawn inline. Every committed
+//!   transaction is a genuine cross-shard 2PC, and two invariants make
+//!   atomicity violations visible as data: the committed balances
+//!   always sum to the initial total (value conservation), and every
+//!   begun cross-shard transaction is committed, aborted or still open
+//!   (transaction conservation).
+//!
+//! Everything is derived from [`ChaosConfig::seed`]: the fault plan and
+//! the workload. Two runs with the same config produce the same
 //! virtual-time trajectory and — with a JSONL exporter attached —
 //! byte-identical trace files.
 
 use crate::invariant::{InvariantChecker, InvariantViolation};
 use crate::plan::{FaultPlan, FaultStep};
 use dedisys_core::{
-    Cluster, ClusterBuilder, DeferAll, DetectorKind, HighestVersionWins, LinkFault, PlaneStats,
-    RequestPlane, StatsSnapshot,
+    Cluster, DeferAll, DetectorKind, HighestVersionWins, LinkFault, PlaneStats, RequestPlane,
+    StatsSnapshot, Telemetry,
 };
+use dedisys_federation::{FederatedCluster, FederationStats, RoutingPolicy, ShardId};
 use dedisys_object::{AppDescriptor, ClassDescriptor, EntityState};
 use dedisys_telemetry::TraceEvent;
-use dedisys_types::{ChaosRng, NodeId, ObjectId, PriorityClass, Result, SimDuration, TxId, Value};
+use dedisys_types::{
+    ChaosRng, Error, NodeId, ObjectId, PriorityClass, Result, SimDuration, SystemMode, TxId, Value,
+};
+
+/// Items the item mix creates up front as its working set.
+const ITEM_POOL: u32 = 12;
+/// Accounts the transfer mix funds up front.
+const ACCOUNTS: u32 = 12;
+/// Starting balance of every account; `ACCOUNTS * INITIAL_BALANCE` is
+/// the conserved total.
+const INITIAL_BALANCE: i64 = 100;
+/// Per-op percent chance to partition one healthy shard.
+const PARTITION_PCT: u64 = 15;
+/// Per-op percent chance to heal (and reconcile) one degraded shard.
+const HEAL_PCT: u64 = 30;
+/// Percent of prepared transfers explicitly aborted.
+const ABORT_PCT: u64 = 10;
+/// Percent of prepared transfers whose federation coordinator crashes.
+const COORDINATOR_CRASH_PCT: u64 = 10;
+/// Presumed-abort deadline of a coordinator-crashed transfer — shorter
+/// than the shard-level in-doubt timeout the repair sequence waits out,
+/// so that wait resolves both.
+const XSHARD_TIMEOUT: SimDuration = SimDuration::from_millis(50);
+/// Virtual time between two transfer-mix ops.
+const OP_TICK: SimDuration = SimDuration::from_millis(1);
+/// The shard the item mix and the fault plan act on.
+const SHARD0: ShardId = ShardId(0);
 
 /// Configuration of one chaos-soak run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChaosConfig {
-    /// Cluster size (at least 2).
+    /// Nodes per shard (at least 2).
     pub nodes: u32,
     /// Workload operations to run.
     pub ops: u64,
-    /// Fault steps to schedule across the run.
+    /// Fault steps [`ChaosEngine::run`] schedules across an item-mix
+    /// run (the transfer mix draws its shard faults inline).
     pub faults: usize,
     /// Master seed: fixes plan and workload.
     pub seed: u64,
-    /// Entities created up front as the workload's working set.
-    pub item_pool: usize,
+    /// Shards in the federation: 1 runs the item mix, more run the
+    /// cross-shard transfer mix.
+    pub shards: u32,
     /// Drive membership through the adaptive failure-detection
     /// pipeline: the cluster runs a φ-accrual detector with flap
     /// damping, and the random plan draws from the extended fault
     /// vocabulary (link flaps, asymmetric loss, jitter, torn journal
     /// writes). Off by default so classic seeds keep their historical
-    /// schedules.
+    /// schedules. Item mix only.
     pub detector: bool,
     /// Route the read/write share of the workload through a
     /// [`RequestPlane`]: requests are admitted under token-bucket and
@@ -46,7 +89,7 @@ pub struct ChaosConfig {
     /// checker then also asserts request conservation (no admitted
     /// request is lost) and the per-node queue bound after every
     /// fault. Off by default so classic seeds keep their historical
-    /// schedules.
+    /// schedules. Item mix only.
     pub workload_plane: bool,
 }
 
@@ -57,7 +100,7 @@ impl Default for ChaosConfig {
             ops: 300,
             faults: 24,
             seed: 0,
-            item_pool: 12,
+            shards: 1,
             detector: false,
             workload_plane: false,
         }
@@ -71,21 +114,25 @@ pub struct ChaosReport {
     pub seed: u64,
     /// Workload operations that succeeded.
     pub ops_ok: u64,
-    /// Workload operations that failed (availability, locks, vetoes —
-    /// expected under faults).
+    /// Workload operations that failed (availability, locks, vetoes,
+    /// refused or aborted transfers — expected under faults).
     pub ops_failed: u64,
-    /// Fault steps applied.
+    /// Fault steps applied (in the transfer mix: shard partitions,
+    /// heals and coordinator crashes).
     pub faults_applied: u64,
     /// Fault steps skipped (inapplicable when reached).
     pub faults_skipped: u64,
-    /// In-doubt transactions resolved by presumed abort.
+    /// Shard-level in-doubt transactions resolved by presumed abort.
     pub in_doubt_resolved: u64,
     /// Every invariant violation observed (must be empty).
     pub violations: Vec<InvariantViolation>,
     /// Request-plane counters (all zero unless
     /// [`ChaosConfig::workload_plane`] was set).
     pub plane: PlaneStats,
-    /// Final cluster statistics snapshot.
+    /// Cross-shard transaction counters (all zero in the item mix).
+    pub federation: FederationStats,
+    /// Final statistics snapshot of shard 0 — the whole cluster in the
+    /// item mix.
     pub final_stats: StatsSnapshot,
 }
 
@@ -96,24 +143,101 @@ impl ChaosReport {
     }
 }
 
-/// The minimal soak application: one entity class with an integer
-/// field, conventional accessors dispatched by the method table.
-fn chaos_app() -> AppDescriptor {
+/// The soak application of both mixes: an `Item` with an integer field
+/// `n` and an `Account` with an integer balance `v`, conventional
+/// accessors dispatched by the method table.
+pub fn chaos_app() -> AppDescriptor {
     AppDescriptor::new("chaos-soak")
         .with_class(ClassDescriptor::new("Item").with_field("n", Value::Int(0)))
+        .with_class(ClassDescriptor::new("Account").with_field("v", Value::Int(0)))
 }
 
-/// Drives one seeded chaos run against a dedicated cluster.
+/// The committed balance `v` of account `id`, read on its owning
+/// shard's coordinator node.
+pub fn account_balance(fed: &FederatedCluster, id: &ObjectId) -> Option<i64> {
+    let owner = fed.map().shard_of(id);
+    let node = fed.coordinator_node(owner)?;
+    match fed.shard(owner).entity_on(node, id)?.field("v") {
+        Value::Int(v) => Some(*v),
+        _ => None,
+    }
+}
+
+/// Creates every account of `ids` on its owning shard and funds it with
+/// `balance` in a routed transaction.
+///
+/// # Errors
+///
+/// The first failed create or funding write.
+pub fn fund_accounts(fed: &mut FederatedCluster, ids: &[ObjectId], balance: i64) -> Result<()> {
+    for id in ids {
+        fed.create(id)?;
+        fed.run_routed(id, |mut session| {
+            session.set_field(id, "v", Value::Int(balance))?;
+            session.commit()
+        })?;
+    }
+    Ok(())
+}
+
+/// The staging half of a transfer of `amount` from account `from` to
+/// account `to`: reads both committed balances, stages both new ones in
+/// one cross-shard transaction and prepares it on every participant.
+/// Returns the prepared transaction; the caller commits, aborts or
+/// crashes its coordinator.
+///
+/// # Errors
+///
+/// [`Error::ObjectUnreachable`] when a balance cannot be read (nothing
+/// is begun), a staging error (the transaction is aborted), or the
+/// prepare refusal (the transaction resolved aborted).
+pub fn prepare_transfer(
+    fed: &mut FederatedCluster,
+    from: &ObjectId,
+    to: &ObjectId,
+    amount: i64,
+) -> Result<u64> {
+    let read = |id: &ObjectId| {
+        account_balance(fed, id).ok_or_else(|| Error::ObjectUnreachable(id.clone()))
+    };
+    let (from_balance, to_balance) = (read(from)?, read(to)?);
+    let xtx = fed.xshard_begin();
+    let staged = fed
+        .xshard_set_field(xtx, from, "v", Value::Int(from_balance - amount))
+        .and_then(|_| fed.xshard_set_field(xtx, to, "v", Value::Int(to_balance + amount)));
+    if let Err(e) = staged {
+        let _ = fed.xshard_abort(xtx);
+        return Err(e);
+    }
+    fed.xshard_prepare(xtx)?;
+    Ok(xtx)
+}
+
+/// Reconciles what degraded mode left on a healed `cluster` — the last
+/// step of every heal the engine performs.
+fn reconcile(cluster: &mut Cluster) {
+    if cluster.needs_reconciliation() {
+        cluster.reconcile(&mut HighestVersionWins, &mut DeferAll);
+    }
+}
+
+/// The shards of `fed`, in order.
+fn shard_ids(fed: &FederatedCluster) -> impl Iterator<Item = ShardId> {
+    (0..fed.shard_count()).map(ShardId)
+}
+
+/// Drives one seeded chaos run against a dedicated federation.
 pub struct ChaosEngine {
     config: ChaosConfig,
-    cluster: Cluster,
-    /// Workload RNG — a distinct stream from the plan generator so
-    /// adding plan entropy does not shift the workload.
+    fed: FederatedCluster,
+    /// Workload RNG — in the item mix a distinct stream from the plan
+    /// generator, so adding plan entropy does not shift the workload.
     rng: ChaosRng,
     /// The request plane the read/write workload routes through when
     /// [`ChaosConfig::workload_plane`] is set (idle otherwise).
     plane: RequestPlane,
     items: Vec<ObjectId>,
+    accounts: Vec<ObjectId>,
     created: u64,
     open_prepared: Vec<TxId>,
     ops_ok: u64,
@@ -125,27 +249,46 @@ pub struct ChaosEngine {
 }
 
 impl ChaosEngine {
-    /// Builds the soak cluster and seeds the working set.
+    /// Builds the soak federation: one shard of `nodes` nodes for the
+    /// item mix, `shards` of them for the transfer mix.
     ///
     /// # Errors
     ///
-    /// Propagates cluster-construction and seeding failures.
+    /// [`Error::Config`] for fewer than two nodes, zero shards, or the
+    /// detector or request plane on a transfer mix; propagates
+    /// federation-construction failures.
     pub fn new(config: ChaosConfig) -> Result<Self> {
-        assert!(config.nodes >= 2, "chaos needs at least two nodes");
-        let mut builder = ClusterBuilder::new(config.nodes, chaos_app());
+        if config.nodes < 2 {
+            return Err(Error::Config("chaos needs at least two nodes".into()));
+        }
+        if config.shards > 1 && (config.detector || config.workload_plane) {
+            return Err(Error::Config(
+                "the transfer mix runs without the detector and the request plane".into(),
+            ));
+        }
+        let mut builder = FederatedCluster::builder(config.shards, config.nodes, chaos_app())
+            .seed(config.seed)
+            .policy(RoutingPolicy::RouteAnyway)
+            .xshard_timeout(XSHARD_TIMEOUT);
         if config.detector {
+            // The membership seed is the federation's, plus the shard.
             builder = builder.configure(|c| {
                 c.membership.detector_enabled = true;
                 c.membership.detector = DetectorKind::Adaptive;
-                c.membership.seed = config.seed;
             });
         }
-        let cluster = builder.build()?;
+        let fed = builder.build()?;
+        let stream = if config.shards > 1 {
+            config.seed
+        } else {
+            config.seed ^ 0xC0FF_EE00_C0FF_EE00
+        };
         Ok(Self {
-            rng: ChaosRng::new(config.seed ^ 0xC0FF_EE00_C0FF_EE00),
+            rng: ChaosRng::new(stream),
             plane: RequestPlane::new(),
-            cluster,
+            fed,
             items: Vec::new(),
+            accounts: Vec::new(),
             created: 0,
             open_prepared: Vec::new(),
             ops_ok: 0,
@@ -158,44 +301,49 @@ impl ChaosEngine {
         })
     }
 
-    /// The cluster under test — attach telemetry sinks here *before*
-    /// [`ChaosEngine::run`] to capture the trace.
-    pub fn cluster(&self) -> &Cluster {
-        &self.cluster
+    /// The bus a trace of this run records — attach sinks here before
+    /// [`ChaosEngine::run`]. In the item mix that is shard 0's bus,
+    /// where every event happens; in the transfer mix it is the
+    /// federation's (routing and cross-shard 2PC).
+    pub fn telemetry(&self) -> &Telemetry {
+        if self.transfers() {
+            self.fed.telemetry()
+        } else {
+            self.fed.shard(SHARD0).telemetry()
+        }
     }
 
-    /// Runs the seed-derived random plan to completion.
+    fn transfers(&self) -> bool {
+        self.config.shards > 1
+    }
+
+    /// Runs the seed-derived random plan to completion (an empty plan
+    /// in the transfer mix, which draws its faults inline).
     ///
     /// # Errors
     ///
     /// Propagates workload-seeding failures; fault application and
     /// workload errors are absorbed into the report.
     pub fn run(self) -> Result<ChaosReport> {
-        let plan = if self.config.detector {
-            FaultPlan::random_adaptive(
-                self.config.seed,
-                self.config.nodes,
-                self.config.ops,
-                self.config.faults,
-            )
+        let c = &self.config;
+        let plan = if self.transfers() {
+            FaultPlan::new()
+        } else if c.detector {
+            FaultPlan::random_adaptive(c.seed, c.nodes, c.ops, c.faults)
         } else {
-            FaultPlan::random(
-                self.config.seed,
-                self.config.nodes,
-                self.config.ops,
-                self.config.faults,
-            )
+            FaultPlan::random(c.seed, c.nodes, c.ops, c.faults)
         };
         self.run_plan(&plan)
     }
 
-    /// Runs an explicit fault plan to completion.
+    /// Runs an explicit fault plan, whose steps act on shard 0, to
+    /// completion.
     ///
     /// # Errors
     ///
     /// Propagates workload-seeding failures.
     pub fn run_plan(mut self, plan: &FaultPlan) -> Result<ChaosReport> {
-        self.seed_items()?;
+        self.seed_objects()?;
         let mut steps = plan.steps().iter().peekable();
         let mut step_no: u32 = 0;
         for op in 0..self.config.ops {
@@ -205,16 +353,32 @@ impl ChaosEngine {
                 step_no += 1;
                 self.check_invariants();
             }
-            self.one_op();
+            let result = if self.transfers() {
+                self.transfer_op()
+            } else {
+                self.item_op()
+            };
+            match result {
+                Ok(()) => self.ops_ok += 1,
+                Err(_) => self.ops_failed += 1,
+            }
             // Dispatch one queued request per workload op, so plane
             // traffic drains interleaved with faults and new arrivals.
             if self.config.workload_plane {
-                self.plane.step(&mut self.cluster);
+                self.plane.step(self.fed.shard_mut(SHARD0));
             }
-            self.in_doubt_resolved += self.cluster.resolve_in_doubt() as u64;
-            // The workload advanced the virtual clock; let the
-            // failure detector process whatever heartbeats landed.
-            self.cluster.poll_detector();
+            self.fed.resolve_xshard_in_doubt();
+            for s in shard_ids(&self.fed) {
+                let cluster = self.fed.shard_mut(s);
+                self.in_doubt_resolved += cluster.resolve_in_doubt() as u64;
+                // The workload advanced the virtual clock; let the
+                // failure detector process whatever heartbeats landed.
+                cluster.poll_detector();
+            }
+            // Every transfer-mix op may have faulted a shard.
+            if self.transfers() {
+                self.check_invariants();
+            }
         }
         for planned in steps {
             self.apply_step(step_no, &planned.step);
@@ -222,7 +386,6 @@ impl ChaosEngine {
             self.check_invariants();
         }
         self.finish();
-        let final_stats = self.cluster.stats();
         Ok(ChaosReport {
             seed: self.config.seed,
             ops_ok: self.ops_ok,
@@ -232,27 +395,45 @@ impl ChaosEngine {
             in_doubt_resolved: self.in_doubt_resolved,
             violations: self.violations,
             plane: *self.plane.stats(),
-            final_stats,
+            federation: *self.fed.stats(),
+            final_stats: self.fed.shard(SHARD0).stats(),
         })
     }
 
-    /// The post-fault invariant sweep: the running-cluster checks,
-    /// plus request accounting when the plane carries the workload.
+    /// The post-fault invariant sweep: the running-cluster checks on
+    /// every shard, request accounting when the plane carries the
+    /// workload, and the cross-shard invariants.
     fn check_invariants(&mut self) {
-        self.violations
-            .extend(InvariantChecker::check_running(&self.cluster));
-        if self.config.workload_plane {
+        for s in shard_ids(&self.fed) {
             self.violations
-                .extend(InvariantChecker::check_plane(&self.plane, &self.cluster));
+                .extend(InvariantChecker::check_running(self.fed.shard(s)));
         }
+        if self.config.workload_plane {
+            self.violations.extend(InvariantChecker::check_plane(
+                &self.plane,
+                self.fed.shard(SHARD0),
+            ));
+        }
+        self.violations.extend(InvariantChecker::check_federation(
+            &self.fed,
+            &self.accounts,
+            INITIAL_BALANCE * self.accounts.len() as i64,
+        ));
     }
 
-    fn seed_items(&mut self) -> Result<()> {
-        for i in 0..self.config.item_pool {
-            let node = NodeId((i as u32) % self.config.nodes);
+    fn seed_objects(&mut self) -> Result<()> {
+        if self.transfers() {
+            self.accounts = (0..ACCOUNTS)
+                .map(|i| ObjectId::new("Account", format!("acct-{i}")))
+                .collect();
+            return fund_accounts(&mut self.fed, &self.accounts, INITIAL_BALANCE);
+        }
+        let cluster = self.fed.shard_mut(SHARD0);
+        for i in 0..ITEM_POOL {
+            let node = NodeId(i % self.config.nodes);
             let id = ObjectId::new("Item", format!("I-{i}"));
             let entity_id = id.clone();
-            self.cluster.run_tx(node, move |c, tx| {
+            cluster.run_tx(node, move |c, tx| {
                 c.create(node, tx, EntityState::for_class(c.app(), &entity_id)?)
             })?;
             self.items.push(id);
@@ -261,56 +442,63 @@ impl ChaosEngine {
     }
 
     fn live_nodes(&self) -> Vec<NodeId> {
-        self.cluster
+        let cluster = self.fed.shard(SHARD0);
+        cluster
             .topology()
             .nodes()
-            .filter(|n| !self.cluster.is_crashed(*n))
+            .filter(|n| !cluster.is_crashed(*n))
             .collect()
     }
 
-    fn one_op(&mut self) {
+    fn count_fault(&mut self, applied: bool) {
+        if applied {
+            self.faults_applied += 1;
+        } else {
+            self.faults_skipped += 1;
+        }
+    }
+
+    /// One item-mix op on shard 0.
+    fn item_op(&mut self) -> Result<()> {
         let live = self.live_nodes();
         if live.is_empty() {
-            return;
+            return Err(Error::NodeCrashed(NodeId(0)));
         }
         let node = *self.rng.pick(&live);
         let roll = self.rng.below(100);
-        let result: Result<()> = if roll < 10 {
+        let cluster = self.fed.shard_mut(SHARD0);
+        if roll < 10 {
             // Start an explicit 2PC and leave it hanging in prepared
             // state — a later crash of `node` makes it in-doubt. The
             // transaction outlives the session borrow, so detach it.
-            let tx = self.cluster.session(node).detach();
+            let tx = cluster.session(node).detach();
             let id = self.rng.pick(&self.items).clone();
             let value = Value::Int(self.rng.below(1_000) as i64);
-            let r = self
-                .cluster
+            let r = cluster
                 .set_field(node, tx, &id, "n", value)
-                .and_then(|()| self.cluster.prepare(tx));
+                .and_then(|()| cluster.prepare(tx));
             match r {
-                Ok(()) => {
-                    self.open_prepared.push(tx);
-                    Ok(())
-                }
-                Err(e) => {
-                    let _ = self.cluster.rollback(tx);
-                    Err(e)
+                Ok(()) => self.open_prepared.push(tx),
+                Err(_) => {
+                    let _ = cluster.rollback(tx);
                 }
             }
+            r
         } else if roll < 25 && !self.open_prepared.is_empty() {
             // Finish a hanging 2PC: phase 2 commit, or rollback.
             let idx = self.rng.below(self.open_prepared.len() as u64) as usize;
             let tx = self.open_prepared.swap_remove(idx);
             if self.rng.chance(50) {
-                self.cluster.commit(tx)
+                cluster.commit(tx)
             } else {
-                self.cluster.rollback(tx)
+                cluster.rollback(tx)
             }
         } else if roll < 40 {
             let key = format!("C-{}", self.created);
             self.created += 1;
             let id = ObjectId::new("Item", key);
             let entity_id = id.clone();
-            let r = self.cluster.run_tx(node, move |c, tx| {
+            let r = cluster.run_tx(node, move |c, tx| {
                 c.create(node, tx, EntityState::for_class(c.app(), &entity_id)?)
             });
             if r.is_ok() {
@@ -326,8 +514,7 @@ impl ChaosEngine {
                     session.commit()
                 })
             } else {
-                self.cluster
-                    .run_tx(node, move |c, tx| c.set_field(node, tx, &id, "n", value))
+                cluster.run_tx(node, move |c, tx| c.set_field(node, tx, &id, "n", value))
             }
         } else {
             let id = self.rng.pick(&self.items).clone();
@@ -336,14 +523,10 @@ impl ChaosEngine {
                     session.get_field(&id, "n").map(|_| ())
                 })
             } else {
-                self.cluster
+                cluster
                     .run_tx(node, move |c, tx| c.get_field(node, tx, &id, "n"))
                     .map(|_| ())
             }
-        };
-        match result {
-            Ok(()) => self.ops_ok += 1,
-            Err(_) => self.ops_failed += 1,
         }
     }
 
@@ -365,49 +548,106 @@ impl ChaosEngine {
             PriorityClass::Background
         };
         self.plane
-            .submit(&mut self.cluster, node, class, work)
+            .submit(self.fed.shard_mut(SHARD0), node, class, work)
             .map(|_| ())
+    }
+
+    /// One transfer-mix op: a tick of virtual time, the inline shard
+    /// faults, then one cross-shard transfer that commits, aborts or
+    /// loses its coordinator (recovered later by presumed abort).
+    fn transfer_op(&mut self) -> Result<()> {
+        self.fed.clock().advance(OP_TICK);
+        self.shard_faults();
+        let n = self.accounts.len() as u64;
+        let from = self.rng.below(n) as usize;
+        let mut to = self.rng.below(n) as usize;
+        if to == from {
+            to = (to + 1) % self.accounts.len();
+        }
+        let amount = 1 + self.rng.below(5) as i64;
+        let xtx = prepare_transfer(
+            &mut self.fed,
+            &self.accounts[from],
+            &self.accounts[to],
+            amount,
+        )?;
+        if self.rng.chance(ABORT_PCT) {
+            self.fed.xshard_abort(xtx)
+        } else if self.rng.chance(COORDINATOR_CRASH_PCT) {
+            let crashed = self.fed.crash_coordinator(xtx);
+            self.count_fault(crashed.is_ok());
+            crashed
+        } else {
+            self.fed.xshard_commit(xtx)
+        }
+    }
+
+    /// Maybe partitions one healthy shard (a strict majority keeps node
+    /// 0, where the shard's transactions run, writable) and maybe heals
+    /// one degraded shard.
+    fn shard_faults(&mut self) {
+        let shards = u64::from(self.fed.shard_count());
+        let nodes = self.config.nodes;
+        if self.rng.chance(PARTITION_PCT) {
+            let shard = self.fed.shard_mut(ShardId(self.rng.below(shards) as u32));
+            let cut = nodes / 2 + 1;
+            let applied = shard.mode() == SystemMode::Healthy
+                && cut < nodes
+                && shard
+                    .partition(&[
+                        (0..cut).map(NodeId).collect(),
+                        (cut..nodes).map(NodeId).collect(),
+                    ])
+                    .is_ok();
+            self.count_fault(applied);
+        }
+        if self.rng.chance(HEAL_PCT) {
+            let shard = self.fed.shard_mut(ShardId(self.rng.below(shards) as u32));
+            let applied = shard.mode() == SystemMode::Degraded;
+            if applied {
+                shard.heal();
+                reconcile(shard);
+            }
+            self.count_fault(applied);
+        }
     }
 
     fn apply_step(&mut self, step_no: u32, step: &FaultStep) {
         let label = step.to_string();
-        self.cluster.telemetry().emit(|| TraceEvent::ChaosFault {
+        self.telemetry().emit(|| TraceEvent::ChaosFault {
             step: step_no,
             fault: label.clone(),
         });
+        let survivors = self.live_nodes().len() > 1;
+        let cluster = self.fed.shard_mut(SHARD0);
         let applied = match step {
-            FaultStep::Crash(node) => {
-                // Never take down the last live node.
-                self.live_nodes().len() > 1 && self.cluster.crash(*node).is_ok()
-            }
-            FaultStep::Restart(node) => self.cluster.restart(*node).is_ok(),
-            FaultStep::Partition(groups) => self.cluster.partition(groups).is_ok(),
+            // Never take down the last live node.
+            FaultStep::Crash(node) => survivors && cluster.crash(*node).is_ok(),
+            FaultStep::Restart(node) => cluster.restart(*node).is_ok(),
+            FaultStep::Partition(groups) => cluster.partition(groups).is_ok(),
             FaultStep::Heal => {
-                self.cluster.heal();
+                cluster.heal();
                 true
             }
             FaultStep::WriteFaultWindow { node, failures } => {
-                self.cluster.inject_write_fault(*node, *failures);
+                cluster.inject_write_fault(*node, *failures);
                 true
             }
             FaultStep::ReplicaLag { node, updates } => {
-                self.cluster.inject_replica_lag(*node, *updates);
+                cluster.inject_replica_lag(*node, *updates);
                 true
             }
-            FaultStep::LinkJitter { micros } => {
-                self.cluster.set_default_link_jitter(*micros).is_ok()
-            }
+            FaultStep::LinkJitter { micros } => cluster.set_default_link_jitter(*micros).is_ok(),
             FaultStep::LinkFlap {
                 node,
                 flaps,
                 period_millis,
-            } => self.link_flap(*node, *flaps, *period_millis),
+            } => link_flap(cluster, *node, *flaps, *period_millis),
             FaultStep::AsymmetricLoss {
                 from,
                 to,
                 per_mille,
-            } => self
-                .cluster
+            } => cluster
                 .set_link_fault(
                     *from,
                     *to,
@@ -418,87 +658,47 @@ impl ChaosEngine {
                 )
                 .is_ok(),
             FaultStep::WalTornWrite { node } => {
-                self.live_nodes().len() > 1
-                    && !self.cluster.is_crashed(*node)
-                    && self.cluster.corrupt_journal_tail(*node, 1).is_ok()
-                    && self.cluster.crash(*node).is_ok()
+                survivors
+                    && !cluster.is_crashed(*node)
+                    && cluster.corrupt_journal_tail(*node, 1).is_ok()
+                    && cluster.crash(*node).is_ok()
             }
         };
-        if applied {
-            self.faults_applied += 1;
-        } else {
-            self.faults_skipped += 1;
-        }
+        self.count_fault(applied);
     }
 
-    /// Severs and restores `node`'s physical links `flaps` times,
-    /// advancing the detector through each half-cycle — the
-    /// stabilizer's flap damping is what keeps this from translating
-    /// into `2 × flaps` installed views.
-    fn link_flap(&mut self, node: NodeId, flaps: u32, period_millis: u64) -> bool {
-        if !self.cluster.detector_enabled() || self.cluster.is_crashed(node) {
-            return false;
-        }
-        let others: Vec<NodeId> = self
-            .cluster
-            .topology()
-            .nodes()
-            .filter(|n| *n != node)
-            .collect();
-        let period = SimDuration::from_millis(period_millis);
-        for _ in 0..flaps {
-            if self
-                .cluster
-                .drop_links(&[vec![node], others.clone()])
-                .is_err()
-            {
-                return false;
-            }
-            self.cluster.run_detector_for(period);
-            if self.cluster.heal_links().is_err() {
-                return false;
-            }
-            self.cluster.run_detector_for(period);
-        }
-        true
-    }
-
-    /// The final repair sequence: drain hanging 2PC transactions,
-    /// restart every crashed node, heal, time out any remaining
-    /// in-doubt transactions, reconcile, and check convergence.
+    /// The repair sequence that ends every run: drain hanging 2PC
+    /// transactions, then on every shard restart each crashed node,
+    /// heal and let the detector quiesce; drain the plane; wait out
+    /// every presumed-abort deadline, shard-level and cross-shard;
+    /// reconcile; and check convergence.
     fn finish(&mut self) {
+        let cluster = self.fed.shard_mut(SHARD0);
         for tx in std::mem::take(&mut self.open_prepared) {
-            if self.cluster.tx_is_open(tx) {
-                match self.cluster.commit(tx) {
+            if cluster.tx_is_open(tx) {
+                match cluster.commit(tx) {
                     Ok(()) => self.ops_ok += 1,
                     Err(_) => self.ops_failed += 1,
                 }
             }
         }
-        let crashed: Vec<NodeId> = self.cluster.crashed_nodes().collect();
-        for node in crashed {
-            let _ = self.cluster.restart(node);
-        }
-        self.cluster.heal();
-        if self.cluster.detector_enabled() {
-            // Give the pipeline time to observe the healed fabric and
-            // decay any accumulated flap penalties, then insist on
-            // quiescence: zero standing suspicions, one partition.
-            let _ = self.cluster.set_default_link_jitter(0);
-            self.cluster.run_detector_for(SimDuration::from_secs(2));
-            let mut rounds = 0;
-            while rounds < 120
-                && (self.cluster.standing_suspicions() > 0 || !self.cluster.topology().is_healthy())
-            {
-                self.cluster.run_detector_for(SimDuration::from_secs(1));
-                rounds += 1;
+        for s in shard_ids(&self.fed) {
+            let cluster = self.fed.shard_mut(s);
+            let crashed: Vec<NodeId> = cluster.crashed_nodes().collect();
+            for node in crashed {
+                let _ = cluster.restart(node);
+            }
+            cluster.heal();
+            if cluster.detector_enabled() {
+                quiesce(cluster);
             }
         }
         // With every node restarted and the fabric healed, drain the
         // plane: whatever survived admission must now complete, shed
         // or miss its deadline — nothing may simply vanish.
         if self.config.workload_plane {
-            let report = self.plane.run_until_idle(&mut self.cluster);
+            let cluster = self.fed.shard_mut(SHARD0);
+            let report = self.plane.run_until_idle(cluster);
             if report.queued != 0 {
                 self.violations.push(InvariantViolation {
                     invariant: "plane_drained",
@@ -506,20 +706,70 @@ impl ChaosEngine {
                 });
             }
             self.violations
-                .extend(InvariantChecker::check_plane(&self.plane, &self.cluster));
+                .extend(InvariantChecker::check_plane(&self.plane, cluster));
         }
-        let timeout = self.cluster.costs().in_doubt_timeout;
-        self.cluster.clock().advance(timeout);
-        self.in_doubt_resolved += self.cluster.resolve_in_doubt() as u64;
-        if self.cluster.needs_reconciliation() {
-            let mut replica_handler = HighestVersionWins;
-            let mut constraint_handler = DeferAll;
-            let _ = self
-                .cluster
-                .reconcile(&mut replica_handler, &mut constraint_handler);
+        let timeout = self.fed.shard(SHARD0).costs().in_doubt_timeout;
+        self.fed.clock().advance(timeout);
+        self.fed.resolve_xshard_in_doubt();
+        for s in shard_ids(&self.fed) {
+            let cluster = self.fed.shard_mut(s);
+            self.in_doubt_resolved += cluster.resolve_in_doubt() as u64;
+            reconcile(cluster);
         }
-        self.violations
-            .extend(InvariantChecker::check_converged(&self.cluster));
+        if self.fed.open_xshard_count() != 0 {
+            self.violations.push(InvariantViolation {
+                invariant: "xshard_drained",
+                detail: format!(
+                    "{} cross-shard transaction(s) still open after the repair",
+                    self.fed.open_xshard_count()
+                ),
+            });
+        }
+        for s in shard_ids(&self.fed) {
+            self.violations
+                .extend(InvariantChecker::check_converged(self.fed.shard(s)));
+        }
+        self.violations.extend(InvariantChecker::check_federation(
+            &self.fed,
+            &self.accounts,
+            INITIAL_BALANCE * self.accounts.len() as i64,
+        ));
+    }
+}
+
+/// Severs and restores `node`'s physical links `flaps` times,
+/// advancing the detector through each half-cycle — the stabilizer's
+/// flap damping is what keeps this from translating into `2 × flaps`
+/// installed views.
+fn link_flap(cluster: &mut Cluster, node: NodeId, flaps: u32, period_millis: u64) -> bool {
+    if !cluster.detector_enabled() || cluster.is_crashed(node) {
+        return false;
+    }
+    let others: Vec<NodeId> = cluster.topology().nodes().filter(|n| *n != node).collect();
+    let period = SimDuration::from_millis(period_millis);
+    for _ in 0..flaps {
+        if cluster.drop_links(&[vec![node], others.clone()]).is_err() {
+            return false;
+        }
+        cluster.run_detector_for(period);
+        if cluster.heal_links().is_err() {
+            return false;
+        }
+        cluster.run_detector_for(period);
+    }
+    true
+}
+
+/// Gives the detector pipeline of a healed `cluster` time to observe
+/// the fabric and decay any accumulated flap penalties, then insists on
+/// quiescence: zero standing suspicions, one partition.
+fn quiesce(cluster: &mut Cluster) {
+    let _ = cluster.set_default_link_jitter(0);
+    cluster.run_detector_for(SimDuration::from_secs(2));
+    let mut rounds = 0;
+    while rounds < 120 && (cluster.standing_suspicions() > 0 || !cluster.topology().is_healthy()) {
+        cluster.run_detector_for(SimDuration::from_secs(1));
+        rounds += 1;
     }
 }
 
@@ -672,5 +922,62 @@ mod tests {
         .expect("engine");
         let report = engine.run_plan(&plan).expect("run");
         assert!(report.clean(), "violations: {:?}", report.violations);
+    }
+
+    #[test]
+    fn invalid_shapes_fail_typed() {
+        let rejects =
+            |config: ChaosConfig| matches!(ChaosEngine::new(config), Err(Error::Config(_)));
+        let base = ChaosConfig::default();
+        assert!(rejects(ChaosConfig { nodes: 1, ..base }));
+        assert!(rejects(ChaosConfig { nodes: 0, ..base }));
+        assert!(rejects(ChaosConfig { shards: 0, ..base }));
+        assert!(rejects(ChaosConfig {
+            shards: 3,
+            detector: true,
+            ..base
+        }));
+        assert!(rejects(ChaosConfig {
+            shards: 3,
+            workload_plane: true,
+            ..base
+        }));
+        assert!(ChaosEngine::new(ChaosConfig { nodes: 2, ..base }).is_ok());
+    }
+
+    fn transfer_run(seed: u64) -> ChaosReport {
+        ChaosEngine::new(ChaosConfig {
+            seed,
+            shards: 3,
+            nodes: 3,
+            ops: 80,
+            ..ChaosConfig::default()
+        })
+        .expect("engine")
+        .run()
+        .expect("run")
+    }
+
+    #[test]
+    fn transfer_runs_are_clean_and_exercise_every_outcome() {
+        let r = transfer_run(3);
+        assert!(r.clean(), "{:?}", r.violations);
+        let x = r.federation;
+        assert!(x.xshard_committed > 0, "no transfer committed");
+        assert!(x.xshard_aborted > 0, "no transfer aborted");
+        assert!(x.xshard_presumed_aborted > 0, "no coordinator crashed");
+        assert_eq!(x.xshard_begun, x.xshard_committed + x.xshard_aborted);
+        assert!(r.faults_applied > 0, "no shard faulted");
+    }
+
+    #[test]
+    fn transfer_runs_are_reproducible() {
+        let (a, b) = (transfer_run(7), transfer_run(7));
+        assert_eq!(a.federation, b.federation);
+        assert_eq!(
+            (a.ops_ok, a.ops_failed, a.faults_applied, a.faults_skipped),
+            (b.ops_ok, b.ops_failed, b.faults_applied, b.faults_skipped)
+        );
+        assert_eq!(a.final_stats.now_ns, b.final_stats.now_ns);
     }
 }

@@ -4,8 +4,10 @@
 //! registries and reports violations as data, so a soak run can
 //! aggregate them and a test can assert the list is empty.
 
+use crate::engine::account_balance;
 use dedisys_core::{Cluster, RequestPlane};
-use dedisys_types::SystemMode;
+use dedisys_federation::FederatedCluster;
+use dedisys_types::{ObjectId, SystemMode};
 
 /// One violated invariant, with a human-readable detail string.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -23,7 +25,7 @@ impl std::fmt::Display for InvariantViolation {
 }
 
 /// Stateless invariant checks over a [`Cluster`] (and the request
-/// plane that fronts it).
+/// plane that fronts it), and over a [`FederatedCluster`] of them.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct InvariantChecker;
 
@@ -123,6 +125,64 @@ impl InvariantChecker {
                     invariant: "plane_queue_bound",
                     detail: format!("{node} queues {depth} requests over the bound {bound}"),
                 });
+            }
+        }
+        out
+    }
+
+    /// The cross-shard invariants of a federation, complementing the
+    /// per-shard checks: the committed balances of `accounts` sum to
+    /// `expected_total` (value conservation — a transfer that commits
+    /// its debit but loses its credit breaks the sum at once), every
+    /// begun cross-shard transaction is committed, aborted or still
+    /// open, and no participant of a resolved one still holds a lock.
+    pub fn check_federation(
+        fed: &FederatedCluster,
+        accounts: &[ObjectId],
+        expected_total: i64,
+    ) -> Vec<InvariantViolation> {
+        let mut out = Vec::new();
+        let mut total = 0i64;
+        for id in accounts {
+            match account_balance(fed, id) {
+                Some(v) => total += v,
+                None => out.push(InvariantViolation {
+                    invariant: "xshard_conservation",
+                    detail: format!("account {id} unreadable on {}", fed.map().shard_of(id)),
+                }),
+            }
+        }
+        if total != expected_total {
+            out.push(InvariantViolation {
+                invariant: "xshard_conservation",
+                detail: format!("committed balances sum to {total}, expected {expected_total}"),
+            });
+        }
+
+        let stats = fed.stats();
+        let open = fed.open_xshard_count() as u64;
+        if stats.xshard_begun != stats.xshard_committed + stats.xshard_aborted + open {
+            out.push(InvariantViolation {
+                invariant: "xshard_tx_conservation",
+                detail: format!(
+                    "begun={} != committed={} + aborted={} + open={open}",
+                    stats.xshard_begun, stats.xshard_committed, stats.xshard_aborted
+                ),
+            });
+        }
+
+        for (xtx, outcome) in fed.xshard_outcomes() {
+            for (shard, tx) in &outcome.participants {
+                let cluster = fed.shard(*shard);
+                let shard_in_doubt = cluster.in_doubt_txs().any(|(t, _)| t == *tx);
+                if !shard_in_doubt && cluster.held_locks().iter().any(|(_, t)| t == tx) {
+                    out.push(InvariantViolation {
+                        invariant: "xshard_no_orphaned_locks",
+                        detail: format!(
+                            "resolved xtx {xtx}: participant {tx} on {shard} holds a lock"
+                        ),
+                    });
+                }
             }
         }
         out

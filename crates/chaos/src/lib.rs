@@ -1,8 +1,9 @@
 //! # dedisys-chaos — deterministic chaos engine
 //!
 //! Robustness harness for the DeDiSys reproduction: seeded fault
-//! schedules ([`FaultPlan`]), a workload/fault interleaver
-//! ([`ChaosEngine`]) and safety invariants ([`InvariantChecker`])
+//! schedules ([`FaultPlan`]), one workload/fault interleaver
+//! ([`ChaosEngine`]) — an item mix on one shard, a cross-shard transfer
+//! mix on several — and safety invariants ([`InvariantChecker`])
 //! checked after every injected fault.
 //!
 //! Everything runs on the shared virtual clock, and every random
@@ -30,13 +31,12 @@
 #![warn(missing_docs)]
 
 mod engine;
-mod federation;
 mod invariant;
 mod plan;
 
-pub use engine::{ChaosConfig, ChaosEngine, ChaosReport};
-pub use federation::{
-    check_federation, FederationChaosConfig, FederationChaosEngine, FederationChaosReport,
+pub use engine::{
+    account_balance, chaos_app, fund_accounts, prepare_transfer, ChaosConfig, ChaosEngine,
+    ChaosReport,
 };
 pub use invariant::{InvariantChecker, InvariantViolation};
 pub use plan::{FaultPlan, FaultStep, PlannedFault};

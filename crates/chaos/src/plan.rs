@@ -198,25 +198,7 @@ impl FaultPlan {
                     crashed.remove(&node);
                     FaultStep::Restart(node)
                 }
-                // Split the live nodes into two groups.
-                38..=52 if live.len() >= 2 => {
-                    let mut a = Vec::new();
-                    let mut b = Vec::new();
-                    for &n in &live {
-                        if rng.chance(50) {
-                            a.push(n);
-                        } else {
-                            b.push(n);
-                        }
-                    }
-                    if a.is_empty() {
-                        a.push(b.pop().expect("live >= 2"));
-                    }
-                    if b.is_empty() {
-                        b.push(a.pop().expect("live >= 2"));
-                    }
-                    FaultStep::Partition(vec![a, b])
-                }
+                38..=52 if live.len() >= 2 => split(&mut rng, &live),
                 53..=64 => FaultStep::Heal,
                 // A lossy ship, then a slow one: the link faults a
                 // scripted (detector-less) cluster can feel.
@@ -291,25 +273,7 @@ impl FaultPlan {
                 60..=67 => FaultStep::LinkJitter {
                     micros: rng.below(4) * 10_000,
                 },
-                // Scripted split of the live nodes into two groups.
-                68..=77 if live.len() >= 2 => {
-                    let mut a = Vec::new();
-                    let mut b = Vec::new();
-                    for &n in &live {
-                        if rng.chance(50) {
-                            a.push(n);
-                        } else {
-                            b.push(n);
-                        }
-                    }
-                    if a.is_empty() {
-                        a.push(b.pop().expect("live >= 2"));
-                    }
-                    if b.is_empty() {
-                        b.push(a.pop().expect("live >= 2"));
-                    }
-                    FaultStep::Partition(vec![a, b])
-                }
+                68..=77 if live.len() >= 2 => split(&mut rng, &live),
                 78..=87 => FaultStep::Heal,
                 88..=93 => FaultStep::WriteFaultWindow {
                     node: NodeId(rng.below(u64::from(nodes)) as u32),
@@ -324,6 +288,20 @@ impl FaultPlan {
         }
         Self { steps }
     }
+}
+
+/// Splits `live` (at least two nodes) into two non-empty groups, one
+/// coin flip per node.
+fn split(rng: &mut ChaosRng, live: &[NodeId]) -> FaultStep {
+    let (mut a, mut b): (Vec<NodeId>, Vec<NodeId>) =
+        live.iter().copied().partition(|_| rng.chance(50));
+    if a.is_empty() {
+        a.push(b.pop().expect("live >= 2"));
+    }
+    if b.is_empty() {
+        b.push(a.pop().expect("live >= 2"));
+    }
+    FaultStep::Partition(vec![a, b])
 }
 
 #[cfg(test)]
@@ -412,6 +390,42 @@ mod tests {
         assert_eq!(a, b);
         let classic = FaultPlan::random(99, 4, 200, 24);
         assert_ne!(a, classic, "adaptive plans draw from their own stream");
+    }
+
+    fn render(plan: &FaultPlan) -> String {
+        let steps: Vec<String> = plan
+            .steps()
+            .iter()
+            .map(|p| format!("{}:{}", p.at_op, p.step))
+            .collect();
+        steps.join(" ")
+    }
+
+    /// Both generators draw exactly the schedules they drew before
+    /// their partition draw became one function: a changed draw table
+    /// would re-roll every seed's schedule.
+    #[test]
+    fn generators_keep_their_schedules() {
+        assert_eq!(
+            render(&FaultPlan::random(99, 4, 200, 24)),
+            "3:replica_lag(n1,2) 7:write_fault(n1,3) 18:write_fault(n0,3) \
+             18:partition(n0,n1,n3|n2) 27:heal 35:replica_lag(n0,3) 41:replica_lag(n2,1) \
+             43:crash(n3) 52:heal 76:replica_lag(n1,1) 78:restart(n3) 86:replica_lag(n1,3) \
+             86:partition(n0|n1,n2,n3) 96:partition(n0,n2|n1,n3) 99:replica_lag(n0,1) \
+             112:replica_lag(n3,1) 117:write_fault(n3,4) 140:replica_lag(n2,1) 158:crash(n1) \
+             164:crash(n0) 179:replica_lag(n3,1) 186:replica_lag(n0,2) 187:restart(n1) \
+             195:restart(n0)"
+        );
+        assert_eq!(
+            render(&FaultPlan::random_adaptive(99, 4, 200, 24)),
+            "7:wal_torn(n3) 18:asym_loss(n2->n1,494‰) 21:link_flap(n1,5x216ms) 22:crash(n1) \
+             33:asym_loss(n2->n0,320‰) 39:restart(n3) 46:asym_loss(n2->n3,216‰) \
+             60:asym_loss(n0->n2,288‰) 79:restart(n1) 96:partition(n1,n2|n0,n3) \
+             98:asym_loss(n1->n0,462‰) 105:replica_lag(n0,3) 111:asym_loss(n2->n3,333‰) \
+             114:heal 116:heal 134:write_fault(n2,1) 143:replica_lag(n3,1) \
+             143:partition(n3|n0,n1,n2) 148:link_flap(n2,3x355ms) 172:link_jitter(0us) \
+             172:crash(n3) 180:wal_torn(n0) 181:heal 196:heal"
+        );
     }
 
     #[test]

@@ -2,16 +2,17 @@
 //! crash/restart lifecycle, 2PC in-doubt recovery (presumed abort),
 //! §5.5.1 threat re-activation, and the typed topology error paths.
 
-use dedisys_chaos::{ChaosConfig, ChaosEngine, FaultPlan, FaultStep};
+use dedisys_chaos::{ChaosConfig, ChaosEngine, ChaosReport, FaultPlan, FaultStep};
 use dedisys_constraints::{
     expr::ExprConstraint, ConstraintMeta, ContextPreparation, RegisteredConstraint,
 };
 use dedisys_core::{
-    Cluster, ClusterBuilder, CostModel, DeferAll, HighestVersionWins, RingRecorder,
+    Cluster, ClusterBuilder, CostModel, DeferAll, HighestVersionWins, JsonlExporter, RingRecorder,
 };
 use dedisys_object::{AppDescriptor, ClassDescriptor, EntityState};
 use dedisys_types::{ChaosRng, Error, NodeId, ObjectId, SatisfactionDegree, TxId, Value};
-use std::sync::Arc;
+use std::io::Write;
+use std::sync::{Arc, Mutex};
 
 fn app() -> AppDescriptor {
     AppDescriptor::new("robust").with_class(
@@ -370,7 +371,7 @@ fn chaos_runs_are_seed_deterministic() {
             .run()
             .unwrap()
         };
-        let observed = |r: dedisys_chaos::ChaosReport| {
+        let observed = |r: ChaosReport| {
             (
                 r.ops_ok,
                 r.ops_failed,
@@ -382,4 +383,176 @@ fn chaos_runs_are_seed_deterministic() {
         };
         assert_eq!(observed(run()), observed(run()), "seed {seed}");
     }
+}
+
+// ---------------------------------------------------------------------
+// Pinned trajectories — both workload mixes, as first recorded
+// ---------------------------------------------------------------------
+
+/// An in-memory JSONL destination.
+#[derive(Clone, Default)]
+struct SharedBuf(Arc<Mutex<Vec<u8>>>);
+
+impl Write for SharedBuf {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.lock().unwrap().extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(*b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Runs `config` with a JSONL exporter over `out` on the traced bus.
+fn traced_run(config: ChaosConfig, out: Box<dyn Write + Send>) -> ChaosReport {
+    let engine = ChaosEngine::new(config).unwrap();
+    engine.telemetry().attach(Box::new(JsonlExporter::new(out)));
+    engine.run().unwrap()
+}
+
+/// The trajectories the chaos engine produced before its two workload
+/// mixes shared one engine — the trace bytes of `repro chaos-soak --seed
+/// 42`, the observable counters of a classic, a detector and a
+/// request-plane seed, and the cross-shard outcomes of six transfer
+/// seeds. A change to either mix's draws or to the repair sequence moves
+/// one of these literals.
+#[test]
+fn pinned_trajectories_do_not_move() {
+    let buf = SharedBuf::default();
+    traced_run(
+        ChaosConfig {
+            seed: 42,
+            ..ChaosConfig::default()
+        },
+        Box::new(buf.clone()),
+    );
+    let bytes = buf.0.lock().unwrap().clone();
+    assert_eq!(
+        (bytes.len(), fnv1a(&bytes)),
+        (273_373, 0x60a5_7fe8_3ecb_d95b)
+    );
+
+    let observed = |config: ChaosConfig| {
+        let r = traced_run(config, Box::new(std::io::sink()));
+        assert!(r.clean(), "{config:?}: {:?}", r.violations);
+        (
+            r.ops_ok,
+            r.ops_failed,
+            r.faults_applied,
+            r.in_doubt_resolved,
+            r.final_stats.now_ns,
+            r.final_stats.events_emitted,
+        )
+    };
+    let base = ChaosConfig::default();
+    assert_eq!(
+        observed(ChaosConfig { seed: 7, ..base }),
+        (260, 44, 24, 3, 11_668_700_000, 2159)
+    );
+    assert_eq!(
+        observed(ChaosConfig {
+            seed: 11,
+            detector: true,
+            ..base
+        }),
+        (271, 29, 24, 2, 17_648_100_000, 2303)
+    );
+    assert_eq!(
+        observed(ChaosConfig {
+            seed: 13,
+            workload_plane: true,
+            ..base
+        }),
+        (302, 6, 24, 0, 9_415_850_000, 2030)
+    );
+
+    let transfers: Vec<(u64, u64, u64, u64)> = (0..6)
+        .map(|seed| {
+            let r = ChaosEngine::new(ChaosConfig {
+                seed,
+                shards: 3,
+                nodes: 3,
+                ops: 200,
+                ..base
+            })
+            .unwrap()
+            .run()
+            .unwrap();
+            assert!(r.clean(), "transfer seed {seed}: {:?}", r.violations);
+            let x = r.federation;
+            (
+                x.xshard_begun,
+                x.xshard_committed,
+                x.xshard_aborted,
+                x.xshard_presumed_aborted,
+            )
+        })
+        .collect();
+    assert_eq!(
+        transfers,
+        [
+            (200, 161, 39, 12),
+            (200, 152, 48, 15),
+            (200, 158, 42, 17),
+            (200, 147, 53, 26),
+            (200, 148, 52, 25),
+            (200, 141, 59, 17),
+        ]
+    );
+}
+
+// ---------------------------------------------------------------------
+// Small scope, exhaustively
+// ---------------------------------------------------------------------
+
+/// Every 3-step schedule over five faults — a crash and a restart of
+/// n1, a split, a heal and a write-fault window on n2 — placed at ops
+/// 10, 20 and 30 of a 40-op item-mix run on 3 nodes: 125 schedules, one
+/// freshly built cluster each, every one clean.
+#[test]
+fn every_three_step_schedule_stays_clean() {
+    let vocabulary = [
+        FaultStep::Crash(NodeId(1)),
+        FaultStep::Restart(NodeId(1)),
+        FaultStep::Partition(vec![vec![NodeId(0), NodeId(1)], vec![NodeId(2)]]),
+        FaultStep::Heal,
+        FaultStep::WriteFaultWindow {
+            node: NodeId(2),
+            failures: 2,
+        },
+    ];
+    let mut schedules = 0;
+    for a in &vocabulary {
+        for b in &vocabulary {
+            for c in &vocabulary {
+                let plan = FaultPlan::new()
+                    .at(10, a.clone())
+                    .at(20, b.clone())
+                    .at(30, c.clone());
+                let report = ChaosEngine::new(ChaosConfig {
+                    nodes: 3,
+                    ops: 40,
+                    seed: 26,
+                    ..ChaosConfig::default()
+                })
+                .unwrap()
+                .run_plan(&plan)
+                .unwrap();
+                assert!(
+                    report.clean(),
+                    "schedule {a} / {b} / {c}: {:?}",
+                    report.violations
+                );
+                schedules += 1;
+            }
+        }
+    }
+    assert_eq!(schedules, 125);
 }
