@@ -3,21 +3,21 @@
 //! wall-clock time over the project-management reference application.
 
 use crate::table::{f2, print_table};
+use crate::{Run, Verdict};
 use dedisys_validation::{
     lookup_time_study, measure_wall_clock, MeasureReport, Mechanism, SliceLevel, Strategy,
 };
 
 /// One comparison row.
-#[derive(Debug, Clone)]
-pub struct OverheadRow {
+struct OverheadRow {
     /// Strategy label (paper vocabulary).
-    pub label: String,
+    label: String,
     /// Measured nanoseconds per scenario run.
-    pub nanos_per_run: f64,
+    nanos_per_run: f64,
     /// Overhead factor vs the baseline.
-    pub overhead: f64,
+    overhead: f64,
     /// The value the paper reports (where applicable).
-    pub paper: Option<f64>,
+    paper: Option<f64>,
 }
 
 fn runs_for(strategy: Strategy) -> (u32, u32) {
@@ -57,7 +57,8 @@ fn rows_vs_baseline(
     rows
 }
 
-fn print_rows(title: &str, rows: &[OverheadRow]) {
+/// Prints one comparison table; wall-clock rows carry no contract.
+fn print_rows(title: &str, rows: &[OverheadRow]) -> Verdict {
     let table_rows: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
@@ -79,12 +80,13 @@ fn print_rows(title: &str, rows: &[OverheadRow]) {
         ],
         &table_rows,
     );
+    Ok(Vec::new())
 }
 
 /// Figure 2.1 — the fastest approaches, overhead relative to
 /// handcrafted constraints.
-pub fn fig2_1() -> Vec<OverheadRow> {
-    rows_vs_baseline(
+pub fn fig2_1(_: &Run) -> Verdict {
+    let rows = rows_vs_baseline(
         Strategy::Handcrafted,
         &[
             (Strategy::InterceptorInline, Some(1.06)),
@@ -95,13 +97,14 @@ pub fn fig2_1() -> Vec<OverheadRow> {
             ),
             (Strategy::repository(Mechanism::Static, true), Some(10.86)),
         ],
-    )
+    );
+    print_rows("Figure 2.1 — fastest approaches (vs handcrafted)", &rows)
 }
 
 /// Figure 2.2 — the slowest approaches, overhead relative to
 /// handcrafted constraints.
-pub fn fig2_2() -> Vec<OverheadRow> {
-    rows_vs_baseline(
+pub fn fig2_2(_: &Run) -> Verdict {
+    let rows = rows_vs_baseline(
         Strategy::Handcrafted,
         &[
             (
@@ -113,12 +116,13 @@ pub fn fig2_2() -> Vec<OverheadRow> {
             (Strategy::repository(Mechanism::Dyn, false), Some(103.17)),
             (Strategy::Interpreted, Some(405.71)),
         ],
-    )
+    );
+    print_rows("Figure 2.2 — slowest approaches (vs handcrafted)", &rows)
 }
 
 /// Figure 2.3 — the runtime slices R1…R5 of one full repository
 /// strategy (JBossAOP-Rep-Opt), as cumulative measurements.
-pub fn fig2_3() -> Vec<OverheadRow> {
+pub fn fig2_3(_: &Run) -> Verdict {
     let base = measure(Strategy::NoChecks);
     let mut rows = vec![OverheadRow {
         label: "R1 (application)".into(),
@@ -144,12 +148,12 @@ pub fn fig2_3() -> Vec<OverheadRow> {
             paper: None,
         });
     }
-    rows
+    print_rows("Figure 2.3 — runtime slices (JBossAOP-Rep-Opt)", &rows)
 }
 
 /// Figure 2.4 — search overhead (R1+R2+R3+R4)/R1 per mechanism, for
 /// the optimized and the search-per-invocation repository.
-pub fn fig2_4() -> Vec<OverheadRow> {
+pub fn fig2_4(_: &Run) -> Verdict {
     let base = measure(Strategy::NoChecks);
     let paper: std::collections::HashMap<(&str, bool), f64> = [
         (("Java-Proxy", true), 65.38),
@@ -185,27 +189,33 @@ pub fn fig2_4() -> Vec<OverheadRow> {
             });
         }
     }
-    rows
+    print_rows("Figure 2.4 — search overhead (R1..R4)/R1", &rows)
 }
 
 /// Figure 2.5 — interception overhead (R1+R2)/R1 per mechanism.
-pub fn fig2_5() -> Vec<OverheadRow> {
-    slice_rows(
-        SliceLevel::R2,
-        &[("AspectJ", 2.38), ("JBossAOP", 9.25), ("Java-Proxy", 28.13)],
+pub fn fig2_5(_: &Run) -> Verdict {
+    print_rows(
+        "Figure 2.5 — interception overhead (R1+R2)/R1",
+        &slice_rows(
+            SliceLevel::R2,
+            &[("AspectJ", 2.38), ("JBossAOP", 9.25), ("Java-Proxy", 28.13)],
+        ),
     )
 }
 
 /// Figure 2.6 — interception + parameter extraction (R1+R2+R3)/R1 per
 /// mechanism (note the order flip vs Figure 2.5).
-pub fn fig2_6() -> Vec<OverheadRow> {
-    slice_rows(
-        SliceLevel::R3,
-        &[
-            ("JBossAOP", 19.50),
-            ("Java-Proxy", 36.62),
-            ("AspectJ", 98.26),
-        ],
+pub fn fig2_6(_: &Run) -> Verdict {
+    print_rows(
+        "Figure 2.6 — interception + parameter extraction (R1..R3)/R1",
+        &slice_rows(
+            SliceLevel::R3,
+            &[
+                ("JBossAOP", 19.50),
+                ("Java-Proxy", 36.62),
+                ("AspectJ", 98.26),
+            ],
+        ),
     )
 }
 
@@ -232,50 +242,32 @@ fn slice_rows(slice: SliceLevel, paper: &[(&str, f64)]) -> Vec<OverheadRow> {
         .collect()
 }
 
-/// Runs and prints one chapter-2 experiment.
-pub fn run(id: &str) {
-    match id {
-        "fig2-1" => print_rows(
-            "Figure 2.1 — fastest approaches (vs handcrafted)",
-            &fig2_1(),
-        ),
-        "fig2-2" => print_rows(
-            "Figure 2.2 — slowest approaches (vs handcrafted)",
-            &fig2_2(),
-        ),
-        "fig2-3" => print_rows("Figure 2.3 — runtime slices (JBossAOP-Rep-Opt)", &fig2_3()),
-        "fig2-4" => print_rows("Figure 2.4 — search overhead (R1..R4)/R1", &fig2_4()),
-        "fig2-5" => print_rows("Figure 2.5 — interception overhead (R1+R2)/R1", &fig2_5()),
-        "fig2-6" => print_rows(
-            "Figure 2.6 — interception + parameter extraction (R1..R3)/R1",
-            &fig2_6(),
-        ),
-        "tab2-lookup" => {
-            let rows: Vec<Vec<String>> = lookup_time_study()
-                .into_iter()
-                .map(|r| {
-                    vec![
-                        r.classes.to_string(),
-                        r.methods_per_class.to_string(),
-                        r.constraints.to_string(),
-                        format!("{:.3}", r.nanos_per_lookup / 1000.0),
-                        "0.25–0.52".into(),
-                    ]
-                })
-                .collect();
-            print_table(
-                "§2.3.2 — repository lookup times (warm cache)",
-                &[
-                    "classes",
-                    "methods/class",
-                    "constraints",
-                    "µs/lookup",
-                    "paper µs",
-                ],
-                &rows,
-            );
-            println!("  paper finding: lookup time independent of the entry count");
-        }
-        other => panic!("unknown chapter-2 experiment '{other}'"),
-    }
+/// §2.3.2 — repository lookup times, warm cache, over growing entry
+/// counts (paper: 0.25–0.52 µs, independent of the count).
+pub fn tab2_lookup(_: &Run) -> Verdict {
+    let rows: Vec<Vec<String>> = lookup_time_study()
+        .into_iter()
+        .map(|r| {
+            vec![
+                r.classes.to_string(),
+                r.methods_per_class.to_string(),
+                r.constraints.to_string(),
+                format!("{:.3}", r.nanos_per_lookup / 1000.0),
+                "0.25–0.52".into(),
+            ]
+        })
+        .collect();
+    print_table(
+        "§2.3.2 — repository lookup times (warm cache)",
+        &[
+            "classes",
+            "methods/class",
+            "constraints",
+            "µs/lookup",
+            "paper µs",
+        ],
+        &rows,
+    );
+    println!("  paper finding: lookup time independent of the entry count");
+    Ok(Vec::new())
 }

@@ -1,53 +1,22 @@
 //! Chapter 5 reproduction: healthy/degraded-mode performance, the
 //! reconciliation phase and the §5.5 improvements — measured in
-//! deterministic virtual time (see DESIGN.md §1).
+//! deterministic virtual time (see DESIGN.md §1). Every experiment
+//! prints its table and checks the paper's shape as its contracts.
 
 use crate::table::{ops, print_table};
+use crate::{broken, Run, Verdict};
 use dedisys_apps::flight;
 use dedisys_constraints::{
     ConstraintKind, ConstraintMeta, ContextPreparation, RegisteredConstraint, ValidationContext,
 };
-use dedisys_core::nodes;
 use dedisys_core::{
-    Cluster, ClusterBuilder, DeferAll, HighestVersionWins, HistoryPolicy, ReconcileStrategy,
+    nodes, Cluster, ClusterBuilder, ConstraintReconcileReport, DeferAll, HighestVersionWins,
+    HistoryPolicy, ProtocolKind, ReconOps, ReconcileStrategy, ReconciliationSummary,
+    ReplicaConflict, ViolationReport,
 };
 use dedisys_object::{AppDescriptor, ClassDescriptor, EntityState, MethodDescriptor, MethodKind};
-use dedisys_types::{NodeId, ObjectId, SatisfactionDegree, SimDuration, Value};
-use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
-
-/// When set (via `repro --trace <path>`), every cluster the experiments
-/// build appends its telemetry stream to this JSONL file.
-static TRACE_PATH: Mutex<Option<PathBuf>> = Mutex::new(None);
-
-/// Routes the telemetry stream of every subsequently built cluster into
-/// `path` (appending — callers truncate the file once up front).
-/// `None` disables tracing again.
-pub fn set_trace_path(path: Option<PathBuf>) {
-    *TRACE_PATH.lock().expect("trace path poisoned") = path;
-}
-
-/// Attaches a JSONL exporter to `cluster` when tracing is enabled.
-fn attach_trace(cluster: &Cluster) {
-    let guard = TRACE_PATH.lock().expect("trace path poisoned");
-    if let Some(path) = guard.as_ref() {
-        crate::attach_jsonl(cluster.telemetry(), path);
-    }
-}
-
-/// `build().expect(..)` plus trace attachment — the one way the
-/// experiments materialize clusters.
-trait BuildTraced {
-    fn build_traced(self) -> Cluster;
-}
-
-impl BuildTraced for ClusterBuilder {
-    fn build_traced(self) -> Cluster {
-        let cluster = self.build().expect("cluster");
-        attach_trace(&cluster);
-        cluster
-    }
-}
+use dedisys_types::{NodeId, ObjectId, SatisfactionDegree, SimDuration, SimTime, TxId, Value};
+use std::sync::Arc;
 
 /// The evaluation application of §5.1 ("DedisysTest"): plain items,
 /// a class with always-satisfied/always-violated constraints, and a
@@ -113,11 +82,8 @@ fn builder(nodes: u32) -> ClusterBuilder {
     ClusterBuilder::new(nodes, eval_app()).constraints(eval_constraints())
 }
 
-fn create_pool(cluster: &mut Cluster, node: NodeId, class: &str, count: usize) -> Vec<ObjectId> {
-    create_pool_prefixed(cluster, node, class, "p", count)
-}
-
-fn create_pool_prefixed(
+/// Creates `count` objects of `class`, named `{prefix}-{class}-{i}`.
+fn pool(
     cluster: &mut Cluster,
     node: NodeId,
     class: &str,
@@ -138,322 +104,360 @@ fn create_pool_prefixed(
         .collect()
 }
 
-/// Ops/sec of `count` repetitions of `f`, each in its own transaction.
-fn throughput(
-    cluster: &mut Cluster,
-    count: usize,
-    mut f: impl FnMut(&mut Cluster, usize) -> bool,
-) -> f64 {
+/// Ops/sec of `count` repetitions of `f`.
+fn throughput(cluster: &mut Cluster, count: usize, mut f: impl FnMut(&mut Cluster, usize)) -> f64 {
     let start = cluster.now();
-    let mut attempted = 0u64;
     for i in 0..count {
         f(cluster, i);
-        attempted += 1;
     }
-    let elapsed = cluster.now().since(start);
-    attempted as f64 / elapsed.as_secs_f64()
+    count as f64 / cluster.now().since(start).as_secs_f64()
 }
 
 const N: usize = 500;
 
-/// The standard §5.1 operation mix measured against one cluster.
-/// Returns `(label, ops/sec)` rows; threat rows only when `threats`.
-fn standard_rows(cluster: &mut Cluster, node: NodeId, threats: bool) -> Vec<(String, f64)> {
-    let items = create_pool(cluster, node, "Item", 100);
-    let checked = create_pool(cluster, node, "Checked", 10);
-    let mut rows = Vec::new();
+/// Size of the item pool the mix reads, writes and finally deletes.
+const ITEMS: usize = 100;
 
-    rows.push((
-        "Create".into(),
-        throughput(cluster, N, |c, i| {
-            let id = ObjectId::new("Item", format!("x-{i}-{}", c.now().as_nanos()));
-            c.run_tx(node, move |c, tx| {
-                c.create(node, tx, EntityState::for_class(c.app(), &id)?)
-            })
-            .is_ok()
-        }),
-    ));
-    let pool = items.clone();
-    rows.push((
-        "Setter (avg.)".into(),
-        throughput(cluster, N, |c, i| {
-            let id = pool[i % pool.len()].clone();
-            c.run_tx(node, move |c, tx| {
-                c.set_field(node, tx, &id, "value", Value::from("v"))
-            })
-            .is_ok()
-        }),
-    ));
-    let pool = items.clone();
-    rows.push((
-        "Getter (avg.)".into(),
-        throughput(cluster, N, |c, i| {
-            let id = pool[i % pool.len()].clone();
-            c.run_tx(node, move |c, tx| c.get_field(node, tx, &id, "value"))
-                .is_ok()
-        }),
-    ));
-    let pool = items.clone();
-    rows.push((
-        "Empty (avg.)".into(),
-        throughput(cluster, N, |c, i| {
-            let id = pool[i % pool.len()].clone();
-            c.run_tx(node, move |c, tx| {
-                c.invoke(node, tx, &id, "emptyMethod", vec![])
-            })
-            .is_ok()
-        }),
-    ));
-    if threats {
-        let pool = checked.clone();
-        rows.push((
-            "Satisfied (avg.)".into(),
-            throughput(cluster, N, |c, i| {
-                let id = pool[i % pool.len()].clone();
-                c.run_tx(node, move |c, tx| {
-                    c.invoke(node, tx, &id, "satisfiedOp", vec![])
-                })
-                .is_ok()
-            }),
-        ));
-        let pool = checked;
-        rows.push((
-            "Violated (avg.)".into(),
-            throughput(cluster, N, |c, i| {
-                let id = pool[i % pool.len()].clone();
-                c.run_tx(node, move |c, tx| {
-                    c.invoke(node, tx, &id, "violatedOp", vec![])
-                })
-                .is_ok()
-            }),
-        ));
-    }
-    // Delete the item pool (plus extras created above remain).
-    let pool = items;
-    rows.push((
-        "Delete".into(),
-        throughput(cluster, pool.len(), |c, i| {
-            let id = pool[i].clone();
-            c.run_tx(node, move |c, tx| c.delete(node, tx, &id)).is_ok()
-        }),
-    ));
-    rows
+/// What an operation of the mix runs on.
+#[derive(Clone, Copy, PartialEq)]
+enum Target {
+    /// A new item per operation.
+    Fresh,
+    /// The item pool, round robin.
+    Item,
+    /// The `Checked` pool, round robin.
+    Checked,
 }
 
-// ---------------------------------------------------------------------
-// Figure 5.1
-// ---------------------------------------------------------------------
+/// One operation of the mix, in a transaction of its own.
+type Op = fn(&mut Cluster, NodeId, TxId, &ObjectId) -> dedisys_types::Result<()>;
 
-/// Figure 5.1 — overhead of explicit constraint consistency
-/// management: ops/sec with and without the CCM (single node, no
-/// replication). The paper measures a drop to 87–99 %.
-pub fn fig5_1() -> Vec<(String, f64, f64)> {
-    let mut with_ccm = builder(1).ccm_only().build_traced();
-    let mut without = builder(1).without_dedisys().build_traced();
-    let rows_with = standard_rows(&mut with_ccm, NodeId(0), false);
-    let rows_without = standard_rows(&mut without, NodeId(0), false);
-    rows_with
-        .into_iter()
-        .zip(rows_without)
-        .map(|((label, w), (_, wo))| (label, w, wo))
+/// The standard §5.1 operation mix in table order: label, target,
+/// repetitions, operation. Delete removes the item pool once over.
+const MIX: [(&str, Target, usize, Op); 7] = [
+    ("Create", Target::Fresh, N, |c, n, tx, id| {
+        c.create(n, tx, EntityState::for_class(c.app(), id)?)
+    }),
+    ("Setter (avg.)", Target::Item, N, |c, n, tx, id| {
+        c.set_field(n, tx, id, "value", Value::from("v"))
+    }),
+    ("Getter (avg.)", Target::Item, N, |c, n, tx, id| {
+        c.get_field(n, tx, id, "value").map(drop)
+    }),
+    ("Empty (avg.)", Target::Item, N, |c, n, tx, id| {
+        c.invoke(n, tx, id, "emptyMethod", vec![]).map(drop)
+    }),
+    ("Satisfied (avg.)", Target::Checked, N, |c, n, tx, id| {
+        c.invoke(n, tx, id, "satisfiedOp", vec![]).map(drop)
+    }),
+    ("Violated (avg.)", Target::Checked, N, |c, n, tx, id| {
+        c.invoke(n, tx, id, "violatedOp", vec![]).map(drop)
+    }),
+    ("Delete", Target::Item, ITEMS, |c, n, tx, id| {
+        c.delete(n, tx, id)
+    }),
+];
+
+/// The mix measured against one cluster: `(label, ops/sec)` rows, the
+/// `Checked` rows only when `checked`.
+fn standard_rows(cluster: &mut Cluster, node: NodeId, checked: bool) -> Vec<(&'static str, f64)> {
+    let items = pool(cluster, node, "Item", "p", ITEMS);
+    let constrained = pool(cluster, node, "Checked", "p", 10);
+    MIX.iter()
+        .filter(|m| checked || m.1 != Target::Checked)
+        .map(|&(label, target, count, op)| {
+            let rate = throughput(cluster, count, |c, i| {
+                let id = match target {
+                    Target::Fresh => ObjectId::new("Item", format!("x-{i}-{}", c.now().as_nanos())),
+                    Target::Item => items[i % items.len()].clone(),
+                    Target::Checked => constrained[i % constrained.len()].clone(),
+                };
+                let _ = c.run_tx(node, move |c, tx| op(c, node, tx, &id));
+            });
+            (label, rate)
+        })
         .collect()
 }
 
-// ---------------------------------------------------------------------
-// Figures 5.2 / 5.3
-// ---------------------------------------------------------------------
-
-/// One column of Figure 5.2/5.3.
-#[derive(Debug, Clone)]
-pub struct Fig5Column {
-    /// Column label.
-    pub label: String,
-    /// `(row label, ops/sec)` — `None` where not applicable.
-    pub rows: Vec<(String, Option<f64>)>,
+/// The ops/sec of row `label`, if `rows` has one.
+fn rate(rows: &[(&str, f64)], label: &str) -> Option<f64> {
+    rows.iter().find(|r| r.0 == label).map(|r| r.1)
 }
 
-fn dedisys_column(label: &str, total_nodes: u32, partition: Option<&[Vec<NodeId>]>) -> Fig5Column {
-    let mut cluster = builder(total_nodes).build_traced();
+/// Figure 5.1 — overhead of explicit constraint consistency
+/// management: ops/sec with and without the CCM (single node, no
+/// replication). Contract: every operation keeps 85–100 % of the
+/// baseline throughput (paper: 87–99 %).
+pub fn fig5_1(run: &Run) -> Verdict {
+    let mut with_ccm = run.cluster(builder(1).ccm_only());
+    let mut without = run.cluster(builder(1).without_dedisys());
+    let rows_with = standard_rows(&mut with_ccm, NodeId(0), false);
+    let rows_without = standard_rows(&mut without, NodeId(0), false);
+    let mut in_band = true;
+    let rows: Vec<Vec<String>> = rows_with
+        .into_iter()
+        .zip(rows_without)
+        .map(|((label, with), (_, without))| {
+            let retained = with / without;
+            in_band &= (0.85..=1.0).contains(&retained);
+            let pct = format!("{:.1}%", retained * 100.0);
+            vec![label.into(), ops(with), ops(without), pct, "87–99%".into()]
+        })
+        .collect();
+    print_table(
+        "Figure 5.1 — overhead of explicit constraint consistency management (ops/s)",
+        &["operation", "with CCM", "without", "retained", "paper"],
+        &rows,
+    );
+    Ok(broken(&[(
+        in_band,
+        "an operation keeps less than 85 % of the baseline",
+    )]))
+}
+
+/// One column of Figure 5.2/5.3: its label and `(row, ops/sec)` rows.
+type Column = (&'static str, Vec<(&'static str, f64)>);
+
+fn no_dedisys_column(run: &Run) -> Column {
+    let mut cluster = run.cluster(builder(1).without_dedisys());
+    let rows = standard_rows(&mut cluster, NodeId(0), false);
+    ("No DeDiSys (1 node)", rows)
+}
+
+/// A DeDiSys column. In a partition it adds §5.1's accepted-threat
+/// rows: "we called an empty method with an associated constraint 1000
+/// times" — on one object (identical threats) and on 1000 objects.
+fn dedisys_column(
+    run: &Run,
+    label: &'static str,
+    total_nodes: u32,
+    partition: Option<&[Vec<NodeId>]>,
+) -> Column {
+    let mut cluster = run.cluster(builder(total_nodes));
     let node = NodeId(0);
     // Pools for the threat cases are created while still healthy.
-    let good_pool = create_pool_prefixed(&mut cluster, node, "Guarded", "good", 1);
-    let bad_pool = create_pool_prefixed(&mut cluster, node, "Guarded", "bad", 1000);
+    let good = pool(&mut cluster, node, "Guarded", "good", 1);
+    let bad = pool(&mut cluster, node, "Guarded", "bad", 1000);
     if let Some(groups) = partition {
         cluster.partition(groups).unwrap();
     }
-    let mut rows: Vec<(String, Option<f64>)> = standard_rows(&mut cluster, node, true)
-        .into_iter()
-        .map(|(l, v)| (l, Some(v)))
-        .collect();
+    let mut rows = standard_rows(&mut cluster, node, true);
     if partition.is_some() {
-        // §5.1: "we called an empty method with an associated
-        // constraint 1000 times" — once against a single object
-        // (identical threats) and once against 1000 different objects.
-        let good = throughput(&mut cluster, 1000, |c, _| {
-            let id = good_pool[0].clone();
-            c.run_tx(node, move |c, tx| {
-                c.invoke(node, tx, &id, "guardedOp", vec![])
-            })
-            .is_ok()
-        });
-        let bad = throughput(&mut cluster, 1000, |c, i| {
-            let id = bad_pool[i].clone();
-            c.run_tx(node, move |c, tx| {
-                c.invoke(node, tx, &id, "guardedOp", vec![])
-            })
-            .is_ok()
-        });
-        rows.insert(rows.len() - 1, ("Accepted threat (1)".into(), Some(good)));
-        rows.insert(rows.len() - 1, ("Accepted threat (1000)".into(), Some(bad)));
-    } else {
-        rows.insert(rows.len() - 1, ("Accepted threat (1)".into(), None));
-        rows.insert(rows.len() - 1, ("Accepted threat (1000)".into(), None));
+        for (row, objects) in [
+            ("Accepted threat (1)", &good),
+            ("Accepted threat (1000)", &bad),
+        ] {
+            let rate = throughput(&mut cluster, 1000, |c, i| {
+                let id = objects[i % objects.len()].clone();
+                let _ = c.run_tx(node, move |c, tx| {
+                    c.invoke(node, tx, &id, "guardedOp", vec![])
+                });
+            });
+            rows.insert(rows.len() - 1, (row, rate));
+        }
     }
-    Fig5Column {
-        label: label.to_owned(),
-        rows,
-    }
+    (label, rows)
 }
 
-fn no_dedisys_column() -> Fig5Column {
-    let mut cluster = builder(1).without_dedisys().build_traced();
-    let mut rows: Vec<(String, Option<f64>)> = standard_rows(&mut cluster, NodeId(0), false)
-        .into_iter()
-        .map(|(l, v)| (l, Some(v)))
+/// Prints Figure 5.2/5.3: the last column's rows, `-` where a column
+/// has no such row.
+fn print_columns(title: &str, columns: &[Column]) {
+    let mut header = vec!["operation"];
+    header.extend(columns.iter().map(|c| c.0));
+    let rows: Vec<Vec<String>> = columns[columns.len() - 1]
+        .1
+        .iter()
+        .map(|&(label, _)| {
+            let mut row = vec![label.to_owned()];
+            let cell = |c: &Column| rate(&c.1, label).map_or_else(|| "-".into(), ops);
+            row.extend(columns.iter().map(cell));
+            row
+        })
         .collect();
-    for label in [
-        "Satisfied (avg.)",
-        "Violated (avg.)",
-        "Accepted threat (1)",
-        "Accepted threat (1000)",
-    ] {
-        rows.insert(rows.len() - 1, (label.into(), None));
-    }
-    Fig5Column {
-        label: "No DeDiSys (1 node)".into(),
-        rows,
-    }
+    print_table(title, &header, &rows);
 }
 
 /// Figure 5.2 — No DeDiSys vs DeDiSys with the same number of nodes in
 /// healthy and degraded mode (paper: threat good case 74 ops/s, bad
-/// case 3 ops/s).
-pub fn fig5_2() -> Vec<Fig5Column> {
-    vec![
-        no_dedisys_column(),
-        dedisys_column("DeDiSys healthy (3)", 3, None),
+/// case 3 ops/s). Contracts: identical threats are more than twice as
+/// fast as distinct ones, healthy(3) equals degraded(3-in-partition) on
+/// every row both have, and a satisfied constraint costs what a
+/// violated one does.
+pub fn fig5_2(run: &Run) -> Verdict {
+    let columns = [
+        no_dedisys_column(run),
+        dedisys_column(run, "DeDiSys healthy (3)", 3, None),
         dedisys_column(
+            run,
             "DeDiSys degraded (3-in-partition)",
             4,
             Some(&[nodes![0, 1, 2], nodes![3]]),
         ),
-    ]
+    ];
+    print_columns(
+        "Figure 5.2 — No DeDiSys vs DeDiSys, healthy and degraded (same partition size); paper threat cases: 74 vs 3 ops/s",
+        &columns,
+    );
+    let [_, (_, healthy), (_, degraded)] = &columns;
+    let distinct = rate(degraded, "Accepted threat (1000)").unwrap_or(f64::NAN);
+    let identical = rate(degraded, "Accepted threat (1)") > Some(2.0 * distinct);
+    let same = healthy
+        .iter()
+        .all(|&(label, v)| rate(degraded, label) == Some(v));
+    let checks = |c: &[_]| rate(c, "Satisfied (avg.)") == rate(c, "Violated (avg.)");
+    Ok(broken(&[
+        (
+            identical,
+            "identical threats are not twice as fast as distinct ones",
+        ),
+        (same, "degraded(3-in-partition) differs from healthy(3)"),
+        (
+            checks(healthy) && checks(degraded),
+            "satisfied and violated differ",
+        ),
+    ]))
 }
 
 /// Figure 5.3 — healthy with three nodes vs degraded with two nodes in
-/// the partition (degraded writes can beat healthy: fewer backups).
-pub fn fig5_3() -> Vec<Fig5Column> {
-    vec![
-        no_dedisys_column(),
-        dedisys_column("DeDiSys healthy (3)", 3, None),
+/// the partition. Contracts: degraded(2) beats healthy(3) on create,
+/// setter and delete (fewer backups to update); getter and empty are
+/// equal.
+pub fn fig5_3(run: &Run) -> Verdict {
+    let columns = [
+        no_dedisys_column(run),
+        dedisys_column(run, "DeDiSys healthy (3)", 3, None),
         dedisys_column(
+            run,
             "DeDiSys degraded (2-in-partition)",
             3,
             Some(&[nodes![0, 1], nodes![2]]),
         ),
-    ]
+    ];
+    print_columns(
+        "Figure 5.3 — healthy (3 nodes) vs degraded (2 nodes in partition)",
+        &columns,
+    );
+    let [_, (_, healthy), (_, degraded)] = &columns;
+    let writes = ["Create", "Setter (avg.)", "Delete"];
+    let faster = writes.iter().all(|l| rate(degraded, l) > rate(healthy, l));
+    let reads = ["Getter (avg.)", "Empty (avg.)"];
+    let same = reads.iter().all(|l| rate(degraded, l) == rate(healthy, l));
+    Ok(broken(&[
+        (
+            faster,
+            "degraded(2) does not beat healthy(3) on every write",
+        ),
+        (same, "degraded(2) and healthy(3) read at different rates"),
+    ]))
 }
-
-// ---------------------------------------------------------------------
-// Figure 5.4
-// ---------------------------------------------------------------------
 
 /// Figure 5.4 — replication effects per node count: per-operation
 /// ops/sec for 1–4 DeDiSys nodes, the aggregate read capacity, and the
-/// multicast+transaction-handling ceiling.
-pub fn fig5_4() -> Vec<Vec<String>> {
-    let mut out = Vec::new();
+/// multicast+transaction-handling ceiling. Contracts: aggregate reads
+/// grow with every node; the setter rate and the ceiling fall from 2 to
+/// 4 nodes.
+pub fn fig5_4(run: &Run) -> Verdict {
+    let row = |label: String, mix: &[(&str, f64)], extra: [String; 2]| -> Vec<String> {
+        let mut row = vec![label];
+        row.extend(mix.iter().map(|r| ops(r.1)));
+        row.extend(extra);
+        row
+    };
     // Reference: No DeDiSys single node.
-    let mut baseline = builder(1).without_dedisys().build_traced();
+    let mut baseline = run.cluster(builder(1).without_dedisys());
     let base_rows = standard_rows(&mut baseline, NodeId(0), false);
-    out.push(
-        std::iter::once("No DeDiSys".to_owned())
-            .chain(base_rows.iter().map(|(_, v)| ops(*v)))
-            .chain(["-".to_owned(), "-".to_owned()])
-            .collect(),
-    );
+    let mut rows = vec![row(
+        "No DeDiSys".into(),
+        &base_rows,
+        ["-".into(), "-".into()],
+    )];
+    let (mut reads, mut setters, mut ceilings) = (Vec::new(), Vec::new(), Vec::new());
     for n in 1..=4u32 {
-        let mut cluster = builder(n).build_traced();
-        let rows = standard_rows(&mut cluster, NodeId(0), false);
-        let getter = rows
-            .iter()
-            .find(|(l, _)| l.starts_with("Getter"))
-            .map(|(_, v)| *v)
-            .unwrap_or(0.0);
+        let mut cluster = run.cluster(builder(n));
+        let mix = standard_rows(&mut cluster, NodeId(0), false);
         // Reads execute locally on every node: the aggregate read
         // capacity scales with the node count (§5.1).
-        let aggregate_reads = getter * f64::from(n);
+        let aggregate_reads = rate(&mix, "Getter (avg.)").unwrap_or(0.0) * f64::from(n);
         // Theoretical update ceiling (the "Multicast + Tx handling"
         // case of §5.1): ping multicast round trip + transaction
         // association at the backups — no state extraction, no
         // database writes.
         let costs = *cluster.costs();
-        let ceiling = if n >= 2 {
+        let ceiling = (n >= 2).then(|| {
             let per_op = costs.net_hop * 2
                 + SimDuration::from_micros(1_500) // tx association
                 + SimDuration::from_micros(300) * u64::from(n - 2);
-            ops(1.0 / per_op.as_secs_f64())
-        } else {
-            "-".to_owned()
-        };
-        out.push(
-            std::iter::once(format!("DeDiSys {n} node(s)"))
-                .chain(rows.iter().map(|(_, v)| ops(*v)))
-                .chain([ops(aggregate_reads), ceiling])
-                .collect(),
-        );
+            1.0 / per_op.as_secs_f64()
+        });
+        let extra = [
+            ops(aggregate_reads),
+            ceiling.map_or_else(|| "-".into(), ops),
+        ];
+        rows.push(row(format!("DeDiSys {n} node(s)"), &mix, extra));
+        reads.push(aggregate_reads);
+        setters.push(rate(&mix, "Setter (avg.)"));
+        ceilings.push(ceiling);
     }
-    out
+    print_table(
+        "Figure 5.4 — replication effects per node count (ops/s)",
+        &[
+            "configuration",
+            "create",
+            "setter",
+            "getter (per node)",
+            "empty",
+            "delete",
+            "reads aggregate",
+            "multicast+tx ceiling",
+        ],
+        &rows,
+    );
+    Ok(broken(&[
+        (
+            reads.windows(2).all(|w| w[0] < w[1]),
+            "aggregate reads do not grow",
+        ),
+        (
+            setters[1..].windows(2).all(|w| w[0] > w[1]),
+            "the setter rate does not fall",
+        ),
+        (
+            ceilings[1..].windows(2).all(|w| w[0] > w[1]),
+            "the ceiling does not fall",
+        ),
+    ]))
 }
 
-// ---------------------------------------------------------------------
-// Figure 5.6 — reconciliation time
-// ---------------------------------------------------------------------
-
-/// One reconciliation measurement.
-#[derive(Debug, Clone)]
-pub struct ReconRow {
-    /// Policy label.
-    pub label: String,
-    /// Threat records stored at heal time.
-    pub stored_threats: usize,
-    /// Virtual time of replica reconciliation.
-    pub replica: SimDuration,
-    /// Virtual time of constraint reconciliation.
-    pub constraint: SimDuration,
-}
+/// The away-partition pools of Figure 5.6 (incremental).
+const AWAY: [usize; 3] = [200, 600, 1000];
 
 /// Figure 5.6 — time for missed-update propagation and threat
-/// re-evaluation, under the identical-once vs full-history policies
-/// (1000 degraded operations over 200 objects → 200 vs 1000 records).
-/// The third row stores the full history but folds duplicate records
-/// in the background ([`HistoryPolicy::Reduced`]) — heal-time storage
-/// lands near the identical-once figure.
-pub fn fig5_6() -> Vec<ReconRow> {
-    let mut out = Vec::new();
-    for (policy, label) in [
+/// re-evaluation after 1000 degraded writes over 200 objects, under the
+/// identical-once vs full-history policies (200 vs 1000 records); the
+/// reduced policy stores the full history but folds duplicate records
+/// in the background. Then the incremental engine against the full scan
+/// after a partial merge ([`partial_merge`]).
+///
+/// Contracts: identical-once stores 200 records and the full history
+/// 1000, and the full history is slower in both phases; the reduced
+/// store stays below half the full one and its replica phase is faster.
+/// The incremental engine skips every away threat, re-evaluates fewer
+/// identities with identical outcomes in less constraint time, and
+/// stays flat while the full scan grows with the away pool.
+pub fn fig5_6(run: &Run) -> Verdict {
+    let [once, full, reduced] = [
         (HistoryPolicy::IdenticalOnce, "Identical threats once"),
         (HistoryPolicy::FullHistory, "Full threat history"),
         (HistoryPolicy::Reduced, "Reduced (compacted)"),
-    ] {
-        let mut cluster = builder(2)
-            .configure(|c| c.durability.threat_policy = policy)
-            .build_traced();
+    ]
+    .map(|(policy, label)| {
+        let mut cluster =
+            run.cluster(builder(2).configure(|c| c.durability.threat_policy = policy));
         let node = NodeId(0);
-        let pool = create_pool(&mut cluster, node, "Guarded", 200);
+        let objects = pool(&mut cluster, node, "Guarded", "p", 200);
         cluster.partition(&[nodes![0], nodes![1]]).unwrap();
         for i in 0..1000 {
-            let id = pool[i % pool.len()].clone();
+            let id = objects[i % objects.len()].clone();
             cluster
                 .run_tx(node, move |c, tx| {
                     c.set_field(node, tx, &id, "value", Value::from("d"))
@@ -463,42 +467,115 @@ pub fn fig5_6() -> Vec<ReconRow> {
         let stored = cluster.threats().len();
         cluster.heal();
         let summary = cluster.reconcile(&mut HighestVersionWins, &mut DeferAll);
-        out.push(ReconRow {
-            label: label.into(),
-            stored_threats: stored,
-            replica: summary.replica_duration,
-            constraint: summary.constraint_duration,
-        });
-    }
-    out
-}
+        (
+            label,
+            stored,
+            summary.replica_duration,
+            summary.constraint_duration,
+        )
+    });
+    let rows: Vec<Vec<String>> = [once, full, reduced]
+        .iter()
+        .map(|(label, stored, replica, constraint)| {
+            vec![
+                label.to_string(),
+                stored.to_string(),
+                format!("{replica}"),
+                format!("{constraint}"),
+            ]
+        })
+        .collect();
+    print_table(
+        "Figure 5.6 — reconciliation time (1000 degraded ops over 200 objects)",
+        &[
+            "policy",
+            "threat records",
+            "replica recon",
+            "constraint recon",
+        ],
+        &rows,
+    );
+    println!("  paper shape: replica phase dominates and scales with the record count");
 
-/// One row of the incremental-vs-full-scan reconciliation comparison.
-#[derive(Debug, Clone)]
-pub struct IncrementalRow {
-    /// Strategy + scenario label.
-    pub label: String,
-    /// Threat identities produced in the partition that stays away.
-    pub away: usize,
-    /// Threat identities actually re-evaluated.
-    pub re_evaluated: usize,
-    /// Threat identities skipped without re-evaluation.
-    pub skipped: usize,
-    /// Threats whose constraints were satisfied (removed).
-    pub satisfied_removed: usize,
-    /// Actual violations detected.
-    pub violations: usize,
-    /// Violations deferred to application-driven cleanup.
-    pub deferred: usize,
-    /// Threats still threatened after the partial merge.
-    pub postponed: usize,
-    /// Virtual time of the constraint phase.
-    pub constraint: SimDuration,
+    let strategies = [ReconcileStrategy::FullScan, ReconcileStrategy::Incremental];
+    let merges = AWAY.map(|away| strategies.map(|s| partial_merge(run, s, away)));
+    let rows: Vec<Vec<String>> = AWAY
+        .iter()
+        .zip(&merges)
+        .flat_map(|(away, pair)| {
+            ["full scan", "incremental"]
+                .iter()
+                .zip(pair)
+                .map(move |(label, s)| {
+                    let c = &s.constraints;
+                    vec![
+                        format!("{label}, {away} away"),
+                        c.re_evaluated.to_string(),
+                        c.skipped.to_string(),
+                        c.postponed.to_string(),
+                        format!("{}", s.constraint_duration),
+                    ]
+                })
+        })
+        .collect();
+    print_table(
+        "Figure 5.6 (incremental) — partial merge, full scan vs object-indexed engine",
+        &[
+            "strategy",
+            "re-evaluated",
+            "skipped",
+            "postponed",
+            "constraint recon",
+        ],
+        &rows,
+    );
+    println!(
+        "  shape: full scan grows with the away-partition threat count; incremental stays flat"
+    );
+    // Outcomes without the two counters the strategies differ in.
+    let outcome = |c: &ConstraintReconcileReport| ConstraintReconcileReport {
+        re_evaluated: 0,
+        skipped: 0,
+        ..*c
+    };
+    let skips = AWAY.iter().zip(&merges).all(|(away, [f, i])| {
+        let (f, i) = (&f.constraints, &i.constraints);
+        f.skipped == 0 && i.skipped >= *away && i.re_evaluated < f.re_evaluated
+    });
+    let same = merges.iter().all(|[f, i]| {
+        outcome(&f.constraints) == outcome(&i.constraints)
+            && i.constraint_duration < f.constraint_duration
+    });
+    let ([small_full, small_incr], [large_full, large_incr]) = (&merges[0], &merges[2]);
+    let grows = large_full.constraint_duration > small_full.constraint_duration;
+    let flat = small_incr.constraints.re_evaluated == large_incr.constraints.re_evaluated;
+    Ok(broken(&[
+        (
+            once.1 == 200 && full.1 == 1000,
+            "not 200 / 1000 records stored",
+        ),
+        (
+            full.2 > once.2 && full.3 > once.3,
+            "the full history is not slower",
+        ),
+        (
+            reduced.1 < full.1 / 2 && reduced.2 < full.2,
+            "compaction keeps too much",
+        ),
+        (
+            skips,
+            "the incremental engine does not skip the away threats",
+        ),
+        (same, "different outcomes, or no cheaper constraint phase"),
+        (
+            grows && flat,
+            "the full scan does not grow, or the incremental one is not flat",
+        ),
+    ]))
 }
 
 /// Figure 5.6 (incremental) — constraint reconciliation after a
-/// *partial* re-unification, full scan vs the object-indexed
-/// incremental engine.
+/// *partial* re-unification under `strategy`.
 ///
 /// Three-way split: partition `{0}` produces 50 threats on a "touch"
 /// pool, partition `{2}` produces `away` threats on a separate pool.
@@ -509,73 +586,47 @@ pub struct IncrementalRow {
 /// set (the touch pool) and skips the rest (still degraded-tracked) —
 /// its cost is flat in `away`. Outcomes are identical by construction
 /// (skipped identities would re-validate to a threat degree anyway).
-pub fn fig5_6_incremental() -> Vec<IncrementalRow> {
-    const TOUCH: usize = 50;
-    let mut out = Vec::new();
-    for away in [200usize, 600, 1000] {
-        for (strategy, label) in [
-            (ReconcileStrategy::FullScan, "full scan"),
-            (ReconcileStrategy::Incremental, "incremental"),
-        ] {
-            let mut cluster = builder(3)
-                .configure(|c| c.durability.reconcile_strategy = strategy)
-                .build_traced();
-            let node = NodeId(0);
-            let touch = create_pool_prefixed(&mut cluster, node, "Guarded", "touch", TOUCH);
-            let away_pool = create_pool_prefixed(&mut cluster, node, "Guarded", "away", away);
-            cluster
-                .partition(&[nodes![0], nodes![1], nodes![2]])
-                .unwrap();
-            // Threat-producing writes near the future observer…
-            for id in &touch {
-                let id = id.clone();
-                cluster
-                    .run_tx(node, move |c, tx| {
-                        c.set_field(node, tx, &id, "value", Value::from("near"))
-                    })
-                    .expect("near write");
-            }
-            // …and in the partition that stays away after the merge.
-            let far = NodeId(2);
-            for id in &away_pool {
-                let id = id.clone();
-                cluster
-                    .run_tx(far, move |c, tx| {
-                        c.set_field(far, tx, &id, "value", Value::from("far"))
-                    })
-                    .expect("far write");
-            }
-            // Partial re-unification: {0, 1} merge, {2} stays away.
-            cluster.partition(&[nodes![0, 1], nodes![2]]).unwrap();
-            let summary = cluster.reconcile_partial(node, &mut HighestVersionWins, &mut DeferAll);
-            let c = &summary.constraints;
-            out.push(IncrementalRow {
-                label: format!("{label}, {away} away"),
-                away,
-                re_evaluated: c.re_evaluated,
-                skipped: c.skipped,
-                satisfied_removed: c.satisfied_removed,
-                violations: c.violations,
-                deferred: c.deferred,
-                postponed: c.postponed,
-                constraint: summary.constraint_duration,
-            });
-        }
+fn partial_merge(run: &Run, strategy: ReconcileStrategy, away: usize) -> ReconciliationSummary {
+    let mut cluster =
+        run.cluster(builder(3).configure(|c| c.durability.reconcile_strategy = strategy));
+    let node = NodeId(0);
+    let touch = pool(&mut cluster, node, "Guarded", "touch", 50);
+    let away_pool = pool(&mut cluster, node, "Guarded", "away", away);
+    cluster
+        .partition(&[nodes![0], nodes![1], nodes![2]])
+        .unwrap();
+    // Threat-producing writes near the future observer…
+    for id in &touch {
+        let id = id.clone();
+        cluster
+            .run_tx(node, move |c, tx| {
+                c.set_field(node, tx, &id, "value", Value::from("near"))
+            })
+            .expect("near write");
     }
-    out
+    // …and in the partition that stays away after the merge.
+    let far = NodeId(2);
+    for id in &away_pool {
+        let id = id.clone();
+        cluster
+            .run_tx(far, move |c, tx| {
+                c.set_field(far, tx, &id, "value", Value::from("far"))
+            })
+            .expect("far write");
+    }
+    // Partial re-unification: {0, 1} merge, {2} stays away.
+    cluster.partition(&[nodes![0, 1], nodes![2]]).unwrap();
+    cluster.reconcile_partial(node, &mut HighestVersionWins, &mut DeferAll)
 }
-
-// ---------------------------------------------------------------------
-// Figure 5.8 — reduced threat history across iterations
-// ---------------------------------------------------------------------
 
 /// Figure 5.8 — degraded-mode throughput across five iterations of the
 /// same 200 threat-producing operations (paper: ≈4 ops/s with full
 /// history vs ≈15 ops/s with identical-once after the first
-/// iteration).
-pub fn fig5_8() -> Vec<(String, Vec<f64>)> {
-    let mut out = Vec::new();
-    for (policy, label) in [
+/// iteration). Contracts: iteration 1 costs the same under both
+/// policies (within 10 %); identical-once is more than 3× faster from
+/// iteration 2.
+pub fn fig5_8(run: &Run) -> Verdict {
+    let [full, once] = [
         (
             HistoryPolicy::FullHistory,
             "Accepted threats (full history)",
@@ -584,41 +635,68 @@ pub fn fig5_8() -> Vec<(String, Vec<f64>)> {
             HistoryPolicy::IdenticalOnce,
             "Accepted threats (identical only once)",
         ),
-    ] {
-        let mut cluster = builder(2)
-            .configure(|c| c.durability.threat_policy = policy)
-            .build_traced();
+    ]
+    .map(|(policy, label)| {
+        let mut cluster =
+            run.cluster(builder(2).configure(|c| c.durability.threat_policy = policy));
         let node = NodeId(0);
-        let pool = create_pool(&mut cluster, node, "Guarded", 200);
+        let objects = pool(&mut cluster, node, "Guarded", "p", 200);
         cluster.partition(&[nodes![0], nodes![1]]).unwrap();
-        let mut iterations = Vec::new();
-        for _ in 0..5 {
-            let rate = throughput(&mut cluster, 200, |c, i| {
-                let id = pool[i].clone();
-                c.run_tx(node, move |c, tx| {
-                    c.set_field(node, tx, &id, "value", Value::from("t"))
+        let iterations: Vec<f64> = (0..5)
+            .map(|_| {
+                throughput(&mut cluster, 200, |c, i| {
+                    let id = objects[i].clone();
+                    let _ = c.run_tx(node, move |c, tx| {
+                        c.set_field(node, tx, &id, "value", Value::from("t"))
+                    });
                 })
-                .is_ok()
-            });
-            iterations.push(rate);
-        }
-        out.push((label.into(), iterations));
-    }
-    out
+            })
+            .collect();
+        (label, iterations)
+    });
+    let rows: Vec<Vec<String>> = [&full, &once]
+        .iter()
+        .map(|(label, iterations)| {
+            let mut row = vec![label.to_string()];
+            row.extend(iterations.iter().map(|v| ops(*v)));
+            row
+        })
+        .collect();
+    print_table(
+        "Figure 5.8 — identical-threat improvement across iterations (ops/s)",
+        &[
+            "configuration",
+            "iter 1",
+            "iter 2",
+            "iter 3",
+            "iter 4",
+            "iter 5",
+        ],
+        &rows,
+    );
+    println!("  paper: ≈4 ops/s (full history) vs ≈15 ops/s (identical once, after iter 1)");
+    let (full, once) = (&full.1, &once.1);
+    Ok(broken(&[
+        (
+            (full[0] - once[0]).abs() / full[0] < 0.1,
+            "iteration 1 differs",
+        ),
+        (
+            once[1] > full[1] * 3.0,
+            "identical-once is not 3× faster from iteration 2",
+        ),
+    ]))
 }
-
-// ---------------------------------------------------------------------
-// §5.5.3 — asynchronous constraints
-// ---------------------------------------------------------------------
 
 /// §5.5.3 — degraded-mode ops/sec with soft vs asynchronous
 /// constraints (paper: async ≈ 2× soft with identical-once storage).
-pub fn tab5_async() -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    for (kind, label) in [
+/// Contract: asynchronous is more than 10 % faster.
+pub fn tab5_async(run: &Run) -> Verdict {
+    let [soft, asynchronous] = [
         (ConstraintKind::SoftInvariant, "Soft constraint"),
         (ConstraintKind::AsyncInvariant, "Asynchronous constraint"),
-    ] {
+    ]
+    .map(|(kind, label)| {
         let constraint = RegisteredConstraint::new(
             ConstraintMeta::new("G")
                 .kind(kind)
@@ -630,43 +708,68 @@ pub fn tab5_async() -> Vec<(String, f64)> {
         )
         .context_class("Guarded")
         .affects("Guarded", "setValue", ContextPreparation::CalledObject);
-        let mut cluster = ClusterBuilder::new(2, eval_app())
-            .constraint(constraint)
-            .build_traced();
+        let mut cluster = run.cluster(ClusterBuilder::new(2, eval_app()).constraint(constraint));
         let node = NodeId(0);
-        let pool = create_pool(&mut cluster, node, "Guarded", 1);
+        let objects = pool(&mut cluster, node, "Guarded", "p", 1);
         cluster.partition(&[nodes![0], nodes![1]]).unwrap();
         let rate = throughput(&mut cluster, 500, |c, _| {
-            let id = pool[0].clone();
-            c.run_tx(node, move |c, tx| {
+            let id = objects[0].clone();
+            let _ = c.run_tx(node, move |c, tx| {
                 c.set_field(node, tx, &id, "value", Value::from("x"))
-            })
-            .is_ok()
+            });
         });
-        out.push((label.into(), rate));
-    }
-    out
+        (label, rate)
+    });
+    print_table(
+        "§5.5.3 — soft vs asynchronous constraints in degraded mode (ops/s)",
+        &["configuration", "ops/s"],
+        &[soft, asynchronous].map(|(label, rate)| vec![label.to_owned(), ops(rate)]),
+    );
+    println!("  paper: asynchronous ≈ 2× soft (identical threats stored once)");
+    let faster = asynchronous.1 > soft.1 * 1.1;
+    Ok(broken(&[(
+        faster,
+        "asynchronous is not 10 % faster than soft",
+    )]))
 }
 
-// ---------------------------------------------------------------------
-// §5.5.2 — partition-sensitive constraints
-// ---------------------------------------------------------------------
+/// The additive merge of concurrent ticket sales: each partition's
+/// sales are increments over the 70 sold before the split.
+fn merge_sales(conflict: &ReplicaConflict) -> Option<EntityState> {
+    let sales: i64 = conflict
+        .candidates
+        .iter()
+        .filter_map(|(_, s)| s.as_ref()?.field("sold").as_int())
+        .map(|s| s - 70)
+        .sum();
+    let mut merged = conflict.candidates[0].1.clone().expect("live");
+    merged.set_field("sold", Value::Int(70 + sales), SimTime::ZERO);
+    Some(merged)
+}
+
+/// Tickets sold of `flight` as node 0 sees it.
+fn sold(cluster: &Cluster, flight: &ObjectId) -> i64 {
+    let entity = cluster.entity_on(NodeId(0), flight);
+    entity.and_then(|e| e.field("sold").as_int()).unwrap_or(0)
+}
 
 /// §5.5.2 — overbooking introduced with the plain vs the
 /// partition-sensitive ticket constraint under a 2-way split.
-pub fn tab5_psc() -> Vec<(String, i64, i64)> {
-    let mut out = Vec::new();
-    for (psc, label) in [
+/// Contracts: the plain constraint overbooks; the partition-sensitive
+/// one sells exactly the 80 seats.
+pub fn tab5_psc(run: &Run) -> Verdict {
+    let [plain, sensitive] = [
         (false, "Plain ticket constraint"),
         (true, "Partition-sensitive"),
-    ] {
-        let mut b = ClusterBuilder::new(2, flight::flight_app()).methods(flight::flight_methods());
-        b = if psc {
-            b.constraint(flight::partition_sensitive_ticket_constraint())
+    ]
+    .map(|(psc, label)| {
+        let constraint = if psc {
+            flight::partition_sensitive_ticket_constraint()
         } else {
-            b.constraint(flight::ticket_constraint())
+            flight::ticket_constraint()
         };
-        let mut cluster = b.build_traced();
+        let b = ClusterBuilder::new(2, flight::flight_app()).methods(flight::flight_methods());
+        let mut cluster = run.cluster(b.constraint(constraint));
         let flight_id =
             flight::create_flight(&mut cluster, NodeId(0), "LH-441", 80, 70).expect("flight");
         cluster.partition(&[nodes![0], nodes![1]]).unwrap();
@@ -680,58 +783,51 @@ pub fn tab5_psc() -> Vec<(String, i64, i64)> {
                 }
             }
         }
-        // Merge additively (sales are increments).
         cluster.heal();
-        let mut merge = |conflict: &dedisys_core::ReplicaConflict| {
-            let total: i64 = conflict
-                .candidates
-                .iter()
-                .filter_map(|(_, s)| s.as_ref())
-                .filter_map(|s| s.field("sold").as_int())
-                .map(|s| s - 70)
-                .sum();
-            let mut merged = conflict.candidates[0].1.clone().expect("live");
-            merged.set_field("sold", Value::Int(70 + total), dedisys_types::SimTime::ZERO);
-            Some(merged)
-        };
-        cluster.reconcile(&mut merge, &mut DeferAll);
-        let sold = cluster
-            .entity_on(NodeId(0), &flight_id)
-            .unwrap()
-            .field("sold")
-            .as_int()
-            .unwrap();
-        let overbooked = (sold - 80).max(0);
-        out.push((label.into(), sold, overbooked));
-    }
-    out
+        cluster.reconcile(&mut merge_sales, &mut DeferAll);
+        let sold = sold(&cluster, &flight_id);
+        (label, sold, (sold - 80).max(0))
+    });
+    let rows = [plain, sensitive].map(|(label, sold, overbooked)| {
+        vec![label.to_owned(), sold.to_string(), overbooked.to_string()]
+    });
+    print_table(
+        "§5.5.2 — partition-sensitive constraints: overbooking after the split (80 seats)",
+        &["constraint", "sold after merge", "overbooked"],
+        &rows,
+    );
+    Ok(broken(&[
+        (plain.2 > 0, "the plain constraint does not overbook"),
+        (
+            sensitive.1 == 80,
+            "the partition-sensitive one does not sell exactly 80",
+        ),
+    ]))
 }
-
-// ---------------------------------------------------------------------
-// Simulation studies [Se05] / abstract conclusions
-// ---------------------------------------------------------------------
 
 /// Availability study: fraction of operations that *succeed* during a
 /// network partition, per protocol (the \[Se05\] simulation finding that
 /// the approach + P4 increases availability under partitions).
-pub fn tab_avail() -> Vec<(String, Vec<(f64, f64)>)> {
-    use dedisys_core::ProtocolKind;
-    let mut out = Vec::new();
+/// Contracts: P4 + threat trading keeps the minority partition fully
+/// available; the conventional protocols lose their write share.
+pub fn tab_avail(run: &Run) -> Verdict {
+    let mut as_expected = true;
+    let mut rows = Vec::new();
     for (protocol, label) in [
         (ProtocolKind::PrimaryBackup, "Primary-backup"),
         (ProtocolKind::PrimaryPartition, "Primary partition"),
         (ProtocolKind::PrimaryPerPartition, "DeDiSys P4 + threats"),
     ] {
-        let mut rows = Vec::new();
+        let mut row = vec![label.to_owned()];
         for write_fraction in [0.1, 0.3, 0.5] {
-            let mut cluster = builder(3).protocol(protocol).build_traced();
+            let mut cluster = run.cluster(builder(3).protocol(protocol));
             let node = NodeId(1); // a *minority*-side client after the split
-            let pool = create_pool(&mut cluster, NodeId(0), "Guarded", 20);
+            let objects = pool(&mut cluster, NodeId(0), "Guarded", "p", 20);
             cluster.partition(&[nodes![0, 2], nodes![1]]).unwrap();
             let total = 400usize;
             let mut ok = 0u64;
             for i in 0..total {
-                let id = pool[i % pool.len()].clone();
+                let id = objects[i % objects.len()].clone();
                 let write = (i as f64 / total as f64) < write_fraction;
                 let result = if write {
                     cluster.run_tx(node, move |c, tx| {
@@ -746,11 +842,26 @@ pub fn tab_avail() -> Vec<(String, Vec<(f64, f64)>)> {
                     ok += 1;
                 }
             }
-            rows.push((write_fraction, ok as f64 / total as f64));
+            let availability = ok as f64 / total as f64;
+            row.push(format!("{:.0}%", availability * 100.0));
+            as_expected &= if protocol == ProtocolKind::PrimaryPerPartition {
+                availability > 0.999
+            } else {
+                (availability - (1.0 - write_fraction)).abs() < 0.05
+            };
         }
-        out.push((label.to_owned(), rows));
+        rows.push(row);
     }
-    out
+    print_table(
+        "[Se05] availability in a minority partition (ops succeeding), by write fraction",
+        &["protocol", "10% writes", "30% writes", "50% writes"],
+        &rows,
+    );
+    println!("  paper: the approach + P4 increases availability in the presence of partitions");
+    Ok(broken(&[(
+        as_expected,
+        "P4 loses availability, or a conventional protocol keeps more than its reads",
+    )]))
 }
 
 /// The abstract's cost/benefit conclusion: the middleware pays off
@@ -758,447 +869,107 @@ pub fn tab_avail() -> Vec<(String, Vec<(f64, f64)>)> {
 /// replicated nodes is small. Computes the system-wide throughput of
 /// a DeDiSys cluster relative to a single unreplicated server, over
 /// read fractions × node counts (reads execute locally on every node;
-/// writes pay synchronous propagation).
-pub fn tab_worth() -> Vec<(u32, Vec<(f64, f64)>)> {
+/// writes pay synchronous propagation). Contracts: 99 % reads on three
+/// nodes beat the single server, 50 % reads never do, and write-heavy
+/// work gets worse from 2 to 4 nodes.
+pub fn tab_worth(run: &Run) -> Verdict {
     // Per-op virtual costs measured from the standard rows.
-    let mut baseline = builder(1).without_dedisys().build_traced();
-    let base = standard_rows(&mut baseline, NodeId(0), false);
-    let rate = |rows: &[(String, f64)], label: &str| {
-        rows.iter()
-            .find(|(l, _)| l.starts_with(label))
-            .map(|(_, v)| *v)
-            .unwrap_or(1.0)
+    let read_write = |rows: &[(&str, f64)]| {
+        let of = |label| rate(rows, label).unwrap_or(1.0);
+        (of("Getter (avg.)"), of("Setter (avg.)"))
     };
-    let base_read = rate(&base, "Getter");
-    let base_write = rate(&base, "Setter");
-    let mut out = Vec::new();
+    let mut baseline = run.cluster(builder(1).without_dedisys());
+    let (base_read, base_write) = read_write(&standard_rows(&mut baseline, NodeId(0), false));
+    let mut ratios = Vec::new();
     for n in 1..=4u32 {
-        let mut cluster = builder(n).build_traced();
-        let rows = standard_rows(&mut cluster, NodeId(0), false);
-        let read = rate(&rows, "Getter");
-        let write = rate(&rows, "Setter");
-        let mut points = Vec::new();
-        for read_fraction in [0.5, 0.9, 0.99] {
+        let mut cluster = run.cluster(builder(n));
+        let (read, write) = read_write(&standard_rows(&mut cluster, NodeId(0), false));
+        ratios.push([0.5, 0.9, 0.99].map(|read_fraction| {
             let w = 1.0 - read_fraction;
             // System-wide capacity: reads scale with the node count,
             // writes are serialized through the primary + propagation.
             let dedisys = 1.0 / (read_fraction / (read * f64::from(n)) + w / write);
             let single = 1.0 / (read_fraction / base_read + w / base_write);
-            points.push((read_fraction, dedisys / single));
-        }
-        out.push((n, points));
+            dedisys / single
+        }));
     }
-    out
+    let rows: Vec<Vec<String>> = (1..)
+        .zip(&ratios)
+        .map(|(n, points)| {
+            let mut row = vec![format!("{n} node(s)")];
+            row.extend(points.iter().map(|r| format!("{r:.2}×")));
+            row
+        })
+        .collect();
+    print_table(
+        "Abstract conclusion — system throughput vs a single unreplicated server, by read fraction",
+        &["DeDiSys nodes", "50% reads", "90% reads", "99% reads"],
+        &rows,
+    );
+    println!("  paper: most worth its costs when the read-to-write ratio is high and the node count small");
+    Ok(broken(&[
+        (
+            ratios[2][2] > 1.0,
+            "99 % reads on 3 nodes lose to one server",
+        ),
+        (
+            ratios.iter().all(|r| r[0] < 1.0),
+            "50 % reads beat one server",
+        ),
+        (
+            ratios[3][0] < ratios[1][0],
+            "50 % reads do not get worse from 2 to 4 nodes",
+        ),
+    ]))
 }
 
-// ---------------------------------------------------------------------
-// Figure 1.3 — the motivating scenario
-// ---------------------------------------------------------------------
-
 /// §1.3 — the narrative numbers: 70 sold healthy, +7/+8 under the
-/// split, 85 after merge, 80 after rebooking. Returns
-/// `(after_a, after_b, merged, reconciled)`.
-pub fn fig1_3() -> (i64, i64, i64, i64) {
+/// split, 85 after merge, 80 after rebooking. Contract: exactly the
+/// paper's numbers ([`narrative`]).
+pub fn fig1_3(run: &Run) -> Verdict {
     let mut cluster = flight::booking_cluster(4).expect("cluster");
-    attach_trace(&cluster);
+    run.trace.attach(cluster.telemetry());
     let id = flight::create_flight(&mut cluster, NodeId(0), "LH-441", 80, 70).expect("flight");
     cluster.partition(&[nodes![0, 1], nodes![2, 3]]).unwrap();
     let after_a = flight::sell_tickets(&mut cluster, NodeId(0), &id, 7).expect("side A");
     let after_b = flight::sell_tickets(&mut cluster, NodeId(2), &id, 8).expect("side B");
     cluster.heal();
-    let mut merged_value = 0;
-    let mut merge = |conflict: &dedisys_core::ReplicaConflict| {
-        let total: i64 = conflict
-            .candidates
-            .iter()
-            .filter_map(|(_, s)| s.as_ref())
-            .filter_map(|s| s.field("sold").as_int())
-            .map(|s| s - 70)
-            .sum();
-        merged_value = 70 + total;
-        let mut merged = conflict.candidates[0].1.clone().expect("live");
-        merged.set_field("sold", Value::Int(70 + total), dedisys_types::SimTime::ZERO);
-        Some(merged)
+    let mut merged = 0;
+    let mut merge = |conflict: &ReplicaConflict| {
+        let state = merge_sales(conflict)?;
+        merged = state.field("sold").as_int().unwrap_or(0);
+        Some(state)
     };
     let flight_fix = id.clone();
-    let mut rebook = move |_v: &dedisys_core::ViolationReport,
-                           ops: &mut dedisys_core::ReconOps<'_>| {
+    let mut rebook = move |_v: &ViolationReport, ops: &mut ReconOps<'_>| {
         let seats = ops.read(&flight_fix, "seats").unwrap().as_int().unwrap();
         ops.write(&flight_fix, "sold", Value::Int(seats)).unwrap();
         true
     };
     cluster.reconcile(&mut merge, &mut rebook);
-    let reconciled = cluster
-        .entity_on(NodeId(0), &id)
-        .unwrap()
-        .field("sold")
-        .as_int()
-        .unwrap();
-    (after_a, after_b, merged_value, reconciled)
-}
-
-// ---------------------------------------------------------------------
-// Printing
-// ---------------------------------------------------------------------
-
-fn print_columns(title: &str, columns: &[Fig5Column]) {
-    let mut header = vec!["operation"];
-    for c in columns {
-        header.push(&c.label);
-    }
-    let row_labels: Vec<String> = columns[0].rows.iter().map(|(l, _)| l.clone()).collect();
-    let rows: Vec<Vec<String>> = row_labels
-        .iter()
-        .map(|label| {
-            let mut row = vec![label.clone()];
-            for c in columns {
-                let value = c
-                    .rows
-                    .iter()
-                    .find(|(l, _)| l == label)
-                    .and_then(|(_, v)| *v);
-                row.push(value.map(ops).unwrap_or_else(|| "-".into()));
-            }
-            row
-        })
+    let sold = [after_a, after_b, merged, sold(&cluster, &id)];
+    let stages = [
+        "partition A after +7",
+        "partition B after +8",
+        "after reunification (merge)",
+        "after reconciliation (rebooked)",
+    ];
+    let rows: Vec<Vec<String>> = (stages.iter().zip(sold))
+        .map(|(stage, n)| vec![stage.to_string(), n.to_string()])
         .collect();
-    print_table(title, &header, &rows);
+    print_table(
+        "§1.3 — the motivating flight-booking scenario (80 seats, 70 sold)",
+        &["stage", "sold"],
+        &rows,
+    );
+    println!("  paper narrative: 77 / 78 / 85 / 80");
+    Ok(narrative(sold))
 }
 
-/// Runs and prints one chapter-5 experiment.
-pub fn run(id: &str) {
-    match id {
-        "fig5-1" => {
-            let rows: Vec<Vec<String>> = fig5_1()
-                .into_iter()
-                .map(|(label, with, without)| {
-                    let pct = with / without * 100.0;
-                    vec![label, ops(with), ops(without), format!("{pct:.1}%"), "87–99%".into()]
-                })
-                .collect();
-            print_table(
-                "Figure 5.1 — overhead of explicit constraint consistency management (ops/s)",
-                &["operation", "with CCM", "without", "retained", "paper"],
-                &rows,
-            );
-        }
-        "fig5-2" => print_columns(
-            "Figure 5.2 — No DeDiSys vs DeDiSys, healthy and degraded (same partition size); paper threat cases: 74 vs 3 ops/s",
-            &fig5_2(),
-        ),
-        "fig5-3" => print_columns(
-            "Figure 5.3 — healthy (3 nodes) vs degraded (2 nodes in partition)",
-            &fig5_3(),
-        ),
-        "fig5-4" => {
-            let rows = fig5_4();
-            print_table(
-                "Figure 5.4 — replication effects per node count (ops/s)",
-                &[
-                    "configuration",
-                    "create",
-                    "setter",
-                    "getter (per node)",
-                    "empty",
-                    "delete",
-                    "reads aggregate",
-                    "multicast+tx ceiling",
-                ],
-                &rows,
-            );
-        }
-        "fig5-6" => {
-            let rows: Vec<Vec<String>> = fig5_6()
-                .into_iter()
-                .map(|r| {
-                    vec![
-                        r.label,
-                        r.stored_threats.to_string(),
-                        format!("{}", r.replica),
-                        format!("{}", r.constraint),
-                    ]
-                })
-                .collect();
-            print_table(
-                "Figure 5.6 — reconciliation time (1000 degraded ops over 200 objects)",
-                &["policy", "threat records", "replica recon", "constraint recon"],
-                &rows,
-            );
-            println!("  paper shape: replica phase dominates and scales with the record count");
-            let rows: Vec<Vec<String>> = fig5_6_incremental()
-                .into_iter()
-                .map(|r| {
-                    vec![
-                        r.label,
-                        r.re_evaluated.to_string(),
-                        r.skipped.to_string(),
-                        r.postponed.to_string(),
-                        format!("{}", r.constraint),
-                    ]
-                })
-                .collect();
-            print_table(
-                "Figure 5.6 (incremental) — partial merge, full scan vs object-indexed engine",
-                &["strategy", "re-evaluated", "skipped", "postponed", "constraint recon"],
-                &rows,
-            );
-            println!(
-                "  shape: full scan grows with the away-partition threat count; incremental stays flat"
-            );
-        }
-        "fig5-8" => {
-            let rows: Vec<Vec<String>> = fig5_8()
-                .into_iter()
-                .map(|(label, iters)| {
-                    let mut row = vec![label];
-                    row.extend(iters.iter().map(|v| ops(*v)));
-                    row
-                })
-                .collect();
-            print_table(
-                "Figure 5.8 — identical-threat improvement across iterations (ops/s)",
-                &["configuration", "iter 1", "iter 2", "iter 3", "iter 4", "iter 5"],
-                &rows,
-            );
-            println!("  paper: ≈4 ops/s (full history) vs ≈15 ops/s (identical once, after iter 1)");
-        }
-        "tab5-async" => {
-            let rows: Vec<Vec<String>> = tab5_async()
-                .into_iter()
-                .map(|(label, rate)| vec![label, ops(rate)])
-                .collect();
-            print_table(
-                "§5.5.3 — soft vs asynchronous constraints in degraded mode (ops/s)",
-                &["configuration", "ops/s"],
-                &rows,
-            );
-            println!("  paper: asynchronous ≈ 2× soft (identical threats stored once)");
-        }
-        "tab5-psc" => {
-            let rows: Vec<Vec<String>> = tab5_psc()
-                .into_iter()
-                .map(|(label, sold, overbooked)| {
-                    vec![label, sold.to_string(), overbooked.to_string()]
-                })
-                .collect();
-            print_table(
-                "§5.5.2 — partition-sensitive constraints: overbooking after the split (80 seats)",
-                &["constraint", "sold after merge", "overbooked"],
-                &rows,
-            );
-        }
-        "fig1-3" => {
-            let (a, b, merged, reconciled) = fig1_3();
-            print_table(
-                "§1.3 — the motivating flight-booking scenario (80 seats, 70 sold)",
-                &["stage", "sold"],
-                &[
-                    vec!["partition A after +7".into(), a.to_string()],
-                    vec!["partition B after +8".into(), b.to_string()],
-                    vec!["after reunification (merge)".into(), merged.to_string()],
-                    vec!["after reconciliation (rebooked)".into(), reconciled.to_string()],
-                ],
-            );
-            println!("  paper narrative: 77 / 78 / 85 / 80");
-        }
-        "tab-avail" => {
-            let data = tab_avail();
-            let rows: Vec<Vec<String>> = data
-                .into_iter()
-                .map(|(label, points)| {
-                    let mut row = vec![label];
-                    row.extend(points.iter().map(|(_, a)| format!("{:.0}%", a * 100.0)));
-                    row
-                })
-                .collect();
-            print_table(
-                "[Se05] availability in a minority partition (ops succeeding), by write fraction",
-                &["protocol", "10% writes", "30% writes", "50% writes"],
-                &rows,
-            );
-            println!("  paper: the approach + P4 increases availability in the presence of partitions");
-        }
-        "tab-worth" => {
-            let data = tab_worth();
-            let rows: Vec<Vec<String>> = data
-                .into_iter()
-                .map(|(n, points)| {
-                    let mut row = vec![format!("{n} node(s)")];
-                    row.extend(points.iter().map(|(_, r)| format!("{r:.2}×")));
-                    row
-                })
-                .collect();
-            print_table(
-                "Abstract conclusion — system throughput vs a single unreplicated server, by read fraction",
-                &["DeDiSys nodes", "50% reads", "90% reads", "99% reads"],
-                &rows,
-            );
-            println!("  paper: most worth its costs when the read-to-write ratio is high and the node count small");
-        }
-        other => panic!("unknown chapter-5 experiment '{other}'"),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// The §1.3 narrative must match the paper exactly.
-    #[test]
-    fn fig1_3_matches_the_paper_narrative() {
-        assert_eq!(fig1_3(), (77, 78, 85, 80));
-    }
-
-    /// Figure 5.1: CCM-only overhead keeps ≥ 85% of the baseline
-    /// throughput (paper band 87–99%).
-    #[test]
-    fn fig5_1_ccm_overhead_in_paper_band() {
-        for (label, with, without) in fig5_1() {
-            let retained = with / without;
-            assert!(
-                (0.85..=1.0).contains(&retained),
-                "{label}: retained {retained:.3}"
-            );
-        }
-    }
-
-    /// Figure 5.8: identical-once is several times faster than full
-    /// history after the first iteration; iteration 1 is equal.
-    #[test]
-    fn fig5_8_identical_once_improvement() {
-        let data = fig5_8();
-        let full = &data[0].1;
-        let once = &data[1].1;
-        assert!((full[0] - once[0]).abs() / full[0] < 0.1, "iter 1 equal");
-        assert!(once[1] > full[1] * 3.0, "{} vs {}", once[1], full[1]);
-    }
-
-    /// §5.5.2: the partition-sensitive constraint prevents overbooking
-    /// entirely; the plain constraint does not.
-    #[test]
-    fn tab5_psc_prevents_overbooking() {
-        let rows = tab5_psc();
-        let (_, _, plain_overbooked) = rows[0];
-        let (_, psc_sold, psc_overbooked) = rows[1];
-        assert!(plain_overbooked > 0);
-        assert_eq!(psc_overbooked, 0);
-        assert_eq!(psc_sold, 80);
-    }
-
-    /// §5.5.3: async constraints beat soft constraints in degraded mode.
-    #[test]
-    fn tab5_async_is_faster_than_soft() {
-        let rows = tab5_async();
-        let soft = rows[0].1;
-        let async_rate = rows[1].1;
-        assert!(async_rate > soft * 1.1, "{async_rate} vs {soft}");
-    }
-
-    /// [Se05]: P4 + threat trading keeps the minority partition fully
-    /// available; the conventional protocols lose their write share.
-    #[test]
-    fn tab_avail_p4_keeps_full_availability() {
-        for (label, points) in tab_avail() {
-            for (write_fraction, availability) in points {
-                if label.starts_with("DeDiSys") {
-                    assert!(availability > 0.999, "{label}: {availability}");
-                } else {
-                    let expected = 1.0 - write_fraction;
-                    assert!(
-                        (availability - expected).abs() < 0.05,
-                        "{label} at {write_fraction}: {availability}"
-                    );
-                }
-            }
-        }
-    }
-
-    /// Figure 5.6: the full-history policy is slower in both
-    /// reconciliation phases; the reduced policy folds duplicates back
-    /// towards the identical-once storage figure.
-    #[test]
-    fn fig5_6_full_history_reconciles_slower() {
-        let rows = fig5_6();
-        let once = &rows[0];
-        let full = &rows[1];
-        let reduced = &rows[2];
-        assert_eq!(once.stored_threats, 200);
-        assert_eq!(full.stored_threats, 1000);
-        assert!(full.replica > once.replica);
-        assert!(full.constraint > once.constraint);
-        // Background compaction keeps the reduced store close to the
-        // identical-once figure — and far below the full history.
-        assert!(
-            reduced.stored_threats < full.stored_threats / 2,
-            "reduced stored {} vs full {}",
-            reduced.stored_threats,
-            full.stored_threats
-        );
-        assert!(reduced.replica < full.replica);
-    }
-
-    /// Figure 5.6 (incremental): the object-indexed engine re-evaluates
-    /// strictly fewer identities than the full scan in the
-    /// multi-partition scenario, with identical outcomes, and its
-    /// constraint-phase cost does not scale with the away-partition
-    /// threat count.
-    #[test]
-    fn fig5_6_incremental_skips_unreachable_threats() {
-        let rows = fig5_6_incremental();
-        assert_eq!(rows.len(), 6);
-        for pair in rows.chunks(2) {
-            let full = &pair[0];
-            let incr = &pair[1];
-            assert_eq!(full.away, incr.away);
-            // Full scan touches everything; incremental only the dirty set.
-            assert_eq!(full.skipped, 0, "{}", full.label);
-            assert!(
-                incr.skipped >= full.away,
-                "{}: skipped {}",
-                incr.label,
-                incr.skipped
-            );
-            assert!(
-                incr.re_evaluated < full.re_evaluated,
-                "{}: {} vs {}",
-                incr.label,
-                incr.re_evaluated,
-                full.re_evaluated
-            );
-            // Identical reconciliation outcomes (§3.3 correctness).
-            assert_eq!(
-                full.satisfied_removed, incr.satisfied_removed,
-                "{}",
-                incr.label
-            );
-            assert_eq!(full.violations, incr.violations, "{}", incr.label);
-            assert_eq!(full.deferred, incr.deferred, "{}", incr.label);
-            assert_eq!(full.postponed, incr.postponed, "{}", incr.label);
-            assert!(incr.constraint < full.constraint, "{}", incr.label);
-        }
-        // The incremental constraint phase is flat in the away count
-        // while the full scan grows.
-        let incr_small = &rows[1];
-        let incr_large = &rows[5];
-        let full_small = &rows[0];
-        let full_large = &rows[4];
-        assert!(full_large.constraint > full_small.constraint);
-        assert_eq!(incr_small.re_evaluated, incr_large.re_evaluated);
-    }
-
-    /// Abstract conclusion: replication pays off only for read-heavy
-    /// workloads; write-heavy workloads get worse with more nodes.
-    #[test]
-    fn tab_worth_crossover() {
-        let data = tab_worth();
-        // 99% reads at 3 nodes beats the single server…
-        let three = &data[2].1;
-        assert!(three.last().unwrap().1 > 1.0);
-        // …but 50% reads never does.
-        for (_, points) in &data {
-            assert!(points[0].1 < 1.0);
-        }
-        // Write-heavy degrades with node count.
-        assert!(data[3].1[0].1 < data[1].1[0].1);
-    }
+/// The contract of §1.3: the sold counts the paper narrates.
+pub(crate) fn narrative(sold: [i64; 4]) -> Vec<String> {
+    broken(&[(
+        sold == [77, 78, 85, 80],
+        "the sold counts are not 77 / 78 / 85 / 80",
+    )])
 }

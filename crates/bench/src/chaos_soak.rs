@@ -1,144 +1,96 @@
-//! The `chaos-soak` driver behind `repro chaos-soak`: one seeded
-//! chaos run (optionally traced to JSONL) or a multi-seed sweep, of
-//! either workload mix — the item mix on one shard, or the cross-shard
-//! transfer mix with `--shards K`.
+//! `repro chaos-soak`: one seeded chaos run (optionally traced to
+//! JSONL) or a multi-seed sweep, of either workload mix — the item mix
+//! on one shard, or the cross-shard transfer mix with `--shards K`.
 //!
 //! A fixed seed reproduces the run exactly — same fault schedule,
 //! same workload, same virtual-time trajectory, byte-identical trace
 //! file. The CI smoke job runs one seed twice and diffs the traces,
-//! then sweeps a seed range asserting the invariant checker stays
-//! silent.
+//! then sweeps a seed range. Contract: the invariant checker stays
+//! silent on every seed.
 
+use crate::{BadFlags, Run, Verdict};
 use dedisys_chaos::{ChaosConfig, ChaosEngine, ChaosReport};
-use std::path::PathBuf;
 
-/// CLI options of `repro chaos-soak`.
-#[derive(Debug, Clone)]
-pub struct SoakOptions {
-    /// Master seed of a single run, first seed of a sweep.
-    pub seed: u64,
-    /// Shards: 1 runs the item mix, more the cross-shard transfer mix.
-    pub shards: u32,
-    /// Nodes per shard (default: 4 in the item mix, 3 in the transfer
-    /// mix).
-    pub nodes: Option<u32>,
-    /// Workload operations per run (default: 300 in the item mix, 200
-    /// in the transfer mix).
-    pub ops: Option<u64>,
-    /// Fault steps scheduled per item-mix run.
-    pub faults: usize,
-    /// Run seeds `seed..seed + n` instead of one seed.
-    pub sweep: Option<u64>,
-    /// JSONL trace destination (single runs only).
-    pub trace: Option<PathBuf>,
-    /// Drive membership through the adaptive failure-detection
-    /// pipeline (φ-accrual + flap damping) and draw
-    /// faults from the extended vocabulary.
-    pub detector: bool,
-}
-
-impl Default for SoakOptions {
-    fn default() -> Self {
-        Self {
-            seed: 0,
-            shards: 1,
-            nodes: None,
-            ops: None,
-            faults: 24,
-            sweep: None,
-            trace: None,
-            detector: false,
-        }
-    }
-}
-
-fn config(opts: &SoakOptions, seed: u64) -> ChaosConfig {
-    let items = opts.shards == 1;
+/// The engine configuration for `seed`. One shard runs the item mix
+/// (4 nodes, 300 ops by default), more the cross-shard transfer mix
+/// (3 nodes, 200 ops).
+fn config(run: &Run, seed: u64) -> ChaosConfig {
+    let default = ChaosConfig::default();
+    let shards = run.shards.unwrap_or(default.shards);
+    let items = shards == 1;
     ChaosConfig {
-        nodes: opts.nodes.unwrap_or(if items { 4 } else { 3 }),
-        ops: opts.ops.unwrap_or(if items { 300 } else { 200 }),
-        faults: opts.faults,
+        nodes: run.nodes.unwrap_or(if items { default.nodes } else { 3 }),
+        ops: run.ops.unwrap_or(if items { default.ops } else { 200 }),
+        faults: run.faults.unwrap_or(default.faults),
         seed,
-        shards: opts.shards,
-        detector: opts.detector,
-        ..ChaosConfig::default()
+        shards,
+        detector: run.detector,
+        ..default
     }
 }
 
-/// The engine for `seed`; an invalid shape exits the process with
-/// status 2.
-fn engine(opts: &SoakOptions, seed: u64) -> ChaosEngine {
-    ChaosEngine::new(config(opts, seed)).unwrap_or_else(|e| {
-        eprintln!("chaos-soak: {e}");
-        std::process::exit(2);
-    })
+/// The engine for `seed`; an invalid shape is a bad command line.
+fn engine(run: &Run, seed: u64) -> Result<ChaosEngine, BadFlags> {
+    ChaosEngine::new(config(run, seed)).map_err(|e| BadFlags(e.to_string()))
 }
 
-/// Runs the soak per `opts`; exits the process with status 1 on any
-/// invariant violation.
-pub fn run(opts: &SoakOptions) {
-    match opts.sweep {
-        Some(n) => sweep(opts, n),
-        None => single(opts),
-    }
+/// Whether `--shards` selects the cross-shard transfer mix.
+fn transfers(run: &Run) -> bool {
+    run.shards.is_some_and(|shards| shards > 1)
 }
 
-fn single(opts: &SoakOptions) {
-    let engine = engine(opts, opts.seed);
-    if let Some(path) = &opts.trace {
-        crate::attach_jsonl(engine.telemetry(), path);
-    }
+fn violations(report: &ChaosReport) -> Vec<String> {
+    let violations = report.violations.iter();
+    violations
+        .map(|v| format!("invariant violation: {v}"))
+        .collect()
+}
+
+/// Runs one seed, or the seeds of `--sweep` with one line each.
+pub fn run(run: &Run) -> Verdict {
+    let Some(seeds) = run.sweep else {
+        return single(run);
+    };
+    let (failures, dirty) = run.sweep_seeds(seeds, |seed| {
+        let report = engine(run, seed)?.run().expect("chaos run");
+        let mut line = format!(
+            "  seed {seed:>4}: {} ok, {} failed, {} faults applied",
+            report.ops_ok, report.ops_failed, report.faults_applied
+        );
+        if transfers(run) {
+            line += &format!(", xshard {}", xshard(&report));
+        }
+        let verdict = if report.clean() { "clean" } else { "VIOLATED" };
+        println!("{line}: {verdict}");
+        Ok(violations(&report))
+    })?;
+    println!(
+        "chaos-soak sweep ({}): {seeds} seeds x {} ops — {dirty} seed(s) with violations",
+        shape(run),
+        config(run, run.seed).ops
+    );
+    Ok(failures)
+}
+
+fn single(run: &Run) -> Verdict {
+    let engine = engine(run, run.seed)?;
+    run.trace.attach(engine.telemetry());
     let bus = engine.telemetry().clone();
     let report = engine.run().expect("chaos run");
     let events = bus.events_emitted();
     // The last handle on the traced bus: dropping it flushes the trace.
     drop(bus);
-    print_report(&report, opts, events);
-    if !report.clean() {
-        for v in &report.violations {
-            eprintln!("invariant violation: {v}");
-        }
-        std::process::exit(1);
-    }
-}
-
-fn sweep(opts: &SoakOptions, seeds: u64) {
-    let mut dirty = 0u64;
-    for seed in opts.seed..opts.seed + seeds {
-        let report = engine(opts, seed).run().expect("chaos run");
-        let mut line = format!(
-            "  seed {seed:>4}: {} ok, {} failed, {} faults applied",
-            report.ops_ok, report.ops_failed, report.faults_applied
-        );
-        if opts.shards > 1 {
-            line += &format!(", xshard {}", xshard(&report));
-        }
-        let verdict = if report.clean() { "clean" } else { "VIOLATED" };
-        println!("{line}: {verdict}");
-        if !report.clean() {
-            dirty += 1;
-            for v in &report.violations {
-                eprintln!("seed {seed}: invariant violation: {v}");
-            }
-        }
-    }
-    println!(
-        "chaos-soak sweep ({}): {seeds} seeds x {} ops — {dirty} seed(s) with violations",
-        shape(opts),
-        config(opts, opts.seed).ops
-    );
-    if dirty > 0 {
-        std::process::exit(1);
-    }
+    print_report(&report, run, events);
+    Ok(violations(&report))
 }
 
 /// `4 nodes`, `4 nodes, detector` or `3 shards x 3 nodes`.
-fn shape(opts: &SoakOptions) -> String {
-    let nodes = config(opts, opts.seed).nodes;
-    match (opts.shards, opts.detector) {
-        (1, false) => format!("{nodes} nodes"),
-        (1, true) => format!("{nodes} nodes, detector"),
-        (shards, _) => format!("{shards} shards x {nodes} nodes"),
+fn shape(run: &Run) -> String {
+    let config = config(run, run.seed);
+    match (config.shards, config.detector) {
+        (1, false) => format!("{} nodes", config.nodes),
+        (1, true) => format!("{} nodes, detector", config.nodes),
+        (shards, _) => format!("{shards} shards x {} nodes", config.nodes),
     }
 }
 
@@ -151,8 +103,8 @@ fn xshard(report: &ChaosReport) -> String {
     )
 }
 
-fn print_report(report: &ChaosReport, opts: &SoakOptions, events: u64) {
-    println!("chaos-soak seed {} ({})", report.seed, shape(opts));
+fn print_report(report: &ChaosReport, run: &Run, events: u64) {
+    println!("chaos-soak seed {} ({})", report.seed, shape(run));
     println!(
         "  workload: {} ok, {} failed (expected under faults)",
         report.ops_ok, report.ops_failed
@@ -165,7 +117,7 @@ fn print_report(report: &ChaosReport, opts: &SoakOptions, events: u64) {
         "  2pc:      {} in-doubt transaction(s) resolved by presumed abort",
         report.in_doubt_resolved
     );
-    if opts.shards > 1 {
+    if transfers(run) {
         println!("  xshard:   {}", xshard(report));
     } else {
         let stats = &report.final_stats;

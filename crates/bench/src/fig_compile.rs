@@ -12,8 +12,9 @@
 //! 120 µs compiled, 20 µs per cache probe) — plus wall clock for
 //! orientation. Verdicts must be **transparent**: mode, cluster/CCM/
 //! replication/tx counters, threat identities and every sweep's
-//! violating-object list are identical across the three runs — the run
-//! exits non-zero if they diverge.
+//! violating-object list are identical across the three runs. The
+//! contracts also want each cheaper engine strictly cheaper in virtual
+//! time, the cache to hit, and the lowering events where they belong.
 //!
 //! With `--trace <path>` the three JSONL traces are written to
 //! `<path>.interp`, `<path>.compiled` and `<path>.cached` so external
@@ -24,6 +25,7 @@
 //! invalidate events at different virtual times by design.
 
 use crate::table::{f2, print_table};
+use crate::{broken, Run, Verdict};
 use dedisys_constraints::{
     expr::ExprConstraint, ConstraintMeta, ContextPreparation, RegisteredConstraint,
 };
@@ -34,7 +36,6 @@ use dedisys_core::{
 use dedisys_object::{AppDescriptor, ClassDescriptor, EntityState};
 use dedisys_types::{ConstraintName, NodeId, ObjectId, SatisfactionDegree, Value};
 use std::io::Write;
-use std::path::Path;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -98,53 +99,31 @@ fn constraints() -> Vec<RegisteredConstraint> {
         .collect()
 }
 
-/// One engine configuration of the study.
-struct EngineConfig {
-    label: &'static str,
-    engine: ConstraintEngine,
-    cache: bool,
-    /// Trace-file suffix under `--trace`.
-    suffix: &'static str,
-}
-
-const CONFIGS: [EngineConfig; 3] = [
-    EngineConfig {
-        label: "Interpreted",
-        engine: ConstraintEngine::Interpreted,
-        cache: false,
-        suffix: ".interp",
-    },
-    EngineConfig {
-        label: "Compiled",
-        engine: ConstraintEngine::Compiled,
-        cache: false,
-        suffix: ".compiled",
-    },
-    EngineConfig {
-        label: "Compiled+cache",
-        engine: ConstraintEngine::Compiled,
-        cache: true,
-        suffix: ".cached",
-    },
+/// The engine configurations of the study: label, engine, verdict
+/// cache.
+const CONFIGS: [(&str, ConstraintEngine, bool); 3] = [
+    ("Interpreted", ConstraintEngine::Interpreted, false),
+    ("Compiled", ConstraintEngine::Compiled, false),
+    ("Compiled+cache", ConstraintEngine::Compiled, true),
 ];
 
+/// The trace file of each configuration, as a suffix of `--trace`.
+pub(crate) const TRACES: &[&str] = &[".interp", ".compiled", ".cached"];
+
 /// The outcome of one configuration's run.
-pub struct ModeRun {
-    /// Configuration label.
-    pub label: String,
+struct ModeRun {
     /// Wall-clock time of the workload loop.
-    pub wall: Duration,
+    wall: Duration,
     /// The full statistics snapshot.
-    pub stats: StatsSnapshot,
+    stats: StatsSnapshot,
     /// Verdict-cache hits / misses (`ccm.verdict_cache.*`).
-    pub hits: u64,
-    /// See [`ModeRun::hits`].
-    pub misses: u64,
+    hits: u64,
+    misses: u64,
     /// The verdict fingerprint — everything that must be identical
     /// across configurations.
-    pub fingerprint: String,
+    fingerprint: String,
     /// The JSONL telemetry trace, byte for byte.
-    pub trace: Vec<u8>,
+    trace: Vec<u8>,
 }
 
 /// Every verdict-level observable: mode plus the cluster/CCM/
@@ -183,7 +162,7 @@ fn sweep(cluster: &mut Cluster, sweeps: &mut Vec<(String, Vec<ObjectId>)>) {
 }
 
 /// Runs the workload under one engine configuration.
-pub fn measure(engine: ConstraintEngine, cache: bool, label: &str, rounds: usize) -> ModeRun {
+fn measure(engine: ConstraintEngine, cache: bool, rounds: usize) -> ModeRun {
     let buf = SharedBuf::default();
     let mut cluster = ClusterBuilder::new(3, app())
         .constraints(constraints())
@@ -262,7 +241,6 @@ pub fn measure(engine: ConstraintEngine, cache: bool, label: &str, rounds: usize
     drop(cluster);
     let trace = buf.0.lock().expect("trace buffer poisoned").clone();
     ModeRun {
-        label: label.to_owned(),
         wall,
         stats,
         hits,
@@ -272,33 +250,24 @@ pub fn measure(engine: ConstraintEngine, cache: bool, label: &str, rounds: usize
     }
 }
 
-/// Runs all three configurations. Returns the runs for the unit tests.
-pub fn fig_compile(rounds: usize) -> Vec<ModeRun> {
-    CONFIGS
-        .iter()
-        .map(|c| measure(c.engine, c.cache, c.label, rounds))
-        .collect()
-}
-
-/// Runs and prints the experiment; writes `<path>.interp` /
-/// `<path>.compiled` / `<path>.cached` when a trace path is given.
-/// Exits non-zero when any configuration's verdicts diverge from the
-/// interpreted baseline.
-pub fn run(trace: Option<&Path>) {
+/// Runs the three configurations, prints the table and writes the
+/// three traces.
+pub fn run(run: &Run) -> Verdict {
     let rounds = 12;
-    let runs = fig_compile(rounds);
+    let runs = CONFIGS.map(|(_, engine, cache)| measure(engine, cache, rounds));
     let base_virtual = runs[0].stats.now_ns as f64;
-    let rows = runs
+    let rows = CONFIGS
         .iter()
-        .map(|run| {
+        .zip(&runs)
+        .map(|((label, ..), r)| {
             vec![
-                run.label.clone(),
-                format!("{:.1}", run.stats.now_ns as f64 / 1e6),
-                f2(base_virtual / run.stats.now_ns as f64),
-                format!("{:.1}", run.wall.as_secs_f64() * 1_000.0),
-                run.hits.to_string(),
-                run.misses.to_string(),
-                run.trace.len().to_string(),
+                label.to_string(),
+                format!("{:.1}", r.stats.now_ns as f64 / 1e6),
+                f2(base_virtual / r.stats.now_ns as f64),
+                format!("{:.1}", r.wall.as_secs_f64() * 1_000.0),
+                r.hits.to_string(),
+                r.misses.to_string(),
+                r.trace.len().to_string(),
             ]
         })
         .collect::<Vec<_>>();
@@ -318,9 +287,7 @@ pub fn run(trace: Option<&Path>) {
         ],
         &rows,
     );
-    let transparent = runs
-        .iter()
-        .all(|run| run.fingerprint == runs[0].fingerprint);
+    let transparent = runs.iter().all(|r| r.fingerprint == runs[0].fingerprint);
     println!(
         "  verdicts: {}; Compiled+cache virtual-time speedup: {:.2}×",
         if transparent {
@@ -330,65 +297,31 @@ pub fn run(trace: Option<&Path>) {
         },
         base_virtual / runs[2].stats.now_ns as f64,
     );
-    if let Some(path) = trace {
-        for (config, run) in CONFIGS.iter().zip(&runs) {
-            let mut file = path.as_os_str().to_owned();
-            file.push(config.suffix);
-            std::fs::write(&file, &run.trace).expect("write trace file");
-        }
-        eprintln!(
-            "traces written to {}.interp / .compiled / .cached",
-            path.display()
-        );
-    }
-    if !transparent {
-        eprintln!("fig-compile: verdict-transparency contract violated");
-        std::process::exit(1);
-    }
-    if runs[2].stats.now_ns >= runs[0].stats.now_ns {
-        eprintln!("fig-compile: Compiled+cache failed to beat Interpreted in virtual time");
-        std::process::exit(1);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// Verdict transparency and the virtual-time ordering on a small
-    /// instance: Interpreted > Compiled > Compiled+cache, identical
-    /// fingerprints throughout, and the cache actually hit.
-    #[test]
-    fn engines_are_transparent_and_cache_is_cheapest() {
-        let runs = fig_compile(3);
-        for run in &runs[1..] {
-            assert_eq!(
-                runs[0].fingerprint, run.fingerprint,
-                "verdicts diverged under {}",
-                run.label
-            );
-        }
-        assert!(
-            runs[0].stats.now_ns > runs[1].stats.now_ns,
-            "compiled checks must be cheaper than interpreted"
-        );
-        assert!(
-            runs[1].stats.now_ns > runs[2].stats.now_ns,
-            "cache probes must be cheaper than compiled re-checks"
-        );
-        assert!(runs[2].hits > 0, "repeated sweeps hit the cache");
-        assert_eq!(runs[0].hits + runs[1].hits, 0, "cache off ⇒ no hits");
-        for run in &runs {
-            assert!(!run.trace.is_empty(), "trace captured for {}", run.label);
-            let compiled = String::from_utf8_lossy(&run.trace)
-                .matches("\"kind\":\"constraint_compiled\"")
-                .count();
-            let expected = if run.label == "Interpreted" {
-                0
-            } else {
-                CONSTRAINTS
-            };
-            assert_eq!(compiled, expected, "lowering events of {}", run.label);
+    let [interp, compiled, cached] = runs.each_ref().map(|r| r.stats.now_ns);
+    // The cache hits where it is on, and only there; every constraint
+    // is lowered once per compiled run, with the exporter listening.
+    let counted = CONFIGS.iter().zip(&runs).all(|((_, engine, cache), r)| {
+        let lowered = String::from_utf8_lossy(&r.trace)
+            .matches("\"kind\":\"constraint_compiled\"")
+            .count();
+        let compiles = *engine == ConstraintEngine::Compiled;
+        (r.hits > 0) == *cache && lowered == if compiles { CONSTRAINTS } else { 0 }
+    });
+    let mut failures = broken(&[
+        (transparent, "verdicts diverged across the engines"),
+        (
+            interp > compiled && compiled > cached,
+            "a cheaper engine costs no less",
+        ),
+        (
+            counted,
+            "cache hits or lowering events where they do not belong",
+        ),
+    ]);
+    for (r, suffix) in runs.iter().zip(TRACES) {
+        if let Err(e) = run.trace.write(suffix, &r.trace) {
+            failures.push(format!("trace {suffix}: {e}"));
         }
     }
+    Ok(failures)
 }

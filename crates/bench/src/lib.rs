@@ -1,58 +1,310 @@
 //! # dedisys-bench
 //!
-//! The reproduction harness: one entry point per table and figure of
-//! the dissertation's evaluation. The `repro` binary
-//! (`cargo run -p dedisys-bench --bin repro -- <experiment>`) prints
-//! each experiment's rows next to the values the paper reports;
+//! The reproduction harness behind the `repro` binary
+//! (`cargo run -p dedisys-bench --bin repro -- <experiment>`). Every
+//! experiment is one [`Experiment`] entry of [`EXPERIMENTS`]: its id,
+//! the flags it accepts, the trace files it writes and a `run` that
+//! prints its tables and returns the contracts it found broken.
 //! EXPERIMENTS.md records a full run.
 //!
-//! * [`ch2`] — the constraint-validation comparison (Figures 2.1–2.6
-//!   and the lookup-time study), measured in wall-clock time.
-//! * [`ch5`] — the middleware evaluation (Figures 5.1–5.4, 5.6, 5.8
+//! * `ch2` — the constraint-validation comparison (Figures 2.1–2.6 and
+//!   the lookup-time study), measured in wall-clock time; no contracts.
+//! * `ch5` — the middleware evaluation (Figures 1.3, 5.1–5.4, 5.6, 5.8
 //!   and the §5.5 improvement studies), measured in deterministic
-//!   virtual time.
-//! * [`chaos_soak`] — the seeded chaos soak (`repro chaos-soak`):
-//!   random fault schedules against the full middleware stack with
-//!   invariant checking after every injected fault; `--shards K` runs
-//!   the cross-shard transfer mix.
-//! * [`fig_compile`] — the constraint-engine study (`repro
-//!   fig-compile`): interpreted vs compiled vs compiled+verdict-cache
-//!   validation cost in deterministic virtual time, with the
-//!   verdict-transparency contract checked on every run.
-//! * [`flap_sweep`] — the failure-detection damping study (`repro
-//!   flap-sweep`): spurious mode transitions under link flapping,
-//!   fixed-timeout + passthrough baseline vs the φ-accrual detector
-//!   with flap-damped view stabilization, per flap period and
-//!   damping window.
-//! * [`overload_sweep`] — the request-plane overload study (`repro
-//!   overload-sweep`): goodput and Critical-class p99 latency per
-//!   offered load and system mode, token-bucket admission + priority
-//!   shedding vs a no-admission FIFO baseline, with the
-//!   strictly-better-tail contract checked on every run.
-//! * [`shard_sweep`] — the federation study (`repro shard-sweep`):
-//!   goodput and cross-shard abort rate per shard count, offered load
-//!   and partition pattern under the `RejectDegraded` routing policy,
-//!   with the cross-shard value-conservation contract checked in
-//!   every cell.
+//!   virtual time; each checks the paper's shape as its contracts.
+//! * `chaos-soak` — random fault schedules against the full stack,
+//!   invariants checked after every fault; `--shards K` runs the
+//!   cross-shard transfer mix.
+//! * `flap-sweep` — spurious mode transitions under link flapping,
+//!   fixed-timeout baseline vs the φ-accrual detector with flap damping.
+//! * `overload-sweep` — goodput and Critical-class p99 per offered load,
+//!   request plane vs a no-admission FIFO.
+//! * `shard-sweep` — federated goodput and cross-shard abort rate per
+//!   shard count, load and partition pattern, value conserved in every
+//!   cell.
+//! * `fig-compile` — interpreted vs compiled vs compiled + verdict-cache
+//!   validation cost, verdicts transparent across all three.
 
-pub mod ch2;
-pub mod ch5;
-pub mod chaos_soak;
-pub mod fig_compile;
-pub mod flap_sweep;
-pub mod overload_sweep;
-pub mod shard_sweep;
-pub mod table;
+mod ch2;
+mod ch5;
+mod chaos_soak;
+mod fig_compile;
+mod flap_sweep;
+mod overload_sweep;
+mod shard_sweep;
+mod table;
 
-/// Appends the typed event stream of `telemetry` to the JSONL file at
-/// `path` — how every driver honours `--trace`. The file is opened in
-/// append mode, so the clusters of one run accumulate in one file that
-/// `repro` truncated up front.
-pub fn attach_jsonl(telemetry: &dedisys_core::Telemetry, path: &std::path::Path) {
-    let file = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-        .expect("open trace file");
-    telemetry.attach(Box::new(dedisys_core::JsonlExporter::new(Box::new(file))));
+use dedisys_core::{Cluster, ClusterBuilder, JsonlExporter, Telemetry};
+use std::fs::{File, OpenOptions};
+use std::io::{self, Write};
+use std::path::{Path, PathBuf};
+
+/// A command line an experiment cannot run with: `repro` prints it
+/// with the usage and exits 2.
+#[derive(Debug, PartialEq, Eq)]
+pub struct BadFlags(pub String);
+
+/// What an experiment returns: the contracts it found broken, one line
+/// each (none: every contract held).
+pub type Verdict = Result<Vec<String>, BadFlags>;
+
+/// One `repro` experiment.
+pub struct Experiment {
+    /// The command-line id.
+    pub id: &'static str,
+    /// `ch2` / `ch5` for the chapter figures (`repro ch5` runs them all).
+    pub group: Option<&'static str>,
+    /// The flags it accepts besides `--trace`, as the usage shows them.
+    pub flags: &'static [&'static str],
+    /// The suffixes of the trace files it writes under `--trace <path>`.
+    pub traces: &'static [&'static str],
+    /// Prints the tables and checks the contracts.
+    pub run: fn(&Run) -> Verdict,
+}
+
+impl Experiment {
+    /// Whether `flag` is one of [`Experiment::flags`].
+    pub fn accepts(&self, flag: &str) -> bool {
+        self.flags.iter().any(|f| f.split(' ').next() == Some(flag))
+    }
+}
+
+const fn chapter(group: &'static str, id: &'static str, run: fn(&Run) -> Verdict) -> Experiment {
+    Experiment {
+        group: Some(group),
+        ..tool(id, &[], run)
+    }
+}
+
+const fn tool(
+    id: &'static str,
+    flags: &'static [&'static str],
+    run: fn(&Run) -> Verdict,
+) -> Experiment {
+    Experiment {
+        id,
+        group: None,
+        flags,
+        traces: &[""],
+        run,
+    }
+}
+
+/// Every experiment, one entry per id.
+pub const EXPERIMENTS: &[Experiment] = &[
+    chapter("ch2", "fig2-1", ch2::fig2_1),
+    chapter("ch2", "fig2-2", ch2::fig2_2),
+    chapter("ch2", "fig2-3", ch2::fig2_3),
+    chapter("ch2", "fig2-4", ch2::fig2_4),
+    chapter("ch2", "fig2-5", ch2::fig2_5),
+    chapter("ch2", "fig2-6", ch2::fig2_6),
+    chapter("ch2", "tab2-lookup", ch2::tab2_lookup),
+    chapter("ch5", "fig1-3", ch5::fig1_3),
+    chapter("ch5", "fig5-1", ch5::fig5_1),
+    chapter("ch5", "fig5-2", ch5::fig5_2),
+    chapter("ch5", "fig5-3", ch5::fig5_3),
+    chapter("ch5", "fig5-4", ch5::fig5_4),
+    chapter("ch5", "fig5-6", ch5::fig5_6),
+    chapter("ch5", "fig5-8", ch5::fig5_8),
+    chapter("ch5", "tab5-async", ch5::tab5_async),
+    chapter("ch5", "tab5-psc", ch5::tab5_psc),
+    chapter("ch5", "tab-avail", ch5::tab_avail),
+    chapter("ch5", "tab-worth", ch5::tab_worth),
+    tool(
+        "chaos-soak",
+        &[
+            "--seed S",
+            "--shards K",
+            "--nodes N",
+            "--ops O",
+            "--faults F",
+            "--sweep N",
+            "--detector",
+        ],
+        chaos_soak::run,
+    ),
+    tool(
+        "flap-sweep",
+        &["--seed S", "--nodes N", "--flaps F", "--sweep K"],
+        flap_sweep::run,
+    ),
+    tool(
+        "overload-sweep",
+        &["--seed S", "--nodes N", "--ticks T"],
+        overload_sweep::run,
+    ),
+    tool(
+        "shard-sweep",
+        &["--seed S", "--nodes N", "--ticks T"],
+        shard_sweep::run,
+    ),
+    Experiment {
+        traces: fig_compile::TRACES,
+        ..tool("fig-compile", &[], fig_compile::run)
+    },
+];
+
+/// The one flag set and trace sink of a `repro` command line, shared by
+/// every experiment it names. `None` leaves the experiment's default.
+#[derive(Debug, Default)]
+pub struct Run {
+    /// `--seed`: the seed of a single run, the first of a sweep.
+    pub seed: u64,
+    /// `--nodes`: cluster size (per shard in a federation).
+    pub nodes: Option<u32>,
+    /// `--ops`: chaos-soak workload operations.
+    pub ops: Option<u64>,
+    /// `--faults`: chaos-soak fault steps.
+    pub faults: Option<usize>,
+    /// `--flaps`: flap-sweep down/up cycles per cell.
+    pub flaps: Option<u32>,
+    /// `--ticks`: arrival ticks per sweep cell.
+    pub ticks: Option<u32>,
+    /// `--shards`: chaos-soak shards (more than one: the transfer mix).
+    pub shards: Option<u32>,
+    /// `--sweep N`: run seeds `seed..seed + N` instead of one.
+    pub sweep: Option<u64>,
+    /// `--detector`: chaos-soak under detector-driven membership.
+    pub detector: bool,
+    /// `--trace`: where the event streams go.
+    pub trace: Trace,
+}
+
+impl Run {
+    /// Builds `builder`'s cluster and attaches the trace to it — how
+    /// the experiments materialize clusters.
+    pub(crate) fn cluster(&self, builder: ClusterBuilder) -> Cluster {
+        let cluster = builder.build().expect("cluster");
+        self.trace.attach(cluster.telemetry());
+        cluster
+    }
+
+    /// The one seed loop of `--sweep n`: runs `one` on seeds
+    /// `seed..seed + n`. Returns every failure, prefixed with its seed,
+    /// and how many seeds had one.
+    pub(crate) fn sweep_seeds(
+        &self,
+        n: u64,
+        mut one: impl FnMut(u64) -> Verdict,
+    ) -> Result<(Vec<String>, u64), BadFlags> {
+        let mut failures = Vec::new();
+        let mut dirty = 0;
+        for seed in self.seed..self.seed + n {
+            let found = one(seed)?;
+            dirty += u64::from(!found.is_empty());
+            failures.extend(found.iter().map(|f| format!("seed {seed}: {f}")));
+        }
+        Ok((failures, dirty))
+    }
+}
+
+/// The one trace sink: the files `--trace <path>` names, created before
+/// any experiment runs. Without `--trace` it holds none and writes
+/// nothing.
+#[derive(Debug, Default)]
+pub struct Trace {
+    /// `(suffix, path, append-mode handle)` per file.
+    files: Vec<(&'static str, PathBuf, File)>,
+}
+
+impl Trace {
+    /// Creates (or truncates) `<path><suffix>` for every suffix — the
+    /// one place a trace file is created.
+    ///
+    /// # Errors
+    ///
+    /// The first file that cannot be created, e.g. in a missing
+    /// directory.
+    pub fn create(path: &Path, suffixes: &[&'static str]) -> io::Result<Self> {
+        let mut trace = Self::default();
+        for &suffix in suffixes {
+            if trace.file(suffix).is_some() {
+                continue;
+            }
+            let mut name = path.as_os_str().to_owned();
+            name.push(suffix);
+            let file = OpenOptions::new().create(true).append(true).open(&name)?;
+            file.set_len(0)?;
+            trace.files.push((suffix, name.into(), file));
+        }
+        Ok(trace)
+    }
+
+    fn file(&self, suffix: &str) -> Option<&File> {
+        self.files.iter().find(|f| f.0 == suffix).map(|f| &f.2)
+    }
+
+    /// The files created, for the closing note.
+    pub fn paths(&self) -> impl Iterator<Item = &Path> {
+        self.files.iter().map(|f| f.1.as_path())
+    }
+
+    /// Appends the event stream of `telemetry` to the trace file. Each
+    /// attached bus gets its own exporter over its own handle on the
+    /// append-mode file, so two clusters alive at once interleave as
+    /// their exporters flush.
+    pub(crate) fn attach(&self, telemetry: &Telemetry) {
+        if let Some(file) = self.file("") {
+            let handle = file.try_clone().expect("trace file handle");
+            telemetry.attach(Box::new(JsonlExporter::new(Box::new(handle))));
+        }
+    }
+
+    /// Writes `bytes` to the trace file `<path><suffix>`, if there is one.
+    pub(crate) fn write(&self, suffix: &str, bytes: &[u8]) -> io::Result<()> {
+        self.file(suffix)
+            .map_or(Ok(()), |mut file| file.write_all(bytes))
+    }
+}
+
+/// `Err(BadFlags)` with `problem` unless `holds`.
+fn require(holds: bool, problem: &str) -> Result<(), BadFlags> {
+    if holds {
+        Ok(())
+    } else {
+        Err(BadFlags(problem.to_owned()))
+    }
+}
+
+/// The failures among `contracts`: each pairs whether it holds with
+/// what its failure means.
+fn broken(contracts: &[(bool, &str)]) -> Vec<String> {
+    let failed = contracts.iter().filter(|(holds, _)| !holds);
+    failed.map(|(_, what)| what.to_string()).collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every contract holds at the default flags — the shape assertions
+    /// of the Chapter 5 figures and of every sweep. Chapter 2 measures
+    /// wall-clock time and has no contracts.
+    #[test]
+    fn every_contract_holds_at_default_flags() {
+        let run = Run::default();
+        for e in EXPERIMENTS.iter().filter(|e| e.group != Some("ch2")) {
+            assert_eq!((e.run)(&run), Ok(Vec::new()), "{}", e.id);
+        }
+    }
+
+    #[test]
+    fn doctored_measurements_break_their_contracts() {
+        assert_eq!(ch5::narrative([77, 78, 85, 80]), Vec::<String>::new());
+        assert_eq!(ch5::narrative([77, 78, 85, 81]).len(), 1);
+        let cell = |transitions| flap_sweep::CellOutcome {
+            transitions,
+            damped: 0,
+            standing: 0,
+        };
+        assert!(flap_sweep::contract(&[cell(16), cell(2)], 1).is_empty());
+        assert_eq!(flap_sweep::contract(&[cell(16), cell(16)], 1).len(), 1);
+    }
+
+    #[test]
+    fn a_trace_in_a_missing_directory_fails_typed() {
+        let path = std::env::temp_dir().join("dedisys-no-such-dir/trace.jsonl");
+        let error = Trace::create(&path, &[""]).unwrap_err();
+        assert_eq!(error.kind(), io::ErrorKind::NotFound);
+    }
 }

@@ -1,4 +1,4 @@
-//! The `overload-sweep` driver behind `repro overload-sweep`: goodput
+//! `repro overload-sweep`: goodput
 //! and Critical-class tail latency under rising offered load, with
 //! the request plane (token-bucket admission, priority queues,
 //! deadline shedding) against a no-admission FIFO baseline on the
@@ -17,7 +17,7 @@
 //! The table prints, per offered load × {healthy, degraded} × side:
 //! goodput (completed Critical+Normal requests per tick) and the
 //! Critical p99 latency in virtual milliseconds. The contract checked
-//! on every run (exit 1 otherwise): at the highest offered load the
+//! on every run: at the highest offered load the
 //! plane's Critical p99 is *strictly* below the baseline's, in both
 //! modes — the paper-level claim that admission control plus priority
 //! shedding protects critical work under overload, not just on
@@ -26,12 +26,13 @@
 //! Everything runs on the virtual clock; the same seed reproduces the
 //! table — and a `--trace` JSONL file — byte for byte.
 
+use crate::table::print_verdict;
+use crate::{require, Run, Verdict};
 use dedisys_chaos::chaos_app;
 use dedisys_core::{nodes, Cluster, ClusterBuilder, RequestPlane, Session};
 use dedisys_object::EntityState;
 use dedisys_types::{NodeId, ObjectId, PriorityClass, SimDuration, Value};
 use std::collections::VecDeque;
-use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
 /// Offered loads swept by the table, in requests per tick. Service
@@ -48,28 +49,10 @@ const SERVICE_PER_TICK: u64 = 8;
 /// Virtual length of one arrival tick.
 const TICK: SimDuration = SimDuration::from_millis(10);
 
-/// CLI options of `repro overload-sweep`.
-#[derive(Debug, Clone)]
-pub struct OverloadOptions {
-    /// Seed of the class/node mixing draws.
-    pub seed: u64,
-    /// Cluster size.
-    pub nodes: u32,
-    /// Arrival ticks per table cell.
-    pub ticks: u32,
-    /// JSONL trace destination (cells append).
-    pub trace: Option<PathBuf>,
-}
-
-impl Default for OverloadOptions {
-    fn default() -> Self {
-        Self {
-            seed: 0,
-            nodes: 3,
-            ticks: 40,
-            trace: None,
-        }
-    }
+/// `--nodes` (default 3) and `--ticks` (arrival ticks per cell,
+/// default 40).
+fn size(run: &Run) -> (u32, u32) {
+    (run.nodes.unwrap_or(3), run.ticks.unwrap_or(40))
 }
 
 /// Measured outcome of one cell (one side, one load, one mode).
@@ -89,13 +72,9 @@ struct CellOutcome {
 /// closure itself so both sides measure identically.
 type LatencySink = Arc<Mutex<Vec<(PriorityClass, SimDuration)>>>;
 
-fn build_cluster(opts: &OverloadOptions, degraded: bool) -> Cluster {
-    let mut cluster = ClusterBuilder::new(opts.nodes, chaos_app())
-        .build()
-        .expect("overload-sweep cluster");
-    if let Some(path) = &opts.trace {
-        crate::attach_jsonl(cluster.telemetry(), path);
-    }
+fn build_cluster(run: &Run, degraded: bool) -> Cluster {
+    let nodes = size(run).0;
+    let mut cluster = run.cluster(ClusterBuilder::new(nodes, chaos_app()));
     for i in 0..4 {
         let id = ObjectId::new("Item", format!("I-{i}"));
         cluster
@@ -105,7 +84,7 @@ fn build_cluster(opts: &OverloadOptions, degraded: bool) -> Cluster {
             .expect("seed item");
     }
     if degraded {
-        let split: Vec<NodeId> = (1..opts.nodes).map(NodeId).collect();
+        let split: Vec<NodeId> = (1..nodes).map(NodeId).collect();
         cluster
             .partition(&[nodes![0], split])
             .expect("degrade cluster");
@@ -113,23 +92,27 @@ fn build_cluster(opts: &OverloadOptions, degraded: bool) -> Cluster {
     cluster
 }
 
-/// The deterministic per-request mix: node, class and payload for the
-/// `i`-th arrival of a run, derived from a splitmix-style hash of the
-/// seed so different seeds shuffle the interleaving.
-fn arrival(opts: &OverloadOptions, i: u64) -> (NodeId, PriorityClass, i64) {
-    let mut h = opts
-        .seed
-        .wrapping_add(i)
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15);
+/// The deterministic mix of the `i`-th arrival of a run (shared with
+/// `shard-sweep`): a splitmix-style hash of the seed, so different
+/// seeds shuffle the interleaving, and the class its bits draw
+/// (20/50/30 Critical/Normal/Background).
+pub(crate) fn arrival(seed: u64, i: u64) -> (u64, PriorityClass) {
+    let mut h = seed.wrapping_add(i).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     h ^= h >> 30;
     h = h.wrapping_mul(0xBF58_476D_1CE4_E5B9);
     h ^= h >> 27;
-    let node = NodeId((h % u64::from(opts.nodes)) as u32);
     let class = match (h >> 8) % 10 {
         0 | 1 => PriorityClass::Critical,
         2..=6 => PriorityClass::Normal,
         _ => PriorityClass::Background,
     };
+    (h, class)
+}
+
+/// The node, class and payload of the `i`-th request.
+fn request(run: &Run, i: u64) -> (NodeId, PriorityClass, i64) {
+    let (h, class) = arrival(run.seed, i);
+    let node = NodeId((h % u64::from(size(run).0)) as u32);
     (node, class, (h >> 16) as i64 % 1_000)
 }
 
@@ -163,7 +146,7 @@ fn percentile_99(mut latencies: Vec<SimDuration>) -> SimDuration {
     latencies[(latencies.len() - 1) * 99 / 100]
 }
 
-fn cell_outcome(opts: &OverloadOptions, sink: &LatencySink, dropped: u64) -> CellOutcome {
+fn cell_outcome(run: &Run, sink: &LatencySink, dropped: u64) -> CellOutcome {
     let recorded = sink.lock().unwrap();
     let good = recorded
         .iter()
@@ -175,7 +158,7 @@ fn cell_outcome(opts: &OverloadOptions, sink: &LatencySink, dropped: u64) -> Cel
         .map(|(_, l)| *l)
         .collect();
     CellOutcome {
-        goodput: good / f64::from(opts.ticks),
+        goodput: good / f64::from(size(run).1),
         critical_p99: percentile_99(criticals),
         completed: recorded.len() as u64,
         dropped,
@@ -184,15 +167,15 @@ fn cell_outcome(opts: &OverloadOptions, sink: &LatencySink, dropped: u64) -> Cel
 
 /// One run with the request plane in front: admission, priority
 /// dispatch, deadline shedding.
-fn run_plane(opts: &OverloadOptions, load: u32, degraded: bool) -> CellOutcome {
-    let mut cluster = build_cluster(opts, degraded);
+fn run_plane(run: &Run, load: u32, degraded: bool) -> CellOutcome {
+    let mut cluster = build_cluster(run, degraded);
     let mut plane = RequestPlane::new();
     let sink: LatencySink = Arc::default();
     let start = cluster.clock().now();
     let mut arrivals = 0u64;
-    for tick in 0..opts.ticks {
+    for tick in 0..size(run).1 {
         for _ in 0..load {
-            let (node, class, payload) = arrival(opts, arrivals);
+            let (node, class, payload) = request(run, arrivals);
             arrivals += 1;
             let work = request_work(&cluster, &sink, class, payload);
             let _ = plane.submit(&mut cluster, node, class, work);
@@ -209,14 +192,14 @@ fn run_plane(opts: &OverloadOptions, load: u32, degraded: bool) -> CellOutcome {
     // or expires now that arrivals stopped.
     plane.run_until_idle(&mut cluster);
     let t = plane.stats().total();
-    cell_outcome(opts, &sink, t.rejected + t.shed + t.deadline_missed)
+    cell_outcome(run, &sink, t.rejected + t.shed + t.deadline_missed)
 }
 
 /// The no-admission baseline: one unbounded FIFO, every arrival
 /// executes eventually, in arrival order, whatever its class or age.
-fn run_baseline(opts: &OverloadOptions, load: u32, degraded: bool) -> CellOutcome {
+fn run_baseline(run: &Run, load: u32, degraded: bool) -> CellOutcome {
     type QueuedWork = Box<dyn for<'a> FnOnce(Session<'a>) -> dedisys_types::Result<()>>;
-    let mut cluster = build_cluster(opts, degraded);
+    let mut cluster = build_cluster(run, degraded);
     let mut fifo: VecDeque<(NodeId, QueuedWork)> = VecDeque::new();
     let sink: LatencySink = Arc::default();
     let start = cluster.clock().now();
@@ -229,9 +212,9 @@ fn run_baseline(opts: &OverloadOptions, load: u32, degraded: bool) -> CellOutcom
             let _ = work(cluster.session(node));
         }
     };
-    for tick in 0..opts.ticks {
+    for tick in 0..size(run).1 {
         for _ in 0..load {
-            let (node, class, payload) = arrival(opts, arrivals);
+            let (node, class, payload) = request(run, arrivals);
             arrivals += 1;
             let work = request_work(&cluster, &sink, class, payload);
             fifo.push_back((node, Box::new(work)));
@@ -246,64 +229,53 @@ fn run_baseline(opts: &OverloadOptions, load: u32, degraded: bool) -> CellOutcom
         serve(&mut cluster, &mut fifo);
         cluster.clock().advance(TICK);
     }
-    cell_outcome(opts, &sink, 0)
+    cell_outcome(run, &sink, 0)
 }
 
 fn fmt_ms(d: SimDuration) -> String {
     format!("{:.1}", d.as_nanos() as f64 / 1_000_000.0)
 }
 
-/// Runs the sweep per `opts`; exits the process with status 1 when
-/// the plane fails to strictly beat the baseline's Critical p99 at
-/// the highest offered load.
-pub fn run(opts: &OverloadOptions) {
+/// The load × mode table; contract: at the highest offered load the
+/// plane's Critical p99 is strictly below the baseline's, and no side
+/// of any cell completes nothing.
+pub fn run(run: &Run) -> Verdict {
+    let (nodes, ticks) = size(run);
+    require(nodes >= 2, "needs at least two nodes")?;
+    require(ticks >= 1, "needs at least one tick")?;
     println!(
-        "overload-sweep seed {} ({} nodes, {} ticks, {} executions/tick)",
-        opts.seed, opts.nodes, opts.ticks, SERVICE_PER_TICK
+        "overload-sweep seed {} ({nodes} nodes, {ticks} ticks, {SERVICE_PER_TICK} executions/tick)",
+        run.seed
     );
     println!("  goodput = completed Critical+Normal per tick; p99 in virtual ms");
     println!(
         "  load/tick | mode     | baseline goodput | baseline crit-p99 | plane goodput | plane crit-p99 | plane dropped"
     );
-    let mut failures = 0u64;
+    let mut failures = Vec::new();
     let top_load = *LOADS.last().expect("nonempty load sweep");
     for &load in LOADS {
         for degraded in [false, true] {
             let mode = if degraded { "degraded" } else { "healthy" };
-            let baseline = run_baseline(opts, load, degraded);
-            let plane = run_plane(opts, load, degraded);
+            let baseline = run_baseline(run, load, degraded);
+            let plane = run_plane(run, load, degraded);
+            let (base_p99, plane_p99) = (fmt_ms(baseline.critical_p99), fmt_ms(plane.critical_p99));
             println!(
-                "  {load:>9} | {mode:<8} | {:>16.1} | {:>15}ms | {:>13.1} | {:>12}ms | {:>13}",
-                baseline.goodput,
-                fmt_ms(baseline.critical_p99),
-                plane.goodput,
-                fmt_ms(plane.critical_p99),
-                plane.dropped,
+                "  {load:>9} | {mode:<8} | {:>16.1} | {base_p99:>15}ms | {:>13.1} | {plane_p99:>12}ms | {:>13}",
+                baseline.goodput, plane.goodput, plane.dropped,
             );
             if load == top_load && plane.critical_p99 >= baseline.critical_p99 {
-                eprintln!(
-                    "overload-sweep: load {load} {mode}: plane Critical p99 {}ms >= baseline {}ms",
-                    fmt_ms(plane.critical_p99),
-                    fmt_ms(baseline.critical_p99)
-                );
-                failures += 1;
+                failures.push(format!(
+                    "load {load} {mode}: plane Critical p99 {plane_p99}ms >= baseline {base_p99}ms"
+                ));
             }
             if baseline.completed == 0 || plane.completed == 0 {
-                eprintln!("overload-sweep: load {load} {mode}: a side completed nothing");
-                failures += 1;
+                failures.push(format!("load {load} {mode}: a side completed nothing"));
             }
         }
     }
-    println!(
-        "  verdict: {}",
-        if failures == 0 {
-            "plane Critical p99 strictly below the no-admission baseline at the top load"
-                .to_string()
-        } else {
-            format!("{failures} FAILURE(S)")
-        }
+    print_verdict(
+        &failures,
+        "plane Critical p99 strictly below the no-admission baseline at the top load",
     );
-    if failures > 0 {
-        std::process::exit(1);
-    }
+    Ok(failures)
 }

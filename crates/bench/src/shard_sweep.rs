@@ -1,4 +1,4 @@
-//! The `shard-sweep` driver behind `repro shard-sweep`: federated
+//! `repro shard-sweep`: federated
 //! goodput and cross-shard abort rate per shard count × offered load
 //! × partition pattern.
 //!
@@ -13,7 +13,7 @@
 //! degradation converts offered load into routing rejections and
 //! cross-shard aborts while the healthy shards keep serving.
 //!
-//! The contract checked on every run (exit 1 otherwise): transferred
+//! The contract checked on every run: transferred
 //! value is conserved across all shards in every cell (the chaos
 //! engine's `xshard_conservation` invariant), every cell commits work,
 //! the unpartitioned pattern rejects nothing, and the partitioned
@@ -24,10 +24,12 @@
 //! seed reproduces the table — and a `--trace` JSONL file — byte for
 //! byte.
 
+use crate::overload_sweep::arrival;
+use crate::table::print_verdict;
+use crate::{require, Run, Verdict};
 use dedisys_chaos::{chaos_app, fund_accounts, prepare_transfer, InvariantChecker};
 use dedisys_federation::{FederatedCluster, RoutingPolicy, ShardId};
-use dedisys_types::{NodeId, ObjectId, PriorityClass, SimDuration, Value};
-use std::path::PathBuf;
+use dedisys_types::{NodeId, ObjectId, SimDuration, Value};
 
 /// Shard counts swept by the table.
 const SHARDS: &[u32] = &[2, 3, 4];
@@ -53,28 +55,10 @@ const ACCOUNTS: u32 = 8;
 /// total.
 const BALANCE: i64 = 100;
 
-/// CLI options of `repro shard-sweep`.
-#[derive(Debug, Clone)]
-pub struct ShardSweepOptions {
-    /// Seed of the ring and the arrival mix.
-    pub seed: u64,
-    /// Nodes per shard.
-    pub nodes: u32,
-    /// Arrival ticks per table cell.
-    pub ticks: u32,
-    /// JSONL trace destination (cells append; federation bus only).
-    pub trace: Option<PathBuf>,
-}
-
-impl Default for ShardSweepOptions {
-    fn default() -> Self {
-        Self {
-            seed: 0,
-            nodes: 3,
-            ticks: 30,
-            trace: None,
-        }
-    }
+/// `--nodes` per shard (default 3) and `--ticks` (arrival ticks per
+/// cell, default 30).
+fn size(run: &Run) -> (u32, u32) {
+    (run.nodes.unwrap_or(3), run.ticks.unwrap_or(30))
 }
 
 /// Which shards the pattern partitions mid-run.
@@ -114,7 +98,7 @@ struct CellOutcome {
     /// Requests refused by the degraded-shard routing policy.
     rejected_degraded: u64,
     /// Conservation (and other federation invariant) violations.
-    violations: usize,
+    violations: Vec<String>,
 }
 
 impl CellOutcome {
@@ -134,41 +118,19 @@ fn account(i: u64) -> ObjectId {
     ObjectId::new("Account", format!("A-{}", i % u64::from(ACCOUNTS)))
 }
 
-fn build_federation(
-    opts: &ShardSweepOptions,
-    shards: u32,
-    accounts: &[ObjectId],
-) -> FederatedCluster {
-    let mut fed = FederatedCluster::builder(shards, opts.nodes, chaos_app())
-        .seed(opts.seed)
+fn build_federation(run: &Run, shards: u32, accounts: &[ObjectId]) -> FederatedCluster {
+    let mut fed = FederatedCluster::builder(shards, size(run).0, chaos_app())
+        .seed(run.seed)
         .policy(RoutingPolicy::RejectDegraded)
         .xshard_timeout(SimDuration::from_millis(50))
         .build()
         .expect("shard-sweep federation");
-    if let Some(path) = &opts.trace {
-        crate::attach_jsonl(fed.telemetry(), path);
-    }
+    run.trace.attach(fed.telemetry());
     for i in 0..u64::from(ITEMS) {
         fed.create(&item(i)).expect("seed item");
     }
     fund_accounts(&mut fed, accounts, BALANCE).expect("fund accounts");
     fed
-}
-
-/// The deterministic per-request mix (cf. `overload-sweep`): item and
-/// class of the `i`-th arrival, derived from a splitmix-style hash of
-/// the seed.
-fn arrival(seed: u64, i: u64) -> (u64, PriorityClass) {
-    let mut h = seed.wrapping_add(i).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    h ^= h >> 30;
-    h = h.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    h ^= h >> 27;
-    let class = match (h >> 8) % 10 {
-        0 | 1 => PriorityClass::Critical,
-        2..=6 => PriorityClass::Normal,
-        _ => PriorityClass::Background,
-    };
-    (h, class)
 }
 
 /// One cross-shard transfer; every seventh loses its coordinator and
@@ -189,19 +151,20 @@ fn transfer(fed: &mut FederatedCluster, counter: u64) {
     }
 }
 
-fn run_cell(opts: &ShardSweepOptions, shards: u32, load: u32, pattern: Pattern) -> CellOutcome {
+fn run_cell(run: &Run, shards: u32, load: u32, pattern: Pattern) -> CellOutcome {
+    let (nodes, ticks) = size(run);
     let accounts: Vec<ObjectId> = (0..u64::from(ACCOUNTS)).map(account).collect();
-    let mut fed = build_federation(opts, shards, &accounts);
-    let partition_tick = opts.ticks / 3;
+    let mut fed = build_federation(run, shards, &accounts);
+    let partition_tick = ticks / 3;
     let start = fed.clock().now();
     let mut arrivals = 0u64;
     let mut transfers = 0u64;
-    for tick in 0..opts.ticks {
+    for tick in 0..ticks {
         if tick == partition_tick {
             for s in pattern.targets(shards) {
-                let cut = opts.nodes / 2 + 1;
+                let cut = nodes / 2 + 1;
                 let majority: Vec<NodeId> = (0..cut).map(NodeId).collect();
-                let minority: Vec<NodeId> = (cut..opts.nodes).map(NodeId).collect();
+                let minority: Vec<NodeId> = (cut..nodes).map(NodeId).collect();
                 if !minority.is_empty() {
                     fed.shard_mut(s)
                         .partition(&[majority, minority])
@@ -210,7 +173,7 @@ fn run_cell(opts: &ShardSweepOptions, shards: u32, load: u32, pattern: Pattern) 
             }
         }
         for _ in 0..load {
-            let (h, class) = arrival(opts.seed, arrivals);
+            let (h, class) = arrival(run.seed, arrivals);
             arrivals += 1;
             let id = item(h);
             let target = id.clone();
@@ -246,84 +209,61 @@ fn run_cell(opts: &ShardSweepOptions, shards: u32, load: u32, pattern: Pattern) 
         &accounts,
         BALANCE * i64::from(ACCOUNTS),
     ));
-    for v in &violations {
-        eprintln!(
-            "shard-sweep: {shards} shards, load {load}, {}: {v}",
-            pattern.label()
-        );
-    }
     let completed: u64 = (0..shards)
         .map(|s| fed.plane(ShardId(s)).stats().total().completed)
         .sum();
     let stats = fed.stats();
     CellOutcome {
-        goodput: completed as f64 / f64::from(opts.ticks),
+        goodput: completed as f64 / f64::from(ticks),
         xshard_begun: stats.xshard_begun,
         xshard_aborted: stats.xshard_aborted,
         rejected_degraded: stats.rejected_degraded,
-        violations: violations.len(),
+        violations: violations.iter().map(|v| v.to_string()).collect(),
     }
 }
 
-/// Runs the sweep per `opts`; exits the process with status 1 when the
-/// contract fails.
-pub fn run(opts: &ShardSweepOptions) {
+/// The shards × load × pattern table; contract: value is conserved
+/// (and every federation invariant holds) in every cell, every cell
+/// completes work, the unpartitioned pattern rejects nothing and the
+/// partitioned patterns reject degraded-shard work.
+pub fn run(run: &Run) -> Verdict {
+    let (nodes, ticks) = size(run);
+    require(nodes >= 2, "needs at least two nodes per shard")?;
+    require(ticks >= 3, "needs at least three ticks")?;
     println!(
-        "shard-sweep seed {} ({} nodes/shard, {} ticks, {} dispatch steps/tick)",
-        opts.seed, opts.nodes, opts.ticks, STEPS_PER_TICK
+        "shard-sweep seed {} ({nodes} nodes/shard, {ticks} ticks, {STEPS_PER_TICK} dispatch steps/tick)",
+        run.seed
     );
     println!(
         "  goodput = completed plane requests per tick; xshard aborts include presumed aborts"
     );
     println!("  shards | load/tick | partition    | goodput | xshard begun | xshard abort-rate | rejected");
-    let mut failures = 0u64;
+    let mut failures = Vec::new();
     for &shards in SHARDS {
         for &load in LOADS {
             for pattern in [Pattern::None, Pattern::SingleShard, Pattern::HalfShards] {
-                let cell = run_cell(opts, shards, load, pattern);
+                let cell = run_cell(run, shards, load, pattern);
+                let (label, rejected) = (pattern.label(), cell.rejected_degraded);
                 println!(
-                    "  {shards:>6} | {load:>9} | {:<12} | {:>7.1} | {:>12} | {:>17.2} | {:>8}",
-                    pattern.label(),
+                    "  {shards:>6} | {load:>9} | {label:<12} | {:>7.1} | {:>12} | {:>17.2} | {rejected:>8}",
                     cell.goodput,
                     cell.xshard_begun,
                     cell.abort_rate(),
-                    cell.rejected_degraded,
                 );
-                failures += cell.violations as u64;
+                let at = format!("{shards} shards, load {load}, {label}");
+                failures.extend(cell.violations.iter().map(|v| format!("{at}: {v}")));
                 if cell.goodput <= 0.0 {
-                    eprintln!(
-                        "shard-sweep: {shards} shards, load {load}, {}: nothing completed",
-                        pattern.label()
-                    );
-                    failures += 1;
+                    failures.push(format!("{at}: nothing completed"));
                 }
-                if pattern == Pattern::None && cell.rejected_degraded > 0 {
-                    eprintln!(
-                        "shard-sweep: {shards} shards, load {load}: rejected {} request(s) with no partition",
-                        cell.rejected_degraded
-                    );
-                    failures += 1;
-                }
-                if pattern != Pattern::None && cell.rejected_degraded == 0 {
-                    eprintln!(
-                        "shard-sweep: {shards} shards, load {load}, {}: partitioned shards rejected nothing",
-                        pattern.label()
-                    );
-                    failures += 1;
+                if (pattern == Pattern::None) == (rejected > 0) {
+                    failures.push(format!("{at}: rejected {rejected} request(s)"));
                 }
             }
         }
     }
-    println!(
-        "  verdict: {}",
-        if failures == 0 {
-            "value conserved in every cell; degraded shards reject, healthy shards serve"
-                .to_string()
-        } else {
-            format!("{failures} FAILURE(S)")
-        }
+    print_verdict(
+        &failures,
+        "value conserved in every cell; degraded shards reject, healthy shards serve",
     );
-    if failures > 0 {
-        std::process::exit(1);
-    }
+    Ok(failures)
 }

@@ -25,6 +25,15 @@ pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
     }
 }
 
+/// Prints a sweep's closing verdict: `held` when no contract broke.
+pub fn print_verdict(failures: &[String], held: &str) {
+    if failures.is_empty() {
+        println!("  verdict: {held}");
+    } else {
+        println!("  verdict: {} FAILURE(S)", failures.len());
+    }
+}
+
 /// Formats a float with two decimals.
 pub fn f2(x: f64) -> String {
     format!("{x:.2}")
