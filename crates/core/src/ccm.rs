@@ -8,24 +8,30 @@
 //! resulting consistency threats (Figure 4.4). As a transactional
 //! resource it vetoes commits of transactions with violated soft
 //! constraints.
+//!
+//! This file holds replica access, evaluation and the staleness merge;
+//! [`negotiation`] holds Figure 3.3 end to end, from a verdict to a
+//! stored, tolerated or rejected threat. What the CCMgr knows about an
+//! open transaction lives in the cluster's one record of it.
 
-use crate::negotiation::{negotiate, NegotiationHandler, NegotiationPath, ThreatDecision};
-use crate::threat::{
-    ConsistencyThreat, HistoryPolicy, ReconcileInstructions, StoreOutcome, ThreatStore,
-};
+mod negotiation;
+
+pub(crate) use negotiation::DeferredThreat;
+pub use negotiation::{NegotiationHandler, NegotiationTiming, ThreatDecision};
+
+use crate::threat::{HistoryPolicy, ReconcileInstructions, ThreatStore};
 use dedisys_constraints::{
     ConstraintEngine, ObjectAccess, ObjectScope, RegisteredConstraint, ValidationContext,
 };
-use dedisys_net::Topology;
+use dedisys_net::{SimClock, Topology};
 use dedisys_object::{EntityContainer, Invocation};
 use dedisys_replication::ReplicationManager;
-use dedisys_telemetry::{Telemetry, ThreatStorage, TraceEvent};
+use dedisys_telemetry::{Telemetry, TraceEvent};
 use dedisys_types::{
-    ClassName, ConstraintName, Error, NodeId, ObjectId, Result, SatisfactionDegree, SimTime,
-    TxBuildHasher, TxId, Value, Version, VersionInfo,
+    ClassName, Error, NodeId, ObjectId, Result, SatisfactionDegree, TxId, Value, VersionInfo,
 };
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// CCM counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -51,7 +57,7 @@ pub struct CcmStats {
 ///
 /// Holds only shared references — validation never mutates middleware
 /// state.
-pub struct ReplicaAccess<'a> {
+pub(crate) struct ReplicaAccess<'a> {
     containers: &'a [EntityContainer],
     replication: &'a ReplicationManager,
     topology: &'a Topology,
@@ -61,7 +67,7 @@ pub struct ReplicaAccess<'a> {
 
 impl<'a> ReplicaAccess<'a> {
     /// Creates replica-aware access for validation on `node` in `tx`.
-    pub fn new(
+    pub(crate) fn new(
         containers: &'a [EntityContainer],
         replication: &'a ReplicationManager,
         topology: &'a Topology,
@@ -130,7 +136,7 @@ impl ObjectAccess for ReplicaAccess<'_> {
 /// partition-sensitive constraints can compute shares without float
 /// rounding.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PartitionEnv {
+pub(crate) struct PartitionEnv {
     /// `weight / total` as a fraction (`partitionWeight`).
     pub fraction: f64,
     /// Weight units present in the observer's partition
@@ -140,22 +146,11 @@ pub struct PartitionEnv {
     pub total: u32,
 }
 
-impl PartitionEnv {
-    /// The environment of an undivided cluster (tests, single node).
-    pub fn full() -> Self {
-        Self {
-            fraction: 1.0,
-            weight: 1,
-            total: 1,
-        }
-    }
-}
-
 /// One validation candidate: a constraint and what it is validated
 /// against, all of it borrowed — from the repository, and from the
 /// invocation that was built once at the session boundary.
 #[derive(Debug, Clone, Copy)]
-pub struct ValidationCandidate<'a> {
+pub(crate) struct ValidationCandidate<'a> {
     /// The constraint to validate.
     pub constraint: &'a RegisteredConstraint,
     /// The resolved context object (`None` for query-based checks; a
@@ -171,7 +166,7 @@ pub struct ValidationCandidate<'a> {
 
 impl<'a> ValidationCandidate<'a> {
     /// An invariant check starting from `context_object`.
-    pub fn invariant(
+    pub(crate) fn invariant(
         constraint: &'a RegisteredConstraint,
         context_object: Option<&'a ObjectId>,
     ) -> Self {
@@ -190,6 +185,12 @@ impl<'a> ValidationCandidate<'a> {
 /// selected engine and returns the satisfaction degree before staleness
 /// adjustment (or the non-availability failure) with the objects
 /// accessed. Emits no telemetry, advances no clock, touches no CCM state.
+///
+/// Constraints are predicates and must not trigger further constraint
+/// validation (§5.3). No runtime guard enforces that: `access` holds the
+/// containers by shared reference for the whole evaluation, so nothing a
+/// constraint can reach is able to invoke, write or commit — re-entry is
+/// unrepresentable.
 pub(crate) fn evaluate_candidate(
     candidate: &ValidationCandidate<'_>,
     access: &mut ReplicaAccess<'_>,
@@ -228,370 +229,71 @@ pub(crate) fn evaluate_candidate(
 /// The result of validating one constraint, after staleness
 /// adjustment.
 #[derive(Debug, Clone)]
-pub struct ValidationVerdict {
+pub(crate) struct ValidationVerdict {
     /// Final satisfaction degree.
     pub degree: SatisfactionDegree,
     /// Objects the validation accessed.
     pub accessed: BTreeSet<ObjectId>,
-    /// Freshness info of the accessed objects, for static negotiation —
-    /// gathered for threat degrees only, nothing else reads it.
-    pub version_infos: BTreeMap<String, (ClassName, VersionInfo)>,
+    /// Class and freshness of each accessed object — what the static
+    /// path's freshness criteria read, so gathered only for a threat of
+    /// a constraint that declares one.
+    pub freshness: Vec<(ClassName, VersionInfo)>,
 }
 
 /// A soft/async invariant registered during a transaction, validated
 /// at commit time.
 #[derive(Debug, Clone)]
-pub struct PendingCheck {
+pub(crate) struct PendingCheck {
     /// The constraint.
     pub constraint: std::sync::Arc<RegisteredConstraint>,
     /// The resolved context object.
     pub context_object: Option<ObjectId>,
 }
 
-/// When consistency threats are negotiated (§5.4): immediately when
-/// they occur, or deferred until the end of the transaction — the
-/// operation continues under the assumption that all threats will be
-/// accepted, and the transaction blocks before commit until every
-/// decision is available.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum NegotiationTiming {
-    /// Negotiate as soon as the threat arises.
-    #[default]
-    Immediate,
-    /// Collect threats during the transaction; negotiate at commit.
-    Deferred,
-}
-
-/// A threat awaiting deferred negotiation.
-struct DeferredThreat {
-    constraint: RegisteredConstraint,
-    threat: ConsistencyThreat,
-    version_infos: BTreeMap<String, (ClassName, VersionInfo)>,
-}
-
-/// What the CCMgr remembers about one open transaction: the record is
-/// there from [`Ccm::begin_tx`] to [`Ccm::clear_tx`] and not a moment
-/// longer.
-#[derive(Default)]
-struct TxChecks {
-    /// Soft/async invariants awaiting the commit-time vote.
-    pending: Vec<PendingCheck>,
-    /// The transaction's dynamic negotiation handler (§3.2.1).
-    handler: Option<Box<dyn NegotiationHandler>>,
-    /// Threats awaiting deferred negotiation (§5.4).
-    deferred: Vec<DeferredThreat>,
-}
-
-/// One memoized verdict of the version-keyed cache: valid while the
-/// committed version of the context object is unchanged. Only definite
-/// raw outcomes are cached (`Satisfied`/`Violated`) — staleness
-/// degradation and unreachability depend on topology and are recomputed
-/// at every use.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CachedVerdict {
-    /// Committed version of the context object at evaluation time.
-    pub version: Version,
-    /// The raw (pre-staleness) satisfaction degree.
-    pub degree: SatisfactionDegree,
-    /// Objects the original evaluation accessed.
-    pub accessed: BTreeSet<ObjectId>,
-}
-
-/// The constraint consistency manager.
-pub struct Ccm {
+/// The constraint consistency manager: the threat store and the
+/// counters. The settings it negotiates by are the cluster's
+/// configuration, handed in per call.
+pub(crate) struct Ccm {
     threat_store: ThreatStore,
-    txs: HashMap<TxId, TxChecks, TxBuildHasher>,
-    timing: NegotiationTiming,
-    app_default_min_degree: SatisfactionDegree,
     default_instructions: ReconcileInstructions,
-    /// Version-keyed verdict cache: context object → (observing node,
-    /// constraint) → memoized verdict. Object-first so a write
-    /// invalidates every dependent entry with one range removal.
-    verdict_cache: BTreeMap<ObjectId, BTreeMap<(NodeId, ConstraintName), CachedVerdict>>,
     stats: CcmStats,
-    telemetry: Option<Telemetry>,
-}
-
-/// Maps a threat-store outcome onto its telemetry representation.
-fn storage_kind(outcome: StoreOutcome) -> ThreatStorage {
-    match outcome {
-        StoreOutcome::Stored => ThreatStorage::Stored,
-        StoreOutcome::LinkedOccurrence => ThreatStorage::LinkedOccurrence,
-        StoreOutcome::Deduplicated => ThreatStorage::Deduplicated,
-    }
-}
-
-impl std::fmt::Debug for Ccm {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Ccm")
-            .field("threats", &self.threat_store.len())
-            .field("open_txs", &self.txs.len())
-            .field("stats", &self.stats)
-            .finish()
-    }
+    clock: SimClock,
+    telemetry: Telemetry,
 }
 
 impl Ccm {
-    /// Creates a CCM with the given threat-history policy.
-    pub fn new(policy: HistoryPolicy) -> Self {
+    /// Creates a CCM with the given threat-history policy, attaching
+    /// `default_instructions` to new threats, reading the time off the
+    /// cluster's `clock` and emitting `constraint_validated`,
+    /// `threat_recorded` and `threat_rejected` on `telemetry`.
+    pub(crate) fn new(
+        policy: HistoryPolicy,
+        default_instructions: ReconcileInstructions,
+        clock: SimClock,
+        telemetry: Telemetry,
+    ) -> Self {
         Self {
             threat_store: ThreatStore::new(policy),
-            txs: HashMap::default(),
-            timing: NegotiationTiming::Immediate,
-            app_default_min_degree: SatisfactionDegree::Satisfied,
-            default_instructions: ReconcileInstructions::default(),
-            verdict_cache: BTreeMap::new(),
+            default_instructions,
             stats: CcmStats::default(),
-            telemetry: None,
-        }
-    }
-
-    /// Looks up a memoized verdict for (`object`, `node`, `constraint`)
-    /// whose cached version matches `version`.
-    pub fn cached_verdict(
-        &self,
-        object: &ObjectId,
-        node: NodeId,
-        constraint: &ConstraintName,
-        version: Version,
-    ) -> Option<&CachedVerdict> {
-        self.verdict_cache
-            .get(object)?
-            .get(&(node, constraint.clone()))
-            .filter(|c| c.version == version)
-    }
-
-    /// Memoizes a verdict. Callers only store definite raw outcomes of
-    /// committed state (never buffered transactional views), so abort
-    /// paths need no invalidation.
-    pub fn store_verdict(
-        &mut self,
-        object: ObjectId,
-        node: NodeId,
-        constraint: ConstraintName,
-        verdict: CachedVerdict,
-    ) {
-        debug_assert!(matches!(
-            verdict.degree,
-            SatisfactionDegree::Satisfied | SatisfactionDegree::Violated
-        ));
-        self.verdict_cache
-            .entry(object)
-            .or_default()
-            .insert((node, constraint), verdict);
-    }
-
-    /// Drops every cached verdict that depends on `object` (as context
-    /// object or as an object the evaluation accessed). Returns the
-    /// number of entries removed.
-    pub fn invalidate_object(&mut self, object: &ObjectId) -> usize {
-        let mut removed = self
-            .verdict_cache
-            .remove(object)
-            .map_or(0, |entries| entries.len());
-        // Cacheable read-sets never navigate across objects, so the
-        // accessed set normally only holds the context object itself —
-        // this sweep is a backstop for constraints whose dynamic reads
-        // exceeded their static read-set.
-        self.verdict_cache.retain(|_, entries| {
-            entries.retain(|_, v| {
-                let depends = v.accessed.contains(object);
-                if depends {
-                    removed += 1;
-                }
-                !depends
-            });
-            !entries.is_empty()
-        });
-        removed
-    }
-
-    /// Drops every cached verdict of `constraint` (constraint removed
-    /// or redefined at runtime). Returns the number of entries removed.
-    pub fn invalidate_constraint(&mut self, constraint: &ConstraintName) -> usize {
-        let mut removed = 0;
-        self.verdict_cache.retain(|_, entries| {
-            entries.retain(|(_, name), _| {
-                let matches = name == constraint;
-                if matches {
-                    removed += 1;
-                }
-                !matches
-            });
-            !entries.is_empty()
-        });
-        removed
-    }
-
-    /// Clears the whole verdict cache (reconciliation rewrote replica
-    /// state, a node restarted, or the cache was toggled off). Returns
-    /// the number of entries removed.
-    pub fn clear_verdict_cache(&mut self) -> usize {
-        let removed = self.verdict_cache.values().map(BTreeMap::len).sum();
-        self.verdict_cache.clear();
-        removed
-    }
-
-    /// Number of memoized verdicts currently held.
-    pub fn verdict_cache_len(&self) -> usize {
-        self.verdict_cache.values().map(BTreeMap::len).sum()
-    }
-
-    /// Wires a telemetry bus; `constraint_validated`, `threat_recorded`
-    /// and `threat_rejected` events are emitted from now on.
-    pub fn attach_telemetry(&mut self, telemetry: Telemetry) {
-        self.telemetry = Some(telemetry);
-    }
-
-    fn emit_threat_recorded(
-        &self,
-        constraint: &RegisteredConstraint,
-        context: Option<&ObjectId>,
-        degree: SatisfactionDegree,
-        outcome: StoreOutcome,
-    ) {
-        if let Some(t) = &self.telemetry {
-            t.metrics().incr("ccm.threats_recorded");
-            t.emit(|| TraceEvent::ThreatRecorded {
-                constraint: constraint.name().text().into(),
-                context: context.map(|object| object.text().into()),
-                degree,
-                storage: storage_kind(outcome),
-            });
-        }
-    }
-
-    /// Counts which §3.2 negotiation mechanism decided a threat.
-    fn note_negotiation_path(&self, path: NegotiationPath) {
-        if let Some(t) = &self.telemetry {
-            t.metrics().incr(match path {
-                NegotiationPath::NonTradeable => "negotiation.non_tradeable",
-                NegotiationPath::Dynamic => "negotiation.dynamic",
-                NegotiationPath::Static => "negotiation.static",
-                NegotiationPath::Default => "negotiation.default",
-            });
+            clock,
+            telemetry,
         }
     }
 
     /// CCM counters.
-    pub fn stats(&self) -> CcmStats {
+    pub(crate) fn stats(&self) -> CcmStats {
         self.stats
     }
 
     /// The threat store.
-    pub fn threat_store(&self) -> &ThreatStore {
+    pub(crate) fn threat_store(&self) -> &ThreatStore {
         &self.threat_store
     }
 
     /// Mutable threat store (reconciliation).
-    pub fn threat_store_mut(&mut self) -> &mut ThreatStore {
+    pub(crate) fn threat_store_mut(&mut self) -> &mut ThreatStore {
         &mut self.threat_store
-    }
-
-    /// Sets the application-wide default minimum satisfaction degree
-    /// (lowest-priority negotiation mechanism).
-    pub fn set_app_default_min_degree(&mut self, degree: SatisfactionDegree) {
-        self.app_default_min_degree = degree;
-    }
-
-    /// The application-wide default minimum satisfaction degree.
-    pub fn app_default_min_degree(&self) -> SatisfactionDegree {
-        self.app_default_min_degree
-    }
-
-    /// Selects immediate or deferred negotiation (§5.4).
-    pub fn set_negotiation_timing(&mut self, timing: NegotiationTiming) {
-        self.timing = timing;
-    }
-
-    /// The negotiation timing in force.
-    pub fn negotiation_timing(&self) -> NegotiationTiming {
-        self.timing
-    }
-
-    /// Sets the default reconciliation instructions attached to new
-    /// threats.
-    pub fn set_default_instructions(&mut self, instructions: ReconcileInstructions) {
-        self.default_instructions = instructions;
-    }
-
-    /// Opens the record of `tx`; [`Ccm::clear_tx`] ends it.
-    pub fn begin_tx(&mut self, tx: TxId) {
-        self.txs.insert(tx, TxChecks::default());
-    }
-
-    /// Transactions the CCMgr holds a record of.
-    pub(crate) fn open_tx_count(&self) -> usize {
-        self.txs.len()
-    }
-
-    /// The record of `tx` — there is one exactly while it is open.
-    fn open_record(&mut self, tx: TxId) -> Result<&mut TxChecks> {
-        self.txs.get_mut(&tx).ok_or(Error::NoSuchTransaction(tx))
-    }
-
-    /// Registers a dynamic negotiation handler for `tx` (§3.2.1).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::NoSuchTransaction`] unless `tx` is open.
-    pub fn register_negotiation_handler(
-        &mut self,
-        tx: TxId,
-        handler: Box<dyn NegotiationHandler>,
-    ) -> Result<()> {
-        self.open_record(tx)?.handler = Some(handler);
-        Ok(())
-    }
-
-    /// Registers a soft/async invariant for commit-time validation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::NoSuchTransaction`] unless `tx` is open.
-    pub fn register_pending(&mut self, tx: TxId, check: PendingCheck) -> Result<()> {
-        self.open_record(tx)?.pending.push(check);
-        Ok(())
-    }
-
-    /// Takes the pending checks of `tx`.
-    pub fn take_pending(&mut self, tx: TxId) -> Vec<PendingCheck> {
-        self.txs
-            .get_mut(&tx)
-            .map(|record| std::mem::take(&mut record.pending))
-            .unwrap_or_default()
-    }
-
-    /// Ends the record of `tx` (commit/rollback).
-    pub fn clear_tx(&mut self, tx: TxId) {
-        self.txs.remove(&tx);
-    }
-
-    /// Validates one constraint — evaluation, then the staleness
-    /// adjustment of §4.2.3, statistics and `constraint_validated` —
-    /// live and uncached, as reconciliation re-evaluates stored threats.
-    ///
-    /// Constraints are predicates and must not trigger further
-    /// constraint validation (§5.3). No runtime guard enforces that:
-    /// `access` holds the containers by shared reference for the whole
-    /// evaluation, so nothing a constraint can reach is able to invoke,
-    /// write or commit — re-entry is unrepresentable.
-    ///
-    /// # Errors
-    ///
-    /// Propagates non-availability validation failures (configuration
-    /// or expression errors) — unreachable objects are mapped to
-    /// [`SatisfactionDegree::Uncheckable`] instead.
-    pub fn validate_constraint(
-        &mut self,
-        candidate: &ValidationCandidate<'_>,
-        access: &mut ReplicaAccess<'_>,
-        env: PartitionEnv,
-        engine: ConstraintEngine,
-        now: SimTime,
-    ) -> Result<ValidationVerdict> {
-        let (outcome, accessed) = evaluate_candidate(candidate, access, env, engine);
-        self.finish_validation(candidate.constraint, outcome, accessed, access, now)
     }
 
     /// The second half of a validation: staleness adjustment (LCC),
@@ -602,14 +304,14 @@ impl Ccm {
     /// # Errors
     ///
     /// Propagates the evaluation failure in `outcome` (the validation
-    /// is still counted).
+    /// is still counted) — unreachable objects were already mapped to
+    /// [`SatisfactionDegree::Uncheckable`].
     pub(crate) fn finish_validation(
         &mut self,
         constraint: &RegisteredConstraint,
         outcome: Result<SatisfactionDegree>,
         accessed: BTreeSet<ObjectId>,
         access: &ReplicaAccess<'_>,
-        now: SimTime,
     ) -> Result<ValidationVerdict> {
         self.stats.validations += 1;
         let node = access.node;
@@ -629,10 +331,10 @@ impl Ccm {
             }
         }
 
-        // Gather freshness info of the accessed objects — only static
-        // negotiation of a threat reads it.
-        let mut version_infos = BTreeMap::new();
-        if degree.is_threat() {
+        // Gather freshness info of the accessed objects — only a
+        // freshness criterion on the static path reads it.
+        let mut freshness = Vec::new();
+        if degree.is_threat() && !constraint.meta.freshness.is_empty() {
             for id in &accessed {
                 let entity = access.containers[node.index()]
                     .view(tx, id)
@@ -645,10 +347,7 @@ impl Ccm {
                             .find_map(|n| access.containers[n.index()].committed_entity(id))
                     });
                 if let Some(entity) = entity {
-                    version_infos.insert(
-                        id.to_string(),
-                        (id.class().clone(), entity.version_info(now)),
-                    );
+                    freshness.push((id.class().clone(), entity.version_info(self.clock.now())));
                 }
             }
         }
@@ -659,224 +358,32 @@ impl Ccm {
             self.stats.violations += 1;
         }
 
-        if let Some(t) = &self.telemetry {
-            t.emit(|| TraceEvent::ConstraintValidated {
-                constraint: constraint.name().text().into(),
-                degree,
-                accessed: accessed.len() as u32,
-            });
-        }
+        self.telemetry.emit(|| TraceEvent::ConstraintValidated {
+            constraint: constraint.name().text().into(),
+            degree,
+            accessed: accessed.len() as u32,
+        });
 
         Ok(ValidationVerdict {
             degree,
             accessed,
-            version_infos,
+            freshness,
         })
-    }
-
-    /// Processes a validation verdict: satisfied → continue (and clean
-    /// up matching deferred threats, §4.4); violated → abort; threat →
-    /// negotiate and either store (invariants) or tolerate (pre/post,
-    /// §3) or abort.
-    ///
-    /// Returns the store outcome when a threat was persisted (the
-    /// cluster charges persistence costs accordingly).
-    ///
-    /// # Errors
-    ///
-    /// * [`Error::ConstraintViolated`] — definite violation.
-    /// * [`Error::ThreatRejected`] — threat not accepted.
-    /// * [`Error::NoSuchTransaction`] — a threat to defer, and `tx` is
-    ///   not open.
-    pub fn process_verdict(
-        &mut self,
-        constraint: &RegisteredConstraint,
-        context_object: Option<&ObjectId>,
-        verdict: ValidationVerdict,
-        tx: TxId,
-        now: SimTime,
-    ) -> Result<Option<StoreOutcome>> {
-        match verdict.degree {
-            SatisfactionDegree::Satisfied => {
-                // A satisfied validation cleans up deferred threats of
-                // the same identity (§4.4).
-                self.threat_store
-                    .remove_identity(constraint.name(), context_object);
-                Ok(None)
-            }
-            SatisfactionDegree::Violated => Err(Error::ConstraintViolated {
-                constraint: constraint.name().clone(),
-            }),
-            degree => {
-                let threat = ConsistencyThreat {
-                    constraint: constraint.name().clone(),
-                    context_object: context_object.cloned(),
-                    degree,
-                    affected_objects: verdict.accessed,
-                    app_data: None,
-                    instructions: self.default_instructions,
-                    occurred_at: now,
-                    tx,
-                };
-                if self.timing == NegotiationTiming::Deferred {
-                    // §5.4: continue under the assumption that the
-                    // threat will be accepted; the decision is made at
-                    // commit time.
-                    self.open_record(tx)?.deferred.push(DeferredThreat {
-                        constraint: constraint.clone(),
-                        threat,
-                        version_infos: verdict.version_infos,
-                    });
-                    return Ok(None);
-                }
-                self.negotiate_threat(constraint, context_object, threat, &verdict.version_infos)
-            }
-        }
-    }
-
-    /// The one negotiation of a threat (§3.2), immediate or deferred. A
-    /// rejection is counted and reported; an accepted invariant threat
-    /// is persisted and its store outcome returned (`context_object`,
-    /// the threat's own, names it in the record once the store owns
-    /// it); an accepted pre-/postcondition threat is only tolerated: it
-    /// cannot be re-evaluated later (§3), so invariants must cover it.
-    /// Accepting with `app_data` the threat journal could not give back
-    /// ([`Value::check_journalable`]) refuses the operation with
-    /// [`Error::IllTypedField`] (`name: "app_data"`) and stores nothing.
-    fn negotiate_threat(
-        &mut self,
-        constraint: &RegisteredConstraint,
-        context_object: Option<&ObjectId>,
-        mut threat: ConsistencyThreat,
-        version_infos: &BTreeMap<String, (ClassName, VersionInfo)>,
-    ) -> Result<Option<StoreOutcome>> {
-        let degree = threat.degree;
-        let handler = self
-            .txs
-            .get_mut(&threat.tx)
-            .and_then(|record| record.handler.as_mut())
-            .map(|h| &mut **h as &mut dyn NegotiationHandler);
-        let (decision, path) = negotiate(
-            constraint,
-            &mut threat,
-            handler,
-            version_infos,
-            self.app_default_min_degree,
-        );
-        self.note_negotiation_path(path);
-        match decision {
-            ThreatDecision::Reject => {
-                self.stats.threats_rejected += 1;
-                if let Some(t) = &self.telemetry {
-                    t.emit(|| TraceEvent::ThreatRejected {
-                        constraint: constraint.name().text().into(),
-                        degree,
-                    });
-                }
-                Err(Error::ThreatRejected {
-                    constraint: constraint.name().clone(),
-                    degree,
-                })
-            }
-            ThreatDecision::Accept => {
-                if let Some(data) = &threat.app_data {
-                    data.check_journalable("app_data")?;
-                }
-                self.stats.threats_accepted += 1;
-                if !constraint.meta.kind.is_invariant() {
-                    return Ok(None);
-                }
-                let outcome = self.threat_store.store(threat)?;
-                self.emit_threat_recorded(constraint, context_object, degree, outcome);
-                Ok(Some(outcome))
-            }
-        }
-    }
-
-    /// Negotiates every threat deferred during `tx` (called by the
-    /// middleware before commit). Returns the storage outcomes of the
-    /// accepted invariant threats so the caller can charge persistence
-    /// costs.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::ThreatRejected`] for the first rejected threat;
-    /// the transaction must then be rolled back.
-    pub fn negotiate_deferred(&mut self, tx: TxId) -> Result<Vec<StoreOutcome>> {
-        let deferred = self
-            .txs
-            .get_mut(&tx)
-            .map(|record| std::mem::take(&mut record.deferred))
-            .unwrap_or_default();
-        let mut outcomes = Vec::new();
-        for DeferredThreat {
-            constraint,
-            threat,
-            version_infos,
-        } in deferred
-        {
-            let context = threat.context_object.clone();
-            outcomes.extend(self.negotiate_threat(
-                &constraint,
-                context.as_ref(),
-                threat,
-                &version_infos,
-            )?);
-        }
-        Ok(outcomes)
-    }
-
-    /// Number of threats currently awaiting deferred negotiation in
-    /// `tx`.
-    pub fn deferred_len(&self, tx: TxId) -> usize {
-        self.txs.get(&tx).map_or(0, |record| record.deferred.len())
-    }
-
-    /// The §5.5.3 asynchronous-constraint fast path: in degraded mode
-    /// the constraint is not validated and not negotiated; a threat is
-    /// recorded directly for reconciliation-time evaluation.
-    ///
-    /// # Errors
-    ///
-    /// As [`ThreatStore::store`].
-    pub fn record_async_threat(
-        &mut self,
-        constraint: &RegisteredConstraint,
-        context_object: Option<&ObjectId>,
-        tx: TxId,
-        now: SimTime,
-    ) -> Result<StoreOutcome> {
-        self.stats.async_shortcuts += 1;
-        self.stats.threats_detected += 1;
-        self.stats.threats_accepted += 1;
-        let outcome = self.threat_store.store(ConsistencyThreat {
-            constraint: constraint.name().clone(),
-            context_object: context_object.cloned(),
-            degree: SatisfactionDegree::Uncheckable,
-            affected_objects: BTreeSet::new(),
-            app_data: None,
-            instructions: self.default_instructions,
-            occurred_at: now,
-            tx,
-        })?;
-        self.emit_threat_recorded(
-            constraint,
-            context_object,
-            SatisfactionDegree::Uncheckable,
-            outcome,
-        );
-        Ok(outcome)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ValidationConfig;
+    use crate::threat::ConsistencyThreat;
     use dedisys_constraints::expr::ExprConstraint;
-    use dedisys_constraints::{ConstraintMeta, ContextPreparation};
+    use dedisys_constraints::{ConstraintMeta, ContextPreparation, FreshnessCriterion};
     use dedisys_gms::NodeWeights;
     use dedisys_object::{AppDescriptor, ClassDescriptor, EntityState};
     use dedisys_replication::ProtocolKind;
+    use dedisys_telemetry::ThreatStorage;
+    use dedisys_types::SimTime;
     use std::sync::Arc;
 
     fn app() -> AppDescriptor {
@@ -930,12 +437,18 @@ mod tests {
             containers,
             replication,
             topology: Topology::fully_connected(n),
-            ccm: Ccm::new(HistoryPolicy::IdenticalOnce),
+            ccm: Ccm::new(
+                HistoryPolicy::IdenticalOnce,
+                ReconcileInstructions::default(),
+                SimClock::new(),
+                Telemetry::new(SimClock::new()),
+            ),
             id,
             tx: TxId::new(NodeId(0), 1),
         }
     }
 
+    /// Evaluation plus staleness merge, live and uncached, on node 0.
     fn validate(world: &mut World, constraint: &RegisteredConstraint) -> ValidationVerdict {
         let mut access = ReplicaAccess::new(
             &world.containers,
@@ -944,16 +457,35 @@ mod tests {
             NodeId(0),
             world.tx,
         );
+        let env = PartitionEnv {
+            fraction: 1.0,
+            weight: 1,
+            total: 1,
+        };
+        let candidate = ValidationCandidate::invariant(constraint, Some(&world.id));
+        let (outcome, accessed) =
+            evaluate_candidate(&candidate, &mut access, env, ConstraintEngine::Interpreted);
         world
             .ccm
-            .validate_constraint(
-                &ValidationCandidate::invariant(constraint, Some(&world.id)),
-                &mut access,
-                PartitionEnv::full(),
-                ConstraintEngine::Interpreted,
-                SimTime::ZERO,
-            )
+            .finish_validation(constraint, outcome, accessed, &access)
             .unwrap()
+    }
+
+    /// Immediate negotiation of `verdict` under the default settings.
+    fn process(
+        world: &mut World,
+        constraint: &RegisteredConstraint,
+        verdict: ValidationVerdict,
+        mut handler: Option<Box<dyn NegotiationHandler>>,
+    ) -> Result<Option<ThreatStorage>> {
+        world.ccm.process_verdict(
+            &ValidationCandidate::invariant(constraint, Some(&world.id)),
+            verdict,
+            &ValidationConfig::default(),
+            &mut handler,
+            &mut Vec::new(),
+            world.tx,
+        )
     }
 
     #[test]
@@ -964,28 +496,29 @@ mod tests {
         assert_eq!(v.degree, SatisfactionDegree::Satisfied);
         assert!(v.accessed.contains(&w.id));
         assert!(
-            v.version_infos.is_empty(),
+            v.freshness.is_empty(),
             "nothing negotiates a satisfied verdict"
         );
     }
 
     #[test]
-    fn threat_verdicts_carry_freshness_of_every_accessed_object() {
+    fn threat_verdicts_carry_freshness_only_for_a_criterion() {
         let mut w = setup(2, 70, 80);
         w.topology.split(&[&[0], &[1]]);
         let v = validate(&mut w, &ticket_constraint(true));
         assert!(v.degree.is_threat());
-        assert_eq!(
-            v.version_infos.keys().cloned().collect::<Vec<_>>(),
-            v.accessed
-                .iter()
-                .map(ToString::to_string)
-                .collect::<Vec<_>>()
-        );
-        let (class, info) = &v.version_infos[&w.id.to_string()];
-        assert_eq!(class, w.id.class());
+        assert!(v.freshness.is_empty(), "no criterion, nothing gathered");
+
+        let mut c = ticket_constraint(true);
+        c.meta = c.meta.with_freshness(FreshnessCriterion::new("Flight", 2));
+        let v = validate(&mut w, &c);
+        assert!(v.degree.is_threat());
         let held = w.containers[0].committed_entity(&w.id).unwrap();
-        assert_eq!(*info, held.version_info(SimTime::ZERO));
+        assert_eq!(
+            v.freshness,
+            [(w.id.class().clone(), held.version_info(SimTime::ZERO))],
+            "one entry per accessed object"
+        );
     }
 
     #[test]
@@ -1033,29 +566,23 @@ mod tests {
 
         // Satisfied: no error, nothing stored.
         let v = validate(&mut w, &c);
-        let outcome = w
-            .ccm
-            .process_verdict(&c, Some(&w.id), v, w.tx, SimTime::ZERO)
-            .unwrap();
-        assert!(outcome.is_none());
+        assert_eq!(process(&mut w, &c, v, None), Ok(None));
 
         // Threat (accepted statically): stored.
         w.topology.split(&[&[0], &[1]]);
         let v = validate(&mut w, &c);
-        let outcome = w
-            .ccm
-            .process_verdict(&c, Some(&w.id), v, w.tx, SimTime::ZERO)
-            .unwrap();
-        assert_eq!(outcome, Some(StoreOutcome::Stored));
+        assert_eq!(
+            process(&mut w, &c, v, None),
+            Ok(Some(ThreatStorage::Stored))
+        );
         assert_eq!(w.ccm.threat_store().len(), 1);
 
         // Identical threat: deduplicated.
         let v = validate(&mut w, &c);
-        let outcome = w
-            .ccm
-            .process_verdict(&c, Some(&w.id), v, w.tx, SimTime::ZERO)
-            .unwrap();
-        assert_eq!(outcome, Some(StoreOutcome::Deduplicated));
+        assert_eq!(
+            process(&mut w, &c, v, None),
+            Ok(Some(ThreatStorage::Deduplicated))
+        );
     }
 
     #[test]
@@ -1064,10 +591,7 @@ mod tests {
         w.topology.split(&[&[0], &[1]]);
         let c = ticket_constraint(false);
         let v = validate(&mut w, &c);
-        let err = w
-            .ccm
-            .process_verdict(&c, Some(&w.id), v, w.tx, SimTime::ZERO)
-            .unwrap_err();
+        let err = process(&mut w, &c, v, None).unwrap_err();
         assert!(matches!(err, Error::ThreatRejected { .. }));
         assert_eq!(w.ccm.stats().threats_rejected, 1);
     }
@@ -1077,10 +601,7 @@ mod tests {
         let mut w = setup(2, 90, 80);
         let c = ticket_constraint(true);
         let v = validate(&mut w, &c);
-        let err = w
-            .ccm
-            .process_verdict(&c, Some(&w.id), v, w.tx, SimTime::ZERO)
-            .unwrap_err();
+        let err = process(&mut w, &c, v, None).unwrap_err();
         assert!(matches!(err, Error::ConstraintViolated { .. }));
     }
 
@@ -1088,55 +609,20 @@ mod tests {
     fn dynamic_handler_enriches_threat() {
         let mut w = setup(2, 70, 80);
         w.topology.split(&[&[0], &[1]]);
-        let c = ticket_constraint(false); // would auto-reject…
-                                          // …but wait: non-tradeable rejects before the handler. Use a
-                                          // tradeable one and verify app data lands in the store.
-        let c = {
-            let _ = c;
-            ticket_constraint(true)
+        // A non-tradeable constraint rejects before the handler is
+        // asked: a tradeable one shows the app data landing in the
+        // store.
+        let c = ticket_constraint(true);
+        let handler = |threat: &mut ConsistencyThreat| {
+            threat.app_data = Some(Value::from("sold-in-partition"));
+            threat.instructions.allow_rollback = true;
+            ThreatDecision::Accept
         };
-        w.ccm.begin_tx(w.tx);
-        w.ccm
-            .register_negotiation_handler(
-                w.tx,
-                Box::new(|threat: &mut ConsistencyThreat| {
-                    threat.app_data = Some(Value::from("sold-in-partition"));
-                    threat.instructions.allow_rollback = true;
-                    ThreatDecision::Accept
-                }),
-            )
-            .unwrap();
         let v = validate(&mut w, &c);
-        w.ccm
-            .process_verdict(&c, Some(&w.id), v, w.tx, SimTime::ZERO)
-            .unwrap();
+        process(&mut w, &c, v, Some(Box::new(handler))).unwrap();
         let stored = &w.ccm.threat_store().threats()[0];
         assert_eq!(stored.app_data, Some(Value::from("sold-in-partition")));
         assert!(stored.instructions.allow_rollback);
-    }
-
-    /// Handler, pending checks and deferred threats live in the one
-    /// record of an open transaction: before `begin_tx` and after
-    /// `clear_tx` there is nowhere to put them.
-    #[test]
-    fn a_transaction_that_is_not_open_takes_no_registration() {
-        let mut w = setup(2, 70, 80);
-        let accept = || Box::new(|_: &mut ConsistencyThreat| ThreatDecision::Accept);
-        let pending = || PendingCheck {
-            constraint: Arc::new(ticket_constraint(true)),
-            context_object: None,
-        };
-        let closed = Err(Error::NoSuchTransaction(w.tx));
-        for round in ["never begun", "ended"] {
-            assert_eq!(w.ccm.register_negotiation_handler(w.tx, accept()), closed);
-            assert_eq!(w.ccm.register_pending(w.tx, pending()), closed, "{round}");
-            assert_eq!(w.ccm.open_tx_count(), 0, "{round}");
-            w.ccm.begin_tx(w.tx);
-            w.ccm.register_negotiation_handler(w.tx, accept()).unwrap();
-            w.ccm.register_pending(w.tx, pending()).unwrap();
-            w.ccm.clear_tx(w.tx);
-        }
-        assert!(w.ccm.take_pending(w.tx).is_empty());
     }
 
     #[test]
@@ -1145,84 +631,20 @@ mod tests {
         let c = ticket_constraint(true);
         w.topology.split(&[&[0], &[1]]);
         let v = validate(&mut w, &c);
-        w.ccm
-            .process_verdict(&c, Some(&w.id), v, w.tx, SimTime::ZERO)
-            .unwrap();
+        process(&mut w, &c, v, None).unwrap();
         assert_eq!(w.ccm.threat_store().len(), 1);
         w.topology.heal();
         let v = validate(&mut w, &c);
-        w.ccm
-            .process_verdict(&c, Some(&w.id), v, w.tx, SimTime::ZERO)
-            .unwrap();
+        process(&mut w, &c, v, None).unwrap();
         assert!(w.ccm.threat_store().is_empty(), "cleaned up by business op");
-    }
-
-    #[test]
-    fn verdict_cache_probe_store_invalidate() {
-        let mut ccm = Ccm::new(HistoryPolicy::IdenticalOnce);
-        let id = ObjectId::new("Flight", "F1");
-        let other = ObjectId::new("Flight", "F2");
-        let name = ConstraintName::from("Ticket");
-        let verdict = CachedVerdict {
-            version: Version(3),
-            degree: SatisfactionDegree::Satisfied,
-            accessed: BTreeSet::from([id.clone()]),
-        };
-        ccm.store_verdict(id.clone(), NodeId(0), name.clone(), verdict.clone());
-        assert_eq!(
-            ccm.cached_verdict(&id, NodeId(0), &name, Version(3)),
-            Some(&verdict)
-        );
-        // Stale version, other node, other constraint: all misses.
-        assert!(ccm
-            .cached_verdict(&id, NodeId(0), &name, Version(4))
-            .is_none());
-        assert!(ccm
-            .cached_verdict(&id, NodeId(1), &name, Version(3))
-            .is_none());
-        assert!(ccm
-            .cached_verdict(&id, NodeId(0), &ConstraintName::from("Other"), Version(3))
-            .is_none());
-
-        // Invalidating an unrelated object leaves the entry alone.
-        assert_eq!(ccm.invalidate_object(&other), 0);
-        assert_eq!(ccm.verdict_cache_len(), 1);
-        assert_eq!(ccm.invalidate_object(&id), 1);
-        assert!(ccm
-            .cached_verdict(&id, NodeId(0), &name, Version(3))
-            .is_none());
-
-        // An entry whose accessed set includes another object is also
-        // dropped when that object is invalidated.
-        let cross = CachedVerdict {
-            accessed: BTreeSet::from([id.clone(), other.clone()]),
-            ..verdict.clone()
-        };
-        ccm.store_verdict(id.clone(), NodeId(0), name.clone(), cross);
-        assert_eq!(ccm.invalidate_object(&other), 1);
-        assert_eq!(ccm.verdict_cache_len(), 0);
-
-        // Constraint-keyed and wholesale invalidation.
-        ccm.store_verdict(id.clone(), NodeId(0), name.clone(), verdict.clone());
-        ccm.store_verdict(
-            id.clone(),
-            NodeId(1),
-            ConstraintName::from("Other"),
-            verdict.clone(),
-        );
-        assert_eq!(ccm.invalidate_constraint(&name), 1);
-        assert_eq!(ccm.clear_verdict_cache(), 1);
-        assert_eq!(ccm.verdict_cache_len(), 0);
     }
 
     #[test]
     fn async_fast_path_records_without_validation() {
         let mut w = setup(2, 70, 80);
         let c = ticket_constraint(true);
-        let outcome = w
-            .ccm
-            .record_async_threat(&c, Some(&w.id), w.tx, SimTime::ZERO);
-        assert_eq!(outcome, Ok(StoreOutcome::Stored));
+        let outcome = w.ccm.record_async_threat(&c, Some(&w.id), w.tx);
+        assert_eq!(outcome, Ok(ThreatStorage::Stored));
         assert_eq!(w.ccm.stats().validations, 0);
         assert_eq!(w.ccm.stats().async_shortcuts, 1);
     }

@@ -2,7 +2,7 @@
 //! §3.3 runtime constraint management (add, remove, enable, disable).
 
 use super::Cluster;
-use crate::ccm::{NegotiationTiming, ValidationCandidate};
+use crate::ccm::ValidationCandidate;
 use crate::config::ClusterConfig;
 use crate::CostModel;
 use dedisys_constraints::{ConstraintEngine, ConstraintRepository, RegisteredConstraint};
@@ -39,9 +39,9 @@ impl Cluster {
     /// `f` receives a copy of the current config to mutate; the
     /// changed fields are then applied atomically — with their side
     /// effects (an engine switch lowers constraints and clears the
-    /// verdict cache; a cache toggle clears it; negotiation timing and
-    /// default degree are pushed into the CCM) — and one `reconfigure`
+    /// verdict cache; a cache toggle clears it) — and one `reconfigure`
     /// trace event naming the dotted paths that changed is emitted.
+    /// Every other field takes effect at its next read.
     /// Returns those paths (empty when `f` changed nothing; no event is
     /// emitted then).
     ///
@@ -75,35 +75,10 @@ impl Cluster {
         if prev.validation.verdict_cache != next.validation.verdict_cache {
             self.clear_verdict_cache_with_event();
         }
-        if prev.validation.negotiation_timing != next.validation.negotiation_timing {
-            self.ccm
-                .set_negotiation_timing(next.validation.negotiation_timing);
-        }
-        if prev.validation.app_default_min_degree != next.validation.app_default_min_degree {
-            self.ccm
-                .set_app_default_min_degree(next.validation.app_default_min_degree);
-        }
         let paths = changed.clone();
         self.telemetry
             .emit(move || TraceEvent::Reconfigure { changed: paths });
         Ok(changed)
-    }
-
-    /// The threat-negotiation timing in force, read back from the CCM
-    /// (not from the config copy) so tests can check the two agree.
-    pub fn negotiation_timing(&self) -> NegotiationTiming {
-        self.ccm.negotiation_timing()
-    }
-
-    /// The application-wide default minimum satisfaction degree in
-    /// force, read back from the CCM.
-    pub fn app_default_min_degree(&self) -> SatisfactionDegree {
-        self.ccm.app_default_min_degree()
-    }
-
-    /// Entries currently held by the verdict cache.
-    pub fn verdict_cache_len(&self) -> usize {
-        self.ccm.verdict_cache_len()
     }
 
     /// Enables or disables a registered constraint at runtime (§3.3).
@@ -124,8 +99,7 @@ impl Cluster {
     pub fn remove_constraint(&mut self, name: &ConstraintName) -> bool {
         let existed = self.repository.remove(name).is_some();
         if existed {
-            let entries = self.ccm.invalidate_constraint(name);
-            self.verdict_cache_invalidated(None, entries);
+            self.invalidate_verdicts_for(name);
         }
         existed
     }

@@ -2,6 +2,7 @@
 //! clock, one telemetry bus and one cost model.
 
 use super::admin::compile_constraints;
+use super::validation::VerdictCache;
 use super::{Cluster, ClusterMetrics};
 use crate::ccm::Ccm;
 use crate::config::ClusterConfig;
@@ -213,11 +214,12 @@ impl ClusterBuilder {
         for c in self.constraints {
             repository.register(c)?;
         }
-        let mut ccm = Ccm::new(config.durability.threat_policy);
-        ccm.set_app_default_min_degree(config.validation.app_default_min_degree);
-        ccm.set_default_instructions(self.default_instructions);
-        ccm.set_negotiation_timing(config.validation.negotiation_timing);
-        ccm.attach_telemetry(telemetry.clone());
+        let ccm = Ccm::new(
+            config.durability.threat_policy,
+            self.default_instructions,
+            clock.clone(),
+            telemetry.clone(),
+        );
         let mut replication = ReplicationManager::new(self.protocol, weights.clone());
         replication.attach_telemetry(telemetry.clone());
         let mut tx_manager = TransactionManager::new();
@@ -266,6 +268,7 @@ impl ClusterBuilder {
             replication,
             repository,
             ccm,
+            verdict_cache: VerdictCache::default(),
             costs: self.costs,
             mode: SystemMode::Healthy,
             view_trackers,

@@ -321,13 +321,10 @@ impl Cluster {
                     self.validate_and_process(&candidate, exec, tx)?;
                 }
                 ConstraintKind::SoftInvariant | ConstraintKind::AsyncInvariant => {
-                    self.ccm.register_pending(
-                        tx,
-                        PendingCheck {
-                            constraint: Arc::clone(constraint),
-                            context_object,
-                        },
-                    )?;
+                    self.tx_info(tx)?.pending.push(PendingCheck {
+                        constraint: Arc::clone(constraint),
+                        context_object,
+                    });
                 }
                 _ => {}
             }

@@ -29,7 +29,7 @@ pub use reconciliation::{
     ReconcileStrategy, ReconciliationSummary, ViolationReport,
 };
 
-use crate::ccm::{Ccm, PartitionEnv};
+use crate::ccm::{Ccm, DeferredThreat, NegotiationHandler, PartitionEnv, PendingCheck};
 use crate::config::ClusterConfig;
 use crate::threat::ThreatStore;
 use crate::CostModel;
@@ -98,10 +98,10 @@ pub struct HookInfo {
     pub at: SimTime,
 }
 
-/// What the cluster remembers about one open transaction: the record
-/// is made by `begin_tx` and leaves in `abort_cleanup` or
-/// `apply_commit`, nowhere else.
-#[derive(Debug, Default, Clone)]
+/// What the middleware remembers about one open transaction — the
+/// cluster's and the CCMgr's alike: the record is made by `begin_tx`
+/// and leaves in `abort_cleanup` or `apply_commit`, nowhere else.
+#[derive(Default)]
 struct TxInfo {
     involved: BTreeSet<NodeId>,
     /// Objects created in this tx with their chosen placement.
@@ -109,6 +109,12 @@ struct TxInfo {
     /// Set when the coordinator crashed after prepare (awaiting
     /// presumed-abort recovery).
     in_doubt: Option<InDoubtTx>,
+    /// Soft/async invariants awaiting the commit-time vote.
+    pending: Vec<PendingCheck>,
+    /// The transaction's dynamic negotiation handler (§3.2.1).
+    handler: Option<Box<dyn NegotiationHandler>>,
+    /// Threats awaiting deferred negotiation (§5.4).
+    deferred: Vec<DeferredThreat>,
 }
 
 /// What a commit did to one object on one node.
@@ -159,6 +165,7 @@ pub struct Cluster {
     replication: ReplicationManager,
     repository: ConstraintRepository,
     ccm: Ccm,
+    verdict_cache: validation::VerdictCache,
     costs: CostModel,
     mode: SystemMode,
     view_trackers: Vec<ViewTracker>,
@@ -336,13 +343,12 @@ impl Cluster {
         self.tx_manager.is_active(tx) || self.tx_manager.is_prepared(tx)
     }
 
-    /// Records held per open transaction, over all four tables keyed by
-    /// `TxId` (the transaction manager's, every node's write buffers,
-    /// the cluster's, the CCMgr's): zero whenever no transaction is
-    /// open.
+    /// Records held per open transaction, over all three tables keyed
+    /// by `TxId` (the transaction manager's, every node's write
+    /// buffers, the cluster's): zero whenever no transaction is open.
     pub fn tx_record_count(&self) -> usize {
         let buffers: usize = self.containers.iter().map(|c| c.buffer_count()).sum();
-        self.tx_manager.open_count() + buffers + self.txs.len() + self.ccm.open_tx_count()
+        self.tx_manager.open_count() + buffers + self.txs.len()
     }
 
     /// Entries in `node`'s persistent journal (survives crashes).

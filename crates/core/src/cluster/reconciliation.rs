@@ -9,7 +9,7 @@
 //! defer (§4.4).
 
 use super::Cluster;
-use crate::ccm::{ReplicaAccess, ValidationCandidate};
+use crate::ccm::{evaluate_candidate, ReplicaAccess, ValidationCandidate};
 use crate::threat::{ConsistencyThreat, ThreatIdentity};
 use dedisys_object::{EntityContainer, Snapshot};
 use dedisys_replication::{ReconcileReport, ReplicaConflict, ReplicaConsistencyHandler};
@@ -488,7 +488,6 @@ impl Cluster {
     ) -> SatisfactionDegree {
         let env = self.partition_env(observer);
         let engine = self.config().validation.engine;
-        let now = self.clock().now();
         let mut access = ReplicaAccess::new(
             &self.containers,
             &self.replication,
@@ -498,8 +497,10 @@ impl Cluster {
         );
         let candidate =
             ValidationCandidate::invariant(constraint, identity.context_object.as_ref());
+        // Live and uncached: the replica step just rewrote state.
+        let (outcome, accessed) = evaluate_candidate(&candidate, &mut access, env, engine);
         self.ccm
-            .validate_constraint(&candidate, &mut access, env, engine, now)
+            .finish_validation(constraint, outcome, accessed, &access)
             .map_or(SatisfactionDegree::Uncheckable, |verdict| verdict.degree)
     }
 

@@ -2,8 +2,7 @@
 //! ship to the backups), rollback, and entity creation and deletion.
 
 use super::{Change, Cluster, TxInfo};
-use crate::ccm::ValidationCandidate;
-use crate::negotiation::NegotiationHandler;
+use crate::ccm::{NegotiationHandler, ValidationCandidate};
 use crate::session::Session;
 use dedisys_constraints::ConstraintKind;
 use dedisys_object::EntityState;
@@ -45,7 +44,6 @@ impl Cluster {
     pub(crate) fn begin_tx(&mut self, node: NodeId) -> TxId {
         let tx = self.tx_manager.begin(node);
         self.txs.insert(tx, TxInfo::default());
-        self.ccm.begin_tx(tx);
         tx
     }
 
@@ -74,7 +72,8 @@ impl Cluster {
         tx: TxId,
         handler: Box<dyn NegotiationHandler>,
     ) -> Result<()> {
-        self.ccm.register_negotiation_handler(tx, handler)
+        self.tx_info(tx)?.handler = Some(handler);
+        Ok(())
     }
 
     /// Rolls back `tx`, discarding all buffered changes.
@@ -100,7 +99,6 @@ impl Cluster {
             }
         }
         self.locks.release_all(tx);
-        self.ccm.clear_tx(tx);
     }
 
     /// Phase 1 of an explicit two-phase commit: validates pending
@@ -244,13 +242,11 @@ impl Cluster {
         changes.sort_unstable_by(|a, b| a.1.cmp(&b.1));
         changes.dedup_by(|a, b| a.1 == b.1);
         for (_, id, _) in &changes {
-            let entries = self.ccm.invalidate_object(id);
-            self.verdict_cache_invalidated(Some(id), entries);
+            self.invalidate_verdicts_of(id);
         }
         changes.clear();
         self.changes = changes;
         self.locks.release_all(tx);
-        self.ccm.clear_tx(tx);
         Ok(())
     }
 
@@ -272,7 +268,7 @@ impl Cluster {
 
     fn prepare_constraints(&mut self, tx: TxId) -> Result<()> {
         let origin = tx.node;
-        let pending = self.ccm.take_pending(tx);
+        let pending = std::mem::take(&mut self.tx_info(tx)?.pending);
         self.telemetry.emit(|| TraceEvent::TriggerPoint {
             trigger: TriggerKind::CommitPrepare,
             signature: commit_signature(tx),
@@ -286,13 +282,10 @@ impl Cluster {
             if degraded && constraint.meta.kind == ConstraintKind::AsyncInvariant {
                 // §5.5.3: degraded mode — no validation, no
                 // negotiation; record the threat directly.
-                let outcome = self.ccm.record_async_threat(
-                    constraint,
-                    context_object,
-                    tx,
-                    self.clock.now(),
-                )?;
-                self.charge_threat_storage(outcome)?;
+                let storage = self
+                    .ccm
+                    .record_async_threat(constraint, context_object, tx)?;
+                self.charge_threat_storage(storage)?;
             } else {
                 let candidate = ValidationCandidate::invariant(constraint, context_object);
                 self.validate_and_process(&candidate, origin, tx)?;
@@ -300,11 +293,15 @@ impl Cluster {
         }
         // §5.4: the transaction blocks before commit until all deferred
         // negotiation decisions are available.
-        let deferred_count = self.ccm.deferred_len(tx) as u64;
-        let outcomes = self.ccm.negotiate_deferred(tx)?;
+        let info = self.txs.get_mut(&tx).ok_or(Error::NoSuchTransaction(tx))?;
+        let deferred = std::mem::take(&mut info.deferred);
+        let deferred_count = deferred.len() as u64;
+        let storages =
+            self.ccm
+                .negotiate_deferred(deferred, &mut info.handler, &self.config.validation)?;
         self.clock.advance(self.costs.negotiation * deferred_count);
-        for outcome in outcomes {
-            self.charge_threat_storage(outcome)?;
+        for storage in storages {
+            self.charge_threat_storage(storage)?;
         }
         Ok(())
     }

@@ -1,21 +1,133 @@
 //! Validation (CCMgr): one call per candidate — verdict-cache probe,
 //! evaluation, memoization, staleness merge and the virtual-time
 //! charge, in that order — with negotiation and threat storage on top,
-//! plus verdict-cache invalidation. A trigger point loops over its
-//! candidates and stops at the first refusal.
+//! plus the verdict cache itself: its key, its entries and their
+//! invalidation. A trigger point loops over its candidates and stops at
+//! the first refusal.
 
 use super::Cluster;
-use crate::ccm::{
-    evaluate_candidate, CachedVerdict, ReplicaAccess, ValidationCandidate, ValidationVerdict,
-};
-use crate::threat::{HistoryPolicy, StoreOutcome};
+use crate::ccm::{evaluate_candidate, ReplicaAccess, ValidationCandidate, ValidationVerdict};
+use crate::threat::HistoryPolicy;
 use dedisys_constraints::ConstraintEngine;
-use dedisys_telemetry::TraceEvent;
-use dedisys_types::{NodeId, ObjectId, Result, SatisfactionDegree, TxId, Version};
+use dedisys_telemetry::{ThreatStorage, TraceEvent};
+use dedisys_types::{
+    ConstraintName, Error, NodeId, ObjectId, Result, SatisfactionDegree, TxId, Version,
+};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Duplicate threat records tolerated before a
 /// [`HistoryPolicy::Reduced`] store folds them.
 const COMPACTION_THRESHOLD: usize = 32;
+
+/// The version-keyed verdict cache: context object → (observing node,
+/// constraint) → memoized verdict. Object-first so a write invalidates
+/// every dependent entry with one range removal.
+#[derive(Default)]
+pub(super) struct VerdictCache {
+    entries: BTreeMap<ObjectId, BTreeMap<(NodeId, ConstraintName), CachedVerdict>>,
+}
+
+/// One memoized verdict: valid while the committed version of the
+/// context object is unchanged. Only definite raw outcomes are cached
+/// (`Satisfied`/`Violated`) — staleness degradation and unreachability
+/// depend on topology and are recomputed at every use.
+#[derive(Debug, Clone, PartialEq)]
+struct CachedVerdict {
+    /// Committed version of the context object at evaluation time.
+    version: Version,
+    /// The raw (pre-staleness) satisfaction degree.
+    degree: SatisfactionDegree,
+    /// Objects the original evaluation accessed.
+    accessed: BTreeSet<ObjectId>,
+}
+
+impl VerdictCache {
+    /// The memoized verdict for (`object`, `node`, `constraint`) whose
+    /// cached version matches `version`.
+    fn get(
+        &self,
+        object: &ObjectId,
+        node: NodeId,
+        constraint: &ConstraintName,
+        version: Version,
+    ) -> Option<&CachedVerdict> {
+        self.entries
+            .get(object)?
+            .get(&(node, constraint.clone()))
+            .filter(|c| c.version == version)
+    }
+
+    /// Memoizes a verdict. Only definite raw outcomes of committed
+    /// state are stored (never buffered transactional views), so abort
+    /// paths need no invalidation.
+    fn store(
+        &mut self,
+        object: ObjectId,
+        node: NodeId,
+        constraint: ConstraintName,
+        verdict: CachedVerdict,
+    ) {
+        debug_assert!(matches!(
+            verdict.degree,
+            SatisfactionDegree::Satisfied | SatisfactionDegree::Violated
+        ));
+        self.entries
+            .entry(object)
+            .or_default()
+            .insert((node, constraint), verdict);
+    }
+
+    /// Drops every verdict that depends on `object` (as context object
+    /// or as an object the evaluation accessed). Returns the number of
+    /// entries removed.
+    fn invalidate_object(&mut self, object: &ObjectId) -> usize {
+        let mut removed = self.entries.remove(object).map_or(0, |e| e.len());
+        // Cacheable read-sets never navigate across objects, so the
+        // accessed set normally only holds the context object itself —
+        // this sweep is a backstop for constraints whose dynamic reads
+        // exceeded their static read-set.
+        self.entries.retain(|_, entries| {
+            entries.retain(|_, v| {
+                let depends = v.accessed.contains(object);
+                if depends {
+                    removed += 1;
+                }
+                !depends
+            });
+            !entries.is_empty()
+        });
+        removed
+    }
+
+    /// Drops every verdict of `constraint`. Returns the number of
+    /// entries removed.
+    fn invalidate_constraint(&mut self, constraint: &ConstraintName) -> usize {
+        let mut removed = 0;
+        self.entries.retain(|_, entries| {
+            entries.retain(|(_, name), _| {
+                let matches = name == constraint;
+                if matches {
+                    removed += 1;
+                }
+                !matches
+            });
+            !entries.is_empty()
+        });
+        removed
+    }
+
+    /// Drops every verdict. Returns the number of entries removed.
+    fn clear(&mut self) -> usize {
+        let removed = self.len();
+        self.entries.clear();
+        removed
+    }
+
+    /// Number of memoized verdicts.
+    fn len(&self) -> usize {
+        self.entries.values().map(BTreeMap::len).sum()
+    }
+}
 
 impl Cluster {
     /// Probes whether `candidate` is answerable from the verdict
@@ -85,8 +197,8 @@ impl Cluster {
         let constraint = candidate.constraint;
         let key = self.cacheable_probe(candidate, node, tx);
         let hit = key.and_then(|(object, version)| {
-            self.ccm
-                .cached_verdict(object, node, constraint.name(), version)
+            self.verdict_cache
+                .get(object, node, constraint.name(), version)
                 .cloned()
         });
         if let Some((object, _)) = key {
@@ -122,7 +234,7 @@ impl Cluster {
                     Ok(degree @ (SatisfactionDegree::Satisfied | SatisfactionDegree::Violated)),
                 ) = (key, &outcome)
                 {
-                    self.ccm.store_verdict(
+                    self.verdict_cache.store(
                         object.clone(),
                         node,
                         constraint.name().clone(),
@@ -140,16 +252,17 @@ impl Cluster {
                 (outcome, accessed, charge)
             }
         };
-        let verdict =
-            self.ccm
-                .finish_validation(constraint, outcome, accessed, &access, self.clock.now())?;
+        let verdict = self
+            .ccm
+            .finish_validation(constraint, outcome, accessed, &access)?;
         self.clock.advance(charge);
         Ok(verdict)
     }
 
     /// [`Cluster::validate`] plus verdict processing: negotiation of a
-    /// threat, threat storage, and their charges. Refuses with the
-    /// errors of [`crate::Ccm::process_verdict`].
+    /// threat — with the handler and the deferred threats of `tx`'s
+    /// record, by the validation settings in force — threat storage,
+    /// and their charges. Refuses with the errors of `process_verdict`.
     pub(super) fn validate_and_process(
         &mut self,
         candidate: &ValidationCandidate<'_>,
@@ -158,12 +271,14 @@ impl Cluster {
     ) -> Result<()> {
         let verdict = self.validate(candidate, node, tx)?;
         let was_threat = verdict.degree.is_threat();
+        let info = self.txs.get_mut(&tx).ok_or(Error::NoSuchTransaction(tx))?;
         let outcome = self.ccm.process_verdict(
-            candidate.constraint,
-            candidate.context_object,
+            candidate,
             verdict,
+            &self.config.validation,
+            &mut info.handler,
+            &mut info.deferred,
             tx,
-            self.clock.now(),
         )?;
         if was_threat {
             self.clock.advance(self.costs.negotiation);
@@ -174,31 +289,50 @@ impl Cluster {
         Ok(())
     }
 
-    pub(super) fn charge_threat_storage(&mut self, outcome: StoreOutcome) -> Result<()> {
+    pub(super) fn charge_threat_storage(&mut self, storage: ThreatStorage) -> Result<()> {
         let others = (self.ccm.threat_store().identity_count() as u64).saturating_sub(1);
         let scan = self.costs.threat_scan_per_identity * others;
-        self.clock.advance(match outcome {
-            StoreOutcome::Stored => self.costs.threat_new_fixed + scan,
-            StoreOutcome::LinkedOccurrence => self.costs.threat_link_fixed + scan,
-            StoreOutcome::Deduplicated => self.costs.threat_dedup_read,
+        self.clock.advance(match storage {
+            ThreatStorage::Stored => self.costs.threat_new_fixed + scan,
+            ThreatStorage::LinkedOccurrence => self.costs.threat_link_fixed + scan,
+            ThreatStorage::Deduplicated => self.costs.threat_dedup_read,
         });
-        if outcome == StoreOutcome::LinkedOccurrence {
+        if storage == ThreatStorage::LinkedOccurrence {
             self.maybe_compact_threats()?;
         }
         Ok(())
     }
 
+    /// Entries currently held by the verdict cache.
+    pub fn verdict_cache_len(&self) -> usize {
+        self.verdict_cache.len()
+    }
+
     /// Drops every memoized verdict — whatever just happened rewrote
     /// committed state outside the commit path.
     pub(super) fn clear_verdict_cache_with_event(&mut self) {
-        let entries = self.ccm.clear_verdict_cache();
+        let entries = self.verdict_cache.clear();
+        self.verdict_cache_invalidated(None, entries);
+    }
+
+    /// Drops every memoized verdict that depends on `object`: a commit
+    /// moved its version.
+    pub(super) fn invalidate_verdicts_of(&mut self, object: &ObjectId) {
+        let entries = self.verdict_cache.invalidate_object(object);
+        self.verdict_cache_invalidated(Some(object), entries);
+    }
+
+    /// Drops every memoized verdict of `constraint`: it was removed at
+    /// runtime.
+    pub(super) fn invalidate_verdicts_for(&mut self, constraint: &ConstraintName) {
+        let entries = self.verdict_cache.invalidate_constraint(constraint);
         self.verdict_cache_invalidated(None, entries);
     }
 
     /// Accounts for `entries` cached verdicts dropped for `object`
     /// (`None`, shown as `"*"`: not tied to one object); silent when
     /// nothing was cached.
-    pub(super) fn verdict_cache_invalidated(&self, object: Option<&ObjectId>, entries: usize) {
+    fn verdict_cache_invalidated(&self, object: Option<&ObjectId>, entries: usize) {
         if entries > 0 {
             self.telemetry
                 .metrics()
@@ -240,5 +374,53 @@ impl Cluster {
             retained: report.retained,
         });
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn verdict_cache_probe_store_invalidate() {
+        let mut cache = VerdictCache::default();
+        let id = ObjectId::new("Flight", "F1");
+        let other = ObjectId::new("Flight", "F2");
+        let name = ConstraintName::from("Ticket");
+        let verdict = CachedVerdict {
+            version: Version(3),
+            degree: SatisfactionDegree::Satisfied,
+            accessed: BTreeSet::from([id.clone()]),
+        };
+        cache.store(id.clone(), NodeId(0), name.clone(), verdict.clone());
+        assert_eq!(cache.get(&id, NodeId(0), &name, Version(3)), Some(&verdict));
+        // Stale version, other node, other constraint: all misses.
+        assert!(cache.get(&id, NodeId(0), &name, Version(4)).is_none());
+        assert!(cache.get(&id, NodeId(1), &name, Version(3)).is_none());
+        let other_name = ConstraintName::from("Other");
+        assert!(cache.get(&id, NodeId(0), &other_name, Version(3)).is_none());
+
+        // Invalidating an unrelated object leaves the entry alone.
+        assert_eq!(cache.invalidate_object(&other), 0);
+        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.invalidate_object(&id), 1);
+        assert!(cache.get(&id, NodeId(0), &name, Version(3)).is_none());
+
+        // An entry whose accessed set includes another object is also
+        // dropped when that object is invalidated.
+        let cross = CachedVerdict {
+            accessed: BTreeSet::from([id.clone(), other.clone()]),
+            ..verdict.clone()
+        };
+        cache.store(id.clone(), NodeId(0), name.clone(), cross);
+        assert_eq!(cache.invalidate_object(&other), 1);
+        assert_eq!(cache.len(), 0);
+
+        // Constraint-keyed and wholesale invalidation.
+        cache.store(id.clone(), NodeId(0), name.clone(), verdict.clone());
+        cache.store(id.clone(), NodeId(1), other_name, verdict);
+        assert_eq!(cache.invalidate_constraint(&name), 1);
+        assert_eq!(cache.clear(), 1);
+        assert_eq!(cache.len(), 0);
     }
 }

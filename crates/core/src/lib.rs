@@ -9,10 +9,12 @@
 //! while high availability risks improper alterations. This crate
 //! balances the two *explicitly*, at runtime, per constraint:
 //!
-//! * the [`Ccm`] (Constraint Consistency Manager) triggers validation
+//! * the Constraint Consistency Manager (CCMgr) triggers validation
 //!   around intercepted invocations, detects **consistency threats**
 //!   (validations that could only use possibly stale objects — LCC — or
-//!   no objects at all — NCC, §3.1) and negotiates them;
+//!   no objects at all — NCC, §3.1) and negotiates them, by the
+//!   [`ValidationConfig`] in force and a transaction's
+//!   [`NegotiationHandler`];
 //! * accepted threats are persisted ([`ThreatStore`]) and re-evaluated
 //!   during the **reconciliation phase** after failures are repaired,
 //!   with rollback search and application callbacks for actual
@@ -69,17 +71,13 @@ mod ccm;
 mod cluster;
 mod config;
 mod costs;
-mod negotiation;
 pub mod partition_sensitive;
 pub mod plane;
 mod session;
 mod threat;
 pub mod web;
 
-pub use ccm::{
-    CachedVerdict, Ccm, CcmStats, NegotiationTiming, PartitionEnv, PendingCheck, ReplicaAccess,
-    ValidationCandidate, ValidationVerdict,
-};
+pub use ccm::{CcmStats, NegotiationHandler, NegotiationTiming, ThreatDecision};
 pub use cluster::{
     getter_name, setter_name, Cluster, ClusterBuilder, ClusterMetrics, ConstraintReconcileReport,
     ConstraintReconciliationHandler, DeferAll, HookInfo, InDoubtTx, ReconOps, ReconcileStrategy,
@@ -101,10 +99,9 @@ macro_rules! nodes {
     };
 }
 pub use costs::CostModel;
-pub use negotiation::{negotiate, NegotiationHandler, NegotiationPath, ThreatDecision};
 pub use threat::{
-    CompactionReport, ConsistencyThreat, HistoryPolicy, ReconcileInstructions, StoreOutcome,
-    ThreatIdentity, ThreatStore,
+    CompactionReport, ConsistencyThreat, HistoryPolicy, ReconcileInstructions, ThreatIdentity,
+    ThreatStore,
 };
 
 // Re-export the pieces users need to assemble a cluster.

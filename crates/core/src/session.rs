@@ -24,8 +24,8 @@
 //! open across partition events use [`Session::detach`] to recover the
 //! raw [`TxId`] without triggering the drop-rollback.
 
+use crate::ccm::NegotiationHandler;
 use crate::cluster::Cluster;
-use crate::negotiation::NegotiationHandler;
 use dedisys_object::EntityState;
 use dedisys_types::{MethodName, NodeId, ObjectId, Result, TxId, Value};
 

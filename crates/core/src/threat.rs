@@ -1,6 +1,7 @@
 //! Consistency threats and the persistent threat store (§3.2.2).
 
 use dedisys_store::{LogOp, WriteAheadLog};
+use dedisys_telemetry::ThreatStorage;
 use dedisys_types::{
     ConstraintName, Error, ObjectId, Result, SatisfactionDegree, SimTime, TxBuildHasher, TxId,
     Value,
@@ -89,21 +90,6 @@ pub enum HistoryPolicy {
     Reduced,
 }
 
-/// Outcome of storing a threat — drives the persistence cost charged
-/// by the cluster (§5.1: a threat initially needs ≥3 database objects,
-/// plus 2 per additional identical threat under full history).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StoreOutcome {
-    /// First occurrence: full record persisted.
-    Stored,
-    /// Identical threat under [`HistoryPolicy::FullHistory`]:
-    /// additional occurrence persisted and linked.
-    LinkedOccurrence,
-    /// Identical threat under [`HistoryPolicy::IdenticalOnce`]: only a
-    /// read was needed to detect the duplicate.
-    Deduplicated,
-}
-
 /// The persistent store of accepted consistency threats (§3.2.2:
 /// accepted threats are *persistently* stored by the middleware and
 /// processed again during the reconciliation phase).
@@ -177,22 +163,27 @@ impl ThreatStore {
 
     /// Stores an accepted threat per the policy: journalled first, so
     /// the store never holds a threat its journal cannot give back.
+    /// Returns how it landed, which drives the persistence cost the
+    /// cluster charges (§5.1: a threat initially needs ≥3 database
+    /// objects, plus 2 per additional identical threat under full
+    /// history; a duplicate under [`HistoryPolicy::IdenticalOnce`]
+    /// costs only the read that detected it).
     ///
     /// # Errors
     ///
     /// Returns [`Error::Persistence`] — storing nothing — if the record
     /// cannot be encoded.
-    pub fn store(&mut self, threat: ConsistencyThreat) -> Result<StoreOutcome> {
+    pub fn store(&mut self, threat: ConsistencyThreat) -> Result<ThreatStorage> {
         let seen = self.records.contains_key(&threat.identity());
         if seen && self.policy == HistoryPolicy::IdenticalOnce {
-            return Ok(StoreOutcome::Deduplicated);
+            return Ok(ThreatStorage::Deduplicated);
         }
         let record = self.persist(threat)?;
         self.file(record);
         Ok(if seen {
-            StoreOutcome::LinkedOccurrence
+            ThreatStorage::LinkedOccurrence
         } else {
-            StoreOutcome::Stored
+            ThreatStorage::Stored
         })
     }
 
@@ -507,12 +498,12 @@ mod tests {
     #[test]
     fn identical_once_deduplicates() {
         let mut store = ThreatStore::new(HistoryPolicy::IdenticalOnce);
-        assert_eq!(store.store(threat("C", "F1")), Ok(StoreOutcome::Stored));
+        assert_eq!(store.store(threat("C", "F1")), Ok(ThreatStorage::Stored));
         assert_eq!(
             store.store(threat("C", "F1")),
-            Ok(StoreOutcome::Deduplicated)
+            Ok(ThreatStorage::Deduplicated)
         );
-        assert_eq!(store.store(threat("C", "F2")), Ok(StoreOutcome::Stored));
+        assert_eq!(store.store(threat("C", "F2")), Ok(ThreatStorage::Stored));
         assert_eq!(store.len(), 2);
         assert_eq!(store.identities().len(), 2);
     }
@@ -520,10 +511,10 @@ mod tests {
     #[test]
     fn full_history_links_occurrences() {
         let mut store = ThreatStore::new(HistoryPolicy::FullHistory);
-        assert_eq!(store.store(threat("C", "F1")), Ok(StoreOutcome::Stored));
+        assert_eq!(store.store(threat("C", "F1")), Ok(ThreatStorage::Stored));
         assert_eq!(
             store.store(threat("C", "F1")),
-            Ok(StoreOutcome::LinkedOccurrence)
+            Ok(ThreatStorage::LinkedOccurrence)
         );
         assert_eq!(store.len(), 2);
         assert_eq!(store.identities().len(), 1);
@@ -559,7 +550,7 @@ mod tests {
         let mut b = threat("Q", "y");
         b.context_object = None;
         store.store(a).unwrap();
-        assert_eq!(store.store(b), Ok(StoreOutcome::Deduplicated));
+        assert_eq!(store.store(b), Ok(ThreatStorage::Deduplicated));
     }
 
     #[test]
@@ -706,7 +697,7 @@ mod tests {
         store.store(second).unwrap();
         let mut third = threat("C", "F1");
         third.instructions.notify_on_replica_conflict = true;
-        assert_eq!(store.store(third), Ok(StoreOutcome::LinkedOccurrence));
+        assert_eq!(store.store(third), Ok(ThreatStorage::LinkedOccurrence));
         store.store(threat("D", "F2")).unwrap();
         assert_eq!(store.len(), 4);
         assert_eq!(store.duplicate_records(), 2);

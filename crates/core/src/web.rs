@@ -20,7 +20,7 @@
 //! rejects the threat if the user never answers (the paper's guard
 //! against indefinitely blocked negotiation threads).
 
-use crate::negotiation::{NegotiationHandler, ThreatDecision};
+use crate::ccm::{NegotiationHandler, ThreatDecision};
 use crate::threat::ConsistencyThreat;
 use crate::Cluster;
 use dedisys_types::{NodeId, Result, TxId, Value};

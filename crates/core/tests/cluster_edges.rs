@@ -2,9 +2,9 @@
 //! checks, remote reads of bound objects, metrics and naming.
 
 use dedisys_core::nodes;
-use dedisys_core::ClusterBuilder;
+use dedisys_core::{ClusterBuilder, ConsistencyThreat, ThreatDecision};
 use dedisys_object::{AppDescriptor, ClassDescriptor, EntityState};
-use dedisys_types::{Error, NodeId, ObjectId, SystemMode, Value};
+use dedisys_types::{Error, NodeId, ObjectId, SystemMode, TxId, Value};
 
 fn app() -> AppDescriptor {
     AppDescriptor::new("edges")
@@ -77,6 +77,30 @@ fn terminated_transactions_cannot_be_reused() {
         c.set_field(NodeId(0), tx, &id, "v", Value::Int(1)),
         Err(Error::NoSuchTransaction(_))
     ));
+}
+
+/// A negotiation handler lives in the one record of an open
+/// transaction: one that never began, or has ended — committed or
+/// rolled back — has nowhere to hold it.
+#[test]
+fn a_transaction_that_is_not_open_takes_no_handler() {
+    let mut c = cluster(1);
+    let accept = || Box::new(|_: &mut ConsistencyThreat| ThreatDecision::Accept);
+    let committed = c.session(NodeId(0)).detach();
+    c.register_negotiation_handler(committed, accept()).unwrap();
+    c.commit(committed).unwrap();
+    let rolled_back = c.session(NodeId(0)).detach();
+    c.register_negotiation_handler(rolled_back, accept())
+        .unwrap();
+    c.rollback(rolled_back).unwrap();
+    let never = TxId::new(NodeId(0), u64::MAX);
+    for tx in [never, committed, rolled_back] {
+        assert_eq!(
+            c.register_negotiation_handler(tx, accept()),
+            Err(Error::NoSuchTransaction(tx))
+        );
+    }
+    assert_eq!(c.tx_record_count(), 0);
 }
 
 #[test]

@@ -9,6 +9,7 @@ use dedisys_constraints::{
 use dedisys_core::nodes;
 use dedisys_core::{Cluster, ClusterBuilder, ConsistencyThreat, NegotiationTiming, ThreatDecision};
 use dedisys_object::{AppDescriptor, ClassDescriptor, EntityState};
+use dedisys_types::Result;
 use dedisys_types::{Error, NodeId, ObjectId, SatisfactionDegree, Value};
 use std::sync::Arc;
 
@@ -131,4 +132,92 @@ fn healthy_mode_is_unaffected_by_deferred_timing() {
         c.set_field(NodeId(0), tx, &id, "n", Value::Int(500))
     });
     assert!(matches!(result, Err(Error::ConstraintViolated { .. })));
+}
+
+/// A threat of `Defaulted` has no static declaration, so the
+/// application-wide default floor decides it.
+fn defaulted() -> RegisteredConstraint {
+    RegisteredConstraint::new(
+        ConstraintMeta::new("Defaulted").tradeable(SatisfactionDegree::Satisfied),
+        Arc::new(ExprConstraint::parse("self.n <= self.max").unwrap()),
+    )
+    .context_class("Counter")
+    .affects("Counter", "setMax", ContextPreparation::CalledObject)
+}
+
+/// Both negotiation settings act from the one configuration the
+/// cluster holds, so a runtime `reconfigure` changes what the next
+/// threat meets, and reconfiguring back restores it: under `Deferred` a
+/// rejected threat fails the commit instead of the call, and a lowered
+/// default floor lets a threat without a static declaration through.
+#[test]
+fn reconfigured_negotiation_settings_take_effect_at_once() {
+    let mut cluster = ClusterBuilder::new(2, app())
+        .constraint(constraint())
+        .constraint(defaulted())
+        .build()
+        .unwrap();
+    let node = NodeId(0);
+    let id = ObjectId::new("Counter", "c1");
+    cluster
+        .run_tx(node, |c, tx| {
+            c.create(node, tx, EntityState::for_class(c.app(), &id)?)
+        })
+        .unwrap();
+    cluster.partition(&[nodes![0], nodes![1]]).unwrap();
+    // (the call, the commit) of a write whose threat a handler rejects.
+    let rejected = |cluster: &mut Cluster| -> (Result<()>, Result<()>) {
+        let mut session = cluster.session(node);
+        session
+            .register_negotiation_handler(Box::new(|_: &mut ConsistencyThreat| {
+                ThreatDecision::Reject
+            }))
+            .unwrap();
+        let call = session.set_field(&id, "n", Value::Int(5));
+        (call, session.commit())
+    };
+    let defaulted_write = |cluster: &mut Cluster| {
+        cluster.run_tx(node, |c, tx| {
+            c.set_field(node, tx, &id, "max", Value::Int(90))
+        })
+    };
+    let at_call = |(call, commit): (Result<()>, Result<()>)| {
+        matches!(call, Err(Error::ThreatRejected { .. }))
+            && matches!(commit, Err(Error::RollbackOnly(_)))
+    };
+    let at_commit = |(call, commit): (Result<()>, Result<()>)| {
+        call.is_ok() && matches!(commit, Err(Error::ThreatRejected { .. }))
+    };
+    let refused = |write: Result<()>| matches!(write, Err(Error::ThreatRejected { .. }));
+
+    assert!(at_call(rejected(&mut cluster)), "built immediate");
+    assert!(
+        refused(defaulted_write(&mut cluster)),
+        "built with floor Satisfied"
+    );
+
+    cluster
+        .reconfigure(|c| {
+            c.validation.app_default_min_degree = SatisfactionDegree::PossiblySatisfied;
+        })
+        .unwrap();
+    defaulted_write(&mut cluster).expect("lowered floor accepts at the call");
+    cluster
+        .reconfigure(|c| c.validation.negotiation_timing = NegotiationTiming::Deferred)
+        .unwrap();
+    assert!(at_commit(rejected(&mut cluster)), "deferred");
+    defaulted_write(&mut cluster).expect("lowered floor accepts at the commit");
+
+    cluster
+        .reconfigure(|c| {
+            c.validation.negotiation_timing = NegotiationTiming::Immediate;
+            c.validation.app_default_min_degree = SatisfactionDegree::Satisfied;
+        })
+        .unwrap();
+    assert!(at_call(rejected(&mut cluster)), "immediate again");
+    assert!(
+        refused(defaulted_write(&mut cluster)),
+        "floor Satisfied again"
+    );
+    assert_eq!(cluster.tx_record_count(), 0);
 }

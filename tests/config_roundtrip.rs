@@ -1,11 +1,11 @@
 //! The consolidated [`ClusterConfig`] API round-trips: any typed
 //! configuration given to the builder is the configuration observed on
-//! the running cluster (per-subsystem getters read back from the live
-//! components, not from the config copy), runtime deltas applied via
-//! [`Cluster::reconfigure`] land atomically with one `reconfigure`
-//! event, and the two typed builder spellings (`with_config` and
-//! `configure`) are behaviourally identical — byte-identical traces on
-//! the same workload.
+//! the running cluster (and, where a subsystem is wired from it at
+//! build time, the value read back from that subsystem), runtime
+//! deltas applied via [`Cluster::reconfigure`] land atomically with one
+//! `reconfigure` event, and the two typed builder spellings
+//! (`with_config` and `configure`) are behaviourally identical —
+//! byte-identical traces on the same workload.
 
 use dedisys_core::{
     nodes, Cluster, ClusterBuilder, ClusterConfig, ConstraintEngine, DetectorKind, HistoryPolicy,
@@ -64,22 +64,12 @@ fn config_of(rng: &mut ChaosRng) -> ClusterConfig {
 }
 
 /// Asserts that a *running* cluster reports the config it was
-/// promised: every field through `config()` (the only spelling for the
-/// fields the cluster itself consults), and — where a subsystem keeps
-/// its own copy — the value read back from the CCM, the threat store
-/// and the membership pipeline.
+/// promised: every field through `config()` (the one copy of the
+/// fields the cluster itself consults), and — where a subsystem is
+/// wired from it at build time — the value read back from the threat
+/// store and the membership pipeline.
 fn assert_observed_matches(case: &str, cluster: &Cluster, expected: &ClusterConfig) {
     assert_eq!(cluster.config(), expected, "{case}");
-    assert_eq!(
-        cluster.negotiation_timing(),
-        expected.validation.negotiation_timing,
-        "{case}"
-    );
-    assert_eq!(
-        cluster.app_default_min_degree(),
-        expected.validation.app_default_min_degree,
-        "{case}"
-    );
     assert_eq!(
         cluster.threats().policy(),
         expected.durability.threat_policy,
@@ -141,8 +131,8 @@ fn reconfigure_applies_and_reports_runtime_deltas() {
             })
             .unwrap_or_else(|e| panic!("seed {seed}: runtime-only delta: {e}"));
         let observed = (
-            cluster.negotiation_timing(),
-            cluster.app_default_min_degree(),
+            cluster.config().validation.negotiation_timing,
+            cluster.config().validation.app_default_min_degree,
             cluster.config().validation.verdict_cache,
             cluster.config().durability.reconcile_strategy,
             cluster.config().plane.burst,

@@ -3,9 +3,10 @@
 //! Degraded mode has to remember three things — the threats it
 //! accepted, the states it committed, the transactions it has open —
 //! and each of them ends: a reconciled threat is removed, a reconciled
-//! cycle's history is cleared, a finished transaction leaves the four
+//! cycle's history is cleared, a finished transaction leaves the three
 //! tables that held a record of it (the transaction manager's, the
-//! nodes' write buffers, the cluster's, the CCMgr's). This drives whole
+//! nodes' write buffers, the cluster's — the CCMgr's part of the
+//! record included). This drives whole
 //! cycles of all three — ten thousand healthy transactions among them —
 //! and checks that what is left after a cycle is what was there before
 //! it.
@@ -82,11 +83,11 @@ fn healthy_work(cluster: &mut Cluster, ids: &[ObjectId], round: usize) -> TxId {
     let mut session = cluster.session(coordinator);
     session.set_field(&ids[0], "n", Value::Int(1)).unwrap();
     let prepared = session.prepare().unwrap();
-    assert_eq!(cluster.tx_record_count(), 4, "one per table");
+    assert_eq!(cluster.tx_record_count(), 3, "one per table");
     cluster.crash(coordinator).unwrap();
     assert_eq!(cluster.in_doubt_count(), 1);
     assert!(cluster.tx_is_open(prepared));
-    assert_eq!(cluster.tx_record_count(), 4, "in doubt is still open");
+    assert_eq!(cluster.tx_record_count(), 3, "in doubt is still open");
     cluster.restart(coordinator).unwrap();
     assert!(!cluster.tx_is_open(prepared), "presumed abort");
     assert_eq!(cluster.tx_record_count(), 0, "presumed abort");
