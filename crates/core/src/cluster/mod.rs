@@ -351,7 +351,12 @@ impl Cluster {
         self.tx_manager.open_count() + buffers + self.txs.len()
     }
 
-    /// Entries in `node`'s persistent journal (survives crashes).
+    /// Entries `node`'s persistent journal holds (it survives crashes):
+    /// what a restart replays and is charged for. Not a count of
+    /// appends — the journal compacts itself to each object's newest
+    /// committed state, so this stays within twice the objects it held
+    /// at its last compaction plus a fixed floor however long the node
+    /// runs, and may fall between two reads.
     pub fn journal_len_on(&self, node: NodeId) -> usize {
         self.journal_on(node).len()
     }

@@ -769,6 +769,33 @@ mod tests {
         assert_eq!(order, ["A", "B", "C", "A"]);
     }
 
+    #[test]
+    fn the_journal_holds_live_threats_not_their_history() {
+        const STEPS: usize = 3_000;
+        let mut store = ThreatStore::new(HistoryPolicy::FullHistory);
+        let mut longest = 0;
+        for step in 0..STEPS {
+            // Eight identities in turn: each holds one record until,
+            // seven steps on, the next store replaces the one after it.
+            store
+                .store(threat(&format!("C{}", step % 8), "F1"))
+                .unwrap();
+            store.remove_identity(
+                &format!("C{}", (step + 1) % 8).into(),
+                Some(&ObjectId::new("Flight", "F1")),
+            );
+            longest = longest.max(store.wal.len());
+        }
+        assert_eq!(store.len(), 7);
+        // Twice the live records (eight between a store and its remove)
+        // plus the log's compaction floor (1 024), against 6 000 entries
+        // appended.
+        assert!(longest <= 2 * 8 + 1_024, "{longest}");
+        let before = snapshot_of(&store);
+        assert_eq!(store.recover(), Ok(7));
+        assert_eq!(snapshot_of(&store), before);
+    }
+
     /// Everything a store answers that a restart must give back.
     fn snapshot_of(
         store: &ThreatStore,

@@ -15,13 +15,15 @@
 //!
 //! Journals share their records across nodes; the middle property is
 //! what says a shared record is still each node's own durable copy.
-//! The last test says it once more without the schedule: tearing one
-//! backup's journal costs that backup alone.
+//! The torn-backup test says it once more without the schedule: tearing
+//! one backup's journal costs that backup alone. The last test runs
+//! long enough for the journals to compact themselves, and restarts
+//! from the compacted journals.
 
-use dedisys_core::{Cluster, ClusterBuilder, DeferAll, HighestVersionWins};
+use dedisys_core::{Cluster, ClusterBuilder, CostModel, DeferAll, HighestVersionWins};
 use dedisys_object::{AppDescriptor, ClassDescriptor, EntityState};
 use dedisys_store::LogOp;
-use dedisys_types::{ChaosRng, NodeId, ObjectId, Value};
+use dedisys_types::{ChaosRng, NodeId, ObjectId, SimDuration, Value};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -293,4 +295,79 @@ fn a_torn_backup_journal_is_that_backups_loss_alone() {
         converge(&mut c, 0, k as u32);
         assert_eq!(committed_map(&c, torn), reference);
     }
+}
+
+/// Three thousand writes to four objects append three thousand entries
+/// to every journal; each journal keeps at most twice its live keys
+/// plus the log's compaction floor (1 024). A restart right after a
+/// compaction replays — and is charged for — the survivors alone, and
+/// recovers the same state; a torn entry after a compaction is
+/// truncated and resynced like any other.
+#[test]
+fn compacted_journals_stay_bounded_and_recover() {
+    const ITEMS: u64 = 4;
+    const WRITES: u64 = 3_000;
+    const BOUND: usize = 2 * ITEMS as usize + 1_024;
+    let per_entry = SimDuration::from_micros(350);
+    let mut c = ClusterBuilder::new(NODES, app())
+        .costs(CostModel {
+            wal_replay_per_entry: per_entry,
+            ..CostModel::free()
+        })
+        .build()
+        .expect("cluster builds");
+    let primary = NodeId(0);
+    for key in 0..ITEMS {
+        c.run_tx(primary, |c, tx| {
+            c.create(primary, tx, EntityState::for_class(c.app(), &item(key))?)
+        })
+        .expect("fresh id");
+    }
+    // Every journal gets the same entries in the same order, so they
+    // compact on the same write; stop right after one, when what the
+    // journals hold is the compaction's survivors alone.
+    let mut n = 0;
+    while n < WRITES || c.journal_len_on(primary) > ITEMS as usize {
+        let v = Value::Int(n as i64);
+        c.run_tx(primary, |c, tx| {
+            c.set_field(primary, tx, &item(n % ITEMS), "v", v)
+        })
+        .expect("healthy write");
+        for node in (0..NODES).map(NodeId) {
+            let len = c.journal_len_on(node);
+            assert!(len <= BOUND, "write {n}: {node} holds {len} entries");
+        }
+        n += 1;
+    }
+
+    let reference = committed_map(&c, primary);
+    for node in (0..NODES).map(NodeId) {
+        let held = c.journal_len_on(node);
+        assert_eq!(held, ITEMS as usize, "{node}: each object's newest put");
+        let before = c.now();
+        c.crash(node).expect("live node crashes");
+        c.restart(node).expect("crashed node restarts");
+        assert_eq!(
+            c.now().since(before),
+            per_entry * held as u64,
+            "{node}: charged for the entries it holds"
+        );
+        assert_eq!(c.journal_len_on(node), held, "{node}: nothing truncated");
+        assert_eq!(committed_map(&c, node), reference, "{node}");
+        assert_map_is_journal(&c, node, 0, 0, "after restart");
+    }
+
+    // The newest entry of a compacted journal, torn by the crash: the
+    // older puts of its key are gone, so the restart truncates it and
+    // the rejoin transfers the group's state back.
+    let torn = NodeId(2);
+    assert_eq!(c.corrupt_journal_tail(torn, 1).expect("known node"), 1);
+    c.crash(torn).expect("live node crashes");
+    c.restart(torn).expect("crashed node restarts");
+    let metrics = c.telemetry().metrics();
+    assert_eq!(metrics.counter("store.wal.truncated"), 1);
+    assert_eq!(metrics.counter("store.wal.resynced"), 1);
+    assert_eq!(committed_map(&c, torn), reference);
+    assert_map_is_journal(&c, torn, 0, 0, "after a torn restart");
+    converge(&mut c, 0, 0);
 }

@@ -29,7 +29,9 @@ struct TxBuffer {
 /// durable disk: [`EntityContainer::crash_volatile`] wipes the
 /// committed map and every transaction buffer (volatile memory) while
 /// keeping the journal, and [`EntityContainer::recover_from_journal`]
-/// replays it to reconstruct the committed state after a restart.
+/// replays it to reconstruct the committed state after a restart. The
+/// journal compacts itself to each object's newest committed state
+/// ([`WriteAheadLog`]), so it holds live state, not history.
 ///
 /// Committed state is held as [`Snapshot`]s. A transaction's first
 /// write to an object copies the committed state into its buffer (the
@@ -324,31 +326,46 @@ impl EntityContainer {
     /// whose per-entry checksum fails — a journal write interrupted by
     /// the crash) is truncated; the report says how many entries were
     /// replayed and how many were dropped. Only the last record of
-    /// each key is decoded, the recovered snapshot shares it with the
-    /// journal entry, and each record's bytes are hashed once: the
-    /// digest that verified an entry is the one its snapshot carries.
+    /// each key is decoded, in journal order, the recovered snapshot
+    /// shares it with the journal entry, and each record's bytes are
+    /// hashed once: the digest that verified an entry is the one its
+    /// snapshot carries.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Persistence`] if an intact journal record fails
-    /// to deserialize (corrupted journal body).
+    /// Returns [`Error::Persistence`] naming the key of the first
+    /// surviving journal record, in journal order, that fails to
+    /// deserialize (corrupted journal body).
     pub fn recover_from_journal(&mut self) -> Result<ReplayReport> {
         self.committed.clear();
         // Oldest entry first, as far as the checksums hold: the last op
-        // seen for a key is the one that survives, so superseded
-        // records are verified but never decoded.
-        let mut last: HashMap<&str, Option<(&Arc<str>, u32)>> = HashMap::new();
+        // seen for a key, with its position, is the one that survives,
+        // so superseded records are verified but never decoded.
+        type Last<'a> = (usize, Option<(&'a Arc<str>, u32)>);
+        let mut last: HashMap<&str, Last<'_>, TxBuildHasher> = HashMap::default();
         let mut replayed = 0;
         for (entry, digest) in self.journal.intact_prefix() {
-            replayed += 1;
             let put = match (&entry.op, digest) {
                 (LogOp::Put { record }, Some(digest)) => Some((record, digest)),
                 _ => None,
             };
-            last.insert(&entry.key, put);
+            last.insert(&entry.key, (replayed, put));
+            replayed += 1;
         }
-        for (record, digest) in last.into_values().flatten() {
-            let snapshot = Snapshot::decode(Arc::clone(record), digest)?;
+        // Decoded in journal order: the same error, and the same map,
+        // in every process.
+        let mut survivors: Vec<(usize, &str, &Arc<str>, u32)> = last
+            .into_iter()
+            .filter_map(|(key, (at, put))| put.map(|(record, digest)| (at, key, record, digest)))
+            .collect();
+        survivors.sort_unstable_by_key(|&(at, ..)| at);
+        for (_, key, record, digest) in survivors {
+            let snapshot = Snapshot::decode(Arc::clone(record), digest).map_err(|e| match e {
+                Error::Persistence(why) => {
+                    Error::Persistence(format!("entity record {key}: {why}"))
+                }
+                other => other,
+            })?;
             self.committed
                 .insert(snapshot.state().id().clone(), snapshot);
         }
@@ -770,6 +787,30 @@ mod tests {
         assert!(backup.committed_snapshot(&id).unwrap().ptr_eq(&shipped));
         assert_eq!(shipped.state().field("seats"), &Value::Int(80));
         assert!(Arc::ptr_eq(&last_record_of(&backup, &id), shipped.record()));
+    }
+
+    #[test]
+    fn recovery_reports_the_earliest_undecodable_record() {
+        let mut c = EntityContainer::new(&app());
+        let id = flight(&mut c, tx(1), "F1");
+        c.commit(tx(1));
+        // Two intact entries whose records do not decode; the earlier
+        // one's key sorts after the later one's.
+        c.journal
+            .append_put(JOURNAL_TABLE, "Flight#F9", "not a record");
+        c.journal.append_put(JOURNAL_TABLE, "Flight#F0", "{");
+        c.crash_volatile();
+        match c.recover_from_journal() {
+            Err(Error::Persistence(why)) => {
+                assert!(why.starts_with("entity record Flight#F9: "), "{why}");
+            }
+            other => panic!("expected a persistence error, got {other:?}"),
+        }
+        // Deleted afterwards, a broken record is never read.
+        c.journal.append_delete(JOURNAL_TABLE, "Flight#F9");
+        c.journal.append_delete(JOURNAL_TABLE, "Flight#F0");
+        assert!(c.recover_from_journal().is_ok());
+        assert!(c.committed_ids().eq([&id]));
     }
 
     #[test]

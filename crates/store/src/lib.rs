@@ -7,9 +7,10 @@
 //! rollback during reconciliation) and accepted consistency threats in
 //! MySQL. What the middleware uses of that today is one building block:
 //!
-//! * [`WriteAheadLog`] — an append-only, per-entry checksummed log.
-//!   Each node's entity journal (`dedisys-object`) and the threat
-//!   store's journal (`dedisys-core`) are one; both rebuild their
+//! * [`WriteAheadLog`] — a per-entry checksummed log that compacts
+//!   itself to the newest put of each key, so it holds live state, not
+//!   history. Each node's entity journal (`dedisys-object`) and the
+//!   threat store's journal (`dedisys-core`) are one; both rebuild their
 //!   memory straight from it, decoding only the last record of each
 //!   key. The degraded-mode
 //!   history is not kept here: it is the shipped snapshots themselves,

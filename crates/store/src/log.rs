@@ -28,10 +28,46 @@
 //! log is an in-memory model of a disk, nothing serializes an entry,
 //! and a derive would force the shared payload back into owned
 //! `String`s.
+//!
+//! ## Compaction: the log holds live state, not history
+//!
+//! The log is not append-only. A replay keeps the last op of each
+//! `(table, key)` and nothing before it, so an entry that a newer one of
+//! its key supersedes can never change what a recovery yields — and a
+//! delete that is its key's newest entry yields the same as no entry at
+//! all. So every append checks the log's length against what its last
+//! compaction kept: once it holds at least twice that plus a fixed floor
+//! (1 024 entries), it drops every entry except each key's newest, and
+//! that one too if it is a delete. A log therefore holds at most
+//! `2 · live + floor` entries, however long it runs, and the walk over
+//! it is paid for by the appends since the last one. Its capacity is
+//! reserved up to that bound after each compaction, and the set of keys
+//! the walk has seen is kept, emptied, for the next one: a log that has
+//! reached its size allocates nothing more to stay there.
+//!
+//! **Survivors are untouched.** A compaction only removes entries: each
+//! survivor keeps its `seq`, its checksum, its shared key and record and
+//! its place relative to the others. Nothing is re-encoded, re-hashed or
+//! re-checksummed, so a recovery from a compacted log yields exactly the
+//! state the full log would.
+//!
+//! **Compaction verifies nothing.** It reads no record bytes and checks
+//! no checksum, so it must not run over a torn entry. None exists while
+//! a log is appended to: an entry is torn only between the
+//! [`WriteAheadLog::corrupt_tail`] fault hook and the crash that follows
+//! it, and a crashed node appends nothing until its recovery has
+//! truncated the torn tail.
 
 use crate::TableStore;
+use dedisys_types::TxBuildHasher;
 use serde::{Deserialize, Serialize};
+use std::collections::HashSet;
 use std::sync::Arc;
+
+/// The entries a log may hold beyond twice what its last compaction
+/// kept before it compacts again: the least work one compaction is
+/// paid for by, and the whole log of a store with few live keys.
+const COMPACT_FLOOR: usize = 1_024;
 
 /// The operation recorded by a log entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -137,10 +173,16 @@ pub struct ReplayReport {
     pub truncated: u64,
 }
 
-/// An append-only write-ahead log.
+/// A write-ahead log that compacts itself.
 ///
 /// The store layers append before applying; replay reconstructs a
-/// [`TableStore`] after a simulated crash.
+/// [`TableStore`] after a simulated crash. An append that finds the log
+/// at twice what its last compaction kept plus a floor drops every
+/// entry a replay would overwrite or delete (module docs, "Compaction"):
+/// each key's newest entry survives if it is a put, untouched and in
+/// order. Compaction checks no checksum; it never meets a torn entry,
+/// because a log is torn only between [`WriteAheadLog::corrupt_tail`]
+/// and a crash, and a crashed node appends nothing.
 ///
 /// ```
 /// use dedisys_store::{TableStore, WriteAheadLog};
@@ -157,6 +199,11 @@ pub struct ReplayReport {
 pub struct WriteAheadLog {
     entries: Vec<LogEntry>,
     next_seq: u64,
+    /// Entries the last compaction kept (0 before the first).
+    kept: usize,
+    /// The keys a compaction has seen, empty between compactions and
+    /// kept for the next, so one allocates only to outgrow the last.
+    seen: HashSet<(&'static str, Arc<str>), TxBuildHasher>,
 }
 
 impl WriteAheadLog {
@@ -218,15 +265,47 @@ impl WriteAheadLog {
             op,
             checksum,
         });
+        if self.entries.len() >= 2 * self.kept + COMPACT_FLOOR {
+            self.compact();
+        }
         seq
     }
 
-    /// All entries in append order.
+    /// Drops every entry a replay would overwrite or delete: of each
+    /// `(table, key)` only the newest entry stays, and only if it is a
+    /// put. Survivors are not touched — same `seq`, checksum, shared
+    /// key and record, same relative order.
+    ///
+    /// Verifies nothing: no record byte is read and no checksum
+    /// checked, so a torn entry would be kept or dropped like any
+    /// other. The log holds none when it is appended to — an entry is
+    /// torn only between [`WriteAheadLog::corrupt_tail`] and the crash
+    /// that follows it, and a crashed node appends nothing before its
+    /// recovery truncates the torn tail.
+    fn compact(&mut self) {
+        // Newest first, so the first entry seen of a key is its last op.
+        let seen = &mut self.seen;
+        self.entries.reverse();
+        self.entries.retain(|entry| {
+            seen.insert((entry.table, Arc::clone(&entry.key)))
+                && matches!(entry.op, LogOp::Put { .. })
+        });
+        self.entries.reverse();
+        seen.clear();
+        self.kept = self.entries.len();
+        // Room for exactly what the log may hold before the next
+        // compaction: it never doubles past its own bound.
+        self.entries.reserve_exact(self.kept + COMPACT_FLOOR);
+    }
+
+    /// The entries the log holds, in append order: every entry since the
+    /// last compaction, and before it each key's newest put.
     pub fn entries(&self) -> &[LogEntry] {
         &self.entries
     }
 
-    /// Number of entries.
+    /// Number of entries held — what a recovery replays, not what was
+    /// appended.
     pub fn len(&self) -> usize {
         self.entries.len()
     }
@@ -455,6 +534,99 @@ mod tests {
         wal.replay_into(&mut store);
         assert_eq!(store.get("t", "a"), Some("1"));
         assert_eq!(store.get("t", "b"), None);
+    }
+
+    /// The records replaying `log` yields in tables `t` and `u` (a
+    /// table whose every key was deleted is no different from one never
+    /// written).
+    fn replayed(log: &WriteAheadLog) -> Vec<(&'static str, String, String)> {
+        let mut store = TableStore::new();
+        log.replay_into(&mut store);
+        ["t", "u"]
+            .into_iter()
+            .flat_map(|table| {
+                store
+                    .scan(table)
+                    .map(move |(key, record)| (table, key.to_owned(), record.to_owned()))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn compaction_is_invisible_to_recovery() {
+        let mut compactions = 0;
+        for seed in 0..12 {
+            let mut rng = ChaosRng::new(seed);
+            let keys = 1 + rng.below(8);
+            let appends = 1 + rng.below(5_000);
+            let mut wal = WriteAheadLog::new();
+            // Every entry as appended: the log that never compacts.
+            let mut reference = WriteAheadLog::new();
+            for n in 0..appends {
+                // Two tables share key texts: a key is the pair.
+                let table = if rng.chance(50) { "t" } else { "u" };
+                let key: Arc<str> = format!("k{}", rng.below(keys)).into();
+                let record: Option<Arc<str>> = (!rng.chance(20)).then(|| format!("v{n}").into());
+                let seq = match &record {
+                    Some(record) => wal.append_put(table, Arc::clone(&key), Arc::clone(record)),
+                    None => wal.append_delete(table, Arc::clone(&key)),
+                };
+                let digest = record.as_deref().map(record_digest);
+                reference.entries.push(LogEntry {
+                    seq,
+                    table,
+                    checksum: entry_checksum(seq, table, &key, digest),
+                    key,
+                    op: record.map_or(LogOp::Delete, |record| LogOp::Put { record }),
+                });
+
+                let at = format!("seed {seed} append {n}");
+                assert!(wal.len() <= 2 * wal.kept + COMPACT_FLOOR, "{at}");
+                assert!(wal.seen.is_empty(), "{at}: no key held past a compaction");
+                let compacted = wal.len() == wal.kept && wal.len() < reference.len();
+                compactions += usize::from(compacted);
+                if !(compacted || n + 1 == appends || n % 499 == 0) {
+                    continue;
+                }
+                assert_eq!(replayed(&wal), replayed(&reference), "{at}");
+                for entry in wal.entries() {
+                    let appended = &reference.entries()[entry.seq as usize];
+                    assert_eq!(
+                        (entry.seq, entry.table, entry.checksum),
+                        (appended.seq, appended.table, appended.checksum),
+                        "{at}"
+                    );
+                    assert!(Arc::ptr_eq(&entry.key, &appended.key), "{at}");
+                    match (&entry.op, &appended.op) {
+                        (LogOp::Put { record }, LogOp::Put { record: was }) => {
+                            assert!(Arc::ptr_eq(record, was), "{at}");
+                        }
+                        (LogOp::Delete, LogOp::Delete) => {}
+                        other => panic!("{at}: op changed: {other:?}"),
+                    }
+                }
+                assert!(
+                    wal.entries().windows(2).all(|w| w[0].seq < w[1].seq),
+                    "{at}: append order kept"
+                );
+                assert_eq!(wal.intact_prefix().count(), wal.len(), "{at}");
+                if compacted && !wal.is_empty() {
+                    assert!(
+                        wal.entries()
+                            .iter()
+                            .all(|e| matches!(e.op, LogOp::Put { .. })),
+                        "{at}: a delete that is its key's newest entry goes"
+                    );
+                    // A torn write after a compaction costs the newest
+                    // entry, and nothing else.
+                    let mut torn = wal.clone();
+                    assert_eq!(torn.corrupt_tail(1), 1);
+                    assert_eq!(torn.truncate_torn_tail(), 1, "{at}");
+                    assert_eq!(torn.entries(), &wal.entries()[..wal.len() - 1], "{at}");
+                }
+            }
+        }
+        assert!(compactions > 0, "no schedule reached the floor");
     }
 
     #[test]
