@@ -122,7 +122,6 @@ fn build_federation(run: &Run, shards: u32, accounts: &[ObjectId]) -> FederatedC
     let mut fed = FederatedCluster::builder(shards, size(run).0, chaos_app())
         .seed(run.seed)
         .policy(RoutingPolicy::RejectDegraded)
-        .xshard_timeout(SimDuration::from_millis(50))
         .build()
         .expect("shard-sweep federation");
     run.trace.attach(fed.telemetry());

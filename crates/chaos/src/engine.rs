@@ -51,10 +51,6 @@ const HEAL_PCT: u64 = 30;
 const ABORT_PCT: u64 = 10;
 /// Percent of prepared transfers whose federation coordinator crashes.
 const COORDINATOR_CRASH_PCT: u64 = 10;
-/// Presumed-abort deadline of a coordinator-crashed transfer — shorter
-/// than the shard-level in-doubt timeout the repair sequence waits out,
-/// so that wait resolves both.
-const XSHARD_TIMEOUT: SimDuration = SimDuration::from_millis(50);
 /// Virtual time between two transfer-mix ops.
 const OP_TICK: SimDuration = SimDuration::from_millis(1);
 /// The shard the item mix and the fault plan act on.
@@ -268,8 +264,7 @@ impl ChaosEngine {
         }
         let mut builder = FederatedCluster::builder(config.shards, config.nodes, chaos_app())
             .seed(config.seed)
-            .policy(RoutingPolicy::RouteAnyway)
-            .xshard_timeout(XSHARD_TIMEOUT);
+            .policy(RoutingPolicy::RouteAnyway);
         if config.detector {
             // The membership seed is the federation's, plus the shard.
             builder = builder.configure(|c| {
@@ -402,7 +397,7 @@ impl ChaosEngine {
 
     /// The post-fault invariant sweep: the running-cluster checks on
     /// every shard, request accounting when the plane carries the
-    /// workload, and the cross-shard invariants.
+    /// workload, and the cross-shard invariants in the transfer mix.
     fn check_invariants(&mut self) {
         for s in shard_ids(&self.fed) {
             self.violations
@@ -414,11 +409,19 @@ impl ChaosEngine {
                 self.fed.shard(SHARD0),
             ));
         }
-        self.violations.extend(InvariantChecker::check_federation(
-            &self.fed,
-            &self.accounts,
-            INITIAL_BALANCE * self.accounts.len() as i64,
-        ));
+        self.check_federation();
+    }
+
+    /// The cross-shard invariants, in the transfer mix (the item mix
+    /// holds single-shard locks between ops).
+    fn check_federation(&mut self) {
+        if self.transfers() {
+            self.violations.extend(InvariantChecker::check_federation(
+                &self.fed,
+                &self.accounts,
+                INITIAL_BALANCE * self.accounts.len() as i64,
+            ));
+        }
     }
 
     fn seed_objects(&mut self) -> Result<()> {
@@ -729,11 +732,7 @@ impl ChaosEngine {
             self.violations
                 .extend(InvariantChecker::check_converged(self.fed.shard(s)));
         }
-        self.violations.extend(InvariantChecker::check_federation(
-            &self.fed,
-            &self.accounts,
-            INITIAL_BALANCE * self.accounts.len() as i64,
-        ));
+        self.check_federation();
     }
 }
 

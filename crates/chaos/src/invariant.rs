@@ -6,7 +6,7 @@
 
 use crate::engine::account_balance;
 use dedisys_core::{Cluster, RequestPlane};
-use dedisys_federation::FederatedCluster;
+use dedisys_federation::{FederatedCluster, ShardId};
 use dedisys_types::{ObjectId, SystemMode};
 
 /// One violated invariant, with a human-readable detail string.
@@ -117,7 +117,7 @@ impl InvariantChecker {
                 ),
             });
         }
-        let bound = cluster.config().plane.queue_capacity;
+        let bound = dedisys_core::plane::QUEUE_CAPACITY;
         for node in cluster.topology().nodes() {
             let depth = plane.queue_depth(node);
             if depth > bound {
@@ -130,12 +130,16 @@ impl InvariantChecker {
         out
     }
 
-    /// The cross-shard invariants of a federation, complementing the
+    /// The cross-shard invariants of a federation that runs only
+    /// cross-shard transactions between two checks, complementing the
     /// per-shard checks: the committed balances of `accounts` sum to
     /// `expected_total` (value conservation — a transfer that commits
     /// its debit but loses its credit breaks the sum at once), every
     /// begun cross-shard transaction is committed, aborted or still
-    /// open, and no participant of a resolved one still holds a lock.
+    /// open, and every lock on every shard is held by a participant of
+    /// an open cross-shard transaction or by one its shard keeps in
+    /// doubt. The last reads open state only, so it costs the same
+    /// however many transactions have finished.
     pub fn check_federation(
         fed: &FederatedCluster,
         accounts: &[ObjectId],
@@ -171,16 +175,14 @@ impl InvariantChecker {
             });
         }
 
-        for (xtx, outcome) in fed.xshard_outcomes() {
-            for (shard, tx) in &outcome.participants {
-                let cluster = fed.shard(*shard);
-                let shard_in_doubt = cluster.in_doubt_txs().any(|(t, _)| t == *tx);
-                if !shard_in_doubt && cluster.held_locks().iter().any(|(_, t)| t == tx) {
+        for shard in (0..fed.shard_count()).map(ShardId) {
+            let cluster = fed.shard(shard);
+            for (object, tx) in cluster.held_locks() {
+                let in_doubt = cluster.in_doubt_txs().any(|(t, _)| t == tx);
+                if !in_doubt && !fed.is_open_participant(shard, tx) {
                     out.push(InvariantViolation {
                         invariant: "xshard_no_orphaned_locks",
-                        detail: format!(
-                            "resolved xtx {xtx}: participant {tx} on {shard} holds a lock"
-                        ),
+                        detail: format!("{tx} on {shard} holds {object} outside any open xtx"),
                     });
                 }
             }
@@ -280,5 +282,58 @@ impl InvariantChecker {
             }
         }
         out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::{chaos_app, fund_accounts, prepare_transfer};
+    use dedisys_federation::XSHARD_TIMEOUT;
+    use dedisys_types::Value;
+
+    /// The `xshard_no_orphaned_locks` violations of `fed`.
+    fn orphaned(fed: &FederatedCluster, accounts: &[ObjectId]) -> Vec<InvariantViolation> {
+        InvariantChecker::check_federation(fed, accounts, 100 * accounts.len() as i64)
+            .into_iter()
+            .filter(|v| v.invariant == "xshard_no_orphaned_locks")
+            .collect()
+    }
+
+    /// A lock is accounted for while its cross-shard transaction is
+    /// open, in doubt included; a shard transaction that holds one
+    /// outside any open cross-shard transaction is flagged — what a
+    /// participant left behind by a finished one looks like.
+    #[test]
+    fn a_lock_outside_every_open_cross_shard_transaction_is_flagged() {
+        let mut fed = FederatedCluster::builder(2, 3, chaos_app())
+            .build()
+            .unwrap();
+        let accounts: Vec<ObjectId> = (0..12)
+            .map(|i| ObjectId::new("Account", format!("acct-{i}")))
+            .collect();
+        fund_accounts(&mut fed, &accounts, 100).unwrap();
+        let from = &accounts[0];
+        let to = accounts
+            .iter()
+            .find(|id| fed.map().shard_of(id) != fed.map().shard_of(from))
+            .expect("both shards own an account");
+
+        let xtx = prepare_transfer(&mut fed, from, to, 1).unwrap();
+        assert!(orphaned(&fed, &accounts).is_empty(), "prepared");
+        fed.crash_coordinator(xtx).unwrap();
+        assert!(orphaned(&fed, &accounts).is_empty(), "in doubt");
+        fed.clock().advance(XSHARD_TIMEOUT);
+        assert_eq!(fed.resolve_xshard_in_doubt(), 1);
+        assert!(orphaned(&fed, &accounts).is_empty(), "presumed abort");
+
+        let shard = fed.map().shard_of(from);
+        let node = fed.coordinator_node(shard).unwrap();
+        let mut session = fed.shard_mut(shard).session(node);
+        session.set_field(from, "v", Value::Int(100)).unwrap();
+        let stray = session.detach();
+        let found = orphaned(&fed, &accounts);
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert!(found[0].detail.starts_with(&format!("{stray} on {shard}")));
     }
 }

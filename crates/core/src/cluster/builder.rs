@@ -11,9 +11,7 @@ use crate::CostModel;
 use dedisys_constraints::{
     ConstraintEngine, ConstraintRepository, LookupMode, RegisteredConstraint,
 };
-use dedisys_gms::{
-    MembershipConfig as GmsMembershipConfig, MembershipSim, NodeWeights, ViewTracker,
-};
+use dedisys_gms::{MembershipSim, NodeWeights, ViewTracker};
 use dedisys_net::{SimClock, Topology};
 use dedisys_object::{AppDescriptor, EntityContainer, InterceptorChain, MethodTable};
 use dedisys_replication::{ProtocolKind, ReplicationManager};
@@ -83,7 +81,7 @@ impl ClusterBuilder {
     /// # use dedisys_object::AppDescriptor;
     /// let mut builder = ClusterBuilder::new(3, AppDescriptor::new("app"));
     /// builder.config().validation.verdict_cache = true;
-    /// builder.config().plane.queue_capacity = 8;
+    /// builder.config().plane.burst = 8;
     /// let cluster = builder.build()?;
     /// # Ok::<(), dedisys_types::Error>(())
     /// ```
@@ -237,14 +235,9 @@ impl ClusterBuilder {
         let membership = config.membership.detector_enabled.then(|| {
             MembershipSim::new(
                 self.nodes,
-                GmsMembershipConfig {
-                    kind: config.membership.detector,
-                    detector: config.membership.detector_config,
-                    adaptive: config.membership.adaptive,
-                    stabilizer: config.membership.stabilizer,
-                    seed: config.membership.seed,
-                    ..GmsMembershipConfig::default()
-                },
+                config.membership.detector,
+                config.membership.stabilizer,
+                config.membership.seed,
                 clock.clone(),
             )
         });

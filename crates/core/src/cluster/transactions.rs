@@ -261,7 +261,7 @@ impl Cluster {
             self.clock.now(),
         );
         self.clock
-            .advance(self.costs.propagation(report.recipients.len()));
+            .advance(self.costs.propagation(report.recipients));
         self.clock
             .advance(self.costs.ship_retry_backoff * report.backoff_units);
     }

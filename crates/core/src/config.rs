@@ -10,8 +10,7 @@
 //! * [`MembershipConfig`] — failure detection and view stabilization,
 //! * [`DurabilityConfig`] — threat history and reconciliation
 //!   strategy,
-//! * [`PlaneConfig`] — the request plane's admission control, queue
-//!   bounds and deadlines.
+//! * [`PlaneConfig`] — the request plane's admission burst.
 //!
 //! Build-time configuration goes through
 //! [`ClusterBuilder::config`](crate::ClusterBuilder::config); runtime
@@ -24,8 +23,8 @@ use crate::ccm::NegotiationTiming;
 use crate::cluster::ReconcileStrategy;
 use crate::threat::HistoryPolicy;
 use dedisys_constraints::ConstraintEngine;
-use dedisys_gms::{AdaptiveConfig, DetectorConfig, DetectorKind, StabilizerConfig};
-use dedisys_types::{PriorityClass, SatisfactionDegree, SimDuration};
+use dedisys_gms::{DetectorKind, StabilizerConfig};
+use dedisys_types::SatisfactionDegree;
 
 /// How constraints are evaluated and negotiated.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -71,12 +70,6 @@ pub struct MembershipConfig {
     /// The failure-detector kind (fixed timeout vs φ-accrual).
     /// Build-time only.
     pub detector: DetectorKind,
-    /// Heartbeat/timeout configuration of the detector. Build-time
-    /// only.
-    pub detector_config: DetectorConfig,
-    /// φ-accrual parameters ([`DetectorKind::Adaptive`]). Build-time
-    /// only.
-    pub adaptive: AdaptiveConfig,
     /// Hysteresis / flap-damping parameters of the view stabilizer.
     /// Build-time only.
     pub stabilizer: StabilizerConfig,
@@ -105,50 +98,20 @@ impl Default for DurabilityConfig {
     }
 }
 
-/// The request plane's admission control, queue bounds and deadlines.
-/// All fields are runtime-reconfigurable; the plane reads the cluster's
-/// live config at every admission and dispatch step.
+/// The request plane's admission burst. Runtime-reconfigurable; the
+/// plane reads the cluster's live config at every admission. The queue
+/// bound, refill rate and per-class deadlines are constants of
+/// [`crate::plane`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlaneConfig {
-    /// Per-node bound on the total queued requests across all
-    /// priority classes. An arrival at the bound displaces queued
-    /// lower-priority work or is rejected.
-    pub queue_capacity: u32,
-    /// Token-bucket refill rate, in admissions per virtual second.
-    pub refill_per_second: u64,
     /// Token-bucket capacity — the largest instantaneous burst a node
     /// admits from a full bucket.
     pub burst: u32,
-    /// Default virtual-time deadline for `Critical` requests submitted
-    /// without one (`None`: no deadline).
-    pub deadline_critical: Option<SimDuration>,
-    /// Default deadline for `Normal` requests.
-    pub deadline_normal: Option<SimDuration>,
-    /// Default deadline for `Background` requests.
-    pub deadline_background: Option<SimDuration>,
-}
-
-impl PlaneConfig {
-    /// The configured default deadline for `class`.
-    pub fn default_deadline(&self, class: PriorityClass) -> Option<SimDuration> {
-        match class {
-            PriorityClass::Critical => self.deadline_critical,
-            PriorityClass::Normal => self.deadline_normal,
-            PriorityClass::Background => self.deadline_background,
-        }
-    }
 }
 
 impl Default for PlaneConfig {
     fn default() -> Self {
-        Self {
-            queue_capacity: 16,
-            refill_per_second: 2_000,
-            burst: 32,
-            deadline_critical: None,
-            deadline_normal: Some(SimDuration::from_millis(250)),
-            deadline_background: Some(SimDuration::from_millis(1_000)),
-        }
+        Self { burst: 32 }
     }
 }
 
@@ -161,7 +124,7 @@ pub struct ClusterConfig {
     pub membership: MembershipConfig,
     /// Threat history and reconciliation.
     pub durability: DurabilityConfig,
-    /// Request-plane admission, queue bounds and deadlines.
+    /// Request-plane admission burst.
     pub plane: PlaneConfig,
 }
 
@@ -170,36 +133,46 @@ impl ClusterConfig {
     /// differ — the payload of the `reconfigure` trace event.
     pub fn diff(&self, other: &ClusterConfig) -> Vec<String> {
         let mut changed = Vec::new();
+        // Every section is destructured without `..`, so a field added
+        // to one does not compile until it is named here.
+        let ClusterConfig {
+            validation,
+            membership,
+            durability,
+            plane,
+        } = self;
         macro_rules! cmp {
-            ($($section:ident . $field:ident),* $(,)?) => {
+            ($($section:ident: $ty:ident { $($field:ident),* $(,)? }),* $(,)?) => {
                 $(
-                    if self.$section.$field != other.$section.$field {
-                        changed.push(concat!(
-                            stringify!($section), ".", stringify!($field)
-                        ).to_string());
-                    }
+                    let $ty { $($field),* } = $section;
+                    $(
+                        if *$field != other.$section.$field {
+                            changed.push(concat!(
+                                stringify!($section), ".", stringify!($field)
+                            ).to_string());
+                        }
+                    )*
                 )*
             };
         }
         cmp!(
-            validation.engine,
-            validation.verdict_cache,
-            validation.negotiation_timing,
-            validation.app_default_min_degree,
-            membership.detector_enabled,
-            membership.detector,
-            membership.detector_config,
-            membership.adaptive,
-            membership.stabilizer,
-            membership.seed,
-            durability.threat_policy,
-            durability.reconcile_strategy,
-            plane.queue_capacity,
-            plane.refill_per_second,
-            plane.burst,
-            plane.deadline_critical,
-            plane.deadline_normal,
-            plane.deadline_background,
+            validation: ValidationConfig {
+                engine,
+                verdict_cache,
+                negotiation_timing,
+                app_default_min_degree,
+            },
+            membership: MembershipConfig {
+                detector_enabled,
+                detector,
+                stabilizer,
+                seed,
+            },
+            durability: DurabilityConfig {
+                threat_policy,
+                reconcile_strategy,
+            },
+            plane: PlaneConfig { burst },
         );
         changed
     }
@@ -246,13 +219,5 @@ mod tests {
     fn identical_configs_have_empty_diff() {
         let a = ClusterConfig::default();
         assert!(a.diff(&a).is_empty());
-    }
-
-    #[test]
-    fn plane_deadlines_index_by_class() {
-        let plane = PlaneConfig::default();
-        assert_eq!(plane.default_deadline(PriorityClass::Critical), None);
-        assert!(plane.default_deadline(PriorityClass::Normal).is_some());
-        assert!(plane.default_deadline(PriorityClass::Background).is_some());
     }
 }

@@ -8,16 +8,17 @@
 //! in between:
 //!
 //! * **Admission control** — one token bucket per node
-//!   ([`PlaneConfig::refill_per_second`] / [`PlaneConfig::burst`]),
-//!   refilled on the *virtual* clock. An empty bucket refuses the
-//!   request at admission with [`Error::Overloaded`].
-//! * **Priority queues** — per node, one bounded FIFO per
-//!   [`PriorityClass`]. An arrival at the per-node bound displaces the
-//!   newest queued strictly-lower-priority request (shed with cause
-//!   `displaced`) or is rejected.
+//!   ([`REFILL_PER_SECOND`] / [`PlaneConfig::burst`]), refilled on the
+//!   *virtual* clock. An empty bucket refuses the request at admission
+//!   with [`Error::Overloaded`].
+//! * **Priority queues** — per node, one FIFO per [`PriorityClass`],
+//!   [`QUEUE_CAPACITY`] requests in all. An arrival at the bound
+//!   displaces the newest queued strictly-lower-priority request (shed
+//!   with cause `displaced`) or is rejected.
 //! * **Deadline shedding** — expired work is dropped *before*
 //!   execution, never after paying for it
-//!   (`request_deadline_missed`).
+//!   (`request_deadline_missed`); a request's deadline is its class's
+//!   [`DEFAULT_DEADLINE`] unless it was submitted with its own.
 //! * **Mode-coupled backpressure** — while the system is not healthy
 //!   (degraded or reconciling), queued `Background` work is shed before
 //!   anything is dispatched. This is the plane's one mode rule: the
@@ -45,6 +46,23 @@ use std::collections::{BTreeMap, VecDeque};
 /// A queued unit of work: the closure receives an owned [`Session`] on
 /// the request's node and drives commit/rollback itself.
 pub type RequestWork = Box<dyn for<'a> FnOnce(Session<'a>) -> Result<()>>;
+
+/// Per-node bound on the total queued requests across all priority
+/// classes. An arrival at the bound displaces queued lower-priority
+/// work or is rejected.
+pub const QUEUE_CAPACITY: u32 = 16;
+
+/// Token-bucket refill rate, in admissions per virtual second.
+pub const REFILL_PER_SECOND: u64 = 2_000;
+
+/// The relative deadline of a request submitted without one, indexed by
+/// [`PriorityClass::rank`]: none for `Critical`, 250 ms for `Normal`,
+/// 1 s for `Background`.
+pub const DEFAULT_DEADLINE: [Option<SimDuration>; 3] = [
+    None,
+    Some(SimDuration::from_millis(250)),
+    Some(SimDuration::from_millis(1_000)),
+];
 
 /// Token-bucket scaling: one token = `SCALE` bucket units, so refill
 /// arithmetic stays in integers (floats would break determinism).
@@ -81,9 +99,9 @@ impl NodeQueues {
     fn refill(&mut self, config: &PlaneConfig, now: SimTime) {
         let elapsed = now.since(self.last_refill).as_nanos();
         self.last_refill = now;
-        // `refill_per_second` tokens over 1e9 ns, in `SCALE` (= 1e9)
+        // `REFILL_PER_SECOND` tokens over 1e9 ns, in `SCALE` (= 1e9)
         // units per token: the factors cancel to ns × tokens/s.
-        let earned = u128::from(elapsed) * u128::from(config.refill_per_second);
+        let earned = u128::from(elapsed) * u128::from(REFILL_PER_SECOND);
         let cap = u128::from(config.burst) * u128::from(SCALE);
         self.bucket = (u128::from(self.bucket) + earned).min(cap) as u64;
     }
@@ -237,8 +255,8 @@ impl RequestPlane {
         self.stats.conserves(self.queued_total())
     }
 
-    /// Submits `work` on `node` under `class` with the class's default
-    /// deadline ([`PlaneConfig::default_deadline`]).
+    /// Submits `work` on `node` under `class` with the class's
+    /// [`DEFAULT_DEADLINE`].
     ///
     /// # Errors
     ///
@@ -252,8 +270,7 @@ impl RequestPlane {
         class: PriorityClass,
         work: impl for<'a> FnOnce(Session<'a>) -> Result<()> + 'static,
     ) -> Result<u64> {
-        let deadline = cluster.config().plane.default_deadline(class);
-        self.submit_with_deadline(cluster, node, class, deadline, work)
+        self.submit_with_deadline(cluster, node, class, DEFAULT_DEADLINE[class.rank()], work)
     }
 
     /// Submits `work` with an explicit relative deadline (`None`: no
@@ -287,7 +304,7 @@ impl RequestPlane {
             return Err(Error::Overloaded { node, depth });
         }
 
-        if entry.depth() >= config.queue_capacity {
+        if entry.depth() >= QUEUE_CAPACITY {
             // Displace the newest queued request of the lowest class
             // strictly below the arrival — or reject.
             let victim_rank = (class.rank() + 1..PriorityClass::ALL.len())

@@ -11,6 +11,7 @@
 use dedisys_constraints::{
     expr::ExprConstraint, ConstraintKind, ConstraintMeta, ContextPreparation, RegisteredConstraint,
 };
+use dedisys_core::plane::{DEFAULT_DEADLINE, QUEUE_CAPACITY};
 use dedisys_core::{nodes, ClusterBuilder, DeferAll, HighestVersionWins, RequestPlane};
 use dedisys_object::{AppDescriptor, ClassDescriptor, EntityState};
 use dedisys_types::{
@@ -78,10 +79,7 @@ fn no_registry_counter_repeats_a_typed_one() {
         .constraint(invariant("setN", tradeable))
         .constraint(invariant("setMax", strict))
         .constraint(invariant("setNote", lazy))
-        .configure(|c| {
-            c.plane.queue_capacity = 2;
-            c.plane.burst = 16;
-        })
+        .configure(|c| c.plane.burst = QUEUE_CAPACITY + 2)
         .build()
         .unwrap();
     let node = NodeId(0);
@@ -116,7 +114,7 @@ fn no_registry_counter_repeats_a_typed_one() {
             session.commit()
         }
     };
-    for value in [2, 3] {
+    for value in (2..).take(QUEUE_CAPACITY as usize) {
         plane
             .submit(&mut cluster, node, PriorityClass::Normal, write(value))
             .unwrap();
@@ -124,11 +122,13 @@ fn no_registry_counter_repeats_a_typed_one() {
     let full = plane.submit(&mut cluster, node, PriorityClass::Background, write(4));
     assert!(matches!(full, Err(Error::Overloaded { .. })));
     plane.run_until_idle(&mut cluster);
-    let soon = Some(SimDuration::from_millis(1));
     plane
-        .submit_with_deadline(&mut cluster, node, PriorityClass::Critical, soon, write(5))
+        .submit(&mut cluster, node, PriorityClass::Normal, write(5))
         .unwrap();
-    cluster.clock().advance(SimDuration::from_millis(5));
+    let normal = DEFAULT_DEADLINE[PriorityClass::Normal.rank()].expect("Normal has a deadline");
+    cluster
+        .clock()
+        .advance(normal + SimDuration::from_millis(1));
     plane.run_until_idle(&mut cluster);
 
     // Degraded: background work queued before the split is shed; one

@@ -57,20 +57,14 @@ pub struct FederationStats {
     pub xshard_presumed_aborted: u64,
 }
 
-/// The recorded fate of one finished cross-shard transaction — the
-/// all-or-nothing evidence the chaos invariant checker audits.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct XShardOutcome {
-    /// Whether every participant committed (`false`: every participant
-    /// rolled back or is resolving to rollback via shard-level
-    /// presumed abort).
-    pub committed: bool,
-    /// Whether the abort came from federation-level presumed-abort
-    /// recovery after a coordinator crash.
-    pub presumed_abort: bool,
-    /// The per-shard participant transactions.
-    pub participants: Vec<(ShardId, TxId)>,
-}
+/// Virtual nodes per shard on the consistent-hash ring.
+const VNODES: u32 = 32;
+
+/// Presumed-abort deadline of a cross-shard transaction whose
+/// federation coordinator crashed — shorter than the default cost
+/// model's shard-level `in_doubt_timeout` (250 ms), so waiting that out
+/// resolves both.
+pub const XSHARD_TIMEOUT: SimDuration = SimDuration::from_millis(50);
 
 /// What [`FederatedCluster::rebalance`] did.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -96,10 +90,10 @@ enum XState {
 #[derive(Debug)]
 struct OpenXTx {
     state: XState,
-    /// The participant transactions in shard order, as the outcome
-    /// keeps them. (Each shard numbers its own transactions, so a `TxId`
-    /// identifies a participant only together with its shard.) A
-    /// participant runs on the node it began on, `tx.node`.
+    /// The participant transactions in shard order. (Each shard numbers
+    /// its own transactions, so a `TxId` identifies a participant only
+    /// together with its shard.) A participant runs on the node it
+    /// began on, `tx.node`.
     participants: Vec<(ShardId, TxId)>,
 }
 
@@ -128,21 +122,12 @@ pub struct FederationBuilder {
     shards: u32,
     nodes_per_shard: u32,
     app: AppDescriptor,
-    vnodes: u32,
     seed: u64,
     policy: RoutingPolicy,
-    xshard_timeout: SimDuration,
     configure: Option<ConfigureHook>,
 }
 
 impl FederationBuilder {
-    /// Virtual nodes per shard on the consistent-hash ring
-    /// (default: 32).
-    pub fn vnodes(mut self, vnodes: u32) -> Self {
-        self.vnodes = vnodes;
-        self
-    }
-
     /// Seeds the ring hash (default: 0). Same seed ⇒ identical
     /// placement.
     pub fn seed(mut self, seed: u64) -> Self {
@@ -154,13 +139,6 @@ impl FederationBuilder {
     /// [`RoutingPolicy::RouteAnyway`]).
     pub fn policy(mut self, policy: RoutingPolicy) -> Self {
         self.policy = policy;
-        self
-    }
-
-    /// Presumed-abort deadline for cross-shard transactions whose
-    /// federation coordinator crashed (default: 50 virtual ms).
-    pub fn xshard_timeout(mut self, timeout: SimDuration) -> Self {
-        self.xshard_timeout = timeout;
         self
     }
 
@@ -179,7 +157,7 @@ impl FederationBuilder {
     /// Returns [`Error::Config`] for zero shards/nodes or an invalid
     /// shard config.
     pub fn build(self) -> Result<FederatedCluster> {
-        let map = ShardMap::new(self.shards, self.vnodes, self.seed)?;
+        let map = ShardMap::new(self.shards, VNODES, self.seed)?;
         let clock = SimClock::new();
         let telemetry = Telemetry::new(clock.clone());
         let mut shards = Vec::with_capacity(self.shards as usize);
@@ -209,9 +187,7 @@ impl FederationBuilder {
             next_xtx: 0,
             open_x: BTreeMap::new(),
             spare_participants: Vec::new(),
-            resolved_x: BTreeMap::new(),
             stats: FederationStats::default(),
-            xshard_timeout: self.xshard_timeout,
         })
     }
 }
@@ -231,9 +207,7 @@ pub struct FederatedCluster {
     /// The participant list of the last finished xtx, emptied: the
     /// next one stages into it instead of allocating its own.
     spare_participants: Vec<(ShardId, TxId)>,
-    resolved_x: BTreeMap<u64, XShardOutcome>,
     stats: FederationStats,
-    xshard_timeout: SimDuration,
 }
 
 impl std::fmt::Debug for FederatedCluster {
@@ -254,10 +228,8 @@ impl FederatedCluster {
             shards,
             nodes_per_shard,
             app,
-            vnodes: 32,
             seed: 0,
             policy: RoutingPolicy::default(),
-            xshard_timeout: SimDuration::from_millis(50),
             configure: None,
         }
     }
@@ -313,16 +285,18 @@ impl FederatedCluster {
         &self.stats
     }
 
-    /// Outcomes of finished cross-shard transactions, by federation
-    /// transaction id.
-    pub fn xshard_outcomes(&self) -> &BTreeMap<u64, XShardOutcome> {
-        &self.resolved_x
-    }
-
     /// Cross-shard transactions still open (staging or prepared,
     /// including in-doubt ones).
     pub fn open_xshard_count(&self) -> usize {
         self.open_x.len()
+    }
+
+    /// Whether `tx` on `shard` is a participant of a cross-shard
+    /// transaction still open (staging, prepared or in doubt).
+    pub fn is_open_participant(&self, shard: ShardId, tx: TxId) -> bool {
+        self.open_x
+            .values()
+            .any(|x| x.participants.binary_search(&(shard, tx)).is_ok())
     }
 
     /// Cross-shard transactions waiting on the federation-level
@@ -618,7 +592,7 @@ impl FederatedCluster {
     ///
     /// `xtx` is not in the prepared state.
     pub fn crash_coordinator(&mut self, xtx: u64) -> Result<()> {
-        let deadline = self.clock.now() + self.xshard_timeout;
+        let deadline = self.clock.now() + XSHARD_TIMEOUT;
         let x = self
             .open_x
             .get_mut(&xtx)
@@ -656,12 +630,10 @@ impl FederatedCluster {
         resolved
     }
 
-    /// Moves `xtx` from the open transactions to the outcomes. The
-    /// outcome is kept for good (ROADMAP 4(b)), so it gets its own copy
-    /// of the participant list, of its size and made now: the staging
-    /// list goes back to be reused. (Moving that list in instead, grown
-    /// to a capacity of four and allocated amid a transaction's
-    /// short-lived blocks, raised `xshard_transfer`'s peak RSS by 7 %.)
+    /// Counts `xtx`'s outcome, reports it on the bus and forgets it.
+    /// Under presumed abort no participant asks the coordinator for an
+    /// outcome afterwards, so none is kept; the staging list goes back
+    /// whole, emptied, for the next transaction to stage into.
     fn finish_xshard(&mut self, xtx: u64, committed: bool, presumed_abort: bool) {
         let Some(OpenXTx {
             participants: mut staged,
@@ -670,7 +642,6 @@ impl FederatedCluster {
         else {
             return;
         };
-        let participants = staged.clone();
         staged.clear();
         self.spare_participants = staged;
         if committed {
@@ -681,14 +652,6 @@ impl FederatedCluster {
                 self.stats.xshard_presumed_aborted += 1;
             }
         }
-        self.resolved_x.insert(
-            xtx,
-            XShardOutcome {
-                committed,
-                presumed_abort,
-                participants,
-            },
-        );
         self.telemetry.emit(move || TraceEvent::XShardResolved {
             xtx,
             committed,

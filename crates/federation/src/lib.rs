@@ -19,8 +19,9 @@
 //!   shards (`xshard_begin` → stage → `xshard_prepare` →
 //!   `xshard_commit`), with coordinator-crash recovery
 //!   ([`FederatedCluster::crash_coordinator`] +
-//!   [`FederatedCluster::resolve_xshard_in_doubt`]) and an
-//!   all-or-nothing outcome record per transaction.
+//!   [`FederatedCluster::resolve_xshard_in_doubt`]) under presumed
+//!   abort: a finished transaction leaves its `xshard_resolved` event
+//!   and its count in [`FederationStats`], nothing else.
 //! * Mode-aware routing — every shard keeps its own [`SystemMode`],
 //!   and the [`RoutingPolicy`] (`RejectDegraded` / `RouteAnyway`) reads
 //!   the target shard's at routing time, ahead of that shard's
@@ -38,7 +39,7 @@ mod shard_map;
 
 pub use federated::{
     FederatedCluster, FederationBuilder, FederationStats, MigrationReport, RoutingPolicy,
-    XShardOutcome,
+    XSHARD_TIMEOUT,
 };
 pub use shard_map::{MigrationStep, RebalancePlan, ShardId, ShardMap};
 

@@ -60,8 +60,8 @@ fn allocations(f: impl FnOnce()) -> u64 {
 
 /// What most of `rounds` runs of `op` allocate, and none allocates
 /// less: the operation's own allocations. The amortized growth of the
-/// tables that keep its results (journals, the outcome map) lands on a
-/// run now and then.
+/// tables that keep its results (the journals) lands on a run now and
+/// then.
 fn per_op(rounds: usize, mut op: impl FnMut(usize)) -> u64 {
     let mut counts = vec![0; rounds];
     for (round, count) in counts.iter_mut().enumerate() {
@@ -156,34 +156,28 @@ fn a_write_allocates_only_what_it_keeps() {
     //  - the set of objects the `Floor` check read
     //    (`ValidationVerdict.accessed`).
     const STAGED: u64 = 5;
-    // Committing it adds 5, all kept by the replicas or returned:
-    //  - the snapshot: the record `String` (allocated, then grown once
-    //    by the `perf/shims` encoder), that record as the `Arc<str>`
-    //    every journal shares, and the `Arc` of the state;
-    //  - the `PropagationReport.recipients` the ship returns.
-    const COMMITTED: u64 = STAGED + 5;
+    // Committing it adds 4, all kept by the replicas: the snapshot —
+    // the record `String` (allocated, then grown once by the
+    // `perf/shims` encoder), that record as the `Arc<str>` every
+    // journal shares, and the `Arc` of the state. The ship returns a
+    // count, not a list.
+    const COMMITTED: u64 = STAGED + 4;
 
     // (a) One routed `set_field` + commit, plus the plane's boxed
     // request.
     let routed = per_op(ROUNDS, |round| write(&mut fed, &a, 100 + round as i64));
     assert_eq!(routed, 1 + COMMITTED, "one routed write");
 
-    // The federation keeps each outcome, with its own copy of the
-    // participant list (`XShardOutcome.participants`); staging reuses
-    // the list of the transaction before. Prepare, commit and abort
-    // allocate nothing else.
-    const PARTICIPANTS: u64 = 1;
+    // The federation keeps no outcome, and staging reuses the
+    // participant list of the transaction before: begin, prepare,
+    // commit and abort allocate nothing of their own.
 
     // (b) One cross-shard transfer — begin, stage ×2, prepare, commit.
     let committed = per_op(ROUNDS, |round| {
         let xtx = stage(&mut fed, &a, &b, round);
         fed.xshard_commit(xtx).unwrap();
     });
-    assert_eq!(
-        committed,
-        2 * COMMITTED + PARTICIPANTS,
-        "one committed transfer"
-    );
+    assert_eq!(committed, 2 * COMMITTED, "one committed transfer");
 
     // (c) The same transfer aborted after prepare: the staged writes
     // are dropped, so neither snapshot nor ship is paid.
@@ -191,7 +185,7 @@ fn a_write_allocates_only_what_it_keeps() {
         let xtx = stage(&mut fed, &a, &b, round);
         fed.xshard_abort(xtx).unwrap();
     });
-    assert_eq!(aborted, 2 * STAGED + PARTICIPANTS, "one aborted transfer");
+    assert_eq!(aborted, 2 * STAGED, "one aborted transfer");
 
     assert_eq!(fed.stats().xshard_committed, 2 * ROUNDS as u64);
     assert_eq!(fed.stats().xshard_aborted, 2 * ROUNDS as u64);

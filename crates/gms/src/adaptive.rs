@@ -21,7 +21,8 @@
 //! All state is integer, so two runs with the same schedule produce
 //! bit-identical suspicion sequences.
 
-use dedisys_types::{SimDuration, SimTime};
+use crate::detector::SUSPECT_TIMEOUT;
+use dedisys_types::SimTime;
 use std::collections::VecDeque;
 
 /// `1000 · log10(e)` — the fixed-point scale factor turning
@@ -36,33 +37,20 @@ pub enum DetectorKind {
     #[default]
     FixedTimeout,
     /// φ-accrual adaptive detector: suspect when the fixed-point
-    /// suspicion level crosses [`AdaptiveConfig::phi_threshold_milli`].
+    /// suspicion level crosses [`PHI_THRESHOLD_MILLI`].
     Adaptive,
 }
 
-/// Tuning of the adaptive detector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AdaptiveConfig {
-    /// Sliding-window capacity of inter-arrival samples per peer.
-    pub window: usize,
-    /// Below this many samples the detector falls back to the fixed
-    /// timeout (a cold window has no meaningful mean).
-    pub min_samples: usize,
-    /// Suspicion threshold as `φ · 1000`. The default 1300 suspects
-    /// after a silence of ≈ 3 mean inter-arrival periods
-    /// (`Δ = 1300 · mean / 434 ≈ 3.0 · mean`).
-    pub phi_threshold_milli: u64,
-}
+/// Sliding-window capacity of inter-arrival samples per peer.
+pub const ACCRUAL_WINDOW: usize = 16;
 
-impl Default for AdaptiveConfig {
-    fn default() -> Self {
-        Self {
-            window: 16,
-            min_samples: 4,
-            phi_threshold_milli: 1300,
-        }
-    }
-}
+/// Below this many samples the detector falls back to the fixed
+/// timeout (a cold window has no meaningful mean).
+pub const ACCRUAL_MIN_SAMPLES: usize = 4;
+
+/// Suspicion threshold as `φ · 1000`: 1300 suspects after a silence of
+/// ≈ 3 mean inter-arrival periods (`Δ = 1300 · mean / 434 ≈ 3.0 · mean`).
+pub const PHI_THRESHOLD_MILLI: u64 = 1300;
 
 /// Per-peer accrual state: the inter-arrival window and its running
 /// sum (so the mean is O(1) to read).
@@ -80,10 +68,10 @@ impl AdaptiveDetector {
     }
 
     /// Records a heartbeat arrival at `at`, folding the inter-arrival
-    /// time into the window (capacity `window`). Out-of-order arrivals
-    /// (jitter can reorder deliveries) are ignored for interval
+    /// time into the window (capacity [`ACCRUAL_WINDOW`]). Out-of-order
+    /// arrivals (jitter can reorder deliveries) are ignored for interval
     /// purposes but still refresh the last-arrival mark when newer.
-    pub fn record_arrival(&mut self, at: SimTime, window: usize) {
+    pub fn record_arrival(&mut self, at: SimTime) {
         if let Some(last) = self.last_arrival {
             if at <= last {
                 return;
@@ -91,7 +79,7 @@ impl AdaptiveDetector {
             let interval = at.since(last).as_nanos();
             self.samples.push_back(interval);
             self.sum_ns += interval;
-            while self.samples.len() > window.max(1) {
+            while self.samples.len() > ACCRUAL_WINDOW {
                 self.sum_ns -= self.samples.pop_front().expect("non-empty");
             }
         }
@@ -131,23 +119,19 @@ impl AdaptiveDetector {
     }
 
     /// Suspicion decision at `now`: accrual once the window is warm
-    /// (`min_samples`), fixed `fallback_timeout` silence before that.
-    pub fn is_suspect(
-        &self,
-        now: SimTime,
-        config: &AdaptiveConfig,
-        fallback_timeout: SimDuration,
-    ) -> bool {
+    /// ([`ACCRUAL_MIN_SAMPLES`]), the fixed detector's
+    /// [`SUSPECT_TIMEOUT`] of silence before that.
+    pub fn is_suspect(&self, now: SimTime) -> bool {
         let Some(last) = self.last_arrival else {
             return false;
         };
         if now <= last {
             return false;
         }
-        if self.samples.len() < config.min_samples {
-            return now.since(last) >= fallback_timeout;
+        if self.samples.len() < ACCRUAL_MIN_SAMPLES {
+            return now.since(last) >= SUSPECT_TIMEOUT;
         }
-        self.phi_milli(now).unwrap_or(0) >= config.phi_threshold_milli
+        self.phi_milli(now).unwrap_or(0) >= PHI_THRESHOLD_MILLI
     }
 
     /// Resets the arrival mark to `at` without touching the learned
@@ -170,14 +154,14 @@ mod tests {
     fn phi_grows_with_silence() {
         let mut d = AdaptiveDetector::new();
         for i in 0..10 {
-            d.record_arrival(t(i * 100), 16);
+            d.record_arrival(t(i * 100));
         }
         assert_eq!(d.mean_interval_ns(), Some(100_000_000));
         // Silence of one mean interval ⇒ φ ≈ 0.434.
         assert_eq!(d.phi_milli(t(1000)), Some(434));
         // Three mean intervals ⇒ φ ≈ 1.3 (the default threshold).
         assert_eq!(d.phi_milli(t(1200)), Some(434 * 3));
-        assert!(d.phi_milli(t(1200)).unwrap() >= AdaptiveConfig::default().phi_threshold_milli);
+        assert!(d.phi_milli(t(1200)).unwrap() >= PHI_THRESHOLD_MILLI);
     }
 
     #[test]
@@ -186,52 +170,45 @@ mod tests {
         // 350 ms timeout flags it during normal operation; the accrual
         // detector has learned the rhythm and stays calm until ≈ 3
         // intervals of true silence.
-        let cfg = AdaptiveConfig::default();
-        let fixed = SimDuration::from_millis(350);
         let mut d = AdaptiveDetector::new();
         for i in 0..10 {
-            d.record_arrival(t(i * 300), 16);
+            d.record_arrival(t(i * 300));
         }
         let now = t(9 * 300 + 400); // 400 ms of silence
         assert!(
-            now.since(d.last_arrival().unwrap()) >= fixed,
+            now.since(d.last_arrival().unwrap()) >= SUSPECT_TIMEOUT,
             "fixed would fire"
         );
-        assert!(!d.is_suspect(now, &cfg, fixed), "accrual holds");
+        assert!(!d.is_suspect(now), "accrual holds");
         let much_later = t(9 * 300 + 1000);
-        assert!(d.is_suspect(much_later, &cfg, fixed));
+        assert!(d.is_suspect(much_later));
     }
 
     #[test]
     fn cold_window_falls_back_to_fixed_timeout() {
-        let cfg = AdaptiveConfig::default();
         let mut d = AdaptiveDetector::new();
-        d.record_arrival(t(0), 16);
-        d.record_arrival(t(100), 16); // 1 sample < min_samples
-        assert!(!d.is_suspect(t(200), &cfg, SimDuration::from_millis(350)));
-        assert!(d.is_suspect(t(500), &cfg, SimDuration::from_millis(350)));
+        d.record_arrival(t(0));
+        d.record_arrival(t(100)); // 1 sample < ACCRUAL_MIN_SAMPLES
+        assert!(!d.is_suspect(t(200)));
+        assert!(d.is_suspect(t(500)));
     }
 
     #[test]
     fn window_is_bounded_and_out_of_order_ignored() {
         let mut d = AdaptiveDetector::new();
         for i in 0..100 {
-            d.record_arrival(t(i * 10), 8);
+            d.record_arrival(t(i * 10));
         }
-        assert_eq!(d.samples(), 8);
+        assert_eq!(d.samples(), ACCRUAL_WINDOW);
         let before = d.samples();
-        d.record_arrival(t(5), 8); // stale
+        d.record_arrival(t(5)); // stale
         assert_eq!(d.samples(), before);
     }
 
     #[test]
     fn no_arrivals_means_no_suspicion() {
         let d = AdaptiveDetector::new();
-        assert!(!d.is_suspect(
-            t(10_000),
-            &AdaptiveConfig::default(),
-            SimDuration::from_millis(1)
-        ));
+        assert!(!d.is_suspect(t(10_000)));
         assert_eq!(d.phi_milli(t(10_000)), None);
     }
 }

@@ -8,20 +8,9 @@
 
 use dedisys_types::SimDuration;
 
-/// Configuration of the heartbeat detector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DetectorConfig {
-    /// Interval between heartbeats.
-    pub heartbeat_interval: SimDuration,
-    /// Silence after which a peer is suspected.
-    pub suspect_timeout: SimDuration,
-}
+/// Interval between heartbeats.
+pub const HEARTBEAT_INTERVAL: SimDuration = SimDuration::from_millis(100);
 
-impl Default for DetectorConfig {
-    fn default() -> Self {
-        Self {
-            heartbeat_interval: SimDuration::from_millis(100),
-            suspect_timeout: SimDuration::from_millis(350),
-        }
-    }
-}
+/// Silence after which a peer is suspected (the adaptive detector's
+/// fallback while its window is cold).
+pub const SUSPECT_TIMEOUT: SimDuration = SimDuration::from_millis(350);

@@ -12,8 +12,8 @@
 //!   [`ViewChange`]s (who joined, who left) from topology epochs.
 //! * [`NodeWeights`] / partition weight — Gifford-style weighted nodes
 //!   (§5.5.2) enabling *partition-sensitive* integrity constraints.
-//! * [`DetectorConfig`] — heartbeat interval and suspicion timeout of
-//!   the fixed-timeout detector.
+//! * [`HEARTBEAT_INTERVAL`] / [`SUSPECT_TIMEOUT`] — the timing of the
+//!   fixed-timeout detector.
 //! * [`AdaptiveDetector`] / [`DetectorKind`] — a φ-accrual-style
 //!   adaptive detector (integer fixed-point, virtual-clock only) that
 //!   learns each link's heartbeat rhythm instead of using one global
@@ -50,9 +50,11 @@ mod stabilizer;
 mod view;
 mod weight;
 
-pub use adaptive::{AdaptiveConfig, AdaptiveDetector, DetectorKind};
-pub use detector::DetectorConfig;
-pub use membership::{LinkFault, MembershipConfig, MembershipEvent, MembershipSim};
+pub use adaptive::{
+    AdaptiveDetector, DetectorKind, ACCRUAL_MIN_SAMPLES, ACCRUAL_WINDOW, PHI_THRESHOLD_MILLI,
+};
+pub use detector::{HEARTBEAT_INTERVAL, SUSPECT_TIMEOUT};
+pub use membership::{LinkFault, MembershipEvent, MembershipSim};
 pub use stabilizer::{StabilizerConfig, ViewStabilizer};
 pub use view::{View, ViewChange, ViewTracker};
 pub use weight::NodeWeights;

@@ -15,8 +15,8 @@
 //! [`ChaosRng`] stream for loss/jitter draws, so same-seed runs are
 //! bit-identical.
 
-use crate::adaptive::{AdaptiveConfig, AdaptiveDetector, DetectorKind};
-use crate::detector::DetectorConfig;
+use crate::adaptive::{AdaptiveDetector, DetectorKind};
+use crate::detector::{HEARTBEAT_INTERVAL, SUSPECT_TIMEOUT};
 use crate::stabilizer::{StabilizerConfig, ViewStabilizer};
 use dedisys_net::{SimClock, Topology};
 use dedisys_types::{ChaosRng, NodeId, SimDuration, SimTime};
@@ -33,36 +33,8 @@ pub struct LinkFault {
     pub jitter_micros: u64,
 }
 
-/// Full configuration of the membership pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MembershipConfig {
-    /// Which suspicion algorithm runs per link.
-    pub kind: DetectorKind,
-    /// Heartbeat cadence and the fixed (or fallback) timeout.
-    pub detector: DetectorConfig,
-    /// φ-accrual tuning (used when `kind == Adaptive`, and as the
-    /// cold-window fallback policy).
-    pub adaptive: AdaptiveConfig,
-    /// Hysteresis and flap damping between suspicion and views.
-    pub stabilizer: StabilizerConfig,
-    /// Seed of the loss/jitter draw stream.
-    pub seed: u64,
-    /// Base one-way heartbeat latency in microseconds.
-    pub base_latency_micros: u64,
-}
-
-impl Default for MembershipConfig {
-    fn default() -> Self {
-        Self {
-            kind: DetectorKind::FixedTimeout,
-            detector: DetectorConfig::default(),
-            adaptive: AdaptiveConfig::default(),
-            stabilizer: StabilizerConfig::default(),
-            seed: 0,
-            base_latency_micros: 500,
-        }
-    }
-}
+/// One-way heartbeat latency before jitter.
+const BASE_LATENCY: SimDuration = SimDuration::from_micros(500);
 
 /// Something the pipeline observed during [`MembershipSim::advance_to`],
 /// in deterministic emission order.
@@ -100,7 +72,7 @@ pub enum MembershipEvent {
 /// node, sharing the cluster's virtual clock.
 #[derive(Debug)]
 pub struct MembershipSim {
-    config: MembershipConfig,
+    kind: DetectorKind,
     clock: SimClock,
     node_count: u32,
     physical: Topology,
@@ -118,8 +90,16 @@ pub struct MembershipSim {
 }
 
 impl MembershipSim {
-    /// Creates the pipeline over `node_count` nodes sharing `clock`.
-    pub fn new(node_count: u32, config: MembershipConfig, clock: SimClock) -> Self {
+    /// Creates the pipeline over `node_count` nodes sharing `clock`:
+    /// `kind` suspects per link, `stabilizer` damps the views, and
+    /// `seed` drives the loss/jitter draws.
+    pub fn new(
+        node_count: u32,
+        kind: DetectorKind,
+        stabilizer: StabilizerConfig,
+        seed: u64,
+        clock: SimClock,
+    ) -> Self {
         let now = clock.now();
         let mut detectors = HashMap::new();
         for a in 0..node_count {
@@ -132,11 +112,11 @@ impl MembershipSim {
             }
         }
         let all: BTreeSet<NodeId> = (0..node_count).map(NodeId).collect();
-        let mut stabilizer = ViewStabilizer::new(config.stabilizer);
+        let mut stabilizer = ViewStabilizer::new(stabilizer);
         stabilizer.force_stable(vec![all]);
-        let next_tick = now + config.detector.heartbeat_interval;
+        let next_tick = now + HEARTBEAT_INTERVAL;
         Self {
-            config,
+            kind,
             clock,
             node_count,
             physical: Topology::fully_connected(node_count),
@@ -144,7 +124,7 @@ impl MembershipSim {
             default_jitter_micros: 0,
             // `^ GAMMA` is part of the stream's definition: the flap-sweep
             // tables and `--detector` traces CI compares depend on it.
-            rng: ChaosRng::new(config.seed ^ ChaosRng::GAMMA),
+            rng: ChaosRng::new(seed ^ ChaosRng::GAMMA),
             detectors,
             suspected: (0..node_count)
                 .map(|n| (NodeId(n), BTreeSet::new()))
@@ -154,11 +134,6 @@ impl MembershipSim {
             next_tick,
             ticks: 0,
         }
-    }
-
-    /// The configuration in effect.
-    pub fn config(&self) -> &MembershipConfig {
-        &self.config
     }
 
     /// Heartbeat ticks processed so far.
@@ -296,7 +271,7 @@ impl MembershipSim {
         while self.next_tick <= until {
             let t = self.next_tick;
             self.tick(t, &mut events);
-            self.next_tick = t + self.config.detector.heartbeat_interval;
+            self.next_tick = t + HEARTBEAT_INTERVAL;
             self.ticks += 1;
         }
         events
@@ -311,7 +286,6 @@ impl MembershipSim {
     }
 
     fn tick(&mut self, t: SimTime, events: &mut Vec<MembershipEvent>) {
-        let base = SimDuration::from_micros(self.config.base_latency_micros);
         // 1. Heartbeat exchange: every live sender to every live peer,
         //    in fixed (sender, receiver) order so the draw stream is
         //    deterministic.
@@ -338,11 +312,11 @@ impl MembershipSim {
                     continue;
                 }
                 let jitter = SimDuration::from_micros(self.rng.below(fault.jitter_micros + 1));
-                let arrival = t + base + jitter;
+                let arrival = t + BASE_LATENCY + jitter;
                 self.detectors
                     .get_mut(&(to, from))
                     .expect("pair present")
-                    .record_arrival(arrival, self.config.adaptive.window);
+                    .record_arrival(arrival);
             }
         }
         // 2. Suspicion evaluation per live observer.
@@ -357,18 +331,12 @@ impl MembershipSim {
                     continue;
                 }
                 let detector = &self.detectors[&(observer, peer)];
-                let suspect = match self.config.kind {
+                let suspect = match self.kind {
                     DetectorKind::FixedTimeout => detector
                         .last_arrival()
-                        .map(|heard| {
-                            heard < t && t.since(heard) >= self.config.detector.suspect_timeout
-                        })
+                        .map(|heard| heard < t && t.since(heard) >= SUSPECT_TIMEOUT)
                         .unwrap_or(false),
-                    DetectorKind::Adaptive => detector.is_suspect(
-                        t,
-                        &self.config.adaptive,
-                        self.config.detector.suspect_timeout,
-                    ),
+                    DetectorKind::Adaptive => detector.is_suspect(t),
                 };
                 let was = self.suspected[&observer].contains(&peer);
                 if suspect == was {
@@ -475,11 +443,8 @@ mod tests {
 
     fn sim(n: u32, kind: DetectorKind) -> (MembershipSim, SimClock) {
         let clock = SimClock::new();
-        let config = MembershipConfig {
-            kind,
-            ..MembershipConfig::default()
-        };
-        (MembershipSim::new(n, config, clock.clone()), clock)
+        let sim = MembershipSim::new(n, kind, StabilizerConfig::default(), 0, clock.clone());
+        (sim, clock)
     }
 
     fn run(sim: &mut MembershipSim, clock: &SimClock, d: SimDuration) -> Vec<MembershipEvent> {
@@ -580,12 +545,7 @@ mod tests {
         // link 0–2 never changes a view: node 1 keeps bridging.)
         let run_with = |kind: DetectorKind, stab: StabilizerConfig| -> usize {
             let clock = SimClock::new();
-            let config = MembershipConfig {
-                kind,
-                stabilizer: stab,
-                ..MembershipConfig::default()
-            };
-            let mut sim = MembershipSim::new(3, config, clock.clone());
+            let mut sim = MembershipSim::new(3, kind, stab, 0, clock.clone());
             // Warm-up on healthy links: the detectors learn the cadence.
             clock.advance(SimDuration::from_secs(2));
             assert!(stabilized(&sim.poll()).is_empty());
@@ -613,12 +573,9 @@ mod tests {
     fn same_seed_same_events_under_loss_and_jitter() {
         let run_once = || {
             let clock = SimClock::new();
-            let config = MembershipConfig {
-                kind: DetectorKind::Adaptive,
-                seed: 7,
-                ..MembershipConfig::default()
-            };
-            let mut sim = MembershipSim::new(4, config, clock.clone());
+            let stabilizer = StabilizerConfig::default();
+            let mut sim =
+                MembershipSim::new(4, DetectorKind::Adaptive, stabilizer, 7, clock.clone());
             sim.set_default_jitter(30_000);
             sim.set_link_fault(
                 NodeId(0),

@@ -21,23 +21,17 @@ struct Placement {
 /// initial try plus bounded retries with exponential backoff).
 pub const MAX_SHIP_ATTEMPTS: u32 = 4;
 
-/// Result of one synchronous update propagation.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// What the ship path charges for one synchronous update propagation.
+/// Messages and retries are counted in [`ReplStats`]; the backups that
+/// missed the update are in
+/// [`ReplicationManager::degraded_write_map`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PropagationReport {
     /// Backups the update reached (excluding the executing node).
-    pub recipients: Vec<NodeId>,
-    /// Point-to-point messages exchanged (update + confirmation per
-    /// recipient — the protocol propagates synchronously, §4.3).
-    pub messages: u64,
-    /// Install retries performed after injected write failures.
-    pub retries: u64,
+    pub recipients: usize,
     /// Total exponential-backoff units waited (1 + 2 + 4 + … per
     /// retried backup).
     pub backoff_units: u64,
-    /// Backups that could not be reached within the retry budget (or
-    /// were skipped due to injected replica lag); they are recorded as
-    /// degraded writes so reconciliation converges them later.
-    pub failed: Vec<NodeId>,
 }
 
 /// Counters kept by the manager.
@@ -331,10 +325,12 @@ impl ReplicationManager {
             .into_iter()
             .flat_map(|p| &p.replicas)
             .filter(|&&r| r != executed_on && partition.contains(&r));
-        let mut recipients = Vec::new();
-        let mut failed = Vec::new();
+        let mut recipients = 0;
+        // Whether a backup missed the update (injected lag, or the
+        // retry budget ran out): it is then tracked as a degraded write
+        // so reconciliation converges it later.
+        let mut missed = false;
         let mut messages = 0u64;
-        let mut retries = 0u64;
         let mut backoff_units = 0u64;
         for &r in backups {
             // Replica lag: the backup misses this propagation entirely.
@@ -344,7 +340,7 @@ impl ReplicationManager {
                     self.lag.remove(&r);
                 }
                 self.stats.lagged_skips += 1;
-                failed.push(r);
+                missed = true;
                 continue;
             }
             // Store write-failure window: attempts fail while fault
@@ -361,7 +357,6 @@ impl ReplicationManager {
                 // confirmation), backoff doubling before each retry.
                 messages += u64::from(failing);
                 let node_retries = u64::from(failing.min(MAX_SHIP_ATTEMPTS - 1));
-                retries += node_retries;
                 self.stats.ship_retries += node_retries;
                 let node_backoff = (1u64 << node_retries) - 1;
                 backoff_units += node_backoff;
@@ -377,7 +372,7 @@ impl ReplicationManager {
                 }
                 if !succeeded {
                     self.stats.ship_failures += 1;
-                    failed.push(r);
+                    missed = true;
                     continue;
                 }
             }
@@ -389,7 +384,7 @@ impl ReplicationManager {
                 }
             }
             messages += 2; // update + confirmation
-            recipients.push(r);
+            recipients += 1;
         }
         self.stats.messages += messages;
         let degraded = !topology.is_healthy();
@@ -397,13 +392,13 @@ impl ReplicationManager {
             t.emit(|| TraceEvent::ReplicationUpdate {
                 object: object.text().into(),
                 from: executed_on,
-                recipients: recipients.len() as u32,
+                recipients: recipients as u32,
                 messages,
                 degraded,
             });
         }
 
-        if !topology.is_healthy() || !failed.is_empty() {
+        if !topology.is_healthy() || missed {
             self.stats.degraded_writes += 1;
             let pkey = partition_key(executed_on, topology);
             self.degraded_writes
@@ -428,10 +423,7 @@ impl ReplicationManager {
         }
         PropagationReport {
             recipients,
-            messages,
-            retries,
             backoff_units,
-            failed,
         }
     }
 
@@ -530,12 +522,14 @@ mod tests {
         let mut cs = containers(3);
         seed(&mut cs, 0, 80);
         let report = m.propagate_update(&obj(), NodeId(0), &topo, &mut cs, SimTime::ZERO);
-        assert_eq!(report.recipients, vec![NodeId(1), NodeId(2)]);
-        assert_eq!(report.messages, 4);
-        assert_eq!(
-            cs[2].committed_entity(&obj()).unwrap().field("seats"),
-            &Value::Int(80)
-        );
+        assert_eq!(report.recipients, 2);
+        for backup in &cs[1..] {
+            assert_eq!(
+                backup.committed_entity(&obj()).unwrap().field("seats"),
+                &Value::Int(80)
+            );
+        }
+        assert_eq!(m.stats().messages, 4);
         assert!(m.degraded_write_map().is_empty(), "healthy: no tracking");
     }
 
@@ -626,7 +620,9 @@ mod tests {
         let mut cs = containers(3);
         seed(&mut cs, 1, 70);
         let report = m.propagate_update(&obj(), NodeId(1), &topo, &mut cs, SimTime::ZERO);
-        assert_eq!(report.recipients, vec![NodeId(2)]);
+        assert_eq!(report.recipients, 1);
+        assert!(cs[2].committed_entity(&obj()).is_some());
+        assert!(cs[0].committed_entity(&obj()).is_none(), "node 0 is away");
         assert_eq!(m.degraded_write_map().len(), 1);
         assert_eq!(m.stats().degraded_writes, 1);
         assert_eq!(m.partition_history(&obj(), 1).len(), 1);
@@ -658,11 +654,11 @@ mod tests {
         seed(&mut cs, 0, 80);
         m.inject_write_fault(NodeId(1), 2); // two failures, then success
         let report = m.propagate_update(&obj(), NodeId(0), &topo, &mut cs, SimTime::ZERO);
-        assert_eq!(report.recipients, vec![NodeId(1)]);
-        assert_eq!(report.retries, 2);
+        assert_eq!(report.recipients, 1);
         assert_eq!(report.backoff_units, 3); // 1 + 2
-        assert!(report.failed.is_empty());
         assert_eq!(m.stats().ship_retries, 2);
+        assert_eq!(m.stats().ship_failures, 0);
+        assert!(m.degraded_write_map().is_empty(), "nothing missed");
         assert_eq!(
             cs[1].committed_entity(&obj()).unwrap().field("seats"),
             &Value::Int(80)
@@ -678,8 +674,7 @@ mod tests {
         seed(&mut cs, 0, 80);
         m.inject_write_fault(NodeId(1), 10);
         let report = m.propagate_update(&obj(), NodeId(0), &topo, &mut cs, SimTime::ZERO);
-        assert!(report.recipients.is_empty());
-        assert_eq!(report.failed, vec![NodeId(1)]);
+        assert_eq!(report.recipients, 0);
         assert_eq!(m.stats().ship_failures, 1);
         assert!(cs[1].committed_entity(&obj()).is_none());
         assert!(
@@ -698,14 +693,17 @@ mod tests {
         seed(&mut cs, 0, 80);
         m.inject_replica_lag(NodeId(2), 1);
         let report = m.propagate_update(&obj(), NodeId(0), &topo, &mut cs, SimTime::ZERO);
-        assert_eq!(report.recipients, vec![NodeId(1)]);
-        assert_eq!(report.failed, vec![NodeId(2)]);
+        assert_eq!(report.recipients, 1);
+        assert!(cs[1].committed_entity(&obj()).is_some());
         assert_eq!(m.stats().lagged_skips, 1);
         assert!(cs[2].committed_entity(&obj()).is_none());
         assert!(m.is_degraded_tracked(&obj()));
         // Window consumed: the next propagation reaches node 2 again.
+        m.clear_degraded_state();
         let report = m.propagate_update(&obj(), NodeId(0), &topo, &mut cs, SimTime::ZERO);
-        assert!(report.failed.is_empty());
+        assert_eq!(report.recipients, 2);
+        assert_eq!(m.stats().lagged_skips, 1);
+        assert!(!m.is_degraded_tracked(&obj()), "nothing missed");
         assert!(cs[2].committed_entity(&obj()).is_some());
     }
 

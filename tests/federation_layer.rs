@@ -4,10 +4,12 @@
 //! coordinator crash + presumed abort) and explicit rebalancing over
 //! the WAL/state-transfer path.
 
-use dedisys_core::{nodes, RingRecorder};
-use dedisys_federation::{FederatedCluster, RebalancePlan, RoutingPolicy, ShardId, ShardMap};
+use dedisys_core::{nodes, RingRecorder, TraceEvent};
+use dedisys_federation::{
+    FederatedCluster, RebalancePlan, RoutingPolicy, ShardId, ShardMap, XSHARD_TIMEOUT,
+};
 use dedisys_object::{AppDescriptor, ClassDescriptor};
-use dedisys_types::{Error, NodeId, ObjectId, PriorityClass, SimDuration, SystemMode, Value};
+use dedisys_types::{Error, NodeId, ObjectId, PriorityClass, SystemMode, Value};
 
 fn app() -> AppDescriptor {
     AppDescriptor::new("federation")
@@ -51,6 +53,22 @@ fn submit_write(fed: &mut FederatedCluster, id: &ObjectId, v: i64) -> dedisys_ty
 fn read(fed: &FederatedCluster, shard: ShardId, id: &ObjectId) -> Option<Value> {
     let node = fed.coordinator_node(shard)?;
     Some(fed.shard(shard).entity_on(node, id)?.field("v").clone())
+}
+
+/// The `(committed, presumed_abort)` of every `xshard_resolved` event
+/// `ring` saw, in order.
+fn resolutions(ring: &RingRecorder) -> Vec<(bool, bool)> {
+    ring.records_of_kind("xshard_resolved")
+        .into_iter()
+        .map(|r| match r.event {
+            TraceEvent::XShardResolved {
+                committed,
+                presumed_abort,
+                ..
+            } => (committed, presumed_abort),
+            other => panic!("not a resolution: {other:?}"),
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -214,21 +232,26 @@ fn xshard_commit_applies_atomically_on_every_participant() {
     assert_eq!(fed.open_xshard_count(), 0);
     assert!(fed.shard(ShardId(0)).held_locks().is_empty());
     assert!(fed.shard(ShardId(1)).held_locks().is_empty());
-    let outcome = &fed.xshard_outcomes()[&xtx];
-    assert!(outcome.committed);
-    assert!(!outcome.presumed_abort);
-    assert_eq!(outcome.participants.len(), 2);
+    let stats = fed.stats();
+    assert_eq!((stats.xshard_committed, stats.xshard_aborted), (1, 0));
+    // Each shard committed the create, then the participant.
+    for shard in (0..2).map(ShardId) {
+        assert_eq!(fed.shard(shard).stats().tx.committed, 2, "{shard}");
+    }
 
     let prepared = ring.records_of_kind("xshard_prepared");
     let resolved = ring.records_of_kind("xshard_resolved");
     assert_eq!(prepared.len(), 1);
     assert_eq!(resolved.len(), 1);
     assert!(prepared[0].seq < resolved[0].seq);
+    assert_eq!(resolutions(&ring), [(true, false)]);
 }
 
 #[test]
 fn xshard_abort_rolls_back_every_participant() {
     let mut fed = federation(3, RoutingPolicy::RouteAnyway);
+    let ring = RingRecorder::new(512);
+    fed.telemetry().attach(Box::new(ring.clone()));
     let a = id_on(fed.map(), ShardId(0), "xa");
     let b = id_on(fed.map(), ShardId(2), "xa");
     fed.create(&a).unwrap();
@@ -243,13 +266,19 @@ fn xshard_abort_rolls_back_every_participant() {
     assert_eq!(read(&fed, ShardId(2), &b), Some(Value::Int(0)));
     assert!(fed.shard(ShardId(0)).held_locks().is_empty());
     assert!(fed.shard(ShardId(2)).held_locks().is_empty());
-    assert!(!fed.xshard_outcomes()[&xtx].committed);
     assert_eq!(fed.stats().xshard_aborted, 1);
+    assert_eq!(fed.stats().xshard_presumed_aborted, 0);
+    for shard in [ShardId(0), ShardId(2)] {
+        assert_eq!(fed.shard(shard).stats().tx.rolled_back, 1, "{shard}");
+    }
+    assert_eq!(resolutions(&ring), [(false, false)]);
 }
 
 #[test]
 fn participant_refusal_during_prepare_aborts_the_whole_transaction() {
     let mut fed = federation(3, RoutingPolicy::RouteAnyway);
+    let ring = RingRecorder::new(512);
+    fed.telemetry().attach(Box::new(ring.clone()));
     let a = id_on(fed.map(), ShardId(0), "xr");
     let b = id_on(fed.map(), ShardId(1), "xr");
     fed.create(&a).unwrap();
@@ -267,14 +296,16 @@ fn participant_refusal_during_prepare_aborts_the_whole_transaction() {
     assert_eq!(read(&fed, ShardId(0), &a), Some(Value::Int(0)));
     assert!(fed.shard(ShardId(0)).held_locks().is_empty());
     assert_eq!(fed.open_xshard_count(), 0);
-    assert!(!fed.xshard_outcomes()[&xtx].committed);
+    let stats = fed.stats();
+    assert_eq!((stats.xshard_prepared, stats.xshard_aborted), (0, 1));
+    assert!(ring.records_of_kind("xshard_prepared").is_empty());
+    assert_eq!(resolutions(&ring), [(false, false)]);
 }
 
 #[test]
 fn coordinator_crash_presumes_abort_after_the_deadline() {
     let mut fed = FederatedCluster::builder(3, 3, app())
         .seed(7)
-        .xshard_timeout(SimDuration::from_millis(50))
         .build()
         .unwrap();
     let ring = RingRecorder::new(512);
@@ -297,7 +328,7 @@ fn coordinator_crash_presumes_abort_after_the_deadline() {
     // Before the deadline nothing resolves…
     assert_eq!(fed.resolve_xshard_in_doubt(), 0);
     // …after it, presumed abort rolls back every participant.
-    fed.clock().advance(SimDuration::from_millis(50));
+    fed.clock().advance(XSHARD_TIMEOUT);
     assert_eq!(fed.resolve_xshard_in_doubt(), 1);
     assert_eq!(fed.xshard_in_doubt_count(), 0);
     assert_eq!(fed.open_xshard_count(), 0);
@@ -305,9 +336,7 @@ fn coordinator_crash_presumes_abort_after_the_deadline() {
     assert_eq!(read(&fed, ShardId(1), &b), Some(Value::Int(0)));
     assert!(fed.shard(ShardId(0)).held_locks().is_empty());
     assert!(fed.shard(ShardId(1)).held_locks().is_empty());
-    let outcome = &fed.xshard_outcomes()[&xtx];
-    assert!(!outcome.committed);
-    assert!(outcome.presumed_abort);
+    assert_eq!(fed.stats().xshard_aborted, 1);
     assert_eq!(fed.stats().xshard_presumed_aborted, 1);
     // Counted once: routed, begun, prepared, aborted and presumed-aborted
     // are `FederationStats` fields, and the bus's registry holds only
@@ -317,15 +346,17 @@ fn coordinator_crash_presumes_abort_after_the_deadline() {
         registry.keys().collect::<Vec<_>>(),
         ["federation.xshard.in_doubt"]
     );
-    assert_eq!(ring.records_of_kind("xshard_resolved").len(), 1);
+    assert_eq!(resolutions(&ring), [(false, true)]);
 }
 
 /// The participant list is kept in shard order however it was staged —
-/// the higher shard first here — and moves into the outcome as it is,
-/// whichever way the transaction finishes.
+/// the higher shard first here — as the `xshard_prepared` event shows,
+/// whichever way the transaction then finishes.
 #[test]
 fn outcome_participants_come_out_in_shard_order() {
     let mut fed = federation(3, RoutingPolicy::RouteAnyway);
+    let ring = RingRecorder::new(512);
+    fed.telemetry().attach(Box::new(ring.clone()));
     let low = id_on(fed.map(), ShardId(0), "so");
     let high = id_on(fed.map(), ShardId(2), "so");
     fed.create(&low).unwrap();
@@ -347,22 +378,26 @@ fn outcome_participants_come_out_in_shard_order() {
     let presumed = stage(&mut fed);
     fed.xshard_prepare(presumed).unwrap();
     fed.crash_coordinator(presumed).unwrap();
-    fed.clock().advance(SimDuration::from_millis(50));
+    fed.clock().advance(XSHARD_TIMEOUT);
     assert_eq!(fed.resolve_xshard_in_doubt(), 1);
 
-    for (xtx, was_committed, was_presumed) in [
-        (committed, true, false),
-        (aborted, false, false),
-        (presumed, false, true),
-    ] {
-        let outcome = &fed.xshard_outcomes()[&xtx];
-        assert_eq!(
-            (outcome.committed, outcome.presumed_abort),
-            (was_committed, was_presumed)
-        );
-        let shards: Vec<ShardId> = outcome.participants.iter().map(|&(s, _)| s).collect();
-        assert_eq!(shards, [ShardId(0), ShardId(2)], "xtx {xtx}");
-    }
+    let prepared: Vec<TraceEvent> = ring
+        .records_of_kind("xshard_prepared")
+        .into_iter()
+        .map(|r| r.event)
+        .collect();
+    let expected: Vec<TraceEvent> = [committed, aborted, presumed]
+        .into_iter()
+        .map(|xtx| TraceEvent::XShardPrepared {
+            xtx,
+            shards: vec![0, 2],
+        })
+        .collect();
+    assert_eq!(prepared, expected);
+    assert_eq!(
+        resolutions(&ring),
+        [(true, false), (false, false), (false, true)]
+    );
     assert_eq!(read(&fed, ShardId(2), &high), Some(Value::Int(1)));
     assert_eq!(read(&fed, ShardId(0), &low), Some(Value::Int(2)));
 }

@@ -3,12 +3,16 @@
 //! deadline shedding, mode-coupled backpressure, byte-identical
 //! same-seed traces and the conservation invariant.
 
+use dedisys_core::plane::{DEFAULT_DEADLINE, QUEUE_CAPACITY, REFILL_PER_SECOND};
 use dedisys_core::{nodes, ClusterBuilder, JsonlExporter, RequestPlane, RingRecorder, TraceEvent};
 use dedisys_object::{AppDescriptor, ClassDescriptor, EntityState};
 use dedisys_telemetry::ShedCause;
 use dedisys_types::{Error, NodeId, ObjectId, PriorityClass, SimDuration, SystemMode, Value};
 use std::io::Write;
 use std::sync::{Arc, Mutex};
+
+/// The virtual time in which a node's bucket earns one token.
+const TOKEN_PERIOD: SimDuration = SimDuration::from_nanos(1_000_000_000 / REFILL_PER_SECOND);
 
 fn app() -> AppDescriptor {
     AppDescriptor::new("plane")
@@ -71,10 +75,7 @@ fn dispatch_is_strict_priority_then_fifo() {
 
 #[test]
 fn empty_token_bucket_refuses_then_refills_on_the_virtual_clock() {
-    let mut c = cluster_with(|cfg| {
-        cfg.plane.burst = 2;
-        cfg.plane.refill_per_second = 1;
-    });
+    let mut c = cluster_with(|cfg| cfg.plane.burst = 2);
     let mut plane = RequestPlane::new();
     let ok = |_s: dedisys_core::Session<'_>| Ok(());
     plane
@@ -86,12 +87,15 @@ fn empty_token_bucket_refuses_then_refills_on_the_virtual_clock() {
     // The burst is spent; the third arrival is refused at admission.
     let refused = plane.submit_with_deadline(&mut c, NodeId(0), PriorityClass::Normal, None, ok);
     assert!(matches!(refused, Err(Error::Overloaded { .. })));
-    // Tokens accrue on the virtual clock: one second buys one token.
-    c.clock().advance(SimDuration::from_secs(1));
+    // Tokens accrue on the virtual clock: one token period buys one
+    // token, and no more.
+    c.clock().advance(TOKEN_PERIOD);
     plane
         .submit_with_deadline(&mut c, NodeId(0), PriorityClass::Normal, None, ok)
         .unwrap();
-    assert_eq!(plane.stats().normal.rejected, 1);
+    let refused = plane.submit_with_deadline(&mut c, NodeId(0), PriorityClass::Normal, None, ok);
+    assert!(matches!(refused, Err(Error::Overloaded { .. })));
+    assert_eq!(plane.stats().normal.rejected, 2);
     assert_eq!(plane.stats().normal.admitted, 3);
     // Other nodes hold their own buckets — NodeId(1) is unaffected.
     plane
@@ -102,15 +106,13 @@ fn empty_token_bucket_refuses_then_refills_on_the_virtual_clock() {
 
 #[test]
 fn full_queue_displaces_lower_priority_or_rejects() {
-    let mut c = cluster_with(|cfg| {
-        cfg.plane.queue_capacity = 2;
-        cfg.plane.burst = 16;
-    });
+    // Tokens for the bound and two arrivals past it.
+    let mut c = cluster_with(|cfg| cfg.plane.burst = QUEUE_CAPACITY + 2);
     let ring = RingRecorder::new(256);
     c.telemetry().attach(Box::new(ring.clone()));
     let mut plane = RequestPlane::new();
     let ok = |_s: dedisys_core::Session<'_>| Ok(());
-    for _ in 0..2 {
+    for _ in 0..QUEUE_CAPACITY {
         plane
             .submit_with_deadline(&mut c, NodeId(0), PriorityClass::Background, None, ok)
             .unwrap();
@@ -121,11 +123,21 @@ fn full_queue_displaces_lower_priority_or_rejects() {
         .unwrap();
     assert_eq!(plane.stats().background.shed, 1);
     assert_eq!(ring.records_of_kind("request_shed").len(), 1);
-    assert_eq!(plane.queue_depth(NodeId(0)), 2, "bound still respected");
+    assert_eq!(
+        plane.queue_depth(NodeId(0)),
+        QUEUE_CAPACITY,
+        "bound still respected"
+    );
     // A Background arrival finds nothing lower to displace: rejected.
     let refused =
         plane.submit_with_deadline(&mut c, NodeId(0), PriorityClass::Background, None, ok);
-    assert!(matches!(refused, Err(Error::Overloaded { depth: 2, .. })));
+    assert!(matches!(
+        refused,
+        Err(Error::Overloaded {
+            depth: QUEUE_CAPACITY,
+            ..
+        })
+    ));
     assert_eq!(ring.records_of_kind("request_rejected").len(), 1);
     assert!(plane.conserves());
 }
@@ -155,6 +167,33 @@ fn expired_deadlines_are_shed_before_execution() {
     assert_eq!(report.stats.normal.deadline_missed, 1);
     assert_eq!(report.stats.normal.completed, 0);
     assert!(plane.conserves());
+}
+
+/// A request submitted without a deadline gets its class's default:
+/// it runs when dispatched at that deadline and is dropped one token
+/// period later; `Critical` has none and runs even a minute late.
+#[test]
+fn default_deadlines_are_per_class() {
+    let ok = |_s: dedisys_core::Session<'_>| Ok(());
+    for class in PriorityClass::ALL {
+        let waits = match DEFAULT_DEADLINE[class.rank()] {
+            Some(deadline) => vec![(deadline, false), (deadline + TOKEN_PERIOD, true)],
+            None => vec![(SimDuration::from_secs(60), false)],
+        };
+        for (wait, expires) in waits {
+            let mut c = cluster_with(|_| {});
+            let mut plane = RequestPlane::new();
+            plane.submit(&mut c, NodeId(0), class, ok).unwrap();
+            c.clock().advance(wait);
+            let counters = *plane.run_until_idle(&mut c).stats.class(class);
+            let missed = u64::from(expires);
+            assert_eq!(
+                (counters.completed, counters.deadline_missed),
+                (1 - missed, missed),
+                "{class:?} after {wait:?}"
+            );
+        }
+    }
 }
 
 /// The plane's one mode rule as a table, mode × class: a queued
@@ -239,11 +278,7 @@ impl Write for SharedBuf {
 /// JSONL bytes plus the serde-independent `(seq, at, kind)` stream.
 fn traced_workload() -> (Vec<u8>, Vec<(u64, u64, &'static str)>) {
     let buf = SharedBuf::default();
-    let mut c = cluster_with(|cfg| {
-        cfg.plane.queue_capacity = 4;
-        cfg.plane.burst = 8;
-        cfg.plane.refill_per_second = 100;
-    });
+    let mut c = cluster_with(|cfg| cfg.plane.burst = 8);
     c.telemetry()
         .attach(Box::new(JsonlExporter::new(Box::new(buf.clone()))));
     let ring = RingRecorder::new(8192);
@@ -294,21 +329,19 @@ fn same_workload_produces_byte_identical_traces() {
 
 #[test]
 fn conservation_and_metrics_under_mixed_load() {
-    let mut c = cluster_with(|cfg| {
-        cfg.plane.queue_capacity = 3;
-        cfg.plane.burst = 4;
-        cfg.plane.refill_per_second = 50;
-    });
+    let mut c = cluster_with(|cfg| cfg.plane.burst = 4);
     let mut plane = RequestPlane::new();
     let ok = |_s: dedisys_core::Session<'_>| Ok(());
     let mut admitted = 0u64;
+    // Three arrivals, two tokens and one dispatch per tick: the bucket
+    // runs dry and the queue fills to its bound.
     for _ in 0..40 {
         for class in PriorityClass::ALL {
             if plane.submit(&mut c, NodeId(0), class, ok).is_ok() {
                 admitted += 1;
             }
         }
-        c.clock().advance(SimDuration::from_millis(10));
+        c.clock().advance(TOKEN_PERIOD * 2);
         plane.step(&mut c);
     }
     plane.run_until_idle(&mut c);
@@ -317,5 +350,6 @@ fn conservation_and_metrics_under_mixed_load() {
     assert_eq!(t.admitted, admitted);
     assert_eq!(t.offered, t.admitted + t.rejected);
     assert_eq!(t.admitted, t.completed + t.shed + t.deadline_missed);
+    assert!(t.rejected > 0 && t.shed > 0, "{t:?}");
     assert!(plane.conserves());
 }
