@@ -9,19 +9,18 @@
 //! the same seed state, once per engine configuration. The table
 //! reports the deterministic *virtual-time* cost of validation — the
 //! quantity the `CostModel` charges per check (1000 µs interpreted,
-//! 120 µs compiled, 20 µs per cache probe) — plus wall clock for
-//! orientation. Verdicts must be **transparent**: mode, cluster/CCM/
-//! replication/tx counters, threat identities and every sweep's
-//! violating-object list are identical across the three runs. The
-//! contracts also want each cheaper engine strictly cheaper in virtual
-//! time, the cache to hit, and the lowering events where they belong.
+//! 120 µs compiled, 20 µs per cache probe); the wall-clock cost is
+//! `perf`'s `calib.interp_over_compiled.wall`. Verdicts must be
+//! **transparent**: mode, cluster/CCM/replication/tx counters, threat
+//! identities and every sweep's violating-object list are identical
+//! across the three runs. The contracts also want each cheaper engine
+//! strictly cheaper in virtual time, the cache to hit and to
+//! invalidate, and the lowering events where they belong.
 //!
 //! With `--trace <path>` the three JSONL traces are written to
-//! `<path>.interp`, `<path>.compiled` and `<path>.cached` so external
-//! tooling (the CI smoke job) can check each configuration is
-//! self-deterministic across repeated runs. The traces are *not*
-//! expected to match across configurations — compiled runs emit
-//! `constraint_compiled` events and cached runs emit hit/miss/
+//! `<path>.interp`, `<path>.compiled` and `<path>.cached`. The traces
+//! are *not* expected to match across configurations — compiled runs
+//! emit `constraint_compiled` events and cached runs emit hit/miss/
 //! invalidate events at different virtual times by design.
 
 use crate::table::{f2, print_table};
@@ -31,39 +30,17 @@ use dedisys_constraints::{
 };
 use dedisys_core::{
     nodes, Cluster, ClusterBuilder, ConstraintEngine, DeferAll, HighestVersionWins, JsonlExporter,
-    StatsSnapshot,
+    SharedBuf, StatsSnapshot,
 };
 use dedisys_object::{AppDescriptor, ClassDescriptor, EntityState};
 use dedisys_types::{ConstraintName, NodeId, ObjectId, SatisfactionDegree, Value};
-use std::io::Write;
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
 
 /// Constraints registered on the counter class.
 const CONSTRAINTS: usize = 12;
 
 /// Objects in the workload pool.
 const OBJECTS: usize = 16;
-
-/// A `Write` sink into a shared byte buffer, so the JSONL trace of a
-/// cluster can be inspected after the cluster (and the `BufWriter`
-/// inside its exporter) is dropped.
-#[derive(Clone, Default)]
-struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-
-impl Write for SharedBuf {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.0
-            .lock()
-            .expect("trace buffer poisoned")
-            .extend_from_slice(buf);
-        Ok(buf.len())
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
 
 fn app() -> AppDescriptor {
     AppDescriptor::new("fig-compile").with_class(
@@ -112,13 +89,13 @@ pub(crate) const TRACES: &[&str] = &[".interp", ".compiled", ".cached"];
 
 /// The outcome of one configuration's run.
 struct ModeRun {
-    /// Wall-clock time of the workload loop.
-    wall: Duration,
     /// The full statistics snapshot.
     stats: StatsSnapshot,
-    /// Verdict-cache hits / misses (`ccm.verdict_cache.*`).
+    /// Verdict-cache hits / misses / entries invalidated
+    /// (`ccm.verdict_cache.*`).
     hits: u64,
     misses: u64,
+    invalidated: u64,
     /// The verdict fingerprint — everything that must be identical
     /// across configurations.
     fingerprint: String,
@@ -194,7 +171,6 @@ fn measure(engine: ConstraintEngine, cache: bool, rounds: usize) -> ModeRun {
         })
         .collect();
     let mut sweeps: Vec<(String, Vec<ObjectId>)> = Vec::new();
-    let start = Instant::now();
     // Chapter-2-style rounds: a few writes, then a full sweep. Only a
     // sliver of the pool changes per round, so most sweep checks are
     // re-validations of unchanged committed state — the verdict
@@ -230,23 +206,22 @@ fn measure(engine: ConstraintEngine, cache: bool, rounds: usize) -> ModeRun {
     // so on the cached configuration it runs entirely from the memo.
     sweep(&mut cluster, &mut sweeps);
     sweep(&mut cluster, &mut sweeps);
-    let wall = start.elapsed();
     let stats = cluster.stats();
     let counter = |name: &str| stats.telemetry.counters.get(name).copied().unwrap_or(0);
     let hits = counter("ccm.verdict_cache.hit");
     let misses = counter("ccm.verdict_cache.miss");
+    let invalidated = counter("ccm.verdict_cache.invalidate");
     let print = fingerprint(&cluster, &sweeps);
     // Dropping the cluster flushes the exporter's buffered writer into
     // the shared buffer.
     drop(cluster);
-    let trace = buf.0.lock().expect("trace buffer poisoned").clone();
     ModeRun {
-        wall,
         stats,
         hits,
         misses,
+        invalidated,
         fingerprint: print,
-        trace,
+        trace: buf.bytes(),
     }
 }
 
@@ -264,7 +239,6 @@ pub fn run(run: &Run) -> Verdict {
                 label.to_string(),
                 format!("{:.1}", r.stats.now_ns as f64 / 1e6),
                 f2(base_virtual / r.stats.now_ns as f64),
-                format!("{:.1}", r.wall.as_secs_f64() * 1_000.0),
                 r.hits.to_string(),
                 r.misses.to_string(),
                 r.trace.len().to_string(),
@@ -280,7 +254,6 @@ pub fn run(run: &Run) -> Verdict {
             "engine",
             "virtual ms",
             "speedup",
-            "wall ms",
             "cache hits",
             "misses",
             "trace bytes",
@@ -316,6 +289,10 @@ pub fn run(run: &Run) -> Verdict {
         (
             counted,
             "cache hits or lowering events where they do not belong",
+        ),
+        (
+            runs[2].invalidated > 0,
+            "the cached configuration never invalidated a verdict",
         ),
     ]);
     for (r, suffix) in runs.iter().zip(TRACES) {

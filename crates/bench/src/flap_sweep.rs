@@ -11,8 +11,8 @@
 //! detector-caused mode transitions, all of them spurious because the
 //! cluster is healthy again at the end. Contract ([`contract`]): the
 //! baseline fires, the adaptive column with the default damping window
-//! comes out strictly below it, and no cell ends with standing
-//! suspicions.
+//! damps and comes out strictly below it, and no cell ends with
+//! standing suspicions.
 //!
 //! Everything runs on the virtual clock with seeded jitter draws:
 //! the same seed reproduces the table — and a `--trace` JSONL file —
@@ -119,8 +119,8 @@ fn run_cell(
 /// The damping contract over one flap period's cells — the
 /// fixed-timeout baseline first, then adaptive cells, `default` the
 /// one with the default window: the baseline fires, the default-window
-/// cell stays strictly below it, and no cell ends with a standing
-/// suspicion.
+/// cell damps and stays strictly below it, and no cell ends with a
+/// standing suspicion.
 pub(crate) fn contract(cells: &[CellOutcome], default: usize) -> Vec<String> {
     let (baseline, adaptive) = (&cells[0], &cells[default]);
     let mut failures = Vec::new();
@@ -131,6 +131,9 @@ pub(crate) fn contract(cells: &[CellOutcome], default: usize) -> Vec<String> {
             "adaptive {} >= fixed-timeout {}",
             adaptive.transitions, baseline.transitions
         ));
+    }
+    if adaptive.damped == 0 {
+        failures.push("the default-window cell damped no flap".to_owned());
     }
     for (i, cell) in cells.iter().enumerate().filter(|(_, c)| c.standing != 0) {
         failures.push(format!(

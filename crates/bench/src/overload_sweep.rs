@@ -17,10 +17,10 @@
 //! The table prints, per offered load × {healthy, degraded} × side:
 //! goodput (completed Critical+Normal requests per tick) and the
 //! Critical p99 latency in virtual milliseconds. The contract checked
-//! on every run: at the highest offered load the
-//! plane's Critical p99 is *strictly* below the baseline's, in both
-//! modes — the paper-level claim that admission control plus priority
-//! shedding protects critical work under overload, not just on
+//! on every run: at the highest offered load the plane both rejects and
+//! sheds, and its Critical p99 is *strictly* below the baseline's, in
+//! both modes — the paper-level claim that admission control plus
+//! priority shedding protects critical work under overload, not just on
 //! average but in the tail.
 //!
 //! Everything runs on the virtual clock; the same seed reproduces the
@@ -29,7 +29,7 @@
 use crate::table::print_verdict;
 use crate::{require, Run, Verdict};
 use dedisys_chaos::chaos_app;
-use dedisys_core::{nodes, Cluster, ClusterBuilder, RequestPlane, Session};
+use dedisys_core::{nodes, ClassCounters, Cluster, ClusterBuilder, RequestPlane, Session};
 use dedisys_object::EntityState;
 use dedisys_types::{NodeId, ObjectId, PriorityClass, SimDuration, Value};
 use std::collections::VecDeque;
@@ -63,9 +63,16 @@ struct CellOutcome {
     critical_p99: SimDuration,
     /// Requests completed, all classes.
     completed: u64,
-    /// Requests refused at admission or shed/expired in the queue
-    /// (always 0 for the baseline).
-    dropped: u64,
+    /// The plane's counters over all classes (all zero for the
+    /// baseline, which refuses and drops nothing).
+    counters: ClassCounters,
+}
+
+impl CellOutcome {
+    /// Requests refused at admission or shed/expired in the queue.
+    fn dropped(&self) -> u64 {
+        self.counters.rejected + self.counters.shed + self.counters.deadline_missed
+    }
 }
 
 /// One completed request's class and latency, recorded by the request
@@ -146,7 +153,7 @@ fn percentile_99(mut latencies: Vec<SimDuration>) -> SimDuration {
     latencies[(latencies.len() - 1) * 99 / 100]
 }
 
-fn cell_outcome(run: &Run, sink: &LatencySink, dropped: u64) -> CellOutcome {
+fn cell_outcome(run: &Run, sink: &LatencySink, counters: ClassCounters) -> CellOutcome {
     let recorded = sink.lock().unwrap();
     let good = recorded
         .iter()
@@ -161,7 +168,7 @@ fn cell_outcome(run: &Run, sink: &LatencySink, dropped: u64) -> CellOutcome {
         goodput: good / f64::from(size(run).1),
         critical_p99: percentile_99(criticals),
         completed: recorded.len() as u64,
-        dropped,
+        counters,
     }
 }
 
@@ -191,8 +198,7 @@ fn run_plane(run: &Run, load: u32, degraded: bool) -> CellOutcome {
     // Sustained-overload tail: everything still queued either completes
     // or expires now that arrivals stopped.
     plane.run_until_idle(&mut cluster);
-    let t = plane.stats().total();
-    cell_outcome(run, &sink, t.rejected + t.shed + t.deadline_missed)
+    cell_outcome(run, &sink, plane.stats().total())
 }
 
 /// The no-admission baseline: one unbounded FIFO, every arrival
@@ -229,7 +235,7 @@ fn run_baseline(run: &Run, load: u32, degraded: bool) -> CellOutcome {
         serve(&mut cluster, &mut fifo);
         cluster.clock().advance(TICK);
     }
-    cell_outcome(run, &sink, 0)
+    cell_outcome(run, &sink, ClassCounters::default())
 }
 
 fn fmt_ms(d: SimDuration) -> String {
@@ -237,8 +243,8 @@ fn fmt_ms(d: SimDuration) -> String {
 }
 
 /// The load × mode table; contract: at the highest offered load the
-/// plane's Critical p99 is strictly below the baseline's, and no side
-/// of any cell completes nothing.
+/// plane rejects and sheds and its Critical p99 is strictly below the
+/// baseline's, and no side of any cell completes nothing.
 pub fn run(run: &Run) -> Verdict {
     let (nodes, ticks) = size(run);
     require(nodes >= 2, "needs at least two nodes")?;
@@ -261,11 +267,19 @@ pub fn run(run: &Run) -> Verdict {
             let (base_p99, plane_p99) = (fmt_ms(baseline.critical_p99), fmt_ms(plane.critical_p99));
             println!(
                 "  {load:>9} | {mode:<8} | {:>16.1} | {base_p99:>15}ms | {:>13.1} | {plane_p99:>12}ms | {:>13}",
-                baseline.goodput, plane.goodput, plane.dropped,
+                baseline.goodput,
+                plane.goodput,
+                plane.dropped(),
             );
             if load == top_load && plane.critical_p99 >= baseline.critical_p99 {
                 failures.push(format!(
                     "load {load} {mode}: plane Critical p99 {plane_p99}ms >= baseline {base_p99}ms"
+                ));
+            }
+            if load == top_load && (plane.counters.rejected == 0 || plane.counters.shed == 0) {
+                failures.push(format!(
+                    "load {load} {mode}: the plane rejected {} and shed {}",
+                    plane.counters.rejected, plane.counters.shed
                 ));
             }
             if baseline.completed == 0 || plane.completed == 0 {

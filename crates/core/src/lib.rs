@@ -111,6 +111,6 @@ pub use dedisys_replication::{
     HighestVersionWins, ProtocolKind, ReplicaConflict, ReplicaConsistencyHandler,
 };
 pub use dedisys_telemetry::{
-    JsonlExporter, MetricsSnapshot, RingRecorder, Telemetry, TraceEvent, TraceRecord, TraceSink,
-    TransitionCause,
+    JsonlExporter, MetricsSnapshot, RingRecorder, SharedBuf, Telemetry, TraceEvent, TraceRecord,
+    TraceSink, TransitionCause,
 };

@@ -17,14 +17,14 @@ use dedisys_constraints::{
 };
 use dedisys_core::{
     nodes, Cluster, ClusterBuilder, ConsistencyThreat, HighestVersionWins, HistoryPolicy,
-    JsonlExporter, NegotiationTiming, ThreatDecision, ViolationReport,
+    JsonlExporter, NegotiationTiming, SharedBuf, ThreatDecision, ViolationReport,
 };
 use dedisys_object::{AppDescriptor, ClassDescriptor, EntityState};
 use dedisys_types::{
-    ConstraintName, Error, NodeId, ObjectId, SatisfactionDegree, SimDuration, Value,
+    fnv1a, ConstraintName, Error, NodeId, ObjectId, SatisfactionDegree, SimDuration, Value,
+    FNV_OFFSET,
 };
-use std::io::Write;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 fn app() -> AppDescriptor {
     AppDescriptor::new("ccm-trace").with_class(
@@ -125,27 +125,6 @@ fn constraints() -> Vec<RegisteredConstraint> {
             expr("self.level <= self.peer.max"),
         ),
     ]
-}
-
-/// An in-memory JSONL destination.
-#[derive(Clone, Default)]
-struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-
-impl Write for SharedBuf {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.0.lock().unwrap().extend_from_slice(buf);
-        Ok(buf.len())
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ u64::from(*b)).wrapping_mul(0x0100_0000_01b3)
-    })
 }
 
 /// One write of `field` on `id` from `node`, committed.
@@ -354,8 +333,13 @@ fn scenario(policy: HistoryPolicy) -> Pinned {
         ccm.async_shortcuts,
     ];
     drop(cluster);
-    let bytes = buf.0.lock().unwrap().clone();
-    ((bytes.len(), fnv1a(&bytes)), counts, paths, stats.now_ns)
+    let bytes = buf.bytes();
+    (
+        (bytes.len(), fnv1a(FNV_OFFSET, &bytes)),
+        counts,
+        paths,
+        stats.now_ns,
+    )
 }
 
 #[test]

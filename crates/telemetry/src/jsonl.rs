@@ -18,6 +18,35 @@ use crate::bus::TraceSink;
 use crate::event::TraceRecord;
 use serde::Serialize;
 use std::io::{self, BufWriter, Write};
+use std::sync::{Arc, Mutex, PoisonError};
+
+/// An in-memory byte buffer every clone appends to: the `Write` to hand
+/// a [`JsonlExporter`] when the trace is read back in the same process,
+/// after the exporter (and its buffered writer) is dropped.
+#[derive(Debug, Clone, Default)]
+pub struct SharedBuf(Arc<Mutex<Vec<u8>>>);
+
+impl SharedBuf {
+    /// A copy of every byte written so far.
+    pub fn bytes(&self) -> Vec<u8> {
+        self.0
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
+    }
+}
+
+impl Write for SharedBuf {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let mut bytes = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        bytes.extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
 
 /// A [`TraceSink`] writing one JSON object per line.
 pub struct JsonlExporter {
@@ -107,26 +136,10 @@ mod tests {
         ConstraintName, MethodName, NodeId, ObjectId, SatisfactionDegree, SharedText, SimTime,
         SystemMode, TxId,
     };
-    use std::io;
-    use std::sync::{Arc, Mutex};
-
-    /// Shared-buffer writer for asserting on exported bytes.
-    #[derive(Clone)]
-    struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-
-    impl Write for SharedBuf {
-        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-            self.0.lock().unwrap().extend_from_slice(buf);
-            Ok(buf.len())
-        }
-        fn flush(&mut self) -> io::Result<()> {
-            Ok(())
-        }
-    }
 
     #[test]
     fn writes_one_line_per_record() {
-        let buf = SharedBuf(Arc::new(Mutex::new(Vec::new())));
+        let buf = SharedBuf::default();
         let mut exporter = JsonlExporter::new(Box::new(buf.clone()));
         for seq in 0..3u64 {
             exporter.record(&TraceRecord {
@@ -138,8 +151,7 @@ mod tests {
             });
         }
         exporter.flush();
-        let bytes = buf.0.lock().unwrap().clone();
-        let text = String::from_utf8(bytes).unwrap();
+        let text = String::from_utf8(buf.bytes()).unwrap();
         assert_eq!(text.lines().count(), 3);
         for (seq, line) in (0u64..).zip(text.lines()) {
             assert!(line.contains("\"kind\":\"tx_begin\""), "{line}");
@@ -297,13 +309,13 @@ mod tests {
     #[test]
     fn exported_bytes_are_those_of_the_owned_string_fields() {
         let records = records_naming_identities();
-        let buf = SharedBuf(Arc::new(Mutex::new(Vec::new())));
+        let buf = SharedBuf::default();
         let mut exporter = JsonlExporter::new(Box::new(buf.clone()));
         for record in &records {
             exporter.record(record);
         }
         exporter.flush();
-        let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
+        let text = String::from_utf8(buf.bytes()).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines, PARENT_LINES);
         assert!(text.ends_with('\n'));

@@ -35,6 +35,6 @@ pub use event::{
     AdmissionReject, CostBreakdown, InvocationOutcome, ShedCause, ThreatStorage, TraceEvent,
     TraceRecord, TransitionCause, TriggerKind, TwoPcPhase,
 };
-pub use jsonl::JsonlExporter;
+pub use jsonl::{JsonlExporter, SharedBuf};
 pub use metrics::{HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
 pub use ring::RingRecorder;

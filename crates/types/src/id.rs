@@ -225,11 +225,19 @@ impl MethodName {
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// The 64-bit FNV-1a offset basis: the hash of no bytes.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// One FNV-1a pass over `bytes`, continuing from `hash`.
-fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+/// One FNV-1a pass over `bytes`, continuing from `hash` (start from
+/// [`FNV_OFFSET`]), so a stream hashes chunk by chunk.
+///
+/// ```
+/// use dedisys_types::{fnv1a, FNV_OFFSET};
+/// assert_eq!(fnv1a(FNV_OFFSET, b"a"), 0xaf63_dc4c_8601_ec8c);
+/// assert_eq!(fnv1a(fnv1a(FNV_OFFSET, b"fo"), b"o"), fnv1a(FNV_OFFSET, b"foo"));
+/// ```
+pub fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
     bytes
         .iter()
         .fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))

@@ -43,8 +43,9 @@ mod version;
 pub use degree::SatisfactionDegree;
 pub use error::{Error, Result};
 pub use id::{
-    ClassName, ConstraintName, FieldName, IdBuildHasher, IdHasher, MethodName, MethodSignature,
-    NodeId, ObjectId, SharedText, TxBuildHasher, TxHasher, TxId, ViewId,
+    fnv1a, ClassName, ConstraintName, FieldName, IdBuildHasher, IdHasher, MethodName,
+    MethodSignature, NodeId, ObjectId, SharedText, TxBuildHasher, TxHasher, TxId, ViewId,
+    FNV_OFFSET,
 };
 pub use mode::SystemMode;
 pub use plane::PriorityClass;

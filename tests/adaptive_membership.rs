@@ -4,32 +4,11 @@
 //! healthy with zero standing suspicions after heal + quiescence.
 
 use dedisys_core::{
-    Cluster, ClusterBuilder, DeferAll, DetectorKind, HighestVersionWins, JsonlExporter,
+    Cluster, ClusterBuilder, DeferAll, DetectorKind, HighestVersionWins, JsonlExporter, SharedBuf,
     StabilizerConfig,
 };
 use dedisys_object::{AppDescriptor, ClassDescriptor, EntityState};
 use dedisys_types::{ChaosRng, NodeId, ObjectId, SimDuration, SystemMode, Value};
-use std::io::Write;
-use std::sync::{Arc, Mutex};
-
-/// A `Write` sink into a shared buffer, read back after the cluster
-/// (and its exporter's `BufWriter`) is dropped.
-#[derive(Clone, Default)]
-struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-
-impl Write for SharedBuf {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.0
-            .lock()
-            .expect("trace buffer poisoned")
-            .extend_from_slice(buf);
-        Ok(buf.len())
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
 
 fn app() -> AppDescriptor {
     AppDescriptor::new("adaptive")
@@ -135,8 +114,7 @@ fn same_seed_produces_byte_identical_traces() {
             let buf = SharedBuf::default();
             // Dropping the cluster drops the exporter, which flushes.
             drop(run_scenario(seed, 4, 4, period_ms, Some(buf.clone())));
-            let bytes = buf.0.lock().expect("trace buffer poisoned").clone();
-            bytes
+            buf.bytes()
         };
         let (a, b) = (capture(), capture());
         assert!(!a.is_empty(), "seed {seed}: scenario produced no trace");

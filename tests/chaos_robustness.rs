@@ -11,8 +11,7 @@ use dedisys_core::{
 };
 use dedisys_object::{AppDescriptor, ClassDescriptor, EntityState};
 use dedisys_types::{ChaosRng, Error, NodeId, ObjectId, SatisfactionDegree, TxId, Value};
-use std::io::Write;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 fn app() -> AppDescriptor {
     AppDescriptor::new("robust").with_class(
@@ -386,62 +385,28 @@ fn chaos_runs_are_seed_deterministic() {
 }
 
 // ---------------------------------------------------------------------
-// Pinned trajectories — both workload mixes, as first recorded
+// Pinned trajectory — the request-plane mix, which no `repro` flag runs
 // ---------------------------------------------------------------------
 
-/// An in-memory JSONL destination.
-#[derive(Clone, Default)]
-struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-
-impl Write for SharedBuf {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.0.lock().unwrap().extend_from_slice(buf);
-        Ok(buf.len())
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ u64::from(*b)).wrapping_mul(0x0100_0000_01b3)
-    })
-}
-
-/// Runs `config` with a JSONL exporter over `out` on the traced bus.
-fn traced_run(config: ChaosConfig, out: Box<dyn Write + Send>) -> ChaosReport {
-    let engine = ChaosEngine::new(config).unwrap();
-    engine.telemetry().attach(Box::new(JsonlExporter::new(out)));
-    engine.run().unwrap()
-}
-
-/// The trajectories the chaos engine produced before its two workload
-/// mixes shared one engine — the trace bytes of `repro chaos-soak --seed
-/// 42`, the observable counters of a classic, a detector and a
-/// request-plane seed, and the cross-shard outcomes of six transfer
-/// seeds. A change to either mix's draws or to the repair sequence moves
-/// one of these literals.
+/// The observable counters of a request-plane seed, as first recorded.
+/// Every other chaos trajectory is a line of `crates/bench/receipts.txt`;
+/// `ChaosConfig::workload_plane` has no `repro` flag, so its seed is
+/// pinned here. A change to the plane mix's draws or to the repair
+/// sequence moves this literal.
 #[test]
 fn pinned_trajectories_do_not_move() {
-    let buf = SharedBuf::default();
-    traced_run(
-        ChaosConfig {
-            seed: 42,
-            ..ChaosConfig::default()
-        },
-        Box::new(buf.clone()),
-    );
-    let bytes = buf.0.lock().unwrap().clone();
+    let engine = ChaosEngine::new(ChaosConfig {
+        seed: 13,
+        workload_plane: true,
+        ..ChaosConfig::default()
+    })
+    .unwrap();
+    // An attached sink turns emission on, so the event count counts.
+    let sink = JsonlExporter::new(Box::new(std::io::sink()));
+    engine.telemetry().attach(Box::new(sink));
+    let r = engine.run().unwrap();
+    assert!(r.clean(), "{:?}", r.violations);
     assert_eq!(
-        (bytes.len(), fnv1a(&bytes)),
-        (273_373, 0x60a5_7fe8_3ecb_d95b)
-    );
-
-    let observed = |config: ChaosConfig| {
-        let r = traced_run(config, Box::new(std::io::sink()));
-        assert!(r.clean(), "{config:?}: {:?}", r.violations);
         (
             r.ops_ok,
             r.ops_failed,
@@ -449,62 +414,8 @@ fn pinned_trajectories_do_not_move() {
             r.in_doubt_resolved,
             r.final_stats.now_ns,
             r.final_stats.events_emitted,
-        )
-    };
-    let base = ChaosConfig::default();
-    assert_eq!(
-        observed(ChaosConfig { seed: 7, ..base }),
-        (260, 44, 24, 3, 11_668_700_000, 2159)
-    );
-    assert_eq!(
-        observed(ChaosConfig {
-            seed: 11,
-            detector: true,
-            ..base
-        }),
-        (271, 29, 24, 2, 17_648_100_000, 2303)
-    );
-    assert_eq!(
-        observed(ChaosConfig {
-            seed: 13,
-            workload_plane: true,
-            ..base
-        }),
+        ),
         (302, 6, 24, 0, 9_415_850_000, 2030)
-    );
-
-    let transfers: Vec<(u64, u64, u64, u64)> = (0..6)
-        .map(|seed| {
-            let r = ChaosEngine::new(ChaosConfig {
-                seed,
-                shards: 3,
-                nodes: 3,
-                ops: 200,
-                ..base
-            })
-            .unwrap()
-            .run()
-            .unwrap();
-            assert!(r.clean(), "transfer seed {seed}: {:?}", r.violations);
-            let x = r.federation;
-            (
-                x.xshard_begun,
-                x.xshard_committed,
-                x.xshard_aborted,
-                x.xshard_presumed_aborted,
-            )
-        })
-        .collect();
-    assert_eq!(
-        transfers,
-        [
-            (200, 161, 39, 12),
-            (200, 152, 48, 15),
-            (200, 158, 42, 17),
-            (200, 147, 53, 26),
-            (200, 148, 52, 25),
-            (200, 141, 59, 17),
-        ]
     );
 }
 

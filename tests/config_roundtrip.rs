@@ -9,12 +9,10 @@
 
 use dedisys_core::{
     nodes, Cluster, ClusterBuilder, ClusterConfig, ConstraintEngine, DetectorKind, HistoryPolicy,
-    JsonlExporter, NegotiationTiming, ProtocolKind, ReconcileStrategy, RingRecorder,
+    JsonlExporter, NegotiationTiming, ProtocolKind, ReconcileStrategy, RingRecorder, SharedBuf,
 };
 use dedisys_object::{AppDescriptor, ClassDescriptor, EntityState};
 use dedisys_types::{ChaosRng, Error, NodeId, ObjectId, SatisfactionDegree, SimDuration, Value};
-use std::io::Write;
-use std::sync::{Arc, Mutex};
 
 fn app() -> AppDescriptor {
     AppDescriptor::new("config-roundtrip")
@@ -221,22 +219,6 @@ fn both_typed_spellings_build_the_identical_config() {
     assert_observed_matches("configure", &mutated, &expected);
 }
 
-/// A `Write` sink into a shared buffer (see
-/// `tests/engine_transparency.rs`).
-#[derive(Clone, Default)]
-struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-
-impl Write for SharedBuf {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.0.lock().unwrap().extend_from_slice(buf);
-        Ok(buf.len())
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
-
 /// One mixed workload — committed writes on both sides of a
 /// partition/heal cycle, including a write refused outside the primary
 /// partition — against a traced cluster built by `make`. Returns the
@@ -283,8 +265,7 @@ fn traced_workload(make: fn() -> ClusterBuilder) -> (Vec<u8>, Vec<(u64, u64, &'s
         .map(|r| (r.seq, r.at.as_nanos(), r.event.kind()))
         .collect();
     drop(cluster);
-    let bytes = buf.0.lock().unwrap().clone();
-    (bytes, stream)
+    (buf.bytes(), stream)
 }
 
 #[test]

@@ -4,11 +4,12 @@
 //! same-seed traces and the conservation invariant.
 
 use dedisys_core::plane::{DEFAULT_DEADLINE, QUEUE_CAPACITY, REFILL_PER_SECOND};
-use dedisys_core::{nodes, ClusterBuilder, JsonlExporter, RequestPlane, RingRecorder, TraceEvent};
+use dedisys_core::{
+    nodes, ClusterBuilder, JsonlExporter, RequestPlane, RingRecorder, SharedBuf, TraceEvent,
+};
 use dedisys_object::{AppDescriptor, ClassDescriptor, EntityState};
 use dedisys_telemetry::ShedCause;
 use dedisys_types::{Error, NodeId, ObjectId, PriorityClass, SimDuration, SystemMode, Value};
-use std::io::Write;
 use std::sync::{Arc, Mutex};
 
 /// The virtual time in which a node's bucket earns one token.
@@ -258,22 +259,6 @@ fn degraded_mode_sheds_background_first() {
     }
 }
 
-/// A `Write` sink into a shared buffer (see
-/// `tests/engine_transparency.rs`).
-#[derive(Clone, Default)]
-struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-
-impl Write for SharedBuf {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.0.lock().unwrap().extend_from_slice(buf);
-        Ok(buf.len())
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
-
 /// One full mixed workload against a traced cluster; returns the raw
 /// JSONL bytes plus the serde-independent `(seq, at, kind)` stream.
 fn traced_workload() -> (Vec<u8>, Vec<(u64, u64, &'static str)>) {
@@ -310,8 +295,7 @@ fn traced_workload() -> (Vec<u8>, Vec<(u64, u64, &'static str)>) {
         .map(|r| (r.seq, r.at.as_nanos(), r.event.kind()))
         .collect();
     drop(c);
-    let bytes = buf.0.lock().unwrap().clone();
-    (bytes, stream)
+    (buf.bytes(), stream)
 }
 
 #[test]

@@ -7,13 +7,12 @@ use dedisys_constraints::{
     expr::ExprConstraint, ConstraintMeta, ContextPreparation, RegisteredConstraint,
 };
 use dedisys_core::{
-    Cluster, ClusterBuilder, DeferAll, HighestVersionWins, JsonlExporter, RingRecorder, TraceEvent,
-    TraceRecord,
+    Cluster, ClusterBuilder, DeferAll, HighestVersionWins, JsonlExporter, RingRecorder, SharedBuf,
+    TraceEvent, TraceRecord,
 };
 use dedisys_object::{AppDescriptor, ClassDescriptor, EntityState};
 use dedisys_types::{NodeId, ObjectId, SatisfactionDegree, SystemMode, Value};
-use std::io::Write;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 fn app() -> AppDescriptor {
     AppDescriptor::new("inv").with_class(
@@ -256,21 +255,6 @@ fn a_commit_ships_writes_then_deletes_and_invalidates_in_id_order() {
     );
 }
 
-/// A `Write` target the test keeps a handle to after the exporter (and
-/// the cluster owning it) is dropped.
-#[derive(Clone, Default)]
-struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-
-impl Write for SharedBuf {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.0.lock().unwrap().extend_from_slice(buf);
-        Ok(buf.len())
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
-
 fn export_lifecycle() -> Vec<u8> {
     let buf = SharedBuf::default();
     {
@@ -281,8 +265,7 @@ fn export_lifecycle() -> Vec<u8> {
         run_lifecycle(&mut cluster);
         // Dropping the cluster drops the exporter, which flushes.
     }
-    let bytes = buf.0.lock().unwrap().clone();
-    bytes
+    buf.bytes()
 }
 
 #[test]
