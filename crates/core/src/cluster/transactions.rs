@@ -121,8 +121,6 @@ impl Cluster {
         self.telemetry.emit(|| TraceEvent::TwoPc {
             tx,
             phase: TwoPcPhase::Prepare,
-            participant: None,
-            prepared: Some(true),
         });
         Ok(())
     }
@@ -149,8 +147,6 @@ impl Cluster {
             self.telemetry.emit(|| TraceEvent::TwoPc {
                 tx,
                 phase: TwoPcPhase::Commit,
-                participant: None,
-                prepared: None,
             });
             return self.apply_commit(tx);
         }

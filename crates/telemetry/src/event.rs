@@ -84,14 +84,10 @@ pub enum ThreatStorage {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 #[serde(rename_all = "snake_case")]
 pub enum TwoPcPhase {
-    /// Phase 1 started: votes are being collected.
+    /// Phase 1: the transaction voted and is prepared.
     Prepare,
-    /// One participant voted.
-    Vote,
-    /// Phase 2: all participants commit.
+    /// Phase 2: the prepared transaction commits.
     Commit,
-    /// Phase 2: all participants roll back.
-    Rollback,
 }
 
 /// What drove a [`TraceEvent::ModeTransition`].
@@ -206,10 +202,6 @@ pub enum TraceEvent {
         tx: TxId,
         /// Protocol step.
         phase: TwoPcPhase,
-        /// Participant resource (votes only).
-        participant: Option<String>,
-        /// Whether the vote was "prepared" (votes only).
-        prepared: Option<bool>,
     },
     /// A transaction began.
     TxBegin {
