@@ -4,9 +4,8 @@
 //!
 //! A fixed seed reproduces the run exactly — same fault schedule,
 //! same workload, same virtual-time trajectory, byte-identical trace
-//! file. The CI smoke job runs one seed twice and diffs the traces,
-//! then sweeps a seed range. Contract: the invariant checker stays
-//! silent on every seed.
+//! file; `receipts.txt` pins single seeds and sweeps of both mixes.
+//! Contract: the invariant checker stays silent on every seed.
 
 use crate::{BadFlags, Run, Verdict};
 use dedisys_chaos::{ChaosConfig, ChaosEngine, ChaosReport};

@@ -123,7 +123,7 @@ impl MembershipSim {
             faults: HashMap::new(),
             default_jitter_micros: 0,
             // `^ GAMMA` is part of the stream's definition: the flap-sweep
-            // tables and `--detector` traces CI compares depend on it.
+            // tables and `--detector` traces the receipts pin depend on it.
             rng: ChaosRng::new(seed ^ ChaosRng::GAMMA),
             detectors,
             suspected: (0..node_count)
