@@ -84,6 +84,11 @@ impl ObjectAccess for MapAccess {
     }
 }
 
+/// A `@pre` snapshot: each stored key with its value, in the order first
+/// stored (a second store of a key overwrites its value). Keys are
+/// usually literals, so storing one copies no text.
+pub type PreState = Vec<(Cow<'static, str>, Value)>;
+
 /// The validation context handed to [`crate::Constraint::validate`].
 ///
 /// Carries (depending on constraint kind, §4.2.1) the context object,
@@ -91,13 +96,17 @@ impl ObjectAccess for MapAccess {
 /// postconditions, and a `@pre` store filled by
 /// `before_method_invocation`. Every object touched through the
 /// context is *gathered* (§4.2.3) so the CCMgr can ask the replication
-/// manager about staleness afterwards.
+/// manager about staleness afterwards; the gathered ids are a sorted,
+/// deduplicated slice ([`ValidationContext::accessed_objects`]).
 ///
 /// The call data is held as [`Cow`]s: the owning constructors
 /// ([`ValidationContext::for_method`] and friends) move their arguments
 /// in, while the middleware builds one context per check with
 /// [`ValidationContext::borrowing`] over the invocation in flight and
-/// copies nothing.
+/// copies nothing. What a check fills it fills into buffers the
+/// middleware lends and takes back: the gathered ids
+/// ([`ValidationContext::gather_into`]) and the `@pre` snapshot
+/// ([`ValidationContext::set_pre_state`]).
 pub struct ValidationContext<'a> {
     access: &'a mut dyn ObjectAccess,
     context_object: Option<Cow<'a, ObjectId>>,
@@ -105,8 +114,10 @@ pub struct ValidationContext<'a> {
     method: Option<Cow<'a, MethodName>>,
     args: Cow<'a, [Value]>,
     result: Option<Cow<'a, Value>>,
-    pre_state: Cow<'a, BTreeMap<String, Value>>,
-    accessed: BTreeSet<ObjectId>,
+    pre_state: Cow<'a, [(Cow<'static, str>, Value)]>,
+    /// Sorted and deduplicated. The order reaches traces: the LCC
+    /// staleness probe stops at the first stale id and reports it.
+    accessed: Vec<ObjectId>,
     /// The values of [`VOLATILE_ENV_KEYS`], slot for slot — what the
     /// middleware sets on every check (partition weight, §5.5.2), kept
     /// out of the map so setting them allocates nothing.
@@ -125,8 +136,8 @@ impl<'a> ValidationContext<'a> {
             method: None,
             args: Cow::Borrowed(&[]),
             result: None,
-            pre_state: Cow::Owned(BTreeMap::new()),
-            accessed: BTreeSet::new(),
+            pre_state: Cow::Borrowed(&[]),
+            accessed: Vec::new(),
             volatile_env: Default::default(),
             environment: BTreeMap::new(),
         }
@@ -166,7 +177,7 @@ impl<'a> ValidationContext<'a> {
         context_object: Option<&'a ObjectId>,
         call: Option<&'a Invocation>,
         result: Option<&'a Value>,
-        pre_state: Option<&'a BTreeMap<String, Value>>,
+        pre_state: Option<&'a [(Cow<'static, str>, Value)]>,
         access: &'a mut dyn ObjectAccess,
     ) -> Self {
         let mut ctx = Self::for_query(access);
@@ -222,7 +233,8 @@ impl<'a> ValidationContext<'a> {
     /// Propagates [`ObjectAccess::field`] failures; the unreachable
     /// object is still recorded as accessed.
     pub fn field(&mut self, id: &ObjectId, field: &str) -> Result<Value> {
-        read_recording(self.access, &mut self.accessed, id, field)
+        gather(&mut self.accessed, id);
+        self.access.field(id, field)
     }
 
     /// Convenience: a field of the context object.
@@ -241,46 +253,68 @@ impl<'a> ValidationContext<'a> {
     /// expression engines resolve `self.f` through this.
     pub(crate) fn context_field(&mut self, field: &str) -> Option<Result<Value>> {
         let id = self.context_object.as_deref()?;
-        Some(read_recording(self.access, &mut self.accessed, id, field))
+        gather(&mut self.accessed, id);
+        Some(self.access.field(id, field))
     }
 
     /// Query all objects of a class (recorded as accessed).
     pub fn objects_of_class(&mut self, class: &ClassName) -> Vec<ObjectId> {
         let ids = self.access.objects_of_class(class);
-        self.accessed.extend(ids.iter().cloned());
+        for id in &ids {
+            gather(&mut self.accessed, id);
+        }
         ids
     }
 
     /// Objects touched during validation (the "gathered affected
-    /// objects" of Figure 4.4).
-    pub fn accessed_objects(&self) -> &BTreeSet<ObjectId> {
+    /// objects" of Figure 4.4), sorted and each once.
+    pub fn accessed_objects(&self) -> &[ObjectId] {
         &self.accessed
     }
 
     /// Moves the gathered objects out (the middleware keeps them with
-    /// the verdict).
-    pub fn take_accessed_objects(&mut self) -> BTreeSet<ObjectId> {
+    /// the verdict, or gathers the next check into them).
+    pub fn take_accessed_objects(&mut self) -> Vec<ObjectId> {
         std::mem::take(&mut self.accessed)
     }
 
-    /// Stores a `@pre` value (called from `before_method_invocation`).
-    pub fn store_pre(&mut self, key: impl Into<String>, value: Value) {
-        self.pre_state.to_mut().insert(key.into(), value);
+    /// Gathers into `buffer` from here on: it is cleared, and
+    /// [`ValidationContext::take_accessed_objects`] hands it back — so
+    /// a caller that validates again and again allocates for the ids
+    /// only while the buffer grows. Call it before the first access.
+    pub fn gather_into(&mut self, mut buffer: Vec<ObjectId>) {
+        buffer.clear();
+        self.accessed = buffer;
+    }
+
+    /// Stores a `@pre` value (called from `before_method_invocation`);
+    /// a key stored before is overwritten. A borrowed snapshot is
+    /// copied first.
+    pub fn store_pre(&mut self, key: impl Into<Cow<'static, str>>, value: Value) {
+        let key = key.into();
+        let state = self.pre_state.to_mut();
+        match state.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, held)) => *held = value,
+            None => state.push((key, value)),
+        }
     }
 
     /// Reads a `@pre` value during `validate`.
     pub fn pre(&self, key: &str) -> Option<&Value> {
-        self.pre_state.get(key)
+        self.pre_state
+            .iter()
+            .find_map(|(k, value)| (k == key).then_some(value))
     }
 
     /// Moves the pre-state out (middleware carries it between the
     /// before- and after-invocation hooks).
-    pub fn take_pre_state(&mut self) -> BTreeMap<String, Value> {
+    pub fn take_pre_state(&mut self) -> PreState {
         std::mem::take(&mut self.pre_state).into_owned()
     }
 
-    /// Restores a previously taken pre-state.
-    pub fn set_pre_state(&mut self, state: BTreeMap<String, Value>) {
+    /// Restores a previously taken pre-state — or lends an emptied one
+    /// for `before_method_invocation` to fill in place.
+    pub fn set_pre_state(&mut self, state: PreState) {
         self.pre_state = Cow::Owned(state);
     }
 
@@ -308,18 +342,13 @@ fn volatile_slot(key: &str) -> Option<usize> {
     VOLATILE_ENV_KEYS.iter().position(|k| *k == key)
 }
 
-/// Reads `field` of `id`, gathering `id` first — so an unreachable
-/// object is recorded too — and copying the id only the first time.
-fn read_recording(
-    access: &mut dyn ObjectAccess,
-    accessed: &mut BTreeSet<ObjectId>,
-    id: &ObjectId,
-    field: &str,
-) -> Result<Value> {
-    if !accessed.contains(id) {
-        accessed.insert(id.clone());
+/// Records `id` in the sorted `accessed` ids, copying the handle only
+/// the first time. Called before the read, so an unreachable object is
+/// recorded too.
+fn gather(accessed: &mut Vec<ObjectId>, id: &ObjectId) {
+    if let Err(at) = accessed.binary_search(id) {
+        accessed.insert(at, id.clone());
     }
-    access.field(id, field)
 }
 
 // A cluster may run on another thread than the one that built it (the
@@ -352,10 +381,7 @@ mod tests {
         let mut ctx = ValidationContext::for_invariant(id.clone(), &mut w);
         ctx.self_field("seats").unwrap();
         ctx.field(&other, "age").unwrap();
-        assert_eq!(
-            ctx.accessed_objects().iter().cloned().collect::<Vec<_>>(),
-            vec![id, other]
-        );
+        assert_eq!(ctx.accessed_objects(), [id, other]);
     }
 
     #[test]
@@ -439,7 +465,7 @@ mod tests {
             vec![Value::Int(90)],
         );
         let result = Value::Bool(true);
-        let pre = BTreeMap::from([("size".to_owned(), Value::Int(3))]);
+        let pre: PreState = vec![("size".into(), Value::Int(3))];
         let mut ctx =
             ValidationContext::borrowing(None, Some(&inv), Some(&result), Some(&pre), &mut w);
         // No context object given: it is the called object.
@@ -453,7 +479,7 @@ mod tests {
         // Writing to a borrowed snapshot copies it; the original stays.
         ctx.store_pre("more", Value::Int(1));
         assert_eq!(ctx.take_pre_state().len(), 2);
-        assert_eq!(ctx.take_accessed_objects(), BTreeSet::from([id.clone()]));
+        assert_eq!(ctx.take_accessed_objects(), vec![id.clone()]);
         drop(ctx);
         assert_eq!(pre.len(), 1);
 
@@ -485,6 +511,46 @@ mod tests {
             Err(Error::Config("no context object".into()))
         );
         assert!(ctx.accessed_objects().is_empty());
+    }
+
+    #[test]
+    fn gathered_ids_are_sorted_once_each_into_the_lent_buffer() {
+        let (mut w, f1) = world();
+        let f2 = ObjectId::new("Flight", "F2");
+        let (p1, p2) = (ObjectId::new("Person", "P1"), ObjectId::new("Person", "P2"));
+        for id in [&f2, &p1, &p2] {
+            w.put_field(id, "seats", Value::Int(1));
+        }
+        let pre: PreState = vec![("seats".into(), Value::Int(3))];
+        let mut ctx = ValidationContext::borrowing(Some(&f2), None, None, Some(&pre), &mut w);
+        // A lent buffer is cleared before the check gathers into it.
+        let mut lent = Vec::with_capacity(8);
+        lent.push(ObjectId::new("Stale", "S1"));
+        let block = lent.as_ptr();
+        ctx.gather_into(lent);
+        assert!(ctx.accessed_objects().is_empty());
+        // F2, F1, F2, then `count("Person")`: in id order, each once.
+        ctx.self_field("seats").unwrap();
+        ctx.field(&f1, "seats").unwrap();
+        ctx.field(&f2, "seats").unwrap();
+        let query = crate::expr::ExprConstraint::parse("count(\"Person\") = 2").unwrap();
+        assert_eq!(crate::Constraint::validate(&query, &mut ctx), Ok(true));
+        let expected = [f1, f2.clone(), p1, p2];
+        assert_eq!(ctx.accessed_objects(), expected);
+        // The borrowed `@pre` snapshot is copied on write; a second
+        // store of a key overwrites it.
+        ctx.store_pre("seats", Value::Int(4));
+        ctx.store_pre(String::from("seats"), Value::Int(5));
+        assert_eq!(ctx.pre("seats"), Some(&Value::Int(5)));
+        assert_eq!(
+            ctx.take_pre_state(),
+            [(Cow::Borrowed("seats"), Value::Int(5))]
+        );
+        // The ids come back in the very buffer that was lent.
+        let gathered = ctx.take_accessed_objects();
+        assert_eq!((gathered.as_ptr(), &gathered[..]), (block, &expected[..]));
+        drop(ctx);
+        assert_eq!(pre, [(Cow::Borrowed("seats"), Value::Int(3))]);
     }
 
     #[test]

@@ -515,7 +515,7 @@ mod tests {
             ctx.store_pre("sold", Value::Int(5));
             ctx.set_env("partitionWeight", Value::Float(0.5));
             let interpreted = evaluate(&ast, &mut ctx);
-            let interpreted_accessed = ctx.accessed_objects().clone();
+            let interpreted_accessed = ctx.accessed_objects().to_vec();
             drop(ctx);
 
             let (mut w, id) = world();
@@ -529,7 +529,7 @@ mod tests {
             ctx.store_pre("sold", Value::Int(5));
             ctx.set_env("partitionWeight", Value::Float(0.5));
             let compiled = program.evaluate(&mut ctx);
-            let compiled_accessed = ctx.accessed_objects().clone();
+            let compiled_accessed = ctx.accessed_objects().to_vec();
 
             assert_eq!(interpreted, compiled, "value diverged for `{source}`");
             assert_eq!(
@@ -556,7 +556,7 @@ mod tests {
                 None => ValidationContext::for_query(&mut w),
             };
             let verdict = constraint.validate_with(engine, &mut ctx);
-            (verdict, ctx.accessed_objects().iter().cloned().collect())
+            (verdict, ctx.accessed_objects().to_vec())
         })
     }
 

@@ -60,7 +60,7 @@ pub use constraint::{
     CompiledInfo, Constraint, ConstraintEngine, ConstraintKind, ConstraintMeta, ConstraintPriority,
     ObjectScope, ReadSet, RegisteredConstraint, VOLATILE_ENV_KEYS,
 };
-pub use context::{MapAccess, ObjectAccess, ValidationContext};
+pub use context::{MapAccess, ObjectAccess, PreState, ValidationContext};
 pub use freshness::FreshnessCriterion;
 pub use preparation::ContextPreparation;
 pub use repository::{ConstraintRepository, LookupKind, LookupMode, Matches, RepositoryStats};

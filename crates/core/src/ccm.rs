@@ -31,7 +31,8 @@ use dedisys_types::{
     ClassName, Error, NodeId, ObjectId, Result, SatisfactionDegree, TxId, Value, VersionInfo,
 };
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::borrow::Cow;
+use std::collections::BTreeSet;
 
 /// CCM counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -161,7 +162,7 @@ pub(crate) struct ValidationCandidate<'a> {
     /// The result of the call (postconditions only).
     pub result: Option<&'a Value>,
     /// The `@pre` snapshot taken before the call (postconditions only).
-    pub pre_state: Option<&'a BTreeMap<String, Value>>,
+    pub pre_state: Option<&'a [(Cow<'static, str>, Value)]>,
 }
 
 impl<'a> ValidationCandidate<'a> {
@@ -184,7 +185,8 @@ impl<'a> ValidationCandidate<'a> {
 /// verdict cache can answer instead: runs the constraint through the
 /// selected engine and returns the satisfaction degree before staleness
 /// adjustment (or the non-availability failure) with the objects
-/// accessed. Emits no telemetry, advances no clock, touches no CCM state.
+/// accessed, gathered into the lent `gathered` buffer. Emits no
+/// telemetry, advances no clock, touches no CCM state.
 ///
 /// Constraints are predicates and must not trigger further constraint
 /// validation (§5.3). No runtime guard enforces that: `access` holds the
@@ -196,7 +198,8 @@ pub(crate) fn evaluate_candidate(
     access: &mut ReplicaAccess<'_>,
     env: PartitionEnv,
     engine: ConstraintEngine,
-) -> (Result<SatisfactionDegree>, BTreeSet<ObjectId>) {
+    gathered: Vec<ObjectId>,
+) -> (Result<SatisfactionDegree>, Vec<ObjectId>) {
     let topology_healthy = access.topology.is_healthy();
     let mut ctx = ValidationContext::borrowing(
         candidate.context_object,
@@ -205,6 +208,7 @@ pub(crate) fn evaluate_candidate(
         candidate.pre_state,
         access,
     );
+    ctx.gather_into(gathered);
     ctx.set_env("partitionWeight", Value::Float(env.fraction));
     ctx.set_env("partitionWeightUnits", Value::Int(env.weight as i64));
     ctx.set_env("totalWeightUnits", Value::Int(env.total as i64));
@@ -226,14 +230,25 @@ pub(crate) fn evaluate_candidate(
     (outcome, accessed)
 }
 
+/// A kept copy of gathered ids — a stored threat's affected objects, a
+/// verdict-cache entry's read set — built by insertion: `collect()`
+/// sorts through a scratch `Vec` first, a block the copy does not keep.
+pub(crate) fn kept_set(ids: &[ObjectId]) -> BTreeSet<ObjectId> {
+    let mut set = BTreeSet::new();
+    set.extend(ids.iter().cloned());
+    set
+}
+
 /// The result of validating one constraint, after staleness
 /// adjustment.
 #[derive(Debug, Clone)]
 pub(crate) struct ValidationVerdict {
     /// Final satisfaction degree.
     pub degree: SatisfactionDegree,
-    /// Objects the validation accessed.
-    pub accessed: BTreeSet<ObjectId>,
+    /// Objects the validation accessed, sorted and each once: the
+    /// buffer the cluster lent the check, handed back after the verdict
+    /// is processed.
+    pub accessed: Vec<ObjectId>,
     /// Class and freshness of each accessed object — what the static
     /// path's freshness criteria read, so gathered only for a threat of
     /// a constraint that declares one.
@@ -310,7 +325,7 @@ impl Ccm {
         &mut self,
         constraint: &RegisteredConstraint,
         outcome: Result<SatisfactionDegree>,
-        accessed: BTreeSet<ObjectId>,
+        accessed: Vec<ObjectId>,
         access: &ReplicaAccess<'_>,
     ) -> Result<ValidationVerdict> {
         self.stats.validations += 1;
@@ -463,8 +478,13 @@ mod tests {
             total: 1,
         };
         let candidate = ValidationCandidate::invariant(constraint, Some(&world.id));
-        let (outcome, accessed) =
-            evaluate_candidate(&candidate, &mut access, env, ConstraintEngine::Interpreted);
+        let (outcome, accessed) = evaluate_candidate(
+            &candidate,
+            &mut access,
+            env,
+            ConstraintEngine::Interpreted,
+            Vec::new(),
+        );
         world
             .ccm
             .finish_validation(constraint, outcome, accessed, &access)
@@ -480,7 +500,7 @@ mod tests {
     ) -> Result<Option<ThreatStorage>> {
         world.ccm.process_verdict(
             &ValidationCandidate::invariant(constraint, Some(&world.id)),
-            verdict,
+            &verdict,
             &ValidationConfig::default(),
             &mut handler,
             &mut Vec::new(),

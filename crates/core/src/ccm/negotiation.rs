@@ -3,7 +3,7 @@
 //! threat that is negotiated — now or at commit (§5.4) — and then
 //! stored, tolerated or rejected.
 
-use super::{Ccm, ValidationCandidate, ValidationVerdict};
+use super::{kept_set, Ccm, ValidationCandidate, ValidationVerdict};
 use crate::config::ValidationConfig;
 use crate::threat::ConsistencyThreat;
 use dedisys_constraints::RegisteredConstraint;
@@ -131,7 +131,8 @@ impl Ccm {
     /// handler of `tx`.
     ///
     /// Returns how a threat was persisted (the cluster charges
-    /// persistence costs accordingly).
+    /// persistence costs accordingly). The verdict is borrowed: its
+    /// gathered ids are the cluster's buffer, and a threat keeps a copy.
     ///
     /// # Errors
     ///
@@ -140,7 +141,7 @@ impl Ccm {
     pub(crate) fn process_verdict(
         &mut self,
         candidate: &ValidationCandidate<'_>,
-        verdict: ValidationVerdict,
+        verdict: &ValidationVerdict,
         settings: &ValidationConfig,
         handler: &mut Option<Box<dyn NegotiationHandler>>,
         deferred: &mut Vec<DeferredThreat>,
@@ -164,7 +165,7 @@ impl Ccm {
                     constraint: constraint.name().clone(),
                     context_object: context_object.cloned(),
                     degree,
-                    affected_objects: verdict.accessed,
+                    affected_objects: kept_set(&verdict.accessed),
                     app_data: None,
                     instructions: self.default_instructions,
                     occurred_at: self.clock.now(),
@@ -177,7 +178,7 @@ impl Ccm {
                     deferred.push(DeferredThreat {
                         constraint: constraint.clone(),
                         threat,
-                        freshness: verdict.freshness,
+                        freshness: verdict.freshness.clone(),
                     });
                     return Ok(None);
                 }

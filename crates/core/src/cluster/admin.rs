@@ -213,6 +213,7 @@ impl Cluster {
         for context in contexts {
             let candidate = ValidationCandidate::invariant(constraint, context.as_ref());
             let verdict = self.validate(&candidate, node, check_tx)?;
+            self.gathered = verdict.accessed;
             if verdict.degree == SatisfactionDegree::Violated {
                 if let Some(ctx) = context {
                     violating.push(ctx);

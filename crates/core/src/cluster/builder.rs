@@ -269,6 +269,8 @@ impl ClusterBuilder {
             inv_cost: CostBreakdown::default(),
             changes: Vec::new(),
             contexts: Vec::new(),
+            gathered: Vec::new(),
+            pre_states: Vec::new(),
             hooks: InterceptorChain::new(),
             ccm_enabled: self.ccm_enabled,
             replication_enabled: self.replication_enabled,

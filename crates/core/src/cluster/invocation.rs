@@ -4,17 +4,20 @@
 
 use super::{Cluster, HookInfo};
 use crate::ccm::{PendingCheck, ReplicaAccess, ValidationCandidate};
-use dedisys_constraints::{ConstraintKind, ContextPreparation, LookupKind, ValidationContext};
+use dedisys_constraints::{
+    ConstraintKind, ContextPreparation, LookupKind, PreState, ValidationContext,
+};
 use dedisys_object::{Invocation, MethodKind};
 use dedisys_telemetry::{CostBreakdown, InvocationOutcome, TraceEvent, TriggerKind};
 use dedisys_types::{Error, MethodName, MethodSignature, NodeId, ObjectId, Result, TxId, Value};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 impl Cluster {
     /// Invokes `method` on `target` within `tx` — the central
     /// client-facing operation, passing through interception,
-    /// constraint consistency management and replication.
+    /// constraint consistency management and replication. The call
+    /// shares the name its class declares; only a method the class does
+    /// not declare gets a name of its own.
     ///
     /// # Errors
     ///
@@ -27,7 +30,27 @@ impl Cluster {
         node: NodeId,
         tx: TxId,
         target: &ObjectId,
-        method: impl Into<MethodName>,
+        method: impl AsRef<str>,
+        args: Vec<Value>,
+    ) -> Result<Value> {
+        let method = method.as_ref();
+        let declared = self.app.class(target.class()).and_then(|class| {
+            class
+                .methods()
+                .iter()
+                .find(|declared| declared.name().as_str() == method)
+        });
+        let method = declared.map_or_else(|| MethodName::from(method), |m| m.name().clone());
+        self.invoke_named(node, tx, target, method, args)
+    }
+
+    /// [`Cluster::invoke`] with the name already resolved.
+    pub(super) fn invoke_named(
+        &mut self,
+        node: NodeId,
+        tx: TxId,
+        target: &ObjectId,
+        method: MethodName,
         args: Vec<Value>,
     ) -> Result<Value> {
         self.metrics.invocations += 1;
@@ -126,15 +149,34 @@ impl Cluster {
         self.tx_info(tx)?.involved.insert(exec);
         self.inv_cost.r3_preparation_ns += self.clock.now().since(t_r3).as_nanos();
 
-        // The one signature every trigger point of this call looks up.
+        // The one signature every trigger point of this call looks up,
+        // and the cluster's `@pre` slots, put back whatever the outcome.
         let sig = inv.signature();
+        let mut pre_states = std::mem::take(&mut self.pre_states);
+        let result = self.checked_dispatch(exec, kind, inv, &sig, &mut pre_states);
+        self.pre_states = pre_states;
+        result
+    }
+
+    /// The call on `exec` between its CCM trigger points: preconditions
+    /// and `@pre` snapshots (into `pre_states`), dispatch, then
+    /// postconditions and invariants.
+    fn checked_dispatch(
+        &mut self,
+        exec: NodeId,
+        kind: MethodKind,
+        inv: &Invocation,
+        sig: &MethodSignature,
+        pre_states: &mut Vec<PreState>,
+    ) -> Result<Value> {
+        let tx = inv.tx;
 
         // --- CCM before-invocation: preconditions + @pre snapshots ---
-        let pre_states = if self.ccm_enabled {
-            self.ccm_phase(tx, |cluster| cluster.check_before(exec, inv, &sig))?
-        } else {
-            Vec::new()
-        };
+        if self.ccm_enabled {
+            self.ccm_phase(tx, |cluster| {
+                cluster.check_before(exec, inv, sig, pre_states)
+            })?;
+        }
 
         // --- Dispatch (R1 — application/database work) ---
         let t_r1 = self.clock.now();
@@ -156,7 +198,7 @@ impl Cluster {
         // --- CCM after-invocation: postconditions + invariants ---
         if self.ccm_enabled {
             self.ccm_phase(tx, |cluster| {
-                cluster.check_after(exec, inv, &sig, &value, &pre_states)
+                cluster.check_after(exec, inv, sig, &value, pre_states)
             })?;
         }
         Ok(value)
@@ -208,14 +250,16 @@ impl Cluster {
     }
 
     /// Before the call runs: validates the preconditions of `sig` and
-    /// lets its postconditions snapshot their `@pre` state. Returns one
-    /// snapshot per postcondition, in lookup order.
+    /// lets its postconditions snapshot their `@pre` state, one slot of
+    /// `pre_states` each, in lookup order (a slot is emptied and filled
+    /// in place, and the hook gathers into the cluster's buffer).
     fn check_before(
         &mut self,
         exec: NodeId,
         inv: &Invocation,
         sig: &MethodSignature,
-    ) -> Result<Vec<BTreeMap<String, Value>>> {
+        pre_states: &mut Vec<PreState>,
+    ) -> Result<()> {
         let tx = inv.tx;
         let pres = self.repository.lookup(sig, LookupKind::Precondition);
         self.telemetry.emit(|| TraceEvent::TriggerPoint {
@@ -234,8 +278,11 @@ impl Cluster {
             self.validate_and_process(&candidate, exec, tx)?;
         }
         let posts = self.repository.lookup(sig, LookupKind::Postcondition);
-        let mut pre_states = Vec::with_capacity(posts.len());
-        for constraint in posts.iter() {
+        if pre_states.len() < posts.len() {
+            pre_states.resize_with(posts.len(), Vec::new);
+        }
+        let mut gathered = std::mem::take(&mut self.gathered);
+        for (constraint, slot) in posts.iter().zip(pre_states.iter_mut()) {
             let mut access = ReplicaAccess::new(
                 &self.containers,
                 &self.replication,
@@ -244,10 +291,15 @@ impl Cluster {
                 tx,
             );
             let mut ctx = ValidationContext::borrowing(None, Some(inv), None, None, &mut access);
+            ctx.gather_into(gathered);
+            slot.clear();
+            ctx.set_pre_state(std::mem::take(slot));
             constraint.implementation.before_method_invocation(&mut ctx);
-            pre_states.push(ctx.take_pre_state());
+            *slot = ctx.take_pre_state();
+            gathered = ctx.take_accessed_objects();
         }
-        Ok(pre_states)
+        self.gathered = gathered;
+        Ok(())
     }
 
     /// After the call returned `value`: validates the postconditions
@@ -260,7 +312,7 @@ impl Cluster {
         inv: &Invocation,
         sig: &MethodSignature,
         value: &Value,
-        pre_states: &[BTreeMap<String, Value>],
+        pre_states: &[PreState],
     ) -> Result<()> {
         let tx = inv.tx;
         let target = &inv.target;

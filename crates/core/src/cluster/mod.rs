@@ -33,7 +33,7 @@ use crate::ccm::{Ccm, DeferredThreat, NegotiationHandler, PartitionEnv, PendingC
 use crate::config::ClusterConfig;
 use crate::threat::ThreatStore;
 use crate::CostModel;
-use dedisys_constraints::ConstraintRepository;
+use dedisys_constraints::{ConstraintRepository, PreState};
 use dedisys_gms::{MembershipSim, NodeWeights, ViewTracker};
 use dedisys_net::{SimClock, Topology};
 use dedisys_object::{AppDescriptor, EntityContainer, EntityState, InterceptorChain, MethodTable};
@@ -178,6 +178,14 @@ pub struct Cluster {
     /// Scratch of `check_after`: each invariant's resolved context
     /// object, reused like `changes`.
     contexts: Vec<Option<ObjectId>>,
+    /// Scratch of every check: the objects it gathers. Lent to the
+    /// validation context, carried by the verdict, put back once the
+    /// verdict is processed.
+    gathered: Vec<ObjectId>,
+    /// Scratch of `invoke`: one `@pre` snapshot slot per postcondition
+    /// of the call in flight, filled in place by the before-hook and
+    /// borrowed by the after-check.
+    pre_states: Vec<PreState>,
     hooks: InterceptorChain<HookInfo>,
     ccm_enabled: bool,
     replication_enabled: bool,
@@ -391,7 +399,7 @@ impl Cluster {
     ) -> Result<()> {
         let setter = self.app.class(target.class()).and_then(|c| c.setter(field));
         let method = setter.cloned().unwrap_or_else(|| setter_name(field));
-        self.invoke(node, tx, target, method, vec![value])
+        self.invoke_named(node, tx, target, method, vec![value])
             .map(|_| ())
     }
 
@@ -409,7 +417,7 @@ impl Cluster {
     ) -> Result<Value> {
         let getter = self.app.class(target.class()).and_then(|c| c.getter(field));
         let method = getter.cloned().unwrap_or_else(|| getter_name(field));
-        self.invoke(node, tx, target, method, vec![])
+        self.invoke_named(node, tx, target, method, vec![])
     }
 }
 

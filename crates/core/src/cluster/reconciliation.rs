@@ -498,10 +498,15 @@ impl Cluster {
         let candidate =
             ValidationCandidate::invariant(constraint, identity.context_object.as_ref());
         // Live and uncached: the replica step just rewrote state.
-        let (outcome, accessed) = evaluate_candidate(&candidate, &mut access, env, engine);
+        let gathered = std::mem::take(&mut self.gathered);
+        let (outcome, accessed) =
+            evaluate_candidate(&candidate, &mut access, env, engine, gathered);
         self.ccm
             .finish_validation(constraint, outcome, accessed, &access)
-            .map_or(SatisfactionDegree::Uncheckable, |verdict| verdict.degree)
+            .map_or(SatisfactionDegree::Uncheckable, |verdict| {
+                self.gathered = verdict.accessed;
+                verdict.degree
+            })
     }
 
     /// Attempts rollback to a historical degraded-mode state of the

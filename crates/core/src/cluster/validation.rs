@@ -6,7 +6,9 @@
 //! the first refusal.
 
 use super::Cluster;
-use crate::ccm::{evaluate_candidate, ReplicaAccess, ValidationCandidate, ValidationVerdict};
+use crate::ccm::{
+    evaluate_candidate, kept_set, ReplicaAccess, ValidationCandidate, ValidationVerdict,
+};
 use crate::threat::HistoryPolicy;
 use dedisys_constraints::ConstraintEngine;
 use dedisys_telemetry::{ThreatStorage, TraceEvent};
@@ -183,7 +185,9 @@ impl Cluster {
     /// evaluated and a definite raw outcome memoized. Either answer
     /// goes through the staleness merge, statistics and
     /// `constraint_validated`, and is charged for how it was produced:
-    /// a cache probe, or the selected engine's check.
+    /// a cache probe, or the selected engine's check. The objects are
+    /// gathered into the cluster's `gathered` buffer, which the verdict
+    /// carries: whoever takes the verdict puts it back.
     ///
     /// # Errors
     ///
@@ -196,10 +200,15 @@ impl Cluster {
     ) -> Result<ValidationVerdict> {
         let constraint = candidate.constraint;
         let key = self.cacheable_probe(candidate, node, tx);
+        let mut gathered = std::mem::take(&mut self.gathered);
+        // A hit copies the memoized objects into the lent buffer.
         let hit = key.and_then(|(object, version)| {
-            self.verdict_cache
-                .get(object, node, constraint.name(), version)
-                .cloned()
+            let hit = self
+                .verdict_cache
+                .get(object, node, constraint.name(), version)?;
+            gathered.clear();
+            gathered.extend(hit.accessed.iter().cloned());
+            Some(hit.degree)
         });
         if let Some((object, _)) = key {
             if hit.is_some() {
@@ -225,10 +234,11 @@ impl Cluster {
             tx,
         );
         let (outcome, accessed, charge) = match hit {
-            Some(hit) => (Ok(hit.degree), hit.accessed, self.costs.verdict_cache_probe),
+            Some(degree) => (Ok(degree), gathered, self.costs.verdict_cache_probe),
             None => {
                 let env = self.partition_env(node);
-                let (outcome, accessed) = evaluate_candidate(candidate, &mut access, env, engine);
+                let (outcome, accessed) =
+                    evaluate_candidate(candidate, &mut access, env, engine, gathered);
                 if let (
                     Some((object, version)),
                     Ok(degree @ (SatisfactionDegree::Satisfied | SatisfactionDegree::Violated)),
@@ -241,7 +251,7 @@ impl Cluster {
                         CachedVerdict {
                             version,
                             degree: *degree,
-                            accessed: accessed.clone(),
+                            accessed: kept_set(&accessed),
                         },
                     );
                 }
@@ -262,7 +272,8 @@ impl Cluster {
     /// [`Cluster::validate`] plus verdict processing: negotiation of a
     /// threat — with the handler and the deferred threats of `tx`'s
     /// record, by the validation settings in force — threat storage,
-    /// and their charges. Refuses with the errors of `process_verdict`.
+    /// and their charges. Refuses with the errors of `process_verdict`;
+    /// the gathered buffer comes back either way.
     pub(super) fn validate_and_process(
         &mut self,
         candidate: &ValidationCandidate<'_>,
@@ -270,17 +281,20 @@ impl Cluster {
         tx: TxId,
     ) -> Result<()> {
         let verdict = self.validate(candidate, node, tx)?;
-        let was_threat = verdict.degree.is_threat();
-        let info = self.txs.get_mut(&tx).ok_or(Error::NoSuchTransaction(tx))?;
-        let outcome = self.ccm.process_verdict(
-            candidate,
-            verdict,
-            &self.config.validation,
-            &mut info.handler,
-            &mut info.deferred,
-            tx,
-        )?;
-        if was_threat {
+        let outcome = match self.txs.get_mut(&tx) {
+            Some(info) => self.ccm.process_verdict(
+                candidate,
+                &verdict,
+                &self.config.validation,
+                &mut info.handler,
+                &mut info.deferred,
+                tx,
+            ),
+            None => Err(Error::NoSuchTransaction(tx)),
+        };
+        self.gathered = verdict.accessed;
+        let outcome = outcome?;
+        if verdict.degree.is_threat() {
             self.clock.advance(self.costs.negotiation);
         }
         if let Some(outcome) = outcome {

@@ -27,7 +27,7 @@
 use crate::ccm::NegotiationHandler;
 use crate::cluster::Cluster;
 use dedisys_object::EntityState;
-use dedisys_types::{MethodName, NodeId, ObjectId, Result, TxId, Value};
+use dedisys_types::{NodeId, ObjectId, Result, TxId, Value};
 
 /// A transaction in progress on one node, tied to the borrow of its
 /// [`Cluster`]. Created by [`Cluster::session`]; rolls back on drop
@@ -75,7 +75,7 @@ impl<'a> Session<'a> {
     pub fn invoke(
         &mut self,
         target: &ObjectId,
-        method: impl Into<MethodName>,
+        method: impl AsRef<str>,
         args: Vec<Value>,
     ) -> Result<Value> {
         let node = self.node();

@@ -146,16 +146,16 @@ fn a_write_allocates_only_what_it_keeps() {
         fed.xshard_abort(xtx).unwrap();
     }
 
-    // A staged write allocates 5 times, every one of them kept for the
-    // transaction or named in ROADMAP 4(c):
+    // A staged write allocates 4 times, every one of them kept for the
+    // transaction or named in ROADMAP 6(c):
     //  - the `vec![value]` argument of `set_field` (`invoke` owns it);
     //  - `TxInfo::involved`, the nodes the transaction touched;
     //  - the copy-on-write clone of the account: its B-tree leaf only,
     //    the field names are the class's;
-    //  - the `TxBuffer` map node that holds that copy;
-    //  - the set of objects the `Floor` check read
-    //    (`ValidationVerdict.accessed`).
-    const STAGED: u64 = 5;
+    //  - the `TxBuffer` map node that holds that copy.
+    // The `Floor` check gathers into the cluster's reused buffer
+    // (`crates/core/tests/invoke_allocs.rs` pins a whole checked call).
+    const STAGED: u64 = 4;
     // Committing it adds 4, all kept by the replicas: the snapshot —
     // the record `String` (allocated, then grown once by the
     // `perf/shims` encoder), that record as the `Arc<str>` every

@@ -301,7 +301,7 @@ impl ReplicationManager {
     ///
     /// `_now` is read by nothing since the history keeps snapshots, not
     /// timestamped entries; the parameter stays because `perf/` drives
-    /// this signature (ROADMAP item 2(c) drops it).
+    /// this signature (ROADMAP item 3(c) drops it).
     pub fn propagate_update(
         &mut self,
         object: &ObjectId,

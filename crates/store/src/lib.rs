@@ -18,7 +18,7 @@
 //!
 //! Two more have no product caller left and stay only because the
 //! per-layer probes of the `perf/` benchmark still build them; they go
-//! with ROADMAP item 2(c):
+//! with ROADMAP item 3(c):
 //!
 //! * [`TableStore`] — an in-memory multi-table key/value store holding
 //!   serialized records.

@@ -6,8 +6,8 @@ use super::{CheckCounts, Mechanism, SliceLevel};
 use crate::constraints_def::{build_expr_constraints, build_registered_constraints, CompanyAccess};
 use crate::model::{Company, Op};
 use dedisys_constraints::{
-    ConstraintKind, ConstraintRepository, LookupKind, LookupMode, Matches, RegisteredConstraint,
-    ValidationContext,
+    ConstraintKind, ConstraintRepository, LookupKind, LookupMode, Matches, PreState,
+    RegisteredConstraint, ValidationContext,
 };
 use dedisys_types::{MethodName, MethodSignature, ObjectId, Value};
 use std::collections::{BTreeMap, HashMap};
@@ -273,7 +273,7 @@ fn run_checks(
         }
     }
     // Invariants before + postcondition @pre snapshots.
-    let mut pre_states: BTreeMap<String, BTreeMap<String, Value>> = BTreeMap::new();
+    let mut pre_states: BTreeMap<String, PreState> = BTreeMap::new();
     for c in binding.posts.iter() {
         let ctx_obj = context_for(c, op);
         let mut access = CompanyAccess { company };
