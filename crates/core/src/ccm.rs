@@ -664,7 +664,7 @@ mod tests {
         let mut w = setup(2, 70, 80);
         let c = ticket_constraint(true);
         let outcome = w.ccm.record_async_threat(&c, Some(&w.id), w.tx);
-        assert_eq!(outcome, Ok(ThreatStorage::Stored));
+        assert_eq!(outcome, ThreatStorage::Stored);
         assert_eq!(w.ccm.stats().validations, 0);
         assert_eq!(w.ccm.stats().async_shortcuts, 1);
     }

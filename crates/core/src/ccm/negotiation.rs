@@ -242,7 +242,7 @@ impl Ccm {
                 if !constraint.meta.kind.is_invariant() {
                     return Ok(None);
                 }
-                let storage = self.threat_store.store(threat)?;
+                let storage = self.threat_store.store(threat);
                 self.emit_threat_recorded(constraint, context_object, degree, storage);
                 Ok(Some(storage))
             }
@@ -287,16 +287,12 @@ impl Ccm {
     /// The §5.5.3 asynchronous-constraint fast path: in degraded mode
     /// the constraint is not validated and not negotiated; a threat is
     /// recorded directly for reconciliation-time evaluation.
-    ///
-    /// # Errors
-    ///
-    /// As [`ThreatStore::store`](crate::ThreatStore::store).
     pub(crate) fn record_async_threat(
         &mut self,
         constraint: &RegisteredConstraint,
         context_object: Option<&ObjectId>,
         tx: TxId,
-    ) -> Result<ThreatStorage> {
+    ) -> ThreatStorage {
         self.stats.async_shortcuts += 1;
         self.stats.threats_detected += 1;
         self.stats.threats_accepted += 1;
@@ -309,14 +305,14 @@ impl Ccm {
             instructions: self.default_instructions,
             occurred_at: self.clock.now(),
             tx,
-        })?;
+        });
         self.emit_threat_recorded(
             constraint,
             context_object,
             SatisfactionDegree::Uncheckable,
             storage,
         );
-        Ok(storage)
+        storage
     }
 
     fn emit_threat_recorded(

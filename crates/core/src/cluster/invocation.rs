@@ -31,7 +31,7 @@ impl Cluster {
         tx: TxId,
         target: &ObjectId,
         method: impl AsRef<str>,
-        args: Vec<Value>,
+        mut args: Vec<Value>,
     ) -> Result<Value> {
         let method = method.as_ref();
         let declared = self.app.class(target.class()).and_then(|class| {
@@ -41,23 +41,25 @@ impl Cluster {
                 .find(|declared| declared.name().as_str() == method)
         });
         let method = declared.map_or_else(|| MethodName::from(method), |m| m.name().clone());
-        self.invoke_named(node, tx, target, method, args)
+        self.invoke_named(node, tx, target, method, &mut args)
     }
 
-    /// [`Cluster::invoke`] with the name already resolved.
+    /// [`Cluster::invoke`] with the name already resolved. The call
+    /// takes `args` and gives them back when it returns, as the
+    /// interceptors left them.
     pub(super) fn invoke_named(
         &mut self,
         node: NodeId,
         tx: TxId,
         target: &ObjectId,
         method: MethodName,
-        args: Vec<Value>,
+        args: &mut Vec<Value>,
     ) -> Result<Value> {
         self.metrics.invocations += 1;
         self.inv_cost = CostBreakdown::default();
         // The one place the call is reified: everything below borrows
         // this invocation.
-        let mut inv = Invocation::new(tx, target.clone(), method, args);
+        let mut inv = Invocation::new(tx, target.clone(), method, std::mem::take(args));
         self.telemetry.emit(|| TraceEvent::InvocationStart {
             node,
             tx,
@@ -97,6 +99,7 @@ impl Cluster {
             outcome,
             cost,
         });
+        *args = inv.args;
         result
     }
 
@@ -146,7 +149,7 @@ impl Cluster {
         if kind == MethodKind::Write {
             self.locks.acquire(tx, target)?;
         }
-        self.tx_info(tx)?.involved.insert(exec);
+        self.tx_info(tx)?.involve(exec);
         self.inv_cost.r3_preparation_ns += self.clock.now().since(t_r3).as_nanos();
 
         // The one signature every trigger point of this call looks up,

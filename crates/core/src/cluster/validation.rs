@@ -298,12 +298,12 @@ impl Cluster {
             self.clock.advance(self.costs.negotiation);
         }
         if let Some(outcome) = outcome {
-            self.charge_threat_storage(outcome)?;
+            self.charge_threat_storage(outcome);
         }
         Ok(())
     }
 
-    pub(super) fn charge_threat_storage(&mut self, storage: ThreatStorage) -> Result<()> {
+    pub(super) fn charge_threat_storage(&mut self, storage: ThreatStorage) {
         let others = (self.ccm.threat_store().identity_count() as u64).saturating_sub(1);
         let scan = self.costs.threat_scan_per_identity * others;
         self.clock.advance(match storage {
@@ -312,9 +312,8 @@ impl Cluster {
             ThreatStorage::Deduplicated => self.costs.threat_dedup_read,
         });
         if storage == ThreatStorage::LinkedOccurrence {
-            self.maybe_compact_threats()?;
+            self.maybe_compact_threats();
         }
-        Ok(())
     }
 
     /// Entries currently held by the verdict cache.
@@ -363,16 +362,16 @@ impl Cluster {
     /// duplicates have piled up — so heal-time reconciliation ships one
     /// folded record per identity instead of the occurrence history
     /// (§5.5.1).
-    fn maybe_compact_threats(&mut self) -> Result<()> {
+    fn maybe_compact_threats(&mut self) {
         let store = self.ccm.threat_store();
         if store.policy() != HistoryPolicy::Reduced
             || store.duplicate_records() < COMPACTION_THRESHOLD
         {
-            return Ok(());
+            return;
         }
-        let report = self.ccm.threat_store_mut().compact()?;
+        let report = self.ccm.threat_store_mut().compact();
         if report.folded == 0 {
-            return Ok(());
+            return;
         }
         // One batched rewrite per folded identity group, plus the
         // marginal scan cost per removed record.
@@ -387,7 +386,6 @@ impl Cluster {
             folded: report.folded,
             retained: report.retained,
         });
-        Ok(())
     }
 }
 

@@ -8,6 +8,7 @@ use dedisys_types::{
 };
 use serde::{Deserialize, Serialize};
 use std::collections::{hash_map, BTreeMap, BTreeSet, HashMap, HashSet};
+use std::fmt::Write;
 use std::sync::Arc;
 
 /// Reconciliation instructions attached to an accepted threat
@@ -120,6 +121,9 @@ pub struct ThreatStore {
     object_index: BTreeMap<ObjectId, BTreeSet<ThreatIdentity>>,
     wal: WriteAheadLog,
     next_record: u64,
+    /// What a journal key, then its record, is written into before the
+    /// log shares it: each is allocated once, at its exact size.
+    text: String,
 }
 
 /// One stored threat and where its journal entry is.
@@ -168,43 +172,43 @@ impl ThreatStore {
     /// objects, plus 2 per additional identical threat under full
     /// history; a duplicate under [`HistoryPolicy::IdenticalOnce`]
     /// costs only the read that detected it).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Persistence`] — storing nothing — if the record
-    /// cannot be encoded.
-    pub fn store(&mut self, threat: ConsistencyThreat) -> Result<ThreatStorage> {
+    pub fn store(&mut self, threat: ConsistencyThreat) -> ThreatStorage {
         let seen = self.records.contains_key(&threat.identity());
         if seen && self.policy == HistoryPolicy::IdenticalOnce {
-            return Ok(ThreatStorage::Deduplicated);
+            return ThreatStorage::Deduplicated;
         }
-        let record = self.persist(threat)?;
+        let record = self.persist(threat);
         self.file(record);
-        Ok(if seen {
+        if seen {
             ThreatStorage::LinkedOccurrence
         } else {
             ThreatStorage::Stored
-        })
+        }
     }
 
     /// Journals `threat` under the next record number. The one encoding
     /// becomes the journal entry; nothing else keeps a serialized copy.
-    fn persist(&mut self, threat: ConsistencyThreat) -> Result<Record> {
-        let json = encode(&threat)?;
+    fn persist(&mut self, threat: ConsistencyThreat) -> Record {
         let number = self.next_record;
-        let constraint = &threat.constraint;
-        let key: Arc<str> = match &threat.context_object {
-            Some(object) => format!("{number:08}|{constraint}@{object}"),
-            None => format!("{number:08}|{constraint}"),
-        }
-        .into();
         self.next_record += 1;
-        self.wal.append_put(THREAT_TABLE, Arc::clone(&key), json);
-        Ok(Record {
+        let text = &mut self.text;
+        text.clear();
+        let constraint = &threat.constraint;
+        match &threat.context_object {
+            Some(object) => write!(text, "{number:08}|{constraint}@{object}"),
+            None => write!(text, "{number:08}|{constraint}"),
+        }
+        .expect("a String takes every write");
+        let key: Arc<str> = Arc::from(text.as_str());
+        text.clear();
+        threat.serialize_json(text);
+        self.wal
+            .append_put(THREAT_TABLE, Arc::clone(&key), text.as_str());
+        Record {
             number,
             key,
             threat,
-        })
+        }
     }
 
     /// Files `record` under its identity and its objects (store and
@@ -322,11 +326,18 @@ impl ThreatStore {
     /// Every object touched by threats of `identity` (context object
     /// plus affected objects, across all stored occurrences).
     pub fn objects_of(&self, identity: &ThreatIdentity) -> BTreeSet<ObjectId> {
+        self.iter_objects_of(identity).cloned().collect()
+    }
+
+    /// [`ThreatStore::objects_of`], read in place: an object touched by
+    /// several records comes once per record.
+    pub(crate) fn iter_objects_of(
+        &self,
+        identity: &ThreatIdentity,
+    ) -> impl Iterator<Item = &ObjectId> {
         self.records_of(identity)
             .iter()
             .flat_map(|r| r.threat.objects())
-            .cloned()
-            .collect()
     }
 
     /// Records beyond the first occurrence of their identity
@@ -342,12 +353,7 @@ impl ThreatStore {
     /// the duplicates durably deleted. Intended for
     /// [`HistoryPolicy::Reduced`] during degraded mode, so heal-time
     /// reconciliation ships one record per identity (§5.5.1).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Persistence`] if a folded record cannot be
-    /// encoded; that identity and the ones after it stay unfolded.
-    pub fn compact(&mut self) -> Result<CompactionReport> {
+    pub fn compact(&mut self) -> CompactionReport {
         let mut report = CompactionReport::default();
         for identity in self.identities() {
             let records = self.records.get_mut(&identity).expect("listed identity");
@@ -364,22 +370,21 @@ impl ThreatStore {
                 folded.instructions.notify_on_replica_conflict |=
                     threat.instructions.notify_on_replica_conflict;
             }
-            // Encoded before anything is folded: a failure leaves
-            // memory and journal agreeing on the unfolded records.
-            let json = encode(&folded)?;
             let duplicates = records.len() - 1;
             for duplicate in records.drain(1..) {
                 self.wal.append_delete(THREAT_TABLE, duplicate.key);
             }
             let survivor = &mut records[0];
+            self.text.clear();
+            folded.serialize_json(&mut self.text);
             self.wal
-                .append_put(THREAT_TABLE, Arc::clone(&survivor.key), json);
+                .append_put(THREAT_TABLE, Arc::clone(&survivor.key), self.text.as_str());
             survivor.threat = folded;
             self.len -= duplicates;
             report.folded += duplicates as u64;
             report.retained += 1;
         }
-        Ok(report)
+        report
     }
 
     /// The first stored threat with `identity`.
@@ -460,11 +465,6 @@ fn record_number(key: &str) -> Option<u64> {
     key.split_once('|')?.0.parse().ok()
 }
 
-/// The journal record of `threat`.
-fn encode(threat: &ConsistencyThreat) -> Result<String> {
-    serde_json::to_string(threat).map_err(|e| Error::Persistence(e.to_string()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -498,12 +498,9 @@ mod tests {
     #[test]
     fn identical_once_deduplicates() {
         let mut store = ThreatStore::new(HistoryPolicy::IdenticalOnce);
-        assert_eq!(store.store(threat("C", "F1")), Ok(ThreatStorage::Stored));
-        assert_eq!(
-            store.store(threat("C", "F1")),
-            Ok(ThreatStorage::Deduplicated)
-        );
-        assert_eq!(store.store(threat("C", "F2")), Ok(ThreatStorage::Stored));
+        assert_eq!(store.store(threat("C", "F1")), ThreatStorage::Stored);
+        assert_eq!(store.store(threat("C", "F1")), ThreatStorage::Deduplicated);
+        assert_eq!(store.store(threat("C", "F2")), ThreatStorage::Stored);
         assert_eq!(store.len(), 2);
         assert_eq!(store.identities().len(), 2);
     }
@@ -511,10 +508,10 @@ mod tests {
     #[test]
     fn full_history_links_occurrences() {
         let mut store = ThreatStore::new(HistoryPolicy::FullHistory);
-        assert_eq!(store.store(threat("C", "F1")), Ok(ThreatStorage::Stored));
+        assert_eq!(store.store(threat("C", "F1")), ThreatStorage::Stored);
         assert_eq!(
             store.store(threat("C", "F1")),
-            Ok(ThreatStorage::LinkedOccurrence)
+            ThreatStorage::LinkedOccurrence
         );
         assert_eq!(store.len(), 2);
         assert_eq!(store.identities().len(), 1);
@@ -523,9 +520,9 @@ mod tests {
     #[test]
     fn remove_identity_drops_all_identical() {
         let mut store = ThreatStore::new(HistoryPolicy::FullHistory);
-        store.store(threat("C", "F1")).unwrap();
-        store.store(threat("C", "F1")).unwrap();
-        store.store(threat("C", "F2")).unwrap();
+        store.store(threat("C", "F1"));
+        store.store(threat("C", "F1"));
+        store.store(threat("C", "F2"));
         let removed = store.remove_identity(&"C".into(), Some(&ObjectId::new("Flight", "F1")));
         assert_eq!(removed, 2);
         assert_eq!(store.len(), 1);
@@ -534,10 +531,10 @@ mod tests {
     #[test]
     fn instruction_aggregation_across_identical_threats() {
         let mut store = ThreatStore::new(HistoryPolicy::FullHistory);
-        store.store(threat("C", "F1")).unwrap();
+        store.store(threat("C", "F1"));
         let mut t = threat("C", "F1");
         t.instructions.allow_rollback = true;
-        store.store(t).unwrap();
+        store.store(t);
         assert!(store.any_allows_rollback(&threat("C", "F1").identity()));
         assert!(!store.any_wants_conflict_notification(&threat("C", "F1").identity()));
     }
@@ -549,8 +546,8 @@ mod tests {
         a.context_object = None;
         let mut b = threat("Q", "y");
         b.context_object = None;
-        store.store(a).unwrap();
-        assert_eq!(store.store(b), Ok(ThreatStorage::Deduplicated));
+        store.store(a);
+        assert_eq!(store.store(b), ThreatStorage::Deduplicated);
     }
 
     #[test]
@@ -564,12 +561,12 @@ mod tests {
     #[test]
     fn threats_survive_a_crash_via_the_wal() {
         let mut store = ThreatStore::new(HistoryPolicy::FullHistory);
-        store.store(threat("C", "F1")).unwrap();
-        store.store(threat("C", "F1")).unwrap();
-        store.store(threat("D", "F2")).unwrap();
+        store.store(threat("C", "F1"));
+        store.store(threat("C", "F1"));
+        store.store(threat("D", "F2"));
         let mut query_based = threat("Q", "x");
         query_based.context_object = None;
-        store.store(query_based).unwrap();
+        store.store(query_based);
         // The key shape every journal written so far has: record number,
         // then the identity.
         let keys: Vec<&str> = store.wal.entries().iter().map(|e| &*e.key).collect();
@@ -596,9 +593,9 @@ mod tests {
     #[test]
     fn removal_is_durable() {
         let mut store = ThreatStore::new(HistoryPolicy::FullHistory);
-        store.store(threat("C", "F1")).unwrap();
-        store.store(threat("C", "F1")).unwrap();
-        store.store(threat("D", "F2")).unwrap();
+        store.store(threat("C", "F1"));
+        store.store(threat("C", "F1"));
+        store.store(threat("D", "F2"));
         store.remove_identity(&"C".into(), Some(&ObjectId::new("Flight", "F1")));
         assert_eq!(store.recover(), Ok(1));
         let survivors: Vec<_> = store
@@ -612,10 +609,10 @@ mod tests {
     #[test]
     fn removing_an_unknown_identity_touches_nothing() {
         let mut store = ThreatStore::new(HistoryPolicy::FullHistory);
-        store.store(threat("C", "F1")).unwrap();
+        store.store(threat("C", "F1"));
         let mut query_based = threat("Q", "x");
         query_based.context_object = None;
-        store.store(query_based).unwrap();
+        store.store(query_based);
         let log = store.wal.len();
         let f1 = ObjectId::new("Flight", "F1");
         // Other constraint on a stored object, stored constraint on
@@ -647,8 +644,8 @@ mod tests {
         let mut store = ThreatStore::new(HistoryPolicy::FullHistory);
         let mut a = threat("C", "F1");
         a.affected_objects.insert(ObjectId::new("Seat", "S1"));
-        store.store(a).unwrap();
-        store.store(threat("D", "F1")).unwrap();
+        store.store(a);
+        store.store(threat("D", "F1"));
         let f1 = ObjectId::new("Flight", "F1");
         let s1 = ObjectId::new("Seat", "S1");
         assert_eq!(store.identities_for_object(&f1).map(BTreeSet::len), Some(2));
@@ -671,8 +668,8 @@ mod tests {
         let mut store = ThreatStore::new(HistoryPolicy::FullHistory);
         let mut a = threat("C", "F1");
         a.affected_objects.insert(ObjectId::new("Seat", "S1"));
-        store.store(a).unwrap();
-        store.store(threat("D", "F2")).unwrap();
+        store.store(a);
+        store.store(threat("D", "F2"));
         store.recover().unwrap();
         assert_eq!(store.identity_count(), 2);
         assert_eq!(
@@ -690,19 +687,19 @@ mod tests {
         let mut first = threat("C", "F1");
         first.affected_objects.insert(ObjectId::new("Seat", "S1"));
         first.occurred_at = SimTime::ZERO;
-        store.store(first).unwrap();
+        store.store(first);
         let mut second = threat("C", "F1");
         second.affected_objects.insert(ObjectId::new("Seat", "S2"));
         second.instructions.allow_rollback = true;
-        store.store(second).unwrap();
+        store.store(second);
         let mut third = threat("C", "F1");
         third.instructions.notify_on_replica_conflict = true;
-        assert_eq!(store.store(third), Ok(ThreatStorage::LinkedOccurrence));
-        store.store(threat("D", "F2")).unwrap();
+        assert_eq!(store.store(third), ThreatStorage::LinkedOccurrence);
+        store.store(threat("D", "F2"));
         assert_eq!(store.len(), 4);
         assert_eq!(store.duplicate_records(), 2);
 
-        let report = store.compact().unwrap();
+        let report = store.compact();
         assert_eq!(report.folded, 2);
         assert_eq!(report.retained, 1);
         assert_eq!(store.len(), 2);
@@ -731,9 +728,9 @@ mod tests {
     #[test]
     fn compaction_is_a_noop_without_duplicates() {
         let mut store = ThreatStore::new(HistoryPolicy::Reduced);
-        store.store(threat("C", "F1")).unwrap();
-        store.store(threat("D", "F2")).unwrap();
-        let report = store.compact().unwrap();
+        store.store(threat("C", "F1"));
+        store.store(threat("D", "F2"));
+        let report = store.compact();
         assert_eq!(report, CompactionReport::default());
         assert_eq!(store.len(), 2);
         assert_eq!(store.recover(), Ok(2));
@@ -742,8 +739,8 @@ mod tests {
     #[test]
     fn dedup_does_not_write_additional_records() {
         let mut store = ThreatStore::new(HistoryPolicy::IdenticalOnce);
-        store.store(threat("C", "F1")).unwrap();
-        store.store(threat("C", "F1")).unwrap();
+        store.store(threat("C", "F1"));
+        store.store(threat("C", "F1"));
         assert_eq!(store.wal.len(), 1);
         assert_eq!(store.recover(), Ok(1));
     }
@@ -754,10 +751,10 @@ mod tests {
         // The eight-digit pad of the journal key runs out here: as text
         // "100000000|…" sorts before "99999998|…".
         store.next_record = 99_999_998;
-        store.store(threat("A", "F1")).unwrap();
-        store.store(threat("B", "F2")).unwrap();
-        store.store(threat("C", "F3")).unwrap();
-        store.store(threat("A", "F1")).unwrap();
+        store.store(threat("A", "F1"));
+        store.store(threat("B", "F2"));
+        store.store(threat("C", "F3"));
+        store.store(threat("A", "F1"));
         let mut restarted = store.clone();
         assert_eq!(restarted.recover(), Ok(4));
         assert_eq!(snapshot_of(&restarted), snapshot_of(&store));
@@ -777,9 +774,7 @@ mod tests {
         for step in 0..STEPS {
             // Eight identities in turn: each holds one record until,
             // seven steps on, the next store replaces the one after it.
-            store
-                .store(threat(&format!("C{}", step % 8), "F1"))
-                .unwrap();
+            store.store(threat(&format!("C{}", step % 8), "F1"));
             store.remove_identity(
                 &format!("C{}", (step + 1) % 8).into(),
                 Some(&ObjectId::new("Flight", "F1")),
@@ -843,13 +838,13 @@ mod tests {
                             occurred_at: SimTime::from_nanos(step),
                             ..threat("-", "-")
                         };
-                        store.store(stored).unwrap();
+                        store.store(stored);
                     }
                     6 | 7 => {
                         store.remove_identity(&constraint, context_object.as_ref());
                     }
                     8 => {
-                        store.compact().unwrap();
+                        store.compact();
                     }
                     _ => {
                         store.recover().unwrap();

@@ -2,7 +2,8 @@
 //! precondition, its postcondition with an `@pre` snapshot and its
 //! invariants gathers into buffers the cluster reuses, snapshots into a
 //! reused slot under a literal key, and shares the method name its
-//! class declares.
+//! class declares; the transaction's record and write buffer are
+//! reused, and its commit encodes into the container's buffer.
 //!
 //! A test binary of its own, because it installs a counting global
 //! allocator (the idiom of `crates/federation/tests/write_allocs.rs`).
@@ -179,19 +180,16 @@ fn a_checked_call_allocates_only_what_it_keeps() {
     }
     assert_eq!(cluster.stats().ccm.validations, 2 * ROUNDS as u64 * 5);
 
-    // The call allocates 3 times, every one of them kept for the
-    // transaction:
-    //  - `TxInfo::involved`, the nodes the transaction touched;
-    //  - the copy-on-write clone of the booking: its B-tree leaf only,
-    //    the field names are the class's;
-    //  - the `TxBuffer` map node that holds that copy.
-    // Five checks gather nothing of their own, the `@pre` snapshot
-    // fills a reused slot under a literal key, and `"setCount"` is the
-    // name `with_field` minted.
-    assert_eq!(least_paid_by_most(&invoked), 3, "one checked call");
-    // Committing it adds 4, all kept by the replicas: the snapshot's
-    // record `String` (allocated, then grown once by the `perf/shims`
-    // encoder), that record as the `Arc<str>` every journal shares, and
-    // the `Arc` of the state.
-    assert_eq!(least_paid_by_most(&committed), 4, "its commit");
+    // The call allocates once: the copy-on-write clone of the booking,
+    // its B-tree leaf only (the field names are the class's), which
+    // the commit keeps as the new state. The transaction's record
+    // (`TxInfo`, with the nodes it touched) and its write buffer are
+    // spares of the transactions before; five checks gather nothing of
+    // their own, the `@pre` snapshot fills a reused slot under a
+    // literal key, and `"setCount"` is the name `with_field` minted.
+    assert_eq!(least_paid_by_most(&invoked), 1, "one checked call");
+    // Committing it adds 2, both kept by the replicas: the record as
+    // the `Arc<str>` every journal shares, encoded into the container's
+    // buffer first, and the `Arc` of the state.
+    assert_eq!(least_paid_by_most(&committed), 2, "its commit");
 }

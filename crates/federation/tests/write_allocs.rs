@@ -1,7 +1,7 @@
 //! A write allocates only what it keeps: the routed replicated write
 //! and the cross-shard 2PC path build no scratch set, vector or unused
-//! error text, and an entity's copy shares its field names with its
-//! class.
+//! error text, an entity's copy shares its field names with its class,
+//! and a commit encodes its record into the container's buffer.
 //!
 //! A test binary of its own, because it installs a counting global
 //! allocator (the idiom of `crates/telemetry/tests/emit_allocs.rs`).
@@ -146,22 +146,20 @@ fn a_write_allocates_only_what_it_keeps() {
         fed.xshard_abort(xtx).unwrap();
     }
 
-    // A staged write allocates 4 times, every one of them kept for the
-    // transaction or named in ROADMAP 6(c):
-    //  - the `vec![value]` argument of `set_field` (`invoke` owns it);
-    //  - `TxInfo::involved`, the nodes the transaction touched;
-    //  - the copy-on-write clone of the account: its B-tree leaf only,
-    //    the field names are the class's;
-    //  - the `TxBuffer` map node that holds that copy.
-    // The `Floor` check gathers into the cluster's reused buffer
-    // (`crates/core/tests/invoke_allocs.rs` pins a whole checked call).
-    const STAGED: u64 = 4;
-    // Committing it adds 4, all kept by the replicas: the snapshot —
-    // the record `String` (allocated, then grown once by the
-    // `perf/shims` encoder), that record as the `Arc<str>` every
-    // journal shares, and the `Arc` of the state. The ship returns a
+    // A staged write allocates once: the copy-on-write clone of the
+    // account, its B-tree leaf only (the field names are the class's),
+    // which a commit keeps as the new state. `set_field`'s argument
+    // list, the transaction's record (`TxInfo`, with the nodes it
+    // touched) and its write buffer are reused from the transactions
+    // before, and the `Floor` check gathers into the cluster's reused
+    // buffer (`crates/core/tests/invoke_allocs.rs` pins a whole checked
+    // call).
+    const STAGED: u64 = 1;
+    // Committing it adds 2, both kept by the replicas: the record as
+    // the `Arc<str>` every journal shares, encoded into the container's
+    // buffer first, and the `Arc` of the state. The ship returns a
     // count, not a list.
-    const COMMITTED: u64 = STAGED + 4;
+    const COMMITTED: u64 = STAGED + 2;
 
     // (a) One routed `set_field` + commit, plus the plane's boxed
     // request.

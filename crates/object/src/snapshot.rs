@@ -3,6 +3,7 @@
 use crate::EntityState;
 use dedisys_store::record_digest;
 use dedisys_types::Result;
+use serde::Serialize;
 use std::sync::Arc;
 
 /// One committed state of an entity, immutable and cheap to hand on:
@@ -35,19 +36,17 @@ pub struct Snapshot {
 
 impl Snapshot {
     /// Freezes `entity` as a committed state, encoding its record — the
-    /// only place a committed write is serialized, and hashed.
-    ///
-    /// # Panics
-    ///
-    /// Never in practice: an [`EntityState`] is plain data (string
-    /// keys, scalar and nested values) whose JSON encoding cannot fail.
-    pub fn encode(entity: EntityState) -> Self {
-        let record = entity
-            .to_json()
-            .expect("entity state is plain data and always encodes");
+    /// only place a committed write is serialized, and hashed. The
+    /// record is written into `buffer`, which its owner keeps from one
+    /// commit to the next (cleared here first), and the shared
+    /// `Arc<str>` is then allocated once at its exact size: the same
+    /// bytes [`EntityState::to_json`] returns.
+    pub fn encode(entity: EntityState, buffer: &mut String) -> Self {
+        buffer.clear();
+        entity.serialize_json(buffer);
         Self {
-            digest: record_digest(&record),
-            record: record.into(),
+            digest: record_digest(buffer),
+            record: Arc::from(buffer.as_str()),
             state: Arc::new(entity),
         }
     }
@@ -115,8 +114,14 @@ mod tests {
 
     #[test]
     fn encode_decode_roundtrip_shares_the_record() {
-        let snapshot = Snapshot::encode(entity(80));
+        let mut buffer = String::from("left over from the last commit");
+        let snapshot = Snapshot::encode(entity(80), &mut buffer);
         assert_eq!(&**snapshot.record(), snapshot.state().to_json().unwrap());
+        assert_eq!(
+            buffer,
+            **snapshot.record(),
+            "the buffer keeps the last record"
+        );
         assert_eq!(snapshot.digest(), record_digest(snapshot.record()));
         let back = Snapshot::decode(Arc::clone(snapshot.record()), snapshot.digest()).unwrap();
         assert!(Arc::ptr_eq(back.record(), snapshot.record()));
@@ -134,12 +139,13 @@ mod tests {
 
     #[test]
     fn clones_are_the_same_write_equal_states_are_not() {
-        let a = Snapshot::encode(entity(80));
+        let mut buffer = String::new();
+        let a = Snapshot::encode(entity(80), &mut buffer);
         let b = a.clone();
         assert!(a.ptr_eq(&b));
-        let c = Snapshot::encode(entity(80));
+        let c = Snapshot::encode(entity(80), &mut buffer);
         assert!(!a.ptr_eq(&c));
         assert_eq!(a, c);
-        assert_ne!(a, Snapshot::encode(entity(81)));
+        assert_ne!(a, Snapshot::encode(entity(81), &mut buffer));
     }
 }
