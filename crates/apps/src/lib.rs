@@ -14,10 +14,7 @@
 //!   §1.4: site-bound voice-communication-channel endpoints whose
 //!   configuration must stay consistent across sites (objects with
 //!   strong ownership — replicas bound to subsets of nodes).
-//! * [`workload`] — parameterized workload generation (read/write
-//!   mixes, entity pools) for the Chapter 5 throughput studies.
 
 pub mod ats;
 pub mod dtms;
 pub mod flight;
-pub mod workload;

@@ -29,11 +29,13 @@
 use crate::table::print_verdict;
 use crate::{require, Run, Verdict};
 use dedisys_chaos::chaos_app;
-use dedisys_core::{nodes, ClassCounters, Cluster, ClusterBuilder, RequestPlane, Session};
+use dedisys_core::plane::latency_metric;
+use dedisys_core::{
+    nodes, ClassCounters, Cluster, ClusterBuilder, Histogram, RequestPlane, Session,
+};
 use dedisys_object::EntityState;
-use dedisys_types::{NodeId, ObjectId, PriorityClass, SimDuration, Value};
+use dedisys_types::{NodeId, ObjectId, PriorityClass, SimDuration, SimTime, Value};
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
 
 /// Offered loads swept by the table, in requests per tick. Service
 /// capacity is [`SERVICE_PER_TICK`]: the first row is underload, the
@@ -74,10 +76,6 @@ impl CellOutcome {
         self.counters.rejected + self.counters.shed + self.counters.deadline_missed
     }
 }
-
-/// One completed request's class and latency, recorded by the request
-/// closure itself so both sides measure identically.
-type LatencySink = Arc<Mutex<Vec<(PriorityClass, SimDuration)>>>;
 
 fn build_cluster(run: &Run, degraded: bool) -> Cluster {
     let nodes = size(run).0;
@@ -123,69 +121,30 @@ fn request(run: &Run, i: u64) -> (NodeId, PriorityClass, i64) {
     (node, class, (h >> 16) as i64 % 1_000)
 }
 
-/// The request body both sides run: one committed write, stamping its
-/// own admission-to-completion latency into the shared sink.
+/// The request body both sides run: one committed write.
 fn request_work(
-    cluster: &Cluster,
-    sink: &LatencySink,
-    class: PriorityClass,
     payload: i64,
 ) -> impl for<'a> FnOnce(Session<'a>) -> dedisys_types::Result<()> + 'static {
-    let clock = cluster.clock().clone();
-    let submitted = clock.now();
-    let sink = Arc::clone(sink);
     let id = ObjectId::new("Item", format!("I-{}", payload.rem_euclid(4)));
     move |mut session| {
         session.set_field(&id, "n", Value::Int(payload))?;
-        session.commit()?;
-        sink.lock()
-            .unwrap()
-            .push((class, clock.now().since(submitted)));
-        Ok(())
-    }
-}
-
-fn percentile_99(mut latencies: Vec<SimDuration>) -> SimDuration {
-    if latencies.is_empty() {
-        return SimDuration::ZERO;
-    }
-    latencies.sort_unstable();
-    latencies[(latencies.len() - 1) * 99 / 100]
-}
-
-fn cell_outcome(run: &Run, sink: &LatencySink, counters: ClassCounters) -> CellOutcome {
-    let recorded = sink.lock().unwrap();
-    let good = recorded
-        .iter()
-        .filter(|(c, _)| *c != PriorityClass::Background)
-        .count() as f64;
-    let criticals: Vec<SimDuration> = recorded
-        .iter()
-        .filter(|(c, _)| *c == PriorityClass::Critical)
-        .map(|(_, l)| *l)
-        .collect();
-    CellOutcome {
-        goodput: good / f64::from(size(run).1),
-        critical_p99: percentile_99(criticals),
-        completed: recorded.len() as u64,
-        counters,
+        session.commit()
     }
 }
 
 /// One run with the request plane in front: admission, priority
-/// dispatch, deadline shedding.
+/// dispatch, deadline shedding. Latency is the plane's own
+/// admission-to-completion histogram.
 fn run_plane(run: &Run, load: u32, degraded: bool) -> CellOutcome {
     let mut cluster = build_cluster(run, degraded);
     let mut plane = RequestPlane::new();
-    let sink: LatencySink = Arc::default();
     let start = cluster.clock().now();
     let mut arrivals = 0u64;
     for tick in 0..size(run).1 {
         for _ in 0..load {
             let (node, class, payload) = request(run, arrivals);
             arrivals += 1;
-            let work = request_work(&cluster, &sink, class, payload);
-            let _ = plane.submit(&mut cluster, node, class, work);
+            let _ = plane.submit(&mut cluster, node, class, request_work(payload));
         }
         let served_before = plane.stats().total().completed;
         while plane.stats().total().completed < served_before + SERVICE_PER_TICK
@@ -198,32 +157,51 @@ fn run_plane(run: &Run, load: u32, degraded: bool) -> CellOutcome {
     // Sustained-overload tail: everything still queued either completes
     // or expires now that arrivals stopped.
     plane.run_until_idle(&mut cluster);
-    cell_outcome(run, &sink, plane.stats().total())
+    let stats = plane.stats();
+    let succeeded = |c: &ClassCounters| c.completed - c.failed;
+    let good = succeeded(&stats.critical) + succeeded(&stats.normal);
+    let critical = latency_metric(PriorityClass::Critical);
+    CellOutcome {
+        goodput: good as f64 / f64::from(size(run).1),
+        critical_p99: cluster
+            .telemetry()
+            .metrics()
+            .histogram(critical)
+            .percentile(99),
+        completed: succeeded(&stats.total()),
+        counters: stats.total(),
+    }
 }
 
 /// The no-admission baseline: one unbounded FIFO, every arrival
 /// executes eventually, in arrival order, whatever its class or age.
 fn run_baseline(run: &Run, load: u32, degraded: bool) -> CellOutcome {
-    type QueuedWork = Box<dyn for<'a> FnOnce(Session<'a>) -> dedisys_types::Result<()>>;
     let mut cluster = build_cluster(run, degraded);
-    let mut fifo: VecDeque<(NodeId, QueuedWork)> = VecDeque::new();
-    let sink: LatencySink = Arc::default();
+    let mut fifo: VecDeque<(NodeId, PriorityClass, SimTime, i64)> = VecDeque::new();
+    let mut critical = Histogram::default();
+    let (mut completed, mut good) = (0u64, 0u64);
     let start = cluster.clock().now();
     let mut arrivals = 0u64;
-    let serve = |cluster: &mut Cluster, fifo: &mut VecDeque<(NodeId, QueuedWork)>| {
+    let mut serve = |cluster: &mut Cluster, fifo: &mut VecDeque<_>| {
         for _ in 0..SERVICE_PER_TICK {
-            let Some((node, work)) = fifo.pop_front() else {
+            let Some((node, class, submitted, payload)) = fifo.pop_front() else {
                 break;
             };
-            let _ = work(cluster.session(node));
+            let ok = request_work(payload)(cluster.session(node)).is_ok();
+            if class == PriorityClass::Critical {
+                critical.record(cluster.clock().now().since(submitted));
+            }
+            if ok {
+                completed += 1;
+                good += u64::from(class != PriorityClass::Background);
+            }
         }
     };
     for tick in 0..size(run).1 {
         for _ in 0..load {
             let (node, class, payload) = request(run, arrivals);
             arrivals += 1;
-            let work = request_work(&cluster, &sink, class, payload);
-            fifo.push_back((node, Box::new(work)));
+            fifo.push_back((node, class, cluster.clock().now(), payload));
         }
         serve(&mut cluster, &mut fifo);
         cluster
@@ -235,7 +213,12 @@ fn run_baseline(run: &Run, load: u32, degraded: bool) -> CellOutcome {
         serve(&mut cluster, &mut fifo);
         cluster.clock().advance(TICK);
     }
-    cell_outcome(run, &sink, ClassCounters::default())
+    CellOutcome {
+        goodput: good as f64 / f64::from(size(run).1),
+        critical_p99: critical.percentile(99),
+        completed,
+        counters: ClassCounters::default(),
+    }
 }
 
 fn fmt_ms(d: SimDuration) -> String {

@@ -210,19 +210,6 @@ impl ConstraintRepository {
         matches
     }
 
-    /// Enabled invariants whose context class is `class` (used when a
-    /// constraint is (re-)enabled and must be checked for all context
-    /// objects, §3.3).
-    pub fn invariants_of_context_class(&self, class: &ClassName) -> Vec<Arc<RegisteredConstraint>> {
-        self.constraints
-            .iter()
-            .filter(|c| {
-                c.enabled && c.meta.kind.is_invariant() && c.context_class.as_ref() == Some(class)
-            })
-            .cloned()
-            .collect()
-    }
-
     /// All enabled constraints.
     pub fn enabled(&self) -> impl Iterator<Item = &Arc<RegisteredConstraint>> {
         self.constraints.iter().filter(|c| c.enabled)
@@ -390,20 +377,5 @@ mod tests {
         assert!(repo.remove(&ConstraintName::from("C")).is_some());
         assert!(repo.is_empty());
         assert!(repo.remove(&ConstraintName::from("C")).is_none());
-    }
-
-    #[test]
-    fn invariants_by_context_class() {
-        let mut repo = ConstraintRepository::default();
-        repo.register(dummy("C", ConstraintKind::HardInvariant, "m"))
-            .unwrap();
-        assert_eq!(
-            repo.invariants_of_context_class(&ClassName::from("Flight"))
-                .len(),
-            1
-        );
-        assert!(repo
-            .invariants_of_context_class(&ClassName::from("Person"))
-            .is_empty());
     }
 }

@@ -88,9 +88,6 @@ impl Cluster {
             InvocationOutcome::Ok
         };
         let cost = self.inv_cost;
-        self.telemetry
-            .metrics()
-            .observe("invocation.total", cost.total());
         self.telemetry.emit(|| TraceEvent::InvocationEnd {
             node,
             tx,

@@ -111,6 +111,6 @@ pub use dedisys_replication::{
     HighestVersionWins, ProtocolKind, ReplicaConflict, ReplicaConsistencyHandler,
 };
 pub use dedisys_telemetry::{
-    JsonlExporter, MetricsSnapshot, RingRecorder, SharedBuf, Telemetry, TraceEvent, TraceRecord,
-    TraceSink, TransitionCause,
+    Histogram, JsonlExporter, MetricsSnapshot, RingRecorder, SharedBuf, Telemetry, TraceEvent,
+    TraceRecord, TraceSink, TransitionCause,
 };

@@ -337,12 +337,7 @@ impl RequestPlane {
         });
         let depth = entry.depth();
         self.stats.class_mut(class).admitted += 1;
-        let telemetry = cluster.telemetry();
-        telemetry.metrics().observe(
-            depth_metric(class),
-            SimDuration::from_nanos(u64::from(depth)),
-        );
-        telemetry.emit(|| TraceEvent::RequestAdmitted {
+        cluster.telemetry().emit(|| TraceEvent::RequestAdmitted {
             request: id,
             node,
             class,
@@ -432,9 +427,6 @@ impl RequestPlane {
         telemetry
             .metrics()
             .observe(latency_metric(class), finished.since(admitted_at));
-        telemetry
-            .metrics()
-            .observe(service_metric(class), SimDuration::from_nanos(service_ns));
         telemetry.emit(move || TraceEvent::RequestCompleted {
             request: id,
             node,
@@ -499,26 +491,12 @@ impl RequestPlane {
     }
 }
 
-fn depth_metric(class: PriorityClass) -> &'static str {
-    match class {
-        PriorityClass::Critical => "plane.queue_depth.critical",
-        PriorityClass::Normal => "plane.queue_depth.normal",
-        PriorityClass::Background => "plane.queue_depth.background",
-    }
-}
-
-fn latency_metric(class: PriorityClass) -> &'static str {
+/// The registry histogram of `class`'s admission-to-completion
+/// latency: one observation per executed request, failed or not.
+pub fn latency_metric(class: PriorityClass) -> &'static str {
     match class {
         PriorityClass::Critical => "plane.latency.critical",
         PriorityClass::Normal => "plane.latency.normal",
         PriorityClass::Background => "plane.latency.background",
-    }
-}
-
-fn service_metric(class: PriorityClass) -> &'static str {
-    match class {
-        PriorityClass::Critical => "plane.service.critical",
-        PriorityClass::Normal => "plane.service.normal",
-        PriorityClass::Background => "plane.service.background",
     }
 }

@@ -16,9 +16,9 @@
 //!
 //! [`WebGateway`] reproduces exactly that: business operations run on a
 //! worker thread holding the cluster; its negotiation handler blocks on
-//! a channel that [`WebGateway::decide`] feeds. A configurable timeout
-//! rejects the threat if the user never answers (the paper's guard
-//! against indefinitely blocked negotiation threads).
+//! a channel that [`WebGateway::decide`] feeds. A timeout rejects the
+//! threat if the user never answers (the paper's guard against
+//! indefinitely blocked negotiation threads).
 
 use crate::ccm::{NegotiationHandler, ThreatDecision};
 use crate::threat::ConsistencyThreat;
@@ -28,6 +28,11 @@ use std::collections::HashMap;
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
+
+/// How long a parked worker waits for the user's decision before it
+/// rejects the threat (real time); the gateway waits four times as
+/// long for the worker itself.
+const NEGOTIATION_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// What the "browser" receives in answer to a request.
 #[derive(Debug)]
@@ -62,7 +67,6 @@ enum WorkerMsg {
 struct ChannelNegotiationHandler {
     threat_tx: SyncSender<WorkerMsg>,
     decision_rx: Receiver<WebDecision>,
-    timeout: Duration,
 }
 
 impl NegotiationHandler for ChannelNegotiationHandler {
@@ -74,7 +78,7 @@ impl NegotiationHandler for ChannelNegotiationHandler {
         {
             return ThreatDecision::Reject;
         }
-        match self.decision_rx.recv_timeout(self.timeout) {
+        match self.decision_rx.recv_timeout(NEGOTIATION_TIMEOUT) {
             Ok(decision) if decision.accept => ThreatDecision::Accept,
             // Timeout or explicit rejection: do not block forever
             // (§4.5) — the threat is rejected.
@@ -92,7 +96,6 @@ struct PendingSession {
 pub struct WebGateway {
     cluster: Arc<Mutex<Cluster>>,
     node: NodeId,
-    timeout: Duration,
     next_id: u64,
     pending: HashMap<u64, PendingSession>,
 }
@@ -112,15 +115,9 @@ impl WebGateway {
         Self {
             cluster,
             node,
-            timeout: Duration::from_secs(5),
             next_id: 0,
             pending: HashMap::new(),
         }
-    }
-
-    /// Sets the negotiation timeout (default 5 s of real time).
-    pub fn set_timeout(&mut self, timeout: Duration) {
-        self.timeout = timeout;
     }
 
     /// Shared access to the cluster (for request handlers and tests).
@@ -139,7 +136,6 @@ impl WebGateway {
         let (decision_tx, decision_rx) = sync_channel::<WebDecision>(1);
         let cluster = Arc::clone(&self.cluster);
         let node = self.node;
-        let timeout = self.timeout;
         let worker_inbox = inbox_tx.clone();
         std::thread::spawn(move || {
             let mut cluster = cluster.lock().expect("cluster mutex poisoned");
@@ -147,7 +143,6 @@ impl WebGateway {
             let handler = Box::new(ChannelNegotiationHandler {
                 threat_tx: worker_inbox,
                 decision_rx,
-                timeout,
             });
             let registered = cluster.register_negotiation_handler(tx, handler);
             let result = match registered.and_then(|()| op(&mut cluster, tx)) {
@@ -159,21 +154,17 @@ impl WebGateway {
             };
             let _ = inbox_tx.send(WorkerMsg::Done(result));
         });
-        self.wait_for_next(inbox_rx, decision_tx)
+        self.wait_for_worker(inbox_rx, decision_tx)
     }
 
     /// Delivers the user's decision for a pending negotiation; returns
-    /// the business result or the next negotiation request.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `negotiation_id` is unknown (stale/duplicate decision
-    /// requests are an application error in this simulation).
+    /// the business result or the next negotiation request. A stale or
+    /// duplicated decision (an unknown `negotiation_id`) is answered
+    /// with a failed business result.
     pub fn decide(&mut self, negotiation_id: u64, decision: WebDecision) -> WebResponse {
-        let session = self
-            .pending
-            .remove(&negotiation_id)
-            .unwrap_or_else(|| panic!("unknown negotiation id {negotiation_id}"));
+        let Some(session) = self.pending.remove(&negotiation_id) else {
+            return unknown_negotiation(negotiation_id);
+        };
         // The decision request resumes the parked worker…
         let _ = session.decision_tx.send(decision);
         // …and its response carries the business result (or the next
@@ -190,16 +181,12 @@ impl WebGateway {
     /// worker deterministically (its receive fails with a disconnect
     /// instead of expiring a wall-clock timeout), the threat is
     /// rejected, and the returned response carries the failed
-    /// business result.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `negotiation_id` is unknown, as [`WebGateway::decide`].
+    /// business result. An unknown `negotiation_id` is answered as in
+    /// [`WebGateway::decide`].
     pub fn abandon(&mut self, negotiation_id: u64) -> WebResponse {
-        let session = self
-            .pending
-            .remove(&negotiation_id)
-            .unwrap_or_else(|| panic!("unknown negotiation id {negotiation_id}"));
+        let Some(session) = self.pending.remove(&negotiation_id) else {
+            return unknown_negotiation(negotiation_id);
+        };
         let PendingSession { decision_tx, inbox } = session;
         drop(decision_tx);
         let (next_decision_tx, _unused_rx) = sync_channel::<WebDecision>(1);
@@ -207,20 +194,12 @@ impl WebGateway {
         self.wait_for_worker(inbox, next_decision_tx)
     }
 
-    fn wait_for_next(
-        &mut self,
-        inbox: Receiver<WorkerMsg>,
-        decision_tx: SyncSender<WebDecision>,
-    ) -> WebResponse {
-        self.wait_for_worker(inbox, decision_tx)
-    }
-
     fn wait_for_worker(
         &mut self,
         inbox: Receiver<WorkerMsg>,
         decision_tx: SyncSender<WebDecision>,
     ) -> WebResponse {
-        match inbox.recv_timeout(self.timeout.saturating_mul(4)) {
+        match inbox.recv_timeout(NEGOTIATION_TIMEOUT.saturating_mul(4)) {
             Ok(WorkerMsg::Done(result)) => WebResponse::BusinessResult(result),
             Ok(WorkerMsg::Threat(threat)) => {
                 let id = self.next_id;
@@ -239,6 +218,13 @@ impl WebGateway {
             }
         }
     }
+}
+
+/// The answer to a decision request naming no pending negotiation.
+fn unknown_negotiation(negotiation_id: u64) -> WebResponse {
+    WebResponse::BusinessResult(Err(dedisys_types::Error::Config(format!(
+        "unknown negotiation id {negotiation_id}"
+    ))))
 }
 
 #[cfg(test)]
@@ -277,9 +263,7 @@ mod tests {
                 c.set_field(node, tx, &flight, "sold", Value::Int(70))
             })
             .unwrap();
-        let mut gw = WebGateway::new(Arc::new(Mutex::new(cluster)), node);
-        gw.set_timeout(Duration::from_secs(2));
-        (gw, flight)
+        (WebGateway::new(Arc::new(Mutex::new(cluster)), node), flight)
     }
 
     #[test]
@@ -384,6 +368,45 @@ mod tests {
                 assert!(matches!(e, dedisys_types::Error::ThreatRejected { .. }));
             }
             other => panic!("expected rejection, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn stale_decisions_fail_typed_and_the_gateway_keeps_serving() {
+        let (mut gw, flight) = gateway();
+        gw.cluster()
+            .lock()
+            .unwrap()
+            .partition(&[nodes![0], nodes![1]])
+            .unwrap();
+        let f = flight.clone();
+        let response = gw.submit(move |c, tx| {
+            c.set_field(NodeId(0), tx, &f, "sold", Value::Int(71))
+                .map(|()| Value::Null)
+        });
+        let id = match response {
+            WebResponse::NegotiationRequired { negotiation_id, .. } => negotiation_id,
+            other => panic!("expected negotiation, got {other:?}"),
+        };
+        let accept = WebDecision { accept: true };
+        assert!(matches!(
+            gw.decide(id, accept),
+            WebResponse::BusinessResult(Ok(_))
+        ));
+        // The duplicated decision request and a late abandon of the
+        // answered negotiation.
+        for stale in [gw.decide(id, accept), gw.abandon(id)] {
+            match stale {
+                WebResponse::BusinessResult(Err(dedisys_types::Error::Config(msg))) => {
+                    assert!(msg.contains("unknown negotiation id"), "{msg}");
+                }
+                other => panic!("expected a typed error, got {other:?}"),
+            }
+        }
+        let response = gw.submit(move |c, tx| c.get_field(NodeId(0), tx, &flight, "sold"));
+        match response {
+            WebResponse::BusinessResult(Ok(v)) => assert_eq!(v, Value::Int(71)),
+            other => panic!("unexpected response: {other:?}"),
         }
     }
 }

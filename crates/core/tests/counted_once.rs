@@ -6,12 +6,14 @@
 //! degraded writes with an accepted, a rejected and an unvalidated
 //! (async) threat, a retried ship, a reconciliation with a conflict —
 //! checks on the typed fields that each site was reached, and fails if
-//! the registry reports any of them a second time.
+//! the registry reports any of them a second time. A histogram has a
+//! reader or is not kept: the registry's only histograms are the
+//! plane's per-class latencies, one observation per completed request.
 
 use dedisys_constraints::{
     expr::ExprConstraint, ConstraintKind, ConstraintMeta, ContextPreparation, RegisteredConstraint,
 };
-use dedisys_core::plane::{DEFAULT_DEADLINE, QUEUE_CAPACITY};
+use dedisys_core::plane::{latency_metric, DEFAULT_DEADLINE, QUEUE_CAPACITY};
 use dedisys_core::{nodes, ClusterBuilder, DeferAll, HighestVersionWins, RequestPlane};
 use dedisys_object::{AppDescriptor, ClassDescriptor, EntityState};
 use dedisys_types::{
@@ -105,7 +107,8 @@ fn no_registry_counter_repeats_a_typed_one() {
         .run_tx(node, |c, tx| c.get_field(node, tx, &missing, "n"))
         .is_err());
 
-    // The plane: completed, rejected at the queue bound, missed.
+    // The plane: completed (Normal and Critical), rejected at the queue
+    // bound, missed.
     let mut plane = RequestPlane::new();
     let write = |value: i64| {
         let id = ObjectId::new("Counter", "c1");
@@ -124,6 +127,9 @@ fn no_registry_counter_repeats_a_typed_one() {
     plane.run_until_idle(&mut cluster);
     plane
         .submit(&mut cluster, node, PriorityClass::Normal, write(5))
+        .unwrap();
+    plane
+        .submit(&mut cluster, node, PriorityClass::Critical, write(3))
         .unwrap();
     let normal = DEFAULT_DEADLINE[PriorityClass::Normal.rank()].expect("Normal has a deadline");
     cluster
@@ -168,7 +174,8 @@ fn no_registry_counter_repeats_a_typed_one() {
 
     // Every site was reached, by the count its owner keeps …
     let stats = cluster.stats();
-    let plane = plane.stats().total();
+    let per_class = *plane.stats();
+    let plane = per_class.total();
     let reached = [
         ("cluster.invocations", stats.cluster.invocations),
         (
@@ -204,4 +211,20 @@ fn no_registry_counter_repeats_a_typed_one() {
     for kept in ["ccm.threats_recorded", "negotiation.static"] {
         assert!(stats.telemetry.counters.contains_key(kept), "{kept}");
     }
+    // One book for histograms: each class the plane completed has its
+    // latency histogram, one observation per completion, and nothing
+    // else is kept.
+    let completed: Vec<(&str, u64)> = PriorityClass::ALL
+        .into_iter()
+        .map(|class| (latency_metric(class), per_class.class(class).completed))
+        .filter(|&(_, n)| n > 0)
+        .collect();
+    let histograms: Vec<(&str, u64)> = stats
+        .telemetry
+        .histograms
+        .iter()
+        .map(|(name, h)| (name.as_str(), h.count))
+        .collect();
+    assert_eq!(completed.len(), 2, "{completed:?}");
+    assert_eq!(histograms, completed);
 }

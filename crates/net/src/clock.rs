@@ -51,11 +51,6 @@ impl SimClock {
         self.nanos.fetch_max(t.as_nanos(), Ordering::Relaxed);
         self.now()
     }
-
-    /// Resets the clock to zero (for reuse between benchmark runs).
-    pub fn reset(&self) {
-        self.nanos.store(0, Ordering::Relaxed);
-    }
 }
 
 #[cfg(test)]
@@ -78,13 +73,5 @@ mod tests {
         assert_eq!(clock.now(), SimTime::from_nanos(10_000_000));
         clock.advance_to(SimTime::from_nanos(20_000_000));
         assert_eq!(clock.now(), SimTime::from_nanos(20_000_000));
-    }
-
-    #[test]
-    fn reset_returns_to_zero() {
-        let clock = SimClock::new();
-        clock.advance(SimDuration::from_secs(1));
-        clock.reset();
-        assert_eq!(clock.now(), SimTime::ZERO);
     }
 }

@@ -120,11 +120,6 @@ impl ReplicationManager {
         }
     }
 
-    /// Remaining injected write failures on `node`.
-    pub fn pending_write_faults(&self, node: NodeId) -> u32 {
-        self.write_faults.get(&node).copied().unwrap_or(0)
-    }
-
     /// Wires a telemetry bus; `replication_update` and `staleness_hit`
     /// events are emitted from now on.
     pub fn attach_telemetry(&mut self, telemetry: Telemetry) {
@@ -663,7 +658,7 @@ mod tests {
             cs[1].committed_entity(&obj()).unwrap().field("seats"),
             &Value::Int(80)
         );
-        assert_eq!(m.pending_write_faults(NodeId(1)), 0);
+        assert!(!m.write_faults.contains_key(&NodeId(1)), "window closed");
     }
 
     #[test]
@@ -682,7 +677,7 @@ mod tests {
             "missed install tracked for reconciliation"
         );
         // One bounded burst of MAX_SHIP_ATTEMPTS consumed.
-        assert_eq!(m.pending_write_faults(NodeId(1)), 10 - MAX_SHIP_ATTEMPTS);
+        assert_eq!(m.write_faults[&NodeId(1)], 10 - MAX_SHIP_ATTEMPTS);
     }
 
     #[test]

@@ -85,7 +85,7 @@ pub struct ReconcileReport {
 }
 
 impl ReplicationManager {
-    /// Runs replica reconciliation over a (re-unified) topology.
+    /// Runs replica reconciliation over the partition `observer` sees.
     ///
     /// For every object written during degraded mode the per-partition
     /// states are compared: a single writer partition (or identical
@@ -95,32 +95,13 @@ impl ReplicationManager {
     /// history is retained for constraint reconciliation (rollback
     /// search) until [`ReplicationManager::clear_degraded_state`].
     ///
-    /// # Panics
-    ///
-    /// Panics if called while the topology is still partitioned —
-    /// callers must reconcile only after re-unification (partial
-    /// re-unifications postpone, §3.3).
-    pub fn reconcile_replicas(
-        &mut self,
-        topology: &Topology,
-        containers: &mut [EntityContainer],
-        handler: &mut dyn ReplicaConsistencyHandler,
-    ) -> ReconcileReport {
-        assert!(
-            topology.is_healthy(),
-            "replica reconciliation requires a re-unified topology"
-        );
-        self.reconcile_replicas_scoped(topology, NodeId(0), containers, handler)
-    }
-
-    /// Partial replica reconciliation after a *partial* re-unification
-    /// (§3.3): only objects whose degraded-mode writer partitions are
-    /// all reachable from `observer` are reconciled; the rest stay in
-    /// the degraded bookkeeping until further partitions re-unify. If
-    /// the object's replica set extends beyond the observer's
-    /// partition, the merged state is installed locally and the object
-    /// remains tracked as degraded (the unreachable side may still
-    /// diverge).
+    /// After a *partial* re-unification (§3.3) only objects whose
+    /// degraded-mode writer partitions are all reachable from
+    /// `observer` are reconciled; the rest stay in the degraded
+    /// bookkeeping until further partitions re-unify. If the object's
+    /// replica set extends beyond the observer's partition, the merged
+    /// state is installed locally and the object remains tracked as
+    /// degraded (the unreachable side may still diverge).
     pub fn reconcile_replicas_scoped(
         &mut self,
         topology: &Topology,
@@ -295,13 +276,23 @@ mod tests {
         m.propagate_update(&obj(), NodeId(node), topo, cs, SimTime::ZERO);
     }
 
+    /// Reconciles what node 0 sees.
+    fn reconcile(
+        m: &mut ReplicationManager,
+        topo: &Topology,
+        cs: &mut [EntityContainer],
+        handler: &mut dyn ReplicaConsistencyHandler,
+    ) -> ReconcileReport {
+        m.reconcile_replicas_scoped(topo, NodeId(0), cs, handler)
+    }
+
     #[test]
     fn single_partition_writes_propagate_without_conflict() {
         let (mut m, mut cs, mut topo) = setup(3);
         topo.split(&[&[0], &[1, 2]]);
         write_on(&mut m, &mut cs, &topo, 1, 7, 1);
         topo.heal();
-        let report = m.reconcile_replicas(&topo, &mut cs, &mut HighestVersionWins);
+        let report = reconcile(&mut m, &topo, &mut cs, &mut HighestVersionWins);
         assert!(report.conflicts.is_empty());
         assert_eq!(report.missed_updates, 1);
         assert_eq!(
@@ -318,7 +309,7 @@ mod tests {
         write_on(&mut m, &mut cs, &topo, 1, 7, 1); // version 1 in {1,2}
         write_on(&mut m, &mut cs, &topo, 1, 8, 2); // version 2 in {1,2}
         topo.heal();
-        let report = m.reconcile_replicas(&topo, &mut cs, &mut HighestVersionWins);
+        let report = reconcile(&mut m, &topo, &mut cs, &mut HighestVersionWins);
         assert_eq!(report.conflicts.len(), 1);
         assert_eq!(m.stats().conflicts, 1);
         for c in &cs {
@@ -348,7 +339,7 @@ mod tests {
             merged.set_field("sold", Value::Int(total), SimTime::ZERO);
             Some(merged)
         };
-        let report = m.reconcile_replicas(&topo, &mut cs, &mut merger);
+        let report = reconcile(&mut m, &topo, &mut cs, &mut merger);
         assert_eq!(report.conflicts.len(), 1);
         assert_eq!(
             cs[1].committed_entity(&obj()).unwrap().field("sold"),
@@ -367,7 +358,7 @@ mod tests {
         m.propagate_update(&obj(), NodeId(0), &topo, &mut cs, SimTime::ZERO);
         write_on(&mut m, &mut cs, &topo, 1, 7, 1);
         topo.heal();
-        let report = m.reconcile_replicas(&topo, &mut cs, &mut HighestVersionWins);
+        let report = reconcile(&mut m, &topo, &mut cs, &mut HighestVersionWins);
         assert_eq!(report.conflicts.len(), 1);
         // HighestVersionWins prefers the live state.
         assert!(cs[0].committed_entity(&obj()).is_some());
@@ -379,13 +370,13 @@ mod tests {
         topo.split(&[&[0], &[1, 2]]);
         write_on(&mut m, &mut cs, &topo, 1, 7, 1);
         topo.heal();
-        let report = m.reconcile_replicas(&topo, &mut cs, &mut HighestVersionWins);
+        let report = reconcile(&mut m, &topo, &mut cs, &mut HighestVersionWins);
         // Node 0 missed the update: the object is dirty.
         assert!(report.dirty.contains(&obj()));
         assert_eq!(report.dirty.len(), 1);
         // A second reconciliation has no degraded writes left and must
         // report an empty dirty set.
-        let report = m.reconcile_replicas(&topo, &mut cs, &mut HighestVersionWins);
+        let report = reconcile(&mut m, &topo, &mut cs, &mut HighestVersionWins);
         assert!(report.dirty.is_empty());
     }
 
@@ -426,10 +417,16 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "re-unified")]
-    fn reconcile_requires_healthy_topology() {
+    fn writers_out_of_reach_stay_tracked() {
         let (mut m, mut cs, mut topo) = setup(2);
         topo.split(&[&[0], &[1]]);
-        m.reconcile_replicas(&topo, &mut cs, &mut HighestVersionWins);
+        write_on(&mut m, &mut cs, &topo, 1, 7, 1);
+        let report = reconcile(&mut m, &topo, &mut cs, &mut HighestVersionWins);
+        assert_eq!(report.missed_updates, 0);
+        assert!(m.is_degraded_tracked(&obj()), "postponed until it heals");
+        topo.heal();
+        let report = reconcile(&mut m, &topo, &mut cs, &mut HighestVersionWins);
+        assert_eq!(report.missed_updates, 1);
+        assert!(!m.is_degraded_tracked(&obj()));
     }
 }

@@ -14,7 +14,8 @@
 //!   pays **zero allocation** while no sink is attached: the closure
 //!   that builds the event is simply never called.
 //! * [`MetricsRegistry`] — deterministic counters and virtual-time
-//!   histograms (BTree-ordered, virtual time only — never wall clock).
+//!   [`Histogram`]s (BTree-ordered, virtual time only — never wall
+//!   clock); a histogram answers percentiles from fixed log buckets.
 //! * [`JsonlExporter`] — line-per-event `serde_json` export. Two runs
 //!   with the same seed produce **byte-identical** files.
 //! * [`RingRecorder`] — bounded in-memory recorder for tests.
@@ -36,5 +37,5 @@ pub use event::{
     TraceRecord, TransitionCause, TriggerKind, TwoPcPhase,
 };
 pub use jsonl::{JsonlExporter, SharedBuf};
-pub use metrics::{HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
+pub use metrics::{Histogram, MetricsRegistry, MetricsSnapshot};
 pub use ring::RingRecorder;

@@ -23,14 +23,6 @@ pub enum SystemMode {
     Reconciliation,
 }
 
-impl SystemMode {
-    /// Whether constraint validation may be unreliable in this mode
-    /// (stale or unreachable objects possible).
-    pub fn validation_may_be_unreliable(self) -> bool {
-        !matches!(self, SystemMode::Healthy)
-    }
-}
-
 impl fmt::Display for SystemMode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
@@ -45,13 +37,6 @@ impl fmt::Display for SystemMode {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn reliability_per_mode() {
-        assert!(!SystemMode::Healthy.validation_may_be_unreliable());
-        assert!(SystemMode::Degraded.validation_may_be_unreliable());
-        assert!(SystemMode::Reconciliation.validation_may_be_unreliable());
-    }
 
     #[test]
     fn default_is_healthy() {
