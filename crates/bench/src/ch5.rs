@@ -433,22 +433,19 @@ const AWAY: [usize; 3] = [200, 600, 1000];
 
 /// Figure 5.6 — time for missed-update propagation and threat
 /// re-evaluation after 1000 degraded writes over 200 objects, under the
-/// identical-once vs full-history policies (200 vs 1000 records); the
-/// reduced policy stores the full history but folds duplicate records
-/// in the background. Then the incremental engine against the full scan
-/// after a partial merge ([`partial_merge`]).
+/// identical-once vs full-history policies (200 vs 1000 records). Then
+/// the incremental engine against the full scan after a partial merge
+/// ([`partial_merge`]).
 ///
 /// Contracts: identical-once stores 200 records and the full history
-/// 1000, and the full history is slower in both phases; the reduced
-/// store stays below half the full one and its replica phase is faster.
-/// The incremental engine skips every away threat, re-evaluates fewer
-/// identities with identical outcomes in less constraint time, and
-/// stays flat while the full scan grows with the away pool.
+/// 1000, and the full history is slower in both phases. The incremental
+/// engine skips every away threat, re-evaluates fewer identities with
+/// identical outcomes in less constraint time, and stays flat while the
+/// full scan grows with the away pool.
 pub fn fig5_6(run: &Run) -> Verdict {
-    let [once, full, reduced] = [
+    let [once, full] = [
         (HistoryPolicy::IdenticalOnce, "Identical threats once"),
         (HistoryPolicy::FullHistory, "Full threat history"),
-        (HistoryPolicy::Reduced, "Reduced (compacted)"),
     ]
     .map(|(policy, label)| {
         let mut cluster =
@@ -474,7 +471,7 @@ pub fn fig5_6(run: &Run) -> Verdict {
             summary.constraint_duration,
         )
     });
-    let rows: Vec<Vec<String>> = [once, full, reduced]
+    let rows: Vec<Vec<String>> = [once, full]
         .iter()
         .map(|(label, stored, replica, constraint)| {
             vec![
@@ -557,10 +554,6 @@ pub fn fig5_6(run: &Run) -> Verdict {
         (
             full.2 > once.2 && full.3 > once.3,
             "the full history is not slower",
-        ),
-        (
-            reduced.1 < full.1 / 2 && reduced.2 < full.2,
-            "compaction keeps too much",
         ),
         (
             skips,

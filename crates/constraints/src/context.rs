@@ -92,12 +92,12 @@ pub type PreState = Vec<(Cow<'static, str>, Value)>;
 /// The validation context handed to [`crate::Constraint::validate`].
 ///
 /// Carries (depending on constraint kind, §4.2.1) the context object,
-/// the called object, method and arguments, the method result for
+/// the method and arguments, the method result for
 /// postconditions, and a `@pre` store filled by
 /// `before_method_invocation`. Every object touched through the
 /// context is *gathered* (§4.2.3) so the CCMgr can ask the replication
 /// manager about staleness afterwards; the gathered ids are a sorted,
-/// deduplicated slice ([`ValidationContext::accessed_objects`]).
+/// deduplicated list ([`ValidationContext::take_accessed_objects`]).
 ///
 /// The call data is held as [`Cow`]s: the owning constructors
 /// ([`ValidationContext::for_method`] and friends) move their arguments
@@ -110,7 +110,6 @@ pub type PreState = Vec<(Cow<'static, str>, Value)>;
 pub struct ValidationContext<'a> {
     access: &'a mut dyn ObjectAccess,
     context_object: Option<Cow<'a, ObjectId>>,
-    called_object: Option<Cow<'a, ObjectId>>,
     method: Option<Cow<'a, MethodName>>,
     args: Cow<'a, [Value]>,
     result: Option<Cow<'a, Value>>,
@@ -132,7 +131,6 @@ impl<'a> ValidationContext<'a> {
         Self {
             access,
             context_object: None,
-            called_object: None,
             method: None,
             args: Cow::Borrowed(&[]),
             result: None,
@@ -159,8 +157,7 @@ impl<'a> ValidationContext<'a> {
         access: &'a mut dyn ObjectAccess,
     ) -> Self {
         Self {
-            context_object: Some(Cow::Owned(called_object.clone())),
-            called_object: Some(Cow::Owned(called_object)),
+            context_object: Some(Cow::Owned(called_object)),
             method: Some(Cow::Owned(method)),
             args: Cow::Owned(args),
             ..Self::for_query(access)
@@ -182,7 +179,6 @@ impl<'a> ValidationContext<'a> {
     ) -> Self {
         let mut ctx = Self::for_query(access);
         if let Some(call) = call {
-            ctx.called_object = Some(Cow::Borrowed(&call.target));
             ctx.method = Some(Cow::Borrowed(&call.method));
             ctx.args = Cow::Borrowed(&call.args);
         }
@@ -199,11 +195,6 @@ impl<'a> ValidationContext<'a> {
     /// The context object (`getContextObject()`).
     pub fn context_object(&self) -> Option<&ObjectId> {
         self.context_object.as_deref()
-    }
-
-    /// The called object (`getCalledObject()`).
-    pub fn called_object(&self) -> Option<&ObjectId> {
-        self.called_object.as_deref()
     }
 
     /// The invoked method (`getMethod()`).
@@ -266,14 +257,10 @@ impl<'a> ValidationContext<'a> {
         ids
     }
 
-    /// Objects touched during validation (the "gathered affected
-    /// objects" of Figure 4.4), sorted and each once.
-    pub fn accessed_objects(&self) -> &[ObjectId] {
-        &self.accessed
-    }
-
-    /// Moves the gathered objects out (the middleware keeps them with
-    /// the verdict, or gathers the next check into them).
+    /// Moves out the objects touched during validation (the "gathered
+    /// affected objects" of Figure 4.4), sorted and each once: the
+    /// middleware keeps them with the verdict, or gathers the next check
+    /// into them.
     pub fn take_accessed_objects(&mut self) -> Vec<ObjectId> {
         std::mem::take(&mut self.accessed)
     }
@@ -381,7 +368,7 @@ mod tests {
         let mut ctx = ValidationContext::for_invariant(id.clone(), &mut w);
         ctx.self_field("seats").unwrap();
         ctx.field(&other, "age").unwrap();
-        assert_eq!(ctx.accessed_objects(), [id, other]);
+        assert_eq!(ctx.accessed, [id, other]);
     }
 
     #[test]
@@ -393,7 +380,7 @@ mod tests {
             ctx.self_field("seats"),
             Err(Error::ObjectUnreachable(id.clone()))
         );
-        assert!(ctx.accessed_objects().contains(&id));
+        assert!(ctx.accessed.contains(&id));
     }
 
     #[test]
@@ -405,7 +392,7 @@ mod tests {
             vec![Value::Int(90)],
             &mut w,
         );
-        assert_eq!(ctx.called_object(), Some(&id));
+        assert_eq!(ctx.context_object(), Some(&id));
         assert_eq!(ctx.method().unwrap().as_str(), "setSeats");
         assert_eq!(ctx.args(), &[Value::Int(90)]);
         ctx.set_result(Value::Bool(true));
@@ -470,7 +457,6 @@ mod tests {
             ValidationContext::borrowing(None, Some(&inv), Some(&result), Some(&pre), &mut w);
         // No context object given: it is the called object.
         assert_eq!(ctx.context_object(), Some(&id));
-        assert_eq!(ctx.called_object(), Some(&id));
         assert_eq!(ctx.method().unwrap().as_str(), "setSeats");
         assert_eq!(ctx.args(), &[Value::Int(90)]);
         assert_eq!(ctx.result(), Some(&Value::Bool(true)));
@@ -488,11 +474,11 @@ mod tests {
         let other = ObjectId::new("Flight", "F2");
         let ctx = ValidationContext::borrowing(Some(&other), Some(&inv), None, None, &mut w);
         assert_eq!(ctx.context_object(), Some(&other));
-        assert_eq!(ctx.called_object(), Some(&id));
+        assert_eq!(ctx.method().unwrap().as_str(), "setSeats");
         drop(ctx);
         let ctx = ValidationContext::borrowing(Some(&other), None, None, None, &mut w);
         assert_eq!(ctx.context_object(), Some(&other));
-        assert!(ctx.called_object().is_none() && ctx.method().is_none());
+        assert!(ctx.method().is_none());
         assert!(ctx.args().is_empty() && ctx.result().is_none() && ctx.pre("size").is_none());
     }
 
@@ -503,14 +489,14 @@ mod tests {
         ctx.self_field("seats").unwrap();
         ctx.field(&id, "seats").unwrap();
         ctx.self_field("missing").unwrap();
-        assert_eq!(ctx.accessed_objects().len(), 1);
+        assert_eq!(ctx.accessed.len(), 1);
         let mut w = MapAccess::new();
         let mut ctx = ValidationContext::for_query(&mut w);
         assert_eq!(
             ctx.self_field("seats"),
             Err(Error::Config("no context object".into()))
         );
-        assert!(ctx.accessed_objects().is_empty());
+        assert!(ctx.accessed.is_empty());
     }
 
     #[test]
@@ -528,7 +514,7 @@ mod tests {
         lent.push(ObjectId::new("Stale", "S1"));
         let block = lent.as_ptr();
         ctx.gather_into(lent);
-        assert!(ctx.accessed_objects().is_empty());
+        assert!(ctx.accessed.is_empty());
         // F2, F1, F2, then `count("Person")`: in id order, each once.
         ctx.self_field("seats").unwrap();
         ctx.field(&f1, "seats").unwrap();
@@ -536,7 +522,7 @@ mod tests {
         let query = crate::expr::ExprConstraint::parse("count(\"Person\") = 2").unwrap();
         assert_eq!(crate::Constraint::validate(&query, &mut ctx), Ok(true));
         let expected = [f1, f2.clone(), p1, p2];
-        assert_eq!(ctx.accessed_objects(), expected);
+        assert_eq!(ctx.accessed, expected);
         // The borrowed `@pre` snapshot is copied on write; a second
         // store of a key overwrites it.
         ctx.store_pre("seats", Value::Int(4));
@@ -560,6 +546,6 @@ mod tests {
         let mut ctx = ValidationContext::for_query(&mut w);
         let flights = ctx.objects_of_class(&ClassName::from("Flight"));
         assert_eq!(flights.len(), 2);
-        assert!(ctx.accessed_objects().contains(&id));
+        assert!(ctx.accessed.contains(&id));
     }
 }

@@ -79,8 +79,6 @@ pub struct Program {
     names: Vec<String>,
     classes: Vec<ClassName>,
     read_set: ReadSet,
-    /// AST nodes folded away at compile time.
-    folded: u32,
     /// Upper bound on operand-stack depth, for one up-front allocation.
     max_stack: usize,
 }
@@ -89,16 +87,6 @@ impl Program {
     /// The static read-set of the program.
     pub fn read_set(&self) -> &ReadSet {
         &self.read_set
-    }
-
-    /// Number of VM ops.
-    pub fn op_count(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// AST nodes removed by constant folding.
-    pub fn folded_nodes(&self) -> u32 {
-        self.folded
     }
 
     /// The telemetry summary of this program.
@@ -211,7 +199,6 @@ pub fn compile(expr: &Expr) -> Program {
             names: Vec::new(),
             classes: Vec::new(),
             read_set,
-            folded: 0,
             max_stack: 0,
         },
         depth: 0,
@@ -349,7 +336,6 @@ impl Compiler {
     fn emit(&mut self, expr: &Expr) {
         if !matches!(expr, Expr::Literal(_)) {
             if let Some(v) = fold(expr) {
-                self.program.folded += (expr.node_count() as u32).saturating_sub(1);
                 self.emit_const(v);
                 return;
             }
@@ -515,7 +501,7 @@ mod tests {
             ctx.store_pre("sold", Value::Int(5));
             ctx.set_env("partitionWeight", Value::Float(0.5));
             let interpreted = evaluate(&ast, &mut ctx);
-            let interpreted_accessed = ctx.accessed_objects().to_vec();
+            let interpreted_accessed = ctx.take_accessed_objects();
             drop(ctx);
 
             let (mut w, id) = world();
@@ -529,7 +515,7 @@ mod tests {
             ctx.store_pre("sold", Value::Int(5));
             ctx.set_env("partitionWeight", Value::Float(0.5));
             let compiled = program.evaluate(&mut ctx);
-            let compiled_accessed = ctx.accessed_objects().to_vec();
+            let compiled_accessed = ctx.take_accessed_objects();
 
             assert_eq!(interpreted, compiled, "value diverged for `{source}`");
             assert_eq!(
@@ -556,7 +542,7 @@ mod tests {
                 None => ValidationContext::for_query(&mut w),
             };
             let verdict = constraint.validate_with(engine, &mut ctx);
-            (verdict, ctx.accessed_objects().to_vec())
+            (verdict, ctx.take_accessed_objects())
         })
     }
 
@@ -628,8 +614,7 @@ mod tests {
     fn constant_subexpressions_fold() {
         let program = compile(&parse("1 + 2 * 3 = 7").unwrap());
         // The whole expression is context-free: one Const op.
-        assert_eq!(program.op_count(), 1);
-        assert!(program.folded_nodes() > 0);
+        assert!(matches!(program.ops[..], [Op::Const(_)]));
         let mut w = MapAccess::new();
         let mut ctx = ValidationContext::for_query(&mut w);
         assert_eq!(program.evaluate(&mut ctx), Ok(Value::Bool(true)));
@@ -643,7 +628,7 @@ mod tests {
 
         // …but a short-circuited error branch folds to the constant.
         let program = compile(&parse("false and 1 / 0 > 0").unwrap());
-        assert_eq!(program.op_count(), 1);
+        assert!(matches!(program.ops[..], [Op::Const(_)]));
     }
 
     #[test]

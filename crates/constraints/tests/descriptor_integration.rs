@@ -6,7 +6,7 @@ use dedisys_constraints::{
     ConstraintConfigSet, ConstraintKind, ConstraintPriority, ImplRegistry, MapAccess,
     ValidationContext,
 };
-use dedisys_types::{ObjectId, SatisfactionDegree, Value};
+use dedisys_types::{ChaosRng, ObjectId, SatisfactionDegree, Value};
 use std::sync::Arc;
 
 const DESCRIPTOR: &str = r#"{
@@ -203,4 +203,67 @@ fn violations_are_detected_through_the_descriptor_constraints() {
         credit.implementation.validate(&mut ctx),
         Err(dedisys_types::Error::ObjectUnreachable(_))
     ));
+}
+
+/// The bytes a mutation draws from: JSON's punctuation and whitespace,
+/// the escape, and what numbers and the three literals are spelled with.
+const JSON_ALPHABET: &[u8] = b"{}[]\":, \n\\-+.0123456789eEtrufalsn";
+
+/// `DESCRIPTOR` with one to four seeded byte edits: each replaces,
+/// inserts or deletes one byte.
+fn mutant(seed: u64) -> String {
+    let mut rng = ChaosRng::new(seed);
+    let mut bytes = DESCRIPTOR.as_bytes().to_vec();
+    for _ in 0..1 + rng.below(4) {
+        let at = rng.below(bytes.len() as u64) as usize;
+        let byte = *rng.pick(JSON_ALPHABET);
+        match rng.below(3) {
+            0 => bytes[at] = byte,
+            1 => bytes.insert(at, byte),
+            _ => {
+                bytes.remove(at);
+            }
+        }
+    }
+    String::from_utf8(bytes).expect("ASCII edits of ASCII text")
+}
+
+/// A damaged descriptor is refused with an error or loads, and whatever
+/// loads validates against the world: no mutant reaches a panic.
+#[test]
+fn mutated_descriptors_load_or_fail_without_panicking() {
+    let mut impls = ImplRegistry::new();
+    impls.register(
+        "HandRolled",
+        Arc::new(|ctx: &mut ValidationContext<'_>| {
+            Ok(ctx.self_field("total")?.as_int().unwrap_or(0) % 5 == 0)
+        }),
+    );
+    let (mut parsed, mut resolved) = (0, 0);
+    for seed in 0..3_000 {
+        let Ok(set) = ConstraintConfigSet::from_json(&mutant(seed)) else {
+            continue;
+        };
+        parsed += 1;
+        let Ok(constraints) = set.resolve(&impls) else {
+            continue;
+        };
+        resolved += 1;
+        let (mut w, order, _) = world();
+        for c in &constraints {
+            let mut ctx = if c.meta.needs_context_object {
+                let args = vec![Value::Int(5)];
+                let mut ctx =
+                    ValidationContext::for_method(order.clone(), "addItem".into(), args, &mut w);
+                ctx.set_result(Value::Int(255));
+                ctx
+            } else {
+                ValidationContext::for_query(&mut w)
+            };
+            let _verdict = c.implementation.validate(&mut ctx);
+        }
+    }
+    // The edits land both in structure and in values: some mutants
+    // parse, and some of those still resolve.
+    assert!(parsed > resolved && resolved > 0, "{parsed} {resolved}");
 }

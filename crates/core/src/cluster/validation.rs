@@ -9,17 +9,12 @@ use super::Cluster;
 use crate::ccm::{
     evaluate_candidate, kept_set, ReplicaAccess, ValidationCandidate, ValidationVerdict,
 };
-use crate::threat::HistoryPolicy;
 use dedisys_constraints::ConstraintEngine;
 use dedisys_telemetry::{ThreatStorage, TraceEvent};
 use dedisys_types::{
     ConstraintName, Error, NodeId, ObjectId, Result, SatisfactionDegree, TxId, Version,
 };
 use std::collections::{BTreeMap, BTreeSet};
-
-/// Duplicate threat records tolerated before a
-/// [`HistoryPolicy::Reduced`] store folds them.
-const COMPACTION_THRESHOLD: usize = 32;
 
 /// The version-keyed verdict cache: context object → (observing node,
 /// constraint) → memoized verdict. Object-first so a write invalidates
@@ -311,9 +306,6 @@ impl Cluster {
             ThreatStorage::LinkedOccurrence => self.costs.threat_link_fixed + scan,
             ThreatStorage::Deduplicated => self.costs.threat_dedup_read,
         });
-        if storage == ThreatStorage::LinkedOccurrence {
-            self.maybe_compact_threats();
-        }
     }
 
     /// Entries currently held by the verdict cache.
@@ -355,37 +347,6 @@ impl Cluster {
                 entries: entries as u32,
             });
         }
-    }
-
-    /// Folds duplicate threat records *during* degraded mode under
-    /// [`HistoryPolicy::Reduced`], once [`COMPACTION_THRESHOLD`]
-    /// duplicates have piled up — so heal-time reconciliation ships one
-    /// folded record per identity instead of the occurrence history
-    /// (§5.5.1).
-    fn maybe_compact_threats(&mut self) {
-        let store = self.ccm.threat_store();
-        if store.policy() != HistoryPolicy::Reduced
-            || store.duplicate_records() < COMPACTION_THRESHOLD
-        {
-            return;
-        }
-        let report = self.ccm.threat_store_mut().compact();
-        if report.folded == 0 {
-            return;
-        }
-        // One batched rewrite per folded identity group, plus the
-        // marginal scan cost per removed record.
-        self.clock.advance(
-            self.costs.db_write * report.retained
-                + self.costs.threat_scan_per_identity * report.folded,
-        );
-        self.telemetry
-            .metrics()
-            .add("reconcile.threats_folded", report.folded);
-        self.telemetry.emit(|| TraceEvent::ThreatCompaction {
-            folded: report.folded,
-            retained: report.retained,
-        });
     }
 }
 

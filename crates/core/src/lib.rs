@@ -100,8 +100,7 @@ macro_rules! nodes {
 }
 pub use costs::CostModel;
 pub use threat::{
-    CompactionReport, ConsistencyThreat, HistoryPolicy, ReconcileInstructions, ThreatIdentity,
-    ThreatStore,
+    ConsistencyThreat, HistoryPolicy, ReconcileInstructions, ThreatIdentity, ThreatStore,
 };
 
 // Re-export the pieces users need to assemble a cluster.

@@ -84,11 +84,6 @@ pub enum HistoryPolicy {
     /// Store every occurrence (needed for rollback/undo to
     /// intermediate states).
     FullHistory,
-    /// Store every occurrence, but fold identical records together
-    /// *during* degraded mode ([`ThreatStore::compact`]) so the heal-time
-    /// reconciliation ships one folded record per identity instead of
-    /// the full occurrence history (§5.5.1 reduced-history proposal).
-    Reduced,
 }
 
 /// The persistent store of accepted consistency threats (§3.2.2:
@@ -132,20 +127,10 @@ struct Record {
     /// Position in the store-wide occurrence order (the number the
     /// journal key starts with).
     number: u64,
-    /// The journal key, as the log holds it: deletes and rewrites
-    /// address the record by it.
+    /// The journal key, as the log holds it: a delete addresses the
+    /// record by it.
     key: Arc<str>,
     threat: ConsistencyThreat,
-}
-
-/// Result of folding duplicate threat records under
-/// [`HistoryPolicy::Reduced`] ([`ThreatStore::compact`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CompactionReport {
-    /// Duplicate records removed (folded into their first occurrence).
-    pub folded: u64,
-    /// Identities whose histories were folded.
-    pub retained: u64,
 }
 
 /// Table name of the persisted threat records.
@@ -240,8 +225,8 @@ impl ThreatStore {
     /// Simulates a middleware crash: drops everything held in memory
     /// and rebuilds it from the write-ahead log, newest entry first —
     /// the first operation seen for a key is the one that survives, so
-    /// deleted and rewritten records are never decoded. Returns how
-    /// many threats were recovered.
+    /// deleted records are never decoded. Returns how many threats were
+    /// recovered.
     ///
     /// # Errors
     ///
@@ -301,12 +286,6 @@ impl ThreatStore {
         self.records.len()
     }
 
-    /// Identities of threats touching `object` (as context object or
-    /// affected object), from the secondary index.
-    pub fn identities_for_object(&self, object: &ObjectId) -> Option<&BTreeSet<ThreatIdentity>> {
-        self.object_index.get(object)
-    }
-
     /// Union of identities touching any object of `objects` — the
     /// entry point of incremental reconciliation: map a dirty object
     /// set to the threats that need re-evaluation.
@@ -325,7 +304,7 @@ impl ThreatStore {
 
     /// Every object touched by threats of `identity` (context object
     /// plus affected objects, across all stored occurrences).
-    pub fn objects_of(&self, identity: &ThreatIdentity) -> BTreeSet<ObjectId> {
+    pub(crate) fn objects_of(&self, identity: &ThreatIdentity) -> BTreeSet<ObjectId> {
         self.iter_objects_of(identity).cloned().collect()
     }
 
@@ -338,53 +317,6 @@ impl ThreatStore {
         self.records_of(identity)
             .iter()
             .flat_map(|r| r.threat.objects())
-    }
-
-    /// Records beyond the first occurrence of their identity
-    /// (compaction candidates under [`HistoryPolicy::Reduced`]).
-    pub fn duplicate_records(&self) -> usize {
-        self.len - self.records.len()
-    }
-
-    /// Folds duplicate records of each identity into the first
-    /// occurrence: affected objects are unioned and the reconciliation
-    /// instructions OR-ed so no rollback permission or notification
-    /// request is lost; the surviving journal entry is rewritten and
-    /// the duplicates durably deleted. Intended for
-    /// [`HistoryPolicy::Reduced`] during degraded mode, so heal-time
-    /// reconciliation ships one record per identity (§5.5.1).
-    pub fn compact(&mut self) -> CompactionReport {
-        let mut report = CompactionReport::default();
-        for identity in self.identities() {
-            let records = self.records.get_mut(&identity).expect("listed identity");
-            if records.len() < 2 {
-                continue;
-            }
-            let mut folded = records[0].threat.clone();
-            for duplicate in &records[1..] {
-                let threat = &duplicate.threat;
-                folded
-                    .affected_objects
-                    .extend(threat.affected_objects.iter().cloned());
-                folded.instructions.allow_rollback |= threat.instructions.allow_rollback;
-                folded.instructions.notify_on_replica_conflict |=
-                    threat.instructions.notify_on_replica_conflict;
-            }
-            let duplicates = records.len() - 1;
-            for duplicate in records.drain(1..) {
-                self.wal.append_delete(THREAT_TABLE, duplicate.key);
-            }
-            let survivor = &mut records[0];
-            self.text.clear();
-            folded.serialize_json(&mut self.text);
-            self.wal
-                .append_put(THREAT_TABLE, Arc::clone(&survivor.key), self.text.as_str());
-            survivor.threat = folded;
-            self.len -= duplicates;
-            report.folded += duplicates as u64;
-            report.retained += 1;
-        }
-        report
     }
 
     /// The first stored threat with `identity`.
@@ -528,15 +460,36 @@ mod tests {
         assert_eq!(store.len(), 1);
     }
 
+    /// `FullHistory` keeps every occurrence and ORs their flags when
+    /// read; `IdenticalOnce` keeps the first occurrence as it came.
     #[test]
     fn instruction_aggregation_across_identical_threats() {
-        let mut store = ThreatStore::new(HistoryPolicy::FullHistory);
-        store.store(threat("C", "F1"));
-        let mut t = threat("C", "F1");
-        t.instructions.allow_rollback = true;
-        store.store(t);
-        assert!(store.any_allows_rollback(&threat("C", "F1").identity()));
-        assert!(!store.any_wants_conflict_notification(&threat("C", "F1").identity()));
+        let identity = threat("C", "F1").identity();
+        for policy in [HistoryPolicy::FullHistory, HistoryPolicy::IdenticalOnce] {
+            let mut store = ThreatStore::new(policy);
+            store.store(threat("C", "F1"));
+            let journalled = store.wal.len();
+            let mut later = threat("C", "F1");
+            later.instructions.allow_rollback = true;
+            later.affected_objects.insert(ObjectId::new("Seat", "S1"));
+            store.store(later);
+            let kept = policy == HistoryPolicy::FullHistory;
+            assert_eq!(store.any_allows_rollback(&identity), kept, "{policy:?}");
+            assert!(
+                !store.any_wants_conflict_notification(&identity),
+                "{policy:?}"
+            );
+            assert_eq!(
+                store.objects_of(&identity).len(),
+                1 + usize::from(kept),
+                "{policy:?}"
+            );
+            assert_eq!(
+                store.wal.len(),
+                journalled + usize::from(kept),
+                "{policy:?}"
+            );
+        }
     }
 
     #[test]
@@ -648,8 +601,8 @@ mod tests {
         store.store(threat("D", "F1"));
         let f1 = ObjectId::new("Flight", "F1");
         let s1 = ObjectId::new("Seat", "S1");
-        assert_eq!(store.identities_for_object(&f1).map(BTreeSet::len), Some(2));
-        assert_eq!(store.identities_for_object(&s1).map(BTreeSet::len), Some(1));
+        assert_eq!(store.object_index.get(&f1).map(BTreeSet::len), Some(2));
+        assert_eq!(store.object_index.get(&s1).map(BTreeSet::len), Some(1));
         let touched = store.identities_touching([&s1]);
         assert_eq!(touched.len(), 1);
         assert!(touched
@@ -658,8 +611,8 @@ mod tests {
         assert_eq!(store.objects_of(&threat("C", "F1").identity()).len(), 2);
 
         store.remove_identity(&"C".into(), Some(&ObjectId::new("Flight", "F1")));
-        assert!(store.identities_for_object(&s1).is_none());
-        assert_eq!(store.identities_for_object(&f1).map(BTreeSet::len), Some(1));
+        assert!(!store.object_index.contains_key(&s1));
+        assert_eq!(store.object_index.get(&f1).map(BTreeSet::len), Some(1));
         assert_eq!(store.identity_count(), 1);
     }
 
@@ -674,66 +627,12 @@ mod tests {
         assert_eq!(store.identity_count(), 2);
         assert_eq!(
             store
-                .identities_for_object(&ObjectId::new("Seat", "S1"))
+                .object_index
+                .get(&ObjectId::new("Seat", "S1"))
                 .map(BTreeSet::len),
             Some(1)
         );
         assert_eq!(store.identities()[0].constraint, ConstraintName::from("C"));
-    }
-
-    #[test]
-    fn compaction_folds_duplicates_preserving_first_occurrence() {
-        let mut store = ThreatStore::new(HistoryPolicy::Reduced);
-        let mut first = threat("C", "F1");
-        first.affected_objects.insert(ObjectId::new("Seat", "S1"));
-        first.occurred_at = SimTime::ZERO;
-        store.store(first);
-        let mut second = threat("C", "F1");
-        second.affected_objects.insert(ObjectId::new("Seat", "S2"));
-        second.instructions.allow_rollback = true;
-        store.store(second);
-        let mut third = threat("C", "F1");
-        third.instructions.notify_on_replica_conflict = true;
-        assert_eq!(store.store(third), ThreatStorage::LinkedOccurrence);
-        store.store(threat("D", "F2"));
-        assert_eq!(store.len(), 4);
-        assert_eq!(store.duplicate_records(), 2);
-
-        let report = store.compact();
-        assert_eq!(report.folded, 2);
-        assert_eq!(report.retained, 1);
-        assert_eq!(store.len(), 2);
-        assert_eq!(store.duplicate_records(), 0);
-
-        // The survivor is the first occurrence, carrying the union of
-        // affected objects and the OR of the instruction flags.
-        let folded = store.first_of(&threat("C", "F1").identity()).unwrap();
-        assert_eq!(folded.occurred_at, SimTime::ZERO);
-        assert_eq!(folded.tx, TxId::new(NodeId(0), 1));
-        assert_eq!(folded.affected_objects.len(), 2);
-        assert!(folded.instructions.allow_rollback);
-        assert!(folded.instructions.notify_on_replica_conflict);
-        assert!(store.any_allows_rollback(&threat("C", "F1").identity()));
-        assert!(store.any_wants_conflict_notification(&threat("C", "F1").identity()));
-
-        // The folded record is durable: a crash recovers it unchanged,
-        // and the two deleted duplicates stay deleted.
-        assert_eq!(store.recover(), Ok(2));
-        let folded = store.first_of(&threat("C", "F1").identity()).unwrap();
-        assert_eq!(folded.affected_objects.len(), 2);
-        assert!(folded.instructions.allow_rollback);
-        assert!(folded.instructions.notify_on_replica_conflict);
-    }
-
-    #[test]
-    fn compaction_is_a_noop_without_duplicates() {
-        let mut store = ThreatStore::new(HistoryPolicy::Reduced);
-        store.store(threat("C", "F1"));
-        store.store(threat("D", "F2"));
-        let report = store.compact();
-        assert_eq!(report, CompactionReport::default());
-        assert_eq!(store.len(), 2);
-        assert_eq!(store.recover(), Ok(2));
     }
 
     #[test]
@@ -799,7 +698,7 @@ mod tests {
             store.threats().into_iter().cloned().collect(),
             store.identities(),
             store.identity_count(),
-            store.duplicate_records(),
+            store.len(),
         )
     }
 
@@ -809,14 +708,10 @@ mod tests {
         let objects: Vec<ObjectId> = (0..5)
             .map(|i| ObjectId::new("Flight", format!("F{i}")))
             .collect();
-        let policies = [
-            HistoryPolicy::IdenticalOnce,
-            HistoryPolicy::FullHistory,
-            HistoryPolicy::Reduced,
-        ];
+        let policies = [HistoryPolicy::IdenticalOnce, HistoryPolicy::FullHistory];
         for seed in 0..64 {
             let mut rng = ChaosRng::new(seed);
-            let mut store = ThreatStore::new(policies[seed as usize % 3]);
+            let mut store = ThreatStore::new(policies[seed as usize % 2]);
             for step in 0..80u64 {
                 let constraint = rng.pick(&constraints).clone();
                 // One draw in six is query-based (no context object).
@@ -840,11 +735,8 @@ mod tests {
                         };
                         store.store(stored);
                     }
-                    6 | 7 => {
+                    6..=8 => {
                         store.remove_identity(&constraint, context_object.as_ref());
-                    }
-                    8 => {
-                        store.compact();
                     }
                     _ => {
                         store.recover().unwrap();
@@ -857,8 +749,8 @@ mod tests {
                 assert_eq!(snapshot_of(&restarted), snapshot_of(&store), "{at}");
                 for object in &objects {
                     assert_eq!(
-                        restarted.identities_for_object(object),
-                        store.identities_for_object(object),
+                        restarted.object_index.get(object),
+                        store.object_index.get(object),
                         "{at}: {object}"
                     );
                 }

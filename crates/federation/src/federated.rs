@@ -664,7 +664,7 @@ impl FederatedCluster {
     // ------------------------------------------------------------------
 
     /// Every committed object across all shards, in id order.
-    pub fn committed_objects(&self) -> Vec<ObjectId> {
+    pub(crate) fn committed_objects(&self) -> Vec<ObjectId> {
         let mut ids = BTreeSet::new();
         for (i, cluster) in self.shards.iter().enumerate() {
             if let Some(node) = self.coordinator_node(ShardId(i as u32)) {

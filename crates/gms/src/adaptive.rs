@@ -92,7 +92,7 @@ impl AdaptiveDetector {
     }
 
     /// Mean inter-arrival time in nanoseconds (`None` while empty).
-    pub fn mean_interval_ns(&self) -> Option<u64> {
+    pub(crate) fn mean_interval_ns(&self) -> Option<u64> {
         if self.samples.is_empty() {
             None
         } else {
@@ -107,7 +107,7 @@ impl AdaptiveDetector {
 
     /// Current suspicion level as `φ · 1000` at `now`, or `None` while
     /// the window is empty. Monotonic in the silence duration.
-    pub fn phi_milli(&self, now: SimTime) -> Option<u64> {
+    pub(crate) fn phi_milli(&self, now: SimTime) -> Option<u64> {
         let mean = self.mean_interval_ns()?;
         let last = self.last_arrival?;
         if now <= last {

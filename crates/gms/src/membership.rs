@@ -151,13 +151,6 @@ impl MembershipSim {
         &self.stabilizer
     }
 
-    /// Raw suspicion set of `observer` (pre-damping).
-    pub fn suspected_by(&self, observer: NodeId) -> &BTreeSet<NodeId> {
-        self.suspected
-            .get(&observer)
-            .expect("observer is part of the simulation")
-    }
-
     /// Total number of standing raw suspicions held by live nodes
     /// against live nodes — zero on a healed, quiescent system.
     pub fn standing_suspicions(&self) -> usize {
@@ -171,14 +164,6 @@ impl MembershipSim {
                     .count()
             })
             .sum()
-    }
-
-    /// The last stabilized partitioning.
-    pub fn stable_partitions(&self) -> Vec<BTreeSet<NodeId>> {
-        self.stabilizer
-            .stable()
-            .map(|p| p.to_vec())
-            .unwrap_or_else(|| vec![(0..self.node_count).map(NodeId).collect()])
     }
 
     /// Severs the physical links between the given groups (nodes not
@@ -517,8 +502,8 @@ mod tests {
         // change, suspicion already in place.
         let events = run(&mut sim, &clock, SimDuration::from_secs(3));
         assert!(stabilized(&events).is_empty(), "{events:?}");
-        assert!(sim.suspected_by(NodeId(0)).contains(&NodeId(2)));
-        assert_eq!(sim.stable_partitions(), groups);
+        assert!(sim.suspected[&NodeId(0)].contains(&NodeId(2)));
+        assert_eq!(sim.stabilizer().stable(), Some(&groups[..]));
     }
 
     #[test]

@@ -74,24 +74,12 @@ pub struct ViewChange {
     pub old: View,
     /// The newly installed view.
     pub new: View,
-    /// Nodes present in `new` but not in `old` (re-joins / recoveries).
+    /// Nodes present in `new` but not in `old` (re-joins / recoveries):
+    /// when not empty, the change re-unifies split partitions — the
+    /// trigger for the reconciliation phase (§4.4).
     pub joined: BTreeSet<NodeId>,
     /// Nodes present in `old` but not in `new` (crashes / partitions).
     pub left: BTreeSet<NodeId>,
-}
-
-impl ViewChange {
-    /// Whether this change re-unifies previously split partitions
-    /// (at least one node joined) — the trigger for the reconciliation
-    /// phase (§4.4).
-    pub fn is_merge(&self) -> bool {
-        !self.joined.is_empty()
-    }
-
-    /// Whether this change degraded the system (at least one node left).
-    pub fn is_degradation(&self) -> bool {
-        !self.left.is_empty()
-    }
 }
 
 /// Tracks the view of a single node across topology changes.
@@ -198,14 +186,13 @@ mod tests {
 
         topo.split(&[&[0], &[1, 2]]);
         let change = tracker.observe(&topo).unwrap();
-        assert!(change.is_degradation());
-        assert!(!change.is_merge());
+        assert!(change.joined.is_empty());
         assert_eq!(change.left, BTreeSet::from([NodeId(0)]));
         assert_eq!(tracker.current().id(), ViewId(1));
 
         topo.heal();
         let change = tracker.observe(&topo).unwrap();
-        assert!(change.is_merge());
+        assert!(change.left.is_empty());
         assert_eq!(change.joined, BTreeSet::from([NodeId(0)]));
         assert_eq!(tracker.current().id(), ViewId(2));
     }

@@ -6,10 +6,10 @@ use std::collections::BTreeMap;
 /// Whether a method reads or writes entity state.
 ///
 /// The replication service must know (§4.3): writes trigger update
-/// propagation, reads execute locally. Detection follows the EJB
-/// naming convention (`set` + upper-case letter) unless declared
-/// explicitly; undeclared non-setter methods are conservatively treated
-/// as writes ("to be on the safe side", §5.1).
+/// propagation, reads execute locally. A declared field brings its
+/// `set…`/`get…` accessors as a write and a read; other methods are
+/// declared with their kind, and undeclared ones are conservatively
+/// treated as writes ("to be on the safe side", §5.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MethodKind {
     /// Local read; never propagated.
@@ -26,21 +26,6 @@ pub struct MethodDescriptor {
 }
 
 impl MethodDescriptor {
-    /// Declares a method, inferring its kind from the naming
-    /// convention: `set*` ⇒ write, `get*` ⇒ read, anything else ⇒
-    /// write (safe side).
-    pub fn by_convention(name: impl Into<MethodName>) -> Self {
-        let name = name.into();
-        let kind = if name.is_setter_convention() {
-            MethodKind::Write
-        } else if name.as_str().starts_with("get") {
-            MethodKind::Read
-        } else {
-            MethodKind::Write
-        };
-        Self { name, kind }
-    }
-
     /// Declares a method with an explicit kind.
     pub fn with_kind(name: impl Into<MethodName>, kind: MethodKind) -> Self {
         Self {
@@ -205,19 +190,13 @@ mod tests {
 
     #[test]
     fn convention_based_kinds() {
-        assert_eq!(
-            MethodDescriptor::by_convention("setSeats").kind(),
-            MethodKind::Write
-        );
-        assert_eq!(
-            MethodDescriptor::by_convention("getSeats").kind(),
-            MethodKind::Read
-        );
-        // Safe side: unknown naming is a write.
-        assert_eq!(
-            MethodDescriptor::by_convention("recompute").kind(),
-            MethodKind::Write
-        );
+        let class = ClassDescriptor::new("Flight").with_field("seats", Value::Int(0));
+        let kind = |name: &str| class.method(&MethodName::from(name)).map(|m| m.kind());
+        assert_eq!(kind("setSeats"), Some(MethodKind::Write));
+        assert_eq!(kind("getSeats"), Some(MethodKind::Read));
+        // Nothing is inferred from a name: an undeclared method has no
+        // kind here, and the middleware treats it as a write.
+        assert_eq!(kind("recompute"), None);
     }
 
     #[test]

@@ -117,7 +117,7 @@ impl LogEntry {
     }
 
     /// The FNV-1a checksum the entry *should* carry given its payload.
-    pub fn expected_checksum(&self) -> u32 {
+    pub(crate) fn expected_checksum(&self) -> u32 {
         self.checksum_over(self.digest())
     }
 

@@ -339,14 +339,6 @@ pub enum TraceEvent {
         /// Context object, if any.
         context: Option<SharedText>,
     },
-    /// Duplicate threat records were folded during degraded mode
-    /// (`HistoryPolicy::Reduced`).
-    ThreatCompaction {
-        /// Duplicate records removed.
-        folded: u64,
-        /// Identities whose histories were folded.
-        retained: u64,
-    },
     /// A chaos-engine fault step was injected into the running cluster.
     ChaosFault {
         /// Zero-based step index within the fault plan.
@@ -599,7 +591,6 @@ impl TraceEvent {
             TraceEvent::ReconcileReplicaPhase { .. } => "reconcile_replica_phase",
             TraceEvent::ReconcileConstraintPhase { .. } => "reconcile_constraint_phase",
             TraceEvent::ReconcileSkipped { .. } => "reconcile_skipped",
-            TraceEvent::ThreatCompaction { .. } => "threat_compaction",
             TraceEvent::ChaosFault { .. } => "chaos_fault",
             TraceEvent::NodeCrash { .. } => "node_crash",
             TraceEvent::NodeRestart { .. } => "node_restart",

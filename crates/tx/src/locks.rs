@@ -7,11 +7,11 @@ use std::collections::HashMap;
 /// locking the paper lists among the services already performed per
 /// invocation (§5.1).
 ///
-/// Locks are re-entrant for the holding transaction. The soft-
-/// constraint limitation of §5.3 (a validation transaction must be able
-/// to read objects locked by the business transaction) is honoured by
-/// [`LockTable::acquire_shared_with`], which allows a designated reader
-/// transaction to pass.
+/// Locks are re-entrant for the holding transaction. Constraint
+/// validation takes no lock (it reads the containers directly), so the
+/// soft-constraint limitation of §5.3 — a validation transaction must
+/// be able to read objects locked by the business transaction — does
+/// not arise.
 #[derive(Debug, Clone, Default)]
 pub struct LockTable {
     locks: HashMap<ObjectId, TxId, IdBuildHasher>,
@@ -39,30 +39,6 @@ impl LockTable {
                 self.locks.insert(object.clone(), tx);
                 Ok(())
             }
-        }
-    }
-
-    /// Read access for `reader` that tolerates a lock held by
-    /// `business_tx` — the §5.3 soft-constraint validation arrangement.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::LockConflict`] if a third transaction holds the
-    /// lock.
-    pub fn acquire_shared_with(
-        &mut self,
-        reader: TxId,
-        business_tx: TxId,
-        object: &ObjectId,
-    ) -> Result<()> {
-        match self.locks.get(object) {
-            Some(&holder) if holder != reader && holder != business_tx => {
-                Err(Error::LockConflict {
-                    object: object.clone(),
-                    holder,
-                })
-            }
-            _ => Ok(()),
         }
     }
 
@@ -132,16 +108,5 @@ mod tests {
         assert_eq!(locks.release_all(tx(1)), 2);
         assert_eq!(locks.len(), 1);
         assert_eq!(locks.holder(&obj("c")), Some(tx(2)));
-    }
-
-    #[test]
-    fn validation_reader_passes_business_lock() {
-        let mut locks = LockTable::new();
-        locks.acquire(tx(1), &obj("a")).unwrap();
-        // Validation tx(9) may read objects locked by business tx(1)…
-        locks.acquire_shared_with(tx(9), tx(1), &obj("a")).unwrap();
-        // …but not objects locked by a third transaction.
-        locks.acquire(tx(2), &obj("b")).unwrap();
-        assert!(locks.acquire_shared_with(tx(9), tx(1), &obj("b")).is_err());
     }
 }

@@ -38,22 +38,10 @@ pub enum Error {
         /// The satisfaction degree that was rejected.
         degree: SatisfactionDegree,
     },
-    /// The constraint cannot be checked (affected objects unavailable).
-    ConstraintUncheckable {
-        /// The uncheckable constraint.
-        constraint: ConstraintName,
-    },
     /// The transaction does not exist or already terminated.
     NoSuchTransaction(TxId),
     /// The transaction was marked rollback-only and cannot commit.
     RollbackOnly(TxId),
-    /// A prepare vote failed during two-phase commit.
-    PrepareFailed {
-        /// The transaction that failed to prepare.
-        tx: TxId,
-        /// The resource that voted no.
-        resource: String,
-    },
     /// A lock on an object is held by another transaction.
     LockConflict {
         /// The contended object.
@@ -125,14 +113,8 @@ impl fmt::Display for Error {
             Error::ThreatRejected { constraint, degree } => {
                 write!(f, "consistency threat on {constraint} ({degree}) rejected")
             }
-            Error::ConstraintUncheckable { constraint } => {
-                write!(f, "constraint {constraint} uncheckable")
-            }
             Error::NoSuchTransaction(tx) => write!(f, "no such transaction {tx}"),
             Error::RollbackOnly(tx) => write!(f, "transaction {tx} is rollback-only"),
-            Error::PrepareFailed { tx, resource } => {
-                write!(f, "resource {resource} failed to prepare transaction {tx}")
-            }
             Error::LockConflict { object, holder } => {
                 write!(f, "lock on {object} held by {holder}")
             }

@@ -45,12 +45,12 @@ impl SimDuration {
     }
 
     /// The duration in (fractional) microseconds.
-    pub fn as_micros_f64(self) -> f64 {
+    pub(crate) fn as_micros_f64(self) -> f64 {
         self.0 as f64 / 1_000.0
     }
 
     /// The duration in (fractional) milliseconds.
-    pub fn as_millis_f64(self) -> f64 {
+    pub(crate) fn as_millis_f64(self) -> f64 {
         self.0 as f64 / 1_000_000.0
     }
 

@@ -88,22 +88,6 @@ impl Value {
         }
     }
 
-    /// Returns the referenced object id if this is a [`Value::Ref`].
-    pub fn as_ref_id(&self) -> Option<&ObjectId> {
-        match self {
-            Value::Ref(id) => Some(id),
-            _ => None,
-        }
-    }
-
-    /// Returns the element slice if this is a [`Value::List`].
-    pub fn as_list(&self) -> Option<&[Value]> {
-        match self {
-            Value::List(items) => Some(items),
-            _ => None,
-        }
-    }
-
     /// Truthiness used by the constraint expression language:
     /// `Null`/`false`/`0`/`0.0`/`""`/`[]` are falsy, everything else truthy.
     pub fn truthy(&self) -> bool {
@@ -245,8 +229,11 @@ mod tests {
         assert_eq!(Value::from(2.5).as_float(), Some(2.5));
         assert_eq!(Value::Int(3).as_float(), Some(3.0));
         let id = ObjectId::new("Flight", "F1");
-        assert_eq!(Value::from(id.clone()).as_ref_id(), Some(&id));
-        assert_eq!(Value::from(vec![1, 2]).as_list().unwrap().len(), 2);
+        assert_eq!(Value::from(id.clone()), Value::Ref(id));
+        assert_eq!(
+            Value::from(vec![1, 2]),
+            Value::List(vec![Value::Int(1), Value::Int(2)])
+        );
     }
 
     #[test]
@@ -316,8 +303,7 @@ mod tests {
         let v: Value = vec![Value::Ref(id.clone()), Value::Null]
             .into_iter()
             .collect();
-        assert_eq!(v.as_list().unwrap().len(), 2);
-        assert_eq!(v.as_list().unwrap()[0].as_ref_id(), Some(&id));
+        assert_eq!(v, Value::List(vec![Value::Ref(id), Value::Null]));
     }
 
     #[test]

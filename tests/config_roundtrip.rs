@@ -52,11 +52,8 @@ fn config_of(rng: &mut ChaosRng) -> ClusterConfig {
     stabilizer.suppress_milli = within(rng, 1, 5_000);
     stabilizer.reuse_milli = within(rng, 0, stabilizer.suppress_milli);
     config.membership.seed = rng.below(1_000);
-    config.durability.threat_policy = *rng.pick(&[
-        HistoryPolicy::IdenticalOnce,
-        HistoryPolicy::FullHistory,
-        HistoryPolicy::Reduced,
-    ]);
+    config.durability.threat_policy =
+        *rng.pick(&[HistoryPolicy::IdenticalOnce, HistoryPolicy::FullHistory]);
     config.durability.reconcile_strategy = *rng.pick(&RECONCILE);
     config.plane.burst = within(rng, 1, 64) as u32;
     config
@@ -188,7 +185,7 @@ fn exercised(config: &mut ClusterConfig) {
     config.validation.verdict_cache = true;
     config.validation.negotiation_timing = NegotiationTiming::Deferred;
     config.validation.app_default_min_degree = SatisfactionDegree::PossiblySatisfied;
-    config.durability.threat_policy = HistoryPolicy::Reduced;
+    config.durability.threat_policy = HistoryPolicy::FullHistory;
     config.durability.reconcile_strategy = ReconcileStrategy::FullScan;
 }
 
