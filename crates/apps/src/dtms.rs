@@ -63,6 +63,33 @@ pub fn channel_config_constraint() -> RegisteredConstraint {
     )
 }
 
+/// Every endpoint stays inside the licensed band, 100 to 199. An
+/// **asynchronous** invariant (§5.5.3): in healthy mode it is checked
+/// at the end of the transaction; in degraded mode it is not checked at
+/// all, and a threat is recorded directly for reconciliation to decide.
+/// Tradeable with no declared floor, so a threat raised while replicas
+/// await reconciliation is negotiated by the application-wide default
+/// degree (§3.2.1).
+pub fn frequency_band_constraint() -> RegisteredConstraint {
+    RegisteredConstraint::new(
+        ConstraintMeta::new("FrequencyBand")
+            .kind(ConstraintKind::AsyncInvariant)
+            .tradeable(SatisfactionDegree::Satisfied)
+            .intra_object()
+            .describe("channel endpoints stay inside the licensed band"),
+        Arc::new(
+            ExprConstraint::parse("self.frequency >= 100 and self.frequency <= 199")
+                .expect("valid expression"),
+        ),
+    )
+    .context_class("ChannelEndpoint")
+    .affects(
+        "ChannelEndpoint",
+        "setFrequency",
+        ContextPreparation::CalledObject,
+    )
+}
+
 /// Builds a DTMS cluster with one node per site.
 ///
 /// # Errors

@@ -78,6 +78,21 @@ pub fn partition_sensitive_ticket_constraint() -> RegisteredConstraint {
     .affects("Flight", "sellTickets", ContextPreparation::CalledObject)
 }
 
+/// Sold tickets never go negative: a refund cannot return more
+/// tickets than were sold. Non-tradeable (the default priority), so a
+/// degraded-mode check that cannot be decided rejects the operation
+/// instead of storing a threat (§3.2).
+pub fn non_negative_sales_constraint() -> RegisteredConstraint {
+    RegisteredConstraint::new(
+        ConstraintMeta::new("NonNegativeSales")
+            .describe("a flight never has fewer than zero sold tickets"),
+        Arc::new(ExprConstraint::parse("self.sold >= 0").expect("valid expression")),
+    )
+    .context_class("Flight")
+    .affects("Flight", "setSold", ContextPreparation::CalledObject)
+    .affects("Flight", "sellTickets", ContextPreparation::CalledObject)
+}
+
 /// Builds a booking cluster of `nodes` nodes with the plain ticket
 /// constraint.
 ///

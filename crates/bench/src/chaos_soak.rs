@@ -1,30 +1,41 @@
 //! `repro chaos-soak`: one seeded chaos run (optionally traced to
-//! JSONL) or a multi-seed sweep, of either workload mix — the item mix
-//! on one shard, or the cross-shard transfer mix with `--shards K`.
+//! JSONL) or a multi-seed sweep, of either workload mix — the
+//! application mix on one shard (the paper's three applications under
+//! their constraints), or the cross-shard transfer mix with
+//! `--shards K`.
 //!
 //! A fixed seed reproduces the run exactly — same fault schedule,
-//! same workload, same virtual-time trajectory, byte-identical trace
-//! file; `receipts.txt` pins single seeds and sweeps of both mixes.
-//! Contract: the invariant checker stays silent on every seed.
+//! same draws, same workload, same virtual-time trajectory,
+//! byte-identical trace file; `receipts.txt` pins single seeds and
+//! sweeps of both mixes.
+//!
+//! Contract: the invariant checker stays silent on every seed — the
+//! threat-completeness oracle included, which finds every violation of
+//! an enabled invariant in the committed state explained at every
+//! checkpoint, none after the final repair, and no threat standing
+//! whose constraint holds. An application-mix sweep must also be
+//! constrained: summed over its seeds, threats are stored, threats are
+//! negotiated under both timings, the repairing handler is called and
+//! the rollback search tries candidates.
 
 use crate::{BadFlags, Run, Verdict};
-use dedisys_chaos::{ChaosConfig, ChaosEngine, ChaosReport};
+use dedisys_chaos::{ChaosConfig, ChaosEngine, ChaosReport, ConstraintActivity};
+use dedisys_core::NegotiationTiming;
 
-/// The engine configuration for `seed`. One shard runs the item mix
-/// (4 nodes, 300 ops by default), more the cross-shard transfer mix
+/// The engine configuration for `seed`. One shard runs the application
+/// mix (4 nodes, 300 ops by default), more the cross-shard transfer mix
 /// (3 nodes, 200 ops).
 fn config(run: &Run, seed: u64) -> ChaosConfig {
     let default = ChaosConfig::default();
     let shards = run.shards.unwrap_or(default.shards);
-    let items = shards == 1;
+    let apps = shards == 1;
     ChaosConfig {
-        nodes: run.nodes.unwrap_or(if items { default.nodes } else { 3 }),
-        ops: run.ops.unwrap_or(if items { default.ops } else { 200 }),
+        nodes: run.nodes.unwrap_or(if apps { default.nodes } else { 3 }),
+        ops: run.ops.unwrap_or(if apps { default.ops } else { 200 }),
         faults: run.faults.unwrap_or(default.faults),
         seed,
         shards,
         detector: run.detector,
-        ..default
     }
 }
 
@@ -50,8 +61,20 @@ pub fn run(run: &Run) -> Verdict {
     let Some(seeds) = run.sweep else {
         return single(run);
     };
-    let (failures, dirty) = run.sweep_seeds(seeds, |seed| {
+    // Constraint activity summed over the seeds, negotiations split by
+    // the timing each seed drew: [Immediate, Deferred].
+    let mut total = ConstraintActivity::default();
+    let mut negotiated = [0; 2];
+    let (mut failures, dirty) = run.sweep_seeds(seeds, |seed| {
         let report = engine(run, seed)?.run().expect("chaos run");
+        let c = report.constraints;
+        total.threats_stored += c.threats_stored;
+        total.handler_calls += c.handler_calls;
+        total.rollback_candidates += c.rollback_candidates;
+        if let Some(draws) = &report.draws {
+            let deferred = draws.negotiation_timing == NegotiationTiming::Deferred;
+            negotiated[usize::from(deferred)] += c.negotiations;
+        }
         let mut line = format!(
             "  seed {seed:>4}: {} ok, {} failed, {} faults applied",
             report.ops_ok, report.ops_failed, report.faults_applied
@@ -68,6 +91,24 @@ pub fn run(run: &Run) -> Verdict {
         shape(run),
         config(run, run.seed).ops
     );
+    if !transfers(run) {
+        let [immediate, deferred] = negotiated;
+        println!(
+            "  constraints: {} threats stored, {immediate} negotiated immediate + {deferred} \
+             deferred, {} repairs, {} rollback candidates",
+            total.threats_stored, total.handler_calls, total.rollback_candidates
+        );
+        let constrained = [
+            total.threats_stored,
+            immediate,
+            deferred,
+            total.handler_calls,
+            total.rollback_candidates,
+        ];
+        if constrained.contains(&0) {
+            failures.push("the sweep is not constrained: a constraint count is zero".into());
+        }
+    }
     Ok(failures)
 }
 
@@ -130,6 +171,14 @@ fn print_report(report: &ChaosReport, run: &Run, events: u64) {
             stats.replication.ship_failures,
             stats.replication.lagged_skips
         );
+        let c = report.constraints;
+        let lost = report.violations.iter();
+        let lost = lost.filter(|v| v.invariant.starts_with("threat_")).count();
+        println!(
+            "  oracle:   {} threats stored, {} negotiated, {} repairs, {} rollback candidates; \
+             {lost} unexplained",
+            c.threats_stored, c.negotiations, c.handler_calls, c.rollback_candidates
+        );
     }
     println!(
         "  virtual time: {:.3} s, {events} trace events",
@@ -143,4 +192,39 @@ fn print_report(report: &ChaosReport, run: &Run, events: u64) {
             format!("{} VIOLATION(S)", report.violations.len())
         }
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use dedisys_chaos::SoakDraws;
+    use dedisys_core::{NegotiationTiming, ReconcileInstructions};
+    use dedisys_types::SatisfactionDegree;
+
+    /// The single-seed application-mix lines of `receipts.txt` together
+    /// draw the request plane, both negotiation timings and a
+    /// non-default value of every setting the seed draws, so the
+    /// receipts pin a trajectory through each.
+    #[test]
+    fn pinned_seeds_draw_every_setting() {
+        let draws: Vec<SoakDraws> = include_str!("../receipts.txt")
+            .lines()
+            .filter(|line| line.starts_with("chaos-soak --seed ") && !line.contains("--shards"))
+            .map(|line| {
+                let seed = line.split_whitespace().nth(2).expect("a seed");
+                SoakDraws::of(seed.parse().expect("a numeric seed"), 4)
+            })
+            .collect();
+        assert_eq!(draws.len(), 3, "42, 7 and 11 --detector");
+        assert!(draws.iter().any(|d| d.plane));
+        for timing in [NegotiationTiming::Immediate, NegotiationTiming::Deferred] {
+            assert!(draws.iter().any(|d| d.negotiation_timing == timing));
+        }
+        assert!(draws
+            .iter()
+            .any(|d| d.app_default_min_degree != SatisfactionDegree::Satisfied));
+        assert!(draws.iter().any(|d| d.weights.is_some()));
+        assert!(draws
+            .iter()
+            .any(|d| d.instructions != ReconcileInstructions::default()));
+    }
 }

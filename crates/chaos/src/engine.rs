@@ -6,9 +6,22 @@
 //! The engine always drives a [`FederatedCluster`]; the shard count
 //! picks the workload:
 //!
-//! * **item mix** (one shard, the classic soak) — creates, reads,
-//!   writes and hanging explicit 2PC on shard 0, driven directly, under
-//!   a [`FaultPlan`] of crashes, partitions, heals and store faults.
+//! * **application mix** (one shard, the classic soak) — the paper's
+//!   three applications on shard 0 under their constraints: flights
+//!   sold and refunded (`sellTickets`, the ticket constraint, its
+//!   §5.5.2 partition-sensitive variant and the non-tradeable
+//!   `NonNegativeSales`), alarms and repair reports (the inter-object
+//!   `ComponentKindReferenceConsistency`), and site-bound channel
+//!   endpoints retuned alone or in pairs (the soft
+//!   `ChannelConfigConsistency` and the asynchronous `FrequencyBand`).
+//!   Creates, reads, writes with designed violations and hanging
+//!   explicit 2PC run under a [`FaultPlan`] of crashes, partitions,
+//!   heals and store faults; every heal reconciles with a handler that
+//!   repairs each violation it is shown. The seed also draws the
+//!   validation and reconciliation settings ([`SoakDraws`]): whether
+//!   the request plane carries the reads and writes, the negotiation
+//!   timing, the application-wide default degree, node weights and the
+//!   instructions every threat carries.
 //! * **transfer mix** (two or more shards) — cross-shard balance
 //!   transfers that commit, abort or lose their federation coordinator,
 //!   under shard partitions and heals drawn inline. Every committed
@@ -18,26 +31,39 @@
 //!   begun cross-shard transaction is committed, aborted or still open
 //!   (transaction conservation).
 //!
-//! Everything is derived from [`ChaosConfig::seed`]: the fault plan and
-//! the workload. Two runs with the same config produce the same
-//! virtual-time trajectory and — with a JSONL exporter attached —
-//! byte-identical trace files.
+//! Everything is derived from [`ChaosConfig::seed`]: the fault plan,
+//! the draws and the workload. Two runs with the same config produce
+//! the same virtual-time trajectory and — with a JSONL exporter
+//! attached — byte-identical trace files.
 
 use crate::invariant::{InvariantChecker, InvariantViolation};
 use crate::plan::{FaultPlan, FaultStep};
+use dedisys_apps::{ats, dtms, flight};
+use dedisys_constraints::RegisteredConstraint;
 use dedisys_core::{
-    Cluster, DeferAll, DetectorKind, HighestVersionWins, LinkFault, PlaneStats, RequestPlane,
-    StatsSnapshot, Telemetry,
+    Cluster, ClusterBuilder, DetectorKind, HighestVersionWins, LinkFault, NegotiationTiming,
+    NodeWeights, PlaneStats, ReconOps, ReconcileInstructions, RequestPlane, Session, StatsSnapshot,
+    Telemetry, ViolationReport,
 };
 use dedisys_federation::{FederatedCluster, FederationStats, RoutingPolicy, ShardId};
 use dedisys_object::{AppDescriptor, ClassDescriptor, EntityState};
 use dedisys_telemetry::TraceEvent;
 use dedisys_types::{
-    ChaosRng, Error, NodeId, ObjectId, PriorityClass, Result, SimDuration, SystemMode, TxId, Value,
+    ChaosRng, Error, NodeId, ObjectId, PriorityClass, Result, SatisfactionDegree, SimDuration,
+    SystemMode, TxId, Value,
 };
 
-/// Items the item mix creates up front as its working set.
-const ITEM_POOL: u32 = 12;
+/// Flights the application mix creates up front.
+const FLIGHTS: u32 = 4;
+/// Alarm / repair-report pairs the application mix creates up front.
+const ALARMS: u32 = 4;
+/// Voice channels — two site-bound endpoints each — created up front.
+const CHANNELS: u32 = 3;
+/// The component kinds a repair report is set to: the first two keep a
+/// signal alarm consistent, the last two violate it.
+const COMPONENT_KINDS: [&str; 4] = ["Signal Controller", "Signal Cable", "Fuse", "Antenna"];
+/// The alarm kinds an alarm is set to.
+const ALARM_KINDS: [&str; 2] = ["Signal", "Power"];
 /// Accounts the transfer mix funds up front.
 const ACCOUNTS: u32 = 12;
 /// Starting balance of every account; `ACCOUNTS * INITIAL_BALANCE` is
@@ -53,7 +79,7 @@ const ABORT_PCT: u64 = 10;
 const COORDINATOR_CRASH_PCT: u64 = 10;
 /// Virtual time between two transfer-mix ops.
 const OP_TICK: SimDuration = SimDuration::from_millis(1);
-/// The shard the item mix and the fault plan act on.
+/// The shard the application mix and the fault plan act on.
 const SHARD0: ShardId = ShardId(0);
 
 /// Configuration of one chaos-soak run.
@@ -63,30 +89,22 @@ pub struct ChaosConfig {
     pub nodes: u32,
     /// Workload operations to run.
     pub ops: u64,
-    /// Fault steps [`ChaosEngine::run`] schedules across an item-mix
-    /// run (the transfer mix draws its shard faults inline).
+    /// Fault steps [`ChaosEngine::run`] schedules across an
+    /// application-mix run (the transfer mix draws its shard faults
+    /// inline).
     pub faults: usize,
-    /// Master seed: fixes plan and workload.
+    /// Master seed: fixes plan, draws and workload.
     pub seed: u64,
-    /// Shards in the federation: 1 runs the item mix, more run the
-    /// cross-shard transfer mix.
+    /// Shards in the federation: 1 runs the application mix, more run
+    /// the cross-shard transfer mix.
     pub shards: u32,
     /// Drive membership through the adaptive failure-detection
     /// pipeline: the cluster runs a φ-accrual detector with flap
     /// damping, and the random plan draws from the extended fault
     /// vocabulary (link flaps, asymmetric loss, jitter, torn journal
     /// writes). Off by default so classic seeds keep their historical
-    /// schedules. Item mix only.
+    /// schedules. Application mix only.
     pub detector: bool,
-    /// Route the read/write share of the workload through a
-    /// [`RequestPlane`]: requests are admitted under token-bucket and
-    /// queue-bound control, carry seed-derived priority classes, and
-    /// drain interleaved with the fault schedule. The invariant
-    /// checker then also asserts request conservation (no admitted
-    /// request is lost) and the per-node queue bound after every
-    /// fault. Off by default so classic seeds keep their historical
-    /// schedules. Item mix only.
-    pub workload_plane: bool,
 }
 
 impl Default for ChaosConfig {
@@ -98,9 +116,91 @@ impl Default for ChaosConfig {
             seed: 0,
             shards: 1,
             detector: false,
-            workload_plane: false,
         }
     }
+}
+
+/// What an application-mix seed draws besides its fault plan and
+/// workload: the settings the paper leaves to the application.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SoakDraws {
+    /// Whether reads and writes route through a [`RequestPlane`] —
+    /// admitted under token-bucket and queue-bound control with
+    /// seed-derived priority classes, drained interleaved with the
+    /// fault schedule. The invariant checker then also asserts request
+    /// conservation and the per-node queue bound after every fault.
+    pub plane: bool,
+    /// `validation.negotiation_timing` (§5.4).
+    pub negotiation_timing: NegotiationTiming,
+    /// `validation.app_default_min_degree` (§3.2.1): it negotiates the
+    /// threats of `FrequencyBand`, the one constraint without a floor
+    /// of its own.
+    pub app_default_min_degree: SatisfactionDegree,
+    /// Node weights (§5.5.2) — `None` is one unit each.
+    pub weights: Option<Vec<u32>>,
+    /// The reconciliation instructions every threat carries (§3.2.2).
+    pub instructions: ReconcileInstructions,
+}
+
+impl SoakDraws {
+    /// The draws of `seed` for `nodes` nodes, from a stream of their
+    /// own; the plane comes first, so it does not depend on `nodes`.
+    pub fn of(seed: u64, nodes: u32) -> Self {
+        let mut rng = ChaosRng::new(seed ^ 0x5EED_D4A7_5EED_D4A7);
+        let plane = rng.chance(50);
+        let negotiation_timing = if rng.chance(50) {
+            NegotiationTiming::Deferred
+        } else {
+            NegotiationTiming::Immediate
+        };
+        let app_default_min_degree = *rng.pick(&[
+            SatisfactionDegree::Satisfied,
+            SatisfactionDegree::PossiblySatisfied,
+            SatisfactionDegree::Uncheckable,
+        ]);
+        let weights = rng
+            .chance(50)
+            .then(|| (0..nodes).map(|_| 1 + rng.below(3) as u32).collect());
+        let instructions = ReconcileInstructions {
+            allow_rollback: rng.chance(50),
+            notify_on_replica_conflict: rng.chance(50),
+        };
+        Self {
+            plane,
+            negotiation_timing,
+            app_default_min_degree,
+            weights,
+            instructions,
+        }
+    }
+
+    /// Sets the draws, and the flight methods, on a shard's builder.
+    fn apply(&self, builder: ClusterBuilder) -> ClusterBuilder {
+        let builder = builder
+            .methods(flight::flight_methods())
+            .default_instructions(self.instructions)
+            .configure(|c| {
+                c.validation.negotiation_timing = self.negotiation_timing;
+                c.validation.app_default_min_degree = self.app_default_min_degree;
+            });
+        match &self.weights {
+            Some(weights) => builder.weights(NodeWeights::explicit(weights.clone())),
+            None => builder,
+        }
+    }
+}
+
+/// How much constraint management a run exercised on shard 0.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ConstraintActivity {
+    /// Accepted threats stored in the threat store (§5.5.1).
+    pub threats_stored: u64,
+    /// Threats negotiated (§3.2.1), whichever mechanism decided.
+    pub negotiations: u64,
+    /// Calls of the repairing reconciliation handler.
+    pub handler_calls: u64,
+    /// Historical states the rollback search tried (§3.3).
+    pub rollback_candidates: u64,
 }
 
 /// Outcome of a chaos-soak run.
@@ -108,10 +208,13 @@ impl Default for ChaosConfig {
 pub struct ChaosReport {
     /// The seed the run was derived from.
     pub seed: u64,
+    /// What the seed drew (`None` in the transfer mix).
+    pub draws: Option<SoakDraws>,
     /// Workload operations that succeeded.
     pub ops_ok: u64,
     /// Workload operations that failed (availability, locks, vetoes,
-    /// refused or aborted transfers — expected under faults).
+    /// designed violations, refused or aborted transfers — expected
+    /// under faults).
     pub ops_failed: u64,
     /// Fault steps applied (in the transfer mix: shard partitions,
     /// heals and coordinator crashes).
@@ -122,13 +225,17 @@ pub struct ChaosReport {
     pub in_doubt_resolved: u64,
     /// Every invariant violation observed (must be empty).
     pub violations: Vec<InvariantViolation>,
-    /// Request-plane counters (all zero unless
-    /// [`ChaosConfig::workload_plane`] was set).
+    /// Request-plane counters (all zero unless the seed drew the
+    /// plane).
     pub plane: PlaneStats,
-    /// Cross-shard transaction counters (all zero in the item mix).
+    /// Constraint-management counters (all zero in the transfer mix,
+    /// which registers no constraint).
+    pub constraints: ConstraintActivity,
+    /// Cross-shard transaction counters (all zero in the application
+    /// mix).
     pub federation: FederationStats,
     /// Final statistics snapshot of shard 0 — the whole cluster in the
-    /// item mix.
+    /// application mix.
     pub final_stats: StatsSnapshot,
 }
 
@@ -139,13 +246,34 @@ impl ChaosReport {
     }
 }
 
-/// The soak application of both mixes: an `Item` with an integer field
-/// `n` and an `Account` with an integer balance `v`, conventional
-/// accessors dispatched by the method table.
+/// The transfer mix's application, shared with `shard-sweep` and
+/// `overload-sweep`: an `Item` with an integer field `n` and an
+/// `Account` with an integer balance `v`, conventional accessors
+/// dispatched by the method table.
 pub fn chaos_app() -> AppDescriptor {
     AppDescriptor::new("chaos-soak")
         .with_class(ClassDescriptor::new("Item").with_field("n", Value::Int(0)))
         .with_class(ClassDescriptor::new("Account").with_field("v", Value::Int(0)))
+}
+
+/// The application mix's application: the classes of the flight
+/// booking, alarm tracking and telecommunication management systems.
+fn soak_app() -> AppDescriptor {
+    let apps = [flight::flight_app(), ats::ats_app(), dtms::dtms_app()];
+    let classes = apps.iter().flat_map(|app| app.classes()).cloned();
+    classes.fold(AppDescriptor::new("chaos-soak"), AppDescriptor::with_class)
+}
+
+/// The application mix's constraints, in registration order.
+fn soak_constraints() -> [RegisteredConstraint; 6] {
+    [
+        flight::ticket_constraint(),
+        flight::partition_sensitive_ticket_constraint(),
+        flight::non_negative_sales_constraint(),
+        ats::component_kind_constraint(),
+        dtms::channel_config_constraint(),
+        dtms::frequency_band_constraint(),
+    ]
 }
 
 /// The committed balance `v` of account `id`, read on its owning
@@ -210,11 +338,72 @@ pub fn prepare_transfer(
 }
 
 /// Reconciles what degraded mode left on a healed `cluster` — the last
-/// step of every heal the engine performs.
-fn reconcile(cluster: &mut Cluster) {
-    if cluster.needs_reconciliation() {
-        cluster.reconcile(&mut HighestVersionWins, &mut DeferAll);
+/// step of every heal the engine performs — with a handler that repairs
+/// each violation it is shown ([`repair`]), and adds the handler calls
+/// and rollback candidates to `activity`.
+fn reconcile(cluster: &mut Cluster, activity: &mut ConstraintActivity) {
+    if !cluster.needs_reconciliation() {
+        return;
     }
+    let mut calls = 0;
+    let mut handler = |violation: &ViolationReport, ops: &mut ReconOps<'_>| {
+        calls += 1;
+        repair(violation, ops).is_ok()
+    };
+    let summary = cluster.reconcile(&mut HighestVersionWins, &mut handler);
+    activity.handler_calls += calls;
+    activity.rollback_candidates += summary.constraints.rollback_candidates as u64;
+}
+
+/// The application's compensating action for a violated constraint of
+/// the application mix (§5.2's roll-forward): sell no more than the
+/// seats and refund no more than was sold, repair with a signal
+/// component, and tune both endpoints of a channel to one frequency
+/// inside the band.
+fn repair(violation: &ViolationReport, ops: &mut ReconOps<'_>) -> Result<()> {
+    let Some(object) = &violation.identity.context_object else {
+        return Err(Error::Config("no repair without a context object".into()));
+    };
+    match violation.identity.constraint.as_str() {
+        "TicketConstraint" | "PartitionSensitiveTicketConstraint" => {
+            let seats = ops.read(object, "seats")?;
+            ops.write(object, "sold", seats)
+        }
+        "NonNegativeSales" => ops.write(object, "sold", Value::Int(0)),
+        "ComponentKindReferenceConsistency" => {
+            ops.write(object, "componentKind", Value::from(COMPONENT_KINDS[1]))
+        }
+        "ChannelConfigConsistency" | "FrequencyBand" => {
+            let frequency = ops.read(object, "frequency")?.as_int().unwrap_or(150);
+            let frequency = Value::Int(frequency.clamp(100, 199));
+            if let Value::Ref(peer) = ops.read(object, "peer")? {
+                ops.write(&peer, "frequency", frequency.clone())?;
+            }
+            ops.write(object, "frequency", frequency)
+        }
+        other => Err(Error::Config(format!("no repair for {other}"))),
+    }
+}
+
+/// Creates voice channel `i` (§1.4's DTMS): two endpoints tuned to 150,
+/// on neighbouring sites, each bound to its site and the next — a torn
+/// journal tail on one replica is then not the endpoint's loss.
+fn create_channel(cluster: &mut Cluster, i: u32, nodes: u32) -> Result<(ObjectId, ObjectId)> {
+    let site = |k: u32| NodeId((i + k) % nodes);
+    let ends = [0, 1].map(|k| ObjectId::new("ChannelEndpoint", format!("ch{i}@{}", site(k))));
+    let [a, b] = ends.clone();
+    cluster.run_tx(site(0), |c, tx| {
+        for (k, (end, peer)) in [(0, (&a, &b)), (1, (&b, &a))] {
+            let mut state = EntityState::for_class(c.app(), end)?;
+            state.set_field("channel", Value::from(format!("ch{i}")), c.now());
+            state.set_field("frequency", Value::Int(150), c.now());
+            state.set_field("peer", Value::Ref(peer.clone()), c.now());
+            c.create_bound(site(0), tx, state, vec![site(k), site(k + 1)], site(k))?;
+        }
+        Ok(())
+    })?;
+    let [a, b] = ends;
+    Ok((a, b))
 }
 
 /// The shards of `fed`, in order.
@@ -222,17 +411,27 @@ fn shard_ids(fed: &FederatedCluster) -> impl Iterator<Item = ShardId> {
     (0..fed.shard_count()).map(ShardId)
 }
 
+/// One request of the application mix, run in a session directly or
+/// through the request plane.
+type Work = Box<dyn for<'a> FnOnce(Session<'a>) -> Result<()>>;
+
 /// Drives one seeded chaos run against a dedicated federation.
 pub struct ChaosEngine {
     config: ChaosConfig,
+    draws: Option<SoakDraws>,
     fed: FederatedCluster,
-    /// Workload RNG — in the item mix a distinct stream from the plan
-    /// generator, so adding plan entropy does not shift the workload.
+    /// Workload RNG — in the application mix a distinct stream from
+    /// the plan generator, so adding plan entropy does not shift the
+    /// workload.
     rng: ChaosRng,
-    /// The request plane the read/write workload routes through when
-    /// [`ChaosConfig::workload_plane`] is set (idle otherwise).
+    /// The request plane the reads and writes route through when the
+    /// seed drew it (idle otherwise).
     plane: RequestPlane,
-    items: Vec<ObjectId>,
+    flights: Vec<ObjectId>,
+    /// Alarm / repair-report pairs.
+    alarms: Vec<(ObjectId, ObjectId)>,
+    /// The two endpoints of each channel.
+    channels: Vec<(ObjectId, ObjectId)>,
     accounts: Vec<ObjectId>,
     created: u64,
     open_prepared: Vec<TxId>,
@@ -241,39 +440,56 @@ pub struct ChaosEngine {
     faults_applied: u64,
     faults_skipped: u64,
     in_doubt_resolved: u64,
+    activity: ConstraintActivity,
     violations: Vec<InvariantViolation>,
 }
 
 impl ChaosEngine {
     /// Builds the soak federation: one shard of `nodes` nodes for the
-    /// item mix, `shards` of them for the transfer mix.
+    /// application mix, with its constraints registered on shard 0
+    /// through the §3.3 check; `shards` of them for the transfer mix.
     ///
     /// # Errors
     ///
     /// [`Error::Config`] for fewer than two nodes, zero shards, or the
-    /// detector or request plane on a transfer mix; propagates
-    /// federation-construction failures.
+    /// detector on a transfer mix; propagates federation-construction
+    /// failures.
     pub fn new(config: ChaosConfig) -> Result<Self> {
         if config.nodes < 2 {
             return Err(Error::Config("chaos needs at least two nodes".into()));
         }
-        if config.shards > 1 && (config.detector || config.workload_plane) {
+        if config.shards > 1 && config.detector {
             return Err(Error::Config(
-                "the transfer mix runs without the detector and the request plane".into(),
+                "the transfer mix runs without the detector".into(),
             ));
         }
-        let mut builder = FederatedCluster::builder(config.shards, config.nodes, chaos_app())
+        let transfers = config.shards > 1;
+        let draws = (!transfers).then(|| SoakDraws::of(config.seed, config.nodes));
+        let app = if transfers { chaos_app() } else { soak_app() };
+        let mut builder = FederatedCluster::builder(config.shards, config.nodes, app)
             .seed(config.seed)
             .policy(RoutingPolicy::RouteAnyway);
-        if config.detector {
-            // The membership seed is the federation's, plus the shard.
-            builder = builder.configure(|c| {
-                c.membership.detector_enabled = true;
-                c.membership.detector = DetectorKind::Adaptive;
+        if let Some(draws) = draws.clone() {
+            let detector = config.detector;
+            builder = builder.configure(move |shard| {
+                // The membership seed is the federation's, plus the
+                // shard.
+                draws.apply(shard).configure(|c| {
+                    if detector {
+                        c.membership.detector_enabled = true;
+                        c.membership.detector = DetectorKind::Adaptive;
+                    }
+                })
             });
         }
-        let fed = builder.build()?;
-        let stream = if config.shards > 1 {
+        let mut fed = builder.build()?;
+        if !transfers {
+            for constraint in soak_constraints() {
+                fed.shard_mut(SHARD0)
+                    .add_constraint_with_check(constraint)?;
+            }
+        }
+        let stream = if transfers {
             config.seed
         } else {
             config.seed ^ 0xC0FF_EE00_C0FF_EE00
@@ -281,8 +497,11 @@ impl ChaosEngine {
         Ok(Self {
             rng: ChaosRng::new(stream),
             plane: RequestPlane::new(),
+            draws,
             fed,
-            items: Vec::new(),
+            flights: Vec::new(),
+            alarms: Vec::new(),
+            channels: Vec::new(),
             accounts: Vec::new(),
             created: 0,
             open_prepared: Vec::new(),
@@ -291,14 +510,15 @@ impl ChaosEngine {
             faults_applied: 0,
             faults_skipped: 0,
             in_doubt_resolved: 0,
+            activity: ConstraintActivity::default(),
             violations: Vec::new(),
             config,
         })
     }
 
     /// The bus a trace of this run records — attach sinks here before
-    /// [`ChaosEngine::run`]. In the item mix that is shard 0's bus,
-    /// where every event happens; in the transfer mix it is the
+    /// [`ChaosEngine::run`]. In the application mix that is shard 0's
+    /// bus, where every event happens; in the transfer mix it is the
     /// federation's (routing and cross-shard 2PC).
     pub fn telemetry(&self) -> &Telemetry {
         if self.transfers() {
@@ -310,6 +530,11 @@ impl ChaosEngine {
 
     fn transfers(&self) -> bool {
         self.config.shards > 1
+    }
+
+    /// Whether the seed routes reads and writes through the plane.
+    fn through_plane(&self) -> bool {
+        self.draws.as_ref().is_some_and(|d| d.plane)
     }
 
     /// Runs the seed-derived random plan to completion (an empty plan
@@ -351,7 +576,7 @@ impl ChaosEngine {
             let result = if self.transfers() {
                 self.transfer_op()
             } else {
-                self.item_op()
+                self.app_op()
             };
             match result {
                 Ok(()) => self.ops_ok += 1,
@@ -359,7 +584,7 @@ impl ChaosEngine {
             }
             // Dispatch one queued request per workload op, so plane
             // traffic drains interleaved with faults and new arrivals.
-            if self.config.workload_plane {
+            if self.through_plane() {
                 self.plane.step(self.fed.shard_mut(SHARD0));
             }
             self.fed.resolve_xshard_in_doubt();
@@ -381,8 +606,21 @@ impl ChaosEngine {
             self.check_invariants();
         }
         self.finish();
+        let shard0 = self.fed.shard(SHARD0);
+        let metrics = shard0.telemetry().metrics();
+        self.activity.threats_stored = metrics.counter("ccm.threats_recorded");
+        self.activity.negotiations = [
+            "negotiation.non_tradeable",
+            "negotiation.dynamic",
+            "negotiation.static",
+            "negotiation.default",
+        ]
+        .into_iter()
+        .map(|name| metrics.counter(name))
+        .sum();
         Ok(ChaosReport {
             seed: self.config.seed,
+            draws: self.draws,
             ops_ok: self.ops_ok,
             ops_failed: self.ops_failed,
             faults_applied: self.faults_applied,
@@ -390,20 +628,22 @@ impl ChaosEngine {
             in_doubt_resolved: self.in_doubt_resolved,
             violations: self.violations,
             plane: *self.plane.stats(),
+            constraints: self.activity,
             federation: *self.fed.stats(),
-            final_stats: self.fed.shard(SHARD0).stats(),
+            final_stats: shard0.stats(),
         })
     }
 
     /// The post-fault invariant sweep: the running-cluster checks on
-    /// every shard, request accounting when the plane carries the
-    /// workload, and the cross-shard invariants in the transfer mix.
+    /// every shard (the threat-completeness oracle among them),
+    /// request accounting when the plane carries the workload, and the
+    /// cross-shard invariants in the transfer mix.
     fn check_invariants(&mut self) {
         for s in shard_ids(&self.fed) {
             self.violations
                 .extend(InvariantChecker::check_running(self.fed.shard(s)));
         }
-        if self.config.workload_plane {
+        if self.through_plane() {
             self.violations.extend(InvariantChecker::check_plane(
                 &self.plane,
                 self.fed.shard(SHARD0),
@@ -412,8 +652,8 @@ impl ChaosEngine {
         self.check_federation();
     }
 
-    /// The cross-shard invariants, in the transfer mix (the item mix
-    /// holds single-shard locks between ops).
+    /// The cross-shard invariants, in the transfer mix (the application
+    /// mix holds single-shard locks between ops).
     fn check_federation(&mut self) {
         if self.transfers() {
             self.violations.extend(InvariantChecker::check_federation(
@@ -424,6 +664,10 @@ impl ChaosEngine {
         }
     }
 
+    /// Creates the working set: funded accounts in the transfer mix;
+    /// flights, alarms with their repair reports, and channels whose
+    /// endpoints are bound to neighbouring sites in the application
+    /// mix.
     fn seed_objects(&mut self) -> Result<()> {
         if self.transfers() {
             self.accounts = (0..ACCOUNTS)
@@ -431,15 +675,22 @@ impl ChaosEngine {
                 .collect();
             return fund_accounts(&mut self.fed, &self.accounts, INITIAL_BALANCE);
         }
+        let nodes = self.config.nodes;
         let cluster = self.fed.shard_mut(SHARD0);
-        for i in 0..ITEM_POOL {
-            let node = NodeId(i % self.config.nodes);
-            let id = ObjectId::new("Item", format!("I-{i}"));
-            let entity_id = id.clone();
-            cluster.run_tx(node, move |c, tx| {
-                c.create(node, tx, EntityState::for_class(c.app(), &entity_id)?)
-            })?;
-            self.items.push(id);
+        for i in 0..FLIGHTS {
+            let seats = 6 + 2 * i64::from(i);
+            let id =
+                flight::create_flight(cluster, NodeId(i % nodes), &format!("F-{i}"), seats, 0)?;
+            self.flights.push(id);
+        }
+        for i in 0..ALARMS {
+            let node = NodeId(i % nodes);
+            let pair = ats::create_alarm_with_report(cluster, node, &format!("A-{i}"))?;
+            self.alarms.push(pair);
+        }
+        for i in 0..CHANNELS {
+            let ends = create_channel(cluster, i, nodes)?;
+            self.channels.push(ends);
         }
         Ok(())
     }
@@ -461,8 +712,10 @@ impl ChaosEngine {
         }
     }
 
-    /// One item-mix op on shard 0.
-    fn item_op(&mut self) -> Result<()> {
+    /// One application-mix op on shard 0: a hanging or finished 2PC
+    /// sale, a created flight or alarm, a write (some of which violate
+    /// on purpose) or a read.
+    fn app_op(&mut self) -> Result<()> {
         let live = self.live_nodes();
         if live.is_empty() {
             return Err(Error::NodeCrashed(NodeId(0)));
@@ -471,15 +724,15 @@ impl ChaosEngine {
         let roll = self.rng.below(100);
         let cluster = self.fed.shard_mut(SHARD0);
         if roll < 10 {
-            // Start an explicit 2PC and leave it hanging in prepared
-            // state — a later crash of `node` makes it in-doubt. The
-            // transaction outlives the session borrow, so detach it.
+            // Sell one ticket in an explicit 2PC and leave it hanging
+            // in prepared state — a later crash of `node` makes it
+            // in-doubt. The transaction outlives the session borrow, so
+            // detach it.
             let tx = cluster.session(node).detach();
-            let id = self.rng.pick(&self.items).clone();
-            let value = Value::Int(self.rng.below(1_000) as i64);
+            let id = self.rng.pick(&self.flights).clone();
             let r = cluster
-                .set_field(node, tx, &id, "n", value)
-                .and_then(|()| cluster.prepare(tx));
+                .invoke(node, tx, &id, "sellTickets", vec![Value::Int(1)])
+                .and_then(|_| cluster.prepare(tx));
             match r {
                 Ok(()) => self.open_prepared.push(tx),
                 Err(_) => {
@@ -499,49 +752,94 @@ impl ChaosEngine {
         } else if roll < 40 {
             let key = format!("C-{}", self.created);
             self.created += 1;
-            let id = ObjectId::new("Item", key);
-            let entity_id = id.clone();
-            let r = cluster.run_tx(node, move |c, tx| {
-                c.create(node, tx, EntityState::for_class(c.app(), &entity_id)?)
-            });
-            if r.is_ok() {
-                self.items.push(id);
+            if self.rng.chance(50) {
+                let seats = 4 + self.rng.below(8) as i64;
+                let id = flight::create_flight(cluster, node, &key, seats, 0)?;
+                self.flights.push(id);
+            } else {
+                let pair = ats::create_alarm_with_report(cluster, node, &key)?;
+                self.alarms.push(pair);
             }
-            r
+            Ok(())
         } else if roll < 75 {
-            let id = self.rng.pick(&self.items).clone();
-            let value = Value::Int(self.rng.below(1_000) as i64);
-            if self.config.workload_plane {
-                self.submit_plane(node, move |mut session| {
-                    session.set_field(&id, "n", value)?;
+            let work = self.write();
+            self.submit(node, work)
+        } else {
+            let id = match self.rng.below(3) {
+                0 => self.rng.pick(&self.flights).clone(),
+                1 => self.rng.pick(&self.alarms).1.clone(),
+                _ => self.rng.pick(&self.channels).0.clone(),
+            };
+            let field = match id.class().as_str() {
+                "Flight" => "sold",
+                "RepairReport" => "componentKind",
+                _ => "frequency",
+            };
+            self.submit(
+                node,
+                Box::new(move |mut session| session.get_field(&id, field).map(|_| ())),
+            )
+        }
+    }
+
+    /// One write of the application mix. About a third of them violate
+    /// a constraint when run in healthy mode: overselling a flight or
+    /// refunding more than it sold, a component kind that does not fit
+    /// a signal alarm (or a signal alarm over such a component), a
+    /// channel endpoint retuned alone or out of the band.
+    fn write(&mut self) -> Work {
+        match self.rng.below(4) {
+            0 => {
+                let id = self.rng.pick(&self.flights).clone();
+                let count = self.rng.below(5) as i64 - 1;
+                Box::new(move |mut session| {
+                    session.invoke(&id, "sellTickets", vec![Value::Int(count)])?;
                     session.commit()
                 })
-            } else {
-                cluster.run_tx(node, move |c, tx| c.set_field(node, tx, &id, "n", value))
             }
-        } else {
-            let id = self.rng.pick(&self.items).clone();
-            if self.config.workload_plane {
-                self.submit_plane(node, move |mut session| {
-                    session.get_field(&id, "n").map(|_| ())
+            1 => {
+                let report = self.rng.pick(&self.alarms).1.clone();
+                let kind = *self.rng.pick(&COMPONENT_KINDS);
+                Box::new(move |mut session| {
+                    session.set_field(&report, "componentKind", Value::from(kind))?;
+                    session.commit()
                 })
-            } else {
-                cluster
-                    .run_tx(node, move |c, tx| c.get_field(node, tx, &id, "n"))
-                    .map(|_| ())
+            }
+            2 => {
+                let alarm = self.rng.pick(&self.alarms).0.clone();
+                let kind = *self.rng.pick(&ALARM_KINDS);
+                Box::new(move |mut session| {
+                    session.set_field(&alarm, "alarmKind", Value::from(kind))?;
+                    session.commit()
+                })
+            }
+            _ => {
+                let (a, b) = self.rng.pick(&self.channels).clone();
+                let frequency = Value::Int(95 + self.rng.below(110) as i64);
+                let ends = match self.rng.below(3) {
+                    0 => vec![a],
+                    1 => vec![b],
+                    _ => vec![a, b],
+                };
+                Box::new(move |mut session| {
+                    for end in &ends {
+                        session.set_field(end, "frequency", frequency.clone())?;
+                    }
+                    session.commit()
+                })
             }
         }
     }
 
-    /// Submits one workload closure through the request plane under a
-    /// seed-derived priority class. Admission errors (empty bucket,
-    /// full queue) surface as failed ops; the execution outcome lands
-    /// in the plane counters when the request is dispatched later.
-    fn submit_plane(
-        &mut self,
-        node: NodeId,
-        work: impl for<'a> FnOnce(dedisys_core::Session<'a>) -> Result<()> + 'static,
-    ) -> Result<()> {
+    /// Runs `work` on `node`: in a session of its own, or submitted to
+    /// the request plane under a seed-derived priority class when the
+    /// seed drew the plane. Admission errors (empty bucket, full queue)
+    /// surface as failed ops; a queued request's execution outcome
+    /// lands in the plane counters when it is dispatched later.
+    fn submit(&mut self, node: NodeId, work: Work) -> Result<()> {
+        if !self.through_plane() {
+            return work(self.fed.shard_mut(SHARD0).session(node));
+        }
         let class_roll = self.rng.below(100);
         let class = if class_roll < 15 {
             PriorityClass::Critical
@@ -609,7 +907,7 @@ impl ChaosEngine {
             let applied = shard.mode() == SystemMode::Degraded;
             if applied {
                 shard.heal();
-                reconcile(shard);
+                reconcile(shard, &mut self.activity);
             }
             self.count_fault(applied);
         }
@@ -630,6 +928,9 @@ impl ChaosEngine {
             FaultStep::Partition(groups) => cluster.partition(groups).is_ok(),
             FaultStep::Heal => {
                 cluster.heal();
+                if cluster.topology().is_healthy() {
+                    reconcile(cluster, &mut self.activity);
+                }
                 true
             }
             FaultStep::WriteFaultWindow { node, failures } => {
@@ -699,7 +1000,7 @@ impl ChaosEngine {
         // With every node restarted and the fabric healed, drain the
         // plane: whatever survived admission must now complete, shed
         // or miss its deadline — nothing may simply vanish.
-        if self.config.workload_plane {
+        if self.through_plane() {
             let cluster = self.fed.shard_mut(SHARD0);
             let report = self.plane.run_until_idle(cluster);
             if report.queued != 0 {
@@ -717,7 +1018,7 @@ impl ChaosEngine {
         for s in shard_ids(&self.fed) {
             let cluster = self.fed.shard_mut(s);
             self.in_doubt_resolved += cluster.resolve_in_doubt() as u64;
-            reconcile(cluster);
+            reconcile(cluster, &mut self.activity);
         }
         if self.fed.open_xshard_count() != 0 {
             self.violations.push(InvariantViolation {
@@ -846,12 +1147,19 @@ mod tests {
         }
     }
 
+    /// The first `n` seeds that draw the request plane.
+    fn plane_seeds(n: usize) -> Vec<u64> {
+        (0..)
+            .filter(|&s| SoakDraws::of(s, 4).plane)
+            .take(n)
+            .collect()
+    }
+
     fn run_plane_seed(seed: u64, ops: u64, faults: usize) -> ChaosReport {
         let engine = ChaosEngine::new(ChaosConfig {
             seed,
             ops,
             faults,
-            workload_plane: true,
             ..ChaosConfig::default()
         })
         .expect("engine");
@@ -860,8 +1168,9 @@ mod tests {
 
     #[test]
     fn plane_runs_are_reproducible() {
-        let a = run_plane_seed(13, 200, 16);
-        let b = run_plane_seed(13, 200, 16);
+        let seed = plane_seeds(1)[0];
+        let a = run_plane_seed(seed, 200, 16);
+        let b = run_plane_seed(seed, 200, 16);
         assert_eq!(a.ops_ok, b.ops_ok);
         assert_eq!(a.ops_failed, b.ops_failed);
         assert_eq!(a.plane, b.plane);
@@ -871,10 +1180,10 @@ mod tests {
 
     #[test]
     fn plane_workload_conserves_requests_across_seeds() {
-        // The issue-level contract: request conservation (no admitted
-        // request lost) and the queue bound hold across a wide seed
-        // sweep, checked after every fault and after the final drain.
-        for seed in 0..200 {
+        // Request conservation (no admitted request lost) and the queue
+        // bound hold on every seed that draws the plane, checked after
+        // every fault and after the final drain.
+        for seed in plane_seeds(100) {
             let report = run_plane_seed(seed, 60, 6);
             assert!(
                 report.clean(),
@@ -934,11 +1243,6 @@ mod tests {
         assert!(rejects(ChaosConfig {
             shards: 3,
             detector: true,
-            ..base
-        }));
-        assert!(rejects(ChaosConfig {
-            shards: 3,
-            workload_plane: true,
             ..base
         }));
         assert!(ChaosEngine::new(ChaosConfig { nodes: 2, ..base }).is_ok());

@@ -5,9 +5,11 @@
 //! aggregate them and a test can assert the list is empty.
 
 use crate::engine::account_balance;
+use crate::oracle;
 use dedisys_core::{Cluster, RequestPlane};
 use dedisys_federation::{FederatedCluster, ShardId};
-use dedisys_types::{ObjectId, SystemMode};
+use dedisys_types::{NodeId, ObjectId, SystemMode};
+use std::collections::BTreeSet;
 
 /// One violated invariant, with a human-readable detail string.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -31,7 +33,8 @@ pub struct InvariantChecker;
 
 impl InvariantChecker {
     /// Invariants that must hold at *every* point of a run, however
-    /// degraded the system is.
+    /// degraded the system is — the threat-completeness oracle's
+    /// (see [`crate::audit`]) among them.
     pub fn check_running(cluster: &Cluster) -> Vec<InvariantViolation> {
         let mut out = Vec::new();
         let stats = cluster.stats();
@@ -90,6 +93,17 @@ impl InvariantChecker {
                 invariant: "crashed_implies_degraded",
                 detail: "mode is healthy while nodes are crashed".into(),
             });
+        }
+
+        // Threat completeness: every violation of an enabled invariant
+        // in the committed state is explained.
+        for finding in oracle::audit(cluster) {
+            if finding.explanation.is_none() {
+                out.push(InvariantViolation {
+                    invariant: "threat_completeness",
+                    detail: format!("unexplained violation {finding}"),
+                });
+            }
         }
         out
     }
@@ -192,7 +206,8 @@ impl InvariantChecker {
 
     /// Invariants that must hold after the final repair sequence
     /// (restart every crashed node, heal, resolve in-doubt,
-    /// reconcile): the cluster is quiescent and replicas converged.
+    /// reconcile): the cluster is quiescent, replicas converged, and no
+    /// threat stands whose constraint holds.
     pub fn check_converged(cluster: &Cluster) -> Vec<InvariantViolation> {
         let mut out = Self::check_running(cluster);
         if cluster.crashed_nodes().next().is_some() {
@@ -211,6 +226,17 @@ impl InvariantChecker {
             out.push(InvariantViolation {
                 invariant: "reconciled",
                 detail: "threats or degraded writes remain after reconcile".into(),
+            });
+        }
+        for identity in oracle::stale_threats(cluster) {
+            let context = identity.context_object.map(|o| o.to_string());
+            out.push(InvariantViolation {
+                invariant: "threat_stale",
+                detail: format!(
+                    "a threat of {} stands on {} although it holds",
+                    identity.constraint,
+                    context.as_deref().unwrap_or("-")
+                ),
             });
         }
         // With the failure-detection pipeline enabled, a healed and
@@ -251,33 +277,36 @@ impl InvariantChecker {
                 detail: format!("{} locks still held", cluster.held_locks().len()),
             });
         }
-        // Replica convergence: every node stores the same committed
-        // objects with the same state.
-        let nodes: Vec<_> = cluster.topology().nodes().collect();
-        if let Some((&first, rest)) = nodes.split_first() {
-            let reference = cluster.committed_ids_on(first);
-            for &node in rest {
-                let ids = cluster.committed_ids_on(node);
-                if ids != reference {
+        // Replica convergence: every replica of every committed object
+        // holds it, with the same state, and no other node does.
+        let nodes: Vec<NodeId> = cluster.topology().nodes().collect();
+        let ids: BTreeSet<ObjectId> = nodes
+            .iter()
+            .flat_map(|&n| cluster.committed_ids_on(n))
+            .collect();
+        for id in &ids {
+            let replicas = cluster.replicas_of(id);
+            let placed = |n: &NodeId| replicas.is_none_or(|r| r.contains(n));
+            for &node in nodes.iter().filter(|n| !placed(n)) {
+                if cluster.entity_on(node, id).is_some() {
                     out.push(InvariantViolation {
                         invariant: "replica_convergence",
-                        detail: format!(
-                            "{node} stores {} objects, {first} stores {}",
-                            ids.len(),
-                            reference.len()
-                        ),
+                        detail: format!("{id} is held by {node}, not one of its replicas"),
                     });
-                    continue;
                 }
-                for id in &reference {
-                    let a = cluster.entity_on(first, id).and_then(|e| e.to_json().ok());
-                    let b = cluster.entity_on(node, id).and_then(|e| e.to_json().ok());
-                    if a != b {
-                        out.push(InvariantViolation {
-                            invariant: "replica_convergence",
-                            detail: format!("{id} diverges between {first} and {node}"),
-                        });
-                    }
+            }
+            let mut holders = nodes.iter().copied().filter(placed);
+            let Some(first) = holders.next() else {
+                continue;
+            };
+            let reference = cluster.entity_on(first, id).and_then(|e| e.to_json().ok());
+            for node in holders {
+                let state = cluster.entity_on(node, id).and_then(|e| e.to_json().ok());
+                if state != reference {
+                    out.push(InvariantViolation {
+                        invariant: "replica_convergence",
+                        detail: format!("{id} diverges between {first} and {node}"),
+                    });
                 }
             }
         }

@@ -2,9 +2,14 @@
 //!
 //! Robustness harness for the DeDiSys reproduction: seeded fault
 //! schedules ([`FaultPlan`]), one workload/fault interleaver
-//! ([`ChaosEngine`]) — an item mix on one shard, a cross-shard transfer
-//! mix on several — and safety invariants ([`InvariantChecker`])
-//! checked after every injected fault.
+//! ([`ChaosEngine`]) — the paper's applications under their
+//! constraints on one shard, a cross-shard transfer mix on several —
+//! and safety invariants ([`InvariantChecker`]) checked after every
+//! injected fault. Among them is the threat-completeness oracle
+//! ([`audit`]): dissertation §3.2 promises that no integrity violation
+//! goes unnoticed, so every violation of an enabled invariant in the
+//! committed state must be explained by a standing threat or a pending
+//! reconciliation.
 //!
 //! Everything runs on the shared virtual clock, and every random
 //! decision flows from one explicit seed through [`ChaosRng`]
@@ -32,13 +37,15 @@
 
 mod engine;
 mod invariant;
+mod oracle;
 mod plan;
 
 pub use engine::{
     account_balance, chaos_app, fund_accounts, prepare_transfer, ChaosConfig, ChaosEngine,
-    ChaosReport,
+    ChaosReport, ConstraintActivity, SoakDraws,
 };
 pub use invariant::{InvariantChecker, InvariantViolation};
+pub use oracle::{audit, stale_threats, Explanation, Finding};
 pub use plan::{FaultPlan, FaultStep, PlannedFault};
 
 // The workspace's one seeded generator lives in `dedisys-types`, so the

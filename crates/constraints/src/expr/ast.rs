@@ -115,35 +115,3 @@ impl std::fmt::Display for Expr {
         }
     }
 }
-
-impl Expr {
-    /// Number of nodes (used in tests and complexity accounting).
-    pub fn node_count(&self) -> usize {
-        match self {
-            Expr::Literal(_)
-            | Expr::SelfRef
-            | Expr::Env(_)
-            | Expr::Pre(_)
-            | Expr::Arg(_)
-            | Expr::MethodResult
-            | Expr::Count(_) => 1,
-            Expr::Size(e) | Expr::Field(e, _) | Expr::Unary(_, e) => 1 + e.node_count(),
-            Expr::Binary(_, l, r) => 1 + l.node_count() + r.node_count(),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn node_count() {
-        let e = Expr::Binary(
-            BinOp::Le,
-            Box::new(Expr::Field(Box::new(Expr::SelfRef), "a".into())),
-            Box::new(Expr::Literal(Value::Int(1))),
-        );
-        assert_eq!(e.node_count(), 4);
-    }
-}

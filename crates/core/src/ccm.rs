@@ -334,12 +334,18 @@ impl Ccm {
         let mut degree = outcome?;
 
         // LCC: degrade definite results when possibly stale objects
-        // were accessed — except intra-object constraints (§3.1).
+        // were accessed — except intra-object constraints (§3.1). An
+        // object awaiting reconciliation is possibly stale however the
+        // topology looks: after a heal its replicas disagree until the
+        // replica step picks the state that stays, so a definite
+        // verdict (and a satisfied one's removal of standing threats)
+        // would be read off a copy that may lose.
         if degree.is_definite() && constraint.meta.scope != ObjectScope::IntraObject {
             let any_stale = accessed.iter().any(|id| {
                 access
                     .replication
                     .is_possibly_stale(id, node, access.topology)
+                    || access.replication.is_degraded_tracked(id)
             });
             if any_stale {
                 degree = degree.degrade_for_staleness();

@@ -6,6 +6,7 @@ use super::{Cluster, InDoubtTx};
 use dedisys_object::Snapshot;
 use dedisys_telemetry::{TraceEvent, TransitionCause};
 use dedisys_types::{Error, NodeId, ObjectId, Result, SystemMode, TxId};
+use std::collections::BTreeMap;
 
 impl Cluster {
     /// Crashes `node`: volatile container state is torn down (buffered
@@ -137,47 +138,7 @@ impl Cluster {
                 self.topology.merge(node, target);
             }
             if report.truncated > 0 {
-                // The torn tail dropped committed state the rest of
-                // the group still holds. Replica reconciliation only
-                // tracks degraded-mode writes, so transfer the rejoin
-                // target's committed image outright; installs go
-                // through the journal, so the transfer survives a
-                // further crash.
-                let reference: Vec<Snapshot> = {
-                    let source = &self.containers[target.index()];
-                    source
-                        .committed_ids()
-                        .filter_map(|id| source.committed_snapshot(id).cloned())
-                        .collect()
-                };
-                let stale: Vec<ObjectId> = {
-                    let source = &self.containers[target.index()];
-                    self.containers[node.index()]
-                        .committed_ids()
-                        .filter(|id| source.committed_entity(id).is_none())
-                        .cloned()
-                        .collect()
-                };
-                let mut transferred = 0u64;
-                let container = &mut self.containers[node.index()];
-                for snapshot in reference {
-                    // What survived the truncation is the very snapshot
-                    // the source holds (same ship), so most objects are
-                    // skipped by pointer; deep equality is the fallback.
-                    if container.committed_snapshot(snapshot.state().id()) != Some(&snapshot) {
-                        container.install(snapshot);
-                        transferred += 1;
-                    }
-                }
-                for id in &stale {
-                    container.remove_committed(id);
-                    transferred += 1;
-                }
-                self.clock
-                    .advance(self.costs.wal_replay_per_entry * transferred);
-                self.telemetry
-                    .metrics()
-                    .add("store.wal.resynced", transferred);
+                self.resync_torn(node);
             }
         }
         self.install_views();
@@ -188,6 +149,99 @@ impl Cluster {
             reactivated_threats: reactivated,
         });
         Ok(self.settle_mode(TransitionCause::Scripted))
+    }
+
+    /// Gives `node`, whose torn journal tail dropped committed state,
+    /// back what the tail held: each object it replicates, from the
+    /// first other node of its partition that replicates it too, and
+    /// the removal of each object whose delete every other replica
+    /// saw. Replica reconciliation only tracks degraded-mode writes, so
+    /// this is the one way back for the lost state; installs go through
+    /// the journal, so the transfer survives a further crash. What the
+    /// partition lacks is not removed: after a split it may be state
+    /// the partition never saw, not state that was deleted. An object
+    /// awaiting reconciliation, or whose other replicas are all out of
+    /// reach, is left to reconciliation, which compares this node's
+    /// copy with the others.
+    fn resync_torn(&mut self, node: NodeId) {
+        let sources: Vec<NodeId> = self
+            .topology
+            .partition_of(node)
+            .iter()
+            .copied()
+            .filter(|&n| n != node && !self.crashed.contains(&n))
+            .collect();
+        let own = &self.containers[node.index()];
+        let mut lost: BTreeMap<&ObjectId, &Snapshot> = BTreeMap::new();
+        // Objects awaiting reconciliation whose copies here and on a
+        // source differ: reconciliation compares the two.
+        let mut diverged: Vec<(ObjectId, NodeId)> = Vec::new();
+        for &source in &sources {
+            let container = &self.containers[source.index()];
+            for id in container.committed_ids() {
+                let placed = self.replication.replicas_of(id);
+                if placed.is_some_and(|replicas| !replicas.contains(&node)) {
+                    continue;
+                }
+                let Some(snapshot) = container.committed_snapshot(id) else {
+                    continue;
+                };
+                // What survived the truncation is the very snapshot the
+                // source holds (same ship), so most objects are skipped
+                // by pointer; deep equality is the fallback.
+                if own.committed_snapshot(id) == Some(snapshot) {
+                    continue;
+                }
+                if self.replication.is_degraded_tracked(id) {
+                    diverged.push((id.clone(), source));
+                } else {
+                    lost.entry(id).or_insert(snapshot);
+                }
+            }
+        }
+        let held_elsewhere = |id: &ObjectId| {
+            let mut holders = sources.iter().map(|s| &self.containers[s.index()]);
+            holders.any(|c| c.committed_entity(id).is_some())
+        };
+        let deleted: Vec<ObjectId> = own
+            .committed_ids()
+            .filter(|id| self.replication.replicas_of(id).is_none() && !held_elsewhere(id))
+            .cloned()
+            .collect();
+        // An object no partition member replicates with this node may
+        // have lost a state only its unreachable replicas hold:
+        // reconciliation compares the copies once they are back.
+        let unsynced: Vec<(ObjectId, Vec<NodeId>)> = self
+            .replication
+            .objects_placed_on(node)
+            .filter_map(|id| {
+                let replicas = self.replication.replicas_of(id)?;
+                let others: Vec<NodeId> = replicas.iter().copied().filter(|&n| n != node).collect();
+                let away = !others.is_empty() && !others.iter().any(|n| sources.contains(n));
+                away.then(|| (id.clone(), others))
+            })
+            .collect();
+        let lost: Vec<Snapshot> = lost.into_values().cloned().collect();
+        let transferred = (lost.len() + deleted.len()) as u64;
+        let container = &mut self.containers[node.index()];
+        for snapshot in lost {
+            container.install(snapshot);
+        }
+        for id in &deleted {
+            container.remove_committed(id);
+        }
+        for (id, others) in unsynced {
+            let copies = std::iter::once(node).chain(others);
+            self.replication.track_divergence(&id, copies);
+        }
+        for (id, source) in diverged {
+            self.replication.track_divergence(&id, [node, source]);
+        }
+        self.clock
+            .advance(self.costs.wal_replay_per_entry * transferred);
+        self.telemetry
+            .metrics()
+            .add("store.wal.resynced", transferred);
     }
 
     /// Runs the in-doubt recovery protocol: every in-doubt transaction

@@ -5,7 +5,7 @@
 use super::Cluster;
 use dedisys_gms::{LinkFault, MembershipEvent, MembershipSim};
 use dedisys_telemetry::{TraceEvent, TransitionCause};
-use dedisys_types::{Error, NodeId, Result, SimDuration, SystemMode};
+use dedisys_types::{Error, NodeId, ObjectId, Result, SimDuration, SystemMode};
 use std::collections::BTreeSet;
 
 impl Cluster {
@@ -120,6 +120,13 @@ impl Cluster {
     /// awaits reconciliation.
     pub fn needs_reconciliation(&self) -> bool {
         !self.ccm.threat_store().is_empty() || !self.replication.degraded_write_map().is_empty()
+    }
+
+    /// Whether `object` has degraded-mode writes or missed ships that
+    /// the next reconciliation converges — its replicas may disagree
+    /// until then.
+    pub fn awaits_reconciliation(&self, object: &ObjectId) -> bool {
+        self.replication.is_degraded_tracked(object)
     }
 
     pub(super) fn install_views(&mut self) {

@@ -419,6 +419,13 @@ impl Cluster {
             .collect()
     }
 
+    /// The nodes `id` is replicated on: every node, or the subset it
+    /// was created bound to. `None` for an object the replication
+    /// service does not place (a delete every replica has seen).
+    pub fn replicas_of(&self, id: &ObjectId) -> Option<&BTreeSet<NodeId>> {
+        self.replication.replicas_of(id)
+    }
+
     /// Invokes the conventional setter for `field`.
     ///
     /// # Errors

@@ -11,6 +11,7 @@
 use super::Cluster;
 use crate::ccm::{evaluate_candidate, ReplicaAccess, ValidationCandidate};
 use crate::threat::{ConsistencyThreat, ThreatIdentity};
+use dedisys_constraints::{ObjectAccess, ObjectScope};
 use dedisys_object::{EntityContainer, Snapshot};
 use dedisys_replication::{ReconcileReport, ReplicaConflict, ReplicaConsistencyHandler};
 use dedisys_telemetry::{TraceEvent, TransitionCause};
@@ -159,6 +160,9 @@ pub struct ConstraintReconcileReport {
     pub violations: usize,
     /// Violations resolved by rollback to a historical state.
     pub resolved_by_rollback: usize,
+    /// Historical states the rollback search installed and
+    /// re-validated, over every violation it ran for.
+    pub rollback_candidates: usize,
     /// Violations resolved immediately by the handler.
     pub resolved_by_handler: usize,
     /// Violations deferred to later application-driven cleanup.
@@ -349,8 +353,19 @@ impl Cluster {
             if self.ccm.threat_store().first_of(&identity).is_none() {
                 continue;
             }
-            let Some(constraint) = self.repository().get(&identity.constraint).cloned() else {
-                // Constraint was removed at runtime: threat is moot.
+            // A threat is moot once its constraint was removed at
+            // runtime, or once — the system whole again — its context
+            // object exists on no node: it was deleted, or the write
+            // that created it never committed.
+            let context_gone = identity.context_object.as_ref().is_some_and(|object| {
+                self.topology.is_healthy()
+                    && self
+                        .containers
+                        .iter()
+                        .all(|c| c.committed_entity(object).is_none())
+            });
+            let constraint = self.repository().get(&identity.constraint).cloned();
+            let Some(constraint) = constraint.filter(|_| !context_gone) else {
                 self.ccm
                     .threat_store_mut()
                     .remove_identity(&identity.constraint, identity.context_object.as_ref());
@@ -392,7 +407,14 @@ impl Cluster {
                     let mut resolved = false;
                     // Rollback search if permitted (§3.3).
                     if self.ccm.threat_store().any_allows_rollback(&identity)
-                        && self.try_rollback(observer, recon_tx, &constraint, &identity, &first)
+                        && self.try_rollback(
+                            observer,
+                            recon_tx,
+                            &constraint,
+                            &identity,
+                            &first,
+                            &mut report.rollback_candidates,
+                        )
                     {
                         report.resolved_by_rollback += 1;
                         resolved = true;
@@ -521,7 +543,8 @@ impl Cluster {
 
     /// Attempts rollback to a historical degraded-mode state of the
     /// threat's affected objects (latest first). Returns `true` when a
-    /// consistent state was found and installed.
+    /// consistent state was found and installed; counts every candidate
+    /// tried into `tried`.
     fn try_rollback(
         &mut self,
         observer: NodeId,
@@ -529,6 +552,7 @@ impl Cluster {
         constraint: &dedisys_constraints::RegisteredConstraint,
         identity: &ThreatIdentity,
         threat: &ConsistencyThreat,
+        tried: &mut usize,
     ) -> bool {
         let node_count = self.node_count();
         // Scope everything to the observer's partition: reading the
@@ -553,10 +577,12 @@ impl Cluster {
             for pkey in 0..node_count {
                 let states = self.replication.partition_history(object, pkey).to_vec();
                 for candidate in states.iter().rev() {
+                    *tried += 1;
                     self.clock().advance(self.costs().db_read);
                     self.install_reachable(&reachable, candidate);
                     if self.revalidate(observer, recon_tx, constraint, identity)
                         == SatisfactionDegree::Satisfied
+                        && self.violates_none_other(observer, recon_tx, identity, object)
                     {
                         return true;
                     }
@@ -567,6 +593,61 @@ impl Cluster {
             }
         }
         false
+    }
+
+    /// Whether the state just installed for `object` violates no
+    /// enabled invariant of its class's context objects that reads it,
+    /// `identity` aside — a rollback candidate must not trade one
+    /// violation for another that no threat records (the other
+    /// endpoint of a pair, say). The check is silent: the candidate's
+    /// own revalidation is the one a trace shows.
+    fn violates_none_other(
+        &mut self,
+        observer: NodeId,
+        recon_tx: TxId,
+        identity: &ThreatIdentity,
+        object: &ObjectId,
+    ) -> bool {
+        let others: Vec<_> = self
+            .repository()
+            .enabled()
+            .filter(|c| c.meta.kind.is_invariant())
+            .filter(|c| c.context_class.as_ref() == Some(object.class()))
+            .cloned()
+            .collect();
+        let env = self.partition_env(observer);
+        let engine = self.config().validation.engine;
+        for other in &others {
+            let mut access = ReplicaAccess::new(
+                &self.containers,
+                &self.replication,
+                &self.topology,
+                observer,
+                recon_tx,
+            );
+            let contexts = if other.meta.scope == ObjectScope::IntraObject {
+                vec![object.clone()]
+            } else {
+                access.objects_of_class(object.class())
+            };
+            for context in &contexts {
+                if other.name() == &identity.constraint
+                    && identity.context_object.as_ref() == Some(context)
+                {
+                    continue;
+                }
+                let gathered = std::mem::take(&mut self.gathered);
+                let candidate = ValidationCandidate::invariant(other, Some(context));
+                let (outcome, accessed) =
+                    evaluate_candidate(&candidate, &mut access, env, engine, gathered);
+                let reads = context == object || accessed.contains(object);
+                self.gathered = accessed;
+                if reads && outcome == Ok(SatisfactionDegree::Violated) {
+                    return false;
+                }
+            }
+        }
+        true
     }
 
     /// Installs `state` on every reachable node already holding the

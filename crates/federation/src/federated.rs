@@ -6,7 +6,7 @@
 //! telemetry bus shares the one [`SimClock`] every shard runs on.
 
 use crate::shard_map::{MigrationStep, RebalancePlan, ShardId, ShardMap};
-use dedisys_core::{Cluster, ClusterBuilder, ClusterConfig, RequestPlane, Session};
+use dedisys_core::{Cluster, ClusterBuilder, RequestPlane, Session};
 use dedisys_net::SimClock;
 use dedisys_object::{AppDescriptor, EntityState};
 use dedisys_telemetry::{Telemetry, TraceEvent};
@@ -114,8 +114,8 @@ fn not_in_state(xtx: u64, state: &str) -> Error {
     Error::Config(format!("xshard tx {xtx} is not {state}"))
 }
 
-/// A shard-configuration hook applied to every shard before build.
-type ConfigureHook = Box<dyn Fn(&mut ClusterConfig)>;
+/// A shard-assembly hook applied to every shard's builder.
+type ConfigureHook = Box<dyn Fn(ClusterBuilder) -> ClusterBuilder>;
 
 /// Builder for [`FederatedCluster`].
 pub struct FederationBuilder {
@@ -142,8 +142,12 @@ impl FederationBuilder {
         self
     }
 
-    /// Applies `f` to every shard's [`ClusterConfig`] before build.
-    pub fn configure(mut self, f: impl Fn(&mut ClusterConfig) + 'static) -> Self {
+    /// Applies `f` to every shard's [`ClusterBuilder`] before build:
+    /// its configuration, methods, weights or reconciliation
+    /// instructions. The federation's shared clock and per-shard
+    /// membership seed are applied after `f`, so it cannot unshare
+    /// them.
+    pub fn configure(mut self, f: impl Fn(ClusterBuilder) -> ClusterBuilder + 'static) -> Self {
         self.configure = Some(Box::new(f));
         self
     }
@@ -163,17 +167,16 @@ impl FederationBuilder {
         let mut shards = Vec::with_capacity(self.shards as usize);
         let mut planes = Vec::with_capacity(self.shards as usize);
         for shard in 0..self.shards {
-            let mut builder = ClusterBuilder::new(self.nodes_per_shard, self.app.clone())
-                .clock(clock.clone())
-                .configure(|c| {
-                    // Distinct per-shard membership seeds keep detector
-                    // draws independent while still derived from the
-                    // one federation seed.
-                    c.membership.seed = self.seed.wrapping_add(u64::from(shard));
-                });
+            let mut builder = ClusterBuilder::new(self.nodes_per_shard, self.app.clone());
             if let Some(f) = &self.configure {
-                builder = builder.configure(f);
+                builder = f(builder);
             }
+            let builder = builder.clock(clock.clone()).configure(|c| {
+                // Distinct per-shard membership seeds keep detector
+                // draws independent while still derived from the one
+                // federation seed.
+                c.membership.seed = self.seed.wrapping_add(u64::from(shard));
+            });
             shards.push(builder.build()?);
             planes.push(RequestPlane::new());
         }

@@ -190,6 +190,26 @@ impl ReplicationManager {
         self.placements.get(object).map(|p| &p.replicas)
     }
 
+    /// Every object with a replica on `node`, in no particular order.
+    pub fn objects_placed_on(&self, node: NodeId) -> impl Iterator<Item = &ObjectId> + '_ {
+        self.placements
+            .iter()
+            .filter(move |(_, p)| p.replicas.contains(&node))
+            .map(|(id, _)| id)
+    }
+
+    /// Tracks `object` as awaiting reconciliation among the replicas on
+    /// `nodes`, each its own writer, when they may hold different
+    /// committed states no ship will align — a torn journal tail on one
+    /// of them while the others were out of reach. Replica
+    /// reconciliation then compares their copies once they are back.
+    pub fn track_divergence(&mut self, object: &ObjectId, nodes: impl IntoIterator<Item = NodeId>) {
+        let writers = self.degraded_writes.entry(object.clone()).or_default();
+        for node in nodes {
+            writers.entry(node.0).or_insert(node);
+        }
+    }
+
     /// The node a write to `object` must execute on (§4.3).
     ///
     /// # Errors

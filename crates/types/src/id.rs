@@ -212,19 +212,6 @@ name_type!(
     "text"
 );
 
-impl MethodName {
-    /// Whether this method is considered a *write* under the EJB-style
-    /// naming convention used by the replication service (§4.3): every
-    /// method starting with `set` followed by an upper-case letter.
-    pub fn is_setter_convention(&self) -> bool {
-        let s = self.as_str();
-        match s.strip_prefix("set") {
-            Some(rest) => rest.chars().next().is_some_and(|c| c.is_uppercase()),
-            None => false,
-        }
-    }
-}
-
 /// The 64-bit FNV-1a offset basis: the hash of no bytes.
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -512,15 +499,6 @@ mod tests {
     #[test]
     fn view_id_next_increments() {
         assert_eq!(ViewId(1).next(), ViewId(2));
-    }
-
-    #[test]
-    fn setter_convention_detection() {
-        assert!(MethodName::from("setAlarmKind").is_setter_convention());
-        assert!(MethodName::from("setX").is_setter_convention());
-        assert!(!MethodName::from("settle").is_setter_convention());
-        assert!(!MethodName::from("getAlarmKind").is_setter_convention());
-        assert!(!MethodName::from("set").is_setter_convention());
     }
 
     #[test]

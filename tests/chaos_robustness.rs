@@ -7,7 +7,7 @@ use dedisys_constraints::{
     expr::ExprConstraint, ConstraintMeta, ContextPreparation, RegisteredConstraint,
 };
 use dedisys_core::{
-    Cluster, ClusterBuilder, CostModel, DeferAll, HighestVersionWins, JsonlExporter, RingRecorder,
+    Cluster, ClusterBuilder, CostModel, DeferAll, HighestVersionWins, RingRecorder,
 };
 use dedisys_object::{AppDescriptor, ClassDescriptor, EntityState};
 use dedisys_types::{ChaosRng, Error, NodeId, ObjectId, SatisfactionDegree, TxId, Value};
@@ -385,47 +385,12 @@ fn chaos_runs_are_seed_deterministic() {
 }
 
 // ---------------------------------------------------------------------
-// Pinned trajectory — the request-plane mix, which no `repro` flag runs
-// ---------------------------------------------------------------------
-
-/// The observable counters of a request-plane seed, as first recorded.
-/// Every other chaos trajectory is a line of `crates/bench/receipts.txt`;
-/// `ChaosConfig::workload_plane` has no `repro` flag, so its seed is
-/// pinned here. A change to the plane mix's draws or to the repair
-/// sequence moves this literal.
-#[test]
-fn pinned_trajectories_do_not_move() {
-    let engine = ChaosEngine::new(ChaosConfig {
-        seed: 13,
-        workload_plane: true,
-        ..ChaosConfig::default()
-    })
-    .unwrap();
-    // An attached sink turns emission on, so the event count counts.
-    let sink = JsonlExporter::new(Box::new(std::io::sink()));
-    engine.telemetry().attach(Box::new(sink));
-    let r = engine.run().unwrap();
-    assert!(r.clean(), "{:?}", r.violations);
-    assert_eq!(
-        (
-            r.ops_ok,
-            r.ops_failed,
-            r.faults_applied,
-            r.in_doubt_resolved,
-            r.final_stats.now_ns,
-            r.final_stats.events_emitted,
-        ),
-        (302, 6, 24, 0, 9_415_850_000, 2030)
-    );
-}
-
-// ---------------------------------------------------------------------
 // Small scope, exhaustively
 // ---------------------------------------------------------------------
 
 /// Every 3-step schedule over five faults — a crash and a restart of
 /// n1, a split, a heal and a write-fault window on n2 — placed at ops
-/// 10, 20 and 30 of a 40-op item-mix run on 3 nodes: 125 schedules, one
+/// 10, 20 and 30 of a 40-op application-mix run on 3 nodes: 125 schedules, one
 /// freshly built cluster each, every one clean.
 #[test]
 fn every_three_step_schedule_stays_clean() {
