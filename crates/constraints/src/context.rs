@@ -338,9 +338,10 @@ fn gather(accessed: &mut Vec<ObjectId>, id: &ObjectId) {
     }
 }
 
-// A cluster may run on another thread than the one that built it (the
-// §4.5 Web gateway's workers); these assertions pin the `Send`/`Sync`
-// obligations of what validation touches at compile time.
+// `dedisys_core::Cluster` is `Send`, a public promise: a caller may
+// build a cluster on one thread and drive it from another. These
+// assertions pin the `Send`/`Sync` obligations of what validation
+// touches at compile time, beside the types.
 const _: fn() = || {
     fn assert_send<T: Send>() {}
     fn assert_send_sync<T: Send + Sync>() {}

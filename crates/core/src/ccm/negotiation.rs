@@ -74,6 +74,15 @@ pub(crate) struct DeferredThreat {
     freshness: Vec<(ClassName, VersionInfo)>,
 }
 
+impl DeferredThreat {
+    /// The threat, if the dynamic handler will be asked about it: a
+    /// threat to a non-tradeable constraint is rejected without asking
+    /// (Figure 3.3).
+    pub(crate) fn askable(&self) -> Option<&ConsistencyThreat> {
+        self.constraint.is_tradeable().then_some(&self.threat)
+    }
+}
+
 /// Performs the prioritized negotiation of Figure 3.3:
 /// dynamic handler ≻ static declaration ≻ application default.
 ///

@@ -226,6 +226,13 @@ pub struct Cluster {
     replication_enabled: bool,
 }
 
+// `Cluster` is `Send`, a public promise: a caller may build a cluster
+// on one thread and drive it from another.
+const _: fn() = || {
+    fn assert_send<T: Send>() {}
+    assert_send::<Cluster>();
+};
+
 impl std::fmt::Debug for Cluster {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Cluster")

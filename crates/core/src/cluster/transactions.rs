@@ -2,7 +2,7 @@
 //! ship to the backups), rollback, and entity creation and deletion.
 
 use super::{Change, Cluster, TxInfo};
-use crate::ccm::{NegotiationHandler, ValidationCandidate};
+use crate::ccm::{DeferredThreat, NegotiationHandler, ValidationCandidate};
 use crate::session::Session;
 use dedisys_constraints::ConstraintKind;
 use dedisys_object::EntityState;
@@ -163,12 +163,22 @@ impl Cluster {
     }
 
     /// The vote both [`Cluster::prepare`] and a one-phase
-    /// [`Cluster::commit`] take on an active `tx`: a transaction vetoed
-    /// earlier is rolled back, otherwise the CCMgr validates the pending
-    /// soft and async invariants (§4.2.3: soft constraints are checked
-    /// at the end of the transaction) and a failure rolls everything
-    /// back.
+    /// [`Cluster::commit`] take on an active `tx`: the pending checks
+    /// ([`Cluster::check_pending`]), then the negotiation of the
+    /// threats deferred to the commit (§5.4); a failure rolls
+    /// everything back.
     fn vote(&mut self, tx: TxId) -> Result<()> {
+        self.check_pending(tx)?;
+        self.ccm_step(tx, Self::negotiate_deferred)
+    }
+
+    /// The first half of the vote, which the Web gateway also takes
+    /// right after its operation: a transaction vetoed earlier is
+    /// rolled back, otherwise the CCMgr validates the pending soft and
+    /// async invariants (§4.2.3: soft constraints are checked at the
+    /// end of the transaction) and a failure rolls everything back.
+    /// Under deferred timing their threats join the deferred ones.
+    pub(crate) fn check_pending(&mut self, tx: TxId) -> Result<()> {
         if !self.tx_manager.is_active(tx) {
             return Err(Error::NoSuchTransaction(tx));
         }
@@ -177,8 +187,14 @@ impl Cluster {
             self.abort_cleanup(tx);
             return Err(Error::RollbackOnly(tx));
         }
+        self.ccm_step(tx, Self::validate_pending)
+    }
+
+    /// Runs the CCMgr's `step` on `tx` (nothing while the CCMgr is
+    /// off); a failure rolls `tx` back.
+    fn ccm_step(&mut self, tx: TxId, step: fn(&mut Self, TxId) -> Result<()>) -> Result<()> {
         if self.ccm_enabled {
-            if let Err(e) = self.prepare_constraints(tx) {
+            if let Err(e) = step(self, tx) {
                 let _ = self.tx_manager.rollback(tx);
                 self.abort_cleanup(tx);
                 return Err(e);
@@ -271,7 +287,7 @@ impl Cluster {
             .advance(self.costs.ship_retry_backoff * report.backoff_units);
     }
 
-    fn prepare_constraints(&mut self, tx: TxId) -> Result<()> {
+    fn validate_pending(&mut self, tx: TxId) -> Result<()> {
         let origin = tx.node;
         let pending = std::mem::take(&mut self.tx_info(tx)?.pending);
         self.telemetry.emit(|| TraceEvent::TriggerPoint {
@@ -294,19 +310,29 @@ impl Cluster {
                 self.validate_and_process(&candidate, origin, tx)?;
             }
         }
-        // §5.4: the transaction blocks before commit until all deferred
-        // negotiation decisions are available.
+        Ok(())
+    }
+
+    /// §5.4: the transaction blocks before commit until all deferred
+    /// negotiation decisions are available. Each threat's negotiation
+    /// was charged when it was detected, as under immediate timing.
+    fn negotiate_deferred(&mut self, tx: TxId) -> Result<()> {
         let info = self.txs.get_mut(&tx).ok_or(Error::NoSuchTransaction(tx))?;
         let deferred = std::mem::take(&mut info.deferred);
-        let deferred_count = deferred.len() as u64;
         let storages =
             self.ccm
                 .negotiate_deferred(deferred, &mut info.handler, &self.config.validation)?;
-        self.clock.advance(self.costs.negotiation * deferred_count);
         for storage in storages {
             self.charge_threat_storage(storage);
         }
         Ok(())
+    }
+
+    /// The threats deferred so far in open `tx`, in the order
+    /// [`Cluster::commit`] will negotiate them (none for an unknown
+    /// transaction).
+    pub(crate) fn deferred_threats(&self, tx: TxId) -> &[DeferredThreat] {
+        self.txs.get(&tx).map_or(&[], |info| &info.deferred)
     }
 
     /// Creates `entity` within `tx`, replicated on every node with the

@@ -6,33 +6,35 @@
 //! onto the request/response stream:
 //!
 //! 1. the business request is submitted; when a consistency threat
-//!    needs negotiation, the server *parks the working thread* and
-//!    ships the negotiation request as the HTTP **response** to the
-//!    business request;
+//!    needs negotiation, the server *parks the request* and ships the
+//!    negotiation request as the HTTP **response** to the business
+//!    request;
 //! 2. the user's decision arrives as a **new HTTP request**, which
-//!    resumes the parked thread;
+//!    resumes the parked request;
 //! 3. the business result (or the next negotiation request) is
 //!    returned as the response to the decision request.
 //!
-//! [`WebGateway`] reproduces exactly that: business operations run on a
-//! worker thread holding the cluster; its negotiation handler blocks on
-//! a channel that [`WebGateway::decide`] feeds. A timeout rejects the
-//! threat if the user never answers (the paper's guard against
-//! indefinitely blocked negotiation threads).
+//! [`WebGateway`] parks a *transaction*, not a thread. Its cluster
+//! negotiates under [`NegotiationTiming::Deferred`] (§5.4): the
+//! business operation and its commit-time checks run at once, and the
+//! still-open transaction, holding only its object locks, waits while
+//! the user answers its threats one request at a time. The last answer
+//! commits it with a negotiation handler that replays the recorded
+//! answers. A rejection commits at once, and so does a question left
+//! unanswered for 5 s on the cluster's virtual clock, checked at the
+//! next gateway call (the paper's guard against indefinitely blocked
+//! negotiations; a browser that leaves sends nothing). Either way the
+//! CCMgr counts and traces the rejection.
 
-use crate::ccm::{NegotiationHandler, ThreatDecision};
+use crate::ccm::{DeferredThreat, NegotiationTiming, ThreatDecision};
 use crate::threat::ConsistencyThreat;
 use crate::Cluster;
-use dedisys_types::{NodeId, Result, TxId, Value};
-use std::collections::HashMap;
-use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
-use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use dedisys_types::{NodeId, Result, SimDuration, SimTime, TxId, Value};
+use std::collections::BTreeMap;
 
-/// How long a parked worker waits for the user's decision before it
-/// rejects the threat (real time); the gateway waits four times as
-/// long for the worker itself.
-const NEGOTIATION_TIMEOUT: Duration = Duration::from_secs(5);
+/// How long a parked transaction waits on the virtual clock for the
+/// user's decision before the threat is rejected.
+const NEGOTIATION_TIMEOUT: SimDuration = SimDuration::from_secs(5);
 
 /// What the "browser" receives in answer to a request.
 #[derive(Debug)]
@@ -56,48 +58,24 @@ pub struct WebDecision {
     pub accept: bool,
 }
 
-enum WorkerMsg {
-    Threat(ConsistencyThreat),
-    Done(Result<Value>),
-}
-
-/// Negotiation handler bridging into the request/response world: sends
-/// the threat to the gateway and blocks until the decision request
-/// arrives (or the timeout rejects).
-struct ChannelNegotiationHandler {
-    threat_tx: SyncSender<WorkerMsg>,
-    decision_rx: Receiver<WebDecision>,
-}
-
-impl NegotiationHandler for ChannelNegotiationHandler {
-    fn negotiate(&mut self, threat: &mut ConsistencyThreat) -> ThreatDecision {
-        if self
-            .threat_tx
-            .send(WorkerMsg::Threat(threat.clone()))
-            .is_err()
-        {
-            return ThreatDecision::Reject;
-        }
-        match self.decision_rx.recv_timeout(NEGOTIATION_TIMEOUT) {
-            Ok(decision) if decision.accept => ThreatDecision::Accept,
-            // Timeout or explicit rejection: do not block forever
-            // (§4.5) — the threat is rejected.
-            _ => ThreatDecision::Reject,
-        }
-    }
-}
-
-struct PendingSession {
-    decision_tx: SyncSender<WebDecision>,
-    inbox: Receiver<WorkerMsg>,
+/// A business transaction waiting for the user.
+struct Parked {
+    tx: TxId,
+    /// What the operation returned: the business result once committed.
+    value: Value,
+    /// The user's answers so far, in the order the commit asks for them.
+    answers: Vec<ThreatDecision>,
+    /// When the open question is rejected unanswered.
+    deadline: SimTime,
 }
 
 /// The server-side gateway of Figure 4.8.
 pub struct WebGateway {
-    cluster: Arc<Mutex<Cluster>>,
+    cluster: Cluster,
     node: NodeId,
     next_id: u64,
-    pending: HashMap<u64, PendingSession>,
+    /// Parked transactions by negotiation id, in id order.
+    pending: BTreeMap<u64, Parked>,
 }
 
 impl std::fmt::Debug for WebGateway {
@@ -110,121 +88,128 @@ impl std::fmt::Debug for WebGateway {
 }
 
 impl WebGateway {
-    /// Creates a gateway submitting requests through `node`.
-    pub fn new(cluster: Arc<Mutex<Cluster>>, node: NodeId) -> Self {
+    /// Creates a gateway submitting requests through `node`. The
+    /// cluster negotiates under [`NegotiationTiming::Deferred`] from
+    /// now on.
+    pub fn new(mut cluster: Cluster, node: NodeId) -> Self {
+        cluster
+            .reconfigure(|c| c.validation.negotiation_timing = NegotiationTiming::Deferred)
+            .expect("the negotiation timing is a runtime setting");
         Self {
             cluster,
             node,
             next_id: 0,
-            pending: HashMap::new(),
+            pending: BTreeMap::new(),
         }
     }
 
-    /// Shared access to the cluster (for request handlers and tests).
-    pub fn cluster(&self) -> Arc<Mutex<Cluster>> {
-        Arc::clone(&self.cluster)
+    /// The cluster (for request handlers and tests).
+    pub fn cluster(&self) -> &Cluster {
+        &self.cluster
     }
 
-    /// Submits a business request. `op` runs in a fresh transaction on
-    /// a worker thread; the call returns either the business result or
-    /// the first negotiation request.
-    pub fn submit(
-        &mut self,
-        op: impl FnOnce(&mut Cluster, TxId) -> Result<Value> + Send + 'static,
-    ) -> WebResponse {
-        let (inbox_tx, inbox_rx) = sync_channel::<WorkerMsg>(1);
-        let (decision_tx, decision_rx) = sync_channel::<WebDecision>(1);
-        let cluster = Arc::clone(&self.cluster);
-        let node = self.node;
-        let worker_inbox = inbox_tx.clone();
-        std::thread::spawn(move || {
-            let mut cluster = cluster.lock().expect("cluster mutex poisoned");
-            let tx = cluster.begin_tx(node);
-            let handler = Box::new(ChannelNegotiationHandler {
-                threat_tx: worker_inbox,
-                decision_rx,
-            });
-            let registered = cluster.register_negotiation_handler(tx, handler);
-            let result = match registered.and_then(|()| op(&mut cluster, tx)) {
-                Ok(value) => cluster.commit(tx).map(|()| value),
-                Err(e) => {
-                    let _ = cluster.rollback(tx);
-                    Err(e)
-                }
-            };
-            let _ = inbox_tx.send(WorkerMsg::Done(result));
-        });
-        self.wait_for_worker(inbox_rx, decision_tx)
+    /// The cluster, mutably: an operator may partition or heal it
+    /// between requests.
+    pub fn cluster_mut(&mut self) -> &mut Cluster {
+        &mut self.cluster
+    }
+
+    /// Submits a business request. `op` runs at once in a fresh
+    /// transaction, followed by the transaction's commit-time checks;
+    /// the call returns either the business result or the first
+    /// negotiation request.
+    pub fn submit(&mut self, op: impl FnOnce(&mut Cluster, TxId) -> Result<Value>) -> WebResponse {
+        self.expire();
+        let tx = self.cluster.begin_tx(self.node);
+        let value = match op(&mut self.cluster, tx) {
+            Ok(value) => value,
+            Err(e) => {
+                let _ = self.cluster.rollback(tx);
+                return WebResponse::BusinessResult(Err(e));
+            }
+        };
+        if let Err(e) = self.cluster.check_pending(tx) {
+            return WebResponse::BusinessResult(Err(e));
+        }
+        self.ask(Parked {
+            tx,
+            value,
+            answers: Vec::new(),
+            deadline: SimTime::ZERO,
+        })
     }
 
     /// Delivers the user's decision for a pending negotiation; returns
-    /// the business result or the next negotiation request. A stale or
-    /// duplicated decision (an unknown `negotiation_id`) is answered
-    /// with a failed business result.
+    /// the business result or the next negotiation request. A stale,
+    /// duplicated or expired decision (an unknown `negotiation_id`) is
+    /// answered with a failed business result.
     pub fn decide(&mut self, negotiation_id: u64, decision: WebDecision) -> WebResponse {
-        let Some(session) = self.pending.remove(&negotiation_id) else {
-            return unknown_negotiation(negotiation_id);
+        self.expire();
+        let Some(mut parked) = self.pending.remove(&negotiation_id) else {
+            return WebResponse::BusinessResult(Err(dedisys_types::Error::Config(format!(
+                "unknown negotiation id {negotiation_id}"
+            ))));
         };
-        // The decision request resumes the parked worker…
-        let _ = session.decision_tx.send(decision);
-        // …and its response carries the business result (or the next
-        // negotiation request).
-        let (decision_tx, _unused_rx) = sync_channel::<WebDecision>(1);
-        drop(_unused_rx);
-        let PendingSession { inbox, .. } = session;
-        self.wait_for_worker(inbox, decision_tx)
-    }
-
-    /// Abandons a pending negotiation without ever delivering a
-    /// decision — the request/response analogue of the user closing
-    /// the browser. Dropping the decision channel resumes the parked
-    /// worker deterministically (its receive fails with a disconnect
-    /// instead of expiring a wall-clock timeout), the threat is
-    /// rejected, and the returned response carries the failed
-    /// business result. An unknown `negotiation_id` is answered as in
-    /// [`WebGateway::decide`].
-    pub fn abandon(&mut self, negotiation_id: u64) -> WebResponse {
-        let Some(session) = self.pending.remove(&negotiation_id) else {
-            return unknown_negotiation(negotiation_id);
-        };
-        let PendingSession { decision_tx, inbox } = session;
-        drop(decision_tx);
-        let (next_decision_tx, _unused_rx) = sync_channel::<WebDecision>(1);
-        drop(_unused_rx);
-        self.wait_for_worker(inbox, next_decision_tx)
-    }
-
-    fn wait_for_worker(
-        &mut self,
-        inbox: Receiver<WorkerMsg>,
-        decision_tx: SyncSender<WebDecision>,
-    ) -> WebResponse {
-        match inbox.recv_timeout(NEGOTIATION_TIMEOUT.saturating_mul(4)) {
-            Ok(WorkerMsg::Done(result)) => WebResponse::BusinessResult(result),
-            Ok(WorkerMsg::Threat(threat)) => {
-                let id = self.next_id;
-                self.next_id += 1;
-                self.pending
-                    .insert(id, PendingSession { decision_tx, inbox });
-                WebResponse::NegotiationRequired {
-                    negotiation_id: id,
-                    threat,
-                }
-            }
-            Err(RecvTimeoutError::Timeout | RecvTimeoutError::Disconnected) => {
-                WebResponse::BusinessResult(Err(dedisys_types::Error::Config(
-                    "web worker did not respond".into(),
-                )))
-            }
+        if decision.accept {
+            parked.answers.push(ThreatDecision::Accept);
+            self.ask(parked)
+        } else {
+            parked.answers.push(ThreatDecision::Reject);
+            WebResponse::BusinessResult(self.commit(parked))
         }
     }
-}
 
-/// The answer to a decision request naming no pending negotiation.
-fn unknown_negotiation(negotiation_id: u64) -> WebResponse {
-    WebResponse::BusinessResult(Err(dedisys_types::Error::Config(format!(
-        "unknown negotiation id {negotiation_id}"
-    ))))
+    /// Shows the user the first deferred threat of `parked` that the
+    /// commit will put to its handler and that has no answer yet. With
+    /// none left, or a non-tradeable threat first (rejected without
+    /// asking), it commits now.
+    fn ask(&mut self, mut parked: Parked) -> WebResponse {
+        let next = self
+            .cluster
+            .deferred_threats(parked.tx)
+            .iter()
+            .map_while(DeferredThreat::askable)
+            .nth(parked.answers.len())
+            .cloned();
+        let Some(threat) = next else {
+            return WebResponse::BusinessResult(self.commit(parked));
+        };
+        let negotiation_id = self.next_id;
+        self.next_id += 1;
+        parked.deadline = self.cluster.now() + NEGOTIATION_TIMEOUT;
+        self.pending.insert(negotiation_id, parked);
+        WebResponse::NegotiationRequired {
+            negotiation_id,
+            threat,
+        }
+    }
+
+    /// Commits `parked` under a handler that replays the user's answers.
+    fn commit(&mut self, parked: Parked) -> Result<Value> {
+        let Parked {
+            tx, value, answers, ..
+        } = parked;
+        let mut answers = answers.into_iter();
+        let replay =
+            move |_: &mut ConsistencyThreat| answers.next().unwrap_or(ThreatDecision::Reject);
+        self.cluster
+            .register_negotiation_handler(tx, Box::new(replay))?;
+        self.cluster.commit(tx).map(|()| value)
+    }
+
+    /// Rejects each question past its deadline, in id order: its user
+    /// never answered.
+    fn expire(&mut self) {
+        let now = self.cluster.now();
+        let (expired, live): (BTreeMap<_, _>, _) = std::mem::take(&mut self.pending)
+            .into_iter()
+            .partition(|(_, parked)| parked.deadline <= now);
+        self.pending = live;
+        for mut parked in expired.into_values() {
+            parked.answers.push(ThreatDecision::Reject);
+            let _ = self.commit(parked);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -235,8 +220,8 @@ mod tests {
         expr::ExprConstraint, ConstraintMeta, ContextPreparation, RegisteredConstraint,
     };
     use dedisys_object::{AppDescriptor, ClassDescriptor, EntityState};
-    use dedisys_types::{ObjectId, SatisfactionDegree};
-    use std::sync::Arc as StdArc;
+    use dedisys_types::{Error, ObjectId, SatisfactionDegree};
+    use std::sync::Arc;
 
     fn gateway() -> (WebGateway, ObjectId) {
         let app = AppDescriptor::new("booking").with_class(
@@ -246,7 +231,7 @@ mod tests {
         );
         let ticket = RegisteredConstraint::new(
             ConstraintMeta::new("Ticket").tradeable(SatisfactionDegree::PossiblySatisfied),
-            StdArc::new(ExprConstraint::parse("self.sold <= self.seats").unwrap()),
+            Arc::new(ExprConstraint::parse("self.sold <= self.seats").unwrap()),
         )
         .context_class("Flight")
         .affects("Flight", "setSold", ContextPreparation::CalledObject);
@@ -263,14 +248,43 @@ mod tests {
                 c.set_field(node, tx, &flight, "sold", Value::Int(70))
             })
             .unwrap();
-        (WebGateway::new(Arc::new(Mutex::new(cluster)), node), flight)
+        (WebGateway::new(cluster, node), flight)
+    }
+
+    /// A degraded gateway whose first request, a sale, is parked on
+    /// its threat; returns the negotiation id.
+    fn parked_sale() -> (WebGateway, ObjectId, u64) {
+        let (mut gw, flight) = gateway();
+        gw.cluster_mut().partition(&[nodes![0], nodes![1]]).unwrap();
+        let f = flight.clone();
+        let response = gw.submit(move |c, tx| {
+            c.set_field(NodeId(0), tx, &f, "sold", Value::Int(71))
+                .map(|()| Value::Null)
+        });
+        match response {
+            WebResponse::NegotiationRequired {
+                negotiation_id,
+                threat,
+            } => {
+                assert_eq!(threat.constraint.as_str(), "Ticket");
+                (gw, flight, negotiation_id)
+            }
+            other => panic!("expected negotiation, got {other:?}"),
+        }
+    }
+
+    fn sold(gw: &WebGateway, flight: &ObjectId) -> Value {
+        gw.cluster()
+            .entity_on(NodeId(0), flight)
+            .unwrap()
+            .field("sold")
+            .clone()
     }
 
     #[test]
     fn healthy_request_returns_business_result_directly() {
         let (mut gw, flight) = gateway();
-        let f = flight.clone();
-        let response = gw.submit(move |c, tx| c.get_field(NodeId(0), tx, &f, "sold"));
+        let response = gw.submit(|c, tx| c.get_field(NodeId(0), tx, &flight, "sold"));
         match response {
             WebResponse::BusinessResult(Ok(v)) => assert_eq!(v, Value::Int(70)),
             other => panic!("unexpected response: {other:?}"),
@@ -279,131 +293,83 @@ mod tests {
 
     #[test]
     fn degraded_write_ships_negotiation_over_the_response() {
-        let (mut gw, flight) = gateway();
-        gw.cluster()
-            .lock()
-            .unwrap()
-            .partition(&[nodes![0], nodes![1]])
-            .unwrap();
-        let f = flight.clone();
-        let response = gw.submit(move |c, tx| {
-            c.set_field(NodeId(0), tx, &f, "sold", Value::Int(71))
-                .map(|()| Value::Null)
-        });
-        let (id, threat) = match response {
-            WebResponse::NegotiationRequired {
-                negotiation_id,
-                threat,
-            } => (negotiation_id, threat),
-            other => panic!("expected negotiation, got {other:?}"),
-        };
-        assert_eq!(threat.constraint.as_str(), "Ticket");
+        let (mut gw, flight, id) = parked_sale();
+        assert_eq!(gw.cluster().threats().len(), 0, "nothing stored yet");
         // The decision request's response carries the business result.
         let response = gw.decide(id, WebDecision { accept: true });
         match response {
             WebResponse::BusinessResult(Ok(_)) => {}
             other => panic!("expected business result, got {other:?}"),
         }
-        let cluster = gw.cluster();
-        let cluster = cluster.lock().unwrap();
-        assert_eq!(cluster.threats().len(), 1, "accepted threat persisted");
+        assert_eq!(gw.cluster().threats().len(), 1, "accepted threat persisted");
+        assert_eq!(sold(&gw, &flight), Value::Int(71));
     }
 
     #[test]
     fn rejected_decision_aborts_the_business_operation() {
-        let (mut gw, flight) = gateway();
-        gw.cluster()
-            .lock()
-            .unwrap()
-            .partition(&[nodes![0], nodes![1]])
-            .unwrap();
-        let f = flight.clone();
-        let response = gw.submit(move |c, tx| {
-            c.set_field(NodeId(0), tx, &f, "sold", Value::Int(71))
-                .map(|()| Value::Null)
-        });
-        let id = match response {
-            WebResponse::NegotiationRequired { negotiation_id, .. } => negotiation_id,
-            other => panic!("expected negotiation, got {other:?}"),
-        };
+        let (mut gw, flight, id) = parked_sale();
         let response = gw.decide(id, WebDecision { accept: false });
         match response {
             WebResponse::BusinessResult(Err(e)) => {
-                assert!(matches!(e, dedisys_types::Error::ThreatRejected { .. }));
+                assert!(matches!(e, Error::ThreatRejected { .. }));
             }
             other => panic!("expected rejected result, got {other:?}"),
         }
-        let cluster = gw.cluster();
-        let cluster = cluster.lock().unwrap();
-        assert_eq!(
-            cluster.entity_on(NodeId(0), &flight).unwrap().field("sold"),
-            &Value::Int(70),
-            "write rolled back"
-        );
+        assert_eq!(sold(&gw, &flight), Value::Int(70), "write rolled back");
+        assert_eq!(gw.cluster().stats().ccm.threats_rejected, 1);
     }
 
     #[test]
-    fn abandoned_negotiation_rejects_without_wall_clock_waits() {
-        let (mut gw, flight) = gateway();
-        gw.cluster()
-            .lock()
-            .unwrap()
-            .partition(&[nodes![0], nodes![1]])
-            .unwrap();
+    fn unanswered_negotiation_expires_on_virtual_time() {
+        let (mut gw, flight, id) = parked_sale();
+        // The user leaves: nothing arrives, and the virtual clock runs
+        // past the deadline. The next request finds the question
+        // expired, rejects its threat and frees the lock.
+        gw.cluster().clock().advance(NEGOTIATION_TIMEOUT);
         let f = flight.clone();
         let response = gw.submit(move |c, tx| {
-            c.set_field(NodeId(0), tx, &f, "sold", Value::Int(71))
+            c.set_field(NodeId(0), tx, &f, "sold", Value::Int(72))
                 .map(|()| Value::Null)
         });
-        let id = match response {
+        let next = match response {
             WebResponse::NegotiationRequired { negotiation_id, .. } => negotiation_id,
-            other => panic!("expected negotiation, got {other:?}"),
+            other => panic!("expected the lock free and a new negotiation, got {other:?}"),
         };
-        // Never answer: dropping the decision channel resumes the
-        // parked worker via a channel disconnect — deterministic, no
-        // wall-clock sleep racing the worker's timeout.
-        let response = gw.abandon(id);
-        match response {
-            WebResponse::BusinessResult(Err(e)) => {
-                assert!(matches!(e, dedisys_types::Error::ThreatRejected { .. }));
+        assert_eq!(gw.cluster().stats().ccm.threats_rejected, 1);
+        assert_eq!(
+            sold(&gw, &flight),
+            Value::Int(70),
+            "expired write rolled back"
+        );
+        match gw.decide(id, WebDecision { accept: true }) {
+            WebResponse::BusinessResult(Err(Error::Config(msg))) => {
+                assert!(msg.contains("unknown negotiation id"), "{msg}");
             }
-            other => panic!("expected rejection, got {other:?}"),
+            other => panic!("expected a typed error, got {other:?}"),
         }
+        assert!(matches!(
+            gw.decide(next, WebDecision { accept: true }),
+            WebResponse::BusinessResult(Ok(_))
+        ));
+        assert_eq!(sold(&gw, &flight), Value::Int(72));
     }
 
     #[test]
     fn stale_decisions_fail_typed_and_the_gateway_keeps_serving() {
-        let (mut gw, flight) = gateway();
-        gw.cluster()
-            .lock()
-            .unwrap()
-            .partition(&[nodes![0], nodes![1]])
-            .unwrap();
-        let f = flight.clone();
-        let response = gw.submit(move |c, tx| {
-            c.set_field(NodeId(0), tx, &f, "sold", Value::Int(71))
-                .map(|()| Value::Null)
-        });
-        let id = match response {
-            WebResponse::NegotiationRequired { negotiation_id, .. } => negotiation_id,
-            other => panic!("expected negotiation, got {other:?}"),
-        };
+        let (mut gw, flight, id) = parked_sale();
         let accept = WebDecision { accept: true };
         assert!(matches!(
             gw.decide(id, accept),
             WebResponse::BusinessResult(Ok(_))
         ));
-        // The duplicated decision request and a late abandon of the
-        // answered negotiation.
-        for stale in [gw.decide(id, accept), gw.abandon(id)] {
-            match stale {
-                WebResponse::BusinessResult(Err(dedisys_types::Error::Config(msg))) => {
-                    assert!(msg.contains("unknown negotiation id"), "{msg}");
-                }
-                other => panic!("expected a typed error, got {other:?}"),
+        // The duplicated decision request.
+        match gw.decide(id, accept) {
+            WebResponse::BusinessResult(Err(Error::Config(msg))) => {
+                assert!(msg.contains("unknown negotiation id"), "{msg}");
             }
+            other => panic!("expected a typed error, got {other:?}"),
         }
-        let response = gw.submit(move |c, tx| c.get_field(NodeId(0), tx, &flight, "sold"));
+        let response = gw.submit(|c, tx| c.get_field(NodeId(0), tx, &flight, "sold"));
         match response {
             WebResponse::BusinessResult(Ok(v)) => assert_eq!(v, Value::Int(71)),
             other => panic!("unexpected response: {other:?}"),

@@ -347,19 +347,19 @@ fn ccm_trace_and_counters_do_not_move() {
     assert_eq!(
         scenario(HistoryPolicy::IdenticalOnce),
         (
-            (49_567, 0x90d6_b31c_afbd_5ec8),
+            (49_567, 0x02e9_ac2e_23b4_2b9c),
             [72, 24, 16, 7, 7, 1],
             [1, 6, 11, 4, 7, 5, 5],
-            1_830_150_000
+            1_812_650_000
         )
     );
     assert_eq!(
         scenario(HistoryPolicy::FullHistory),
         (
-            (49_625, 0x7ba5_898e_1411_8c1f),
+            (49_625, 0x0735_3f09_c217_0dbd),
             [72, 24, 16, 7, 7, 1],
             [1, 6, 11, 4, 7, 5, 5],
-            2_154_650_000
+            2_137_150_000
         )
     );
 }

@@ -30,10 +30,10 @@ fn constraint() -> RegisteredConstraint {
     .affects("Counter", "setN", ContextPreparation::CalledObject)
 }
 
-fn degraded_cluster() -> (Cluster, ObjectId) {
+fn degraded_cluster(timing: NegotiationTiming) -> (Cluster, ObjectId) {
     let mut cluster = ClusterBuilder::new(2, app())
         .constraint(constraint())
-        .configure(|c| c.validation.negotiation_timing = NegotiationTiming::Deferred)
+        .configure(|c| c.validation.negotiation_timing = timing)
         .build()
         .unwrap();
     let id = ObjectId::new("Counter", "c1");
@@ -49,7 +49,7 @@ fn degraded_cluster() -> (Cluster, ObjectId) {
 
 #[test]
 fn operations_continue_and_threats_are_stored_at_commit() {
-    let (mut cluster, id) = degraded_cluster();
+    let (mut cluster, id) = degraded_cluster(NegotiationTiming::Deferred);
     let node = NodeId(0);
     let mut session = cluster.session(node);
     // Two threatened writes within one transaction: neither negotiates
@@ -70,7 +70,7 @@ fn operations_continue_and_threats_are_stored_at_commit() {
 
 #[test]
 fn rejection_at_commit_rolls_back_the_whole_transaction() {
-    let (mut cluster, id) = degraded_cluster();
+    let (mut cluster, id) = degraded_cluster(NegotiationTiming::Deferred);
     let node = NodeId(0);
     let mut session = cluster.session(node);
     session
@@ -89,7 +89,7 @@ fn rejection_at_commit_rolls_back_the_whole_transaction() {
 
 #[test]
 fn dynamic_handler_sees_every_deferred_threat() {
-    let (mut cluster, id) = degraded_cluster();
+    let (mut cluster, id) = degraded_cluster(NegotiationTiming::Deferred);
     let node = NodeId(0);
     let mut session = cluster.session(node);
     let seen = Arc::new(std::sync::atomic::AtomicUsize::new(0));
@@ -109,6 +109,28 @@ fn dynamic_handler_sees_every_deferred_threat() {
     assert_eq!(
         cluster.threats().threats()[0].app_data,
         Some(Value::from("deferred"))
+    );
+}
+
+/// A threat's negotiation is charged once, when the threat is
+/// detected, whatever the timing: a transaction whose one threat is
+/// accepted takes the same virtual time under both.
+#[test]
+fn an_accepted_threat_costs_the_same_under_both_timings() {
+    let elapsed = |timing| {
+        let (mut cluster, id) = degraded_cluster(timing);
+        let start = cluster.now();
+        cluster
+            .run_tx(NodeId(0), |c, tx| {
+                c.set_field(NodeId(0), tx, &id, "n", Value::Int(1))
+            })
+            .unwrap();
+        assert_eq!(cluster.threats().len(), 1, "{timing:?}");
+        cluster.now().since(start)
+    };
+    assert_eq!(
+        elapsed(NegotiationTiming::Immediate),
+        elapsed(NegotiationTiming::Deferred)
     );
 }
 

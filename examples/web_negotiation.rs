@@ -11,8 +11,7 @@
 use dedisys_apps::flight::{booking_cluster, create_flight};
 use dedisys_core::nodes;
 use dedisys_core::web::{WebDecision, WebGateway, WebResponse};
-use dedisys_types::{NodeId, Result, Value};
-use std::sync::{Arc, Mutex};
+use dedisys_types::{Error, NodeId, Result, Value};
 
 fn main() -> Result<()> {
     let mut cluster = booking_cluster(2)?;
@@ -20,7 +19,7 @@ fn main() -> Result<()> {
     cluster.partition(&[nodes![0], nodes![1]]).unwrap();
     println!("degraded flight-booking system; browser talks to node 0\n");
 
-    let mut gateway = WebGateway::new(Arc::new(Mutex::new(cluster)), NodeId(0));
+    let mut gateway = WebGateway::new(cluster, NodeId(0));
 
     // Browser: POST /buy?flight=LH-441&count=1
     println!("browser → POST /buy (1 ticket)");
@@ -34,10 +33,7 @@ fn main() -> Result<()> {
             negotiation_id,
             threat,
         } => (negotiation_id, threat),
-        WebResponse::BusinessResult(r) => {
-            println!("unexpected direct result: {r:?}");
-            return Ok(());
-        }
+        WebResponse::BusinessResult(r) => return Err(unexpected(r)),
     };
     println!(
         "server → 200 OK with negotiation form: constraint '{}' is {} — proceed?",
@@ -51,15 +47,19 @@ fn main() -> Result<()> {
         WebResponse::BusinessResult(Ok(total)) => {
             println!("server → 200 OK: ticket sold, {total} seats now taken");
         }
-        other => println!("server → {other:?}"),
+        other => return Err(unexpected(other)),
     }
 
     let cluster = gateway.cluster();
-    let cluster = cluster.lock().unwrap();
     println!(
         "\nserver state: sold={} threats stored={}",
         cluster.entity_on(NodeId(0), &flight).unwrap().field("sold"),
         cluster.threats().len()
     );
     Ok(())
+}
+
+/// A response the browser side did not expect: the example fails.
+fn unexpected(response: impl std::fmt::Debug) -> Error {
+    Error::Config(format!("unexpected response: {response:?}"))
 }
