@@ -35,6 +35,20 @@ mod overload_sweep;
 mod shard_sweep;
 mod table;
 
+// The Chapter 2 lab that `ch2` measures: the §2.3 reference
+// application, its 78 constraints, the scenario and the strategies.
+// Its files live under `ch2/`; the modules hang off the crate root,
+// private to it, so the lab's files name each other `crate::model` and
+// so on, and nothing outside the crate can reach them.
+#[path = "ch2/constraints_def.rs"]
+mod constraints_def;
+#[path = "ch2/model.rs"]
+mod model;
+#[path = "ch2/scenario.rs"]
+mod scenario;
+#[path = "ch2/strategies/mod.rs"]
+mod strategies;
+
 use dedisys_core::{Cluster, ClusterBuilder, JsonlExporter, Telemetry};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};

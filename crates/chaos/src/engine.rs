@@ -695,15 +695,6 @@ impl ChaosEngine {
         Ok(())
     }
 
-    fn live_nodes(&self) -> Vec<NodeId> {
-        let cluster = self.fed.shard(SHARD0);
-        cluster
-            .topology()
-            .nodes()
-            .filter(|n| !cluster.is_crashed(*n))
-            .collect()
-    }
-
     fn count_fault(&mut self, applied: bool) {
         if applied {
             self.faults_applied += 1;
@@ -716,7 +707,7 @@ impl ChaosEngine {
     /// sale, a created flight or alarm, a write (some of which violate
     /// on purpose) or a read.
     fn app_op(&mut self) -> Result<()> {
-        let live = self.live_nodes();
+        let live: Vec<NodeId> = self.fed.shard(SHARD0).live_nodes().collect();
         if live.is_empty() {
             return Err(Error::NodeCrashed(NodeId(0)));
         }
@@ -919,7 +910,7 @@ impl ChaosEngine {
             step: step_no,
             fault: label.clone(),
         });
-        let survivors = self.live_nodes().len() > 1;
+        let survivors = self.fed.shard(SHARD0).live_nodes().count() > 1;
         let cluster = self.fed.shard_mut(SHARD0);
         let applied = match step {
             // Never take down the last live node.

@@ -73,7 +73,7 @@ pub fn audit(cluster: &Cluster) -> Vec<Finding> {
         return findings;
     }
     let total = i64::from(cluster.weights().total());
-    let live = live_nodes(cluster);
+    let live: Vec<NodeId> = cluster.live_nodes().collect();
     let mut audited = BTreeSet::new();
     for &first in &live {
         if !audited.insert(first) {
@@ -172,7 +172,7 @@ fn note(
 /// committed view — after the final reconciliation there must be none.
 pub fn stale_threats(cluster: &Cluster) -> Vec<ThreatIdentity> {
     let total = i64::from(cluster.weights().total());
-    let nodes = live_nodes(cluster);
+    let nodes: Vec<NodeId> = cluster.live_nodes().collect();
     cluster
         .threats()
         .identities()
@@ -196,11 +196,6 @@ fn partition_members(cluster: &Cluster, live: &[NodeId], node: NodeId) -> Vec<No
     let partition = cluster.topology().partition_of(node);
     let others = live.iter().filter(|n| **n != node && partition.contains(n));
     std::iter::once(node).chain(others.copied()).collect()
-}
-
-fn live_nodes(cluster: &Cluster) -> Vec<NodeId> {
-    let nodes = cluster.topology().nodes();
-    nodes.filter(|n| !cluster.is_crashed(*n)).collect()
 }
 
 /// Evaluates `constraint` on `context` with the interpreter, as the

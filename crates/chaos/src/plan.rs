@@ -170,123 +170,152 @@ impl FaultPlan {
     /// least one node always survives. Every step is one the engine
     /// applies to a cluster without the detector pipeline.
     ///
-    /// Equal seeds yield equal plans within a release; a change to the
-    /// draw table below re-rolls every classic schedule once and is
-    /// recorded in `CHANGELOG.md`.
+    /// Equal seeds yield equal plans within a release; a change to its
+    /// draw table re-rolls every classic schedule once and is recorded
+    /// in `CHANGELOG.md`.
     pub fn random(seed: u64, nodes: u32, ops: u64, faults: usize) -> Self {
-        let mut rng = ChaosRng::new(seed);
-        let mut crashed: BTreeSet<NodeId> = BTreeSet::new();
-        let mut steps = Vec::with_capacity(faults);
-        let mut indices: Vec<u64> = (0..faults).map(|_| rng.below(ops.max(1))).collect();
-        indices.sort_unstable();
-        for at_op in indices {
-            let live: Vec<NodeId> = (0..nodes)
-                .map(NodeId)
-                .filter(|n| !crashed.contains(n))
-                .collect();
-            let step = match rng.below(100) {
-                // Crash a live node (keep at least one survivor).
-                0..=19 if live.len() > 1 => {
-                    let victim = *rng.pick(&live);
-                    crashed.insert(victim);
-                    FaultStep::Crash(victim)
-                }
-                // Restart a crashed node.
-                20..=37 if !crashed.is_empty() => {
-                    let back: Vec<NodeId> = crashed.iter().copied().collect();
-                    let node = *rng.pick(&back);
-                    crashed.remove(&node);
-                    FaultStep::Restart(node)
-                }
-                38..=52 if live.len() >= 2 => split(&mut rng, &live),
-                53..=64 => FaultStep::Heal,
-                // A lossy ship, then a slow one: the link faults a
-                // scripted (detector-less) cluster can feel.
-                65..=82 => FaultStep::WriteFaultWindow {
-                    node: NodeId(rng.below(u64::from(nodes)) as u32),
-                    failures: 1 + rng.below(5) as u32,
-                },
-                _ => FaultStep::ReplicaLag {
-                    node: NodeId(rng.below(u64::from(nodes)) as u32),
-                    updates: 1 + rng.below(3) as u32,
-                },
-            };
-            steps.push(PlannedFault { at_op, step });
-        }
-        Self { steps }
+        Self::generate(ChaosRng::new(seed), nodes, ops, faults, classic_draw)
     }
 
     /// Like [`FaultPlan::random`], but drawing from the full fault
     /// vocabulary of the adaptive failure-detection pipeline: link
     /// flaps, asymmetric loss, heartbeat jitter and torn journal
-    /// writes join the classic crash/partition mix. A separate
-    /// generator (and a perturbed seed stream), so a change to either
-    /// draw table leaves the other generator's plans byte-identical.
+    /// writes join the classic crash/partition mix. A separate draw
+    /// table (and a perturbed seed stream), so a change to either
+    /// table leaves the other generator's plans byte-identical.
     pub fn random_adaptive(seed: u64, nodes: u32, ops: u64, faults: usize) -> Self {
-        let mut rng = ChaosRng::new(seed ^ 0xADA7_71FE_0000_5EED);
+        Self::generate(
+            ChaosRng::new(seed ^ 0xADA7_71FE_0000_5EED),
+            nodes,
+            ops,
+            faults,
+            adaptive_draw,
+        )
+    }
+
+    /// The body both generators share: `faults` sorted op indices, then
+    /// one `draw` per index against the schedule so far. The crashed
+    /// set follows the drawn steps, so restarts target crashed nodes
+    /// and crashes live ones; the tables keep at least one survivor.
+    fn generate(
+        mut rng: ChaosRng,
+        nodes: u32,
+        ops: u64,
+        faults: usize,
+        draw: fn(&mut ChaosRng, &Schedule<'_>) -> FaultStep,
+    ) -> Self {
         let mut crashed: BTreeSet<NodeId> = BTreeSet::new();
         let mut steps = Vec::with_capacity(faults);
         let mut indices: Vec<u64> = (0..faults).map(|_| rng.below(ops.max(1))).collect();
         indices.sort_unstable();
         for at_op in indices {
-            let live: Vec<NodeId> = (0..nodes)
-                .map(NodeId)
-                .filter(|n| !crashed.contains(n))
-                .collect();
-            let step = match rng.below(100) {
-                // Crash a live node (keep at least one survivor).
-                0..=11 if live.len() > 1 => {
-                    let victim = *rng.pick(&live);
-                    crashed.insert(victim);
-                    FaultStep::Crash(victim)
+            let (down, live): (Vec<NodeId>, Vec<NodeId>) =
+                (0..nodes).map(NodeId).partition(|n| crashed.contains(n));
+            let step = draw(
+                &mut rng,
+                &Schedule {
+                    nodes,
+                    live: &live,
+                    crashed: &down,
+                },
+            );
+            match step {
+                FaultStep::Crash(node) | FaultStep::WalTornWrite { node } => {
+                    crashed.insert(node);
                 }
-                // Tear the journal tail, then crash (same survivor rule).
-                12..=19 if live.len() > 1 => {
-                    let victim = *rng.pick(&live);
-                    crashed.insert(victim);
-                    FaultStep::WalTornWrite { node: victim }
-                }
-                // Restart a crashed node.
-                20..=35 if !crashed.is_empty() => {
-                    let back: Vec<NodeId> = crashed.iter().copied().collect();
-                    let node = *rng.pick(&back);
+                FaultStep::Restart(node) => {
                     crashed.remove(&node);
-                    FaultStep::Restart(node)
                 }
-                // Flap a live node's links — the damping stressor.
-                36..=49 if live.len() > 1 => FaultStep::LinkFlap {
-                    node: *rng.pick(&live),
-                    flaps: 2 + rng.below(4) as u32,
-                    period_millis: 100 + rng.below(300),
-                },
-                // One-directional heartbeat loss between two live nodes.
-                50..=59 if live.len() > 1 => {
-                    let from = *rng.pick(&live);
-                    let rest: Vec<NodeId> = live.iter().copied().filter(|n| *n != from).collect();
-                    FaultStep::AsymmetricLoss {
-                        from,
-                        to: *rng.pick(&rest),
-                        per_mille: 200 + rng.below(700) as u16,
-                    }
-                }
-                // Raise (or clear, at 0) the standing heartbeat jitter.
-                60..=67 => FaultStep::LinkJitter {
-                    micros: rng.below(4) * 10_000,
-                },
-                68..=77 if live.len() >= 2 => split(&mut rng, &live),
-                78..=87 => FaultStep::Heal,
-                88..=93 => FaultStep::WriteFaultWindow {
-                    node: NodeId(rng.below(u64::from(nodes)) as u32),
-                    failures: 1 + rng.below(5) as u32,
-                },
-                _ => FaultStep::ReplicaLag {
-                    node: NodeId(rng.below(u64::from(nodes)) as u32),
-                    updates: 1 + rng.below(3) as u32,
-                },
-            };
+                _ => {}
+            }
             steps.push(PlannedFault { at_op, step });
         }
         Self { steps }
+    }
+}
+
+/// The schedule so far, as a draw table sees it.
+struct Schedule<'a> {
+    /// Cluster size.
+    nodes: u32,
+    /// Nodes the plan has not crashed, in id order.
+    live: &'a [NodeId],
+    /// Nodes the plan has crashed and not restarted, in id order.
+    crashed: &'a [NodeId],
+}
+
+impl Schedule<'_> {
+    /// Any node, crashed or not.
+    fn any_node(&self, rng: &mut ChaosRng) -> NodeId {
+        NodeId(rng.below(u64::from(self.nodes)) as u32)
+    }
+
+    fn write_fault_window(&self, rng: &mut ChaosRng) -> FaultStep {
+        FaultStep::WriteFaultWindow {
+            node: self.any_node(rng),
+            failures: 1 + rng.below(5) as u32,
+        }
+    }
+
+    fn replica_lag(&self, rng: &mut ChaosRng) -> FaultStep {
+        FaultStep::ReplicaLag {
+            node: self.any_node(rng),
+            updates: 1 + rng.below(3) as u32,
+        }
+    }
+}
+
+/// [`FaultPlan::random`]'s table.
+fn classic_draw(rng: &mut ChaosRng, s: &Schedule<'_>) -> FaultStep {
+    match rng.below(100) {
+        // Crash a live node (keep at least one survivor).
+        0..=19 if s.live.len() > 1 => FaultStep::Crash(*rng.pick(s.live)),
+        // Restart a crashed node.
+        20..=37 if !s.crashed.is_empty() => FaultStep::Restart(*rng.pick(s.crashed)),
+        38..=52 if s.live.len() >= 2 => split(rng, s.live),
+        53..=64 => FaultStep::Heal,
+        // A lossy ship, then a slow one: the link faults a scripted
+        // (detector-less) cluster can feel.
+        65..=82 => s.write_fault_window(rng),
+        _ => s.replica_lag(rng),
+    }
+}
+
+/// [`FaultPlan::random_adaptive`]'s table.
+fn adaptive_draw(rng: &mut ChaosRng, s: &Schedule<'_>) -> FaultStep {
+    match rng.below(100) {
+        // Crash a live node (keep at least one survivor).
+        0..=11 if s.live.len() > 1 => FaultStep::Crash(*rng.pick(s.live)),
+        // Tear the journal tail, then crash (same survivor rule).
+        12..=19 if s.live.len() > 1 => FaultStep::WalTornWrite {
+            node: *rng.pick(s.live),
+        },
+        // Restart a crashed node.
+        20..=35 if !s.crashed.is_empty() => FaultStep::Restart(*rng.pick(s.crashed)),
+        // Flap a live node's links — the damping stressor.
+        36..=49 if s.live.len() > 1 => FaultStep::LinkFlap {
+            node: *rng.pick(s.live),
+            flaps: 2 + rng.below(4) as u32,
+            period_millis: 100 + rng.below(300),
+        },
+        // One-directional heartbeat loss between two live nodes.
+        50..=59 if s.live.len() > 1 => {
+            let from = *rng.pick(s.live);
+            let rest: Vec<NodeId> = s.live.iter().copied().filter(|n| *n != from).collect();
+            FaultStep::AsymmetricLoss {
+                from,
+                to: *rng.pick(&rest),
+                per_mille: 200 + rng.below(700) as u16,
+            }
+        }
+        // Raise (or clear, at 0) the standing heartbeat jitter.
+        60..=67 => FaultStep::LinkJitter {
+            micros: rng.below(4) * 10_000,
+        },
+        68..=77 if s.live.len() >= 2 => split(rng, s.live),
+        78..=87 => FaultStep::Heal,
+        88..=93 => s.write_fault_window(rng),
+        _ => s.replica_lag(rng),
     }
 }
 
@@ -426,6 +455,29 @@ mod tests {
              143:partition(n3|n0,n1,n2) 148:link_flap(n2,3x355ms) 172:link_jitter(0us) \
              172:crash(n3) 180:wal_torn(n0) 181:heal 196:heal"
         );
+    }
+
+    #[test]
+    fn both_generators_crash_live_nodes_and_restart_crashed_ones() {
+        for seed in 0..50 {
+            for plan in [
+                FaultPlan::random(seed, 4, 200, 40),
+                FaultPlan::random_adaptive(seed, 4, 200, 40),
+            ] {
+                let mut crashed = BTreeSet::new();
+                for p in plan.steps() {
+                    match &p.step {
+                        FaultStep::Crash(node) | FaultStep::WalTornWrite { node } => {
+                            assert!(crashed.insert(*node), "seed {seed}: {node} crashed twice");
+                        }
+                        FaultStep::Restart(node) => {
+                            assert!(crashed.remove(node), "seed {seed}: {node} was up");
+                        }
+                        _ => {}
+                    }
+                }
+            }
+        }
     }
 
     #[test]

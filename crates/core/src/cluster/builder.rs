@@ -22,11 +22,10 @@ use std::collections::{BTreeSet, HashMap};
 
 /// Builder for [`Cluster`] (C-BUILDER).
 ///
-/// Behavioural knobs live in one typed [`ClusterConfig`] reached via
-/// [`ClusterBuilder::config`] / [`ClusterBuilder::configure`]; the
-/// remaining builder methods cover structure that is not
-/// configuration (nodes, application, methods, constraints, protocol,
-/// weights, cost model).
+/// Behavioural knobs live in one typed [`ClusterConfig`] edited through
+/// [`ClusterBuilder::configure`]; the remaining builder methods cover
+/// structure that is not configuration (nodes, application, methods,
+/// constraints, protocol, weights, cost model).
 pub struct ClusterBuilder {
     nodes: u32,
     protocol: ProtocolKind,
@@ -73,23 +72,8 @@ impl ClusterBuilder {
         }
     }
 
-    /// Mutable access to the typed configuration — the primary way to
-    /// set behavioural knobs:
-    ///
-    /// ```no_run
-    /// # use dedisys_core::ClusterBuilder;
-    /// # use dedisys_object::AppDescriptor;
-    /// let mut builder = ClusterBuilder::new(3, AppDescriptor::new("app"));
-    /// builder.config().validation.verdict_cache = true;
-    /// builder.config().plane.burst = 8;
-    /// let cluster = builder.build()?;
-    /// # Ok::<(), dedisys_types::Error>(())
-    /// ```
-    pub fn config(&mut self) -> &mut ClusterConfig {
-        &mut self.config
-    }
-
-    /// Chainable variant of [`ClusterBuilder::config`]:
+    /// Edits the typed configuration — the one way to set behavioural
+    /// knobs at build time:
     ///
     /// ```no_run
     /// # use dedisys_core::ClusterBuilder;
@@ -101,13 +85,6 @@ impl ClusterBuilder {
     /// ```
     pub fn configure(mut self, f: impl FnOnce(&mut ClusterConfig)) -> Self {
         f(&mut self.config);
-        self
-    }
-
-    /// Replaces the entire configuration (e.g. one prepared offline or
-    /// taken from another cluster via [`Cluster::config`]).
-    pub fn with_config(mut self, config: ClusterConfig) -> Self {
-        self.config = config;
         self
     }
 

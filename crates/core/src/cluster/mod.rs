@@ -271,8 +271,18 @@ impl Cluster {
         self.topology.node_count()
     }
 
-    /// The nodes that are up, in id order.
-    fn live_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
+    /// The nodes that are up (not crashed), in id order.
+    ///
+    /// ```
+    /// # use dedisys_core::ClusterBuilder;
+    /// # use dedisys_object::AppDescriptor;
+    /// # use dedisys_types::NodeId;
+    /// let mut cluster = ClusterBuilder::new(3, AppDescriptor::new("app")).build()?;
+    /// cluster.crash(NodeId(1))?;
+    /// assert!(cluster.live_nodes().eq([NodeId(0), NodeId(2)]));
+    /// # Ok::<(), dedisys_types::Error>(())
+    /// ```
+    pub fn live_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.topology
             .nodes()
             .filter(|node| !self.crashed.contains(node))

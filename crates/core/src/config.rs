@@ -13,7 +13,7 @@
 //! * [`PlaneConfig`] — the request plane's admission burst.
 //!
 //! Build-time configuration goes through
-//! [`ClusterBuilder::config`](crate::ClusterBuilder::config); runtime
+//! [`ClusterBuilder::configure`](crate::ClusterBuilder::configure); runtime
 //! deltas go through
 //! [`Cluster::reconfigure`](crate::Cluster::reconfigure), which applies
 //! every changed field atomically and emits one `reconfigure` trace

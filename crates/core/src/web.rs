@@ -355,6 +355,26 @@ mod tests {
     }
 
     #[test]
+    fn a_crash_behind_the_gateway_ends_the_parked_transaction() {
+        let (mut gw, flight, id) = parked_sale();
+        // An operator crashes the gateway's node while the sale waits:
+        // its transaction dies with the node's volatile state.
+        gw.cluster_mut().crash(NodeId(0)).unwrap();
+        match gw.decide(id, WebDecision { accept: true }) {
+            WebResponse::BusinessResult(Err(Error::NoSuchTransaction(_))) => {}
+            other => panic!("expected the transaction gone, got {other:?}"),
+        }
+        gw.cluster_mut().restart(NodeId(0)).unwrap();
+        gw.cluster_mut().heal();
+        assert_eq!(sold(&gw, &flight), Value::Int(70), "the sale never landed");
+        let response = gw.submit(|c, tx| c.get_field(NodeId(0), tx, &flight, "sold"));
+        match response {
+            WebResponse::BusinessResult(Ok(v)) => assert_eq!(v, Value::Int(70)),
+            other => panic!("unexpected response: {other:?}"),
+        }
+    }
+
+    #[test]
     fn stale_decisions_fail_typed_and_the_gateway_keeps_serving() {
         let (mut gw, flight, id) = parked_sale();
         let accept = WebDecision { accept: true };

@@ -41,13 +41,6 @@ fn item(key: u64) -> ObjectId {
     ObjectId::new("Item", format!("k{key}"))
 }
 
-fn live(c: &Cluster) -> Vec<NodeId> {
-    (0..NODES)
-        .map(NodeId)
-        .filter(|n| !c.is_crashed(*n))
-        .collect()
-}
-
 /// What `node`'s journal alone says its committed state is: the last
 /// operation per key over the intact prefix, decoded from the record.
 fn replay_journal(c: &Cluster, node: NodeId) -> BTreeMap<ObjectId, EntityState> {
@@ -114,7 +107,7 @@ fn run_schedule(seed: u64) {
         .expect("cluster builds");
     let mut acknowledged = 0u32;
     for step in 0..STEPS {
-        let nodes = live(&c);
+        let nodes: Vec<NodeId> = c.live_nodes().collect();
         let via = nodes[rng.below(nodes.len() as u64) as usize];
         let id = item(rng.below(KEYS));
         match rng.below(100) {

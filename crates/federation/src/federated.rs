@@ -97,12 +97,6 @@ struct OpenXTx {
     participants: Vec<(ShardId, TxId)>,
 }
 
-/// The first node of `cluster` that is up — where a shard-level
-/// operation executes.
-fn first_live_node(cluster: &Cluster) -> Option<NodeId> {
-    cluster.topology().nodes().find(|n| !cluster.is_crashed(*n))
-}
-
 /// The error every operation on a shard without a live node returns.
 fn every_node_crashed(shard: ShardId) -> Error {
     Error::Config(format!("{shard}: every node crashed"))
@@ -314,7 +308,7 @@ impl FederatedCluster {
     /// The node a shard-level operation executes on: the shard's first
     /// live node.
     pub fn coordinator_node(&self, shard: ShardId) -> Option<NodeId> {
-        first_live_node(&self.shards[shard.index()])
+        self.shards[shard.index()].live_nodes().next()
     }
 
     /// [`FederatedCluster::coordinator_node`], or the error every
@@ -476,7 +470,10 @@ impl FederatedCluster {
         let tx = match x.participants.binary_search_by_key(&shard, |&(s, _)| s) {
             Ok(at) => x.participants[at].1,
             Err(at) => {
-                let node = first_live_node(cluster).ok_or_else(|| every_node_crashed(shard))?;
+                let node = cluster
+                    .live_nodes()
+                    .next()
+                    .ok_or_else(|| every_node_crashed(shard))?;
                 let tx = cluster.session(node).detach();
                 x.participants.insert(at, (shard, tx));
                 tx

@@ -3,13 +3,11 @@
 //! the running cluster (and, where a subsystem is wired from it at
 //! build time, the value read back from that subsystem), runtime
 //! deltas applied via [`Cluster::reconfigure`] land atomically with one
-//! `reconfigure` event, and the two typed builder spellings
-//! (`with_config` and `configure`) are behaviourally identical —
-//! byte-identical traces on the same workload.
+//! `reconfigure` event.
 
 use dedisys_core::{
-    nodes, Cluster, ClusterBuilder, ClusterConfig, ConstraintEngine, DetectorKind, HistoryPolicy,
-    JsonlExporter, NegotiationTiming, ProtocolKind, ReconcileStrategy, RingRecorder, SharedBuf,
+    Cluster, ClusterBuilder, ClusterConfig, ConstraintEngine, DetectorKind, HistoryPolicy,
+    NegotiationTiming, ProtocolKind, ReconcileStrategy, RingRecorder,
 };
 use dedisys_object::{AppDescriptor, ClassDescriptor, EntityState};
 use dedisys_types::{ChaosRng, Error, NodeId, ObjectId, SatisfactionDegree, SimDuration, Value};
@@ -78,15 +76,26 @@ fn assert_observed_matches(case: &str, cluster: &Cluster, expected: &ClusterConf
     );
 }
 
+/// An in-place edit of the builder's config.
+fn edit(config: &mut ClusterConfig) {
+    config.validation.engine = ConstraintEngine::Compiled;
+    config.validation.verdict_cache = true;
+    config.validation.negotiation_timing = NegotiationTiming::Deferred;
+    config.validation.app_default_min_degree = SatisfactionDegree::PossiblySatisfied;
+    config.durability.threat_policy = HistoryPolicy::FullHistory;
+    config.durability.reconcile_strategy = ReconcileStrategy::FullScan;
+}
+
 /// Any typed config given to the builder is the config observed on
 /// the running cluster, including after a committed operation — over
-/// 32 seeded configurations.
+/// 32 seeded configurations, and a config edited in place under the
+/// primary-partition protocol.
 #[test]
 fn config_round_trips_from_builder_to_running_cluster() {
     for seed in 0..32 {
         let config = config_of(&mut ChaosRng::new(seed));
         let mut cluster = ClusterBuilder::new(3, app())
-            .with_config(config)
+            .configure(|c| *c = config)
             .build()
             .unwrap_or_else(|e| panic!("seed {seed}: build: {e}"));
         // Exercise the cluster so "observed" means a *running* system,
@@ -99,6 +108,14 @@ fn config_round_trips_from_builder_to_running_cluster() {
             .unwrap_or_else(|e| panic!("seed {seed}: seed write: {e}"));
         assert_observed_matches(&format!("seed {seed}"), &cluster, &config);
     }
+    let edited = ClusterBuilder::new(3, app())
+        .protocol(ProtocolKind::PrimaryPartition)
+        .configure(edit)
+        .build()
+        .expect("configure build");
+    let mut expected = ClusterConfig::default();
+    edit(&mut expected);
+    assert_observed_matches("configure", &edited, &expected);
 }
 
 /// Runtime deltas via `reconfigure` land in the live subsystems,
@@ -177,105 +194,4 @@ fn reconfigure_refuses_build_time_fields_atomically() {
         .expect_err("membership.seed is build-time only");
     assert!(matches!(err, Error::Config(_)));
     assert_eq!(*cluster.config(), before, "rejected delta applies nothing");
-}
-
-/// The knob set both builder spellings below configure.
-fn exercised(config: &mut ClusterConfig) {
-    config.validation.engine = ConstraintEngine::Compiled;
-    config.validation.verdict_cache = true;
-    config.validation.negotiation_timing = NegotiationTiming::Deferred;
-    config.validation.app_default_min_degree = SatisfactionDegree::PossiblySatisfied;
-    config.durability.threat_policy = HistoryPolicy::FullHistory;
-    config.durability.reconcile_strategy = ReconcileStrategy::FullScan;
-}
-
-/// Spelling one: hand the builder a ready-made config value.
-fn valued_builder() -> ClusterBuilder {
-    let mut config = ClusterConfig::default();
-    exercised(&mut config);
-    ClusterBuilder::new(3, app())
-        .protocol(ProtocolKind::PrimaryPartition)
-        .with_config(config)
-}
-
-/// Spelling two: mutate the builder's config in place.
-fn mutated_builder() -> ClusterBuilder {
-    ClusterBuilder::new(3, app())
-        .protocol(ProtocolKind::PrimaryPartition)
-        .configure(exercised)
-}
-
-#[test]
-fn both_typed_spellings_build_the_identical_config() {
-    let valued = valued_builder().build().expect("with_config build");
-    let mutated = mutated_builder().build().expect("configure build");
-    assert_eq!(valued.config(), mutated.config());
-    let mut expected = ClusterConfig::default();
-    exercised(&mut expected);
-    assert_observed_matches("with_config", &valued, &expected);
-    assert_observed_matches("configure", &mutated, &expected);
-}
-
-/// One mixed workload — committed writes on both sides of a
-/// partition/heal cycle, including a write refused outside the primary
-/// partition — against a traced cluster built by `make`. Returns the
-/// raw JSONL bytes plus the serde-independent `(seq, at, kind)` stream.
-fn traced_workload(make: fn() -> ClusterBuilder) -> (Vec<u8>, Vec<(u64, u64, &'static str)>) {
-    let buf = SharedBuf::default();
-    let mut cluster = make().build().expect("build");
-    cluster
-        .telemetry()
-        .attach(Box::new(JsonlExporter::new(Box::new(buf.clone()))));
-    let ring = RingRecorder::new(8192);
-    cluster.telemetry().attach(Box::new(ring.clone()));
-    for i in 0..3 {
-        let id = ObjectId::new("Item", format!("i{i}"));
-        cluster
-            .run_tx(NodeId(0), move |c, tx| {
-                c.create(NodeId(0), tx, EntityState::for_class(c.app(), &id)?)
-            })
-            .expect("seed item");
-    }
-    for round in 0i64..6 {
-        let node = NodeId((round % 3) as u32);
-        let id = ObjectId::new("Item", format!("i{}", round % 3));
-        let mut session = cluster.session(node);
-        let write = session
-            .set_field(&id, "v", Value::Int(round))
-            .and_then(|()| session.commit());
-        // Round 2 hits node 2 while it is alone, outside the primary
-        // partition; both spellings must refuse identically.
-        assert_eq!(write.is_err(), round == 2, "round {round}");
-        if round == 1 {
-            cluster
-                .partition(&[nodes![0, 1], nodes![2]])
-                .expect("split");
-        }
-        if round == 3 {
-            cluster.heal();
-        }
-        cluster.clock().advance(SimDuration::from_millis(20));
-    }
-    let stream: Vec<(u64, u64, &'static str)> = ring
-        .records()
-        .iter()
-        .map(|r| (r.seq, r.at.as_nanos(), r.event.kind()))
-        .collect();
-    drop(cluster);
-    (buf.bytes(), stream)
-}
-
-#[test]
-fn both_typed_spellings_trace_byte_identically() {
-    let (valued_bytes, valued_stream) = traced_workload(valued_builder);
-    let (mutated_bytes, mutated_stream) = traced_workload(mutated_builder);
-    assert!(!valued_bytes.is_empty());
-    assert_eq!(
-        valued_bytes, mutated_bytes,
-        "with_config- and configure-built clusters must write identical JSONL"
-    );
-    assert_eq!(
-        valued_stream, mutated_stream,
-        "with_config- and configure-built clusters must emit identical events"
-    );
 }
