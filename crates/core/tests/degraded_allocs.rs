@@ -175,7 +175,7 @@ fn degraded_mode_allocates_only_what_reconciliation_reads() {
 
     // A degraded write that stores a new threat allocates 10 times,
     // every block kept until reconciliation reads it or later:
-    //  - the copy-on-write clone of the account (its B-tree leaf),
+    //  - the copy-on-write clone of the account (its field list),
     //    which the commit keeps as the new state;
     //  - the threat's affected set, `{account}`;
     //  - the threat's journal key and its record, each an `Arc<str>`

@@ -181,7 +181,7 @@ fn a_checked_call_allocates_only_what_it_keeps() {
     assert_eq!(cluster.stats().ccm.validations, 2 * ROUNDS as u64 * 5);
 
     // The call allocates once: the copy-on-write clone of the booking,
-    // its B-tree leaf only (the field names are the class's), which
+    // its field list only (the field names are the class's), which
     // the commit keeps as the new state. The transaction's record
     // (`TxInfo`, with the nodes it touched) and its write buffer are
     // spares of the transactions before; five checks gather nothing of

@@ -1,7 +1,7 @@
 //! A write allocates only what it keeps: the routed replicated write
 //! and the cross-shard 2PC path build no scratch set, vector or unused
-//! error text, an entity's copy shares its field names with its class,
-//! and a commit encodes its record into the container's buffer.
+//! error text, an entity's copy is exactly its fields and shares their
+//! names with its class, and a commit encodes its record into the container's buffer.
 //!
 //! A test binary of its own, because it installs a counting global
 //! allocator (the idiom of `crates/telemetry/tests/emit_allocs.rs`).
@@ -11,17 +11,36 @@ use dedisys_constraints::{
 };
 use dedisys_federation::{FederatedCluster, ShardId};
 use dedisys_object::{AppDescriptor, ClassDescriptor};
-use dedisys_types::{ObjectId, PriorityClass, Value};
+use dedisys_types::{FieldName, ObjectId, PriorityClass, Value};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
 thread_local! {
-    /// Allocations made by this thread (the harness has others).
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Allocations made by this thread (the harness has others), and
+    /// the bytes they asked for.
+    static PAID: Cell<Paid> = const { Cell::new(Paid { allocations: 0, bytes: 0 }) };
 }
 
-/// The system allocator, counting calls that hand out memory.
+/// What a stretch of code allocated: the calls that handed out memory
+/// and the bytes requested by them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
+struct Paid {
+    allocations: u64,
+    bytes: u64,
+}
+
+fn pay(bytes: usize) {
+    PAID.with(|paid| {
+        let mut sum = paid.get();
+        sum.allocations += 1;
+        sum.bytes += bytes as u64;
+        paid.set(sum);
+    });
+}
+
+/// The system allocator, counting calls that hand out memory and the
+/// bytes they ask for.
 struct Counting;
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
@@ -30,7 +49,7 @@ struct Counting;
 // touching it neither allocates nor reads the memory handed out.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        pay(layout.size());
         // SAFETY: the caller's obligations for `alloc` are passed on.
         unsafe { System.alloc(layout) }
     }
@@ -42,7 +61,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        pay(new_size);
         // SAFETY: `ptr`/`layout` describe a live block of this
         // allocator and `new_size` is valid, as the caller guarantees.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -52,24 +71,28 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-fn allocations(f: impl FnOnce()) -> u64 {
-    let before = ALLOCATIONS.with(Cell::get);
+fn paid(f: impl FnOnce()) -> Paid {
+    let before = PAID.with(Cell::get);
     f();
-    ALLOCATIONS.with(Cell::get) - before
+    let after = PAID.with(Cell::get);
+    Paid {
+        allocations: after.allocations - before.allocations,
+        bytes: after.bytes - before.bytes,
+    }
 }
 
 /// What most of `rounds` runs of `op` allocate, and none allocates
 /// less: the operation's own allocations. The amortized growth of the
 /// tables that keep its results (the journals) lands on a run now and
 /// then.
-fn per_op(rounds: usize, mut op: impl FnMut(usize)) -> u64 {
-    let mut counts = vec![0; rounds];
-    for (round, count) in counts.iter_mut().enumerate() {
-        *count = allocations(|| op(round));
+fn per_op(rounds: usize, mut op: impl FnMut(usize)) -> Paid {
+    let mut paid_by_round = vec![Paid::default(); rounds];
+    for (round, paid_here) in paid_by_round.iter_mut().enumerate() {
+        *paid_here = paid(|| op(round));
     }
-    let least = *counts.iter().min().expect("at least one round");
-    let paying_least = counts.iter().filter(|&&n| n == least).count();
-    assert!(2 * paying_least > rounds, "{counts:?}");
+    let least = *paid_by_round.iter().min().expect("at least one round");
+    let paying_least = paid_by_round.iter().filter(|&&p| p == least).count();
+    assert!(2 * paying_least > rounds, "{paid_by_round:?}");
     least
 }
 
@@ -147,14 +170,16 @@ fn a_write_allocates_only_what_it_keeps() {
     }
 
     // A staged write allocates once: the copy-on-write clone of the
-    // account, its B-tree leaf only (the field names are the class's),
-    // which a commit keeps as the new state. `set_field`'s argument
+    // account, its field list only (the field names are the class's),
+    // which a commit keeps as the new state. The list is exactly the
+    // account's two fields. `set_field`'s argument
     // list, the transaction's record (`TxInfo`, with the nodes it
     // touched) and its write buffer are reused from the transactions
     // before, and the `Floor` check gathers into the cluster's reused
     // buffer (`crates/core/tests/invoke_allocs.rs` pins a whole checked
     // call).
     const STAGED: u64 = 1;
+    const STAGED_BYTES: u64 = 2 * std::mem::size_of::<(FieldName, Value)>() as u64;
     // Committing it adds 2, both kept by the replicas: the record as
     // the `Arc<str>` every journal shares, encoded into the container's
     // buffer first, and the `Arc` of the state. The ship returns a
@@ -164,7 +189,7 @@ fn a_write_allocates_only_what_it_keeps() {
     // (a) One routed `set_field` + commit, plus the plane's boxed
     // request.
     let routed = per_op(ROUNDS, |round| write(&mut fed, &a, 100 + round as i64));
-    assert_eq!(routed, 1 + COMMITTED, "one routed write");
+    assert_eq!(routed.allocations, 1 + COMMITTED, "one routed write");
 
     // The federation keeps no outcome, and staging reuses the
     // participant list of the transaction before: begin, prepare,
@@ -175,7 +200,11 @@ fn a_write_allocates_only_what_it_keeps() {
         let xtx = stage(&mut fed, &a, &b, round);
         fed.xshard_commit(xtx).unwrap();
     });
-    assert_eq!(committed, 2 * COMMITTED, "one committed transfer");
+    assert_eq!(
+        committed.allocations,
+        2 * COMMITTED,
+        "one committed transfer"
+    );
 
     // (c) The same transfer aborted after prepare: the staged writes
     // are dropped, so neither snapshot nor ship is paid.
@@ -183,7 +212,12 @@ fn a_write_allocates_only_what_it_keeps() {
         let xtx = stage(&mut fed, &a, &b, round);
         fed.xshard_abort(xtx).unwrap();
     });
-    assert_eq!(aborted, 2 * STAGED, "one aborted transfer");
+    assert_eq!(aborted.allocations, 2 * STAGED, "one aborted transfer");
+    assert_eq!(
+        aborted.bytes,
+        2 * STAGED_BYTES,
+        "one aborted transfer's bytes"
+    );
 
     assert_eq!(fed.stats().xshard_committed, 2 * ROUNDS as u64);
     assert_eq!(fed.stats().xshard_aborted, 2 * ROUNDS as u64);

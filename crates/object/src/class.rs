@@ -1,5 +1,6 @@
 //! Class and method descriptors — the deployment metadata.
 
+use crate::Fields;
 use dedisys_types::{ClassName, FieldName, MethodName, Value};
 use std::collections::BTreeMap;
 
@@ -54,7 +55,7 @@ pub struct ClassDescriptor {
     name: ClassName,
     /// Field → default value. The names are minted here once; every
     /// instance's state shares them.
-    fields: BTreeMap<FieldName, Value>,
+    fields: Fields,
     methods: Vec<MethodDescriptor>,
     /// Field → its `(set…, get…)` names, minted once at deploy time so
     /// a call through an accessor clones a handle instead of
@@ -67,28 +68,31 @@ impl ClassDescriptor {
     pub fn new(name: impl Into<ClassName>) -> Self {
         Self {
             name: name.into(),
-            fields: BTreeMap::new(),
+            fields: Fields::default(),
             methods: Vec::new(),
             accessors: BTreeMap::new(),
         }
     }
 
     /// Adds a field with its default value, generating `set`/`get`
-    /// accessors.
+    /// accessors. Declaring a field again replaces its default; its
+    /// accessors stay one pair.
     pub fn with_field(mut self, field: impl Into<String>, default: Value) -> Self {
         let field = FieldName::from(field.into());
-        let cap = capitalize(field.as_str());
-        let setter = MethodName::from(format!("set{cap}"));
-        let getter = MethodName::from(format!("get{cap}"));
-        self.methods.push(MethodDescriptor::with_kind(
-            setter.clone(),
-            MethodKind::Write,
-        ));
-        self.methods.push(MethodDescriptor::with_kind(
-            getter.clone(),
-            MethodKind::Read,
-        ));
-        self.accessors.insert(field.clone(), (setter, getter));
+        if !self.accessors.contains_key(&field) {
+            let cap = capitalize(field.as_str());
+            let setter = MethodName::from(format!("set{cap}"));
+            let getter = MethodName::from(format!("get{cap}"));
+            self.methods.push(MethodDescriptor::with_kind(
+                setter.clone(),
+                MethodKind::Write,
+            ));
+            self.methods.push(MethodDescriptor::with_kind(
+                getter.clone(),
+                MethodKind::Read,
+            ));
+            self.accessors.insert(field.clone(), (setter, getter));
+        }
         self.fields.insert(field, default);
         self
     }
@@ -105,14 +109,15 @@ impl ClassDescriptor {
     }
 
     /// Default field values for new instances, keyed by the class's
-    /// own names (a clone shares them).
-    pub fn default_fields(&self) -> BTreeMap<FieldName, Value> {
+    /// own names (a clone shares them): one allocation of exactly the
+    /// declared fields.
+    pub fn default_fields(&self) -> Fields {
         self.fields.clone()
     }
 
     /// Declared field names in order.
     pub fn field_names(&self) -> impl Iterator<Item = &str> {
-        self.fields.keys().map(FieldName::as_str)
+        self.fields.iter().map(|(name, _)| name.as_str())
     }
 
     /// The name of the generated setter of `field` (`None` for an
@@ -207,7 +212,20 @@ mod tests {
         assert_eq!(class.setter("seats").unwrap().as_str(), "setSeats");
         assert_eq!(class.getter("seats").unwrap().as_str(), "getSeats");
         assert_eq!((class.setter("nope"), class.getter("Seats")), (None, None));
-        assert_eq!(class.default_fields()["seats"], Value::Int(0));
+        assert_eq!(class.default_fields().get("seats"), Some(&Value::Int(0)));
+    }
+
+    #[test]
+    fn a_redeclared_field_replaces_its_default_and_keeps_one_accessor_pair() {
+        let class = ClassDescriptor::new("Flight")
+            .with_field("seats", Value::Int(0))
+            .with_field("gate", Value::Null)
+            .with_field("seats", Value::Int(80));
+        let names: Vec<&str> = class.methods().iter().map(|m| m.name().as_str()).collect();
+        assert_eq!(names, ["setSeats", "getSeats", "setGate", "getGate"]);
+        assert_eq!(class.field_names().collect::<Vec<_>>(), ["gate", "seats"]);
+        assert_eq!(class.default_fields().get("seats"), Some(&Value::Int(80)));
+        assert_eq!(class.setter("seats").unwrap().as_str(), "setSeats");
     }
 
     #[test]

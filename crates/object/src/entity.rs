@@ -1,11 +1,10 @@
 //! Entity state records.
 
-use crate::AppDescriptor;
+use crate::{AppDescriptor, Fields};
 use dedisys_types::{
     Error, FieldName, ObjectId, Result, SimDuration, SimTime, Value, Version, VersionInfo,
 };
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// The attribute record of one entity replica.
 ///
@@ -17,7 +16,7 @@ use std::collections::BTreeMap;
 pub struct EntityState {
     id: ObjectId,
     /// Keyed by the class's own names, so a copy shares them.
-    fields: BTreeMap<FieldName, Value>,
+    fields: Fields,
     version: Version,
     /// Virtual time of the last applied update.
     last_update_at: SimTime,
@@ -28,7 +27,7 @@ pub struct EntityState {
 
 impl EntityState {
     /// Creates an entity with explicit initial fields.
-    pub fn new(id: ObjectId, fields: BTreeMap<FieldName, Value>) -> Self {
+    pub fn new(id: ObjectId, fields: Fields) -> Self {
         Self {
             id,
             fields,
@@ -63,7 +62,7 @@ impl EntityState {
     }
 
     /// All fields in name order.
-    pub fn fields(&self) -> &BTreeMap<FieldName, Value> {
+    pub fn fields(&self) -> &Fields {
         &self.fields
     }
 
@@ -130,7 +129,7 @@ mod tests {
     use super::*;
 
     fn entity() -> EntityState {
-        EntityState::new(ObjectId::new("Flight", "F1"), BTreeMap::new())
+        EntityState::new(ObjectId::new("Flight", "F1"), Fields::default())
     }
 
     #[test]
@@ -179,12 +178,47 @@ mod tests {
             r#"{"Ref":{"class":"Flight","key":"OS-1"}},"seats":{"Int":80}},"#,
             r#""version":2,"last_update_at":7,"expected_update_interval":10000000}"#
         );
-        let mut e = EntityState::new(ObjectId::new("Flight", "LH-\"441"), BTreeMap::new());
+        let mut e = EntityState::new(ObjectId::new("Flight", "LH-\"441"), Fields::default());
         e.set_field("seats", Value::Int(80), SimTime::from_nanos(5));
         let partner = Value::Ref(ObjectId::new("Flight", "OS-1"));
         e.set_field("partner", partner, SimTime::from_nanos(7));
         e.set_expected_update_interval(SimDuration::from_millis(10));
         assert_eq!(EntityState::from_json(RECORD).unwrap(), e);
         assert_eq!(e.to_json().unwrap(), RECORD);
+    }
+
+    /// A hand-edited record, its fields out of name order and one named
+    /// twice, reads as the `BTreeMap` of earlier builds read it: name
+    /// order, the last value of a repeated name. It writes back in name
+    /// order.
+    #[test]
+    fn a_record_with_unsorted_and_repeated_fields_decodes_as_before() {
+        const EDITED: &str = concat!(
+            r#"{"id":{"class":"Flight","key":"F1"},"fields":{"seats":{"Int":80},"#,
+            r#""gate":{"Str":"B7"},"seats":{"Int":90},"delayed":"Null"},"#,
+            r#""version":3,"last_update_at":9,"expected_update_interval":null}"#
+        );
+        let state = EntityState::from_json(EDITED).unwrap();
+        let fields: Vec<(&str, &Value)> = state
+            .fields()
+            .iter()
+            .map(|(name, value)| (name.as_str(), value))
+            .collect();
+        assert_eq!(
+            fields,
+            [
+                ("delayed", &Value::Null),
+                ("gate", &Value::Str("B7".into())),
+                ("seats", &Value::Int(90)),
+            ]
+        );
+        assert_eq!(
+            state.to_json().unwrap(),
+            concat!(
+                r#"{"id":{"class":"Flight","key":"F1"},"fields":{"delayed":"Null","#,
+                r#""gate":{"Str":"B7"},"seats":{"Int":90}},"#,
+                r#""version":3,"last_update_at":9,"expected_update_interval":null}"#
+            )
+        );
     }
 }

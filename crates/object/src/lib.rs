@@ -8,7 +8,8 @@
 //! method invocations. This crate provides that object model:
 //!
 //! * [`EntityState`] — an entity's attribute record with a version and
-//!   freshness estimation (the `VersionedEntity` of Figure 4.3).
+//!   freshness estimation (the `VersionedEntity` of Figure 4.3); its
+//!   [`Fields`] are one list in name order.
 //! * [`ClassDescriptor`] / [`MethodDescriptor`] — deployed classes and
 //!   their methods, with EJB-style `set*` write detection (§4.3).
 //! * [`Invocation`] — the **command-pattern** invocation object that
@@ -46,6 +47,7 @@
 mod class;
 mod container;
 mod entity;
+mod fields;
 mod interceptor;
 mod invocation;
 mod method;
@@ -54,6 +56,7 @@ mod snapshot;
 pub use class::{AppDescriptor, ClassDescriptor, MethodDescriptor, MethodKind};
 pub use container::EntityContainer;
 pub use entity::EntityState;
+pub use fields::Fields;
 pub use interceptor::{Interceptor, InterceptorChain};
 pub use invocation::Invocation;
 pub use method::{MethodBody, MethodContext, MethodTable};

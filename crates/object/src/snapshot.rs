@@ -103,11 +103,11 @@ impl PartialEq for Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dedisys_types::{ObjectId, SimTime, Value};
-    use std::collections::BTreeMap;
+    use crate::Fields;
+    use dedisys_types::{FieldName, ObjectId, SimTime, Value};
 
     fn entity(seats: i64) -> EntityState {
-        let mut e = EntityState::new(ObjectId::new("Flight", "F1"), BTreeMap::new());
+        let mut e = EntityState::new(ObjectId::new("Flight", "F1"), Fields::default());
         e.set_field("seats", Value::Int(seats), SimTime::ZERO);
         e
     }
@@ -135,6 +135,12 @@ mod tests {
     fn the_digest_costs_no_more_than_the_key_it_replaced() {
         // The snapshot ledger and every container hold these by value.
         assert!(std::mem::size_of::<Snapshot>() <= 4 * std::mem::size_of::<usize>());
+    }
+
+    #[test]
+    fn a_field_costs_its_name_handle_and_its_value() {
+        // Every state holds one of these per field, in one list.
+        assert_eq!(std::mem::size_of::<(FieldName, Value)>(), 48);
     }
 
     #[test]
