@@ -10,10 +10,10 @@
 //! sweeps of both mixes.
 //!
 //! Contract: the invariant checker stays silent on every seed — the
-//! threat-completeness oracle included, which finds every violation of
-//! an enabled invariant in the committed state explained at every
-//! checkpoint, none after the final repair, and no threat standing
-//! whose constraint holds. An application-mix sweep must also be
+//! threat-completeness audit (`Cluster::audit`) included, which finds
+//! every violation of an enabled invariant in the committed state
+//! explained at every checkpoint, none after the final repair, and no
+//! threat standing whose constraint holds. An application-mix sweep must also be
 //! constrained: summed over its seeds, threats are stored, threats are
 //! negotiated under both timings, the repairing handler is called and
 //! the rollback search tries candidates.

@@ -635,7 +635,7 @@ impl ChaosEngine {
     }
 
     /// The post-fault invariant sweep: the running-cluster checks on
-    /// every shard (the threat-completeness oracle among them),
+    /// every shard (the threat-completeness audit among them),
     /// request accounting when the plane carries the workload, and the
     /// cross-shard invariants in the transfer mix.
     fn check_invariants(&mut self) {

@@ -5,7 +5,6 @@
 //! aggregate them and a test can assert the list is empty.
 
 use crate::engine::account_balance;
-use crate::oracle;
 use dedisys_core::{Cluster, RequestPlane};
 use dedisys_federation::{FederatedCluster, ShardId};
 use dedisys_types::{NodeId, ObjectId, SystemMode};
@@ -33,8 +32,8 @@ pub struct InvariantChecker;
 
 impl InvariantChecker {
     /// Invariants that must hold at *every* point of a run, however
-    /// degraded the system is — the threat-completeness oracle's
-    /// (see [`crate::audit`]) among them.
+    /// degraded the system is — threat completeness
+    /// ([`Cluster::audit`]) among them.
     pub fn check_running(cluster: &Cluster) -> Vec<InvariantViolation> {
         let mut out = Vec::new();
         let stats = cluster.stats();
@@ -97,7 +96,7 @@ impl InvariantChecker {
 
         // Threat completeness: every violation of an enabled invariant
         // in the committed state is explained.
-        for finding in oracle::audit(cluster) {
+        for finding in cluster.audit() {
             if finding.explanation.is_none() {
                 out.push(InvariantViolation {
                     invariant: "threat_completeness",
@@ -228,7 +227,7 @@ impl InvariantChecker {
                 detail: "threats or degraded writes remain after reconcile".into(),
             });
         }
-        for identity in oracle::stale_threats(cluster) {
+        for identity in cluster.stale_threats() {
             let context = identity.context_object.map(|o| o.to_string());
             out.push(InvariantViolation {
                 invariant: "threat_stale",
@@ -299,10 +298,9 @@ impl InvariantChecker {
             let Some(first) = holders.next() else {
                 continue;
             };
-            let reference = cluster.entity_on(first, id).and_then(|e| e.to_json().ok());
+            let reference = cluster.entity_on(first, id);
             for node in holders {
-                let state = cluster.entity_on(node, id).and_then(|e| e.to_json().ok());
-                if state != reference {
+                if cluster.entity_on(node, id) != reference {
                     out.push(InvariantViolation {
                         invariant: "replica_convergence",
                         detail: format!("{id} diverges between {first} and {node}"),
@@ -318,8 +316,44 @@ impl InvariantChecker {
 mod tests {
     use super::*;
     use crate::engine::{chaos_app, fund_accounts, prepare_transfer};
+    use dedisys_constraints::{expr::ExprConstraint, ConstraintMeta, RegisteredConstraint};
+    use dedisys_core::ClusterBuilder;
     use dedisys_federation::XSHARD_TIMEOUT;
-    use dedisys_types::Value;
+    use dedisys_object::{AppDescriptor, ClassDescriptor, EntityState};
+    use dedisys_types::{ConstraintName, Value};
+    use std::sync::Arc;
+
+    /// A violation committed behind a disabled constraint is one no
+    /// threat records: the running checks report it as lost.
+    #[test]
+    fn a_lost_violation_breaks_threat_completeness() {
+        let app = AppDescriptor::new("lost")
+            .with_class(ClassDescriptor::new("Counter").with_field("n", Value::Int(0)));
+        let bounded = RegisteredConstraint::new(
+            ConstraintMeta::new("Bounded"),
+            Arc::new(ExprConstraint::parse("self.n <= 100").unwrap()),
+        )
+        .context_class("Counter");
+        let mut cluster = ClusterBuilder::new(2, app)
+            .constraint(bounded)
+            .build()
+            .unwrap();
+        let id = ObjectId::new("Counter", "c0");
+        let name = ConstraintName::from("Bounded");
+        cluster.set_constraint_enabled(&name, false).unwrap();
+        cluster
+            .run_tx(NodeId(0), |c, tx| {
+                c.create(NodeId(0), tx, EntityState::for_class(c.app(), &id)?)?;
+                c.set_field(NodeId(0), tx, &id, "n", Value::Int(150))
+            })
+            .unwrap();
+        assert!(InvariantChecker::check_running(&cluster).is_empty());
+        cluster.set_constraint_enabled(&name, true).unwrap();
+        let lost = InvariantChecker::check_running(&cluster);
+        assert_eq!(lost.len(), 1, "{lost:?}");
+        assert_eq!(lost[0].invariant, "threat_completeness");
+        assert!(lost[0].detail.contains("(Bounded, Counter#c0)"), "{lost:?}");
+    }
 
     /// The `xshard_no_orphaned_locks` violations of `fed`.
     fn orphaned(fed: &FederatedCluster, accounts: &[ObjectId]) -> Vec<InvariantViolation> {

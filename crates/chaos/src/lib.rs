@@ -5,11 +5,11 @@
 //! ([`ChaosEngine`]) — the paper's applications under their
 //! constraints on one shard, a cross-shard transfer mix on several —
 //! and safety invariants ([`InvariantChecker`]) checked after every
-//! injected fault. Among them is the threat-completeness oracle
-//! ([`audit`]): dissertation §3.2 promises that no integrity violation
-//! goes unnoticed, so every violation of an enabled invariant in the
-//! committed state must be explained by a standing threat or a pending
-//! reconciliation.
+//! injected fault. Among them is threat completeness, checked by
+//! [`Cluster::audit`](dedisys_core::Cluster::audit): dissertation §3.2
+//! promises that no integrity violation goes unnoticed, so every
+//! violation of an enabled invariant in the committed state must be
+//! explained by a standing threat or a pending reconciliation.
 //!
 //! Everything runs on the shared virtual clock, and every random
 //! decision flows from one explicit seed through [`ChaosRng`]
@@ -37,7 +37,6 @@
 
 mod engine;
 mod invariant;
-mod oracle;
 mod plan;
 
 pub use engine::{
@@ -45,7 +44,6 @@ pub use engine::{
     ChaosReport, ConstraintActivity, SoakDraws,
 };
 pub use invariant::{InvariantChecker, InvariantViolation};
-pub use oracle::{audit, stale_threats, Explanation, Finding};
 pub use plan::{FaultPlan, FaultStep, PlannedFault};
 
 // The workspace's one seeded generator lives in `dedisys-types`, so the

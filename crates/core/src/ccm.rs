@@ -24,7 +24,7 @@ use dedisys_constraints::{
     ConstraintEngine, ObjectAccess, ObjectScope, RegisteredConstraint, ValidationContext,
 };
 use dedisys_net::{SimClock, Topology};
-use dedisys_object::{EntityContainer, Invocation};
+use dedisys_object::{EntityContainer, EntityState, Invocation};
 use dedisys_replication::ReplicationManager;
 use dedisys_telemetry::{Telemetry, TraceEvent};
 use dedisys_types::{
@@ -54,7 +54,8 @@ pub struct CcmStats {
 
 /// Replica-aware object access used during validation: local
 /// transactional view first, then the committed state of any reachable
-/// replica; unreachable objects error (⇒ NCC).
+/// replica; unreachable objects error (⇒ NCC). Without a transaction
+/// it reads the committed state alone — what the audit checks.
 ///
 /// Holds only shared references — validation never mutates middleware
 /// state.
@@ -63,17 +64,18 @@ pub(crate) struct ReplicaAccess<'a> {
     replication: &'a ReplicationManager,
     topology: &'a Topology,
     node: NodeId,
-    tx: TxId,
+    tx: Option<TxId>,
 }
 
 impl<'a> ReplicaAccess<'a> {
-    /// Creates replica-aware access for validation on `node` in `tx`.
+    /// Creates replica-aware access for validation on `node` in `tx`,
+    /// or outside any transaction.
     pub(crate) fn new(
         containers: &'a [EntityContainer],
         replication: &'a ReplicationManager,
         topology: &'a Topology,
         node: NodeId,
-        tx: TxId,
+        tx: Option<TxId>,
     ) -> Self {
         Self {
             containers,
@@ -86,24 +88,35 @@ impl<'a> ReplicaAccess<'a> {
 
     /// The copy of `id` a validation on this node in this transaction
     /// reads — also what the verdict cache keys its version on.
-    pub(crate) fn find_entity(&self, id: &ObjectId) -> Option<&dedisys_object::EntityState> {
-        // A distributed transaction's buffered writes live on the nodes
-        // that executed them — prefer those anywhere in the partition
-        // (read-your-writes across nodes).
-        for n in self.topology.partition_of(self.node) {
-            if let Some(e) = self.containers[n.index()].buffered_view(self.tx, id) {
-                return Some(e);
+    pub(crate) fn find_entity(&self, id: &ObjectId) -> Option<&EntityState> {
+        if let Some(tx) = self.tx {
+            // A distributed transaction's buffered writes live on the
+            // nodes that executed them — prefer those anywhere in the
+            // partition (read-your-writes across nodes).
+            for n in self.topology.partition_of(self.node) {
+                if let Some(e) = self.containers[n.index()].buffered_view(tx, id) {
+                    return Some(e);
+                }
             }
         }
-        if let Ok(e) = self.containers[self.node.index()].view(self.tx, id) {
-            return Some(e);
-        }
-        for n in self.topology.partition_of(self.node) {
-            if let Some(e) = self.containers[n.index()].committed_entity(id) {
-                return Some(e);
-            }
-        }
-        None
+        self.local_copy(id)
+    }
+
+    /// The copy of `id` this node reads past other nodes' write
+    /// buffers: its own view, else the committed state of the first
+    /// node of its partition holding one.
+    fn local_copy(&self, id: &ObjectId) -> Option<&EntityState> {
+        let own = &self.containers[self.node.index()];
+        let own = match self.tx {
+            Some(tx) => own.view(tx, id).ok(),
+            None => own.committed_entity(id),
+        };
+        own.or_else(|| {
+            let partition = self.topology.partition_of(self.node);
+            partition
+                .iter()
+                .find_map(|n| self.containers[n.index()].committed_entity(id))
+        })
     }
 }
 
@@ -145,6 +158,8 @@ pub(crate) struct PartitionEnv {
     pub weight: u32,
     /// Total weight units across the cluster (`totalWeightUnits`).
     pub total: u32,
+    /// Whether the topology is one partition (`healthy`).
+    pub healthy: bool,
 }
 
 /// One validation candidate: a constraint and what it is validated
@@ -195,12 +210,11 @@ impl<'a> ValidationCandidate<'a> {
 /// unrepresentable.
 pub(crate) fn evaluate_candidate(
     candidate: &ValidationCandidate<'_>,
-    access: &mut ReplicaAccess<'_>,
+    access: &mut dyn ObjectAccess,
     env: PartitionEnv,
     engine: ConstraintEngine,
     gathered: Vec<ObjectId>,
 ) -> (Result<SatisfactionDegree>, Vec<ObjectId>) {
-    let topology_healthy = access.topology.is_healthy();
     let mut ctx = ValidationContext::borrowing(
         candidate.context_object,
         candidate.call,
@@ -212,7 +226,7 @@ pub(crate) fn evaluate_candidate(
     ctx.set_env("partitionWeight", Value::Float(env.fraction));
     ctx.set_env("partitionWeightUnits", Value::Int(env.weight as i64));
     ctx.set_env("totalWeightUnits", Value::Int(env.total as i64));
-    ctx.set_env("healthy", Value::Bool(topology_healthy));
+    ctx.set_env("healthy", Value::Bool(env.healthy));
 
     let raw = candidate
         .constraint
@@ -330,7 +344,6 @@ impl Ccm {
     ) -> Result<ValidationVerdict> {
         self.stats.validations += 1;
         let node = access.node;
-        let tx = access.tx;
         let mut degree = outcome?;
 
         // LCC: degrade definite results when possibly stale objects
@@ -357,17 +370,7 @@ impl Ccm {
         let mut freshness = Vec::new();
         if degree.is_threat() && !constraint.meta.freshness.is_empty() {
             for id in &accessed {
-                let entity = access.containers[node.index()]
-                    .view(tx, id)
-                    .ok()
-                    .or_else(|| {
-                        access
-                            .topology
-                            .partition_of(node)
-                            .iter()
-                            .find_map(|n| access.containers[n.index()].committed_entity(id))
-                    });
-                if let Some(entity) = entity {
+                if let Some(entity) = access.local_copy(id) {
                     freshness.push((id.class().clone(), entity.version_info(self.clock.now())));
                 }
             }
@@ -476,12 +479,13 @@ mod tests {
             &world.replication,
             &world.topology,
             NodeId(0),
-            world.tx,
+            Some(world.tx),
         );
         let env = PartitionEnv {
             fraction: 1.0,
             weight: 1,
             total: 1,
+            healthy: world.topology.is_healthy(),
         };
         let candidate = ValidationCandidate::invariant(constraint, Some(&world.id));
         let (outcome, accessed) = evaluate_candidate(

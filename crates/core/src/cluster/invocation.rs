@@ -288,7 +288,7 @@ impl Cluster {
                 &self.replication,
                 &self.topology,
                 exec,
-                tx,
+                Some(tx),
             );
             let mut ctx = ValidationContext::borrowing(None, Some(inv), None, None, &mut access);
             ctx.gather_into(gathered);
@@ -354,7 +354,7 @@ impl Cluster {
                 &self.replication,
                 &self.topology,
                 exec,
-                tx,
+                Some(tx),
             );
             resolved.push(match preparation.resolve(target, &mut access) {
                 Ok(context_object) => context_object,

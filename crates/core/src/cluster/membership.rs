@@ -125,7 +125,7 @@ impl Cluster {
     /// Whether `object` has degraded-mode writes or missed ships that
     /// the next reconciliation converges — its replicas may disagree
     /// until then.
-    pub fn awaits_reconciliation(&self, object: &ObjectId) -> bool {
+    pub(crate) fn awaits_reconciliation(&self, object: &ObjectId) -> bool {
         self.replication.is_degraded_tracked(object)
     }
 

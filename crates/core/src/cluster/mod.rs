@@ -15,6 +15,7 @@
 //! the file of the service that owns it and called from the others.
 
 mod admin;
+mod audit;
 mod builder;
 mod invocation;
 mod lifecycle;
@@ -23,6 +24,7 @@ mod reconciliation;
 mod transactions;
 mod validation;
 
+pub use audit::{Explanation, Finding};
 pub use builder::ClusterBuilder;
 pub use reconciliation::{
     ConstraintReconcileReport, ConstraintReconciliationHandler, DeferAll, ReconOps,
@@ -353,13 +355,15 @@ impl Cluster {
     }
 
     /// The full partition environment observed from `node`: the weight
-    /// fraction plus the exact integer weight units (§5.5.2).
+    /// fraction plus the exact integer weight units (§5.5.2), and
+    /// whether the topology is healthy.
     fn partition_env(&self, node: NodeId) -> PartitionEnv {
         let members = self.topology.partition_of(node);
         PartitionEnv {
             fraction: self.weights.partition_fraction(members),
             weight: self.weights.partition_weight(members),
             total: self.weights.total(),
+            healthy: self.topology.is_healthy(),
         }
     }
 

@@ -525,7 +525,7 @@ impl Cluster {
             &self.replication,
             &self.topology,
             observer,
-            recon_tx,
+            Some(recon_tx),
         );
         let candidate =
             ValidationCandidate::invariant(constraint, identity.context_object.as_ref());
@@ -623,7 +623,7 @@ impl Cluster {
                 &self.replication,
                 &self.topology,
                 observer,
-                recon_tx,
+                Some(recon_tx),
             );
             let contexts = if other.meta.scope == ObjectScope::IntraObject {
                 vec![object.clone()]

@@ -169,7 +169,7 @@ impl Cluster {
             &self.replication,
             &self.topology,
             node,
-            tx,
+            Some(tx),
         );
         Some((object, access.find_entity(object)?.version()))
     }
@@ -226,7 +226,7 @@ impl Cluster {
             &self.replication,
             &self.topology,
             node,
-            tx,
+            Some(tx),
         );
         let (outcome, accessed, charge) = match hit {
             Some(degree) => (Ok(degree), gathered, self.costs.verdict_cache_probe),

@@ -80,8 +80,8 @@ pub mod web;
 pub use ccm::{CcmStats, NegotiationHandler, NegotiationTiming, ThreatDecision};
 pub use cluster::{
     getter_name, setter_name, Cluster, ClusterBuilder, ClusterMetrics, ConstraintReconcileReport,
-    ConstraintReconciliationHandler, DeferAll, HookInfo, InDoubtTx, ReconOps, ReconcileStrategy,
-    ReconciliationSummary, StatsSnapshot, ViolationReport,
+    ConstraintReconciliationHandler, DeferAll, Explanation, Finding, HookInfo, InDoubtTx, ReconOps,
+    ReconcileStrategy, ReconciliationSummary, StatsSnapshot, ViolationReport,
 };
 pub use config::{
     ClusterConfig, DurabilityConfig, MembershipConfig, PlaneConfig, ValidationConfig,

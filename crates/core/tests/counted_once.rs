@@ -21,6 +21,8 @@ use dedisys_types::{
 };
 use std::sync::Arc;
 
+mod promise;
+
 /// The registry names that copied a typed field. The `federation.*`
 /// ones lived on the federation's own bus; `tests/federation_layer.rs`
 /// holds that bus to the same rule. (Of the pair
@@ -171,6 +173,7 @@ fn no_registry_counter_repeats_a_typed_one() {
         .unwrap();
     cluster.heal();
     cluster.reconcile(&mut HighestVersionWins, &mut DeferAll);
+    promise::assert_kept(&cluster);
 
     // Every site was reached, by the count its owner keeps …
     let stats = cluster.stats();

@@ -16,6 +16,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
+mod promise;
+
 thread_local! {
     /// Allocations made by this thread (the harness has others).
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
@@ -204,4 +206,6 @@ fn degraded_mode_allocates_only_what_reconciliation_reads() {
         reconciled <= 5 * IDENTITIES as u64 / 4,
         "{reconciled} allocations reconciling {IDENTITIES} identities"
     );
+    // After the counted window: the audit allocates.
+    promise::assert_kept(&cluster);
 }

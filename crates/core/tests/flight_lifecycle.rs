@@ -16,6 +16,8 @@ use dedisys_object::{AppDescriptor, ClassDescriptor, EntityState};
 use dedisys_types::{NodeId, ObjectId, SatisfactionDegree, SystemMode, Value};
 use std::sync::Arc;
 
+mod promise;
+
 fn booking_app() -> AppDescriptor {
     AppDescriptor::new("booking").with_class(
         ClassDescriptor::new("Flight")
@@ -124,6 +126,7 @@ fn flight_booking_partition_threat_reconciliation() {
             true // resolved immediately
         };
         let summary = cluster.reconcile(&mut merge_sales, &mut constraint_handler);
+        promise::assert_kept(&cluster);
         assert_eq!(summary.replica.conflicts.len(), 1, "write-write conflict");
         assert_eq!(summary.constraints.re_evaluated, 1);
         assert_eq!(summary.constraints.violations, 1);
@@ -213,6 +216,7 @@ fn deferred_reconciliation_is_cleaned_up_by_business_operations() {
         Some(merged)
     };
     let summary = cluster.reconcile(&mut merge, &mut dedisys_core::DeferAll);
+    promise::assert_kept(&cluster);
     assert_eq!(summary.constraints.violations, 1);
     assert_eq!(summary.constraints.deferred, 1);
     assert_eq!(cluster.threats().identities().len(), 1, "threat retained");

@@ -27,6 +27,8 @@ use dedisys_types::{ChaosRng, NodeId, ObjectId, SimDuration, Value};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+mod promise;
+
 const NODES: u32 = 3;
 const KEYS: u64 = 8;
 const SEEDS: u64 = 24;
@@ -89,6 +91,7 @@ fn converge(c: &mut Cluster, seed: u64, step: u32) {
     }
     c.heal();
     c.reconcile(&mut HighestVersionWins, &mut DeferAll);
+    promise::assert_kept(c);
     let reference = committed_map(c, NodeId(0));
     for n in (0..NODES).map(NodeId) {
         assert_eq!(
@@ -157,6 +160,7 @@ fn run_schedule(seed: u64) {
             82..=86 => {
                 if c.topology().is_healthy() && c.crashed_nodes().next().is_none() {
                     c.reconcile(&mut HighestVersionWins, &mut DeferAll);
+                    promise::assert_kept(&c);
                 }
             }
             87..=92 => {

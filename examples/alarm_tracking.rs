@@ -57,6 +57,10 @@ fn main() -> Result<()> {
     // (Power alarm + Fuse component) actually satisfies the constraint.
     cluster.heal();
     let summary = cluster.reconcile(&mut HighestVersionWins, &mut DeferAll);
+    // §3.2's promise: every violation the committed state still holds
+    // is explained, and no threat outlives its violation.
+    assert!(cluster.audit().iter().all(|f| f.explanation.is_some()));
+    assert!(cluster.stale_threats().is_empty());
     println!(
         "\nreconciled: {} re-evaluated, {} satisfied (removed), {} violation(s)",
         summary.constraints.re_evaluated,

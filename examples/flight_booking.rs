@@ -99,6 +99,10 @@ fn plain_ticket_constraint_scenario() -> Result<()> {
         true
     };
     let summary = cluster.reconcile(&mut merge_sales, &mut rebook);
+    // §3.2's promise: every violation the committed state still holds
+    // is explained, and no threat outlives its violation.
+    assert!(cluster.audit().iter().all(|f| f.explanation.is_some()));
+    assert!(cluster.stale_threats().is_empty());
     println!(
         "summary: {} conflict(s), {} violation(s), {} resolved by handler",
         summary.replica.conflicts.len(),

@@ -78,6 +78,10 @@ fn main() -> Result<()> {
     //    and constraint consistency.
     cluster.heal();
     let summary = cluster.reconcile(&mut HighestVersionWins, &mut DeferAll);
+    // §3.2's promise: every violation the committed state still holds
+    // is explained, and no threat outlives its violation.
+    assert!(cluster.audit().iter().all(|f| f.explanation.is_some()));
+    assert!(cluster.stale_threats().is_empty());
     println!(
         "\nreconciled: {} replica conflict(s), {} threat(s) re-evaluated, {} violation(s)",
         summary.replica.conflicts.len(),

@@ -62,6 +62,10 @@ fn main() -> Result<()> {
         true
     };
     let summary = cluster.reconcile(&mut HighestVersionWins, &mut fix);
+    // §3.2's promise: every violation the committed state still holds
+    // is explained, and no threat outlives its violation.
+    assert!(cluster.audit().iter().all(|f| f.explanation.is_some()));
+    assert!(cluster.stale_threats().is_empty());
     println!(
         "reconciled: {} violation(s), {} resolved immediately",
         summary.constraints.violations, summary.constraints.resolved_by_handler

@@ -10,6 +10,9 @@ use dedisys_core::{
 use dedisys_object::{AppDescriptor, ClassDescriptor, EntityState};
 use dedisys_types::{ChaosRng, NodeId, ObjectId, SimDuration, SystemMode, Value};
 
+#[path = "../crates/core/tests/promise/mod.rs"]
+mod promise;
+
 fn app() -> AppDescriptor {
     AppDescriptor::new("adaptive")
         .with_class(ClassDescriptor::new("Item").with_field("n", Value::Int(0)))
@@ -87,6 +90,7 @@ fn run_scenario(
     }
     if cluster.needs_reconciliation() {
         cluster.reconcile(&mut HighestVersionWins, &mut DeferAll);
+        promise::assert_kept(&cluster);
     }
     cluster
 }

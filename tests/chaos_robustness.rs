@@ -13,6 +13,9 @@ use dedisys_object::{AppDescriptor, ClassDescriptor, EntityState};
 use dedisys_types::{ChaosRng, Error, NodeId, ObjectId, SatisfactionDegree, TxId, Value};
 use std::sync::Arc;
 
+#[path = "../crates/core/tests/promise/mod.rs"]
+mod promise;
+
 fn app() -> AppDescriptor {
     AppDescriptor::new("robust").with_class(
         ClassDescriptor::new("Counter")
@@ -211,6 +214,7 @@ fn threat_records_are_reactivated_after_crash_and_restart() {
     );
     // And reconciliation still converges afterwards.
     c.reconcile(&mut HighestVersionWins, &mut DeferAll);
+    promise::assert_kept(&c);
     assert!(!c.needs_reconciliation());
 }
 

@@ -7,6 +7,9 @@ use dedisys_core::{ClusterBuilder, DeferAll, HighestVersionWins, ProtocolKind};
 use dedisys_object::{AppDescriptor, ClassDescriptor, EntityState};
 use dedisys_types::{Error, NodeId, ObjectId, SystemMode, Value};
 
+#[path = "../crates/core/tests/promise/mod.rs"]
+mod promise;
+
 fn app() -> AppDescriptor {
     AppDescriptor::new("kv").with_class(ClassDescriptor::new("Item").with_field("v", Value::Int(0)))
 }
@@ -74,6 +77,7 @@ fn primary_partition_allows_only_majority_side() {
     // missed updates.
     cluster.heal();
     let summary = cluster.reconcile(&mut HighestVersionWins, &mut DeferAll);
+    promise::assert_kept(&cluster);
     assert!(summary.replica.conflicts.is_empty());
     assert_eq!(
         cluster.entity_on(NodeId(0), &id).unwrap().field("v"),
@@ -97,6 +101,7 @@ fn p4_writes_everywhere_and_reconciles_conflicts() {
     );
     cluster.heal();
     let summary = cluster.reconcile(&mut HighestVersionWins, &mut DeferAll);
+    promise::assert_kept(&cluster);
     assert_eq!(summary.replica.conflicts.len(), 1);
     // Highest version wins: side {1,2} wrote twice (v=2 then v=3).
     for n in 0..3 {
@@ -119,6 +124,7 @@ fn adaptive_voting_adapts_quorums_in_degraded_mode() {
     assert!(write(&mut cluster, NodeId(1), &id, 3).is_ok());
     cluster.heal();
     let summary = cluster.reconcile(&mut HighestVersionWins, &mut DeferAll);
+    promise::assert_kept(&cluster);
     assert_eq!(summary.replica.conflicts.len(), 1);
 }
 
@@ -133,6 +139,7 @@ fn mode_transitions_follow_figure_1_4() {
     cluster.heal();
     assert_eq!(cluster.mode(), SystemMode::Reconciliation);
     cluster.reconcile(&mut HighestVersionWins, &mut DeferAll);
+    promise::assert_kept(&cluster);
     assert_eq!(cluster.mode(), SystemMode::Healthy);
 }
 
@@ -148,6 +155,7 @@ fn repeated_partition_cycles_stay_consistent() {
         write(&mut cluster, NodeId(2), &id, round * 10 + 2).unwrap();
         cluster.heal();
         cluster.reconcile(&mut HighestVersionWins, &mut DeferAll);
+        promise::assert_kept(&cluster);
         // Same number of degraded writes per side → deterministic
         // winner; all replicas agree afterwards.
         let reference = cluster

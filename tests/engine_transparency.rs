@@ -16,6 +16,9 @@ use dedisys_object::{AppDescriptor, ClassDescriptor, EntityState};
 use dedisys_types::{ConstraintName, NodeId, ObjectId, SatisfactionDegree, Value};
 use std::sync::Arc;
 
+#[path = "../crates/core/tests/promise/mod.rs"]
+mod promise;
+
 fn app() -> AppDescriptor {
     AppDescriptor::new("engines").with_class(
         ClassDescriptor::new("Counter")
@@ -187,6 +190,7 @@ fn run_schedule(engine: ConstraintEngine, cache: bool, schedule: &[Step]) -> Str
             1 => {
                 cluster.heal();
                 cluster.reconcile(&mut HighestVersionWins, &mut DeferAll);
+                promise::assert_kept(&cluster);
             }
             2 => {
                 // A §3.3 constraint sweep: disable + re-enable with the
@@ -213,6 +217,7 @@ fn run_schedule(engine: ConstraintEngine, cache: bool, schedule: &[Step]) -> Str
     }
     cluster.heal();
     cluster.reconcile(&mut HighestVersionWins, &mut DeferAll);
+    promise::assert_kept(&cluster);
     fingerprint(&cluster, &sweeps, &objects)
 }
 

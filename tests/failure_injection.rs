@@ -17,6 +17,9 @@ use dedisys_store::{Persistence, StoreCosts};
 use dedisys_types::{Error, NodeId, ObjectId, SatisfactionDegree, SimDuration, SystemMode, Value};
 use std::sync::Arc;
 
+#[path = "../crates/core/tests/promise/mod.rs"]
+mod promise;
+
 fn app() -> AppDescriptor {
     AppDescriptor::new("inv").with_class(
         ClassDescriptor::new("Counter")
@@ -88,6 +91,7 @@ fn node_crash_is_a_singleton_partition_and_recovery_reconciles() {
     // Recovery: the node re-joins and is brought up to date.
     cluster.heal();
     cluster.reconcile(&mut HighestVersionWins, &mut DeferAll);
+    promise::assert_kept(&cluster);
     assert_eq!(
         cluster.entity_on(NodeId(2), &id).unwrap().field("n"),
         &Value::Int(5)
@@ -120,6 +124,7 @@ fn cascading_partitions_merge_step_by_step() {
     // Full heal and reconcile: highest version wins deterministically.
     cluster.heal();
     let summary = cluster.reconcile(&mut HighestVersionWins, &mut DeferAll);
+    promise::assert_kept(&cluster);
     assert_eq!(summary.replica.conflicts.len(), 1);
     let reference = cluster
         .entity_on(NodeId(0), &id)
@@ -154,6 +159,7 @@ fn rollback_based_reconciliation_restores_a_consistent_state() {
     // additive handler it overflows (110 > 100).
     diverge(&mut cluster, &id);
     let summary = cluster.reconcile(&mut additive, &mut DeferAll);
+    promise::assert_kept(&cluster);
     assert_eq!(summary.constraints.violations, 1);
     // The rollback search found a historical degraded-mode state (75)
     // that satisfies the constraint — availability retrospectively
@@ -248,6 +254,7 @@ fn rollback_search_restores_the_newest_satisfying_state_in_partition_order() {
             cluster.heal();
             cluster.reconcile(&mut additive, &mut DeferAll)
         };
+        promise::assert_kept(&cluster);
 
         assert_eq!(summary.replica.conflicts.len(), 1, "partial: {partial}");
         assert_eq!(summary.constraints.violations, 1);
@@ -302,6 +309,7 @@ fn exhausted_handler_retries_are_accounted_as_deferred() {
         true
     };
     let summary = cluster.reconcile(&mut additive, &mut lying);
+    promise::assert_kept(&cluster);
     assert_eq!(calls, 3, "bounded retries (§4.4)");
     let c = &summary.constraints;
     assert_eq!(c.violations, 1);
@@ -367,6 +375,7 @@ fn async_constraints_skip_degraded_validation() {
     // Reconciliation evaluates it for the first time.
     cluster.heal();
     let summary = cluster.reconcile(&mut HighestVersionWins, &mut DeferAll);
+    promise::assert_kept(&cluster);
     assert_eq!(summary.constraints.satisfied_removed, 1);
 }
 
@@ -443,6 +452,7 @@ fn non_finite_reconciliation_repair_is_refused_and_every_replica_restarts() {
         true
     };
     let summary = cluster.reconcile(&mut additive, &mut repair);
+    promise::assert_kept(&cluster);
     assert_eq!(summary.constraints.resolved_by_handler, 1);
     assert_eq!(refused.len(), 1);
     assert!(
@@ -455,6 +465,7 @@ fn non_finite_reconciliation_repair_is_refused_and_every_replica_restarts() {
         cluster.restart(node).unwrap();
         if cluster.needs_reconciliation() {
             cluster.reconcile(&mut HighestVersionWins, &mut DeferAll);
+            promise::assert_kept(&cluster);
         }
         assert_eq!(
             cluster.entity_on(node, &id).unwrap().field("n"),
@@ -556,6 +567,7 @@ fn detector_driven_partition_matches_scripted_behaviour() {
     assert_eq!(cluster.mode(), SystemMode::Reconciliation);
 
     cluster.reconcile(&mut HighestVersionWins, &mut DeferAll);
+    promise::assert_kept(&cluster);
     assert_eq!(cluster.mode(), SystemMode::Healthy);
     assert_eq!(
         cluster.entity_on(NodeId(2), &id).unwrap().field("n"),
@@ -599,6 +611,7 @@ fn repartition_without_heal_lets_a_stale_replica_repeat_a_version() {
 
     cluster.heal();
     cluster.reconcile(&mut HighestVersionWins, &mut DeferAll);
+    promise::assert_kept(&cluster);
     assert_eq!(cluster.mode(), SystemMode::Healthy);
     let reference = cluster.entity_on(NodeId(0), &id).unwrap().clone();
     for n in 1..3 {
@@ -630,6 +643,7 @@ fn degraded_delete_reaches_the_replica_that_was_away() {
     assert!(cluster.entity_on(NodeId(2), &id).is_some(), "2 was away");
     cluster.heal();
     cluster.reconcile(&mut HighestVersionWins, &mut DeferAll);
+    promise::assert_kept(&cluster);
     for n in 0..3 {
         assert!(cluster.entity_on(NodeId(n), &id).is_none(), "node {n}");
     }
@@ -650,6 +664,7 @@ fn degraded_delete_reaches_the_replica_that_was_away() {
         .unwrap();
     cluster.heal();
     cluster.reconcile(&mut HighestVersionWins, &mut DeferAll);
+    promise::assert_kept(&cluster);
     for n in 0..3 {
         assert_eq!(
             cluster.entity_on(NodeId(n), &id).map(|e| e.field("n")),
@@ -687,6 +702,7 @@ fn regrouping_every_node_with_degraded_residue_enters_reconciliation() {
         SystemMode::Reconciliation
     );
     cluster.reconcile(&mut HighestVersionWins, &mut DeferAll);
+    promise::assert_kept(&cluster);
     assert_eq!(cluster.mode(), SystemMode::Healthy);
 }
 

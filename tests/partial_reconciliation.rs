@@ -13,6 +13,9 @@ use dedisys_types::{NodeId, ObjectId, SatisfactionDegree, SystemMode, Value};
 use std::sync::atomic::{AtomicI64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
+#[path = "../crates/core/tests/promise/mod.rs"]
+mod promise;
+
 fn app() -> AppDescriptor {
     AppDescriptor::new("inv").with_class(
         ClassDescriptor::new("Counter")
@@ -61,6 +64,7 @@ fn partial_merge_reconciles_reachable_and_postpones_the_rest() {
     // Partitions {0} and {1} merge; {2,3} stays away.
     cluster.partition(&[nodes![0, 1], nodes![2, 3]]).unwrap();
     let summary = cluster.reconcile_partial(NodeId(0), &mut HighestVersionWins, &mut DeferAll);
+    promise::assert_kept(&cluster);
 
     // The {0}/{1} conflict was resolved within the merged partition…
     assert_eq!(summary.replica.conflicts.len(), 1);
@@ -83,6 +87,7 @@ fn partial_merge_reconciles_reachable_and_postpones_the_rest() {
     // re-evaluated for good.
     cluster.heal();
     let summary = cluster.reconcile(&mut HighestVersionWins, &mut DeferAll);
+    promise::assert_kept(&cluster);
     assert!(!summary.replica.conflicts.is_empty());
     assert_eq!(summary.constraints.postponed, 0);
     assert!(cluster.threats().is_empty());
@@ -131,6 +136,7 @@ fn partial_merge_with_all_writers_reachable_resolves_threats() {
     // while any partition remains).
     cluster.partition(&[nodes![0, 1], nodes![2]]).unwrap();
     let summary = cluster.reconcile_partial(NodeId(0), &mut HighestVersionWins, &mut DeferAll);
+    promise::assert_kept(&cluster);
     assert_eq!(
         summary.replica.conflicts.len(),
         1,
@@ -148,6 +154,7 @@ fn partial_merge_with_all_writers_reachable_resolves_threats() {
 
     cluster.heal();
     cluster.reconcile(&mut HighestVersionWins, &mut DeferAll);
+    promise::assert_kept(&cluster);
     assert!(cluster.threats().is_empty());
     assert_eq!(
         cluster.entity_on(NodeId(2), &id).unwrap().field("n"),
@@ -244,6 +251,7 @@ fn rollback_during_partial_merge_scopes_to_the_observer() {
         Some(merged)
     };
     let summary = cluster.reconcile_partial(owner, &mut additive, &mut DeferAll);
+    promise::assert_kept(&cluster);
 
     assert_eq!(summary.replica.conflicts.len(), 1, "c1 diverged");
     assert_eq!(summary.constraints.violations, 1);
@@ -315,4 +323,6 @@ fn every_stored_threat_is_re_evaluated_exactly_once() {
         (4, 4, 4)
     );
     assert_eq!(evaluations.load(Ordering::Relaxed), 4);
+    // After the counted window: the audit evaluates the constraint too.
+    promise::assert_kept(&cluster);
 }

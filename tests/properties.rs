@@ -12,6 +12,9 @@ use dedisys_net::Topology;
 use dedisys_types::{ChaosRng, NodeId, ObjectId, SatisfactionDegree, Value};
 use std::collections::BTreeSet;
 
+#[path = "../crates/core/tests/promise/mod.rs"]
+mod promise;
+
 const CASES: u64 = 256;
 
 /// A uniform draw in `lo..hi`.
@@ -429,6 +432,7 @@ mod reconciliation_accounting {
                     cluster.partition(&[nodes![0, 1], nodes![2]]).unwrap();
                     cluster.reconcile_partial(NodeId(0), &mut merge, &mut DeferAll)
                 };
+                promise::assert_kept(&cluster);
                 check_counters(seed, &summary.constraints, identities_before, incremental);
             }
             // Drain: after a full heal the two strategies converge —
@@ -436,6 +440,7 @@ mod reconciliation_accounting {
             cluster.heal();
             let identities_before = cluster.threats().identities().len();
             let summary = cluster.reconcile(&mut merge, &mut DeferAll);
+            promise::assert_kept(&cluster);
             check_counters(seed, &summary.constraints, identities_before, incremental);
             assert_eq!(summary.constraints.skipped, 0, "seed {seed}");
         }

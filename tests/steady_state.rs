@@ -25,6 +25,9 @@ use dedisys_types::{
 };
 use std::sync::Arc;
 
+#[path = "../crates/core/tests/promise/mod.rs"]
+mod promise;
+
 const CYCLES: usize = 5;
 const OBJECTS: usize = 20;
 const DEGRADED_WRITES: usize = 60;
@@ -93,6 +96,7 @@ fn healthy_work(cluster: &mut Cluster, ids: &[ObjectId], round: usize) -> TxId {
     assert_eq!(cluster.tx_record_count(), 0, "presumed abort");
     if cluster.mode() != SystemMode::Healthy {
         cluster.reconcile(&mut HighestVersionWins, &mut repair);
+        promise::assert_kept(cluster);
     }
 
     // Re-checking the constraint memoizes one verdict per counter, for
@@ -143,6 +147,7 @@ fn degraded_cycle(cluster: &mut Cluster, ids: &[ObjectId]) {
 
     cluster.heal();
     let summary = cluster.reconcile(&mut HighestVersionWins, &mut repair);
+    promise::assert_kept(cluster);
     let c = &summary.constraints;
     assert_eq!(c.violations, 1, "the one designed violation");
     assert_eq!(c.resolved_by_rollback + c.resolved_by_handler, 1);

@@ -14,6 +14,9 @@ use dedisys_object::{AppDescriptor, ClassDescriptor, EntityState};
 use dedisys_types::{NodeId, ObjectId, SatisfactionDegree, SystemMode, Value};
 use std::sync::Arc;
 
+#[path = "../crates/core/tests/promise/mod.rs"]
+mod promise;
+
 fn app() -> AppDescriptor {
     AppDescriptor::new("inv").with_class(
         ClassDescriptor::new("Counter")
@@ -74,6 +77,7 @@ fn run_lifecycle(cluster: &mut Cluster) {
 
     assert_eq!(cluster.heal(), SystemMode::Reconciliation);
     let summary = cluster.reconcile(&mut HighestVersionWins, &mut DeferAll);
+    promise::assert_kept(cluster);
     assert!(summary.constraints.re_evaluated >= 1);
     assert_eq!(cluster.mode(), SystemMode::Healthy);
 }
