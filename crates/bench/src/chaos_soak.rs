@@ -4,10 +4,12 @@
 //! their constraints), or the cross-shard transfer mix with
 //! `--shards K`.
 //!
-//! A fixed seed reproduces the run exactly — same fault schedule,
-//! same draws, same workload, same virtual-time trajectory,
-//! byte-identical trace file; `receipts.txt` pins single seeds and
-//! sweeps of both mixes.
+//! A fixed seed reproduces the run exactly — same schedule, same
+//! draws, same workload, same virtual-time trajectory, byte-identical
+//! trace file; `receipts.txt` pins single seeds and sweeps of both
+//! mixes. A single seed that breaks an invariant is shrunk: its
+//! schedule is cut down to the steps a violation of that invariant
+//! needs, and the minimal schedule is printed with the runs it took.
 //!
 //! Contract: the invariant checker stays silent on every seed — the
 //! threat-completeness audit (`Cluster::audit`) included, which finds
@@ -18,8 +20,10 @@
 //! negotiated under both timings, the repairing handler is called and
 //! the rollback search tries candidates.
 
-use crate::{BadFlags, Run, Verdict};
-use dedisys_chaos::{ChaosConfig, ChaosEngine, ChaosReport, ConstraintActivity};
+use crate::{require, BadFlags, Run, Verdict};
+use dedisys_chaos::{
+    ChaosConfig, ChaosEngine, ChaosReport, ConstraintActivity, InvariantViolation,
+};
 use dedisys_core::NegotiationTiming;
 
 /// The engine configuration for `seed`. One shard runs the application
@@ -39,8 +43,13 @@ fn config(run: &Run, seed: u64) -> ChaosConfig {
     }
 }
 
-/// The engine for `seed`; an invalid shape is a bad command line.
+/// The engine for `seed`; an invalid shape is a bad command line, and
+/// so is `--faults` on the transfer mix, whose ops draw their faults.
 fn engine(run: &Run, seed: u64) -> Result<ChaosEngine, BadFlags> {
+    require(
+        !(transfers(run) && run.faults.is_some()),
+        "--faults is for the application mix: the transfer mix draws its faults per op",
+    )?;
     ChaosEngine::new(config(run, seed)).map_err(|e| BadFlags(e.to_string()))
 }
 
@@ -121,7 +130,41 @@ fn single(run: &Run) -> Verdict {
     // The last handle on the traced bus: dropping it flushes the trace.
     drop(bus);
     print_report(&report, run, events);
+    if let Some(first) = report.violations.first() {
+        shrink(run, &report, first.invariant);
+    }
     Ok(violations(&report))
+}
+
+/// Shrinks `report`'s schedule against "a violation of `invariant`" and
+/// prints the minimal schedule, the runs that took and the minimal
+/// run's first violation of `invariant`.
+fn shrink(run: &Run, report: &ChaosReport, invariant: &str) {
+    let first = |violations: &[InvariantViolation]| {
+        violations
+            .iter()
+            .find(|v| v.invariant == invariant)
+            .cloned()
+    };
+    let mut finding = first(&report.violations);
+    let (minimal, runs) = report.schedule.shrink(|schedule| {
+        let engine = engine(run, run.seed).expect("the shape ran once");
+        let found = first(&engine.run_schedule(schedule).expect("chaos run").violations);
+        let fails = found.is_some();
+        if fails {
+            finding = found;
+        }
+        fails
+    });
+    println!(
+        "  shrunk:   {} -> {} steps in {runs} runs",
+        report.schedule.steps.len(),
+        minimal.steps.len()
+    );
+    println!("  schedule: {minimal}");
+    if let Some(finding) = finding {
+        println!("  first:    {finding}");
+    }
 }
 
 /// `4 nodes`, `4 nodes, detector` or `3 shards x 3 nodes`.
@@ -196,6 +239,7 @@ fn print_report(report: &ChaosReport, run: &Run, events: u64) {
 
 #[cfg(test)]
 mod tests {
+    use crate::{BadFlags, Run};
     use dedisys_chaos::SoakDraws;
     use dedisys_core::{NegotiationTiming, ReconcileInstructions};
     use dedisys_types::SatisfactionDegree;
@@ -226,5 +270,26 @@ mod tests {
         assert!(draws
             .iter()
             .any(|d| d.instructions != ReconcileInstructions::default()));
+    }
+
+    /// `--faults` sets the application mix's fault count; the transfer
+    /// mix draws its faults per op, so there it is refused, not ignored.
+    #[test]
+    fn faults_on_the_transfer_mix_are_a_bad_command_line() {
+        let transfer = |faults| Run {
+            shards: Some(3),
+            faults,
+            ..Run::default()
+        };
+        assert!(matches!(
+            super::engine(&transfer(Some(0)), 3),
+            Err(BadFlags(_))
+        ));
+        assert!(super::engine(&transfer(None), 3).is_ok());
+        let apps = Run {
+            faults: Some(0),
+            ..Run::default()
+        };
+        assert!(super::engine(&apps, 3).is_ok());
     }
 }

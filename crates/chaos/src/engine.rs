@@ -15,7 +15,7 @@
 //!   endpoints retuned alone or in pairs (the soft
 //!   `ChannelConfigConsistency` and the asynchronous `FrequencyBand`).
 //!   Creates, reads, writes with designed violations and hanging
-//!   explicit 2PC run under a [`FaultPlan`] of crashes, partitions,
+//!   explicit 2PC run under a [`Schedule`] of crashes, partitions,
 //!   heals and store faults; every heal reconciles with a handler that
 //!   repairs each violation it is shown. The seed also draws the
 //!   validation and reconciliation settings ([`SoakDraws`]): whether
@@ -24,20 +24,24 @@
 //!   instructions every threat carries.
 //! * **transfer mix** (two or more shards) — cross-shard balance
 //!   transfers that commit, abort or lose their federation coordinator,
-//!   under shard partitions and heals drawn inline. Every committed
+//!   under shard partitions and heals each op draws. Every committed
 //!   transaction is a genuine cross-shard 2PC, and two invariants make
 //!   atomicity violations visible as data: the committed balances
 //!   always sum to the initial total (value conservation), and every
 //!   begun cross-shard transaction is committed, aborted or still open
 //!   (transaction conservation).
 //!
-//! Everything is derived from [`ChaosConfig::seed`]: the fault plan,
-//! the draws and the workload. Two runs with the same config produce
-//! the same virtual-time trajectory and — with a JSONL exporter
-//! attached — byte-identical trace files.
+//! Everything is derived from [`ChaosConfig::seed`]: the schedule, the
+//! draws and the workload. Two runs with the same config produce the
+//! same virtual-time trajectory and — with a JSONL exporter attached —
+//! byte-identical trace files. A run is one loop over its schedule's
+//! steps: a fault is applied and the invariants checked; an op runs on
+//! the draws it recorded, then on the seed's stream (`Draws`), and
+//! hands back every draw it took, so [`ChaosReport::schedule`] run
+//! again replays the run exactly.
 
 use crate::invariant::{InvariantChecker, InvariantViolation};
-use crate::plan::{FaultPlan, FaultStep};
+use crate::plan::{FaultStep, Schedule, Step};
 use dedisys_apps::{ats, dtms, flight};
 use dedisys_constraints::RegisteredConstraint;
 use dedisys_core::{
@@ -79,7 +83,7 @@ const ABORT_PCT: u64 = 10;
 const COORDINATOR_CRASH_PCT: u64 = 10;
 /// Virtual time between two transfer-mix ops.
 const OP_TICK: SimDuration = SimDuration::from_millis(1);
-/// The shard the application mix and the fault plan act on.
+/// The shard the application mix and the schedule's faults act on.
 const SHARD0: ShardId = ShardId(0);
 
 /// Configuration of one chaos-soak run.
@@ -87,20 +91,20 @@ const SHARD0: ShardId = ShardId(0);
 pub struct ChaosConfig {
     /// Nodes per shard (at least 2).
     pub nodes: u32,
-    /// Workload operations to run.
+    /// Workload operations [`ChaosEngine::run`] schedules.
     pub ops: u64,
     /// Fault steps [`ChaosEngine::run`] schedules across an
-    /// application-mix run (the transfer mix draws its shard faults
-    /// inline).
+    /// application-mix run (the transfer mix's ops draw their shard
+    /// faults).
     pub faults: usize,
-    /// Master seed: fixes plan, draws and workload.
+    /// Master seed: fixes schedule, draws and workload.
     pub seed: u64,
     /// Shards in the federation: 1 runs the application mix, more run
     /// the cross-shard transfer mix.
     pub shards: u32,
     /// Drive membership through the adaptive failure-detection
     /// pipeline: the cluster runs a φ-accrual detector with flap
-    /// damping, and the random plan draws from the extended fault
+    /// damping, and the random schedule draws from the extended fault
     /// vocabulary (link flaps, asymmetric loss, jitter, torn journal
     /// writes). Off by default so classic seeds keep their historical
     /// schedules. Application mix only.
@@ -120,7 +124,7 @@ impl Default for ChaosConfig {
     }
 }
 
-/// What an application-mix seed draws besides its fault plan and
+/// What an application-mix seed draws besides its schedule and
 /// workload: the settings the paper leaves to the application.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SoakDraws {
@@ -237,6 +241,9 @@ pub struct ChaosReport {
     /// Final statistics snapshot of shard 0 — the whole cluster in the
     /// application mix.
     pub final_stats: StatsSnapshot,
+    /// The schedule as run, every op with every draw it took: run
+    /// again, it replays this run.
+    pub schedule: Schedule,
 }
 
 impl ChaosReport {
@@ -420,10 +427,10 @@ pub struct ChaosEngine {
     config: ChaosConfig,
     draws: Option<SoakDraws>,
     fed: FederatedCluster,
-    /// Workload RNG — in the application mix a distinct stream from
-    /// the plan generator, so adding plan entropy does not shift the
-    /// workload.
-    rng: ChaosRng,
+    /// Workload draws — in the application mix a distinct stream from
+    /// the schedule generator, so adding schedule entropy does not
+    /// shift the workload.
+    rng: Draws,
     /// The request plane the reads and writes route through when the
     /// seed drew it (idle otherwise).
     plane: RequestPlane,
@@ -495,7 +502,11 @@ impl ChaosEngine {
             config.seed ^ 0xC0FF_EE00_C0FF_EE00
         };
         Ok(Self {
-            rng: ChaosRng::new(stream),
+            rng: Draws {
+                stream: ChaosRng::new(stream),
+                recorded: Vec::new().into_iter(),
+                taken: Vec::new(),
+            },
             plane: RequestPlane::new(),
             draws,
             fed,
@@ -537,8 +548,9 @@ impl ChaosEngine {
         self.draws.as_ref().is_some_and(|d| d.plane)
     }
 
-    /// Runs the seed-derived random plan to completion (an empty plan
-    /// in the transfer mix, which draws its faults inline).
+    /// Runs the seed-derived random schedule to completion: `ops` ops
+    /// with `faults` faults among them in the application mix, `ops`
+    /// ops alone in the transfer mix, whose ops draw their faults.
     ///
     /// # Errors
     ///
@@ -546,64 +558,40 @@ impl ChaosEngine {
     /// workload errors are absorbed into the report.
     pub fn run(self) -> Result<ChaosReport> {
         let c = &self.config;
-        let plan = if self.transfers() {
-            FaultPlan::new()
+        let schedule = if self.transfers() {
+            Schedule::with_faults(c.ops, [])
         } else if c.detector {
-            FaultPlan::random_adaptive(c.seed, c.nodes, c.ops, c.faults)
+            Schedule::random_adaptive(c.seed, c.nodes, c.ops, c.faults)
         } else {
-            FaultPlan::random(c.seed, c.nodes, c.ops, c.faults)
+            Schedule::random(c.seed, c.nodes, c.ops, c.faults)
         };
-        self.run_plan(&plan)
+        self.run_schedule(&schedule)
     }
 
-    /// Runs an explicit fault plan, whose steps act on shard 0, to
+    /// Runs an explicit schedule, whose faults act on shard 0, to
     /// completion.
     ///
     /// # Errors
     ///
     /// Propagates workload-seeding failures.
-    pub fn run_plan(mut self, plan: &FaultPlan) -> Result<ChaosReport> {
+    pub fn run_schedule(mut self, schedule: &Schedule) -> Result<ChaosReport> {
         self.seed_objects()?;
-        let mut steps = plan.steps().iter().peekable();
-        let mut step_no: u32 = 0;
-        for op in 0..self.config.ops {
-            while steps.peek().is_some_and(|p| p.at_op <= op) {
-                let planned = steps.next().expect("peeked");
-                self.apply_step(step_no, &planned.step);
-                step_no += 1;
-                self.check_invariants();
+        let mut ran = Vec::with_capacity(schedule.steps.len());
+        let mut fault_no: u32 = 0;
+        for step in &schedule.steps {
+            match step {
+                Step::Fault(fault) => {
+                    self.apply_step(fault_no, fault);
+                    fault_no += 1;
+                    self.check_invariants();
+                    ran.push(step.clone());
+                }
+                Step::Op(draws) => {
+                    self.rng.recorded = draws.clone().into_iter();
+                    self.op();
+                    ran.push(Step::Op(std::mem::take(&mut self.rng.taken)));
+                }
             }
-            let result = if self.transfers() {
-                self.transfer_op()
-            } else {
-                self.app_op()
-            };
-            match result {
-                Ok(()) => self.ops_ok += 1,
-                Err(_) => self.ops_failed += 1,
-            }
-            // Dispatch one queued request per workload op, so plane
-            // traffic drains interleaved with faults and new arrivals.
-            if self.through_plane() {
-                self.plane.step(self.fed.shard_mut(SHARD0));
-            }
-            self.fed.resolve_xshard_in_doubt();
-            for s in shard_ids(&self.fed) {
-                let cluster = self.fed.shard_mut(s);
-                self.in_doubt_resolved += cluster.resolve_in_doubt() as u64;
-                // The workload advanced the virtual clock; let the
-                // failure detector process whatever heartbeats landed.
-                cluster.poll_detector();
-            }
-            // Every transfer-mix op may have faulted a shard.
-            if self.transfers() {
-                self.check_invariants();
-            }
-        }
-        for planned in steps {
-            self.apply_step(step_no, &planned.step);
-            step_no += 1;
-            self.check_invariants();
         }
         self.finish();
         let shard0 = self.fed.shard(SHARD0);
@@ -631,7 +619,38 @@ impl ChaosEngine {
             constraints: self.activity,
             federation: *self.fed.stats(),
             final_stats: shard0.stats(),
+            schedule: Schedule { steps: ran },
         })
+    }
+
+    /// One workload op and the housekeeping after it.
+    fn op(&mut self) {
+        let result = if self.transfers() {
+            self.transfer_op()
+        } else {
+            self.app_op()
+        };
+        match result {
+            Ok(()) => self.ops_ok += 1,
+            Err(_) => self.ops_failed += 1,
+        }
+        // Dispatch one queued request per workload op, so plane
+        // traffic drains interleaved with faults and new arrivals.
+        if self.through_plane() {
+            self.plane.step(self.fed.shard_mut(SHARD0));
+        }
+        self.fed.resolve_xshard_in_doubt();
+        for s in shard_ids(&self.fed) {
+            let cluster = self.fed.shard_mut(s);
+            self.in_doubt_resolved += cluster.resolve_in_doubt() as u64;
+            // The workload advanced the virtual clock; let the
+            // failure detector process whatever heartbeats landed.
+            cluster.poll_detector();
+        }
+        // Every transfer-mix op may have faulted a shard.
+        if self.transfers() {
+            self.check_invariants();
+        }
     }
 
     /// The post-fault invariant sweep: the running-cluster checks on
@@ -844,8 +863,8 @@ impl ChaosEngine {
             .map(|_| ())
     }
 
-    /// One transfer-mix op: a tick of virtual time, the inline shard
-    /// faults, then one cross-shard transfer that commits, aborts or
+    /// One transfer-mix op: a tick of virtual time, the shard faults it
+    /// draws, then one cross-shard transfer that commits, aborts or
     /// loses its coordinator (recovered later by presumed abort).
     fn transfer_op(&mut self) -> Result<()> {
         self.fed.clock().advance(OP_TICK);
@@ -1028,6 +1047,40 @@ impl ChaosEngine {
     }
 }
 
+/// The engine's random draws, with [`ChaosRng`]'s calls: an op takes
+/// them from the draws it recorded first, then from the seed's stream,
+/// and every draw it takes is kept for the schedule it hands back.
+struct Draws {
+    stream: ChaosRng,
+    /// The current op's recorded draws not yet taken.
+    recorded: std::vec::IntoIter<u64>,
+    /// The draws the current op has taken.
+    taken: Vec<u64>,
+}
+
+impl Draws {
+    /// A draw in `0..bound`; `bound == 0` returns 0 without a draw.
+    fn below(&mut self, bound: u64) -> u64 {
+        if bound == 0 {
+            return 0;
+        }
+        let draw = self
+            .recorded
+            .next()
+            .unwrap_or_else(|| self.stream.next_u64());
+        self.taken.push(draw);
+        draw % bound
+    }
+
+    fn chance(&mut self, percent: u64) -> bool {
+        self.below(100) < percent
+    }
+
+    fn pick<'a, T>(&mut self, items: &'a [T]) -> &'a T {
+        &items[self.below(items.len() as u64) as usize]
+    }
+}
+
 /// Severs and restores `node`'s physical links `flaps` times,
 /// advancing the detector through each half-cycle — the stabilizer's
 /// flap damping is what keeps this from translating into `2 × flaps`
@@ -1067,7 +1120,7 @@ fn quiesce(cluster: &mut Cluster) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::FaultStep;
+    use dedisys_telemetry::{JsonlExporter, SharedBuf};
 
     fn run_seed(seed: u64) -> ChaosReport {
         let engine = ChaosEngine::new(ChaosConfig {
@@ -1189,16 +1242,20 @@ mod tests {
 
     #[test]
     fn torn_journal_write_recovers_and_converges() {
-        let plan = FaultPlan::new()
-            .at(60, FaultStep::WalTornWrite { node: NodeId(1) })
-            .at(120, FaultStep::Restart(NodeId(1)));
+        let schedule = Schedule::with_faults(
+            200,
+            [
+                (60, FaultStep::WalTornWrite { node: NodeId(1) }),
+                (120, FaultStep::Restart(NodeId(1))),
+            ],
+        );
         let engine = ChaosEngine::new(ChaosConfig {
             seed: 5,
             ops: 200,
             ..ChaosConfig::default()
         })
         .expect("engine");
-        let report = engine.run_plan(&plan).expect("run");
+        let report = engine.run_schedule(&schedule).expect("run");
         assert!(report.clean(), "violations: {:?}", report.violations);
         assert_eq!(report.faults_applied, 2);
     }
@@ -1208,18 +1265,22 @@ mod tests {
         // Hand-written schedule: crash node 1 early and often enough
         // that a hanging prepared transaction coordinated there goes
         // in-doubt, then restart and let the run finish.
-        let plan = FaultPlan::new()
-            .at(40, FaultStep::Crash(NodeId(1)))
-            .at(90, FaultStep::Restart(NodeId(1)))
-            .at(120, FaultStep::Crash(NodeId(2)))
-            .at(160, FaultStep::Heal);
+        let schedule = Schedule::with_faults(
+            200,
+            [
+                (40, FaultStep::Crash(NodeId(1))),
+                (90, FaultStep::Restart(NodeId(1))),
+                (120, FaultStep::Crash(NodeId(2))),
+                (160, FaultStep::Heal),
+            ],
+        );
         let engine = ChaosEngine::new(ChaosConfig {
             seed: 3,
             ops: 200,
             ..ChaosConfig::default()
         })
         .expect("engine");
-        let report = engine.run_plan(&plan).expect("run");
+        let report = engine.run_schedule(&schedule).expect("run");
         assert!(report.clean(), "violations: {:?}", report.violations);
     }
 
@@ -1273,5 +1334,56 @@ mod tests {
             (b.ops_ok, b.ops_failed, b.faults_applied, b.faults_skipped)
         );
         assert_eq!(a.final_stats.now_ns, b.final_stats.now_ns);
+    }
+
+    /// Runs `config` traced, on `schedule` or on the seed's own, and
+    /// returns the trace bytes with the report. A given schedule runs
+    /// on a stream other than the seed's: every draw it needs must be
+    /// recorded in it.
+    fn traced(config: ChaosConfig, schedule: Option<&Schedule>) -> (Vec<u8>, ChaosReport) {
+        let mut engine = ChaosEngine::new(config).expect("engine");
+        let buffer = SharedBuf::default();
+        let exporter = JsonlExporter::new(Box::new(buffer.clone()));
+        engine.telemetry().attach(Box::new(exporter));
+        let report = match schedule {
+            Some(schedule) => {
+                engine.rng.stream = ChaosRng::new(!config.seed);
+                engine.run_schedule(schedule)
+            }
+            None => engine.run(),
+        };
+        // The run dropped the engine, and the exporter flushed with it.
+        (buffer.bytes(), report.expect("run"))
+    }
+
+    /// A run's schedule, run again, writes the run's trace byte for
+    /// byte: the single-seed `chaos-soak` receipts' configurations
+    /// (seeds 42 and 7, 11 under the detector, 3 on three shards).
+    #[test]
+    fn a_run_replays_from_the_schedule_it_hands_back() {
+        let base = ChaosConfig::default();
+        let configs = [
+            ChaosConfig { seed: 42, ..base },
+            ChaosConfig { seed: 7, ..base },
+            ChaosConfig {
+                seed: 11,
+                detector: true,
+                ..base
+            },
+            ChaosConfig {
+                seed: 3,
+                shards: 3,
+                nodes: 3,
+                ops: 200,
+                ..base
+            },
+        ];
+        for config in configs {
+            let (trace, report) = traced(config, None);
+            assert!(!trace.is_empty());
+            let (again, replayed) = traced(config, Some(&report.schedule));
+            assert!(trace == again, "{config:?}: the replay's trace differs");
+            assert_eq!(replayed.schedule, report.schedule, "{config:?}");
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! # dedisys-chaos — deterministic chaos engine
 //!
-//! Robustness harness for the DeDiSys reproduction: seeded fault
-//! schedules ([`FaultPlan`]), one workload/fault interleaver
+//! Robustness harness for the DeDiSys reproduction: seeded schedules
+//! of workload ops and faults ([`Schedule`]), one engine that runs them
 //! ([`ChaosEngine`]) — the paper's applications under their
 //! constraints on one shard, a cross-shard transfer mix on several —
 //! and safety invariants ([`InvariantChecker`]) checked after every
@@ -16,7 +16,9 @@
 //! (SplitMix64, defined in `dedisys-types`), so a chaos run is a
 //! *reproducible artifact*: the seed of a failing soak is the bug
 //! report, and two runs of the same seed write byte-identical JSONL
-//! traces.
+//! traces. A run hands back its schedule with every draw recorded
+//! ([`ChaosReport::schedule`]); [`Schedule::shrink`] cuts a failing one
+//! down to the few steps the failure needs.
 //!
 //! ```
 //! use dedisys_chaos::{ChaosConfig, ChaosEngine};
@@ -44,7 +46,7 @@ pub use engine::{
     ChaosReport, ConstraintActivity, SoakDraws,
 };
 pub use invariant::{InvariantChecker, InvariantViolation};
-pub use plan::{FaultPlan, FaultStep, PlannedFault};
+pub use plan::{FaultStep, Schedule, Step};
 
 // The workspace's one seeded generator lives in `dedisys-types`, so the
 // layers below this crate (`gms`, `apps`) draw from the same definition.

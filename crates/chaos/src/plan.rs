@@ -1,11 +1,14 @@
-//! Seeded fault schedules: what goes wrong, and when.
+//! Schedules: what a chaos run does, in order.
 //!
-//! A [`FaultPlan`] is a list of [`FaultStep`]s pinned to workload
-//! operation indices — "after op 17, crash node 2". Plans are either
-//! written out explicitly (the DSL: [`FaultPlan::new`] + [`FaultPlan::at`])
-//! or generated reproducibly from a seed ([`FaultPlan::random`]): equal
-//! seeds yield equal schedules, so a failing soak run is replayed
-//! exactly by its seed.
+//! A [`Schedule`] is a list of [`Step`]s, each a workload op or a
+//! [`FaultStep`] — "op, op, crash node 2, op". Schedules are either
+//! written out explicitly ([`Schedule::with_faults`] places faults
+//! before op indices) or generated reproducibly from a seed
+//! ([`Schedule::random`]): equal seeds yield equal schedules. An op
+//! holds the random draws it took; a run hands back its schedule with
+//! every draw recorded, so running that schedule again replays the run
+//! exactly, and [`Schedule::shrink`] drops steps of a failing one
+//! without re-rolling the draws of the rest.
 
 use dedisys_types::{ChaosRng, NodeId};
 use std::collections::BTreeSet;
@@ -119,123 +122,152 @@ impl fmt::Display for FaultStep {
     }
 }
 
-/// A fault step scheduled at a workload-operation index.
+/// One step of a [`Schedule`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PlannedFault {
-    /// The step fires *before* the workload op with this index.
-    pub at_op: u64,
-    /// The fault to inject.
-    pub step: FaultStep,
+pub enum Step {
+    /// A workload op. It takes its random draws from this list first,
+    /// then from the seed's stream.
+    Op(Vec<u64>),
+    /// An injected fault (or repair), acting on shard 0.
+    Fault(FaultStep),
 }
 
-/// A deterministic fault schedule.
+/// What a chaos run does, in order: workload ops and faults.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FaultPlan {
-    steps: Vec<PlannedFault>,
+pub struct Schedule {
+    /// The steps, run first to last.
+    pub steps: Vec<Step>,
 }
 
-impl FaultPlan {
-    /// An empty plan (the DSL entry point).
-    pub fn new() -> Self {
-        Self::default()
+impl Schedule {
+    /// `ops` workload ops with no recorded draws, and `faults` placed
+    /// among them: `(at, step)` runs before op `at`, or after the last
+    /// op when `at >= ops`; faults at one index keep their order.
+    pub fn with_faults(ops: u64, faults: impl IntoIterator<Item = (u64, FaultStep)>) -> Self {
+        let mut faults: Vec<(u64, FaultStep)> = faults.into_iter().collect();
+        faults.sort_by_key(|fault| fault.0);
+        let mut faults = faults.into_iter().peekable();
+        let mut steps = Vec::new();
+        for op in 0..ops {
+            while let Some((_, fault)) = faults.next_if(|fault| fault.0 <= op) {
+                steps.push(Step::Fault(fault));
+            }
+            steps.push(Step::Op(Vec::new()));
+        }
+        steps.extend(faults.map(|(_, fault)| Step::Fault(fault)));
+        Self { steps }
     }
 
-    /// Schedules `step` before workload op `at_op` (builder style).
-    #[must_use]
-    pub fn at(mut self, at_op: u64, step: FaultStep) -> Self {
-        self.steps.push(PlannedFault { at_op, step });
-        self.steps.sort_by_key(|p| p.at_op);
-        self
-    }
-
-    /// The scheduled steps, sorted by op index (stable for ties).
-    pub fn steps(&self) -> &[PlannedFault] {
-        &self.steps
-    }
-
-    /// Number of scheduled steps.
-    pub fn len(&self) -> usize {
-        self.steps.len()
-    }
-
-    /// Whether the plan is empty.
-    pub fn is_empty(&self) -> bool {
-        self.steps.is_empty()
-    }
-
-    /// Generates a reproducible random plan: `faults` steps spread
+    /// Generates a reproducible random schedule: `faults` steps spread
     /// over `ops` workload operations against `nodes` nodes. The
     /// generator tracks which nodes its own schedule has crashed so
     /// restarts target crashed nodes, crashes target live ones, and at
     /// least one node always survives. Every step is one the engine
     /// applies to a cluster without the detector pipeline.
     ///
-    /// Equal seeds yield equal plans within a release; a change to its
-    /// draw table re-rolls every classic schedule once and is recorded
-    /// in `CHANGELOG.md`.
+    /// Equal seeds yield equal schedules within a release; a change to
+    /// its draw table re-rolls every classic schedule once and is
+    /// recorded in `CHANGELOG.md`.
     pub fn random(seed: u64, nodes: u32, ops: u64, faults: usize) -> Self {
-        Self::generate(ChaosRng::new(seed), nodes, ops, faults, classic_draw)
+        let rng = ChaosRng::new(seed);
+        Self::with_faults(ops, generate(rng, nodes, ops, faults, classic_draw))
     }
 
-    /// Like [`FaultPlan::random`], but drawing from the full fault
+    /// Like [`Schedule::random`], but drawing from the full fault
     /// vocabulary of the adaptive failure-detection pipeline: link
     /// flaps, asymmetric loss, heartbeat jitter and torn journal
     /// writes join the classic crash/partition mix. A separate draw
     /// table (and a perturbed seed stream), so a change to either
-    /// table leaves the other generator's plans byte-identical.
+    /// table leaves the other generator's schedules byte-identical.
     pub fn random_adaptive(seed: u64, nodes: u32, ops: u64, faults: usize) -> Self {
-        Self::generate(
-            ChaosRng::new(seed ^ 0xADA7_71FE_0000_5EED),
-            nodes,
-            ops,
-            faults,
-            adaptive_draw,
-        )
+        let rng = ChaosRng::new(seed ^ 0xADA7_71FE_0000_5EED);
+        Self::with_faults(ops, generate(rng, nodes, ops, faults, adaptive_draw))
     }
 
-    /// The body both generators share: `faults` sorted op indices, then
-    /// one `draw` per index against the schedule so far. The crashed
-    /// set follows the drawn steps, so restarts target crashed nodes
-    /// and crashes live ones; the tables keep at least one survivor.
-    fn generate(
-        mut rng: ChaosRng,
-        nodes: u32,
-        ops: u64,
-        faults: usize,
-        draw: fn(&mut ChaosRng, &Schedule<'_>) -> FaultStep,
-    ) -> Self {
-        let mut crashed: BTreeSet<NodeId> = BTreeSet::new();
-        let mut steps = Vec::with_capacity(faults);
-        let mut indices: Vec<u64> = (0..faults).map(|_| rng.below(ops.max(1))).collect();
-        indices.sort_unstable();
-        for at_op in indices {
-            let (down, live): (Vec<NodeId>, Vec<NodeId>) =
-                (0..nodes).map(NodeId).partition(|n| crashed.contains(n));
-            let step = draw(
-                &mut rng,
-                &Schedule {
-                    nodes,
-                    live: &live,
-                    crashed: &down,
-                },
-            );
-            match step {
-                FaultStep::Crash(node) | FaultStep::WalTornWrite { node } => {
-                    crashed.insert(node);
+    /// Drops runs of steps while `fails` still holds of what is left:
+    /// runs half the schedule long first, halving down to single steps.
+    /// Returns the shrunk schedule and how many times `fails` ran.
+    pub fn shrink(&self, mut fails: impl FnMut(&Schedule) -> bool) -> (Schedule, u32) {
+        let mut kept = self.clone();
+        let mut runs = 0;
+        let mut len = kept.steps.len().div_ceil(2);
+        while len > 0 {
+            let mut at = 0;
+            while at < kept.steps.len() {
+                let end = (at + len).min(kept.steps.len());
+                let mut candidate = kept.clone();
+                candidate.steps.drain(at..end);
+                runs += 1;
+                if fails(&candidate) {
+                    kept = candidate;
+                } else {
+                    at = end;
                 }
-                FaultStep::Restart(node) => {
-                    crashed.remove(&node);
-                }
-                _ => {}
             }
-            steps.push(PlannedFault { at_op, step });
+            len /= 2;
         }
-        Self { steps }
+        (kept, runs)
     }
 }
 
+/// The steps in [`FaultStep`]'s syntax, an op as `op`.
+impl fmt::Display for Schedule {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for (i, step) in self.steps.iter().enumerate() {
+            if i > 0 {
+                write!(f, " ")?;
+            }
+            match step {
+                Step::Op(_) => write!(f, "op")?,
+                Step::Fault(fault) => write!(f, "{fault}")?,
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The body both generators share: `faults` sorted op indices, then one
+/// `draw` per index against the schedule so far. The crashed set
+/// follows the drawn steps, so restarts target crashed nodes and
+/// crashes live ones; the tables keep at least one survivor.
+fn generate(
+    mut rng: ChaosRng,
+    nodes: u32,
+    ops: u64,
+    faults: usize,
+    draw: fn(&mut ChaosRng, &SoFar<'_>) -> FaultStep,
+) -> Vec<(u64, FaultStep)> {
+    let mut crashed: BTreeSet<NodeId> = BTreeSet::new();
+    let mut indices: Vec<u64> = (0..faults).map(|_| rng.below(ops.max(1))).collect();
+    indices.sort_unstable();
+    let mut drawn = Vec::with_capacity(faults);
+    for at_op in indices {
+        let (down, live): (Vec<NodeId>, Vec<NodeId>) =
+            (0..nodes).map(NodeId).partition(|n| crashed.contains(n));
+        let step = draw(
+            &mut rng,
+            &SoFar {
+                nodes,
+                live: &live,
+                crashed: &down,
+            },
+        );
+        match step {
+            FaultStep::Crash(node) | FaultStep::WalTornWrite { node } => {
+                crashed.insert(node);
+            }
+            FaultStep::Restart(node) => {
+                crashed.remove(&node);
+            }
+            _ => {}
+        }
+        drawn.push((at_op, step));
+    }
+    drawn
+}
+
 /// The schedule so far, as a draw table sees it.
-struct Schedule<'a> {
+struct SoFar<'a> {
     /// Cluster size.
     nodes: u32,
     /// Nodes the plan has not crashed, in id order.
@@ -244,7 +276,7 @@ struct Schedule<'a> {
     crashed: &'a [NodeId],
 }
 
-impl Schedule<'_> {
+impl SoFar<'_> {
     /// Any node, crashed or not.
     fn any_node(&self, rng: &mut ChaosRng) -> NodeId {
         NodeId(rng.below(u64::from(self.nodes)) as u32)
@@ -265,8 +297,8 @@ impl Schedule<'_> {
     }
 }
 
-/// [`FaultPlan::random`]'s table.
-fn classic_draw(rng: &mut ChaosRng, s: &Schedule<'_>) -> FaultStep {
+/// [`Schedule::random`]'s table.
+fn classic_draw(rng: &mut ChaosRng, s: &SoFar<'_>) -> FaultStep {
     match rng.below(100) {
         // Crash a live node (keep at least one survivor).
         0..=19 if s.live.len() > 1 => FaultStep::Crash(*rng.pick(s.live)),
@@ -281,8 +313,8 @@ fn classic_draw(rng: &mut ChaosRng, s: &Schedule<'_>) -> FaultStep {
     }
 }
 
-/// [`FaultPlan::random_adaptive`]'s table.
-fn adaptive_draw(rng: &mut ChaosRng, s: &Schedule<'_>) -> FaultStep {
+/// [`Schedule::random_adaptive`]'s table.
+fn adaptive_draw(rng: &mut ChaosRng, s: &SoFar<'_>) -> FaultStep {
     match rng.below(100) {
         // Crash a live node (keep at least one survivor).
         0..=11 if s.live.len() > 1 => FaultStep::Crash(*rng.pick(s.live)),
@@ -337,32 +369,43 @@ fn split(rng: &mut ChaosRng, live: &[NodeId]) -> FaultStep {
 mod tests {
     use super::*;
 
+    /// The faults of `schedule`, in order.
+    fn faults(schedule: &Schedule) -> impl Iterator<Item = &FaultStep> {
+        schedule.steps.iter().filter_map(|step| match step {
+            Step::Fault(fault) => Some(fault),
+            Step::Op(_) => None,
+        })
+    }
+
     #[test]
     fn dsl_orders_steps_by_op() {
-        let plan = FaultPlan::new()
-            .at(20, FaultStep::Heal)
-            .at(5, FaultStep::Crash(NodeId(1)))
-            .at(12, FaultStep::Restart(NodeId(1)));
-        let ops: Vec<u64> = plan.steps().iter().map(|p| p.at_op).collect();
-        assert_eq!(ops, vec![5, 12, 20]);
+        let schedule = Schedule::with_faults(
+            3,
+            [
+                (20, FaultStep::Heal),
+                (1, FaultStep::Crash(NodeId(1))),
+                (1, FaultStep::Restart(NodeId(1))),
+            ],
+        );
+        assert_eq!(schedule.to_string(), "op crash(n1) restart(n1) op op heal");
     }
 
     #[test]
     fn random_plans_are_seed_reproducible() {
-        let a = FaultPlan::random(99, 4, 200, 24);
-        let b = FaultPlan::random(99, 4, 200, 24);
+        let a = Schedule::random(99, 4, 200, 24);
+        let b = Schedule::random(99, 4, 200, 24);
         assert_eq!(a, b);
-        let c = FaultPlan::random(100, 4, 200, 24);
+        let c = Schedule::random(100, 4, 200, 24);
         assert_ne!(a, c, "different seeds should diverge");
     }
 
     #[test]
     fn random_plans_never_crash_the_last_node() {
         for seed in 0..50 {
-            let plan = FaultPlan::random(seed, 3, 100, 30);
+            let schedule = Schedule::random(seed, 3, 100, 30);
             let mut crashed = 0u32;
-            for p in plan.steps() {
-                match &p.step {
+            for fault in faults(&schedule) {
+                match fault {
                     FaultStep::Crash(_) => {
                         crashed += 1;
                         assert!(crashed < 3, "seed {seed} crashed every node");
@@ -377,10 +420,10 @@ mod tests {
     #[test]
     fn random_plans_draw_only_steps_a_scripted_cluster_applies() {
         for seed in 0..50 {
-            for p in FaultPlan::random(seed, 4, 200, 24).steps() {
+            for fault in faults(&Schedule::random(seed, 4, 200, 24)) {
                 assert!(
                     matches!(
-                        p.step,
+                        fault,
                         FaultStep::Crash(_)
                             | FaultStep::Restart(_)
                             | FaultStep::Partition(_)
@@ -388,8 +431,7 @@ mod tests {
                             | FaultStep::WriteFaultWindow { .. }
                             | FaultStep::ReplicaLag { .. }
                     ),
-                    "seed {seed} drew {}, which needs the detector pipeline",
-                    p.step
+                    "seed {seed} drew {fault}, which needs the detector pipeline"
                 );
             }
         }
@@ -414,20 +456,24 @@ mod tests {
 
     #[test]
     fn adaptive_plans_are_seed_reproducible_and_distinct() {
-        let a = FaultPlan::random_adaptive(99, 4, 200, 24);
-        let b = FaultPlan::random_adaptive(99, 4, 200, 24);
+        let a = Schedule::random_adaptive(99, 4, 200, 24);
+        let b = Schedule::random_adaptive(99, 4, 200, 24);
         assert_eq!(a, b);
-        let classic = FaultPlan::random(99, 4, 200, 24);
-        assert_ne!(a, classic, "adaptive plans draw from their own stream");
+        let classic = Schedule::random(99, 4, 200, 24);
+        assert_ne!(a, classic, "adaptive schedules draw from their own stream");
     }
 
-    fn render(plan: &FaultPlan) -> String {
-        let steps: Vec<String> = plan
-            .steps()
-            .iter()
-            .map(|p| format!("{}:{}", p.at_op, p.step))
-            .collect();
-        steps.join(" ")
+    /// Each fault as `<ops before it>:<fault>`.
+    fn render(schedule: &Schedule) -> String {
+        let mut ops = 0;
+        let mut rendered = Vec::new();
+        for step in &schedule.steps {
+            match step {
+                Step::Op(_) => ops += 1,
+                Step::Fault(fault) => rendered.push(format!("{ops}:{fault}")),
+            }
+        }
+        rendered.join(" ")
     }
 
     /// Both generators draw exactly the schedules they drew before
@@ -435,8 +481,10 @@ mod tests {
     /// would re-roll every seed's schedule.
     #[test]
     fn generators_keep_their_schedules() {
+        let classic = Schedule::random(99, 4, 200, 24);
+        assert_eq!(classic.steps.len(), 224);
         assert_eq!(
-            render(&FaultPlan::random(99, 4, 200, 24)),
+            render(&classic),
             "3:replica_lag(n1,2) 7:write_fault(n1,3) 18:write_fault(n0,3) \
              18:partition(n0,n1,n3|n2) 27:heal 35:replica_lag(n0,3) 41:replica_lag(n2,1) \
              43:crash(n3) 52:heal 76:replica_lag(n1,1) 78:restart(n3) 86:replica_lag(n1,3) \
@@ -446,7 +494,7 @@ mod tests {
              195:restart(n0)"
         );
         assert_eq!(
-            render(&FaultPlan::random_adaptive(99, 4, 200, 24)),
+            render(&Schedule::random_adaptive(99, 4, 200, 24)),
             "7:wal_torn(n3) 18:asym_loss(n2->n1,494‰) 21:link_flap(n1,5x216ms) 22:crash(n1) \
              33:asym_loss(n2->n0,320‰) 39:restart(n3) 46:asym_loss(n2->n3,216‰) \
              60:asym_loss(n0->n2,288‰) 79:restart(n1) 96:partition(n1,n2|n0,n3) \
@@ -460,13 +508,13 @@ mod tests {
     #[test]
     fn both_generators_crash_live_nodes_and_restart_crashed_ones() {
         for seed in 0..50 {
-            for plan in [
-                FaultPlan::random(seed, 4, 200, 40),
-                FaultPlan::random_adaptive(seed, 4, 200, 40),
+            for schedule in [
+                Schedule::random(seed, 4, 200, 40),
+                Schedule::random_adaptive(seed, 4, 200, 40),
             ] {
                 let mut crashed = BTreeSet::new();
-                for p in plan.steps() {
-                    match &p.step {
+                for fault in faults(&schedule) {
+                    match fault {
                         FaultStep::Crash(node) | FaultStep::WalTornWrite { node } => {
                             assert!(crashed.insert(*node), "seed {seed}: {node} crashed twice");
                         }
@@ -483,10 +531,10 @@ mod tests {
     #[test]
     fn adaptive_plans_never_crash_the_last_node() {
         for seed in 0..50 {
-            let plan = FaultPlan::random_adaptive(seed, 3, 100, 30);
+            let schedule = Schedule::random_adaptive(seed, 3, 100, 30);
             let mut crashed = 0u32;
-            for p in plan.steps() {
-                match &p.step {
+            for fault in faults(&schedule) {
+                match fault {
                     FaultStep::Crash(_) | FaultStep::WalTornWrite { .. } => {
                         crashed += 1;
                         assert!(crashed < 3, "seed {seed} crashed every node");
@@ -496,5 +544,60 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A stand-in for a failing run: it fails iff a crash of n1 comes
+    /// before a heal.
+    fn crash_then_heal(schedule: &Schedule) -> bool {
+        let mut crashed = false;
+        faults(schedule).any(|fault| {
+            crashed |= *fault == FaultStep::Crash(NodeId(1));
+            crashed && *fault == FaultStep::Heal
+        })
+    }
+
+    #[test]
+    fn shrink_keeps_only_the_steps_the_failure_needs() {
+        let schedule = Schedule::with_faults(
+            50,
+            [
+                (3, FaultStep::Heal),
+                (7, FaultStep::Crash(NodeId(2))),
+                (12, FaultStep::Crash(NodeId(1))),
+                (
+                    20,
+                    FaultStep::Partition(vec![vec![NodeId(0)], vec![NodeId(3)]]),
+                ),
+                (26, FaultStep::Restart(NodeId(2))),
+                (33, FaultStep::Heal),
+                (38, FaultStep::Restart(NodeId(1))),
+                (
+                    41,
+                    FaultStep::ReplicaLag {
+                        node: NodeId(0),
+                        updates: 2,
+                    },
+                ),
+                (
+                    45,
+                    FaultStep::WriteFaultWindow {
+                        node: NodeId(3),
+                        failures: 1,
+                    },
+                ),
+                (49, FaultStep::Crash(NodeId(3))),
+            ],
+        );
+        assert_eq!(schedule.steps.len(), 60);
+        assert!(crash_then_heal(&schedule));
+        let (shrunk, runs) = schedule.shrink(crash_then_heal);
+        assert_eq!(shrunk.to_string(), "crash(n1) heal");
+        for dropped in 0..2 {
+            let mut less = shrunk.clone();
+            less.steps.remove(dropped);
+            assert!(!crash_then_heal(&less), "the failure needs step {dropped}");
+        }
+        assert_eq!(runs, 22);
+        assert_eq!(schedule.shrink(crash_then_heal), (shrunk, runs));
     }
 }

@@ -341,7 +341,7 @@ pub enum TraceEvent {
     },
     /// A chaos-engine fault step was injected into the running cluster.
     ChaosFault {
-        /// Zero-based step index within the fault plan.
+        /// Zero-based index of the fault among the schedule's faults.
         step: u32,
         /// Short, stable description of the fault (e.g. `crash(2)`).
         fault: String,

@@ -2,7 +2,7 @@
 //! crash/restart lifecycle, 2PC in-doubt recovery (presumed abort),
 //! §5.5.1 threat re-activation, and the typed topology error paths.
 
-use dedisys_chaos::{ChaosConfig, ChaosEngine, ChaosReport, FaultPlan, FaultStep};
+use dedisys_chaos::{ChaosConfig, ChaosEngine, ChaosReport, FaultStep, Schedule};
 use dedisys_constraints::{
     expr::ExprConstraint, ConstraintMeta, ContextPreparation, RegisteredConstraint,
 };
@@ -293,22 +293,26 @@ fn crashed_node_rejects_requests_until_restarted() {
 
 #[test]
 fn explicit_schedule_with_mid_2pc_crashes_stays_clean() {
-    let plan = FaultPlan::new()
-        .at(25, FaultStep::Crash(NodeId(1)))
-        .at(
-            60,
-            FaultStep::Partition(vec![vec![NodeId(0), NodeId(2)], vec![NodeId(3)]]),
-        )
-        .at(90, FaultStep::Restart(NodeId(1)))
-        .at(110, FaultStep::Crash(NodeId(3)))
-        .at(140, FaultStep::Heal)
-        .at(
-            170,
-            FaultStep::WriteFaultWindow {
-                node: NodeId(2),
-                failures: 3,
-            },
-        );
+    let schedule = Schedule::with_faults(
+        200,
+        [
+            (25, FaultStep::Crash(NodeId(1))),
+            (
+                60,
+                FaultStep::Partition(vec![vec![NodeId(0), NodeId(2)], vec![NodeId(3)]]),
+            ),
+            (90, FaultStep::Restart(NodeId(1))),
+            (110, FaultStep::Crash(NodeId(3))),
+            (140, FaultStep::Heal),
+            (
+                170,
+                FaultStep::WriteFaultWindow {
+                    node: NodeId(2),
+                    failures: 3,
+                },
+            ),
+        ],
+    );
     let report = ChaosEngine::new(ChaosConfig {
         nodes: 4,
         ops: 200,
@@ -316,7 +320,7 @@ fn explicit_schedule_with_mid_2pc_crashes_stays_clean() {
         ..ChaosConfig::default()
     })
     .unwrap()
-    .run_plan(&plan)
+    .run_schedule(&schedule)
     .unwrap();
     assert!(report.clean(), "violations: {:?}", report.violations);
     assert!(report.ops_ok > 0);
@@ -412,10 +416,8 @@ fn every_three_step_schedule_stays_clean() {
     for a in &vocabulary {
         for b in &vocabulary {
             for c in &vocabulary {
-                let plan = FaultPlan::new()
-                    .at(10, a.clone())
-                    .at(20, b.clone())
-                    .at(30, c.clone());
+                let schedule =
+                    Schedule::with_faults(40, [(10, a.clone()), (20, b.clone()), (30, c.clone())]);
                 let report = ChaosEngine::new(ChaosConfig {
                     nodes: 3,
                     ops: 40,
@@ -423,7 +425,7 @@ fn every_three_step_schedule_stays_clean() {
                     ..ChaosConfig::default()
                 })
                 .unwrap()
-                .run_plan(&plan)
+                .run_schedule(&schedule)
                 .unwrap();
                 assert!(
                     report.clean(),
