@@ -1,7 +1,7 @@
 //! The constraint repository (§2.1.4, §4.2.2).
 
 use crate::{ConstraintKind, RegisteredConstraint};
-use dedisys_types::{ClassName, ConstraintName, Error, MethodSignature, Result};
+use dedisys_types::{ClassName, ConstraintName, Error, MethodSignature, Result, TxBuildHasher};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -72,8 +72,11 @@ pub struct ConstraintRepository {
     mode: LookupMode,
     /// Cached query results: one row per signature, one slot per
     /// [`LookupKind`], so a hit is probed with the caller's borrowed
-    /// signature and answered by sharing the stored list.
-    cache: HashMap<MethodSignature, [Option<Matches>; LookupKind::COUNT]>,
+    /// signature and answered by sharing the stored list. Hashed
+    /// without a per-process seed (FNV-1a over the names' bytes): it is
+    /// probed on every checked call, and a seeded SipHash costs more
+    /// than the probe.
+    cache: HashMap<MethodSignature, [Option<Matches>; LookupKind::COUNT], TxBuildHasher>,
     /// Class-sharded trigger index: a lookup for `Class::method` only
     /// scans the constraints with a trigger point on `Class`, instead
     /// of the whole registry. Rebuilt on every mutation.
@@ -93,7 +96,7 @@ impl ConstraintRepository {
         Self {
             constraints: Vec::new(),
             mode,
-            cache: HashMap::new(),
+            cache: HashMap::default(),
             shards: HashMap::new(),
             stats: RepositoryStats::default(),
         }

@@ -1,13 +1,13 @@
 //! Consistency threats and the persistent threat store (§3.2.2).
 
-use dedisys_store::{LogOp, WriteAheadLog};
+use dedisys_store::WriteAheadLog;
 use dedisys_telemetry::ThreatStorage;
 use dedisys_types::{
     ConstraintName, Error, ObjectId, Result, SatisfactionDegree, SimTime, TxBuildHasher, TxId,
     Value,
 };
 use serde::{Deserialize, Serialize};
-use std::collections::{hash_map, BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{hash_map, BTreeMap, BTreeSet, HashMap};
 use std::fmt::Write;
 use std::sync::Arc;
 
@@ -223,35 +223,34 @@ impl ThreatStore {
     }
 
     /// Simulates a middleware crash: drops everything held in memory
-    /// and rebuilds it from the write-ahead log, newest entry first —
-    /// the first operation seen for a key is the one that survives, so
-    /// deleted records are never decoded. Returns how many threats were
-    /// recovered.
+    /// and rebuilds it from the write-ahead log's
+    /// [survivors](WriteAheadLog::survivors) — of the entries whose
+    /// checksums hold, each key's newest if it is a put, so deleted
+    /// records are never decoded. They come in journal order, which is
+    /// occurrence order: a record's number is taken as it is journalled.
+    /// Returns how many threats were recovered.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Persistence`] if a surviving journal entry does
-    /// not decode; the in-memory threats are then left as they were.
+    /// Returns [`Error::Persistence`] naming the earliest surviving
+    /// journal entry, in journal order, that does not decode; the
+    /// in-memory threats are then left as they were.
     pub fn recover(&mut self) -> Result<usize> {
-        let mut decided: HashSet<&str> = HashSet::new();
-        let mut survivors = Vec::new();
-        for entry in self.wal.entries().iter().rev() {
-            if !decided.insert(&entry.key) {
-                continue;
-            }
-            if let LogOp::Put { record } = &entry.op {
+        let survivors = self
+            .wal
+            .survivors()
+            .map(|(entry, record, _)| {
                 let corrupt = |e: &dyn std::fmt::Display| {
                     Error::Persistence(format!("threat record {}: {e}", entry.key))
                 };
-                survivors.push(Record {
+                Ok(Record {
                     number: record_number(&entry.key)
                         .ok_or_else(|| corrupt(&"key without a record number"))?,
                     key: Arc::clone(&entry.key),
                     threat: serde_json::from_str(record).map_err(|e| corrupt(&e))?,
-                });
-            }
-        }
-        survivors.sort_unstable_by_key(|r| r.number);
+                })
+            })
+            .collect::<Result<Vec<Record>>>()?;
         self.records.clear();
         self.object_index.clear();
         self.len = 0;
@@ -541,6 +540,29 @@ mod tests {
                 .constraint,
             ConstraintName::from("C")
         );
+    }
+
+    #[test]
+    fn recovery_reports_the_earliest_undecodable_record_and_reads_only_the_intact_prefix() {
+        let mut store = ThreatStore::new(HistoryPolicy::FullHistory);
+        store.store(threat("C", "F1"));
+        // Two intact entries that do not decode; the earlier one's key
+        // sorts after the later one's.
+        store
+            .wal
+            .append_put(THREAT_TABLE, "00000009|X", "not a record");
+        store.wal.append_put(THREAT_TABLE, "00000002|Y", "{");
+        match store.clone().recover() {
+            Err(Error::Persistence(why)) => {
+                assert!(why.starts_with("threat record 00000009|X: "), "{why}");
+            }
+            other => panic!("expected a persistence error, got {other:?}"),
+        }
+        // Torn, they are past the intact prefix: recovery never reads
+        // them.
+        assert_eq!(store.wal.corrupt_tail(2), 2);
+        assert_eq!(store.recover(), Ok(1));
+        assert_eq!(store.threats()[0].constraint, ConstraintName::from("C"));
     }
 
     #[test]

@@ -212,3 +212,40 @@ fn partition_fraction_reflects_weights() {
     assert!((c.partition_fraction(NodeId(0)) - 0.5).abs() < 1e-9);
     assert!((c.partition_fraction(NodeId(1)) - 0.5).abs() < 1e-9);
 }
+
+#[test]
+fn the_objects_create_places_share_one_replica_set() {
+    let mut c = cluster(3);
+    let ids: Vec<ObjectId> = (0..1_000)
+        .map(|k| ObjectId::new("Item", format!("i{k}")))
+        .collect();
+    for (k, id) in ids.iter().enumerate() {
+        let node = NodeId(k as u32 % 3);
+        let e = id.clone();
+        c.run_tx(node, move |c, tx| {
+            c.create(node, tx, EntityState::for_class(c.app(), &e)?)
+        })
+        .unwrap();
+    }
+    // Two bound creates name one set between them, whatever order it
+    // is spelled in and whichever member is primary.
+    let bound = [ObjectId::new("Item", "b0"), ObjectId::new("Item", "b1")];
+    let (b0, b1) = (bound[0].clone(), bound[1].clone());
+    c.run_tx(NodeId(1), move |c, tx| {
+        let e0 = EntityState::for_class(c.app(), &b0)?;
+        c.create_bound(NodeId(1), tx, e0, vec![NodeId(1), NodeId(2)], NodeId(1))?;
+        let e1 = EntityState::for_class(c.app(), &b1)?;
+        c.create_bound(NodeId(1), tx, e1, vec![NodeId(2), NodeId(1)], NodeId(2))
+    })
+    .unwrap();
+
+    let everywhere = c.replicas_of(&ids[0]).unwrap();
+    assert!(everywhere.iter().copied().eq(nodes![0, 1, 2]));
+    assert!(ids
+        .iter()
+        .all(|id| std::ptr::eq(c.replicas_of(id).unwrap(), everywhere)));
+    let pair = c.replicas_of(&bound[0]).unwrap();
+    assert!(pair.iter().copied().eq(nodes![1, 2]));
+    assert!(!std::ptr::eq(pair, everywhere));
+    assert!(std::ptr::eq(c.replicas_of(&bound[1]).unwrap(), pair));
+}

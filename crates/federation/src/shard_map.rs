@@ -17,9 +17,8 @@
 //! `FederatedCluster::rebalance` executes via the core WAL/state
 //! transfer hooks. Nothing moves implicitly.
 
-use dedisys_types::{Error, ObjectId, Result};
+use dedisys_types::{fnv1a, Error, ObjectId, Result, FNV_OFFSET};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Identifies one shard (one [`Cluster`](dedisys_core::Cluster)) in a
 /// federation.
@@ -39,19 +38,14 @@ impl std::fmt::Display for ShardId {
     }
 }
 
-/// The ring hash: FNV-1a over the bytes, then a splitmix64-style
-/// avalanche finalizer. Stable across platforms and Rust versions
-/// (std's `DefaultHasher` makes no such promise). Plain FNV-1a is not
-/// enough here — on short structured inputs (`seed‖shard‖vnode`) its
-/// high bits barely avalanche, which clumps ring points and key
-/// hashes into narrow bands; the finalizer spreads them over the full
-/// `u64` ring.
-fn ring_hash(bytes: impl IntoIterator<Item = u8>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
+/// The ring hash, from the FNV-1a state `h` over the bytes: a
+/// splitmix64-style avalanche finalizer. Stable across platforms and
+/// Rust versions (std's `DefaultHasher` makes no such promise). Plain
+/// FNV-1a is not enough here — on short structured inputs
+/// (`seed‖shard‖vnode`) its high bits barely avalanche, which clumps
+/// ring points and key hashes into narrow bands; the finalizer spreads
+/// them over the full `u64` ring.
+fn ring_hash(mut h: u64) -> u64 {
     h ^= h >> 30;
     h = h.wrapping_mul(0xBF58_476D_1CE4_E5B9);
     h ^= h >> 27;
@@ -88,8 +82,12 @@ pub struct ShardMap {
     shards: u32,
     vnodes: u32,
     seed: u64,
-    /// Ring point → owning shard.
-    ring: BTreeMap<u64, u32>,
+    /// The FNV-1a state after the seed's bytes, where every object's
+    /// hash starts.
+    seeded: u64,
+    /// `(ring point, owning shard)`, sorted by point, one entry per
+    /// point.
+    ring: Vec<(u64, u32)>,
 }
 
 impl ShardMap {
@@ -108,24 +106,23 @@ impl ShardMap {
                 "a shard map needs at least one virtual node per shard".into(),
             ));
         }
-        let mut ring = BTreeMap::new();
+        let seeded = fnv1a(FNV_OFFSET, &seed.to_le_bytes());
+        let mut ring = Vec::with_capacity(shards as usize * vnodes as usize);
         for shard in 0..shards {
             for vnode in 0..vnodes {
-                let point = ring_hash(
-                    seed.to_le_bytes()
-                        .into_iter()
-                        .chain(shard.to_le_bytes())
-                        .chain(vnode.to_le_bytes()),
-                );
-                // On the astronomically unlikely point collision the
-                // lower shard id wins, deterministically.
-                ring.entry(point).or_insert(shard);
+                let h = fnv1a(fnv1a(seeded, &shard.to_le_bytes()), &vnode.to_le_bytes());
+                ring.push((ring_hash(h), shard));
             }
         }
+        // On the astronomically unlikely point collision the lower
+        // shard id wins, deterministically: it sorts first and stays.
+        ring.sort_unstable();
+        ring.dedup_by_key(|&mut (point, _)| point);
         Ok(Self {
             shards,
             vnodes,
             seed,
+            seeded,
             ring,
         })
     }
@@ -160,23 +157,12 @@ impl ShardMap {
     /// object's hash, wrapping past the top. Total — every object maps
     /// to exactly one shard.
     pub fn shard_of(&self, id: &ObjectId) -> ShardId {
-        // The bytes of `seed ‖ id.to_string()`, without the string.
-        let h = ring_hash(
-            self.seed
-                .to_le_bytes()
-                .into_iter()
-                .chain(id.class().as_str().bytes())
-                .chain([b'#'])
-                .chain(id.key().bytes()),
-        );
-        let owner = self
-            .ring
-            .range(h..)
-            .next()
-            .or_else(|| self.ring.iter().next())
-            .map(|(_, shard)| *shard)
-            .expect("ring is nonempty by construction");
-        ShardId(owner)
+        // The bytes of `seed ‖ id.to_string()`: the seed's are absorbed
+        // already, the id's display text is one slice.
+        let h = ring_hash(fnv1a(self.seeded, id.text().as_bytes()));
+        let at = self.ring.partition_point(|&(point, _)| point < h);
+        let (_, owner) = self.ring.get(at).unwrap_or(&self.ring[0]);
+        ShardId(*owner)
     }
 
     /// Diffs this map against `target` over `keys` and returns the

@@ -1,7 +1,7 @@
 //! Per-node entity storage with transactional write buffering.
 
 use crate::{AppDescriptor, EntityState, Snapshot};
-use dedisys_store::{LogOp, ReplayReport, WriteAheadLog};
+use dedisys_store::{ReplayReport, WriteAheadLog};
 use dedisys_types::{
     ClassName, Error, IdBuildHasher, ObjectId, Result, SimTime, TxBuildHasher, TxId, Value,
 };
@@ -406,31 +406,16 @@ impl EntityContainer {
     /// deserialize (corrupted journal body).
     pub fn recover_from_journal(&mut self) -> Result<ReplayReport> {
         self.committed.clear();
-        // Oldest entry first, as far as the checksums hold: the last op
-        // seen for a key, with its position, is the one that survives,
-        // so superseded records are verified but never decoded.
-        type Last<'a> = (usize, Option<(&'a Arc<str>, u32)>);
-        let mut last: HashMap<&str, Last<'_>, TxBuildHasher> = HashMap::default();
-        let mut replayed = 0;
-        for (entry, digest) in self.journal.intact_prefix() {
-            let put = match (&entry.op, digest) {
-                (LogOp::Put { record }, Some(digest)) => Some((record, digest)),
-                _ => None,
-            };
-            last.insert(&entry.key, (replayed, put));
-            replayed += 1;
-        }
-        // Decoded in journal order: the same error, and the same map,
-        // in every process.
-        let mut survivors: Vec<(usize, &str, &Arc<str>, u32)> = last
-            .into_iter()
-            .filter_map(|(key, (at, put))| put.map(|(record, digest)| (at, key, record, digest)))
-            .collect();
-        survivors.sort_unstable_by_key(|&(at, ..)| at);
-        for (_, key, record, digest) in survivors {
+        // Oldest first, as far as the checksums hold: superseded
+        // records are verified but never decoded, and the survivors
+        // come in journal order — the same error, and the same map, in
+        // every process.
+        let survivors = self.journal.survivors();
+        let replayed = survivors.intact();
+        for (entry, record, digest) in survivors {
             let snapshot = Snapshot::decode(Arc::clone(record), digest).map_err(|e| match e {
                 Error::Persistence(why) => {
-                    Error::Persistence(format!("entity record {key}: {why}"))
+                    Error::Persistence(format!("entity record {}: {why}", entry.key))
                 }
                 other => other,
             })?;
@@ -495,6 +480,7 @@ impl EntityContainer {
 mod tests {
     use super::*;
     use crate::{ClassDescriptor, Fields};
+    use dedisys_store::LogOp;
     use dedisys_types::NodeId;
 
     fn app() -> AppDescriptor {

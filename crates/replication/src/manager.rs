@@ -10,10 +10,13 @@ use dedisys_types::{Error, IdBuildHasher, NodeId, ObjectId, Result, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-/// Placement of one logical object.
-#[derive(Debug, Clone)]
+/// Placement of one logical object: two 32-bit words. The replica set is
+/// named by its index into the manager's interned sets — the objects a
+/// cluster places on every node all name one — so no object owns a
+/// tree of its own.
+#[derive(Debug, Clone, Copy)]
 struct Placement {
-    replicas: BTreeSet<NodeId>,
+    replicas: u32,
     primary: NodeId,
 }
 
@@ -65,6 +68,12 @@ pub struct ReplicationManager {
     protocol: ProtocolKind,
     weights: NodeWeights,
     placements: HashMap<ObjectId, Placement, IdBuildHasher>,
+    /// Every distinct replica set a placement has named, each once, in
+    /// first-registration order: [`Placement::replicas`] indexes it. A
+    /// cluster of `n` nodes has at most `2ⁿ − 1` of them, and in
+    /// practice one per binding the application asks for, so a set is
+    /// never dropped.
+    replica_sets: Vec<BTreeSet<NodeId>>,
     /// Objects written during degraded mode: object → (partition key →
     /// representative node of that partition).
     degraded_writes: BTreeMap<ObjectId, BTreeMap<u32, NodeId>>,
@@ -93,6 +102,7 @@ impl ReplicationManager {
             protocol,
             weights,
             placements: HashMap::default(),
+            replica_sets: Vec::new(),
             degraded_writes: BTreeMap::new(),
             history: BTreeMap::new(),
             write_faults: BTreeMap::new(),
@@ -173,9 +183,22 @@ impl ReplicationManager {
                 "{object}: primary {primary} not in replica set"
             )));
         }
+        let interned = match self.replica_sets.iter().position(|set| *set == replicas) {
+            Some(at) => at,
+            None => {
+                self.replica_sets.push(replicas);
+                self.replica_sets.len() - 1
+            }
+        };
+        let replicas = u32::try_from(interned).expect("fewer than 2³² replica sets");
         self.placements
             .insert(object, Placement { replicas, primary });
         Ok(())
+    }
+
+    /// The replica set `placement` names.
+    fn replicas(&self, placement: &Placement) -> &BTreeSet<NodeId> {
+        &self.replica_sets[placement.replicas as usize]
     }
 
     /// Removes placement metadata (object migration, a reconciled
@@ -187,14 +210,14 @@ impl ReplicationManager {
 
     /// The replica set of `object`, if registered.
     pub fn replicas_of(&self, object: &ObjectId) -> Option<&BTreeSet<NodeId>> {
-        self.placements.get(object).map(|p| &p.replicas)
+        self.placements.get(object).map(|p| self.replicas(p))
     }
 
     /// Every object with a replica on `node`, in no particular order.
     pub fn objects_placed_on(&self, node: NodeId) -> impl Iterator<Item = &ObjectId> + '_ {
         self.placements
             .iter()
-            .filter(move |(_, p)| p.replicas.contains(&node))
+            .filter(move |(_, p)| self.replicas(p).contains(&node))
             .map(|(id, _)| id)
     }
 
@@ -227,7 +250,7 @@ impl ReplicationManager {
             Some(p) => self.protocol.write_target(
                 object,
                 requester,
-                &p.replicas,
+                self.replicas(p),
                 p.primary,
                 topology,
                 &self.weights,
@@ -270,7 +293,7 @@ impl ReplicationManager {
             None => false,
             Some(p) => self.protocol.is_possibly_stale(
                 requester,
-                &p.replicas,
+                self.replicas(p),
                 p.primary,
                 topology,
                 &self.weights,
@@ -292,7 +315,7 @@ impl ReplicationManager {
             None => true,
             Some(p) => {
                 let partition = topology.partition_of(requester);
-                p.replicas.iter().any(|r| partition.contains(r))
+                self.replicas(p).iter().any(|r| partition.contains(r))
             }
         }
     }
@@ -332,13 +355,14 @@ impl ReplicationManager {
             .committed_snapshot(object)
             .cloned();
         let partition = topology.partition_of(executed_on);
-        // The reachable backups, walked in place: the placement is read
+        // The reachable backups, walked in place: the replica set is read
         // while the loop writes the fault tables and counters beside it.
+        let replica_sets = &self.replica_sets;
         let backups = self
             .placements
             .get(object)
             .into_iter()
-            .flat_map(|p| &p.replicas)
+            .flat_map(|p| &replica_sets[p.replicas as usize])
             .filter(|&&r| r != executed_on && partition.contains(&r));
         let mut recipients = 0;
         // Whether a backup missed the update (injected lag, or the
@@ -740,6 +764,102 @@ mod tests {
         topo.split(&[&[0, 1], &[2]]);
         assert!(m.is_reachable(&obj(), NodeId(0), &topo));
         assert!(!m.is_reachable(&obj(), NodeId(2), &topo));
+    }
+
+    #[test]
+    fn interned_replica_sets_answer_as_a_set_per_object_would() {
+        use dedisys_types::ChaosRng;
+        let protocols = [
+            ProtocolKind::PrimaryBackup,
+            ProtocolKind::PrimaryPartition,
+            ProtocolKind::PrimaryPerPartition,
+            ProtocolKind::AdaptiveVoting,
+        ];
+        let ids: Vec<ObjectId> = (0..24)
+            .map(|k| ObjectId::new("Flight", format!("F{k}")))
+            .collect();
+        let mut steps = [0u32; 4];
+        for seed in 0..32 {
+            let mut rng = ChaosRng::new(seed);
+            let n = 2 + rng.below(3) as u32;
+            let nodes: Vec<NodeId> = (0..n).map(NodeId).collect();
+            let protocol = protocols[seed as usize % protocols.len()];
+            let mut m = ReplicationManager::new(protocol, NodeWeights::uniform(n));
+            let mut topo = Topology::fully_connected(n);
+            // Each placed object with a replica set of its own.
+            let mut oracle: BTreeMap<ObjectId, (BTreeSet<NodeId>, NodeId)> = BTreeMap::new();
+            for step in 0..200 {
+                let id = rng.pick(&ids).clone();
+                let kind = rng.below(4) as usize;
+                steps[kind] += 1;
+                match kind {
+                    // A create: every node, primary the creating node.
+                    0 => {
+                        let primary = *rng.pick(&nodes);
+                        m.register_object(id.clone(), nodes.iter().copied(), primary)
+                            .unwrap();
+                        oracle.insert(id, (nodes.iter().copied().collect(), primary));
+                    }
+                    // A bound create: a nonempty subset, primary in it.
+                    1 => {
+                        let mut set: BTreeSet<NodeId> =
+                            nodes.iter().copied().filter(|_| rng.chance(50)).collect();
+                        set.insert(*rng.pick(&nodes));
+                        let members: Vec<NodeId> = set.iter().copied().collect();
+                        let primary = *rng.pick(&members);
+                        m.register_object(id.clone(), members, primary).unwrap();
+                        oracle.insert(id, (set, primary));
+                    }
+                    2 => {
+                        m.unregister_object(&id);
+                        oracle.remove(&id);
+                    }
+                    // A partition: some nodes split off, or a heal.
+                    _ => {
+                        if rng.chance(30) {
+                            topo.heal();
+                        } else {
+                            topo.isolate(*rng.pick(&nodes));
+                        }
+                    }
+                }
+                let at = format!("seed {seed} step {step}");
+                for id in &ids {
+                    let placed = oracle.get(id);
+                    assert_eq!(m.replicas_of(id), placed.map(|(set, _)| set), "{at}");
+                    for &node in &nodes {
+                        let expected_target = match placed {
+                            None => Ok(node),
+                            Some((set, primary)) => {
+                                protocol.write_target(id, node, set, *primary, &topo, m.weights())
+                            }
+                        };
+                        assert_eq!(m.write_target(id, node, &topo), expected_target, "{at}");
+                        let expected_stale = placed.is_some_and(|(set, primary)| {
+                            protocol.is_possibly_stale(node, set, *primary, &topo, m.weights())
+                        });
+                        assert_eq!(m.is_possibly_stale(id, node, &topo), expected_stale, "{at}");
+                    }
+                }
+                for &node in &nodes {
+                    let mut placed_on: Vec<&ObjectId> = m.objects_placed_on(node).collect();
+                    placed_on.sort_unstable();
+                    let expected: Vec<&ObjectId> = oracle
+                        .iter()
+                        .filter(|(_, (set, _))| set.contains(&node))
+                        .map(|(id, _)| id)
+                        .collect();
+                    assert_eq!(placed_on, expected, "{at}");
+                }
+            }
+            // Each distinct set interned once.
+            let distinct: BTreeSet<&BTreeSet<NodeId>> = m.replica_sets.iter().collect();
+            assert_eq!(distinct.len(), m.replica_sets.len(), "seed {seed}");
+        }
+        assert!(
+            steps.iter().all(|&n| n > 0),
+            "every kind of step drawn: {steps:?}"
+        );
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //!   itself to the newest put of each key, so it holds live state, not
 //!   history. Each node's entity journal (`dedisys-object`) and the
 //!   threat store's journal (`dedisys-core`) are one; both rebuild their
-//!   memory straight from it, decoding only the last record of each
-//!   key. The degraded-mode
+//!   memory from its one survivors walk ([`WriteAheadLog::survivors`]),
+//!   decoding only the last record of each key. The degraded-mode
 //!   history is not kept here: it is the shipped snapshots themselves,
 //!   in `dedisys-replication`.
 //!
@@ -43,5 +43,5 @@ mod log;
 mod persistence;
 
 pub use kv::TableStore;
-pub use log::{record_digest, LogEntry, LogOp, ReplayReport, WriteAheadLog};
+pub use log::{record_digest, LogEntry, LogOp, ReplayReport, Survivors, WriteAheadLog};
 pub use persistence::{Persistence, StoreCosts, StoreStats};

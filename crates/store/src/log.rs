@@ -41,9 +41,24 @@
 //! that one too if it is a delete. A log therefore holds at most
 //! `2 · live + floor` entries, however long it runs, and the walk over
 //! it is paid for by the appends since the last one. Its capacity is
-//! reserved up to that bound after each compaction, and the set of keys
-//! the walk has seen is kept, emptied, for the next one: a log that has
-//! reached its size allocates nothing more to stay there.
+//! reserved up to that bound after each compaction, and the table the
+//! walk files keys in is kept, emptied, for the next one: a log that
+//! has reached its size allocates nothing more to stay there.
+//!
+//! **Keys are filed by a word taken at append.** Each entry carries a
+//! private 32-bit hash of its `(table, key)` (FNV-1a over `table ‖ 0xFF
+//! ‖ key`), computed by the append while the key is hot, in the padding
+//! after the checksum — an entry stays 64 bytes. A compaction files each
+//! key under that word in a table of `hash → entry index`, 8 bytes per
+//! key, with no key cloned and no key byte re-read: two keys are
+//! compared only when their words match (the same `Arc` first, then the
+//! bytes), and a genuine 32-bit collision moves on to the next word.
+//!
+//! **Recovery reads the same walk.** [`WriteAheadLog::survivors`] files
+//! the intact prefix the same way and yields what a compaction would
+//! keep of it — each key's newest entry if it is a put — in journal
+//! order, with the digest that verified it. Both stores rebuild their
+//! memory from it, decoding each surviving record once.
 //!
 //! **Survivors are untouched.** A compaction only removes entries: each
 //! survivor keeps its `seq`, its checksum, its shared key and record and
@@ -61,7 +76,7 @@
 use crate::TableStore;
 use dedisys_types::TxBuildHasher;
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// The entries a log may hold beyond twice what its last compaction
@@ -98,6 +113,11 @@ pub struct LogEntry {
     /// write interrupted by a crash) — recovery truncates the log
     /// there.
     pub checksum: u32,
+    /// FNV-1a over `table ‖ 0xFF ‖ key`, taken at append: the word a
+    /// compaction and [`WriteAheadLog::survivors`] file the entry by.
+    /// Not covered by the checksum and never verified — it only says
+    /// which keys are worth comparing.
+    key_hash: u32,
 }
 
 impl LogEntry {
@@ -125,6 +145,43 @@ impl LogEntry {
     pub fn is_intact(&self) -> bool {
         self.checksum == self.expected_checksum()
     }
+
+    /// Whether `self` and `other` address the same `(table, key)`:
+    /// their filed words first, then the shared key, then the bytes.
+    fn same_key(&self, other: &LogEntry) -> bool {
+        self.key_hash == other.key_hash
+            && self.table == other.table
+            && (Arc::ptr_eq(&self.key, &other.key) || self.key == other.key)
+    }
+}
+
+/// Where a walk files keys: a `(table, key)`'s word (or, past a
+/// collision, the next free one) → the index of the entry that stands
+/// for it.
+type Filing = HashMap<u32, u32, TxBuildHasher>;
+
+/// Files `entry`'s key under `at` unless it is filed already: probes
+/// from its word, comparing keys only where a filed entry
+/// (`filed_entry` of its index) has the same word, and moving to the
+/// next word past a genuine collision. Returns whether the key was new.
+fn file_new<'a>(
+    filing: &mut Filing,
+    entry: &LogEntry,
+    at: usize,
+    filed_entry: impl Fn(usize) -> &'a LogEntry,
+) -> bool {
+    let mut word = entry.key_hash;
+    while let Some(&filed) = filing.get(&word) {
+        if filed_entry(filed as usize).same_key(entry) {
+            return false;
+        }
+        word = word.wrapping_add(1);
+    }
+    filing.insert(
+        word,
+        u32::try_from(at).expect("a log holds fewer than 2³² entries"),
+    );
+    true
 }
 
 const FNV_OFFSET: u32 = 0x811C_9DC5;
@@ -160,6 +217,15 @@ fn entry_checksum(seq: u64, table: &str, key: &str, digest: Option<u32>) -> u32 
         Some(digest) => fnv1a(fnv1a(hash, &[0x01]), &digest.to_le_bytes()),
         None => fnv1a(hash, &[0x02]),
     }
+}
+
+/// The word a `(table, key)` is filed by: FNV-1a over `table ‖ 0xFF ‖
+/// key`.
+fn key_hash(table: &str, key: &str) -> u32 {
+    fnv1a(
+        fnv1a(fnv1a(FNV_OFFSET, table.as_bytes()), &[0xFF]),
+        key.as_bytes(),
+    )
 }
 
 /// What a WAL recovery actually did: how many entries were replayed
@@ -201,9 +267,10 @@ pub struct WriteAheadLog {
     next_seq: u64,
     /// Entries the last compaction kept (0 before the first).
     kept: usize,
-    /// The keys a compaction has seen, empty between compactions and
-    /// kept for the next, so one allocates only to outgrow the last.
-    seen: HashSet<(&'static str, Arc<str>), TxBuildHasher>,
+    /// Where a compaction files the keys it has seen, empty between
+    /// compactions and kept for the next, so one allocates only to
+    /// outgrow the last.
+    filing: Filing,
 }
 
 impl WriteAheadLog {
@@ -258,12 +325,14 @@ impl WriteAheadLog {
             Some((record, _)) => LogOp::Put { record },
             None => LogOp::Delete,
         };
+        let key_hash = key_hash(table, &key);
         self.entries.push(LogEntry {
             seq,
             table,
             key,
             op,
             checksum,
+            key_hash,
         });
         if self.entries.len() >= 2 * self.kept + COMPACT_FLOOR {
             self.compact();
@@ -283,19 +352,27 @@ impl WriteAheadLog {
     /// that follows it, and a crashed node appends nothing before its
     /// recovery truncates the torn tail.
     fn compact(&mut self) {
-        // Newest first, so the first entry seen of a key is its last op.
-        let seen = &mut self.seen;
-        self.entries.reverse();
-        self.entries.retain(|entry| {
-            seen.insert((entry.table, Arc::clone(&entry.key)))
-                && matches!(entry.op, LogOp::Put { .. })
-        });
-        self.entries.reverse();
-        seen.clear();
-        self.kept = self.entries.len();
+        // Newest first, so the first entry filed of a key is its last
+        // op. Each key's first entry moves down to the front, where the
+        // filing points at it; what stays behind is superseded.
+        let (filing, entries) = (&mut self.filing, &mut self.entries);
+        entries.reverse();
+        let mut newest = 0;
+        for at in 0..entries.len() {
+            if file_new(filing, &entries[at], newest, |filed| &entries[filed]) {
+                entries.swap(newest, at);
+                newest += 1;
+            }
+        }
+        entries.truncate(newest);
+        // A key whose newest entry is a delete has nothing to recover.
+        entries.retain(|entry| matches!(entry.op, LogOp::Put { .. }));
+        entries.reverse();
+        filing.clear();
+        self.kept = entries.len();
         // Room for exactly what the log may hold before the next
         // compaction: it never doubles past its own bound.
-        self.entries.reserve_exact(self.kept + COMPACT_FLOOR);
+        entries.reserve_exact(self.kept + COMPACT_FLOOR);
     }
 
     /// The entries the log holds, in append order: every entry since the
@@ -341,6 +418,31 @@ impl WriteAheadLog {
         })
     }
 
+    /// What a recovery rebuilds from: of the
+    /// [intact prefix](WriteAheadLog::intact_prefix), each `(table,
+    /// key)`'s newest entry if it is a put, in journal order, each with
+    /// its record and the record digest that verified it. Keys are filed by the word
+    /// taken at append, as a compaction files them (module docs,
+    /// "Compaction"), so no key is cloned or re-hashed.
+    /// [`Survivors::intact`] is the length of the prefix read.
+    pub fn survivors(&self) -> Survivors<'_> {
+        let intact: Vec<(&LogEntry, Option<u32>)> = self.intact_prefix().collect();
+        let mut filing = Filing::default();
+        let mut newest = Vec::new();
+        // Newest first: the first entry filed of a key is its last op.
+        for (at, &(entry, digest)) in intact.iter().enumerate().rev() {
+            if file_new(&mut filing, entry, at, |filed| intact[filed].0) {
+                if let (LogOp::Put { record }, Some(digest)) = (&entry.op, digest) {
+                    newest.push((entry, record, digest));
+                }
+            }
+        }
+        Survivors {
+            intact: intact.len(),
+            newest: newest.into_iter().rev(),
+        }
+    }
+
     /// Drops the torn tail: everything after the
     /// [intact prefix](WriteAheadLog::intact_prefix). Returns the
     /// number of entries dropped. A fully intact log is untouched.
@@ -362,6 +464,30 @@ impl WriteAheadLog {
             entry.checksum = !entry.checksum;
         }
         len - from
+    }
+}
+
+/// The walk [`WriteAheadLog::survivors`] hands back: each surviving
+/// entry with its record and the record's digest, oldest first.
+#[derive(Debug)]
+pub struct Survivors<'a> {
+    intact: usize,
+    newest: std::iter::Rev<std::vec::IntoIter<(&'a LogEntry, &'a Arc<str>, u32)>>,
+}
+
+impl Survivors<'_> {
+    /// Length of the intact prefix the walk read: the entries a
+    /// recovery replays, superseded ones included.
+    pub fn intact(&self) -> usize {
+        self.intact
+    }
+}
+
+impl<'a> Iterator for Survivors<'a> {
+    type Item = (&'a LogEntry, &'a Arc<str>, u32);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.newest.next()
     }
 }
 
@@ -576,13 +702,14 @@ mod tests {
                     seq,
                     table,
                     checksum: entry_checksum(seq, table, &key, digest),
+                    key_hash: key_hash(table, &key),
                     key,
                     op: record.map_or(LogOp::Delete, |record| LogOp::Put { record }),
                 });
 
                 let at = format!("seed {seed} append {n}");
                 assert!(wal.len() <= 2 * wal.kept + COMPACT_FLOOR, "{at}");
-                assert!(wal.seen.is_empty(), "{at}: no key held past a compaction");
+                assert!(wal.filing.is_empty(), "{at}: no key held past a compaction");
                 let compacted = wal.len() == wal.kept && wal.len() < reference.len();
                 compactions += usize::from(compacted);
                 if !(compacted || n + 1 == appends || n % 499 == 0) {
@@ -627,6 +754,204 @@ mod tests {
             }
         }
         assert!(compactions > 0, "no schedule reached the floor");
+    }
+
+    #[test]
+    fn an_entry_is_one_cache_line() {
+        // The filed word sits in the padding after the checksum.
+        assert_eq!(std::mem::size_of::<LogEntry>(), 64);
+    }
+
+    /// Two keys of table `t` whose filed words collide, found by a
+    /// bounded seeded search (a 32-bit word repeats after some 2¹⁶
+    /// draws).
+    fn colliding_keys() -> (Arc<str>, Arc<str>) {
+        let mut rng = ChaosRng::new(48);
+        let mut drawn: HashMap<u32, Arc<str>> = HashMap::new();
+        for _ in 0..1 << 20 {
+            let key: Arc<str> = format!("c{:x}", rng.next_u64()).into();
+            if let Some(earlier) = drawn.insert(key_hash("t", &key), Arc::clone(&key)) {
+                if earlier != key {
+                    return (earlier, key);
+                }
+            }
+        }
+        panic!("no two keys of 2²⁰ drawn collide");
+    }
+
+    /// The compaction as it was before keys were filed by their word: a
+    /// set of cloned `(table, key)` pairs, newest entry first.
+    fn oracle_compact(entries: &mut Vec<LogEntry>) {
+        let mut seen = std::collections::HashSet::new();
+        entries.reverse();
+        entries.retain(|entry| {
+            seen.insert((entry.table, Arc::clone(&entry.key)))
+                && matches!(entry.op, LogOp::Put { .. })
+        });
+        entries.reverse();
+    }
+
+    /// One append of a schedule: table, key and record (`None`: a
+    /// delete).
+    type Append = (&'static str, Arc<str>, Option<Arc<str>>);
+
+    /// A seeded schedule over tables `t` and `u`, keys drawn from
+    /// `keys` (the colliding pair among them).
+    fn schedule(rng: &mut ChaosRng, keys: &[Arc<str>], appends: u64) -> Vec<Append> {
+        (0..appends)
+            .map(|n| {
+                let table = if rng.chance(70) { "t" } else { "u" };
+                let key = Arc::clone(&keys[rng.below(keys.len() as u64) as usize]);
+                let record = (!rng.chance(20)).then(|| format!("v{n}").into());
+                (table, key, record)
+            })
+            .collect()
+    }
+
+    /// The keys a seeded schedule draws from: the colliding pair, then
+    /// up to eight more.
+    fn key_pool(rng: &mut ChaosRng, pair: &(Arc<str>, Arc<str>)) -> Vec<Arc<str>> {
+        let mut keys = vec![Arc::clone(&pair.0), Arc::clone(&pair.1)];
+        keys.extend((0..rng.below(9)).map(|k| format!("k{k}").into()));
+        keys
+    }
+
+    fn append(
+        log: &mut WriteAheadLog,
+        table: &'static str,
+        key: &Arc<str>,
+        record: &Option<Arc<str>>,
+    ) {
+        match record {
+            Some(record) => log.append_put(table, Arc::clone(key), Arc::clone(record)),
+            None => log.append_delete(table, Arc::clone(key)),
+        };
+    }
+
+    #[test]
+    fn compaction_by_filed_word_keeps_what_the_cloned_set_kept() {
+        let pair = colliding_keys();
+        assert_eq!(key_hash("t", &pair.0), key_hash("t", &pair.1));
+        let mut compactions = 0;
+        for seed in 0..8 {
+            let mut rng = ChaosRng::new(seed);
+            let keys = key_pool(&mut rng, &pair);
+            let mut wal = WriteAheadLog::new();
+            let (mut oracle, mut kept) = (Vec::new(), 0);
+            for (n, (table, key, record)) in schedule(&mut rng, &keys, 3_000).iter().enumerate() {
+                append(&mut wal, table, key, record);
+                let seq = n as u64;
+                let digest = record.as_deref().map(record_digest);
+                oracle.push(LogEntry {
+                    seq,
+                    table,
+                    key: Arc::clone(key),
+                    op: record
+                        .clone()
+                        .map_or(LogOp::Delete, |record| LogOp::Put { record }),
+                    checksum: entry_checksum(seq, table, key, digest),
+                    key_hash: key_hash(table, key),
+                });
+                if oracle.len() >= 2 * kept + COMPACT_FLOOR {
+                    oracle_compact(&mut oracle);
+                    kept = oracle.len();
+                    compactions += 1;
+                }
+                assert_eq!(wal.entries(), oracle.as_slice(), "seed {seed} append {n}");
+                assert!(wal.filing.is_empty(), "seed {seed} append {n}");
+            }
+        }
+        assert!(compactions >= 8, "{compactions} compactions");
+    }
+
+    /// The entity store's recovery walk as it was: the last op of each
+    /// key with its position, then the puts sorted by position.
+    fn container_walk(log: &WriteAheadLog) -> Vec<(&LogEntry, u32)> {
+        let mut last: HashMap<(&str, &str), (usize, &LogEntry, Option<u32>)> = HashMap::new();
+        for (at, (entry, digest)) in log.intact_prefix().enumerate() {
+            last.insert((entry.table, &entry.key), (at, entry, digest));
+        }
+        let mut survivors: Vec<_> = last
+            .into_values()
+            .filter_map(|(at, entry, digest)| digest.map(|digest| (at, entry, digest)))
+            .collect();
+        survivors.sort_unstable_by_key(|&(at, ..)| at);
+        survivors
+            .into_iter()
+            .map(|(_, entry, digest)| (entry, digest))
+            .collect()
+    }
+
+    /// The threat store's recovery walk as it was — newest first, a set
+    /// of the keys decided — over the intact prefix, put back in
+    /// journal order.
+    fn threat_walk(log: &WriteAheadLog) -> Vec<&LogEntry> {
+        let intact: Vec<&LogEntry> = log.intact_prefix().map(|(entry, _)| entry).collect();
+        let mut decided = std::collections::HashSet::new();
+        let mut survivors: Vec<&LogEntry> = intact
+            .into_iter()
+            .rev()
+            .filter(|entry| {
+                decided.insert((entry.table, &*entry.key)) && matches!(entry.op, LogOp::Put { .. })
+            })
+            .collect();
+        survivors.reverse();
+        survivors
+    }
+
+    #[test]
+    fn survivors_are_what_both_recovery_walks_found() {
+        let pair = colliding_keys();
+        let mut torn = 0;
+        for seed in 0..24 {
+            let mut rng = ChaosRng::new(seed);
+            let keys = key_pool(&mut rng, &pair);
+            let mut wal = WriteAheadLog::new();
+            let appends = 1 + rng.below(3_000);
+            for (table, key, record) in schedule(&mut rng, &keys, appends) {
+                append(&mut wal, table, &key, &record);
+            }
+            torn += usize::from(wal.corrupt_tail(rng.below(6) as usize) > 0);
+            let survivors = wal.survivors();
+            assert_eq!(
+                survivors.intact(),
+                wal.intact_prefix().count(),
+                "seed {seed}"
+            );
+            let survivors: Vec<(&LogEntry, u32)> = survivors
+                .map(|(entry, record, digest)| {
+                    assert_eq!(
+                        entry.op,
+                        LogOp::Put {
+                            record: Arc::clone(record)
+                        },
+                        "seed {seed}"
+                    );
+                    (entry, digest)
+                })
+                .collect();
+            let same = |a: &[(&LogEntry, u32)], b: &[(&LogEntry, u32)]| {
+                a.len() == b.len()
+                    && a.iter()
+                        .zip(b)
+                        .all(|((a, x), (b, y))| std::ptr::eq(*a, *b) && x == y)
+            };
+            assert!(same(&survivors, &container_walk(&wal)), "seed {seed}");
+            let entries: Vec<&LogEntry> = survivors.iter().map(|&(entry, _)| entry).collect();
+            let threats = threat_walk(&wal);
+            assert!(
+                entries.len() == threats.len()
+                    && entries
+                        .iter()
+                        .zip(&threats)
+                        .all(|(a, b)| std::ptr::eq(*a, *b)),
+                "seed {seed}"
+            );
+            for (entry, digest) in survivors {
+                assert_eq!(Some(digest), entry.digest(), "seed {seed}");
+            }
+        }
+        assert!(torn > 12, "{torn} of 24 journals torn");
     }
 
     #[test]

@@ -439,7 +439,9 @@ impl Hasher for TxHasher {
 /// the CCMgr's per-transaction records): `HashMap<TxId, V, TxBuildHasher>`.
 /// A composite key is safe here too — every word it feeds is kept,
 /// which [`IdHasher`] does not promise — so the threat store files its
-/// `(constraint, object)` identities through it.
+/// `(constraint, object)` identities through it, the constraint
+/// repository its `(class, method)` signatures, and a journal's
+/// compaction the 32-bit words it files keys by.
 pub type TxBuildHasher = BuildHasherDefault<TxHasher>;
 
 /// A `(class, method)` pair — the lookup key used by the constraint
