@@ -5,7 +5,7 @@
 
 use crate::table::{ops, print_table};
 use crate::{broken, Run, Verdict};
-use dedisys_apps::flight;
+use dedisys::apps::flight;
 use dedisys_constraints::{
     ConstraintKind, ConstraintMeta, ContextPreparation, RegisteredConstraint, ValidationContext,
 };

@@ -1,7 +1,28 @@
-//! The chaos engine: interleaves seeded faults with a seeded workload
-//! on the virtual clock, checks invariants after every fault, and
-//! finishes with one repair sequence on every shard (restart → heal →
-//! resolve in-doubt → reconcile → convergence check).
+//! The chaos engine behind `repro chaos-soak`, a deterministic
+//! robustness harness: seeded schedules of workload ops and faults
+//! ([`Schedule`]), one engine that runs them ([`ChaosEngine`]) — the
+//! paper's applications under their constraints on one shard, a
+//! cross-shard transfer mix on several — and safety invariants
+//! ([`InvariantChecker`]) checked after every injected fault. Among
+//! them is threat completeness, checked by [`Cluster::audit`]:
+//! dissertation §3.2 promises that no integrity violation goes
+//! unnoticed, so every violation of an enabled invariant in the
+//! committed state must be explained by a standing threat or a pending
+//! reconciliation.
+//!
+//! Everything runs on the shared virtual clock, and every random
+//! decision flows from one explicit seed through [`ChaosRng`]
+//! (SplitMix64, defined in `dedisys-types`), so a chaos run is a
+//! *reproducible artifact*: the seed of a failing soak is the bug
+//! report, and two runs of the same seed write byte-identical JSONL
+//! traces. A run hands back its schedule with every draw recorded
+//! ([`ChaosReport::schedule`]); [`Schedule::shrink`] cuts a failing one
+//! down to the few steps the failure needs.
+//!
+//! The engine interleaves seeded faults with a seeded workload on the
+//! virtual clock, checks invariants after every fault, and finishes
+//! with one repair sequence on every shard (restart → heal → resolve
+//! in-doubt → reconcile → convergence check).
 //!
 //! The engine always drives a [`FederatedCluster`]; the shard count
 //! picks the workload:
@@ -42,16 +63,15 @@
 
 use crate::invariant::{InvariantChecker, InvariantViolation};
 use crate::plan::{FaultStep, Schedule, Step};
-use dedisys_apps::{ats, dtms, flight};
+use dedisys::apps::{ats, dtms, flight};
 use dedisys_constraints::RegisteredConstraint;
 use dedisys_core::{
     Cluster, ClusterBuilder, DetectorKind, HighestVersionWins, LinkFault, NegotiationTiming,
     NodeWeights, PlaneStats, ReconOps, ReconcileInstructions, RequestPlane, Session, StatsSnapshot,
-    Telemetry, ViolationReport,
+    Telemetry, TraceEvent, ViolationReport,
 };
 use dedisys_federation::{FederatedCluster, FederationStats, RoutingPolicy, ShardId};
 use dedisys_object::{AppDescriptor, ClassDescriptor, EntityState};
-use dedisys_telemetry::TraceEvent;
 use dedisys_types::{
     ChaosRng, Error, NodeId, ObjectId, PriorityClass, Result, SatisfactionDegree, SimDuration,
     SystemMode, TxId, Value,
@@ -88,27 +108,27 @@ const SHARD0: ShardId = ShardId(0);
 
 /// Configuration of one chaos-soak run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChaosConfig {
+pub(crate) struct ChaosConfig {
     /// Nodes per shard (at least 2).
-    pub nodes: u32,
+    pub(crate) nodes: u32,
     /// Workload operations [`ChaosEngine::run`] schedules.
-    pub ops: u64,
+    pub(crate) ops: u64,
     /// Fault steps [`ChaosEngine::run`] schedules across an
     /// application-mix run (the transfer mix's ops draw their shard
     /// faults).
-    pub faults: usize,
+    pub(crate) faults: usize,
     /// Master seed: fixes schedule, draws and workload.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Shards in the federation: 1 runs the application mix, more run
     /// the cross-shard transfer mix.
-    pub shards: u32,
+    pub(crate) shards: u32,
     /// Drive membership through the adaptive failure-detection
     /// pipeline: the cluster runs a φ-accrual detector with flap
     /// damping, and the random schedule draws from the extended fault
     /// vocabulary (link flaps, asymmetric loss, jitter, torn journal
     /// writes). Off by default so classic seeds keep their historical
     /// schedules. Application mix only.
-    pub detector: bool,
+    pub(crate) detector: bool,
 }
 
 impl Default for ChaosConfig {
@@ -127,29 +147,29 @@ impl Default for ChaosConfig {
 /// What an application-mix seed draws besides its schedule and
 /// workload: the settings the paper leaves to the application.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SoakDraws {
+pub(crate) struct SoakDraws {
     /// Whether reads and writes route through a [`RequestPlane`] —
     /// admitted under token-bucket and queue-bound control with
     /// seed-derived priority classes, drained interleaved with the
     /// fault schedule. The invariant checker then also asserts request
     /// conservation and the per-node queue bound after every fault.
-    pub plane: bool,
+    pub(crate) plane: bool,
     /// `validation.negotiation_timing` (§5.4).
-    pub negotiation_timing: NegotiationTiming,
+    pub(crate) negotiation_timing: NegotiationTiming,
     /// `validation.app_default_min_degree` (§3.2.1): it negotiates the
     /// threats of `FrequencyBand`, the one constraint without a floor
     /// of its own.
-    pub app_default_min_degree: SatisfactionDegree,
+    pub(crate) app_default_min_degree: SatisfactionDegree,
     /// Node weights (§5.5.2) — `None` is one unit each.
-    pub weights: Option<Vec<u32>>,
+    pub(crate) weights: Option<Vec<u32>>,
     /// The reconciliation instructions every threat carries (§3.2.2).
-    pub instructions: ReconcileInstructions,
+    pub(crate) instructions: ReconcileInstructions,
 }
 
 impl SoakDraws {
     /// The draws of `seed` for `nodes` nodes, from a stream of their
     /// own; the plane comes first, so it does not depend on `nodes`.
-    pub fn of(seed: u64, nodes: u32) -> Self {
+    pub(crate) fn of(seed: u64, nodes: u32) -> Self {
         let mut rng = ChaosRng::new(seed ^ 0x5EED_D4A7_5EED_D4A7);
         let plane = rng.chance(50);
         let negotiation_timing = if rng.chance(50) {
@@ -196,59 +216,61 @@ impl SoakDraws {
 
 /// How much constraint management a run exercised on shard 0.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ConstraintActivity {
+pub(crate) struct ConstraintActivity {
     /// Accepted threats stored in the threat store (§5.5.1).
-    pub threats_stored: u64,
+    pub(crate) threats_stored: u64,
     /// Threats negotiated (§3.2.1), whichever mechanism decided.
-    pub negotiations: u64,
+    pub(crate) negotiations: u64,
     /// Calls of the repairing reconciliation handler.
-    pub handler_calls: u64,
+    pub(crate) handler_calls: u64,
     /// Historical states the rollback search tried (§3.3).
-    pub rollback_candidates: u64,
+    pub(crate) rollback_candidates: u64,
 }
 
 /// Outcome of a chaos-soak run.
 #[derive(Debug, Clone)]
-pub struct ChaosReport {
+pub(crate) struct ChaosReport {
     /// The seed the run was derived from.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// What the seed drew (`None` in the transfer mix).
-    pub draws: Option<SoakDraws>,
+    pub(crate) draws: Option<SoakDraws>,
     /// Workload operations that succeeded.
-    pub ops_ok: u64,
+    pub(crate) ops_ok: u64,
     /// Workload operations that failed (availability, locks, vetoes,
     /// designed violations, refused or aborted transfers — expected
     /// under faults).
-    pub ops_failed: u64,
+    pub(crate) ops_failed: u64,
     /// Fault steps applied (in the transfer mix: shard partitions,
     /// heals and coordinator crashes).
-    pub faults_applied: u64,
+    pub(crate) faults_applied: u64,
     /// Fault steps skipped (inapplicable when reached).
-    pub faults_skipped: u64,
+    pub(crate) faults_skipped: u64,
     /// Shard-level in-doubt transactions resolved by presumed abort.
-    pub in_doubt_resolved: u64,
+    pub(crate) in_doubt_resolved: u64,
     /// Every invariant violation observed (must be empty).
-    pub violations: Vec<InvariantViolation>,
+    pub(crate) violations: Vec<InvariantViolation>,
     /// Request-plane counters (all zero unless the seed drew the
-    /// plane).
-    pub plane: PlaneStats,
+    /// plane). Only the engine's tests read them: `chaos-soak` prints
+    /// no plane line.
+    #[cfg_attr(not(test), allow(dead_code))]
+    pub(crate) plane: PlaneStats,
     /// Constraint-management counters (all zero in the transfer mix,
     /// which registers no constraint).
-    pub constraints: ConstraintActivity,
+    pub(crate) constraints: ConstraintActivity,
     /// Cross-shard transaction counters (all zero in the application
     /// mix).
-    pub federation: FederationStats,
+    pub(crate) federation: FederationStats,
     /// Final statistics snapshot of shard 0 — the whole cluster in the
     /// application mix.
-    pub final_stats: StatsSnapshot,
+    pub(crate) final_stats: StatsSnapshot,
     /// The schedule as run, every op with every draw it took: run
     /// again, it replays this run.
-    pub schedule: Schedule,
+    pub(crate) schedule: Schedule,
 }
 
 impl ChaosReport {
     /// Whether every invariant held throughout the run.
-    pub fn clean(&self) -> bool {
+    pub(crate) fn clean(&self) -> bool {
         self.violations.is_empty()
     }
 }
@@ -257,7 +279,7 @@ impl ChaosReport {
 /// `overload-sweep`: an `Item` with an integer field `n` and an
 /// `Account` with an integer balance `v`, conventional accessors
 /// dispatched by the method table.
-pub fn chaos_app() -> AppDescriptor {
+pub(crate) fn chaos_app() -> AppDescriptor {
     AppDescriptor::new("chaos-soak")
         .with_class(ClassDescriptor::new("Item").with_field("n", Value::Int(0)))
         .with_class(ClassDescriptor::new("Account").with_field("v", Value::Int(0)))
@@ -285,7 +307,7 @@ fn soak_constraints() -> [RegisteredConstraint; 6] {
 
 /// The committed balance `v` of account `id`, read on its owning
 /// shard's coordinator node.
-pub fn account_balance(fed: &FederatedCluster, id: &ObjectId) -> Option<i64> {
+pub(crate) fn account_balance(fed: &FederatedCluster, id: &ObjectId) -> Option<i64> {
     let owner = fed.map().shard_of(id);
     let node = fed.coordinator_node(owner)?;
     match fed.shard(owner).entity_on(node, id)?.field("v") {
@@ -300,7 +322,11 @@ pub fn account_balance(fed: &FederatedCluster, id: &ObjectId) -> Option<i64> {
 /// # Errors
 ///
 /// The first failed create or funding write.
-pub fn fund_accounts(fed: &mut FederatedCluster, ids: &[ObjectId], balance: i64) -> Result<()> {
+pub(crate) fn fund_accounts(
+    fed: &mut FederatedCluster,
+    ids: &[ObjectId],
+    balance: i64,
+) -> Result<()> {
     for id in ids {
         fed.create(id)?;
         fed.run_routed(id, |mut session| {
@@ -322,7 +348,7 @@ pub fn fund_accounts(fed: &mut FederatedCluster, ids: &[ObjectId], balance: i64)
 /// [`Error::ObjectUnreachable`] when a balance cannot be read (nothing
 /// is begun), a staging error (the transaction is aborted), or the
 /// prepare refusal (the transaction resolved aborted).
-pub fn prepare_transfer(
+pub(crate) fn prepare_transfer(
     fed: &mut FederatedCluster,
     from: &ObjectId,
     to: &ObjectId,
@@ -423,7 +449,7 @@ fn shard_ids(fed: &FederatedCluster) -> impl Iterator<Item = ShardId> {
 type Work = Box<dyn for<'a> FnOnce(Session<'a>) -> Result<()>>;
 
 /// Drives one seeded chaos run against a dedicated federation.
-pub struct ChaosEngine {
+pub(crate) struct ChaosEngine {
     config: ChaosConfig,
     draws: Option<SoakDraws>,
     fed: FederatedCluster,
@@ -461,7 +487,7 @@ impl ChaosEngine {
     /// [`Error::Config`] for fewer than two nodes, zero shards, or the
     /// detector on a transfer mix; propagates federation-construction
     /// failures.
-    pub fn new(config: ChaosConfig) -> Result<Self> {
+    pub(crate) fn new(config: ChaosConfig) -> Result<Self> {
         if config.nodes < 2 {
             return Err(Error::Config("chaos needs at least two nodes".into()));
         }
@@ -531,7 +557,7 @@ impl ChaosEngine {
     /// [`ChaosEngine::run`]. In the application mix that is shard 0's
     /// bus, where every event happens; in the transfer mix it is the
     /// federation's (routing and cross-shard 2PC).
-    pub fn telemetry(&self) -> &Telemetry {
+    pub(crate) fn telemetry(&self) -> &Telemetry {
         if self.transfers() {
             self.fed.telemetry()
         } else {
@@ -556,7 +582,7 @@ impl ChaosEngine {
     ///
     /// Propagates workload-seeding failures; fault application and
     /// workload errors are absorbed into the report.
-    pub fn run(self) -> Result<ChaosReport> {
+    pub(crate) fn run(self) -> Result<ChaosReport> {
         let c = &self.config;
         let schedule = if self.transfers() {
             Schedule::with_faults(c.ops, [])
@@ -574,7 +600,7 @@ impl ChaosEngine {
     /// # Errors
     ///
     /// Propagates workload-seeding failures.
-    pub fn run_schedule(mut self, schedule: &Schedule) -> Result<ChaosReport> {
+    pub(crate) fn run_schedule(mut self, schedule: &Schedule) -> Result<ChaosReport> {
         self.seed_objects()?;
         let mut ran = Vec::with_capacity(schedule.steps.len());
         let mut fault_no: u32 = 0;
@@ -1120,7 +1146,7 @@ fn quiesce(cluster: &mut Cluster) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dedisys_telemetry::{JsonlExporter, SharedBuf};
+    use dedisys_core::{JsonlExporter, SharedBuf};
 
     fn run_seed(seed: u64) -> ChaosReport {
         let engine = ChaosEngine::new(ChaosConfig {

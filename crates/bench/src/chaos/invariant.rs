@@ -12,11 +12,11 @@ use std::collections::BTreeSet;
 
 /// One violated invariant, with a human-readable detail string.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct InvariantViolation {
+pub(crate) struct InvariantViolation {
     /// Stable name of the invariant (for aggregation).
-    pub invariant: &'static str,
+    pub(crate) invariant: &'static str,
     /// What exactly went wrong.
-    pub detail: String,
+    pub(crate) detail: String,
 }
 
 impl std::fmt::Display for InvariantViolation {
@@ -28,13 +28,13 @@ impl std::fmt::Display for InvariantViolation {
 /// Stateless invariant checks over a [`Cluster`] (and the request
 /// plane that fronts it), and over a [`FederatedCluster`] of them.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct InvariantChecker;
+pub(crate) struct InvariantChecker;
 
 impl InvariantChecker {
     /// Invariants that must hold at *every* point of a run, however
     /// degraded the system is — threat completeness
     /// ([`Cluster::audit`]) among them.
-    pub fn check_running(cluster: &Cluster) -> Vec<InvariantViolation> {
+    pub(crate) fn check_running(cluster: &Cluster) -> Vec<InvariantViolation> {
         let mut out = Vec::new();
         let stats = cluster.stats();
 
@@ -111,7 +111,7 @@ impl InvariantChecker {
     /// request vanishes (conservation: `offered == admitted + rejected`
     /// and `admitted == completed + shed + deadline_missed + queued`)
     /// and every per-node queue respects the configured bound.
-    pub fn check_plane(plane: &RequestPlane, cluster: &Cluster) -> Vec<InvariantViolation> {
+    pub(crate) fn check_plane(plane: &RequestPlane, cluster: &Cluster) -> Vec<InvariantViolation> {
         let mut out = Vec::new();
         if !plane.conserves() {
             let t = plane.stats().total();
@@ -153,7 +153,7 @@ impl InvariantChecker {
     /// an open cross-shard transaction or by one its shard keeps in
     /// doubt. The last reads open state only, so it costs the same
     /// however many transactions have finished.
-    pub fn check_federation(
+    pub(crate) fn check_federation(
         fed: &FederatedCluster,
         accounts: &[ObjectId],
         expected_total: i64,
@@ -207,7 +207,7 @@ impl InvariantChecker {
     /// (restart every crashed node, heal, resolve in-doubt,
     /// reconcile): the cluster is quiescent, replicas converged, and no
     /// threat stands whose constraint holds.
-    pub fn check_converged(cluster: &Cluster) -> Vec<InvariantViolation> {
+    pub(crate) fn check_converged(cluster: &Cluster) -> Vec<InvariantViolation> {
         let mut out = Self::check_running(cluster);
         if cluster.crashed_nodes().next().is_some() {
             out.push(InvariantViolation {
@@ -324,7 +324,8 @@ mod tests {
     use std::sync::Arc;
 
     /// A violation committed behind a disabled constraint is one no
-    /// threat records: the running checks report it as lost.
+    /// threat records: re-enabled, ignoring the violators §3.3's check
+    /// hands back, the running checks report it as lost.
     #[test]
     fn a_lost_violation_breaks_threat_completeness() {
         let app = AppDescriptor::new("lost")

@@ -16,7 +16,7 @@ use std::fmt;
 
 /// One injectable fault (or repair) action.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FaultStep {
+pub(crate) enum FaultStep {
     /// Crash a node: volatile state lost, journal kept, topology exit.
     Crash(NodeId),
     /// Restart a crashed node: journal replay + GMS rejoin.
@@ -124,7 +124,7 @@ impl fmt::Display for FaultStep {
 
 /// One step of a [`Schedule`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Step {
+pub(crate) enum Step {
     /// A workload op. It takes its random draws from this list first,
     /// then from the seed's stream.
     Op(Vec<u64>),
@@ -134,16 +134,19 @@ pub enum Step {
 
 /// What a chaos run does, in order: workload ops and faults.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Schedule {
+pub(crate) struct Schedule {
     /// The steps, run first to last.
-    pub steps: Vec<Step>,
+    pub(crate) steps: Vec<Step>,
 }
 
 impl Schedule {
     /// `ops` workload ops with no recorded draws, and `faults` placed
     /// among them: `(at, step)` runs before op `at`, or after the last
     /// op when `at >= ops`; faults at one index keep their order.
-    pub fn with_faults(ops: u64, faults: impl IntoIterator<Item = (u64, FaultStep)>) -> Self {
+    pub(crate) fn with_faults(
+        ops: u64,
+        faults: impl IntoIterator<Item = (u64, FaultStep)>,
+    ) -> Self {
         let mut faults: Vec<(u64, FaultStep)> = faults.into_iter().collect();
         faults.sort_by_key(|fault| fault.0);
         let mut faults = faults.into_iter().peekable();
@@ -168,7 +171,7 @@ impl Schedule {
     /// Equal seeds yield equal schedules within a release; a change to
     /// its draw table re-rolls every classic schedule once and is
     /// recorded in `CHANGELOG.md`.
-    pub fn random(seed: u64, nodes: u32, ops: u64, faults: usize) -> Self {
+    pub(crate) fn random(seed: u64, nodes: u32, ops: u64, faults: usize) -> Self {
         let rng = ChaosRng::new(seed);
         Self::with_faults(ops, generate(rng, nodes, ops, faults, classic_draw))
     }
@@ -179,7 +182,7 @@ impl Schedule {
     /// writes join the classic crash/partition mix. A separate draw
     /// table (and a perturbed seed stream), so a change to either
     /// table leaves the other generator's schedules byte-identical.
-    pub fn random_adaptive(seed: u64, nodes: u32, ops: u64, faults: usize) -> Self {
+    pub(crate) fn random_adaptive(seed: u64, nodes: u32, ops: u64, faults: usize) -> Self {
         let rng = ChaosRng::new(seed ^ 0xADA7_71FE_0000_5EED);
         Self::with_faults(ops, generate(rng, nodes, ops, faults, adaptive_draw))
     }
@@ -187,7 +190,7 @@ impl Schedule {
     /// Drops runs of steps while `fails` still holds of what is left:
     /// runs half the schedule long first, halving down to single steps.
     /// Returns the shrunk schedule and how many times `fails` ran.
-    pub fn shrink(&self, mut fails: impl FnMut(&Schedule) -> bool) -> (Schedule, u32) {
+    pub(crate) fn shrink(&self, mut fails: impl FnMut(&Schedule) -> bool) -> (Schedule, u32) {
         let mut kept = self.clone();
         let mut runs = 0;
         let mut len = kept.steps.len().div_ceil(2);

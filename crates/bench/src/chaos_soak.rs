@@ -20,10 +20,9 @@
 //! negotiated under both timings, the repairing handler is called and
 //! the rollback search tries candidates.
 
+use crate::engine::{ChaosConfig, ChaosEngine, ChaosReport, ConstraintActivity};
+use crate::invariant::InvariantViolation;
 use crate::{require, BadFlags, Run, Verdict};
-use dedisys_chaos::{
-    ChaosConfig, ChaosEngine, ChaosReport, ConstraintActivity, InvariantViolation,
-};
 use dedisys_core::NegotiationTiming;
 
 /// The engine configuration for `seed`. One shard runs the application
@@ -239,8 +238,8 @@ fn print_report(report: &ChaosReport, run: &Run, events: u64) {
 
 #[cfg(test)]
 mod tests {
+    use crate::engine::SoakDraws;
     use crate::{BadFlags, Run};
-    use dedisys_chaos::SoakDraws;
     use dedisys_core::{NegotiationTiming, ReconcileInstructions};
     use dedisys_types::SatisfactionDegree;
 

@@ -132,7 +132,7 @@ fn sweep(cluster: &mut Cluster, sweeps: &mut Vec<(String, Vec<ObjectId>)>) {
             .set_constraint_enabled(&name, false)
             .expect("disable");
         let violating = cluster
-            .enable_constraint_with_check(&name)
+            .set_constraint_enabled(&name, true)
             .expect("re-enable sweep");
         sweeps.push((name.to_string(), violating));
     }

@@ -49,6 +49,21 @@ mod scenario;
 #[path = "ch2/strategies/mod.rs"]
 mod strategies;
 
+// The chaos engine that `chaos-soak` runs, and `overload-sweep` and
+// `shard-sweep` borrow from: the seeded schedule, the engine, its
+// invariants (`engine.rs`'s module doc) and the tests of its schedules.
+// Its files live under `chaos/` and hang off the crate root the same
+// way, so they name each other `crate::engine` and so on.
+#[cfg(test)]
+#[path = "chaos/robustness.rs"]
+mod chaos_robustness;
+#[path = "chaos/engine.rs"]
+mod engine;
+#[path = "chaos/invariant.rs"]
+mod invariant;
+#[path = "chaos/plan.rs"]
+mod plan;
+
 use dedisys_core::{Cluster, ClusterBuilder, JsonlExporter, Telemetry};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};

@@ -26,9 +26,9 @@
 //! Everything runs on the virtual clock; the same seed reproduces the
 //! table — and a `--trace` JSONL file — byte for byte.
 
+use crate::engine::chaos_app;
 use crate::table::print_verdict;
 use crate::{require, Run, Verdict};
-use dedisys_chaos::chaos_app;
 use dedisys_core::plane::latency_metric;
 use dedisys_core::{
     nodes, ClassCounters, Cluster, ClusterBuilder, Histogram, RequestPlane, Session,

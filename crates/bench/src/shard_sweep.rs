@@ -24,10 +24,11 @@
 //! seed reproduces the table — and a `--trace` JSONL file — byte for
 //! byte.
 
+use crate::engine::{chaos_app, fund_accounts, prepare_transfer};
+use crate::invariant::InvariantChecker;
 use crate::overload_sweep::arrival;
 use crate::table::print_verdict;
 use crate::{require, Run, Verdict};
-use dedisys_chaos::{chaos_app, fund_accounts, prepare_transfer, InvariantChecker};
 use dedisys_federation::{FederatedCluster, RoutingPolicy, ShardId};
 use dedisys_types::{NodeId, ObjectId, SimDuration, Value};
 

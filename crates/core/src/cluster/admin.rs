@@ -82,15 +82,35 @@ impl Cluster {
     }
 
     /// Enables or disables a registered constraint at runtime (§3.3).
-    /// Disabling merely stops lookups from returning it; re-enabling
-    /// *with* the mandated full re-check is
-    /// [`Cluster::enable_constraint_with_check`].
+    /// Disabling merely stops lookups from returning it and returns no
+    /// object. Enabling validates the constraint against every context
+    /// object (§3.3: re-enabled constraints have to be checked for all
+    /// context objects) and returns the violating ones.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Config`] for unknown constraint names.
-    pub fn set_constraint_enabled(&mut self, name: &ConstraintName, enabled: bool) -> Result<()> {
-        self.repository.set_enabled(name, enabled)
+    /// * [`Error::Config`] — unknown constraint name.
+    /// * [`Error::NodeCrashed`] — no node is up to run the check.
+    /// * Evaluation failures (an ill-typed or unknown field, …).
+    ///
+    /// A constraint whose check fails stays as it was: the change is
+    /// rejected whole.
+    pub fn set_constraint_enabled(
+        &mut self,
+        name: &ConstraintName,
+        enabled: bool,
+    ) -> Result<Vec<ObjectId>> {
+        if !enabled {
+            self.repository.set_enabled(name, false)?;
+            return Ok(Vec::new());
+        }
+        let was_enabled = self.repository.get(name).is_some_and(|c| c.enabled);
+        self.repository.set_enabled(name, true)?;
+        let checked = self.check_all_context_objects(name);
+        if checked.is_err() {
+            self.repository.set_enabled(name, was_enabled)?;
+        }
+        checked
     }
 
     /// Removes a constraint at runtime (§3.3). Returns whether the
@@ -138,29 +158,6 @@ impl Cluster {
         let checked = self.check_all_context_objects(&name);
         if checked.is_err() {
             self.remove_constraint(&name);
-        }
-        checked
-    }
-
-    /// Re-enables a previously disabled constraint and validates it
-    /// against every context object (§3.3: re-enabled constraints have
-    /// to be checked for all context objects). Returns the violating
-    /// context objects.
-    ///
-    /// # Errors
-    ///
-    /// * [`Error::Config`] — unknown constraint name.
-    /// * [`Error::NodeCrashed`] — no node is up to run the check.
-    /// * Evaluation failures (an ill-typed or unknown field, …).
-    ///
-    /// A constraint whose check fails stays as it was (disabled): the
-    /// change is rejected whole.
-    pub fn enable_constraint_with_check(&mut self, name: &ConstraintName) -> Result<Vec<ObjectId>> {
-        let was_enabled = self.repository.get(name).is_some_and(|c| c.enabled);
-        self.repository.set_enabled(name, true)?;
-        let checked = self.check_all_context_objects(name);
-        if checked.is_err() {
-            self.repository.set_enabled(name, was_enabled)?;
         }
         checked
     }

@@ -32,21 +32,6 @@ impl Cluster {
         Ok(self.settle_mode(TransitionCause::Scripted))
     }
 
-    /// Isolates one node (connectivity loss — the node keeps running)
-    /// and returns the resulting system mode.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::UnknownNode`] for node ids outside the
-    /// cluster.
-    pub fn isolate(&mut self, node: NodeId) -> Result<SystemMode> {
-        self.check_known(node)?;
-        self.topology.isolate(node);
-        self.install_views();
-        self.sync_membership_scripted();
-        Ok(self.set_mode(SystemMode::Degraded, TransitionCause::Scripted))
-    }
-
     /// Repairs all connectivity failures; the system enters the
     /// reconciliation phase (run [`Cluster::reconcile`] to return to
     /// healthy). Crashed nodes stay isolated — only

@@ -54,7 +54,7 @@ fn set_n(cluster: &mut Cluster, node: NodeId, id: &ObjectId, n: i64) {
 }
 
 /// Commits `n = 150` on `id` while the constraint is disabled, then
-/// re-enables it without the §3.3 check of every context object.
+/// re-enables it and ignores the violators §3.3's check hands back.
 fn sneak_in_a_violation(cluster: &mut Cluster, id: &ObjectId) {
     let name = ConstraintName::from(BOUNDED);
     cluster.set_constraint_enabled(&name, false).unwrap();

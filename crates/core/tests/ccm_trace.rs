@@ -164,7 +164,7 @@ fn write_negotiated(
 fn sweep(cluster: &mut Cluster, name: &str) {
     let name = ConstraintName::from(name);
     cluster.set_constraint_enabled(&name, false).unwrap();
-    cluster.enable_constraint_with_check(&name).unwrap();
+    cluster.set_constraint_enabled(&name, true).unwrap();
 }
 
 fn refused(result: dedisys_types::Result<()>) -> bool {

@@ -3,8 +3,8 @@
 //! and record are written into the store's buffer and allocated once
 //! each, and re-evaluating a threat reads its record in place.
 //!
-//! A test binary of its own, because it installs a counting global
-//! allocator (the idiom of `crates/federation/tests/write_allocs.rs`).
+//! A test binary of its own, because it installs the counting global
+//! allocator (`crates/types/tests/support/counting_alloc.rs`).
 
 use dedisys_constraints::{
     expr::ExprConstraint, ConstraintMeta, ContextPreparation, RegisteredConstraint,
@@ -12,53 +12,13 @@ use dedisys_constraints::{
 use dedisys_core::{Cluster, ClusterBuilder, HighestVersionWins, ReconOps, ViolationReport};
 use dedisys_object::{AppDescriptor, ClassDescriptor, EntityState};
 use dedisys_types::{NodeId, ObjectId, SatisfactionDegree, Value};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::sync::Arc;
 
 mod promise;
 
-thread_local! {
-    /// Allocations made by this thread (the harness has others).
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-/// The system allocator, counting calls that hand out memory.
-struct Counting;
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the counter is a
-// const-initialised thread-local `Cell` without a destructor, so
-// touching it neither allocates nor reads the memory handed out.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.with(|n| n.set(n.get() + 1));
-        // SAFETY: the caller's obligations for `alloc` are passed on.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` through this allocator with
-        // this `layout`, as the caller guarantees.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.with(|n| n.set(n.get() + 1));
-        // SAFETY: `ptr`/`layout` describe a live block of this
-        // allocator and `new_size` is valid, as the caller guarantees.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
-
-fn allocations(f: impl FnOnce()) -> u64 {
-    let before = ALLOCATIONS.with(Cell::get);
-    f();
-    ALLOCATIONS.with(Cell::get) - before
-}
+#[path = "../../types/tests/support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::paid;
 
 /// What most of the rounds paid, and none paid less: the operation's
 /// own allocations. The amortized growth of the tables that keep its
@@ -131,7 +91,7 @@ fn degraded_phase(cluster: &mut Cluster, ids: &[ObjectId], round: usize) -> Vec<
             } else {
                 (round * IDENTITIES + i) as i64
             };
-            allocations(|| write(cluster, id, balance))
+            paid(|| write(cluster, id, balance)).allocations
         })
         .collect();
     assert_eq!(cluster.threats().identity_count(), ids.len());
@@ -148,10 +108,11 @@ fn heal_and_reconcile(cluster: &mut Cluster) -> u64 {
             .is_ok()
     };
     let mut summary = None;
-    let paid = allocations(|| {
+    let paid = paid(|| {
         cluster.heal();
         summary = Some(cluster.reconcile(&mut HighestVersionWins, &mut repair));
-    });
+    })
+    .allocations;
     let summary = summary.unwrap();
     assert_eq!(summary.constraints.re_evaluated, IDENTITIES);
     assert_eq!(

@@ -5,8 +5,8 @@
 //! class declares; the transaction's record and write buffer are
 //! reused, and its commit encodes into the container's buffer.
 //!
-//! A test binary of its own, because it installs a counting global
-//! allocator (the idiom of `crates/federation/tests/write_allocs.rs`).
+//! A test binary of its own, because it installs the counting global
+//! allocator (`crates/types/tests/support/counting_alloc.rs`).
 
 use dedisys_constraints::{
     expr::ExprConstraint, Constraint, ConstraintEngine, ConstraintKind, ConstraintMeta,
@@ -15,51 +15,11 @@ use dedisys_constraints::{
 use dedisys_core::{Cluster, ClusterBuilder};
 use dedisys_object::{AppDescriptor, ClassDescriptor, EntityState};
 use dedisys_types::{NodeId, ObjectId, Result, Value};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::sync::Arc;
 
-thread_local! {
-    /// Allocations made by this thread (the harness has others).
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-/// The system allocator, counting calls that hand out memory.
-struct Counting;
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the counter is a
-// const-initialised thread-local `Cell` without a destructor, so
-// touching it neither allocates nor reads the memory handed out.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.with(|n| n.set(n.get() + 1));
-        // SAFETY: the caller's obligations for `alloc` are passed on.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` through this allocator with
-        // this `layout`, as the caller guarantees.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.with(|n| n.set(n.get() + 1));
-        // SAFETY: `ptr`/`layout` describe a live block of this
-        // allocator and `new_size` is valid, as the caller guarantees.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
-
-fn allocations(f: impl FnOnce()) -> u64 {
-    let before = ALLOCATIONS.with(Cell::get);
-    f();
-    ALLOCATIONS.with(Cell::get) - before
-}
+#[path = "../../types/tests/support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::paid;
 
 /// What most of the rounds paid, and none paid less: the operation's
 /// own allocations. The amortized growth of the tables that keep its
@@ -167,12 +127,13 @@ fn a_checked_call_allocates_only_what_it_keeps() {
     for round in 0..2 * ROUNDS {
         let tx = cluster.session(NodeId(0)).detach();
         let args = vec![Value::Int(round as i64 % 9)];
-        let call = allocations(|| {
+        let call = paid(|| {
             cluster
                 .invoke(NodeId(0), tx, &booking, "setCount", args)
                 .unwrap();
-        });
-        let commit = allocations(|| cluster.commit(tx).unwrap());
+        })
+        .allocations;
+        let commit = paid(|| cluster.commit(tx).unwrap()).allocations;
         if round >= ROUNDS {
             invoked.push(call);
             committed.push(commit);

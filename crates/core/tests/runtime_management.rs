@@ -83,7 +83,7 @@ fn re_enabling_checks_context_objects_again() {
         .unwrap();
     // Re-enable: the full check surfaces the violation introduced
     // while the constraint was off.
-    let violating = cluster.enable_constraint_with_check(&name).unwrap();
+    let violating = cluster.set_constraint_enabled(&name, true).unwrap();
     assert_eq!(violating, vec![id.clone()]);
     // Duplicate registration is still rejected.
     assert!(cluster
@@ -125,7 +125,7 @@ fn a_constraint_that_cannot_be_checked_is_not_added() {
 }
 
 /// Re-enabling is rejected whole too: a constraint whose full check
-/// cannot be evaluated, or cannot run at all, stays disabled.
+/// cannot be evaluated, or cannot run at all, stays as it was.
 #[test]
 fn a_constraint_that_cannot_be_checked_is_not_re_enabled() {
     // `reserved` is no field of Warehouse: null cannot be compared.
@@ -152,7 +152,7 @@ fn a_constraint_that_cannot_be_checked_is_not_re_enabled() {
         .unwrap();
     let enabled = |c: &Cluster, name| c.repository().get(name).unwrap().enabled;
 
-    assert!(cluster.enable_constraint_with_check(&name).is_err());
+    assert!(cluster.set_constraint_enabled(&name, true).is_err());
     assert!(!enabled(&cluster, &name), "still disabled");
     assert_eq!(cluster.open_tx_count(), 0);
     // …so writes it would have made uncheckable still go through.
@@ -162,21 +162,24 @@ fn a_constraint_that_cannot_be_checked_is_not_re_enabled() {
         })
         .unwrap();
 
-    // No node up to run the check: rejected the same way.
+    // No node up to run the check: rejected the same way. A failed
+    // check of an already enabled constraint leaves it on…
     let capacity = ConstraintName::from("Capacity");
-    cluster.set_constraint_enabled(&capacity, false).unwrap();
     for n in [NodeId(0), NodeId(1)] {
         cluster.crash(n).unwrap();
     }
     assert!(matches!(
-        cluster.enable_constraint_with_check(&capacity),
+        cluster.set_constraint_enabled(&capacity, true),
+        Err(Error::NodeCrashed(_))
+    ));
+    assert!(enabled(&cluster, &capacity));
+    // …and one of a disabled constraint leaves it off.
+    cluster.set_constraint_enabled(&capacity, false).unwrap();
+    assert!(matches!(
+        cluster.set_constraint_enabled(&capacity, true),
         Err(Error::NodeCrashed(_))
     ));
     assert!(!enabled(&cluster, &capacity));
-    // A failed check of an already enabled constraint leaves it on.
-    cluster.set_constraint_enabled(&capacity, true).unwrap();
-    assert!(cluster.enable_constraint_with_check(&capacity).is_err());
-    assert!(enabled(&cluster, &capacity));
 }
 
 /// The full check runs from a live node: with node 0 down, the

@@ -61,30 +61,6 @@ impl NodeWeights {
     pub fn partition_fraction(&self, members: &BTreeSet<NodeId>) -> f64 {
         f64::from(self.partition_weight(members)) / f64::from(self.total())
     }
-
-    /// Splits an integer quantity `amount` proportionally across the
-    /// given partitions (by weight), assigning remainders to the
-    /// heaviest partitions first so that the shares always sum to
-    /// `amount` (the ticket-partitioning scheme: `t = Σ tx`).
-    pub fn apportion(&self, amount: u64, partitions: &[BTreeSet<NodeId>]) -> Vec<u64> {
-        let total = u64::from(self.total());
-        let weights: Vec<u64> = partitions
-            .iter()
-            .map(|p| u64::from(self.partition_weight(p)))
-            .collect();
-        let mut shares: Vec<u64> = weights.iter().map(|w| amount * w / total).collect();
-        let mut remainder = amount - shares.iter().sum::<u64>();
-        // Distribute the remainder by descending weight (stable order).
-        let mut order: Vec<usize> = (0..partitions.len()).collect();
-        order.sort_by_key(|&i| std::cmp::Reverse(weights[i]));
-        let mut i = 0;
-        while remainder > 0 && !order.is_empty() {
-            shares[order[i % order.len()]] += 1;
-            remainder -= 1;
-            i += 1;
-        }
-        shares
-    }
 }
 
 #[cfg(test)]
@@ -109,24 +85,6 @@ mod tests {
         assert_eq!(w.total(), 5);
         assert_eq!(w.weight_of(NodeId(0)), 3);
         assert_eq!(w.weight_of(NodeId(9)), 0);
-    }
-
-    #[test]
-    fn apportion_sums_to_amount() {
-        let w = NodeWeights::uniform(3);
-        let partitions = [set(&[0]), set(&[1, 2])];
-        let shares = w.apportion(10, &partitions);
-        assert_eq!(shares.iter().sum::<u64>(), 10);
-        // 10 * 1/3 = 3, 10 * 2/3 = 6, remainder 1 to heaviest
-        assert_eq!(shares, vec![3, 7]);
-    }
-
-    #[test]
-    fn apportion_with_explicit_weights() {
-        let w = NodeWeights::explicit(vec![1, 1, 2]);
-        let partitions = [set(&[0, 1]), set(&[2])];
-        let shares = w.apportion(8, &partitions);
-        assert_eq!(shares, vec![4, 4]);
     }
 
     #[test]

@@ -3,49 +3,15 @@
 //! and the table a compaction files keys in is kept, emptied, for the
 //! next one.
 //!
-//! A test binary of its own, because it installs a counting global
-//! allocator.
+//! A test binary of its own, because it installs the counting global
+//! allocator (`crates/types/tests/support/counting_alloc.rs`).
 
 use dedisys_store::WriteAheadLog;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::sync::Arc;
 
-thread_local! {
-    /// Allocations made by this thread (the harness has others).
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-/// The system allocator, counting calls that hand out memory.
-struct Counting;
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the counter is a
-// const-initialised thread-local `Cell` without a destructor, so
-// touching it neither allocates nor reads the memory handed out.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.with(|n| n.set(n.get() + 1));
-        // SAFETY: the caller's obligations for `alloc` are passed on.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` through this allocator with
-        // this `layout`, as the caller guarantees.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.with(|n| n.set(n.get() + 1));
-        // SAFETY: `ptr`/`layout` describe a live block of this
-        // allocator and `new_size` is valid, as the caller guarantees.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
+#[path = "../../types/tests/support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::paid;
 
 /// One test, so nothing else runs on this thread's counter.
 #[test]
@@ -80,12 +46,13 @@ fn a_log_at_its_steady_size_allocates_nothing_across_ten_compactions() {
     }
     assert_eq!(wal.len(), live.len());
 
-    let before = ALLOCATIONS.with(Cell::get);
-    let mut compactions = 0;
-    while compactions < 10 {
-        compactions += usize::from(step(&mut wal));
-    }
-    let allocated = ALLOCATIONS.with(Cell::get) - before;
+    let allocated = paid(|| {
+        let mut compactions = 0;
+        while compactions < 10 {
+            compactions += usize::from(step(&mut wal));
+        }
+    })
+    .allocations;
     assert_eq!(wal.len(), live.len());
     assert_eq!(allocated, 0, "allocations across ten compactions");
 }

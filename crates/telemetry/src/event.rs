@@ -95,7 +95,7 @@ pub enum TwoPcPhase {
 #[serde(rename_all = "snake_case")]
 pub enum TransitionCause {
     /// A scripted topology operation (`partition`, `heal`, `crash`,
-    /// `restart`, `isolate`) — the test-driver entry path.
+    /// `restart`) — the entry path scenarios and tests script.
     Scripted,
     /// A stabilized view change from the failure-detection pipeline —
     /// the production entry path.

@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --example alarm_tracking`
 
-use dedisys_apps::ats::{ats_cluster, create_alarm_with_report};
+use dedisys::apps::ats::{ats_cluster, create_alarm_with_report};
 use dedisys_core::nodes;
 use dedisys_core::{DeferAll, HighestVersionWins};
 use dedisys_types::{NodeId, Result, Value};

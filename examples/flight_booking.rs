@@ -9,7 +9,7 @@
 //!
 //! Run with: `cargo run --example flight_booking`
 
-use dedisys_apps::flight::{
+use dedisys::apps::flight::{
     booking_cluster, create_flight, flight_app, flight_methods,
     partition_sensitive_ticket_constraint, sell_tickets,
 };

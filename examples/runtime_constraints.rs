@@ -78,8 +78,15 @@ fn main() -> Result<()> {
     })?;
     println!("constraint disabled: stock=150 accepted");
 
-    // … re-enable it, and watch it bite again.
-    cluster.set_constraint_enabled(&capacity, true)?;
+    // … re-enable it: §3.3's check of every warehouse finds the one
+    // the import left over capacity, and the constraint bites again.
+    let violators = cluster.set_constraint_enabled(&capacity, true)?;
+    assert_eq!(
+        violators,
+        std::slice::from_ref(&wh),
+        "the import's warehouse"
+    );
+    println!("constraint re-enabled: violated by {}", violators[0]);
     let still_over = cluster.run_tx(node, |c, tx| {
         c.set_field(node, tx, &wh, "stock", Value::Int(160))
     });

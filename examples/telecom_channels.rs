@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --example telecom_channels`
 
-use dedisys_apps::dtms::{create_channel, dtms_cluster, retune};
+use dedisys::apps::dtms::{create_channel, dtms_cluster, retune};
 use dedisys_core::nodes;
 use dedisys_core::{HighestVersionWins, ReconOps, ViolationReport};
 use dedisys_types::{NodeId, Result, SatisfactionDegree, Value};

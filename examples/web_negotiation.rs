@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --example web_negotiation`
 
-use dedisys_apps::flight::{booking_cluster, create_flight};
+use dedisys::apps::flight::{booking_cluster, create_flight};
 use dedisys_core::nodes;
 use dedisys_core::web::{WebDecision, WebGateway, WebResponse};
 use dedisys_types::{Error, NodeId, Result, Value};

@@ -1,5 +1,3 @@
-//! # dedisys-apps
-//!
 //! The application scenarios of the dissertation, modelled on top of
 //! the DeDiSys-RS middleware:
 //!

@@ -1,16 +1,16 @@
-//! Robustness integration tests: the seeded chaos engine, the node
-//! crash/restart lifecycle, 2PC in-doubt recovery (presumed abort),
-//! §5.5.1 threat re-activation, and the typed topology error paths.
+//! Robustness integration tests: the node crash/restart lifecycle, 2PC
+//! in-doubt recovery (presumed abort), §5.5.1 threat re-activation, and
+//! the typed topology error paths. The seeded chaos engine's own
+//! schedules are tested beside it, in `dedisys-bench`.
 
-use dedisys_chaos::{ChaosConfig, ChaosEngine, ChaosReport, FaultStep, Schedule};
 use dedisys_constraints::{
     expr::ExprConstraint, ConstraintMeta, ContextPreparation, RegisteredConstraint,
 };
 use dedisys_core::{
-    Cluster, ClusterBuilder, CostModel, DeferAll, HighestVersionWins, RingRecorder,
+    nodes, Cluster, ClusterBuilder, CostModel, DeferAll, HighestVersionWins, RingRecorder,
 };
 use dedisys_object::{AppDescriptor, ClassDescriptor, EntityState};
-use dedisys_types::{ChaosRng, Error, NodeId, ObjectId, SatisfactionDegree, TxId, Value};
+use dedisys_types::{Error, NodeId, ObjectId, SatisfactionDegree, TxId, Value};
 use std::sync::Arc;
 
 #[path = "../crates/core/tests/promise/mod.rs"]
@@ -246,7 +246,7 @@ fn partition_rejects_unknown_duplicate_and_crashed_nodes() {
 fn isolate_crash_and_restart_validate_their_node() {
     let mut c = cluster(2);
     assert!(matches!(
-        c.isolate(NodeId(7)),
+        c.partition(&[nodes![7]]),
         Err(Error::UnknownNode(NodeId(7)))
     ));
     assert!(matches!(
@@ -285,156 +285,4 @@ fn crashed_node_rejects_requests_until_restarted() {
         c.set_field(NodeId(2), tx, &id, "n", Value::Int(1))
     })
     .unwrap();
-}
-
-// ---------------------------------------------------------------------
-// Explicit chaos schedule — crash mid-2PC inside a full engine run
-// ---------------------------------------------------------------------
-
-#[test]
-fn explicit_schedule_with_mid_2pc_crashes_stays_clean() {
-    let schedule = Schedule::with_faults(
-        200,
-        [
-            (25, FaultStep::Crash(NodeId(1))),
-            (
-                60,
-                FaultStep::Partition(vec![vec![NodeId(0), NodeId(2)], vec![NodeId(3)]]),
-            ),
-            (90, FaultStep::Restart(NodeId(1))),
-            (110, FaultStep::Crash(NodeId(3))),
-            (140, FaultStep::Heal),
-            (
-                170,
-                FaultStep::WriteFaultWindow {
-                    node: NodeId(2),
-                    failures: 3,
-                },
-            ),
-        ],
-    );
-    let report = ChaosEngine::new(ChaosConfig {
-        nodes: 4,
-        ops: 200,
-        seed: 11,
-        ..ChaosConfig::default()
-    })
-    .unwrap()
-    .run_schedule(&schedule)
-    .unwrap();
-    assert!(report.clean(), "violations: {:?}", report.violations);
-    assert!(report.ops_ok > 0);
-}
-
-// ---------------------------------------------------------------------
-// Seeded properties — random schedules
-// ---------------------------------------------------------------------
-
-/// Any seeded random schedule leaves every invariant intact, from
-/// the per-step checks through final convergence — over 24 drawn
-/// engine configurations.
-#[test]
-fn random_chaos_schedules_keep_all_invariants() {
-    for case in 0..24 {
-        let mut rng = ChaosRng::new(case);
-        let config = ChaosConfig {
-            seed: rng.below(10_000),
-            nodes: 2 + rng.below(4) as u32,
-            ops: 40 + rng.below(100),
-            faults: 4 + rng.below(14) as usize,
-            ..ChaosConfig::default()
-        };
-        let report = ChaosEngine::new(config).unwrap().run().unwrap();
-        assert!(
-            report.clean(),
-            "case {case} ({config:?}): {:?}",
-            report.violations
-        );
-        // After the final repair sequence the ledger balances exactly.
-        let tx = &report.final_stats.tx;
-        assert_eq!(
-            tx.begun,
-            tx.committed + tx.rolled_back,
-            "case {case} ({config:?})"
-        );
-    }
-}
-
-/// A chaos run is a pure function of its seed: equal seeds yield
-/// identical outcomes along every observable axis — over 24 drawn
-/// seeds.
-#[test]
-fn chaos_runs_are_seed_deterministic() {
-    for case in 0..24 {
-        let seed = ChaosRng::new(case).below(10_000);
-        let run = || {
-            ChaosEngine::new(ChaosConfig {
-                seed,
-                ops: 80,
-                faults: 10,
-                ..ChaosConfig::default()
-            })
-            .unwrap()
-            .run()
-            .unwrap()
-        };
-        let observed = |r: ChaosReport| {
-            (
-                r.ops_ok,
-                r.ops_failed,
-                r.faults_applied,
-                r.in_doubt_resolved,
-                r.final_stats.now_ns,
-                r.final_stats.events_emitted,
-            )
-        };
-        assert_eq!(observed(run()), observed(run()), "seed {seed}");
-    }
-}
-
-// ---------------------------------------------------------------------
-// Small scope, exhaustively
-// ---------------------------------------------------------------------
-
-/// Every 3-step schedule over five faults — a crash and a restart of
-/// n1, a split, a heal and a write-fault window on n2 — placed at ops
-/// 10, 20 and 30 of a 40-op application-mix run on 3 nodes: 125 schedules, one
-/// freshly built cluster each, every one clean.
-#[test]
-fn every_three_step_schedule_stays_clean() {
-    let vocabulary = [
-        FaultStep::Crash(NodeId(1)),
-        FaultStep::Restart(NodeId(1)),
-        FaultStep::Partition(vec![vec![NodeId(0), NodeId(1)], vec![NodeId(2)]]),
-        FaultStep::Heal,
-        FaultStep::WriteFaultWindow {
-            node: NodeId(2),
-            failures: 2,
-        },
-    ];
-    let mut schedules = 0;
-    for a in &vocabulary {
-        for b in &vocabulary {
-            for c in &vocabulary {
-                let schedule =
-                    Schedule::with_faults(40, [(10, a.clone()), (20, b.clone()), (30, c.clone())]);
-                let report = ChaosEngine::new(ChaosConfig {
-                    nodes: 3,
-                    ops: 40,
-                    seed: 26,
-                    ..ChaosConfig::default()
-                })
-                .unwrap()
-                .run_schedule(&schedule)
-                .unwrap();
-                assert!(
-                    report.clean(),
-                    "schedule {a} / {b} / {c}: {:?}",
-                    report.violations
-                );
-                schedules += 1;
-            }
-        }
-    }
-    assert_eq!(schedules, 125);
 }

@@ -6,14 +6,13 @@
 //! virtual time (checks get cheaper) and the cache's own telemetry may
 //! differ, which is exactly what the fingerprint below excludes.
 
-use dedisys_chaos::ChaosRng;
 use dedisys_constraints::{
     expr::ExprConstraint, Constraint, ConstraintKind, ConstraintMeta, ContextPreparation,
     RegisteredConstraint, ValidationContext,
 };
 use dedisys_core::{nodes, ClusterBuilder, ConstraintEngine, DeferAll, HighestVersionWins};
 use dedisys_object::{AppDescriptor, ClassDescriptor, EntityState};
-use dedisys_types::{ConstraintName, NodeId, ObjectId, SatisfactionDegree, Value};
+use dedisys_types::{ChaosRng, ConstraintName, NodeId, ObjectId, SatisfactionDegree, Value};
 use std::sync::Arc;
 
 #[path = "../crates/core/tests/promise/mod.rs"]
@@ -200,7 +199,7 @@ fn run_schedule(engine: ConstraintEngine, cache: bool, schedule: &[Step]) -> Str
                 // must nevertheless be identical.
                 let name = ConstraintName::from(format!("Bounded-{:02}", obj % 12));
                 let _ = cluster.set_constraint_enabled(&name, false);
-                if let Ok(violating) = cluster.enable_constraint_with_check(&name) {
+                if let Ok(violating) = cluster.set_constraint_enabled(&name, true) {
                     sweeps.push((name.to_string(), violating));
                 }
             }
@@ -272,7 +271,7 @@ fn verdict_cache_hits_invalidation_and_speedup() {
         for i in 0..12 {
             let name = ConstraintName::from(format!("Bounded-{i:02}"));
             cluster.set_constraint_enabled(&name, false).unwrap();
-            cluster.enable_constraint_with_check(&name).unwrap();
+            cluster.set_constraint_enabled(&name, true).unwrap();
         }
     };
 

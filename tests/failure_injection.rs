@@ -77,7 +77,7 @@ fn node_crash_is_a_singleton_partition_and_recovery_reconciles() {
         .unwrap();
     let id = seed(&mut cluster);
     // Node 2 crashes (pause-crash): the survivors keep operating.
-    cluster.isolate(NodeId(2)).unwrap();
+    cluster.partition(&[nodes![0, 1], nodes![2]]).unwrap();
     cluster
         .run_tx(NodeId(0), |c, tx| {
             c.set_field(NodeId(0), tx, &id, "n", Value::Int(5))

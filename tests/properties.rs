@@ -7,7 +7,6 @@ use dedisys_constraints::expr::{self, ExprConstraint};
 use dedisys_constraints::{MapAccess, ValidationContext};
 use dedisys_core::nodes;
 use dedisys_core::partition_sensitive::partition_share_weighted;
-use dedisys_gms::NodeWeights;
 use dedisys_net::Topology;
 use dedisys_types::{ChaosRng, NodeId, ObjectId, SatisfactionDegree, Value};
 use std::collections::BTreeSet;
@@ -89,24 +88,6 @@ fn staleness_degradation_properties() {
             d == SatisfactionDegree::Uncheckable || degraded != SatisfactionDegree::Uncheckable,
             "{d:?}"
         );
-    }
-}
-
-/// Weight apportioning always conserves the total (t = Σ tₓ) and
-/// never hands a partition more than everything.
-#[test]
-fn apportion_conserves_total() {
-    for seed in 0..CASES {
-        let mut rng = ChaosRng::new(seed);
-        let amount = rng.below(10_000);
-        let split_at = between(&mut rng, 1, 4) as u32;
-        let weights: Vec<u32> = (0..4).map(|_| between(&mut rng, 1, 5) as u32).collect();
-        let w = NodeWeights::explicit(weights);
-        let left: BTreeSet<NodeId> = (0..split_at).map(NodeId).collect();
-        let right: BTreeSet<NodeId> = (split_at..4).map(NodeId).collect();
-        let shares = w.apportion(amount, &[left, right]);
-        assert_eq!(shares.iter().sum::<u64>(), amount, "seed {seed}");
-        assert!(shares.iter().all(|&s| s <= amount), "seed {seed}");
     }
 }
 

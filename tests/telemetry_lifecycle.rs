@@ -195,7 +195,7 @@ fn each_cache_probe_directly_precedes_its_own_validation() {
         "first sweep"
     );
     let seen = ring.records().len();
-    cluster.enable_constraint_with_check(&name).unwrap();
+    cluster.set_constraint_enabled(&name, true).unwrap();
     assert_eq!(
         validation_kinds(seen),
         ["verdict_cache_hit", "constraint_validated"].repeat(3),
