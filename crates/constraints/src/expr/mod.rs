@@ -47,7 +47,6 @@ use std::sync::OnceLock;
 /// VM (see [`ConstraintEngine`]).
 #[derive(Debug, Clone)]
 pub struct ExprConstraint {
-    source: String,
     ast: Expr,
     /// Lazily-compiled program; populated on first compiled-engine use
     /// (or eagerly by the cluster at build time).
@@ -69,20 +68,9 @@ impl ExprConstraint {
     pub fn parse(source: &str) -> Result<Self> {
         let ast = parse(source)?;
         Ok(Self {
-            source: source.to_owned(),
             ast,
             program: OnceLock::new(),
         })
-    }
-
-    /// The original source text.
-    pub fn source(&self) -> &str {
-        &self.source
-    }
-
-    /// The parsed expression.
-    pub fn ast(&self) -> &Expr {
-        &self.ast
     }
 
     /// The compiled program, lowering the AST on first use.

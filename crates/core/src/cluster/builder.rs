@@ -18,7 +18,7 @@ use dedisys_replication::{ProtocolKind, ReplicationManager};
 use dedisys_telemetry::{CostBreakdown, Telemetry};
 use dedisys_tx::{LockTable, TransactionManager};
 use dedisys_types::{Error, NodeId, Result, SystemMode};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 /// Builder for [`Cluster`] (C-BUILDER).
 ///
@@ -197,8 +197,8 @@ impl ClusterBuilder {
         );
         let mut replication = ReplicationManager::new(self.protocol, weights.clone());
         replication.attach_telemetry(telemetry.clone());
-        let mut tx_manager = TransactionManager::new();
-        tx_manager.attach_telemetry(telemetry.clone());
+        let mut txs = TransactionManager::default();
+        txs.attach_telemetry(telemetry.clone());
         let view_trackers = (0..self.nodes)
             .map(|n| {
                 let mut tracker = ViewTracker::new(NodeId(n), &topology);
@@ -230,8 +230,7 @@ impl ClusterBuilder {
                 .collect(),
             app: self.app,
             methods: self.methods,
-            tx_manager,
-            txs: HashMap::default(),
+            txs,
             spare_txs: Vec::new(),
             in_doubt_resolved: 0,
             crashed: BTreeSet::new(),

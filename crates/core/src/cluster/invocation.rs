@@ -146,7 +146,7 @@ impl Cluster {
         if kind == MethodKind::Write {
             self.locks.acquire(tx, target)?;
         }
-        self.tx_info(tx)?.involve(exec);
+        self.txs.info_mut(tx)?.involve(exec);
         self.inv_cost.r3_preparation_ns += self.clock.now().since(t_r3).as_nanos();
 
         // The one signature every trigger point of this call looks up,
@@ -190,7 +190,7 @@ impl Cluster {
         let value = match result {
             Ok(v) => v,
             Err(e) => {
-                let _ = self.tx_manager.set_rollback_only(tx);
+                let _ = self.txs.set_rollback_only(tx);
                 return Err(e);
             }
         };
@@ -207,7 +207,7 @@ impl Cluster {
     /// Entry check of every operation issued on `node` within `tx`:
     /// the transaction is active and the node is up.
     pub(super) fn check_open(&self, node: NodeId, tx: TxId) -> Result<()> {
-        if !self.tx_manager.is_active(tx) {
+        if !self.txs.is_active(tx) {
             return Err(Error::NoSuchTransaction(tx));
         }
         if self.crashed.contains(&node) {
@@ -244,7 +244,7 @@ impl Cluster {
         let result = phase(self);
         self.inv_cost.r5_checks_ns += self.clock.now().since(t_r5).as_nanos();
         if result.is_err() {
-            let _ = self.tx_manager.set_rollback_only(tx);
+            let _ = self.txs.set_rollback_only(tx);
         }
         result
     }
@@ -373,7 +373,7 @@ impl Cluster {
                     self.validate_and_process(&candidate, exec, tx)?;
                 }
                 ConstraintKind::SoftInvariant | ConstraintKind::AsyncInvariant => {
-                    self.tx_info(tx)?.pending.push(PendingCheck {
+                    self.txs.info_mut(tx)?.pending.push(PendingCheck {
                         constraint: Arc::clone(constraint),
                         context_object,
                     });

@@ -36,19 +36,19 @@ impl Cluster {
             .txs
             .iter()
             .filter(|(tx, info)| tx.node == node || info.involved.contains(&node))
-            .map(|(tx, _)| *tx)
+            .map(|(tx, _)| tx)
             .collect();
         affected.sort_unstable();
         let mut aborted: u32 = 0;
         let mut in_doubt: u32 = 0;
         let deadline = self.clock.now() + self.costs.in_doubt_timeout;
         for tx in affected {
-            if tx.node == node && self.tx_manager.is_prepared(tx) {
+            if tx.node == node && self.txs.is_prepared(tx) {
                 // Coordinator crashed between prepare and commit: the
                 // outcome is locally unknowable. Locks and remote
                 // buffers are retained; the recovery protocol presumes
                 // abort once the timeout expires (presumed-abort 2PC).
-                if let Some(info) = self.txs.get_mut(&tx) {
+                if let Ok(info) = self.txs.info_mut(tx) {
                     info.in_doubt = Some(InDoubtTx {
                         coordinator: node,
                         deadline,
@@ -60,8 +60,7 @@ impl Cluster {
                     coordinator: node,
                 });
             } else {
-                self.tx_manager.force_rollback(tx);
-                self.abort_cleanup(tx);
+                let _ = self.abort(tx);
                 aborted += 1;
             }
         }
@@ -274,8 +273,7 @@ impl Cluster {
     }
 
     fn presume_abort(&mut self, tx: TxId) {
-        self.tx_manager.force_rollback(tx);
-        self.abort_cleanup(tx);
+        let _ = self.abort(tx);
         self.in_doubt_resolved += 1;
         self.telemetry.emit(|| TraceEvent::TwoPcResolved {
             tx,
@@ -314,7 +312,7 @@ impl Cluster {
         let mut in_doubt: Vec<(TxId, &InDoubtTx)> = self
             .txs
             .iter()
-            .filter_map(|(tx, info)| Some((*tx, info.in_doubt.as_ref()?)))
+            .filter_map(|(tx, info)| Some((tx, info.in_doubt.as_ref()?)))
             .collect();
         in_doubt.sort_unstable_by_key(|(tx, _)| *tx);
         in_doubt.into_iter()
@@ -323,8 +321,8 @@ impl Cluster {
     /// Number of in-doubt transactions.
     pub fn in_doubt_count(&self) -> usize {
         self.txs
-            .values()
-            .filter(|info| info.in_doubt.is_some())
+            .iter()
+            .filter(|(_, info)| info.in_doubt.is_some())
             .count()
     }
 

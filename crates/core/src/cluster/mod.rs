@@ -43,10 +43,10 @@ use dedisys_replication::ReplicationManager;
 use dedisys_telemetry::{CostBreakdown, MetricsSnapshot, Telemetry};
 use dedisys_tx::{LockTable, TransactionManager};
 use dedisys_types::{
-    Error, MethodName, NodeId, ObjectId, Result, SimTime, SystemMode, TxBuildHasher, TxId, Value,
+    Error, MethodName, NodeId, ObjectId, Result, SimTime, SystemMode, TxId, Value,
 };
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Cluster-level counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -101,9 +101,10 @@ pub struct HookInfo {
 }
 
 /// What the middleware remembers about one open transaction — the
-/// cluster's and the CCMgr's alike: the record is taken by `begin_tx`
-/// and leaves in `abort_cleanup` or `apply_commit`, nowhere else, for
-/// the cluster's spare list (emptied, its buffers kept).
+/// cluster's and the CCMgr's alike, carried by the transaction
+/// manager's record: it is taken by `begin_tx` and leaves in `abort` or
+/// `apply_commit`, nowhere else, for the cluster's spare list (emptied,
+/// its buffers kept).
 #[derive(Default)]
 struct TxInfo {
     /// The nodes the transaction executed on, in id order.
@@ -183,10 +184,10 @@ pub struct Cluster {
     containers: Vec<EntityContainer>,
     app: AppDescriptor,
     methods: MethodTable,
-    tx_manager: TransactionManager,
-    /// One record per open transaction. Hashed without a seed, so
-    /// whatever walks it towards a trace sorts by `TxId` first.
-    txs: HashMap<TxId, TxInfo, TxBuildHasher>,
+    /// One record per open transaction: its status, its veto and its
+    /// `TxInfo`. Hashed without a seed, so whatever walks it towards a
+    /// trace sorts by `TxId` first.
+    txs: TransactionManager<TxInfo>,
     /// Records of ended transactions, emptied, for the next `begin_tx`:
     /// never more than were ever open at once.
     spare_txs: Vec<TxInfo>,
@@ -325,7 +326,7 @@ impl Cluster {
             cluster: self.metrics,
             ccm: self.ccm.stats(),
             replication: self.replication.stats(),
-            tx: self.tx_manager.stats(),
+            tx: self.txs.stats(),
             telemetry: self.telemetry.metrics().snapshot(),
             events_emitted: self.telemetry.events_emitted(),
         }
@@ -386,7 +387,7 @@ impl Cluster {
     /// [`Cluster::stats`] this asserts transaction conservation:
     /// `begun == committed + rolled_back + open`.
     pub fn open_tx_count(&self) -> usize {
-        self.tx_manager.open_count()
+        self.txs.open_count()
     }
 
     /// Every lock currently held, sorted by object id — invariant
@@ -404,15 +405,15 @@ impl Cluster {
 
     /// Whether `tx` is still open (active or prepared).
     pub fn tx_is_open(&self, tx: TxId) -> bool {
-        self.tx_manager.is_active(tx) || self.tx_manager.is_prepared(tx)
+        self.txs.info(tx).is_some()
     }
 
-    /// Records held per open transaction, over all three tables keyed
-    /// by `TxId` (the transaction manager's, every node's write
-    /// buffers, the cluster's): zero whenever no transaction is open.
+    /// Records held per open transaction, over both tables keyed by
+    /// `TxId` (the transaction manager's, every node's write buffers):
+    /// zero whenever no transaction is open.
     pub fn tx_record_count(&self) -> usize {
         let buffers: usize = self.containers.iter().map(|c| c.buffer_count()).sum();
-        self.tx_manager.open_count() + buffers + self.txs.len()
+        self.txs.open_count() + buffers
     }
 
     /// Entries `node`'s persistent journal holds (it survives crashes):

@@ -42,10 +42,8 @@ impl Cluster {
     }
 
     pub(crate) fn begin_tx(&mut self, node: NodeId) -> TxId {
-        let tx = self.tx_manager.begin(node);
         let info = self.spare_txs.pop().unwrap_or_default();
-        self.txs.insert(tx, info);
-        tx
+        self.txs.begin_with(node, info)
     }
 
     /// Empties the record of an ended transaction onto the spare list.
@@ -54,16 +52,10 @@ impl Cluster {
         self.spare_txs.push(info);
     }
 
-    /// The cluster's record of `tx` — there is one exactly while it is
-    /// open.
-    pub(super) fn tx_info(&mut self, tx: TxId) -> Result<&mut TxInfo> {
-        self.txs.get_mut(&tx).ok_or(Error::NoSuchTransaction(tx))
-    }
-
     /// Whether the coordinator of `tx` crashed after prepare.
     fn is_in_doubt(&self, tx: TxId) -> bool {
         self.txs
-            .get(&tx)
+            .info(tx)
             .is_some_and(|info| info.in_doubt.is_some())
     }
 
@@ -79,7 +71,7 @@ impl Cluster {
         tx: TxId,
         handler: Box<dyn NegotiationHandler>,
     ) -> Result<()> {
-        self.tx_info(tx)?.handler = Some(handler);
+        self.txs.info_mut(tx)?.handler = Some(handler);
         Ok(())
     }
 
@@ -94,19 +86,19 @@ impl Cluster {
         if self.is_in_doubt(tx) {
             return Err(Error::TxInDoubt(tx));
         }
-        self.tx_manager.rollback(tx)?;
-        self.abort_cleanup(tx);
-        Ok(())
+        self.abort(tx)
     }
 
-    pub(super) fn abort_cleanup(&mut self, tx: TxId) {
-        if let Some(info) = self.txs.remove(&tx) {
-            for node in &info.involved {
-                self.containers[node.index()].rollback(tx);
-            }
-            self.recycle(info);
+    /// Ends `tx` rolled back: its record leaves the table, its buffers
+    /// on every node it involved are discarded and its locks released.
+    pub(super) fn abort(&mut self, tx: TxId) -> Result<()> {
+        let info = self.txs.rollback(tx)?;
+        for node in &info.involved {
+            self.containers[node.index()].rollback(tx);
         }
+        self.recycle(info);
         self.locks.release_all(tx);
+        Ok(())
     }
 
     /// Phase 1 of an explicit two-phase commit: validates pending
@@ -125,7 +117,7 @@ impl Cluster {
     ///   back).
     pub fn prepare(&mut self, tx: TxId) -> Result<()> {
         self.vote(tx)?;
-        self.tx_manager.mark_prepared(tx)?;
+        self.txs.mark_prepared(tx)?;
         self.telemetry.emit(|| TraceEvent::TwoPc {
             tx,
             phase: TwoPcPhase::Prepare,
@@ -149,7 +141,7 @@ impl Cluster {
         if self.is_in_doubt(tx) {
             return Err(Error::TxInDoubt(tx));
         }
-        if self.tx_manager.is_prepared(tx) {
+        if self.txs.is_prepared(tx) {
             // Phase 2 of an explicit 2PC: constraints already voted at
             // prepare time; just apply.
             self.telemetry.emit(|| TraceEvent::TwoPc {
@@ -179,12 +171,11 @@ impl Cluster {
     /// end of the transaction) and a failure rolls everything back.
     /// Under deferred timing their threats join the deferred ones.
     pub(crate) fn check_pending(&mut self, tx: TxId) -> Result<()> {
-        if !self.tx_manager.is_active(tx) {
+        if !self.txs.is_active(tx) {
             return Err(Error::NoSuchTransaction(tx));
         }
-        if self.tx_manager.is_rollback_only(tx) {
-            let _ = self.tx_manager.commit(tx); // transitions to rolled back
-            self.abort_cleanup(tx);
+        if self.txs.is_rollback_only(tx) {
+            let _ = self.abort(tx);
             return Err(Error::RollbackOnly(tx));
         }
         self.ccm_step(tx, Self::validate_pending)
@@ -195,8 +186,7 @@ impl Cluster {
     fn ccm_step(&mut self, tx: TxId, step: fn(&mut Self, TxId) -> Result<()>) -> Result<()> {
         if self.ccm_enabled {
             if let Err(e) = step(self, tx) {
-                let _ = self.tx_manager.rollback(tx);
-                self.abort_cleanup(tx);
+                let _ = self.abort(tx);
                 return Err(e);
             }
         }
@@ -208,8 +198,7 @@ impl Cluster {
     /// (charging propagation plus any ship-retry backoff) and releases
     /// locks.
     fn apply_commit(&mut self, tx: TxId) -> Result<()> {
-        self.tx_manager.commit(tx)?;
-        let info = self.txs.remove(&tx).unwrap_or_default();
+        let info = self.txs.commit(tx)?;
         // Apply buffers: what each node's commit did, node by node and
         // in id order, kept in the cluster's reused buffer (an error
         // below drops it; the next commit starts a new one).
@@ -289,7 +278,7 @@ impl Cluster {
 
     fn validate_pending(&mut self, tx: TxId) -> Result<()> {
         let origin = tx.node;
-        let pending = std::mem::take(&mut self.tx_info(tx)?.pending);
+        let pending = std::mem::take(&mut self.txs.info_mut(tx)?.pending);
         self.telemetry.emit(|| TraceEvent::TriggerPoint {
             trigger: TriggerKind::CommitPrepare,
             signature: commit_signature(tx),
@@ -317,7 +306,7 @@ impl Cluster {
     /// negotiation decisions are available. Each threat's negotiation
     /// was charged when it was detected, as under immediate timing.
     fn negotiate_deferred(&mut self, tx: TxId) -> Result<()> {
-        let info = self.txs.get_mut(&tx).ok_or(Error::NoSuchTransaction(tx))?;
+        let info = self.txs.info_mut(tx)?;
         let deferred = std::mem::take(&mut info.deferred);
         let storages =
             self.ccm
@@ -332,7 +321,7 @@ impl Cluster {
     /// [`Cluster::commit`] will negotiate them (none for an unknown
     /// transaction).
     pub(crate) fn deferred_threats(&self, tx: TxId) -> &[DeferredThreat] {
-        self.txs.get(&tx).map_or(&[], |info| &info.deferred)
+        self.txs.info(tx).map_or(&[], |info| &info.deferred)
     }
 
     /// Creates `entity` within `tx`, replicated on every node with the
@@ -377,7 +366,7 @@ impl Cluster {
         self.charge_remote_hop(node, exec);
         self.locks.acquire(tx, &id)?;
         self.containers[exec.index()].create(tx, entity)?;
-        let info = self.tx_info(tx)?;
+        let info = self.txs.info_mut(tx)?;
         info.involve(exec);
         info.created.insert(id, (replicas, primary));
         Ok(())
@@ -399,7 +388,7 @@ impl Cluster {
         self.charge_remote_hop(node, exec);
         self.locks.acquire(tx, id)?;
         self.containers[exec.index()].delete(tx, id)?;
-        self.tx_info(tx)?.involve(exec);
+        self.txs.info_mut(tx)?.involve(exec);
         Ok(())
     }
 

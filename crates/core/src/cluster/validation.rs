@@ -11,9 +11,7 @@ use crate::ccm::{
 };
 use dedisys_constraints::ConstraintEngine;
 use dedisys_telemetry::{ThreatStorage, TraceEvent};
-use dedisys_types::{
-    ConstraintName, Error, NodeId, ObjectId, Result, SatisfactionDegree, TxId, Version,
-};
+use dedisys_types::{ConstraintName, NodeId, ObjectId, Result, SatisfactionDegree, TxId, Version};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The version-keyed verdict cache: context object → (observing node,
@@ -276,17 +274,16 @@ impl Cluster {
         tx: TxId,
     ) -> Result<()> {
         let verdict = self.validate(candidate, node, tx)?;
-        let outcome = match self.txs.get_mut(&tx) {
-            Some(info) => self.ccm.process_verdict(
+        let outcome = self.txs.info_mut(tx).and_then(|info| {
+            self.ccm.process_verdict(
                 candidate,
                 &verdict,
                 &self.config.validation,
                 &mut info.handler,
                 &mut info.deferred,
                 tx,
-            ),
-            None => Err(Error::NoSuchTransaction(tx)),
-        };
+            )
+        });
         self.gathered = verdict.accessed;
         let outcome = outcome?;
         if verdict.degree.is_threat() {

@@ -1,10 +1,16 @@
 //! Edge-case behaviour of the cluster façade: locking, deployment
 //! checks, remote reads of bound objects, metrics and naming.
 
+use dedisys_constraints::{
+    expr::ExprConstraint, ConstraintKind, ConstraintMeta, ContextPreparation, RegisteredConstraint,
+};
 use dedisys_core::nodes;
-use dedisys_core::{ClusterBuilder, ConsistencyThreat, ThreatDecision};
+use dedisys_core::{
+    Cluster, ClusterBuilder, ConsistencyThreat, CostModel, RingRecorder, ThreatDecision, TraceEvent,
+};
 use dedisys_object::{AppDescriptor, ClassDescriptor, EntityState};
 use dedisys_types::{Error, NodeId, ObjectId, SystemMode, TxId, Value};
+use std::sync::Arc;
 
 fn app() -> AppDescriptor {
     AppDescriptor::new("edges")
@@ -101,6 +107,127 @@ fn a_transaction_that_is_not_open_takes_no_handler() {
         );
     }
     assert_eq!(c.tx_record_count(), 0);
+}
+
+/// `Item.v` under `limit`, checked by the CCMgr as `kind`.
+fn ceiling(name: &str, kind: ConstraintKind, limit: i64) -> RegisteredConstraint {
+    let source = format!("self.v <= {limit}");
+    RegisteredConstraint::new(
+        ConstraintMeta::new(name).kind(kind),
+        Arc::new(ExprConstraint::parse(&source).unwrap()),
+    )
+    .context_class("Item")
+    .affects("Item", "setV", ContextPreparation::CalledObject)
+}
+
+/// Every way an open transaction ends. Each runs on a fresh three-node
+/// cluster whose `Item`s have their primary on node 0: the transaction
+/// begins on node 1 and writes one of them, so node 0 is a participant
+/// and node 1 the coordinator.
+#[derive(Debug, Clone, Copy)]
+enum End {
+    Commit,
+    Rollback,
+    /// A call the hard invariant refuses, then a commit.
+    Vetoed,
+    /// A write the soft invariant refuses at the commit's vote.
+    RefusedVote,
+    PreparedRollback,
+    ParticipantCrash,
+    /// Coordinator crash after prepare, presumed abort at the deadline.
+    InDoubtTimeout,
+    /// Coordinator crash after prepare, presumed abort at its restart.
+    InDoubtRestart,
+}
+
+impl End {
+    /// Drives `tx`, which has written nothing yet, to this end.
+    fn drive(self, c: &mut Cluster, tx: TxId, id: &ObjectId) {
+        let (coordinator, participant) = (NodeId(1), NodeId(0));
+        let value = match self {
+            Self::Vetoed => 11,
+            Self::RefusedVote => 8,
+            _ => 1,
+        };
+        let write = c.set_field(coordinator, tx, id, "v", Value::Int(value));
+        assert_eq!(write.is_err(), matches!(self, Self::Vetoed), "{self:?}");
+        match self {
+            Self::Commit => c.commit(tx).unwrap(),
+            Self::Rollback => c.rollback(tx).unwrap(),
+            Self::Vetoed => assert_eq!(c.commit(tx), Err(Error::RollbackOnly(tx))),
+            Self::RefusedVote => {
+                assert!(matches!(
+                    c.commit(tx),
+                    Err(Error::ConstraintViolated { .. })
+                ));
+            }
+            Self::PreparedRollback => {
+                c.prepare(tx).unwrap();
+                c.rollback(tx).unwrap();
+            }
+            Self::ParticipantCrash => {
+                c.crash(participant).unwrap();
+            }
+            Self::InDoubtTimeout | Self::InDoubtRestart => {
+                c.prepare(tx).unwrap();
+                c.crash(coordinator).unwrap();
+                assert_eq!(c.in_doubt_count(), 1);
+                if matches!(self, Self::InDoubtTimeout) {
+                    c.clock().advance(CostModel::default().in_doubt_timeout);
+                    assert_eq!(c.resolve_in_doubt(), 1);
+                } else {
+                    c.restart(coordinator).unwrap();
+                }
+                assert_eq!(c.in_doubt_resolved(), 1);
+            }
+        }
+    }
+}
+
+/// Whichever way a transaction ends, it leaves no record, buffer or
+/// lock behind, and its end is counted and traced exactly once.
+#[test]
+fn every_way_a_transaction_ends_leaves_nothing_and_is_counted_once() {
+    use End::*;
+    let ends = [
+        (Commit, "tx_commit"),
+        (Rollback, "tx_rollback"),
+        (Vetoed, "tx_rollback"),
+        (RefusedVote, "tx_rollback"),
+        (PreparedRollback, "tx_rollback"),
+        (ParticipantCrash, "tx_rollback"),
+        (InDoubtTimeout, "tx_rollback"),
+        (InDoubtRestart, "tx_rollback"),
+    ];
+    for (end, kind) in ends {
+        let mut c = ClusterBuilder::new(3, app())
+            .constraint(ceiling("Hard", ConstraintKind::HardInvariant, 10))
+            .constraint(ceiling("Soft", ConstraintKind::SoftInvariant, 7))
+            .build()
+            .unwrap();
+        let id = seed(&mut c, "a");
+        let ring = RingRecorder::new(4096);
+        c.telemetry().attach(Box::new(ring.clone()));
+        let tx = c.session(NodeId(1)).detach();
+        end.drive(&mut c, tx, &id);
+
+        assert!(!c.tx_is_open(tx), "{end:?}");
+        assert_eq!(c.tx_record_count(), 0, "{end:?}");
+        assert!(c.held_locks().is_empty(), "{end:?}");
+        let stats = c.stats().tx;
+        assert_eq!(stats.begun, stats.committed + stats.rolled_back, "{end:?}");
+        let ends_of_tx: Vec<&str> = ring
+            .records()
+            .iter()
+            .filter_map(|r| match r.event {
+                TraceEvent::TxCommit { tx: t } | TraceEvent::TxRollback { tx: t } if t == tx => {
+                    Some(r.event.kind())
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(ends_of_tx, [kind], "{end:?}");
+    }
 }
 
 #[test]

@@ -2,9 +2,9 @@
 //!
 //! A [`ShardMap`] places every [`ObjectId`] on one shard via a
 //! consistent-hash ring with virtual nodes: each shard contributes
-//! [`ShardMap::vnodes`] points to a `u64` ring, and an object belongs
-//! to the shard owning the first point at or after the object's own
-//! hash (wrapping). Ring points depend only on `(seed, shard, vnode)`
+//! `vnodes` points ([`ShardMap::new`]) to a `u64` ring, and an object
+//! belongs to the shard owning the first point at or after the object's
+//! own hash (wrapping). Ring points depend only on `(seed, shard, vnode)`
 //! — never on the total shard count — so growing or shrinking the
 //! federation leaves every surviving shard's points in place and moves
 //! exactly the keys whose ring segment changed hands (the classic
@@ -130,11 +130,6 @@ impl ShardMap {
     /// Number of shards on the ring.
     pub fn shards(&self) -> u32 {
         self.shards
-    }
-
-    /// Virtual nodes per shard.
-    pub fn vnodes(&self) -> u32 {
-        self.vnodes
     }
 
     /// The ring seed.

@@ -86,11 +86,6 @@ impl AdaptiveDetector {
         self.last_arrival = Some(at);
     }
 
-    /// Number of inter-arrival samples gathered so far.
-    pub fn samples(&self) -> usize {
-        self.samples.len()
-    }
-
     /// Mean inter-arrival time in nanoseconds (`None` while empty).
     pub(crate) fn mean_interval_ns(&self) -> Option<u64> {
         if self.samples.is_empty() {
@@ -199,10 +194,10 @@ mod tests {
         for i in 0..100 {
             d.record_arrival(t(i * 10));
         }
-        assert_eq!(d.samples(), ACCRUAL_WINDOW);
-        let before = d.samples();
+        assert_eq!(d.samples.len(), ACCRUAL_WINDOW);
+        let before = d.samples.len();
         d.record_arrival(t(5)); // stale
-        assert_eq!(d.samples(), before);
+        assert_eq!(d.samples.len(), before);
     }
 
     #[test]

@@ -86,7 +86,6 @@ pub struct MembershipSim {
     crashed: BTreeSet<NodeId>,
     stabilizer: ViewStabilizer,
     next_tick: SimTime,
-    ticks: u64,
 }
 
 impl MembershipSim {
@@ -132,23 +131,7 @@ impl MembershipSim {
             crashed: BTreeSet::new(),
             stabilizer,
             next_tick,
-            ticks: 0,
         }
-    }
-
-    /// Heartbeat ticks processed so far.
-    pub fn ticks(&self) -> u64 {
-        self.ticks
-    }
-
-    /// The physical connectivity (what links are actually up).
-    pub fn physical(&self) -> &Topology {
-        &self.physical
-    }
-
-    /// The view stabilizer (penalties, suppression, stable view).
-    pub fn stabilizer(&self) -> &ViewStabilizer {
-        &self.stabilizer
     }
 
     /// Total number of standing raw suspicions held by live nodes
@@ -257,7 +240,6 @@ impl MembershipSim {
             let t = self.next_tick;
             self.tick(t, &mut events);
             self.next_tick = t + HEARTBEAT_INTERVAL;
-            self.ticks += 1;
         }
         events
     }
@@ -503,7 +485,7 @@ mod tests {
         let events = run(&mut sim, &clock, SimDuration::from_secs(3));
         assert!(stabilized(&events).is_empty(), "{events:?}");
         assert!(sim.suspected[&NodeId(0)].contains(&NodeId(2)));
-        assert_eq!(sim.stabilizer().stable(), Some(&groups[..]));
+        assert_eq!(sim.stabilizer.stable(), Some(&groups[..]));
     }
 
     #[test]

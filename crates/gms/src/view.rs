@@ -46,12 +46,6 @@ impl View {
     pub fn size(&self) -> usize {
         self.members.len()
     }
-
-    /// The deterministic coordinator of the view (lowest member id) —
-    /// used e.g. as the sequencer for total-order multicast.
-    pub fn coordinator(&self) -> NodeId {
-        *self.members.iter().next().expect("views are non-empty")
-    }
 }
 
 impl fmt::Display for View {
@@ -168,7 +162,7 @@ mod tests {
         let v = View::new(ViewId(1), BTreeSet::from([NodeId(2), NodeId(0)]));
         assert_eq!(v.size(), 2);
         assert!(v.contains(NodeId(0)));
-        assert_eq!(v.coordinator(), NodeId(0));
+        assert_eq!(v.members.first(), Some(&NodeId(0)));
         assert_eq!(v.to_string(), "v1{n0,n2}");
     }
 

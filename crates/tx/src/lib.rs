@@ -9,7 +9,8 @@
 //!
 //! * [`TransactionManager`] — begin/commit/rollback life cycle,
 //!   **rollback-only** marking (the CCMgr's veto, §4.2.3), and a record
-//!   per *open* transaction (an ended one leaves only the counters).
+//!   per *open* transaction carrying the caller's payload, handed back
+//!   when it ends (an ended one leaves only the counters).
 //! * [`LockTable`] — exclusive per-object locks (entity-bean locking).
 //!
 //! Two-phase commit is not driven here: `dedisys_core::Cluster::
@@ -19,21 +20,25 @@
 //! ## Example
 //!
 //! ```
-//! use dedisys_tx::{TransactionManager, TxStatus};
+//! use dedisys_tx::TransactionManager;
 //! use dedisys_types::NodeId;
 //!
-//! let mut tm = TransactionManager::new();
-//! let tx = tm.begin(NodeId(0));
-//! assert_eq!(tm.status(tx), Some(TxStatus::Active));
+//! let mut tm = TransactionManager::default();
+//! let tx = tm.begin_with(NodeId(0), vec!["Flight#F1"]);
+//! assert!(tm.is_active(tx));
+//! tm.info_mut(tx)?.push("Flight#F2");
+//! assert_eq!(tm.commit(tx)?, ["Flight#F1", "Flight#F2"]);
 //!
-//! tm.set_rollback_only(tx);
+//! let tx = tm.begin(NodeId(0));
+//! tm.set_rollback_only(tx)?;
 //! assert!(tm.commit(tx).is_err()); // vetoed: rolled back instead
 //! assert_eq!(tm.stats().rolled_back, 1);
-//! assert_eq!(tm.status(tx), None); // a transaction's record ends with it
+//! assert_eq!(tm.info(tx), None); // a transaction's record ends with it
+//! # Ok::<(), dedisys_types::Error>(())
 //! ```
 
 mod locks;
 mod manager;
 
 pub use locks::LockTable;
-pub use manager::{TransactionManager, TxStats, TxStatus};
+pub use manager::{TransactionManager, TxStats};

@@ -42,11 +42,6 @@ impl LockTable {
         }
     }
 
-    /// The holder of the lock on `object`, if any.
-    pub fn holder(&self, object: &ObjectId) -> Option<TxId> {
-        self.locks.get(object).copied()
-    }
-
     /// Releases every lock held by `tx`; returns how many were freed.
     pub fn release_all(&mut self, tx: TxId) -> usize {
         let before = self.locks.len();
@@ -107,6 +102,6 @@ mod tests {
         locks.acquire(tx(2), &obj("c")).unwrap();
         assert_eq!(locks.release_all(tx(1)), 2);
         assert_eq!(locks.len(), 1);
-        assert_eq!(locks.holder(&obj("c")), Some(tx(2)));
+        assert_eq!(locks.locks.get(&obj("c")), Some(&tx(2)));
     }
 }

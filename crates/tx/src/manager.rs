@@ -9,7 +9,7 @@ use std::collections::HashMap;
 /// or rolled back — has no state: its record ends with it, and the
 /// manager's counters ([`TxStats`]) are what remains.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TxStatus {
+enum TxStatus {
     /// Running; operations may be performed.
     Active,
     /// Phase 1 of 2PC succeeded; the outcome is pending phase 2. If the
@@ -30,30 +30,42 @@ pub struct TxStats {
 }
 
 #[derive(Debug)]
-struct TxRecord {
+struct TxRecord<T> {
     status: TxStatus,
     rollback_only: bool,
+    info: T,
 }
 
-/// Tracks the open transactions and their rollback-only veto flag.
+/// Tracks the open transactions: each record holds the status, the
+/// rollback-only veto flag and the caller's `T`.
 ///
 /// The manager is deliberately policy-free: two-phase commit is driven
 /// by the middleware node (`dedisys_core::Cluster::prepare`/`commit`),
 /// locking by [`crate::LockTable`]; the node wires them together.
 #[derive(Debug, Default)]
-pub struct TransactionManager {
-    records: HashMap<TxId, TxRecord, TxBuildHasher>,
+pub struct TransactionManager<T = ()> {
+    records: HashMap<TxId, TxRecord<T>, TxBuildHasher>,
     next_seq: HashMap<NodeId, u64>,
     stats: TxStats,
     telemetry: Option<Telemetry>,
 }
 
 impl TransactionManager {
-    /// Creates an empty manager.
+    /// Creates an empty manager whose records carry nothing.
     pub fn new() -> Self {
         Self::default()
     }
+}
 
+impl<T: Default> TransactionManager<T> {
+    /// Begins a transaction on behalf of `node`, its record carrying
+    /// `T::default()`.
+    pub fn begin(&mut self, node: NodeId) -> TxId {
+        self.begin_with(node, T::default())
+    }
+}
+
+impl<T> TransactionManager<T> {
     /// Wires a telemetry bus; life-cycle events (`tx_begin`,
     /// `tx_commit`, `tx_rollback`) are emitted from now on.
     pub fn attach_telemetry(&mut self, telemetry: Telemetry) {
@@ -66,8 +78,9 @@ impl TransactionManager {
         }
     }
 
-    /// Begins a transaction on behalf of `node`.
-    pub fn begin(&mut self, node: NodeId) -> TxId {
+    /// Begins a transaction on behalf of `node` whose record carries
+    /// `info` until it ends.
+    pub fn begin_with(&mut self, node: NodeId, info: T) -> TxId {
         let seq = self.next_seq.entry(node).or_insert(0);
         let tx = TxId::new(node, *seq);
         *seq += 1;
@@ -76,6 +89,7 @@ impl TransactionManager {
             TxRecord {
                 status: TxStatus::Active,
                 rollback_only: false,
+                info,
             },
         );
         self.stats.begun += 1;
@@ -84,7 +98,7 @@ impl TransactionManager {
     }
 
     /// The status of `tx`; `None` once it ended (or never began).
-    pub fn status(&self, tx: TxId) -> Option<TxStatus> {
+    fn status(&self, tx: TxId) -> Option<TxStatus> {
         self.records.get(&tx).map(|r| r.status)
     }
 
@@ -98,6 +112,27 @@ impl TransactionManager {
         self.status(tx) == Some(TxStatus::Prepared)
     }
 
+    /// What the record of open `tx` carries; `None` once it ended.
+    pub fn info(&self, tx: TxId) -> Option<&T> {
+        self.records.get(&tx).map(|r| &r.info)
+    }
+
+    /// What the record of open `tx` carries, to change.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::NoSuchTransaction`] if `tx` is unknown or
+    /// already terminated.
+    pub fn info_mut(&mut self, tx: TxId) -> Result<&mut T> {
+        Ok(&mut self.open_record(tx)?.info)
+    }
+
+    /// Every open transaction with what its record carries, in no
+    /// particular order.
+    pub fn iter(&self) -> impl Iterator<Item = (TxId, &T)> + '_ {
+        self.records.iter().map(|(tx, r)| (*tx, &r.info))
+    }
+
     /// Number of transactions that are still open (active or
     /// prepared) — used by invariant checkers to assert transaction
     /// conservation: `begun == committed + rolled_back + open`.
@@ -105,7 +140,7 @@ impl TransactionManager {
         self.records.len()
     }
 
-    /// Moves an active transaction to [`TxStatus::Prepared`] after a
+    /// Moves an active transaction to the prepared state after a
     /// successful phase 1 of 2PC.
     ///
     /// # Errors
@@ -117,7 +152,7 @@ impl TransactionManager {
     pub fn mark_prepared(&mut self, tx: TxId) -> Result<()> {
         let record = self.open_record(tx)?;
         if record.rollback_only {
-            self.force_rollback(tx);
+            let _ = self.rollback(tx);
             return Err(Error::RollbackOnly(tx));
         }
         record.status = TxStatus::Prepared;
@@ -142,39 +177,33 @@ impl TransactionManager {
         self.records.get(&tx).is_some_and(|r| r.rollback_only)
     }
 
-    /// Commits `tx`.
+    /// Commits `tx` and hands back what its record carried.
     ///
     /// # Errors
     ///
     /// * [`Error::NoSuchTransaction`] — unknown or terminated.
     /// * [`Error::RollbackOnly`] — the transaction was vetoed; it is
     ///   rolled back as a side effect.
-    pub fn commit(&mut self, tx: TxId) -> Result<()> {
-        if self.end(tx)?.rollback_only {
+    pub fn commit(&mut self, tx: TxId) -> Result<T> {
+        let record = self.end(tx)?;
+        if record.rollback_only {
             self.count_rollback(tx);
             return Err(Error::RollbackOnly(tx));
         }
         self.stats.committed += 1;
         self.emit(|| TraceEvent::TxCommit { tx });
-        Ok(())
+        Ok(record.info)
     }
 
-    /// Rolls back `tx`.
+    /// Rolls back `tx` and hands back what its record carried.
     ///
     /// # Errors
     ///
     /// Returns [`Error::NoSuchTransaction`] if unknown or terminated.
-    pub fn rollback(&mut self, tx: TxId) -> Result<()> {
-        self.end(tx)?;
+    pub fn rollback(&mut self, tx: TxId) -> Result<T> {
+        let record = self.end(tx)?;
         self.count_rollback(tx);
-        Ok(())
-    }
-
-    /// Rolls back `tx` if it is still open — used when 2PC aborts and
-    /// when the in-doubt recovery protocol presumes abort, where the
-    /// transaction may have ended already.
-    pub fn force_rollback(&mut self, tx: TxId) {
-        let _ = self.rollback(tx);
+        Ok(record.info)
     }
 
     /// Accumulated counters.
@@ -183,7 +212,7 @@ impl TransactionManager {
     }
 
     /// The record of `tx` — there is one exactly while it is open.
-    fn open_record(&mut self, tx: TxId) -> Result<&mut TxRecord> {
+    fn open_record(&mut self, tx: TxId) -> Result<&mut TxRecord<T>> {
         self.records
             .get_mut(&tx)
             .ok_or(Error::NoSuchTransaction(tx))
@@ -191,7 +220,7 @@ impl TransactionManager {
 
     /// Ends `tx`: its record leaves the table, whatever the outcome the
     /// caller goes on to count.
-    fn end(&mut self, tx: TxId) -> Result<TxRecord> {
+    fn end(&mut self, tx: TxId) -> Result<TxRecord<T>> {
         self.records.remove(&tx).ok_or(Error::NoSuchTransaction(tx))
     }
 
@@ -261,7 +290,7 @@ mod tests {
         // Presumed abort rolls back a prepared transaction.
         let tx2 = tm.begin(NodeId(1));
         tm.mark_prepared(tx2).unwrap();
-        tm.force_rollback(tx2);
+        tm.rollback(tx2).unwrap();
         assert_eq!(tm.stats().rolled_back, 1);
         assert_eq!(tm.open_count(), 0);
     }
@@ -281,11 +310,27 @@ mod tests {
         let mut tm = TransactionManager::new();
         let tx = tm.begin(NodeId(0));
         tm.commit(tx).unwrap();
-        tm.force_rollback(tx); // no-op on committed
+        assert_eq!(tm.rollback(tx), Err(Error::NoSuchTransaction(tx)));
         assert_eq!((tm.stats().committed, tm.stats().rolled_back), (1, 0));
         let tx2 = tm.begin(NodeId(0));
-        tm.force_rollback(tx2);
+        tm.rollback(tx2).unwrap();
         assert_eq!((tm.stats().committed, tm.stats().rolled_back), (1, 1));
+    }
+
+    #[test]
+    fn records_carry_the_callers_info_until_the_end() {
+        let mut tm = TransactionManager::default();
+        let a = tm.begin_with(NodeId(0), vec![1]);
+        let b = tm.begin_with(NodeId(1), vec![2]);
+        tm.info_mut(a).unwrap().push(3);
+        assert_eq!(tm.info(a), Some(&vec![1, 3]));
+        let mut open: Vec<_> = tm.iter().collect();
+        open.sort();
+        assert_eq!(open, [(a, &vec![1, 3]), (b, &vec![2])]);
+        assert_eq!(tm.commit(a), Ok(vec![1, 3]));
+        assert_eq!(tm.rollback(b), Ok(vec![2]));
+        assert_eq!(tm.info(a), None);
+        assert_eq!(tm.info_mut(b), Err(Error::NoSuchTransaction(b)));
     }
 
     #[test]

@@ -434,9 +434,9 @@ impl Hasher for TxHasher {
     }
 }
 
-/// The `BuildHasher` of every table keyed by [`TxId`] (the transaction
-/// manager's records, a container's write buffers, the cluster's and
-/// the CCMgr's per-transaction records): `HashMap<TxId, V, TxBuildHasher>`.
+/// The `BuildHasher` of both tables keyed by [`TxId`] (the transaction
+/// manager's records, which carry the cluster's, and a container's
+/// write buffers): `HashMap<TxId, V, TxBuildHasher>`.
 /// A composite key is safe here too — every word it feeds is kept,
 /// which [`IdHasher`] does not promise — so the threat store files its
 /// `(constraint, object)` identities through it, the constraint

@@ -86,11 +86,11 @@ fn healthy_work(cluster: &mut Cluster, ids: &[ObjectId], round: usize) -> TxId {
     let mut session = cluster.session(coordinator);
     session.set_field(&ids[0], "n", Value::Int(1)).unwrap();
     let prepared = session.prepare().unwrap();
-    assert_eq!(cluster.tx_record_count(), 3, "one per table");
+    assert_eq!(cluster.tx_record_count(), 2, "one per table");
     cluster.crash(coordinator).unwrap();
     assert_eq!(cluster.in_doubt_count(), 1);
     assert!(cluster.tx_is_open(prepared));
-    assert_eq!(cluster.tx_record_count(), 3, "in doubt is still open");
+    assert_eq!(cluster.tx_record_count(), 2, "in doubt is still open");
     cluster.restart(coordinator).unwrap();
     assert!(!cluster.tx_is_open(prepared), "presumed abort");
     assert_eq!(cluster.tx_record_count(), 0, "presumed abort");
