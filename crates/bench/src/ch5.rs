@@ -4,7 +4,7 @@
 //! prints its table and checks the paper's shape as its contracts.
 
 use crate::table::{ops, print_table};
-use crate::{broken, Run, Verdict};
+use crate::{broken, unnoticed, Run, Verdict};
 use dedisys::apps::flight;
 use dedisys_constraints::{
     ConstraintKind, ConstraintMeta, ContextPreparation, RegisteredConstraint, ValidationContext,
@@ -469,11 +469,12 @@ pub fn fig5_6(run: &Run) -> Verdict {
             stored,
             summary.replica_duration,
             summary.constraint_duration,
+            unnoticed(&cluster),
         )
     });
-    let rows: Vec<Vec<String>> = [once, full]
+    let rows: Vec<Vec<String>> = [&once, &full]
         .iter()
-        .map(|(label, stored, replica, constraint)| {
+        .map(|(label, stored, replica, constraint, _)| {
             vec![
                 label.to_string(),
                 stored.to_string(),
@@ -503,7 +504,7 @@ pub fn fig5_6(run: &Run) -> Verdict {
             ["full scan", "incremental"]
                 .iter()
                 .zip(pair)
-                .map(move |(label, s)| {
+                .map(move |(label, (s, _))| {
                     let c = &s.constraints;
                     vec![
                         format!("{label}, {away} away"),
@@ -535,18 +536,19 @@ pub fn fig5_6(run: &Run) -> Verdict {
         skipped: 0,
         ..*c
     };
-    let skips = AWAY.iter().zip(&merges).all(|(away, [f, i])| {
+    let skips = AWAY.iter().zip(&merges).all(|(away, [(f, _), (i, _)])| {
         let (f, i) = (&f.constraints, &i.constraints);
         f.skipped == 0 && i.skipped >= *away && i.re_evaluated < f.re_evaluated
     });
-    let same = merges.iter().all(|[f, i]| {
+    let same = merges.iter().all(|[(f, _), (i, _)]| {
         outcome(&f.constraints) == outcome(&i.constraints)
             && i.constraint_duration < f.constraint_duration
     });
-    let ([small_full, small_incr], [large_full, large_incr]) = (&merges[0], &merges[2]);
+    let ([(small_full, _), (small_incr, _)], [(large_full, _), (large_incr, _)]) =
+        (&merges[0], &merges[2]);
     let grows = large_full.constraint_duration > small_full.constraint_duration;
     let flat = small_incr.constraints.re_evaluated == large_incr.constraints.re_evaluated;
-    Ok(broken(&[
+    let mut failures = broken(&[
         (
             once.1 == 200 && full.1 == 1000,
             "not 200 / 1000 records stored",
@@ -564,7 +566,16 @@ pub fn fig5_6(run: &Run) -> Verdict {
             grows && flat,
             "the full scan does not grow, or the incremental one is not flat",
         ),
-    ]))
+    ]);
+    let merged = merges.iter().flatten().map(|(_, lost)| lost);
+    failures.extend(
+        [&once.4, &full.4]
+            .into_iter()
+            .chain(merged)
+            .flatten()
+            .cloned(),
+    );
+    Ok(failures)
 }
 
 /// Figure 5.6 (incremental) — constraint reconciliation after a
@@ -579,7 +590,12 @@ pub fn fig5_6(run: &Run) -> Verdict {
 /// set (the touch pool) and skips the rest (still degraded-tracked) —
 /// its cost is flat in `away`. Outcomes are identical by construction
 /// (skipped identities would re-validate to a threat degree anyway).
-fn partial_merge(run: &Run, strategy: ReconcileStrategy, away: usize) -> ReconciliationSummary {
+/// Returns the summary with what the merge left [`unnoticed`].
+fn partial_merge(
+    run: &Run,
+    strategy: ReconcileStrategy,
+    away: usize,
+) -> (ReconciliationSummary, Vec<String>) {
     let mut cluster =
         run.cluster(builder(3).configure(|c| c.durability.reconcile_strategy = strategy));
     let node = NodeId(0);
@@ -609,7 +625,8 @@ fn partial_merge(run: &Run, strategy: ReconcileStrategy, away: usize) -> Reconci
     }
     // Partial re-unification: {0, 1} merge, {2} stays away.
     cluster.partition(&[nodes![0, 1], nodes![2]]).unwrap();
-    cluster.reconcile_partial(node, &mut HighestVersionWins, &mut DeferAll)
+    let summary = cluster.reconcile_partial(node, &mut HighestVersionWins, &mut DeferAll);
+    (summary, unnoticed(&cluster))
 }
 
 /// Figure 5.8 — degraded-mode throughput across five iterations of the
@@ -779,23 +796,25 @@ pub fn tab5_psc(run: &Run) -> Verdict {
         cluster.heal();
         cluster.reconcile(&mut merge_sales, &mut DeferAll);
         let sold = sold(&cluster, &flight_id);
-        (label, sold, (sold - 80).max(0))
+        (label, sold, (sold - 80).max(0), unnoticed(&cluster))
     });
-    let rows = [plain, sensitive].map(|(label, sold, overbooked)| {
-        vec![label.to_owned(), sold.to_string(), overbooked.to_string()]
+    let rows = [&plain, &sensitive].map(|(label, sold, overbooked, _)| {
+        vec![label.to_string(), sold.to_string(), overbooked.to_string()]
     });
     print_table(
         "§5.5.2 — partition-sensitive constraints: overbooking after the split (80 seats)",
         &["constraint", "sold after merge", "overbooked"],
         &rows,
     );
-    Ok(broken(&[
+    let mut failures = broken(&[
         (plain.2 > 0, "the plain constraint does not overbook"),
         (
             sensitive.1 == 80,
             "the partition-sensitive one does not sell exactly 80",
         ),
-    ]))
+    ]);
+    failures.extend(plain.3.into_iter().chain(sensitive.3));
+    Ok(failures)
 }
 
 /// Availability study: fraction of operations that *succeed* during a
@@ -956,7 +975,9 @@ pub fn fig1_3(run: &Run) -> Verdict {
         &rows,
     );
     println!("  paper narrative: 77 / 78 / 85 / 80");
-    Ok(narrative(sold))
+    let mut failures = narrative(sold);
+    failures.extend(unnoticed(&cluster));
+    Ok(failures)
 }
 
 /// The contract of §1.3: the sold counts the paper narrates.

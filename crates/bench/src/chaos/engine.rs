@@ -1,65 +1,47 @@
 //! The chaos engine behind `repro chaos-soak`, a deterministic
 //! robustness harness: seeded schedules of workload ops and faults
-//! ([`Schedule`]), one engine that runs them ([`ChaosEngine`]) — the
-//! paper's applications under their constraints on one shard, a
-//! cross-shard transfer mix on several — and safety invariants
-//! ([`InvariantChecker`]) checked after every injected fault. Among
-//! them is threat completeness, checked by [`Cluster::audit`]:
-//! dissertation §3.2 promises that no integrity violation goes
-//! unnoticed, so every violation of an enabled invariant in the
-//! committed state must be explained by a standing threat or a pending
-//! reconciliation.
+//! ([`Schedule`]), one engine that runs them against a federation of
+//! one or more shards ([`ChaosEngine`]), and safety invariants
+//! ([`InvariantChecker`]) checked after every step. Among them is
+//! threat completeness, checked by [`Cluster::audit`]: dissertation
+//! §3.2 promises that no integrity violation goes unnoticed, so every
+//! violation of an enabled invariant in the committed state must be
+//! explained by a standing threat or a pending reconciliation.
 //!
-//! Everything runs on the shared virtual clock, and every random
-//! decision flows from one explicit seed through [`ChaosRng`]
-//! (SplitMix64, defined in `dedisys-types`), so a chaos run is a
-//! *reproducible artifact*: the seed of a failing soak is the bug
-//! report, and two runs of the same seed write byte-identical JSONL
-//! traces. A run hands back its schedule with every draw recorded
-//! ([`ChaosReport::schedule`]); [`Schedule::shrink`] cuts a failing one
-//! down to the few steps the failure needs.
+//! Every shard runs the paper's three applications under their
+//! constraints: flights sold and refunded (`sellTickets`, the ticket
+//! constraint, its §5.5.2 partition-sensitive variant and the
+//! non-tradeable `NonNegativeSales`), alarms and repair reports (the
+//! inter-object `ComponentKindReferenceConsistency`), and site-bound
+//! channel endpoints retuned alone or in pairs (the soft
+//! `ChannelConfigConsistency` and the asynchronous `FrequencyBand`).
+//! Creates, reads, writes with designed violations and hanging
+//! explicit 2PC run under crashes, partitions, heals and store faults,
+//! each fault on one shard, each op on a live (shard, node) pair drawn
+//! from the whole federation; every heal reconciles with a handler that
+//! repairs each violation it is shown. The seed also draws the
+//! settings every shard runs with ([`SoakDraws`]). From two shards on, a
+//! cross-shard balance transfer is one more op kind: it commits, aborts
+//! or loses its federation coordinator, and two invariants make an
+//! atomicity violation visible as data — the committed balances always
+//! sum to the initial total (value conservation), and every begun
+//! cross-shard transaction is committed, aborted or still open.
+//! Transfers route under [`RoutingPolicy::RejectDegraded`], so an
+//! account is written only while its shard is healthy and has one
+//! history. A run ends with one repair sequence on every shard
+//! (restart → heal → resolve in-doubt → reconcile → convergence check).
 //!
-//! The engine interleaves seeded faults with a seeded workload on the
-//! virtual clock, checks invariants after every fault, and finishes
-//! with one repair sequence on every shard (restart → heal → resolve
-//! in-doubt → reconcile → convergence check).
-//!
-//! The engine always drives a [`FederatedCluster`]; the shard count
-//! picks the workload:
-//!
-//! * **application mix** (one shard, the classic soak) — the paper's
-//!   three applications on shard 0 under their constraints: flights
-//!   sold and refunded (`sellTickets`, the ticket constraint, its
-//!   §5.5.2 partition-sensitive variant and the non-tradeable
-//!   `NonNegativeSales`), alarms and repair reports (the inter-object
-//!   `ComponentKindReferenceConsistency`), and site-bound channel
-//!   endpoints retuned alone or in pairs (the soft
-//!   `ChannelConfigConsistency` and the asynchronous `FrequencyBand`).
-//!   Creates, reads, writes with designed violations and hanging
-//!   explicit 2PC run under a [`Schedule`] of crashes, partitions,
-//!   heals and store faults; every heal reconciles with a handler that
-//!   repairs each violation it is shown. The seed also draws the
-//!   validation and reconciliation settings ([`SoakDraws`]): whether
-//!   the request plane carries the reads and writes, the negotiation
-//!   timing, the application-wide default degree, node weights and the
-//!   instructions every threat carries.
-//! * **transfer mix** (two or more shards) — cross-shard balance
-//!   transfers that commit, abort or lose their federation coordinator,
-//!   under shard partitions and heals each op draws. Every committed
-//!   transaction is a genuine cross-shard 2PC, and two invariants make
-//!   atomicity violations visible as data: the committed balances
-//!   always sum to the initial total (value conservation), and every
-//!   begun cross-shard transaction is committed, aborted or still open
-//!   (transaction conservation).
-//!
-//! Everything is derived from [`ChaosConfig::seed`]: the schedule, the
-//! draws and the workload. Two runs with the same config produce the
-//! same virtual-time trajectory and — with a JSONL exporter attached —
-//! byte-identical trace files. A run is one loop over its schedule's
-//! steps: a fault is applied and the invariants checked; an op runs on
-//! the draws it recorded, then on the seed's stream (`Draws`), and
-//! hands back every draw it took, so [`ChaosReport::schedule`] run
-//! again replays the run exactly.
+//! Everything runs on the shared virtual clock and flows from
+//! [`ChaosConfig::seed`] through [`ChaosRng`] (SplitMix64, defined in
+//! `dedisys-types`), so a chaos run is a *reproducible artifact*: the
+//! seed of a failing soak is the bug report, and two runs of the same
+//! seed write byte-identical JSONL traces of every bus. A run is one
+//! loop over its schedule's steps: a fault is applied and the
+//! invariants checked; an op runs on the draws it recorded, then on the
+//! seed's stream (`Draws`), and hands back every draw it took, so
+//! [`ChaosReport::schedule`] run again replays the run exactly and
+//! [`Schedule::shrink`] cuts a failing one down to the few steps the
+//! failure needs.
 
 use crate::invariant::{InvariantChecker, InvariantViolation};
 use crate::plan::{FaultStep, Schedule, Step};
@@ -77,57 +59,49 @@ use dedisys_types::{
     SystemMode, TxId, Value,
 };
 
-/// Flights the application mix creates up front.
+/// Flights each shard creates up front.
 const FLIGHTS: u32 = 4;
-/// Alarm / repair-report pairs the application mix creates up front.
+/// Alarm / repair-report pairs each shard creates up front.
 const ALARMS: u32 = 4;
-/// Voice channels — two site-bound endpoints each — created up front.
+/// Voice channels — two site-bound endpoints each — each shard creates
+/// up front.
 const CHANNELS: u32 = 3;
 /// The component kinds a repair report is set to: the first two keep a
 /// signal alarm consistent, the last two violate it.
 const COMPONENT_KINDS: [&str; 4] = ["Signal Controller", "Signal Cable", "Fuse", "Antenna"];
 /// The alarm kinds an alarm is set to.
 const ALARM_KINDS: [&str; 2] = ["Signal", "Power"];
-/// Accounts the transfer mix funds up front.
+/// Accounts a federation of two or more shards funds up front.
 const ACCOUNTS: u32 = 12;
 /// Starting balance of every account; `ACCOUNTS * INITIAL_BALANCE` is
 /// the conserved total.
 const INITIAL_BALANCE: i64 = 100;
-/// Per-op percent chance to partition one healthy shard.
-const PARTITION_PCT: u64 = 15;
-/// Per-op percent chance to heal (and reconcile) one degraded shard.
-const HEAL_PCT: u64 = 30;
 /// Percent of prepared transfers explicitly aborted.
 const ABORT_PCT: u64 = 10;
 /// Percent of prepared transfers whose federation coordinator crashes.
 const COORDINATOR_CRASH_PCT: u64 = 10;
-/// Virtual time between two transfer-mix ops.
-const OP_TICK: SimDuration = SimDuration::from_millis(1);
-/// The shard the application mix and the schedule's faults act on.
-const SHARD0: ShardId = ShardId(0);
 
 /// Configuration of one chaos-soak run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct ChaosConfig {
     /// Nodes per shard (at least 2).
     pub(crate) nodes: u32,
-    /// Workload operations [`ChaosEngine::run`] schedules.
+    /// Workload operations [`ChaosEngine::run`] schedules, across the
+    /// federation.
     pub(crate) ops: u64,
-    /// Fault steps [`ChaosEngine::run`] schedules across an
-    /// application-mix run (the transfer mix's ops draw their shard
-    /// faults).
+    /// Fault steps [`ChaosEngine::run`] schedules, across the
+    /// federation.
     pub(crate) faults: usize,
     /// Master seed: fixes schedule, draws and workload.
     pub(crate) seed: u64,
-    /// Shards in the federation: 1 runs the application mix, more run
-    /// the cross-shard transfer mix.
+    /// Shards in the federation; from two on, transfers join the ops.
     pub(crate) shards: u32,
     /// Drive membership through the adaptive failure-detection
-    /// pipeline: the cluster runs a φ-accrual detector with flap
+    /// pipeline: every shard runs a φ-accrual detector with flap
     /// damping, and the random schedule draws from the extended fault
     /// vocabulary (link flaps, asymmetric loss, jitter, torn journal
     /// writes). Off by default so classic seeds keep their historical
-    /// schedules. Application mix only.
+    /// schedules.
     pub(crate) detector: bool,
 }
 
@@ -144,8 +118,8 @@ impl Default for ChaosConfig {
     }
 }
 
-/// What an application-mix seed draws besides its schedule and
-/// workload: the settings the paper leaves to the application.
+/// What a seed draws besides its schedule and workload: the settings
+/// the paper leaves to the application, the same on every shard.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct SoakDraws {
     /// Whether reads and writes route through a [`RequestPlane`] —
@@ -214,7 +188,8 @@ impl SoakDraws {
     }
 }
 
-/// How much constraint management a run exercised on shard 0.
+/// How much constraint management a run exercised, summed over the
+/// shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub(crate) struct ConstraintActivity {
     /// Accepted threats stored in the threat store (§5.5.1).
@@ -232,16 +207,15 @@ pub(crate) struct ConstraintActivity {
 pub(crate) struct ChaosReport {
     /// The seed the run was derived from.
     pub(crate) seed: u64,
-    /// What the seed drew (`None` in the transfer mix).
-    pub(crate) draws: Option<SoakDraws>,
+    /// What the seed drew.
+    pub(crate) draws: SoakDraws,
     /// Workload operations that succeeded.
     pub(crate) ops_ok: u64,
     /// Workload operations that failed (availability, locks, vetoes,
     /// designed violations, refused or aborted transfers — expected
     /// under faults).
     pub(crate) ops_failed: u64,
-    /// Fault steps applied (in the transfer mix: shard partitions,
-    /// heals and coordinator crashes).
+    /// Fault steps applied, transfer coordinator crashes among them.
     pub(crate) faults_applied: u64,
     /// Fault steps skipped (inapplicable when reached).
     pub(crate) faults_skipped: u64,
@@ -249,15 +223,12 @@ pub(crate) struct ChaosReport {
     pub(crate) in_doubt_resolved: u64,
     /// Every invariant violation observed (must be empty).
     pub(crate) violations: Vec<InvariantViolation>,
-    /// Constraint-management counters (all zero in the transfer mix,
-    /// which registers no constraint).
+    /// Constraint-management counters.
     pub(crate) constraints: ConstraintActivity,
-    /// Cross-shard transaction counters (all zero in the application
-    /// mix).
+    /// Cross-shard transaction counters (all zero on one shard).
     pub(crate) federation: FederationStats,
-    /// Final statistics snapshot of shard 0 — the whole cluster in the
-    /// application mix.
-    pub(crate) final_stats: StatsSnapshot,
+    /// Final statistics snapshot of every shard, in shard order.
+    pub(crate) final_stats: Vec<StatsSnapshot>,
     /// The schedule as run, every op with every draw it took: run
     /// again, it replays this run.
     pub(crate) schedule: Schedule,
@@ -270,25 +241,30 @@ impl ChaosReport {
     }
 }
 
-/// The transfer mix's application, shared with `shard-sweep` and
-/// `overload-sweep`: an `Item` with an integer field `n` and an
-/// `Account` with an integer balance `v`, conventional accessors
-/// dispatched by the method table.
+/// The application `shard-sweep` and `overload-sweep` borrow: an
+/// `Item` with an integer field `n` and an `Account` with an integer
+/// balance `v`, conventional accessors dispatched by the method table.
 pub(crate) fn chaos_app() -> AppDescriptor {
     AppDescriptor::new("chaos-soak")
         .with_class(ClassDescriptor::new("Item").with_field("n", Value::Int(0)))
         .with_class(ClassDescriptor::new("Account").with_field("v", Value::Int(0)))
 }
 
-/// The application mix's application: the classes of the flight
-/// booking, alarm tracking and telecommunication management systems.
+/// The soak's application: the classes of the flight booking, alarm
+/// tracking and telecommunication management systems, and the
+/// transfers' accounts.
 fn soak_app() -> AppDescriptor {
-    let apps = [flight::flight_app(), ats::ats_app(), dtms::dtms_app()];
+    let apps = [
+        flight::flight_app(),
+        ats::ats_app(),
+        dtms::dtms_app(),
+        chaos_app(),
+    ];
     let classes = apps.iter().flat_map(|app| app.classes()).cloned();
     classes.fold(AppDescriptor::new("chaos-soak"), AppDescriptor::with_class)
 }
 
-/// The application mix's constraints, in registration order.
+/// Every shard's constraints, in registration order.
 fn soak_constraints() -> [RegisteredConstraint; 6] {
     [
         flight::ticket_constraint(),
@@ -383,11 +359,10 @@ fn reconcile(cluster: &mut Cluster, activity: &mut ConstraintActivity) {
     activity.rollback_candidates += summary.constraints.rollback_candidates as u64;
 }
 
-/// The application's compensating action for a violated constraint of
-/// the application mix (§5.2's roll-forward): sell no more than the
-/// seats and refund no more than was sold, repair with a signal
-/// component, and tune both endpoints of a channel to one frequency
-/// inside the band.
+/// The application's compensating action for a violated constraint
+/// (§5.2's roll-forward): sell no more than the seats and refund no
+/// more than was sold, repair with a signal component, and tune both
+/// endpoints of a channel to one frequency inside the band.
 fn repair(violation: &ViolationReport, ops: &mut ReconOps<'_>) -> Result<()> {
     let Some(object) = &violation.identity.context_object else {
         return Err(Error::Config("no repair without a context object".into()));
@@ -439,30 +414,39 @@ fn shard_ids(fed: &FederatedCluster) -> impl Iterator<Item = ShardId> {
     (0..fed.shard_count()).map(ShardId)
 }
 
-/// One request of the application mix, run in a session directly or
-/// through the request plane.
+/// One request of the workload, run in a session directly or through
+/// the request plane.
 type Work = Box<dyn for<'a> FnOnce(Session<'a>) -> Result<()>>;
 
-/// Drives one seeded chaos run against a dedicated federation.
-pub(crate) struct ChaosEngine {
-    config: ChaosConfig,
-    draws: Option<SoakDraws>,
-    fed: FederatedCluster,
-    /// Workload draws — in the application mix a distinct stream from
-    /// the schedule generator, so adding schedule entropy does not
-    /// shift the workload.
-    rng: Draws,
-    /// The request plane the reads and writes route through when the
-    /// seed drew it (idle otherwise).
+/// What one shard's ops work on: its request plane, which reads and
+/// writes route through when the seed drew it (idle otherwise), and its
+/// application objects.
+#[derive(Default)]
+struct WorkingSet {
     plane: RequestPlane,
     flights: Vec<ObjectId>,
     /// Alarm / repair-report pairs.
     alarms: Vec<(ObjectId, ObjectId)>,
     /// The two endpoints of each channel.
     channels: Vec<(ObjectId, ObjectId)>,
-    accounts: Vec<ObjectId>,
+}
+
+/// Drives one seeded chaos run against a dedicated federation.
+pub(crate) struct ChaosEngine {
+    config: ChaosConfig,
+    draws: SoakDraws,
+    fed: FederatedCluster,
+    /// Workload draws — a distinct stream from the schedule generator,
+    /// so adding schedule entropy does not shift the workload.
+    rng: Draws,
+    /// Each shard's working set, in shard order.
+    sets: Vec<WorkingSet>,
+    /// The funded accounts transfers move value between, each with the
+    /// balance its shard last served (`None`: unreadable there).
+    accounts: Vec<(ObjectId, Option<i64>)>,
     created: u64,
-    open_prepared: Vec<TxId>,
+    /// Hanging explicit 2PC sales, each with its shard.
+    open_prepared: Vec<(ShardId, TxId)>,
     ops_ok: u64,
     ops_failed: u64,
     faults_applied: u64,
@@ -473,67 +457,49 @@ pub(crate) struct ChaosEngine {
 }
 
 impl ChaosEngine {
-    /// Builds the soak federation: one shard of `nodes` nodes for the
-    /// application mix, with its constraints registered on shard 0
-    /// through the §3.3 check; `shards` of them for the transfer mix.
+    /// Builds the soak federation: `shards` shards of `nodes` nodes,
+    /// each with the seed's draws and the constraints registered
+    /// through the §3.3 check.
     ///
     /// # Errors
     ///
-    /// [`Error::Config`] for fewer than two nodes, zero shards, or the
-    /// detector on a transfer mix; propagates federation-construction
-    /// failures.
+    /// [`Error::Config`] for fewer than two nodes or zero shards;
+    /// propagates federation-construction failures.
     pub(crate) fn new(config: ChaosConfig) -> Result<Self> {
         if config.nodes < 2 {
             return Err(Error::Config("chaos needs at least two nodes".into()));
         }
-        if config.shards > 1 && config.detector {
-            return Err(Error::Config(
-                "the transfer mix runs without the detector".into(),
-            ));
-        }
-        let transfers = config.shards > 1;
-        let draws = (!transfers).then(|| SoakDraws::of(config.seed, config.nodes));
-        let app = if transfers { chaos_app() } else { soak_app() };
-        let mut builder = FederatedCluster::builder(config.shards, config.nodes, app)
+        let draws = SoakDraws::of(config.seed, config.nodes);
+        let shard_draws = draws.clone();
+        let detector = config.detector;
+        let mut fed = FederatedCluster::builder(config.shards, config.nodes, soak_app())
             .seed(config.seed)
-            .policy(RoutingPolicy::RouteAnyway);
-        if let Some(draws) = draws.clone() {
-            let detector = config.detector;
-            builder = builder.configure(move |shard| {
+            .policy(RoutingPolicy::RejectDegraded)
+            .configure(move |shard| {
                 // The membership seed is the federation's, plus the
                 // shard.
-                draws.apply(shard).configure(|c| {
+                shard_draws.apply(shard).configure(|c| {
                     if detector {
                         c.membership.detector_enabled = true;
                         c.membership.detector = DetectorKind::Adaptive;
                     }
                 })
-            });
-        }
-        let mut fed = builder.build()?;
-        if !transfers {
+            })
+            .build()?;
+        for s in shard_ids(&fed) {
             for constraint in soak_constraints() {
-                fed.shard_mut(SHARD0)
-                    .add_constraint_with_check(constraint)?;
+                fed.shard_mut(s).add_constraint_with_check(constraint)?;
             }
         }
-        let stream = if transfers {
-            config.seed
-        } else {
-            config.seed ^ 0xC0FF_EE00_C0FF_EE00
-        };
         Ok(Self {
             rng: Draws {
-                stream: ChaosRng::new(stream),
+                stream: ChaosRng::new(config.seed ^ 0xC0FF_EE00_C0FF_EE00),
                 recorded: Vec::new().into_iter(),
                 taken: Vec::new(),
             },
-            plane: RequestPlane::new(),
+            sets: shard_ids(&fed).map(|_| WorkingSet::default()).collect(),
             draws,
             fed,
-            flights: Vec::new(),
-            alarms: Vec::new(),
-            channels: Vec::new(),
             accounts: Vec::new(),
             created: 0,
             open_prepared: Vec::new(),
@@ -548,49 +514,27 @@ impl ChaosEngine {
         })
     }
 
-    /// The bus a trace of this run records — attach sinks here before
-    /// [`ChaosEngine::run`]. In the application mix that is shard 0's
-    /// bus, where every event happens; in the transfer mix it is the
-    /// federation's (routing and cross-shard 2PC).
-    pub(crate) fn telemetry(&self) -> &Telemetry {
-        if self.transfers() {
-            self.fed.telemetry()
-        } else {
-            self.fed.shard(SHARD0).telemetry()
-        }
-    }
-
-    fn transfers(&self) -> bool {
-        self.config.shards > 1
-    }
-
-    /// Whether the seed routes reads and writes through the plane.
-    fn through_plane(&self) -> bool {
-        self.draws.as_ref().is_some_and(|d| d.plane)
+    /// The buses a trace of this run records — attach sinks here before
+    /// [`ChaosEngine::run`]: the federation's (routing and cross-shard
+    /// 2PC), then each shard's.
+    pub(crate) fn buses(&self) -> impl Iterator<Item = &Telemetry> {
+        let shards = shard_ids(&self.fed).map(|s| self.fed.shard(s).telemetry());
+        std::iter::once(self.fed.telemetry()).chain(shards)
     }
 
     /// Runs the seed-derived random schedule to completion: `ops` ops
-    /// with `faults` faults among them in the application mix, `ops`
-    /// ops alone in the transfer mix, whose ops draw their faults.
+    /// with `faults` faults among them.
     ///
     /// # Errors
     ///
     /// Propagates workload-seeding failures; fault application and
     /// workload errors are absorbed into the report.
     pub(crate) fn run(self) -> Result<ChaosReport> {
-        let c = &self.config;
-        let schedule = if self.transfers() {
-            Schedule::with_faults(c.ops, [])
-        } else if c.detector {
-            Schedule::random_adaptive(c.seed, c.nodes, c.ops, c.faults)
-        } else {
-            Schedule::random(c.seed, c.nodes, c.ops, c.faults)
-        };
+        let schedule = Schedule::random(&self.config);
         self.run_schedule(&schedule)
     }
 
-    /// Runs an explicit schedule, whose faults act on shard 0, to
-    /// completion.
+    /// Runs an explicit schedule to completion.
     ///
     /// # Errors
     ///
@@ -601,10 +545,10 @@ impl ChaosEngine {
         let mut fault_no: u32 = 0;
         for step in &schedule.steps {
             match step {
-                Step::Fault(fault) => {
-                    self.apply_step(fault_no, fault);
+                Step::Fault(shard, fault) => {
+                    self.apply_step(fault_no, *shard, fault);
                     fault_no += 1;
-                    self.check_invariants();
+                    self.check_invariants(*shard);
                     ran.push(step.clone());
                 }
                 Step::Op(draws) => {
@@ -615,20 +559,18 @@ impl ChaosEngine {
             }
         }
         self.finish();
-        let shard0 = self.fed.shard(SHARD0);
-        let metrics = shard0.telemetry().metrics();
-        self.activity.threats_stored = metrics.counter("ccm.threats_recorded");
-        self.activity.negotiations = [
-            "negotiation.non_tradeable",
-            "negotiation.dynamic",
-            "negotiation.static",
-            "negotiation.default",
-        ]
-        .into_iter()
-        .map(|name| metrics.counter(name))
-        .sum();
+        let final_stats: Vec<StatsSnapshot> = (shard_ids(&self.fed))
+            .map(|s| self.fed.shard(s).stats())
+            .collect();
+        for counters in final_stats.iter().map(|s| &s.telemetry.counters) {
+            // One `negotiation.<mechanism>` counter per deciding mechanism.
+            let negotiated = counters.iter().filter(|c| c.0.starts_with("negotiation."));
+            self.activity.negotiations += negotiated.map(|c| c.1).sum::<u64>();
+            self.activity.threats_stored += counters.get("ccm.threats_recorded").unwrap_or(&0);
+        }
         Ok(ChaosReport {
             seed: self.config.seed,
+            final_stats,
             draws: self.draws,
             ops_ok: self.ops_ok,
             ops_failed: self.ops_failed,
@@ -638,98 +580,102 @@ impl ChaosEngine {
             violations: self.violations,
             constraints: self.activity,
             federation: *self.fed.stats(),
-            final_stats: shard0.stats(),
             schedule: Schedule { steps: ran },
         })
     }
 
-    /// One workload op and the housekeeping after it.
+    /// One workload op and the housekeeping after it: on every shard,
+    /// one queued request dispatched (so plane traffic drains
+    /// interleaved with faults and new arrivals), in-doubt transactions
+    /// resolved and the failure detector polled.
     fn op(&mut self) {
-        let result = if self.transfers() {
-            self.transfer_op()
-        } else {
-            self.app_op()
-        };
-        match result {
+        match self.workload_op() {
             Ok(()) => self.ops_ok += 1,
             Err(_) => self.ops_failed += 1,
-        }
-        // Dispatch one queued request per workload op, so plane
-        // traffic drains interleaved with faults and new arrivals.
-        if self.through_plane() {
-            self.plane.step(self.fed.shard_mut(SHARD0));
         }
         self.fed.resolve_xshard_in_doubt();
         for s in shard_ids(&self.fed) {
             let cluster = self.fed.shard_mut(s);
+            if self.draws.plane {
+                self.sets[s.index()].plane.step(cluster);
+            }
             self.in_doubt_resolved += cluster.resolve_in_doubt() as u64;
-            // The workload advanced the virtual clock; let the
-            // failure detector process whatever heartbeats landed.
             cluster.poll_detector();
-        }
-        // Every transfer-mix op may have faulted a shard.
-        if self.transfers() {
-            self.check_invariants();
-        }
-    }
-
-    /// The post-fault invariant sweep: the running-cluster checks on
-    /// every shard (the threat-completeness audit among them),
-    /// request accounting when the plane carries the workload, and the
-    /// cross-shard invariants in the transfer mix.
-    fn check_invariants(&mut self) {
-        for s in shard_ids(&self.fed) {
-            self.violations
-                .extend(InvariantChecker::check_running(self.fed.shard(s)));
-        }
-        if self.through_plane() {
-            self.violations.extend(InvariantChecker::check_plane(
-                &self.plane,
-                self.fed.shard(SHARD0),
-            ));
         }
         self.check_federation();
     }
 
-    /// The cross-shard invariants, in the transfer mix (the application
-    /// mix holds single-shard locks between ops).
-    fn check_federation(&mut self) {
-        if self.transfers() {
-            self.violations.extend(InvariantChecker::check_federation(
-                &self.fed,
-                &self.accounts,
-                INITIAL_BALANCE * self.accounts.len() as i64,
-            ));
+    /// The post-fault invariant sweep: the running-cluster checks on
+    /// the faulted shard (the threat-completeness audit among them) and
+    /// its request accounting when the plane carries the workload, then
+    /// the cross-shard invariants. A fault changes no other shard: each
+    /// is checked after its own faults, as a one-shard run is.
+    fn check_invariants(&mut self, shard: ShardId) {
+        let cluster = self.fed.shard(shard);
+        self.violations
+            .extend(InvariantChecker::check_running(cluster));
+        if self.draws.plane {
+            let plane = &self.sets[shard.index()].plane;
+            let found = InvariantChecker::check_plane(plane, cluster);
+            self.violations.extend(found);
         }
+        self.check_federation();
     }
 
-    /// Creates the working set: funded accounts in the transfer mix;
-    /// flights, alarms with their repair reports, and channels whose
-    /// endpoints are bound to neighbouring sites in the application
-    /// mix.
+    /// The cross-shard invariants, checked after every step. An
+    /// account counts at the balance its shard serves while the shard
+    /// is healthy, and at the one it last served while it is not: a
+    /// transfer reaches a shard only while it is healthy, so that is
+    /// the balance reconciliation will keep — where the shard's live
+    /// nodes may hold only a lagged copy, the newest one sitting in a
+    /// crashed node's journal.
+    fn check_federation(&mut self) {
+        let fed = &self.fed;
+        for (id, served) in &mut self.accounts {
+            if fed.shard(fed.map().shard_of(id)).mode() == SystemMode::Healthy {
+                *served = account_balance(fed, id);
+            }
+        }
+        self.violations.extend(InvariantChecker::check_federation(
+            fed,
+            &self.accounts,
+            INITIAL_BALANCE * self.accounts.len() as i64,
+            &self.open_prepared,
+        ));
+    }
+
+    /// Creates the working set: on every shard flights, alarms with
+    /// their repair reports, and channels whose endpoints are bound to
+    /// neighbouring sites, numbered on across the shards; with two or
+    /// more shards, the funded accounts.
     fn seed_objects(&mut self) -> Result<()> {
-        if self.transfers() {
-            self.accounts = (0..ACCOUNTS)
+        let nodes = self.config.nodes;
+        for s in shard_ids(&self.fed) {
+            let cluster = self.fed.shard_mut(s);
+            let set = &mut self.sets[s.index()];
+            for i in s.0 * FLIGHTS..(s.0 + 1) * FLIGHTS {
+                let seats = 6 + 2 * i64::from(i);
+                let id =
+                    flight::create_flight(cluster, NodeId(i % nodes), &format!("F-{i}"), seats, 0)?;
+                set.flights.push(id);
+            }
+            for i in s.0 * ALARMS..(s.0 + 1) * ALARMS {
+                let node = NodeId(i % nodes);
+                let pair = ats::create_alarm_with_report(cluster, node, &format!("A-{i}"))?;
+                set.alarms.push(pair);
+            }
+            for i in s.0 * CHANNELS..(s.0 + 1) * CHANNELS {
+                let ends = create_channel(cluster, i, nodes)?;
+                set.channels.push(ends);
+            }
+        }
+        if self.fed.shard_count() > 1 {
+            let ids: Vec<ObjectId> = (0..ACCOUNTS)
                 .map(|i| ObjectId::new("Account", format!("acct-{i}")))
                 .collect();
-            return fund_accounts(&mut self.fed, &self.accounts, INITIAL_BALANCE);
-        }
-        let nodes = self.config.nodes;
-        let cluster = self.fed.shard_mut(SHARD0);
-        for i in 0..FLIGHTS {
-            let seats = 6 + 2 * i64::from(i);
-            let id =
-                flight::create_flight(cluster, NodeId(i % nodes), &format!("F-{i}"), seats, 0)?;
-            self.flights.push(id);
-        }
-        for i in 0..ALARMS {
-            let node = NodeId(i % nodes);
-            let pair = ats::create_alarm_with_report(cluster, node, &format!("A-{i}"))?;
-            self.alarms.push(pair);
-        }
-        for i in 0..CHANNELS {
-            let ends = create_channel(cluster, i, nodes)?;
-            self.channels.push(ends);
+            fund_accounts(&mut self.fed, &ids, INITIAL_BALANCE)?;
+            let served = ids.iter().map(|id| account_balance(&self.fed, id));
+            self.accounts = ids.iter().cloned().zip(served).collect();
         }
         Ok(())
     }
@@ -742,38 +688,45 @@ impl ChaosEngine {
         }
     }
 
-    /// One application-mix op on shard 0: a hanging or finished 2PC
-    /// sale, a created flight or alarm, a write (some of which violate
-    /// on purpose) or a read.
-    fn app_op(&mut self) -> Result<()> {
-        let live: Vec<NodeId> = self.fed.shard(SHARD0).live_nodes().collect();
+    /// One op on a live (shard, node) pair drawn from the whole
+    /// federation: a hanging or finished 2PC sale, a created flight or
+    /// alarm, a write (some of which violate on purpose), a read, or —
+    /// with two or more shards — a cross-shard transfer.
+    fn workload_op(&mut self) -> Result<()> {
+        let fed = &self.fed;
+        let live: Vec<(ShardId, NodeId)> = shard_ids(fed)
+            .flat_map(|s| fed.shard(s).live_nodes().map(move |n| (s, n)))
+            .collect();
         if live.is_empty() {
             return Err(Error::NodeCrashed(NodeId(0)));
         }
-        let node = *self.rng.pick(&live);
+        let (shard, node) = *self.rng.pick(&live);
+        let set = &self.sets[shard.index()];
         let roll = self.rng.below(100);
-        let cluster = self.fed.shard_mut(SHARD0);
         if roll < 10 {
             // Sell one ticket in an explicit 2PC and leave it hanging
             // in prepared state — a later crash of `node` makes it
             // in-doubt. The transaction outlives the session borrow, so
             // detach it.
+            let cluster = self.fed.shard_mut(shard);
             let tx = cluster.session(node).detach();
-            let id = self.rng.pick(&self.flights).clone();
+            let id = self.rng.pick(&set.flights).clone();
             let r = cluster
                 .invoke(node, tx, &id, "sellTickets", vec![Value::Int(1)])
                 .and_then(|_| cluster.prepare(tx));
             match r {
-                Ok(()) => self.open_prepared.push(tx),
+                Ok(()) => self.open_prepared.push((shard, tx)),
                 Err(_) => {
                     let _ = cluster.rollback(tx);
                 }
             }
             r
         } else if roll < 25 && !self.open_prepared.is_empty() {
-            // Finish a hanging 2PC: phase 2 commit, or rollback.
+            // Finish a hanging 2PC, on whichever shard it hangs: phase
+            // 2 commit, or rollback.
             let idx = self.rng.below(self.open_prepared.len() as u64) as usize;
-            let tx = self.open_prepared.swap_remove(idx);
+            let (on, tx) = self.open_prepared.swap_remove(idx);
+            let cluster = self.fed.shard_mut(on);
             if self.rng.chance(50) {
                 cluster.commit(tx)
             } else {
@@ -782,23 +735,26 @@ impl ChaosEngine {
         } else if roll < 40 {
             let key = format!("C-{}", self.created);
             self.created += 1;
+            let cluster = self.fed.shard_mut(shard);
+            let set = &mut self.sets[shard.index()];
             if self.rng.chance(50) {
                 let seats = 4 + self.rng.below(8) as i64;
                 let id = flight::create_flight(cluster, node, &key, seats, 0)?;
-                self.flights.push(id);
+                set.flights.push(id);
             } else {
                 let pair = ats::create_alarm_with_report(cluster, node, &key)?;
-                self.alarms.push(pair);
+                set.alarms.push(pair);
             }
             Ok(())
         } else if roll < 75 {
-            let work = self.write();
-            self.submit(node, work)
-        } else {
+            let work = self.write(shard);
+            self.submit(shard, node, work)
+        } else if roll < 85 || self.accounts.is_empty() {
+            // Without two shards there are no accounts to transfer between.
             let id = match self.rng.below(3) {
-                0 => self.rng.pick(&self.flights).clone(),
-                1 => self.rng.pick(&self.alarms).1.clone(),
-                _ => self.rng.pick(&self.channels).0.clone(),
+                0 => self.rng.pick(&set.flights).clone(),
+                1 => self.rng.pick(&set.alarms).1.clone(),
+                _ => self.rng.pick(&set.channels).0.clone(),
             };
             let field = match id.class().as_str() {
                 "Flight" => "sold",
@@ -806,21 +762,25 @@ impl ChaosEngine {
                 _ => "frequency",
             };
             self.submit(
+                shard,
                 node,
                 Box::new(move |mut session| session.get_field(&id, field).map(|_| ())),
             )
+        } else {
+            self.transfer()
         }
     }
 
-    /// One write of the application mix. About a third of them violate
-    /// a constraint when run in healthy mode: overselling a flight or
-    /// refunding more than it sold, a component kind that does not fit
-    /// a signal alarm (or a signal alarm over such a component), a
-    /// channel endpoint retuned alone or out of the band.
-    fn write(&mut self) -> Work {
+    /// One write on `shard`. About a third of them violate a constraint
+    /// when run in healthy mode: overselling a flight or refunding more
+    /// than it sold, a component kind that does not fit a signal alarm
+    /// (or a signal alarm over such a component), a channel endpoint
+    /// retuned alone or out of the band.
+    fn write(&mut self, shard: ShardId) -> Work {
+        let set = &self.sets[shard.index()];
         match self.rng.below(4) {
             0 => {
-                let id = self.rng.pick(&self.flights).clone();
+                let id = self.rng.pick(&set.flights).clone();
                 let count = self.rng.below(5) as i64 - 1;
                 Box::new(move |mut session| {
                     session.invoke(&id, "sellTickets", vec![Value::Int(count)])?;
@@ -828,7 +788,7 @@ impl ChaosEngine {
                 })
             }
             1 => {
-                let report = self.rng.pick(&self.alarms).1.clone();
+                let report = self.rng.pick(&set.alarms).1.clone();
                 let kind = *self.rng.pick(&COMPONENT_KINDS);
                 Box::new(move |mut session| {
                     session.set_field(&report, "componentKind", Value::from(kind))?;
@@ -836,7 +796,7 @@ impl ChaosEngine {
                 })
             }
             2 => {
-                let alarm = self.rng.pick(&self.alarms).0.clone();
+                let alarm = self.rng.pick(&set.alarms).0.clone();
                 let kind = *self.rng.pick(&ALARM_KINDS);
                 Box::new(move |mut session| {
                     session.set_field(&alarm, "alarmKind", Value::from(kind))?;
@@ -844,7 +804,7 @@ impl ChaosEngine {
                 })
             }
             _ => {
-                let (a, b) = self.rng.pick(&self.channels).clone();
+                let (a, b) = self.rng.pick(&set.channels).clone();
                 let frequency = Value::Int(95 + self.rng.below(110) as i64);
                 let ends = match self.rng.below(3) {
                     0 => vec![a],
@@ -861,14 +821,16 @@ impl ChaosEngine {
         }
     }
 
-    /// Runs `work` on `node`: in a session of its own, or submitted to
-    /// the request plane under a seed-derived priority class when the
-    /// seed drew the plane. Admission errors (empty bucket, full queue)
-    /// surface as failed ops; a queued request's execution outcome
-    /// lands in the plane counters when it is dispatched later.
-    fn submit(&mut self, node: NodeId, work: Work) -> Result<()> {
-        if !self.through_plane() {
-            return work(self.fed.shard_mut(SHARD0).session(node));
+    /// Runs `work` on `node` of `shard`: in a session of its own, or
+    /// submitted to the shard's request plane under a seed-derived
+    /// priority class when the seed drew the plane. Admission errors
+    /// (empty bucket, full queue) surface as failed ops; a queued
+    /// request's execution outcome lands in the plane counters when it
+    /// is dispatched later.
+    fn submit(&mut self, shard: ShardId, node: NodeId, work: Work) -> Result<()> {
+        let cluster = self.fed.shard_mut(shard);
+        if !self.draws.plane {
+            return work(cluster.session(node));
         }
         let class_roll = self.rng.below(100);
         let class = if class_roll < 15 {
@@ -878,17 +840,16 @@ impl ChaosEngine {
         } else {
             PriorityClass::Background
         };
-        self.plane
-            .submit(self.fed.shard_mut(SHARD0), node, class, work)
+        self.sets[shard.index()]
+            .plane
+            .submit(cluster, node, class, work)
             .map(|_| ())
     }
 
-    /// One transfer-mix op: a tick of virtual time, the shard faults it
-    /// draws, then one cross-shard transfer that commits, aborts or
-    /// loses its coordinator (recovered later by presumed abort).
-    fn transfer_op(&mut self) -> Result<()> {
-        self.fed.clock().advance(OP_TICK);
-        self.shard_faults();
+    /// One cross-shard transfer between two accounts: it commits,
+    /// aborts, or loses its coordinator (recovered later by presumed
+    /// abort).
+    fn transfer(&mut self) -> Result<()> {
         let n = self.accounts.len() as u64;
         let from = self.rng.below(n) as usize;
         let mut to = self.rng.below(n) as usize;
@@ -898,8 +859,8 @@ impl ChaosEngine {
         let amount = 1 + self.rng.below(5) as i64;
         let xtx = prepare_transfer(
             &mut self.fed,
-            &self.accounts[from],
-            &self.accounts[to],
+            &self.accounts[from].0,
+            &self.accounts[to].0,
             amount,
         )?;
         if self.rng.chance(ABORT_PCT) {
@@ -913,44 +874,14 @@ impl ChaosEngine {
         }
     }
 
-    /// Maybe partitions one healthy shard (a strict majority keeps node
-    /// 0, where the shard's transactions run, writable) and maybe heals
-    /// one degraded shard.
-    fn shard_faults(&mut self) {
-        let shards = u64::from(self.fed.shard_count());
-        let nodes = self.config.nodes;
-        if self.rng.chance(PARTITION_PCT) {
-            let shard = self.fed.shard_mut(ShardId(self.rng.below(shards) as u32));
-            let cut = nodes / 2 + 1;
-            let applied = shard.mode() == SystemMode::Healthy
-                && cut < nodes
-                && shard
-                    .partition(&[
-                        (0..cut).map(NodeId).collect(),
-                        (cut..nodes).map(NodeId).collect(),
-                    ])
-                    .is_ok();
-            self.count_fault(applied);
-        }
-        if self.rng.chance(HEAL_PCT) {
-            let shard = self.fed.shard_mut(ShardId(self.rng.below(shards) as u32));
-            let applied = shard.mode() == SystemMode::Degraded;
-            if applied {
-                shard.heal();
-                reconcile(shard, &mut self.activity);
-            }
-            self.count_fault(applied);
-        }
-    }
-
-    fn apply_step(&mut self, step_no: u32, step: &FaultStep) {
+    fn apply_step(&mut self, step_no: u32, shard: ShardId, step: &FaultStep) {
         let label = step.to_string();
-        self.telemetry().emit(|| TraceEvent::ChaosFault {
+        let cluster = self.fed.shard_mut(shard);
+        cluster.telemetry().emit(|| TraceEvent::ChaosFault {
             step: step_no,
             fault: label.clone(),
         });
-        let survivors = self.fed.shard(SHARD0).live_nodes().count() > 1;
-        let cluster = self.fed.shard_mut(SHARD0);
+        let survivors = cluster.live_nodes().count() > 1;
         let applied = match step {
             // Never take down the last live node.
             FaultStep::Crash(node) => survivors && cluster.crash(*node).is_ok(),
@@ -1003,12 +934,12 @@ impl ChaosEngine {
 
     /// The repair sequence that ends every run: drain hanging 2PC
     /// transactions, then on every shard restart each crashed node,
-    /// heal and let the detector quiesce; drain the plane; wait out
-    /// every presumed-abort deadline, shard-level and cross-shard;
-    /// reconcile; and check convergence.
+    /// heal, let the detector quiesce and drain the plane; wait out
+    /// every presumed-abort deadline, shard-level and cross-shard; then
+    /// on every shard reconcile and check convergence.
     fn finish(&mut self) {
-        let cluster = self.fed.shard_mut(SHARD0);
-        for tx in std::mem::take(&mut self.open_prepared) {
+        for (shard, tx) in std::mem::take(&mut self.open_prepared) {
+            let cluster = self.fed.shard_mut(shard);
             if cluster.tx_is_open(tx) {
                 match cluster.commit(tx) {
                     Ok(()) => self.ops_ok += 1,
@@ -1026,30 +957,28 @@ impl ChaosEngine {
             if cluster.detector_enabled() {
                 quiesce(cluster);
             }
-        }
-        // With every node restarted and the fabric healed, drain the
-        // plane: whatever survived admission must now complete, shed
-        // or miss its deadline — nothing may simply vanish.
-        if self.through_plane() {
-            let cluster = self.fed.shard_mut(SHARD0);
-            let report = self.plane.run_until_idle(cluster);
-            if report.queued != 0 {
-                self.violations.push(InvariantViolation {
-                    invariant: "plane_drained",
-                    detail: format!("{} requests still queued after repair", report.queued),
-                });
+            // With every node restarted and the fabric healed, drain
+            // the plane: whatever survived admission must now complete,
+            // shed or miss its deadline — nothing may simply vanish.
+            if self.draws.plane {
+                let plane = &mut self.sets[s.index()].plane;
+                let queued = plane.run_until_idle(cluster).queued;
+                if queued != 0 {
+                    self.violations.push(InvariantViolation {
+                        invariant: "plane_drained",
+                        detail: format!("{queued} requests still queued on {s} after repair"),
+                    });
+                }
+                let drained = InvariantChecker::check_plane(plane, cluster);
+                self.violations.extend(drained);
             }
-            self.violations
-                .extend(InvariantChecker::check_plane(&self.plane, cluster));
         }
-        let timeout = self.fed.shard(SHARD0).costs().in_doubt_timeout;
+        let timeout = shard_ids(&self.fed)
+            .map(|s| self.fed.shard(s).costs().in_doubt_timeout)
+            .max()
+            .unwrap_or_default();
         self.fed.clock().advance(timeout);
         self.fed.resolve_xshard_in_doubt();
-        for s in shard_ids(&self.fed) {
-            let cluster = self.fed.shard_mut(s);
-            self.in_doubt_resolved += cluster.resolve_in_doubt() as u64;
-            reconcile(cluster, &mut self.activity);
-        }
         if self.fed.open_xshard_count() != 0 {
             self.violations.push(InvariantViolation {
                 invariant: "xshard_drained",
@@ -1060,8 +989,11 @@ impl ChaosEngine {
             });
         }
         for s in shard_ids(&self.fed) {
-            self.violations
-                .extend(InvariantChecker::check_converged(self.fed.shard(s)));
+            let cluster = self.fed.shard_mut(s);
+            self.in_doubt_resolved += cluster.resolve_in_doubt() as u64;
+            reconcile(cluster, &mut self.activity);
+            let converged = InvariantChecker::check_converged(cluster);
+            self.violations.extend(converged);
         }
         self.check_federation();
     }
@@ -1142,73 +1074,87 @@ mod tests {
     use super::*;
     use dedisys_core::{Histogram, JsonlExporter, SharedBuf};
 
-    fn run_seed(seed: u64) -> ChaosReport {
-        let engine = ChaosEngine::new(ChaosConfig {
+    const S0: ShardId = ShardId(0);
+
+    /// `seed` on one shard of the default size: `ops` ops, `faults`
+    /// faults among them.
+    fn config(seed: u64, ops: u64, faults: usize) -> ChaosConfig {
+        ChaosConfig {
             seed,
-            ops: 200,
-            faults: 16,
+            ops,
+            faults,
             ..ChaosConfig::default()
-        })
-        .expect("engine");
-        engine.run().expect("run")
+        }
+    }
+
+    fn detector(seed: u64) -> ChaosConfig {
+        ChaosConfig {
+            detector: true,
+            ..config(seed, 150, 12)
+        }
+    }
+
+    /// `seed` on three shards of the default size.
+    fn sharded(seed: u64) -> ChaosConfig {
+        ChaosConfig {
+            shards: 3,
+            ..config(seed, 300, 24)
+        }
+    }
+
+    /// Runs `config` on `schedule`, or on the seed's own.
+    fn run(config: ChaosConfig, schedule: Option<&Schedule>) -> ChaosReport {
+        let engine = ChaosEngine::new(config).expect("engine");
+        let report = match schedule {
+            Some(schedule) => engine.run_schedule(schedule),
+            None => engine.run(),
+        };
+        report.expect("run")
+    }
+
+    /// What two runs of one configuration must agree on.
+    fn outcome(r: &ChaosReport) -> [u64; 6] {
+        let s = &r.final_stats[0];
+        let (ok, failed, applied) = (r.ops_ok, r.ops_failed, r.faults_applied);
+        [
+            ok,
+            failed,
+            applied,
+            r.faults_skipped,
+            s.now_ns,
+            s.events_emitted,
+        ]
+    }
+
+    fn assert_clean(configs: impl IntoIterator<Item = ChaosConfig>) {
+        for config in configs {
+            let report = run(config, None);
+            assert!(report.clean(), "{config:?}: {:?}", report.violations);
+        }
     }
 
     #[test]
     fn fixed_seed_is_reproducible() {
-        let a = run_seed(7);
-        let b = run_seed(7);
-        assert_eq!(a.ops_ok, b.ops_ok);
-        assert_eq!(a.ops_failed, b.ops_failed);
-        assert_eq!(a.faults_applied, b.faults_applied);
-        assert_eq!(a.final_stats.now_ns, b.final_stats.now_ns);
-        assert_eq!(a.final_stats.events_emitted, b.final_stats.events_emitted);
+        let (a, b) = (run(config(7, 200, 16), None), run(config(7, 200, 16), None));
+        assert_eq!(outcome(&a), outcome(&b));
     }
 
     #[test]
     fn random_schedules_keep_invariants() {
-        for seed in 0..20 {
-            let report = run_seed(seed);
-            assert!(
-                report.clean(),
-                "seed {seed} violated invariants: {:?}",
-                report.violations
-            );
-        }
-    }
-
-    fn run_detector_seed(seed: u64) -> ChaosReport {
-        let engine = ChaosEngine::new(ChaosConfig {
-            seed,
-            ops: 150,
-            faults: 12,
-            detector: true,
-            ..ChaosConfig::default()
-        })
-        .expect("engine");
-        engine.run().expect("run")
+        assert_clean((0..20).map(|seed| config(seed, 200, 16)));
     }
 
     #[test]
     fn detector_runs_are_reproducible() {
-        let a = run_detector_seed(11);
-        let b = run_detector_seed(11);
-        assert_eq!(a.ops_ok, b.ops_ok);
-        assert_eq!(a.ops_failed, b.ops_failed);
-        assert_eq!(a.faults_applied, b.faults_applied);
-        assert_eq!(a.final_stats.now_ns, b.final_stats.now_ns);
-        assert_eq!(a.final_stats.events_emitted, b.final_stats.events_emitted);
+        assert_eq!(
+            outcome(&run(detector(11), None)),
+            outcome(&run(detector(11), None))
+        );
     }
 
     #[test]
     fn detector_schedules_keep_invariants() {
-        for seed in 0..10 {
-            let report = run_detector_seed(seed);
-            assert!(
-                report.clean(),
-                "seed {seed} violated invariants: {:?}",
-                report.violations
-            );
-        }
+        assert_clean((0..10).map(detector));
     }
 
     /// The first `n` seeds that draw the request plane.
@@ -1222,34 +1168,19 @@ mod tests {
     /// The plane's traffic as the registry saw it: the
     /// `plane.latency.*` histograms, one observation per served request.
     fn plane_latencies(report: &ChaosReport) -> Vec<(&String, &Histogram)> {
-        let histograms = &report.final_stats.telemetry.histograms;
+        let histograms = &report.final_stats[0].telemetry.histograms;
         histograms
             .iter()
             .filter(|(name, _)| name.starts_with("plane.latency."))
             .collect()
     }
 
-    fn run_plane_seed(seed: u64, ops: u64, faults: usize) -> ChaosReport {
-        let engine = ChaosEngine::new(ChaosConfig {
-            seed,
-            ops,
-            faults,
-            ..ChaosConfig::default()
-        })
-        .expect("engine");
-        engine.run().expect("run")
-    }
-
     #[test]
     fn plane_runs_are_reproducible() {
-        let seed = plane_seeds(1)[0];
-        let a = run_plane_seed(seed, 200, 16);
-        let b = run_plane_seed(seed, 200, 16);
-        assert_eq!(a.ops_ok, b.ops_ok);
-        assert_eq!(a.ops_failed, b.ops_failed);
+        let config = config(plane_seeds(1)[0], 200, 16);
+        let (a, b) = (run(config, None), run(config, None));
+        assert_eq!(outcome(&a), outcome(&b));
         assert_eq!(plane_latencies(&a), plane_latencies(&b));
-        assert_eq!(a.final_stats.now_ns, b.final_stats.now_ns);
-        assert_eq!(a.final_stats.events_emitted, b.final_stats.events_emitted);
     }
 
     #[test]
@@ -1258,12 +1189,8 @@ mod tests {
         // bound hold on every seed that draws the plane, checked after
         // every fault and after the final drain.
         for seed in plane_seeds(100) {
-            let report = run_plane_seed(seed, 60, 6);
-            assert!(
-                report.clean(),
-                "seed {seed} violated invariants: {:?}",
-                report.violations
-            );
+            let report = run(config(seed, 60, 6), None);
+            assert!(report.clean(), "seed {seed}: {:?}", report.violations);
             let served: u64 = plane_latencies(&report).iter().map(|(_, h)| h.count).sum();
             assert!(served > 0, "seed {seed} routed nothing through the plane");
         }
@@ -1274,17 +1201,11 @@ mod tests {
         let schedule = Schedule::with_faults(
             200,
             [
-                (60, FaultStep::WalTornWrite { node: NodeId(1) }),
-                (120, FaultStep::Restart(NodeId(1))),
+                (60, S0, FaultStep::WalTornWrite { node: NodeId(1) }),
+                (120, S0, FaultStep::Restart(NodeId(1))),
             ],
         );
-        let engine = ChaosEngine::new(ChaosConfig {
-            seed: 5,
-            ops: 200,
-            ..ChaosConfig::default()
-        })
-        .expect("engine");
-        let report = engine.run_schedule(&schedule).expect("run");
+        let report = run(config(5, 200, 0), Some(&schedule));
         assert!(report.clean(), "violations: {:?}", report.violations);
         assert_eq!(report.faults_applied, 2);
     }
@@ -1297,19 +1218,13 @@ mod tests {
         let schedule = Schedule::with_faults(
             200,
             [
-                (40, FaultStep::Crash(NodeId(1))),
-                (90, FaultStep::Restart(NodeId(1))),
-                (120, FaultStep::Crash(NodeId(2))),
-                (160, FaultStep::Heal),
+                (40, S0, FaultStep::Crash(NodeId(1))),
+                (90, S0, FaultStep::Restart(NodeId(1))),
+                (120, S0, FaultStep::Crash(NodeId(2))),
+                (160, S0, FaultStep::Heal),
             ],
         );
-        let engine = ChaosEngine::new(ChaosConfig {
-            seed: 3,
-            ops: 200,
-            ..ChaosConfig::default()
-        })
-        .expect("engine");
-        let report = engine.run_schedule(&schedule).expect("run");
+        let report = run(config(3, 200, 0), Some(&schedule));
         assert!(report.clean(), "violations: {:?}", report.violations);
     }
 
@@ -1321,48 +1236,55 @@ mod tests {
         assert!(rejects(ChaosConfig { nodes: 1, ..base }));
         assert!(rejects(ChaosConfig { nodes: 0, ..base }));
         assert!(rejects(ChaosConfig { shards: 0, ..base }));
-        assert!(rejects(ChaosConfig {
-            shards: 3,
-            detector: true,
-            ..base
-        }));
         assert!(ChaosEngine::new(ChaosConfig { nodes: 2, ..base }).is_ok());
     }
 
-    fn transfer_run(seed: u64) -> ChaosReport {
-        ChaosEngine::new(ChaosConfig {
-            seed,
-            shards: 3,
-            nodes: 3,
-            ops: 80,
-            ..ChaosConfig::default()
-        })
-        .expect("engine")
-        .run()
-        .expect("run")
-    }
-
+    /// Transfers run beside the constraints, the planned faults and the
+    /// request plane on every shard: over a few seeds every transfer
+    /// outcome occurs, every shard is faulted and constrained, and
+    /// every run is clean.
     #[test]
     fn transfer_runs_are_clean_and_exercise_every_outcome() {
-        let r = transfer_run(3);
-        assert!(r.clean(), "{:?}", r.violations);
-        let x = r.federation;
+        let mut x = FederationStats::default();
+        let (mut faulted, mut threats) = ([0; 3], [0; 3]);
+        for seed in 0..4 {
+            let r = run(sharded(seed), None);
+            assert!(r.clean(), "seed {seed}: {:?}", r.violations);
+            let f = r.federation;
+            assert_eq!(f.xshard_begun, f.xshard_committed + f.xshard_aborted);
+            x.xshard_committed += f.xshard_committed;
+            x.xshard_aborted += f.xshard_aborted;
+            x.xshard_presumed_aborted += f.xshard_presumed_aborted;
+            for step in &r.schedule.steps {
+                if let Step::Fault(shard, _) = step {
+                    faulted[shard.index()] += 1;
+                }
+            }
+            for (s, stats) in r.final_stats.iter().enumerate() {
+                threats[s] += stats
+                    .telemetry
+                    .counters
+                    .get("ccm.threats_recorded")
+                    .unwrap_or(&0);
+            }
+        }
         assert!(x.xshard_committed > 0, "no transfer committed");
-        assert!(x.xshard_aborted > 0, "no transfer aborted");
+        assert!(x.xshard_aborted > x.xshard_presumed_aborted, "none aborted");
         assert!(x.xshard_presumed_aborted > 0, "no coordinator crashed");
-        assert_eq!(x.xshard_begun, x.xshard_committed + x.xshard_aborted);
-        assert!(r.faults_applied > 0, "no shard faulted");
+        assert!(
+            !faulted.contains(&0),
+            "a shard was never faulted: {faulted:?}"
+        );
+        assert!(
+            !threats.contains(&0),
+            "a shard stored no threat: {threats:?}"
+        );
     }
 
     #[test]
     fn transfer_runs_are_reproducible() {
-        let (a, b) = (transfer_run(7), transfer_run(7));
-        assert_eq!(a.federation, b.federation);
-        assert_eq!(
-            (a.ops_ok, a.ops_failed, a.faults_applied, a.faults_skipped),
-            (b.ops_ok, b.ops_failed, b.faults_applied, b.faults_skipped)
-        );
-        assert_eq!(a.final_stats.now_ns, b.final_stats.now_ns);
+        let (a, b) = (run(sharded(7), None), run(sharded(7), None));
+        assert_eq!((outcome(&a), a.federation), (outcome(&b), b.federation));
     }
 
     /// Runs `config` traced, on `schedule` or on the seed's own, and
@@ -1372,8 +1294,9 @@ mod tests {
     fn traced(config: ChaosConfig, schedule: Option<&Schedule>) -> (Vec<u8>, ChaosReport) {
         let mut engine = ChaosEngine::new(config).expect("engine");
         let buffer = SharedBuf::default();
-        let exporter = JsonlExporter::new(Box::new(buffer.clone()));
-        engine.telemetry().attach(Box::new(exporter));
+        for bus in engine.buses() {
+            bus.attach(Box::new(JsonlExporter::new(Box::new(buffer.clone()))));
+        }
         let report = match schedule {
             Some(schedule) => {
                 engine.rng.stream = ChaosRng::new(!config.seed);
@@ -1381,13 +1304,14 @@ mod tests {
             }
             None => engine.run(),
         };
-        // The run dropped the engine, and the exporter flushed with it.
+        // The run dropped the engine, and the exporters flushed with it.
         (buffer.bytes(), report.expect("run"))
     }
 
     /// A run's schedule, run again, writes the run's trace byte for
     /// byte: the single-seed `chaos-soak` receipts' configurations
-    /// (seeds 42 and 7, 11 under the detector, 3 on three shards).
+    /// (seeds 42 and 7, 11 under the detector, 3 on three shards), and
+    /// three shards under the detector.
     #[test]
     fn a_run_replays_from_the_schedule_it_hands_back() {
         let base = ChaosConfig::default();
@@ -1399,12 +1323,10 @@ mod tests {
                 detector: true,
                 ..base
             },
+            sharded(3),
             ChaosConfig {
-                seed: 3,
-                shards: 3,
-                nodes: 3,
-                ops: 200,
-                ..base
+                detector: true,
+                ..sharded(3)
             },
         ];
         for config in configs {
@@ -1414,5 +1336,37 @@ mod tests {
             assert!(trace == again, "{config:?}: the replay's trace differs");
             assert_eq!(replayed.schedule, report.schedule, "{config:?}");
         }
+    }
+
+    /// Shrinking a three-shard schedule against a planted failure — a
+    /// fault on S1, an op, then a fault on S2 — keeps just those steps,
+    /// each fault on its own shard, and what it keeps replays: its run
+    /// hands back a schedule that rewrites the run's trace.
+    #[test]
+    fn a_sharded_schedule_shrinks_shard_by_shard_and_replays() {
+        let config = sharded(3);
+        let (_, report) = traced(config, None);
+        let steps = &report.schedule.steps;
+        let on = |shard| move |step: &Step| matches!(step, Step::Fault(s, _) if s.0 == shard);
+        let first = steps.iter().position(on(1)).expect("a fault on S1");
+        let last = steps.iter().rposition(on(2)).expect("a fault on S2");
+        assert!(first < last, "S1 is faulted before S2's last fault");
+        let planted = [steps[first].clone(), steps[last].clone()];
+        // Fails iff the planted faults come in order with an op between.
+        let fails = |schedule: &Schedule| {
+            let mut rest = schedule.steps.iter();
+            rest.any(|s| *s == planted[0])
+                && rest.any(|s| matches!(s, Step::Op(_)))
+                && rest.any(|s| *s == planted[1])
+        };
+        let (shrunk, _) = report.schedule.shrink(fails);
+        assert_eq!(shrunk.steps.len(), 3, "{shrunk}");
+        assert_eq!(shrunk.steps[0], planted[0]);
+        assert!(matches!(shrunk.steps[1], Step::Op(_)));
+        assert_eq!(shrunk.steps[2], planted[1]);
+        let (trace, run) = traced(config, Some(&shrunk));
+        let (again, replayed) = traced(config, Some(&run.schedule));
+        assert!(trace == again, "the shrunk run's replay differs");
+        assert_eq!(replayed.schedule, run.schedule);
     }
 }

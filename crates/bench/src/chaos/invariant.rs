@@ -4,10 +4,9 @@
 //! registries and reports violations as data, so a soak run can
 //! aggregate them and a test can assert the list is empty.
 
-use crate::engine::account_balance;
 use dedisys_core::{Cluster, RequestPlane};
 use dedisys_federation::{FederatedCluster, ShardId};
-use dedisys_types::{NodeId, ObjectId, SystemMode};
+use dedisys_types::{NodeId, ObjectId, SystemMode, TxId};
 use std::collections::BTreeSet;
 
 /// One violated invariant, with a human-readable detail string.
@@ -143,25 +142,26 @@ impl InvariantChecker {
         out
     }
 
-    /// The cross-shard invariants of a federation that runs only
-    /// cross-shard transactions between two checks, complementing the
-    /// per-shard checks: the committed balances of `accounts` sum to
-    /// `expected_total` (value conservation — a transfer that commits
-    /// its debit but loses its credit breaks the sum at once), every
-    /// begun cross-shard transaction is committed, aborted or still
-    /// open, and every lock on every shard is held by a participant of
-    /// an open cross-shard transaction or by one its shard keeps in
-    /// doubt. The last reads open state only, so it costs the same
-    /// however many transactions have finished.
+    /// The cross-shard invariants, complementing the per-shard checks:
+    /// the committed `balances` of the accounts — `None` for one that
+    /// cannot be read — sum to `expected_total` (value conservation: a
+    /// transfer that commits its debit but loses its credit breaks the
+    /// sum at once), every begun cross-shard transaction is committed,
+    /// aborted or still open, and every lock on every shard is held by
+    /// a participant of an open cross-shard transaction, by one its
+    /// shard keeps in doubt, or by one of `prepared` — the single-shard
+    /// 2PCs the caller left prepared. The last reads open state only,
+    /// so it costs the same however many transactions have finished.
     pub(crate) fn check_federation(
         fed: &FederatedCluster,
-        accounts: &[ObjectId],
+        balances: &[(ObjectId, Option<i64>)],
         expected_total: i64,
+        prepared: &[(ShardId, TxId)],
     ) -> Vec<InvariantViolation> {
         let mut out = Vec::new();
         let mut total = 0i64;
-        for id in accounts {
-            match account_balance(fed, id) {
+        for (id, balance) in balances {
+            match balance {
                 Some(v) => total += v,
                 None => out.push(InvariantViolation {
                     invariant: "xshard_conservation",
@@ -191,11 +191,15 @@ impl InvariantChecker {
         for shard in (0..fed.shard_count()).map(ShardId) {
             let cluster = fed.shard(shard);
             for (object, tx) in cluster.held_locks() {
-                let in_doubt = cluster.in_doubt_txs().any(|(t, _)| t == tx);
-                if !in_doubt && !fed.is_open_participant(shard, tx) {
+                let accounted = prepared.contains(&(shard, tx))
+                    || fed.is_open_participant(shard, tx)
+                    || cluster.in_doubt_txs().any(|(t, _)| t == tx);
+                if !accounted {
                     out.push(InvariantViolation {
                         invariant: "xshard_no_orphaned_locks",
-                        detail: format!("{tx} on {shard} holds {object} outside any open xtx"),
+                        detail: format!(
+                            "{tx} on {shard} holds {object} outside any open xtx or prepared tx"
+                        ),
                     });
                 }
             }
@@ -356,9 +360,10 @@ mod tests {
         assert!(lost[0].detail.contains("(Bounded, Counter#c0)"), "{lost:?}");
     }
 
-    /// The `xshard_no_orphaned_locks` violations of `fed`.
-    fn orphaned(fed: &FederatedCluster, accounts: &[ObjectId]) -> Vec<InvariantViolation> {
-        InvariantChecker::check_federation(fed, accounts, 100 * accounts.len() as i64)
+    /// The `xshard_no_orphaned_locks` violations of `fed`, with the
+    /// single-shard transactions of `prepared` left prepared.
+    fn orphaned(fed: &FederatedCluster, prepared: &[(ShardId, TxId)]) -> Vec<InvariantViolation> {
+        InvariantChecker::check_federation(fed, &[], 0, prepared)
             .into_iter()
             .filter(|v| v.invariant == "xshard_no_orphaned_locks")
             .collect()
@@ -370,13 +375,7 @@ mod tests {
     /// participant left behind by a finished one looks like.
     #[test]
     fn a_lock_outside_every_open_cross_shard_transaction_is_flagged() {
-        let mut fed = FederatedCluster::builder(2, 3, chaos_app())
-            .build()
-            .unwrap();
-        let accounts: Vec<ObjectId> = (0..12)
-            .map(|i| ObjectId::new("Account", format!("acct-{i}")))
-            .collect();
-        fund_accounts(&mut fed, &accounts, 100).unwrap();
+        let (mut fed, accounts) = funded();
         let from = &accounts[0];
         let to = accounts
             .iter()
@@ -384,20 +383,57 @@ mod tests {
             .expect("both shards own an account");
 
         let xtx = prepare_transfer(&mut fed, from, to, 1).unwrap();
-        assert!(orphaned(&fed, &accounts).is_empty(), "prepared");
+        assert!(orphaned(&fed, &[]).is_empty(), "prepared");
         fed.crash_coordinator(xtx).unwrap();
-        assert!(orphaned(&fed, &accounts).is_empty(), "in doubt");
+        assert!(orphaned(&fed, &[]).is_empty(), "in doubt");
         fed.clock().advance(XSHARD_TIMEOUT);
         assert_eq!(fed.resolve_xshard_in_doubt(), 1);
-        assert!(orphaned(&fed, &accounts).is_empty(), "presumed abort");
+        assert!(orphaned(&fed, &[]).is_empty(), "presumed abort");
 
-        let shard = fed.map().shard_of(from);
-        let node = fed.coordinator_node(shard).unwrap();
-        let mut session = fed.shard_mut(shard).session(node);
-        session.set_field(from, "v", Value::Int(100)).unwrap();
-        let stray = session.detach();
-        let found = orphaned(&fed, &accounts);
+        let (shard, stray) = stray(&mut fed, from);
+        let found = orphaned(&fed, &[]);
         assert_eq!(found.len(), 1, "{found:?}");
         assert!(found[0].detail.starts_with(&format!("{stray} on {shard}")));
+    }
+
+    /// A federation of two shards of three nodes, its twelve accounts
+    /// funded with 100 each.
+    fn funded() -> (FederatedCluster, Vec<ObjectId>) {
+        let mut fed = FederatedCluster::builder(2, 3, chaos_app())
+            .build()
+            .unwrap();
+        let accounts: Vec<ObjectId> = (0..12)
+            .map(|i| ObjectId::new("Account", format!("acct-{i}")))
+            .collect();
+        fund_accounts(&mut fed, &accounts, 100).unwrap();
+        (fed, accounts)
+    }
+
+    /// A shard transaction that wrote `id` and was detached, still open.
+    fn stray(fed: &mut FederatedCluster, id: &ObjectId) -> (ShardId, TxId) {
+        let shard = fed.map().shard_of(id);
+        let node = fed.coordinator_node(shard).unwrap();
+        let mut session = fed.shard_mut(shard).session(node);
+        session.set_field(id, "v", Value::Int(100)).unwrap();
+        (shard, session.detach())
+    }
+
+    /// A single-shard 2PC left prepared holds its locks between steps:
+    /// they are accounted for when the caller names the transaction,
+    /// and only on its own shard. A lock held by none of an open
+    /// cross-shard transaction, an in-doubt one or a named prepared one
+    /// is still flagged — the rule admits one more kind of holder, it
+    /// does not stop looking.
+    #[test]
+    fn a_lock_of_a_named_prepared_transaction_is_accounted_for() {
+        let (mut fed, accounts) = funded();
+        let (shard, tx) = stray(&mut fed, &accounts[0]);
+        fed.shard_mut(shard).prepare(tx).unwrap();
+        assert!(orphaned(&fed, &[(shard, tx)]).is_empty());
+        for named in [&[][..], &[(ShardId(1 - shard.0), tx)]] {
+            let found = orphaned(&fed, named);
+            assert_eq!(found.len(), 1, "{named:?}: {found:?}");
+            assert!(found[0].detail.starts_with(&format!("{tx} on {shard}")));
+        }
     }
 }

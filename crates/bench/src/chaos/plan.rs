@@ -1,15 +1,18 @@
 //! Schedules: what a chaos run does, in order.
 //!
 //! A [`Schedule`] is a list of [`Step`]s, each a workload op or a
-//! [`FaultStep`] — "op, op, crash node 2, op". Schedules are either
-//! written out explicitly ([`Schedule::with_faults`] places faults
-//! before op indices) or generated reproducibly from a seed
-//! ([`Schedule::random`]): equal seeds yield equal schedules. An op
+//! [`FaultStep`] on one shard — "op, op, crash node 2 of S1, op".
+//! Schedules are either written out explicitly
+//! ([`Schedule::with_faults`] places faults before op indices) or
+//! generated reproducibly from a seed ([`Schedule::random`]): equal
+//! seeds yield equal schedules. An op
 //! holds the random draws it took; a run hands back its schedule with
 //! every draw recorded, so running that schedule again replays the run
 //! exactly, and [`Schedule::shrink`] drops steps of a failing one
 //! without re-rolling the draws of the rest.
 
+use crate::engine::ChaosConfig;
+use dedisys_federation::ShardId;
 use dedisys_types::{ChaosRng, NodeId};
 use std::collections::BTreeSet;
 use std::fmt;
@@ -128,8 +131,8 @@ pub(crate) enum Step {
     /// A workload op. It takes its random draws from this list first,
     /// then from the seed's stream.
     Op(Vec<u64>),
-    /// An injected fault (or repair), acting on shard 0.
-    Fault(FaultStep),
+    /// An injected fault (or repair), acting on one shard.
+    Fault(ShardId, FaultStep),
 }
 
 /// What a chaos run does, in order: workload ops and faults.
@@ -141,50 +144,45 @@ pub(crate) struct Schedule {
 
 impl Schedule {
     /// `ops` workload ops with no recorded draws, and `faults` placed
-    /// among them: `(at, step)` runs before op `at`, or after the last
-    /// op when `at >= ops`; faults at one index keep their order.
+    /// among them: `(at, shard, step)` runs before op `at`, or after
+    /// the last op when `at >= ops`; faults at one index keep their
+    /// order.
     pub(crate) fn with_faults(
         ops: u64,
-        faults: impl IntoIterator<Item = (u64, FaultStep)>,
+        faults: impl IntoIterator<Item = (u64, ShardId, FaultStep)>,
     ) -> Self {
-        let mut faults: Vec<(u64, FaultStep)> = faults.into_iter().collect();
+        let mut faults: Vec<(u64, ShardId, FaultStep)> = faults.into_iter().collect();
         faults.sort_by_key(|fault| fault.0);
         let mut faults = faults.into_iter().peekable();
         let mut steps = Vec::new();
         for op in 0..ops {
-            while let Some((_, fault)) = faults.next_if(|fault| fault.0 <= op) {
-                steps.push(Step::Fault(fault));
+            while let Some((_, shard, fault)) = faults.next_if(|fault| fault.0 <= op) {
+                steps.push(Step::Fault(shard, fault));
             }
             steps.push(Step::Op(Vec::new()));
         }
-        steps.extend(faults.map(|(_, fault)| Step::Fault(fault)));
+        steps.extend(faults.map(|(_, shard, fault)| Step::Fault(shard, fault)));
         Self { steps }
     }
 
-    /// Generates a reproducible random schedule: `faults` steps spread
-    /// over `ops` workload operations against `nodes` nodes. The
-    /// generator tracks which nodes its own schedule has crashed so
-    /// restarts target crashed nodes, crashes target live ones, and at
-    /// least one node always survives. Every step is one the engine
-    /// applies to a cluster without the detector pipeline.
-    ///
-    /// Equal seeds yield equal schedules within a release; a change to
-    /// its draw table re-rolls every classic schedule once and is
-    /// recorded in `CHANGELOG.md`.
-    pub(crate) fn random(seed: u64, nodes: u32, ops: u64, faults: usize) -> Self {
-        let rng = ChaosRng::new(seed);
-        Self::with_faults(ops, generate(rng, nodes, ops, faults, classic_draw))
-    }
-
-    /// Like [`Schedule::random`], but drawing from the full fault
-    /// vocabulary of the adaptive failure-detection pipeline: link
-    /// flaps, asymmetric loss, heartbeat jitter and torn journal
-    /// writes join the classic crash/partition mix. A separate draw
-    /// table (and a perturbed seed stream), so a change to either
-    /// table leaves the other generator's schedules byte-identical.
-    pub(crate) fn random_adaptive(seed: u64, nodes: u32, ops: u64, faults: usize) -> Self {
-        let rng = ChaosRng::new(seed ^ 0xADA7_71FE_0000_5EED);
-        Self::with_faults(ops, generate(rng, nodes, ops, faults, adaptive_draw))
+    /// The seed-derived random schedule of a run of `config`: `faults`
+    /// steps spread over `ops` ops against `shards` shards of `nodes`
+    /// nodes. The generator tracks which nodes its own schedule has
+    /// crashed, so restarts target crashed nodes, crashes live ones, and
+    /// every shard keeps a survivor. Without the detector every step is
+    /// one a scripted cluster applies; with it link flaps, asymmetric
+    /// loss, heartbeat jitter and torn journal writes join the mix, from
+    /// a table and a seed stream of their own. Equal seeds yield equal
+    /// schedules; a change to a table re-rolls its schedules once and
+    /// is recorded in `CHANGELOG.md`.
+    pub(crate) fn random(config: &ChaosConfig) -> Self {
+        let c = config;
+        let (rng, draw): (_, Table) = if c.detector {
+            (ChaosRng::new(c.seed ^ 0xADA7_71FE_0000_5EED), adaptive_draw)
+        } else {
+            (ChaosRng::new(c.seed), classic_draw)
+        };
+        Self::with_faults(c.ops, generate(rng, c, draw))
     }
 
     /// Drops runs of steps while `fails` still holds of what is left:
@@ -213,7 +211,8 @@ impl Schedule {
     }
 }
 
-/// The steps in [`FaultStep`]'s syntax, an op as `op`.
+/// The steps in [`FaultStep`]'s syntax, an op as `op`; a fault on a
+/// shard other than `S0` is prefixed with its shard (`S2:heal`).
 impl fmt::Display for Schedule {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for (i, step) in self.steps.iter().enumerate() {
@@ -222,7 +221,8 @@ impl fmt::Display for Schedule {
             }
             match step {
                 Step::Op(_) => write!(f, "op")?,
-                Step::Fault(fault) => write!(f, "{fault}")?,
+                Step::Fault(ShardId(0), fault) => write!(f, "{fault}")?,
+                Step::Fault(shard, fault) => write!(f, "{shard}:{fault}")?,
             }
         }
         Ok(())
@@ -230,24 +230,25 @@ impl fmt::Display for Schedule {
 }
 
 /// The body both generators share: `faults` sorted op indices, then one
-/// `draw` per index against the schedule so far. The crashed set
-/// follows the drawn steps, so restarts target crashed nodes and
-/// crashes live ones; the tables keep at least one survivor.
-fn generate(
-    mut rng: ChaosRng,
-    nodes: u32,
-    ops: u64,
-    faults: usize,
-    draw: fn(&mut ChaosRng, &SoFar<'_>) -> FaultStep,
-) -> Vec<(u64, FaultStep)> {
-    let mut crashed: BTreeSet<NodeId> = BTreeSet::new();
-    let mut indices: Vec<u64> = (0..faults).map(|_| rng.below(ops.max(1))).collect();
+/// `draw` per index against its shard's schedule so far. One draw
+/// picks the table's row and the shard together, so one shard draws
+/// what the table alone would. The crashed sets follow the drawn steps,
+/// so restarts target crashed nodes and crashes live ones; the tables
+/// keep at least one survivor per shard.
+fn generate(mut rng: ChaosRng, c: &ChaosConfig, draw: Table) -> Vec<(u64, ShardId, FaultStep)> {
+    let (nodes, faults) = (c.nodes, c.faults);
+    let mut crashed: BTreeSet<(ShardId, NodeId)> = BTreeSet::new();
+    let mut indices: Vec<u64> = (0..faults).map(|_| rng.below(c.ops.max(1))).collect();
     indices.sort_unstable();
     let mut drawn = Vec::with_capacity(faults);
     for at_op in indices {
-        let (down, live): (Vec<NodeId>, Vec<NodeId>) =
-            (0..nodes).map(NodeId).partition(|n| crashed.contains(n));
+        let roll = rng.below(100 * u64::from(c.shards));
+        let shard = ShardId((roll / 100) as u32);
+        let (down, live): (Vec<NodeId>, Vec<NodeId>) = (0..nodes)
+            .map(NodeId)
+            .partition(|n| crashed.contains(&(shard, *n)));
         let step = draw(
+            roll % 100,
             &mut rng,
             &SoFar {
                 nodes,
@@ -257,21 +258,25 @@ fn generate(
         );
         match step {
             FaultStep::Crash(node) | FaultStep::WalTornWrite { node } => {
-                crashed.insert(node);
+                crashed.insert((shard, node));
             }
             FaultStep::Restart(node) => {
-                crashed.remove(&node);
+                crashed.remove(&(shard, node));
             }
             _ => {}
         }
-        drawn.push((at_op, step));
+        drawn.push((at_op, shard, step));
     }
     drawn
 }
 
-/// The schedule so far, as a draw table sees it.
+/// A draw table: the step at row `roll` of 100 against a shard's
+/// schedule so far.
+type Table = fn(u64, &mut ChaosRng, &SoFar<'_>) -> FaultStep;
+
+/// One shard's schedule so far, as a draw table sees it.
 struct SoFar<'a> {
-    /// Cluster size.
+    /// Shard size.
     nodes: u32,
     /// Nodes the plan has not crashed, in id order.
     live: &'a [NodeId],
@@ -300,9 +305,9 @@ impl SoFar<'_> {
     }
 }
 
-/// [`Schedule::random`]'s table.
-fn classic_draw(rng: &mut ChaosRng, s: &SoFar<'_>) -> FaultStep {
-    match rng.below(100) {
+/// [`Schedule::random`]'s table without the detector.
+fn classic_draw(roll: u64, rng: &mut ChaosRng, s: &SoFar<'_>) -> FaultStep {
+    match roll {
         // Crash a live node (keep at least one survivor).
         0..=19 if s.live.len() > 1 => FaultStep::Crash(*rng.pick(s.live)),
         // Restart a crashed node.
@@ -316,9 +321,9 @@ fn classic_draw(rng: &mut ChaosRng, s: &SoFar<'_>) -> FaultStep {
     }
 }
 
-/// [`Schedule::random_adaptive`]'s table.
-fn adaptive_draw(rng: &mut ChaosRng, s: &SoFar<'_>) -> FaultStep {
-    match rng.below(100) {
+/// [`Schedule::random`]'s table under the detector.
+fn adaptive_draw(roll: u64, rng: &mut ChaosRng, s: &SoFar<'_>) -> FaultStep {
+    match roll {
         // Crash a live node (keep at least one survivor).
         0..=11 if s.live.len() > 1 => FaultStep::Crash(*rng.pick(s.live)),
         // Tear the journal tail, then crash (same survivor rule).
@@ -372,10 +377,36 @@ fn split(rng: &mut ChaosRng, live: &[NodeId]) -> FaultStep {
 mod tests {
     use super::*;
 
+    const S0: ShardId = ShardId(0);
+
+    /// `seed` on one shard of `nodes` nodes, without the detector.
+    fn shape(seed: u64, nodes: u32, ops: u64, faults: usize) -> ChaosConfig {
+        let config = ChaosConfig::default();
+        ChaosConfig {
+            nodes,
+            ops,
+            faults,
+            seed,
+            ..config
+        }
+    }
+
+    fn classic(seed: u64, nodes: u32, ops: u64, faults: usize) -> Schedule {
+        Schedule::random(&shape(seed, nodes, ops, faults))
+    }
+
+    fn adaptive(seed: u64, nodes: u32, ops: u64, faults: usize) -> Schedule {
+        let config = shape(seed, nodes, ops, faults);
+        Schedule::random(&ChaosConfig {
+            detector: true,
+            ..config
+        })
+    }
+
     /// The faults of `schedule`, in order.
     fn faults(schedule: &Schedule) -> impl Iterator<Item = &FaultStep> {
         schedule.steps.iter().filter_map(|step| match step {
-            Step::Fault(fault) => Some(fault),
+            Step::Fault(_, fault) => Some(fault),
             Step::Op(_) => None,
         })
     }
@@ -385,9 +416,9 @@ mod tests {
         let schedule = Schedule::with_faults(
             3,
             [
-                (20, FaultStep::Heal),
-                (1, FaultStep::Crash(NodeId(1))),
-                (1, FaultStep::Restart(NodeId(1))),
+                (20, S0, FaultStep::Heal),
+                (1, S0, FaultStep::Crash(NodeId(1))),
+                (1, S0, FaultStep::Restart(NodeId(1))),
             ],
         );
         assert_eq!(schedule.to_string(), "op crash(n1) restart(n1) op op heal");
@@ -395,17 +426,17 @@ mod tests {
 
     #[test]
     fn random_plans_are_seed_reproducible() {
-        let a = Schedule::random(99, 4, 200, 24);
-        let b = Schedule::random(99, 4, 200, 24);
+        let a = classic(99, 4, 200, 24);
+        let b = classic(99, 4, 200, 24);
         assert_eq!(a, b);
-        let c = Schedule::random(100, 4, 200, 24);
+        let c = classic(100, 4, 200, 24);
         assert_ne!(a, c, "different seeds should diverge");
     }
 
     #[test]
     fn random_plans_never_crash_the_last_node() {
         for seed in 0..50 {
-            let schedule = Schedule::random(seed, 3, 100, 30);
+            let schedule = classic(seed, 3, 100, 30);
             let mut crashed = 0u32;
             for fault in faults(&schedule) {
                 match fault {
@@ -423,7 +454,7 @@ mod tests {
     #[test]
     fn random_plans_draw_only_steps_a_scripted_cluster_applies() {
         for seed in 0..50 {
-            for fault in faults(&Schedule::random(seed, 4, 200, 24)) {
+            for fault in faults(&classic(seed, 4, 200, 24)) {
                 assert!(
                     matches!(
                         fault,
@@ -459,10 +490,10 @@ mod tests {
 
     #[test]
     fn adaptive_plans_are_seed_reproducible_and_distinct() {
-        let a = Schedule::random_adaptive(99, 4, 200, 24);
-        let b = Schedule::random_adaptive(99, 4, 200, 24);
+        let a = adaptive(99, 4, 200, 24);
+        let b = adaptive(99, 4, 200, 24);
         assert_eq!(a, b);
-        let classic = Schedule::random(99, 4, 200, 24);
+        let classic = classic(99, 4, 200, 24);
         assert_ne!(a, classic, "adaptive schedules draw from their own stream");
     }
 
@@ -473,7 +504,7 @@ mod tests {
         for step in &schedule.steps {
             match step {
                 Step::Op(_) => ops += 1,
-                Step::Fault(fault) => rendered.push(format!("{ops}:{fault}")),
+                Step::Fault(_, fault) => rendered.push(format!("{ops}:{fault}")),
             }
         }
         rendered.join(" ")
@@ -484,7 +515,7 @@ mod tests {
     /// would re-roll every seed's schedule.
     #[test]
     fn generators_keep_their_schedules() {
-        let classic = Schedule::random(99, 4, 200, 24);
+        let classic = classic(99, 4, 200, 24);
         assert_eq!(classic.steps.len(), 224);
         assert_eq!(
             render(&classic),
@@ -497,7 +528,7 @@ mod tests {
              195:restart(n0)"
         );
         assert_eq!(
-            render(&Schedule::random_adaptive(99, 4, 200, 24)),
+            render(&adaptive(99, 4, 200, 24)),
             "7:wal_torn(n3) 18:asym_loss(n2->n1,494‰) 21:link_flap(n1,5x216ms) 22:crash(n1) \
              33:asym_loss(n2->n0,320‰) 39:restart(n3) 46:asym_loss(n2->n3,216‰) \
              60:asym_loss(n0->n2,288‰) 79:restart(n1) 96:partition(n1,n2|n0,n3) \
@@ -508,23 +539,37 @@ mod tests {
         );
     }
 
+    /// Both tables, on one shard and on three: a crash or torn write
+    /// takes down a live node, a restart brings back a crashed one, and
+    /// every shard of a federation keeps a survivor.
     #[test]
     fn both_generators_crash_live_nodes_and_restart_crashed_ones() {
         for seed in 0..50 {
-            for schedule in [
-                Schedule::random(seed, 4, 200, 40),
-                Schedule::random_adaptive(seed, 4, 200, 40),
-            ] {
-                let mut crashed = BTreeSet::new();
-                for fault in faults(&schedule) {
-                    match fault {
-                        FaultStep::Crash(node) | FaultStep::WalTornWrite { node } => {
-                            assert!(crashed.insert(*node), "seed {seed}: {node} crashed twice");
+            let shapes = [(1, 4, 200, 40), (3, 3, 300, 60)];
+            for (shards, nodes, ops, faults) in shapes {
+                for detector in [false, true] {
+                    let c = ChaosConfig {
+                        shards,
+                        detector,
+                        ..shape(seed, nodes, ops, faults)
+                    };
+                    let mut crashed = BTreeSet::new();
+                    for step in &Schedule::random(&c).steps {
+                        let Step::Fault(shard, fault) = step else {
+                            continue;
+                        };
+                        assert!(shard.0 < shards, "seed {seed}: {shard} of {shards}");
+                        match fault {
+                            FaultStep::Crash(node) | FaultStep::WalTornWrite { node } => {
+                                assert!(crashed.insert((*shard, *node)), "{c:?}: {node} was down");
+                                let down = crashed.iter().filter(|(s, _)| s == shard).count();
+                                assert!(down < nodes as usize, "{c:?}: {shard} crashed whole");
+                            }
+                            FaultStep::Restart(node) => {
+                                assert!(crashed.remove(&(*shard, *node)), "{c:?}: {node} was up");
+                            }
+                            _ => {}
                         }
-                        FaultStep::Restart(node) => {
-                            assert!(crashed.remove(node), "seed {seed}: {node} was up");
-                        }
-                        _ => {}
                     }
                 }
             }
@@ -534,7 +579,7 @@ mod tests {
     #[test]
     fn adaptive_plans_never_crash_the_last_node() {
         for seed in 0..50 {
-            let schedule = Schedule::random_adaptive(seed, 3, 100, 30);
+            let schedule = adaptive(seed, 3, 100, 30);
             let mut crashed = 0u32;
             for fault in faults(&schedule) {
                 match fault {
@@ -564,18 +609,20 @@ mod tests {
         let schedule = Schedule::with_faults(
             50,
             [
-                (3, FaultStep::Heal),
-                (7, FaultStep::Crash(NodeId(2))),
-                (12, FaultStep::Crash(NodeId(1))),
+                (3, S0, FaultStep::Heal),
+                (7, S0, FaultStep::Crash(NodeId(2))),
+                (12, S0, FaultStep::Crash(NodeId(1))),
                 (
                     20,
+                    S0,
                     FaultStep::Partition(vec![vec![NodeId(0)], vec![NodeId(3)]]),
                 ),
-                (26, FaultStep::Restart(NodeId(2))),
-                (33, FaultStep::Heal),
-                (38, FaultStep::Restart(NodeId(1))),
+                (26, S0, FaultStep::Restart(NodeId(2))),
+                (33, S0, FaultStep::Heal),
+                (38, S0, FaultStep::Restart(NodeId(1))),
                 (
                     41,
+                    S0,
                     FaultStep::ReplicaLag {
                         node: NodeId(0),
                         updates: 2,
@@ -583,12 +630,13 @@ mod tests {
                 ),
                 (
                     45,
+                    S0,
                     FaultStep::WriteFaultWindow {
                         node: NodeId(3),
                         failures: 1,
                     },
                 ),
-                (49, FaultStep::Crash(NodeId(3))),
+                (49, S0, FaultStep::Crash(NodeId(3))),
             ],
         );
         assert_eq!(schedule.steps.len(), 60);

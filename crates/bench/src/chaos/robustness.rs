@@ -5,7 +5,10 @@
 
 use crate::engine::{ChaosConfig, ChaosEngine, ChaosReport};
 use crate::plan::{FaultStep, Schedule};
+use dedisys_federation::ShardId;
 use dedisys_types::{ChaosRng, NodeId};
+
+const S0: ShardId = ShardId(0);
 
 // ---------------------------------------------------------------------
 // Explicit chaos schedule — crash mid-2PC inside a full engine run
@@ -16,16 +19,18 @@ fn explicit_schedule_with_mid_2pc_crashes_stays_clean() {
     let schedule = Schedule::with_faults(
         200,
         [
-            (25, FaultStep::Crash(NodeId(1))),
+            (25, S0, FaultStep::Crash(NodeId(1))),
             (
                 60,
+                S0,
                 FaultStep::Partition(vec![vec![NodeId(0), NodeId(2)], vec![NodeId(3)]]),
             ),
-            (90, FaultStep::Restart(NodeId(1))),
-            (110, FaultStep::Crash(NodeId(3))),
-            (140, FaultStep::Heal),
+            (90, S0, FaultStep::Restart(NodeId(1))),
+            (110, S0, FaultStep::Crash(NodeId(3))),
+            (140, S0, FaultStep::Heal),
             (
                 170,
+                S0,
                 FaultStep::WriteFaultWindow {
                     node: NodeId(2),
                     failures: 3,
@@ -71,7 +76,7 @@ fn random_chaos_schedules_keep_all_invariants() {
             report.violations
         );
         // After the final repair sequence the ledger balances exactly.
-        let tx = &report.final_stats.tx;
+        let tx = &report.final_stats[0].tx;
         assert_eq!(
             tx.begun,
             tx.committed + tx.rolled_back,
@@ -104,8 +109,8 @@ fn chaos_runs_are_seed_deterministic() {
                 r.ops_failed,
                 r.faults_applied,
                 r.in_doubt_resolved,
-                r.final_stats.now_ns,
-                r.final_stats.events_emitted,
+                r.final_stats[0].now_ns,
+                r.final_stats[0].events_emitted,
             )
         };
         assert_eq!(observed(run()), observed(run()), "seed {seed}");
@@ -118,8 +123,8 @@ fn chaos_runs_are_seed_deterministic() {
 
 /// Every 3-step schedule over five faults — a crash and a restart of
 /// n1, a split, a heal and a write-fault window on n2 — placed at ops
-/// 10, 20 and 30 of a 40-op application-mix run on 3 nodes: 125 schedules, one
-/// freshly built cluster each, every one clean.
+/// 10, 20 and 30 of a 40-op run on 3 nodes: 125 schedules, one freshly
+/// built cluster each, every one clean.
 #[test]
 fn every_three_step_schedule_stays_clean() {
     let vocabulary = [
@@ -136,8 +141,8 @@ fn every_three_step_schedule_stays_clean() {
     for a in &vocabulary {
         for b in &vocabulary {
             for c in &vocabulary {
-                let schedule =
-                    Schedule::with_faults(40, [(10, a.clone()), (20, b.clone()), (30, c.clone())]);
+                let faults = [(10, a), (20, b), (30, c)].map(|(at, f)| (at, S0, f.clone()));
+                let schedule = Schedule::with_faults(40, faults);
                 let report = ChaosEngine::new(ChaosConfig {
                     nodes: 3,
                     ops: 40,

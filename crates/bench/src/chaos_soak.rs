@@ -1,60 +1,49 @@
 //! `repro chaos-soak`: one seeded chaos run (optionally traced to
-//! JSONL) or a multi-seed sweep, of either workload mix — the
-//! application mix on one shard (the paper's three applications under
-//! their constraints), or the cross-shard transfer mix with
-//! `--shards K`.
+//! JSONL) or a multi-seed sweep, over one shard or, with `--shards K`,
+//! a federation of K — every shard runs the paper's three applications
+//! under their constraints and its share of the planned faults, and
+//! cross-shard transfers run among them.
 //!
 //! A fixed seed reproduces the run exactly — same schedule, same
 //! draws, same workload, same virtual-time trajectory, byte-identical
-//! trace file; `receipts.txt` pins single seeds and sweeps of both
-//! mixes. A single seed that breaks an invariant is shrunk: its
-//! schedule is cut down to the steps a violation of that invariant
-//! needs, and the minimal schedule is printed with the runs it took.
+//! trace file (the federation's bus and every shard's); `receipts.txt`
+//! pins single seeds and sweeps on one shard and on three. A single
+//! seed that breaks an invariant is shrunk: its schedule is cut down to
+//! the steps a violation of that invariant needs, and the minimal
+//! schedule is printed with the runs it took.
 //!
 //! Contract: the invariant checker stays silent on every seed — the
 //! threat-completeness audit (`Cluster::audit`) included, which finds
 //! every violation of an enabled invariant in the committed state
 //! explained at every checkpoint, none after the final repair, and no
-//! threat standing whose constraint holds. An application-mix sweep must also be
+//! threat standing whose constraint holds. A sweep must also be
 //! constrained: summed over its seeds, threats are stored, threats are
 //! negotiated under both timings, the repairing handler is called and
 //! the rollback search tries candidates.
 
 use crate::engine::{ChaosConfig, ChaosEngine, ChaosReport, ConstraintActivity};
 use crate::invariant::InvariantViolation;
-use crate::{require, BadFlags, Run, Verdict};
-use dedisys_core::NegotiationTiming;
+use crate::{BadFlags, Run, Verdict};
+use dedisys_core::{NegotiationTiming, StatsSnapshot};
+use dedisys_federation::FederationStats;
 
-/// The engine configuration for `seed`. One shard runs the application
-/// mix (4 nodes, 300 ops by default), more the cross-shard transfer mix
-/// (3 nodes, 200 ops).
+/// The engine configuration for `seed`: the flags given, the engine's
+/// defaults for the rest.
 fn config(run: &Run, seed: u64) -> ChaosConfig {
     let default = ChaosConfig::default();
-    let shards = run.shards.unwrap_or(default.shards);
-    let apps = shards == 1;
     ChaosConfig {
-        nodes: run.nodes.unwrap_or(if apps { default.nodes } else { 3 }),
-        ops: run.ops.unwrap_or(if apps { default.ops } else { 200 }),
+        nodes: run.nodes.unwrap_or(default.nodes),
+        ops: run.ops.unwrap_or(default.ops),
         faults: run.faults.unwrap_or(default.faults),
         seed,
-        shards,
+        shards: run.shards.unwrap_or(default.shards),
         detector: run.detector,
     }
 }
 
-/// The engine for `seed`; an invalid shape is a bad command line, and
-/// so is `--faults` on the transfer mix, whose ops draw their faults.
+/// The engine for `seed`; an invalid shape is a bad command line.
 fn engine(run: &Run, seed: u64) -> Result<ChaosEngine, BadFlags> {
-    require(
-        !(transfers(run) && run.faults.is_some()),
-        "--faults is for the application mix: the transfer mix draws its faults per op",
-    )?;
     ChaosEngine::new(config(run, seed)).map_err(|e| BadFlags(e.to_string()))
-}
-
-/// Whether `--shards` selects the cross-shard transfer mix.
-fn transfers(run: &Run) -> bool {
-    run.shards.is_some_and(|shards| shards > 1)
 }
 
 fn violations(report: &ChaosReport) -> Vec<String> {
@@ -73,25 +62,25 @@ pub fn run(run: &Run) -> Verdict {
     // the timing each seed drew: [Immediate, Deferred].
     let mut total = ConstraintActivity::default();
     let mut negotiated = [0; 2];
+    let mut x = FederationStats::default();
     let (mut failures, dirty) = run.sweep_seeds(seeds, |seed| {
         let report = engine(run, seed)?.run().expect("chaos run");
         let c = report.constraints;
         total.threats_stored += c.threats_stored;
         total.handler_calls += c.handler_calls;
         total.rollback_candidates += c.rollback_candidates;
-        if let Some(draws) = &report.draws {
-            let deferred = draws.negotiation_timing == NegotiationTiming::Deferred;
-            negotiated[usize::from(deferred)] += c.negotiations;
-        }
-        let mut line = format!(
-            "  seed {seed:>4}: {} ok, {} failed, {} faults applied",
+        let deferred = report.draws.negotiation_timing == NegotiationTiming::Deferred;
+        negotiated[usize::from(deferred)] += c.negotiations;
+        let f = report.federation;
+        x.xshard_begun += f.xshard_begun;
+        x.xshard_committed += f.xshard_committed;
+        x.xshard_aborted += f.xshard_aborted;
+        x.xshard_presumed_aborted += f.xshard_presumed_aborted;
+        let verdict = if report.clean() { "clean" } else { "VIOLATED" };
+        println!(
+            "  seed {seed:>4}: {} ok, {} failed, {} faults applied: {verdict}",
             report.ops_ok, report.ops_failed, report.faults_applied
         );
-        if transfers(run) {
-            line += &format!(", xshard {}", xshard(&report));
-        }
-        let verdict = if report.clean() { "clean" } else { "VIOLATED" };
-        println!("{line}: {verdict}");
         Ok(violations(&report))
     })?;
     println!(
@@ -99,35 +88,37 @@ pub fn run(run: &Run) -> Verdict {
         shape(run),
         config(run, run.seed).ops
     );
-    if !transfers(run) {
-        let [immediate, deferred] = negotiated;
-        println!(
-            "  constraints: {} threats stored, {immediate} negotiated immediate + {deferred} \
-             deferred, {} repairs, {} rollback candidates",
-            total.threats_stored, total.handler_calls, total.rollback_candidates
-        );
-        let constrained = [
-            total.threats_stored,
-            immediate,
-            deferred,
-            total.handler_calls,
-            total.rollback_candidates,
-        ];
-        if constrained.contains(&0) {
-            failures.push("the sweep is not constrained: a constraint count is zero".into());
-        }
+    let [immediate, deferred] = negotiated;
+    println!(
+        "  constraints: {} threats stored, {immediate} negotiated immediate + {deferred} \
+         deferred, {} repairs, {} rollback candidates",
+        total.threats_stored, total.handler_calls, total.rollback_candidates
+    );
+    println!("  xshard: {}", xshard(&x));
+    let constrained = [
+        total.threats_stored,
+        immediate,
+        deferred,
+        total.handler_calls,
+        total.rollback_candidates,
+    ];
+    if constrained.contains(&0) {
+        failures.push("the sweep is not constrained: a constraint count is zero".into());
     }
     Ok(failures)
 }
 
 fn single(run: &Run) -> Verdict {
     let engine = engine(run, run.seed)?;
-    run.trace.attach(engine.telemetry());
-    let bus = engine.telemetry().clone();
+    let buses: Vec<_> = engine.buses().cloned().collect();
+    for bus in &buses {
+        run.trace.attach(bus);
+    }
     let report = engine.run().expect("chaos run");
-    let events = bus.events_emitted();
-    // The last handle on the traced bus: dropping it flushes the trace.
-    drop(bus);
+    let events = buses.iter().map(|bus| bus.events_emitted()).sum();
+    // The last handles on the traced buses: dropping them flushes the
+    // trace.
+    drop(buses);
     print_report(&report, run, events);
     if let Some(first) = report.violations.first() {
         shrink(run, &report, first.invariant);
@@ -166,19 +157,21 @@ fn shrink(run: &Run, report: &ChaosReport, invariant: &str) {
     }
 }
 
-/// `4 nodes`, `4 nodes, detector` or `3 shards x 3 nodes`.
+/// `4 nodes`, `3 shards x 4 nodes`, either with `, detector`.
 fn shape(run: &Run) -> String {
     let config = config(run, run.seed);
-    match (config.shards, config.detector) {
-        (1, false) => format!("{} nodes", config.nodes),
-        (1, true) => format!("{} nodes, detector", config.nodes),
-        (shards, _) => format!("{shards} shards x {} nodes", config.nodes),
+    let mut shape = format!("{} nodes", config.nodes);
+    if config.shards > 1 {
+        shape = format!("{} shards x {shape}", config.shards);
     }
+    if config.detector {
+        shape += ", detector";
+    }
+    shape
 }
 
-/// The cross-shard outcomes of a transfer run.
-fn xshard(report: &ChaosReport) -> String {
-    let x = &report.federation;
+/// The cross-shard outcomes `x` counts.
+fn xshard(x: &FederationStats) -> String {
     format!(
         "{} begun = {} committed + {} aborted ({} presumed)",
         x.xshard_begun, x.xshard_committed, x.xshard_aborted, x.xshard_presumed_aborted
@@ -199,32 +192,32 @@ fn print_report(report: &ChaosReport, run: &Run, events: u64) {
         "  2pc:      {} in-doubt transaction(s) resolved by presumed abort",
         report.in_doubt_resolved
     );
-    if transfers(run) {
-        println!("  xshard:   {}", xshard(report));
-    } else {
-        let stats = &report.final_stats;
-        println!(
-            "  tx:       {} begun = {} committed + {} rolled back",
-            stats.tx.begun, stats.tx.committed, stats.tx.rolled_back
-        );
-        println!(
-            "  ship:     {} retries, {} exhausted, {} lag skips",
-            stats.replication.ship_retries,
-            stats.replication.ship_failures,
-            stats.replication.lagged_skips
-        );
-        let c = report.constraints;
-        let lost = report.violations.iter();
-        let lost = lost.filter(|v| v.invariant.starts_with("threat_")).count();
-        println!(
-            "  oracle:   {} threats stored, {} negotiated, {} repairs, {} rollback candidates; \
-             {lost} unexplained",
-            c.threats_stored, c.negotiations, c.handler_calls, c.rollback_candidates
-        );
-    }
+    println!("  xshard:   {}", xshard(&report.federation));
+    let shards = report.final_stats.iter();
+    let sum = |count: fn(&StatsSnapshot) -> u64| shards.clone().map(count).sum::<u64>();
+    println!(
+        "  tx:       {} begun = {} committed + {} rolled back",
+        sum(|s| s.tx.begun),
+        sum(|s| s.tx.committed),
+        sum(|s| s.tx.rolled_back)
+    );
+    println!(
+        "  ship:     {} retries, {} exhausted, {} lag skips",
+        sum(|s| s.replication.ship_retries),
+        sum(|s| s.replication.ship_failures),
+        sum(|s| s.replication.lagged_skips)
+    );
+    let c = report.constraints;
+    let lost = report.violations.iter();
+    let lost = lost.filter(|v| v.invariant.starts_with("threat_")).count();
+    println!(
+        "  oracle:   {} threats stored, {} negotiated, {} repairs, {} rollback candidates; \
+         {lost} unexplained",
+        c.threats_stored, c.negotiations, c.handler_calls, c.rollback_candidates
+    );
     println!(
         "  virtual time: {:.3} s, {events} trace events",
-        report.final_stats.now_ns as f64 / 1e9
+        report.final_stats[0].now_ns as f64 / 1e9
     );
     println!(
         "  invariants: {}",
@@ -243,7 +236,7 @@ mod tests {
     use dedisys_core::{NegotiationTiming, ReconcileInstructions};
     use dedisys_types::SatisfactionDegree;
 
-    /// The single-seed application-mix lines of `receipts.txt` together
+    /// The single-seed one-shard lines of `receipts.txt` together
     /// draw the request plane, both negotiation timings and a
     /// non-default value of every setting the seed draws, so the
     /// receipts pin a trajectory through each.
@@ -271,24 +264,18 @@ mod tests {
             .any(|d| d.instructions != ReconcileInstructions::default()));
     }
 
-    /// `--faults` sets the application mix's fault count; the transfer
-    /// mix draws its faults per op, so there it is refused, not ignored.
+    /// `--faults` and `--detector` shape a federation's run as they do
+    /// one shard's; a shape the engine cannot build is still a bad
+    /// command line.
     #[test]
-    fn faults_on_the_transfer_mix_are_a_bad_command_line() {
-        let transfer = |faults| Run {
-            shards: Some(3),
-            faults,
-            ..Run::default()
-        };
-        assert!(matches!(
-            super::engine(&transfer(Some(0)), 3),
-            Err(BadFlags(_))
-        ));
-        assert!(super::engine(&transfer(None), 3).is_ok());
-        let apps = Run {
+    fn faults_and_the_detector_are_accepted_on_a_federation() {
+        let federation = |shards| Run {
+            shards: Some(shards),
             faults: Some(0),
+            detector: true,
             ..Run::default()
         };
-        assert!(super::engine(&apps, 3).is_ok());
+        assert!(super::engine(&federation(3), 3).is_ok());
+        assert!(matches!(super::engine(&federation(0), 3), Err(BadFlags(_))));
     }
 }

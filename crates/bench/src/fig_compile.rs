@@ -24,7 +24,7 @@
 //! invalidate events at different virtual times by design.
 
 use crate::table::{f2, print_table};
-use crate::{broken, Run, Verdict};
+use crate::{broken, unnoticed, Run, Verdict};
 use dedisys_constraints::{
     expr::ExprConstraint, ConstraintMeta, ContextPreparation, RegisteredConstraint,
 };
@@ -99,6 +99,8 @@ struct ModeRun {
     /// The verdict fingerprint — everything that must be identical
     /// across configurations.
     fingerprint: String,
+    /// What the degraded episode's reconciliation left [`unnoticed`].
+    lost: Vec<String>,
     /// The JSONL telemetry trace, byte for byte.
     trace: Vec<u8>,
 }
@@ -202,6 +204,7 @@ fn measure(engine: ConstraintEngine, cache: bool, rounds: usize) -> ModeRun {
     }
     cluster.heal();
     cluster.reconcile(&mut HighestVersionWins, &mut DeferAll);
+    let lost = unnoticed(&cluster);
     // Two closing sweeps: the second touches no changed state at all,
     // so on the cached configuration it runs entirely from the memo.
     sweep(&mut cluster, &mut sweeps);
@@ -221,6 +224,7 @@ fn measure(engine: ConstraintEngine, cache: bool, rounds: usize) -> ModeRun {
         misses,
         invalidated,
         fingerprint: print,
+        lost,
         trace: buf.bytes(),
     }
 }
@@ -295,6 +299,7 @@ pub fn run(run: &Run) -> Verdict {
             "the cached configuration never invalidated a verdict",
         ),
     ]);
+    failures.extend(runs.iter().flat_map(|r| r.lost.iter().cloned()));
     for (r, suffix) in runs.iter().zip(TRACES) {
         if let Err(e) = run.trace.write(suffix, &r.trace) {
             failures.push(format!("trace {suffix}: {e}"));

@@ -14,8 +14,8 @@
 //!   and the §5.5 improvement studies), measured in deterministic
 //!   virtual time; each checks the paper's shape as its contracts.
 //! * `chaos-soak` — random fault schedules against the full stack,
-//!   invariants checked after every fault; `--shards K` runs the
-//!   cross-shard transfer mix.
+//!   invariants checked after every step; `--shards K` spreads the run
+//!   over K shards and adds cross-shard transfers.
 //! * `flap-sweep` — spurious mode transitions under link flapping,
 //!   fixed-timeout baseline vs the φ-accrual detector with flap damping.
 //! * `overload-sweep` — goodput and Critical-class p99 per offered load,
@@ -190,7 +190,8 @@ pub struct Run {
     pub flaps: Option<u32>,
     /// `--ticks`: arrival ticks per sweep cell.
     pub ticks: Option<u32>,
-    /// `--shards`: chaos-soak shards (more than one: the transfer mix).
+    /// `--shards`: chaos-soak shards (from two on, cross-shard
+    /// transfers join the ops).
     pub shards: Option<u32>,
     /// `--sweep N`: run seeds `seed..seed + N` instead of one.
     pub sweep: Option<u64>,
@@ -296,6 +297,24 @@ fn require(holds: bool, problem: &str) -> Result<(), BadFlags> {
     }
 }
 
+/// Dissertation §3.2's promise after a reconciliation, as broken
+/// contracts: one line per violation [`Cluster::audit`] finds
+/// unexplained and, once the topology is whole again, one per threat
+/// standing whose constraint holds ([`Cluster::stale_threats`]). It
+/// only reads the cluster, so no output moves.
+fn unnoticed(cluster: &Cluster) -> Vec<String> {
+    let audit = cluster.audit();
+    let lost = audit.iter().filter(|finding| finding.explanation.is_none());
+    let mut out: Vec<String> = lost.map(|f| format!("unexplained violation {f}")).collect();
+    if cluster.topology().is_healthy() {
+        out.extend(cluster.stale_threats().into_iter().map(|t| {
+            let on = t.context_object.map_or("-".into(), |o| o.to_string());
+            format!("stale threat of {} on {on}", t.constraint)
+        }));
+    }
+    out
+}
+
 /// The failures among `contracts`: each pairs whether it holds with
 /// what its failure means.
 fn broken(contracts: &[(bool, &str)]) -> Vec<String> {
@@ -322,6 +341,31 @@ mod tests {
             1
         );
         assert_eq!(flap_sweep::contract(&[cell(16, 0), cell(2, 0)], 1).len(), 1);
+    }
+
+    /// A violation no threat records — committed behind a disabled
+    /// constraint that is then re-enabled — breaks the §3.2 contract
+    /// the reconciling experiments end with.
+    #[test]
+    fn a_lost_violation_breaks_the_promise_contract() {
+        use dedisys::apps::flight;
+        use dedisys_types::{ConstraintName, NodeId};
+        let builder = ClusterBuilder::new(2, flight::flight_app())
+            .methods(flight::flight_methods())
+            .constraint(flight::ticket_constraint());
+        let mut cluster = builder.build().unwrap();
+        let id = flight::create_flight(&mut cluster, NodeId(0), "LH-441", 80, 70).unwrap();
+        assert!(unnoticed(&cluster).is_empty());
+        let name = ConstraintName::from("TicketConstraint");
+        cluster.set_constraint_enabled(&name, false).unwrap();
+        flight::sell_tickets(&mut cluster, NodeId(0), &id, 20).unwrap();
+        cluster.set_constraint_enabled(&name, true).unwrap();
+        let lost = unnoticed(&cluster);
+        assert_eq!(lost.len(), 1, "{lost:?}");
+        assert!(
+            lost[0].contains("(TicketConstraint, Flight#LH-441)"),
+            "{lost:?}"
+        );
     }
 
     #[test]

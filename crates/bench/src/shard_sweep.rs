@@ -24,7 +24,7 @@
 //! seed reproduces the table — and a `--trace` JSONL file — byte for
 //! byte.
 
-use crate::engine::{chaos_app, fund_accounts, prepare_transfer};
+use crate::engine::{account_balance, chaos_app, fund_accounts, prepare_transfer};
 use crate::invariant::InvariantChecker;
 use crate::overload_sweep::arrival;
 use crate::table::print_verdict;
@@ -204,10 +204,14 @@ fn run_cell(run: &Run, shards: u32, load: u32, pattern: Pattern) -> CellOutcome 
     let mut violations: Vec<_> = (0..shards)
         .flat_map(|s| InvariantChecker::check_running(fed.shard(ShardId(s))))
         .collect();
+    let balances: Vec<_> = (accounts.iter())
+        .map(|id| (id.clone(), account_balance(&fed, id)))
+        .collect();
     violations.extend(InvariantChecker::check_federation(
         &fed,
-        &accounts,
+        &balances,
         BALANCE * i64::from(ACCOUNTS),
+        &[],
     ));
     let completed: u64 = (0..shards)
         .map(|s| fed.plane(ShardId(s)).stats().total().completed)
