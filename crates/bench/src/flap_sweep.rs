@@ -20,7 +20,7 @@
 
 use crate::table::print_verdict;
 use crate::{require, Run, Verdict};
-use dedisys_core::{ClusterBuilder, DetectorKind, StabilizerConfig};
+use dedisys_core::{ClusterBuilder, DetectorKind, MembershipConfig};
 use dedisys_object::{AppDescriptor, ClassDescriptor, EntityState};
 use dedisys_types::{NodeId, ObjectId, SimDuration, Value};
 
@@ -30,7 +30,7 @@ use dedisys_types::{NodeId, ObjectId, SimDuration, Value};
 const PERIODS_MS: &[u64] = &[400, 600, 900];
 
 /// Stabilizer settle windows swept per period, in milliseconds. The
-/// middle value is [`StabilizerConfig::default`]'s window.
+/// middle value is [`MembershipConfig`]'s default `settle`.
 const SETTLES_MS: &[u64] = &[150, 300, 600];
 
 /// Standing heartbeat jitter, so different seeds draw different
@@ -58,7 +58,7 @@ fn run_cell(
     seed: u64,
     period: SimDuration,
     kind: DetectorKind,
-    stabilizer: StabilizerConfig,
+    settle: SimDuration,
 ) -> CellOutcome {
     let (nodes, flaps) = size(run);
     let app = AppDescriptor::new("flap-sweep")
@@ -66,7 +66,7 @@ fn run_cell(
     let mut cluster = run.cluster(ClusterBuilder::new(nodes, app).configure(|c| {
         c.membership.detector_enabled = true;
         c.membership.detector = kind;
-        c.membership.stabilizer = stabilizer;
+        c.membership.settle = settle;
         c.membership.seed = seed;
     }));
     cluster
@@ -152,20 +152,22 @@ pub fn run(run: &Run) -> Verdict {
         nodes >= 3,
         "needs a quorum-capable cluster (--nodes 3 or more)",
     )?;
+    // A zero settle window is the passthrough baseline: no hold, no
+    // damping.
     let fixed = |seed, period| {
-        let passthrough = StabilizerConfig::passthrough();
-        run_cell(run, seed, period, DetectorKind::FixedTimeout, passthrough)
+        run_cell(
+            run,
+            seed,
+            period,
+            DetectorKind::FixedTimeout,
+            SimDuration::ZERO,
+        )
     };
-    let adaptive = |seed, period, settle| {
-        let stabilizer = StabilizerConfig {
-            settle,
-            ..StabilizerConfig::default()
-        };
-        run_cell(run, seed, period, DetectorKind::Adaptive, stabilizer)
-    };
+    let adaptive =
+        |seed, period, settle| run_cell(run, seed, period, DetectorKind::Adaptive, settle);
     if let Some(seeds) = run.sweep {
         let period = SimDuration::from_millis(600);
-        let settle = StabilizerConfig::default().settle;
+        let settle = MembershipConfig::default().settle;
         let (failures, dirty) = run.sweep_seeds(seeds, |seed| {
             Ok(contract(
                 &[fixed(seed, period), adaptive(seed, period, settle)],

@@ -200,11 +200,7 @@ impl ClusterBuilder {
         let mut txs = TransactionManager::default();
         txs.attach_telemetry(telemetry.clone());
         let view_trackers = (0..self.nodes)
-            .map(|n| {
-                let mut tracker = ViewTracker::new(NodeId(n), &topology);
-                tracker.attach_telemetry(telemetry.clone());
-                tracker
-            })
+            .map(|n| ViewTracker::new(NodeId(n), &topology, telemetry.clone()))
             .collect();
         if config.validation.engine == ConstraintEngine::Compiled {
             compile_constraints(&repository, &telemetry, &clock, &self.costs);
@@ -213,9 +209,10 @@ impl ClusterBuilder {
             MembershipSim::new(
                 self.nodes,
                 config.membership.detector,
-                config.membership.stabilizer,
+                config.membership.settle,
                 config.membership.seed,
                 clock.clone(),
+                telemetry.clone(),
             )
         });
         Ok(Cluster {

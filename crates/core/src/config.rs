@@ -23,8 +23,8 @@ use crate::ccm::NegotiationTiming;
 use crate::cluster::ReconcileStrategy;
 use crate::threat::HistoryPolicy;
 use dedisys_constraints::ConstraintEngine;
-use dedisys_gms::{DetectorKind, StabilizerConfig};
-use dedisys_types::SatisfactionDegree;
+use dedisys_gms::DetectorKind;
+use dedisys_types::{SatisfactionDegree, SimDuration};
 
 /// How constraints are evaluated and negotiated.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -61,7 +61,7 @@ impl Default for ValidationConfig {
 ///
 /// Every field is build-time only: the detector pipeline is wired (or
 /// not) when the cluster is built.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MembershipConfig {
     /// Whether the detector-driven membership pipeline runs at all
     /// (default: off — tests script topology changes explicitly).
@@ -70,12 +70,24 @@ pub struct MembershipConfig {
     /// The failure-detector kind (fixed timeout vs φ-accrual).
     /// Build-time only.
     pub detector: DetectorKind,
-    /// Hysteresis / flap-damping parameters of the view stabilizer.
-    /// Build-time only.
-    pub stabilizer: StabilizerConfig,
+    /// How long a detected partitioning must hold before it is
+    /// installed (default 300 ms). Zero installs every raw change at
+    /// once and turns flap damping off. Build-time only.
+    pub settle: SimDuration,
     /// Seed of the pipeline's deterministic loss/jitter draws.
     /// Build-time only.
     pub seed: u64,
+}
+
+impl Default for MembershipConfig {
+    fn default() -> Self {
+        Self {
+            detector_enabled: false,
+            detector: DetectorKind::default(),
+            settle: SimDuration::from_millis(300),
+            seed: 0,
+        }
+    }
 }
 
 /// Threat history and reconciliation strategy.
@@ -165,7 +177,7 @@ impl ClusterConfig {
             membership: MembershipConfig {
                 detector_enabled,
                 detector,
-                stabilizer,
+                settle,
                 seed,
             },
             durability: DurabilityConfig {

@@ -105,7 +105,7 @@ pub use threat::{
 
 // Re-export the pieces users need to assemble a cluster.
 pub use dedisys_constraints::ConstraintEngine;
-pub use dedisys_gms::{DetectorKind, LinkFault, MembershipSim, NodeWeights, StabilizerConfig};
+pub use dedisys_gms::{DetectorKind, LinkFault, NodeWeights};
 pub use dedisys_replication::{
     HighestVersionWins, ProtocolKind, ReplicaConflict, ReplicaConsistencyHandler,
 };

@@ -1,5 +1,12 @@
-//! φ-accrual-style adaptive failure detection (Hayashibara et al.)
-//! on the deterministic virtual clock.
+//! Failure detection on the deterministic virtual clock: the
+//! fixed-timeout heartbeat detector and a φ-accrual-style adaptive one
+//! (Hayashibara et al.).
+//!
+//! Every node multicasts heartbeats; a peer not heard from within the
+//! timeout is suspected. Since node and link failures cannot be
+//! differentiated when they occur (§1.1, [FLP85]), a suspected node is
+//! simply treated as being in another partition. Both detectors run
+//! inside [`crate::MembershipSim`].
 //!
 //! The fixed-timeout detector treats every link the same; under jittery
 //! links it either suspects too eagerly (false positives → view flaps)
@@ -21,9 +28,12 @@
 //! All state is integer, so two runs with the same schedule produce
 //! bit-identical suspicion sequences.
 
-use crate::detector::SUSPECT_TIMEOUT;
-use dedisys_types::SimTime;
+use dedisys_types::{SimDuration, SimTime};
 use std::collections::VecDeque;
+
+/// Silence after which the fixed detector suspects a peer (and the
+/// adaptive detector, while its window is cold).
+const SUSPECT_TIMEOUT: SimDuration = SimDuration::from_millis(350);
 
 /// `1000 · log10(e)` — the fixed-point scale factor turning
 /// `Δ / mean` into `φ · 1000` under the exponential model.
@@ -37,41 +47,37 @@ pub enum DetectorKind {
     #[default]
     FixedTimeout,
     /// φ-accrual adaptive detector: suspect when the fixed-point
-    /// suspicion level crosses [`PHI_THRESHOLD_MILLI`].
+    /// suspicion level φ · 1000 reaches 1300, a silence of about three
+    /// mean inter-arrival periods.
     Adaptive,
 }
 
 /// Sliding-window capacity of inter-arrival samples per peer.
-pub const ACCRUAL_WINDOW: usize = 16;
+pub(crate) const ACCRUAL_WINDOW: usize = 16;
 
 /// Below this many samples the detector falls back to the fixed
 /// timeout (a cold window has no meaningful mean).
-pub const ACCRUAL_MIN_SAMPLES: usize = 4;
+pub(crate) const ACCRUAL_MIN_SAMPLES: usize = 4;
 
 /// Suspicion threshold as `φ · 1000`: 1300 suspects after a silence of
 /// ≈ 3 mean inter-arrival periods (`Δ = 1300 · mean / 434 ≈ 3.0 · mean`).
-pub const PHI_THRESHOLD_MILLI: u64 = 1300;
+pub(crate) const PHI_THRESHOLD_MILLI: u64 = 1300;
 
 /// Per-peer accrual state: the inter-arrival window and its running
 /// sum (so the mean is O(1) to read).
 #[derive(Debug, Clone, Default)]
-pub struct AdaptiveDetector {
+pub(crate) struct AdaptiveDetector {
     samples: VecDeque<u64>,
     sum_ns: u64,
     last_arrival: Option<SimTime>,
 }
 
 impl AdaptiveDetector {
-    /// Creates an empty window.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Records a heartbeat arrival at `at`, folding the inter-arrival
     /// time into the window (capacity [`ACCRUAL_WINDOW`]). Out-of-order
     /// arrivals (jitter can reorder deliveries) are ignored for interval
     /// purposes but still refresh the last-arrival mark when newer.
-    pub fn record_arrival(&mut self, at: SimTime) {
+    pub(crate) fn record_arrival(&mut self, at: SimTime) {
         if let Some(last) = self.last_arrival {
             if at <= last {
                 return;
@@ -95,11 +101,6 @@ impl AdaptiveDetector {
         }
     }
 
-    /// The instant of the last recorded arrival.
-    pub fn last_arrival(&self) -> Option<SimTime> {
-        self.last_arrival
-    }
-
     /// Current suspicion level as `φ · 1000` at `now`, or `None` while
     /// the window is empty. Monotonic in the silence duration.
     pub(crate) fn phi_milli(&self, now: SimTime) -> Option<u64> {
@@ -113,18 +114,19 @@ impl AdaptiveDetector {
         Some(phi.min(u64::MAX as u128) as u64)
     }
 
-    /// Suspicion decision at `now`: accrual once the window is warm
-    /// ([`ACCRUAL_MIN_SAMPLES`]), the fixed detector's
-    /// [`SUSPECT_TIMEOUT`] of silence before that.
-    pub fn is_suspect(&self, now: SimTime) -> bool {
-        let Some(last) = self.last_arrival else {
-            return false;
-        };
-        if now <= last {
-            return false;
-        }
+    /// The fixed detector's verdict at `now`: nothing heard for
+    /// [`SUSPECT_TIMEOUT`].
+    pub(crate) fn timed_out(&self, now: SimTime) -> bool {
+        self.last_arrival
+            .is_some_and(|last| last < now && now.since(last) >= SUSPECT_TIMEOUT)
+    }
+
+    /// The adaptive detector's verdict at `now`: accrual once the window
+    /// is warm ([`ACCRUAL_MIN_SAMPLES`]), [`AdaptiveDetector::timed_out`]
+    /// before that.
+    pub(crate) fn is_suspect(&self, now: SimTime) -> bool {
         if self.samples.len() < ACCRUAL_MIN_SAMPLES {
-            return now.since(last) >= SUSPECT_TIMEOUT;
+            return self.timed_out(now);
         }
         self.phi_milli(now).unwrap_or(0) >= PHI_THRESHOLD_MILLI
     }
@@ -132,7 +134,7 @@ impl AdaptiveDetector {
     /// Resets the arrival mark to `at` without touching the learned
     /// window — used when a scripted topology change authoritatively
     /// reconnects a link (the history of a healthy link stays valid).
-    pub fn mark_heard(&mut self, at: SimTime) {
+    pub(crate) fn mark_heard(&mut self, at: SimTime) {
         self.last_arrival = Some(at);
     }
 }
@@ -147,7 +149,7 @@ mod tests {
 
     #[test]
     fn phi_grows_with_silence() {
-        let mut d = AdaptiveDetector::new();
+        let mut d = AdaptiveDetector::default();
         for i in 0..10 {
             d.record_arrival(t(i * 100));
         }
@@ -165,15 +167,12 @@ mod tests {
         // 350 ms timeout flags it during normal operation; the accrual
         // detector has learned the rhythm and stays calm until ≈ 3
         // intervals of true silence.
-        let mut d = AdaptiveDetector::new();
+        let mut d = AdaptiveDetector::default();
         for i in 0..10 {
             d.record_arrival(t(i * 300));
         }
         let now = t(9 * 300 + 400); // 400 ms of silence
-        assert!(
-            now.since(d.last_arrival().unwrap()) >= SUSPECT_TIMEOUT,
-            "fixed would fire"
-        );
+        assert!(d.timed_out(now), "fixed would fire");
         assert!(!d.is_suspect(now), "accrual holds");
         let much_later = t(9 * 300 + 1000);
         assert!(d.is_suspect(much_later));
@@ -181,7 +180,7 @@ mod tests {
 
     #[test]
     fn cold_window_falls_back_to_fixed_timeout() {
-        let mut d = AdaptiveDetector::new();
+        let mut d = AdaptiveDetector::default();
         d.record_arrival(t(0));
         d.record_arrival(t(100)); // 1 sample < ACCRUAL_MIN_SAMPLES
         assert!(!d.is_suspect(t(200)));
@@ -190,7 +189,7 @@ mod tests {
 
     #[test]
     fn window_is_bounded_and_out_of_order_ignored() {
-        let mut d = AdaptiveDetector::new();
+        let mut d = AdaptiveDetector::default();
         for i in 0..100 {
             d.record_arrival(t(i * 10));
         }
@@ -202,7 +201,7 @@ mod tests {
 
     #[test]
     fn no_arrivals_means_no_suspicion() {
-        let d = AdaptiveDetector::new();
+        let d = AdaptiveDetector::default();
         assert!(!d.is_suspect(t(10_000)));
         assert_eq!(d.phi_milli(t(10_000)), None);
     }

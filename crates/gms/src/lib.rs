@@ -8,53 +8,52 @@
 //! crate provides:
 //!
 //! * [`View`] — an installed membership view (view id + member set).
-//! * [`ViewTracker`] — per-node view installation, deriving
-//!   [`ViewChange`]s (who joined, who left) from topology epochs.
+//! * [`ViewTracker`] — per-node view installation from topology
+//!   epochs, reporting each change (who joined, who left) as a
+//!   `view_change` on the cluster's bus.
 //! * [`NodeWeights`] / partition weight — Gifford-style weighted nodes
 //!   (§5.5.2) enabling *partition-sensitive* integrity constraints.
-//! * [`HEARTBEAT_INTERVAL`] / [`SUSPECT_TIMEOUT`] — the timing of the
-//!   fixed-timeout detector.
-//! * [`AdaptiveDetector`] / [`DetectorKind`] — a φ-accrual-style
-//!   adaptive detector (integer fixed-point, virtual-clock only) that
-//!   learns each link's heartbeat rhythm instead of using one global
-//!   timeout.
-//! * [`ViewStabilizer`] — hysteresis + BGP-style flap damping between
-//!   raw suspicion and installed views.
-//! * [`MembershipSim`] — the full pipeline (physical link faults →
-//!   heartbeats → suspicion → damping → stabilized partitionings) on
-//!   the shared virtual clock.
+//! * [`MembershipSim`] — the detection pipeline (physical link faults
+//!   → heartbeats → suspicion → damping → stabilized partitionings) on
+//!   the shared virtual clock. [`DetectorKind`] picks its detector: a
+//!   fixed 350 ms timeout on 100 ms heartbeats, or a φ-accrual-style
+//!   adaptive one (integer fixed-point) that learns each link's
+//!   heartbeat rhythm. Between raw suspicion and installed views sit a
+//!   settle window and BGP-style flap damping. The pipeline reports
+//!   each suspicion, damped flap and stabilized view on the cluster's
+//!   bus and hands the stabilized partitioning back to install.
 //!
 //! ## Example
 //!
 //! ```
 //! use dedisys_gms::{NodeWeights, ViewTracker};
-//! use dedisys_net::Topology;
+//! use dedisys_net::{SimClock, Topology};
+//! use dedisys_telemetry::{RingRecorder, Telemetry, TraceEvent};
 //! use dedisys_types::NodeId;
 //!
+//! let bus = Telemetry::new(SimClock::new());
+//! let ring = RingRecorder::new(8);
+//! bus.attach(Box::new(ring.clone()));
 //! let mut topo = Topology::fully_connected(3);
-//! let mut tracker = ViewTracker::new(NodeId(0), &topo);
+//! let mut tracker = ViewTracker::new(NodeId(0), &topo, bus);
 //! assert_eq!(tracker.current().members().len(), 3);
 //!
 //! topo.split(&[&[0], &[1, 2]]);
-//! let change = tracker.observe(&topo).expect("view change");
-//! assert_eq!(change.left.len(), 2);
+//! tracker.observe(&topo);
+//! let change = &ring.records()[0].event;
+//! assert!(matches!(change, TraceEvent::ViewChange { joined: 0, left: 2, .. }));
 //!
 //! let weights = NodeWeights::uniform(3);
 //! assert!((weights.partition_fraction(tracker.current().members()) - 1.0 / 3.0).abs() < 1e-9);
 //! ```
 
 mod adaptive;
-mod detector;
 mod membership;
 mod stabilizer;
 mod view;
 mod weight;
 
-pub use adaptive::{
-    AdaptiveDetector, DetectorKind, ACCRUAL_MIN_SAMPLES, ACCRUAL_WINDOW, PHI_THRESHOLD_MILLI,
-};
-pub use detector::{HEARTBEAT_INTERVAL, SUSPECT_TIMEOUT};
-pub use membership::{LinkFault, MembershipEvent, MembershipSim};
-pub use stabilizer::{StabilizerConfig, ViewStabilizer};
-pub use view::{View, ViewChange, ViewTracker};
+pub use adaptive::DetectorKind;
+pub use membership::{LinkFault, MembershipSim};
+pub use view::{View, ViewTracker};
 pub use weight::NodeWeights;

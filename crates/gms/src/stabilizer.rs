@@ -23,49 +23,19 @@
 use dedisys_types::{NodeId, SimDuration, SimTime};
 use std::collections::{BTreeSet, HashMap};
 
-/// Tuning of the [`ViewStabilizer`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StabilizerConfig {
-    /// How long a candidate partitioning must hold before installation.
-    pub settle: SimDuration,
-    /// Penalty (milli-units) charged per suspicion flip.
-    pub flap_penalty_milli: u64,
-    /// Penalty decay half-life in virtual time.
-    pub half_life: SimDuration,
-    /// A node at or above this penalty is suppressed (its connectivity
-    /// is frozen at the last stabilized state).
-    pub suppress_milli: u64,
-    /// A suppressed node is reused once its penalty decays to or below
-    /// this value.
-    pub reuse_milli: u64,
-}
+/// Penalty (milli-units) charged per suspicion flip.
+const FLAP_PENALTY_MILLI: u64 = 1000;
 
-impl Default for StabilizerConfig {
-    fn default() -> Self {
-        Self {
-            settle: SimDuration::from_millis(300),
-            flap_penalty_milli: 1000,
-            half_life: SimDuration::from_secs(2),
-            suppress_milli: 3000,
-            reuse_milli: 1500,
-        }
-    }
-}
+/// Penalty decay half-life in virtual time.
+const HALF_LIFE: SimDuration = SimDuration::from_secs(2);
 
-impl StabilizerConfig {
-    /// A do-nothing configuration: no hold window, no damping. Every
-    /// raw membership change is emitted immediately — the baseline the
-    /// flap-sweep experiment compares against.
-    pub fn passthrough() -> Self {
-        Self {
-            settle: SimDuration::ZERO,
-            flap_penalty_milli: 0,
-            half_life: SimDuration::from_secs(1),
-            suppress_milli: u64::MAX,
-            reuse_milli: 0,
-        }
-    }
-}
+/// A node at or above this penalty is suppressed (its connectivity is
+/// frozen at the last stabilized state).
+const SUPPRESS_MILLI: u64 = 3000;
+
+/// A suppressed node is reused once its penalty decays to or below
+/// this value.
+const REUSE_MILLI: u64 = 1500;
 
 /// Decaying per-node flap penalty.
 #[derive(Debug, Clone, Copy)]
@@ -80,10 +50,11 @@ struct Penalty {
 /// it returns `Some(partitioning)` only when a *new* partitioning has
 /// survived the settle window. Suspicion flips are reported through
 /// [`ViewStabilizer::record_flap`], which answers whether the node just
-/// crossed into suppression.
+/// crossed into suppression. A zero settle window turns both off:
+/// every raw change is emitted at once and no flip is damped.
 #[derive(Debug, Clone)]
-pub struct ViewStabilizer {
-    config: StabilizerConfig,
+pub(crate) struct ViewStabilizer {
+    settle: SimDuration,
     penalties: HashMap<NodeId, Penalty>,
     suppressed: BTreeSet<NodeId>,
     candidate: Option<Vec<BTreeSet<NodeId>>>,
@@ -92,10 +63,11 @@ pub struct ViewStabilizer {
 }
 
 impl ViewStabilizer {
-    /// Creates a stabilizer with no installed view yet.
-    pub fn new(config: StabilizerConfig) -> Self {
+    /// Creates a stabilizer with no installed view yet that holds a
+    /// candidate for `settle` before emitting it.
+    pub(crate) fn new(settle: SimDuration) -> Self {
         Self {
-            config,
+            settle,
             penalties: HashMap::new(),
             suppressed: BTreeSet::new(),
             candidate: None,
@@ -104,51 +76,48 @@ impl ViewStabilizer {
         }
     }
 
-    /// The configuration in effect.
-    pub fn config(&self) -> &StabilizerConfig {
-        &self.config
-    }
-
     /// The last stabilized partitioning, if any was emitted.
-    pub fn stable(&self) -> Option<&[BTreeSet<NodeId>]> {
+    pub(crate) fn stable(&self) -> Option<&[BTreeSet<NodeId>]> {
         self.stable.as_deref()
     }
 
     /// Overwrites the stabilized state (scripted topology changes are
     /// authoritative and bypass the debounce).
-    pub fn force_stable(&mut self, partitions: Vec<BTreeSet<NodeId>>) {
+    pub(crate) fn force_stable(&mut self, partitions: Vec<BTreeSet<NodeId>>) {
         self.stable = Some(partitions);
         self.candidate = None;
     }
 
     /// Nodes currently suppressed by flap damping.
-    pub fn suppressed(&self) -> &BTreeSet<NodeId> {
+    pub(crate) fn suppressed(&self) -> &BTreeSet<NodeId> {
         &self.suppressed
     }
 
     /// Current decayed penalty of `node` in milli-units.
-    pub fn penalty_milli(&self, node: NodeId, now: SimTime) -> u64 {
+    pub(crate) fn penalty_milli(&self, node: NodeId, now: SimTime) -> u64 {
         self.penalties
             .get(&node)
-            .map(|p| decay(p, now, self.config.half_life))
+            .map(|p| decay(p, now))
             .unwrap_or(0)
     }
 
     /// Charges one suspicion flip to `node` at `now`. Returns `true`
-    /// if the node crossed into suppression with this flip.
-    pub fn record_flap(&mut self, node: NodeId, now: SimTime) -> bool {
-        let half_life = self.config.half_life;
+    /// if the node crossed into suppression with this flip. With a zero
+    /// settle window nothing is charged.
+    pub(crate) fn record_flap(&mut self, node: NodeId, now: SimTime) -> bool {
+        if self.settle == SimDuration::ZERO {
+            return false;
+        }
         let entry = self.penalties.entry(node).or_insert(Penalty {
             value_milli: 0,
             updated: now,
         });
-        let decayed = decay(entry, now, half_life);
-        entry.value_milli = decayed.saturating_add(self.config.flap_penalty_milli);
+        entry.value_milli = decay(entry, now).saturating_add(FLAP_PENALTY_MILLI);
         entry.updated = now;
         if self.suppressed.contains(&node) {
             return false;
         }
-        if entry.value_milli >= self.config.suppress_milli {
+        if entry.value_milli >= SUPPRESS_MILLI {
             self.suppressed.insert(node);
             return true;
         }
@@ -156,30 +125,17 @@ impl ViewStabilizer {
     }
 
     /// Decays penalties and releases nodes whose penalty dropped to the
-    /// reuse threshold. Returns the nodes released at this call.
-    pub fn release_due(&mut self, now: SimTime) -> Vec<NodeId> {
-        let mut released = Vec::new();
-        let reuse = self.config.reuse_milli;
-        let half_life = self.config.half_life;
-        let suppressed: Vec<NodeId> = self.suppressed.iter().copied().collect();
-        for node in suppressed {
-            let current = self
-                .penalties
-                .get(&node)
-                .map(|p| decay(p, now, half_life))
-                .unwrap_or(0);
-            if current <= reuse {
-                self.suppressed.remove(&node);
-                released.push(node);
-            }
-        }
-        released
+    /// reuse threshold.
+    pub(crate) fn release_due(&mut self, now: SimTime) {
+        let penalties = &self.penalties;
+        self.suppressed
+            .retain(|node| penalties.get(node).map_or(0, |p| decay(p, now)) > REUSE_MILLI);
     }
 
     /// Observes a raw partitioning at `now`. Returns the partitioning
     /// once it has survived the settle window and differs from the last
     /// stabilized one.
-    pub fn observe(
+    pub(crate) fn observe(
         &mut self,
         observed: Vec<BTreeSet<NodeId>>,
         now: SimTime,
@@ -190,7 +146,7 @@ impl ViewStabilizer {
         }
         match &self.candidate {
             Some(candidate) if *candidate == observed => {
-                if now.since(self.candidate_since) >= self.config.settle {
+                if now.since(self.candidate_since) >= self.settle {
                     self.stable = Some(observed.clone());
                     self.candidate = None;
                     return Some(observed);
@@ -198,7 +154,7 @@ impl ViewStabilizer {
                 None
             }
             _ => {
-                if self.config.settle == SimDuration::ZERO {
+                if self.settle == SimDuration::ZERO {
                     self.stable = Some(observed.clone());
                     self.candidate = None;
                     return Some(observed);
@@ -213,11 +169,11 @@ impl ViewStabilizer {
 
 /// Penalty after decaying by the whole half-lives elapsed since its
 /// last update (integer shift — deterministic, monotone).
-fn decay(p: &Penalty, now: SimTime, half_life: SimDuration) -> u64 {
-    if now <= p.updated || half_life == SimDuration::ZERO {
+fn decay(p: &Penalty, now: SimTime) -> u64 {
+    if now <= p.updated {
         return p.value_milli;
     }
-    let lives = now.since(p.updated).as_nanos() / half_life.as_nanos().max(1);
+    let lives = now.since(p.updated).as_nanos() / HALF_LIFE.as_nanos();
     if lives >= 64 {
         0
     } else {
@@ -228,6 +184,9 @@ fn decay(p: &Penalty, now: SimTime, half_life: SimDuration) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The cluster's default settle window.
+    const SETTLE: SimDuration = SimDuration::from_millis(300);
 
     fn t(ms: u64) -> SimTime {
         SimTime::from_nanos(ms * 1_000_000)
@@ -242,10 +201,7 @@ mod tests {
 
     #[test]
     fn candidate_must_survive_settle_window() {
-        let mut s = ViewStabilizer::new(StabilizerConfig {
-            settle: SimDuration::from_millis(300),
-            ..StabilizerConfig::default()
-        });
+        let mut s = ViewStabilizer::new(SETTLE);
         s.force_stable(parts(&[&[0, 1, 2]]));
         let split = parts(&[&[0, 1], &[2]]);
         assert!(s.observe(split.clone(), t(0)).is_none(), "just proposed");
@@ -255,10 +211,7 @@ mod tests {
 
     #[test]
     fn oscillation_never_stabilizes() {
-        let mut s = ViewStabilizer::new(StabilizerConfig {
-            settle: SimDuration::from_millis(300),
-            ..StabilizerConfig::default()
-        });
+        let mut s = ViewStabilizer::new(SETTLE);
         s.force_stable(parts(&[&[0, 1]]));
         let split = parts(&[&[0], &[1]]);
         let whole = parts(&[&[0, 1]]);
@@ -271,15 +224,19 @@ mod tests {
 
     #[test]
     fn passthrough_emits_immediately() {
-        let mut s = ViewStabilizer::new(StabilizerConfig::passthrough());
+        let mut s = ViewStabilizer::new(SimDuration::ZERO);
         let split = parts(&[&[0], &[1]]);
         assert_eq!(s.observe(split.clone(), t(0)), Some(split));
+        // ... and damps nothing.
+        for ms in 0..5 {
+            assert!(!s.record_flap(NodeId(1), t(ms)));
+        }
+        assert!(s.suppressed().is_empty());
     }
 
     #[test]
     fn repeated_flips_suppress_then_decay_releases() {
-        let config = StabilizerConfig::default();
-        let mut s = ViewStabilizer::new(config);
+        let mut s = ViewStabilizer::new(SETTLE);
         assert!(!s.record_flap(NodeId(1), t(0)));
         assert!(!s.record_flap(NodeId(1), t(10)));
         // Third flip reaches 3000 milli = suppress threshold.
@@ -288,17 +245,18 @@ mod tests {
         // Further flips while suppressed only add to the penalty.
         assert!(!s.record_flap(NodeId(1), t(30)));
         // ~4000 milli decays below reuse (1500) after two half-lives.
+        s.release_due(t(30 + 2_000));
         assert!(
-            s.release_due(t(30 + 2_000)).is_empty(),
+            s.suppressed().contains(&NodeId(1)),
             "one half-life: 2000 > 1500"
         );
-        assert_eq!(s.release_due(t(30 + 4_000)), vec![NodeId(1)]);
+        s.release_due(t(30 + 4_000));
         assert!(s.suppressed().is_empty());
     }
 
     #[test]
     fn penalty_decays_by_half_lives() {
-        let mut s = ViewStabilizer::new(StabilizerConfig::default());
+        let mut s = ViewStabilizer::new(SETTLE);
         s.record_flap(NodeId(0), t(0));
         assert_eq!(s.penalty_milli(NodeId(0), t(0)), 1000);
         assert_eq!(s.penalty_milli(NodeId(0), t(2_000)), 500);

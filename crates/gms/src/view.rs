@@ -61,56 +61,32 @@ impl fmt::Display for View {
     }
 }
 
-/// The difference between two consecutive views.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ViewChange {
-    /// The previous view.
-    pub old: View,
-    /// The newly installed view.
-    pub new: View,
-    /// Nodes present in `new` but not in `old` (re-joins / recoveries):
-    /// when not empty, the change re-unifies split partitions — the
-    /// trigger for the reconciliation phase (§4.4).
-    pub joined: BTreeSet<NodeId>,
-    /// Nodes present in `old` but not in `new` (crashes / partitions).
-    pub left: BTreeSet<NodeId>,
-}
-
 /// Tracks the view of a single node across topology changes.
 ///
-/// The tracker polls the topology's epoch; when it changed, a new view
-/// is installed and the [`ViewChange`] is reported — the synchronous
-/// equivalent of the GMS notification in Figure 4.6.
+/// The tracker polls the topology's epoch; when the node's membership
+/// changed, a new view is installed and a `view_change` event (who
+/// joined, who left) goes out on the cluster's bus — the synchronous
+/// equivalent of the GMS notification in Figure 4.6. Nodes joining is
+/// the merge that triggers the reconciliation phase (§4.4).
 #[derive(Debug, Clone)]
 pub struct ViewTracker {
     node: NodeId,
     current: View,
     last_epoch: u64,
-    telemetry: Option<Telemetry>,
+    telemetry: Telemetry,
 }
 
 impl ViewTracker {
-    /// Creates a tracker for `node`, installing the initial view from
-    /// the current topology.
-    pub fn new(node: NodeId, topology: &Topology) -> Self {
+    /// Creates a tracker for `node` reporting on `telemetry`,
+    /// installing the initial view from the current topology.
+    pub fn new(node: NodeId, topology: &Topology, telemetry: Telemetry) -> Self {
         let members = topology.reachable_from(node);
         Self {
             node,
             current: View::new(ViewId(0), members),
             last_epoch: topology.epoch(),
-            telemetry: None,
+            telemetry,
         }
-    }
-
-    /// Wires a telemetry bus; `view_change` events are emitted on each
-    /// installed view from now on.
-    pub fn attach_telemetry(&mut self, telemetry: Telemetry) {
-        self.telemetry = Some(telemetry);
-    }
-
-    /// The node this tracker belongs to.
-    pub fn node(&self) -> NodeId {
-        self.node
     }
 
     /// The currently installed view.
@@ -119,43 +95,36 @@ impl ViewTracker {
     }
 
     /// Observes the topology; if its epoch advanced and the membership
-    /// actually changed, installs the next view and returns the change.
-    pub fn observe(&mut self, topology: &Topology) -> Option<ViewChange> {
+    /// actually changed, installs the next view and emits its
+    /// `view_change`.
+    pub fn observe(&mut self, topology: &Topology) {
         if topology.epoch() == self.last_epoch {
-            return None;
+            return;
         }
         self.last_epoch = topology.epoch();
         let members = topology.reachable_from(self.node);
-        if members == *self.current.members() {
-            return None;
+        let old = self.current.members();
+        if members == *old {
+            return;
         }
-        let old = self.current.clone();
-        let new = View::new(old.id().next(), members);
-        let joined = new.members().difference(old.members()).copied().collect();
-        let left = old.members().difference(new.members()).copied().collect();
-        self.current = new.clone();
-        let change = ViewChange {
-            old,
-            new,
+        let joined = members.difference(old).count() as u32;
+        let left = old.difference(&members).count() as u32;
+        self.current = View::new(self.current.id().next(), members);
+        self.telemetry.emit(|| TraceEvent::ViewChange {
+            node: self.node,
+            view: self.current.id(),
+            members: self.current.size() as u32,
             joined,
             left,
-        };
-        if let Some(t) = &self.telemetry {
-            t.emit(|| TraceEvent::ViewChange {
-                node: self.node,
-                view: change.new.id(),
-                members: change.new.size() as u32,
-                joined: change.joined.len() as u32,
-                left: change.left.len() as u32,
-            });
-        }
-        Some(change)
+        });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dedisys_net::SimClock;
+    use dedisys_telemetry::RingRecorder;
 
     #[test]
     fn view_basics() {
@@ -172,40 +141,70 @@ mod tests {
         View::new(ViewId(0), BTreeSet::new());
     }
 
+    /// A bus with a recorder attached, for the tracker to report on.
+    fn bus() -> (Telemetry, RingRecorder) {
+        let telemetry = Telemetry::new(SimClock::new());
+        let ring = RingRecorder::new(16);
+        telemetry.attach(Box::new(ring.clone()));
+        (telemetry, ring)
+    }
+
+    /// `(joined, left)` of every `view_change` the recorder saw.
+    fn changes(ring: &RingRecorder) -> Vec<(u32, u32)> {
+        ring.records()
+            .into_iter()
+            .filter_map(|r| match r.event {
+                TraceEvent::ViewChange { joined, left, .. } => Some((joined, left)),
+                _ => None,
+            })
+            .collect()
+    }
+
     #[test]
     fn tracker_detects_degradation_and_merge() {
+        let (telemetry, ring) = bus();
         let mut topo = Topology::fully_connected(3);
-        let mut tracker = ViewTracker::new(NodeId(1), &topo);
+        let mut tracker = ViewTracker::new(NodeId(1), &topo, telemetry);
         assert_eq!(tracker.current().size(), 3);
 
         topo.split(&[&[0], &[1, 2]]);
-        let change = tracker.observe(&topo).unwrap();
-        assert!(change.joined.is_empty());
-        assert_eq!(change.left, BTreeSet::from([NodeId(0)]));
+        tracker.observe(&topo);
+        assert_eq!(changes(&ring), [(0, 1)]);
+        assert_eq!(
+            tracker.current().members(),
+            &BTreeSet::from([NodeId(1), NodeId(2)])
+        );
         assert_eq!(tracker.current().id(), ViewId(1));
 
         topo.heal();
-        let change = tracker.observe(&topo).unwrap();
-        assert!(change.left.is_empty());
-        assert_eq!(change.joined, BTreeSet::from([NodeId(0)]));
+        tracker.observe(&topo);
+        assert_eq!(changes(&ring), [(0, 1), (1, 0)]);
+        assert!(tracker.current().contains(NodeId(0)));
         assert_eq!(tracker.current().id(), ViewId(2));
     }
 
     #[test]
     fn tracker_ignores_irrelevant_changes() {
+        let (telemetry, ring) = bus();
         let mut topo = Topology::fully_connected(4);
-        let mut tracker = ViewTracker::new(NodeId(0), &topo);
+        let mut tracker = ViewTracker::new(NodeId(0), &topo, telemetry);
         topo.split(&[&[0, 1], &[2, 3]]);
-        assert!(tracker.observe(&topo).is_some());
+        tracker.observe(&topo);
+        assert_eq!(changes(&ring), [(0, 2)]);
         // Splitting the *other* partition does not change n0's view.
         topo.split(&[&[0, 1], &[2], &[3]]);
-        assert!(tracker.observe(&topo).is_none());
+        tracker.observe(&topo);
+        assert_eq!(changes(&ring).len(), 1);
+        assert_eq!(tracker.current().id(), ViewId(1));
     }
 
     #[test]
     fn tracker_no_change_without_epoch_advance() {
+        let (telemetry, ring) = bus();
         let topo = Topology::fully_connected(2);
-        let mut tracker = ViewTracker::new(NodeId(0), &topo);
-        assert!(tracker.observe(&topo).is_none());
+        let mut tracker = ViewTracker::new(NodeId(0), &topo, telemetry);
+        tracker.observe(&topo);
+        assert!(ring.is_empty());
+        assert_eq!(tracker.current().id(), ViewId(0));
     }
 }

@@ -4,8 +4,8 @@
 //! healthy with zero standing suspicions after heal + quiescence.
 
 use dedisys_core::{
-    Cluster, ClusterBuilder, DeferAll, DetectorKind, HighestVersionWins, JsonlExporter, SharedBuf,
-    StabilizerConfig,
+    nodes, Cluster, ClusterBuilder, DeferAll, DetectorKind, HighestVersionWins, JsonlExporter,
+    RingRecorder, SharedBuf,
 };
 use dedisys_object::{AppDescriptor, ClassDescriptor, EntityState};
 use dedisys_types::{ChaosRng, NodeId, ObjectId, SimDuration, SystemMode, Value};
@@ -25,7 +25,6 @@ fn build(nodes: u32, seed: u64) -> Cluster {
         .configure(|c| {
             c.membership.detector_enabled = true;
             c.membership.detector = DetectorKind::Adaptive;
-            c.membership.stabilizer = StabilizerConfig::default();
             c.membership.seed = seed;
         })
         .build()
@@ -149,4 +148,69 @@ fn healed_quiescent_cluster_is_healthy_with_zero_suspicions() {
         );
         assert_eq!(cluster.mode(), SystemMode::Healthy, "{scenario:?}");
     }
+}
+
+/// The cluster installs each view the pipeline stabilizes before the
+/// pipeline runs on, so a trace reads as the paper's GMS notification
+/// (Figure 4.6): within one `run_detector_for` window that covers node
+/// 2's heal and node 3's cut, every `view_stabilized` is followed by its
+/// `view_change`s and `mode_transition` before any later `suspicion_*`
+/// or `flap_damped` event, and the call counts both installs.
+#[test]
+fn each_stabilized_view_is_installed_before_the_pipeline_runs_on() {
+    let mut cluster = ClusterBuilder::new(4, app())
+        .configure(|c| {
+            c.membership.detector_enabled = true;
+            c.membership.detector = DetectorKind::Adaptive;
+            // No hold and no damping: a view stabilizes at the tick
+            // that sees it.
+            c.membership.settle = SimDuration::ZERO;
+        })
+        .build()
+        .expect("detector cluster");
+    cluster
+        .drop_links(&[nodes![0, 1, 3], nodes![2]])
+        .expect("drop links");
+    assert_eq!(cluster.run_detector_for(SimDuration::from_secs(1)), 1);
+    assert_eq!(cluster.mode(), SystemMode::Degraded);
+    let ring = RingRecorder::new(1024);
+    cluster.telemetry().attach(Box::new(ring.clone()));
+    // Node 2 back, node 3 cut: the heal stabilizes at the next tick,
+    // the cut once node 3 has been silent long enough.
+    cluster
+        .drop_links(&[nodes![0, 1, 2], nodes![3]])
+        .expect("drop links");
+    assert_eq!(cluster.run_detector_for(SimDuration::from_secs(1)), 2);
+    assert_eq!(cluster.mode(), SystemMode::Degraded);
+
+    let kinds = ring.kinds();
+    let detector = |kind: &str| kind.starts_with("suspicion_") || kind == "flap_damped";
+    let stabilized: Vec<usize> = (0..kinds.len())
+        .filter(|&i| kinds[i] == "view_stabilized")
+        .collect();
+    assert_eq!(stabilized.len(), 2, "{kinds:?}");
+    for &at in &stabilized {
+        let install: Vec<&str> = kinds[at + 1..]
+            .iter()
+            .copied()
+            .take_while(|&kind| !detector(kind) && kind != "view_stabilized")
+            .collect();
+        assert!(install.contains(&"view_change"), "{kinds:?}");
+        assert_eq!(
+            install
+                .iter()
+                .filter(|&&kind| kind == "mode_transition")
+                .count(),
+            1,
+            "{kinds:?}"
+        );
+    }
+    // The cut's suspicions come after the heal's install: the order
+    // above is one the pipeline could have broken.
+    assert!(
+        kinds[stabilized[0]..stabilized[1]]
+            .iter()
+            .any(|&kind| detector(kind)),
+        "{kinds:?}"
+    );
 }

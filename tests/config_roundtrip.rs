@@ -32,7 +32,7 @@ fn within(rng: &mut ChaosRng, lo: u64, hi: u64) -> u64 {
     lo + rng.below(hi - lo + 1)
 }
 
-/// A configuration with every one of the 15 values the builder accepts
+/// A configuration with every one of the 11 values the builder accepts
 /// drawn from `rng`, section by section.
 fn config_of(rng: &mut ChaosRng) -> ClusterConfig {
     let mut config = ClusterConfig::default();
@@ -43,12 +43,7 @@ fn config_of(rng: &mut ChaosRng) -> ClusterConfig {
     config.validation.app_default_min_degree = *rng.pick(&DEGREES);
     config.membership.detector_enabled = rng.chance(50);
     config.membership.detector = *rng.pick(&[DetectorKind::FixedTimeout, DetectorKind::Adaptive]);
-    let stabilizer = &mut config.membership.stabilizer;
-    stabilizer.settle = SimDuration::from_millis(within(rng, 0, 1_000));
-    stabilizer.flap_penalty_milli = within(rng, 0, 2_000);
-    stabilizer.half_life = SimDuration::from_millis(within(rng, 1, 5_000));
-    stabilizer.suppress_milli = within(rng, 1, 5_000);
-    stabilizer.reuse_milli = within(rng, 0, stabilizer.suppress_milli);
+    config.membership.settle = SimDuration::from_millis(within(rng, 0, 1_000));
     config.membership.seed = rng.below(1_000);
     config.durability.threat_policy =
         *rng.pick(&[HistoryPolicy::IdenticalOnce, HistoryPolicy::FullHistory]);

@@ -9,7 +9,7 @@ use dedisys_constraints::{
 use dedisys_core::nodes;
 use dedisys_core::{
     ClusterBuilder, DeferAll, DetectorKind, HighestVersionWins, HistoryPolicy,
-    ReconcileInstructions, StabilizerConfig,
+    ReconcileInstructions, RingRecorder, TraceEvent,
 };
 use dedisys_net::SimClock;
 use dedisys_object::{AppDescriptor, ClassDescriptor, EntityState};
@@ -518,25 +518,21 @@ fn wal_recovery_truncates_a_torn_tail() {
 /// physically cut, the φ-accrual detector notices, the stabilized view
 /// is installed with `cause: detector`, and healing the links converges
 /// the pipeline back to one healthy view with zero standing suspicions.
+/// Under the default damping the cut's and the heal's suspicion flips
+/// suppress node 2, which rejoins once its penalty has decayed.
 #[test]
 fn detector_driven_partition_matches_scripted_behaviour() {
-    // Hysteresis on, but suppression out of reach: one clean cut/heal
-    // cycle is not a flap and must not pin any node.
-    let stabilizer = StabilizerConfig {
-        suppress_milli: 10_000,
-        reuse_milli: 5_000,
-        ..StabilizerConfig::default()
-    };
     let mut cluster = ClusterBuilder::new(3, app())
         .constraint(bounded_constraint())
         .configure(|c| {
             c.membership.detector_enabled = true;
             c.membership.detector = DetectorKind::Adaptive;
-            c.membership.stabilizer = stabilizer;
             c.membership.seed = 7;
         })
         .build()
         .unwrap();
+    let ring = RingRecorder::new(1024);
+    cluster.telemetry().attach(Box::new(ring.clone()));
     let id = seed(&mut cluster);
 
     // Physically cut node 2 off — the cluster is NOT told.
@@ -559,11 +555,28 @@ fn detector_driven_partition_matches_scripted_behaviour() {
         .unwrap();
     assert!(!cluster.threats().is_empty());
 
-    // Physical repair: detection clears suspicion and re-installs the
-    // full view; degraded residue sends the system to reconciliation.
+    // Physical repair: detection clears suspicion at once, but the
+    // flips damp node 2, which stays apart while suppressed.
     cluster.heal_links().unwrap();
-    cluster.run_detector_for(SimDuration::from_secs(4));
+    cluster.run_detector_for(SimDuration::from_secs(1));
+    assert_eq!(cluster.standing_suspicions(), 0, "suspicion cleared");
+    assert!(
+        ring.records().iter().any(|r| matches!(
+            r.event,
+            TraceEvent::FlapDamped {
+                node: NodeId(2),
+                ..
+            }
+        )),
+        "node 2 was damped"
+    );
+    assert_eq!(cluster.mode(), SystemMode::Degraded, "node 2 held apart");
+    // Its penalty decays below the reuse threshold in two half-lives:
+    // released, it rejoins the full view; degraded residue sends the
+    // system to reconciliation.
+    cluster.run_detector_for(SimDuration::from_secs(7));
     assert_eq!(cluster.standing_suspicions(), 0, "healed + quiescent");
+    assert_eq!(cluster.topology().partitions().len(), 1, "node 2 released");
     assert_eq!(cluster.mode(), SystemMode::Reconciliation);
 
     cluster.reconcile(&mut HighestVersionWins, &mut DeferAll);
