@@ -43,7 +43,10 @@ pub struct FederationStats {
     pub rejected_degraded: u64,
     /// Objects migrated between shards by explicit rebalances.
     pub migrated: u64,
-    /// Cross-shard transactions begun.
+    /// Cross-shard transactions begun: those that staged a participant.
+    /// One refused before its first write leaves no count anywhere —
+    /// a routing refusal is counted in `rejected_degraded`, not as a
+    /// 2PC abort.
     pub xshard_begun: u64,
     /// Cross-shard transactions that reached the prepared state on
     /// every participant.
@@ -211,7 +214,7 @@ impl std::fmt::Debug for FederatedCluster {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FederatedCluster")
             .field("shards", &self.shards.len())
-            .field("open_xshard", &self.open_x.len())
+            .field("open_xshard", &self.open_xshard_count())
             .field("stats", &self.stats)
             .finish()
     }
@@ -283,9 +286,12 @@ impl FederatedCluster {
     }
 
     /// Cross-shard transactions still open (staging or prepared,
-    /// including in-doubt ones).
+    /// including in-doubt ones) that have staged a participant.
     pub fn open_xshard_count(&self) -> usize {
-        self.open_x.len()
+        self.open_x
+            .values()
+            .filter(|x| !x.participants.is_empty())
+            .count()
     }
 
     /// Whether `tx` on `shard` is a participant of a cross-shard
@@ -428,7 +434,8 @@ impl FederatedCluster {
     // ------------------------------------------------------------------
 
     /// Opens a cross-shard transaction and returns its federation-wide
-    /// id. Participants join lazily as objects are staged.
+    /// id. Participants join lazily as objects are staged; the
+    /// transaction counts as begun once the first one has.
     pub fn xshard_begin(&mut self) -> u64 {
         self.next_xtx += 1;
         let xtx = self.next_xtx;
@@ -439,7 +446,6 @@ impl FederatedCluster {
                 participants: std::mem::take(&mut self.spare_participants),
             },
         );
-        self.stats.xshard_begun += 1;
         xtx
     }
 
@@ -475,6 +481,9 @@ impl FederatedCluster {
                     .next()
                     .ok_or_else(|| every_node_crashed(shard))?;
                 let tx = cluster.session(node).detach();
+                if x.participants.is_empty() {
+                    self.stats.xshard_begun += 1;
+                }
                 x.participants.insert(at, (shard, tx));
                 tx
             }
@@ -633,7 +642,9 @@ impl FederatedCluster {
     /// Counts `xtx`'s outcome, reports it on the bus and forgets it.
     /// Under presumed abort no participant asks the coordinator for an
     /// outcome afterwards, so none is kept; the staging list goes back
-    /// whole, emptied, for the next transaction to stage into.
+    /// whole, emptied, for the next transaction to stage into. A
+    /// transaction that staged nothing was never begun: it leaves no
+    /// count and no event.
     fn finish_xshard(&mut self, xtx: u64, committed: bool, presumed_abort: bool) {
         let Some(OpenXTx {
             participants: mut staged,
@@ -642,8 +653,12 @@ impl FederatedCluster {
         else {
             return;
         };
+        let begun = !staged.is_empty();
         staged.clear();
         self.spare_participants = staged;
+        if !begun {
+            return;
+        }
         if committed {
             self.stats.xshard_committed += 1;
         } else {

@@ -247,6 +247,66 @@ fn xshard_commit_applies_atomically_on_every_participant() {
     assert_eq!(resolutions(&ring), [(true, false)]);
 }
 
+/// A cross-shard write the router refuses before anything is staged is
+/// a routing refusal, not a 2PC abort: it counts in `rejected_degraded`
+/// and leaves the cross-shard books and the bus's `xshard_resolved`
+/// records as they were. A refusal after a participant has staged is a
+/// real abort: its write is rolled back. `begun == committed + aborted
+/// + open` holds throughout.
+#[test]
+fn a_routing_refusal_before_any_write_is_not_a_2pc_abort() {
+    let mut fed = federation(2, RoutingPolicy::RejectDegraded);
+    let ring = RingRecorder::new(512);
+    fed.telemetry().attach(Box::new(ring.clone()));
+    let healthy = id_on(fed.map(), ShardId(0), "rr");
+    let cut = id_on(fed.map(), ShardId(1), "rr");
+    fed.create(&healthy).unwrap();
+    fed.create(&cut).unwrap();
+    fed.shard_mut(ShardId(1))
+        .partition(&[nodes![0, 1], nodes![2]])
+        .expect("split");
+    let balanced = |fed: &FederatedCluster| {
+        let stats = fed.stats();
+        stats.xshard_begun
+            == stats.xshard_committed + stats.xshard_aborted + fed.open_xshard_count() as u64
+    };
+
+    let xtx = fed.xshard_begin();
+    let refused = fed.xshard_set_field(xtx, &cut, "v", Value::Int(1));
+    assert!(
+        matches!(refused, Err(Error::ModeRestriction(_))),
+        "{refused:?}"
+    );
+    assert_eq!(fed.open_xshard_count(), 0, "nothing staged");
+    assert!(balanced(&fed));
+    fed.xshard_abort(xtx).expect("abort");
+    let stats = *fed.stats();
+    assert_eq!(stats.rejected_degraded, 1);
+    assert_eq!((stats.xshard_begun, stats.xshard_aborted), (0, 0));
+    assert!(ring.records_of_kind("xshard_resolved").is_empty());
+    assert!(balanced(&fed));
+
+    // Staged on the healthy shard first, then refused: one begun, one
+    // aborted, the staged write rolled back.
+    let xtx = fed.xshard_begin();
+    fed.xshard_set_field(xtx, &healthy, "v", Value::Int(2))
+        .expect("healthy shard stages");
+    assert_eq!(fed.open_xshard_count(), 1);
+    assert!(balanced(&fed));
+    let refused = fed.xshard_set_field(xtx, &cut, "v", Value::Int(3));
+    assert!(
+        matches!(refused, Err(Error::ModeRestriction(_))),
+        "{refused:?}"
+    );
+    fed.xshard_abort(xtx).expect("abort");
+    let stats = *fed.stats();
+    assert_eq!(stats.rejected_degraded, 2);
+    assert_eq!((stats.xshard_begun, stats.xshard_aborted), (1, 1));
+    assert_eq!(resolutions(&ring), [(false, false)]);
+    assert_eq!(read(&fed, ShardId(0), &healthy), Some(Value::Int(0)));
+    assert!(balanced(&fed));
+}
+
 #[test]
 fn xshard_abort_rolls_back_every_participant() {
     let mut fed = federation(3, RoutingPolicy::RouteAnyway);
