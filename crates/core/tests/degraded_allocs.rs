@@ -153,18 +153,19 @@ fn degraded_mode_allocates_only_what_reconciliation_reads() {
     // argument list are spares of the transactions before.
     assert_eq!(least_paid_by_most(&writes), 10, "one degraded write");
 
-    // Healing and reconciling the 64 identities allocates 72 times:
+    // Healing and reconciling the 64 identities allocates 60 times:
     //  - 32 for the repair of the 8 overdrafts: the violated threat's
     //    record, copied for the handler (its affected set), and the
     //    state written back (its copy, record and `Arc`);
     //  - 22 for the cycle's lists, a node or a buffer at a time: the
     //    identities to re-evaluate, those the dirty set touches, and
     //    the dirty set itself;
-    //  - 18 for the healed topology and the views it installs.
+    //  - 6 for the healed topology and the views it installs, one
+    //    member set per view.
     // A threat that re-evaluates to satisfied is read in place, and an
     // object's writer states and replicas too.
     assert!(
-        reconciled <= 5 * IDENTITIES as u64 / 4,
+        reconciled <= 61,
         "{reconciled} allocations reconciling {IDENTITIES} identities"
     );
     // After the counted window: the audit allocates.
