@@ -124,17 +124,6 @@ impl Cluster {
         existed
     }
 
-    /// Re-activates every deactivated threat record after a CCM crash
-    /// (§5.5.1 recovery). Returns the number of recovered records.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Persistence`] if a journalled threat record
-    /// does not decode.
-    pub fn recover_threats(&mut self) -> Result<usize> {
-        self.ccm.threat_store_mut().recover()
-    }
-
     /// Adds a new constraint at runtime and — per §3.3 — immediately
     /// validates it against *every* existing context object. Returns
     /// the context objects that currently violate it (the application

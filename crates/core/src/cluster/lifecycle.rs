@@ -341,26 +341,21 @@ impl Cluster {
         self.crashed.contains(&node)
     }
 
-    /// The committed state of `id` on the first live replica — the
-    /// read half of a cross-cluster object migration. Returns `None`
-    /// when no live node holds a committed image.
-    pub fn export_object(&self, id: &ObjectId) -> Option<Snapshot> {
-        self.live_nodes()
-            .find_map(|n| self.containers[n.index()].committed_snapshot(id).cloned())
-    }
-
     /// Removes every live committed replica of `id` plus its placement
-    /// metadata — the source-side cleanup of a migration. Each removal
-    /// is journalled (a crashed source cannot resurrect the object),
-    /// and one WAL entry is charged per touched replica. Returns the
-    /// number of replicas dropped.
-    pub fn evict_object(&mut self, id: &ObjectId) -> u64 {
+    /// metadata — the source half of a migration. Each removal is
+    /// journalled (a crashed source cannot resurrect the object), and
+    /// one WAL entry is charged per touched replica. Returns the state
+    /// removed, `None` when no live node held it; the caller moves it
+    /// only while the cluster is quiescent, when every replica holds
+    /// the same.
+    pub fn evict_object(&mut self, id: &ObjectId) -> Option<Snapshot> {
         let nodes: Vec<NodeId> = self.live_nodes().collect();
+        let mut removed = None;
         let mut dropped = 0u64;
         for node in nodes {
-            if self.containers[node.index()].remove_committed(id) {
-                dropped += 1;
-            }
+            let container = &mut self.containers[node.index()];
+            removed = removed.or_else(|| container.committed_snapshot(id).cloned());
+            dropped += u64::from(container.remove_committed(id));
         }
         self.replication.unregister_object(id);
         if dropped > 0 {
@@ -370,13 +365,13 @@ impl Cluster {
                 .metrics()
                 .add("store.migrate.evicted", dropped);
         }
-        dropped
+        removed
     }
 
     /// Installs `snapshot` as committed state on every live node — the
     /// write half of a migration, riding the same journalled install
     /// path the WAL resync uses ([`Cluster::restart`]); the nodes (and
-    /// the exporting cluster's journals) share the one snapshot. The
+    /// the evicting cluster's journals) share the one snapshot. The
     /// object is
     /// registered with the live nodes as its replica set and the
     /// lowest-numbered one as primary; `wal_replay_per_entry` is

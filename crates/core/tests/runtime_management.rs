@@ -6,7 +6,9 @@ use dedisys_constraints::{
     expr::ExprConstraint, ConstraintMeta, ContextPreparation, RegisteredConstraint,
     ValidationContext,
 };
-use dedisys_core::{nodes, Cluster, ClusterBuilder, ConsistencyThreat, ThreatDecision};
+use dedisys_core::{
+    nodes, Cluster, ClusterBuilder, ConsistencyThreat, RingRecorder, ThreatDecision, TraceEvent,
+};
 use dedisys_object::{AppDescriptor, ClassDescriptor, EntityState};
 use dedisys_types::{ConstraintName, Error, NodeId, ObjectId, SatisfactionDegree, Value};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -238,9 +240,28 @@ fn accepted_threats_survive_a_middleware_crash() {
         })
         .unwrap();
     assert_eq!(cluster.threats().len(), 1);
-    // Crash-recover the threat store from its write-ahead log.
-    let recovered = cluster.recover_threats();
-    assert_eq!(recovered, Ok(1));
+    // Crash the node: the restart recovers the threat store from its
+    // write-ahead log (§5.5.1) and reports what it re-activated.
+    cluster.crash(node).unwrap();
+    let ring = RingRecorder::new(64);
+    cluster.telemetry().attach(Box::new(ring.clone()));
+    cluster.restart(node).unwrap();
+    let restarts: Vec<TraceEvent> = ring
+        .records_of_kind("node_restart")
+        .into_iter()
+        .map(|r| r.event)
+        .collect();
+    assert!(
+        matches!(
+            restarts[..],
+            [TraceEvent::NodeRestart {
+                node: n,
+                reactivated_threats: 1,
+                ..
+            }] if n == node
+        ),
+        "{restarts:?}"
+    );
     assert_eq!(cluster.threats().len(), 1);
     assert_eq!(
         cluster.threats().threats()[0].constraint,

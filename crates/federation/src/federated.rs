@@ -5,7 +5,7 @@
 //! all randomness lives in the caller's seed, and the federation's own
 //! telemetry bus shares the one [`SimClock`] every shard runs on.
 
-use crate::shard_map::{MigrationStep, RebalancePlan, ShardId, ShardMap};
+use crate::shard_map::{ShardId, ShardMap};
 use dedisys_core::{Cluster, ClusterBuilder, RequestPlane, Session};
 use dedisys_net::SimClock;
 use dedisys_object::{AppDescriptor, EntityState};
@@ -68,16 +68,6 @@ const VNODES: u32 = 32;
 /// model's shard-level `in_doubt_timeout` (250 ms), so waiting that out
 /// resolves both.
 pub const XSHARD_TIMEOUT: SimDuration = SimDuration::from_millis(50);
-
-/// What [`FederatedCluster::rebalance`] did.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MigrationReport {
-    /// Objects whose committed state moved.
-    pub migrated: u64,
-    /// Steps skipped because a participant shard had crashed nodes or
-    /// the object was locked — re-plan once the fault clears.
-    pub deferred: Vec<MigrationStep>,
-}
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum XState {
@@ -678,79 +668,84 @@ impl FederatedCluster {
     // Rebalancing
     // ------------------------------------------------------------------
 
-    /// Every committed object across all shards, in id order.
-    pub(crate) fn committed_objects(&self) -> Vec<ObjectId> {
-        let mut ids = BTreeSet::new();
-        for (i, cluster) in self.shards.iter().enumerate() {
-            if let Some(node) = self.coordinator_node(ShardId(i as u32)) {
-                ids.extend(cluster.committed_ids_on(node));
-            }
-        }
-        ids.into_iter().collect()
-    }
-
-    /// Plans the migration to a ring over `shards` shards (same seed
-    /// and virtual-node count) across the current committed object
-    /// population.
+    /// Moves the federation onto a ring over `shards` shards (same
+    /// seed and virtual-node count), whole or not at all, and returns
+    /// the number of objects moved. The plan is made here, from the
+    /// committed population: per step the object's committed state is
+    /// evicted from its source shard and installed on its target over
+    /// the journalled WAL path, emitting `shard_migrated`. The new map
+    /// is installed last.
+    ///
+    /// A rebalance runs only at a quiescent point: every shard healthy
+    /// (one partition and no crashed node, so any live node holds the
+    /// whole population), no source shard with degraded residue or a
+    /// standing threat to leave behind, and no moving object locked.
     ///
     /// # Errors
     ///
-    /// As [`ShardMap::with_shards`].
-    pub fn plan_rebalance_to(&self, shards: u32) -> Result<RebalancePlan> {
-        let target = self.map.with_shards(shards)?;
-        let keys = self.committed_objects();
-        Ok(self.map.plan_rebalance(&target, &keys))
-    }
-
-    /// Executes a rebalance plan: per step, the object's committed
-    /// state is exported from the source shard, evicted there, and
-    /// installed on the target shard over the journalled WAL path,
-    /// emitting `shard_migrated`. Steps whose source or target shard
-    /// currently has crashed nodes — or whose object is locked — are
-    /// deferred, not failed. The target map is installed afterwards.
-    ///
-    /// # Errors
-    ///
-    /// A plan targeting more shards than the federation hosts.
-    pub fn rebalance(&mut self, plan: RebalancePlan) -> Result<MigrationReport> {
-        if plan.target.shards() > self.shard_count() {
+    /// * [`Error::ModeRestriction`] naming each blocker when the
+    ///   federation is not quiescent; nothing has changed.
+    /// * [`Error::Config`] for zero shards or more than the federation
+    ///   hosts.
+    pub fn rebalance(&mut self, shards: u32) -> Result<u64> {
+        if shards > self.shard_count() {
             return Err(Error::Config(format!(
-                "plan targets {} shards, federation has {}",
-                plan.target.shards(),
+                "rebalance to {shards} shards, federation has {}",
                 self.shard_count()
             )));
         }
-        let mut migrated = 0u64;
-        let mut deferred = Vec::new();
-        for step in plan.steps {
-            let from = &self.shards[step.from.index()];
-            let to = &self.shards[step.to.index()];
-            let faulted = from.crashed_nodes().next().is_some()
-                || to.crashed_nodes().next().is_some()
-                || from.held_locks().iter().any(|(id, _)| *id == step.object);
-            if faulted {
-                deferred.push(step);
-                continue;
+        let target = self.map.with_shards(shards)?;
+        let mut blockers = Vec::new();
+        let mut population = BTreeSet::new();
+        for (i, cluster) in self.shards.iter().enumerate() {
+            let shard = ShardId(i as u32);
+            let mode = cluster.mode();
+            if mode != SystemMode::Healthy {
+                blockers.push(format!("{shard} is {mode:?}"));
+            } else if let Some(node) = self.coordinator_node(shard) {
+                // An object the map does not place here (put there
+                // through `shard_mut`) is not the router's to move.
+                let owned = cluster.committed_ids_on(node).into_iter();
+                population.extend(owned.filter(|id| self.map.shard_of(id) == shard));
             }
-            let Some(snapshot) = self.shards[step.from.index()].export_object(&step.object) else {
-                // Nothing committed under this id (deleted since the
-                // plan was made) — the map flip alone suffices.
-                continue;
-            };
-            self.shards[step.from.index()].evict_object(&step.object);
-            let replicas = self.shards[step.to.index()].install_object(snapshot)?;
-            migrated += 1;
+        }
+        let steps = self.map.plan_rebalance(&target, &population);
+        for (i, cluster) in self.shards.iter().enumerate() {
+            let shard = ShardId(i as u32);
+            if cluster.needs_reconciliation() && steps.iter().any(|s| s.from == shard) {
+                blockers.push(format!("{shard} awaits reconciliation"));
+            }
+            for (id, tx) in cluster.held_locks() {
+                if steps.binary_search_by(|s| s.object.cmp(&id)).is_ok() {
+                    blockers.push(format!("{id} is locked by {tx} on {shard}"));
+                }
+            }
+        }
+        if !blockers.is_empty() {
+            return Err(Error::ModeRestriction(format!(
+                "rebalance refused: {}",
+                blockers.join("; ")
+            )));
+        }
+        let moved = steps.len() as u64;
+        for step in steps {
+            let snapshot = self.shards[step.from.index()]
+                .evict_object(&step.object)
+                .expect("the plan read the object on a live node of its quiescent source");
+            let replicas = self.shards[step.to.index()]
+                .install_object(snapshot)
+                .expect("a healthy shard has a live node");
             self.stats.migrated += 1;
             let object = step.object.text().into();
-            let (f, t) = (step.from.0, step.to.0);
+            let (from, to) = (step.from.0, step.to.0);
             self.telemetry.emit(move || TraceEvent::ShardMigrated {
                 object,
-                from: f,
-                to: t,
+                from,
+                to,
                 replicas,
             });
         }
-        self.map = plan.target;
-        Ok(MigrationReport { migrated, deferred })
+        self.map = target;
+        Ok(moved)
     }
 }

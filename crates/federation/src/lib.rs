@@ -6,10 +6,18 @@
 //! partitions and degraded modes differ *per shard*.
 //!
 //! * [`ShardMap`] — a deterministic consistent-hash ring with virtual
-//!   nodes. `shard_of(ObjectId)` is total and seed-stable; explicit
-//!   [`ShardMap::plan_rebalance`] produces typed [`MigrationStep`]s
-//!   that [`FederatedCluster::rebalance`] executes over the core
-//!   WAL/state-transfer path.
+//!   nodes. `shard_of(ObjectId)` is total and seed-stable;
+//!   [`ShardMap::plan_rebalance`] diffs two rings into
+//!   [`MigrationStep`]s.
+//! * [`FederatedCluster::rebalance`] — an explicit grow or shrink,
+//!   whole or refused: only at a quiescent point (every shard healthy,
+//!   no source with degraded residue or a standing threat, no moving
+//!   object locked) does it plan from the committed population, move
+//!   every step over the core WAL/state-transfer path and flip the
+//!   map; otherwise it fails with
+//!   [`Error::ModeRestriction`](dedisys_types::Error::ModeRestriction)
+//!   naming each blocker, and nothing changes. So every committed
+//!   object stays on the one shard the map names.
 //! * [`FederatedCluster`] — N shards built on **one shared virtual
 //!   clock and seed**, so cross-shard timelines (2PC deadlines,
 //!   detector heartbeats, trace timestamps) stay mutually consistent
@@ -38,10 +46,9 @@ mod federated;
 mod shard_map;
 
 pub use federated::{
-    FederatedCluster, FederationBuilder, FederationStats, MigrationReport, RoutingPolicy,
-    XSHARD_TIMEOUT,
+    FederatedCluster, FederationBuilder, FederationStats, RoutingPolicy, XSHARD_TIMEOUT,
 };
-pub use shard_map::{MigrationStep, RebalancePlan, ShardId, ShardMap};
+pub use shard_map::{MigrationStep, ShardId, ShardMap};
 
 // Re-exported so federation users need not depend on dedisys-core for
 // the common construction path.

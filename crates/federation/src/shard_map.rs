@@ -12,10 +12,10 @@
 //! `tests/shard_map_props.rs`).
 //!
 //! Rebalancing is explicit: [`ShardMap::plan_rebalance`] diffs two
-//! maps over a concrete key population and returns a typed
-//! [`RebalancePlan`] of per-object [`MigrationStep`]s, which
-//! `FederatedCluster::rebalance` executes via the core WAL/state
-//! transfer hooks. Nothing moves implicitly.
+//! maps over a concrete key population into per-object
+//! [`MigrationStep`]s. `FederatedCluster::rebalance` makes that plan
+//! from the committed population and runs it in the same call, whole
+//! or not at all. Nothing moves implicitly.
 
 use dedisys_types::{fnv1a, Error, ObjectId, Result, FNV_OFFSET};
 use serde::{Deserialize, Serialize};
@@ -63,17 +63,6 @@ pub struct MigrationStep {
     pub from: ShardId,
     /// The shard that owns it under the target map.
     pub to: ShardId,
-}
-
-/// The typed output of [`ShardMap::plan_rebalance`]: the target map
-/// plus every migration the transition requires, in object order.
-#[derive(Debug, Clone)]
-pub struct RebalancePlan {
-    /// The map to install once the steps have run.
-    pub target: ShardMap,
-    /// Object moves, sorted by object id (deterministic execution
-    /// order).
-    pub steps: Vec<MigrationStep>,
 }
 
 /// The deterministic consistent-hash ring (see the module docs).
@@ -161,12 +150,13 @@ impl ShardMap {
     }
 
     /// Diffs this map against `target` over `keys` and returns the
-    /// typed migration steps for exactly the keys whose owner changed.
+    /// migration steps for exactly the keys whose owner changed,
+    /// sorted by object id (deterministic execution order).
     pub fn plan_rebalance<'a>(
         &self,
         target: &ShardMap,
         keys: impl IntoIterator<Item = &'a ObjectId>,
-    ) -> RebalancePlan {
+    ) -> Vec<MigrationStep> {
         let mut steps: Vec<MigrationStep> = keys
             .into_iter()
             .filter_map(|id| {
@@ -181,10 +171,7 @@ impl ShardMap {
             .collect();
         steps.sort_by(|a, b| a.object.cmp(&b.object));
         steps.dedup();
-        RebalancePlan {
-            target: target.clone(),
-            steps,
-        }
+        steps
     }
 }
 
@@ -220,12 +207,12 @@ mod tests {
         let old = ShardMap::new(3, 32, 11).unwrap();
         let new = old.with_shards(4).unwrap();
         let population = keys(500);
-        let plan = old.plan_rebalance(&new, &population);
-        assert!(!plan.steps.is_empty(), "some keys should move");
-        for step in &plan.steps {
+        let steps = old.plan_rebalance(&new, &population);
+        assert!(!steps.is_empty(), "some keys should move");
+        for step in &steps {
             assert_eq!(step.to, ShardId(3), "grown ring only feeds the new shard");
         }
         // And far from everything moves.
-        assert!(plan.steps.len() < population.len() / 2);
+        assert!(steps.len() < population.len() / 2);
     }
 }

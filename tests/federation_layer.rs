@@ -2,14 +2,23 @@
 //! over live shards, the two degraded-shard routing policies,
 //! cross-shard 2PC (commit, abort, participant refusal, federation
 //! coordinator crash + presumed abort) and explicit rebalancing over
-//! the WAL/state-transfer path.
+//! the WAL/state-transfer path, whole or refused.
 
-use dedisys_core::{nodes, RingRecorder, TraceEvent};
-use dedisys_federation::{
-    FederatedCluster, RebalancePlan, RoutingPolicy, ShardId, ShardMap, XSHARD_TIMEOUT,
+use dedisys_constraints::{
+    expr::ExprConstraint, ConstraintMeta, ContextPreparation, RegisteredConstraint,
 };
+use dedisys_core::{
+    nodes, DeferAll, HighestVersionWins, ReconOps, RingRecorder, TraceEvent, ViolationReport,
+};
+use dedisys_federation::{FederatedCluster, RoutingPolicy, ShardId, ShardMap, XSHARD_TIMEOUT};
 use dedisys_object::{AppDescriptor, ClassDescriptor};
-use dedisys_types::{Error, NodeId, ObjectId, PriorityClass, SystemMode, Value};
+use dedisys_types::{
+    Error, NodeId, ObjectId, PriorityClass, SatisfactionDegree, SystemMode, Value,
+};
+use std::sync::Arc;
+
+#[path = "../crates/core/tests/promise/mod.rs"]
+mod promise;
 
 fn app() -> AppDescriptor {
     AppDescriptor::new("federation")
@@ -190,9 +199,7 @@ fn sticky_policy_follows_migrations_not_stale_pins() {
 
     // Shrinking to 2 shards migrates everything S2 owned; routing must
     // follow the migration, not the original placement.
-    let plan = fed.plan_rebalance_to(2).expect("plan");
-    assert!(plan.steps.iter().any(|s| s.object == id));
-    fed.rebalance(plan).expect("rebalance");
+    assert_eq!(fed.rebalance(2), Ok(1));
     let new_owner = fed.map().shard_of(&id);
     assert_ne!(new_owner, ShardId(2));
     write(&mut fed, &id, 5).expect("write lands on the new owner");
@@ -466,6 +473,50 @@ fn outcome_participants_come_out_in_shard_order() {
 // Rebalancing
 // ---------------------------------------------------------------------
 
+/// Everything a refused rebalance must leave as it was: the map, the
+/// federation's counters and, per shard, every node's committed ids
+/// and journal and the threat store with its journal.
+fn untouched(fed: &FederatedCluster) -> String {
+    let mut state = format!("{:?} {:?}", fed.map(), fed.stats());
+    for s in 0..fed.shard_count() {
+        let shard = fed.shard(ShardId(s));
+        for node in (0..shard.node_count()).map(NodeId) {
+            let (ids, journal) = (shard.committed_ids_on(node), shard.journal_on(node));
+            state += &format!(" {ids:?} {journal:?}");
+        }
+        state += &format!(" {:?}", shard.threats());
+    }
+    state
+}
+
+/// Runs `fed.rebalance(shards)`, which must be refused naming
+/// `blocker`, and checks that the refusal changed nothing: no state
+/// (see [`untouched`]) and no `shard_migrated` on the federation bus.
+fn assert_refused(fed: &mut FederatedCluster, shards: u32, blocker: &str) {
+    let before = untouched(fed);
+    let ring = RingRecorder::new(64);
+    fed.telemetry().attach(Box::new(ring.clone()));
+    match fed.rebalance(shards) {
+        Err(Error::ModeRestriction(why)) => assert!(why.contains(blocker), "{why}"),
+        other => panic!("rebalance to {shards} was not refused: {other:?}"),
+    }
+    assert_eq!(untouched(fed), before, "a refused rebalance changed state");
+    assert!(ring.records_of_kind("shard_migrated").is_empty());
+}
+
+/// Every committed object on every node lives on the shard the map
+/// names, and nowhere else.
+fn assert_one_owner_each(fed: &FederatedCluster) {
+    for s in 0..fed.shard_count() {
+        let shard = fed.shard(ShardId(s));
+        for node in shard.live_nodes() {
+            for id in shard.committed_ids_on(node) {
+                assert_eq!(fed.map().shard_of(&id), ShardId(s), "{id} on {node}");
+            }
+        }
+    }
+}
+
 #[test]
 fn rebalance_moves_committed_state_over_the_wal_path() {
     let mut fed = federation(4, RoutingPolicy::RouteAnyway);
@@ -479,13 +530,12 @@ fn rebalance_moves_committed_state_over_the_wal_path() {
         values.insert(id, 100 + i);
     }
 
-    let plan = fed.plan_rebalance_to(3).expect("shrink plan");
-    assert!(!plan.steps.is_empty(), "S3's keys must move");
-    assert!(plan.steps.iter().all(|s| s.from == ShardId(3)));
-    let expected_moves = plan.steps.len() as u64;
-    let report = fed.rebalance(plan).expect("rebalance");
-    assert_eq!(report.migrated, expected_moves);
-    assert!(report.deferred.is_empty());
+    let on_s3 = values
+        .keys()
+        .filter(|id| fed.map().shard_of(id) == ShardId(3));
+    let expected_moves = on_s3.count() as u64;
+    assert!(expected_moves > 0, "S3's keys must move");
+    assert_eq!(fed.rebalance(3), Ok(expected_moves));
     assert_eq!(fed.map().shards(), 3);
     assert_eq!(fed.stats().migrated, expected_moves);
     assert_eq!(
@@ -502,36 +552,190 @@ fn rebalance_moves_committed_state_over_the_wal_path() {
     }
 }
 
+/// A transaction holding a moving object's lock refuses the whole
+/// rebalance: migrating pessimistically locked state would tear an open
+/// transaction in half. Once the lock clears, the same call moves the
+/// object with its committed value. (The two-call rebalance deferred
+/// the step and still flipped the map, so the object was left on a
+/// shard nothing routed to.)
 #[test]
-fn rebalance_defers_steps_whose_shards_are_faulted() {
+fn rebalance_is_refused_while_a_moving_object_is_locked() {
     let mut fed = federation(3, RoutingPolicy::RouteAnyway);
     let id = id_on(fed.map(), ShardId(2), "df");
     fed.create(&id).unwrap();
     write(&mut fed, &id, 7).unwrap();
 
-    // A transaction holding the object's lock on the source shard
-    // defers (not fails) the step: migrating pessimistically-locked
-    // state would tear an open transaction in half.
     let node = fed.coordinator_node(ShardId(2)).unwrap();
     let holder = {
         let mut session = fed.shard_mut(ShardId(2)).session(node);
         session.set_field(&id, "v", Value::Int(8)).unwrap();
         session.prepare().unwrap()
     };
-    let plan = fed.plan_rebalance_to(2).expect("plan");
-    let report = fed.rebalance(plan).expect("rebalance");
-    assert!(report.deferred.iter().any(|s| s.object == id));
-    // The object is untouched on its old shard; the deferred steps are
-    // retried directly once the lock clears.
-    let deferred = report.deferred;
+    assert_refused(&mut fed, 2, &format!("{id} is locked by {holder} on S2"));
+    assert_eq!(fed.map().shards(), 3);
+
     fed.shard_mut(ShardId(2)).rollback(holder).unwrap();
-    let report = fed
-        .rebalance(RebalancePlan {
-            target: fed.map().clone(),
-            steps: deferred,
-        })
-        .expect("retry");
-    assert_eq!(report.migrated, 1);
+    assert_eq!(fed.rebalance(2), Ok(1));
     let owner = fed.map().shard_of(&id);
+    assert_ne!(owner, ShardId(2));
     assert_eq!(read(&fed, owner, &id), Some(Value::Int(7)));
+    assert_one_owner_each(&fed);
+}
+
+/// `Counter`s under `n <= max`, tradeable down to `uncheckable`, on
+/// every shard: a degraded write that possibly violates it is accepted
+/// and its threat stored.
+fn bounded_federation(shards: u32) -> FederatedCluster {
+    let app = AppDescriptor::new("bounded").with_class(
+        ClassDescriptor::new("Counter")
+            .with_field("n", Value::Int(0))
+            .with_field("max", Value::Int(100)),
+    );
+    FederatedCluster::builder(shards, 3, app)
+        .seed(7)
+        .configure(|b| {
+            b.constraint(
+                RegisteredConstraint::new(
+                    ConstraintMeta::new("Bounded").tradeable(SatisfactionDegree::Uncheckable),
+                    Arc::new(ExprConstraint::parse("self.n <= self.max").unwrap()),
+                )
+                .context_class("Counter")
+                .affects("Counter", "setN", ContextPreparation::CalledObject),
+            )
+        })
+        .build()
+        .unwrap()
+}
+
+/// A partitioned source shard refuses the rebalance, and so does the
+/// same shard once healed but not yet reconciled: its threat must not
+/// be left behind. The two-call rebalance migrated the object out of
+/// the partitioned shard; after heal and reconcile, S0's audit found
+/// `(Bounded, Counter#…) on n0` unexplained, with both threat stores
+/// empty. After a repairing reconciliation the rebalance goes through
+/// and the promise holds on every shard.
+#[test]
+fn a_partitioned_source_is_refused_until_reconciled() {
+    let mut fed = bounded_federation(2);
+    let id = (0..1000)
+        .map(|i| ObjectId::new("Counter", format!("c{i}")))
+        .find(|id| fed.map().shard_of(id) == ShardId(1))
+        .unwrap();
+    fed.create(&id).unwrap();
+    let s1 = fed.shard_mut(ShardId(1));
+    s1.partition(&[nodes![0], nodes![1, 2]]).unwrap();
+    s1.run_tx(NodeId(0), |c, tx| {
+        c.set_field(NodeId(0), tx, &id, "n", Value::Int(160))
+    })
+    .unwrap();
+    assert_eq!(fed.shard(ShardId(1)).threats().len(), 1);
+    assert_refused(&mut fed, 1, "S1 is Degraded");
+
+    fed.shard_mut(ShardId(1)).heal();
+    assert_refused(&mut fed, 1, "S1 is Reconciliation");
+    // Reconciled but deferred: the shard is healthy, its threat stands.
+    fed.shard_mut(ShardId(1))
+        .reconcile(&mut HighestVersionWins, &mut DeferAll);
+    assert_eq!(fed.shard(ShardId(1)).mode(), SystemMode::Healthy);
+    assert_refused(&mut fed, 1, "S1 awaits reconciliation");
+
+    let mut repair = |violation: &ViolationReport, ops: &mut ReconOps<'_>| {
+        let id = violation.identity.context_object.as_ref().unwrap();
+        ops.read(id, "max")
+            .and_then(|max| ops.write(id, "n", max))
+            .is_ok()
+    };
+    fed.shard_mut(ShardId(1))
+        .reconcile(&mut HighestVersionWins, &mut repair);
+    assert_eq!(fed.rebalance(1), Ok(1));
+    for s in 0..2 {
+        promise::assert_kept(fed.shard(ShardId(s)));
+    }
+    let n = fed
+        .shard(ShardId(0))
+        .entity_on(NodeId(0), &id)
+        .unwrap()
+        .field("n")
+        .clone();
+    assert_eq!(n, Value::Int(100));
+    assert_one_owner_each(&fed);
+}
+
+/// A crashed node on the source shard refuses the whole rebalance: the
+/// map stays, so the routed write still lands on the object's one
+/// owner and a second create of the id is refused. The two-call
+/// rebalance deferred the step but flipped the map: the routed write
+/// failed with `ObjectNotFound` and a second create committed the id
+/// on the other shard too.
+#[test]
+fn a_crashed_node_refuses_the_whole_rebalance() {
+    let mut fed = federation(2, RoutingPolicy::RouteAnyway);
+    let id = id_on(fed.map(), ShardId(1), "cr");
+    fed.create(&id).unwrap();
+    write(&mut fed, &id, 7).unwrap();
+    fed.shard_mut(ShardId(1)).crash(NodeId(2)).unwrap();
+
+    assert_refused(&mut fed, 1, "S1 is Degraded");
+    write(&mut fed, &id, 8).expect("the routed write still lands");
+    assert_eq!(read(&fed, ShardId(1), &id), Some(Value::Int(8)));
+    assert_eq!(fed.create(&id), Err(Error::ObjectExists(id.clone())));
+    assert_one_owner_each(&fed);
+}
+
+/// Across shrinks and grows with objects created between them, every
+/// committed object lives only on the shard the map names and keeps
+/// its value. With the two-call rebalance, an object created between
+/// `plan_rebalance_to` and `rebalance(plan)` stayed on a shard nothing
+/// routed to any more, and a second create committed it elsewhere.
+#[test]
+fn shrinks_and_grows_keep_every_object_on_the_shard_the_map_names() {
+    let mut fed = federation(4, RoutingPolicy::RouteAnyway);
+    let ring = RingRecorder::new(1024);
+    fed.telemetry().attach(Box::new(ring.clone()));
+    let mut values = std::collections::BTreeMap::new();
+    for (round, shards) in [3, 1, 4, 2, 3, 4].into_iter().enumerate() {
+        for i in 0..6 {
+            let id = ObjectId::new("Item", format!("sg{round}-{i}"));
+            fed.create(&id).unwrap();
+            write(&mut fed, &id, (10 * round + i) as i64).unwrap();
+            values.insert(id, (10 * round + i) as i64);
+        }
+        fed.rebalance(shards)
+            .expect("a quiescent federation rebalances");
+        assert_eq!(fed.map().shards(), shards);
+        assert_one_owner_each(&fed);
+        for (id, v) in &values {
+            let owner = fed.map().shard_of(id);
+            assert_eq!(read(&fed, owner, id), Some(Value::Int(*v)), "{id}");
+            assert_eq!(fed.create(id), Err(Error::ObjectExists(id.clone())));
+        }
+    }
+    let migrated = ring.records_of_kind("shard_migrated").len() as u64;
+    assert_eq!(fed.stats().migrated, migrated);
+    assert!(migrated > 0);
+}
+
+/// A migration is journalled on both sides: a source node that crashes
+/// and restarts does not bring the object back, a target node keeps
+/// its value, and the new owner takes routed writes.
+#[test]
+fn a_migration_survives_restarts_on_both_sides() {
+    let mut fed = federation(2, RoutingPolicy::RouteAnyway);
+    let id = id_on(fed.map(), ShardId(1), "mv");
+    fed.create(&id).unwrap();
+    write(&mut fed, &id, 7).unwrap();
+    assert_eq!(fed.rebalance(1), Ok(1));
+
+    for (shard, held) in [(ShardId(1), None), (ShardId(0), Some(Value::Int(7)))] {
+        for node in (0..3).map(NodeId) {
+            let cluster = fed.shard_mut(shard);
+            cluster.crash(node).unwrap();
+            cluster.restart(node).unwrap();
+            let after = cluster.entity_on(node, &id).map(|e| e.field("v").clone());
+            assert_eq!(after, held, "{id} on {shard}/{node} after a restart");
+        }
+    }
+    write(&mut fed, &id, 9).expect("the new owner takes routed writes");
+    assert_eq!(read(&fed, ShardId(0), &id), Some(Value::Int(9)));
+    assert_one_owner_each(&fed);
 }
