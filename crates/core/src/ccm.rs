@@ -11,12 +11,12 @@
 //!
 //! This file holds replica access, evaluation and the staleness merge;
 //! [`negotiation`] holds Figure 3.3 end to end, from a verdict to a
-//! stored, tolerated or rejected threat. What the CCMgr knows about an
+//! staged, tolerated or rejected threat. What the CCMgr knows about an
 //! open transaction lives in the cluster's one record of it.
 
 mod negotiation;
 
-pub(crate) use negotiation::DeferredThreat;
+pub(crate) use negotiation::{DeferredThreat, TxThreats};
 pub use negotiation::{NegotiationHandler, NegotiationTiming, ThreatDecision};
 
 use crate::threat::{HistoryPolicy, ReconcileInstructions, ThreatStore};
@@ -283,7 +283,8 @@ pub(crate) struct PendingCheck {
 /// counters. The settings it negotiates by are the cluster's
 /// configuration, handed in per call.
 pub(crate) struct Ccm {
-    threat_store: ThreatStore,
+    /// Written by commits, reconciliation and restarts only.
+    pub(crate) threat_store: ThreatStore,
     default_instructions: ReconcileInstructions,
     stats: CcmStats,
     clock: SimClock,
@@ -294,7 +295,7 @@ impl Ccm {
     /// Creates a CCM with the given threat-history policy, attaching
     /// `default_instructions` to new threats, reading the time off the
     /// cluster's `clock` and emitting `constraint_validated`,
-    /// `threat_recorded` and `threat_rejected` on `telemetry`.
+    /// `staleness_hit` and `threat_rejected` on `telemetry`.
     pub(crate) fn new(
         policy: HistoryPolicy,
         default_instructions: ReconcileInstructions,
@@ -313,16 +314,6 @@ impl Ccm {
     /// CCM counters.
     pub(crate) fn stats(&self) -> CcmStats {
         self.stats
-    }
-
-    /// The threat store.
-    pub(crate) fn threat_store(&self) -> &ThreatStore {
-        &self.threat_store
-    }
-
-    /// Mutable threat store (reconciliation).
-    pub(crate) fn threat_store_mut(&mut self) -> &mut ThreatStore {
-        &mut self.threat_store
     }
 
     /// The second half of a validation: staleness adjustment (LCC),
@@ -352,15 +343,22 @@ impl Ccm {
         // topology looks: after a heal its replicas disagree until the
         // replica step picks the state that stays, so a definite
         // verdict (and a satisfied one's removal of standing threats)
-        // would be read off a copy that may lose.
+        // would be read off a copy that may lose. The first such object
+        // is reported as a staleness hit if the topology makes it stale.
         if degree.is_definite() && constraint.meta.scope != ObjectScope::IntraObject {
-            let any_stale = accessed.iter().any(|id| {
-                access
-                    .replication
-                    .is_possibly_stale(id, node, access.topology)
-                    || access.replication.is_degraded_tracked(id)
+            let replication = access.replication;
+            let first = accessed.iter().find_map(|id| {
+                let stale = replication.is_possibly_stale(id, node, access.topology);
+                (stale || replication.is_degraded_tracked(id)).then_some((id, stale))
             });
-            if any_stale {
+            if let Some((id, stale)) = first {
+                if stale {
+                    self.telemetry.metrics().incr("replication.staleness_hits");
+                    self.telemetry.emit(|| TraceEvent::StalenessHit {
+                        object: id.text().into(),
+                        node,
+                    });
+                }
                 degree = degree.degrade_for_staleness();
             }
         }
@@ -406,7 +404,6 @@ mod tests {
     use dedisys_gms::NodeWeights;
     use dedisys_object::{AppDescriptor, ClassDescriptor, EntityState};
     use dedisys_replication::ProtocolKind;
-    use dedisys_telemetry::ThreatStorage;
     use dedisys_types::SimTime;
     use std::sync::Arc;
 
@@ -436,6 +433,8 @@ mod tests {
         replication: ReplicationManager,
         topology: Topology,
         ccm: Ccm,
+        /// The CCMgr's part of the record of `tx`.
+        threats: TxThreats,
         id: ObjectId,
         tx: TxId,
     }
@@ -467,6 +466,7 @@ mod tests {
                 SimClock::new(),
                 Telemetry::new(SimClock::new()),
             ),
+            threats: TxThreats::default(),
             id,
             tx: TxId::new(NodeId(0), 1),
         }
@@ -501,19 +501,18 @@ mod tests {
             .unwrap()
     }
 
-    /// Immediate negotiation of `verdict` under the default settings.
+    /// Immediate negotiation of `verdict` under the default settings,
+    /// staging into `world.threats`.
     fn process(
         world: &mut World,
         constraint: &RegisteredConstraint,
         verdict: ValidationVerdict,
-        mut handler: Option<Box<dyn NegotiationHandler>>,
-    ) -> Result<Option<ThreatStorage>> {
+    ) -> Result<()> {
         world.ccm.process_verdict(
             &ValidationCandidate::invariant(constraint, Some(&world.id)),
             &verdict,
             &ValidationConfig::default(),
-            &mut handler,
-            &mut Vec::new(),
+            &mut world.threats,
             world.tx,
         )
     }
@@ -594,25 +593,25 @@ mod tests {
         let mut w = setup(2, 70, 80);
         let c = ticket_constraint(true);
 
-        // Satisfied: no error, nothing stored.
+        // Satisfied: no error, nothing staged.
         let v = validate(&mut w, &c);
-        assert_eq!(process(&mut w, &c, v, None), Ok(None));
+        assert_eq!(process(&mut w, &c, v), Ok(()));
+        assert!(w.threats.accepted.is_empty() && w.threats.cleaned.is_empty());
 
-        // Threat (accepted statically): stored.
+        // Threat (accepted statically): staged for the commit, not
+        // stored.
         w.topology.split(&[&[0], &[1]]);
         let v = validate(&mut w, &c);
-        assert_eq!(
-            process(&mut w, &c, v, None),
-            Ok(Some(ThreatStorage::Stored))
-        );
-        assert_eq!(w.ccm.threat_store().len(), 1);
+        assert_eq!(process(&mut w, &c, v), Ok(()));
+        assert_eq!(w.threats.accepted.len(), 1);
+        assert!(w.ccm.threat_store.is_empty());
 
-        // Identical threat: deduplicated.
+        // Identical threat: staged too; the store deduplicates at the
+        // commit.
         let v = validate(&mut w, &c);
-        assert_eq!(
-            process(&mut w, &c, v, None),
-            Ok(Some(ThreatStorage::Deduplicated))
-        );
+        assert_eq!(process(&mut w, &c, v), Ok(()));
+        assert_eq!(w.threats.accepted.len(), 2);
+        assert!(w.ccm.threat_store.is_empty());
     }
 
     #[test]
@@ -621,9 +620,10 @@ mod tests {
         w.topology.split(&[&[0], &[1]]);
         let c = ticket_constraint(false);
         let v = validate(&mut w, &c);
-        let err = process(&mut w, &c, v, None).unwrap_err();
+        let err = process(&mut w, &c, v).unwrap_err();
         assert!(matches!(err, Error::ThreatRejected { .. }));
         assert_eq!(w.ccm.stats().threats_rejected, 1);
+        assert!(w.threats.accepted.is_empty());
     }
 
     #[test]
@@ -631,7 +631,7 @@ mod tests {
         let mut w = setup(2, 90, 80);
         let c = ticket_constraint(true);
         let v = validate(&mut w, &c);
-        let err = process(&mut w, &c, v, None).unwrap_err();
+        let err = process(&mut w, &c, v).unwrap_err();
         assert!(matches!(err, Error::ConstraintViolated { .. }));
     }
 
@@ -641,18 +641,19 @@ mod tests {
         w.topology.split(&[&[0], &[1]]);
         // A non-tradeable constraint rejects before the handler is
         // asked: a tradeable one shows the app data landing in the
-        // store.
+        // staged threat.
         let c = ticket_constraint(true);
         let handler = |threat: &mut ConsistencyThreat| {
             threat.app_data = Some(Value::from("sold-in-partition"));
             threat.instructions.allow_rollback = true;
             ThreatDecision::Accept
         };
+        w.threats.handler = Some(Box::new(handler));
         let v = validate(&mut w, &c);
-        process(&mut w, &c, v, Some(Box::new(handler))).unwrap();
-        let stored = &w.ccm.threat_store().threats()[0];
-        assert_eq!(stored.app_data, Some(Value::from("sold-in-partition")));
-        assert!(stored.instructions.allow_rollback);
+        process(&mut w, &c, v).unwrap();
+        let staged = &w.threats.accepted[0];
+        assert_eq!(staged.app_data, Some(Value::from("sold-in-partition")));
+        assert!(staged.instructions.allow_rollback);
     }
 
     #[test]
@@ -661,20 +662,27 @@ mod tests {
         let c = ticket_constraint(true);
         w.topology.split(&[&[0], &[1]]);
         let v = validate(&mut w, &c);
-        process(&mut w, &c, v, None).unwrap();
-        assert_eq!(w.ccm.threat_store().len(), 1);
+        process(&mut w, &c, v).unwrap();
+        assert_eq!(w.threats.accepted.len(), 1);
         w.topology.heal();
         let v = validate(&mut w, &c);
-        process(&mut w, &c, v, None).unwrap();
-        assert!(w.ccm.threat_store().is_empty(), "cleaned up by business op");
+        process(&mut w, &c, v).unwrap();
+        assert!(
+            w.threats.accepted.is_empty(),
+            "the transaction's own threat is cleaned up by its later check"
+        );
+        assert!(
+            w.threats.cleaned.is_empty(),
+            "the store holds nothing for the commit to remove"
+        );
     }
 
     #[test]
     fn async_fast_path_records_without_validation() {
         let mut w = setup(2, 70, 80);
         let c = ticket_constraint(true);
-        let outcome = w.ccm.record_async_threat(&c, Some(&w.id), w.tx);
-        assert_eq!(outcome, ThreatStorage::Stored);
+        let threat = w.ccm.record_async_threat(&c, Some(&w.id), w.tx);
+        assert_eq!(threat.degree, SatisfactionDegree::Uncheckable);
         assert_eq!(w.ccm.stats().validations, 0);
         assert_eq!(w.ccm.stats().async_shortcuts, 1);
     }

@@ -1,13 +1,13 @@
 //! Consistency-threat negotiation (§3.2.1, Figure 3.3), end to end:
 //! a validation verdict becomes a continued operation, a refusal, or a
 //! threat that is negotiated — now or at commit (§5.4) — and then
-//! stored, tolerated or rejected.
+//! staged for its transaction's commit, tolerated or rejected.
 
 use super::{kept_set, Ccm, ValidationCandidate, ValidationVerdict};
 use crate::config::ValidationConfig;
-use crate::threat::ConsistencyThreat;
+use crate::threat::{ConsistencyThreat, ThreatIdentity};
 use dedisys_constraints::RegisteredConstraint;
-use dedisys_telemetry::{ThreatStorage, TraceEvent};
+use dedisys_telemetry::TraceEvent;
 use dedisys_types::{ClassName, Error, ObjectId, Result, SatisfactionDegree, TxId, VersionInfo};
 use std::collections::BTreeSet;
 
@@ -64,6 +64,22 @@ pub(crate) enum NegotiationPath {
     Static,
     /// Application-wide default minimum satisfaction degree.
     Default,
+}
+
+/// The CCMgr's part of an open transaction's record. The threat changes
+/// it stages — accepted threats (§3.2), a satisfied check's clean-up
+/// (§4.4) — are the transaction's decisions: its commit applies them
+/// with its writes, its abort drops them.
+#[derive(Default)]
+pub(crate) struct TxThreats {
+    /// The transaction's dynamic negotiation handler (§3.2.1).
+    pub(crate) handler: Option<Box<dyn NegotiationHandler>>,
+    /// Threats awaiting deferred negotiation (§5.4).
+    pub(crate) deferred: Vec<DeferredThreat>,
+    /// Accepted invariant threats, in acceptance order.
+    pub(crate) accepted: Vec<ConsistencyThreat>,
+    /// Stored identities satisfied checks cleaned up.
+    pub(crate) cleaned: Vec<ThreatIdentity>,
 }
 
 /// A threat awaiting deferred negotiation, kept in the record of its
@@ -132,16 +148,13 @@ pub(crate) fn negotiate(
 }
 
 impl Ccm {
-    /// Processes a validation verdict: satisfied → continue (and clean
-    /// up matching deferred threats, §4.4); violated → abort; threat →
-    /// negotiate — now, or under [`NegotiationTiming::Deferred`] onto
-    /// `deferred` for the commit — and either store (invariants) or
-    /// tolerate (pre/post, §3) or abort. `handler` is the dynamic
-    /// handler of `tx`.
-    ///
-    /// Returns how a threat was persisted (the cluster charges
-    /// persistence costs accordingly). The verdict is borrowed: its
-    /// gathered ids are the cluster's buffer, and a threat keeps a copy.
+    /// Processes a validation verdict of `tx`, whose record's CCMgr
+    /// part is `threats`: satisfied → continue, and clean up threats of
+    /// the same identity (§4.4); violated → abort; threat → negotiate —
+    /// now, or under [`NegotiationTiming::Deferred`] at the vote — and
+    /// either stage (invariants) or tolerate (pre/post, §3) or abort.
+    /// The verdict is borrowed: its gathered ids are the cluster's
+    /// buffer, and a threat keeps a copy.
     ///
     /// # Errors
     ///
@@ -152,19 +165,28 @@ impl Ccm {
         candidate: &ValidationCandidate<'_>,
         verdict: &ValidationVerdict,
         settings: &ValidationConfig,
-        handler: &mut Option<Box<dyn NegotiationHandler>>,
-        deferred: &mut Vec<DeferredThreat>,
+        threats: &mut TxThreats,
         tx: TxId,
-    ) -> Result<Option<ThreatStorage>> {
+    ) -> Result<()> {
         let constraint = candidate.constraint;
         let context_object = candidate.context_object;
         match verdict.degree {
             SatisfactionDegree::Satisfied => {
-                // A satisfied validation cleans up deferred threats of
-                // the same identity (§4.4).
-                self.threat_store
-                    .remove_identity(constraint.name(), context_object);
-                Ok(None)
+                // Nothing stored or staged (every healthy check): no clean-up.
+                if self.threat_store.is_empty() && threats.accepted.is_empty() {
+                    return Ok(());
+                }
+                let identity = ThreatIdentity {
+                    constraint: constraint.name().clone(),
+                    context_object: context_object.cloned(),
+                };
+                threats
+                    .accepted
+                    .retain(|threat| threat.identity() != identity);
+                if self.threat_store.first_of(&identity).is_some() {
+                    threats.cleaned.push(identity);
+                }
+                Ok(())
             }
             SatisfactionDegree::Violated => Err(Error::ConstraintViolated {
                 constraint: constraint.name().clone(),
@@ -184,18 +206,17 @@ impl Ccm {
                     // §5.4: continue under the assumption that the
                     // threat will be accepted; the decision is made at
                     // commit time.
-                    deferred.push(DeferredThreat {
+                    threats.deferred.push(DeferredThreat {
                         constraint: constraint.clone(),
                         threat,
                         freshness: verdict.freshness.clone(),
                     });
-                    return Ok(None);
+                    return Ok(());
                 }
                 self.negotiate_threat(
                     constraint,
-                    context_object,
                     threat,
-                    handler,
+                    threats,
                     &verdict.freshness,
                     settings.app_default_min_degree,
                 )
@@ -203,30 +224,29 @@ impl Ccm {
         }
     }
 
-    /// The one negotiation of a threat (§3.2), immediate or deferred. A
-    /// rejection is counted and reported; an accepted invariant threat
-    /// is persisted and its storage returned (`context_object`, the
-    /// threat's own, names it in the record once the store owns it); an
-    /// accepted pre-/postcondition threat is only tolerated: it cannot
-    /// be re-evaluated later (§3), so invariants must cover it.
-    /// Accepting with `app_data` the threat journal could not give back
+    /// The one negotiation of a threat (§3.2), immediate or deferred,
+    /// under the handler in `threats`. A rejection is counted and
+    /// reported; an accepted invariant threat is staged in `threats` for
+    /// the commit; an accepted pre-/postcondition threat is only
+    /// tolerated: it cannot be re-evaluated later (§3), so invariants
+    /// must cover it. Accepting with `app_data` the threat journal could
+    /// not give back
     /// ([`Value::check_journalable`](dedisys_types::Value::check_journalable))
     /// refuses the operation with [`Error::IllTypedField`]
-    /// (`name: "app_data"`) and stores nothing.
+    /// (`name: "app_data"`) and stages nothing.
     fn negotiate_threat(
         &mut self,
         constraint: &RegisteredConstraint,
-        context_object: Option<&ObjectId>,
         mut threat: ConsistencyThreat,
-        handler: &mut Option<Box<dyn NegotiationHandler>>,
+        threats: &mut TxThreats,
         freshness: &[(ClassName, VersionInfo)],
         app_default_min_degree: SatisfactionDegree,
-    ) -> Result<Option<ThreatStorage>> {
+    ) -> Result<()> {
         let degree = threat.degree;
         let (decision, path) = negotiate(
             constraint,
             &mut threat,
-            handler,
+            &mut threats.handler,
             freshness,
             app_default_min_degree,
         );
@@ -248,20 +268,17 @@ impl Ccm {
                     data.check_journalable("app_data")?;
                 }
                 self.stats.threats_accepted += 1;
-                if !constraint.meta.kind.is_invariant() {
-                    return Ok(None);
+                if constraint.meta.kind.is_invariant() {
+                    threats.accepted.push(threat);
                 }
-                let storage = self.threat_store.store(threat);
-                self.emit_threat_recorded(constraint, context_object, degree, storage);
-                Ok(Some(storage))
+                Ok(())
             }
         }
     }
 
     /// Negotiates the threats deferred during a transaction, under its
-    /// dynamic `handler` (called by the middleware before commit).
-    /// Returns the storage of the accepted invariant threats so the
-    /// caller can charge persistence costs.
+    /// dynamic handler (called by the middleware before commit), and
+    /// stages the accepted ones in `threats`.
     ///
     /// # Errors
     ///
@@ -269,43 +286,40 @@ impl Ccm {
     /// the transaction must then be rolled back.
     pub(crate) fn negotiate_deferred(
         &mut self,
-        deferred: Vec<DeferredThreat>,
-        handler: &mut Option<Box<dyn NegotiationHandler>>,
+        threats: &mut TxThreats,
         settings: &ValidationConfig,
-    ) -> Result<Vec<ThreatStorage>> {
-        let mut outcomes = Vec::new();
+    ) -> Result<()> {
         for DeferredThreat {
             constraint,
             threat,
             freshness,
-        } in deferred
+        } in std::mem::take(&mut threats.deferred)
         {
-            let context = threat.context_object.clone();
-            outcomes.extend(self.negotiate_threat(
+            self.negotiate_threat(
                 &constraint,
-                context.as_ref(),
                 threat,
-                handler,
+                threats,
                 &freshness,
                 settings.app_default_min_degree,
-            )?);
+            )?;
         }
-        Ok(outcomes)
+        Ok(())
     }
 
     /// The §5.5.3 asynchronous-constraint fast path: in degraded mode
-    /// the constraint is not validated and not negotiated; a threat is
-    /// recorded directly for reconciliation-time evaluation.
+    /// the constraint is not validated and not negotiated; the accepted
+    /// threat it returns is staged directly for reconciliation-time
+    /// evaluation.
     pub(crate) fn record_async_threat(
         &mut self,
         constraint: &RegisteredConstraint,
         context_object: Option<&ObjectId>,
         tx: TxId,
-    ) -> ThreatStorage {
+    ) -> ConsistencyThreat {
         self.stats.async_shortcuts += 1;
         self.stats.threats_detected += 1;
         self.stats.threats_accepted += 1;
-        let storage = self.threat_store.store(ConsistencyThreat {
+        ConsistencyThreat {
             constraint: constraint.name().clone(),
             context_object: context_object.cloned(),
             degree: SatisfactionDegree::Uncheckable,
@@ -314,30 +328,7 @@ impl Ccm {
             instructions: self.default_instructions,
             occurred_at: self.clock.now(),
             tx,
-        });
-        self.emit_threat_recorded(
-            constraint,
-            context_object,
-            SatisfactionDegree::Uncheckable,
-            storage,
-        );
-        storage
-    }
-
-    fn emit_threat_recorded(
-        &self,
-        constraint: &RegisteredConstraint,
-        context: Option<&ObjectId>,
-        degree: SatisfactionDegree,
-        storage: ThreatStorage,
-    ) {
-        self.telemetry.metrics().incr("ccm.threats_recorded");
-        self.telemetry.emit(|| TraceEvent::ThreatRecorded {
-            constraint: constraint.name().text().into(),
-            context: context.map(|object| object.text().into()),
-            degree,
-            storage,
-        });
+        }
     }
 
     /// Counts which §3.2 negotiation mechanism decided a threat.

@@ -133,7 +133,7 @@ impl Cluster {
     /// committed view — after the final reconciliation there must be
     /// none.
     pub fn stale_threats(&self) -> Vec<ThreatIdentity> {
-        let threats = self.ccm.threat_store();
+        let threats = &self.ccm.threat_store;
         let mut stale = threats.identities();
         stale.retain(|identity| {
             let Some(constraint) = self.repository.get(&identity.constraint) else {
@@ -199,7 +199,7 @@ impl Cluster {
             constraint: constraint.name().clone(),
             context_object: context.clone(),
         };
-        let explanation = if self.ccm.threat_store().first_of(&identity).is_some() {
+        let explanation = if self.ccm.threat_store.first_of(&identity).is_some() {
             Some(Explanation::StandingThreat)
         } else if read.iter().any(|o| self.awaits_reconciliation(o)) {
             Some(Explanation::PendingReconciliation)

@@ -100,7 +100,7 @@ impl Cluster {
         let report = self.containers[node.index()].recover_from_journal()?;
         // §5.5.1: threat records deactivated by the crash come back.
         // Both journals are read before the node counts as live.
-        let reactivated = self.ccm.threat_store_mut().recover()? as u64;
+        let reactivated = self.ccm.threat_store.recover()? as u64;
         let replayed = report.replayed;
         self.crashed.remove(&node);
         self.clock

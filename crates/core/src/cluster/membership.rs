@@ -104,7 +104,7 @@ impl Cluster {
     /// Whether degraded-mode residue (threats, unsynced replicas)
     /// awaits reconciliation.
     pub fn needs_reconciliation(&self) -> bool {
-        !self.ccm.threat_store().is_empty() || !self.replication.degraded_write_map().is_empty()
+        !self.ccm.threat_store.is_empty() || !self.replication.degraded_write_map().is_empty()
     }
 
     /// Whether `object` has degraded-mode writes or missed ships that

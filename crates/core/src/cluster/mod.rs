@@ -31,7 +31,7 @@ pub use reconciliation::{
     ReconcileStrategy, ReconciliationSummary, ViolationReport,
 };
 
-use crate::ccm::{Ccm, DeferredThreat, NegotiationHandler, PartitionEnv, PendingCheck};
+use crate::ccm::{Ccm, PartitionEnv, PendingCheck, TxThreats};
 use crate::config::ClusterConfig;
 use crate::threat::ThreatStore;
 use crate::CostModel;
@@ -116,10 +116,9 @@ struct TxInfo {
     in_doubt: Option<InDoubtTx>,
     /// Soft/async invariants awaiting the commit-time vote.
     pending: Vec<PendingCheck>,
-    /// The transaction's dynamic negotiation handler (§3.2.1).
-    handler: Option<Box<dyn NegotiationHandler>>,
-    /// Threats awaiting deferred negotiation (§5.4).
-    deferred: Vec<DeferredThreat>,
+    /// Its handler, its deferred threats and the threat changes it
+    /// stages for `apply_commit`.
+    threats: TxThreats,
 }
 
 impl TxInfo {
@@ -137,8 +136,13 @@ impl TxInfo {
             created,
             in_doubt,
             pending,
-            handler,
-            deferred,
+            threats:
+                TxThreats {
+                    handler,
+                    deferred,
+                    accepted,
+                    cleaned,
+                },
         } = self;
         involved.clear();
         created.clear();
@@ -146,6 +150,8 @@ impl TxInfo {
         pending.clear();
         *handler = None;
         deferred.clear();
+        accepted.clear();
+        cleaned.clear();
     }
 }
 
@@ -334,7 +340,7 @@ impl Cluster {
 
     /// The stored consistency threats.
     pub fn threats(&self) -> &ThreatStore {
-        self.ccm.threat_store()
+        &self.ccm.threat_store
     }
 
     /// The typed configuration in force. This is the same value the

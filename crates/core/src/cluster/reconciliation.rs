@@ -260,8 +260,8 @@ impl Cluster {
         // is batched per identity group — one network round per group,
         // per-record database volume — instead of a full
         // write-plus-round per record.
-        let threat_records = self.ccm.threat_store().len() as u64;
-        let threat_groups = self.ccm.threat_store().identity_count() as u64;
+        let threat_records = self.ccm.threat_store.len() as u64;
+        let threat_groups = self.ccm.threat_store.identity_count() as u64;
         self.clock().advance(
             self.costs().db_write * threat_records + self.costs().net_hop * 2 * threat_groups,
         );
@@ -322,9 +322,9 @@ impl Cluster {
         // dirty set reported from replica reconciliation.
         let dirty_touched = self
             .ccm
-            .threat_store()
+            .threat_store
             .identities_touching(replica_report.dirty.iter());
-        let identities = self.ccm.threat_store().identities();
+        let identities = self.ccm.threat_store.identities();
         for identity in identities {
             // Incremental engine: a threat must be re-evaluated when
             // the replica step changed one of its objects (dirty) or
@@ -350,13 +350,12 @@ impl Cluster {
             report.re_evaluated += 1;
             // Load the threat record (database read).
             self.clock().advance(self.costs().db_read);
-            if self.ccm.threat_store().first_of(&identity).is_none() {
+            if self.ccm.threat_store.first_of(&identity).is_none() {
                 continue;
             }
             // A threat is moot once its constraint was removed at
             // runtime, or once — the system whole again — its context
-            // object exists on no node: it was deleted, or the write
-            // that created it never committed.
+            // object exists on no node: it was deleted.
             let context_gone = identity.context_object.as_ref().is_some_and(|object| {
                 self.topology.is_healthy()
                     && self
@@ -366,9 +365,7 @@ impl Cluster {
             });
             let constraint = self.repository().get(&identity.constraint).cloned();
             let Some(constraint) = constraint.filter(|_| !context_gone) else {
-                self.ccm
-                    .threat_store_mut()
-                    .remove_identity(&identity.constraint, identity.context_object.as_ref());
+                self.ccm.threat_store.remove_identity(&identity);
                 continue;
             };
             match self.revalidate(observer, recon_tx, &constraint, &identity) {
@@ -378,7 +375,7 @@ impl Cluster {
                     // the affected objects *before* the store is purged:
                     // asked after `remove_identity`, every record's flag
                     // is gone.
-                    let store = self.ccm.threat_store();
+                    let store = &self.ccm.threat_store;
                     let affected = store
                         .any_wants_conflict_notification(&identity)
                         .then(|| store.objects_of(&identity));
@@ -399,14 +396,14 @@ impl Cluster {
                     // changes.
                     let first = self
                         .ccm
-                        .threat_store()
+                        .threat_store
                         .first_of(&identity)
                         .cloned()
                         .expect("loaded above; revalidating leaves the store as it was");
                     report.violations += 1;
                     let mut resolved = false;
                     // Rollback search if permitted (§3.3).
-                    if self.ccm.threat_store().any_allows_rollback(&identity)
+                    if self.ccm.threat_store.any_allows_rollback(&identity)
                         && self.try_rollback(
                             observer,
                             recon_tx,
@@ -484,10 +481,7 @@ impl Cluster {
     /// batched delete: one database write for the identity group plus
     /// the marginal scan cost per additional record.
     fn drop_threats(&mut self, identity: &ThreatIdentity) {
-        let removed = self
-            .ccm
-            .threat_store_mut()
-            .remove_identity(&identity.constraint, identity.context_object.as_ref());
+        let removed = self.ccm.threat_store.remove_identity(identity);
         self.clock.advance(
             self.costs.db_write
                 + self.costs.threat_scan_per_identity * removed.saturating_sub(1) as u64,
@@ -500,13 +494,11 @@ impl Cluster {
     /// re-evaluated even when untouched by the dirty set — a full scan
     /// would resolve them too, and skipping them would diverge.
     fn identity_checkable(&self, observer: NodeId, identity: &ThreatIdentity) -> bool {
-        let mut objects = self.ccm.threat_store().iter_objects_of(identity);
+        let mut objects = self.ccm.threat_store.iter_objects_of(identity);
         let topology = self.topology();
         objects.all(|obj| {
             self.replication.is_reachable(obj, observer, topology)
-                && !self
-                    .replication
-                    .is_possibly_stale_quiet(obj, observer, topology)
+                && !self.replication.is_possibly_stale(obj, observer, topology)
                 && !self.replication.is_degraded_tracked(obj)
         })
     }

@@ -2,11 +2,11 @@
 //! ship to the backups), rollback, and entity creation and deletion.
 
 use super::{Change, Cluster, TxInfo};
-use crate::ccm::{DeferredThreat, NegotiationHandler, ValidationCandidate};
+use crate::ccm::{DeferredThreat, NegotiationHandler, TxThreats, ValidationCandidate};
 use crate::session::Session;
 use dedisys_constraints::ConstraintKind;
 use dedisys_object::EntityState;
-use dedisys_telemetry::{TraceEvent, TriggerKind, TwoPcPhase};
+use dedisys_telemetry::{ThreatStorage, TraceEvent, TriggerKind, TwoPcPhase};
 use dedisys_types::{Error, NodeId, ObjectId, Result, TxId};
 use std::fmt::Write;
 
@@ -71,7 +71,7 @@ impl Cluster {
         tx: TxId,
         handler: Box<dyn NegotiationHandler>,
     ) -> Result<()> {
-        self.txs.info_mut(tx)?.handler = Some(handler);
+        self.txs.info_mut(tx)?.threats.handler = Some(handler);
         Ok(())
     }
 
@@ -89,8 +89,9 @@ impl Cluster {
         self.abort(tx)
     }
 
-    /// Ends `tx` rolled back: its record leaves the table, its buffers
-    /// on every node it involved are discarded and its locks released.
+    /// Ends `tx` rolled back: its record leaves the table with the
+    /// threat changes it staged, its buffers on every node it involved
+    /// are discarded and its locks released.
     pub(super) fn abort(&mut self, tx: TxId) -> Result<()> {
         let info = self.txs.rollback(tx)?;
         for node in &info.involved {
@@ -193,12 +194,13 @@ impl Cluster {
         Ok(())
     }
 
-    /// Applies a voted transaction: flips the manager state, installs
-    /// buffered writes, persists, propagates to reachable backups
-    /// (charging propagation plus any ship-retry backoff) and releases
-    /// locks.
+    /// Applies a voted transaction: flips the manager state, applies
+    /// its staged threat changes, installs buffered writes, persists,
+    /// propagates to reachable backups (charging propagation plus any
+    /// ship-retry backoff) and releases locks.
     fn apply_commit(&mut self, tx: TxId) -> Result<()> {
-        let info = self.txs.commit(tx)?;
+        let mut info = self.txs.commit(tx)?;
+        self.commit_threats(&mut info.threats);
         // Apply buffers: what each node's commit did, node by node and
         // in id order, kept in the cluster's reused buffer (an error
         // below drops it; the next commit starts a new one).
@@ -260,6 +262,49 @@ impl Cluster {
         Ok(())
     }
 
+    /// Applies a committing transaction's staged threat changes: the
+    /// identities it cleaned up leave the store, then each threat it
+    /// accepted is journalled and charged for how it landed (§5.1). An
+    /// open transaction's check that cleaned up a journalled identity
+    /// did not see this operation, so its clean-up lapses.
+    fn commit_threats(&mut self, threats: &mut TxThreats) {
+        for identity in threats.cleaned.drain(..) {
+            self.ccm.threat_store.remove_identity(&identity);
+        }
+        for threat in threats.accepted.drain(..) {
+            let (identity, degree) = (threat.identity(), threat.degree);
+            let storage = self.ccm.threat_store.store(threat);
+            let lapsed: Vec<TxId> = (self.txs.iter())
+                .filter(|(_, info)| info.threats.cleaned.contains(&identity))
+                .map(|(tx, _)| tx)
+                .collect();
+            for tx in lapsed {
+                if let Ok(info) = self.txs.info_mut(tx) {
+                    info.threats.cleaned.retain(|id| *id != identity);
+                }
+            }
+            self.telemetry.metrics().incr("ccm.threats_recorded");
+            self.telemetry.emit(|| TraceEvent::ThreatRecorded {
+                constraint: identity.constraint.text().into(),
+                context: identity.context_object.map(|object| object.text().into()),
+                degree,
+                storage,
+            });
+            self.charge_threat_storage(storage);
+        }
+    }
+
+    /// Charges the journalling of one threat by how it landed (§5.1).
+    fn charge_threat_storage(&mut self, storage: ThreatStorage) {
+        let others = (self.ccm.threat_store.identity_count() as u64).saturating_sub(1);
+        let scan = self.costs.threat_scan_per_identity * others;
+        self.clock.advance(match storage {
+            ThreatStorage::Stored => self.costs.threat_new_fixed + scan,
+            ThreatStorage::LinkedOccurrence => self.costs.threat_link_fixed + scan,
+            ThreatStorage::Deduplicated => self.costs.threat_dedup_read,
+        });
+    }
+
     /// Ships the committed state of `id` from `node` to the reachable
     /// backups, charging the propagation plus any ship-retry backoff.
     fn ship(&mut self, id: &ObjectId, node: NodeId) {
@@ -292,8 +337,8 @@ impl Cluster {
             if degraded && constraint.meta.kind == ConstraintKind::AsyncInvariant {
                 // §5.5.3: degraded mode — no validation, no
                 // negotiation; record the threat directly.
-                let storage = self.ccm.record_async_threat(constraint, context_object, tx);
-                self.charge_threat_storage(storage);
+                let threat = self.ccm.record_async_threat(constraint, context_object, tx);
+                self.txs.info_mut(tx)?.threats.accepted.push(threat);
             } else {
                 let candidate = ValidationCandidate::invariant(constraint, context_object);
                 self.validate_and_process(&candidate, origin, tx)?;
@@ -306,22 +351,16 @@ impl Cluster {
     /// negotiation decisions are available. Each threat's negotiation
     /// was charged when it was detected, as under immediate timing.
     fn negotiate_deferred(&mut self, tx: TxId) -> Result<()> {
-        let info = self.txs.info_mut(tx)?;
-        let deferred = std::mem::take(&mut info.deferred);
-        let storages =
-            self.ccm
-                .negotiate_deferred(deferred, &mut info.handler, &self.config.validation)?;
-        for storage in storages {
-            self.charge_threat_storage(storage);
-        }
-        Ok(())
+        let threats = &mut self.txs.info_mut(tx)?.threats;
+        self.ccm
+            .negotiate_deferred(threats, &self.config.validation)
     }
 
     /// The threats deferred so far in open `tx`, in the order
     /// [`Cluster::commit`] will negotiate them (none for an unknown
     /// transaction).
     pub(crate) fn deferred_threats(&self, tx: TxId) -> &[DeferredThreat] {
-        self.txs.info(tx).map_or(&[], |info| &info.deferred)
+        self.txs.info(tx).map_or(&[], |info| &info.threats.deferred)
     }
 
     /// Creates `entity` within `tx`, replicated on every node with the

@@ -10,7 +10,7 @@ use crate::ccm::{
     evaluate_candidate, kept_set, ReplicaAccess, ValidationCandidate, ValidationVerdict,
 };
 use dedisys_constraints::ConstraintEngine;
-use dedisys_telemetry::{ThreatStorage, TraceEvent};
+use dedisys_telemetry::TraceEvent;
 use dedisys_types::{ConstraintName, NodeId, ObjectId, Result, SatisfactionDegree, TxId, Version};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -263,10 +263,10 @@ impl Cluster {
     }
 
     /// [`Cluster::validate`] plus verdict processing: negotiation of a
-    /// threat — with the handler and the deferred threats of `tx`'s
-    /// record, by the validation settings in force — threat storage,
-    /// and their charges. Refuses with the errors of `process_verdict`;
-    /// the gathered buffer comes back either way.
+    /// threat — with the handler of `tx`'s record, by the validation
+    /// settings in force — and its charge; what the verdict stages goes
+    /// into the record for the commit. Refuses with the errors of
+    /// `process_verdict`; the gathered buffer comes back either way.
     pub(super) fn validate_and_process(
         &mut self,
         candidate: &ValidationCandidate<'_>,
@@ -279,30 +279,16 @@ impl Cluster {
                 candidate,
                 &verdict,
                 &self.config.validation,
-                &mut info.handler,
-                &mut info.deferred,
+                &mut info.threats,
                 tx,
             )
         });
         self.gathered = verdict.accessed;
-        let outcome = outcome?;
+        outcome?;
         if verdict.degree.is_threat() {
             self.clock.advance(self.costs.negotiation);
         }
-        if let Some(outcome) = outcome {
-            self.charge_threat_storage(outcome);
-        }
         Ok(())
-    }
-
-    pub(super) fn charge_threat_storage(&mut self, storage: ThreatStorage) {
-        let others = (self.ccm.threat_store().identity_count() as u64).saturating_sub(1);
-        let scan = self.costs.threat_scan_per_identity * others;
-        self.clock.advance(match storage {
-            ThreatStorage::Stored => self.costs.threat_new_fixed + scan,
-            ThreatStorage::LinkedOccurrence => self.costs.threat_link_fixed + scan,
-            ThreatStorage::Deduplicated => self.costs.threat_dedup_read,
-        });
     }
 
     /// Entries currently held by the verdict cache.

@@ -338,32 +338,19 @@ impl ThreatStore {
             .any(|r| r.threat.instructions.notify_on_replica_conflict)
     }
 
-    /// Removes every threat of the identity `(constraint,
-    /// context_object)` — the threat *and all identical threats*
-    /// (§3.3) — returning how many records were dropped. Their journal
-    /// entries are deleted through the write-ahead log as well. An
-    /// identity that was never stored (every satisfied check asks)
-    /// costs one index probe — none while the store is empty — and
-    /// touches nothing else.
-    pub fn remove_identity(
-        &mut self,
-        constraint: &ConstraintName,
-        context_object: Option<&ObjectId>,
-    ) -> usize {
-        if self.records.is_empty() {
-            return 0;
-        }
-        let identity = ThreatIdentity {
-            constraint: constraint.clone(),
-            context_object: context_object.cloned(),
-        };
-        let Some(records) = self.records.remove(&identity) else {
+    /// Removes every threat of `identity` — the threat *and all
+    /// identical threats* (§3.3) — returning how many records were
+    /// dropped. Their journal entries are deleted through the
+    /// write-ahead log as well; an identity that is not stored touches
+    /// nothing.
+    pub fn remove_identity(&mut self, identity: &ThreatIdentity) -> usize {
+        let Some(records) = self.records.remove(identity) else {
             return 0;
         };
         for record in &records {
             for object in record.threat.objects() {
                 if let Some(ids) = self.object_index.get_mut(object) {
-                    ids.remove(&identity);
+                    ids.remove(identity);
                     if ids.is_empty() {
                         self.object_index.remove(object);
                     }
@@ -454,7 +441,7 @@ mod tests {
         store.store(threat("C", "F1"));
         store.store(threat("C", "F1"));
         store.store(threat("C", "F2"));
-        let removed = store.remove_identity(&"C".into(), Some(&ObjectId::new("Flight", "F1")));
+        let removed = store.remove_identity(&threat("C", "F1").identity());
         assert_eq!(removed, 2);
         assert_eq!(store.len(), 1);
     }
@@ -571,7 +558,7 @@ mod tests {
         store.store(threat("C", "F1"));
         store.store(threat("C", "F1"));
         store.store(threat("D", "F2"));
-        store.remove_identity(&"C".into(), Some(&ObjectId::new("Flight", "F1")));
+        store.remove_identity(&threat("C", "F1").identity());
         assert_eq!(store.recover(), Ok(1));
         let survivors: Vec<_> = store
             .threats()
@@ -598,7 +585,11 @@ mod tests {
             ("C", None),
             ("Q", Some(&f1)),
         ] {
-            assert_eq!(store.remove_identity(&constraint.into(), context), 0);
+            let identity = ThreatIdentity {
+                constraint: constraint.into(),
+                context_object: context.cloned(),
+            };
+            assert_eq!(store.remove_identity(&identity), 0);
         }
         assert_eq!(store.len(), 2);
         assert_eq!(store.identity_count(), 2);
@@ -606,8 +597,12 @@ mod tests {
 
         // A stored identity still goes from memory and WAL — with or
         // without a context object.
-        assert_eq!(store.remove_identity(&"C".into(), Some(&f1)), 1);
-        assert_eq!(store.remove_identity(&"Q".into(), None), 1);
+        assert_eq!(store.remove_identity(&threat("C", "F1").identity()), 1);
+        let query = ThreatIdentity {
+            constraint: "Q".into(),
+            context_object: None,
+        };
+        assert_eq!(store.remove_identity(&query), 1);
         assert!(store.is_empty());
         assert_eq!(store.identity_count(), 0);
         assert_eq!(store.wal.len(), log + 2, "one delete entry per record");
@@ -632,7 +627,7 @@ mod tests {
             .all(|id| id.constraint == ConstraintName::from("C")));
         assert_eq!(store.objects_of(&threat("C", "F1").identity()).len(), 2);
 
-        store.remove_identity(&"C".into(), Some(&ObjectId::new("Flight", "F1")));
+        store.remove_identity(&threat("C", "F1").identity());
         assert!(!store.object_index.contains_key(&s1));
         assert_eq!(store.object_index.get(&f1).map(BTreeSet::len), Some(1));
         assert_eq!(store.identity_count(), 1);
@@ -696,10 +691,7 @@ mod tests {
             // Eight identities in turn: each holds one record until,
             // seven steps on, the next store replaces the one after it.
             store.store(threat(&format!("C{}", step % 8), "F1"));
-            store.remove_identity(
-                &format!("C{}", (step + 1) % 8).into(),
-                Some(&ObjectId::new("Flight", "F1")),
-            );
+            store.remove_identity(&threat(&format!("C{}", (step + 1) % 8), "F1").identity());
             longest = longest.max(store.wal.len());
         }
         assert_eq!(store.len(), 7);
@@ -758,7 +750,10 @@ mod tests {
                         store.store(stored);
                     }
                     6..=8 => {
-                        store.remove_identity(&constraint, context_object.as_ref());
+                        store.remove_identity(&ThreatIdentity {
+                            constraint,
+                            context_object,
+                        });
                     }
                     _ => {
                         store.recover().unwrap();

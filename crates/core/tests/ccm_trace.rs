@@ -347,7 +347,7 @@ fn ccm_trace_and_counters_do_not_move() {
     assert_eq!(
         scenario(HistoryPolicy::IdenticalOnce),
         (
-            (49_567, 0x02e9_ac2e_23b4_2b9c),
+            (49_562, 0xb52b_073b_acec_0b20),
             [72, 24, 16, 7, 7, 1],
             [1, 6, 11, 4, 7, 5, 5],
             1_812_650_000
@@ -356,7 +356,7 @@ fn ccm_trace_and_counters_do_not_move() {
     assert_eq!(
         scenario(HistoryPolicy::FullHistory),
         (
-            (49_625, 0x0735_3f09_c217_0dbd),
+            (49_618, 0x1fc1_b87c_744c_723d),
             [72, 24, 16, 7, 7, 1],
             [1, 6, 11, 4, 7, 5, 5],
             2_137_150_000

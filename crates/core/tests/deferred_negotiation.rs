@@ -243,3 +243,26 @@ fn reconfigured_negotiation_settings_take_effect_at_once() {
     );
     assert_eq!(cluster.tx_record_count(), 0);
 }
+
+/// A prepared transaction keeps the threats its vote accepted until its
+/// outcome: presumed abort after its coordinator crashed drops them, so
+/// the store is as it was.
+#[test]
+fn a_presumed_abort_drops_the_threats_its_vote_accepted() {
+    let (mut cluster, id) = degraded_cluster(NegotiationTiming::Deferred);
+    let node = NodeId(0);
+    let mut session = cluster.session(node);
+    session.set_field(&id, "n", Value::Int(1)).unwrap();
+    let tx = session.prepare().unwrap();
+    assert!(
+        cluster.threats().is_empty(),
+        "accepted, awaiting the outcome"
+    );
+
+    cluster.crash(node).unwrap();
+    assert_eq!(cluster.in_doubt_count(), 1);
+    // The coordinator's restart resolves it by presumed abort.
+    cluster.restart(node).unwrap();
+    assert!(!cluster.tx_is_open(tx));
+    assert!(cluster.threats().is_empty());
+}

@@ -130,8 +130,8 @@ impl ReplicationManager {
         }
     }
 
-    /// Wires a telemetry bus; `replication_update` and `staleness_hit`
-    /// events are emitted from now on.
+    /// Wires a telemetry bus; `replication_update` events are emitted
+    /// from now on.
     pub fn attach_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = Some(telemetry);
     }
@@ -259,31 +259,8 @@ impl ReplicationManager {
     }
 
     /// Whether a read of `object` on `requester` may be stale (LCC).
+    /// Silent: the validation that acts on the answer reports it.
     pub fn is_possibly_stale(
-        &self,
-        object: &ObjectId,
-        requester: NodeId,
-        topology: &Topology,
-    ) -> bool {
-        let stale = self.is_possibly_stale_quiet(object, requester, topology);
-        if stale {
-            if let Some(t) = &self.telemetry {
-                t.metrics().incr("replication.staleness_hits");
-                t.emit(|| TraceEvent::StalenessHit {
-                    object: object.text().into(),
-                    node: requester,
-                });
-            }
-        }
-        stale
-    }
-
-    /// Staleness probe without telemetry: same predicate as
-    /// [`ReplicationManager::is_possibly_stale`], but intended for
-    /// *planning* decisions (e.g. the incremental reconciler's skip
-    /// check) that must not pollute the `staleness_hit` trace stream
-    /// reserved for actual validation reads.
-    pub fn is_possibly_stale_quiet(
         &self,
         object: &ObjectId,
         requester: NodeId,

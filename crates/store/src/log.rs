@@ -19,10 +19,10 @@
 //! ([`WriteAheadLog::append_put_digested`]); each log then mixes its
 //! own `seq` into some thirty bytes instead of re-reading the record.
 //! The digest is not stored: verification ([`LogEntry::is_intact`],
-//! [`WriteAheadLog::intact_prefix`]) recomputes it from the entry's own
-//! bytes, so a corrupted record, key, `seq` or checksum on one node is
-//! caught — and truncated — on that node only, whoever else shares the
-//! bytes.
+//! and the intact prefix a recovery reads) recomputes it from the
+//! entry's own bytes, so a corrupted record, key, `seq` or checksum on
+//! one node is caught — and truncated — on that node only, whoever else
+//! shares the bytes.
 //!
 //! [`LogEntry`] and [`LogOp`] deliberately do not derive serde: the
 //! log is an in-memory model of a disk, nothing serializes an entry,
@@ -411,16 +411,16 @@ impl WriteAheadLog {
     /// it reached disk in order), each with the record digest the
     /// check just recomputed from its bytes (`None` for a delete) — so
     /// a recovery that rebuilds snapshots reads each record once.
-    pub fn intact_prefix(&self) -> impl Iterator<Item = (&LogEntry, Option<u32>)> + '_ {
+    fn intact_prefix(&self) -> impl Iterator<Item = (&LogEntry, Option<u32>)> + '_ {
         self.entries.iter().map_while(|entry| {
             let digest = entry.digest();
             (entry.checksum == entry.checksum_over(digest)).then_some((entry, digest))
         })
     }
 
-    /// What a recovery rebuilds from: of the
-    /// [intact prefix](WriteAheadLog::intact_prefix), each `(table,
-    /// key)`'s newest entry if it is a put, in journal order, each with
+    /// What a recovery rebuilds from: of the intact prefix (every entry
+    /// before the first whose checksum fails), each `(table, key)`'s
+    /// newest entry if it is a put, in journal order, each with
     /// its record and the record digest that verified it. Keys are filed by the word
     /// taken at append, as a compaction files them (module docs,
     /// "Compaction"), so no key is cloned or re-hashed.
@@ -443,8 +443,8 @@ impl WriteAheadLog {
         }
     }
 
-    /// Drops the torn tail: everything after the
-    /// [intact prefix](WriteAheadLog::intact_prefix). Returns the
+    /// Drops the torn tail: everything from the first entry whose
+    /// checksum fails on. Returns the
     /// number of entries dropped. A fully intact log is untouched.
     pub fn truncate_torn_tail(&mut self) -> u64 {
         let intact = self.intact_prefix().count();

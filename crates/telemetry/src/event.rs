@@ -177,7 +177,7 @@ pub enum TraceEvent {
         /// Number of objects the validation accessed.
         accessed: u32,
     },
-    /// A consistency threat was accepted and handed to the store.
+    /// A consistency threat was journalled at its transaction's commit.
     ThreatRecorded {
         /// Constraint name.
         constraint: SharedText,
