@@ -48,9 +48,9 @@ use crate::plan::{FaultStep, Schedule, Step};
 use dedisys::apps::{ats, dtms, flight};
 use dedisys_constraints::RegisteredConstraint;
 use dedisys_core::{
-    Cluster, ClusterBuilder, DetectorKind, HighestVersionWins, LinkFault, NegotiationTiming,
-    NodeWeights, ReconOps, ReconcileInstructions, RequestPlane, Session, StatsSnapshot, Telemetry,
-    TraceEvent, ViolationReport,
+    Cluster, ClusterBuilder, ConstraintChange, DetectorKind, HighestVersionWins, LinkFault,
+    NegotiationTiming, NodeWeights, ReconOps, ReconcileInstructions, RequestPlane, Session,
+    StatsSnapshot, Telemetry, TraceEvent, ViolationReport,
 };
 use dedisys_federation::{FederatedCluster, FederationStats, RoutingPolicy, ShardId};
 use dedisys_object::{AppDescriptor, ClassDescriptor, EntityState};
@@ -488,7 +488,8 @@ impl ChaosEngine {
             .build()?;
         for s in shard_ids(&fed) {
             for constraint in soak_constraints() {
-                fed.shard_mut(s).add_constraint_with_check(constraint)?;
+                fed.shard_mut(s)
+                    .change_constraint(ConstraintChange::Add(constraint, None))?;
             }
         }
         Ok(Self {

@@ -323,13 +323,13 @@ mod tests {
     use dedisys_constraints::{expr::ExprConstraint, ConstraintMeta, RegisteredConstraint};
     use dedisys_core::ClusterBuilder;
     use dedisys_federation::XSHARD_TIMEOUT;
-    use dedisys_object::{AppDescriptor, ClassDescriptor, EntityState};
-    use dedisys_types::{ConstraintName, Value};
+    use dedisys_object::{AppDescriptor, ClassDescriptor, EntityState, Snapshot};
+    use dedisys_types::Value;
     use std::sync::Arc;
 
-    /// A violation committed behind a disabled constraint is one no
-    /// threat records: re-enabled, ignoring the violators §3.3's check
-    /// hands back, the running checks report it as lost.
+    /// Breaks the promise on purpose: a violating state installed as a
+    /// migration installs it, past every check, is one no threat
+    /// records, and the running checks report it as lost.
     #[test]
     fn a_lost_violation_breaks_threat_completeness() {
         let app = AppDescriptor::new("lost")
@@ -344,16 +344,16 @@ mod tests {
             .build()
             .unwrap();
         let id = ObjectId::new("Counter", "c0");
-        let name = ConstraintName::from("Bounded");
-        cluster.set_constraint_enabled(&name, false).unwrap();
         cluster
             .run_tx(NodeId(0), |c, tx| {
-                c.create(NodeId(0), tx, EntityState::for_class(c.app(), &id)?)?;
-                c.set_field(NodeId(0), tx, &id, "n", Value::Int(150))
+                c.create(NodeId(0), tx, EntityState::for_class(c.app(), &id)?)
             })
             .unwrap();
         assert!(InvariantChecker::check_running(&cluster).is_empty());
-        cluster.set_constraint_enabled(&name, true).unwrap();
+        let mut planted = cluster.entity_on(NodeId(0), &id).unwrap().clone();
+        planted.set_field("n", Value::Int(150), cluster.now());
+        let snapshot = Snapshot::encode(planted, &mut String::new());
+        cluster.install_object(snapshot).unwrap();
         let lost = InvariantChecker::check_running(&cluster);
         assert_eq!(lost.len(), 1, "{lost:?}");
         assert_eq!(lost[0].invariant, "threat_completeness");

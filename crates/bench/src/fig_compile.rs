@@ -29,8 +29,8 @@ use dedisys_constraints::{
     expr::ExprConstraint, ConstraintMeta, ContextPreparation, RegisteredConstraint,
 };
 use dedisys_core::{
-    nodes, Cluster, ClusterBuilder, ConstraintEngine, DeferAll, HighestVersionWins, JsonlExporter,
-    SharedBuf, StatsSnapshot,
+    nodes, Cluster, ClusterBuilder, ConstraintChange, ConstraintEngine, DeferAll,
+    HighestVersionWins, JsonlExporter, SharedBuf, StatsSnapshot,
 };
 use dedisys_object::{AppDescriptor, ClassDescriptor, EntityState};
 use dedisys_types::{ConstraintName, NodeId, ObjectId, SatisfactionDegree, Value};
@@ -131,10 +131,10 @@ fn sweep(cluster: &mut Cluster, sweeps: &mut Vec<(String, Vec<ObjectId>)>) {
     for i in 0..CONSTRAINTS {
         let name = ConstraintName::from(format!("Budget-{i:02}"));
         cluster
-            .set_constraint_enabled(&name, false)
+            .change_constraint(ConstraintChange::Disable(name.clone()))
             .expect("disable");
         let violating = cluster
-            .set_constraint_enabled(&name, true)
+            .change_constraint(ConstraintChange::Enable(name.clone(), None))
             .expect("re-enable sweep");
         sweeps.push((name.to_string(), violating));
     }

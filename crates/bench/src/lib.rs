@@ -343,23 +343,25 @@ mod tests {
         assert_eq!(flap_sweep::contract(&[cell(16, 0), cell(2, 0)], 1).len(), 1);
     }
 
-    /// A violation no threat records — committed behind a disabled
-    /// constraint that is then re-enabled — breaks the §3.2 contract
-    /// the reconciling experiments end with.
+    /// Breaks the promise on purpose: a violation no threat records —
+    /// an overbooked state installed as a migration installs it, past
+    /// every check — breaks the §3.2 contract the reconciling
+    /// experiments end with.
     #[test]
     fn a_lost_violation_breaks_the_promise_contract() {
         use dedisys::apps::flight;
-        use dedisys_types::{ConstraintName, NodeId};
+        use dedisys_object::Snapshot;
+        use dedisys_types::{NodeId, Value};
         let builder = ClusterBuilder::new(2, flight::flight_app())
             .methods(flight::flight_methods())
             .constraint(flight::ticket_constraint());
         let mut cluster = builder.build().unwrap();
         let id = flight::create_flight(&mut cluster, NodeId(0), "LH-441", 80, 70).unwrap();
         assert!(unnoticed(&cluster).is_empty());
-        let name = ConstraintName::from("TicketConstraint");
-        cluster.set_constraint_enabled(&name, false).unwrap();
-        flight::sell_tickets(&mut cluster, NodeId(0), &id, 20).unwrap();
-        cluster.set_constraint_enabled(&name, true).unwrap();
+        let mut overbooked = cluster.entity_on(NodeId(0), &id).unwrap().clone();
+        overbooked.set_field("sold", Value::Int(90), cluster.now());
+        let snapshot = Snapshot::encode(overbooked, &mut String::new());
+        cluster.install_object(snapshot).unwrap();
         let lost = unnoticed(&cluster);
         assert_eq!(lost.len(), 1, "{lost:?}");
         assert!(

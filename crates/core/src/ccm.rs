@@ -102,6 +102,17 @@ impl<'a> ReplicaAccess<'a> {
         self.local_copy(id)
     }
 
+    /// The context objects `constraint` is checked for, as this node sees
+    /// them: each instance of its context class, or one query-based `None`.
+    pub(crate) fn contexts(&mut self, constraint: &RegisteredConstraint) -> Vec<Option<ObjectId>> {
+        match &constraint.context_class {
+            Some(class) if constraint.meta.needs_context_object => {
+                self.objects_of_class(class).into_iter().map(Some).collect()
+            }
+            _ => vec![None],
+        }
+    }
+
     /// The copy of `id` this node reads past other nodes' write
     /// buffers: its own view, else the committed state of the first
     /// node of its partition holding one.

@@ -9,7 +9,6 @@ use crate::threat::{ConsistencyThreat, ThreatIdentity};
 use dedisys_constraints::RegisteredConstraint;
 use dedisys_telemetry::TraceEvent;
 use dedisys_types::{ClassName, Error, ObjectId, Result, SatisfactionDegree, TxId, VersionInfo};
-use std::collections::BTreeSet;
 
 /// Outcome of negotiating one threat.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -169,7 +168,6 @@ impl Ccm {
         tx: TxId,
     ) -> Result<()> {
         let constraint = candidate.constraint;
-        let context_object = candidate.context_object;
         match verdict.degree {
             SatisfactionDegree::Satisfied => {
                 // Nothing stored or staged (every healthy check): no clean-up.
@@ -178,7 +176,7 @@ impl Ccm {
                 }
                 let identity = ThreatIdentity {
                     constraint: constraint.name().clone(),
-                    context_object: context_object.cloned(),
+                    context_object: candidate.context_object.cloned(),
                 };
                 threats
                     .accepted
@@ -191,28 +189,12 @@ impl Ccm {
             SatisfactionDegree::Violated => Err(Error::ConstraintViolated {
                 constraint: constraint.name().clone(),
             }),
-            degree => {
-                let threat = ConsistencyThreat {
-                    constraint: constraint.name().clone(),
-                    context_object: context_object.cloned(),
-                    degree,
-                    affected_objects: kept_set(&verdict.accessed),
-                    app_data: None,
-                    instructions: self.default_instructions,
-                    occurred_at: self.clock.now(),
-                    tx,
-                };
-                if settings.negotiation_timing == NegotiationTiming::Deferred {
-                    // §5.4: continue under the assumption that the
-                    // threat will be accepted; the decision is made at
-                    // commit time.
-                    threats.deferred.push(DeferredThreat {
-                        constraint: constraint.clone(),
-                        threat,
-                        freshness: verdict.freshness.clone(),
-                    });
-                    return Ok(());
-                }
+            _ if settings.negotiation_timing == NegotiationTiming::Deferred => {
+                self.defer(candidate, verdict, threats, tx);
+                Ok(())
+            }
+            _ => {
+                let threat = self.threat(candidate, verdict.degree, &verdict.accessed, tx);
                 self.negotiate_threat(
                     constraint,
                     threat,
@@ -221,6 +203,43 @@ impl Ccm {
                     settings.app_default_min_degree,
                 )
             }
+        }
+    }
+
+    /// Stages the threat `verdict` raises on `candidate` in `tx` for
+    /// negotiation at the vote (§5.4).
+    pub(crate) fn defer(
+        &self,
+        candidate: &ValidationCandidate<'_>,
+        verdict: &ValidationVerdict,
+        threats: &mut TxThreats,
+        tx: TxId,
+    ) {
+        threats.deferred.push(DeferredThreat {
+            constraint: candidate.constraint.clone(),
+            threat: self.threat(candidate, verdict.degree, &verdict.accessed, tx),
+            freshness: verdict.freshness.clone(),
+        });
+    }
+
+    /// The threat a check of `candidate` in `tx` raises at `degree`,
+    /// holding a copy of what the check read.
+    fn threat(
+        &self,
+        candidate: &ValidationCandidate<'_>,
+        degree: SatisfactionDegree,
+        read: &[ObjectId],
+        tx: TxId,
+    ) -> ConsistencyThreat {
+        ConsistencyThreat {
+            constraint: candidate.constraint.name().clone(),
+            context_object: candidate.context_object.cloned(),
+            degree,
+            affected_objects: kept_set(read),
+            app_data: None,
+            instructions: self.default_instructions,
+            occurred_at: self.clock.now(),
+            tx,
         }
     }
 
@@ -319,16 +338,8 @@ impl Ccm {
         self.stats.async_shortcuts += 1;
         self.stats.threats_detected += 1;
         self.stats.threats_accepted += 1;
-        ConsistencyThreat {
-            constraint: constraint.name().clone(),
-            context_object: context_object.cloned(),
-            degree: SatisfactionDegree::Uncheckable,
-            affected_objects: BTreeSet::new(),
-            app_data: None,
-            instructions: self.default_instructions,
-            occurred_at: self.clock.now(),
-            tx,
-        }
+        let candidate = ValidationCandidate::invariant(constraint, context_object);
+        self.threat(&candidate, SatisfactionDegree::Uncheckable, &[], tx)
     }
 
     /// Counts which §3.2 negotiation mechanism decided a threat.
@@ -347,6 +358,7 @@ mod tests {
     use super::*;
     use dedisys_constraints::{ConstraintMeta, FreshnessCriterion, ValidationContext};
     use dedisys_types::{ConstraintName, NodeId, SimTime, Version};
+    use std::collections::BTreeSet;
     use std::sync::Arc;
 
     fn threat(degree: SatisfactionDegree) -> ConsistencyThreat {

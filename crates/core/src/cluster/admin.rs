@@ -1,15 +1,17 @@
 //! Configuration and administration: runtime reconfiguration and the
-//! §3.3 runtime constraint management (add, remove, enable, disable).
+//! §3.3 runtime constraint management (one checked change).
 
 use super::Cluster;
+use super::ConstraintChange::{self, Add, Disable, Enable, Remove};
 use crate::ccm::ValidationCandidate;
 use crate::config::ClusterConfig;
 use crate::CostModel;
 use dedisys_constraints::{ConstraintEngine, ConstraintRepository, RegisteredConstraint};
 use dedisys_net::SimClock;
 use dedisys_telemetry::{Telemetry, TraceEvent};
-use dedisys_types::{ConstraintName, Error, NodeId, ObjectId, Result, SatisfactionDegree, TxId};
-use std::collections::BTreeSet;
+use dedisys_types::{
+    ConstraintName, Error, NodeId, ObjectId, Result, SatisfactionDegree, SystemMode, TxId,
+};
 
 /// Lowers every enabled constraint for the compiled engine up front, so
 /// the first validation doesn't pay the (lazy) compile: one
@@ -81,131 +83,102 @@ impl Cluster {
         Ok(changed)
     }
 
-    /// Enables or disables a registered constraint at runtime (§3.3).
-    /// Disabling merely stops lookups from returning it and returns no
-    /// object. Enabling validates the constraint against every context
-    /// object (§3.3: re-enabled constraints have to be checked for all
-    /// context objects) and returns the violating ones.
+    /// Applies one runtime change of the constraint set (§3.3). Add and
+    /// Enable check every context object in one transaction and
+    /// negotiate each violation as a threat; once all are accepted the
+    /// commit stores them, and the violators are returned.
     ///
     /// # Errors
     ///
-    /// * [`Error::Config`] — unknown constraint name.
-    /// * [`Error::NodeCrashed`] — no node is up to run the check.
-    /// * Evaluation failures (an ill-typed or unknown field, …).
-    ///
-    /// A constraint whose check fails stays as it was: the change is
-    /// rejected whole.
-    pub fn set_constraint_enabled(
-        &mut self,
-        name: &ConstraintName,
-        enabled: bool,
-    ) -> Result<Vec<ObjectId>> {
-        if !enabled {
-            self.repository.set_enabled(name, false)?;
-            return Ok(Vec::new());
+    /// Refused whole, changing nothing: [`Error::ModeRestriction`] (Add
+    /// or Enable outside healthy mode), [`Error::ConstraintChangeRejected`],
+    /// [`Error::Config`] (duplicate or unknown name) or an evaluation's.
+    pub fn change_constraint(&mut self, change: ConstraintChange) -> Result<Vec<ObjectId>> {
+        if matches!(change, Add(..) | Enable(..)) && self.mode != SystemMode::Healthy {
+            let why = format!("checking a constraint in {} mode", self.mode);
+            return Err(Error::ModeRestriction(why));
         }
-        let was_enabled = self.repository.get(name).is_some_and(|c| c.enabled);
-        self.repository.set_enabled(name, true)?;
-        let checked = self.check_all_context_objects(name);
-        if checked.is_err() {
-            self.repository.set_enabled(name, was_enabled)?;
+        let before = self.repository.clone();
+        let (name, handler) = match change {
+            Add(constraint, handler) => {
+                let name = constraint.name().clone();
+                self.repository.register(constraint)?;
+                (name, handler)
+            }
+            Enable(name, handler) => {
+                self.repository.set_enabled(&name, true)?;
+                (name, handler)
+            }
+            Disable(name) => {
+                self.repository.set_enabled(&name, false)?;
+                return Ok(Vec::new());
+            }
+            Remove(name) => {
+                self.repository.set_enabled(&name, false)?; // refuses an unknown name
+                self.repository.remove(&name);
+                self.invalidate_verdicts_for(&name);
+                return Ok(Vec::new());
+            }
+        };
+        // Healthy: node 0 is up and its partition holds every copy.
+        let tx = self.begin_tx(NodeId(0));
+        self.txs.info_mut(tx)?.threats.handler = handler;
+        let checked = self.check_context_objects(&name, tx);
+        let info = self.txs.info(tx);
+        let staged = info.is_some_and(|info| !info.threats.accepted.is_empty());
+        match checked {
+            Ok(violators) if staged => {
+                self.apply_commit(tx)?;
+                Ok(violators)
+            }
+            checked => {
+                let _ = self.abort(tx);
+                if checked.is_err() {
+                    // What the check cached under the name goes too.
+                    self.repository = before;
+                    self.invalidate_verdicts_for(&name);
+                }
+                checked
+            }
         }
-        checked
     }
 
-    /// Removes a constraint at runtime (§3.3). Returns whether the
-    /// constraint existed. Cached verdicts of the removed constraint
-    /// are dropped.
-    pub fn remove_constraint(&mut self, name: &ConstraintName) -> bool {
-        let existed = self.repository.remove(name).is_some();
-        if existed {
-            self.invalidate_verdicts_for(name);
-        }
-        existed
-    }
-
-    /// Adds a new constraint at runtime and — per §3.3 — immediately
-    /// validates it against *every* existing context object. Returns
-    /// the context objects that currently violate it (the application
-    /// decides whether to clean them up or remove the constraint
-    /// again).
-    ///
-    /// # Errors
-    ///
-    /// * [`Error::Config`] — duplicate name.
-    /// * [`Error::NodeCrashed`] — no node is up to run the check.
-    /// * Evaluation failures (an ill-typed or unknown field, …).
-    ///
-    /// A constraint whose check fails is not registered: the change
-    /// is rejected whole.
+    /// [`Cluster::change_constraint`] of [`ConstraintChange::Add`]
+    /// without a handler.
     pub fn add_constraint_with_check(
         &mut self,
         constraint: RegisteredConstraint,
     ) -> Result<Vec<ObjectId>> {
-        let name = constraint.name().clone();
-        self.repository.register(constraint)?;
-        let checked = self.check_all_context_objects(&name);
-        if checked.is_err() {
-            self.remove_constraint(&name);
-        }
-        checked
+        self.change_constraint(ConstraintChange::Add(constraint, None))
     }
 
-    /// The §3.3 full check of `name`, run from the lowest-numbered
-    /// live node in a transaction of its own that is rolled back
-    /// whatever the outcome.
-    fn check_all_context_objects(&mut self, name: &ConstraintName) -> Result<Vec<ObjectId>> {
-        let Some(constraint) = self.repository.get(name).cloned() else {
+    /// The §3.3 check of `name` in `tx`: every context object validated,
+    /// each violation negotiated as a deferred threat of `tx`.
+    fn check_context_objects(&mut self, name: &ConstraintName, tx: TxId) -> Result<Vec<ObjectId>> {
+        let constraint = self.repository.get(name).cloned();
+        let Some(constraint) = constraint.filter(|c| c.meta.kind.is_invariant()) else {
             return Ok(Vec::new());
         };
-        if !constraint.meta.kind.is_invariant() {
-            return Ok(Vec::new());
-        }
-        // Collect the context objects: all instances of the context
-        // class, or a single query-based evaluation.
-        let contexts: Vec<Option<ObjectId>> = match (
-            &constraint.context_class,
-            constraint.meta.needs_context_object,
-        ) {
-            (Some(class), true) => {
-                let mut ids: BTreeSet<ObjectId> = BTreeSet::new();
-                for container in &self.containers {
-                    ids.extend(container.entities_of_class(class).map(|e| e.id().clone()));
-                }
-                ids.into_iter().map(Some).collect()
-            }
-            _ => vec![None],
-        };
-        let node = self
-            .live_nodes()
-            .next()
-            .ok_or(Error::NodeCrashed(NodeId(0)))?;
-        let check_tx = self.begin_tx(node);
-        let violating = self.violating_contexts(&constraint, contexts, node, check_tx);
-        let _ = self.rollback(check_tx);
-        violating
-    }
-
-    /// Validates `constraint` against each of `contexts` and returns
-    /// those that definitely violate it.
-    fn violating_contexts(
-        &mut self,
-        constraint: &RegisteredConstraint,
-        contexts: Vec<Option<ObjectId>>,
-        node: NodeId,
-        check_tx: TxId,
-    ) -> Result<Vec<ObjectId>> {
-        let mut violating = Vec::new();
+        let contexts = self.committed_access(tx.node).contexts(&constraint);
+        let mut violators = Vec::new();
         for context in contexts {
-            let candidate = ValidationCandidate::invariant(constraint, context.as_ref());
-            let verdict = self.validate(&candidate, node, check_tx)?;
-            self.gathered = verdict.accessed;
-            if verdict.degree == SatisfactionDegree::Violated {
-                if let Some(ctx) = context {
-                    violating.push(ctx);
-                }
+            let candidate = ValidationCandidate::invariant(&constraint, context.as_ref());
+            let verdict = self.validate(&candidate, tx.node, tx)?;
+            if verdict.degree != SatisfactionDegree::Satisfied {
+                let threats = &mut self.txs.info_mut(tx)?.threats;
+                self.ccm.defer(&candidate, &verdict, threats, tx);
+                self.clock.advance(self.costs.negotiation);
+                violators.extend(context);
             }
+            self.gathered = verdict.accessed;
         }
-        Ok(violating)
+        let (threats, settings) = (&mut self.txs.info_mut(tx)?.threats, &self.config.validation);
+        match self.ccm.negotiate_deferred(threats, settings) {
+            Err(Error::ThreatRejected { .. }) => Err(Error::ConstraintChangeRejected {
+                constraint: name.clone(),
+                violators,
+            }),
+            negotiated => negotiated.map(|()| violators),
+        }
     }
 }

@@ -14,7 +14,7 @@
 use super::Cluster;
 use crate::ccm::{evaluate_candidate, PartitionEnv, ReplicaAccess, ValidationCandidate};
 use crate::threat::ThreatIdentity;
-use dedisys_constraints::{ConstraintEngine, ObjectAccess, RegisteredConstraint};
+use dedisys_constraints::{ConstraintEngine, RegisteredConstraint};
 use dedisys_types::{ConstraintName, NodeId, ObjectId, Result, SatisfactionDegree};
 use std::collections::BTreeSet;
 use std::fmt;
@@ -84,16 +84,7 @@ impl Cluster {
             let mut base = self.committed_access(first);
             let mut checks = Vec::new();
             for &constraint in &invariants {
-                let contexts = match (
-                    &constraint.context_class,
-                    constraint.meta.needs_context_object,
-                ) {
-                    (Some(class), true) => {
-                        base.objects_of_class(class).into_iter().map(Some).collect()
-                    }
-                    _ => vec![None],
-                };
-                for context in contexts {
+                for context in base.contexts(constraint) {
                     let (outcome, read) = self.check(constraint, context.as_ref(), &mut base);
                     if outcome == Ok(SatisfactionDegree::Violated) {
                         self.note(&mut findings, constraint, &context, first, &read);
@@ -149,7 +140,7 @@ impl Cluster {
     }
 
     /// The committed state `node` reads, outside any transaction.
-    fn committed_access(&self, node: NodeId) -> ReplicaAccess<'_> {
+    pub(super) fn committed_access(&self, node: NodeId) -> ReplicaAccess<'_> {
         ReplicaAccess::new(
             &self.containers,
             &self.replication,

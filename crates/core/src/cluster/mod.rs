@@ -31,11 +31,11 @@ pub use reconciliation::{
     ReconcileStrategy, ReconciliationSummary, ViolationReport,
 };
 
-use crate::ccm::{Ccm, PartitionEnv, PendingCheck, TxThreats};
+use crate::ccm::{Ccm, NegotiationHandler, PartitionEnv, PendingCheck, TxThreats};
 use crate::config::ClusterConfig;
 use crate::threat::ThreatStore;
 use crate::CostModel;
-use dedisys_constraints::{ConstraintRepository, PreState};
+use dedisys_constraints::{ConstraintRepository, PreState, RegisteredConstraint};
 use dedisys_gms::{MembershipSim, NodeWeights, ViewTracker};
 use dedisys_net::{SimClock, Topology};
 use dedisys_object::{AppDescriptor, EntityContainer, EntityState, InterceptorChain, MethodTable};
@@ -43,7 +43,7 @@ use dedisys_replication::ReplicationManager;
 use dedisys_telemetry::{CostBreakdown, MetricsSnapshot, Telemetry};
 use dedisys_tx::{LockTable, TransactionManager};
 use dedisys_types::{
-    Error, MethodName, NodeId, ObjectId, Result, SimTime, SystemMode, TxId, Value,
+    ConstraintName, Error, MethodName, NodeId, ObjectId, Result, SimTime, SystemMode, TxId, Value,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
@@ -98,6 +98,19 @@ pub struct HookInfo {
     pub mode: SystemMode,
     /// Virtual time at invocation start.
     pub at: SimTime,
+}
+
+/// One runtime change of the constraint set (§3.3), for
+/// [`Cluster::change_constraint`]; Add and Enable carry its handler.
+pub enum ConstraintChange {
+    /// Registers a new constraint.
+    Add(RegisteredConstraint, Option<Box<dyn NegotiationHandler>>),
+    /// Enables a registered constraint (or re-checks an enabled one).
+    Enable(ConstraintName, Option<Box<dyn NegotiationHandler>>),
+    /// Disables a registered constraint.
+    Disable(ConstraintName),
+    /// Removes a registered constraint.
+    Remove(ConstraintName),
 }
 
 /// What the middleware remembers about one open transaction — the

@@ -198,7 +198,7 @@ impl Cluster {
     /// its staged threat changes, installs buffered writes, persists,
     /// propagates to reachable backups (charging propagation plus any
     /// ship-retry backoff) and releases locks.
-    fn apply_commit(&mut self, tx: TxId) -> Result<()> {
+    pub(super) fn apply_commit(&mut self, tx: TxId) -> Result<()> {
         let mut info = self.txs.commit(tx)?;
         self.commit_threats(&mut info.threats);
         // Apply buffers: what each node's commit did, node by node and

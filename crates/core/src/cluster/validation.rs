@@ -310,8 +310,8 @@ impl Cluster {
         self.verdict_cache_invalidated(Some(object), entries);
     }
 
-    /// Drops every memoized verdict of `constraint`: it was removed at
-    /// runtime.
+    /// Drops every memoized verdict of `constraint`: it was removed, or
+    /// a refused change's check cached them.
     pub(super) fn invalidate_verdicts_for(&mut self, constraint: &ConstraintName) {
         let entries = self.verdict_cache.invalidate_constraint(constraint);
         self.verdict_cache_invalidated(None, entries);

@@ -79,9 +79,10 @@ pub mod web;
 
 pub use ccm::{CcmStats, NegotiationHandler, NegotiationTiming, ThreatDecision};
 pub use cluster::{
-    getter_name, setter_name, Cluster, ClusterBuilder, ClusterMetrics, ConstraintReconcileReport,
-    ConstraintReconciliationHandler, DeferAll, Explanation, Finding, HookInfo, InDoubtTx, ReconOps,
-    ReconcileStrategy, ReconciliationSummary, StatsSnapshot, ViolationReport,
+    getter_name, setter_name, Cluster, ClusterBuilder, ClusterMetrics, ConstraintChange,
+    ConstraintReconcileReport, ConstraintReconciliationHandler, DeferAll, Explanation, Finding,
+    HookInfo, InDoubtTx, ReconOps, ReconcileStrategy, ReconciliationSummary, StatsSnapshot,
+    ViolationReport,
 };
 pub use config::{
     ClusterConfig, DurabilityConfig, MembershipConfig, PlaneConfig, ValidationConfig,

@@ -9,7 +9,7 @@ use dedisys_core::{
     Cluster, ClusterBuilder, DeferAll, Explanation, Finding, HighestVersionWins, RingRecorder,
     TraceEvent,
 };
-use dedisys_object::{AppDescriptor, ClassDescriptor, EntityState};
+use dedisys_object::{AppDescriptor, ClassDescriptor, EntityState, Snapshot};
 use dedisys_types::{ConstraintName, NodeId, ObjectId, SatisfactionDegree, Value};
 use std::sync::Arc;
 
@@ -56,18 +56,23 @@ fn set_n(cluster: &mut Cluster, node: NodeId, id: &ObjectId, n: i64) {
         .unwrap();
 }
 
-/// Commits `n = 150` on `id` while the constraint is disabled, then
-/// re-enables it and ignores the violators §3.3's check hands back.
-fn sneak_in_a_violation(cluster: &mut Cluster, id: &ObjectId) {
-    let name = ConstraintName::from(BOUNDED);
-    cluster.set_constraint_enabled(&name, false).unwrap();
-    set_n(cluster, NodeId(0), id, 150);
-    cluster.set_constraint_enabled(&name, true).unwrap();
+/// Installs `n` on every live copy of `id` as a migration does
+/// ([`Cluster::install_object`]): past the CCMgr, with no check.
+fn install_n(cluster: &mut Cluster, id: &ObjectId, n: i64) {
+    let mut state = cluster.entity_on(NodeId(0), id).unwrap().clone();
+    state.set_field("n", Value::Int(n), cluster.now());
+    let snapshot = Snapshot::encode(state, &mut String::new());
+    cluster.install_object(snapshot).unwrap();
 }
 
-/// Breaks the promise on purpose: the violation is committed behind a
-/// disabled constraint, so no threat records it and the audit reports
-/// it as lost.
+/// Breaks §3.2's promise on purpose: `n = 150` goes in past every
+/// check, so no threat records the violation.
+fn sneak_in_a_violation(cluster: &mut Cluster, id: &ObjectId) {
+    install_n(cluster, id, 150);
+}
+
+/// Breaks the promise on purpose: the violation is installed past the
+/// CCMgr, so no threat records it and the audit reports it as lost.
 #[test]
 fn a_planted_violation_breaks_the_promise_on_purpose_and_is_reported_lost() {
     let (mut cluster, ids) = cluster();
@@ -95,6 +100,13 @@ fn a_violation_on_an_object_with_degraded_writes_awaits_reconciliation() {
     cluster
         .partition(&[vec![NodeId(0)], vec![NodeId(1), NodeId(2)]])
         .unwrap();
+    // A degraded write no constraint checks (`max` triggers none).
+    cluster
+        .run_tx(NodeId(0), |c, tx| {
+            c.set_field(NodeId(0), tx, &ids[2], "max", Value::Int(100))
+        })
+        .unwrap();
+    assert!(cluster.threats().is_empty());
     sneak_in_a_violation(&mut cluster, &ids[2]);
     let findings = cluster.audit();
     assert_eq!(findings.len(), 1, "{findings:?}");
@@ -132,10 +144,7 @@ fn the_same_violation_under_a_standing_threat_is_explained() {
     );
 
     // Repaired outside the CCMgr, the threat outlives its violation.
-    let name = ConstraintName::from(BOUNDED);
-    cluster.set_constraint_enabled(&name, false).unwrap();
-    set_n(&mut cluster, NodeId(0), &ids[1], 10);
-    cluster.set_constraint_enabled(&name, true).unwrap();
+    install_n(&mut cluster, &ids[1], 10);
     assert!(cluster.audit().is_empty());
     assert_eq!(cluster.stale_threats().len(), 1);
 }

@@ -15,6 +15,7 @@ use dedisys_constraints::{
     expr::ExprConstraint, Constraint, ConstraintEngine, ConstraintKind, ConstraintMeta,
     ContextPreparation, FreshnessCriterion, RegisteredConstraint, ValidationContext,
 };
+use dedisys_core::ConstraintChange::{Disable, Enable};
 use dedisys_core::{
     nodes, Cluster, ClusterBuilder, ConsistencyThreat, HighestVersionWins, HistoryPolicy,
     JsonlExporter, NegotiationTiming, SharedBuf, ThreatDecision, ViolationReport,
@@ -25,6 +26,8 @@ use dedisys_types::{
     FNV_OFFSET,
 };
 use std::sync::Arc;
+
+mod promise;
 
 fn app() -> AppDescriptor {
     AppDescriptor::new("ccm-trace").with_class(
@@ -163,8 +166,8 @@ fn write_negotiated(
 /// cold, a hit when warm.
 fn sweep(cluster: &mut Cluster, name: &str) {
     let name = ConstraintName::from(name);
-    cluster.set_constraint_enabled(&name, false).unwrap();
-    cluster.set_constraint_enabled(&name, true).unwrap();
+    cluster.change_constraint(Disable(name.clone())).unwrap();
+    cluster.change_constraint(Enable(name, None)).unwrap();
 }
 
 fn refused(result: dedisys_types::Result<()>) -> bool {
@@ -302,6 +305,7 @@ fn scenario(policy: HistoryPolicy) -> Pinned {
     cluster.heal();
     let mut defer = |_: &ViolationReport, _: &mut dedisys_core::ReconOps<'_>| false;
     let summary = cluster.reconcile(&mut HighestVersionWins, &mut defer);
+    promise::assert_kept(&cluster);
     assert_eq!(summary.constraints.resolved_by_rollback, 1);
     assert!(cluster.threats().is_empty());
     sweep(&mut cluster, "Bounded");

@@ -1,18 +1,26 @@
 //! Runtime constraint management at the cluster level: adding and
 //! re-enabling constraints triggers a full check over all context
-//! objects (§3.3), and threat persistence survives middleware crashes.
+//! objects (§3.3) whose violations are negotiated as threats or refuse
+//! the change whole, and threat persistence survives middleware
+//! crashes.
 
 use dedisys_constraints::{
     expr::ExprConstraint, ConstraintMeta, ContextPreparation, RegisteredConstraint,
     ValidationContext,
 };
+use dedisys_core::ConstraintChange::{Add, Disable, Enable};
 use dedisys_core::{
-    nodes, Cluster, ClusterBuilder, ConsistencyThreat, RingRecorder, ThreatDecision, TraceEvent,
+    nodes, Cluster, ClusterBuilder, ConsistencyThreat, DeferAll, HighestVersionWins,
+    NegotiationHandler, RingRecorder, ThreatDecision, ThreatIdentity, TraceEvent,
 };
 use dedisys_object::{AppDescriptor, ClassDescriptor, EntityState};
-use dedisys_types::{ConstraintName, Error, NodeId, ObjectId, SatisfactionDegree, Value};
+use dedisys_types::{
+    ClassName, ConstraintName, Error, NodeId, ObjectId, SatisfactionDegree, SystemMode, Value,
+};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+
+mod promise;
 
 fn app() -> AppDescriptor {
     AppDescriptor::new("stocks").with_class(
@@ -46,10 +54,25 @@ fn adding_a_constraint_checks_all_existing_context_objects() {
             })
             .unwrap();
     }
-    let violating = cluster
-        .add_constraint_with_check(capacity_constraint())
+    // W2 violates the non-tradeable constraint: the Add is refused.
+    let w2 = ObjectId::new("Warehouse", "W2");
+    assert_eq!(
+        cluster.change_constraint(Add(capacity_constraint(), None)),
+        Err(Error::ConstraintChangeRejected {
+            constraint: ConstraintName::from("Capacity"),
+            violators: vec![w2.clone()],
+        })
+    );
+    assert!(cluster.repository().is_empty());
+    cluster
+        .run_tx(node, |c, tx| {
+            c.set_field(node, tx, &w2, "stock", Value::Int(100))
+        })
         .unwrap();
-    assert_eq!(violating, vec![ObjectId::new("Warehouse", "W2")]);
+    let violating = cluster
+        .change_constraint(Add(capacity_constraint(), None))
+        .unwrap();
+    assert!(violating.is_empty());
     // The constraint is live from now on.
     let w3 = ObjectId::new("Warehouse", "W3");
     let result = cluster.run_tx(node, |c, tx| {
@@ -77,20 +100,27 @@ fn re_enabling_checks_context_objects_again() {
         .unwrap();
     // Disable for a bulk import that exceeds capacity.
     let name = ConstraintName::from("Capacity");
-    cluster.set_constraint_enabled(&name, false).unwrap();
+    cluster.change_constraint(Disable(name.clone())).unwrap();
     cluster
         .run_tx(node, |c, tx| {
             c.set_field(node, tx, &id, "stock", Value::Int(500))
         })
         .unwrap();
     // Re-enable: the full check surfaces the violation introduced
-    // while the constraint was off.
-    let violating = cluster.set_constraint_enabled(&name, true).unwrap();
-    assert_eq!(violating, vec![id.clone()]);
+    // while the constraint was off, and refuses the change.
+    assert_eq!(
+        cluster.change_constraint(Enable(name.clone(), None)),
+        Err(Error::ConstraintChangeRejected {
+            constraint: name.clone(),
+            violators: vec![id.clone()],
+        })
+    );
+    assert!(!cluster.repository().get(&name).unwrap().enabled);
     // Duplicate registration is still rejected.
-    assert!(cluster
-        .add_constraint_with_check(capacity_constraint())
-        .is_err());
+    assert!(matches!(
+        cluster.change_constraint(Add(capacity_constraint(), None)),
+        Err(Error::Config(_))
+    ));
 }
 
 /// A constraint whose full check cannot be evaluated is rejected
@@ -113,7 +143,7 @@ fn a_constraint_that_cannot_be_checked_is_not_added() {
     )
     .context_class("Warehouse")
     .affects("Warehouse", "setStock", ContextPreparation::CalledObject);
-    assert!(cluster.add_constraint_with_check(broken).is_err());
+    assert!(cluster.change_constraint(Add(broken, None)).is_err());
     assert_eq!(cluster.open_tx_count(), 0);
     assert!(cluster
         .repository()
@@ -127,7 +157,8 @@ fn a_constraint_that_cannot_be_checked_is_not_added() {
 }
 
 /// Re-enabling is rejected whole too: a constraint whose full check
-/// cannot be evaluated, or cannot run at all, stays as it was.
+/// cannot be evaluated, or may not run outside healthy mode, stays as
+/// it was.
 #[test]
 fn a_constraint_that_cannot_be_checked_is_not_re_enabled() {
     // `reserved` is no field of Warehouse: null cannot be compared.
@@ -144,7 +175,7 @@ fn a_constraint_that_cannot_be_checked_is_not_re_enabled() {
         .unwrap();
     let node = NodeId(0);
     let name = ConstraintName::from("Reserved");
-    cluster.set_constraint_enabled(&name, false).unwrap();
+    cluster.change_constraint(Disable(name.clone())).unwrap();
     let id = ObjectId::new("Warehouse", "W1");
     let e = id.clone();
     cluster
@@ -154,7 +185,9 @@ fn a_constraint_that_cannot_be_checked_is_not_re_enabled() {
         .unwrap();
     let enabled = |c: &Cluster, name| c.repository().get(name).unwrap().enabled;
 
-    assert!(cluster.set_constraint_enabled(&name, true).is_err());
+    assert!(cluster
+        .change_constraint(Enable(name.clone(), None))
+        .is_err());
     assert!(!enabled(&cluster, &name), "still disabled");
     assert_eq!(cluster.open_tx_count(), 0);
     // …so writes it would have made uncheckable still go through.
@@ -164,30 +197,33 @@ fn a_constraint_that_cannot_be_checked_is_not_re_enabled() {
         })
         .unwrap();
 
-    // No node up to run the check: rejected the same way. A failed
-    // check of an already enabled constraint leaves it on…
+    // A crashed node's copies cannot be checked: refused the same way.
+    // A refused re-check of an already enabled constraint leaves it on…
     let capacity = ConstraintName::from("Capacity");
-    for n in [NodeId(0), NodeId(1)] {
-        cluster.crash(n).unwrap();
-    }
+    cluster.crash(NodeId(1)).unwrap();
     assert!(matches!(
-        cluster.set_constraint_enabled(&capacity, true),
-        Err(Error::NodeCrashed(_))
+        cluster.change_constraint(Enable(capacity.clone(), None)),
+        Err(Error::ModeRestriction(_))
     ));
     assert!(enabled(&cluster, &capacity));
-    // …and one of a disabled constraint leaves it off.
-    cluster.set_constraint_enabled(&capacity, false).unwrap();
+    // …and one of a disabled constraint leaves it off; disabling
+    // checks nothing, so it goes through in any mode.
+    cluster
+        .change_constraint(Disable(capacity.clone()))
+        .unwrap();
     assert!(matches!(
-        cluster.set_constraint_enabled(&capacity, true),
-        Err(Error::NodeCrashed(_))
+        cluster.change_constraint(Enable(capacity.clone(), None)),
+        Err(Error::ModeRestriction(_))
     ));
     assert!(!enabled(&cluster, &capacity));
+    assert_eq!(cluster.open_tx_count(), 0);
 }
 
-/// The full check runs from a live node: with node 0 down, the
-/// replicas on nodes 1–2 are still checked.
+/// The full check reads every copy, so it waits until every node is
+/// up: with node 0 down the Add is refused and changes nothing; once
+/// node 0 is back, the check reads its replica too.
 #[test]
-fn the_full_check_runs_from_a_live_node() {
+fn a_checked_add_waits_until_every_node_is_up() {
     let mut cluster = ClusterBuilder::new(3, app()).build().unwrap();
     let node = NodeId(0);
     let id = ObjectId::new("Warehouse", "W1");
@@ -199,13 +235,212 @@ fn the_full_check_runs_from_a_live_node() {
         })
         .unwrap();
     cluster.crash(node).unwrap();
-    // Intra-object, so possibly stale replicas do not soften the
-    // definite violation into a threat.
-    let mut constraint = capacity_constraint();
-    constraint.meta = constraint.meta.intra_object();
-    let violating = cluster.add_constraint_with_check(constraint).unwrap();
-    assert_eq!(violating, vec![id]);
+    let intra_object = || {
+        let mut constraint = capacity_constraint();
+        constraint.meta = constraint.meta.intra_object();
+        constraint
+    };
+    assert!(matches!(
+        cluster.change_constraint(Add(intra_object(), None)),
+        Err(Error::ModeRestriction(_))
+    ));
+    assert!(cluster.repository().is_empty());
     assert_eq!(cluster.open_tx_count(), 0);
+    cluster.restart(node).unwrap();
+    assert_eq!(cluster.mode(), SystemMode::Healthy);
+    assert_eq!(
+        cluster.change_constraint(Add(intra_object(), None)),
+        Err(Error::ConstraintChangeRejected {
+            constraint: ConstraintName::from("Capacity"),
+            violators: vec![id],
+        })
+    );
+    assert_eq!(cluster.open_tx_count(), 0);
+}
+
+/// A tradeable capacity constraint: its static rule accepts nothing
+/// below `possibly satisfied`, so only a handler accepts a violation.
+fn tradeable_capacity() -> RegisteredConstraint {
+    let mut constraint = capacity_constraint();
+    constraint.meta = constraint
+        .meta
+        .tradeable(SatisfactionDegree::PossiblySatisfied);
+    constraint
+}
+
+/// A handler that decides `decision` and counts what it was asked.
+fn handler(decision: ThreatDecision, asked: &Arc<AtomicUsize>) -> Box<dyn NegotiationHandler> {
+    let asked = Arc::clone(asked);
+    Box::new(move |_: &mut ConsistencyThreat| {
+        asked.fetch_add(1, Ordering::Relaxed);
+        decision
+    })
+}
+
+/// Everything a refused change must leave as it was: the repository,
+/// the threat store (its journal included) and every node's journal.
+fn refusable_state(cluster: &Cluster) -> String {
+    let journals: Vec<_> = (0..cluster.node_count())
+        .map(|n| cluster.journal_on(NodeId(n)).entries().to_vec())
+        .collect();
+    format!(
+        "{:?}\n{:?}\n{journals:?}",
+        cluster.repository(),
+        cluster.threats()
+    )
+}
+
+fn warehouses(cluster: &mut Cluster, stocks: &[(&str, i64)]) -> Vec<ObjectId> {
+    let node = NodeId(0);
+    (stocks.iter())
+        .map(|&(key, stock)| {
+            let id = ObjectId::new("Warehouse", key);
+            cluster
+                .run_tx(node, |c, tx| {
+                    c.create(node, tx, EntityState::for_class(c.app(), &id)?)?;
+                    c.set_field(node, tx, &id, "stock", Value::Int(stock))
+                })
+                .unwrap();
+            id
+        })
+        .collect()
+}
+
+fn set_stock(cluster: &mut Cluster, node: NodeId, id: &ObjectId, stock: i64) {
+    cluster
+        .run_tx(node, |c, tx| {
+            c.set_field(node, tx, id, "stock", Value::Int(stock))
+        })
+        .unwrap();
+}
+
+/// §3.3 with §3.2's promise: an Add or Enable whose check finds
+/// violators negotiates each one. Accepted, they are stored as threats
+/// with the change's commit and the audit explains them; rejected, the
+/// change is refused whole and names them. A repair then cleans each
+/// threat up like any other.
+#[test]
+fn a_checked_change_records_its_accepted_violators_or_is_refused_whole() {
+    let mut cluster = ClusterBuilder::new(2, app()).build().unwrap();
+    let ids = warehouses(&mut cluster, &[("W1", 50), ("W2", 150)]);
+    let name = ConstraintName::from("Capacity");
+    let asked = Arc::new(AtomicUsize::new(0));
+    let refused = |violators: &[ObjectId]| {
+        Err(Error::ConstraintChangeRejected {
+            constraint: name.clone(),
+            violators: violators.to_vec(),
+        })
+    };
+
+    // Refused by the static rule, then by a handler: nothing changes.
+    let before = refusable_state(&cluster);
+    let add = |h| Add(tradeable_capacity(), h);
+    assert_eq!(cluster.change_constraint(add(None)), refused(&ids[1..]));
+    assert_eq!(refusable_state(&cluster), before);
+    let reject = Some(handler(ThreatDecision::Reject, &asked));
+    assert_eq!(cluster.change_constraint(add(reject)), refused(&ids[1..]));
+    assert_eq!(asked.swap(0, Ordering::Relaxed), 1);
+    assert_eq!(refusable_state(&cluster), before);
+
+    // Accepted: W2's violation is a standing threat.
+    let accept = Some(handler(ThreatDecision::Accept, &asked));
+    assert_eq!(
+        cluster.change_constraint(add(accept)),
+        Ok(ids[1..].to_vec())
+    );
+    assert_eq!(cluster.threats().identity_count(), 1);
+    promise::assert_kept(&cluster);
+
+    // A bulk import behind the disabled constraint, then Enable.
+    cluster.change_constraint(Disable(name.clone())).unwrap();
+    set_stock(&mut cluster, NodeId(0), &ids[0], 500);
+    let before = refusable_state(&cluster);
+    let reject = Some(handler(ThreatDecision::Reject, &asked));
+    let enable = |h| Enable(name.clone(), h);
+    assert_eq!(cluster.change_constraint(enable(reject)), refused(&ids));
+    assert_eq!(refusable_state(&cluster), before);
+    assert!(!cluster.repository().get(&name).unwrap().enabled);
+    let accept = Some(handler(ThreatDecision::Accept, &asked));
+    assert_eq!(cluster.change_constraint(enable(accept)), Ok(ids.clone()));
+    assert_eq!(cluster.threats().identity_count(), 2);
+    promise::assert_kept(&cluster);
+
+    // Repairing writes clean the threats up; none goes stale.
+    set_stock(&mut cluster, NodeId(1), &ids[0], 40);
+    assert_eq!(cluster.threats().identity_count(), 1);
+    set_stock(&mut cluster, NodeId(0), &ids[1], 90);
+    assert!(cluster.threats().is_empty());
+    assert!(cluster.stale_threats().is_empty());
+    promise::assert_kept(&cluster);
+}
+
+/// A query-based invariant has no context object: its violation is
+/// still negotiated, stored and explained, though no violator is named.
+#[test]
+fn a_query_based_violation_is_recorded_without_a_context_object() {
+    let mut cluster = ClusterBuilder::new(2, app()).build().unwrap();
+    warehouses(&mut cluster, &[("W1", 80), ("W2", 70)]);
+    let total = RegisteredConstraint::new(
+        ConstraintMeta::new("TotalStock")
+            .query_based()
+            .tradeable(SatisfactionDegree::PossiblySatisfied),
+        Arc::new(|ctx: &mut ValidationContext<'_>| {
+            let mut total = 0;
+            for id in ctx.objects_of_class(&ClassName::from("Warehouse")) {
+                total += ctx.field(&id, "stock")?.as_int().unwrap_or(0);
+            }
+            Ok(total <= 100)
+        }),
+    );
+    let asked = Arc::new(AtomicUsize::new(0));
+    let accept = Some(handler(ThreatDecision::Accept, &asked));
+    assert_eq!(cluster.change_constraint(Add(total, accept)), Ok(vec![]));
+    assert_eq!(asked.load(Ordering::Relaxed), 1);
+    let identity = ThreatIdentity {
+        constraint: ConstraintName::from("TotalStock"),
+        context_object: None,
+    };
+    assert_eq!(cluster.threats().identities(), vec![identity]);
+    promise::assert_kept(&cluster);
+}
+
+/// The check reads every copy, so a checked change waits for a healthy
+/// cluster: a re-enable inside a partition would read only the copies
+/// on its node's side and miss what the other side committed.
+#[test]
+fn a_checked_enable_is_refused_in_a_partition_and_negotiates_once_reconciled() {
+    let mut cluster = ClusterBuilder::new(3, app())
+        .constraint(tradeable_capacity())
+        .build()
+        .unwrap();
+    let ids = warehouses(&mut cluster, &[("W1", 50)]);
+    let name = ConstraintName::from("Capacity");
+    let asked = Arc::new(AtomicUsize::new(0));
+    cluster.partition(&[nodes![0], nodes![1, 2]]).unwrap();
+    cluster.change_constraint(Disable(name.clone())).unwrap();
+    set_stock(&mut cluster, NodeId(1), &ids[0], 150);
+
+    let before = refusable_state(&cluster);
+    let accept = Some(handler(ThreatDecision::Accept, &asked));
+    assert!(matches!(
+        cluster.change_constraint(Enable(name.clone(), accept)),
+        Err(Error::ModeRestriction(_))
+    ));
+    assert_eq!(refusable_state(&cluster), before);
+    assert_eq!(asked.load(Ordering::Relaxed), 0);
+    assert_eq!(cluster.open_tx_count(), 0);
+
+    cluster.heal();
+    cluster.reconcile(&mut HighestVersionWins, &mut DeferAll);
+    promise::assert_kept(&cluster);
+    let accept = Some(handler(ThreatDecision::Accept, &asked));
+    assert_eq!(
+        cluster.change_constraint(Enable(name, accept)),
+        Ok(ids.clone())
+    );
+    assert_eq!(asked.load(Ordering::Relaxed), 1);
+    assert_eq!(cluster.threats().identity_count(), 1);
+    promise::assert_kept(&cluster);
 }
 
 /// A split two-node cluster holding warehouse `W1`, whose capacity

@@ -9,6 +9,7 @@
 use dedisys_constraints::{
     expr::ExprConstraint, ConstraintMeta, ContextPreparation, RegisteredConstraint,
 };
+use dedisys_core::ConstraintChange;
 use dedisys_federation::{FederatedCluster, ShardId};
 use dedisys_object::{AppDescriptor, ClassDescriptor};
 use dedisys_types::{FieldName, ObjectId, PriorityClass, Value};
@@ -49,7 +50,7 @@ fn bank() -> (FederatedCluster, ObjectId, ObjectId) {
                 .context_class("Account")
                 .affects("Account", "setBalance", ContextPreparation::CalledObject);
         fed.shard_mut(shard)
-            .add_constraint_with_check(constraint)
+            .change_constraint(ConstraintChange::Add(constraint, None))
             .unwrap();
     }
     let ids: Vec<ObjectId> = (0..16)

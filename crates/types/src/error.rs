@@ -38,6 +38,15 @@ pub enum Error {
         /// The satisfaction degree that was rejected.
         degree: SatisfactionDegree,
     },
+    /// An added or re-enabled constraint is violated by context objects
+    /// whose threats negotiation rejected (§3.3): the change was
+    /// refused whole.
+    ConstraintChangeRejected {
+        /// The constraint the change added or enabled.
+        constraint: ConstraintName,
+        /// The context objects that violate it, in id order.
+        violators: Vec<ObjectId>,
+    },
     /// The transaction does not exist or already terminated.
     NoSuchTransaction(TxId),
     /// The transaction was marked rollback-only and cannot commit.
@@ -113,6 +122,14 @@ impl fmt::Display for Error {
             Error::ThreatRejected { constraint, degree } => {
                 write!(f, "consistency threat on {constraint} ({degree}) rejected")
             }
+            Error::ConstraintChangeRejected {
+                constraint,
+                violators,
+            } => {
+                write!(f, "change of constraint {constraint} refused: violated")?;
+                let by = |at| if at == 0 { " by" } else { "," };
+                (violators.iter().enumerate()).try_for_each(|(at, id)| write!(f, "{} {id}", by(at)))
+            }
             Error::NoSuchTransaction(tx) => write!(f, "no such transaction {tx}"),
             Error::RollbackOnly(tx) => write!(f, "transaction {tx} is rollback-only"),
             Error::LockConflict { object, holder } => {
@@ -173,6 +190,10 @@ mod tests {
             Error::ThreatRejected {
                 constraint: ConstraintName::from("TicketConstraint"),
                 degree: SatisfactionDegree::PossiblyViolated,
+            },
+            Error::ConstraintChangeRejected {
+                constraint: ConstraintName::from("Capacity"),
+                violators: vec![ObjectId::new("Warehouse", "W1")],
             },
             Error::NoQuorum {
                 object: ObjectId::new("A", "1"),

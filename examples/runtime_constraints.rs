@@ -1,15 +1,18 @@
 //! Explicit *runtime* management of integrity constraints (§2.1.4):
-//! constraints loaded from a deployment descriptor, then added,
-//! disabled, re-enabled and removed while the system runs — the
-//! capability that motivates the repository-based design despite its
-//! overhead (Chapter 2).
+//! constraints loaded from a deployment descriptor, then disabled,
+//! re-enabled and removed while the system runs — the capability that
+//! motivates the repository-based design despite its overhead (Chapter
+//! 2). Every change is one `Cluster::change_constraint`; a re-enabled
+//! constraint is checked for all context objects (§3.3), and each
+//! violator is negotiated or the change refused.
 //!
 //! Run with: `cargo run --example runtime_constraints`
 
 use dedisys_constraints::{ConstraintConfigSet, ImplRegistry};
-use dedisys_core::ClusterBuilder;
+use dedisys_core::ConstraintChange::{Disable, Enable, Remove};
+use dedisys_core::{Cluster, ClusterBuilder, ConsistencyThreat, ThreatDecision};
 use dedisys_object::{AppDescriptor, ClassDescriptor, EntityState};
-use dedisys_types::{ConstraintName, NodeId, ObjectId, Result, Value};
+use dedisys_types::{ConstraintName, Error, NodeId, ObjectId, Result, Value};
 
 /// The deployment descriptor (the Listing 4.1 equivalent, as JSON).
 const DESCRIPTOR: &str = r#"{
@@ -72,39 +75,82 @@ fn main() -> Result<()> {
     // Disable the capacity constraint at runtime (e.g. for a bulk
     // import, cf. [OCS01] in §6.2) …
     let capacity = ConstraintName::from("StockBelowCapacity");
-    cluster.set_constraint_enabled(&capacity, false)?;
-    cluster.run_tx(node, |c, tx| {
-        c.set_field(node, tx, &wh, "stock", Value::Int(150))
-    })?;
+    cluster.change_constraint(Disable(capacity.clone()))?;
+    set_stock(&mut cluster, &wh, 150)?;
     println!("constraint disabled: stock=150 accepted");
 
-    // … re-enable it: §3.3's check of every warehouse finds the one
-    // the import left over capacity, and the constraint bites again.
-    let violators = cluster.set_constraint_enabled(&capacity, true)?;
+    // … re-enable it: §3.3's check of every warehouse finds the one the
+    // import left over capacity. The constraint is not tradeable, so
+    // the violation cannot be accepted: the change is refused whole and
+    // the constraint stays off.
+    let refused = cluster.change_constraint(Enable(capacity.clone(), None));
     assert_eq!(
-        violators,
-        std::slice::from_ref(&wh),
+        refused,
+        Err(Error::ConstraintChangeRejected {
+            constraint: capacity.clone(),
+            violators: vec![wh.clone()],
+        }),
         "the import's warehouse"
     );
-    println!("constraint re-enabled: violated by {}", violators[0]);
-    let still_over = cluster.run_tx(node, |c, tx| {
-        c.set_field(node, tx, &wh, "stock", Value::Int(160))
-    });
+    println!("re-enable refused: {}", refused.unwrap_err());
+    set_stock(&mut cluster, &wh, 90)?;
+    assert!(cluster
+        .change_constraint(Enable(capacity.clone(), None))?
+        .is_empty());
+    println!("stock=90: constraint re-enabled, no violator");
+    let still_over = set_stock(&mut cluster, &wh, 160);
     println!(
         "constraint re-enabled: stock=160 → {}",
         still_over.unwrap_err()
     );
 
     // Remove it entirely.
-    cluster.remove_constraint(&capacity);
-    cluster.run_tx(node, |c, tx| {
-        c.set_field(node, tx, &wh, "stock", Value::Int(160))
-    })?;
+    cluster.change_constraint(Remove(capacity))?;
+    set_stock(&mut cluster, &wh, 160)?;
     println!("constraint removed: stock=160 accepted");
+
+    // A tradeable constraint's violators can be accepted instead: the
+    // change's handler negotiates each one, and the change's commit
+    // stores it as a consistency threat for reconciliation (§3.2).
+    let non_negative = ConstraintName::from("StockNonNegative");
+    cluster.change_constraint(Disable(non_negative.clone()))?;
+    set_stock(&mut cluster, &wh, -5)?;
+    let accept = Box::new(|threat: &mut ConsistencyThreat| {
+        println!(
+            "negotiating {} on {} ({}): accepted",
+            threat.constraint,
+            threat.context_object.as_ref().expect("a context object"),
+            threat.degree
+        );
+        ThreatDecision::Accept
+    });
+    let accepted = cluster.change_constraint(Enable(non_negative, Some(accept)))?;
+    assert_eq!(accepted, std::slice::from_ref(&wh));
+    println!(
+        "constraint re-enabled: {} threat(s) stored",
+        cluster.threats().len()
+    );
+    // A write that satisfies it again cleans its threat up.
+    set_stock(&mut cluster, &wh, 10)?;
+    assert!(cluster.threats().is_empty());
+    println!("stock=10: the threat is cleaned up");
+
     println!(
         "repository now holds {} constraint(s); lookup stats: {:?}",
         cluster.repository().len(),
         cluster.repository().stats()
     );
+    // §3.2's promise: every violation the committed state still holds
+    // is explained, and no threat outlives its violation.
+    assert!(cluster.audit().iter().all(|f| f.explanation.is_some()));
+    assert!(cluster.stale_threats().is_empty());
     Ok(())
+}
+
+/// Sets the stock of `wh` in a transaction of its own on node 0.
+fn set_stock(cluster: &mut Cluster, wh: &ObjectId, stock: i64) -> Result<()> {
+    let node = NodeId(0);
+    cluster.run_tx(node, |c, tx| {
+        c.set_field(node, tx, wh, "stock", Value::Int(stock))
+    })
 }

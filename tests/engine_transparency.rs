@@ -10,9 +10,12 @@ use dedisys_constraints::{
     expr::ExprConstraint, Constraint, ConstraintKind, ConstraintMeta, ContextPreparation,
     RegisteredConstraint, ValidationContext,
 };
+use dedisys_core::ConstraintChange::{Disable, Enable};
 use dedisys_core::{nodes, ClusterBuilder, ConstraintEngine, DeferAll, HighestVersionWins};
 use dedisys_object::{AppDescriptor, ClassDescriptor, EntityState};
-use dedisys_types::{ChaosRng, ConstraintName, NodeId, ObjectId, SatisfactionDegree, Value};
+use dedisys_types::{
+    ChaosRng, ConstraintName, NodeId, ObjectId, Result, SatisfactionDegree, Value,
+};
 use std::sync::Arc;
 
 #[path = "../crates/core/tests/promise/mod.rs"]
@@ -123,12 +126,12 @@ fn schedule(seed: u64) -> Vec<Step> {
 /// configurations: mode + cluster/CCM/replication/tx counters (virtual
 /// time, the telemetry registry and the event count are excluded — the
 /// cache's probe charges and hit/miss events differ by design), the
-/// stored threat identities, and the violating-object lists returned
-/// by every constraint sweep, and the committed state of every object
+/// stored threat identities, what every constraint sweep returned (its
+/// violators, or its refusal), and the committed state of every object
 /// on every node (which write was refused decides it).
 fn fingerprint(
     cluster: &dedisys_core::Cluster,
-    sweeps: &[(String, Vec<ObjectId>)],
+    sweeps: &[(String, Result<Vec<ObjectId>>)],
     objects: &[ObjectId],
 ) -> String {
     let stats = cluster.stats();
@@ -180,7 +183,7 @@ fn run_schedule(engine: ConstraintEngine, cache: bool, schedule: &[Step]) -> Str
             })
             .unwrap();
     }
-    let mut sweeps: Vec<(String, Vec<ObjectId>)> = Vec::new();
+    let mut sweeps: Vec<(String, Result<Vec<ObjectId>>)> = Vec::new();
     for &(action, node_raw, obj, value) in schedule {
         match action % 8 {
             0 => {
@@ -198,10 +201,9 @@ fn run_schedule(engine: ConstraintEngine, cache: bool, schedule: &[Step]) -> Str
                 // verdict cache answers from memo — the violating list
                 // must nevertheless be identical.
                 let name = ConstraintName::from(format!("Bounded-{:02}", obj % 12));
-                let _ = cluster.set_constraint_enabled(&name, false);
-                if let Ok(violating) = cluster.set_constraint_enabled(&name, true) {
-                    sweeps.push((name.to_string(), violating));
-                }
+                let _ = cluster.change_constraint(Disable(name.clone()));
+                let swept = cluster.change_constraint(Enable(name.clone(), None));
+                sweeps.push((name.to_string(), swept));
             }
             _ => {
                 let node = NodeId(node_raw % 3);
@@ -270,8 +272,8 @@ fn verdict_cache_hits_invalidation_and_speedup() {
     let sweep = |cluster: &mut dedisys_core::Cluster| {
         for i in 0..12 {
             let name = ConstraintName::from(format!("Bounded-{i:02}"));
-            cluster.set_constraint_enabled(&name, false).unwrap();
-            cluster.set_constraint_enabled(&name, true).unwrap();
+            cluster.change_constraint(Disable(name.clone())).unwrap();
+            cluster.change_constraint(Enable(name, None)).unwrap();
         }
     };
 

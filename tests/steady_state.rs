@@ -15,6 +15,7 @@ use dedisys_constraints::{
     expr::ExprConstraint, ConstraintMeta, ContextPreparation, RegisteredConstraint,
 };
 use dedisys_core::nodes;
+use dedisys_core::ConstraintChange::{Disable, Enable};
 use dedisys_core::{
     Cluster, ClusterBuilder, ConsistencyThreat, HighestVersionWins, ReconOps, ThreatDecision,
     ViolationReport,
@@ -102,8 +103,8 @@ fn healthy_work(cluster: &mut Cluster, ids: &[ObjectId], round: usize) -> TxId {
     // Re-checking the constraint memoizes one verdict per counter, for
     // the cycle's reconciliation to drop.
     let bounded = ConstraintName::from("Bounded");
-    cluster.set_constraint_enabled(&bounded, false).unwrap();
-    cluster.set_constraint_enabled(&bounded, true).unwrap();
+    cluster.change_constraint(Disable(bounded.clone())).unwrap();
+    cluster.change_constraint(Enable(bounded, None)).unwrap();
     assert_eq!(cluster.verdict_cache_len(), OBJECTS);
     first.expect("began at least one transaction")
 }

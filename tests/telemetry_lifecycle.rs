@@ -6,6 +6,7 @@
 use dedisys_constraints::{
     expr::ExprConstraint, ConstraintMeta, ContextPreparation, RegisteredConstraint,
 };
+use dedisys_core::ConstraintChange::{Add, Enable};
 use dedisys_core::{
     Cluster, ClusterBuilder, DeferAll, HighestVersionWins, JsonlExporter, RingRecorder, SharedBuf,
     TraceEvent, TraceRecord,
@@ -187,7 +188,7 @@ fn each_cache_probe_directly_precedes_its_own_validation() {
 
     let bounded = bounded_constraint("Bounded");
     let name = bounded.name().clone();
-    let violating = cluster.add_constraint_with_check(bounded).unwrap();
+    let violating = cluster.change_constraint(Add(bounded, None)).unwrap();
     assert!(violating.is_empty());
     assert_eq!(
         validation_kinds(0),
@@ -195,7 +196,7 @@ fn each_cache_probe_directly_precedes_its_own_validation() {
         "first sweep"
     );
     let seen = ring.records().len();
-    cluster.set_constraint_enabled(&name, true).unwrap();
+    cluster.change_constraint(Enable(name, None)).unwrap();
     assert_eq!(
         validation_kinds(seen),
         ["verdict_cache_hit", "constraint_validated"].repeat(3),
@@ -218,7 +219,7 @@ fn a_commit_ships_writes_then_deletes_and_invalidates_in_id_order() {
         .collect();
     // The §3.3 sweep caches one verdict per counter.
     let violating = cluster
-        .add_constraint_with_check(bounded_constraint("Bounded"))
+        .change_constraint(Add(bounded_constraint("Bounded"), None))
         .unwrap();
     assert!(violating.is_empty());
     let ring = RingRecorder::new(256);
