@@ -10,9 +10,8 @@ use dedisys_constraints::{
     ConstraintKind, ConstraintMeta, ContextPreparation, RegisteredConstraint, ValidationContext,
 };
 use dedisys_core::{
-    nodes, Cluster, ClusterBuilder, ConstraintReconcileReport, DeferAll, HighestVersionWins,
-    HistoryPolicy, ProtocolKind, ReconOps, ReconcileStrategy, ReconciliationSummary,
-    ReplicaConflict, ViolationReport,
+    nodes, Cluster, ClusterBuilder, DeferAll, HighestVersionWins, HistoryPolicy, ProtocolKind,
+    ReconOps, ReplicaConflict, ViolationReport,
 };
 use dedisys_object::{AppDescriptor, ClassDescriptor, EntityState, MethodDescriptor, MethodKind};
 use dedisys_types::{NodeId, ObjectId, SatisfactionDegree, SimDuration, SimTime, TxId, Value};
@@ -428,20 +427,12 @@ pub fn fig5_4(run: &Run) -> Verdict {
     ]))
 }
 
-/// The away-partition pools of Figure 5.6 (incremental).
-const AWAY: [usize; 3] = [200, 600, 1000];
-
 /// Figure 5.6 — time for missed-update propagation and threat
 /// re-evaluation after 1000 degraded writes over 200 objects, under the
-/// identical-once vs full-history policies (200 vs 1000 records). Then
-/// the incremental engine against the full scan after a partial merge
-/// ([`partial_merge`]).
+/// identical-once vs full-history policies (200 vs 1000 records).
 ///
 /// Contracts: identical-once stores 200 records and the full history
-/// 1000, and the full history is slower in both phases. The incremental
-/// engine skips every away threat, re-evaluates fewer identities with
-/// identical outcomes in less constraint time, and stays flat while the
-/// full scan grows with the away pool.
+/// 1000, and the full history is slower in both phases.
 pub fn fig5_6(run: &Run) -> Verdict {
     let [once, full] = [
         (HistoryPolicy::IdenticalOnce, "Identical threats once"),
@@ -494,60 +485,6 @@ pub fn fig5_6(run: &Run) -> Verdict {
         &rows,
     );
     println!("  paper shape: replica phase dominates and scales with the record count");
-
-    let strategies = [ReconcileStrategy::FullScan, ReconcileStrategy::Incremental];
-    let merges = AWAY.map(|away| strategies.map(|s| partial_merge(run, s, away)));
-    let rows: Vec<Vec<String>> = AWAY
-        .iter()
-        .zip(&merges)
-        .flat_map(|(away, pair)| {
-            ["full scan", "incremental"]
-                .iter()
-                .zip(pair)
-                .map(move |(label, (s, _))| {
-                    let c = &s.constraints;
-                    vec![
-                        format!("{label}, {away} away"),
-                        c.re_evaluated.to_string(),
-                        c.skipped.to_string(),
-                        c.postponed.to_string(),
-                        format!("{}", s.constraint_duration),
-                    ]
-                })
-        })
-        .collect();
-    print_table(
-        "Figure 5.6 (incremental) — partial merge, full scan vs object-indexed engine",
-        &[
-            "strategy",
-            "re-evaluated",
-            "skipped",
-            "postponed",
-            "constraint recon",
-        ],
-        &rows,
-    );
-    println!(
-        "  shape: full scan grows with the away-partition threat count; incremental stays flat"
-    );
-    // Outcomes without the two counters the strategies differ in.
-    let outcome = |c: &ConstraintReconcileReport| ConstraintReconcileReport {
-        re_evaluated: 0,
-        skipped: 0,
-        ..*c
-    };
-    let skips = AWAY.iter().zip(&merges).all(|(away, [(f, _), (i, _)])| {
-        let (f, i) = (&f.constraints, &i.constraints);
-        f.skipped == 0 && i.skipped >= *away && i.re_evaluated < f.re_evaluated
-    });
-    let same = merges.iter().all(|[(f, _), (i, _)]| {
-        outcome(&f.constraints) == outcome(&i.constraints)
-            && i.constraint_duration < f.constraint_duration
-    });
-    let ([(small_full, _), (small_incr, _)], [(large_full, _), (large_incr, _)]) =
-        (&merges[0], &merges[2]);
-    let grows = large_full.constraint_duration > small_full.constraint_duration;
-    let flat = small_incr.constraints.re_evaluated == large_incr.constraints.re_evaluated;
     let mut failures = broken(&[
         (
             once.1 == 200 && full.1 == 1000,
@@ -557,76 +494,9 @@ pub fn fig5_6(run: &Run) -> Verdict {
             full.2 > once.2 && full.3 > once.3,
             "the full history is not slower",
         ),
-        (
-            skips,
-            "the incremental engine does not skip the away threats",
-        ),
-        (same, "different outcomes, or no cheaper constraint phase"),
-        (
-            grows && flat,
-            "the full scan does not grow, or the incremental one is not flat",
-        ),
     ]);
-    let merged = merges.iter().flatten().map(|(_, lost)| lost);
-    failures.extend(
-        [&once.4, &full.4]
-            .into_iter()
-            .chain(merged)
-            .flatten()
-            .cloned(),
-    );
+    failures.extend([&once.4, &full.4].into_iter().flatten().cloned());
     Ok(failures)
-}
-
-/// Figure 5.6 (incremental) — constraint reconciliation after a
-/// *partial* re-unification under `strategy`.
-///
-/// Three-way split: partition `{0}` produces 50 threats on a "touch"
-/// pool, partition `{2}` produces `away` threats on a separate pool.
-/// Then `{0, 1}` re-unify while `{2}` stays away and node 0 observes a
-/// partial reconciliation. The full scan re-evaluates *every* stored
-/// identity, so its constraint phase scales with `away`; the
-/// incremental engine only re-evaluates identities touching the dirty
-/// set (the touch pool) and skips the rest (still degraded-tracked) —
-/// its cost is flat in `away`. Outcomes are identical by construction
-/// (skipped identities would re-validate to a threat degree anyway).
-/// Returns the summary with what the merge left [`unnoticed`].
-fn partial_merge(
-    run: &Run,
-    strategy: ReconcileStrategy,
-    away: usize,
-) -> (ReconciliationSummary, Vec<String>) {
-    let mut cluster =
-        run.cluster(builder(3).configure(|c| c.durability.reconcile_strategy = strategy));
-    let node = NodeId(0);
-    let touch = pool(&mut cluster, node, "Guarded", "touch", 50);
-    let away_pool = pool(&mut cluster, node, "Guarded", "away", away);
-    cluster
-        .partition(&[nodes![0], nodes![1], nodes![2]])
-        .unwrap();
-    // Threat-producing writes near the future observer…
-    for id in &touch {
-        let id = id.clone();
-        cluster
-            .run_tx(node, move |c, tx| {
-                c.set_field(node, tx, &id, "value", Value::from("near"))
-            })
-            .expect("near write");
-    }
-    // …and in the partition that stays away after the merge.
-    let far = NodeId(2);
-    for id in &away_pool {
-        let id = id.clone();
-        cluster
-            .run_tx(far, move |c, tx| {
-                c.set_field(far, tx, &id, "value", Value::from("far"))
-            })
-            .expect("far write");
-    }
-    // Partial re-unification: {0, 1} merge, {2} stays away.
-    cluster.partition(&[nodes![0, 1], nodes![2]]).unwrap();
-    let summary = cluster.reconcile_partial(node, &mut HighestVersionWins, &mut DeferAll);
-    (summary, unnoticed(&cluster))
 }
 
 /// Figure 5.8 — degraded-mode throughput across five iterations of the

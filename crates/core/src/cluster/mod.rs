@@ -28,7 +28,7 @@ pub use audit::{Explanation, Finding};
 pub use builder::ClusterBuilder;
 pub use reconciliation::{
     ConstraintReconcileReport, ConstraintReconciliationHandler, DeferAll, ReconOps,
-    ReconcileStrategy, ReconciliationSummary, ViolationReport,
+    ReconciliationSummary, ViolationReport,
 };
 
 use crate::ccm::{Ccm, NegotiationHandler, PartitionEnv, PendingCheck, TxThreats};

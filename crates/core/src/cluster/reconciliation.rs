@@ -129,27 +129,10 @@ where
     }
 }
 
-/// How constraint reconciliation selects the threats to re-evaluate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ReconcileStrategy {
-    /// Re-evaluate every stored threat identity — the dissertation's
-    /// baseline, whose cost grows with the total threat volume
-    /// (Figure 5.6).
-    FullScan,
-    /// Object-indexed incremental engine (§5.5.1): re-evaluate only
-    /// threats whose objects are in the replica-reconciliation dirty
-    /// set or became fully checkable; postpone the rest without a
-    /// database read. Outcome-equivalent to [`ReconcileStrategy::FullScan`]
-    /// (skipped threats would re-validate to a threat degree anyway).
-    #[default]
-    Incremental,
-}
-
 /// Outcome counters of the constraint-reconciliation step.
 ///
-/// Invariants (enforced by a debug assertion and the property tests):
-/// `violations == resolved_by_rollback + resolved_by_handler + deferred`
-/// and `skipped <= postponed`.
+/// Invariant (enforced by a debug assertion and the property tests):
+/// `violations == resolved_by_rollback + resolved_by_handler + deferred`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ConstraintReconcileReport {
     /// Distinct threat identities re-evaluated.
@@ -168,12 +151,7 @@ pub struct ConstraintReconcileReport {
     /// Violations deferred to later application-driven cleanup.
     pub deferred: usize,
     /// Threats still threatened (postponed — partitions remain).
-    /// Includes the skipped ones.
     pub postponed: usize,
-    /// Threat identities the incremental engine postponed *without*
-    /// re-evaluating (not dirty, not yet checkable). Always zero under
-    /// [`ReconcileStrategy::FullScan`].
-    pub skipped: usize,
     /// Replica-conflict notifications delivered for satisfied
     /// constraints.
     pub conflict_notifications: usize,
@@ -212,12 +190,16 @@ impl Cluster {
     }
 
     /// Reconciliation after a *partial* re-unification (§3.3): some
-    /// partitions merged while others remain. Only objects whose
-    /// degraded-mode writer partitions are all reachable from
-    /// `observer` are replica-reconciled; threats whose constraints
-    /// are still threatened (objects stale or unreachable) are
-    /// postponed until further partitions re-unify. The system returns
-    /// to degraded mode afterwards unless everything was resolved.
+    /// partitions merged while others remain. Every object with a
+    /// degraded-mode writer partition reachable from `observer` has its
+    /// reachable writers merged and the outcome installed on its
+    /// replicas in the observer's partition; it stays tracked for a
+    /// later merge while one of its writer partitions or replicas is
+    /// still away (`ReplicationManager::reconcile_replicas_scoped`).
+    /// Every stored threat is then re-evaluated; one whose constraint
+    /// is still threatened (objects stale or unreachable) is postponed
+    /// until further partitions re-unify. The system returns to
+    /// degraded mode afterwards unless the topology is whole.
     pub fn reconcile_partial(
         &mut self,
         observer: NodeId,
@@ -289,7 +271,6 @@ impl Cluster {
                 resolved_by_handler: constraints.resolved_by_handler as u64,
                 deferred: constraints.deferred as u64,
                 postponed: constraints.postponed as u64,
-                skipped: constraints.skipped as u64,
                 duration_ns,
             });
         let metrics = self.telemetry().metrics();
@@ -317,36 +298,11 @@ impl Cluster {
     ) -> ConstraintReconcileReport {
         let mut report = ConstraintReconcileReport::default();
         let recon_tx = self.begin_tx(observer);
-        let strategy = self.config().durability.reconcile_strategy;
-        // Object-indexed lookup: the threat identities touched by the
-        // dirty set reported from replica reconciliation.
-        let dirty_touched = self
-            .ccm
-            .threat_store
-            .identities_touching(replica_report.dirty.iter());
+        // Every accepted threat is re-evaluated (Figure 4.6); one whose
+        // objects stay unreachable or stale re-validates to a threat
+        // degree and is postponed.
         let identities = self.ccm.threat_store.identities();
         for identity in identities {
-            // Incremental engine: a threat must be re-evaluated when
-            // the replica step changed one of its objects (dirty) or
-            // when all its objects are checkable from the observer —
-            // reachable, current and no longer awaiting replica
-            // reconciliation — since its verdict can now change.
-            // Anything else would re-validate to a threat degree and
-            // be postponed, so it is postponed directly, without the
-            // per-identity database read (§5.5.1).
-            if strategy == ReconcileStrategy::Incremental
-                && !dirty_touched.contains(&identity)
-                && !self.identity_checkable(observer, &identity)
-            {
-                report.postponed += 1;
-                report.skipped += 1;
-                self.telemetry().metrics().incr("reconcile.skipped");
-                self.telemetry().emit(|| TraceEvent::ReconcileSkipped {
-                    constraint: identity.constraint.text().into(),
-                    context: identity.context_object.as_ref().map(|o| o.text().into()),
-                });
-                continue;
-            }
             report.re_evaluated += 1;
             // Load the threat record (database read).
             self.clock().advance(self.costs().db_read);
@@ -486,21 +442,6 @@ impl Cluster {
             self.costs.db_write
                 + self.costs.threat_scan_per_identity * removed.saturating_sub(1) as u64,
         );
-    }
-
-    /// Whether every object of `identity`'s threats is fully checkable
-    /// from `observer`: reachable, not possibly stale, and not awaiting
-    /// further replica reconciliation. Checkable threats are
-    /// re-evaluated even when untouched by the dirty set — a full scan
-    /// would resolve them too, and skipping them would diverge.
-    fn identity_checkable(&self, observer: NodeId, identity: &ThreatIdentity) -> bool {
-        let mut objects = self.ccm.threat_store.iter_objects_of(identity);
-        let topology = self.topology();
-        objects.all(|obj| {
-            self.replication.is_reachable(obj, observer, topology)
-                && !self.replication.is_possibly_stale(obj, observer, topology)
-                && !self.replication.is_degraded_tracked(obj)
-        })
     }
 
     fn revalidate(

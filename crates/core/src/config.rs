@@ -8,8 +8,7 @@
 //! * [`ValidationConfig`] — how constraints are looked up, evaluated
 //!   and negotiated,
 //! * [`MembershipConfig`] — failure detection and view stabilization,
-//! * [`DurabilityConfig`] — threat history and reconciliation
-//!   strategy,
+//! * [`DurabilityConfig`] — the threat-history policy,
 //! * [`PlaneConfig`] — the request plane's admission burst.
 //!
 //! Build-time configuration goes through
@@ -20,7 +19,6 @@
 //! event naming the dotted paths that changed.
 
 use crate::ccm::NegotiationTiming;
-use crate::cluster::ReconcileStrategy;
 use crate::threat::HistoryPolicy;
 use dedisys_constraints::ConstraintEngine;
 use dedisys_gms::DetectorKind;
@@ -90,24 +88,12 @@ impl Default for MembershipConfig {
     }
 }
 
-/// Threat history and reconciliation strategy.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Threat history.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DurabilityConfig {
-    /// The threat-history policy (§5.5.1). Build-time only — the
-    /// store's record layout depends on it.
+    /// The threat-history policy (§5.5.1; default identical-once).
+    /// Build-time only — the store's record layout depends on it.
     pub threat_policy: HistoryPolicy,
-    /// How constraint reconciliation picks the threats to re-evaluate.
-    /// Runtime-reconfigurable.
-    pub reconcile_strategy: ReconcileStrategy,
-}
-
-impl Default for DurabilityConfig {
-    fn default() -> Self {
-        Self {
-            threat_policy: HistoryPolicy::IdenticalOnce,
-            reconcile_strategy: ReconcileStrategy::default(),
-        }
-    }
 }
 
 /// The request plane's admission burst. Runtime-reconfigurable; the
@@ -134,7 +120,7 @@ pub struct ClusterConfig {
     pub validation: ValidationConfig,
     /// Failure detection and view stabilization.
     pub membership: MembershipConfig,
-    /// Threat history and reconciliation.
+    /// Threat history.
     pub durability: DurabilityConfig,
     /// Request-plane admission burst.
     pub plane: PlaneConfig,
@@ -180,10 +166,7 @@ impl ClusterConfig {
                 settle,
                 seed,
             },
-            durability: DurabilityConfig {
-                threat_policy,
-                reconcile_strategy,
-            },
+            durability: DurabilityConfig { threat_policy },
             plane: PlaneConfig { burst },
         );
         changed
@@ -220,7 +203,7 @@ mod tests {
         let mut b = a;
         b.membership.seed = 7;
         b.durability.threat_policy = HistoryPolicy::FullHistory;
-        b.durability.reconcile_strategy = ReconcileStrategy::FullScan;
+        b.plane.burst = 1;
         assert_eq!(
             a.immutable_diff(&b),
             vec!["membership.seed", "durability.threat_policy"]

@@ -81,8 +81,7 @@ pub use ccm::{CcmStats, NegotiationHandler, NegotiationTiming, ThreatDecision};
 pub use cluster::{
     getter_name, setter_name, Cluster, ClusterBuilder, ClusterMetrics, ConstraintChange,
     ConstraintReconcileReport, ConstraintReconciliationHandler, DeferAll, Explanation, Finding,
-    HookInfo, InDoubtTx, ReconOps, ReconcileStrategy, ReconciliationSummary, StatsSnapshot,
-    ViolationReport,
+    HookInfo, InDoubtTx, ReconOps, ReconciliationSummary, StatsSnapshot, ViolationReport,
 };
 pub use config::{
     ClusterConfig, DurabilityConfig, MembershipConfig, PlaneConfig, ValidationConfig,

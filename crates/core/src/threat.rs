@@ -7,7 +7,7 @@ use dedisys_types::{
     Value,
 };
 use serde::{Deserialize, Serialize};
-use std::collections::{hash_map, BTreeMap, BTreeSet, HashMap};
+use std::collections::{hash_map, BTreeSet, HashMap};
 use std::fmt::Write;
 use std::sync::Arc;
 
@@ -108,12 +108,6 @@ pub struct ThreatStore {
     records: HashMap<ThreatIdentity, Vec<Record>, TxBuildHasher>,
     /// Number of records across all identities.
     len: usize,
-    /// Secondary index: object → identities of threats touching it
-    /// (context object and every affected object). Maintained on every
-    /// insert/removal so incremental reconciliation can map a dirty
-    /// object set to the threats that need re-evaluation without a
-    /// full scan.
-    object_index: BTreeMap<ObjectId, BTreeSet<ThreatIdentity>>,
     wal: WriteAheadLog,
     next_record: u64,
     /// What a journal key, then its record, is written into before the
@@ -196,17 +190,10 @@ impl ThreatStore {
         }
     }
 
-    /// Files `record` under its identity and its objects (store and
-    /// recovery path; records arrive in occurrence order).
+    /// Files `record` under its identity (store and recovery path;
+    /// records arrive in occurrence order).
     fn file(&mut self, record: Record) {
-        let identity = record.threat.identity();
-        for object in record.threat.objects() {
-            self.object_index
-                .entry(object.clone())
-                .or_default()
-                .insert(identity.clone());
-        }
-        match self.records.entry(identity) {
+        match self.records.entry(record.threat.identity()) {
             // Most identities hold one record (all of them under
             // `IdenticalOnce`): allocate for one, not for a run.
             hash_map::Entry::Vacant(first) => {
@@ -252,7 +239,6 @@ impl ThreatStore {
             })
             .collect::<Result<Vec<Record>>>()?;
         self.records.clear();
-        self.object_index.clear();
         self.len = 0;
         for record in survivors {
             self.file(record);
@@ -285,37 +271,14 @@ impl ThreatStore {
         self.records.len()
     }
 
-    /// Union of identities touching any object of `objects` — the
-    /// entry point of incremental reconciliation: map a dirty object
-    /// set to the threats that need re-evaluation.
-    pub fn identities_touching<'a>(
-        &self,
-        objects: impl IntoIterator<Item = &'a ObjectId>,
-    ) -> BTreeSet<ThreatIdentity> {
-        let mut out = BTreeSet::new();
-        for obj in objects {
-            if let Some(ids) = self.object_index.get(obj) {
-                out.extend(ids.iter().cloned());
-            }
-        }
-        out
-    }
-
     /// Every object touched by threats of `identity` (context object
     /// plus affected objects, across all stored occurrences).
     pub(crate) fn objects_of(&self, identity: &ThreatIdentity) -> BTreeSet<ObjectId> {
-        self.iter_objects_of(identity).cloned().collect()
-    }
-
-    /// [`ThreatStore::objects_of`], read in place: an object touched by
-    /// several records comes once per record.
-    pub(crate) fn iter_objects_of(
-        &self,
-        identity: &ThreatIdentity,
-    ) -> impl Iterator<Item = &ObjectId> {
         self.records_of(identity)
             .iter()
             .flat_map(|r| r.threat.objects())
+            .cloned()
+            .collect()
     }
 
     /// The first stored threat with `identity`.
@@ -347,16 +310,6 @@ impl ThreatStore {
         let Some(records) = self.records.remove(identity) else {
             return 0;
         };
-        for record in &records {
-            for object in record.threat.objects() {
-                if let Some(ids) = self.object_index.get_mut(object) {
-                    ids.remove(identity);
-                    if ids.is_empty() {
-                        self.object_index.remove(object);
-                    }
-                }
-            }
-        }
         let removed = records.len();
         self.len -= removed;
         for record in records {
@@ -610,46 +563,24 @@ mod tests {
     }
 
     #[test]
-    fn object_index_tracks_inserts_and_removals() {
+    fn objects_of_tracks_inserts_and_removals() {
         let mut store = ThreatStore::new(HistoryPolicy::FullHistory);
         let mut a = threat("C", "F1");
         a.affected_objects.insert(ObjectId::new("Seat", "S1"));
         store.store(a);
         store.store(threat("D", "F1"));
+        let c = threat("C", "F1").identity();
         let f1 = ObjectId::new("Flight", "F1");
         let s1 = ObjectId::new("Seat", "S1");
-        assert_eq!(store.object_index.get(&f1).map(BTreeSet::len), Some(2));
-        assert_eq!(store.object_index.get(&s1).map(BTreeSet::len), Some(1));
-        let touched = store.identities_touching([&s1]);
-        assert_eq!(touched.len(), 1);
-        assert!(touched
-            .iter()
-            .all(|id| id.constraint == ConstraintName::from("C")));
-        assert_eq!(store.objects_of(&threat("C", "F1").identity()).len(), 2);
-
-        store.remove_identity(&threat("C", "F1").identity());
-        assert!(!store.object_index.contains_key(&s1));
-        assert_eq!(store.object_index.get(&f1).map(BTreeSet::len), Some(1));
-        assert_eq!(store.identity_count(), 1);
-    }
-
-    #[test]
-    fn recovery_rebuilds_the_object_index() {
-        let mut store = ThreatStore::new(HistoryPolicy::FullHistory);
-        let mut a = threat("C", "F1");
-        a.affected_objects.insert(ObjectId::new("Seat", "S1"));
-        store.store(a);
-        store.store(threat("D", "F2"));
-        store.recover().unwrap();
-        assert_eq!(store.identity_count(), 2);
+        assert_eq!(store.objects_of(&c), BTreeSet::from([f1.clone(), s1]));
         assert_eq!(
-            store
-                .object_index
-                .get(&ObjectId::new("Seat", "S1"))
-                .map(BTreeSet::len),
-            Some(1)
+            store.objects_of(&threat("D", "F1").identity()),
+            BTreeSet::from([f1])
         );
-        assert_eq!(store.identities()[0].constraint, ConstraintName::from("C"));
+
+        store.remove_identity(&c);
+        assert!(store.objects_of(&c).is_empty());
+        assert_eq!(store.identity_count(), 1);
     }
 
     #[test]
@@ -764,13 +695,6 @@ mod tests {
                 let mut restarted = store.clone();
                 assert_eq!(restarted.recover(), Ok(store.len()), "{at}");
                 assert_eq!(snapshot_of(&restarted), snapshot_of(&store), "{at}");
-                for object in &objects {
-                    assert_eq!(
-                        restarted.object_index.get(object),
-                        store.object_index.get(object),
-                        "{at}: {object}"
-                    );
-                }
 
                 // The indexed answers equal a scan over every record.
                 let all: Vec<ConsistencyThreat> = store.threats().into_iter().cloned().collect();

@@ -351,7 +351,7 @@ fn ccm_trace_and_counters_do_not_move() {
     assert_eq!(
         scenario(HistoryPolicy::IdenticalOnce),
         (
-            (49_562, 0xb52b_073b_acec_0b20),
+            (49_550, 0xca3d_bf67_8c32_e0e2),
             [72, 24, 16, 7, 7, 1],
             [1, 6, 11, 4, 7, 5, 5],
             1_812_650_000
@@ -360,7 +360,7 @@ fn ccm_trace_and_counters_do_not_move() {
     assert_eq!(
         scenario(HistoryPolicy::FullHistory),
         (
-            (49_618, 0x1fc1_b87c_744c_723d),
+            (49_606, 0x62af_9b62_0619_7217),
             [72, 24, 16, 7, 7, 1],
             [1, 6, 11, 4, 7, 5, 5],
             2_137_150_000

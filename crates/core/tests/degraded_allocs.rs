@@ -136,36 +136,34 @@ fn degraded_mode_allocates_only_what_reconciliation_reads() {
     let writes = degraded_phase(&mut cluster, &ids, 4);
     let reconciled = heal_and_reconcile(&mut cluster);
 
-    // A degraded write that stores a new threat allocates 10 times,
+    // A degraded write that stores a new threat allocates 9 times,
     // every block kept until reconciliation reads it or later:
     //  - the copy-on-write clone of the account (its field list),
     //    which the commit keeps as the new state;
     //  - the threat's affected set, `{account}`;
     //  - the threat's journal key and its record, each an `Arc<str>`
     //    written into the store's buffer first;
-    //  - the threat's filing: the record list of its identity, and the
-    //    object index's set of identities touching the account;
+    //  - the threat's filing: the record list of its identity;
     //  - the committed record as the `Arc<str>` every journal shares,
     //    and the `Arc` of the state;
     //  - the degraded-write entry naming the writer partition, and the
     //    history the rollback search may read.
     // The transaction's record and write buffer and `set_field`'s
     // argument list are spares of the transactions before.
-    assert_eq!(least_paid_by_most(&writes), 10, "one degraded write");
+    assert_eq!(least_paid_by_most(&writes), 9, "one degraded write");
 
-    // Healing and reconciling the 64 identities allocates 60 times:
+    // Healing and reconciling the 64 identities allocates 40 times:
     //  - 32 for the repair of the 8 overdrafts: the violated threat's
     //    record, copied for the handler (its affected set), and the
     //    state written back (its copy, record and `Arc`);
-    //  - 22 for the cycle's lists, a node or a buffer at a time: the
-    //    identities to re-evaluate, those the dirty set touches, and
-    //    the dirty set itself;
+    //  - 2 for the list of identities to re-evaluate, and the list of
+    //    first occurrences it is sorted from;
     //  - 6 for the healed topology and the views it installs, one
     //    member set per view.
     // A threat that re-evaluates to satisfied is read in place, and an
     // object's writer states and replicas too.
     assert!(
-        reconciled <= 61,
+        reconciled <= 41,
         "{reconciled} allocations reconciling {IDENTITIES} identities"
     );
     // After the counted window: the audit allocates.

@@ -75,13 +75,6 @@ pub struct ReconcileReport {
     pub missed_updates: u64,
     /// Point-to-point messages exchanged.
     pub messages: u64,
-    /// The *dirty set*: objects whose committed state on at least one
-    /// reachable replica actually changed during this reconciliation
-    /// (missed-update install or conflict resolution). Incremental
-    /// constraint reconciliation re-evaluates only threats touching
-    /// these objects (plus newly checkable ones) instead of scanning
-    /// every stored identity.
-    pub dirty: BTreeSet<ObjectId>,
 }
 
 impl ReplicationManager {
@@ -95,13 +88,14 @@ impl ReplicationManager {
     /// history is retained for constraint reconciliation (rollback
     /// search) until [`ReplicationManager::clear_degraded_state`].
     ///
-    /// After a *partial* re-unification (§3.3) only objects whose
-    /// degraded-mode writer partitions are all reachable from
-    /// `observer` are reconciled; the rest stay in the degraded
-    /// bookkeeping until further partitions re-unify. If the object's
-    /// replica set extends beyond the observer's partition, the merged
-    /// state is installed locally and the object remains tracked as
-    /// degraded (the unreachable side may still diverge).
+    /// After a *partial* re-unification (§3.3) every object with at
+    /// least one degraded-mode writer partition reachable from
+    /// `observer` has its reachable writers merged, and the outcome is
+    /// installed on its replicas in the observer's partition. An object
+    /// stays in the degraded bookkeeping while one of its writer
+    /// partitions or one of its replicas is still away (the unreachable
+    /// side may still diverge, or missed the merge); an object with no
+    /// reachable writer is left there as it was.
     pub fn reconcile_replicas_scoped(
         &mut self,
         topology: &Topology,
@@ -207,15 +201,6 @@ impl ReplicationManager {
         self.count_missed_updates(1, messages);
         let replicas = self.replicas_of(object).into_iter().flatten();
         for &node in replicas.filter(|n| reachable.contains(n)) {
-            // Dirty-set detection: the object only counts as dirty if
-            // the install actually changes some replica's committed
-            // state (an idempotent re-install is not a change).
-            // Replicas of one write share the snapshot, so the common
-            // case is answered by pointer; a deep compare is the
-            // fallback (`Snapshot`'s `PartialEq`).
-            if containers[node.index()].committed_snapshot(object) != winner.as_ref() {
-                report.dirty.insert(object.clone());
-            }
             match &winner {
                 Some(snapshot) => containers[node.index()].install(snapshot.clone()),
                 None => {
@@ -362,22 +347,6 @@ mod tests {
         assert_eq!(report.conflicts.len(), 1);
         // HighestVersionWins prefers the live state.
         assert!(cs[0].committed_entity(&obj()).is_some());
-    }
-
-    #[test]
-    fn dirty_set_reports_only_actually_changed_objects() {
-        let (mut m, mut cs, mut topo) = setup(3);
-        topo.split(&[&[0], &[1, 2]]);
-        write_on(&mut m, &mut cs, &topo, 1, 7, 1);
-        topo.heal();
-        let report = reconcile(&mut m, &topo, &mut cs, &mut HighestVersionWins);
-        // Node 0 missed the update: the object is dirty.
-        assert!(report.dirty.contains(&obj()));
-        assert_eq!(report.dirty.len(), 1);
-        // A second reconciliation has no degraded writes left and must
-        // report an empty dirty set.
-        let report = reconcile(&mut m, &topo, &mut cs, &mut HighestVersionWins);
-        assert!(report.dirty.is_empty());
     }
 
     #[test]

@@ -324,20 +324,8 @@ pub enum TraceEvent {
         deferred: u64,
         /// Threats postponed (partitions remain).
         postponed: u64,
-        /// Threat identities skipped by the incremental engine (their
-        /// objects were neither dirty nor newly checkable).
-        skipped: u64,
         /// Virtual time the step took.
         duration_ns: u64,
-    },
-    /// The incremental reconciliation engine postponed a threat
-    /// without re-evaluating it: none of its objects were in the dirty
-    /// set and the threat was not yet fully checkable.
-    ReconcileSkipped {
-        /// Constraint name.
-        constraint: SharedText,
-        /// Context object, if any.
-        context: Option<SharedText>,
     },
     /// A chaos-engine fault step was injected into the running cluster.
     ChaosFault {
@@ -590,7 +578,6 @@ impl TraceEvent {
             TraceEvent::WalTruncated { .. } => "wal_truncated",
             TraceEvent::ReconcileReplicaPhase { .. } => "reconcile_replica_phase",
             TraceEvent::ReconcileConstraintPhase { .. } => "reconcile_constraint_phase",
-            TraceEvent::ReconcileSkipped { .. } => "reconcile_skipped",
             TraceEvent::ChaosFault { .. } => "chaos_fault",
             TraceEvent::NodeCrash { .. } => "node_crash",
             TraceEvent::NodeRestart { .. } => "node_restart",

@@ -163,7 +163,7 @@ mod tests {
     /// these fields as owned `String`s, exported for the records of
     /// [`records_naming_identities`] — one line per variant whose field
     /// types changed (both arms of the optional ones).
-    const PARENT_LINES: [&str; 18] = [
+    const PARENT_LINES: [&str; 16] = [
         r#"{"seq":0,"at":0,"event":{"kind":"invocation_start","node":1,"tx":{"node":1,"seq":7},"target":"Fl\"ight#LH-\\441\n\u0001","method":"set\"Seats"}}"#,
         r#"{"seq":1,"at":10,"event":{"kind":"invocation_end","node":1,"tx":{"node":1,"seq":7},"target":"Fl\"ight#LH-\\441\n\u0001","method":"set\"Seats","outcome":"ok","cost":{"r1_application_ns":1,"r2_interception_ns":2,"r3_preparation_ns":3,"r4_repository_ns":4,"r5_checks_ns":5}}}"#,
         r#"{"seq":2,"at":20,"event":{"kind":"constraint_validated","constraint":"seats\"\\\n\u001fé","degree":"PossiblySatisfied","accessed":2}}"#,
@@ -172,16 +172,14 @@ mod tests {
         r#"{"seq":5,"at":50,"event":{"kind":"threat_rejected","constraint":"seats\"\\\n\u001fé","degree":"Violated"}}"#,
         r#"{"seq":6,"at":60,"event":{"kind":"replication_update","object":"Fl\"ight#LH-\\441\n\u0001","from":0,"recipients":2,"messages":4,"degraded":false}}"#,
         r#"{"seq":7,"at":70,"event":{"kind":"staleness_hit","object":"Fl\"ight#LH-\\441\n\u0001","node":2}}"#,
-        r#"{"seq":8,"at":80,"event":{"kind":"reconcile_skipped","constraint":"seats\"\\\n\u001fé","context":"Fl\"ight#LH-\\441\n\u0001"}}"#,
-        r#"{"seq":9,"at":90,"event":{"kind":"reconcile_skipped","constraint":"seats\"\\\n\u001fé","context":null}}"#,
-        r#"{"seq":10,"at":100,"event":{"kind":"constraint_compiled","constraint":"seats\"\\\n\u001fé","ops":9,"reads":3}}"#,
-        r#"{"seq":11,"at":110,"event":{"kind":"verdict_cache_hit","constraint":"seats\"\\\n\u001fé","object":"Fl\"ight#LH-\\441\n\u0001"}}"#,
-        r#"{"seq":12,"at":120,"event":{"kind":"verdict_cache_miss","constraint":"seats\"\\\n\u001fé","object":"Fl\"ight#LH-\\441\n\u0001"}}"#,
-        r#"{"seq":13,"at":130,"event":{"kind":"verdict_cache_invalidate","object":"Fl\"ight#LH-\\441\n\u0001","entries":3}}"#,
-        r#"{"seq":14,"at":140,"event":{"kind":"verdict_cache_invalidate","object":"*","entries":5}}"#,
-        r#"{"seq":15,"at":150,"event":{"kind":"replica_ship_retry","object":"Fl\"ight#LH-\\441\n\u0001","backup":2,"attempts":3,"backoff_units":7,"succeeded":true}}"#,
-        r#"{"seq":16,"at":160,"event":{"kind":"shard_routed","object":"Fl\"ight#LH-\\441\n\u0001","shard":1,"mode":"Degraded","admitted":false}}"#,
-        r#"{"seq":17,"at":170,"event":{"kind":"shard_migrated","object":"Fl\"ight#LH-\\441\n\u0001","from":0,"to":2,"replicas":3}}"#,
+        r#"{"seq":8,"at":80,"event":{"kind":"constraint_compiled","constraint":"seats\"\\\n\u001fé","ops":9,"reads":3}}"#,
+        r#"{"seq":9,"at":90,"event":{"kind":"verdict_cache_hit","constraint":"seats\"\\\n\u001fé","object":"Fl\"ight#LH-\\441\n\u0001"}}"#,
+        r#"{"seq":10,"at":100,"event":{"kind":"verdict_cache_miss","constraint":"seats\"\\\n\u001fé","object":"Fl\"ight#LH-\\441\n\u0001"}}"#,
+        r#"{"seq":11,"at":110,"event":{"kind":"verdict_cache_invalidate","object":"Fl\"ight#LH-\\441\n\u0001","entries":3}}"#,
+        r#"{"seq":12,"at":120,"event":{"kind":"verdict_cache_invalidate","object":"*","entries":5}}"#,
+        r#"{"seq":13,"at":130,"event":{"kind":"replica_ship_retry","object":"Fl\"ight#LH-\\441\n\u0001","backup":2,"attempts":3,"backoff_units":7,"succeeded":true}}"#,
+        r#"{"seq":14,"at":140,"event":{"kind":"shard_routed","object":"Fl\"ight#LH-\\441\n\u0001","shard":1,"mode":"Degraded","admitted":false}}"#,
+        r#"{"seq":15,"at":150,"event":{"kind":"shard_migrated","object":"Fl\"ight#LH-\\441\n\u0001","from":0,"to":2,"replicas":3}}"#,
     ];
 
     /// Every variant that names an identity, built from live handles
@@ -246,14 +244,6 @@ mod tests {
             TraceEvent::StalenessHit {
                 object: object(),
                 node: NodeId(2),
-            },
-            TraceEvent::ReconcileSkipped {
-                constraint: constraint(),
-                context: Some(object()),
-            },
-            TraceEvent::ReconcileSkipped {
-                constraint: constraint(),
-                context: None,
             },
             TraceEvent::ConstraintCompiled {
                 constraint: constraint(),

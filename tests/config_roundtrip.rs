@@ -7,7 +7,7 @@
 
 use dedisys_core::{
     Cluster, ClusterBuilder, ClusterConfig, ConstraintEngine, DetectorKind, HistoryPolicy,
-    NegotiationTiming, ProtocolKind, ReconcileStrategy, RingRecorder,
+    NegotiationTiming, ProtocolKind, RingRecorder,
 };
 use dedisys_object::{AppDescriptor, ClassDescriptor, EntityState};
 use dedisys_types::{ChaosRng, Error, NodeId, ObjectId, SatisfactionDegree, SimDuration, Value};
@@ -24,15 +24,13 @@ const DEGREES: [SatisfactionDegree; 4] = [
     SatisfactionDegree::PossiblyViolated,
     SatisfactionDegree::Uncheckable,
 ];
-const RECONCILE: [ReconcileStrategy; 2] =
-    [ReconcileStrategy::FullScan, ReconcileStrategy::Incremental];
 
 /// A uniform draw in `lo..=hi`.
 fn within(rng: &mut ChaosRng, lo: u64, hi: u64) -> u64 {
     lo + rng.below(hi - lo + 1)
 }
 
-/// A configuration with every one of the 11 values the builder accepts
+/// A configuration with every one of the 10 values the builder accepts
 /// drawn from `rng`, section by section.
 fn config_of(rng: &mut ChaosRng) -> ClusterConfig {
     let mut config = ClusterConfig::default();
@@ -47,7 +45,6 @@ fn config_of(rng: &mut ChaosRng) -> ClusterConfig {
     config.membership.seed = rng.below(1_000);
     config.durability.threat_policy =
         *rng.pick(&[HistoryPolicy::IdenticalOnce, HistoryPolicy::FullHistory]);
-    config.durability.reconcile_strategy = *rng.pick(&RECONCILE);
     config.plane.burst = within(rng, 1, 64) as u32;
     config
 }
@@ -78,7 +75,6 @@ fn edit(config: &mut ClusterConfig) {
     config.validation.negotiation_timing = NegotiationTiming::Deferred;
     config.validation.app_default_min_degree = SatisfactionDegree::PossiblySatisfied;
     config.durability.threat_policy = HistoryPolicy::FullHistory;
-    config.durability.reconcile_strategy = ReconcileStrategy::FullScan;
 }
 
 /// Any typed config given to the builder is the config observed on
@@ -124,7 +120,6 @@ fn reconfigure_applies_and_reports_runtime_deltas() {
         let timing = *rng.pick(&TIMINGS);
         let degree = *rng.pick(&DEGREES);
         let cache = rng.chance(50);
-        let strategy = *rng.pick(&RECONCILE);
         let burst = within(&mut rng, 1, 64) as u32;
         let mut cluster = ClusterBuilder::new(3, app()).build().expect("build");
         let ring = RingRecorder::new(256);
@@ -134,7 +129,6 @@ fn reconfigure_applies_and_reports_runtime_deltas() {
                 c.validation.negotiation_timing = timing;
                 c.validation.app_default_min_degree = degree;
                 c.validation.verdict_cache = cache;
-                c.durability.reconcile_strategy = strategy;
                 c.plane.burst = burst;
             })
             .unwrap_or_else(|e| panic!("seed {seed}: runtime-only delta: {e}"));
@@ -142,14 +136,9 @@ fn reconfigure_applies_and_reports_runtime_deltas() {
             cluster.config().validation.negotiation_timing,
             cluster.config().validation.app_default_min_degree,
             cluster.config().validation.verdict_cache,
-            cluster.config().durability.reconcile_strategy,
             cluster.config().plane.burst,
         );
-        assert_eq!(
-            observed,
-            (timing, degree, cache, strategy, burst),
-            "seed {seed}"
-        );
+        assert_eq!(observed, (timing, degree, cache, burst), "seed {seed}");
         // The returned paths are exactly the fields that now differ
         // from the default the cluster started with.
         let expected_paths = ClusterConfig::default().diff(cluster.config());

@@ -40,18 +40,21 @@ fn partial_merge_reconciles_reachable_and_postpones_the_rest() {
         .build()
         .unwrap();
     let id = ObjectId::new("Counter", "c1");
-    let e = id.clone();
-    cluster
-        .run_tx(NodeId(0), move |c, tx| {
-            c.create(NodeId(0), tx, EntityState::for_class(c.app(), &e)?)
-        })
-        .unwrap();
+    // Written only on the side that stays away.
+    let far = ObjectId::new("Counter", "c2");
+    for e in [id.clone(), far.clone()] {
+        cluster
+            .run_tx(NodeId(0), move |c, tx| {
+                c.create(NodeId(0), tx, EntityState::for_class(c.app(), &e)?)
+            })
+            .unwrap();
+    }
 
-    // Three-way split; every partition writes.
+    // Three-way split; every partition writes c1, {2,3} writes c2 too.
     cluster
         .partition(&[nodes![0], nodes![1], nodes![2, 3]])
         .unwrap();
-    for (node, value) in [(0u32, 1i64), (1, 2), (2, 3)] {
+    for (node, id, value) in [(0u32, &id, 1i64), (1, &id, 2), (2, &id, 3), (2, &far, 50)] {
         let id = id.clone();
         cluster
             .run_tx(NodeId(node), move |c, tx| {
@@ -59,7 +62,7 @@ fn partial_merge_reconciles_reachable_and_postpones_the_rest() {
             })
             .unwrap();
     }
-    assert_eq!(cluster.threats().identities().len(), 1);
+    assert_eq!(cluster.threats().identities().len(), 2);
 
     // Partitions {0} and {1} merge; {2,3} stays away.
     cluster.partition(&[nodes![0, 1], nodes![2, 3]]).unwrap();
@@ -72,23 +75,30 @@ fn partial_merge_reconciles_reachable_and_postpones_the_rest() {
         cluster.entity_on(NodeId(0), &id).unwrap().field("n"),
         cluster.entity_on(NodeId(1), &id).unwrap().field("n"),
     );
-    // …but the constraint threat is postponed: the {2,3} side is still
-    // unreachable and possibly diverging.
-    assert_eq!(summary.constraints.postponed, 1);
-    assert_eq!(cluster.threats().identities().len(), 1, "threat retained");
+    // …but both constraint threats are re-evaluated and postponed: the
+    // {2,3} side is still unreachable and possibly diverging, and it
+    // alone wrote c2.
+    assert_eq!(summary.constraints.re_evaluated, 2);
+    assert_eq!(summary.constraints.postponed, 2);
+    assert_eq!(cluster.threats().identities().len(), 2, "threats retained");
     assert_eq!(cluster.mode(), SystemMode::Degraded);
-    // {2,3} never saw the merge.
+    // {2,3} never saw the merge, and {0,1} never saw c2's write.
     assert_eq!(
         cluster.entity_on(NodeId(2), &id).unwrap().field("n"),
         &Value::Int(3)
     );
+    assert_eq!(
+        cluster.entity_on(NodeId(0), &far).unwrap().field("n"),
+        &Value::Int(0)
+    );
 
-    // Full heal: the remaining divergence reconciles and the threat is
-    // re-evaluated for good.
+    // Full heal: the remaining divergence reconciles and both threats
+    // are re-evaluated for good.
     cluster.heal();
     let summary = cluster.reconcile(&mut HighestVersionWins, &mut DeferAll);
     promise::assert_kept(&cluster);
     assert!(!summary.replica.conflicts.is_empty());
+    assert_eq!(summary.constraints.re_evaluated, 2);
     assert_eq!(summary.constraints.postponed, 0);
     assert!(cluster.threats().is_empty());
     assert_eq!(cluster.mode(), SystemMode::Healthy);
@@ -101,6 +111,10 @@ fn partial_merge_reconciles_reachable_and_postpones_the_rest() {
         assert_eq!(
             cluster.entity_on(NodeId(n), &id).unwrap().field("n"),
             &reference
+        );
+        assert_eq!(
+            cluster.entity_on(NodeId(n), &far).unwrap().field("n"),
+            &Value::Int(50)
         );
     }
 }

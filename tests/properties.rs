@@ -279,9 +279,7 @@ mod reconciliation_accounting {
     use dedisys_constraints::{
         expr::ExprConstraint, ConstraintMeta, ContextPreparation, RegisteredConstraint,
     };
-    use dedisys_core::{
-        ClusterBuilder, ConstraintReconcileReport, DeferAll, ReconcileStrategy, ReplicaConflict,
-    };
+    use dedisys_core::{ClusterBuilder, ConstraintReconcileReport, DeferAll, ReplicaConflict};
     use dedisys_object::{AppDescriptor, ClassDescriptor, EntityState};
     use dedisys_types::SimTime;
     use std::sync::Arc;
@@ -304,39 +302,27 @@ mod reconciliation_accounting {
     }
 
     /// The §4.4 accounting identities every reconciliation run must
-    /// satisfy, regardless of schedule or strategy.
-    fn check_counters(
-        seed: u64,
-        c: &ConstraintReconcileReport,
-        identities_before: usize,
-        incremental: bool,
-    ) {
+    /// satisfy, full or partial: every stored identity is re-evaluated
+    /// (Figure 4.6), and each re-evaluation has one outcome.
+    fn check_counters(seed: u64, c: &ConstraintReconcileReport, identities_before: usize) {
         assert_eq!(
             c.violations,
             c.resolved_by_rollback + c.resolved_by_handler + c.deferred,
             "seed {seed}: violations must balance: {c:?}"
         );
         assert_eq!(
-            c.re_evaluated + c.skipped,
-            identities_before,
-            "seed {seed}: every identity is re-evaluated or skipped: {c:?}"
-        );
-        assert!(
-            c.postponed >= c.skipped,
-            "seed {seed}: skipped ⊆ postponed: {c:?}"
+            c.re_evaluated, identities_before,
+            "seed {seed}: every identity is re-evaluated: {c:?}"
         );
         assert_eq!(
             c.re_evaluated,
-            c.satisfied_removed + c.violations + (c.postponed - c.skipped),
+            c.satisfied_removed + c.violations + c.postponed,
             "seed {seed}: re-evaluations partition into outcomes: {c:?}"
         );
-        if !incremental {
-            assert_eq!(c.skipped, 0, "seed {seed}: full scan never skips");
-        }
     }
 
-    /// Across 48 seeded partition/write/heal schedules — under both
-    /// reconciliation strategies — the counter identities of
+    /// Across 48 seeded partition/write/heal schedules, full and
+    /// partial merges alike, the counter identities of
     /// [`ConstraintReconcileReport`] always balance (the
     /// handler-retry accounting bug made `violations` exceed the
     /// sum of its resolutions).
@@ -344,7 +330,6 @@ mod reconciliation_accounting {
     fn reconciliation_counters_balance() {
         for seed in 0..48 {
             let mut rng = ChaosRng::new(seed);
-            let incremental = rng.chance(50);
             // `(writer, object, value, full heal)` per round.
             let schedule = vec_of(&mut rng, 1, 8, |r| {
                 (
@@ -354,14 +339,8 @@ mod reconciliation_accounting {
                     r.chance(50),
                 )
             });
-            let strategy = if incremental {
-                ReconcileStrategy::Incremental
-            } else {
-                ReconcileStrategy::FullScan
-            };
             let mut cluster = ClusterBuilder::new(3, app())
                 .constraint(constraint())
-                .configure(|c| c.durability.reconcile_strategy = strategy)
                 .build()
                 .unwrap();
             let objects: Vec<ObjectId> = (0..4)
@@ -414,16 +393,14 @@ mod reconciliation_accounting {
                     cluster.reconcile_partial(NodeId(0), &mut merge, &mut DeferAll)
                 };
                 promise::assert_kept(&cluster);
-                check_counters(seed, &summary.constraints, identities_before, incremental);
+                check_counters(seed, &summary.constraints, identities_before);
             }
-            // Drain: after a full heal the two strategies converge —
-            // nothing is skipped because everything is checkable.
+            // Drain: a full heal re-evaluates whatever is left.
             cluster.heal();
             let identities_before = cluster.threats().identities().len();
             let summary = cluster.reconcile(&mut merge, &mut DeferAll);
             promise::assert_kept(&cluster);
-            check_counters(seed, &summary.constraints, identities_before, incremental);
-            assert_eq!(summary.constraints.skipped, 0, "seed {seed}");
+            check_counters(seed, &summary.constraints, identities_before);
         }
     }
 }
