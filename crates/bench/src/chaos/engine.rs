@@ -343,9 +343,14 @@ pub(crate) fn prepare_transfer(
 
 /// Reconciles what degraded mode left on a healed `cluster` — the last
 /// step of every heal the engine performs — with a handler that repairs
-/// each violation it is shown ([`repair`]), and adds the handler calls
-/// and rollback candidates to `activity`.
-fn reconcile(cluster: &mut Cluster, activity: &mut ConstraintActivity) {
+/// each violation it is shown ([`repair`]), adds the handler calls and
+/// rollback candidates to `activity`, and records in `violations` a
+/// report whose counters do not balance.
+fn reconcile(
+    cluster: &mut Cluster,
+    activity: &mut ConstraintActivity,
+    violations: &mut Vec<InvariantViolation>,
+) {
     if !cluster.needs_reconciliation() {
         return;
     }
@@ -357,6 +362,7 @@ fn reconcile(cluster: &mut Cluster, activity: &mut ConstraintActivity) {
     let summary = cluster.reconcile(&mut HighestVersionWins, &mut handler);
     activity.handler_calls += calls;
     activity.rollback_candidates += summary.constraints.rollback_candidates as u64;
+    violations.extend(InvariantChecker::check_reconcile(&summary.constraints));
 }
 
 /// The application's compensating action for a violated constraint
@@ -891,7 +897,7 @@ impl ChaosEngine {
             FaultStep::Heal => {
                 cluster.heal();
                 if cluster.topology().is_healthy() {
-                    reconcile(cluster, &mut self.activity);
+                    reconcile(cluster, &mut self.activity, &mut self.violations);
                 }
                 true
             }
@@ -992,7 +998,7 @@ impl ChaosEngine {
         for s in shard_ids(&self.fed) {
             let cluster = self.fed.shard_mut(s);
             self.in_doubt_resolved += cluster.resolve_in_doubt() as u64;
-            reconcile(cluster, &mut self.activity);
+            reconcile(cluster, &mut self.activity, &mut self.violations);
             let converged = InvariantChecker::check_converged(cluster);
             self.violations.extend(converged);
         }

@@ -4,7 +4,7 @@
 //! registries and reports violations as data, so a soak run can
 //! aggregate them and a test can assert the list is empty.
 
-use dedisys_core::{Cluster, RequestPlane};
+use dedisys_core::{Cluster, ConstraintReconcileReport, RequestPlane};
 use dedisys_federation::{FederatedCluster, ShardId};
 use dedisys_types::{NodeId, ObjectId, SystemMode, TxId};
 use std::collections::BTreeSet;
@@ -102,6 +102,36 @@ impl InvariantChecker {
                     detail: format!("unexplained violation {finding}"),
                 });
             }
+        }
+        out
+    }
+
+    /// The §4.4 accounting of one reconciliation: each re-evaluated
+    /// threat identity has one outcome, and each violation one
+    /// resolution.
+    pub(crate) fn check_reconcile(report: &ConstraintReconcileReport) -> Vec<InvariantViolation> {
+        let mut out = Vec::new();
+        let outcomes =
+            report.satisfied_removed + report.violations + report.postponed + report.dropped;
+        if report.re_evaluated != outcomes {
+            out.push(InvariantViolation {
+                invariant: "reconcile_accounting",
+                detail: format!(
+                    "{} re-evaluated, {outcomes} outcomes: {report:?}",
+                    report.re_evaluated
+                ),
+            });
+        }
+        let resolutions =
+            report.resolved_by_rollback + report.resolved_by_handler + report.deferred;
+        if report.violations != resolutions {
+            out.push(InvariantViolation {
+                invariant: "reconcile_accounting",
+                detail: format!(
+                    "{} violations, {resolutions} resolutions: {report:?}",
+                    report.violations
+                ),
+            });
         }
         out
     }
@@ -358,6 +388,35 @@ mod tests {
         assert_eq!(lost.len(), 1, "{lost:?}");
         assert_eq!(lost[0].invariant, "threat_completeness");
         assert!(lost[0].detail.contains("(Bounded, Counter#c0)"), "{lost:?}");
+    }
+
+    /// A reconciliation report is checked on both balances: a dropped
+    /// threat left out of the outcomes, or a violation left out of the
+    /// resolutions, is a violation each.
+    #[test]
+    fn an_unbalanced_reconcile_report_is_flagged() {
+        let balanced = ConstraintReconcileReport {
+            re_evaluated: 2,
+            violations: 1,
+            deferred: 1,
+            dropped: 1,
+            ..ConstraintReconcileReport::default()
+        };
+        assert!(InvariantChecker::check_reconcile(&balanced).is_empty());
+        for unbalanced in [
+            ConstraintReconcileReport {
+                dropped: 0,
+                ..balanced
+            },
+            ConstraintReconcileReport {
+                deferred: 0,
+                ..balanced
+            },
+        ] {
+            let flagged = InvariantChecker::check_reconcile(&unbalanced);
+            assert_eq!(flagged.len(), 1, "{flagged:?}");
+            assert_eq!(flagged[0].invariant, "reconcile_accounting");
+        }
     }
 
     /// The `xshard_no_orphaned_locks` violations of `fed`, with the

@@ -19,7 +19,7 @@ use std::sync::Arc;
 /// Context-preparation declaration of an affected method.
 #[derive(Debug, Clone, Serialize, Deserialize, PartialEq, Eq, Default)]
 #[serde(tag = "kind", rename_all = "camelCase")]
-pub enum PreparationConfig {
+pub(crate) enum PreparationConfig {
     /// The called object is the context object.
     #[default]
     CalledObject,
@@ -48,7 +48,7 @@ impl From<PreparationConfig> for ContextPreparation {
 /// One `<affected-method>` declaration.
 #[derive(Debug, Clone, Serialize, Deserialize, PartialEq, Eq)]
 #[serde(rename_all = "camelCase")]
-pub struct AffectedMethodConfig {
+pub(crate) struct AffectedMethodConfig {
     /// Declaring class of the method.
     pub class: String,
     /// Method name.
@@ -61,7 +61,7 @@ pub struct AffectedMethodConfig {
 /// A freshness-criterion declaration.
 #[derive(Debug, Clone, Serialize, Deserialize, PartialEq, Eq)]
 #[serde(rename_all = "camelCase")]
-pub struct FreshnessConfig {
+pub(crate) struct FreshnessConfig {
     /// The affected class.
     pub class: String,
     /// Maximum tolerated missed updates.
@@ -71,7 +71,7 @@ pub struct FreshnessConfig {
 /// One `<constraint>` declaration.
 #[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
 #[serde(rename_all = "camelCase")]
-pub struct ConstraintConfig {
+pub(crate) struct ConstraintConfig {
     /// Unique constraint name.
     pub name: String,
     /// Kind: `PRE`, `POST`, `HARD`, `SOFT` or `ASYNC`.
@@ -149,7 +149,7 @@ impl ImplRegistry {
 #[derive(Debug, Clone, Serialize, Deserialize, PartialEq, Default)]
 pub struct ConstraintConfigSet {
     /// The declared constraints.
-    pub constraints: Vec<ConstraintConfig>,
+    constraints: Vec<ConstraintConfig>,
 }
 
 impl ConstraintConfigSet {

@@ -18,8 +18,8 @@ pub enum ConstraintEngine {
     /// Dresden-OCL analogue of Chapter 2).
     #[default]
     Interpreted,
-    /// Run the flat program lowered once per constraint by
-    /// [`fn@crate::expr::compile`] on a stack VM.
+    /// Run the flat program each [`crate::expr::ExprConstraint`] lowers
+    /// once, on a stack VM.
     Compiled,
 }
 
@@ -27,7 +27,7 @@ pub enum ConstraintEngine {
 /// weight, health). A verdict that read them cannot be memoized by
 /// object versions alone, so the CCM verdict cache bypasses any
 /// constraint whose [`ReadSet`] touches them.
-pub const VOLATILE_ENV_KEYS: &[&str] = &[
+pub(crate) const VOLATILE_ENV_KEYS: &[&str] = &[
     "partitionWeight",
     "partitionWeightUnits",
     "totalWeightUnits",

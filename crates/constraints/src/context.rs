@@ -1,6 +1,6 @@
 //! The `ConstraintValidationContext` of Figure 4.3.
 
-use crate::VOLATILE_ENV_KEYS;
+use crate::constraint::VOLATILE_ENV_KEYS;
 use dedisys_object::Invocation;
 use dedisys_types::{ClassName, MethodName, ObjectId, Result, Value};
 use std::borrow::Cow;

@@ -73,7 +73,7 @@ enum Op {
 /// A compiled constraint program: flat ops over arena pools, plus the
 /// precomputed static read-set.
 #[derive(Debug, Clone)]
-pub struct Program {
+pub(crate) struct Program {
     ops: Vec<Op>,
     consts: Vec<Value>,
     names: Vec<String>,
@@ -189,7 +189,7 @@ impl Program {
 }
 
 /// Lowers `expr` into a [`Program`].
-pub fn compile(expr: &Expr) -> Program {
+pub(crate) fn compile(expr: &Expr) -> Program {
     let mut read_set = ReadSet::default();
     analyze(expr, &mut read_set);
     let mut c = Compiler {

@@ -26,24 +26,24 @@
 //! strategy of Chapter 2's comparison (the Dresden-OCL analogue).
 
 mod ast;
-pub mod compile;
+mod compile;
 mod eval;
 mod lexer;
 mod parser;
 
 pub use ast::{BinOp, Expr, UnaryOp};
-pub use compile::{compile, Program};
 pub use eval::evaluate;
 pub use lexer::{tokenize, Token};
 pub use parser::parse;
 
 use crate::constraint::{CompiledInfo, ConstraintEngine, ReadSet};
 use crate::{Constraint, ValidationContext};
+use compile::{compile, Program};
 use dedisys_types::{Error, Result};
 use std::sync::OnceLock;
 
 /// A constraint whose validation logic is an expression — interpreted
-/// over the AST, or lowered once to a [`Program`] and run by the stack
+/// over the AST, or lowered once to a `Program` and run by the stack
 /// VM (see [`ConstraintEngine`]).
 #[derive(Debug, Clone)]
 pub struct ExprConstraint {
@@ -74,7 +74,7 @@ impl ExprConstraint {
     }
 
     /// The compiled program, lowering the AST on first use.
-    pub fn program(&self) -> &Program {
+    fn program(&self) -> &Program {
         self.program.get_or_init(|| compile(&self.ast))
     }
 }

@@ -22,7 +22,7 @@
 //! * [`expr`] — a small OCL-like expression language (lexer, parser,
 //!   interpreter) so constraints can also be given declaratively, e.g.
 //!   `self.soldTickets <= self.seats`.
-//! * [`ConstraintConfig`] — the JSON deployment descriptor (the
+//! * [`ConstraintConfigSet`] — the JSON deployment descriptor (the
 //!   Listing 4.1 equivalent) and its loader.
 //!
 //! ## Example
@@ -55,10 +55,10 @@ mod freshness;
 mod preparation;
 mod repository;
 
-pub use config::{AffectedMethodConfig, ConstraintConfig, ConstraintConfigSet, ImplRegistry};
+pub use config::{ConstraintConfigSet, ImplRegistry};
 pub use constraint::{
     CompiledInfo, Constraint, ConstraintEngine, ConstraintKind, ConstraintMeta, ConstraintPriority,
-    ObjectScope, ReadSet, RegisteredConstraint, VOLATILE_ENV_KEYS,
+    ObjectScope, ReadSet, RegisteredConstraint,
 };
 pub use context::{MapAccess, ObjectAccess, PreState, ValidationContext};
 pub use freshness::FreshnessCriterion;

@@ -88,15 +88,29 @@ impl Cluster {
     /// negotiate each violation as a threat; once all are accepted the
     /// commit stores them, and the violators are returned.
     ///
+    /// Add and Enable run only at a quiescent point: the cluster
+    /// healthy, so the check reads every copy, and no open transaction
+    /// holding a write lock. The check reads committed copies, so an
+    /// open write — a create included, or a write to an object an
+    /// inter-object constraint reads — would commit unchecked.
+    ///
     /// # Errors
     ///
-    /// Refused whole, changing nothing: [`Error::ModeRestriction`] (Add
-    /// or Enable outside healthy mode), [`Error::ConstraintChangeRejected`],
-    /// [`Error::Config`] (duplicate or unknown name) or an evaluation's.
+    /// Refused whole, changing nothing: [`Error::ModeRestriction`]
+    /// naming each blocker (Add or Enable outside healthy mode, or
+    /// while an open transaction holds a write lock),
+    /// [`Error::ConstraintChangeRejected`], [`Error::Config`] (duplicate
+    /// or unknown name) or an evaluation's.
     pub fn change_constraint(&mut self, change: ConstraintChange) -> Result<Vec<ObjectId>> {
-        if matches!(change, Add(..) | Enable(..)) && self.mode != SystemMode::Healthy {
-            let why = format!("checking a constraint in {} mode", self.mode);
-            return Err(Error::ModeRestriction(why));
+        if matches!(change, Add(..) | Enable(..)) {
+            let mode = (self.mode != SystemMode::Healthy).then(|| format!("in {} mode", self.mode));
+            let locked = (self.held_locks().into_iter())
+                .map(|(object, tx)| format!("while {object} is locked by open {tx}"));
+            let blockers: Vec<String> = mode.into_iter().chain(locked).collect();
+            if !blockers.is_empty() {
+                let why = format!("checking a constraint {}", blockers.join(", "));
+                return Err(Error::ModeRestriction(why));
+            }
         }
         let before = self.repository.clone();
         let (name, handler) = match change {

@@ -21,8 +21,8 @@ impl Cluster {
     ///
     /// # Errors
     ///
-    /// * Availability errors (unreachable object, blocked writes, no
-    ///   quorum) depending on the protocol and topology.
+    /// * Availability errors (unreachable object, blocked writes)
+    ///   depending on the protocol and topology.
     /// * [`Error::ConstraintViolated`] / [`Error::ThreatRejected`] —
     ///   the transaction is marked rollback-only.
     pub fn invoke(

@@ -512,13 +512,13 @@ impl Cluster {
 /// deployed field's name is minted at deploy time
 /// ([`ClassDescriptor::setter`](dedisys_object::ClassDescriptor::setter));
 /// this builds the name of one that is not.
-pub fn setter_name(field: &str) -> MethodName {
+pub(crate) fn setter_name(field: &str) -> MethodName {
     accessor_name("set", field)
 }
 
 /// The conventional getter name for a field (`sold` → `getSold`); see
 /// [`setter_name`].
-pub fn getter_name(field: &str) -> MethodName {
+pub(crate) fn getter_name(field: &str) -> MethodName {
     accessor_name("get", field)
 }
 

@@ -131,8 +131,10 @@ where
 
 /// Outcome counters of the constraint-reconciliation step.
 ///
-/// Invariant (enforced by a debug assertion and the property tests):
-/// `violations == resolved_by_rollback + resolved_by_handler + deferred`.
+/// Invariants (enforced by debug assertions and the property tests):
+/// `re_evaluated == satisfied_removed + violations + postponed +
+/// dropped` and `violations == resolved_by_rollback +
+/// resolved_by_handler + deferred`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ConstraintReconcileReport {
     /// Distinct threat identities re-evaluated.
@@ -152,6 +154,9 @@ pub struct ConstraintReconcileReport {
     pub deferred: usize,
     /// Threats still threatened (postponed — partitions remain).
     pub postponed: usize,
+    /// Moot threats dropped: their constraint was removed at runtime,
+    /// or — the system whole again — their context object was deleted.
+    pub dropped: usize,
     /// Replica-conflict notifications delivered for satisfied
     /// constraints.
     pub conflict_notifications: usize,
@@ -271,6 +276,7 @@ impl Cluster {
                 resolved_by_handler: constraints.resolved_by_handler as u64,
                 deferred: constraints.deferred as u64,
                 postponed: constraints.postponed as u64,
+                dropped: constraints.dropped as u64,
                 duration_ns,
             });
         let metrics = self.telemetry().metrics();
@@ -306,9 +312,6 @@ impl Cluster {
             report.re_evaluated += 1;
             // Load the threat record (database read).
             self.clock().advance(self.costs().db_read);
-            if self.ccm.threat_store.first_of(&identity).is_none() {
-                continue;
-            }
             // A threat is moot once its constraint was removed at
             // runtime, or once — the system whole again — its context
             // object exists on no node: it was deleted.
@@ -321,7 +324,8 @@ impl Cluster {
             });
             let constraint = self.repository().get(&identity.constraint).cloned();
             let Some(constraint) = constraint.filter(|_| !context_gone) else {
-                self.ccm.threat_store.remove_identity(&identity);
+                report.dropped += 1;
+                self.drop_threats(&identity);
                 continue;
             };
             match self.revalidate(observer, recon_tx, &constraint, &identity) {
@@ -355,7 +359,7 @@ impl Cluster {
                         .threat_store
                         .first_of(&identity)
                         .cloned()
-                        .expect("loaded above; revalidating leaves the store as it was");
+                        .expect("a stored identity; revalidating leaves the store as it was");
                     report.violations += 1;
                     let mut resolved = false;
                     // Rollback search if permitted (§3.3).
@@ -425,6 +429,11 @@ impl Cluster {
             }
         }
         let _ = self.rollback(recon_tx);
+        debug_assert_eq!(
+            report.re_evaluated,
+            report.satisfied_removed + report.violations + report.postponed + report.dropped,
+            "every re-evaluation has an outcome"
+        );
         debug_assert_eq!(
             report.violations,
             report.resolved_by_rollback + report.resolved_by_handler + report.deferred,

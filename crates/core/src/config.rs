@@ -175,7 +175,7 @@ impl ClusterConfig {
     /// Dotted paths of changed fields that cannot be applied to a
     /// running cluster (their subsystems are wired at build time): the
     /// whole `membership` section and `durability.threat_policy`.
-    pub fn immutable_diff(&self, other: &ClusterConfig) -> Vec<String> {
+    pub(crate) fn immutable_diff(&self, other: &ClusterConfig) -> Vec<String> {
         self.diff(other)
             .into_iter()
             .filter(|path| path.starts_with("membership.") || path == "durability.threat_policy")

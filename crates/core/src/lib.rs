@@ -79,9 +79,9 @@ pub mod web;
 
 pub use ccm::{CcmStats, NegotiationHandler, NegotiationTiming, ThreatDecision};
 pub use cluster::{
-    getter_name, setter_name, Cluster, ClusterBuilder, ClusterMetrics, ConstraintChange,
-    ConstraintReconcileReport, ConstraintReconciliationHandler, DeferAll, Explanation, Finding,
-    HookInfo, InDoubtTx, ReconOps, ReconciliationSummary, StatsSnapshot, ViolationReport,
+    Cluster, ClusterBuilder, ClusterMetrics, ConstraintChange, ConstraintReconcileReport,
+    ConstraintReconciliationHandler, DeferAll, Explanation, Finding, HookInfo, InDoubtTx, ReconOps,
+    ReconciliationSummary, StatsSnapshot, ViolationReport,
 };
 pub use config::{
     ClusterConfig, DurabilityConfig, MembershipConfig, PlaneConfig, ValidationConfig,

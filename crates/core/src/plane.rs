@@ -45,7 +45,7 @@ use std::collections::{BTreeMap, VecDeque};
 
 /// A queued unit of work: the closure receives an owned [`Session`] on
 /// the request's node and drives commit/rollback itself.
-pub type RequestWork = Box<dyn for<'a> FnOnce(Session<'a>) -> Result<()>>;
+type RequestWork = Box<dyn for<'a> FnOnce(Session<'a>) -> Result<()>>;
 
 /// Per-node bound on the total queued requests across all priority
 /// classes. An arrival at the bound displaces queued lower-priority

@@ -282,12 +282,12 @@ impl ThreatStore {
     }
 
     /// The first stored threat with `identity`.
-    pub fn first_of(&self, identity: &ThreatIdentity) -> Option<&ConsistencyThreat> {
+    pub(crate) fn first_of(&self, identity: &ThreatIdentity) -> Option<&ConsistencyThreat> {
         self.records_of(identity).first().map(|r| &r.threat)
     }
 
     /// Whether any stored threat of `identity` allows rollback.
-    pub fn any_allows_rollback(&self, identity: &ThreatIdentity) -> bool {
+    pub(crate) fn any_allows_rollback(&self, identity: &ThreatIdentity) -> bool {
         self.records_of(identity)
             .iter()
             .any(|r| r.threat.instructions.allow_rollback)
@@ -295,7 +295,7 @@ impl ThreatStore {
 
     /// Whether any stored threat of `identity` requests conflict
     /// notification.
-    pub fn any_wants_conflict_notification(&self, identity: &ThreatIdentity) -> bool {
+    pub(crate) fn any_wants_conflict_notification(&self, identity: &ThreatIdentity) -> bool {
         self.records_of(identity)
             .iter()
             .any(|r| r.threat.instructions.notify_on_replica_conflict)
@@ -306,7 +306,7 @@ impl ThreatStore {
     /// dropped. Their journal entries are deleted through the
     /// write-ahead log as well; an identity that is not stored touches
     /// nothing.
-    pub fn remove_identity(&mut self, identity: &ThreatIdentity) -> usize {
+    pub(crate) fn remove_identity(&mut self, identity: &ThreatIdentity) -> usize {
         let Some(records) = self.records.remove(identity) else {
             return 0;
         };

@@ -108,12 +108,6 @@ impl WebGateway {
         &self.cluster
     }
 
-    /// The cluster, mutably: an operator may partition or heal it
-    /// between requests.
-    pub fn cluster_mut(&mut self) -> &mut Cluster {
-        &mut self.cluster
-    }
-
     /// Submits a business request. `op` runs at once in a fresh
     /// transaction, followed by the transaction's commit-time checks;
     /// the call returns either the business result or the first
@@ -255,7 +249,7 @@ mod tests {
     /// its threat; returns the negotiation id.
     fn parked_sale() -> (WebGateway, ObjectId, u64) {
         let (mut gw, flight) = gateway();
-        gw.cluster_mut().partition(&[nodes![0], nodes![1]]).unwrap();
+        gw.cluster.partition(&[nodes![0], nodes![1]]).unwrap();
         let f = flight.clone();
         let response = gw.submit(move |c, tx| {
             c.set_field(NodeId(0), tx, &f, "sold", Value::Int(71))
@@ -359,13 +353,13 @@ mod tests {
         let (mut gw, flight, id) = parked_sale();
         // An operator crashes the gateway's node while the sale waits:
         // its transaction dies with the node's volatile state.
-        gw.cluster_mut().crash(NodeId(0)).unwrap();
+        gw.cluster.crash(NodeId(0)).unwrap();
         match gw.decide(id, WebDecision { accept: true }) {
             WebResponse::BusinessResult(Err(Error::NoSuchTransaction(_))) => {}
             other => panic!("expected the transaction gone, got {other:?}"),
         }
-        gw.cluster_mut().restart(NodeId(0)).unwrap();
-        gw.cluster_mut().heal();
+        gw.cluster.restart(NodeId(0)).unwrap();
+        gw.cluster.heal();
         assert_eq!(sold(&gw, &flight), Value::Int(70), "the sale never landed");
         let response = gw.submit(|c, tx| c.get_field(NodeId(0), tx, &flight, "sold"));
         match response {

@@ -351,7 +351,7 @@ fn ccm_trace_and_counters_do_not_move() {
     assert_eq!(
         scenario(HistoryPolicy::IdenticalOnce),
         (
-            (49_550, 0xca3d_bf67_8c32_e0e2),
+            (49_562, 0x97b8_64fc_2bdc_645e),
             [72, 24, 16, 7, 7, 1],
             [1, 6, 11, 4, 7, 5, 5],
             1_812_650_000
@@ -360,7 +360,7 @@ fn ccm_trace_and_counters_do_not_move() {
     assert_eq!(
         scenario(HistoryPolicy::FullHistory),
         (
-            (49_606, 0x62af_9b62_0619_7217),
+            (49_618, 0x5e9e_3d1b_db98_dd33),
             [72, 24, 16, 7, 7, 1],
             [1, 6, 11, 4, 7, 5, 5],
             2_137_150_000

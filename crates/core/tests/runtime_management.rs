@@ -8,14 +8,15 @@ use dedisys_constraints::{
     expr::ExprConstraint, ConstraintMeta, ContextPreparation, RegisteredConstraint,
     ValidationContext,
 };
-use dedisys_core::ConstraintChange::{Add, Disable, Enable};
+use dedisys_core::ConstraintChange::{Add, Disable, Enable, Remove};
 use dedisys_core::{
-    nodes, Cluster, ClusterBuilder, ConsistencyThreat, DeferAll, HighestVersionWins,
-    NegotiationHandler, RingRecorder, ThreatDecision, ThreatIdentity, TraceEvent,
+    nodes, Cluster, ClusterBuilder, ConsistencyThreat, ConstraintReconcileReport, DeferAll,
+    HighestVersionWins, NegotiationHandler, RingRecorder, ThreatDecision, ThreatIdentity,
+    TraceEvent,
 };
 use dedisys_object::{AppDescriptor, ClassDescriptor, EntityState};
 use dedisys_types::{
-    ClassName, ConstraintName, Error, NodeId, ObjectId, SatisfactionDegree, SystemMode, Value,
+    ClassName, ConstraintName, Error, NodeId, ObjectId, SatisfactionDegree, SystemMode, TxId, Value,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -374,6 +375,145 @@ fn a_checked_change_records_its_accepted_violators_or_is_refused_whole() {
     promise::assert_kept(&cluster);
 }
 
+/// Asserts that `change` was refused for want of a quiescent point,
+/// naming `object` and the open `tx` that holds its lock.
+fn assert_waits_for(change: Result<Vec<ObjectId>, Error>, object: &ObjectId, tx: TxId) {
+    match change {
+        Err(Error::ModeRestriction(why)) => {
+            let blocker = format!("{object} is locked by open {tx}");
+            assert!(why.contains(&blocker), "{why}");
+        }
+        other => panic!("expected a refusal naming {object} and {tx}, got {other:?}"),
+    }
+}
+
+/// §3.3 at a quiescent point: the check reads committed copies, so an
+/// Add waits while an open transaction holds a write. Checked then,
+/// the stock written before the constraint existed would commit
+/// unchecked and break §3.2's promise with no fault at all.
+#[test]
+fn an_add_waits_for_an_open_write() {
+    let mut cluster = ClusterBuilder::new(2, app()).build().unwrap();
+    let ids = warehouses(&mut cluster, &[("W1", 0)]);
+    let node = NodeId(0);
+    let (refused, tx) = cluster
+        .run_tx(node, |c, tx| {
+            c.set_field(node, tx, &ids[0], "stock", Value::Int(150))?;
+            Ok((c.change_constraint(Add(capacity_constraint(), None)), tx))
+        })
+        .unwrap();
+    assert_waits_for(refused, &ids[0], tx);
+    assert!(cluster.repository().is_empty());
+    // Quiescent again: the check reads the committed 150.
+    assert_eq!(
+        cluster.change_constraint(Add(capacity_constraint(), None)),
+        Err(Error::ConstraintChangeRejected {
+            constraint: ConstraintName::from("Capacity"),
+            violators: ids,
+        })
+    );
+    promise::assert_kept(&cluster);
+}
+
+/// Enable waits the same way; Disable and Remove check nothing, so
+/// they go through while the write is open.
+#[test]
+fn an_enable_waits_for_an_open_write_and_disable_and_remove_do_not() {
+    let limit = RegisteredConstraint::new(
+        ConstraintMeta::new("Limit"),
+        Arc::new(ExprConstraint::parse("self.stock <= 1000").unwrap()),
+    )
+    .context_class("Warehouse")
+    .affects("Warehouse", "setStock", ContextPreparation::CalledObject);
+    let mut cluster = ClusterBuilder::new(2, app())
+        .constraint(tradeable_capacity())
+        .constraint(limit)
+        .build()
+        .unwrap();
+    let ids = warehouses(&mut cluster, &[("W1", 0)]);
+    let (capacity, limit) = (
+        ConstraintName::from("Capacity"),
+        ConstraintName::from("Limit"),
+    );
+    cluster
+        .change_constraint(Disable(capacity.clone()))
+        .unwrap();
+    let node = NodeId(0);
+    let (refused, tx) = cluster
+        .run_tx(node, |c, tx| {
+            c.set_field(node, tx, &ids[0], "stock", Value::Int(150))?;
+            let refused = c.change_constraint(Enable(capacity.clone(), None));
+            c.change_constraint(Disable(limit.clone()))?;
+            c.change_constraint(Remove(limit.clone()))?;
+            Ok((refused, tx))
+        })
+        .unwrap();
+    assert_waits_for(refused, &ids[0], tx);
+    assert!(!cluster.repository().get(&capacity).unwrap().enabled);
+    assert!(cluster.repository().get(&limit).is_none());
+    // Quiescent again: the check negotiates the committed 150.
+    let asked = Arc::new(AtomicUsize::new(0));
+    let accept = Some(handler(ThreatDecision::Accept, &asked));
+    assert_eq!(
+        cluster.change_constraint(Enable(capacity, accept)),
+        Ok(ids.clone())
+    );
+    assert_eq!(cluster.threats().identity_count(), 1);
+    promise::assert_kept(&cluster);
+}
+
+/// A prepared transaction still holds its locks: an Add between its
+/// prepare and its commit, through a detached session, waits too.
+#[test]
+fn an_add_waits_between_prepare_and_commit() {
+    let mut cluster = ClusterBuilder::new(2, app()).build().unwrap();
+    let ids = warehouses(&mut cluster, &[("W1", 0)]);
+    let mut session = cluster.session(NodeId(0));
+    session
+        .set_field(&ids[0], "stock", Value::Int(150))
+        .unwrap();
+    let tx = session.detach();
+    cluster.prepare(tx).unwrap();
+    let asked = Arc::new(AtomicUsize::new(0));
+    let accept = Some(handler(ThreatDecision::Accept, &asked));
+    let refused = cluster.change_constraint(Add(tradeable_capacity(), accept));
+    assert_waits_for(refused, &ids[0], tx);
+    assert_eq!(asked.load(Ordering::Relaxed), 0);
+    cluster.commit(tx).unwrap();
+    let accept = Some(handler(ThreatDecision::Accept, &asked));
+    assert_eq!(
+        cluster.change_constraint(Add(tradeable_capacity(), accept)),
+        Ok(ids.clone())
+    );
+    assert_eq!(cluster.threats().identity_count(), 1);
+    promise::assert_kept(&cluster);
+}
+
+/// An object created in an open transaction is no committed context
+/// object yet, so the check could not see it: the Add waits for it.
+#[test]
+fn an_add_waits_for_an_open_create() {
+    let mut cluster = ClusterBuilder::new(2, app()).build().unwrap();
+    let w9 = ObjectId::new("Warehouse", "W9");
+    let node = NodeId(0);
+    let (refused, tx) = cluster
+        .run_tx(node, |c, tx| {
+            c.create(node, tx, EntityState::for_class(c.app(), &w9)?)?;
+            c.set_field(node, tx, &w9, "stock", Value::Int(150))?;
+            Ok((c.change_constraint(Add(capacity_constraint(), None)), tx))
+        })
+        .unwrap();
+    assert_waits_for(refused, &w9, tx);
+    assert_eq!(
+        cluster.change_constraint(Add(capacity_constraint(), None)),
+        Err(Error::ConstraintChangeRejected {
+            constraint: ConstraintName::from("Capacity"),
+            violators: vec![w9],
+        })
+    );
+    promise::assert_kept(&cluster);
+}
+
 /// A query-based invariant has no context object: its violation is
 /// still negotiated, stored and explained, though no violator is named.
 #[test]
@@ -502,6 +642,42 @@ fn accepted_threats_survive_a_middleware_crash() {
         cluster.threats().threats()[0].constraint,
         ConstraintName::from("Capacity")
     );
+}
+
+/// A threat whose constraint was removed at runtime is moot: the next
+/// reconciliation re-evaluates it, drops it and counts it `dropped`,
+/// in its report and in its `reconcile_constraint_phase` event.
+#[test]
+fn a_removed_constraints_threat_is_dropped_and_counted() {
+    let (mut cluster, id) = degraded_tradeable_cluster();
+    set_stock(&mut cluster, NodeId(0), &id, 10);
+    assert_eq!(cluster.threats().len(), 1);
+    let capacity = ConstraintName::from("Capacity");
+    cluster.change_constraint(Remove(capacity)).unwrap();
+    cluster.heal();
+    let ring = RingRecorder::new(64);
+    cluster.telemetry().attach(Box::new(ring.clone()));
+    let summary = cluster.reconcile(&mut HighestVersionWins, &mut DeferAll);
+    let expected = ConstraintReconcileReport {
+        re_evaluated: 1,
+        dropped: 1,
+        ..ConstraintReconcileReport::default()
+    };
+    assert_eq!(summary.constraints, expected);
+    let phases = ring.records_of_kind("reconcile_constraint_phase");
+    assert!(
+        matches!(
+            phases[..],
+            [ref r] if matches!(r.event, TraceEvent::ReconcileConstraintPhase {
+                re_evaluated: 1,
+                dropped: 1,
+                ..
+            })
+        ),
+        "{phases:?}"
+    );
+    assert!(cluster.threats().is_empty());
+    promise::assert_kept(&cluster);
 }
 
 /// §3.2.1 lets a negotiation handler attach application data to the

@@ -111,12 +111,12 @@ impl ClassDescriptor {
     /// Default field values for new instances, keyed by the class's
     /// own names (a clone shares them): one allocation of exactly the
     /// declared fields.
-    pub fn default_fields(&self) -> Fields {
+    pub(crate) fn default_fields(&self) -> Fields {
         self.fields.clone()
     }
 
     /// Declared field names in order.
-    pub fn field_names(&self) -> impl Iterator<Item = &str> {
+    pub(crate) fn field_names(&self) -> impl Iterator<Item = &str> {
         self.fields.iter().map(|(name, _)| name.as_str())
     }
 

@@ -48,10 +48,6 @@ impl TxBuffer {
             self.entities.remove(at);
         }
     }
-
-    fn is_empty(&self) -> bool {
-        self.entities.is_empty() && self.deleted.is_empty()
-    }
 }
 
 /// Entity storage of one node (one replica set member).
@@ -135,7 +131,7 @@ impl EntityContainer {
 
     /// A handle on the deployed application that does not borrow the
     /// container.
-    pub fn shared_app(&self) -> Arc<AppDescriptor> {
+    pub(crate) fn shared_app(&self) -> Arc<AppDescriptor> {
         Arc::clone(&self.app)
     }
 
@@ -197,7 +193,7 @@ impl EntityContainer {
     /// # Errors
     ///
     /// Returns [`Error::ObjectNotFound`] if not visible to `tx`.
-    pub fn read_field(&self, tx: TxId, id: &ObjectId, field: &str) -> Result<Value> {
+    pub(crate) fn read_field(&self, tx: TxId, id: &ObjectId, field: &str) -> Result<Value> {
         self.view(tx, id).map(|e| e.field(field).clone())
     }
 
@@ -319,11 +315,6 @@ impl EntityContainer {
     /// Transactions holding a write buffer on this node.
     pub fn buffer_count(&self) -> usize {
         self.buffers.len()
-    }
-
-    /// Whether `tx` has buffered any changes.
-    pub fn has_pending(&self, tx: TxId) -> bool {
-        self.buffers.get(&tx).is_some_and(|b| !b.is_empty())
     }
 
     /// The committed state of `id` (no transaction view).
@@ -495,6 +486,13 @@ mod tests {
         TxId::new(NodeId(0), n)
     }
 
+    /// Whether `tx` has buffered any change on `c`.
+    fn has_pending(c: &EntityContainer, tx: TxId) -> bool {
+        c.buffers
+            .get(&tx)
+            .is_some_and(|b| !b.entities.is_empty() || !b.deleted.is_empty())
+    }
+
     fn t0() -> SimTime {
         SimTime::ZERO
     }
@@ -543,7 +541,7 @@ mod tests {
             fresh.set_field("seats", Value::Float(bad), t0());
             refused(c.create(tx(2), fresh));
         }
-        assert!(!c.has_pending(tx(2)), "a refused value buffers nothing");
+        assert!(!has_pending(&c, tx(2)), "a refused value buffers nothing");
         // Finite floats pass, nested or not.
         c.write_field(tx(2), &id, "seats", Value::Float(0.5), t0())
             .unwrap();
@@ -599,7 +597,7 @@ mod tests {
             .unwrap();
         let declared = c.app().class(id.class()).unwrap().default_fields();
         let copy = c.buffered_view(tx(2), &id).unwrap();
-        assert_eq!(copy.fields().len(), declared.len());
+        assert_eq!(copy.fields().iter().count(), declared.iter().count());
         for ((name, _), (class_name, _)) in copy.fields().iter().zip(declared.iter()) {
             assert!(Arc::ptr_eq(name.text(), class_name.text()), "{name}");
         }
@@ -622,7 +620,7 @@ mod tests {
         c.commit(tx(1));
         c.write_field(tx(2), &id, "seats", Value::Int(99), t0())
             .unwrap();
-        assert!(c.has_pending(tx(2)));
+        assert!(has_pending(&c, tx(2)));
         c.rollback(tx(2));
         assert_eq!(c.read_field(tx(3), &id, "seats").unwrap(), Value::Int(0));
     }
@@ -642,7 +640,7 @@ mod tests {
         assert_eq!(c.spare_buffers.len(), 0, "taken by the first write");
         c.rollback(tx(1));
         assert_eq!((c.buffer_count(), c.spare_buffers.len()), (0, 1));
-        assert!(!c.has_pending(tx(1)));
+        assert!(!has_pending(&c, tx(1)));
         assert!(c.exists(tx(2), &ids[1]));
         // Sequential transactions keep reusing the one buffer; a commit
         // still installs in id order, whatever order the writes came in.
@@ -758,7 +756,7 @@ mod tests {
         c.commit(tx(1));
         // An uncommitted transaction is buffered when the crash hits.
         let id2 = flight(&mut c, tx(2), "F2");
-        assert!(c.has_pending(tx(2)));
+        assert!(has_pending(&c, tx(2)));
 
         let lost = c.crash_volatile();
         assert_eq!(lost, 1, "one open buffer lost");

@@ -27,7 +27,7 @@ pub struct EntityState {
 
 impl EntityState {
     /// Creates an entity with explicit initial fields.
-    pub fn new(id: ObjectId, fields: Fields) -> Self {
+    pub(crate) fn new(id: ObjectId, fields: Fields) -> Self {
         Self {
             id,
             fields,
@@ -62,7 +62,7 @@ impl EntityState {
     }
 
     /// All fields in name order.
-    pub fn fields(&self) -> &Fields {
+    pub(crate) fn fields(&self) -> &Fields {
         &self.fields
     }
 

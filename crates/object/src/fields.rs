@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// the sorted names, which for a class's handful of fields is a few
 /// comparisons.
 #[derive(Debug, Clone, PartialEq, Default)]
-pub struct Fields(Vec<(FieldName, Value)>);
+pub(crate) struct Fields(Vec<(FieldName, Value)>);
 
 impl Fields {
     /// The value of `name`, if the list holds it.
@@ -22,16 +22,6 @@ impl Fields {
     /// The fields in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&FieldName, &Value)> {
         self.0.iter().map(|(name, value)| (name, value))
-    }
-
-    /// The number of fields.
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// Whether the list holds no field.
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
     }
 
     pub(crate) fn get_mut(&mut self, name: &str) -> Option<&mut Value> {

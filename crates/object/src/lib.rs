@@ -9,7 +9,7 @@
 //!
 //! * [`EntityState`] — an entity's attribute record with a version and
 //!   freshness estimation (the `VersionedEntity` of Figure 4.3); its
-//!   [`Fields`] are one list in name order.
+//!   fields are one list in name order.
 //! * [`ClassDescriptor`] / [`MethodDescriptor`] — deployed classes and
 //!   their methods, with EJB-style `set*` write detection (§4.3).
 //! * [`Invocation`] — the **command-pattern** invocation object that
@@ -40,8 +40,8 @@
 //! let id = ObjectId::new("Flight", "LH-441");
 //! container.create(tx, EntityState::for_class(&app, &id).unwrap()).unwrap();
 //! container.write_field(tx, &id, "seats", Value::Int(80), SimTime::ZERO).unwrap();
-//! assert_eq!(container.read_field(tx, &id, "seats").unwrap(), Value::Int(80));
 //! container.commit(tx);
+//! assert_eq!(container.committed_entity(&id).unwrap().field("seats"), &Value::Int(80));
 //! ```
 
 mod class;
@@ -53,10 +53,11 @@ mod invocation;
 mod method;
 mod snapshot;
 
+use fields::Fields;
+
 pub use class::{AppDescriptor, ClassDescriptor, MethodDescriptor, MethodKind};
 pub use container::EntityContainer;
 pub use entity::EntityState;
-pub use fields::Fields;
 pub use interceptor::{Interceptor, InterceptorChain};
 pub use invocation::Invocation;
 pub use method::{MethodBody, MethodContext, MethodTable};

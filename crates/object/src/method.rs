@@ -62,7 +62,7 @@ impl<'a> MethodContext<'a> {
 }
 
 /// Boxed business-logic function of a custom method body.
-pub type CustomBody = Arc<dyn Fn(&mut MethodContext<'_>) -> Result<Value> + Send + Sync>;
+type CustomBody = Arc<dyn Fn(&mut MethodContext<'_>) -> Result<Value> + Send + Sync>;
 
 /// The implementation of a deployed method.
 #[derive(Clone)]

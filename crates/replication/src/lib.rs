@@ -4,7 +4,7 @@
 //! failures, and the second key part of the adaptive-dependability
 //! approach next to constraint consistency management.
 //!
-//! Four protocols are provided (selectable per cluster):
+//! Three protocols are provided (selectable per cluster):
 //!
 //! * [`ProtocolKind::PrimaryBackup`] — classic primary/backup; writes
 //!   blocked while the static primary is unreachable.
@@ -15,9 +15,6 @@
 //!   temporary primary is chosen per partition, so writes continue in
 //!   *every* partition as long as the resulting consistency threats are
 //!   acceptable. Objects are possibly stale in every partition.
-//! * [`ProtocolKind::AdaptiveVoting`] — the quorum-based Adaptive
-//!   Voting protocol: majority quorums in healthy mode, quorums adapted
-//!   to the partition in degraded mode.
 //!
 //! The [`ReplicationManager`] implements placement (objects may be
 //! replicated on all nodes or bound to a subset — the DTMS "strong
@@ -36,7 +33,7 @@ mod manager;
 mod protocol;
 mod reconcile;
 
-pub use manager::{PropagationReport, ReplStats, ReplicationManager, MAX_SHIP_ATTEMPTS};
+pub use manager::{PropagationReport, ReplStats, ReplicationManager};
 pub use protocol::ProtocolKind;
 pub use reconcile::{
     HighestVersionWins, ReconcileReport, ReplicaConflict, ReplicaConsistencyHandler,

@@ -22,7 +22,7 @@ struct Placement {
 
 /// Upper bound on install attempts per backup on the ship path (one
 /// initial try plus bounded retries with exponential backoff).
-pub const MAX_SHIP_ATTEMPTS: u32 = 4;
+pub(crate) const MAX_SHIP_ATTEMPTS: u32 = 4;
 
 /// What the ship path charges for one synchronous update propagation.
 /// Messages and retries are counted in [`ReplStats`]; the backups that
@@ -307,8 +307,8 @@ impl ReplicationManager {
     ///
     /// Injected faults harden the ship path: a backup inside a *write-
     /// failure window* (see [`ReplicationManager::inject_write_fault`])
-    /// rejects installs, which are retried up to [`MAX_SHIP_ATTEMPTS`]
-    /// times with exponential backoff (1, 2, 4, … units); a *lagged*
+    /// rejects installs; an install is tried at most `MAX_SHIP_ATTEMPTS`
+    /// (4) times, with exponential backoff (1, 2, 4, … units); a *lagged*
     /// backup ([`ReplicationManager::inject_replica_lag`]) silently
     /// misses the propagation. Backups that miss the update either way
     /// are recorded as degraded writes so the reconciliation phase
@@ -750,7 +750,6 @@ mod tests {
             ProtocolKind::PrimaryBackup,
             ProtocolKind::PrimaryPartition,
             ProtocolKind::PrimaryPerPartition,
-            ProtocolKind::AdaptiveVoting,
         ];
         let ids: Vec<ObjectId> = (0..24)
             .map(|k| ObjectId::new("Flight", format!("F{k}")))

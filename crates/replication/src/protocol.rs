@@ -20,9 +20,6 @@ pub enum ProtocolKind {
     /// availability.
     #[default]
     PrimaryPerPartition,
-    /// Adaptive Voting: majority write quorums, adapted to the
-    /// partition during degraded mode.
-    AdaptiveVoting,
 }
 
 impl ProtocolKind {
@@ -36,7 +33,6 @@ impl ProtocolKind {
     ///
     /// * [`Error::ObjectUnreachable`] — no replica reachable.
     /// * [`Error::ModeRestriction`] — protocol blocks writes here.
-    /// * [`Error::NoQuorum`] — voting quorum unavailable (strict mode).
     pub fn write_target(
         self,
         object: &ObjectId,
@@ -47,8 +43,7 @@ impl ProtocolKind {
         weights: &NodeWeights,
     ) -> Result<NodeId> {
         let partition = topology.partition_of(requester);
-        let reachable = || replicas.iter().filter(|r| partition.contains(r));
-        let mut walk = reachable();
+        let mut walk = replicas.iter().filter(|r| partition.contains(r));
         let Some(&lowest) = walk.next() else {
             return Err(Error::ObjectUnreachable(object.clone()));
         };
@@ -80,21 +75,6 @@ impl ProtocolKind {
                 }
             }
             ProtocolKind::PrimaryPerPartition => Ok(target),
-            ProtocolKind::AdaptiveVoting => {
-                let available = weights.partition_weight(reachable());
-                let required = weights.partition_weight(replicas) / 2 + 1;
-                if topology.is_healthy() && available < required {
-                    return Err(Error::NoQuorum {
-                        object: object.clone(),
-                        available,
-                        required,
-                    });
-                }
-                // Degraded mode: the quorum is adapted to the partition
-                // (any reachable majority *of the partition's copies*),
-                // accepting consistency threats.
-                Ok(target)
-            }
         }
     }
 
@@ -129,7 +109,7 @@ impl ProtocolKind {
             // objects are possibly stale in every partition [BBG+06] —
             // unless every replica of the object lives in this
             // partition (no other partition holds a copy to diverge).
-            ProtocolKind::PrimaryPerPartition | ProtocolKind::AdaptiveVoting => !all_replicas_here,
+            ProtocolKind::PrimaryPerPartition => !all_replicas_here,
         }
     }
 }
@@ -257,23 +237,6 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_voting_requires_quorum_only_when_healthy() {
-        let w = NodeWeights::uniform(3);
-        let p = ProtocolKind::AdaptiveVoting;
-        let topo = Topology::fully_connected(3);
-        // Healthy with all replicas reachable: fine.
-        assert!(p
-            .write_target(&obj(), NodeId(1), &replicas(3), NodeId(0), &topo, &w)
-            .is_ok());
-        // Degraded minority partition: quorum adapted, write allowed.
-        let mut topo = Topology::fully_connected(3);
-        topo.split(&[&[0], &[1, 2]]);
-        assert!(p
-            .write_target(&obj(), NodeId(0), &replicas(3), NodeId(0), &topo, &w)
-            .is_ok());
-    }
-
-    #[test]
     fn unreachable_object_with_bound_placement() {
         // DTMS-style: object only on nodes {0,1}.
         let mut topo = Topology::fully_connected(3);
@@ -283,7 +246,6 @@ mod tests {
         for p in [
             ProtocolKind::PrimaryBackup,
             ProtocolKind::PrimaryPerPartition,
-            ProtocolKind::AdaptiveVoting,
         ] {
             assert!(matches!(
                 p.write_target(&obj(), NodeId(2), &bound, NodeId(0), &topo, &w),
@@ -325,18 +287,6 @@ mod tests {
                 "writes to {object} blocked outside the primary partition"
             ))),
             ProtocolKind::PrimaryPerPartition => Ok(target),
-            ProtocolKind::AdaptiveVoting => {
-                let available = weights.partition_weight(&reachable);
-                let required = weights.partition_weight(replicas) / 2 + 1;
-                if topology.is_healthy() && available < required {
-                    return Err(Error::NoQuorum {
-                        object: object.clone(),
-                        available,
-                        required,
-                    });
-                }
-                Ok(target)
-            }
         }
     }
 
@@ -346,7 +296,6 @@ mod tests {
             ProtocolKind::PrimaryBackup,
             ProtocolKind::PrimaryPartition,
             ProtocolKind::PrimaryPerPartition,
-            ProtocolKind::AdaptiveVoting,
         ];
         let mut checked = 0u32;
         for n in 1..=4u32 {
@@ -386,8 +335,8 @@ mod tests {
             }
         }
         // Σ_n 2 weightings × 3^n sides × n·2^(n-1) (replicas, primary)
-        // × n requesters × 4 protocols.
-        assert_eq!(checked, 2 * 4 * (3 + 9 * 8 + 27 * 36 + 81 * 128));
+        // × n requesters × 3 protocols.
+        assert_eq!(checked, 2 * 3 * (3 + 9 * 8 + 27 * 36 + 81 * 128));
     }
 
     #[test]

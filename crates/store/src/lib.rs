@@ -44,4 +44,4 @@ mod persistence;
 
 pub use kv::TableStore;
 pub use log::{record_digest, LogEntry, LogOp, ReplayReport, Survivors, WriteAheadLog};
-pub use persistence::{Persistence, StoreCosts, StoreStats};
+pub use persistence::{Persistence, StoreCosts};

@@ -251,15 +251,16 @@ pub struct ReplayReport {
 /// and a crash, and a crashed node appends nothing.
 ///
 /// ```
-/// use dedisys_store::{TableStore, WriteAheadLog};
+/// use dedisys_store::WriteAheadLog;
 ///
 /// let mut wal = WriteAheadLog::new();
 /// wal.append_put("t", "k", "v");
-/// wal.append_delete("t", "missing");
+/// wal.append_put("t", "gone", "x");
+/// wal.append_delete("t", "gone");
 ///
-/// let mut recovered = TableStore::new();
-/// wal.replay_into(&mut recovered);
-/// assert_eq!(recovered.get("t", "k"), Some("v"));
+/// // What a recovery rebuilds: each key's newest entry, if a put.
+/// let records: Vec<&str> = wal.survivors().map(|(_, record, _)| &**record).collect();
+/// assert_eq!(records, ["v"]);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WriteAheadLog {
@@ -393,7 +394,7 @@ impl WriteAheadLog {
     }
 
     /// Replays the whole log into `store`.
-    pub fn replay_into(&self, store: &mut TableStore) {
+    pub(crate) fn replay_into(&self, store: &mut TableStore) {
         for entry in &self.entries {
             match &entry.op {
                 LogOp::Put { record } => {

@@ -3,7 +3,6 @@
 use crate::{ReplayReport, TableStore, WriteAheadLog};
 use dedisys_net::SimClock;
 use dedisys_types::SimDuration;
-use std::fmt;
 
 /// Virtual-time costs of database accesses.
 ///
@@ -40,27 +39,6 @@ impl StoreCosts {
     }
 }
 
-/// Operation counters of a [`Persistence`] instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StoreStats {
-    /// Number of writes (puts + deletes).
-    pub writes: u64,
-    /// Number of point reads.
-    pub reads: u64,
-    /// Number of scans.
-    pub scans: u64,
-}
-
-impl fmt::Display for StoreStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "writes={} reads={} scans={}",
-            self.writes, self.reads, self.scans
-        )
-    }
-}
-
 /// A [`TableStore`] + [`WriteAheadLog`] bound to the simulation clock:
 /// every access advances virtual time per [`StoreCosts`], mirroring the
 /// database round trips that dominated several of the paper's
@@ -71,7 +49,6 @@ pub struct Persistence {
     wal: WriteAheadLog,
     clock: SimClock,
     costs: StoreCosts,
-    stats: StoreStats,
 }
 
 impl Persistence {
@@ -82,13 +59,7 @@ impl Persistence {
             wal: WriteAheadLog::new(),
             clock,
             costs,
-            stats: StoreStats::default(),
         }
-    }
-
-    /// The accumulated operation counters.
-    pub fn stats(&self) -> StoreStats {
-        self.stats
     }
 
     /// Read-only access to the underlying store.
@@ -103,7 +74,6 @@ impl Persistence {
 
     /// Writes a record (WAL append + store put).
     pub fn put(&mut self, table: &'static str, key: &str, record: String) {
-        self.stats.writes += 1;
         self.clock.advance(self.costs.write);
         self.wal.append_put(table, key, record.as_str());
         self.store.put(table, key, record);
@@ -111,7 +81,6 @@ impl Persistence {
 
     /// Deletes a record.
     pub fn delete(&mut self, table: &'static str, key: &str) -> Option<String> {
-        self.stats.writes += 1;
         self.clock.advance(self.costs.write);
         self.wal.append_delete(table, key);
         self.store.delete(table, key)
@@ -119,21 +88,18 @@ impl Persistence {
 
     /// Point read.
     pub fn get(&mut self, table: &str, key: &str) -> Option<String> {
-        self.stats.reads += 1;
         self.clock.advance(self.costs.read);
         self.store.get(table, key).map(str::to_owned)
     }
 
     /// Whether a record exists (costs a read).
     pub fn contains(&mut self, table: &str, key: &str) -> bool {
-        self.stats.reads += 1;
         self.clock.advance(self.costs.read);
         self.store.contains(table, key)
     }
 
     /// Scans a table, paying per-row cost; returns owned pairs.
     pub fn scan(&mut self, table: &str) -> Vec<(String, String)> {
-        self.stats.scans += 1;
         let rows: Vec<(String, String)> = self
             .store
             .scan(table)
@@ -178,19 +144,6 @@ mod tests {
         assert_eq!(after_write.as_nanos(), 3_000_000);
         p.get("t", "k");
         assert_eq!(clock.now().as_nanos(), 3_150_000);
-    }
-
-    #[test]
-    fn stats_count_operations() {
-        let mut p = Persistence::new(SimClock::new(), StoreCosts::free());
-        p.put("t", "a", "1".into());
-        p.get("t", "a");
-        p.scan("t");
-        p.delete("t", "a");
-        let stats = p.stats();
-        assert_eq!(stats.writes, 2);
-        assert_eq!(stats.reads, 1);
-        assert_eq!(stats.scans, 1);
     }
 
     #[test]

@@ -324,6 +324,9 @@ pub enum TraceEvent {
         deferred: u64,
         /// Threats postponed (partitions remain).
         postponed: u64,
+        /// Moot threats dropped: constraint removed, or context object
+        /// deleted.
+        dropped: u64,
         /// Virtual time the step took.
         duration_ns: u64,
     },

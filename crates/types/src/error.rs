@@ -69,15 +69,6 @@ pub enum Error {
     /// A transaction whose coordinator crashed between prepare and
     /// commit; its outcome is unknown until in-doubt resolution runs.
     TxInDoubt(TxId),
-    /// A quorum could not be assembled (adaptive voting protocol).
-    NoQuorum {
-        /// The object for which the quorum was requested.
-        object: ObjectId,
-        /// Votes available in the current partition.
-        available: u32,
-        /// Votes required.
-        required: u32,
-    },
     /// A field or environment value a constraint reads is missing or
     /// has the wrong type. Surfacing this instead of validating
     /// against a default prevents misconfigured constraints from
@@ -144,14 +135,6 @@ impl fmt::Display for Error {
             Error::TxInDoubt(tx) => {
                 write!(f, "transaction {tx} is in doubt (coordinator crashed)")
             }
-            Error::NoQuorum {
-                object,
-                available,
-                required,
-            } => write!(
-                f,
-                "no quorum for {object}: {available} of {required} votes available"
-            ),
             Error::IllTypedField { name, expected } => {
                 write!(f, "field or env value {name} is missing or not {expected}")
             }
@@ -194,11 +177,6 @@ mod tests {
             Error::ConstraintChangeRejected {
                 constraint: ConstraintName::from("Capacity"),
                 violators: vec![ObjectId::new("Warehouse", "W1")],
-            },
-            Error::NoQuorum {
-                object: ObjectId::new("A", "1"),
-                available: 1,
-                required: 2,
             },
         ];
         for e in errors {

@@ -50,11 +50,6 @@ impl Value {
         }
     }
 
-    /// Whether this is [`Value::Null`].
-    pub fn is_null(&self) -> bool {
-        matches!(self, Value::Null)
-    }
-
     /// Returns the boolean if this is a [`Value::Bool`].
     pub fn as_bool(&self) -> Option<bool> {
         match self {

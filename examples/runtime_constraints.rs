@@ -2,14 +2,15 @@
 //! constraints loaded from a deployment descriptor, then disabled,
 //! re-enabled and removed while the system runs — the capability that
 //! motivates the repository-based design despite its overhead (Chapter
-//! 2). Every change is one `Cluster::change_constraint`; a re-enabled
-//! constraint is checked for all context objects (§3.3), and each
-//! violator is negotiated or the change refused.
+//! 2). Every change is one `Cluster::change_constraint`; an added or
+//! re-enabled constraint is checked for all context objects (§3.3), at
+//! a quiescent point, and each violator is negotiated or the change
+//! refused.
 //!
 //! Run with: `cargo run --example runtime_constraints`
 
 use dedisys_constraints::{ConstraintConfigSet, ImplRegistry};
-use dedisys_core::ConstraintChange::{Disable, Enable, Remove};
+use dedisys_core::ConstraintChange::{Add, Disable, Enable, Remove};
 use dedisys_core::{Cluster, ClusterBuilder, ConsistencyThreat, ThreatDecision};
 use dedisys_object::{AppDescriptor, ClassDescriptor, EntityState};
 use dedisys_types::{ConstraintName, Error, NodeId, ObjectId, Result, Value};
@@ -105,9 +106,29 @@ fn main() -> Result<()> {
     );
 
     // Remove it entirely.
-    cluster.change_constraint(Remove(capacity))?;
+    cluster.change_constraint(Remove(capacity.clone()))?;
     set_stock(&mut cluster, &wh, 160)?;
     println!("constraint removed: stock=160 accepted");
+
+    // Add it back. The check reads committed copies, so it waits for a
+    // quiescent point: while a session holds a write, the Add is
+    // refused, typed, and changes nothing …
+    let again = configs.resolve(&ImplRegistry::new())?;
+    let again = again.into_iter().find(|c| c.name() == &capacity);
+    let again = again.expect("the descriptor declares it");
+    let mut session = cluster.session(node);
+    session.set_field(&wh, "stock", Value::Int(80))?;
+    let open = session.detach();
+    let waiting = cluster.change_constraint(Add(again.clone(), None));
+    assert!(
+        matches!(&waiting, Err(Error::ModeRestriction(_))),
+        "{waiting:?}"
+    );
+    println!("add while {open} is open → {}", waiting.unwrap_err());
+    // … and goes through once the session has ended.
+    cluster.commit(open)?;
+    assert!(cluster.change_constraint(Add(again, None))?.is_empty());
+    println!("{open} committed stock=80: constraint added back, no violator");
 
     // A tradeable constraint's violators can be accepted instead: the
     // change's handler negotiates each one, and the change's commit

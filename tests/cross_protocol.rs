@@ -1,4 +1,4 @@
-//! Cross-crate integration: behaviour of the four replication
+//! Cross-crate integration: behaviour of the three replication
 //! protocols under partitions, and their interaction with constraint
 //! consistency management.
 
@@ -110,22 +110,6 @@ fn p4_writes_everywhere_and_reconciles_conflicts() {
             &Value::Int(3)
         );
     }
-}
-
-#[test]
-fn adaptive_voting_adapts_quorums_in_degraded_mode() {
-    let mut cluster = cluster_with(ProtocolKind::AdaptiveVoting, 3);
-    let id = seed_item(&mut cluster, "a");
-    // Healthy: majority quorum available, writes fine.
-    assert!(write(&mut cluster, NodeId(1), &id, 1).is_ok());
-    cluster.partition(&[nodes![0], nodes![1, 2]]).unwrap();
-    // Degraded: both partitions may write (adapted quorums).
-    assert!(write(&mut cluster, NodeId(0), &id, 2).is_ok());
-    assert!(write(&mut cluster, NodeId(1), &id, 3).is_ok());
-    cluster.heal();
-    let summary = cluster.reconcile(&mut HighestVersionWins, &mut DeferAll);
-    promise::assert_kept(&cluster);
-    assert_eq!(summary.replica.conflicts.len(), 1);
 }
 
 #[test]

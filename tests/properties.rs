@@ -279,9 +279,10 @@ mod reconciliation_accounting {
     use dedisys_constraints::{
         expr::ExprConstraint, ConstraintMeta, ContextPreparation, RegisteredConstraint,
     };
+    use dedisys_core::ConstraintChange::{Add, Remove};
     use dedisys_core::{ClusterBuilder, ConstraintReconcileReport, DeferAll, ReplicaConflict};
     use dedisys_object::{AppDescriptor, ClassDescriptor, EntityState};
-    use dedisys_types::SimTime;
+    use dedisys_types::{ConstraintName, SimTime};
     use std::sync::Arc;
 
     fn app() -> AppDescriptor {
@@ -316,7 +317,7 @@ mod reconciliation_accounting {
         );
         assert_eq!(
             c.re_evaluated,
-            c.satisfied_removed + c.violations + c.postponed,
+            c.satisfied_removed + c.violations + c.postponed + c.dropped,
             "seed {seed}: re-evaluations partition into outcomes: {c:?}"
         );
     }
@@ -325,18 +326,23 @@ mod reconciliation_accounting {
     /// partial merges alike, the counter identities of
     /// [`ConstraintReconcileReport`] always balance (the
     /// handler-retry accounting bug made `violations` exceed the
-    /// sum of its resolutions).
+    /// sum of its resolutions). A round may also delete the object it
+    /// wrote or remove the constraint at runtime, so moot threats are
+    /// dropped too.
     #[test]
     fn reconciliation_counters_balance() {
+        let bounded = ConstraintName::from("Bounded");
         for seed in 0..48 {
             let mut rng = ChaosRng::new(seed);
-            // `(writer, object, value, full heal)` per round.
+            // `(writer, object, value, full heal, then)` per round;
+            // `then` 0 deletes the object, 1 removes the constraint.
             let schedule = vec_of(&mut rng, 1, 8, |r| {
                 (
                     r.below(3) as u32,
                     r.below(4) as usize,
                     r.below(80) as i64,
                     r.chance(50),
+                    r.below(8),
                 )
             });
             let mut cluster = ClusterBuilder::new(3, app())
@@ -372,17 +378,26 @@ mod reconciliation_accounting {
                 merged.set_field("n", Value::Int(total), SimTime::ZERO);
                 Some(merged)
             };
-            for (writer, obj, value, full_heal) in schedule {
+            for (writer, obj, value, full_heal, then) in schedule {
                 cluster
                     .partition(&[nodes![0], nodes![1], nodes![2]])
                     .unwrap();
                 let node = NodeId(writer);
-                let id = objects[obj].clone();
+                let id = &objects[obj];
                 // Degraded writes may abort (e.g. negotiation refuses);
                 // the accounting must hold either way.
-                let _ = cluster.run_tx(node, move |c, tx| {
-                    c.set_field(node, tx, &id, "n", Value::Int(value))
+                let _ = cluster.run_tx(node, |c, tx| {
+                    c.set_field(node, tx, id, "n", Value::Int(value))
                 });
+                match then {
+                    0 => {
+                        let _ = cluster.run_tx(node, |c, tx| c.delete(node, tx, id));
+                    }
+                    1 => {
+                        let _ = cluster.change_constraint(Remove(bounded.clone()));
+                    }
+                    _ => {}
+                }
                 let identities_before = cluster.threats().identities().len();
                 let summary = if full_heal {
                     cluster.heal();
@@ -394,6 +409,11 @@ mod reconciliation_accounting {
                 };
                 promise::assert_kept(&cluster);
                 check_counters(seed, &summary.constraints, identities_before);
+                // Healthy again: a removed constraint comes back when
+                // its check finds no violator.
+                if full_heal && cluster.repository().get(&bounded).is_none() {
+                    let _ = cluster.change_constraint(Add(constraint(), None));
+                }
             }
             // Drain: a full heal re-evaluates whatever is left.
             cluster.heal();
